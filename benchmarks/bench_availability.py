@@ -12,7 +12,7 @@ replication is visible on one machine:
   replica's lock, so sustainable QPS grows with the replica count;
 * **availability** — a replication-factor-2 fleet replayed while replicas
   die: with one replica killed per shard (``f = 1``) the error rate stays
-  exactly zero and answers remain bit-identical to an unreplicated oracle;
+  exactly zero and answers remain bit-identical to an unsharded-index oracle;
   killing *both* replicas of a shard surfaces clean
   :class:`~repro.core.exceptions.ReplicaUnavailableError` answers instead
   of wrong ones, and recovery restores error-free exact serving.
@@ -30,7 +30,7 @@ from repro.core.exceptions import ReproError
 from repro.datasets.workload import QueryWorkloadConfig, generate_query_workload
 from repro.resilience import FaultPolicy, ReplicatedSimilarityService
 from repro.serving.api import QueryRequest
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.index import SimilarityIndex
 
 THRESHOLD = 0.5
 NUM_SHARDS = 2
@@ -95,7 +95,7 @@ def test_read_qps_scales_with_replication(benchmark, small_dataset,
                                           bench_record):
     multisets = small_dataset.multisets
     queries = hot_key_workload(multisets)
-    oracle = ShardedSimilarityService("ruzicka", NUM_SHARDS)
+    oracle = SimilarityIndex("ruzicka")
     oracle.bulk_load(multisets)
     expected_matches = sum(
         len(oracle.query(QueryRequest.threshold(query, THRESHOLD)))
@@ -125,7 +125,7 @@ def test_read_qps_scales_with_replication(benchmark, small_dataset,
 
     for row in results:
         # Replication is invisible to correctness: zero errors, and the
-        # answer volume matches the unreplicated oracle bit-for-bit.
+        # answer volume matches the unsharded oracle bit-for-bit.
         assert row["errors"] == 0
         assert row["total_matches"] == expected_matches
     if not SMOKE:
@@ -140,7 +140,7 @@ def test_availability_under_replica_failures(benchmark, small_dataset,
                                              bench_record, tmp_path):
     multisets = small_dataset.multisets
     queries = hot_key_workload(multisets)
-    oracle = ShardedSimilarityService("ruzicka", NUM_SHARDS)
+    oracle = SimilarityIndex("ruzicka")
     oracle.bulk_load(multisets)
     expected_matches = sum(
         len(oracle.query(QueryRequest.threshold(query, THRESHOLD)))
@@ -190,7 +190,7 @@ def test_availability_under_replica_failures(benchmark, small_dataset,
               f"{NUM_QUERIES} queries per phase"))
 
     by_phase = {row["phase"]: row for row in phases}
-    # f <= 1: zero errors and bit-exact parity with the unreplicated oracle.
+    # f <= 1: zero errors and bit-exact parity with the unsharded oracle.
     for name in ("healthy (f=0)", "one replica killed per shard (f=1)",
                  "recovered"):
         assert by_phase[name]["errors"] == 0

@@ -30,6 +30,7 @@ import numpy as np
 from benchmarks.conftest import SMOKE, run_once
 from repro.core.multiset import Multiset
 from repro.datasets.zipf import BoundedZipf
+from repro.engine import join
 from repro.mapreduce import (
     Dataset,
     JobSpec,
@@ -45,7 +46,6 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.backends import default_worker_count
 from repro.similarity.registry import get_measure
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
 
 #: Corpus / panel sizes (full mode vs CI smoke mode).
 NUM_MULTISETS = 60 if SMOKE else 240
@@ -161,26 +161,24 @@ def test_backend_scaling(benchmark, bench_record):
 def test_backend_parity_on_join(bench_record):
     """The real pipeline agrees across backends at smoke scale."""
     corpus = zipf_corpus(40)
-    config = VSmartJoinConfig(algorithm="online_aggregation", measure="ruzicka",
-                              threshold=0.2)
     results = {}
     timings = {}
     for name, backend in (("serial", SerialBackend()),
                           ("thread", ThreadBackend(num_workers=4)),
                           ("process", ProcessBackend(num_workers=4))):
         with backend:
-            join = VSmartJoin(config, cluster=laptop_cluster(), backend=backend)
             started = time.perf_counter()
-            outcome = join.run(corpus)
+            results[name] = join(corpus, algorithm="online_aggregation",
+                                 measure="ruzicka", threshold=0.2,
+                                 cluster=laptop_cluster(), backend=backend)
             timings[name] = time.perf_counter() - started
-            results[name] = outcome
     base = results["serial"]
     for name, outcome in results.items():
         assert outcome.pairs == base.pairs, name
         assert outcome.counters() == base.counters(), name
         assert outcome.simulated_seconds == base.simulated_seconds, name
     print()
-    print(f"vsmart_join parity ok: {len(base.pairs)} pairs; wall-clock "
+    print(f"join(..., backend=...) parity ok: {len(base.pairs)} pairs; wall-clock "
           + ", ".join(f"{name} {seconds:.2f}s" for name, seconds in timings.items()))
     bench_record["num_pairs"] = len(base.pairs)
     bench_record["wall_clock_seconds"] = timings

@@ -8,7 +8,7 @@ records the latency percentiles and throughput of each configuration.
 
 Two invariants ride along as assertions: every fleet shape serves the same
 total answer volume, and the wire answers are bit-identical to direct
-in-process :meth:`ShardedSimilarityService.batch` calls — the tentpole
+in-process :meth:`ReplicatedSimilarityService.batch` calls — the tentpole
 contract of the unified query API.
 """
 
@@ -21,7 +21,7 @@ from repro.datasets.workload import (
     generate_open_loop_arrivals,
     generate_request_workload,
 )
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService
 from repro.server import (
     InProcessServer,
     ServerConfig,
@@ -39,8 +39,9 @@ OPEN_LOOP_RATE = 400.0 if SMOKE else 800.0
 
 def _serve_and_replay(num_shards, multisets, requests, arrivals):
     """One fleet shape: start a server, replay both disciplines."""
-    service = ShardedSimilarityService("ruzicka", num_shards,
-                                      cache_capacity=256)
+    service = ReplicatedSimilarityService("ruzicka", num_shards,
+                                          replication_factor=1,
+                                          cache_capacity=256)
     service.bulk_load(multisets)
     direct = service.batch(requests)
     app = SimilarityServerApp(service, config=ServerConfig())

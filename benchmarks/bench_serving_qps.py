@@ -21,7 +21,7 @@ from repro.datasets.workload import (
     workload_statistics,
 )
 from repro.serving.api import QueryRequest
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService
 
 #: Threshold served by the replay (the paper's headline setting).
 THRESHOLD = 0.5
@@ -31,8 +31,9 @@ CACHE_CAPACITY = 256
 
 def _replay(num_shards: int, multisets, queries) -> dict[str, float]:
     """Load a fleet, replay the workload, return throughput and hit rate."""
-    service = ShardedSimilarityService("ruzicka", num_shards,
-                                       cache_capacity=CACHE_CAPACITY)
+    service = ReplicatedSimilarityService("ruzicka", num_shards,
+                                          replication_factor=1,
+                                          cache_capacity=CACHE_CAPACITY)
     service.bulk_load(multisets)
     started = time.perf_counter()
     total_matches = 0

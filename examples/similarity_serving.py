@@ -47,7 +47,7 @@ def main() -> None:
 
     # A brand-new IP (never seen by the batch join) is queried and indexed
     # immediately — no re-join required.
-    template = service.node_for(proxy_ip).index.get(proxy_ip)
+    template = service.get(proxy_ip)
     newcomer = Multiset("10.99.99.99", dict(list(template.items())[:40]))
     top = service.query(QueryRequest.topk(newcomer, 3)).matches
     print(f"\nTop-3 matches for the newly observed {newcomer.id}:")

@@ -15,12 +15,16 @@ the mutated corpus.
 
 from __future__ import annotations
 
-from repro import JoinSpec, SimilarityEngine, attach_serving
+from repro import (
+    JoinSpec,
+    ReplicatedSimilarityService,
+    SimilarityEngine,
+    attach_serving,
+)
 from repro.datasets.ip_cookie import generate_ip_cookie_dataset, small_dataset_config
 from repro.datasets.workload import MutationStreamConfig, generate_mutation_stream
 from repro.mapreduce.cluster import laptop_cluster
 from repro.serving.api import QueryRequest
-from repro.serving.service import ShardedSimilarityService
 
 THRESHOLD = 0.5
 SPEC = JoinSpec(measure="ruzicka", threshold=THRESHOLD, algorithm="exact")
@@ -39,9 +43,11 @@ def main() -> None:
 
         # The serving fleet follows the view: every batch updates the
         # shards and re-warms member caches from the view's pair map —
-        # bootstrap_from_join never runs again.
-        service = ShardedSimilarityService("ruzicka", num_shards=4,
-                                           cache_capacity=2 * len(multisets))
+        # bootstrap_from_join never runs again.  Two replicas per shard:
+        # the view's writes fan in to both.
+        service = ReplicatedSimilarityService(
+            "ruzicka", num_shards=4, replication_factor=2,
+            cache_capacity=2 * len(multisets))
         attach_serving(view, service)
         print(f"Serving fleet attached: {service!r}")
 

@@ -18,7 +18,10 @@ depends on:
   filtering);
 * :mod:`repro.serving` — the online similarity-serving subsystem: an
   incrementally maintained partial-result index with threshold and top-k
-  queries, LRU-cached serving nodes and hash-sharded fan-out;
+  queries, LRU-cached serving nodes, and the one fleet class,
+  :class:`ReplicatedSimilarityService` — hash shards of
+  ``replication_factor >= 1`` replicas each (write fan-in, read spreading,
+  failover, exact rebuild);
 * :mod:`repro.baselines` — sequential baselines (brute force, inverted
   index, PPJoin, MinHash/LSH);
 * :mod:`repro.datasets` — synthetic IP/cookie and document workload
@@ -36,11 +39,9 @@ depends on:
   materializes a spec's pair set and applies upsert/delete
   :class:`ChangeBatch` streams exactly, emitting :class:`PairDelta` events
   and streaming them into the serving layer;
-* :mod:`repro.resilience` — replication and fault tolerance for serving:
-  :class:`ReplicatedSimilarityService` keeps N replicas per hash-shard
-  (write fan-in, read spreading, failover, exact rebuild), with seeded
-  :class:`FaultPolicy` injection, :class:`RetryPolicy` backoff and a
-  :class:`CircuitBreaker` for the wire client;
+* :mod:`repro.resilience` — the fault-tolerance toolkit around the fleet:
+  seeded :class:`FaultPolicy` injection, :class:`RetryPolicy` backoff and
+  a :class:`CircuitBreaker` for the wire client;
 * :mod:`repro.storage` — the durable persistence tier: one SQLite file
   holds a serving index (``SimilarityIndex.save``/``.load``), a crash-
   recoverable view snapshot + mutation log (``JoinView.persist`` /
@@ -81,16 +82,11 @@ from repro.mapreduce import (
     laptop_cluster,
     paper_cluster,
 )
-from repro.resilience import (
-    CircuitBreaker,
-    FaultPolicy,
+from repro.resilience import CircuitBreaker, FaultPolicy, RetryPolicy
+from repro.serving import (
     ReplicatedShard,
     ReplicatedSimilarityService,
-    RetryPolicy,
-)
-from repro.serving import (
     ServingNode,
-    ShardedSimilarityService,
     SimilarityIndex,
     bootstrap_from_join,
 )
@@ -100,8 +96,8 @@ from repro.similarity import (
     get_measure,
     list_measures,
 )
-from repro.vcl import VCLConfig, VCLJoin, vcl_join
-from repro.vsmart import VSmartJoin, VSmartJoinConfig, vsmart_join
+from repro.vcl import VCLConfig, VCLJoin
+from repro.vsmart import VSmartJoin, VSmartJoinConfig
 from repro.engine import (
     CalibrationProfile,
     CorpusProfile,
@@ -128,7 +124,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Change",
@@ -157,7 +153,6 @@ __all__ = [
     "RetryPolicy",
     "SerialBackend",
     "ServingNode",
-    "ShardedSimilarityService",
     "SimilarPair",
     "SimilarityEngine",
     "SimilarityIndex",
@@ -185,6 +180,4 @@ __all__ = [
     "laptop_cluster",
     "list_measures",
     "paper_cluster",
-    "vcl_join",
-    "vsmart_join",
 ]

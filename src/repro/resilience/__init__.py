@@ -1,17 +1,10 @@
-"""Replication and fault tolerance for the serving tier.
+"""Fault tolerance for the serving tier: injection, retries, breakers.
 
-The package makes one promise and builds everything around it: **as long
-as every shard keeps one healthy replica, answers are bit-identical to an
-unreplicated fleet and no fault is visible to the caller**.  The pieces:
+The serving fleet makes one promise — **as long as every shard keeps one
+healthy replica, answers are bit-identical to an unsharded index and no
+fault is visible to the caller** — and this package is the toolkit that
+tests and defends it:
 
-* :mod:`repro.resilience.replica` — :class:`ReplicatedShard`, N serving
-  nodes per hash-shard with write fan-in (divergence-version-checked),
-  round-robin / rendezvous read spreading, fault ejection with failover,
-  and exact rebuild (peer snapshot or :mod:`repro.storage`);
-* :mod:`repro.resilience.service` — :class:`ReplicatedSimilarityService`,
-  the fleet-level drop-in for
-  :class:`~repro.serving.service.ShardedSimilarityService` (same hash
-  routing, same persist format) plus kill/recover/health-check plumbing;
 * :mod:`repro.resilience.faults` — :class:`FaultPolicy`, seeded injectable
   latency / errors / timeouts / crash-on-nth-call in front of any node or
   wire call — the chaos seam the Hypothesis suite and the availability
@@ -21,6 +14,12 @@ unreplicated fleet and no fault is visible to the caller**.  The pieces:
   seeded jitter honoring server ``Retry-After`` hints;
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`, the
   closed/open/half-open per-endpoint breaker the wire client mounts.
+
+The replica set and the fleet themselves live in :mod:`repro.serving`
+since 2.0 (there is one fleet class, at every replication factor);
+:class:`ReplicatedShard`, :class:`Replica` and
+:class:`ReplicatedSimilarityService` are re-exported here for code written
+against 1.x.
 """
 
 from repro.core.exceptions import (
@@ -33,14 +32,14 @@ from repro.core.exceptions import (
 )
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.faults import FaultPolicy, call_with_policy
-from repro.resilience.replica import (
+from repro.resilience.retry import RetryPolicy, RetrySchedule
+from repro.serving import (
     RENDEZVOUS,
     ROUND_ROBIN,
     Replica,
     ReplicatedShard,
+    ReplicatedSimilarityService,
 )
-from repro.resilience.retry import RetryPolicy, RetrySchedule
-from repro.resilience.service import ReplicatedSimilarityService
 
 __all__ = [
     "CLOSED",

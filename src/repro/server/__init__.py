@@ -1,4 +1,4 @@
-"""Network-facing async serving tier: HTTP/JSON over the sharded fleet.
+"""Network-facing async serving tier: HTTP/JSON over the serving fleet.
 
 The package splits along transport-independent seams:
 
@@ -16,7 +16,11 @@ The package splits along transport-independent seams:
 
 Every transport decodes to the same :class:`~repro.serving.api.QueryRequest`
 family the Python API executes, so HTTP answers are bit-identical to
-direct :class:`~repro.serving.service.ShardedSimilarityService` calls.
+direct :class:`~repro.serving.service.ReplicatedSimilarityService` calls.
+The app serves that one fleet class at every replication factor, so the
+replica admin endpoints, the health loop and the ``/stats`` layout
+(``replication_factor``, ``replica_health``, ``resilience/*`` totals) are
+the same whether a shard has one replica or five.
 """
 
 from repro.server.app import ServerConfig, SimilarityServerApp, asgi_app

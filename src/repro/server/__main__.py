@@ -32,12 +32,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--persist-on-shutdown", default=None, metavar="DIR",
                         help="persist every shard to DIR during drain")
     parser.add_argument("--replication", type=int, default=1, metavar="N",
-                        help="replicas per shard; >= 2 serves a replicated "
-                             "fault-tolerant fleet (default: 1)")
+                        help="replicas per shard; >= 2 survives the loss "
+                             "of a replica (default: 1)")
     parser.add_argument("--chaos-latency", type=float, default=0.0,
                         metavar="SECONDS",
                         help="inject this much seeded latency into every "
-                             "replica call (replicated fleets; default: 0)")
+                             "replica call (default: 0)")
     parser.add_argument("--request-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-request deadline; late answers fail with "
@@ -51,31 +51,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_app(args: argparse.Namespace):
     """The configured app for parsed CLI arguments (import-light)."""
-    from repro.serving.service import ShardedSimilarityService
     from repro.server.app import ServerConfig, SimilarityServerApp
+    from repro.serving.service import ReplicatedSimilarityService
 
-    replicated = args.replication > 1
-    if replicated:
-        from repro.resilience import FaultPolicy, ReplicatedSimilarityService
+    factory = None
+    if args.chaos_latency > 0:
+        from repro.resilience.faults import FaultPolicy
 
-        factory = None
-        if args.chaos_latency > 0:
-            def factory(shard, replica):
-                return FaultPolicy(seed=shard * 97 + replica,
-                                   latency_seconds=args.chaos_latency)
+        def factory(shard, replica):
+            return FaultPolicy(seed=shard * 97 + replica,
+                               latency_seconds=args.chaos_latency)
 
-        if args.recover:
-            service = ReplicatedSimilarityService.recover(
-                args.recover, replication_factor=args.replication)
-        else:
-            service = ReplicatedSimilarityService(
-                args.measure, args.shards,
-                replication_factor=args.replication,
-                fault_policy_factory=factory)
-    elif args.recover:
-        service = ShardedSimilarityService.recover(args.recover)
+    if args.recover:
+        service = ReplicatedSimilarityService.recover(
+            args.recover, replication_factor=args.replication,
+            fault_policy_factory=factory)
     else:
-        service = ShardedSimilarityService(args.measure, args.shards)
+        service = ReplicatedSimilarityService(
+            args.measure, args.shards, replication_factor=args.replication,
+            fault_policy_factory=factory)
     if args.demo > 0:
         from repro.datasets.ip_cookie import (
             generate_ip_cookie_dataset,
@@ -87,8 +81,7 @@ def build_app(args: argparse.Namespace):
     config = ServerConfig(
         persist_on_shutdown=args.persist_on_shutdown,
         request_timeout_seconds=args.request_timeout,
-        health_check_interval_seconds=(args.health_interval
-                                       if replicated else None))
+        health_check_interval_seconds=args.health_interval)
     return SimilarityServerApp(service, config=config)
 
 
@@ -101,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro.server listening on http://{host}:{port} "
               f"(measure={app.service.measure.name}, "
               f"shards={app.service.num_shards}, "
-              f"replication={getattr(app.service, 'replication_factor', 1)}, "
+              f"replication={app.service.replication_factor}, "
               f"indexed={len(app.service)})", flush=True)
 
     try:

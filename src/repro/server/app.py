@@ -1,7 +1,9 @@
 """The protocol-agnostic serving application behind every transport.
 
 :class:`SimilarityServerApp` maps ``(method, path, JSON payload)`` to JSON
-responses over a :class:`~repro.serving.service.ShardedSimilarityService`.
+responses over the fleet, a
+:class:`~repro.serving.service.ReplicatedSimilarityService` at any
+replication factor.
 Both transports — the stdlib :mod:`asyncio` HTTP/1.1 loop
 (:mod:`repro.server.http`) and the ASGI adapter (:func:`asgi_app`, runnable
 under uvicorn when installed) — delegate to the same :meth:`~SimilarityServerApp.handle`,
@@ -22,9 +24,9 @@ POST     /upsert             index (or replace) one multiset
 POST     /delete             drop one multiset
 POST     /admin/persist      save every shard's index to a directory
 POST     /admin/recover      reload the fleet from a persisted directory
-GET      /admin/replicas     per-replica health (replicated fleets only)
-POST     /admin/kill         crash one replica (replicated fleets only)
-POST     /admin/revive       recover one replica (replicated fleets only)
+GET      /admin/replicas     per-replica health
+POST     /admin/kill         crash one replica
+POST     /admin/revive       rebuild one down replica (peer copy or storage)
 =======  ==================  ====================================================
 
 Writes are routed through bounded queues: one queue per shard when the app
@@ -33,8 +35,8 @@ owns the service directly, or a single mutation queue feeding the PR-5
 :class:`~repro.streaming.changes.ChangeBatch` items and reach the service
 through its serving subscription, keeping the materialized pair set exact).
 Queries flow through one coalescing queue into
-:meth:`ShardedSimilarityService.batch
-<repro.serving.service.ShardedSimilarityService.batch>` so concurrent
+:meth:`ReplicatedSimilarityService.batch
+<repro.serving.service.ReplicatedSimilarityService.batch>` so concurrent
 duplicate traffic pays a single index scan.  A full queue answers ``429``
 with a ``Retry-After`` hint — admission control, not unbounded latency.
 
@@ -46,9 +48,8 @@ rather than rejected — top-k requests are truncated to
 ``brownout_topk_cap``, threshold requests are raised to
 ``brownout_threshold_floor`` — and the response carries ``"degraded":
 true`` so clients know the answer is a (still exact) truncation of the full
-one.  With ``health_check_interval_seconds`` set over a
-:class:`~repro.resilience.service.ReplicatedSimilarityService`, a
-background loop ejects broken replicas and readmits recovered ones.
+one.  With ``health_check_interval_seconds`` set, a background loop ejects
+broken replicas and readmits down ones that still have a healthy peer.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from repro.serving.api import (
     multiset_from_wire,
     requests_from_batch_payload,
 )
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService
 from repro.server.errors import (
     BAD_REQUEST,
     METHOD_NOT_ALLOWED,
@@ -137,8 +138,7 @@ class ServerConfig:
     #: Under brownout, threshold requests below this floor are raised to
     #: it (``None``: thresholds are never touched).
     brownout_threshold_floor: float | None = None
-    #: Period of the replica health-check loop; requires a service with
-    #: ``health_check`` (``None``: no loop).
+    #: Period of the replica health-check loop (``None``: no loop).
     health_check_interval_seconds: float | None = None
 
     def __post_init__(self) -> None:
@@ -175,18 +175,20 @@ class SimilarityServerApp:
     Parameters
     ----------
     service:
-        The sharded fleet to serve.
+        The fleet to serve.
     view:
         Optional :class:`~repro.streaming.view.JoinView`.  When given, the
         app attaches the service to the view (loading it when empty) and
         routes every write through the view's exact incremental
         maintenance; the service then always serves the view's pair-set
-        state.  Without one, writes apply directly to the owning shard.
+        state — at any replication factor, because the subscription
+        writes through the fleet's fan-in.  Without one, writes apply
+        directly to the owning shard.
     config:
         Queue and admission tuning; defaults are test-friendly.
     """
 
-    def __init__(self, service: ShardedSimilarityService, *,
+    def __init__(self, service: ReplicatedSimilarityService, *,
                  view=None, config: ServerConfig | None = None) -> None:
         self.service = service
         self.config = config or ServerConfig()
@@ -230,8 +232,7 @@ class SimilarityServerApp:
         self._query_queue.start(executor=self._executor, lock=self.lock,
                                 semaphore=self._semaphore)
         self._write_queues = self._build_write_queues()
-        if config.health_check_interval_seconds is not None \
-                and hasattr(self.service, "health_check"):
+        if config.health_check_interval_seconds is not None:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop(config.health_check_interval_seconds))
         self._started = True
@@ -517,8 +518,7 @@ class SimilarityServerApp:
             "status": "ok",
             "measure": self.service.measure.name,
             "num_shards": self.service.num_shards,
-            "replication_factor": getattr(self.service,
-                                          "replication_factor", 1),
+            "replication_factor": self.service.replication_factor,
             "indexed_multisets": len(self.service),
             "mode": "view" if self.view is not None else "direct"})
         return 200, body, {}
@@ -610,17 +610,15 @@ class SimilarityServerApp:
 
         def swap():
             with self.lock:
-                # type(...) keeps the fleet flavour: a replicated service
-                # recovers replicated (every replica reloading the same
-                # per-shard file), an unreplicated one recovers as before.
-                # The running fleet's tuning survives the swap too — the
+                # The running fleet's tuning survives the swap — the
                 # recovered service must not silently reset to defaults.
-                kwargs = {"cache_capacity": self.service.cache_capacity}
-                if hasattr(self.service, "replication_factor"):
-                    kwargs["replication_factor"] = \
-                        self.service.replication_factor
-                    kwargs["read_strategy"] = self.service.read_strategy
-                self.service = type(self.service).recover(directory, **kwargs)
+                running = self.service
+                self.service = ReplicatedSimilarityService.recover(
+                    directory,
+                    replication_factor=running.replication_factor,
+                    cache_capacity=running.cache_capacity,
+                    read_strategy=running.read_strategy,
+                    fault_policy_factory=running.fault_policy_factory)
                 return {"recovered": True,
                         "num_shards": self.service.num_shards,
                         "indexed_multisets": len(self.service)}
@@ -630,13 +628,7 @@ class SimilarityServerApp:
         self._write_queues = self._build_write_queues()
         return 200, body, {}
 
-    # -- replica administration (replicated fleets only) -----------------------
-
-    def _require_replicated(self) -> None:
-        if not hasattr(self.service, "kill_replica"):
-            raise ServerError(
-                "this endpoint needs a replicated fleet; start the server "
-                "with --replication >= 2 (ReplicatedSimilarityService)")
+    # -- replica administration ------------------------------------------------
 
     @staticmethod
     def _replica_address(payload: dict) -> tuple[int, int]:
@@ -651,7 +643,6 @@ class SimilarityServerApp:
         return shard, replica
 
     async def _handle_replicas(self, payload) -> tuple[int, dict, dict]:
-        self._require_replicated()
         body = self._read_stats(lambda: {
             "replication_factor": self.service.replication_factor,
             "replicas": self.service.replica_health(),
@@ -661,7 +652,6 @@ class SimilarityServerApp:
 
     async def _handle_kill(self, payload: dict) -> tuple[int, dict, dict]:
         self._require_started()
-        self._require_replicated()
         shard, replica = self._replica_address(payload)
         lose_state = bool(payload.get("lose_state", True))
         await self._locked_in_executor(
@@ -672,13 +662,12 @@ class SimilarityServerApp:
 
     async def _handle_revive(self, payload: dict) -> tuple[int, dict, dict]:
         self._require_started()
-        self._require_replicated()
         shard, replica = self._replica_address(payload)
         source = payload.get("source")
         if source is not None and not isinstance(source, str):
             raise ServerError(
-                f"admin/revive 'source' must be a directory string when "
-                f"given, got {source!r}")
+                f"admin/revive 'source' must be a persisted directory (or "
+                f"shard database) path when given, got {source!r}")
         await self._locked_in_executor(
             lambda: self.service.recover_replica(shard, replica,
                                                  source=source))

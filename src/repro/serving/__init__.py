@@ -1,4 +1,4 @@
-"""Online similarity serving: incremental indexes, caching nodes, sharded fleets.
+"""Online similarity serving: incremental indexes, caching nodes, one fleet.
 
 This subsystem turns the batch V-SMART-Join reproduction into a queryable
 service.  The same partial-result decomposition the joining phase exploits
@@ -14,12 +14,22 @@ so "what is similar to Q?" is answered online without re-running the join:
   termination;
 * :class:`ServingNode` — an index behind an invalidating LRU result cache
   with batched query execution;
-* :class:`ShardedSimilarityService` — hash-sharded multi-node fan-out with
-  a fleet-wide :meth:`~ShardedSimilarityService.snapshot` and per-shard
-  :meth:`~ShardedSimilarityService.persist` /
-  :meth:`~ShardedSimilarityService.recover`;
+* :class:`ReplicatedShard` — ``replication_factor >= 1`` nodes holding one
+  hash shard: write fan-in, read spreading, failover, exact rebuild;
+* :class:`ReplicatedSimilarityService` — the one fleet class, at every
+  replication factor: hash-routed shards behind ``query`` / ``batch`` /
+  ``add`` / ``remove`` / ``get`` / ``warm``, a fleet-wide
+  :meth:`~ReplicatedSimilarityService.snapshot`, per-shard
+  :meth:`~ReplicatedSimilarityService.persist` /
+  :meth:`~ReplicatedSimilarityService.recover` and the kill / revive /
+  health-check plumbing (the unreplicated fleet class of 1.x is this one
+  at ``replication_factor=1``; see "Migrating to 2.0" in the README);
 * :func:`bootstrap_from_join` — warm-start a fleet from a batch
   :class:`~repro.vsmart.driver.VSmartJoinResult` or pipeline dataset.
+
+Nothing here imports :mod:`repro.resilience` at run time: fault policies
+are handed in by the caller, and that package re-exports the replica
+classes for code written against 1.x.
 """
 
 from repro.serving.api import (
@@ -36,7 +46,12 @@ from repro.serving.bootstrap import bootstrap_from_join, multisets_from_input
 from repro.serving.cache import LRUResultCache
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode, query_signature
-from repro.serving.service import SHARD_SALT, ShardedSimilarityService, shard_for
+from repro.serving.replica import RENDEZVOUS, ROUND_ROBIN, Replica, ReplicatedShard
+from repro.serving.service import (
+    SHARD_SALT,
+    ReplicatedSimilarityService,
+    shard_for,
+)
 
 __all__ = [
     "LRUResultCache",
@@ -44,9 +59,13 @@ __all__ = [
     "QueryOptions",
     "QueryRequest",
     "QueryResponse",
+    "RENDEZVOUS",
+    "ROUND_ROBIN",
+    "Replica",
+    "ReplicatedShard",
+    "ReplicatedSimilarityService",
     "SHARD_SALT",
     "ServingNode",
-    "ShardedSimilarityService",
     "SimilarityIndex",
     "bootstrap_from_join",
     "finalize_matches",

@@ -2,7 +2,7 @@
 
 Every query entry point — :class:`~repro.serving.index.SimilarityIndex`,
 :class:`~repro.serving.node.ServingNode`,
-:class:`~repro.serving.service.ShardedSimilarityService` and the HTTP wire
+:class:`~repro.serving.service.ReplicatedSimilarityService` and the HTTP wire
 layer (:mod:`repro.server`) — speaks one request/response dataclass family:
 
 * :class:`QueryOptions` — *what kind* of answer is wanted: a threshold scan
@@ -19,16 +19,13 @@ identifiers and elements to JSON scalars (``str``, ``int``, ``float``,
 ``bool``, ``None``); richer hashables remain usable in process, they just
 cannot travel.
 
-Before this module, each layer grew its own keyword signature
-(``query_threshold(query, threshold)`` / ``query_topk(query, k)`` /
-``batch_threshold(queries, threshold)`` ...); those forms survive as thin
-deprecated aliases around :meth:`query`/:meth:`batch` and return the same
-matches bit-for-bit.
+``query(QueryRequest)`` / ``batch([QueryRequest, ...])`` is the only query
+form: the per-kind keyword signatures each layer once grew were deprecated
+in 1.6 and removed in 2.0.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -68,18 +65,6 @@ def sort_matches(matches: Iterable[QueryMatch]) -> list[QueryMatch]:
         # their representation, as the batch record types do.
         return sorted(materialised,
                       key=lambda match: (-match.similarity, repr(match.multiset_id)))
-
-
-def deprecated_query_form(old: str, new: str) -> None:
-    """Emit the serving API's deprecation warning for a legacy entry point.
-
-    ``stacklevel=3`` points the warning at the caller of the deprecated
-    method (every alias is exactly one frame deep).
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see the unified query API in "
-        "repro.serving.api)",
-        DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from repro.mapreduce.backends import ExecutionBackend, SerialBackend
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.dfs import Dataset
 from repro.serving.api import QueryMatch, QueryRequest, sort_matches
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.base import NominalSimilarityMeasure
+from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure
 # A "join result" here is duck-typed: a batch
 # :class:`~repro.vsmart.driver.VSmartJoinResult`, an engine
@@ -82,8 +83,10 @@ def bootstrap_from_join(
         run_join: bool = False,
         join_algorithm: str = "online_aggregation",
         cluster: Cluster | None = None,
-        backend: str | ExecutionBackend = "serial") -> ShardedSimilarityService:
-    """Build a serving fleet from batch data, optionally cache-warmed.
+        backend: str | ExecutionBackend = "serial"
+        ) -> ReplicatedSimilarityService:
+    """Build a serving fleet (replication factor 1) from batch data,
+    optionally cache-warmed.
 
     With ``join_result`` given, the measure and threshold default to the
     join's configuration (explicit arguments must agree with it), and each
@@ -197,9 +200,10 @@ def bootstrap_from_join(
             f"cache_capacity {cache_capacity} cannot hold warm entries for "
             f"{len(multisets)} multisets; pass cache_capacity >= "
             f"{len(multisets)} or omit it to auto-size")
-    service = ShardedSimilarityService(measure, num_shards,
-                                       cache_capacity=cache_capacity,
-                                       stop_word_frequency=stop_word_frequency)
+    service = ReplicatedSimilarityService(
+        measure, num_shards, replication_factor=1,
+        cache_capacity=cache_capacity,
+        stop_word_frequency=stop_word_frequency)
     service.bulk_load(multisets)
 
     if join_result is not None and threshold is not None:
@@ -207,38 +211,35 @@ def bootstrap_from_join(
     return service
 
 
-def warm_member_caches(nodes, shard_for, members: Sequence[Multiset],
-                       matches_for, threshold: float) -> None:
-    """Seed each member's threshold-query answer across the shard caches.
+def warm_member_caches(target, members: Sequence[Multiset], matches_for,
+                       threshold: float) -> None:
+    """Seed each member's threshold-query answer into ``target``'s caches.
 
+    ``target`` is a fleet or a single :class:`~repro.serving.node.ServingNode`
+    — anything with ``measure`` and ``warm(request, matches)``; a fleet
+    slices each answer over its shards and seeds every healthy replica.
     ``matches_for(member)`` supplies the member's partner matches at
-    ``threshold`` (self excluded); the member's own entry is derived from
-    its already-indexed ``Uni`` partials and appended when its
-    self-similarity reaches the threshold.  A threshold query fans out to
-    every node, so each node is seeded with its own shard's slice of the
-    answer.  Shared by the join bootstrap and the streaming serving
-    subscriber, so the warming algorithm exists exactly once.
+    ``threshold`` (self excluded); the member's own entry is appended when
+    its self-similarity reaches the threshold.  Shared by the join
+    bootstrap and the streaming serving subscriber, so the warming
+    algorithm exists exactly once.
     """
-    if not nodes:
-        return
-    measure = nodes[0].measure
+    measure = target.measure
     for member in members:
         matches = list(matches_for(member))
-        uni = nodes[shard_for(member.id)].index.uni(member.id)
-        self_similarity = measure.combine(uni, uni,
-                                          measure.conjunctive(member, member))
+        # Uni of the query side and of the stored side, folded exactly as
+        # a live scan folds them, so the seeded score is the live one.
+        self_similarity = measure.combine(
+            measure.unilateral(member),
+            fold_uni_multiplicities(measure, member.values()),
+            measure.conjunctive(member, member))
         if self_similarity >= threshold:
             matches.append(QueryMatch(member.id, self_similarity))
-        per_shard: dict[int, list[QueryMatch]] = {
-            shard: [] for shard in range(len(nodes))}
-        for match in matches:
-            per_shard[shard_for(match.multiset_id)].append(match)
-        request = QueryRequest.threshold(member, threshold)
-        for shard, shard_matches in per_shard.items():
-            nodes[shard].warm(request, sort_matches(shard_matches))
+        target.warm(QueryRequest.threshold(member, threshold),
+                    sort_matches(matches))
 
 
-def _warm_from_pairs(service: ShardedSimilarityService,
+def _warm_from_pairs(service: ReplicatedSimilarityService,
                      multisets: Sequence[Multiset],
                      join_result: object,
                      threshold: float) -> None:
@@ -257,5 +258,5 @@ def _warm_from_pairs(service: ShardedSimilarityService,
         partners.setdefault(pair.second, []).append(
             QueryMatch(pair.first, pair.similarity))
 
-    warm_member_caches(service.nodes, service.shard_for, multisets,
+    warm_member_caches(service, multisets,
                        lambda member: partners.get(member.id, []), threshold)

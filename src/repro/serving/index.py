@@ -48,7 +48,6 @@ from repro.serving.api import (
     QueryMatch,
     QueryRequest,
     QueryResponse,
-    deprecated_query_form,
     sort_matches,
 )
 from repro.similarity.base import (
@@ -268,8 +267,6 @@ class SimilarityIndex:
         indexed multiset at least ``threshold`` similar to the query, a
         top-k request the ``k`` most similar — both sorted by descending
         similarity, both exact whenever ``stop_word_frequency`` is unset.
-        The legacy keyword forms (:meth:`query_threshold`,
-        :meth:`query_topk`) delegate here and are deprecated.
         """
         options = request.options
         if options.kind == THRESHOLD_KIND:
@@ -277,31 +274,6 @@ class SimilarityIndex:
         else:
             matches = self._topk_matches(request.query, options.k)
         return QueryResponse(tuple(matches), options)
-
-    def query_threshold(self, query: Multiset,
-                        threshold: float) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.threshold(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query` with the unified request dataclasses; this
-            form returns the same matches as ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "SimilarityIndex.query_threshold(query, threshold)",
-            "SimilarityIndex.query(QueryRequest.threshold(query, threshold))")
-        return self._threshold_matches(query, threshold)
-
-    def query_topk(self, query: Multiset, k: int) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.topk(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query` with the unified request dataclasses; this
-            form returns the same matches as ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "SimilarityIndex.query_topk(query, k)",
-            "SimilarityIndex.query(QueryRequest.topk(query, k))")
-        return self._topk_matches(query, k)
 
     def _threshold_matches(self, query: Multiset,
                            threshold: float) -> list[QueryMatch]:

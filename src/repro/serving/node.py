@@ -21,12 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.multiset import Multiset, MultisetId, content_signature
-from repro.serving.api import (
-    QueryMatch,
-    QueryRequest,
-    QueryResponse,
-    deprecated_query_form,
-)
+from repro.serving.api import QueryMatch, QueryRequest, QueryResponse
 from repro.serving.cache import LRUResultCache
 from repro.serving.index import SimilarityIndex
 from repro.similarity.base import NominalSimilarityMeasure
@@ -66,6 +61,15 @@ class ServingNode:
 
     def __contains__(self, multiset_id: object) -> bool:
         return multiset_id in self.index
+
+    def get(self, multiset_id: MultisetId) -> Multiset | None:
+        """The indexed multiset with this identifier, if any."""
+        return self.index.get(multiset_id)
+
+    @property
+    def stop_word_frequency(self) -> int | None:
+        """The index's stop-word pruning limit (``None``: exact)."""
+        return self.index.stop_word_frequency
 
     # -- writes (every write invalidates the cache) ----------------------------
 
@@ -146,76 +150,12 @@ class ServingNode:
             responses.append(response)
         return responses
 
-    def query_threshold(self, query: Multiset,
-                        threshold: float) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.threshold(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query`; this form returns the same matches as
-            ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "ServingNode.query_threshold(query, threshold)",
-            "ServingNode.query(QueryRequest.threshold(query, threshold))")
-        return list(self.query(QueryRequest.threshold(query, threshold)))
-
-    def query_topk(self, query: Multiset, k: int) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.topk(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query`; this form returns the same matches as
-            ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "ServingNode.query_topk(query, k)",
-            "ServingNode.query(QueryRequest.topk(query, k))")
-        return list(self.query(QueryRequest.topk(query, k)))
-
-    def batch_threshold(self, queries: Sequence[Multiset],
-                        threshold: float) -> list[list[QueryMatch]]:
-        """Deprecated alias of :meth:`batch` over threshold requests.
-
-        .. deprecated:: 1.6
-            Use :meth:`batch` with :class:`QueryRequest` items.
-        """
-        deprecated_query_form(
-            "ServingNode.batch_threshold(queries, threshold)",
-            "ServingNode.batch([QueryRequest.threshold(q, threshold) ...])")
-        return [list(response) for response in self.batch(
-            [QueryRequest.threshold(query, threshold) for query in queries])]
-
-    def batch_topk(self, queries: Sequence[Multiset],
-                   k: int) -> list[list[QueryMatch]]:
-        """Deprecated alias of :meth:`batch` over top-k requests.
-
-        .. deprecated:: 1.6
-            Use :meth:`batch` with :class:`QueryRequest` items.
-        """
-        deprecated_query_form(
-            "ServingNode.batch_topk(queries, k)",
-            "ServingNode.batch([QueryRequest.topk(q, k) ...])")
-        return [list(response) for response in self.batch(
-            [QueryRequest.topk(query, k) for query in queries])]
-
     # -- cache warm-up (used by the join bootstrap) ----------------------------
 
     def warm(self, request: QueryRequest,
              matches: Sequence[QueryMatch]) -> None:
         """Seed the cache with a precomputed answer for ``request``."""
         self.cache.put(self._request_key(request), tuple(matches))
-
-    def warm_threshold(self, query: Multiset, threshold: float,
-                       matches: Sequence[QueryMatch]) -> None:
-        """Deprecated alias of :meth:`warm` for threshold requests.
-
-        .. deprecated:: 1.6
-            Use ``warm(QueryRequest.threshold(query, threshold), matches)``.
-        """
-        deprecated_query_form(
-            "ServingNode.warm_threshold(query, threshold, matches)",
-            "ServingNode.warm(QueryRequest.threshold(query, threshold), "
-            "matches)")
-        self.warm(QueryRequest.threshold(query, threshold), matches)
 
     # -- observability ---------------------------------------------------------
 

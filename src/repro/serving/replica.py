@@ -1,7 +1,8 @@
 """One shard's replica set: write fan-in, read spreading, failover, rebuild.
 
 :class:`ReplicatedShard` owns N :class:`~repro.serving.node.ServingNode`
-replicas holding identical copies of one hash-shard's data:
+replicas holding identical copies of one hash-shard's data (N may be 1: an
+unreplicated shard is a replica set of one, served by the same code):
 
 * **writes fan in**: every healthy replica applies every upsert/delete, in
   the same order, so any one of them can answer any read exactly.  A
@@ -15,7 +16,8 @@ replicas holding identical copies of one hash-shard's data:
   (cache-first: the same query always lands on the same replica, so each
   replica's LRU holds a disjoint slice of the hot set).  A read that
   faults ejects the replica and *fails over* to the next healthy one —
-  the caller sees the answer, not the fault;
+  the caller sees the answer, not the fault.  With one healthy replica
+  there is nothing to pick, and the read goes straight to it;
 * **recovery rebuilds**: a down replica re-enters by copying a healthy
   peer's members (exact: the rebuilt index answers bit-identically) or by
   loading a :mod:`repro.storage` snapshot, then re-joins the fan-in.
@@ -28,8 +30,9 @@ between any two operations leaves the survivors exact.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.exceptions import (
     ReplicaDivergenceError,
@@ -39,9 +42,13 @@ from repro.core.exceptions import (
 )
 from repro.core.multiset import Multiset, MultisetId, content_signature
 from repro.mapreduce.partitioner import stable_hash
-from repro.resilience.faults import FaultPolicy
+from repro.serving.api import QueryMatch, QueryRequest
+from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
 from repro.similarity.base import NominalSimilarityMeasure
+
+if TYPE_CHECKING:  # the chaos seam is duck-typed: anything with on_call()
+    from repro.resilience.faults import FaultPolicy
 
 #: Salt separating replica rendezvous ranking from the other hash users.
 REPLICA_SALT = "resilience-replica"
@@ -50,12 +57,16 @@ REPLICA_SALT = "resilience-replica"
 ROUND_ROBIN = "round_robin"
 RENDEZVOUS = "rendezvous"
 
+#: Statistics that count requests served (summed over every replica of a
+#: shard); everything else describes the data, which the replicas share.
+REQUEST_PATH_STATS = ("cache/", "serving/")
+
 
 class Replica:
     """One serving node plus its health state inside a replica set."""
 
     def __init__(self, node: ServingNode, *,
-                 fault_policy: FaultPolicy | None = None) -> None:
+                 fault_policy: "FaultPolicy | None" = None) -> None:
         self.node = node
         self.fault_policy = fault_policy
         self.healthy = True
@@ -77,11 +88,19 @@ class Replica:
         return self.node.name
 
     def call(self, operation: str, function: Callable, *args):
-        """Run one node call behind the fault policy, under the lock."""
+        """Run ``function(node, *args)`` behind the fault policy, locked.
+
+        A replica that went down while the call waited for the lock
+        refuses: its node may already have lost its state.
+        """
         with self.lock:
+            if not self.healthy:
+                raise ReplicaUnavailableError(
+                    f"replica {self.name} went down ({self.down_reason}) "
+                    f"before {operation} reached it")
             if self.fault_policy is not None:
                 self.fault_policy.on_call(operation)
-            return function(*args)
+            return function(self.node, *args)
 
     def stats(self) -> dict[str, float]:
         merged: dict[str, float] = dict(self.node.stats())
@@ -106,7 +125,7 @@ class ReplicatedShard:
                  intern: bool = True,
                  name: str = "shard0",
                  read_strategy: str = ROUND_ROBIN,
-                 fault_policies: Sequence[FaultPolicy | None] | None = None
+                 fault_policies: "Sequence[FaultPolicy | None] | None" = None
                  ) -> None:
         if replication_factor < 1:
             raise ResilienceError(
@@ -123,26 +142,33 @@ class ReplicatedShard:
                 f"{replication_factor}")
         self.name = name
         self.read_strategy = read_strategy
+        self._measure_setting = measure
         self._node_settings = {
             "cache_capacity": cache_capacity,
             "stop_word_frequency": stop_word_frequency,
             "intern": intern,
         }
-        self._measure_setting = measure
         self.replicas = [
-            Replica(ServingNode(measure, cache_capacity=cache_capacity,
-                                stop_word_frequency=stop_word_frequency,
-                                intern=intern,
-                                name=f"{name}/replica{index}"),
+            Replica(self._blank_node(f"{name}/replica{index}"),
                     fault_policy=(fault_policies[index]
                                   if fault_policies else None))
             for index in range(replication_factor)
         ]
-        self._next_read = 0
-        self._pick_lock = threading.Lock()
+        #: The replicas currently serving, in replica order.  Rebuilt only
+        #: when health changes (eject / recover), never per request.
+        self._healthy: tuple[Replica, ...] = tuple(self.replicas)
+        #: Serializes health changes, so concurrent ejections cannot leave
+        #: a stale ``_healthy`` behind.
+        self._health_lock = threading.Lock()
+        #: Round-robin turn counter (``next`` on it is atomic).
+        self._turns = itertools.count()
         self.ejections = 0
         self.recoveries = 0
         self.failovers = 0
+
+    def _blank_node(self, name: str) -> ServingNode:
+        return ServingNode(self._measure_setting, name=name,
+                           **self._node_settings)
 
     @property
     def replication_factor(self) -> int:
@@ -157,21 +183,21 @@ class ReplicatedShard:
         """Per-replica LRU result-cache capacity."""
         return self._node_settings["cache_capacity"]
 
-    def healthy_replicas(self) -> list[Replica]:
-        """The replicas currently serving (fan-in targets, read candidates)."""
-        return [replica for replica in self.replicas if replica.healthy]
+    @property
+    def stop_word_frequency(self) -> int | None:
+        """The stop-word pruning limit every replica's index uses."""
+        return self._node_settings["stop_word_frequency"]
 
     def num_healthy(self) -> int:
-        return sum(1 for replica in self.replicas if replica.healthy)
+        return len(self._healthy)
 
     def _primary(self) -> Replica:
         """Any healthy replica (reads that must not spread: len, get)."""
-        for replica in self.replicas:
-            if replica.healthy:
-                return replica
-        raise ReplicaUnavailableError(
-            f"shard {self.name}: all {self.replication_factor} replicas "
-            "are down")
+        if not self._healthy:
+            raise ReplicaUnavailableError(
+                f"shard {self.name}: all {self.replication_factor} replicas "
+                "are down")
+        return self._healthy[0]
 
     def __len__(self) -> int:
         return len(self._primary().node)
@@ -181,16 +207,31 @@ class ReplicatedShard:
 
     def get(self, multiset_id: MultisetId) -> Multiset | None:
         """The indexed multiset with this identifier, from any healthy replica."""
-        return self._primary().node.index.get(multiset_id)
+        return self._primary().node.get(multiset_id)
+
+    def members(self) -> list[Multiset]:
+        """Every indexed multiset, copied from one healthy replica."""
+        primary = self._primary()
+        with primary.lock:
+            index = primary.node.index
+            return [index.get(multiset_id) for multiset_id in index.ids()]
 
     # -- ejection / divergence -------------------------------------------------
 
+    def _set_health(self, replica: Replica, healthy: bool,
+                    reason: str = "") -> None:
+        """Flip one replica's health (callers hold ``_health_lock``)."""
+        replica.healthy = healthy
+        replica.down_reason = reason
+        self._healthy = tuple(replica for replica in self.replicas
+                              if replica.healthy)
+
     def _eject(self, replica: Replica, reason: str) -> None:
-        if replica.healthy:
-            replica.healthy = False
-            replica.down_reason = reason
-            replica.faults_seen += 1
-            self.ejections += 1
+        with self._health_lock:
+            if replica.healthy:
+                self._set_health(replica, False, reason)
+                replica.faults_seen += 1
+                self.ejections += 1
 
     def check_divergence(self) -> None:
         """Verify the healthy replicas still agree; raise when they don't.
@@ -201,14 +242,15 @@ class ReplicatedShard:
         the member count (a dropped or duplicated fan-in write).
         """
         sizes: dict[str, int] = {}
-        for replica in self.healthy_replicas():
-            if replica.node.index.version != replica.expected_version:
+        for replica in self._healthy:
+            index = replica.node.index
+            if index.version != replica.expected_version:
                 raise ReplicaDivergenceError(
                     f"shard {self.name}: replica {replica.name} is at index "
-                    f"version {replica.node.index.version}, expected "
+                    f"version {index.version}, expected "
                     f"{replica.expected_version} — it was written to "
                     "outside the fan-in path")
-            sizes[replica.name] = len(replica.node)
+            sizes[replica.name] = len(index)
         if len(set(sizes.values())) > 1:
             raise ReplicaDivergenceError(
                 f"shard {self.name}: healthy replicas disagree on member "
@@ -216,7 +258,7 @@ class ReplicatedShard:
 
     # -- writes (fan in to every healthy replica) ------------------------------
 
-    def _fan_in(self, operation: str, function_name: str, *args) -> int:
+    def _fan_in(self, operation: str, function: Callable, *args) -> int:
         """Apply one write to every healthy replica; returns how many applied.
 
         A replica whose *injected fault* fires is ejected and skipped — the
@@ -233,10 +275,9 @@ class ReplicatedShard:
         """
         applied = 0
         deterministic_failure: ServingError | None = None
-        for replica in self.healthy_replicas():
+        for replica in self._healthy:
             try:
-                replica.call(operation, getattr(replica.node, function_name),
-                             *args)
+                replica.call(operation, function, *args)
             except ServingError as error:
                 if replica.node.index.version != replica.expected_version:
                     self._eject(replica, f"{operation} half-applied: {error}")
@@ -259,11 +300,11 @@ class ReplicatedShard:
 
     def add(self, multiset: Multiset, replace: bool = False) -> None:
         """Fan one upsert in to every healthy replica."""
-        self._fan_in("add", "add", multiset, replace)
+        self._fan_in("add", ServingNode.add, multiset, replace)
 
     def remove(self, multiset_id: MultisetId) -> None:
         """Fan one delete in to every healthy replica."""
-        self._fan_in("remove", "remove", multiset_id)
+        self._fan_in("remove", ServingNode.remove, multiset_id)
 
     def bulk_load(self, multisets: Iterable[Multiset],
                   replace: bool = False) -> int:
@@ -289,44 +330,50 @@ class ReplicatedShard:
                         f"multiset {multiset.id!r} is already indexed; "
                         "pass replace=True to overwrite")
                 seen.add(multiset.id)
-        self._fan_in("bulk_load", "bulk_load", batch, replace)
+        self._fan_in("bulk_load", ServingNode.bulk_load, batch, replace)
         return len(batch)
+
+    def warm(self, request: QueryRequest,
+             matches: Sequence[QueryMatch]) -> None:
+        """Seed every healthy replica's cache with ``request``'s answer.
+
+        Caches are memoisation keyed on the index version, so seeding is
+        not a write: no fault is drawn and no replica can diverge.
+        """
+        for replica in self._healthy:
+            with replica.lock:
+                replica.node.warm(request, matches)
 
     # -- reads (spread over healthy replicas, failing over on faults) ----------
 
-    def _read_candidates(self, request) -> list[Replica]:
+    def _read_candidates(self, request: QueryRequest | None) -> Sequence[Replica]:
         """Healthy replicas in preference order for one request."""
-        healthy = self.healthy_replicas()
-        if not healthy:
-            return []
+        healthy = self._healthy
+        if len(healthy) < 2:
+            return healthy
         if self.read_strategy == RENDEZVOUS and request is not None:
-            signature = content_signature(request.query)
+            signature = sorted(map(repr, content_signature(request.query)))
             return sorted(
                 healthy,
-                key=lambda replica: stable_hash(
-                    (sorted(map(repr, signature)), replica.name),
-                    salt=REPLICA_SALT),
+                key=lambda replica: stable_hash((signature, replica.name),
+                                                salt=REPLICA_SALT),
                 reverse=True)
-        with self._pick_lock:
-            start = self._next_read
-            self._next_read += 1
-        # Rotate over the *current* healthy list so a just-ejected replica
+        # Rotate over the *current* healthy replicas so a just-ejected one
         # never absorbs a turn.
-        return [healthy[(start + offset) % len(healthy)]
-                for offset in range(len(healthy))]
+        start = next(self._turns) % len(healthy)
+        return healthy[start:] + healthy[:start]
 
-    def _read(self, operation: str, function_name: str, *args, request=None):
+    def _read(self, operation: str, function: Callable, argument,
+              request: QueryRequest | None):
         """Serve one read from the preferred replica, failing over on faults.
 
         Deterministic :class:`ServingError` failures propagate (they would
-        recur on every replica — e.g. ``neighbours`` of an unindexed
-        identifier); anything else ejects the replica and tries the next.
+        recur on every replica); anything else ejects the replica and
+        tries the next.
         """
         for replica in self._read_candidates(request):
             try:
-                result = replica.call(operation,
-                                      getattr(replica.node, function_name),
-                                      *args)
+                result = replica.call(operation, function, argument)
             except ServingError:
                 raise
             except Exception as error:  # noqa: BLE001 — fail over
@@ -339,20 +386,28 @@ class ReplicatedShard:
             f"shard {self.name}: no healthy replica left to serve "
             f"{operation} (all {self.replication_factor} down)")
 
-    def query(self, request):
+    def query(self, request: QueryRequest):
         """Answer one unified-API query from one healthy replica."""
-        return self._read("query", "query", request, request=request)
+        return self._read("query", ServingNode.query, request, request)
 
-    def batch(self, requests: Sequence) -> list:
+    def batch(self, requests: Sequence[QueryRequest]) -> list:
         """Answer a request batch from one healthy replica.
 
         The whole batch goes to a single replica (it coalesces duplicate
         signatures internally); spreading happens across batches.
         """
-        anchor = requests[0] if requests else None
-        return self._read("batch", "batch", list(requests), request=anchor)
+        return self._read("batch", ServingNode.batch, list(requests),
+                          requests[0] if requests else None)
 
     # -- kill / recover --------------------------------------------------------
+
+    def _replica_at(self, replica_index: int) -> Replica:
+        try:
+            return self.replicas[replica_index]
+        except IndexError:
+            raise ResilienceError(
+                f"shard {self.name} has no replica {replica_index} "
+                f"(replication factor {self.replication_factor})") from None
 
     def kill(self, replica_index: int, *, lose_state: bool = True) -> Replica:
         """Simulate a crash: mark the replica down, losing its state.
@@ -362,18 +417,12 @@ class ReplicatedShard:
         rebuild, so tests exercising :meth:`recover` prove the rebuild
         path rather than silently reusing surviving state.
         """
-        try:
-            replica = self.replicas[replica_index]
-        except IndexError:
-            raise ResilienceError(
-                f"shard {self.name} has no replica {replica_index} "
-                f"(replication factor {self.replication_factor})") from None
-        self._eject(replica, "killed")
-        if lose_state:
-            replica.node = ServingNode(
-                self._measure_setting, name=replica.node.name,
-                **self._node_settings)
-            replica.expected_version = 0
+        replica = self._replica_at(replica_index)
+        with replica.lock:  # a call already inside the node finishes first
+            self._eject(replica, "killed")
+            if lose_state:
+                replica.node = self._blank_node(replica.name)
+                replica.expected_version = 0
         if replica.fault_policy is not None:
             replica.fault_policy.crash()
         return replica
@@ -382,43 +431,77 @@ class ReplicatedShard:
         """Readmit a down replica, rebuilding its state exactly.
 
         ``source`` is a :mod:`repro.storage` database path (or open
-        engine) written by :meth:`ServingNode.persist
-        <repro.serving.node.ServingNode.persist>`; without one the replica
-        copies a healthy peer's members (peer snapshot).  Either way the
-        rebuilt replica answers every query bit-identically to its peers,
-        which :meth:`check_divergence` re-verifies before readmission.
+        engine) written by :meth:`persist`; without one the replica copies
+        a healthy peer's members (peer snapshot).  Either way the rebuilt
+        replica answers every query bit-identically to its peers, which
+        :meth:`check_divergence` re-verifies before readmission.
         """
-        try:
-            replica = self.replicas[replica_index]
-        except IndexError:
-            raise ResilienceError(
-                f"shard {self.name} has no replica {replica_index} "
-                f"(replication factor {self.replication_factor})") from None
+        replica = self._replica_at(replica_index)
         if replica.healthy:
             raise ResilienceError(
                 f"shard {self.name}: replica {replica.name} is healthy; "
                 "only down replicas recover")
-        node = ServingNode(self._measure_setting, name=replica.node.name,
-                           **self._node_settings)
+        node = self._blank_node(replica.name)
         if source is not None:
-            from repro.serving.index import SimilarityIndex
-
             node.index = SimilarityIndex.load(source)
         else:
-            peer = self._primary()
-            with peer.lock:
-                members = [peer.node.index.get(multiset_id)
-                           for multiset_id in peer.node.index.ids()]
-            node.bulk_load(members)
+            node.bulk_load(self.members())
         if replica.fault_policy is not None:
             replica.fault_policy.revive()
         replica.node = node
         replica.expected_version = node.index.version
-        replica.healthy = True
-        replica.down_reason = ""
-        self.recoveries += 1
+        with self._health_lock:
+            self._set_health(replica, True)
+            self.recoveries += 1
         self.check_divergence()
         return replica
+
+    def restore(self, indexes: Sequence[SimilarityIndex]) -> None:
+        """Install one loaded index per replica (fleet recovery)."""
+        for replica, index in zip(self.replicas, indexes, strict=True):
+            replica.node.index = index
+            replica.expected_version = index.version
+        self.check_divergence()
+
+    def persist(self, destination) -> None:
+        """Save the shard — any healthy replica is an exact copy of it."""
+        primary = self._primary()
+        with primary.lock:
+            primary.node.persist(destination)
+
+    def health_check(self, *, readmit: bool = True) -> dict[str, list[str]]:
+        """Probe every replica; eject the broken, optionally readmit the down.
+
+        The probe is a no-op node call through the replica's fault policy
+        plus the divergence version-check, so a crashed or diverged
+        replica is ejected by observation rather than by the first failing
+        query.  With ``readmit``, down replicas are rebuilt from a healthy
+        peer while the shard still has one.
+        """
+        report: dict[str, list[str]] = {"healthy": [], "ejected": [],
+                                        "readmitted": [], "down": []}
+        for replica_index, replica in enumerate(self.replicas):
+            outcome = "down"
+            if replica.healthy:
+                try:
+                    replica.call("health", len)
+                    if replica.node.index.version != replica.expected_version:
+                        raise ResilienceError(
+                            "index version diverged from the fan-in history")
+                except Exception as error:  # noqa: BLE001 — probe
+                    self._eject(replica, f"health probe failed: {error}")
+                    outcome = "ejected"
+                else:
+                    outcome = "healthy"
+            elif readmit and self._healthy:
+                try:
+                    self.recover(replica_index)
+                except Exception:  # noqa: BLE001 — stay down, retry later
+                    pass
+                else:
+                    outcome = "readmitted"
+            report[outcome].append(replica.name)
+        return report
 
     # -- observability ---------------------------------------------------------
 
@@ -432,8 +515,44 @@ class ReplicatedShard:
             "failovers": self.failovers,
         }
 
+    def serving_stats(self) -> dict[str, float]:
+        """The shard's serving statistics, each counted once.
+
+        Request-path counters (cache hits/misses/evictions/invalidations,
+        ``serving/*``) sum over every replica — each replica served its own
+        share of the reads.  Data gauges (members indexed) come from one
+        healthy replica: the replicas are copies, and summing them would
+        overcount the fleet by the replication factor.  A shard with no
+        healthy replica reports no data gauges — the statistics stay
+        readable exactly when an operator needs them.
+        """
+        primary = self._healthy[0] if self._healthy else None
+        merged: dict[str, float] = {}
+        for replica in self.replicas:
+            for stat, value in replica.node.stats().items():
+                if replica is primary or stat.startswith(REQUEST_PATH_STATS):
+                    merged[stat] = merged.get(stat, 0) + value
+        return merged
+
     def per_replica_stats(self) -> dict[str, dict[str, float]]:
         return {replica.name: replica.stats() for replica in self.replicas}
+
+    def health(self) -> dict:
+        """The shard's health document (one ``/admin/replicas`` entry)."""
+        return {
+            "replication_factor": self.replication_factor,
+            "healthy": self.num_healthy(),
+            "replicas": {
+                replica.name: {
+                    "healthy": replica.healthy,
+                    "down_reason": replica.down_reason,
+                    "members": len(replica.node),
+                    "reads_served": replica.reads_served,
+                    "writes_applied": replica.writes_applied,
+                }
+                for replica in self.replicas
+            },
+        }
 
     def __repr__(self) -> str:
         return (f"ReplicatedShard(name={self.name!r}, "

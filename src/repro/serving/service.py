@@ -1,17 +1,27 @@
-"""Hash-sharded multi-node fan-out over serving nodes.
+"""The serving fleet: hash-sharded replica sets behind the one query API.
 
-The service partitions the indexed multisets over ``num_shards`` nodes by a
-stable hash of their identifiers — the same content-hash routing idiom as
-the Sharding joining algorithm's element fingerprints
-(:func:`repro.vsmart.sharding.element_fingerprint`), so shard assignment is
-deterministic across processes and restarts.  Writes touch exactly one
-node; queries fan out to every node and merge:
+:class:`ReplicatedSimilarityService` partitions the indexed multisets over
+``num_shards`` shards by a stable hash of their identifiers — the same
+content-hash routing idiom as the Sharding joining algorithm's element
+fingerprints (:func:`repro.vsmart.sharding.element_fingerprint`), so shard
+assignment is deterministic across processes and restarts.  Each shard is
+a :class:`~repro.serving.replica.ReplicatedShard` of ``replication_factor``
+serving nodes; at replication factor 1 that is one node per shard, served
+by exactly the code that serves N.  Writes touch one shard (fanned into
+its replicas); queries fan out to every shard and merge:
 
 * threshold queries concatenate the per-shard answers (shards are disjoint,
   so no deduplication is needed) and re-sort;
 * top-k queries take the top k of each shard and keep the global top k of
   the union — correct because every shard returns its k best, so nothing
   outside the merged union can enter the global top k.
+
+Exactness contract: whenever every shard keeps at least one healthy
+replica, every answer is bit-identical to one unsharded
+:class:`~repro.serving.index.SimilarityIndex` over the same members —
+sharding and replication change who computes the answer, never the
+answer.  The chaos suite asserts exactly that while killing and
+recovering replicas mid-stream.
 """
 
 from __future__ import annotations
@@ -19,18 +29,17 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from repro.core.exceptions import ServingError
+from repro.core.exceptions import ResilienceError, ServingError
 from repro.core.multiset import Multiset, MultisetId
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import (
     QueryMatch,
     QueryRequest,
     QueryResponse,
-    deprecated_query_form,
     finalize_matches,
 )
 from repro.serving.index import SimilarityIndex
-from repro.serving.node import ServingNode
+from repro.serving.replica import ROUND_ROBIN, Replica, ReplicatedShard
 from repro.similarity.base import NominalSimilarityMeasure
 
 #: Salt separating shard routing from the other stable-hash users.
@@ -44,61 +53,98 @@ def shard_for(multiset_id: MultisetId, num_shards: int) -> int:
     return stable_hash(multiset_id, salt=SHARD_SALT) % num_shards
 
 
-class ShardedSimilarityService:
-    """A fleet of serving nodes behind a single query API."""
+def _shard_file(directory: str | os.PathLike, shard: int) -> str:
+    return os.path.join(os.fspath(directory), f"shard{shard:04d}.sqlite")
+
+
+class ReplicatedSimilarityService:
+    """A fleet of replicated shards behind a single query API."""
 
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
-                 num_shards: int = 4, *, cache_capacity: int = 1024,
+                 num_shards: int = 4, *, replication_factor: int = 2,
+                 cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 intern: bool = True) -> None:
+                 intern: bool = True,
+                 read_strategy: str = ROUND_ROBIN,
+                 fault_policy_factory=None) -> None:
+        """Build the fleet.
+
+        ``fault_policy_factory`` is the chaos seam: a callable
+        ``(shard_index, replica_index) -> FaultPolicy | None`` wiring an
+        injection policy in front of each replica's node calls.
+        """
         if num_shards < 1:
             raise ServingError(f"num_shards must be >= 1, got {num_shards}")
-        self.nodes = [
-            ServingNode(measure, cache_capacity=cache_capacity,
-                        stop_word_frequency=stop_word_frequency,
-                        intern=intern,
-                        name=f"node{shard}")
+        self.fault_policy_factory = fault_policy_factory
+        self.shards = [
+            ReplicatedShard(
+                measure, replication_factor,
+                cache_capacity=cache_capacity,
+                stop_word_frequency=stop_word_frequency,
+                intern=intern,
+                name=f"shard{shard}",
+                read_strategy=read_strategy,
+                fault_policies=(
+                    [fault_policy_factory(shard, replica)
+                     for replica in range(replication_factor)]
+                    if fault_policy_factory is not None else None))
             for shard in range(num_shards)
         ]
 
     @property
     def num_shards(self) -> int:
-        """Number of shards (= serving nodes) in the fleet."""
-        return len(self.nodes)
+        """Number of hash shards (each a replica set)."""
+        return len(self.shards)
+
+    @property
+    def replication_factor(self) -> int:
+        """Replicas per shard."""
+        return self.shards[0].replication_factor
 
     @property
     def measure(self) -> NominalSimilarityMeasure:
         """The measure the fleet serves."""
-        return self.nodes[0].measure
+        return self.shards[0].measure
+
+    @property
+    def read_strategy(self) -> str:
+        """The read-spreading strategy every shard uses."""
+        return self.shards[0].read_strategy
 
     @property
     def cache_capacity(self) -> int:
-        """Per-node LRU result-cache capacity."""
-        return self.nodes[0].cache.capacity
+        """Per-replica LRU result-cache capacity."""
+        return self.shards[0].cache_capacity
+
+    @property
+    def stop_word_frequency(self) -> int | None:
+        """The stop-word pruning limit of every index (``None``: exact)."""
+        return self.shards[0].stop_word_frequency
 
     def __len__(self) -> int:
-        return sum(len(node) for node in self.nodes)
+        """Logical member count (each member counted once, not per replica)."""
+        return sum(len(shard) for shard in self.shards)
 
     def __contains__(self, multiset_id: object) -> bool:
-        return any(multiset_id in node for node in self.nodes)
+        return multiset_id in self.shards[self.shard_for(multiset_id)]
 
     def shard_for(self, multiset_id: MultisetId) -> int:
         """The shard this identifier routes to."""
-        return shard_for(multiset_id, self.num_shards)
+        return shard_for(multiset_id, len(self.shards))
 
-    def node_for(self, multiset_id: MultisetId) -> ServingNode:
-        """The node owning this identifier."""
-        return self.nodes[self.shard_for(multiset_id)]
+    def get(self, multiset_id: MultisetId) -> Multiset | None:
+        """The indexed multiset with this identifier, if any."""
+        return self.shards[self.shard_for(multiset_id)].get(multiset_id)
 
-    # -- writes (routed to the owning shard) -----------------------------------
+    # -- writes (routed to the owning shard, fanned into its replicas) ---------
 
     def add(self, multiset: Multiset, replace: bool = False) -> None:
-        """Index a multiset on its owning shard."""
-        self.node_for(multiset.id).add(multiset, replace=replace)
+        """Index a multiset on every healthy replica of its owning shard."""
+        self.shards[self.shard_for(multiset.id)].add(multiset, replace=replace)
 
     def remove(self, multiset_id: MultisetId) -> None:
-        """Drop a multiset from its owning shard."""
-        self.node_for(multiset_id).remove(multiset_id)
+        """Drop a multiset from every healthy replica of its owning shard."""
+        self.shards[self.shard_for(multiset_id)].remove(multiset_id)
 
     def bulk_load(self, multisets: Iterable[Multiset],
                   replace: bool = False) -> int:
@@ -106,201 +152,235 @@ class ShardedSimilarityService:
         per_shard: dict[int, list[Multiset]] = {}
         for multiset in multisets:
             per_shard.setdefault(self.shard_for(multiset.id), []).append(multiset)
-        return sum(self.nodes[shard].bulk_load(batch, replace=replace)
+        return sum(self.shards[shard].bulk_load(batch, replace=replace)
                    for shard, batch in per_shard.items())
 
-    # -- queries (fan out to every shard, merge) -------------------------------
+    def warm(self, request: QueryRequest,
+             matches: Sequence[QueryMatch]) -> None:
+        """Seed the caches with ``request``'s precomputed (sorted) answer.
+
+        A query fans out to every shard, so each shard is seeded with its
+        own slice of the answer, on every healthy replica.
+        """
+        slices: list[list[QueryMatch]] = [[] for _ in self.shards]
+        for match in matches:
+            slices[self.shard_for(match.multiset_id)].append(match)
+        for shard, shard_matches in zip(self.shards, slices):
+            shard.warm(request, shard_matches)
+
+    # -- queries (fan out to every shard, merge; replicas picked per shard) ----
 
     def query(self, request: QueryRequest) -> QueryResponse:
-        """Answer one unified-API query across all shards, merged.
+        """Answer one query across all shards, merged exactly.
 
-        Threshold answers concatenate the per-shard answers (shards are
-        disjoint, so no deduplication is needed) and re-sort; top-k answers
-        keep the global best ``k`` of the per-shard top-k union — correct
-        because every shard returns its own k best.
+        Within each shard the answering replica is picked by the read
+        strategy.
         """
         merged: list[QueryMatch] = []
-        for node in self.nodes:
-            merged.extend(node.query(request).matches)
+        for shard in self.shards:
+            merged.extend(shard.query(request).matches)
         return QueryResponse(finalize_matches(merged, request.options),
                              request.options)
 
     def batch(self, requests: Sequence[QueryRequest]) -> list[QueryResponse]:
-        """Execute a batch of requests: one per-shard batch, merged per item."""
-        per_node = [node.batch(requests) for node in self.nodes]
+        """Execute a batch: one per-shard batch, merged per item."""
+        per_shard = [shard.batch(requests) for shard in self.shards]
         return [QueryResponse(
                     finalize_matches(
-                        [match for responses in per_node
+                        [match for responses in per_shard
                          for match in responses[position].matches],
                         request.options),
                     request.options)
                 for position, request in enumerate(requests)]
 
-    def query_threshold(self, query: Multiset,
-                        threshold: float) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.threshold(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query`; this form returns the same matches as
-            ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "ShardedSimilarityService.query_threshold(query, threshold)",
-            "ShardedSimilarityService.query(QueryRequest.threshold(query, "
-            "threshold))")
-        return list(self.query(QueryRequest.threshold(query, threshold)))
-
-    def query_topk(self, query: Multiset, k: int) -> list[QueryMatch]:
-        """Deprecated alias of ``query(QueryRequest.topk(...))``.
-
-        .. deprecated:: 1.6
-            Use :meth:`query`; this form returns the same matches as
-            ``query(...).matches``.
-        """
-        deprecated_query_form(
-            "ShardedSimilarityService.query_topk(query, k)",
-            "ShardedSimilarityService.query(QueryRequest.topk(query, k))")
-        return list(self.query(QueryRequest.topk(query, k)))
-
-    def batch_threshold(self, queries: Sequence[Multiset],
-                        threshold: float) -> list[list[QueryMatch]]:
-        """Deprecated alias of :meth:`batch` over threshold requests.
-
-        .. deprecated:: 1.6
-            Use :meth:`batch` with :class:`QueryRequest` items.
-        """
-        deprecated_query_form(
-            "ShardedSimilarityService.batch_threshold(queries, threshold)",
-            "ShardedSimilarityService.batch([QueryRequest.threshold(q, "
-            "threshold) ...])")
-        return [list(response) for response in self.batch(
-            [QueryRequest.threshold(query, threshold) for query in queries])]
-
-    def batch_topk(self, queries: Sequence[Multiset],
-                   k: int) -> list[list[QueryMatch]]:
-        """Deprecated alias of :meth:`batch` over top-k requests.
-
-        .. deprecated:: 1.6
-            Use :meth:`batch` with :class:`QueryRequest` items.
-        """
-        deprecated_query_form(
-            "ShardedSimilarityService.batch_topk(queries, k)",
-            "ShardedSimilarityService.batch([QueryRequest.topk(q, k) ...])")
-        return [list(response) for response in self.batch(
-            [QueryRequest.topk(query, k) for query in queries])]
-
     def neighbours(self, multiset_id: MultisetId,
                    threshold: float) -> list[QueryMatch]:
         """Threshold partners of an indexed member, excluding itself."""
-        member = self.node_for(multiset_id).index.get(multiset_id)
+        member = self.get(multiset_id)
         if member is None:
             raise ServingError(f"multiset {multiset_id!r} is not indexed")
         matches = self.query(QueryRequest.threshold(member, threshold)).matches
         return [match for match in matches
                 if match.multiset_id != multiset_id]
 
+    # -- fault plumbing --------------------------------------------------------
+
+    def kill_replica(self, shard: int, replica: int, *,
+                     lose_state: bool = True) -> Replica:
+        """Crash one replica (chaos entry point); see :meth:`ReplicatedShard.kill
+        <repro.serving.replica.ReplicatedShard.kill>`."""
+        return self._shard_at(shard).kill(replica, lose_state=lose_state)
+
+    def recover_replica(self, shard: int, replica: int, *,
+                        source=None) -> Replica:
+        """Rebuild and readmit one down replica.
+
+        ``source`` is a directory written by :meth:`persist` (the shard's
+        own file is read from it) or one shard database; without one the
+        replica copies a healthy peer.
+        """
+        if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
+            source = _shard_file(source, shard)
+        return self._shard_at(shard).recover(replica, source=source)
+
+    def _shard_at(self, shard: int) -> ReplicatedShard:
+        if not 0 <= shard < self.num_shards:
+            raise ResilienceError(
+                f"no shard {shard} (fleet has {self.num_shards})")
+        return self.shards[shard]
+
+    def health_check(self, *, readmit: bool = True) -> dict[str, list[str]]:
+        """Probe every replica; eject the broken, optionally readmit the down.
+
+        One :meth:`ReplicatedShard.health_check
+        <repro.serving.replica.ReplicatedShard.health_check>` per shard —
+        the self-healing loop the serving tier runs periodically.
+        """
+        report: dict[str, list[str]] = {"healthy": [], "ejected": [],
+                                        "readmitted": [], "down": []}
+        for shard in self.shards:
+            for outcome, names in shard.health_check(readmit=readmit).items():
+                report[outcome].extend(names)
+        return report
+
     # -- persistence (one SQLite file per shard) -------------------------------
 
     def persist(self, directory: str | os.PathLike) -> list[str]:
-        """Save every shard's index into ``directory``; returns the paths.
+        """Save every shard into ``directory``; returns the paths.
 
-        One SQLite file per shard (``shard0000.sqlite``, ...), each written
-        through :meth:`ServingNode.persist
-        <repro.serving.node.ServingNode.persist>`.  :meth:`recover` restores
-        the fleet from the directory with bit-identical query answers —
-        shard routing is a stable content hash, so the shard count and
-        assignment survive the round-trip.
+        One SQLite file per shard (``shard0000.sqlite``, ...) holding one
+        healthy replica's index — the replicas are exact copies, so any
+        one of them is the shard.  The replication factor is not part of
+        the format: :meth:`recover` restores the directory at any factor.
         """
         os.makedirs(directory, exist_ok=True)
-        paths: list[str] = []
-        for shard, node in enumerate(self.nodes):
-            path = os.path.join(os.fspath(directory),
-                                f"shard{shard:04d}.sqlite")
-            node.persist(path)
-            paths.append(path)
+        paths = [_shard_file(directory, shard)
+                 for shard in range(self.num_shards)]
+        for shard, path in zip(self.shards, paths):
+            shard.persist(path)
         return paths
 
     @classmethod
     def recover(cls, directory: str | os.PathLike, *,
-                cache_capacity: int = 1024) -> "ShardedSimilarityService":
-        """Restore a fleet persisted by :meth:`persist`.
+                replication_factor: int = 2,
+                cache_capacity: int = 1024,
+                read_strategy: str = ROUND_ROBIN,
+                fault_policy_factory=None) -> "ReplicatedSimilarityService":
+        """Restore a fleet persisted by :meth:`persist` (this or any 1.x
+        release), exactly.
 
-        The shard count is the number of ``shard*.sqlite`` files; each
-        node's index (measure, stop-word setting, interning, postings, Uni
-        partials) is loaded exactly, so the recovered service answers every
-        query identically to the one that persisted.  Result caches start
-        cold — they are version-keyed memoisation, rebuilt by traffic.
+        Every replica of a shard loads the shard's file, so the recovered
+        fleet answers every query identically to the one that persisted;
+        result caches start cold.  A directory that is not exactly what
+        one ``persist`` wrote — a shard file missing or extra, files that
+        disagree on the measure, a member stored on a shard it does not
+        route to — raises :class:`ServingError` instead of loading a fleet
+        that would answer wrongly.
         """
-        shard_files = sorted(
-            entry for entry in os.listdir(directory)
-            if entry.startswith("shard") and entry.endswith(".sqlite"))
-        if not shard_files:
+        stored = sorted(entry for entry in os.listdir(directory)
+                        if entry.startswith("shard")
+                        and entry.endswith(".sqlite"))
+        paths = [_shard_file(directory, shard) for shard in range(len(stored))]
+        if not stored or stored != [os.path.basename(path) for path in paths]:
             raise ServingError(
-                f"no shard*.sqlite files found in {os.fspath(directory)!r}; "
-                "was the directory written by ShardedSimilarityService"
-                ".persist()?")
-        indexes = [SimilarityIndex.load(os.path.join(os.fspath(directory),
-                                                     entry))
-                   for entry in shard_files]
-        measures = {index.measure.name for index in indexes}
-        if len(measures) > 1:
-            raise ServingError(
-                f"shard files disagree on the measure: {sorted(measures)}")
-        service = cls(indexes[0].measure, len(indexes),
-                      cache_capacity=cache_capacity,
-                      stop_word_frequency=indexes[0].stop_word_frequency)
-        for node, index in zip(service.nodes, indexes):
-            node.index = index
+                f"{os.fspath(directory)!r} holds {stored or 'no shard files'}, "
+                "not the shard0000.sqlite, shard0001.sqlite, … one persist() "
+                "writes; refusing to recover a partial fleet")
+        service = None
+        for shard, path in enumerate(paths):
+            # One load per replica: each owns its index.
+            indexes = [SimilarityIndex.load(path)
+                       for _ in range(replication_factor)]
+            if service is None:
+                service = cls(indexes[0].measure, len(paths),
+                              replication_factor=replication_factor,
+                              cache_capacity=cache_capacity,
+                              stop_word_frequency=indexes[0]
+                              .stop_word_frequency,
+                              read_strategy=read_strategy,
+                              fault_policy_factory=fault_policy_factory)
+            elif indexes[0].measure.name != service.measure.name:
+                raise ServingError(
+                    f"shard files disagree on the measure: {path!r} holds "
+                    f"{indexes[0].measure.name!r}, shard 0 "
+                    f"{service.measure.name!r}")
+            for multiset_id in indexes[0].ids():
+                if service.shard_for(multiset_id) != shard:
+                    raise ServingError(
+                        f"{path!r} holds {multiset_id!r}, which routes to "
+                        f"shard {service.shard_for(multiset_id)} of "
+                        f"{len(paths)}; the directory was not written by "
+                        "one persist() of a fleet this size")
+            service.shards[shard].restore(indexes)
         return service
 
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Fleet totals: per-node statistics summed over all nodes.
+        """Fleet totals: every shard's serving statistics summed, plus the
+        ``resilience/*`` fan-in and failover counters.
 
-        Counters and capacities sum meaningfully (``cache/capacity`` is the
-        fleet's total cache room); ``cache/hit_rate`` is recomputed from the
-        summed hits and misses, and per-node-only gauges (``index_version``)
-        are omitted — read them from ``node.stats()`` directly.
+        Request-path counters count every replica's work, data gauges each
+        member once (see :meth:`ReplicatedShard.serving_stats
+        <repro.serving.replica.ReplicatedShard.serving_stats>`);
+        ``cache/capacity`` is the fleet's total cache room,
+        ``cache/hit_rate`` is recomputed from the summed hits and misses,
+        and per-node-only gauges (``index_version``) are omitted — read
+        them from :meth:`per_node_stats`.
         """
         merged: dict[str, float] = {}
-        for node in self.nodes:
-            for stat, value in node.stats().items():
+        for shard in self.shards:
+            for stat, value in shard.serving_stats().items():
                 merged[stat] = merged.get(stat, 0) + value
+            for stat, value in shard.stats().items():
+                merged[f"resilience/{stat}"] = \
+                    merged.get(f"resilience/{stat}", 0) + value
         merged.pop("index_version", None)
+        del merged["resilience/replication_factor"]
         merged["num_shards"] = self.num_shards
-        lookups = merged.get("cache/hits", 0) + merged.get("cache/misses", 0)
-        merged["cache/hit_rate"] = (merged.get("cache/hits", 0) / lookups
+        merged["replication_factor"] = self.replication_factor
+        lookups = merged["cache/hits"] + merged["cache/misses"]
+        merged["cache/hit_rate"] = (merged["cache/hits"] / lookups
                                     if lookups else 0.0)
         return merged
 
     def per_node_stats(self) -> dict[str, dict[str, float]]:
-        """Per-node statistics keyed by node name.
+        """Per-replica statistics keyed by ``shardN/replicaM`` name.
 
-        The fleet totals of :meth:`stats` hide which shard is hot; this
-        breakdown exposes every node's own counters — including its cache
-        hit/miss/eviction counts — for dashboards that chart load balance.
+        The fleet totals of :meth:`stats` hide which shard or replica is
+        hot; this breakdown exposes every node's own counters.
         """
-        return {node.name: node.stats() for node in self.nodes}
+        merged: dict[str, dict[str, float]] = {}
+        for shard in self.shards:
+            merged.update(shard.per_replica_stats())
+        return merged
+
+    def replica_health(self) -> dict[str, dict]:
+        """The health document of every replica (the ``/admin/replicas`` body)."""
+        return {shard.name: shard.health() for shard in self.shards}
 
     def snapshot(self) -> dict:
         """One health/statistics document for the whole fleet.
 
-        Aggregates everything callers previously assembled by poking nodes:
-        the identity of the fleet (measure, shard count, indexed members),
-        the summed counters of :meth:`stats` (cache hits/misses/evictions
-        included) and the per-node breakdown of :meth:`per_node_stats`.
         The HTTP ``/stats`` endpoint returns exactly this document, with
-        the server's own queue statistics merged alongside.
+        the server's own queue statistics merged alongside.  It stays
+        readable while a shard has no healthy replica (that shard's
+        members are then missing from ``indexed_multisets``).
         """
+        totals = self.stats()
         return {
             "measure": self.measure.name,
             "num_shards": self.num_shards,
-            "indexed_multisets": len(self),
-            "totals": self.stats(),
+            "replication_factor": self.replication_factor,
+            "indexed_multisets": totals.get("indexed_multisets", 0),
+            "totals": totals,
             "per_node": self.per_node_stats(),
+            "replica_health": self.replica_health(),
         }
 
     def __repr__(self) -> str:
-        return (f"ShardedSimilarityService(measure={self.measure.name!r}, "
-                f"shards={self.num_shards}, multisets={len(self)})")
+        healthy = sum(shard.num_healthy() for shard in self.shards)
+        total = sum(shard.replication_factor for shard in self.shards)
+        return (f"ReplicatedSimilarityService(measure={self.measure.name!r}, "
+                f"shards={self.num_shards}, "
+                f"replicas={healthy}/{total} healthy)")

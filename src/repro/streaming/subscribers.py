@@ -1,7 +1,7 @@
 """Streaming deltas into the serving layer.
 
 :func:`attach_serving` keeps a :class:`~repro.serving.node.ServingNode` or a
-:class:`~repro.serving.service.ShardedSimilarityService` in lockstep with a
+:class:`~repro.serving.service.ReplicatedSimilarityService` in lockstep with a
 :class:`~repro.streaming.view.JoinView`: every applied change batch is
 routed into the target's index, and — because the view already holds the
 exact post-batch pair set — every member's threshold-query answer at the
@@ -23,32 +23,33 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.exceptions import StreamingError
-from repro.core.multiset import MultisetId
 from repro.serving.bootstrap import warm_member_caches
 from repro.serving.node import ServingNode
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService
 from repro.streaming.changes import DELETE, ChangeBatch, PairDelta
 from repro.streaming.view import JoinView
 
 
 class ServingSubscription:
-    """A live link from a view to a serving node or sharded service.
+    """A live link from a view to a serving node or fleet.
 
     Construct through :func:`attach_serving`.  The target must serve the
     view's measure and must not use stop-word pruning when ``warm=True``
     (warmed exact answers would not match what pruned queries compute once
     evicted — the same guard the join bootstrap applies).  An empty target
     is bulk-loaded from the view; a pre-loaded target must hold exactly the
-    view's members.
+    view's members.  Every write and every warmed entry goes through the
+    target's own ``add`` / ``remove`` / ``warm``, so a replicated fleet
+    fans them into all its replicas and never diverges.
     """
 
     def __init__(self, view: JoinView,
-                 target: ServingNode | ShardedSimilarityService, *,
+                 target: ServingNode | ReplicatedSimilarityService, *,
                  warm: bool = True) -> None:
-        if not isinstance(target, (ServingNode, ShardedSimilarityService)):
+        if not isinstance(target, (ServingNode, ReplicatedSimilarityService)):
             raise StreamingError(
                 "attach_serving targets a ServingNode or a "
-                f"ShardedSimilarityService, got {type(target).__name__}")
+                f"ReplicatedSimilarityService, got {type(target).__name__}")
         if target.measure.name != view.measure.name:
             raise StreamingError(
                 f"serving target measure {target.measure.name!r} does not "
@@ -56,14 +57,12 @@ class ServingSubscription:
         self.view = view
         self.target = target
         self.warm = warm
-        if warm:
-            for node in self._nodes():
-                if node.index.stop_word_frequency is not None:
-                    raise StreamingError(
-                        "cannot warm caches of an index with stop-word "
-                        "pruning: the view's exact pairs would not match "
-                        "what live queries compute once the cache is "
-                        "invalidated; attach with warm=False")
+        if warm and target.stop_word_frequency is not None:
+            raise StreamingError(
+                "cannot warm caches of an index with stop-word pruning: the "
+                "view's exact pairs would not match what live queries "
+                "compute once the cache is invalidated; attach with "
+                "warm=False")
         self._load()
         if warm:
             self._warm_all()
@@ -75,23 +74,6 @@ class ServingSubscription:
         """Stop following the view; the target keeps its current state."""
         self.view.unsubscribe(self._callback)
 
-    # -- target plumbing (node == one-shard fleet) -----------------------------
-
-    def _nodes(self) -> list[ServingNode]:
-        if isinstance(self.target, ShardedSimilarityService):
-            return list(self.target.nodes)
-        return [self.target]
-
-    def _node_for(self, multiset_id: MultisetId) -> ServingNode:
-        if isinstance(self.target, ShardedSimilarityService):
-            return self.target.node_for(multiset_id)
-        return self.target
-
-    def _shard_for(self, multiset_id: MultisetId) -> int:
-        if isinstance(self.target, ShardedSimilarityService):
-            return self.target.shard_for(multiset_id)
-        return 0
-
     def _load(self) -> None:
         members = self.view.members()
         if len(self.target) == 0:
@@ -101,8 +83,7 @@ class ServingSubscription:
         # snapshot under the same ids would serve answers disagreeing with
         # the view the moment its caches are invalidated.
         if len(self.target) != len(members) or any(
-                self._node_for(member.id).index.get(member.id) != member
-                for member in members):
+                self.target.get(member.id) != member for member in members):
             raise StreamingError(
                 "a pre-loaded serving target must hold exactly the view's "
                 "members (same identifiers and contents); load an empty "
@@ -116,22 +97,21 @@ class ServingSubscription:
             if change.kind == DELETE:
                 self.target.remove(change.target)
             else:
-                node = self._node_for(change.target)
-                node.add(change.multiset,
-                         replace=change.target in node.index)
+                self.target.add(change.multiset,
+                                replace=change.target in self.target)
         if self.warm:
             self._warm_all()
 
     def _warm_all(self) -> None:
         """Re-seed every member's threshold answer from the view's pair map."""
         warm_member_caches(
-            self._nodes(), self._shard_for, self.view.members(),
+            self.target, self.view.members(),
             lambda member: self.view.matches_for(member.id),
             self.view.threshold)
 
 
 def attach_serving(view: JoinView,
-                   target: ServingNode | ShardedSimilarityService, *,
+                   target: ServingNode | ReplicatedSimilarityService, *,
                    warm: bool = True) -> ServingSubscription:
     """Keep a serving node or fleet in sync with a maintained view.
 

@@ -6,7 +6,6 @@ from repro.vcl.driver import (
     VCLConfig,
     VCLJoin,
     VCLJoinResult,
-    vcl_join,
 )
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import (
@@ -49,5 +48,4 @@ __all__ = [
     "ordered_elements",
     "prefix_elements",
     "prefix_length_classic",
-    "vcl_join",
 ]

@@ -157,45 +157,3 @@ class VCLJoin:
         )
         return VCLJoinResult(pairs=pairs, pipeline=pipeline, config=self.config)
 
-
-def vcl_join(multisets: Iterable[Multiset],
-             measure: str | NominalSimilarityMeasure = "ruzicka",
-             threshold: float = 0.5,
-             cluster: Cluster | None = None,
-             backend: str | ExecutionBackend = "serial",
-             *,
-             cost_parameters: CostParameters = DEFAULT_COST_PARAMETERS,
-             enforce_budgets: bool = True,
-             **config_overrides) -> list[SimilarPair]:
-    """Deprecated one-call API; use :func:`repro.join` / the engine instead.
-
-    .. deprecated:: 1.3
-        ``vcl_join(...)`` is superseded by the unified engine::
-
-            repro.join(multisets, algorithm="vcl", measure=...,
-                       threshold=...).pairs
-
-        The shim delegates to the engine (which executes through this
-        module's :class:`VCLJoin`, so the pairs are bit-identical to a
-        direct driver call) and — unlike the historical function, which
-        silently dropped them — forwards ``cost_parameters`` and
-        ``enforce_budgets`` to the driver.  Both are keyword-only so the
-        historical positional argument order keeps working.
-    """
-    import warnings
-
-    warnings.warn(
-        "vcl_join() is deprecated; use repro.join(data, algorithm='vcl', "
-        "...) or SimilarityEngine.run(JoinSpec(...)) instead",
-        DeprecationWarning, stacklevel=2)
-    from repro.engine.engine import join as engine_join
-
-    spec_fields = {f"vcl_{name}" if name in ("element_order",
-                                             "super_element_groups") else name:
-                   value for name, value in config_overrides.items()}
-    result = engine_join(multisets, cluster=cluster,
-                         cost_parameters=cost_parameters,
-                         enforce_budgets=enforce_budgets, backend=backend,
-                         measure=measure, threshold=threshold,
-                         algorithm="vcl", **spec_fields)
-    return result.pairs

@@ -6,8 +6,8 @@ pipeline on a simulated cluster.  The result carries the similar pairs, the
 per-job statistics (including simulated run times) and the joining /
 similarity phase split the paper reports separately in Fig. 6.
 
-The convenience function :func:`vsmart_join` covers the common case: hand it
-multisets, get back the similar pairs.
+The one-call form is :func:`repro.join` (``join(multisets, algorithm=...,
+threshold=...).pairs``), which plans and runs through this driver.
 """
 
 from __future__ import annotations
@@ -317,46 +317,3 @@ def normalise_input(data: Iterable[Multiset] | Dataset | Sequence[InputTuple]) -
         return Dataset("raw_input", materialised)
     return Dataset("raw_input", explode_multisets(materialised))
 
-
-def vsmart_join(multisets: Iterable[Multiset],
-                measure: str | NominalSimilarityMeasure = "ruzicka",
-                threshold: float = 0.5,
-                algorithm: str = ONLINE_AGGREGATION,
-                cluster: Cluster | None = None,
-                cost_parameters: CostParameters = DEFAULT_COST_PARAMETERS,
-                enforce_budgets: bool = True,
-                backend: str | ExecutionBackend = "serial",
-                **config_overrides) -> list[SimilarPair]:
-    """Deprecated one-call API; use :func:`repro.join` / the engine instead.
-
-    .. deprecated:: 1.3
-        ``vsmart_join(...)`` is superseded by the unified engine::
-
-            repro.join(multisets, measure=..., threshold=...,
-                       algorithm=...).pairs
-
-        The shim delegates to :class:`~repro.engine.engine.SimilarityEngine`
-        with the equivalent :class:`~repro.engine.spec.JoinSpec`, which
-        executes through this module's :class:`VSmartJoin` — the returned
-        pairs are bit-identical to a direct driver call.
-    """
-    import warnings
-
-    warnings.warn(
-        "vsmart_join() is deprecated; use repro.join(data, algorithm=..., "
-        "...) or SimilarityEngine.run(JoinSpec(...)) instead",
-        DeprecationWarning, stacklevel=2)
-    if algorithm not in JOINING_ALGORITHMS:
-        # Preserve the historical contract: this function only ever ran
-        # the V-SMART-Join joining algorithms.
-        raise JobConfigurationError(
-            f"unknown joining algorithm {algorithm!r}; "
-            f"expected one of {JOINING_ALGORITHMS}")
-    from repro.engine.engine import join as engine_join
-
-    result = engine_join(multisets, cluster=cluster,
-                         cost_parameters=cost_parameters,
-                         enforce_budgets=enforce_budgets, backend=backend,
-                         measure=measure, threshold=threshold,
-                         algorithm=algorithm, **config_overrides)
-    return result.pairs

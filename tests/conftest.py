@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core.multiset import Multiset
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, HADOOP, Cluster, laptop_cluster
+from repro.serving.service import ReplicatedSimilarityService
 
 # Hypothesis budgets.  The stateful suites (tests/test_streaming.py,
 # tests/test_serving.py) take their example and step budgets from the
@@ -38,6 +39,13 @@ def make_random_multisets(count: int, alphabet_size: int, max_elements: int,
             counts[element] = rng.randint(1, max_multiplicity)
         multisets.append(Multiset(f"m{index}", counts))
     return multisets
+
+
+def unreplicated_fleet(measure="ruzicka", num_shards: int = 4,
+                       **options) -> ReplicatedSimilarityService:
+    """The fleet at replication factor 1: one serving node per shard."""
+    return ReplicatedSimilarityService(measure, num_shards,
+                                       replication_factor=1, **options)
 
 
 @pytest.fixture

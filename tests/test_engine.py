@@ -4,15 +4,13 @@ Covers the declarative :class:`JoinSpec`, the cost-model planner (choice,
 feasibility exclusions, explain rendering), the :class:`SimilarityEngine`
 execution paths — property-tested for bit-identical parity with the legacy
 entry points across measures, algorithms and backends — the uniform
-:class:`JoinResult` surface with its serving handoffs, and the deprecated
-``vsmart_join`` / ``vcl_join`` shims.
+:class:`JoinResult` surface with its serving handoffs.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +24,6 @@ from repro import (
     available_algorithms,
     join,
     list_measures,
-    vcl_join,
-    vsmart_join,
 )
 from repro.analysis.calibration import (
     paper_scale_cluster,
@@ -36,17 +32,11 @@ from repro.analysis.calibration import (
 from repro.analysis.experiments import run_algorithm
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
-from repro.core.exceptions import (
-    DatasetError,
-    JobConfigurationError,
-    JobTimeoutError,
-    MemoryBudgetExceeded,
-)
+from repro.core.exceptions import DatasetError, JobConfigurationError
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
 from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
 from repro.mapreduce.cluster import HADOOP, laptop_cluster
-from repro.mapreduce.costmodel import CostParameters
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.exact import all_pairs_exact
@@ -562,79 +552,13 @@ class TestRunAlgorithmOnEngine:
             run_algorithm("magic", small_multisets)
 
 
-@pytest.mark.filterwarnings("default::DeprecationWarning")
 class TestDeprecatedShims:
-    """The dedicated shim tests: the only place the legacy calls remain."""
-
-    def test_vsmart_join_warns_and_matches_the_driver(self,
-                                                      overlapping_multisets):
-        cluster = laptop_cluster()
-        with pytest.warns(DeprecationWarning, match="vsmart_join"):
-            pairs = vsmart_join(overlapping_multisets, threshold=0.8,
-                                cluster=cluster)
-        direct = VSmartJoin(VSmartJoinConfig(threshold=0.8),
-                            cluster=cluster).run(overlapping_multisets)
-        assert pairs == direct.pairs
-
-    def test_vcl_join_warns_and_matches_the_driver(self,
-                                                   overlapping_multisets):
-        cluster = laptop_cluster()
-        with pytest.warns(DeprecationWarning, match="vcl_join"):
-            pairs = vcl_join(overlapping_multisets, threshold=0.8,
-                             cluster=cluster)
-        direct = VCLJoin(VCLConfig(threshold=0.8),
-                         cluster=cluster).run(overlapping_multisets)
-        assert pairs == direct.pairs
-
-    def test_vcl_join_keeps_the_historical_positional_order(
-            self, overlapping_multisets):
-        # Pre-1.3 callers pass (multisets, measure, threshold, cluster,
-        # backend) positionally; the new cost_parameters/enforce_budgets
-        # parameters are keyword-only so that contract survives.
-        with pytest.warns(DeprecationWarning):
-            pairs = vcl_join(overlapping_multisets, "ruzicka", 0.8,
-                             laptop_cluster(), "serial")
-        assert {p.pair for p in pairs} == {("a", "b"), ("d", "e")}
-
-    def test_vcl_join_forwards_config_overrides(self, small_multisets):
-        with pytest.warns(DeprecationWarning):
-            hash_order = vcl_join(small_multisets, threshold=0.3,
-                                  element_order="hash", intern=False)
-        direct = VCLJoin(VCLConfig(threshold=0.3, element_order="hash",
-                                   intern=False),
-                         cluster=laptop_cluster()).run(small_multisets)
-        assert hash_order == direct.pairs
-
-    def test_vcl_join_forwards_enforce_budgets(self, small_multisets):
-        tiny = laptop_cluster().with_memory(500)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(MemoryBudgetExceeded):
-                vcl_join(small_multisets, threshold=0.5, cluster=tiny)
-        with pytest.warns(DeprecationWarning):
-            relaxed = vcl_join(small_multisets, threshold=0.5, cluster=tiny,
-                               enforce_budgets=False)
-        with pytest.warns(DeprecationWarning):
-            reference = vcl_join(small_multisets, threshold=0.5,
-                                 cluster=laptop_cluster())
-        assert {p.pair for p in relaxed} == {p.pair for p in reference}
-
-    def test_vcl_join_forwards_cost_parameters(self, overlapping_multisets):
-        # A slow calibration against a tight scheduler limit only times out
-        # if the parameters actually reach the driver — the historical
-        # vcl_join dropped them silently.
-        slow = CostParameters(job_overhead_seconds=1_000.0)
-        limited = laptop_cluster().with_scheduler_limit(100.0)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(JobTimeoutError):
-                vcl_join(overlapping_multisets, threshold=0.8,
-                         cluster=limited, cost_parameters=slow)
+    """2.0 removed ``vsmart_join`` / ``vcl_join``; ``join`` is the one call."""
 
     def test_one_call_join_replaces_the_shims(self, overlapping_multisets):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = join(overlapping_multisets, threshold=0.8,
-                          algorithm="online_aggregation",
-                          cluster=laptop_cluster())
+        result = join(overlapping_multisets, threshold=0.8,
+                      algorithm="online_aggregation",
+                      cluster=laptop_cluster())
         assert {p.pair for p in result} == {("a", "b"), ("d", "e")}
 
 

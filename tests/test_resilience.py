@@ -6,13 +6,14 @@ Four layers of coverage:
   determinism, :class:`CircuitBreaker` state machine (fake clock),
   :class:`RetryPolicy`/:class:`RetrySchedule` backoff and deadlines;
 * :class:`ReplicatedShard` / :class:`ReplicatedSimilarityService`
-  semantics — fan-in, divergence detection, failover, kill/recover,
-  persist/recover interchangeability with the unreplicated service, and
-  bit-exact parity with an unreplicated oracle in every healthy and
-  degraded configuration;
+  semantics at replication factors 1, 2 and 3 — fan-in, divergence
+  detection, failover, kill/recover, persist/recover across factors, and
+  bit-exact parity with one unsharded :class:`SimilarityIndex` in every
+  healthy and degraded configuration;
 * a Hypothesis chaos state machine interleaving writes, queries, replica
-  kills and recoveries, asserting that answers stay bit-identical to the
-  unreplicated oracle whenever every shard keeps one healthy replica;
+  kills, whole-shard losses and recoveries, asserting that answers stay
+  bit-identical to that oracle whenever every shard keeps one healthy
+  replica (and that a shard with none refuses rather than answers);
 * wire-level hardening — client retry/timeout/breaker behaviour against a
   live :class:`InProcessServer`, brownout degradation, per-request 504s,
   the replica admin endpoints, and graceful drain under injected latency.
@@ -25,6 +26,7 @@ import http.client
 import logging
 import pickle
 import random
+import tempfile
 import threading
 import time
 
@@ -71,9 +73,13 @@ from repro.server.client import (
 from repro.server.errors import classify, error_body
 from repro.server.http import InProcessServer
 from repro.serving.api import QueryRequest
+from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
-from repro.serving.service import ShardedSimilarityService
 from tests.conftest import make_random_multisets
+
+
+#: The replication factors every fleet-level behaviour is checked at.
+RFS = (1, 2, 3)
 
 
 def corpus(count: int = 36, seed: int = 11) -> list[Multiset]:
@@ -342,6 +348,11 @@ class TestRetryPolicy:
 # ReplicatedShard
 # ---------------------------------------------------------------------------
 
+def members_per_replica(shard) -> list[int]:
+    return [stats["indexed_multisets"]
+            for stats in shard.per_replica_stats().values()]
+
+
 class TestReplicatedShard:
     def test_parity_with_a_single_node_under_churn(self):
         members = corpus()
@@ -385,13 +396,13 @@ class TestReplicatedShard:
         with pytest.raises(ServingError, match="twice"):
             shard.bulk_load([members[7], members[8], members[7]])
         assert shard.num_healthy() == 2
-        assert all(len(replica.node) == 5 for replica in shard.replicas)
+        assert members_per_replica(shard) == [5, 5]
         shard.check_divergence()
         # Clean batches and replace-mode collisions still load everywhere.
         assert shard.bulk_load(members[5:8]) == 3
         assert shard.bulk_load(members[:8], replace=True) == 8
         shard.check_divergence()
-        assert all(len(replica.node) == 8 for replica in shard.replicas)
+        assert members_per_replica(shard) == [8, 8]
 
     def test_write_fault_ejects_the_replica_and_survivors_stay_exact(self):
         members = corpus()
@@ -442,14 +453,14 @@ class TestReplicatedShard:
         members = corpus()
         shard = ReplicatedShard("ruzicka", 2)
         shard.bulk_load(members[:20])
-        killed = shard.kill(1)
-        assert len(killed.node) == 0  # the crash lost its memory
+        shard.kill(1)
+        assert members_per_replica(shard) == [20, 0]  # the crash lost its memory
         # Writes continue against the survivor.
         shard.add(members[20])
         shard.remove(members[0].id)
         shard.recover(1)
         assert shard.num_healthy() == 2
-        assert len(shard.replicas[0].node) == len(shard.replicas[1].node)
+        assert members_per_replica(shard) == [20, 20]
         request = probe_request(members)
         answers = {shard.query(request) for _ in range(4)}
         assert len(answers) == 1  # both replicas answer identically
@@ -460,7 +471,7 @@ class TestReplicatedShard:
         shard = ReplicatedShard("ruzicka", 2)
         shard.bulk_load(members[:12])
         path = str(tmp_path / "replica.sqlite")
-        shard.replicas[0].node.persist(path)
+        shard.persist(path)
         shard.kill(1)
         shard.recover(1, source=path)
         assert shard.num_healthy() == 2
@@ -520,151 +531,200 @@ class TestReplicatedShard:
 # ---------------------------------------------------------------------------
 
 class TestReplicatedService:
-    def make_pair(self, members, *, num_shards=3, replication_factor=2,
-                  **kwargs):
-        replicated = ReplicatedSimilarityService(
-            "ruzicka", num_shards, replication_factor=replication_factor,
-            **kwargs)
-        oracle = ShardedSimilarityService("ruzicka", num_shards)
-        replicated.bulk_load(members)
-        oracle.bulk_load(members)
-        return replicated, oracle
+    """The fleet against one unsharded index, at ``replication_factor``
+    (the subclasses below rerun every test at the other factors)."""
 
-    def assert_parity(self, replicated, oracle, members):
+    replication_factor = 2
+
+    def make_pair(self, members, *, num_shards=3, **kwargs):
+        fleet = ReplicatedSimilarityService(
+            "ruzicka", num_shards,
+            replication_factor=self.replication_factor, **kwargs)
+        oracle = SimilarityIndex("ruzicka")
+        fleet.bulk_load(members)
+        oracle.bulk_load(members)
+        return fleet, oracle
+
+    def assert_parity(self, fleet, oracle, members):
         requests = [probe_request(members, "threshold"),
                     probe_request(members, "topk"),
                     QueryRequest.threshold(members[7].with_id("p2"), 0.5),
                     QueryRequest.topk(members[9].with_id("p3"), 3)]
-        for request in requests:
-            assert replicated.query(request) == oracle.query(request)
-        assert replicated.batch(requests) == oracle.batch(requests)
+        expected = [oracle.query(request) for request in requests]
+        assert [fleet.query(request) for request in requests] == expected
+        assert fleet.batch(requests) == expected
 
-    def test_parity_healthy_and_after_killing_one_replica_per_shard(self):
+    def test_parity_healthy_and_after_killing_one_replica_per_shard(
+            self, tmp_path):
         members = corpus(60)
-        replicated, oracle = self.make_pair(members)
-        assert len(replicated) == len(oracle) == len(members)
-        assert replicated.shard_for("anything") == oracle.shard_for("anything")
-        self.assert_parity(replicated, oracle, members)
-        for shard in range(replicated.num_shards):
-            replicated.kill_replica(shard, shard % 2)
-        self.assert_parity(replicated, oracle, members)
+        fleet, oracle = self.make_pair(members)
+        factor = self.replication_factor
+        assert len(fleet) == len(oracle) == len(members)
+        self.assert_parity(fleet, oracle, members)
+        fleet.persist(tmp_path)
+        for shard in range(fleet.num_shards):
+            fleet.kill_replica(shard, shard % factor)
+        if factor == 1:
+            # No survivor: every read and write refuses, none lies.
+            for call in (lambda: fleet.query(probe_request(members)),
+                         lambda: fleet.add(Multiset("extra", {"a": 1})),
+                         lambda: fleet.recover_replica(0, 0)):
+                with pytest.raises(ReplicaUnavailableError):
+                    call()
+            for shard in range(fleet.num_shards):
+                fleet.recover_replica(shard, 0, source=tmp_path)
+        self.assert_parity(fleet, oracle, members)
         # Writes still apply in degraded mode; parity holds after them.
         extra = Multiset("extra", dict(members[0].items()))
-        replicated.add(extra)
+        fleet.add(extra)
         oracle.add(extra)
-        replicated.remove(members[1].id)
+        fleet.remove(members[1].id)
         oracle.remove(members[1].id)
-        self.assert_parity(replicated, oracle, members)
-        # Recover everyone and check again.
-        for shard in range(replicated.num_shards):
-            replicated.recover_replica(shard, shard % 2)
-        self.assert_parity(replicated, oracle, members)
-        assert replicated.neighbours(members[0].id, 0.3) == \
+        self.assert_parity(fleet, oracle, members)
+        if factor > 1:  # recover everyone (peer copy) and check again
+            for shard in range(fleet.num_shards):
+                fleet.recover_replica(shard, shard % factor)
+            self.assert_parity(fleet, oracle, members)
+        assert fleet.neighbours(members[0].id, 0.3) == \
             oracle.neighbours(members[0].id, 0.3)
+        assert fleet.get(members[0].id) == members[0]
+        assert fleet.get("ghost") is None
 
     def test_health_check_ejects_crashed_and_readmits_down(self):
         members = corpus()
         policy = FaultPolicy()
-        replicated = ReplicatedSimilarityService(
-            "ruzicka", 2, replication_factor=2,
+        last = self.replication_factor - 1
+        crashed = f"shard0/replica{last}"
+        fleet = ReplicatedSimilarityService(
+            "ruzicka", 2, replication_factor=self.replication_factor,
             fault_policy_factory=lambda shard, replica: (
-                policy if (shard, replica) == (0, 1) else None))
-        replicated.bulk_load(members)
+                policy if (shard, replica) == (0, last) else None))
+        fleet.bulk_load(members)
         policy.crash()  # the replica will fail its next probe
-        report = replicated.health_check(readmit=False)
-        assert "shard0/replica1" in report["ejected"]
-        assert "shard0/replica1" in \
-            replicated.health_check(readmit=False)["down"]
-        report = replicated.health_check()
-        assert "shard0/replica1" in report["readmitted"]
-        assert len(replicated.health_check()["healthy"]) == 4
+        report = fleet.health_check(readmit=False)
+        assert crashed in report["ejected"]
+        assert crashed in fleet.health_check(readmit=False)["down"]
+        report = fleet.health_check()
+        if last == 0:  # no peer to copy: stays down until revived
+            assert crashed in report["down"]
+            return
+        assert crashed in report["readmitted"]
+        assert len(fleet.health_check()["healthy"]) == \
+            2 * self.replication_factor
 
     def test_persist_recover_interchangeable_with_unreplicated(self, tmp_path):
         members = corpus()
-        replicated, oracle = self.make_pair(members, num_shards=2)
-        replicated_dir = str(tmp_path / "replicated")
-        oracle_dir = str(tmp_path / "oracle")
-        replicated.persist(replicated_dir)
-        oracle.persist(oracle_dir)
-        # Each class recovers the other's directory; answers stay exact.
-        cross_replicated = ReplicatedSimilarityService.recover(
-            oracle_dir, replication_factor=3)
-        cross_plain = ShardedSimilarityService.recover(replicated_dir)
-        assert cross_replicated.replication_factor == 3
-        self.assert_parity(cross_replicated, oracle, members)
-        self.assert_parity(replicated, cross_plain, members)
-
-    def test_to_unreplicated_is_the_parity_oracle(self):
-        members = corpus()
-        replicated, _ = self.make_pair(members)
-        mirror = replicated.to_unreplicated()
-        assert isinstance(mirror, ShardedSimilarityService)
-        self.assert_parity(replicated, mirror, members)
+        fleet, oracle = self.make_pair(members, num_shards=2)
+        fleet.persist(tmp_path)
+        # The factor is not part of the format: any factor recovers it.
+        for factor in RFS:
+            recovered = ReplicatedSimilarityService.recover(
+                tmp_path, replication_factor=factor)
+            assert recovered.replication_factor == factor
+            self.assert_parity(recovered, oracle, members)
 
     def test_stats_and_snapshot_shape(self):
         members = corpus()
-        replicated, _ = self.make_pair(members, num_shards=2)
-        replicated.query(probe_request(members))
-        replicated.kill_replica(0, 1)
-        stats = replicated.stats()
-        assert stats["replication_factor"] == 2
-        assert stats["resilience/ejections"] == 1
+        fleet, _ = self.make_pair(members, num_shards=2)
+        fleet.query(probe_request(members))
+        factor, stats = self.replication_factor, fleet.stats()
+        assert stats["replication_factor"] == factor
+        assert stats["resilience/healthy_replicas"] == 2 * factor
         assert stats["indexed_multisets"] == len(members)
-        snapshot = replicated.snapshot()
-        assert snapshot["replica_health"]["shard0"]["healthy"] == 1
-        per_node = replicated.per_node_stats()
-        assert set(per_node) == {"shard0/replica0", "shard0/replica1",
-                                 "shard1/replica0", "shard1/replica1"}
-        assert "ReplicatedSimilarityService" in repr(replicated)
+        fleet.kill_replica(0, 0)
+        health = fleet.snapshot()["replica_health"]
+        assert (health["shard0"]["healthy"],
+                health["shard1"]["healthy"]) == (factor - 1, factor)
+        assert set(fleet.per_node_stats()) == {
+            f"shard{shard}/replica{replica}" for shard in range(2)
+            for replica in range(factor)}
+        assert fleet.stats()["resilience/ejections"] == 1
+        assert "ReplicatedSimilarityService" in repr(fleet)
+
+    def test_stats_totals_equal_the_per_replica_sum(self):
+        # Regression: totals read one replica per shard, losing the rest.
+        members = corpus()
+        fleet, _ = self.make_pair(members, num_shards=2)
+        for index in range(50):
+            fleet.query(QueryRequest.threshold(
+                members[index % 5].with_id("q"), 0.3))
+        totals, per_node = fleet.stats(), fleet.per_node_stats()
+        for stat in ("cache/hits", "cache/misses", "cache/evictions",
+                     "cache/invalidations", "serving/threshold_queries",
+                     "serving/postings_scanned"):
+            assert totals[stat] == sum(node[stat]
+                                       for node in per_node.values()), stat
+        assert totals["cache/hits"] + totals["cache/misses"] == 100
+        assert totals["cache/hit_rate"] == totals["cache/hits"] / 100
+        assert totals["indexed_multisets"] == len(members)
 
     def test_invalid_shard_index_and_neighbours_of_unknown(self):
         members = corpus()
-        replicated, _ = self.make_pair(members)
+        fleet, _ = self.make_pair(members)
         with pytest.raises(ResilienceError):
-            replicated.kill_replica(99, 0)
+            fleet.kill_replica(99, 0)
         with pytest.raises(ServingError):
-            replicated.neighbours("ghost", 0.5)
+            fleet.neighbours("ghost", 0.5)
+
+
+class TestReplicatedServiceRF1(TestReplicatedService):
+    replication_factor = 1
+
+
+class TestReplicatedServiceRF3(TestReplicatedService):
+    replication_factor = 3
 
 
 # ---------------------------------------------------------------------------
-# Chaos: Hypothesis state machine against the unreplicated oracle
+# Chaos: Hypothesis state machine against the unsharded-index oracle
 # ---------------------------------------------------------------------------
 
 CHAOS_IDS = [f"c{index}" for index in range(12)]
 CHAOS_CONTENTS = st.dictionaries(
     st.sampled_from([f"e{index}" for index in range(10)]),
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
+CHAOS_SHARD = st.integers(min_value=0, max_value=1)
+CHAOS_REPLICA = st.integers(min_value=0, max_value=max(RFS) - 1)
 
 
 class ReplicatedChaosMachine(RuleBasedStateMachine):
-    """Replicated answers stay bit-exact under interleaved faults.
+    """Fleet answers stay bit-exact under interleaved faults, at any RF.
 
-    The replicated fleet (2 shards x RF 2, with a fault policy injecting
-    latency on one replica) tracks a plain unreplicated
-    :class:`ShardedSimilarityService` through upserts, deletes, threshold
+    The fleet (2 shards x a drawn replication factor of 1-3, with a fault
+    policy injecting latency on the last replica of each shard) tracks one
+    unsharded :class:`SimilarityIndex` through upserts, deletes, threshold
     and top-k queries, replica kills and recoveries.  Kills respect the
     promise's precondition — at least one healthy replica per shard — and
     under it every answer must equal the oracle's bit-for-bit, with no
-    error ever surfacing to the caller.
+    error ever surfacing to the caller.  Losing a *whole* shard (the only
+    fault a factor-1 fleet can suffer) is its own rule: the shard must
+    refuse until it is revived from storage, and be exact again after.
     """
 
     def __init__(self):
         super().__init__()
-        self.replicated = None
+        self.fleet = None
         self.oracle = None
         self.model: dict[str, Multiset] = {}
 
-    @initialize(seed=st.integers(min_value=0, max_value=2 ** 16))
-    def build(self, seed):
+    @initialize(seed=st.integers(min_value=0, max_value=2 ** 16),
+                replication_factor=st.sampled_from(RFS))
+    def build(self, seed, replication_factor):
         # A little injected latency on one replica per shard keeps the
         # fault seam engaged without ever breaking exactness.
-        self.replicated = ReplicatedSimilarityService(
-            "ruzicka", 2, replication_factor=2,
+        self.fleet = ReplicatedSimilarityService(
+            "ruzicka", 2, replication_factor=replication_factor,
             fault_policy_factory=lambda shard, replica: (
                 FaultPolicy(seed=seed + shard, latency_seconds=0.0005)
-                if replica == 1 else None))
-        self.oracle = ShardedSimilarityService("ruzicka", 2)
+                if replica == replication_factor - 1 else None))
+        self.oracle = SimilarityIndex("ruzicka")
         self.model = {}
+
+    def is_healthy(self, shard, replica) -> bool | None:
+        """From the health document; ``None`` when there is no such replica."""
+        state = self.fleet.replica_health()[f"shard{shard}"]["replicas"].get(
+            f"shard{shard}/replica{replica}")
+        return None if state is None else state["healthy"]
 
     # -- writes ---------------------------------------------------------------
 
@@ -673,7 +733,7 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
         target = data.draw(st.sampled_from(CHAOS_IDS), label="upsert target")
         member = Multiset(target, contents)
         replace = target in self.model
-        self.replicated.add(member, replace=replace)
+        self.fleet.add(member, replace=replace)
         self.oracle.add(member, replace=replace)
         self.model[target] = member
 
@@ -682,41 +742,35 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
     def delete(self, data):
         target = data.draw(st.sampled_from(sorted(self.model)),
                            label="delete target")
-        self.replicated.remove(target)
+        self.fleet.remove(target)
         self.oracle.remove(target)
         del self.model[target]
 
     # -- faults ---------------------------------------------------------------
 
-    @rule(data=st.data())
-    def kill_a_replica(self, data):
-        candidates = [
-            (shard_index, replica_index)
-            for shard_index, shard in enumerate(self.replicated.shards)
-            if shard.num_healthy() >= 2
-            for replica_index, replica in enumerate(shard.replicas)
-            if replica.healthy
-        ]
-        if not candidates:
-            return
-        shard, replica = data.draw(st.sampled_from(candidates),
-                                   label="kill target")
-        self.replicated.kill_replica(shard, replica)
+    @rule(shard=CHAOS_SHARD, replica=CHAOS_REPLICA)
+    def kill_a_replica(self, shard, replica):
+        if self.is_healthy(shard, replica) \
+                and self.fleet.shards[shard].num_healthy() >= 2:
+            self.fleet.kill_replica(shard, replica)
 
-    @rule(data=st.data())
-    def recover_a_replica(self, data):
-        candidates = [
-            (shard_index, replica_index)
-            for shard_index, shard in enumerate(self.replicated.shards)
-            if shard.num_healthy() >= 1
-            for replica_index, replica in enumerate(shard.replicas)
-            if not replica.healthy
-        ]
-        if not candidates:
-            return
-        shard, replica = data.draw(st.sampled_from(candidates),
-                                   label="recover target")
-        self.replicated.recover_replica(shard, replica)
+    @rule(shard=CHAOS_SHARD, replica=CHAOS_REPLICA)
+    def recover_a_replica(self, shard, replica):
+        if self.is_healthy(shard, replica) is False:
+            self.fleet.recover_replica(shard, replica)
+
+    @rule(shard=CHAOS_SHARD)
+    def lose_a_whole_shard_then_revive_it_from_storage(self, shard):
+        request = QueryRequest.topk(Multiset("q", {"e0": 1}), 3)
+        with tempfile.TemporaryDirectory() as directory:
+            self.fleet.persist(directory)
+            for replica in range(self.fleet.replication_factor):
+                self.fleet.kill_replica(shard, replica)
+            # Nobody left to answer for the shard: refuse, never guess.
+            with pytest.raises(ReplicaUnavailableError):
+                self.fleet.query(request)
+            self.fleet.recover_replica(shard, 0, source=directory)
+        assert self.fleet.query(request) == self.oracle.query(request)
 
     # -- reads ----------------------------------------------------------------
 
@@ -724,13 +778,13 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
           contents=CHAOS_CONTENTS)
     def query_threshold(self, threshold, contents):
         request = QueryRequest.threshold(Multiset("q", contents), threshold)
-        assert self.replicated.query(request) == self.oracle.query(request)
+        assert self.fleet.query(request) == self.oracle.query(request)
 
     @rule(k=st.integers(min_value=1, max_value=6),
           contents=CHAOS_CONTENTS)
     def query_topk(self, k, contents):
         request = QueryRequest.topk(Multiset("q", contents), k)
-        assert self.replicated.query(request) == self.oracle.query(request)
+        assert self.fleet.query(request) == self.oracle.query(request)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data(), k=st.integers(min_value=1, max_value=4))
@@ -739,16 +793,17 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
                                       label="batch anchor")]
         requests = [QueryRequest.topk(member.with_id("q"), k),
                     QueryRequest.threshold(member.with_id("q"), 0.4)]
-        assert self.replicated.batch(requests) == self.oracle.batch(requests)
+        assert self.fleet.batch(requests) == \
+            [self.oracle.query(request) for request in requests]
 
     # -- invariants -----------------------------------------------------------
 
     @invariant()
     def membership_and_health_contract(self):
-        if self.replicated is None:
+        if self.fleet is None:
             return
-        assert len(self.replicated) == len(self.model)
-        for shard in self.replicated.shards:
+        assert len(self.fleet) == len(self.model)
+        for shard in self.fleet.shards:
             assert shard.num_healthy() >= 1
             shard.check_divergence()
 
@@ -791,12 +846,9 @@ class TestErrorTable:
 # Wire hardening: client retries, timeouts, breaker, reconnect
 # ---------------------------------------------------------------------------
 
-def make_app(members=None, *, replicated=False, **config_kwargs):
-    if replicated:
-        service = ReplicatedSimilarityService("ruzicka", 2,
-                                              replication_factor=2)
-    else:
-        service = ShardedSimilarityService("ruzicka", 2)
+def make_app(members=None, *, replication_factor=1, **config_kwargs):
+    service = ReplicatedSimilarityService(
+        "ruzicka", 2, replication_factor=replication_factor)
     if members:
         service.bulk_load(members)
     config = ServerConfig(**config_kwargs) if config_kwargs else None
@@ -1038,7 +1090,7 @@ class TestServerHardening:
 
     def test_admin_endpoints_drive_kill_revive_and_health(self):
         members = corpus()
-        app = make_app(members, replicated=True)
+        app = make_app(members, replication_factor=2)
         request = probe_request(members)
         with InProcessServer(app) as server:
             client = SimilarityClient(server.host, server.port,
@@ -1064,18 +1116,32 @@ class TestServerHardening:
                                 idempotent=False)
             assert caught.value.code == "server_error"
 
-    def test_admin_endpoints_refuse_unreplicated_fleets(self):
-        app = make_app(corpus())
+    def test_admin_endpoints_at_replication_factor_one(self, tmp_path):
+        members = corpus()
+        app = make_app(members)
+        request = probe_request(members)
+        directory = str(tmp_path / "snap")
         with InProcessServer(app) as server:
             client = SimilarityClient(server.host, server.port,
-                                      retry_policy=FAST_RETRIES)
-            for call in (client.replicas,
-                         lambda: client.kill_replica(0, 0),
+                                      retry_policy=RetryPolicy(max_attempts=1))
+            before = client.query(request)
+            replicas = client.replicas()
+            assert replicas["replication_factor"] == 1
+            assert all(entry["healthy"] == 1
+                       for entry in replicas["replicas"].values())
+            client.persist(directory)
+            client.kill_replica(0, 0)
+            # Nobody left, no peer to copy: 503, never a partial answer.
+            for call in (lambda: client.query(request),
                          lambda: client.revive_replica(0, 0)):
                 with pytest.raises(RemoteServerError) as caught:
                     call()
-                assert caught.value.code == "server_error"
-                assert "--replication" in str(caught.value)
+                assert (caught.value.code, caught.value.status) == \
+                    ("replica_unavailable", 503)
+            assert client.stats()["replica_health"]["shard0"]["healthy"] == 0
+            client.revive_replica(0, 0, source=directory)
+            assert client.replicas()["replicas"]["shard0"]["healthy"] == 1
+            assert client.query(request) == before
 
     def test_health_loop_readmits_a_killed_replica(self):
         members = corpus()
@@ -1104,7 +1170,7 @@ class TestServerHardening:
 
     def test_replicated_persist_recover_over_the_wire(self, tmp_path):
         members = corpus()
-        app = make_app(members, replicated=True)
+        app = make_app(members, replication_factor=2)
         request = probe_request(members)
         directory = str(tmp_path / "snap")
         with InProcessServer(app) as server:
@@ -1121,9 +1187,12 @@ class TestServerHardening:
 
     def test_recover_preserves_fleet_tuning(self, tmp_path):
         members = corpus()
+        def factory(shard, replica):
+            return FaultPolicy(seed=shard + replica)
+
         service = ReplicatedSimilarityService(
             "ruzicka", 2, replication_factor=3, cache_capacity=7,
-            read_strategy=RENDEZVOUS)
+            read_strategy=RENDEZVOUS, fault_policy_factory=factory)
         service.bulk_load(members)
         app = SimilarityServerApp(service)
         directory = str(tmp_path / "snap")
@@ -1137,17 +1206,8 @@ class TestServerHardening:
         assert app.service.replication_factor == 3
         assert app.service.read_strategy == RENDEZVOUS
         assert app.service.cache_capacity == 7
-        # The unreplicated fleet keeps its cache size too.
-        unreplicated = ShardedSimilarityService("ruzicka", 2,
-                                                cache_capacity=9)
-        unreplicated.bulk_load(members)
-        app = SimilarityServerApp(unreplicated)
-        with InProcessServer(app) as server:
-            client = SimilarityClient(server.host, server.port,
-                                      retry_policy=FAST_RETRIES)
-            client.persist(directory)
-            client.recover(directory)
-        assert app.service.cache_capacity == 9
+        assert app.service.fault_policy_factory is factory
+        assert app.service is not service
 
     def test_orphaned_deadline_task_failure_is_logged(self, caplog):
         app = make_app(corpus(), request_timeout_seconds=0.05)
@@ -1171,53 +1231,56 @@ class TestServerHardening:
     def test_graceful_drain_answers_every_admitted_request_under_latency(self):
         """SIGTERM-equivalent close() during an injected-latency batch.
 
-        Every request admitted before the drain begins must be answered —
-        none dropped, none errored — even though each replica call pays
-        injected latency and one replica per shard is killed mid-drain.
+        At every replication factor, every request admitted before the
+        drain begins must be answered — none dropped, none errored — though
+        each replica call pays injected latency and (where a peer survives)
+        one replica per shard is killed mid-drain.
         """
         members = corpus()
-        service = ReplicatedSimilarityService(
-            "ruzicka", 2, replication_factor=2,
-            fault_policy_factory=lambda shard, replica: FaultPolicy(
-                seed=shard * 31 + replica, latency_seconds=0.02))
-        service.bulk_load(members)
-        oracle = ShardedSimilarityService("ruzicka", 2)
+        oracle = SimilarityIndex("ruzicka")
         oracle.bulk_load(members)
-        app = SimilarityServerApp(
-            service, config=ServerConfig(query_max_batch=2, max_in_flight=2,
-                                         executor_threads=2))
         requests = [QueryRequest.topk(member.with_id(f"q{index}"), 4)
                     for index, member in enumerate(members[:10])]
-        answers: dict[int, object] = {}
-        errors: list[BaseException] = []
-        server = InProcessServer(app)
-        server.start()
-        try:
-            def ask(index):
-                try:
-                    client = SimilarityClient(server.host, server.port,
-                                              retry_policy=FAST_RETRIES)
-                    answers[index] = client.query(requests[index])
-                except BaseException as error:  # noqa: BLE001 — recorded
-                    errors.append(error)
+        for factor in RFS:
+            service = ReplicatedSimilarityService(
+                "ruzicka", 2, replication_factor=factor,
+                fault_policy_factory=lambda shard, replica: FaultPolicy(
+                    seed=shard * 31 + replica, latency_seconds=0.02))
+            service.bulk_load(members)
+            app = SimilarityServerApp(
+                service, config=ServerConfig(query_max_batch=2,
+                                             max_in_flight=2,
+                                             executor_threads=2))
+            answers: dict[int, object] = {}
+            errors: list[BaseException] = []
+            server = InProcessServer(app)
+            server.start()
+            try:
+                def ask(index):
+                    try:
+                        client = SimilarityClient(server.host, server.port,
+                                                  retry_policy=FAST_RETRIES)
+                        answers[index] = client.query(requests[index])
+                    except BaseException as error:  # noqa: BLE001 — recorded
+                        errors.append(error)
 
-            workers = [threading.Thread(target=ask, args=(index,))
-                       for index in range(len(requests))]
-            for worker in workers:
-                worker.start()
-            # Let the batch get in flight, then kill a replica per shard
-            # mid-stream and drain.
-            time.sleep(0.05)
-            service.kill_replica(0, 1)
-            service.kill_replica(1, 0)
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            server.close()  # drains: joins the loop thread
-        assert not errors, errors
-        assert len(answers) == len(requests)
-        for index, answer in answers.items():
-            assert answer == oracle.query(requests[index])
+                workers = [threading.Thread(target=ask, args=(index,))
+                           for index in range(len(requests))]
+                for worker in workers:
+                    worker.start()
+                # Let the batch get in flight, then kill a replica per
+                # shard mid-stream and drain.
+                time.sleep(0.05)
+                if factor > 1:
+                    service.kill_replica(0, 1)
+                    service.kill_replica(1, 0)
+                for worker in workers:
+                    worker.join(timeout=30)
+            finally:
+                server.close()  # drains: joins the loop thread
+            assert not errors, (factor, errors)
+            assert answers == {index: oracle.query(request)
+                               for index, request in enumerate(requests)}
 
     def test_classify_queue_full_unchanged(self):
         # The 429 path keeps its code and hint shape after the table grew.

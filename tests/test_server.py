@@ -36,7 +36,8 @@ from repro.datasets.workload import (
 )
 from repro.engine import JoinSpec
 from repro.serving.api import QueryRequest, QueryResponse
-from repro.serving.service import ShardedSimilarityService
+from repro.serving.index import SimilarityIndex
+from repro.serving.service import ReplicatedSimilarityService
 from repro.server import (
     ERROR_TABLE,
     CoalescingQueue,
@@ -52,7 +53,7 @@ from repro.server import (
     run_open_loop,
 )
 from repro.streaming.view import JoinView
-from tests.conftest import make_random_multisets
+from tests.conftest import make_random_multisets, unreplicated_fleet
 
 
 def corpus(count=16, seed=5):
@@ -61,7 +62,7 @@ def corpus(count=16, seed=5):
 
 
 def make_service(num_shards=2, members=None):
-    service = ShardedSimilarityService("ruzicka", num_shards=num_shards)
+    service = unreplicated_fleet("ruzicka", num_shards=num_shards)
     service.bulk_load(corpus() if members is None else members)
     return service
 
@@ -390,7 +391,8 @@ class TestHttpEndToEnd:
                 shards = client.shard_stats()
         assert health["status"] == "ok"
         assert health["num_shards"] == 3
-        assert set(shards["per_node"]) == {"node0", "node1", "node2"}
+        assert set(shards["per_node"]) == {
+            "shard0/replica0", "shard1/replica0", "shard2/replica0"}
 
     def test_malformed_json_body_is_400(self):
         app = SimilarityServerApp(make_service())
@@ -431,7 +433,7 @@ class TestHttpEndToEnd:
         members = corpus()
         view = JoinView(JoinSpec(measure="ruzicka", threshold=0.5,
                                  algorithm="exact"), members)
-        service = ShardedSimilarityService("ruzicka", num_shards=2)
+        service = unreplicated_fleet("ruzicka", num_shards=2)
         app = SimilarityServerApp(service, view=view)
         with InProcessServer(app) as server:
             with SimilarityClient(server.host, server.port) as client:
@@ -449,6 +451,31 @@ class TestHttpEndToEnd:
                 with pytest.raises(RemoteServerError) as caught:
                     client.recover("/nonexistent")
                 assert caught.value.code == "server_error"
+
+    def test_view_mode_over_a_replicated_fleet_stays_exact(self):
+        # View writes reach every replica through the fleet's fan-in.
+        members = corpus()
+        view = JoinView(JoinSpec(measure="ruzicka", threshold=0.5,
+                                 algorithm="exact"), members)
+        service = ReplicatedSimilarityService("ruzicka", 2,
+                                              replication_factor=2)
+        oracle = SimilarityIndex("ruzicka")
+        oracle.bulk_load(members)
+        newcomer = Multiset("vnew", dict(members[0].items()))
+        probes = [QueryRequest.threshold(members[0].with_id("probe"), 0.3),
+                  QueryRequest.topk(members[3].with_id("probe"), 5)]
+        with InProcessServer(SimilarityServerApp(service, view=view)) as server:
+            with SimilarityClient(server.host, server.port) as client:
+                client.upsert(newcomer)
+                client.upsert(newcomer)  # replace
+                client.delete(members[1].id)
+                oracle.add(newcomer)
+                oracle.remove(members[1].id)
+                for _ in range(2):  # both replicas of every shard answer
+                    assert client.query_batch(probes) == \
+                        [oracle.query(probe) for probe in probes]
+                assert all(entry["healthy"] == 2 for entry in
+                           client.replicas()["replicas"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +592,7 @@ class TestGracefulShutdown:
                 await app.shutdown(drain=True)
 
             run_async(scenario())
-            recovered = ShardedSimilarityService.recover(target)
+            recovered = ReplicatedSimilarityService.recover(target)
         twin = make_service(members=members)
         probe = QueryRequest.threshold(members[0].with_id("probe"), 0.3)
         assert recovered.query(probe) == twin.query(probe)
@@ -743,3 +770,24 @@ class TestCommandLine:
             app = build_app(args)
         assert len(app.service) == len(members)
         assert app.service.num_shards == 2
+        assert app.service.replication_factor == 1
+
+    @pytest.mark.parametrize("replication", ["1", "2"])
+    @pytest.mark.parametrize("source", ["--shards", "--recover"])
+    def test_chaos_and_health_flags_apply_to_every_fleet(self, tmp_path,
+                                                         replication, source):
+        # Regression: --chaos-latency was dropped under --recover, and both
+        # flags were dropped at --replication 1.
+        from repro.server.__main__ import build_app, build_parser
+
+        make_service().persist(tmp_path)
+        app = build_app(build_parser().parse_args(
+            ["--replication", replication, "--chaos-latency", "0.02",
+             "--health-interval", "0.5",
+             source, "2" if source == "--shards" else str(tmp_path)]))
+        assert app.config.health_check_interval_seconds == 0.5
+        assert app.service.replication_factor == int(replication)
+        started = time.perf_counter()
+        app.service.query(QueryRequest.topk(corpus()[0].with_id("q"), 3))
+        # One injected sleep per shard: a lower bound no scheduler can beat.
+        assert time.perf_counter() - started >= 0.02 * 2

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.exceptions import DatasetError, ServingError
 from repro.core.multiset import Multiset
 from repro.core.records import InputTuple, canonical_pair, explode_multisets
@@ -21,11 +26,11 @@ from repro.serving.bootstrap import bootstrap_from_join, multisets_from_input
 from repro.serving.cache import LRUResultCache
 from repro.serving.index import QueryMatch, SimilarityIndex, sort_matches
 from repro.serving.node import ServingNode, query_signature
-from repro.serving.service import ShardedSimilarityService, shard_for
+from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
-from tests.conftest import make_random_multisets
+from tests.conftest import make_random_multisets, unreplicated_fleet
 
 
 def threshold_matches(target, query: Multiset, threshold: float) -> list:
@@ -413,21 +418,21 @@ class TestServingNode:
 
 class TestShardedService:
     def test_routing_is_stable_and_partitioning(self, small_multisets):
-        service = ShardedSimilarityService("ruzicka", num_shards=4)
+        service = unreplicated_fleet("ruzicka", num_shards=4)
         service.bulk_load(small_multisets)
         assert len(service) == len(small_multisets)
         for multiset in small_multisets:
             shard = shard_for(multiset.id, 4)
             assert service.shard_for(multiset.id) == shard
-            assert multiset.id in service.nodes[shard].index
+            assert multiset.id in service.shards[shard]
         # Every shard owns a disjoint slice.
-        assert sum(len(node) for node in service.nodes) == len(small_multisets)
+        assert sum(map(len, service.shards)) == len(small_multisets)
 
     @pytest.mark.parametrize("num_shards", [1, 3, 4])
     def test_fan_out_matches_single_node(self, num_shards, small_multisets):
         single = ServingNode("ruzicka")
         single.bulk_load(small_multisets)
-        service = ShardedSimilarityService("ruzicka", num_shards=num_shards)
+        service = unreplicated_fleet("ruzicka", num_shards=num_shards)
         service.bulk_load(small_multisets)
         for query in small_multisets[:8]:
             expected = threshold_matches(single, query, 0.4)
@@ -439,7 +444,7 @@ class TestShardedService:
             assert found_topk == pytest.approx(expected_topk)
 
     def test_batch_queries_match_loop(self, small_multisets):
-        service = ShardedSimilarityService("ruzicka", num_shards=3)
+        service = unreplicated_fleet("ruzicka", num_shards=3)
         service.bulk_load(small_multisets)
         queries = small_multisets[:5]
         threshold_responses = service.batch(
@@ -452,7 +457,7 @@ class TestShardedService:
             == [topk_matches(service, query, 4) for query in queries]
 
     def test_writes_route_to_owning_shard(self, small_multisets):
-        service = ShardedSimilarityService("ruzicka", num_shards=4)
+        service = unreplicated_fleet("ruzicka", num_shards=4)
         service.bulk_load(small_multisets)
         victim = small_multisets[0].id
         service.remove(victim)
@@ -461,17 +466,28 @@ class TestShardedService:
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ServingError):
-            ShardedSimilarityService("ruzicka", num_shards=0)
+            unreplicated_fleet("ruzicka", num_shards=0)
         with pytest.raises(ServingError):
             shard_for("m", 0)
 
     def test_neighbours_excludes_self(self, overlapping_multisets):
-        service = ShardedSimilarityService("ruzicka", num_shards=2)
+        service = unreplicated_fleet("ruzicka", num_shards=2)
         service.bulk_load(overlapping_multisets)
         matches = service.neighbours("a", 0.8)
         assert [match.multiset_id for match in matches] == ["b"]
         with pytest.raises(ServingError):
             service.neighbours("ghost", 0.8)
+
+
+def test_serving_runs_without_importing_resilience():
+    # The fleet lives in repro.serving; fault policies are handed in.  A
+    # bare "repro" package skips repro/__init__, which imports everything.
+    code = ("import sys, types; package = types.ModuleType('repro'); "
+            "package.__path__ = [sys.argv[1]]; sys.modules['repro'] = package; "
+            "import repro.serving; "
+            "assert not [m for m in sys.modules if 'resilience' in m]")
+    subprocess.run([sys.executable, "-c", code, os.path.dirname(repro.__file__)],
+                   check=True)
 
 
 class TestBootstrap:
@@ -517,7 +533,7 @@ class TestBootstrap:
                           cluster=test_cluster).run(small_multisets)
         service = bootstrap_from_join(small_multisets, join, num_shards=2)
 
-        fresh = ShardedSimilarityService("ruzicka", num_shards=2)
+        fresh = unreplicated_fleet("ruzicka", num_shards=2)
         fresh.bulk_load(small_multisets)
         hits_before = service.stats()["cache/hits"]
         for member in small_multisets:
@@ -557,11 +573,11 @@ class TestBootstrap:
             bootstrap_from_join(small_multisets, join, cache_capacity=4)
         # Auto-sizing keeps every warmed entry resident.
         service = bootstrap_from_join(small_multisets, join)
-        assert all(node.cache.capacity >= len(small_multisets)
-                   for node in service.nodes)
+        assert service.cache_capacity >= len(small_multisets)
         # A small explicit capacity is fine when nothing is warmed.
         cold = bootstrap_from_join(small_multisets, cache_capacity=4)
-        assert all(node.cache.capacity == 4 for node in cold.nodes)
+        assert cold.cache_capacity == 4
+        assert cold.stats()["cache/capacity"] == 4 * cold.num_shards
 
     def test_stale_join_result_rejected(self, overlapping_multisets,
                                         test_cluster):
@@ -764,14 +780,15 @@ class TestCacheCounterExposure:
         assert stats["cache/evictions"] == node.cache_evictions
 
     def test_service_per_node_stats(self, small_multisets):
-        service = ShardedSimilarityService("ruzicka", num_shards=3,
-                                           cache_capacity=8)
+        service = unreplicated_fleet("ruzicka", num_shards=3,
+                                     cache_capacity=8)
         service.bulk_load(small_multisets)
         for query in small_multisets[:4]:
             threshold_matches(service, query, 0.5)
             threshold_matches(service, query, 0.5)
         per_node = service.per_node_stats()
-        assert set(per_node) == {"node0", "node1", "node2"}
+        assert set(per_node) == {"shard0/replica0", "shard1/replica0",
+                                 "shard2/replica0"}
         totals = service.stats()
         for stat in ("cache/hits", "cache/misses", "cache/evictions"):
             assert totals[stat] == sum(stats[stat] for stats in per_node.values())

@@ -1,15 +1,14 @@
 """Tests for the unified query/response API (repro.serving.api).
 
-Covers the dataclass family's validation and JSON codec, parity between
-the deprecated keyword forms and the unified entry points across all three
-serving layers, the fleet snapshot document, and the sharded service's
-persist/recover round trip.
+Covers the dataclass family's validation and JSON codec, the fleet
+snapshot document, and the fleet's persist/recover round trip (including a
+directory written by release 1.9 and the directories recovery must refuse).
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import tarfile
 
 import pytest
 
@@ -26,9 +25,13 @@ from repro.serving.api import (
     requests_from_batch_payload,
 )
 from repro.serving.index import SimilarityIndex
-from repro.serving.node import ServingNode
-from repro.serving.service import ShardedSimilarityService
-from tests.conftest import make_random_multisets
+from repro.serving.service import ReplicatedSimilarityService
+from tests.conftest import make_random_multisets, unreplicated_fleet
+
+#: ``persist()`` output of release 1.9 over ``corpus()``, 2 shards (both
+#: 1.9 fleet classes wrote byte-identical files).
+FLEET_1_9 = os.path.join(os.path.dirname(__file__), "data",
+                         "fleet-1.9.tar.gz")
 
 
 def corpus(count=12, seed=3):
@@ -38,7 +41,7 @@ def corpus(count=12, seed=3):
 
 @pytest.fixture()
 def service(request):
-    fleet = ShardedSimilarityService("ruzicka", num_shards=3)
+    fleet = unreplicated_fleet("ruzicka", num_shards=3)
     fleet.bulk_load(corpus())
     return fleet
 
@@ -192,72 +195,7 @@ class TestFinalizeMatches:
 
 
 # ---------------------------------------------------------------------------
-# Old keyword forms == new unified forms, on every layer
-# ---------------------------------------------------------------------------
-
-@pytest.mark.filterwarnings("default::DeprecationWarning")
-class TestDeprecatedFormsParity:
-    """The PR-4 policy: aliases warn, and answer identically to the new API.
-
-    The ``filterwarnings`` mark opts back into plain warnings under the CI
-    matrix leg that escalates DeprecationWarning to an error.
-    """
-
-    def layers(self):
-        members = corpus()
-        index = SimilarityIndex("ruzicka")
-        index.bulk_load(members)
-        node = ServingNode("ruzicka")
-        node.bulk_load(members)
-        fleet = ShardedSimilarityService("ruzicka", num_shards=3)
-        fleet.bulk_load(members)
-        return members, (index, node, fleet)
-
-    def test_query_threshold_alias(self):
-        members, targets = self.layers()
-        query = members[0].with_id("probe")
-        for target in targets:
-            with pytest.warns(DeprecationWarning, match="query_threshold"):
-                old = target.query_threshold(query, 0.4)
-            new = target.query(QueryRequest.threshold(query, 0.4))
-            assert old == list(new.matches)
-
-    def test_query_topk_alias(self):
-        members, targets = self.layers()
-        query = members[1].with_id("probe")
-        for target in targets:
-            with pytest.warns(DeprecationWarning, match="query_topk"):
-                old = target.query_topk(query, 4)
-            assert old == list(target.query(QueryRequest.topk(query, 4)).matches)
-
-    def test_batch_aliases(self):
-        members, (index, node, fleet) = self.layers()
-        queries = [member.with_id(f"p{i}")
-                   for i, member in enumerate(members[:4])]
-        for target in (node, fleet):
-            with pytest.warns(DeprecationWarning, match="batch_threshold"):
-                old = target.batch_threshold(queries, 0.4)
-            new = target.batch(
-                [QueryRequest.threshold(query, 0.4) for query in queries])
-            assert old == [list(response.matches) for response in new]
-            with pytest.warns(DeprecationWarning, match="batch_topk"):
-                old = target.batch_topk(queries, 3)
-            new = target.batch(
-                [QueryRequest.topk(query, 3) for query in queries])
-            assert old == [list(response.matches) for response in new]
-
-    def test_warm_threshold_alias(self):
-        members, _ = self.layers()
-        node = ServingNode("ruzicka")
-        node.bulk_load(members)
-        member = members[0]
-        matches = node.query(QueryRequest.threshold(member, 0.4)).matches
-        with pytest.warns(DeprecationWarning, match="warm_threshold"):
-            node.warm_threshold(member, 0.4, list(matches))
-
-
-# ---------------------------------------------------------------------------
-# Snapshot + persist/recover of the sharded fleet
+# Snapshot + persist/recover of the fleet
 # ---------------------------------------------------------------------------
 
 class TestServiceSnapshot:
@@ -269,20 +207,19 @@ class TestServiceSnapshot:
         assert snapshot["num_shards"] == 3
         assert snapshot["indexed_multisets"] == len(service)
         assert snapshot["totals"] == service.stats()
-        assert set(snapshot["per_node"]) == {"node0", "node1", "node2"}
+        assert set(snapshot["per_node"]) == {
+            "shard0/replica0", "shard1/replica0", "shard2/replica0"}
         # Cache counters surface through the totals.
         assert "cache/hits" in snapshot["totals"]
         assert "cache/hit_rate" in snapshot["totals"]
 
 
 class TestServicePersistRecover:
-    def test_round_trip_is_bit_identical(self, service):
-        with tempfile.TemporaryDirectory() as directory:
-            paths = service.persist(directory)
-            assert [os.path.basename(path) for path in paths] \
-                == ["shard0000.sqlite", "shard0001.sqlite",
-                    "shard0002.sqlite"]
-            recovered = ShardedSimilarityService.recover(directory)
+    def test_round_trip_is_bit_identical(self, service, tmp_path):
+        paths = service.persist(tmp_path)
+        assert [os.path.basename(path) for path in paths] \
+            == ["shard0000.sqlite", "shard0001.sqlite", "shard0002.sqlite"]
+        recovered = ReplicatedSimilarityService.recover(tmp_path)
         assert recovered.num_shards == service.num_shards
         assert len(recovered) == len(service)
         for member in corpus():
@@ -291,15 +228,49 @@ class TestServicePersistRecover:
             ranking = QueryRequest.topk(member.with_id("q"), 5)
             assert recovered.query(ranking) == service.query(ranking)
 
-    def test_recover_rejects_an_empty_directory(self):
-        with tempfile.TemporaryDirectory() as directory:
-            with pytest.raises(ServingError, match="no shard"):
-                ShardedSimilarityService.recover(directory)
+    def test_recover_rejects_an_empty_directory(self, tmp_path):
+        with pytest.raises(ServingError, match="no shard"):
+            ReplicatedSimilarityService.recover(tmp_path)
 
-    def test_recovered_fleet_keeps_accepting_writes(self, service):
-        with tempfile.TemporaryDirectory() as directory:
-            service.persist(directory)
-            recovered = ShardedSimilarityService.recover(directory)
+    def test_recover_refuses_a_directory_persist_did_not_write(self, tmp_path):
+        # Regression: recovery took "however many shard files are present"
+        # as the shard count, so a lost file silently loaded a wrong fleet.
+        members = corpus(100)
+        fleet = unreplicated_fleet("ruzicka", num_shards=4)
+        fleet.bulk_load(members)
+        paths = fleet.persist(tmp_path / "lost")
+        os.remove(paths[1])
+        with pytest.raises(ServingError, match="partial fleet"):
+            ReplicatedSimilarityService.recover(tmp_path / "lost")
+        # Losing the *last* file leaves a well-named, misrouted directory.
+        paths = fleet.persist(tmp_path / "short")
+        os.remove(paths[3])
+        with pytest.raises(ServingError, match="routes to shard"):
+            ReplicatedSimilarityService.recover(tmp_path / "short")
+        paths = fleet.persist(tmp_path / "mixed")
+        SimilarityIndex("jaccard").save(paths[2])
+        with pytest.raises(ServingError, match="disagree on the measure"):
+            ReplicatedSimilarityService.recover(tmp_path / "mixed")
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_recovers_a_directory_written_by_1_9(self, tmp_path,
+                                                 replication_factor):
+        with tarfile.open(FLEET_1_9) as archive:
+            archive.extractall(tmp_path, filter="data")
+        recovered = ReplicatedSimilarityService.recover(
+            tmp_path, replication_factor=replication_factor)
+        oracle = SimilarityIndex("ruzicka")
+        oracle.bulk_load(corpus())
+        assert (recovered.num_shards, len(recovered)) == (2, len(oracle))
+        for member in corpus():
+            for request in (QueryRequest.threshold(member.with_id("q"), 0.3),
+                            QueryRequest.topk(member.with_id("q"), 5)):
+                assert recovered.query(request) == oracle.query(request)
+
+    def test_recovered_fleet_keeps_accepting_writes(self, service, tmp_path):
+        service.persist(tmp_path)
+        recovered = ReplicatedSimilarityService.recover(
+            tmp_path, replication_factor=1)
         newcomer = Multiset("fresh", {"e0": 2, "e1": 1})
         recovered.add(newcomer)
         service.add(newcomer)

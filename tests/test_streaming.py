@@ -34,7 +34,6 @@ from repro.engine.spec import JoinSpec
 from repro.mapreduce.cluster import laptop_cluster
 from repro.serving.api import QueryRequest
 from repro.serving.node import ServingNode
-from repro.serving.service import ShardedSimilarityService
 from repro.streaming.changes import (
     DELETE,
     PAIR_ADDED,
@@ -49,7 +48,7 @@ from repro.streaming.changes import (
 )
 from repro.streaming.subscribers import attach_serving
 from repro.streaming.view import INCREMENTAL, REJOIN, JoinView
-from tests.conftest import make_random_multisets
+from tests.conftest import make_random_multisets, unreplicated_fleet
 
 #: Fixed identifier / alphabet universes for the stateful machine: small
 #: enough that collisions (replaces, re-adds, shared elements) are common.
@@ -346,16 +345,14 @@ class TestServingSubscriber:
     def synced_pair(self, multisets, num_shards=2, threshold=0.4):
         spec = JoinSpec(threshold=threshold, algorithm="exact")
         view = view_over(multisets, spec)
-        service = ShardedSimilarityService(view.measure.name,
-                                           num_shards=num_shards,
-                                           cache_capacity=max(
-                                               1024, len(multisets) * 4))
+        service = unreplicated_fleet(view.measure.name, num_shards,
+                                     cache_capacity=max(
+                                         1024, len(multisets) * 4))
         subscription = attach_serving(view, service)
         return view, service, subscription
 
     def assert_member_queries_warmed(self, view, service, threshold):
-        fresh = ShardedSimilarityService(view.measure.name,
-                                         num_shards=service.num_shards)
+        fresh = unreplicated_fleet(view.measure.name, service.num_shards)
         fresh.bulk_load(view.members())
         hits_before = service.stats()["cache/hits"]
         for member in view.members():

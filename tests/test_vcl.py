@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.core.multiset import Multiset
+from repro.engine import join
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from repro.similarity.registry import get_measure
-from repro.vcl.driver import VCLConfig, VCLJoin, vcl_join
+from repro.vcl.driver import VCLConfig, VCLJoin
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import build_kernel_job
 from repro.vcl.prefix import (
@@ -122,13 +123,9 @@ class TestVCLCorrectness:
         hash_names = [stats.job_name for stats in hash_result.pipeline.job_stats]
         assert hash_names == ["vcl_kernel", "vcl_dedup"]
 
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
     def test_convenience_function(self, overlapping_multisets):
-        # Dedicated deprecation-shim coverage; see also
-        # tests/test_engine.py::TestDeprecatedShims.
-        with pytest.warns(DeprecationWarning):
-            pairs = vcl_join(overlapping_multisets, threshold=0.8,
-                             cluster=laptop_cluster())
+        pairs = join(overlapping_multisets, algorithm="vcl", threshold=0.8,
+                     cluster=laptop_cluster()).pairs
         assert {p.pair for p in pairs} == {("a", "b"), ("d", "e")}
 
     @settings(max_examples=8, deadline=None)

@@ -12,6 +12,7 @@ from repro.core.exceptions import (
     MemoryBudgetExceeded,
 )
 from repro.core.multiset import Multiset
+from repro.engine import join
 from repro.core.records import InputTuple, explode_multisets
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.mapreduce.costmodel import CostParameters
@@ -22,7 +23,6 @@ from repro.vsmart.driver import (
     VSmartJoin,
     VSmartJoinConfig,
     normalise_input,
-    vsmart_join,
 )
 from tests.conftest import make_random_multisets
 
@@ -179,62 +179,35 @@ class TestDriverReporting:
         assert artifacts["threshold"] == 0.4
 
 
-@pytest.mark.filterwarnings("default::DeprecationWarning")
 class TestConvenienceFunction:
-    """Dedicated deprecation-shim coverage for the legacy one-call API.
-
-    The ``filterwarnings`` mark keeps these alive under the CI run that
-    escalates ``DeprecationWarning`` to an error everywhere else.
-    """
-
-    def test_vsmart_join_emits_a_deprecation_warning(self,
-                                                     overlapping_multisets):
-        with pytest.warns(DeprecationWarning, match="vsmart_join"):
-            vsmart_join(overlapping_multisets, threshold=0.8,
-                        cluster=laptop_cluster())
-
-    def test_vsmart_join_still_rejects_non_joining_algorithms(
-            self, overlapping_multisets):
-        # Historical contract: the function only ran the V-SMART-Join
-        # joining algorithms; engine-only names must keep erroring.
-        for algorithm in ("exact", "vcl", "minhash", "auto", "magic"):
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(JobConfigurationError, match="joining"):
-                    vsmart_join(overlapping_multisets, threshold=0.8,
-                                algorithm=algorithm)
-
-    def test_vsmart_join_returns_pairs(self, overlapping_multisets):
-        pairs = vsmart_join(overlapping_multisets, threshold=0.8,
-                            cluster=laptop_cluster())
-        assert {p.pair for p in pairs} == {("a", "b"), ("d", "e")}
+    """``repro.join``, the one-call form, over the V-SMART-Join algorithms:
+    every keyword reaches the driver."""
 
     def test_vsmart_join_accepts_overrides(self, overlapping_multisets):
-        pairs = vsmart_join(overlapping_multisets, threshold=0.8,
-                            algorithm="sharding", sharding_threshold=2,
-                            cluster=laptop_cluster())
+        pairs = join(overlapping_multisets, threshold=0.8,
+                     algorithm="sharding", sharding_threshold=2,
+                     cluster=laptop_cluster()).pairs
         assert {p.pair for p in pairs} == {("a", "b"), ("d", "e")}
 
     def test_vsmart_join_forwards_enforce_budgets(self, small_multisets):
         tiny = Cluster(num_machines=4, memory_per_machine=500,
                        disk_per_machine=10_000_000)
         with pytest.raises(MemoryBudgetExceeded):
-            vsmart_join(small_multisets, threshold=0.5, algorithm="lookup",
-                        cluster=tiny)
-        relaxed = vsmart_join(small_multisets, threshold=0.5, algorithm="lookup",
-                              cluster=tiny, enforce_budgets=False)
-        reference = vsmart_join(small_multisets, threshold=0.5,
-                                cluster=laptop_cluster())
+            join(small_multisets, threshold=0.5, algorithm="lookup",
+                 cluster=tiny)
+        relaxed = join(small_multisets, threshold=0.5, algorithm="lookup",
+                       cluster=tiny, enforce_budgets=False)
+        reference = join(small_multisets, threshold=0.5,
+                         algorithm="online_aggregation",
+                         cluster=laptop_cluster())
         assert {p.pair for p in relaxed} == {p.pair for p in reference}
 
     def test_vsmart_join_forwards_cost_parameters(self, overlapping_multisets):
         slow = CostParameters(job_overhead_seconds=1_000.0)
-        pairs = vsmart_join(overlapping_multisets, threshold=0.8,
-                            cluster=laptop_cluster(), cost_parameters=slow)
-        assert {p.pair for p in pairs} == {("a", "b"), ("d", "e")}
-        # The same calibration through the class API shows it took effect.
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.8),
-                          cluster=laptop_cluster(), cost_parameters=slow)
-        result = join.run(overlapping_multisets)
+        result = join(overlapping_multisets, threshold=0.8,
+                      algorithm="online_aggregation",
+                      cluster=laptop_cluster(), cost_parameters=slow)
+        assert {p.pair for p in result} == {("a", "b"), ("d", "e")}
         assert result.simulated_seconds >= 3_000.0  # 3+ jobs x 1000s overhead
 
 

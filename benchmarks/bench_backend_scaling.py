@@ -8,10 +8,8 @@ similarity measure (the all-pairs verification kernel of the paper's
 pipelines), so map work dominates and shuffle volume stays tiny.
 
 Expected shape: the process backend scales with the number of workers
-(~linear up to the machine's cores), while the thread backend stays flat —
-the work is pure Python, so CPython's GIL serialises it.  The speedup
-assertion only fires where it physically can: at least 4 usable cores and
-full (non-smoke) mode.
+(~linear up to the machine's cores).  The speedup assertion only fires
+where it physically can: at least 4 usable cores and full (non-smoke) mode.
 
 All backends must agree bit-for-bit on the job output and counters — that
 part is asserted unconditionally, on every machine and in every mode.
@@ -41,7 +39,6 @@ from repro.mapreduce import (
     SerialBackend,
     SummingCombiner,
     TaskContext,
-    ThreadBackend,
     laptop_cluster,
 )
 from repro.mapreduce.backends import default_worker_count
@@ -129,11 +126,6 @@ def test_backend_scaling(benchmark, bench_record):
             assert result.stats.counters == base.stats.counters
             rows[f"process[{workers}]"] = {"workers": workers, "seconds": seconds,
                                            "speedup": serial_seconds / seconds}
-        with ThreadBackend(num_workers=4) as backend:
-            seconds, result = timed_run(backend, job, dataset)
-        assert list(result.output.records) == list(base.output.records)
-        rows["thread[4]"] = {"workers": 4, "seconds": seconds,
-                             "speedup": serial_seconds / seconds}
         return rows
 
     rows = run_once(benchmark, run)
@@ -164,7 +156,6 @@ def test_backend_parity_on_join(bench_record):
     results = {}
     timings = {}
     for name, backend in (("serial", SerialBackend()),
-                          ("thread", ThreadBackend(num_workers=4)),
                           ("process", ProcessBackend(num_workers=4))):
         with backend:
             started = time.perf_counter()

@@ -1,19 +1,16 @@
-"""Out-of-core shuffle and SQL-pushdown overhead vs the in-memory runner.
+"""Out-of-core shuffle overhead vs the in-memory runner.
 
-Two questions, both measured in real wall-clock on Zipf corpora:
+Measured in real wall-clock on Zipf corpora: what does spilling the
+shuffle to disk cost, across corpus sizes that sit under, around and well
+over the spill budget?  The budget is pinned small so even smoke-scale
+corpora genuinely go out of core — the point is the overhead curve and the
+spill telemetry, not the absolute sizes.
 
-* what does spilling the shuffle to disk cost, across corpus sizes that
-  sit under, around and well over the spill budget?  The budget is pinned
-  small so even smoke-scale corpora genuinely go out of core — the point
-  is the overhead curve and the spill telemetry, not the absolute sizes;
-* what does compiling the reduce phases to SQL buy (or cost) against the
-  Python reduce loop on the same joins?
-
-Parity is asserted in every mode and at every size: pairs and counters
-(minus the reserved ``shuffle/``/``sql/`` telemetry namespaces) must be
-bit-identical to the serial backend, and the disk runs must additionally
-prove they spilled (``shuffle/bytes_spilled > 0``) with the buffer ceiling
-respected per job.
+Parity is asserted at every size: pairs and counters (minus the reserved
+``shuffle/`` telemetry namespace) must be bit-identical to the serial
+backend, and the disk runs must additionally prove they spilled
+(``shuffle/bytes_spilled > 0``) with the buffer ceiling respected per job
+and over the pipeline.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ THRESHOLD = 0.2
 
 def strip_telemetry(counters):
     return {name: value for name, value in counters.items()
-            if not name.startswith(("shuffle/", "sql/"))}
+            if not name.startswith("shuffle/")}
 
 
 def timed_join(backend, corpus):
@@ -80,6 +77,7 @@ def test_out_of_core_shuffle(benchmark, bench_record):
             for stats in outcome.pipeline.job_stats:
                 peak = stats.counters.get("shuffle/peak_buffer_bytes", 0)
                 assert peak <= MEMORY_BUDGET, (size, stats.job_name)
+            assert counters.get("shuffle/peak_buffer_bytes", 0) <= MEMORY_BUDGET
         return rows
 
     rows = run_once(benchmark, run)
@@ -103,42 +101,3 @@ def test_out_of_core_shuffle(benchmark, bench_record):
     assert largest["bytes_spilled"] > 0, largest
     # Spilling is overhead, but it must stay sane on an SSD-era machine.
     assert largest["overhead_wall"] < 50, largest
-
-
-def test_sql_pushdown(benchmark, bench_record):
-    corpora = {size: zipf_corpus(size) for size in SIZE_GRID}
-
-    def run():
-        rows = {}
-        for size, corpus in corpora.items():
-            serial_seconds, base = timed_join(SerialBackend(), corpus)
-            sql_seconds, outcome = timed_join(get_backend("sql"), corpus)
-            assert_parity(base, outcome, ("sql", size))
-            counters = outcome.counters()
-            rows[size] = {
-                "serial_wall_seconds": serial_seconds,
-                "sql_wall_seconds": sql_seconds,
-                "ratio_wall": sql_seconds / serial_seconds,
-                "pushdown_jobs": counters.get("sql/pushdown_jobs", 0),
-                "fallback_jobs": counters.get("sql/fallback_jobs", 0),
-                "num_pairs": len(base.pairs),
-            }
-        return rows
-
-    rows = run_once(benchmark, run)
-    print()
-    print("SQL pushdown (sqlite) vs Python reduce loop:")
-    print(f"  {'multisets':>9}  {'python':>8}  {'sql':>8}  {'ratio':>6}"
-          f"  {'pushed':>6}  {'fellback':>8}  {'pairs':>6}")
-    for size, row in rows.items():
-        print(f"  {size:>9}  {row['serial_wall_seconds']:>7.3f}s  "
-              f"{row['sql_wall_seconds']:>7.3f}s  {row['ratio_wall']:>5.2f}x  "
-              f"{row['pushdown_jobs']:>6}  {row['fallback_jobs']:>8}  "
-              f"{row['num_pairs']:>6}")
-
-    bench_record["sizes"] = rows
-    # The pushdown must actually engage on the similarity pipeline...
-    assert all(row["pushdown_jobs"] > 0 for row in rows.values()), rows
-    # ...and stay within an order of magnitude of the Python loop even at
-    # the smallest (overhead-dominated) size.
-    assert all(row["ratio_wall"] < 10 for row in rows.values()), rows

@@ -1,17 +1,16 @@
-"""Out-of-core and SQL-pushdown joins with the ``repro.exec`` backends.
+"""An out-of-core join on the ``"disk"`` execution backend.
 
 Run with::
 
     python examples/out_of_core_join.py
 
 The example generates a synthetic IP–cookie corpus, then runs the same
-join three ways: on the default in-memory serial backend, on the
-:class:`~repro.exec.DiskShuffleBackend` with a spill budget deliberately
-far smaller than the shuffle (so the join genuinely goes out of core and
-reports its spill telemetry), and on the :class:`~repro.exec.SqlBackend`
-with the reduce phases pushed down into SQLite.  All three produce
-bit-identical pairs — the point of the exercise — and the cost model's
-disk-bandwidth term shows up in the plan when spilling is charged.
+join twice: on the default in-memory serial backend and on the
+:class:`~repro.mapreduce.DiskShuffleBackend` with a spill budget
+deliberately far smaller than the shuffle, so the join genuinely goes out
+of core and reports its spill telemetry.  Both produce bit-identical pairs
+— the point of the exercise — and the cost model's disk-bandwidth term
+shows up in the plan when spilling is charged.
 """
 
 from __future__ import annotations
@@ -55,20 +54,13 @@ def main() -> None:
     print(f"  shuffle/bytes_spilled    = {counters['shuffle/bytes_spilled']:,}")
     print(f"  shuffle/merge_passes     = {counters['shuffle/merge_passes']}")
     print(f"  shuffle/spilled_records  = {counters['shuffle/spilled_records']:,}")
-
-    # 3. SQL pushdown: the reduce phases run as group-by queries in SQLite.
-    sql_result = SimilarityEngine(corpus).run(
-        JoinSpec(measure="ruzicka", threshold=0.4,
-                 algorithm="online_aggregation", backend="sql"))
-    sql_counters = sql_result.counters()
-    print(f"sql      backend: {len(sql_result.pairs)} pairs — "
-          f"{sql_counters.get('sql/pushdown_jobs', 0)} jobs pushed down, "
-          f"{sql_counters.get('sql/fallback_jobs', 0)} exact fallbacks")
+    print(f"  shuffle/peak_buffer_bytes = {counters['shuffle/peak_buffer_bytes']:,}"
+          f" (largest of the per-job peaks)")
     print()
 
     assert disk_result.pairs == baseline.pairs
-    assert sql_result.pairs == baseline.pairs
-    print("All three backends returned bit-identical pairs.")
+    assert counters["shuffle/peak_buffer_bytes"] <= budget
+    print("Both backends returned bit-identical pairs.")
     print()
 
     # Charging spilled bytes in the cost model makes the planner's EXPLAIN

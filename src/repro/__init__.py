@@ -10,7 +10,8 @@ depends on:
   and the concrete measures (Ruzicka, Jaccard, Dice, cosine, ...);
 * :mod:`repro.mapreduce` — a deterministic MapReduce simulator with
   combiners, secondary keys, per-machine memory/disk budgets and a cost
-  model producing simulated run times;
+  model producing simulated run times, on three execution backends
+  (``"serial"``, ``"process"`` and the out-of-core ``"disk"`` shuffle);
 * :mod:`repro.vsmart` — the V-SMART-Join framework: the Online-Aggregation,
   Lookup and Sharding joining algorithms plus the shared two-step similarity
   phase;
@@ -76,7 +77,6 @@ from repro.mapreduce import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
     laptop_cluster,
@@ -124,7 +124,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "Change",
@@ -159,7 +159,6 @@ __all__ = [
     "SparseVector",
     "StorageEngine",
     "StoredPairSequence",
-    "ThreadBackend",
     "ViewStore",
     "VCLConfig",
     "VCLJoin",

@@ -63,11 +63,11 @@ class UnsupportedFeatureError(MapReduceError):
 class BackendError(MapReduceError):
     """Raised when an execution backend cannot be constructed or driven.
 
-    Covers missing optional dependencies (``get_backend("sql",
-    engine="duckdb")`` without the ``repro[duckdb]`` extra installed),
-    invalid backend options and backend-internal failures that are not a
-    job's fault.  The message always names the remedy — the dependency and
-    the extra to install, or the valid option values.
+    Covers invalid backend options (``get_backend("disk",
+    memory_budget_bytes=0)``, an option the named backend does not take)
+    and backend-internal failures that are not a job's fault.  The message
+    always names the remedy — the backend and the options it accepts, or
+    the valid option values.
     """
 
 

@@ -58,8 +58,8 @@ class SimilarityEngine:
         The simulated cluster every run executes on (default: the laptop
         cluster).  A spec's ``cluster`` field overrides per run.
     backend:
-        Execution backend name or instance (``"serial"``, ``"thread"``,
-        ``"process"``); instances are borrowed, names are owned and closed
+        Execution backend name or instance (``"serial"``, ``"process"``,
+        ``"disk"``); instances are borrowed, names are owned and closed
         by :meth:`close` / the context manager.
     cost_parameters:
         Cost-model calibration shared by the planner and the runners.

@@ -7,10 +7,11 @@ deterministic *simulated* run time used by the figure benchmarks.
 """
 
 from repro.mapreduce.backends import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
+    DiskShuffleBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
 )
@@ -47,6 +48,7 @@ from repro.mapreduce.partitioner import (
     stable_hash,
 )
 from repro.mapreduce.runner import JobResult, LocalJobRunner, PipelineResult
+from repro.mapreduce.shuffle import ExternalGrouper
 from repro.mapreduce.types import (
     JobStats,
     KeyValue,
@@ -64,8 +66,11 @@ __all__ = [
     "CostParameters",
     "Counters",
     "DEFAULT_COST_PARAMETERS",
+    "DEFAULT_MEMORY_BUDGET_BYTES",
     "Dataset",
+    "DiskShuffleBackend",
     "ExecutionBackend",
+    "ExternalGrouper",
     "GIGABYTE",
     "GOOGLE_MAPREDUCE",
     "HADOOP",
@@ -85,7 +90,6 @@ __all__ = [
     "SerialBackend",
     "SummingCombiner",
     "TaskContext",
-    "ThreadBackend",
     "available_backends",
     "estimate_record_bytes",
     "get_backend",

@@ -6,27 +6,41 @@ run:
 
 * :class:`SerialBackend` executes tasks inline, one after another, exactly
   reproducing the original single-process runner (it is the default);
-* :class:`ThreadBackend` fans tasks out to a thread pool — with CPython's
-  GIL this only pays off for workloads that release the GIL, but it
-  exercises the full parallel code path with zero pickling cost;
 * :class:`ProcessBackend` fans tasks out to a multiprocessing pool, running
   mapper/combiner slices and reducer partition batches on real OS processes
-  so CPU-bound pipelines scale with the machine's cores.
+  so CPU-bound pipelines scale with the machine's cores;
+* :class:`DiskShuffleBackend` executes tasks inline like the serial backend
+  but holds the shuffle in an
+  :class:`~repro.mapreduce.shuffle.ExternalGrouper` — sorted run files
+  under a byte budget, merged back one reduce group at a time — so joins
+  run on corpora whose shuffle is far larger than memory.
+
+A backend decides exactly two things: how a phase's tasks are executed
+(:meth:`ExecutionBackend.run_tasks`) and where the shuffle is held
+(:meth:`ExecutionBackend.external_grouper`); the runner drives map →
+combine → shuffle → reduce itself on every backend.
 
 Results and statistics are identical across backends for the library's
 (stateless) mappers and reducers: tasks return exact integer-valued partial
 statistics that the runner merges deterministically, and task outputs are
-concatenated in task order.  Backends only change wall-clock time, never
-results, counters or simulated times.
+concatenated in task order.  Backends only change wall-clock time and peak
+memory, never results, counters or simulated times (the disk backend adds
+its physical spill telemetry in the reserved ``shuffle/`` counter
+namespace).
 """
 
 from __future__ import annotations
 
+import inspect
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.core.exceptions import JobConfigurationError
+from repro.core.exceptions import BackendError, JobConfigurationError
+from repro.mapreduce.shuffle import ExternalGrouper
+
+#: Default spill budget: small enough that big benchmark corpora actually
+#: go out of core, large enough that unit-test joins stay in memory.
+DEFAULT_MEMORY_BUDGET_BYTES = 32 * 1024 * 1024
 
 
 def default_worker_count() -> int:
@@ -45,7 +59,7 @@ class ExecutionBackend:
     on exit when used as a context manager).
     """
 
-    #: Registry name of the backend (``"serial"``, ``"thread"``, ...).
+    #: Registry name of the backend (``"serial"``, ``"process"``, ...).
     name: str = "base"
 
     def __init__(self, num_workers: int | None = None) -> None:
@@ -56,19 +70,14 @@ class ExecutionBackend:
         """Apply ``function`` to every task, returning results in task order."""
         raise NotImplementedError
 
-    def execute_phases(self, runner: Any, job: Any, dataset: Any,
-                       stats: Any, counters: Any,
-                       num_reducers: int) -> list[Any] | None:
-        """Optionally take over a whole job's map/combine/shuffle/reduce.
+    def external_grouper(self) -> ExternalGrouper | None:
+        """Where the shuffle of the next job is held.
 
-        The runner calls this once per job before its generic phase loop.
-        Returning ``None`` (the default) keeps the generic path: the runner
-        splits each phase into tasks and feeds them through
-        :meth:`run_tasks`.  A backend that owns its own execution strategy —
-        an out-of-core shuffle, a SQL pushdown — returns the job's output
-        records instead, having filled in ``stats`` and ``counters``
-        exactly as the generic path would (an empty list is a valid
-        output, so callers must test ``is None``).
+        ``None`` (the default) keeps it in the runner's in-memory spill
+        dictionaries.  A backend that bounds the shuffle returns a fresh
+        :class:`~repro.mapreduce.shuffle.ExternalGrouper`; the runner feeds
+        it the partitioned map output, reduces the groups it streams back
+        and closes it when the job ends, on every exit path.
         """
         return None
 
@@ -103,34 +112,6 @@ class SerialBackend(ExecutionBackend):
     def run_tasks(self, function: Callable[[Any], Any],
                   tasks: Sequence[Any]) -> list[Any]:
         return [function(task) for task in tasks]
-
-
-class ThreadBackend(ExecutionBackend):
-    """Run tasks on a lazily created thread pool.
-
-    Mapper/combiner/reducer instances are shared across threads, which is
-    safe for the library's jobs: their only mutable state is assigned
-    idempotently in ``setup`` (re-loading the same side data).
-    """
-
-    name = "thread"
-
-    def __init__(self, num_workers: int | None = None) -> None:
-        super().__init__(num_workers)
-        self._executor: ThreadPoolExecutor | None = None
-
-    def run_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> list[Any]:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-mapreduce")
-        return list(self._executor.map(function, tasks))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 class ProcessBackend(ExecutionBackend):
@@ -179,38 +160,63 @@ class ProcessBackend(ExecutionBackend):
             self._pool = None
 
 
+class DiskShuffleBackend(ExecutionBackend):
+    """Run jobs with an external (disk-spilling) shuffle.
+
+    Tasks run inline, one per phase, exactly as on the serial backend; only
+    the shuffle differs.  ``memory_budget_bytes`` bounds the shuffle buffer,
+    ``temp_dir`` overrides where run files live and ``merge_fan_in`` caps
+    how many runs one merge pass reads.  The temporary directory is created
+    per job and removed when the job finishes — including on error or
+    cancellation — and peak memory is bounded by the budget plus the
+    largest single reduce group.
+
+    ``spilled_bytes`` stays the *modeled* quantity (the shuffle volume, as
+    on every backend), so simulated times agree across backends even when
+    the cost model charges a disk term; the physical run-file telemetry is
+    reported separately through counters in the reserved ``shuffle/``
+    namespace (``shuffle/runs_written``, ``shuffle/bytes_spilled``,
+    ``shuffle/merge_passes``, ``shuffle/peak_buffer_bytes``,
+    ``shuffle/spilled_records``).
+    """
+
+    name = "disk"
+
+    def __init__(self, num_workers: int | None = None, *,
+                 memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+                 temp_dir: str | None = None,
+                 merge_fan_in: int = 8) -> None:
+        # One worker, so the map/combine/reduce loops match the serial
+        # backend's exactly (``num_workers`` is accepted and ignored, as there).
+        super().__init__(1)
+        self.temp_dir = temp_dir
+        # The grouper validates the options; probing it here reports a bad
+        # value when the backend is built, not in the middle of a job (it
+        # touches no disk until its first spill).
+        probe = ExternalGrouper(memory_budget_bytes, temp_dir=temp_dir,
+                                merge_fan_in=merge_fan_in)
+        self.memory_budget_bytes = probe.memory_budget_bytes
+        self.merge_fan_in = probe.merge_fan_in
+
+    def run_tasks(self, function: Callable[[Any], Any],
+                  tasks: Sequence[Any]) -> list[Any]:
+        return [function(task) for task in tasks]
+
+    def external_grouper(self) -> ExternalGrouper:
+        return ExternalGrouper(self.memory_budget_bytes,
+                               temp_dir=self.temp_dir,
+                               merge_fan_in=self.merge_fan_in)
+
+
 _BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
+    DiskShuffleBackend.name: DiskShuffleBackend,
 }
-
-#: Backends registered lazily: name -> module whose import registers it.
-#: Keeps ``repro.mapreduce`` free of a hard dependency on ``repro.exec``
-#: (which itself imports storage and similarity machinery).
-_LAZY_BACKENDS: dict[str, str] = {
-    "disk": "repro.exec",
-    "sql": "repro.exec",
-}
-
-
-def register_backend(factory: type[ExecutionBackend]) -> None:
-    """Register an :class:`ExecutionBackend` subclass under its ``name``."""
-    _BACKEND_FACTORIES[factory.name] = factory
-
-
-def _resolve_lazy(name: str) -> None:
-    module = _LAZY_BACKENDS.get(name)
-    if module is not None and name not in _BACKEND_FACTORIES:
-        import importlib
-
-        importlib.import_module(module)
 
 
 def available_backends() -> list[str]:
     """Return the sorted names of all execution backends."""
-    for name in _LAZY_BACKENDS:
-        _resolve_lazy(name)
     return sorted(_BACKEND_FACTORIES)
 
 
@@ -222,21 +228,31 @@ def get_backend(backend: str | ExecutionBackend | None = "serial",
     Backend instances pass through unchanged (``num_workers`` and
     ``options`` are then ignored); ``None`` resolves to the serial backend.
     Keyword ``options`` are forwarded to the backend constructor — for
-    example ``get_backend("disk", memory_budget_bytes=1 << 20)`` or
-    ``get_backend("sql", engine="duckdb")``.  Unknown names raise
-    :class:`~repro.core.exceptions.JobConfigurationError` listing the
-    available backends.
+    example ``get_backend("disk", memory_budget_bytes=1 << 20)``.  Unknown
+    names raise :class:`~repro.core.exceptions.JobConfigurationError`
+    listing the available backends; an option the backend does not take, or
+    a value it cannot use, raises
+    :class:`~repro.core.exceptions.BackendError` listing the options it
+    accepts.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
         return SerialBackend()
     name = str(backend).strip().lower()
-    _resolve_lazy(name)
     factory = _BACKEND_FACTORIES.get(name)
     if factory is None:
         known = ", ".join(available_backends())
         raise JobConfigurationError(
             f"unknown execution backend {backend!r}; "
             f"available backends: {known}")
-    return factory(num_workers, **options)
+    try:
+        return factory(num_workers, **options)
+    except (TypeError, ValueError) as error:
+        accepted = ["num_workers"] + [
+            parameter.name
+            for parameter in inspect.signature(factory).parameters.values()
+            if parameter.kind is parameter.KEYWORD_ONLY]
+        raise BackendError(
+            f"cannot build the {name!r} backend with options {options!r}: "
+            f"{error}; it accepts: {', '.join(accepted)}") from error

@@ -1,12 +1,13 @@
 """Self-contained phase tasks executed by the pluggable backends.
 
 The runner splits every job into *tasks*: contiguous chunks of the input for
-the map phase, batches of mapper machines for the combine phase and batches
-of reduce partitions for the reduce phase.  Each task carries everything it
-needs (the job, its slice of the data and the accounting parameters), is
-executed by a module-level function — so tasks can be shipped to worker
-processes by pickling — and returns both its emissions and an exact
-:class:`~repro.mapreduce.types.PhaseStats` partial.
+the map phase, batches of mapper machines for the combine phase and streams
+of reduce groups (batches of the in-memory shuffle's partitions, or an
+external shuffle's merge) for the reduce phase.  Each task carries
+everything it needs (the job, its slice of the data and the accounting
+parameters), is executed by a module-level function — so tasks can be
+shipped to worker processes by pickling — and returns both its emissions
+and an exact :class:`~repro.mapreduce.types.PhaseStats` partial.
 
 All partial statistics are integer-valued, so merging them (sums and maxes)
 reproduces the serial runner's :class:`~repro.mapreduce.types.JobStats`
@@ -20,7 +21,7 @@ because task slices are contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.mapreduce.counters import Counters
@@ -247,17 +248,44 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
 # -- reduce tasks -------------------------------------------------------------
 
 
+#: One reduce group as the shuffle hands it over: ``(partition, key,
+#: records)``, partitions ascending, keys in first-occurrence order.
+Group = tuple[int, Hashable, list[KeyValue]]
+
+
 @dataclass
-class ReduceTask:
-    """A batch of reduce partitions executed as one task.
+class SpillGroups:
+    """A batch of the in-memory shuffle's partitions as a group stream.
 
     ``partitions`` holds ``(partition, groups)`` entries in ascending
-    partition order, where ``groups`` maps each reduce key to its (already
-    secondary-sorted) reduce value list.
+    partition order, where ``groups`` maps each reduce key to its records.
+    Unlike a generator this pickles, so a reduce task can carry it to a
+    worker process.
+    """
+
+    partitions: list[tuple[int, dict[Hashable, list[KeyValue]]]]
+
+    def __iter__(self) -> Iterator[Group]:
+        for partition, groups in self.partitions:
+            for key, key_values in groups.items():
+                yield partition, key, key_values
+
+
+@dataclass
+class ReduceTask:
+    """A stream of reduce groups executed as one task.
+
+    ``groups`` is consumed lazily, one group at a time: a
+    :class:`SpillGroups` batch of the in-memory shuffle, or the
+    :meth:`~repro.mapreduce.shuffle.ExternalGrouper.iter_groups` merge of
+    an external one — which must never be materialised, or the external
+    shuffle loses its memory ceiling.
     """
 
     job: JobSpec
-    partitions: list[tuple[int, dict[Any, list[KeyValue]]]]
+    groups: Iterable[Group]
+    #: Whether each reduce value list is sorted by the secondary key first.
+    sort_by_secondary: bool
     num_machines: int
     overhead: int
     #: Per-machine memory budget, or ``None`` when enforcement is disabled.
@@ -277,8 +305,19 @@ class ReduceTaskResult:
     counters: dict[str, int]
 
 
+def _secondary_order(key_value: KeyValue) -> tuple[bool, Any]:
+    """Sort key of the within-group order: secondary keys first, ascending."""
+    return (key_value.secondary is None, key_value.secondary)
+
+
 def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
-    """Run the reducer over a batch of partitions, mirroring the serial loop."""
+    """Run the reducer over a stream of groups: the one reduce loop.
+
+    Every backend's reduce phase ends here, so this is the only place that
+    drives a reducer's ``setup`` / ``reduce`` / ``cleanup`` and accounts
+    group maxima, the materialised-value-list memory check, per-machine
+    work and counters.
+    """
     job = task.job
     reducer = job.reducer
     assert reducer is not None
@@ -291,33 +330,33 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     max_group_records = 0
     max_group_bytes = 0
     peak_task_memory = 0
-    for partition, groups in task.partitions:
-        machine = partition % task.num_machines
-        for key, key_values in groups.items():
-            values = [kv.value for kv in key_values]
-            bytes_in = sum(estimate_record_bytes(kv) for kv in key_values)
-            reduce_groups += 1
-            max_group_records = max(max_group_records, len(values))
-            max_group_bytes = max(max_group_bytes, bytes_in)
-            if reducer.materializes_input:
-                # Side data is loaded by the mappers of the jobs in this
-                # library, so the reducer budget covers only the
-                # materialised value list.
-                peak_task_memory = max(peak_task_memory, bytes_in)
-                check_memory_budget(job.name, f"reduce value list of key {key!r}",
-                                    bytes_in, task.memory_budget)
-            bytes_out = 0
-            records_out = 0
-            for record in reducer.reduce(key, values, context):
-                output_records.append(record)
-                bytes_out += estimate_record_bytes(record)
-                records_out += 1
-            work = bytes_in + bytes_out + task.overhead * len(values)
-            phase.records_in += len(values)
-            phase.records_out += records_out
-            phase.bytes_in += bytes_in
-            phase.bytes_out += bytes_out
-            phase.add_machine_work(machine, work)
+    for partition, key, key_values in task.groups:
+        if task.sort_by_secondary:
+            key_values.sort(key=_secondary_order)
+        values = [kv.value for kv in key_values]
+        bytes_in = sum(estimate_record_bytes(kv) for kv in key_values)
+        reduce_groups += 1
+        max_group_records = max(max_group_records, len(values))
+        max_group_bytes = max(max_group_bytes, bytes_in)
+        if reducer.materializes_input:
+            # Side data is loaded by the mappers of the jobs in this
+            # library, so the reducer budget covers only the
+            # materialised value list.
+            peak_task_memory = max(peak_task_memory, bytes_in)
+            check_memory_budget(job.name, f"reduce value list of key {key!r}",
+                                bytes_in, task.memory_budget)
+        bytes_out = 0
+        records_out = 0
+        for record in reducer.reduce(key, values, context):
+            output_records.append(record)
+            bytes_out += estimate_record_bytes(record)
+            records_out += 1
+        work = bytes_in + bytes_out + task.overhead * len(values)
+        phase.records_in += len(values)
+        phase.records_out += records_out
+        phase.bytes_in += bytes_in
+        phase.bytes_out += bytes_out
+        phase.add_machine_work(partition % task.num_machines, work)
     cleanup_bytes = 0
     cleanup_count = 0
     for record in reducer.cleanup(context):

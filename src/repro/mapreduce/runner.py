@@ -23,15 +23,18 @@ and reducer really runs — while the *performance* of the run is modelled:
 Where the work *actually* runs is pluggable: the runner splits every phase
 into self-contained tasks (:mod:`repro.mapreduce.phases`) and hands them to
 an :class:`~repro.mapreduce.backends.ExecutionBackend` — serially (the
-default), on a thread pool or on a multiprocessing pool.  Task partials are
-integer-valued and merged deterministically, so results, counters and
-simulated times are identical across backends; only wall-clock time changes.
+default) or on a multiprocessing pool — and asks the same backend where the
+shuffle is held: in the runner's in-memory spill dictionaries, or in an
+:class:`~repro.mapreduce.shuffle.ExternalGrouper` that spills sorted runs
+to disk (the ``"disk"`` backend).  Task partials are integer-valued and
+merged deterministically, so results, counters and simulated times are
+identical across backends; only wall-clock time and peak memory change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.exceptions import (
     DiskBudgetExceeded,
@@ -50,9 +53,11 @@ from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.phases import (
     CombineTask,
+    Group,
     MapTask,
     ReduceTask,
     Spill,
+    SpillGroups,
     check_memory_budget,
     execute_combine_task,
     execute_map_task,
@@ -62,6 +67,10 @@ from repro.mapreduce.phases import (
     split_slices,
 )
 from repro.mapreduce.types import JobStats, KeyValue, estimate_record_bytes
+
+#: The one counter that is a high-water mark, not a tally: over a pipeline
+#: it is the largest per-job value (the other ``shuffle/*`` counters sum).
+PEAK_BUFFER_COUNTER = "shuffle/peak_buffer_bytes"
 
 
 @dataclass
@@ -101,11 +110,18 @@ class PipelineResult:
                        f"available jobs: {available or '(none)'}")
 
     def counters(self) -> dict[str, int]:
-        """Return all counters summed across the pipeline's jobs."""
+        """Return all counters summed across the pipeline's jobs.
+
+        ``shuffle/peak_buffer_bytes`` is the exception: a peak over the
+        pipeline is the maximum of the per-job peaks.
+        """
         merged: dict[str, int] = {}
         for stats in self.job_stats:
             for key, value in stats.counters.items():
-                merged[key] = merged.get(key, 0) + value
+                if key == PEAK_BUFFER_COUNTER:
+                    merged[key] = max(merged.get(key, 0), value)
+                else:
+                    merged[key] = merged.get(key, 0) + value
         return merged
 
 
@@ -113,7 +129,7 @@ class LocalJobRunner:
     """Execute simulated MapReduce jobs on a cluster description.
 
     ``backend`` selects where mapper/combiner/reducer work physically runs
-    (``"serial"``, ``"thread"``, ``"process"`` or an
+    (``"serial"``, ``"process"``, ``"disk"`` or an
     :class:`~repro.mapreduce.backends.ExecutionBackend` instance); see
     :mod:`repro.mapreduce.backends`.  The runner owns backends it creates
     from a name and releases them in :meth:`close`; backend instances passed
@@ -156,14 +172,8 @@ class LocalJobRunner:
 
         num_reducers = job.num_reducers or self.cluster.num_machines
 
-        # A backend may take over the whole phase sequence (out-of-core
-        # shuffle, SQL pushdown); ``None`` — not an empty output — selects
-        # the generic task-splitting path below.
-        output_records = self.backend.execute_phases(
-            self, job, dataset, stats, counters, num_reducers)
-        if output_records is None:
-            output_records = self._execute_phases(job, dataset, stats,
-                                                  counters, num_reducers)
+        output_records = self._run_phases(job, dataset, stats, counters,
+                                          num_reducers)
 
         self._check_disk(job.name, stats)
         stats.merge_counters(counters.as_dict())
@@ -174,19 +184,22 @@ class LocalJobRunner:
 
     # -- phases ---------------------------------------------------------------
 
-    def _execute_phases(self, job: JobSpec, dataset: Dataset,
-                        stats: JobStats, counters: Counters,
-                        num_reducers: int) -> list[Any]:
-        """The generic map / combine / shuffle / reduce sequence."""
-        want_shuffle = job.reducer is not None
-
+    def _run_phases(self, job: JobSpec, dataset: Dataset,
+                    stats: JobStats, counters: Counters,
+                    num_reducers: int) -> list[Any]:
+        """The map / combine / shuffle / reduce sequence of every backend."""
+        # The one decision a backend makes beyond running tasks: the shuffle
+        # is held in the tasks' spill dictionaries, or in its grouper (which
+        # owns nothing until it is fed, so only the ``with`` below cleans up).
+        grouper = self.backend.external_grouper()
+        want_spill = job.reducer is not None and grouper is None
         map_output, spill = self._run_map_phase(
             job, dataset, stats, counters, num_reducers,
-            build_spill=want_shuffle and job.combiner is None)
+            build_spill=want_spill and job.combiner is None)
         if job.combiner is not None:
             map_output, spill = self._run_combine_phase(
                 job, map_output, stats, counters, num_reducers,
-                build_spill=want_shuffle)
+                build_spill=want_spill)
 
         # The shuffle moves (and spills once on the map side) exactly the
         # bytes the last map-side phase emitted.
@@ -195,10 +208,28 @@ class LocalJobRunner:
         stats.spilled_bytes = stats.shuffle_bytes
 
         if job.reducer is None:
-            return [kv for kv in map_output]
-        assert spill is not None
-        partitions = self._finish_shuffle(job, spill)
-        return self._run_reduce_phase(job, partitions, stats, counters)
+            return map_output
+        if grouper is None:
+            assert spill is not None
+            # One task per worker over the partitions in ascending order.
+            partitions = sorted(spill.items())
+            return self._run_reduce_phase(
+                job, [SpillGroups(partitions[start:stop])
+                      for start, stop in split_slices(len(partitions),
+                                                      self.backend.num_workers)],
+                stats, counters)
+        with grouper:  # removes its run files on every exit path
+            partitioner = job.partitioner
+            for key_value in map_output:
+                grouper.add(partitioner(key_value.key, num_reducers),
+                            key_value, estimate_record_bytes(key_value))
+            # The merge is one lazy stream, so one task (never a list:
+            # materialising it would give up the memory ceiling).
+            output_records = self._run_reduce_phase(
+                job, [grouper.iter_groups()], stats, counters)
+            for name, value in grouper.telemetry.items():
+                counters.increment(f"shuffle/{name}", value)
+        return output_records
 
     def _run_map_phase(self, job: JobSpec, dataset: Dataset,
                        stats: JobStats, counters: Counters,
@@ -281,29 +312,18 @@ class LocalJobRunner:
             counters.merge_dict(result.counters)
         return combined, spill
 
-    def _finish_shuffle(self, job: JobSpec,
-                        spill: Spill) -> dict[int, dict[Any, list[KeyValue]]]:
-        sort_by_secondary = (job.requires_secondary_keys
-                             and self.cluster.profile.supports_secondary_keys)
-        if sort_by_secondary:
-            for groups in spill.values():
-                for key_values in groups.values():
-                    key_values.sort(key=lambda kv: (kv.secondary is None, kv.secondary))
-        return spill
-
     def _run_reduce_phase(self, job: JobSpec,
-                          partitions: dict[int, dict[Any, list[KeyValue]]],
+                          group_streams: list[Iterable[Group]],
                           stats: JobStats, counters: Counters) -> list[Any]:
-        overhead = self.cost_parameters.record_overhead_bytes
-        machines = self.cluster.num_machines
         budget = self.cluster.memory_per_machine if self.enforce_budgets else None
-        partition_items = [(partition, partitions[partition])
-                           for partition in sorted(partitions)]
-        tasks = [ReduceTask(job=job, partitions=partition_items[start:stop],
-                            num_machines=machines, overhead=overhead,
+        # ``run`` has refused a job that needs secondary keys on a profile
+        # without them, so needing them is enough to sort by them here.
+        tasks = [ReduceTask(job=job, groups=groups,
+                            sort_by_secondary=job.requires_secondary_keys,
+                            num_machines=self.cluster.num_machines,
+                            overhead=self.cost_parameters.record_overhead_bytes,
                             memory_budget=budget)
-                 for start, stop in split_slices(len(partition_items),
-                                                 self.backend.num_workers)]
+                 for groups in group_streams]
         results = self.backend.run_tasks(execute_reduce_task, tasks)
 
         output_records: list[Any] = []

@@ -1,7 +1,8 @@
 """Out-of-core grouping: sorted spill runs merged back with ``heapq.merge``.
 
-:class:`ExternalGrouper` is the disk half of the
-:class:`~repro.exec.diskshuffle.DiskShuffleBackend`.  It accepts the
+:class:`ExternalGrouper` is where the
+:class:`~repro.mapreduce.backends.DiskShuffleBackend` holds the shuffle, in
+place of the runner's in-memory spill dictionaries.  It accepts the
 partitioned map output one record at a time, buffers records up to a byte
 budget, spills sorted *runs* to temporary files whenever the buffer would
 exceed the budget, and streams the grouped records back with a k-way merge

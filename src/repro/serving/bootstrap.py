@@ -101,8 +101,8 @@ def bootstrap_from_join(
     algorithm, including ``"auto"`` to let the cost-model planner choose —
     on ``cluster`` (or the default laptop cluster), computes the similar
     pairs at ``threshold`` and warms the caches from them.  ``backend``
-    selects the pipeline's execution backend (``"serial"``, ``"thread"``,
-    ``"process"`` or a backend instance), so a fleet can be warm-started on
+    selects the pipeline's execution backend (``"serial"``, ``"process"``,
+    ``"disk"`` or a backend instance), so a fleet can be warm-started on
     all cores before serving traffic.
 
     ``join_result`` accepts a legacy

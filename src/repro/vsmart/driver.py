@@ -160,7 +160,7 @@ class VSmartJoin:
     """Run the V-SMART-Join pipeline on a simulated cluster.
 
     ``backend`` selects the execution backend every job of the pipeline runs
-    on (``"serial"``, ``"thread"``, ``"process"`` or an
+    on (``"serial"``, ``"process"``, ``"disk"`` or an
     :class:`~repro.mapreduce.backends.ExecutionBackend` instance).  Results,
     counters and simulated run times are identical across backends; only
     real wall-clock time changes.  Call :meth:`close` (or use the driver as

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.multiset import Multiset
+from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, HADOOP, Cluster, laptop_cluster
 from repro.serving.service import ReplicatedSimilarityService
 
@@ -24,6 +25,42 @@ settings.register_profile(
     "ci", max_examples=75, stateful_step_count=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+class InlineBackend(ExecutionBackend):
+    """Four workers' worth of tasks per phase, run inline in task order.
+
+    The runner splits every phase by ``num_workers``, so this reaches the
+    N > 1 split/merge code (task slices, per-task spills merged in order,
+    partial statistics summed) deterministically — no pool, no pickling.
+    """
+
+    name = "inline"
+
+    def __init__(self) -> None:
+        super().__init__(4)
+
+    def run_tasks(self, function, tasks):
+        return [function(task) for task in tasks]
+
+    def __repr__(self) -> str:  # the pytest id (``ids=str``) and Hypothesis label
+        return self.name
+
+
+#: Every execution path a parity test covers, as ``backend=`` accepts it:
+#: the three registered names plus the multi-task path without a pool.
+BACKENDS = ("serial", "process", "disk", InlineBackend())
+
+
+def strip_telemetry(counters: dict[str, int]) -> dict[str, int]:
+    """Drop the reserved physical-execution counter namespace.
+
+    ``shuffle/`` counters describe *how* a backend executed (spilled
+    runs, merge passes); the parity contract covers what was computed,
+    which is everything else.
+    """
+    return {name: value for name, value in counters.items()
+            if not name.startswith("shuffle/")}
 
 
 def make_random_multisets(count: int, alphabet_size: int, max_elements: int,

@@ -2,8 +2,9 @@
 
 The contract under test: backends change *where* mapper/combiner/reducer
 work runs, never *what* it computes — join output, counters and the full
-per-job statistics must be identical across the serial, thread and process
-backends for every registered measure and joining algorithm.
+per-job statistics must be identical across the serial, process and disk
+backends (and the inline multi-task test backend) for every registered
+measure and joining algorithm.
 """
 
 from __future__ import annotations
@@ -14,20 +15,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
+from repro.core.exceptions import (
+    BackendError,
+    JobConfigurationError,
+    MemoryBudgetExceeded,
+)
 from repro.core.multiset import Multiset
 from repro.mapreduce import (
     Dataset,
+    DiskShuffleBackend,
     JobSpec,
     LocalJobRunner,
+    Mapper,
     ProcessBackend,
+    Reducer,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
 )
 from repro.mapreduce.backends import default_worker_count
 from repro.mapreduce.cluster import laptop_cluster
+from repro.mapreduce.partitioner import hash_partitioner
 from repro.similarity.registry import supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import (
@@ -35,6 +43,7 @@ from repro.vsmart.driver import (
     VSmartJoin,
     VSmartJoinConfig,
 )
+from tests.conftest import InlineBackend, strip_telemetry
 from tests.test_mapreduce_runner import (
     MaterialisingReducer,
     WordCountMapper,
@@ -42,10 +51,7 @@ from tests.test_mapreduce_runner import (
 )
 
 
-@pytest.fixture(scope="module")
-def thread_backend():
-    with ThreadBackend(num_workers=4) as backend:
-        yield backend
+INLINE = InlineBackend()
 
 
 @pytest.fixture(scope="module")
@@ -78,17 +84,6 @@ def run_join(backend, corpus, algorithm="online_aggregation", measure="ruzicka",
     return join.run(corpus)
 
 
-def strip_telemetry(counters):
-    """Drop the reserved physical-execution counter namespaces.
-
-    ``shuffle/`` and ``sql/`` counters describe *how* a backend executed
-    (spilled runs, pushed-down queries); the parity contract covers what
-    was computed, which is everything else.
-    """
-    return {name: value for name, value in counters.items()
-            if not name.startswith(("shuffle/", "sql/"))}
-
-
 def comparable_stats(stats):
     """Job stats as a dict with telemetry counters stripped."""
     as_dict = dataclasses.asdict(stats)
@@ -97,16 +92,15 @@ def comparable_stats(stats):
 
 
 def exec_backends():
-    """Fresh disk (spill-heavy) and sql backend instances."""
-    return (get_backend("disk", memory_budget_bytes=2048, merge_fan_in=2),
-            get_backend("sql"))
+    """A fresh disk backend that spills and multi-pass merges tiny joins."""
+    return (get_backend("disk", memory_budget_bytes=2048, merge_fan_in=2),)
 
 
 class TestBackendFactory:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
+        assert isinstance(get_backend("disk"), DiskShuffleBackend)
 
     def test_lookup_is_case_insensitive(self):
         assert isinstance(get_backend("Process"), ProcessBackend)
@@ -115,50 +109,58 @@ class TestBackendFactory:
     def test_none_resolves_to_serial(self):
         assert isinstance(get_backend(None), SerialBackend)
 
-    def test_instances_pass_through(self, thread_backend):
-        assert get_backend(thread_backend) is thread_backend
+    def test_instances_pass_through(self):
+        assert get_backend(INLINE) is INLINE
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(JobConfigurationError,
-                           match="disk, process, serial, sql, thread"):
-            get_backend("gpu")
+        # "thread" and "sql" were backends until 2.1; they get no shim.
+        for name in ("gpu", "thread", "sql"):
+            with pytest.raises(JobConfigurationError,
+                               match="disk, process, serial$"):
+                get_backend(name)
 
     def test_available_backends(self):
-        assert available_backends() == ["disk", "process", "serial", "sql",
-                                        "thread"]
-
-    def test_lazy_backends_resolve_by_name(self):
-        from repro.exec import DiskShuffleBackend, SqlBackend
-
-        assert isinstance(get_backend("disk"), DiskShuffleBackend)
-        assert isinstance(get_backend("sql"), SqlBackend)
+        assert available_backends() == ["disk", "process", "serial"]
 
     def test_options_forward_to_backend_constructor(self):
         backend = get_backend("disk", memory_budget_bytes=4096, merge_fan_in=3)
         assert backend.memory_budget_bytes == 4096
         assert backend.merge_fan_in == 3
 
+    @pytest.mark.parametrize("name, option, value", [
+        ("serial", "memory_budget_bytes", 1),
+        ("process", "engine", "x"),
+        ("disk", "memory_budget_bytes", "x"),
+    ])
+    def test_bad_options_raise_backend_error(self, name, option, value):
+        """Option mistakes stay inside the ``ReproError`` contract."""
+        accepted = "num_workers" + (
+            ", memory_budget_bytes, temp_dir, merge_fan_in" * (name == "disk"))
+        with pytest.raises(BackendError, match=(
+                f"'{name}' backend with options .*{option}.* accepts: {accepted}$")):
+            get_backend(name, **{option: value})
+
     def test_serial_backend_has_one_worker(self):
         assert SerialBackend(num_workers=8).num_workers == 1
 
     def test_worker_count_defaults_to_cpus(self):
-        assert ThreadBackend().num_workers == default_worker_count()
+        assert ProcessBackend().num_workers == default_worker_count()
         assert ProcessBackend(num_workers=3).num_workers == 3
 
 
 class TestRunTasks:
-    def test_results_preserve_task_order(self, thread_backend, process_backend):
+    def test_results_preserve_task_order(self, process_backend):
         tasks = list(range(20))
         expected = [task * task for task in tasks]
-        for backend in (SerialBackend(), thread_backend, process_backend):
+        for backend in (SerialBackend(), INLINE, process_backend):
             assert backend.run_tasks(_square, tasks) == expected
 
-    def test_empty_task_list(self, thread_backend, process_backend):
-        for backend in (SerialBackend(), thread_backend, process_backend):
+    def test_empty_task_list(self, process_backend):
+        for backend in (SerialBackend(), INLINE, process_backend):
             assert backend.run_tasks(_square, []) == []
 
     def test_pools_are_reusable_after_close(self):
-        backend = ThreadBackend(num_workers=2)
+        backend = ProcessBackend(num_workers=2)
         assert backend.run_tasks(_square, [2]) == [4]
         backend.close()
         assert backend.run_tasks(_square, [3]) == [9]
@@ -169,30 +171,104 @@ def _square(value: int) -> int:
     return value * value
 
 
-class TestWordCountParity:
-    def run_wordcount(self, backend):
-        runner = LocalJobRunner(laptop_cluster(), backend=backend)
+def run_wordcount(backend, documents=None):
+    runner = LocalJobRunner(laptop_cluster(), backend=backend)
+    if documents is None:
         documents = [f"w{i % 7} w{i % 3} w{i % 5}" for i in range(40)]
-        job = JobSpec("wordcount", WordCountMapper(), WordCountReducer())
-        return runner.run(job, Dataset.from_records(documents))
+    job = JobSpec("wordcount", WordCountMapper(), WordCountReducer())
+    return runner.run(job, Dataset.from_records(documents))
 
-    def test_output_and_stats_identical(self, thread_backend, process_backend):
-        base = self.run_wordcount(SerialBackend())
-        for backend in (thread_backend, process_backend):
-            result = self.run_wordcount(backend)
-            assert list(result.output.records) == list(base.output.records)
-            assert dataclasses.asdict(result.stats) == dataclasses.asdict(base.stats)
+
+END = "<end>"
+
+
+class TrailerMapper(Mapper):
+    """``(word, position, -position)`` per word; the one task that maps
+    :data:`END` emits a trailer from ``cleanup``, so task splits do not show."""
+
+    def setup(self, context):
+        self.end = None
+
+    def map(self, record, context):
+        position, word = record
+        if word == END:
+            self.end = position
+        else:
+            context.increment("words_mapped")
+            yield word, position, -position
+
+    def cleanup(self, context):
+        if self.end is not None:
+            yield END, self.end, 0
+
+
+class TrailerReducer(Reducer):
+    """Each word's positions; the trailer is held back until ``cleanup``."""
+
+    def setup(self, context):
+        self.trailer = None
+
+    def reduce(self, key, values, context):
+        context.increment("groups_reduced")
+        if key == END:
+            self.trailer = list(values)
+        else:
+            yield key, list(values)
+
+    def cleanup(self, context):
+        if self.trailer is not None:
+            yield END, self.trailer
+
+
+def trailer_last(key, num_reducers):
+    """Partition the trailer last, so the task that holds it cleans up last."""
+    return (num_reducers - 1 if key == END
+            else hash_partitioner(key, num_reducers - 1))
+
+
+def run_trailer_job(backend):
+    words = [f"w{(index * 7) % 11}" for index in range(60)] + [END]
+    job = JobSpec("trailer", TrailerMapper(), TrailerReducer(),
+                  partitioner=trailer_last, requires_secondary_keys=True)
+    runner = LocalJobRunner(laptop_cluster(), backend=backend)
+    return runner.run(job, Dataset.from_records(list(enumerate(words))))
+
+
+class TestWordCountParity:
+    """Whole jobs: output records, counters and full stats on every backend."""
+
+    def test_output_and_stats_identical(self, process_backend):
+        disk = DiskShuffleBackend(memory_budget_bytes=512, merge_fan_in=2)
+        for run_job in (run_wordcount, run_trailer_job):
+            base = run_job(SerialBackend())
+            for backend in (process_backend, INLINE, disk):
+                result = run_job(backend)
+                assert list(result.output.records) == list(base.output.records)
+                assert (comparable_stats(result.stats)
+                        == comparable_stats(base.stats)), backend.name
+            # The disk run spilled, merged in several passes, kept its ceiling.
+            assert result.stats.counters["shuffle/runs_written"] > 2
+            assert result.stats.counters["shuffle/merge_passes"] > 1
+            assert result.stats.counters["shuffle/peak_buffer_bytes"] <= 512
+
+    def test_cleanup_emissions_and_secondary_order_reach_the_output(self):
+        """The reduce loop's other half, which the parity above rests on."""
+        result = run_trailer_job(SerialBackend())
+        output = list(result.output.records)
+        assert output[-1] == (END, [60])
+        assert all(positions == sorted(positions, reverse=True)
+                   for _word, positions in output[:-1])
+        assert result.stats.counters == {"words_mapped": 60, "groups_reduced": 12}
 
 
 class TestJoinParity:
-    """Serial, thread and process backends agree on every join."""
+    """Serial, inline multi-task and process backends agree on every join."""
 
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
-    def test_algorithms_agree_across_backends(self, algorithm, thread_backend,
-                                              process_backend):
+    def test_algorithms_agree_across_backends(self, algorithm, process_backend):
         corpus = small_corpus()
         base = run_join(SerialBackend(), corpus, algorithm=algorithm)
-        for backend in (thread_backend, process_backend):
+        for backend in (INLINE, process_backend):
             result = run_join(backend, corpus, algorithm=algorithm)
             assert result.pairs == base.pairs, backend.name
             assert result.counters() == base.counters(), backend.name
@@ -202,30 +278,22 @@ class TestJoinParity:
                     (backend.name, mine.job_name)
 
     @pytest.mark.parametrize("measure", supported_measures())
-    def test_measures_agree_across_backends(self, measure, thread_backend,
-                                            process_backend):
+    def test_measures_agree_across_backends(self, measure, process_backend):
         corpus = small_corpus(count=10)
         base = run_join(SerialBackend(), corpus, measure=measure)
-        for backend in (thread_backend, process_backend):
+        for backend in (INLINE, process_backend):
             result = run_join(backend, corpus, measure=measure)
             assert result.pairs == base.pairs, (backend.name, measure)
             assert result.counters() == base.counters(), (backend.name, measure)
 
-    def test_simulated_seconds_are_backend_invariant(self, process_backend):
-        corpus = small_corpus()
-        base = run_join(SerialBackend(), corpus)
-        result = run_join(process_backend, corpus)
-        assert result.simulated_seconds == base.simulated_seconds
-
     @pytest.mark.parametrize("element_order", ["frequency", "hash"])
-    def test_vcl_agrees_across_backends(self, element_order, thread_backend,
-                                        process_backend):
+    def test_vcl_agrees_across_backends(self, element_order, process_backend):
         # The VCL kernel mapper carries a rank function as state; this is the
         # pickling-sensitive path the vsmart pipelines never exercise.
         corpus = small_corpus()
         base = join(corpus, threshold=0.3, algorithm="vcl",
                     vcl_element_order=element_order).pairs
-        for backend in (thread_backend, process_backend):
+        for backend in (INLINE, process_backend):
             pairs = join(corpus, threshold=0.3, algorithm="vcl",
                          vcl_element_order=element_order,
                          backend=backend).pairs
@@ -268,10 +336,10 @@ class TestPropertyParity:
            algorithm=st.sampled_from(JOINING_ALGORITHMS),
            threshold=st.sampled_from([0.2, 0.5, 0.8]))
     def test_random_corpora_agree(self, corpus, algorithm, threshold,
-                                  thread_backend, process_backend):
+                                  process_backend):
         base = run_join(SerialBackend(), corpus, algorithm=algorithm,
                         threshold=threshold)
-        for backend in (thread_backend, process_backend):
+        for backend in (INLINE, process_backend):
             result = run_join(backend, corpus, algorithm=algorithm,
                               threshold=threshold)
             assert result.pairs == base.pairs, backend.name
@@ -285,12 +353,12 @@ class TestPropertyParity:
            intern=st.booleans())
     def test_exec_backends_are_bit_identical(self, corpus, algorithm, measure,
                                              threshold, intern):
-        """Disk-shuffle and SQL backends reproduce serial joins exactly.
+        """The disk-shuffle backend reproduces serial joins exactly.
 
-        Output pairs, counters (minus reserved telemetry namespaces) and
+        Output pairs, counters (minus the reserved telemetry namespace) and
         the complete per-job statistics must match bit for bit, across
         measures, joining algorithms and interning on/off — the same
-        discipline the thread/process backends are held to.
+        discipline the process backend is held to.
         """
         base = run_join(SerialBackend(), corpus, algorithm=algorithm,
                         measure=measure, threshold=threshold, intern=intern)

@@ -43,7 +43,7 @@ from repro.similarity.exact import all_pairs_exact
 from repro.similarity.registry import supported_measures
 from repro.vcl.driver import VCLConfig, VCLJoin
 from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
-from tests.conftest import make_random_multisets
+from tests.conftest import BACKENDS, make_random_multisets, strip_telemetry
 
 
 def skewed_corpus():
@@ -175,7 +175,7 @@ class TestEngineParity:
         assert result.pairs == all_pairs_exact(small_multisets, "ruzicka",
                                                0.3)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS, ids=str)
     def test_backend_parity(self, backend, small_multisets, test_cluster):
         spec = JoinSpec(threshold=0.3)
         with SimilarityEngine(cluster=test_cluster,
@@ -186,7 +186,7 @@ class TestEngineParity:
         serial = VSmartJoin(spec.vsmart_config("online_aggregation"),
                             cluster=test_cluster).run(small_multisets)
         assert result.pairs == serial.pairs
-        assert result.counters() == serial.pipeline.counters()
+        assert strip_telemetry(result.counters()) == serial.pipeline.counters()
         assert result.simulated_seconds == serial.simulated_seconds
 
     def test_sequential_baselines_find_the_exact_pairs(self, small_multisets,
@@ -221,7 +221,7 @@ class TestEngineParity:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            measure=st.sampled_from(sorted(supported_measures())),
            algorithm=st.sampled_from(JOINING_ALGORITHMS + ("vcl", "exact")),
-           backend=st.sampled_from(["serial", "thread"]),
+           backend=st.sampled_from(BACKENDS),
            threshold=st.sampled_from([0.2, 0.5, 0.8]),
            intern=st.booleans())
     def test_property_engine_equals_legacy(self, seed, measure, algorithm,

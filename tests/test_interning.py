@@ -48,7 +48,7 @@ from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
-from tests.conftest import make_random_multisets
+from tests.conftest import BACKENDS, make_random_multisets
 
 
 class TestElementDictionary:
@@ -323,7 +323,7 @@ class TestPipelineEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            measure=st.sampled_from(supported_measures()),
            algorithm=st.sampled_from(JOINING_ALGORITHMS),
-           backend=st.sampled_from(["serial", "thread", "process"]),
+           backend=st.sampled_from(BACKENDS),
            threshold=st.sampled_from([0.25, 0.5, 0.75]))
     def test_property_interned_pruned_pipeline_matches_exact(
             self, seed, measure, algorithm, backend, threshold):

@@ -30,7 +30,7 @@ from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
-from tests.conftest import make_random_multisets, unreplicated_fleet
+from tests.conftest import InlineBackend, make_random_multisets, unreplicated_fleet
 
 
 def threshold_matches(target, query: Multiset, threshold: float) -> list:
@@ -600,17 +600,18 @@ class TestBootstrap:
         threshold = 0.4
         join = VSmartJoin(VSmartJoinConfig(threshold=threshold),
                           cluster=test_cluster).run(small_multisets)
-        explicit = bootstrap_from_join(small_multisets, join, num_shards=2)
-        inline = bootstrap_from_join(small_multisets, threshold=threshold,
-                                     num_shards=2, run_join=True,
-                                     cluster=test_cluster, backend="thread")
-        for member in small_multisets:
-            assert [(m.multiset_id, m.similarity)
-                    for m in threshold_matches(inline, member, threshold)] \
-                == [(m.multiset_id, m.similarity)
-                    for m in threshold_matches(explicit, member, threshold)]
-        # The inline join warmed the caches just like the explicit one.
-        assert inline.stats()["cache/hits"] == explicit.stats()["cache/hits"]
+        for backend in (InlineBackend(), "disk"):
+            explicit = bootstrap_from_join(small_multisets, join, num_shards=2)
+            inline = bootstrap_from_join(small_multisets, threshold=threshold,
+                                         num_shards=2, run_join=True,
+                                         cluster=test_cluster, backend=backend)
+            for member in small_multisets:
+                assert [(m.multiset_id, m.similarity)
+                        for m in threshold_matches(inline, member, threshold)] \
+                    == [(m.multiset_id, m.similarity)
+                        for m in threshold_matches(explicit, member, threshold)]
+            # The inline join warmed the caches just like the explicit one.
+            assert inline.stats()["cache/hits"] == explicit.stats()["cache/hits"]
 
     def test_run_join_accepts_one_shot_iterators(self, small_multisets, test_cluster):
         # The inline join and the index build must not consume `data` twice.

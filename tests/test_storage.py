@@ -214,7 +214,7 @@ class TestSpecDescription:
         assert restored == spec
 
     def test_session_infrastructure_is_not_persisted(self, test_cluster):
-        spec = JoinSpec(cluster=test_cluster, backend="thread",
+        spec = JoinSpec(cluster=test_cluster, backend="process",
                         enforce_budgets=True)
         restored = spec_from_description(describe_spec(spec))
         assert restored.cluster is None

@@ -48,7 +48,7 @@ from repro.streaming.changes import (
 )
 from repro.streaming.subscribers import attach_serving
 from repro.streaming.view import INCREMENTAL, REJOIN, JoinView
-from tests.conftest import make_random_multisets, unreplicated_fleet
+from tests.conftest import BACKENDS, make_random_multisets, unreplicated_fleet
 
 #: Fixed identifier / alphabet universes for the stateful machine: small
 #: enough that collisions (replaces, re-adds, shared elements) are common.
@@ -545,7 +545,7 @@ class JoinViewParityMachine(RuleBasedStateMachine):
                                          "vector_cosine", "dice"]),
                 algorithm=st.sampled_from(["exact", "online_aggregation",
                                            "sharding"]),
-                backend=st.sampled_from(["serial", "thread"]),
+                backend=st.sampled_from(BACKENDS),
                 intern=st.booleans(),
                 threshold=st.sampled_from([0.3, 0.5, 0.8]),
                 seed=st.integers(min_value=0, max_value=10_000))

@@ -53,7 +53,6 @@ from repro.mapreduce.types import (
     JobStats,
     KeyValue,
     PhaseStats,
-    PipelineStats,
     estimate_record_bytes,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "Mapper",
     "PhaseStats",
     "PipelineResult",
-    "PipelineStats",
     "ProcessBackend",
     "Reducer",
     "SerialBackend",

@@ -20,12 +20,12 @@ memory budget, reproducing the thrashing failures discussed in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.partitioner import Partitioner, hash_partitioner
-from repro.mapreduce.types import KeyValue
+from repro.mapreduce.types import KeyValue, sized_key_value
 
 
 class TaskContext:
@@ -207,25 +207,19 @@ class JobSpec:
 
 
 def normalise_emit(emitted: Any) -> KeyValue:
-    """Normalise a mapper/combiner emission into a :class:`KeyValue`.
+    """Normalise a mapper emission into a :class:`KeyValue` that knows its size.
 
     Accepts ``KeyValue`` instances, ``(key, value)`` pairs and
-    ``(key, value, secondary)`` triples.
+    ``(key, value, secondary)`` triples.  This is where a record is sized:
+    once, at emission (a ``KeyValue`` that already carries its size, such as
+    one read back from a map-only job's output, is passed through as it is).
     """
+    if isinstance(emitted, tuple) and 2 <= len(emitted) <= 3:
+        return sized_key_value(*emitted)
     if isinstance(emitted, KeyValue):
-        return emitted
-    if isinstance(emitted, tuple) and len(emitted) == 2:
-        return KeyValue(emitted[0], emitted[1])
-    if isinstance(emitted, tuple) and len(emitted) == 3:
-        return KeyValue(emitted[0], emitted[1], emitted[2])
+        if emitted.size_bytes:
+            return emitted
+        return sized_key_value(emitted.key, emitted.value, emitted.secondary)
     raise JobConfigurationError(
         "mappers must emit KeyValue records, (key, value) pairs or "
         f"(key, value, secondary) triples; got {type(emitted).__name__}")
-
-
-def iterate_emissions(emissions: Iterable[Any] | None) -> Iterator[KeyValue]:
-    """Yield normalised emissions, treating ``None`` as empty."""
-    if emissions is None:
-        return
-    for emitted in emissions:
-        yield normalise_emit(emitted)

@@ -9,6 +9,14 @@ parameters), is executed by a module-level function — so tasks can be
 shipped to worker processes by pickling — and returns both its emissions
 and an exact :class:`~repro.mapreduce.types.PhaseStats` partial.
 
+Bytes are accounted by one rule: a record is sized at emission, never
+re-walked.  A map task sizes each input record as it reads it and each
+emission as it becomes a :class:`~repro.mapreduce.types.KeyValue`; a
+combine task sizes what the combiner emits; a reduce task sizes the
+reducer's output records.  Everything downstream — a combine or reduce
+group's ``bytes_in``, the memory-budget check on a materialised value list,
+the external shuffle's buffer — reads the size the record carries.
+
 All partial statistics are integer-valued, so merging them (sums and maxes)
 reproduces the serial runner's :class:`~repro.mapreduce.types.JobStats`
 bit-for-bit regardless of how the work was split across workers.  Map and
@@ -21,15 +29,25 @@ because task slices are contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Hashable, Iterable, Iterator
 
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobSpec, TaskContext, iterate_emissions
-from repro.mapreduce.types import KeyValue, PhaseStats, estimate_record_bytes
+from repro.mapreduce.job import JobSpec, TaskContext, normalise_emit
+from repro.mapreduce.types import (
+    KeyValue,
+    PhaseStats,
+    estimate_record_bytes,
+    sized_key_value,
+)
 
 #: The shuffle's spill structure: reduce partition -> key -> records.
 Spill = dict[int, dict[Any, list[KeyValue]]]
+
+#: The size a record was given when it was emitted: the tasks read this
+#: and never walk a ``KeyValue`` again.
+_carried_bytes = attrgetter("size_bytes")
 
 
 def check_memory_budget(job_name: str, what: str, required: int,
@@ -103,6 +121,10 @@ class MapTaskResult:
     worker ships back); without it the flat list is the product.  Cleanup
     emissions are always returned flat — the runner partitions them last,
     mirroring their position at the end of the serial runner's single pass.
+
+    Every record in all three was sized when it was emitted and carries
+    that size (``KeyValue.size_bytes``, which pickles with it), so neither
+    the runner nor a later task walks it again.
     """
 
     emissions: list[KeyValue]
@@ -123,18 +145,21 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
     phase = PhaseStats()
     emissions: list[KeyValue] = []
     spill: Spill | None = {} if task.build_spill else None
+    machine_work = phase.machine_work
     max_input_record = 0
     max_output_record = 0
     for offset, record in enumerate(task.records):
-        machine = (task.start_index + offset) % task.num_machines
         bytes_in = estimate_record_bytes(record)
-        max_input_record = max(max_input_record, bytes_in)
+        if bytes_in > max_input_record:
+            max_input_record = bytes_in
         bytes_out = 0
         emitted_count = 0
-        for key_value in iterate_emissions(job.mapper.map(record, context)):
-            size = estimate_record_bytes(key_value)
+        for emitted in job.mapper.map(record, context) or ():
+            key_value = normalise_emit(emitted)
+            size = _carried_bytes(key_value)
             bytes_out += size
-            max_output_record = max(max_output_record, size)
+            if size > max_output_record:
+                max_output_record = size
             if spill is None:
                 emissions.append(key_value)
             else:
@@ -146,15 +171,18 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         phase.records_out += emitted_count
         phase.bytes_in += bytes_in
         phase.bytes_out += bytes_out
-        phase.add_machine_work(machine, work)
-    cleanup_emissions: list[KeyValue] = []
-    cleanup_bytes = 0
-    for key_value in iterate_emissions(job.mapper.cleanup(context)):
-        size = estimate_record_bytes(key_value)
-        cleanup_bytes += size
-        max_output_record = max(max_output_record, size)
-        cleanup_emissions.append(key_value)
+        # ``phase.add_machine_work``, spelled out: this runs once per record.
+        machine = (task.start_index + offset) % task.num_machines
+        machine_work[machine] = machine_work.get(machine, 0.0) + work
+        phase.work_units += work
+        if work > phase.max_unit_work:
+            phase.max_unit_work = work
+    cleanup_emissions = [normalise_emit(emitted)
+                         for emitted in job.mapper.cleanup(context) or ()]
     if cleanup_emissions:
+        cleanup_bytes = sum(map(_carried_bytes, cleanup_emissions))
+        max_output_record = max(max_output_record,
+                                max(map(_carried_bytes, cleanup_emissions)))
         phase.records_out += len(cleanup_emissions)
         phase.bytes_out += cleanup_bytes
         phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup_emissions))
@@ -224,17 +252,17 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
         combined: list[KeyValue] = []
         for (key, secondary), key_values in groups.items():
             values = [kv.value for kv in key_values]
-            machine_bytes_in += sum(estimate_record_bytes(kv) for kv in key_values)
+            machine_bytes_in += sum(map(_carried_bytes, key_values))
             records_in += len(values)
             for value in combiner.combine(key, values, context):
-                new_kv = KeyValue(key, value, secondary)
+                new_kv = sized_key_value(key, value, secondary)
                 # As for map tasks: either the flat output or the spill is
                 # the product, never both.
                 if spill is None:
                     combined.append(new_kv)
                 else:
                     spill_record(spill, job.partitioner(key, task.num_reducers), new_kv)
-                machine_bytes_out += estimate_record_bytes(new_kv)
+                machine_bytes_out += _carried_bytes(new_kv)
                 records_out += 1
         work = machine_bytes_in + machine_bytes_out + task.overhead * records_in
         outputs.append(CombineMachineOutput(
@@ -334,15 +362,18 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
         if task.sort_by_secondary:
             key_values.sort(key=_secondary_order)
         values = [kv.value for kv in key_values]
-        bytes_in = sum(estimate_record_bytes(kv) for kv in key_values)
+        bytes_in = sum(map(_carried_bytes, key_values))
         reduce_groups += 1
-        max_group_records = max(max_group_records, len(values))
-        max_group_bytes = max(max_group_bytes, bytes_in)
+        if len(values) > max_group_records:
+            max_group_records = len(values)
+        if bytes_in > max_group_bytes:
+            max_group_bytes = bytes_in
         if reducer.materializes_input:
             # Side data is loaded by the mappers of the jobs in this
             # library, so the reducer budget covers only the
             # materialised value list.
-            peak_task_memory = max(peak_task_memory, bytes_in)
+            if bytes_in > peak_task_memory:
+                peak_task_memory = bytes_in
             check_memory_budget(job.name, f"reduce value list of key {key!r}",
                                 bytes_in, task.memory_budget)
         bytes_out = 0

@@ -221,8 +221,7 @@ class LocalJobRunner:
         with grouper:  # removes its run files on every exit path
             partitioner = job.partitioner
             for key_value in map_output:
-                grouper.add(partitioner(key_value.key, num_reducers),
-                            key_value, estimate_record_bytes(key_value))
+                grouper.add(partitioner(key_value.key, num_reducers), key_value)
             # The merge is one lazy stream, so one task (never a list:
             # materialising it would give up the memory ceiling).
             output_records = self._run_reduce_phase(

@@ -107,13 +107,15 @@ class ExternalGrouper:
 
     # -- building -------------------------------------------------------------
 
-    def add(self, partition: int, key_value: KeyValue,
-            size_bytes: int | None = None) -> None:
-        """Buffer one record, spilling a sorted run when over budget."""
+    def add(self, partition: int, key_value: KeyValue) -> None:
+        """Buffer one record, spilling a sorted run when over budget.
+
+        The buffer is charged the size the record was emitted with; a
+        hand-built record that carries none is sized here.
+        """
         if self._closed:
             raise BackendError("ExternalGrouper is closed")
-        size = (estimate_record_bytes(key_value) if size_bytes is None
-                else int(size_bytes))
+        size = key_value.size_bytes or estimate_record_bytes(key_value)
         if self._buffer and self._buffered_bytes + size > self.memory_budget_bytes:
             self._flush_run()
         seq = self._next_seq

@@ -8,25 +8,40 @@ loads into a deterministic simulated run time.  This mirrors how the paper
 reasons about its algorithms: the bottleneck is always "the slowest machine"
 (the reducer with the longest ``reduce_value_list``, the mapper holding the
 largest multiset), not the aggregate work.
+
+Bytes come from one definition of a record's size.
+:func:`walk_record_bytes` is that definition, a recursive walk over any
+value; :func:`estimate_record_bytes` is what the simulator calls, the same
+numbers through a sizer compiled once per class for the types the pipelines
+actually move (numbers, text, tuples, lists, the record dataclasses) and
+the walker itself for any type without one.  The rule the runner keeps:
+a record is **sized at emission, never re-walked** — the mapper's and
+combiner's output is sized where it becomes a :class:`KeyValue`
+(:func:`sized_key_value`) and the number travels with the record through
+the combine, shuffle and reduce phases.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 #: Rough per-object overhead charged by the size estimator, in bytes.
 _OBJECT_OVERHEAD = 16
 
 
-def estimate_record_bytes(value: Any) -> int:
-    """Estimate the serialised size of a record, in bytes.
+def walk_record_bytes(value: Any) -> int:
+    """The reference definition of a record's estimated size, in bytes.
 
-    The estimate is intentionally coarse (it models a compact binary
-    serialisation, not Python object overhead) but it is *consistent*, which
-    is all the cost model needs: relative sizes drive the shuffle volume,
-    the memory-budget checks and the per-machine load balance.
+    A recursive walk whose check order is the contract: ``bool`` before
+    ``int``; a callable ``estimated_bytes`` beats float / text / container /
+    dataclass; a subclass (``IntEnum``, ``NamedTuple``, a ``str`` subclass)
+    is what its base is.  Dataclass fields declared ``compare=False`` are
+    bookkeeping carried beside the record (a :class:`KeyValue`'s size), not
+    payload, and are not counted.  :func:`estimate_record_bytes` falls back
+    to this walker for every type without a compiled sizer, and the tests
+    hold the compiled sizers to it.
     """
     if value is None or isinstance(value, bool):
         return 1
@@ -40,20 +55,85 @@ def estimate_record_bytes(value: Any) -> int:
     if isinstance(value, (str, bytes)):
         return len(value) + 4
     if isinstance(value, (tuple, list, set, frozenset)):
-        return _OBJECT_OVERHEAD + sum(estimate_record_bytes(item) for item in value)
+        return _OBJECT_OVERHEAD + sum(walk_record_bytes(item) for item in value)
     if isinstance(value, dict):
         return _OBJECT_OVERHEAD + sum(
-            estimate_record_bytes(key) + estimate_record_bytes(item)
+            walk_record_bytes(key) + walk_record_bytes(item)
             for key, item in value.items())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _OBJECT_OVERHEAD + sum(
-            estimate_record_bytes(getattr(value, fld.name))
-            for fld in dataclasses.fields(value))
+            walk_record_bytes(getattr(value, fld.name))
+            for fld in dataclasses.fields(value) if fld.compare)
     if hasattr(value, "items"):
         return _OBJECT_OVERHEAD + sum(
-            estimate_record_bytes(key) + estimate_record_bytes(item)
+            walk_record_bytes(key) + walk_record_bytes(item)
             for key, item in value.items())
     return _OBJECT_OVERHEAD
+
+
+def _text_bytes(value: str | bytes) -> int:
+    return len(value) + 4
+
+
+def _container_bytes(items: Iterable[Any]) -> int:
+    """Overhead plus the size of every item: a tuple, a list, a record's fields."""
+    total = _OBJECT_OVERHEAD
+    for item in items:
+        sizer = _SIZERS[type(item)]
+        total += sizer if type(sizer) is int else sizer(item)
+    return total
+
+
+class _Sizers(dict):
+    """Exact type -> its size (an ``int``) or its sizer, compiled on a miss.
+
+    Keyed by the *exact* type, so a subclass never lands on its base's
+    entry: it is compiled (or sent to the walker) in its own right.  The
+    table holds one entry per class the process has sized, nothing per
+    record.
+    """
+
+    def __missing__(self, cls: type) -> Callable[[Any], int]:
+        sizer = self[cls] = _compile_sizer(cls)
+        return sizer
+
+
+#: Types the walker settles before (or instead of) looking at dataclass fields.
+_WALKED_AS_BUILTIN = (int, float, str, bytes, tuple, list, set, frozenset, dict)
+
+
+def _compile_sizer(cls: type) -> Callable[[Any], int]:
+    """A sizer over ``cls``'s resolved field names; the walker for the rest."""
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, _WALKED_AS_BUILTIN):
+        return walk_record_bytes
+    names = [fld.name for fld in dataclasses.fields(cls) if fld.compare]
+    if hasattr(cls, "estimated_bytes") or "estimated_bytes" in names:
+        return walk_record_bytes
+    fields = "".join(f"value.{name}, " for name in names)
+    return eval(f"lambda value: container_bytes(({fields}))",
+                {"container_bytes": _container_bytes})
+
+
+_SIZERS = _Sizers({type(None): 1, bool: 1, int: 8, float: 8,
+                   str: _text_bytes, bytes: _text_bytes,
+                   tuple: _container_bytes, list: _container_bytes})
+
+
+def estimate_record_bytes(value: Any) -> int:
+    """Estimate the serialised size of a record, in bytes.
+
+    The estimate is intentionally coarse (it models a compact binary
+    serialisation, not Python object overhead) but it is *consistent*, which
+    is all the cost model needs: relative sizes drive the shuffle volume,
+    the memory-budget checks and the per-machine load balance.
+
+    Dispatches on the exact type to a sizer compiled once per class
+    (constants, ``len + 4``, a loop over items or over a record dataclass's
+    fields); :func:`walk_record_bytes` defines the size of every other type
+    and is what each compiled sizer must equal.
+    """
+    sizer = _SIZERS[type(value)]
+    return sizer if type(sizer) is int else sizer(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +146,25 @@ class KeyValue:
     profile allows it.  One ``KeyValue`` is allocated per emission, so the
     class is slotted: the saved ``__dict__`` per record is the single
     biggest memory lever in a large shuffle.
+
+    ``size_bytes`` is the record's estimated size, filled in once when the
+    record is emitted (:func:`sized_key_value`) and read by every later
+    phase instead of walking the record again; ``0`` means not sized yet.
+    It is no part of the record: equality, hashing, ``repr`` and the
+    record's own estimated size ignore it.
     """
 
     key: Hashable
     value: Any
     secondary: Hashable = None
+    size_bytes: int = field(default=0, compare=False, repr=False)
+
+
+def sized_key_value(key: Hashable, value: Any,
+                    secondary: Hashable = None) -> KeyValue:
+    """A :class:`KeyValue` carrying its own :func:`estimate_record_bytes`."""
+    return KeyValue(key, value, secondary,
+                    _container_bytes((key, value, secondary)))
 
 
 @dataclass
@@ -164,43 +258,3 @@ class JobStats:
         """Accumulate counter values into this job's counter map."""
         for name, value in counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-
-
-@dataclass
-class PipelineStats:
-    """Aggregated statistics over a multi-job pipeline."""
-
-    name: str = ""
-    jobs: list[JobStats] = field(default_factory=list)
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated run time of all jobs in the pipeline."""
-        return sum(job.simulated_seconds for job in self.jobs)
-
-    @property
-    def shuffle_bytes(self) -> int:
-        """Total bytes shuffled across all jobs."""
-        return sum(job.shuffle_bytes for job in self.jobs)
-
-    @property
-    def total_map_records(self) -> int:
-        """Total records consumed by all map phases."""
-        return sum(job.map.records_in for job in self.jobs)
-
-    def job(self, name: str) -> JobStats:
-        """Return the stats of the job called ``name``."""
-        for stats in self.jobs:
-            if stats.job_name == name:
-                return stats
-        available = ", ".join(repr(stats.job_name) for stats in self.jobs)
-        raise KeyError(f"no job named {name!r} in pipeline {self.name!r}; "
-                       f"available jobs: {available or '(none)'}")
-
-    def counters(self) -> dict[str, int]:
-        """Return all counters summed across jobs."""
-        merged: dict[str, int] = {}
-        for job in self.jobs:
-            for key, value in job.counters.items():
-                merged[key] = merged.get(key, 0) + value
-        return merged

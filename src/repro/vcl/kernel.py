@@ -42,7 +42,10 @@ class ElementFrequencyMapper(Mapper):
     """Count element frequencies: ``<Mi, {m_ik}> -> (<a_k, 1>)*``."""
 
     def map(self, record: Multiset, context: TaskContext) -> Iterator[tuple]:
-        for element in record.underlying_set:
+        # The multiset's stored element order, not a fresh set's: emission
+        # order decides each emission's machine, so it must not depend on
+        # the process's string hash seed.
+        for element in record:
             yield (element, 1)
 
 

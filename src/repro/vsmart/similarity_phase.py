@@ -193,6 +193,7 @@ class Similarity1Reducer(Reducer):
             yield from self._emit_chunk_pairs(key, postings, chunk_size, context)
             return
         candidate_filter = self.filter
+        candidates = 0
         pruned = 0
         for index_i in range(frequency):
             posting_i = postings[index_i]
@@ -203,8 +204,12 @@ class Similarity1Reducer(Reducer):
                 if candidate_filter.rejects(posting_i, posting_j):
                     pruned += 1
                     continue
-                context.increment("similarity1/candidate_records", 1)
+                candidates += 1
                 yield candidate_filter.pair_record(posting_i, posting_j)
+        # Counted per group, not per pair: the pair loop is the join's
+        # innermost and a counter update costs two calls.
+        if candidates:
+            context.increment("similarity1/candidate_records", candidates)
         if pruned:
             context.increment("similarity1/candidates_pruned", pruned)
 

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.exceptions import JobConfigurationError
+from repro.core.interning import InternedMultiset
+from repro.core.multiset import Multiset
+from repro.core.records import (
+    InputTuple,
+    JoinedTuple,
+    PairContribution,
+    PairKey,
+    PostingEntry,
+    SimilarPair,
+)
+from repro.mapreduce import types as mapreduce_types
 from repro.mapreduce.cluster import (
     GIGABYTE,
     GOOGLE_MAPREDUCE,
@@ -24,7 +41,15 @@ from repro.mapreduce.partitioner import (
     stable_hash,
 )
 from repro.mapreduce.runner import LocalJobRunner
-from repro.mapreduce.types import JobStats, KeyValue, PhaseStats, estimate_record_bytes
+from repro.mapreduce.types import (
+    JobStats,
+    KeyValue,
+    PhaseStats,
+    estimate_record_bytes,
+    sized_key_value,
+    walk_record_bytes,
+)
+from repro.vsmart.similarity_phase import ChunkPairRecord
 from tests.test_mapreduce_runner import WordCountMapper, WordCountReducer
 
 
@@ -159,6 +184,134 @@ class TestSizeEstimation:
                 return 12345
 
         assert estimate_record_bytes(Hinted()) == 12345
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 70_000
+
+
+class Point(NamedTuple):
+    x: object
+    y: object
+
+
+class Label(str):
+    """A ``str`` subclass: sized as text, but not by the exact-``str`` entry."""
+
+
+class Hinted:
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def estimated_bytes(self) -> int:
+        return self.size
+
+
+@dataclasses.dataclass(frozen=True)
+class HintedRecord:
+    """A dataclass whose ``estimated_bytes`` beats its fields."""
+
+    payload: object
+    size: int
+
+    def estimated_bytes(self) -> int:
+        return self.size
+
+
+class MappingLike:
+    """Neither a dict nor a dataclass: sized through ``.items()``."""
+
+    def __init__(self, pairs: list) -> None:
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+#: Every record dataclass the pipelines move (and a ``NamedTuple``), with
+#: free-form fields.
+RECORD_TYPES = (
+    (KeyValue, 3), (JoinedTuple, 4), (PostingEntry, 3), (PairKey, 4),
+    (PairContribution, 2), (SimilarPair, 3), (ChunkPairRecord, 4), (Point, 2),
+)
+
+
+def sizeable_values():
+    """Recursively generated values covering every branch of the walker."""
+    hashable = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+        st.text(max_size=8), st.binary(max_size=8), st.sampled_from(Colour),
+        st.text(max_size=8).map(Label))
+    sizes = st.integers(min_value=0, max_value=10_000)
+    leaves = st.one_of(
+        hashable, sizes.map(Hinted),
+        st.sets(hashable, max_size=4), st.frozensets(hashable, max_size=4),
+        st.builds(InputTuple, hashable, hashable,
+                  st.floats(min_value=0.5, max_value=9.0)),
+        st.builds(Multiset, st.text(max_size=4),
+                  st.dictionaries(st.text(max_size=4), st.integers(1, 5),
+                                  max_size=4)),
+        st.lists(st.integers(0, 50), max_size=4, unique=True).map(
+            lambda ids: InternedMultiset("m", tuple(sorted(ids)),
+                                         tuple(1.0 for _ in ids))))
+
+    def extend(children):
+        records = [st.tuples(*[children] * arity).map(lambda args, t=record_type:
+                                                       t(*args))
+                   for record_type, arity in RECORD_TYPES]
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(hashable, children, max_size=4),
+            st.builds(HintedRecord, children, sizes),
+            st.lists(st.tuples(hashable, children), max_size=3).map(MappingLike),
+            *records)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+class TestSizerEquivalence:
+    """The compiled sizers against the reference walker."""
+
+    @given(value=sizeable_values(), walker_first=st.booleans(),
+           cold=st.booleans())
+    def test_compiled_sizers_equal_the_walker(self, value, walker_first, cold):
+        if cold:
+            # Forget every class compiled so far: the next call compiles anew.
+            sizers = mapreduce_types._SIZERS
+            for cls in [cls for cls in sizers if cls.__module__ != "builtins"]:
+                del sizers[cls]
+        if walker_first:
+            expected = walk_record_bytes(value)
+            actual = estimate_record_bytes(value)
+        else:
+            actual = estimate_record_bytes(value)
+            expected = walk_record_bytes(value)
+        assert actual == expected
+        assert estimate_record_bytes(value) == expected  # the warm call
+
+    def test_check_order_is_the_walkers(self):
+        # bool before int; an int subclass is an int; a tuple or str
+        # subclass is what its base is; a size hint beats the fields.
+        assert estimate_record_bytes(True) == 1
+        assert estimate_record_bytes(Colour.BLUE) == 8
+        assert estimate_record_bytes(Point(1, 2.0)) == 16 + 8 + 8
+        assert estimate_record_bytes(Label("abc")) == 3 + 4
+        assert estimate_record_bytes(HintedRecord(("x",) * 50, 7)) == 7
+        assert estimate_record_bytes(Multiset("m", {"a": 1})) == (
+            Multiset("m", {"a": 1}).estimated_bytes())
+
+    def test_carried_size_is_no_part_of_the_record(self):
+        plain = KeyValue("key", (1.0, 2.0), 3)
+        sized = sized_key_value("key", (1.0, 2.0), 3)
+        assert sized.size_bytes == estimate_record_bytes(plain) == (
+            walk_record_bytes(plain))
+        assert plain.size_bytes == 0
+        assert sized == plain and hash(sized) == hash(plain)
+        assert repr(sized) == repr(plain)
+        assert estimate_record_bytes(sized) == walk_record_bytes(sized) == (
+            sized.size_bytes)
 
 
 class TestPartitioners:

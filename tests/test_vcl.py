@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +140,32 @@ class TestVCLCorrectness:
         result = VCLJoin(VCLConfig(threshold=threshold), cluster=cluster).run(multisets)
         expected = {p.pair for p in all_pairs_exact(multisets, "ruzicka", threshold)}
         assert {p.pair for p in result.pairs} == expected
+
+
+#: Prints the per-job statistics of one VCL join over string elements.
+HASH_SEED_PROBE = """
+import dataclasses, json
+from repro.vcl.driver import VCLConfig, VCLJoin
+from tests.conftest import make_random_multisets
+
+corpus = make_random_multisets(40, alphabet_size=60, max_elements=25, seed=7)
+result = VCLJoin(VCLConfig(measure="ruzicka", threshold=0.3)).run(corpus)
+print(json.dumps([dataclasses.asdict(stats)
+                  for stats in result.pipeline.job_stats], sort_keys=True))
+"""
+
+
+def test_job_stats_do_not_depend_on_the_hash_seed():
+    """Emission order (hence machines, combine groups, shuffle bytes and
+    simulated seconds) must come from the data, not from ``hash(str)``."""
+    def job_stats(hash_seed: str) -> str:
+        environment = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                           PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                              env=environment, check=True, timeout=120,
+                              capture_output=True, text=True).stdout
+
+    assert job_stats("1") == job_stats("2")
 
 
 class TestVCLScalabilityLimits:

@@ -121,6 +121,18 @@ class Multiset(Mapping):
     def __contains__(self, element: object) -> bool:
         return element in self._elements
 
+    # The dict's own views: ``Mapping``'s fallbacks walk ``__getitem__``
+    # once per element in Python, on the serving tier's per-request path.
+
+    def keys(self):
+        return self._elements.keys()
+
+    def values(self):
+        return self._elements.values()
+
+    def items(self):
+        return self._elements.items()
+
     # -- identity and equality ---------------------------------------------
 
     @property

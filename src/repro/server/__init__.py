@@ -1,20 +1,21 @@
 """Network-facing async serving tier: HTTP/JSON over the serving fleet.
 
-The package splits along transport-independent seams:
+The package splits along these seams:
 
-* :mod:`repro.server.app` — :class:`SimilarityServerApp`, the
-  protocol-agnostic dispatcher (routes, bounded queues, lifecycle) plus the
-  ASGI adapter :func:`asgi_app` for uvicorn-style deployment;
-* :mod:`repro.server.http` — the stdlib :mod:`asyncio` HTTP/1.1 transport,
-  :func:`serve_forever` and the :class:`InProcessServer` test harness;
+* :mod:`repro.server.app` — :class:`SimilarityServerApp`, the dispatcher
+  (routes, bounded queues, the loop-side cached read, lifecycle);
+* :mod:`repro.server.http` — the one transport: an :mod:`asyncio`
+  protocol speaking HTTP/1.1, :func:`serve_forever` and the
+  :class:`InProcessServer` test harness;
 * :mod:`repro.server.client` — :class:`SimilarityClient`, the synchronous
-  wire client raising :class:`RemoteServerError` with stable error codes;
+  client speaking HTTP/1.1 over its own socket and raising
+  :class:`RemoteServerError` with stable error codes;
 * :mod:`repro.server.queues` — :class:`CoalescingQueue`, the bounded
   admission/batching primitive behind every endpoint;
 * :mod:`repro.server.errors` — the one exception-to-wire-code table;
 * :mod:`repro.server.loadgen` — closed- and open-loop load generators.
 
-Every transport decodes to the same :class:`~repro.serving.api.QueryRequest`
+The wire decodes to the same :class:`~repro.serving.api.QueryRequest`
 family the Python API executes, so HTTP answers are bit-identical to
 direct :class:`~repro.serving.service.ReplicatedSimilarityService` calls.
 The app serves that one fleet class at every replication factor, so the
@@ -23,7 +24,7 @@ replica admin endpoints, the health loop and the ``/stats`` layout
 the same whether a shard has one replica or five.
 """
 
-from repro.server.app import ServerConfig, SimilarityServerApp, asgi_app
+from repro.server.app import ServerConfig, SimilarityServerApp
 from repro.server.client import (
     ClientTransportError,
     RemoteServerError,
@@ -45,7 +46,6 @@ __all__ = [
     "ServerConfig",
     "SimilarityClient",
     "SimilarityServerApp",
-    "asgi_app",
     "classify",
     "error_body",
     "run_closed_loop",

@@ -1,13 +1,11 @@
-"""The protocol-agnostic serving application behind every transport.
+"""The serving application behind the HTTP transport.
 
 :class:`SimilarityServerApp` maps ``(method, path, JSON payload)`` to JSON
 responses over the fleet, a
 :class:`~repro.serving.service.ReplicatedSimilarityService` at any
-replication factor.
-Both transports — the stdlib :mod:`asyncio` HTTP/1.1 loop
-(:mod:`repro.server.http`) and the ASGI adapter (:func:`asgi_app`, runnable
-under uvicorn when installed) — delegate to the same :meth:`~SimilarityServerApp.handle`,
-so behaviour cannot drift between them.
+replication factor.  The transport (:mod:`repro.server.http`) and
+in-process callers go through the same
+:meth:`~SimilarityServerApp.handle`.
 
 Endpoints
 ---------
@@ -39,6 +37,10 @@ Queries flow through one coalescing queue into
 <repro.serving.service.ReplicatedSimilarityService.batch>` so concurrent
 duplicate traffic pays a single index scan.  A full queue answers ``429``
 with a ``Retry-After`` hint — admission control, not unbounded latency.
+One read skips the queue: a single ``/query`` whose answer every shard has
+cached is returned on the event loop when nothing else is touching the
+fleet (:meth:`SimilarityServerApp._read_on_loop`) — the same answer and
+the same cache accounting, without the queue, executor and lock hand-offs.
 
 Graceful degradation (PR 8): with ``request_timeout_seconds`` set, a
 request that cannot be answered inside its deadline fails *crisply* with
@@ -253,18 +255,15 @@ class SimilarityServerApp:
     def _build_write_queues(self) -> list[CoalescingQueue]:
         config = self.config
         if self.view is not None:
-            queues = [CoalescingQueue(
-                "mutations", self._execute_view_writes,
-                capacity=config.write_queue_capacity,
-                max_batch=config.write_max_batch,
-                retry_after_seconds=config.retry_after_seconds)]
+            writers = [("mutations", self._execute_view_writes)]
         else:
-            queues = [CoalescingQueue(
-                f"writes-shard{shard}", self._execute_direct_writes,
-                capacity=config.write_queue_capacity,
-                max_batch=config.write_max_batch,
-                retry_after_seconds=config.retry_after_seconds)
-                for shard in range(self.service.num_shards)]
+            writers = [(f"writes-shard{shard}", self._execute_direct_writes)
+                       for shard in range(self.service.num_shards)]
+        queues = [CoalescingQueue(
+            name, execute, capacity=config.write_queue_capacity,
+            max_batch=config.write_max_batch,
+            retry_after_seconds=config.retry_after_seconds)
+            for name, execute in writers]
         for queue in queues:
             queue.start(executor=self._executor, lock=self.lock,
                         semaphore=self._semaphore)
@@ -372,40 +371,21 @@ class SimilarityServerApp:
 
     async def _route(self, method: str, path: str,
                      payload: object | None) -> tuple[int, dict, dict]:
-        routes = {
-            "/health": self._handle_health,
-            "/stats": self._handle_stats,
-            "/stats/shards": self._handle_shard_stats,
-            "/query": self._handle_query,
-            "/query/batch": self._handle_query_batch,
-            "/upsert": self._handle_upsert,
-            "/delete": self._handle_delete,
-            "/admin/persist": self._handle_persist,
-            "/admin/recover": self._handle_recover,
-            "/admin/replicas": self._handle_replicas,
-            "/admin/kill": self._handle_kill,
-            "/admin/revive": self._handle_revive,
-        }
-        handler = routes.get(path.rstrip("/") or "/")
-        if handler is None:
-            status, body = simple_error(
-                NOT_FOUND, f"no such endpoint: {path!r}")
-            return status, body, {}
-        expected = "GET" if path.rstrip("/") in ("/health", "/stats",
-                                                 "/stats/shards",
-                                                 "/admin/replicas") else "POST"
+        route = self._ROUTES.get(path) \
+            or self._ROUTES.get(path.rstrip("/") or "/")
+        if route is None:
+            return *simple_error(NOT_FOUND,
+                                 f"no such endpoint: {path!r}"), {}
+        expected, handler = route
         if method != expected:
-            status, body = simple_error(
+            return *simple_error(
                 METHOD_NOT_ALLOWED,
-                f"{path} expects {expected}, got {method}")
-            return status, body, {"Allow": expected}
+                f"{path} expects {expected}, got {method}"), {"Allow": expected}
         if expected == "POST" and not isinstance(payload, dict):
-            status, body = simple_error(
-                BAD_REQUEST,
-                f"{path} needs a JSON object body, got "
-                f"{type(payload).__name__}")
-            return status, body, {}
-        return await handler(payload)
+            return *simple_error(
+                BAD_REQUEST, f"{path} needs a JSON object body, got "
+                             f"{type(payload).__name__}"), {}
+        return await handler(self, payload)
 
     def _require_started(self) -> None:
         if not self._started or self._closing:
@@ -532,12 +512,34 @@ class SimilarityServerApp:
         per_node = self._read_stats(self.service.per_node_stats)
         return 200, {"per_node": per_node}, {}
 
+    def _read_on_loop(self, request: QueryRequest):
+        """Answer a single query here, on the event loop, or ``None``.
+
+        Taken exactly when the code observes that it is an O(shards)
+        memory read of a quiescent fleet: the query queue is empty (so no
+        brownout, and nobody queued is overtaken); :attr:`lock` — held by
+        every write batch, view write, admin operation and health probe —
+        is free, tried without ever blocking the loop on it; and
+        :meth:`~repro.serving.service.ReplicatedSimilarityService.cached`
+        finds every shard's answer cached with no fault seam in the way
+        (its docstring carries the exactness and accounting argument).
+        """
+        if self._query_queue.depth or not self.lock.acquire(blocking=False):
+            return None
+        try:
+            return self.service.cached(request)
+        finally:
+            self.lock.release()
+
     async def _handle_query(self, payload: dict) -> tuple[int, dict, dict]:
         self._require_started()
         request = self._parse(QueryRequest.from_json_dict, payload)
-        request, degraded = self._maybe_degrade(request)
-        response = await self._with_deadline(
-            self._query_queue.submit(request), "query")
+        degraded = False
+        response = self._read_on_loop(request)
+        if response is None:
+            request, degraded = self._maybe_degrade(request)
+            response = await self._with_deadline(
+                self._query_queue.submit(request), "query")
         body = response.to_json_dict()
         if degraded:
             body["degraded"] = True
@@ -674,6 +676,22 @@ class SimilarityServerApp:
         return 200, {"revived": {"shard": shard, "replica": replica,
                                  "source": source}}, {}
 
+    #: path -> (method, handler): the whole routing decision, built once.
+    _ROUTES = {
+        "/health": ("GET", _handle_health),
+        "/stats": ("GET", _handle_stats),
+        "/stats/shards": ("GET", _handle_shard_stats),
+        "/query": ("POST", _handle_query),
+        "/query/batch": ("POST", _handle_query_batch),
+        "/upsert": ("POST", _handle_upsert),
+        "/delete": ("POST", _handle_delete),
+        "/admin/persist": ("POST", _handle_persist),
+        "/admin/recover": ("POST", _handle_recover),
+        "/admin/replicas": ("GET", _handle_replicas),
+        "/admin/kill": ("POST", _handle_kill),
+        "/admin/revive": ("POST", _handle_revive),
+    }
+
     # -- observability ---------------------------------------------------------
 
     def server_stats(self) -> dict:
@@ -693,64 +711,3 @@ class SimilarityServerApp:
             "max_in_flight": self.config.max_in_flight,
             "queues": queues,
         }
-
-
-def asgi_app(app: SimilarityServerApp):
-    """Wrap the app as an ASGI 3 callable (runnable under uvicorn).
-
-    Only the ``http`` scope type is served; ``lifespan`` events call the
-    app's :meth:`~SimilarityServerApp.startup` and
-    :meth:`~SimilarityServerApp.shutdown`, so
-    ``uvicorn repro.server:make_asgi_demo`` (or any factory producing this
-    wrapper) gets queues and graceful drain for free.
-    """
-    import json
-
-    async def application(scope, receive, send):
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await app.startup()
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await app.shutdown(drain=True)
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        elif scope["type"] == "http":
-            body = b""
-            while True:
-                message = await receive()
-                if message["type"] == "http.request":
-                    body += message.get("body", b"")
-                    if not message.get("more_body"):
-                        break
-                elif message["type"] == "http.disconnect":
-                    return
-            payload = None
-            if body:
-                try:
-                    payload = json.loads(body)
-                except ValueError:
-                    status, error = simple_error(
-                        BAD_REQUEST, "request body is not valid JSON")
-                    await _send_json(send, status, error, {})
-                    return
-            status, response, headers = await app.handle(
-                scope["method"], scope["path"], payload)
-            await _send_json(send, status, response, headers)
-        else:
-            raise ServerError(
-                f"unsupported ASGI scope type {scope['type']!r}")
-
-    async def _send_json(send, status, document, headers):
-        rendered = json.dumps(document).encode("utf-8")
-        header_pairs = [(b"content-type", b"application/json"),
-                        (b"content-length", str(len(rendered)).encode())]
-        header_pairs.extend((name.lower().encode(), str(value).encode())
-                            for name, value in headers.items())
-        await send({"type": "http.response.start", "status": status,
-                    "headers": header_pairs})
-        await send({"type": "http.response.body", "body": rendered})
-
-    return application

@@ -1,10 +1,20 @@
-"""A hardened synchronous client over :mod:`http.client`.
+"""A hardened synchronous client speaking HTTP/1.1 over its own socket.
 
 The client is the other half of the wire contract: it encodes with the
 same :mod:`repro.serving.api` codec the server decodes with, and it turns
 structured error bodies back into :class:`RemoteServerError` carrying the
 machine-readable ``code`` (and ``retry_after_seconds`` where the server
 sent a backoff hint), so callers branch on codes — never on message text.
+
+The wire (:class:`_WireConnection`) is one kept-alive socket on which a
+request is one ``sendall`` — head and body in a single segment, so the
+server wakes once — and a response is read into one buffer and parsed
+once, strictly: status line ``HTTP/1.x ddd``, the framing rules of
+:mod:`repro.server.wire` with ``Content-Length`` required, and not a byte
+beyond the declared body.  Anything else — a truncated or malformed
+answer included — is a :class:`ClientTransportError` with ``sent=True``,
+never a hang (the read timeout is armed on every ``recv``) and never a
+guess.
 
 Resilience (PR 8) — every logical request runs under:
 
@@ -35,9 +45,10 @@ Resilience (PR 8) — every logical request runs under:
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import re
+import socket
 from typing import Sequence
 
 from repro.core.exceptions import ServerError
@@ -50,9 +61,12 @@ from repro.serving.api import (
     QueryResponse,
     multiset_to_wire,
 )
+from repro.server.wire import FramingError, MessageBuffer, keep_alive
 
 #: HTTP statuses the retry loop treats as transient for idempotent calls.
 _RETRYABLE_STATUSES = frozenset({429, 503, 504})
+_RECV_BYTES = 64 * 1024
+_STATUS_LINE = re.compile(r"(HTTP/1\.[0-9]) ([0-9]{3})(?: .*)?")
 
 
 class ClientTransportError(ServerError):
@@ -65,6 +79,54 @@ class ClientTransportError(ServerError):
     def __init__(self, message: str, *, sent: bool) -> None:
         super().__init__(message)
         self.sent = sent
+
+
+class _WireConnection:
+    """One kept-alive socket: a request is one send, a response one parse."""
+
+    def __init__(self, host: str, port: int, *, connect_timeout: float,
+                 read_timeout: float) -> None:
+        self.sock = socket.create_connection((host, port),
+                                             timeout=connect_timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.settimeout(read_timeout)
+        self._host_line = f"Host: {host}:{port}\r\n"
+        self._incoming = MessageBuffer(length_required=True)
+
+    def request(self, method: str, path: str, body: bytes | None) -> None:
+        """Send one request, head and body in a single ``sendall``."""
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+        if body is not None:
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        self.sock.sendall(f"{head}\r\n".encode("ascii") + (body or b""))
+
+    def getresponse(self) -> tuple[int, bytes, bool]:
+        """Read one response; returns ``(status, body, keep_alive)``.
+
+        Raises :class:`FramingError` on anything but one strictly framed
+        response, and :class:`OSError` (a timeout included) from the socket.
+        """
+        incoming = self._incoming
+        while (message := incoming.take()) is None:
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise FramingError(
+                    "connection closed inside the response"
+                    if incoming.pending
+                    else "connection closed before any response")
+            incoming.feed(chunk)
+        if incoming.pending:
+            raise FramingError("bytes beyond the declared response body")
+        status_line, connection, body = message
+        status = _STATUS_LINE.fullmatch(status_line)
+        if status is None:
+            raise FramingError(f"malformed status line: {status_line[:80]!r}")
+        return (int(status.group(2)), body,
+                keep_alive(status.group(1), connection))
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 class RemoteServerError(ServerError):
@@ -117,7 +179,7 @@ class SimilarityClient:
         self._breaker_reset_timeout = breaker_reset_timeout_seconds
         self._breakers: dict[str, CircuitBreaker] = {}
         self._rng = random.Random(self.retry_policy.seed)
-        self._connection: http.client.HTTPConnection | None = None
+        self._connection: _WireConnection | None = None
         self.retries = 0
         self.reconnects = 0
 
@@ -133,23 +195,20 @@ class SimilarityClient:
             self._breakers[path] = breaker
         return breaker
 
-    def _open_connection(self) -> http.client.HTTPConnection:
+    def _open_connection(self) -> _WireConnection:
         """Connect with the connect timeout, then arm the read timeout."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.connect_timeout)
         try:
-            connection.connect()
+            self._connection = _WireConnection(
+                self.host, self.port, connect_timeout=self.connect_timeout,
+                read_timeout=self.read_timeout)
         except OSError as error:
             raise ClientTransportError(
                 f"connect to {self.host}:{self.port} failed: {error}",
                 sent=False) from error
-        connection.sock.settimeout(self.read_timeout)
-        self._connection = connection
-        return connection
+        return self._connection
 
     def _exchange(self, method: str, path: str, body: bytes | None,
-                  headers: dict, *, idempotent: bool = False
-                  ) -> tuple[int, bytes]:
+                  *, idempotent: bool = False) -> tuple[int, bytes]:
         """One request/response over the wire.
 
         A failure on a *reused* kept-alive socket is transparently resent
@@ -159,22 +218,25 @@ class SimilarityClient:
         never finished sending, or it is idempotent.  A non-idempotent
         write that may already have reached the server (``sent``) raises
         instead, so the retry loop's at-most-once contract holds.  Every
-        other transport failure raises :class:`ClientTransportError` with
-        its ``sent`` flag.
+        other transport failure — an answer that is not one strictly
+        framed response included — raises :class:`ClientTransportError`
+        with its ``sent`` flag.  A ``Connection: close`` answer closes the
+        socket once it has been read.
         """
         reused = self._connection is not None
         for resend in (False, True):
             sent = False
             try:
                 connection = self._connection or self._open_connection()
-                connection.request(method, path, body=body, headers=headers)
+                connection.request(method, path, body)
                 sent = True
-                response = connection.getresponse()
-                return response.status, response.read()
+                status, raw, keep_alive = connection.getresponse()
+                if not keep_alive:
+                    self.close()
+                return status, raw
             except ClientTransportError:
                 raise
-            except (http.client.HTTPException, ConnectionError,
-                    OSError) as error:
+            except (FramingError, OSError) as error:
                 self.close()
                 if reused and not resend and (idempotent or not sent):
                     self.reconnects += 1
@@ -193,7 +255,6 @@ class SimilarityClient:
             idempotent = method == "GET" or path in ("/query", "/query/batch")
         body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
-        headers = {"Content-Type": "application/json"} if body else {}
         breaker = self._breaker(path)
         schedule = self.retry_policy.schedule(self._rng)
         while True:
@@ -203,7 +264,7 @@ class SimilarityClient:
             if self.fault_policy is not None:
                 self.fault_policy.on_call(f"{method} {path}")
             try:
-                status, raw = self._exchange(method, path, body, headers,
+                status, raw = self._exchange(method, path, body,
                                              idempotent=idempotent)
             except ClientTransportError as error:
                 breaker.record_failure()

@@ -1,38 +1,45 @@
-"""Stdlib HTTP/1.1 transport for :class:`~repro.server.app.SimilarityServerApp`.
+"""The HTTP/1.1 transport of :class:`~repro.server.app.SimilarityServerApp`.
 
-A deliberately small server on :func:`asyncio.start_server` — no
-third-party web framework — speaking enough HTTP/1.1 for JSON request /
-response bodies with keep-alive.  Production deployments can instead mount
-:func:`repro.server.app.asgi_app` under uvicorn; both transports call the
-same :meth:`~repro.server.app.SimilarityServerApp.handle`, so answers are
-identical by construction.
+A deliberately small server — no third-party web framework — speaking
+enough HTTP/1.1 for JSON request / response bodies with keep-alive.  Each
+connection is one :class:`asyncio.Protocol` object that parses requests
+straight out of its receive buffer in ``data_received`` (framing by
+:mod:`repro.server.wire`, then ``json.loads``; no stream reader is
+awaited), so a request that arrives in one segment wakes the loop once.
+It answers one request at a time in arrival order — pipelined bytes wait
+in the buffer, bounded: reading pauses once more than a head's worth is
+held behind a request in flight — writes each response with one
+``transport.write`` and starts the next request only when the transport
+has room again.  Malformed framing, a body that is not JSON and EOF inside
+a request each earn one ``400 bad_request`` row with ``Connection: close``.
 
 :class:`InProcessServer` runs the event loop on a daemon thread so
 synchronous tests and benchmarks can drive a real TCP server with plain
-:mod:`http.client` connections, then drain it deterministically.
+sockets, then drain it deterministically.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 from typing import Awaitable, Callable
 
 from repro.core.exceptions import ServerError
 from repro.server.app import SimilarityServerApp
 from repro.server.errors import BAD_REQUEST, simple_error
+from repro.server.wire import MAX_HEAD_BYTES, MessageBuffer, keep_alive
 
 #: Largest accepted request body, in bytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-#: Largest accepted request head (request line + headers), in bytes.
-MAX_HEAD_BYTES = 64 * 1024
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout", 507: "Insufficient Storage"}
+logger = logging.getLogger(__name__)
 
 
 def _render_response(status: int, document: dict, headers: dict,
@@ -48,52 +55,138 @@ def _render_response(status: int, document: dict, headers: dict,
     return head + body
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request; returns ``(method, path, payload, keep_alive)``.
+class _HttpConnection(asyncio.Protocol):
+    """One client connection, served out of its own receive buffer."""
 
-    Returns ``None`` on a cleanly closed connection, raises
-    :class:`ServerError` on malformed input.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
+    def __init__(self, server: "HttpServer") -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        self._incoming = MessageBuffer(max_body_bytes=MAX_BODY_BYTES)
+        #: The request being answered; the next one waits in the buffer.
+        self._task: asyncio.Task | None = None
+        self._eof = False
+        self._reading_paused = False
+        self._writing_paused = False
+
+    # -- asyncio.Protocol ------------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def connection_lost(self, error) -> None:
+        # A request in flight runs to its end (it may be a write the app
+        # has already admitted); its answer is simply not sent, and the
+        # server keeps track of the connection until then.
+        if self._task is None:
+            self._server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._incoming.feed(data)
+        self._serve_buffered()
+        if (self._task is not None or self._writing_paused) \
+                and len(self._incoming.pending) > MAX_HEAD_BYTES \
+                and not self._reading_paused:
+            self._reading_paused = True
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve_buffered()
+        return True  # stay open until the request in flight is answered
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._serve_buffered()
+
+    # -- requests --------------------------------------------------------------
+
+    def _next_request(self):
+        """Take one whole request off the buffer, or ``None`` if it is not
+        all here yet; raises :class:`ServerError` on malformed input."""
+        message = self._incoming.take()
+        if message is None:
             return None
-        raise ServerError("connection closed mid-request") from None
-    except asyncio.LimitOverrunError:
-        raise ServerError("request head exceeds the size limit") from None
-    if len(head) > MAX_HEAD_BYTES:
-        raise ServerError("request head exceeds the size limit")
-    request_line, *header_lines = head.decode("latin-1").split("\r\n")
-    parts = request_line.split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise ServerError(f"malformed request line: {request_line!r}")
-    method, target, version = parts
-    headers = {}
-    for line in header_lines:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = headers.get("content-length", "0")
-    if not length.isdigit():
-        raise ServerError(f"invalid Content-Length: {length!r}")
-    length = int(length)
-    if length > MAX_BODY_BYTES:
-        raise ServerError("request body exceeds the size limit")
-    body = await reader.readexactly(length) if length else b""
-    payload = None
-    if body:
+        request_line, connection, body = message
+        parts = request_line.split(" ")
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise ServerError(f"malformed request line: {request_line[:80]!r}")
+        method, target, version = parts
+        payload = None
+        if body:
+            try:
+                payload = json.loads(body)
+            except (ValueError, RecursionError):
+                raise ServerError("request body is not valid JSON") from None
+        return (method, target.split("?", 1)[0], payload,
+                keep_alive(version, connection))
+
+    def _serve_buffered(self) -> None:
+        """Start answering the next buffered request, if it is all here
+        and the connection is free to take it."""
+        if self._task is not None or self._writing_paused \
+                or self._transport.is_closing():
+            return
         try:
-            payload = json.loads(body)
-        except ValueError:
-            raise ServerError("request body is not valid JSON") from None
-    connection = headers.get("connection", "").lower()
-    keep_alive = (version != "HTTP/1.0" or connection == "keep-alive")
-    if connection == "close":
-        keep_alive = False
-    path = target.split("?", 1)[0]
-    return method, path, payload, keep_alive
+            request = self._next_request()
+            if request is None and self._eof and self._incoming.pending:
+                raise ServerError("connection closed mid-request")
+        except ServerError as error:
+            self._write(*simple_error(BAD_REQUEST, str(error)), {},
+                        keep_alive=False)
+            return
+        if request is not None:
+            self._task = asyncio.get_running_loop().create_task(
+                self._respond(*request))
+            self._task.add_done_callback(self._responded)
+        elif self._eof:
+            self._transport.close()
+            return
+        if self._reading_paused and (
+                request is None
+                or len(self._incoming.pending) <= MAX_HEAD_BYTES):
+            self._reading_paused = False
+            self._transport.resume_reading()
+
+    async def _respond(self, method: str, path: str, payload: object,
+                       keep_alive: bool) -> None:
+        status, body, headers = await self._server.app.handle(
+            method, path, payload)
+        self._write(status, body, headers, keep_alive=keep_alive)
+
+    def _responded(self, task: asyncio.Task) -> None:
+        self._task = None
+        if self._transport.is_closing():
+            self._server._connections.discard(self)
+        if task.cancelled():
+            return
+        error = task.exception()
+        if error is not None:
+            logger.error("request handling failed below app.handle",
+                         exc_info=error)
+            self._transport.close()
+            return
+        self._serve_buffered()
+
+    def _write(self, status: int, body: dict, headers: dict, *,
+               keep_alive: bool) -> None:
+        if self._transport.is_closing():
+            return
+        self._transport.write(_render_response(status, body, headers,
+                                               keep_alive=keep_alive))
+        if not keep_alive:
+            self._transport.close()
+
+    def close(self) -> asyncio.Task | None:
+        """Close the connection; returns the cancelled request task, if any."""
+        task = self._task
+        if task is not None:
+            task.cancel()
+        self._transport.close()
+        return task
 
 
 class HttpServer:
@@ -105,14 +198,13 @@ class HttpServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_HttpConnection] = set()
 
     async def start(self) -> tuple[str, int]:
         """Start the app and listen; returns the bound ``(host, port)``."""
         await self.app.startup()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port,
-            limit=MAX_HEAD_BYTES)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self), self.host, self.port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
 
@@ -120,47 +212,14 @@ class HttpServer:
         """Stop listening, close connections, drain queues, shut the app."""
         if self._server is not None:
             self._server.close()
+        cancelled = [connection.close()
+                     for connection in list(self._connections)]
+        await asyncio.gather(*filter(None, cancelled), return_exceptions=True)
+        if self._server is not None:
+            # After the connections: from 3.12 this waits for them too.
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
         await self.app.shutdown(drain=drain)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except ServerError as error:
-                    status, body = simple_error(BAD_REQUEST, str(error))
-                    writer.write(_render_response(status, body, {},
-                                                  keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, payload, keep_alive = request
-                status, body, headers = await self.app.handle(
-                    method, path, payload)
-                writer.write(_render_response(status, body, headers,
-                                              keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
 
 
 async def serve_forever(app: SimilarityServerApp, *, host: str = "127.0.0.1",

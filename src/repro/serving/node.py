@@ -123,6 +123,19 @@ class ServingNode:
         return (request.options, self.index.version,
                 query_signature(request.query))
 
+    def cached_key(self, request: QueryRequest,
+                   signature: frozenset) -> tuple | None:
+        """The key ``request``'s answer is cached under now, else ``None``.
+
+        A membership test only: no hit or miss is counted and no entry's
+        recency moves, so a caller that goes on to :meth:`query` leaves
+        the statistics exactly as if it had not looked.  ``signature`` is
+        the query's :func:`query_signature`, computed once by a caller
+        asking several nodes.
+        """
+        key = (request.options, self.index.version, signature)
+        return key if key in self.cache else None
+
     def query(self, request: QueryRequest) -> QueryResponse:
         """Answer one unified-API query, served from the result cache."""
         key = self._request_key(request)

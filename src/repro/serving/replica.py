@@ -30,7 +30,6 @@ between any two operations leaves the survivors exact.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -160,8 +159,9 @@ class ReplicatedShard:
         #: Serializes health changes, so concurrent ejections cannot leave
         #: a stale ``_healthy`` behind.
         self._health_lock = threading.Lock()
-        #: Round-robin turn counter (``next`` on it is atomic).
-        self._turns = itertools.count()
+        #: Round-robin turn counter.  A turn lost to a race between two
+        #: reading threads repeats a replica once; it cannot unbalance them.
+        self._turn = 0
         self.ejections = 0
         self.recoveries = 0
         self.failovers = 0
@@ -346,8 +346,13 @@ class ReplicatedShard:
 
     # -- reads (spread over healthy replicas, failing over on faults) ----------
 
-    def _read_candidates(self, request: QueryRequest | None) -> Sequence[Replica]:
-        """Healthy replicas in preference order for one request."""
+    def _read_candidates(self, request: QueryRequest | None, *,
+                         take_turn: bool = True) -> Sequence[Replica]:
+        """Healthy replicas in preference order for one request.
+
+        ``take_turn=False`` looks at the round-robin order without using
+        the turn up (see :meth:`cached_reader`).
+        """
         healthy = self._healthy
         if len(healthy) < 2:
             return healthy
@@ -360,7 +365,9 @@ class ReplicatedShard:
                 reverse=True)
         # Rotate over the *current* healthy replicas so a just-ejected one
         # never absorbs a turn.
-        start = next(self._turns) % len(healthy)
+        start = self._turn % len(healthy)
+        if take_turn:
+            self._turn += 1
         return healthy[start:] + healthy[:start]
 
     def _read(self, operation: str, function: Callable, argument,
@@ -389,6 +396,45 @@ class ReplicatedShard:
     def query(self, request: QueryRequest):
         """Answer one unified-API query from one healthy replica."""
         return self._read("query", ServingNode.query, request, request)
+
+    def cached_reader(self, request: QueryRequest,
+                      signature: frozenset) -> tuple[Replica, tuple] | None:
+        """The replica whose turn it is and the key it has ``request``
+        cached under, with the replica's lock held — or ``None``.
+
+        ``None`` unless answering is a pure memory read: the replica
+        :meth:`_read_candidates` would try first is healthy, has no fault
+        policy in front of it (an injected sleep or fault belongs to
+        :meth:`Replica.call`, never to this caller's thread), is not inside
+        another call (the lock is tried, never waited for) and holds the
+        version-keyed entry.  Nothing is counted and no turn is used, so
+        after a ``None`` a :meth:`query` behaves as if nobody had asked.
+        The caller finishes with :meth:`read_cached` and releases the lock.
+        """
+        candidates = self._read_candidates(request, take_turn=False)
+        if not candidates:
+            return None
+        replica = candidates[0]
+        if replica.fault_policy is not None \
+                or not replica.lock.acquire(blocking=False):
+            return None
+        key = (replica.node.cached_key(request, signature)
+               if replica.healthy else None)
+        if key is None:
+            replica.lock.release()
+            return None
+        return replica, key
+
+    def read_cached(self, replica: Replica, key: tuple):
+        """The matches :meth:`cached_reader` found, accounted as a read.
+
+        Uses the turn up, counts the cache hit (refreshing the entry's
+        recency) and the replica's ``reads_served`` — what :meth:`query`
+        would have moved for the same hit.
+        """
+        self._turn += 1
+        replica.reads_served += 1
+        return replica.node.cache.get(key)
 
     def batch(self, requests: Sequence[QueryRequest]) -> list:
         """Answer a request batch from one healthy replica.

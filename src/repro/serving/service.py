@@ -16,6 +16,13 @@ its replicas); queries fan out to every shard and merge:
   the union — correct because every shard returns its k best, so nothing
   outside the merged union can enter the global top k.
 
+One read does no fan-out work at all: :meth:`ReplicatedSimilarityService.cached`
+returns the merged answer when every shard already holds it in a result
+cache, and ``None`` otherwise — it never scans an index, never sleeps
+behind a fault policy and never waits for a lock, which is what lets the
+server call it from its event loop (the method's docstring carries the
+exactness and accounting argument).
+
 Exactness contract: whenever every shard keeps at least one healthy
 replica, every answer is bit-identical to one unsharded
 :class:`~repro.serving.index.SimilarityIndex` over the same members —
@@ -39,6 +46,7 @@ from repro.serving.api import (
     finalize_matches,
 )
 from repro.serving.index import SimilarityIndex
+from repro.serving.node import query_signature
 from repro.serving.replica import ROUND_ROBIN, Replica, ReplicatedShard
 from repro.similarity.base import NominalSimilarityMeasure
 
@@ -179,6 +187,47 @@ class ReplicatedSimilarityService:
         merged: list[QueryMatch] = []
         for shard in self.shards:
             merged.extend(shard.query(request).matches)
+        return QueryResponse(finalize_matches(merged, request.options),
+                             request.options)
+
+    def cached(self, request: QueryRequest) -> QueryResponse | None:
+        """``query(request)``'s answer if every shard has it cached, else
+        ``None`` — without scanning, sleeping or waiting.
+
+        What it promises never to do, so that an event loop may call it
+        between two requests: *scan* an index (every shard's answer must
+        already sit in the result cache of the replica whose turn it is;
+        one shard that cannot say so makes the whole call ``None``);
+        *sleep* or raise an injected fault (a replica behind a
+        :class:`~repro.resilience.faults.FaultPolicy` always declines);
+        *wait* for a lock (each replica's lock is tried, never blocked
+        on).  The work left is O(shards) dictionary reads and the merge.
+
+        Exactness: a cache entry is keyed by its index's write version, and
+        every acknowledged write has bumped that version before its ack, so
+        an entry found under the current version is the answer
+        :meth:`query` would compute now — provided no write is half-way
+        through the fleet, which the caller rules out (the server holds
+        its service lock, which every write batch takes).  Accounting is
+        exact too: an answer counts one cache hit and one ``reads_served``
+        per shard and refreshes LRU recency, as :meth:`query` would; a
+        ``None`` counts nothing (membership is tested before anything is
+        touched), so the fall-back :meth:`query` adds no extra miss.
+        """
+        signature = query_signature(request.query)
+        readers: list[tuple[Replica, tuple]] = []
+        try:
+            for shard in self.shards:
+                reader = shard.cached_reader(request, signature)
+                if reader is None:
+                    return None
+                readers.append(reader)
+            merged: list[QueryMatch] = []
+            for shard, reader in zip(self.shards, readers):
+                merged.extend(shard.read_cached(*reader))
+        finally:
+            for replica, _ in readers:
+                replica.lock.release()
         return QueryResponse(finalize_matches(merged, request.options),
                              request.options)
 

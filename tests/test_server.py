@@ -3,8 +3,9 @@
 Covers the exception-to-wire error table, the coalescing queues, the app
 dispatcher, the live HTTP end-to-end path (upsert → query → delete → query,
 bit-identical with direct service calls), backpressure (429 + Retry-After
-and recovery), graceful shutdown, admin persist/recover, the ASGI adapter
-and the load generators.
+and recovery), graceful shutdown, admin persist/recover and the load
+generators.  The raw ``http.client`` cases are deliberate: they prove the
+server speaks standard HTTP/1.1 to a client this repo did not write.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.server import (
     ServerConfig,
     SimilarityClient,
     SimilarityServerApp,
-    asgi_app,
     classify,
     error_body,
     run_closed_loop,
@@ -596,83 +596,6 @@ class TestGracefulShutdown:
         twin = make_service(members=members)
         probe = QueryRequest.threshold(members[0].with_id("probe"), 0.3)
         assert recovered.query(probe) == twin.query(probe)
-
-
-# ---------------------------------------------------------------------------
-# ASGI adapter
-# ---------------------------------------------------------------------------
-
-class FakeASGIConnection:
-    """Minimal ASGI receive/send pair; ``receive`` blocks until ``push``."""
-
-    def __init__(self, messages=()):
-        self.incoming: asyncio.Queue = asyncio.Queue()
-        for message in messages:
-            self.incoming.put_nowait(message)
-        self.sent = []
-
-    def push(self, message):
-        self.incoming.put_nowait(message)
-
-    async def receive(self):
-        return await self.incoming.get()
-
-    async def send(self, message):
-        self.sent.append(message)
-
-
-class TestASGIAdapter:
-    def test_http_scope_answers_like_direct_calls(self):
-        service = make_service()
-        app = SimilarityServerApp(service)
-        application = asgi_app(app)
-        request = QueryRequest.topk(corpus()[0].with_id("probe"), 4)
-
-        async def scenario():
-            lifespan = FakeASGIConnection([{"type": "lifespan.startup"}])
-            lifespan_task = asyncio.ensure_future(application(
-                {"type": "lifespan"}, lifespan.receive, lifespan.send))
-            while not lifespan.sent:
-                await asyncio.sleep(0.001)
-            assert lifespan.sent[0] == {"type": "lifespan.startup.complete"}
-
-            http_connection = FakeASGIConnection([
-                {"type": "http.request",
-                 "body": json.dumps(request.to_json_dict()).encode(),
-                 "more_body": False}])
-            await application(
-                {"type": "http", "method": "POST", "path": "/query"},
-                http_connection.receive, http_connection.send)
-            start, body = http_connection.sent
-            assert start["status"] == 200
-            assert (b"content-type", b"application/json") in start["headers"]
-            parsed = QueryResponse.from_json_dict(json.loads(body["body"]))
-
-            lifespan.push({"type": "lifespan.shutdown"})
-            await lifespan_task
-            assert lifespan.sent[-1] == {"type": "lifespan.shutdown.complete"}
-            return parsed
-
-        parsed = run_async(scenario())
-        assert parsed == service.batch([request])[0]
-
-    def test_http_scope_surfaces_errors_as_json(self):
-        async def scenario():
-            app = SimilarityServerApp(make_service())
-            application = asgi_app(app)
-            await app.startup()
-            connection = FakeASGIConnection([
-                {"type": "http.request", "body": b"{broken",
-                 "more_body": False}])
-            await application(
-                {"type": "http", "method": "POST", "path": "/query"},
-                connection.receive, connection.send)
-            await app.shutdown()
-            start, body = connection.sent
-            assert start["status"] == 400
-            assert json.loads(body["body"])["error"]["code"] == "bad_request"
-
-        run_async(scenario())
 
 
 # ---------------------------------------------------------------------------

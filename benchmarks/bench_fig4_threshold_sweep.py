@@ -20,13 +20,13 @@ ALGORITHMS = ("online_aggregation", "lookup", "sharding", "vcl")
 def test_fig4_threshold_sweep(benchmark, small_dataset, cluster_500, cost_parameters,
                               bench_record):
     def run():
-        # intern=False / prune_candidates=False: the figure reproduces the
-        # paper's cross-algorithm cost orderings, which are calibrated to
-        # raw-identifier records and the unpruned candidate stream.
+        # prune_candidates=False: the figure reproduces the paper's
+        # cross-algorithm cost orderings, which are calibrated to the
+        # unpruned candidate stream.
         return threshold_sweep(ALGORITHMS, small_dataset.multisets, THRESHOLD_GRID,
                                cluster=cluster_500,
                                sharding_threshold=DEFAULT_SHARDING_C,
-                               cost_parameters=cost_parameters, intern=False,
+                               cost_parameters=cost_parameters,
                                prune_candidates=False, keep_pairs=False)
 
     sweep = run_once(benchmark, run)

@@ -19,13 +19,13 @@ ALGORITHMS = ("online_aggregation", "lookup", "sharding", "vcl")
 def test_fig5_machine_sweep_small(benchmark, small_dataset, cost_parameters,
                                   bench_record):
     def run():
-        # intern=False / prune_candidates=False: the figure reproduces the
-        # paper's cross-algorithm cost orderings, which are calibrated to
-        # raw-identifier records and the unpruned candidate stream.
+        # prune_candidates=False: the figure reproduces the paper's
+        # cross-algorithm cost orderings, which are calibrated to the
+        # unpruned candidate stream.
         return machine_sweep(ALGORITHMS, small_dataset.multisets, MACHINE_GRID,
                              base_cluster=base_cluster(), threshold=0.5,
                              sharding_threshold=DEFAULT_SHARDING_C,
-                             cost_parameters=cost_parameters, intern=False,
+                             cost_parameters=cost_parameters,
                              prune_candidates=False, keep_pairs=False)
 
     sweep = run_once(benchmark, run)

@@ -26,19 +26,17 @@ def test_fig6_machine_sweep_realistic(benchmark, realistic_dataset, cost_paramet
         results = {}
         # Lookup and VCL fail for machine-count-independent reasons (memory);
         # run them once at the default fleet size, as the paper reports.
-        # The failure scenarios pin intern=False (and the whole figure pins
-        # prune_candidates=False): the paper's lookup table
-        # carries the raw identifiers, and the interned table is enough
-        # smaller to squeak under the scaled-down memory budget, which would
-        # flip the reproduced outcome.
+        # The whole figure pins prune_candidates=False (the paper's unpruned
+        # candidate stream).  Lookup's failure rests on PAPER_SCALED_MEMORY
+        # sitting below the realistic preset's interned lookup table — see
+        # the measured window at that constant.
         for algorithm, options in (("lookup", {}),
                                    ("vcl", {"vcl_element_order": "frequency"}),
                                    ("vcl_hash_order", {"vcl_element_order": "hash"})):
             name = "vcl" if algorithm.startswith("vcl") else algorithm
             results[algorithm] = run_algorithm(
                 name, multisets, threshold=0.5, cluster=base_cluster(),
-                sharding_threshold=DEFAULT_SHARDING_C, intern=False,
-                prune_candidates=False,
+                sharding_threshold=DEFAULT_SHARDING_C, prune_candidates=False,
                 cost_parameters=cost_parameters, keep_pairs=False, **options)
         sweep = {}
         for machines in MACHINE_GRID:
@@ -48,7 +46,7 @@ def test_fig6_machine_sweep_realistic(benchmark, realistic_dataset, cost_paramet
                                          cluster=cluster,
                                          sharding_threshold=DEFAULT_SHARDING_C,
                                          cost_parameters=cost_parameters,
-                                         intern=False, prune_candidates=False,
+                                         prune_candidates=False,
                                          keep_pairs=False)
                 for algorithm in SCALING_ALGORITHMS
             }
@@ -62,6 +60,13 @@ def test_fig6_machine_sweep_realistic(benchmark, realistic_dataset, cost_paramet
                           "joining": outcome.joining_seconds,
                           "similarity": outcome.similarity_seconds}
                    for name, outcome in outcomes.items()}
+        for machines, outcomes in sweep.items()}
+    # The figure's central ordering holds by a few percent at this scale, so
+    # the margin is a tracked series: a drift towards 1.0 shows in the
+    # baseline diff long before the assertion below flips.
+    bench_record["oa_over_sharding"] = {
+        machines: (outcomes["online_aggregation"].simulated_seconds
+                   / outcomes["sharding"].simulated_seconds)
         for machines, outcomes in sweep.items()}
 
     print()

@@ -50,19 +50,18 @@ def test_planner_accuracy_fig4_sweep(benchmark, small_dataset, cluster_500,
     planner = Planner(cost_parameters)
 
     def run():
-        # Same configuration as the Fig. 4 sweep: the paper-calibrated
-        # raw-identifier cost model with the unpruned candidate stream.
+        # Same configuration as the Fig. 4 sweep: the paper-calibrated cost
+        # model with the unpruned candidate stream.
         measured = threshold_sweep(ALGORITHMS, multisets, THRESHOLD_GRID,
                                    cluster=cluster_500,
                                    sharding_threshold=DEFAULT_SHARDING_C,
                                    cost_parameters=cost_parameters,
-                                   intern=False, prune_candidates=False,
-                                   keep_pairs=False)
+                                   prune_candidates=False, keep_pairs=False)
         plans = {}
         for threshold in THRESHOLD_GRID:
             spec = JoinSpec(threshold=threshold,
                             sharding_threshold=DEFAULT_SHARDING_C,
-                            intern=False, prune_candidates=False)
+                            prune_candidates=False)
             plans[threshold] = planner.plan(spec, multisets, cluster_500)
         return measured, plans
 
@@ -139,7 +138,7 @@ def test_planner_accuracy_fig4_sweep(benchmark, small_dataset, cluster_500,
     for threshold in THRESHOLD_GRID:
         spec = JoinSpec(threshold=threshold,
                         sharding_threshold=DEFAULT_SHARDING_C,
-                        intern=False, prune_candidates=False)
+                        prune_candidates=False)
         plan = calibrated_planner.plan(spec, multisets, cluster_500)
         finished = {name: outcome.simulated_seconds
                     for name, outcome in measured[threshold].items()
@@ -185,7 +184,7 @@ def test_planner_accuracy_fig4_sweep(benchmark, small_dataset, cluster_500,
     for threshold in THRESHOLD_GRID:
         spec = JoinSpec(threshold=threshold,
                         sharding_threshold=DEFAULT_SHARDING_C,
-                        intern=False, prune_candidates=False)
+                        prune_candidates=False)
         assert (replanner.plan(spec, multisets, cluster_500).predicted_seconds
                 == calibrated_planner.plan(spec, multisets,
                                            cluster_500).predicted_seconds)

@@ -47,8 +47,12 @@ NOISY_SUBSTRINGS = ("wall", "qps", "elapsed", "speedup", "usable_cores",
 #: not bench_record series and never get baselines.
 IGNORED_FILES = ("BENCH_wallclock.json",)
 
-#: Relative difference below which values are considered unchanged.
-DEFAULT_TOLERANCE = 0.25
+#: Relative difference below which values are considered unchanged.  Every
+#: gated leaf is deterministic — the whole smoke suite records bit-equal
+#: values at ``PYTHONHASHSEED=1`` and ``2`` — so the band only has to absorb
+#: float noise across interpreters; anything wider hides real moves (a 25 %
+#: band once let 7–18 % shifts of simulated seconds through).
+DEFAULT_TOLERANCE = 0.02
 
 #: Absolute floor: differences below this never fail, whatever the ratio.
 ABSOLUTE_FLOOR = 1e-6

@@ -79,7 +79,6 @@ def run_algorithm(algorithm: str,
                   vcl_super_element_groups: int | None = None,
                   cost_parameters: CostParameters = DEFAULT_COST_PARAMETERS,
                   backend: str | ExecutionBackend = "serial",
-                  intern: bool = True,
                   prune_candidates: bool = True,
                   keep_pairs: bool = True) -> AlgorithmOutcome:
     """Run one algorithm and capture its outcome, including failure modes.
@@ -101,7 +100,7 @@ def run_algorithm(algorithm: str,
                     sharding_threshold=sharding_threshold,
                     stop_word_frequency=stop_word_frequency,
                     chunk_size=chunk_size, use_combiners=use_combiners,
-                    intern=intern, prune_candidates=prune_candidates,
+                    prune_candidates=prune_candidates,
                     vcl_element_order=vcl_element_order,
                     vcl_super_element_groups=vcl_super_element_groups)
     try:
@@ -181,13 +180,12 @@ def sharding_parameter_sweep(multisets: Sequence[Multiset],
     """
     results: dict[int, dict[str, float]] = {}
     for parameter in parameter_values:
-        # intern=False / prune_candidates=False keep the C sweep on the
-        # paper's raw-identifier cost model with the unpruned candidate
-        # stream, like the other figure experiments.
+        # prune_candidates=False keeps the C sweep on the paper's unpruned
+        # candidate stream, like the other figure experiments.
         spec = JoinSpec(algorithm="sharding", measure=measure,
                         threshold=threshold,
                         sharding_threshold=int(parameter),
-                        intern=False, prune_candidates=False)
+                        prune_candidates=False)
         with SimilarityEngine(cluster=cluster,
                               cost_parameters=cost_parameters) as engine:
             outcome = engine.run(spec, multisets)

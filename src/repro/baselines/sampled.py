@@ -61,12 +61,11 @@ class SampledJoin:
 
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
                  threshold: float = 0.5, recall: float = 0.95,
-                 intern: bool = False, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         self.measure = get_measure(measure)
         self.threshold = validate_threshold(threshold)
         self.rate = sample_rate_for_recall(recall)
         self.recall = recall
-        self.intern = intern
         self.seed = seed
         #: Number of multisets that survived sampling in the last run.
         self.last_sampled = 0
@@ -92,4 +91,4 @@ class SampledJoin:
                 sample.append(multiset)
         self.last_sampled = len(sample)
         return all_pairs_exact(sample, self.measure, self.threshold,
-                               intern=self.intern)
+                               intern=True)

@@ -76,30 +76,6 @@ class PostingEntry:
 
 
 @dataclass(frozen=True, order=True, slots=True)
-class PairKey:
-    """The candidate-pair key ``<Mi, Mj, Uni(Mi), Uni(Mj)>``.
-
-    The pair is canonicalised so ``first < second`` (by string representation
-    when the identifiers are not mutually comparable), matching the
-    deduplication-free behaviour of the paper's Similarity1 reducer which
-    emits every unordered pair exactly once per shared element.
-    """
-
-    first: MultisetId
-    second: MultisetId
-    uni_first: UniPartials
-    uni_second: UniPartials
-
-    @classmethod
-    def make(cls, id_a: MultisetId, uni_a: UniPartials,
-             id_b: MultisetId, uni_b: UniPartials) -> "PairKey":
-        """Build a canonically ordered pair key."""
-        if _ordered_before(id_a, id_b):
-            return cls(id_a, id_b, uni_a, uni_b)
-        return cls(id_b, id_a, uni_b, uni_a)
-
-
-@dataclass(frozen=True, order=True, slots=True)
 class PairContribution:
     """A per-shared-element contribution ``<f_{i,k}, f_{j,k}>`` for a pair."""
 

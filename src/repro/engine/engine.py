@@ -285,7 +285,7 @@ class SimilarityEngine:
         measure = spec.resolved_measure()
         if algorithm == "exact":
             pairs = all_pairs_exact(multisets, measure, spec.threshold,
-                                    intern=spec.intern)
+                                    intern=True)
         elif algorithm == "inverted_index":
             joiner = InvertedIndexJoin(
                 measure, spec.threshold,
@@ -300,7 +300,7 @@ class SimilarityEngine:
             pairs = sorted(joiner.run(multisets))
         elif algorithm == "sampled":
             joiner = SampledJoin(measure, spec.threshold,
-                                 recall=spec.recall, intern=spec.intern)
+                                 recall=spec.recall)
             pairs = sorted(joiner.run(multisets))
         else:
             raise JobConfigurationError(

@@ -271,51 +271,41 @@ class JoinPlan:
 
 @dataclass(frozen=True)
 class _RecordSizes:
-    """Estimated record sizes (bytes) for one measure and interning mode."""
+    """Estimated record sizes (bytes) for one measure.
 
-    element: float
-    multiset_id: float
+    The pipelines run on interned records, so every element and multiset
+    identifier is one dense-integer word; only the partial-result tuples
+    depend on the measure.
+    """
+
     uni: float
     conj: float
 
     @classmethod
-    def resolve(cls, profile: CorpusProfile,
-                measure: NominalSimilarityMeasure,
-                intern: bool) -> "_RecordSizes":
-        uni = float(estimate_record_bytes(uni_contribution(measure, 2)))
-        conj = float(estimate_record_bytes(measure.conj_from_pair(2.0, 3.0)))
-        if intern:
-            return cls(element=_WORD, multiset_id=_WORD, uni=uni, conj=conj)
-        return cls(element=profile.avg_element_bytes,
-                   multiset_id=profile.avg_id_bytes, uni=uni, conj=conj)
+    def resolve(cls, measure: NominalSimilarityMeasure) -> "_RecordSizes":
+        return cls(
+            uni=float(estimate_record_bytes(uni_contribution(measure, 2))),
+            conj=float(estimate_record_bytes(measure.conj_from_pair(2.0, 3.0))))
 
     @property
     def input_tuple(self) -> float:
         """``<Mi, a_k, f_ik>``."""
-        return _CONTAINER + self.multiset_id + self.element + _WORD
+        return _CONTAINER + 3 * _WORD
 
     @property
     def joined_tuple(self) -> float:
         """``<Mi, Uni(Mi), a_k, f_ik>``."""
-        return _CONTAINER + self.multiset_id + self.uni + self.element + _WORD
+        return _CONTAINER + _WORD + self.uni + 2 * _WORD
 
     @property
     def posting(self) -> float:
         """``<Mi, Uni(Mi), f_ik>`` keyed by the element."""
-        return _CONTAINER + self.multiset_id + self.uni + _WORD
+        return _CONTAINER + _WORD + self.uni + _WORD
 
     @property
     def pair_key(self) -> float:
-        """``<Mi, Mj, Uni(Mi), Uni(Mj)>`` (packed to one word when interned)."""
-        if self.multiset_id == _WORD:
-            # PairCodec packs both dense ids into a single integer.
-            return _CONTAINER + _WORD + 2 * self.uni
-        return _CONTAINER + 2 * self.multiset_id + 2 * self.uni
-
-    @property
-    def similar_pair(self) -> float:
-        """``<Mi, Mj, Sim(Mi, Mj)>``."""
-        return _CONTAINER + 2 * self.multiset_id + _WORD
+        """``<Mi, Mj, Uni(Mi), Uni(Mj)>``, both ids packed into one word."""
+        return _CONTAINER + _WORD + 2 * self.uni
 
     def keyed(self, key_bytes: float, value_bytes: float,
               secondary: bool = False) -> float:
@@ -471,7 +461,7 @@ class Planner:
         self._refresh_calibration()
         profile = profile or CorpusProfile.from_multisets(multisets)
         measure = spec.resolved_measure()
-        sizes = _RecordSizes.resolve(profile, measure, spec.intern)
+        sizes = _RecordSizes.resolve(measure)
         if algorithm == "minhash":
             jobs = self._estimate_minhash(spec, profile)
         elif algorithm == "sampled":
@@ -557,7 +547,7 @@ class Planner:
         (Lookup fuses its own mapper into the job, priced by the caller).
         """
         machines = max(1, cluster.num_machines)
-        posting_kv = sizes.keyed(sizes.element, sizes.posting)
+        posting_kv = sizes.keyed(_WORD, sizes.posting)
         pair_record = _CONTAINER + sizes.pair_key + (_CONTAINER + 2 * _WORD)
         overhead = self.cost_parameters.record_overhead_bytes
 
@@ -637,10 +627,9 @@ class Planner:
         overhead = self.cost_parameters.record_overhead_bytes
         records = profile.num_records
         uni_value = _CONTAINER + _WORD + sizes.uni
-        element_value = _CONTAINER + _WORD + sizes.element + _WORD
-        kv_uni = sizes.keyed(sizes.multiset_id, uni_value, secondary=True)
-        kv_element = sizes.keyed(sizes.multiset_id, element_value,
-                                 secondary=True)
+        element_value = _CONTAINER + 3 * _WORD
+        kv_uni = sizes.keyed(_WORD, uni_value, secondary=True)
+        kv_element = sizes.keyed(_WORD, element_value, secondary=True)
         map_out = records * (kv_uni + kv_element)
         combined_uni = self._combined_uni_records(profile, cluster)
         shuffle = records * kv_element + combined_uni * kv_uni
@@ -671,10 +660,10 @@ class Planner:
         overhead = self.cost_parameters.record_overhead_bytes
         machines = max(1, cluster.num_machines)
         records = profile.num_records
-        kv_uni = sizes.keyed(sizes.multiset_id, sizes.uni)
+        kv_uni = sizes.keyed(_WORD, sizes.uni)
         combined = self._combined_uni_records(profile, cluster)
         shuffle = combined * kv_uni
-        table_entry = _CONTAINER + sizes.multiset_id + sizes.uni
+        table_entry = _CONTAINER + _WORD + sizes.uni
         max_u = profile.max_cardinality
         lookup1 = self._job(
             "lookup1", cluster,
@@ -697,9 +686,8 @@ class Planner:
         # Lookup2 fuses with Similarity1: one job maps every raw tuple
         # against the in-memory table and reduces element posting lists.
         # (A dict pays one container overhead total, not one per entry.)
-        table_bytes = (_CONTAINER + profile.num_multisets
-                       * (sizes.multiset_id + sizes.uni))
-        posting_kv = sizes.keyed(sizes.element, sizes.posting)
+        table_bytes = _CONTAINER + profile.num_multisets * (_WORD + sizes.uni)
+        posting_kv = sizes.keyed(_WORD, sizes.posting)
         fused, similarity2 = self._similarity_phase(profile, sizes, cluster,
                                                     fused_sim1=True)
         fused_map = self._job(
@@ -730,11 +718,10 @@ class Planner:
         sharded_records = sum(sharded)
         unsharded_records = records - sharded_records
 
-        kv_contribution = sizes.keyed(sizes.multiset_id,
-                                      _CONTAINER + sizes.uni + _WORD)
+        kv_contribution = sizes.keyed(_WORD, _CONTAINER + sizes.uni + _WORD)
         combined = self._combined_uni_records(profile, cluster)
         shuffle1 = combined * kv_contribution
-        table_entry = _CONTAINER + sizes.multiset_id + sizes.uni
+        table_entry = _CONTAINER + _WORD + sizes.uni
         max_u = profile.max_cardinality
         sharding1 = self._job(
             "sharding1", cluster,
@@ -756,14 +743,11 @@ class Planner:
             max_group_bytes=min(max_u, machines) * kv_contribution,
         )
 
-        table_bytes = (_CONTAINER
-                       + len(sharded) * (sizes.multiset_id + sizes.uni))
-        fingerprint_key = _CONTAINER + sizes.multiset_id + _WORD
-        kv_sharded = sizes.keyed(
-            fingerprint_key,
-            _CONTAINER + _WORD + sizes.uni + sizes.element + _WORD)
-        kv_unsharded = sizes.keyed(
-            fingerprint_key, _CONTAINER + _WORD + sizes.element + _WORD)
+        table_bytes = _CONTAINER + len(sharded) * (_WORD + sizes.uni)
+        fingerprint_key = _CONTAINER + 2 * _WORD
+        kv_sharded = sizes.keyed(fingerprint_key,
+                                 _CONTAINER + sizes.uni + 3 * _WORD)
+        kv_unsharded = sizes.keyed(fingerprint_key, _CONTAINER + 3 * _WORD)
         shuffle2 = (sharded_records * kv_sharded
                     + unsharded_records * kv_unsharded)
         # Sharded tuples scatter one record per fingerprint; the largest

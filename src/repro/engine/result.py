@@ -115,10 +115,9 @@ class JoinResult:
 
     def to_index(self, **index_options):
         """Build a serving :class:`~repro.serving.index.SimilarityIndex`
-        over the joined corpus (same measure, interning mode inherited)."""
+        over the joined corpus (same measure)."""
         from repro.serving.index import SimilarityIndex
 
-        index_options.setdefault("intern", self.spec.intern)
         index = SimilarityIndex(self.spec.resolved_measure(), **index_options)
         for multiset in self.multisets:
             index.add(multiset)

@@ -93,8 +93,6 @@ class JoinSpec:
         Optional chunked-Similarity1 dissection threshold ``T``.
     use_combiners:
         Whether dedicated combiners run in the MapReduce pipelines.
-    intern:
-        Run the pipelines on dense-integer keys (identical output).
     prune_candidates:
         Exact upper-bound candidate pruning in Similarity1 (identical
         output).
@@ -127,7 +125,6 @@ class JoinSpec:
     stop_word_frequency: int | None = None
     chunk_size: int | None = None
     use_combiners: bool = True
-    intern: bool = True
     prune_candidates: bool = True
     vcl_element_order: str = "frequency"
     vcl_super_element_groups: int | None = None
@@ -219,7 +216,6 @@ class JoinSpec:
             stop_word_frequency=self.stop_word_frequency,
             chunk_size=self.chunk_size,
             use_combiners=self.use_combiners,
-            intern=self.intern,
             prune_candidates=self.prune_candidates,
         )
 
@@ -230,7 +226,6 @@ class JoinSpec:
             threshold=self.threshold,
             element_order=self.vcl_element_order,
             super_element_groups=self.vcl_super_element_groups,
-            intern=self.intern,
         )
 
     def describe(self) -> dict[str, object]:

@@ -29,7 +29,9 @@ the stored ``Uni`` tuples.  Two pruning levers keep tail latencies bounded:
 
 Two representational optimisations keep the per-posting cost down without
 changing any answer: the inverted index is keyed by *interned* dense
-element ids (``intern=True``, see :mod:`repro.core.interning`), and for
+element ids (see :mod:`repro.core.interning`) — long string elements,
+cookies in the paper's workload, hash as single machine words, and query
+elements the index has never seen skip their posting lookup — and for
 measures that declare a scalar conjunctive kernel
 (:mod:`repro.similarity.kernels`) the per-candidate ``Conj`` accumulates as
 a single float instead of a partial tuple per shared element.
@@ -78,31 +80,22 @@ class SimilarityIndex:
         Optional ``q``: posting lists of more than ``q`` multisets are
         skipped at query time.  This is an *approximation* knob — with it
         unset (the default) every query is exact.
-    intern:
-        Key the inverted index by dense interned element ids instead of the
-        raw elements (default on).  Long string elements — cookies in the
-        paper's workload — then hash as single machine words, and query
-        elements the index has never seen skip their posting lookup
-        entirely.  Purely representational: answers are identical either
-        way.
     """
 
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
-                 stop_word_frequency: int | None = None,
-                 intern: bool = True) -> None:
+                 stop_word_frequency: int | None = None) -> None:
         self.measure = get_measure(measure)
         self.measure.check_supported()
         if stop_word_frequency is not None and stop_word_frequency < 1:
             raise ServingError(
                 f"stop_word_frequency must be >= 1 when set, got {stop_word_frequency}")
         self.stop_word_frequency = stop_word_frequency
-        self._interner: LocalInterner | None = LocalInterner() if intern else None
+        self._interner = LocalInterner()
         self._scalar_conj = scalar_conj_functions(self.measure)
         self._multisets: dict[MultisetId, Multiset] = {}
         self._uni: dict[MultisetId, Partials] = {}
-        #: element key (dense id when interning, raw element otherwise)
-        #: -> {multiset id -> effective multiplicity}
-        self._postings: dict[object, dict[MultisetId, float]] = {}
+        #: dense element id -> {multiset id -> effective multiplicity}
+        self._postings: dict[int, dict[MultisetId, float]] = {}
         self._version = 0
         self._counters: dict[str, int] = {}
 
@@ -115,8 +108,6 @@ class SimilarityIndex:
         (legal: multiset elements are any hashable) stays distinguishable
         from "provably unindexed".
         """
-        if self._interner is None:
-            return element
         key = self._interner.get(element)
         return _NEVER_INDEXED if key is None else key
 
@@ -197,13 +188,12 @@ class SimilarityIndex:
                     "pass replace=True to overwrite")
             self.remove(multiset.id)
         measure = self.measure
-        interner = self._interner
+        intern = self._interner.intern
         for element, multiplicity in multiset.items():
             effective = measure.effective_multiplicity(multiplicity)
             if effective <= 0:
                 continue
-            key = element if interner is None else interner.intern(element)
-            self._postings.setdefault(key, {})[multiset.id] = effective
+            self._postings.setdefault(intern(element), {})[multiset.id] = effective
         self._multisets[multiset.id] = multiset
         # One scalar pass instead of a uni_from_multiplicity/uni_merge tuple
         # pair per element; identical tuples for every measure.
@@ -242,10 +232,10 @@ class SimilarityIndex:
 
         ``destination`` is a database path or an open
         :class:`~repro.storage.StorageEngine`.  The indexed multisets, the
-        maintained ``Uni`` partials, the inverted postings and (when
-        interning) the dense-id assignment are all stored, so
-        :meth:`load` restores the index without recomputing anything and
-        its query answers are bit-identical to this one's.
+        maintained ``Uni`` partials, the inverted postings and the dense-id
+        assignment are all stored, so :meth:`load` restores the index
+        without recomputing anything and its query answers are
+        bit-identical to this one's.
         """
         from repro.storage import save_index
 

@@ -43,11 +43,9 @@ class ServingNode:
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
                  *, cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 intern: bool = True,
                  name: str = "node0") -> None:
         self.index = SimilarityIndex(measure,
-                                     stop_word_frequency=stop_word_frequency,
-                                     intern=intern)
+                                     stop_word_frequency=stop_word_frequency)
         self.cache = LRUResultCache(cache_capacity)
         self.name = name
 

@@ -121,7 +121,6 @@ class ReplicatedShard:
                  replication_factor: int = 2, *,
                  cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 intern: bool = True,
                  name: str = "shard0",
                  read_strategy: str = ROUND_ROBIN,
                  fault_policies: "Sequence[FaultPolicy | None] | None" = None
@@ -145,7 +144,6 @@ class ReplicatedShard:
         self._node_settings = {
             "cache_capacity": cache_capacity,
             "stop_word_frequency": stop_word_frequency,
-            "intern": intern,
         }
         self.replicas = [
             Replica(self._blank_node(f"{name}/replica{index}"),

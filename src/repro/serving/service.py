@@ -72,7 +72,6 @@ class ReplicatedSimilarityService:
                  num_shards: int = 4, *, replication_factor: int = 2,
                  cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 intern: bool = True,
                  read_strategy: str = ROUND_ROBIN,
                  fault_policy_factory=None) -> None:
         """Build the fleet.
@@ -89,7 +88,6 @@ class ReplicatedSimilarityService:
                 measure, replication_factor,
                 cache_capacity=cache_capacity,
                 stop_word_frequency=stop_word_frequency,
-                intern=intern,
                 name=f"shard{shard}",
                 read_strategy=read_strategy,
                 fault_policies=(

@@ -15,9 +15,8 @@ in-memory originals:
   preserving it is what makes reloaded answers *bit*-identical);
 * :func:`save_index` / :func:`load_index` — a serving
   :class:`~repro.serving.index.SimilarityIndex` with its maintained
-  ``Uni`` partials, inverted postings and (when interning) the dense-id
-  assignment, so a load restores the exact structures without recomputing
-  anything.
+  ``Uni`` partials, inverted postings and the dense-id assignment, so a
+  load restores the exact structures without recomputing anything.
 
 Floats (similarities, ``Uni`` components, effective multiplicities) are
 stored in ``REAL`` columns — IEEE doubles on both sides, so round-trips
@@ -31,7 +30,7 @@ import json
 import os
 from typing import Iterable, Sequence
 
-from repro.core.exceptions import StorageError
+from repro.core.exceptions import ReproError, StorageError
 from repro.core.interning import ElementDictionary, LocalInterner
 from repro.core.multiset import Multiset
 from repro.storage.engine import StorageEngine, open_engine
@@ -129,25 +128,18 @@ def save_index(destination: str | os.PathLike | StorageEngine,
     """Persist a :class:`~repro.serving.index.SimilarityIndex` exactly.
 
     Stores the indexed multisets, the maintained ``Uni`` partials, the
-    inverted postings (keyed by encoded raw element; the dense-id keys of
-    an interned index are restored through the persisted interner) and the
-    index configuration.  One database holds one index; saving replaces
-    any previous one.
+    inverted postings (keyed by encoded raw element; the dense-id keys are
+    restored through the persisted interner) and the index configuration.
+    One database holds one index; saving replaces any previous one.
     """
     engine, owned = open_engine(destination)
     try:
-        interner = index._interner
-        reverse: dict[int, object] = {}
-        interned_rows: list[tuple] = []
-        if interner is not None:
-            for element, dense_id in interner.items():
-                reverse[dense_id] = element
-                interned_rows.append((dense_id, encode_value(element)))
+        encoded_of = {dense_id: encode_value(element)
+                      for element, dense_id in index._interner.items()}
         posting_rows: list[tuple] = []
         posting_seq = 0
         for key, postings in index._postings.items():
-            element = reverse[key] if interner is not None else key
-            encoded_element = encode_value(element)
+            encoded_element = encoded_of[key]
             for member_id, effective in postings.items():
                 posting_rows.append((posting_seq, encoded_element,
                                      encode_value(member_id), effective))
@@ -164,7 +156,7 @@ def save_index(destination: str | os.PathLike | StorageEngine,
             engine.execute("DELETE FROM index_interned")
             engine.executemany(
                 "INSERT INTO index_interned (dense_id, element) VALUES (?, ?)",
-                interned_rows)
+                list(encoded_of.items()))
             engine.execute("DELETE FROM index_postings")
             engine.executemany(
                 "INSERT INTO index_postings "
@@ -176,8 +168,6 @@ def save_index(destination: str | os.PathLike | StorageEngine,
             engine.set_meta("index", "stop_word_frequency",
                             None if index.stop_word_frequency is None
                             else str(index.stop_word_frequency))
-            engine.set_meta("index", "intern",
-                            "1" if interner is not None else "0")
             engine.set_meta("index", "version", str(index.version))
     finally:
         if owned:
@@ -199,7 +189,10 @@ def load_index(source: str | os.PathLike | StorageEngine):
     The loaded index answers every threshold/top-k query identically to
     the index :func:`save_index` was given — same members, same ``Uni``
     tuples, same postings, same interner state — and keeps accepting
-    writes from where the original left off.
+    writes from where the original left off.  A snapshot of an un-interned
+    index (an option up to 2.3.0) stores no dense-id table; its elements
+    are interned as the postings are read, in ``posting_seq`` order, which
+    is the order a fresh index assigns them.
     """
     from repro.serving.index import SimilarityIndex
 
@@ -209,11 +202,9 @@ def load_index(source: str | os.PathLike | StorageEngine):
         if "measure" not in meta:
             raise StorageError(f"{engine.path!r} holds no similarity index")
         stop_words = meta.get("stop_word_frequency")
-        intern = meta.get("intern") == "1"
         index = SimilarityIndex(
             meta["measure"],
-            stop_word_frequency=None if stop_words is None else int(stop_words),
-            intern=intern)
+            stop_word_frequency=None if stop_words is None else int(stop_words))
         members = load_members(engine, INDEX_STORE)
         id_of_seq = {seq: decode_value(member_id)
                      for seq, member_id in engine.query(
@@ -229,18 +220,17 @@ def load_index(source: str | os.PathLike | StorageEngine):
         # seq order is member insertion order, like add() produces.
         for seq in sorted(uni_parts):
             index._uni[id_of_seq[seq]] = tuple(uni_parts[seq])
-        if intern:
-            index._interner = LocalInterner.from_items(
-                (decode_value(element), dense_id)
-                for dense_id, element in engine.query(
-                    "SELECT dense_id, element FROM index_interned "
-                    "ORDER BY dense_id"))
-        postings: dict[object, dict] = {}
+        index._interner = LocalInterner.from_items(
+            (decode_value(element), dense_id)
+            for dense_id, element in engine.query(
+                "SELECT dense_id, element FROM index_interned "
+                "ORDER BY dense_id"))
+        intern = index._interner.intern
+        postings: dict[int, dict] = {}
         for element, seq, effective in engine.query(
                 "SELECT element, member_seq, effective FROM index_postings "
                 "ORDER BY posting_seq"):
-            raw = decode_value(element)
-            key = index._interner.intern(raw) if intern else raw
+            key = intern(decode_value(element))
             postings.setdefault(key, {})[id_of_seq[seq]] = effective
         index._postings = postings
         index._version = int(meta.get("version", "0"))
@@ -258,7 +248,7 @@ def load_index(source: str | os.PathLike | StorageEngine):
 #: loaded spec carries ``None`` for all four (= "use the session's").
 _SPEC_FIELDS = ("threshold", "algorithm", "sharding_threshold",
                 "stop_word_frequency", "chunk_size", "use_combiners",
-                "intern", "prune_candidates", "vcl_element_order",
+                "prune_candidates", "vcl_element_order",
                 "vcl_super_element_groups", "recall")
 
 
@@ -275,20 +265,34 @@ def describe_spec(spec) -> str:
     return json.dumps(described, sort_keys=True)
 
 
-def spec_from_description(text: str):
-    """Rebuild a :class:`~repro.engine.spec.JoinSpec` from stored JSON."""
+def spec_from_description(text: str, store: str = "<description>"):
+    """Rebuild a :class:`~repro.engine.spec.JoinSpec` from stored JSON.
+
+    ``store`` names the database in the :class:`StorageError` every damaged
+    description raises.  The ``intern`` field stores written up to 2.3.0
+    carry is dropped: both of its values now mean the one interned form.
+    """
     from repro.baselines.minhash import LSHParameters
     from repro.engine.spec import JoinSpec
 
     try:
         described = json.loads(text)
     except (TypeError, ValueError) as error:
+        raise StorageError(f"{store!r}: stored join spec is not valid JSON: "
+                           f"{error}") from None
+    if not isinstance(described, dict):
         raise StorageError(
-            f"stored join spec is not valid JSON: {error}") from None
+            f"{store!r}: stored join spec must be a JSON object, got "
+            f"{type(described).__name__}")
+    described.pop("intern", None)
     banding = described.pop("minhash_parameters", None)
-    if banding is not None:
-        described["minhash_parameters"] = LSHParameters(**banding)
-    return JoinSpec(**described)
+    try:
+        if banding is not None:
+            described["minhash_parameters"] = LSHParameters(**banding)
+        return JoinSpec(**described)
+    except (TypeError, ValueError, ReproError) as error:
+        raise StorageError(
+            f"{store!r}: stored join spec is damaged: {error}") from None
 
 
 # -- pair maps ----------------------------------------------------------------

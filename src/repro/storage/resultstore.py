@@ -106,7 +106,7 @@ class ResultStore:
         meta = engine.meta_section("result")
         if "spec" not in meta:
             raise StorageError(f"{engine.path!r} holds no join result")
-        spec = spec_from_description(meta["spec"])
+        spec = spec_from_description(meta["spec"], engine.path)
         algorithm = meta["algorithm"]
         multisets = load_members(engine, RESULT_STORE)
         if lazy and engine.path != ":memory:":

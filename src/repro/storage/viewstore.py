@@ -187,7 +187,7 @@ class ViewStore:
         if described is None:
             raise StorageError(
                 f"{store_engine.path!r} holds no join view")
-        spec = spec_from_description(described)
+        spec = spec_from_description(described, store_engine.path)
         members = load_members(store_engine, VIEW_STORE)
         pairs = [SimilarPair(decode_value(first), decode_value(second),
                              similarity)

@@ -145,7 +145,7 @@ class JoinView:
         self.spec = spec
         self.threshold = float(spec.threshold)
         self._engine = engine
-        self._index = SimilarityIndex(spec.measure, intern=spec.intern)
+        self._index = SimilarityIndex(spec.measure)
         self.measure = self._index.measure
         multisets = multisets_from_input(data)
         self._index.bulk_load(multisets)

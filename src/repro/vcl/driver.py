@@ -47,9 +47,6 @@ class VCLConfig:
     threshold: float = 0.5
     element_order: str = FREQUENCY_ORDER
     super_element_groups: int | None = None
-    #: Verify pairs on the interned merge-scan kernels (identical results;
-    #: ``False`` restores the dict-probe reference path).
-    intern: bool = True
 
     def __post_init__(self) -> None:
         validate_threshold(self.threshold)
@@ -136,8 +133,7 @@ class VCLJoin:
         kernel_job = build_kernel_job(measure, self.config.threshold,
                                       frequencies,
                                       use_frequency_order=use_frequency_order,
-                                      grouping=self.config.grouping(),
-                                      intern=self.config.intern)
+                                      grouping=self.config.grouping())
         kernel_result = self.runner.run(kernel_job, dataset)
         job_stats.append(kernel_result.stats)
 

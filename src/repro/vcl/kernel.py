@@ -113,44 +113,27 @@ class VCLKernelReducer(Reducer):
     computed exactly from the full multisets (no partial results needed,
     which is why VCL can afford to — and must — ship whole entities).
 
-    With ``intern=True`` (the default) each group is interned once — a
-    per-group :class:`~repro.core.interning.LocalInterner` maps elements to
-    dense ids and every member becomes a sorted array — so the quadratic
-    pair verification runs on the merge-scan kernels with the ``Uni``
-    partials folded once per member instead of once per pair.  The
-    similarity values are identical either way.
+    Each group is interned once — a per-group
+    :class:`~repro.core.interning.LocalInterner` maps elements to dense ids
+    and every member becomes a sorted array — so the quadratic pair
+    verification runs on the merge-scan kernels with the ``Uni`` partials
+    folded once per member instead of once per pair.
     """
 
     materializes_input = True
 
-    def __init__(self, measure: NominalSimilarityMeasure, threshold: float,
-                 intern: bool = True) -> None:
+    def __init__(self, measure: NominalSimilarityMeasure,
+                 threshold: float) -> None:
         self.measure = measure
         self.threshold = validate_threshold(threshold)
-        self.intern = intern
 
     def reduce(self, key: object, values: Sequence[Multiset],
                context: TaskContext) -> Iterator[tuple]:
-        multisets = list(values)
-        if self.intern and len(multisets) > 1:
-            yield from self._reduce_interned(multisets, context)
+        if len(values) < 2:
             return
-        for index_i in range(len(multisets)):
-            entity_i = multisets[index_i]
-            for index_j in range(index_i + 1, len(multisets)):
-                entity_j = multisets[index_j]
-                if entity_i.id == entity_j.id:
-                    continue
-                context.increment("vcl/pairs_verified", 1)
-                similarity = self.measure.similarity(entity_i, entity_j)
-                if similarity >= self.threshold:
-                    yield (canonical_pair(entity_i.id, entity_j.id), similarity)
-
-    def _reduce_interned(self, multisets: list[Multiset],
-                         context: TaskContext) -> Iterator[tuple]:
         measure = self.measure
         interner = LocalInterner()
-        interned = [interner.intern_multiset(multiset) for multiset in multisets]
+        interned = [interner.intern_multiset(multiset) for multiset in values]
         unis = [interned_unilateral(measure, entity) for entity in interned]
         for index_i in range(len(interned)):
             entity_i = interned[index_i]
@@ -169,21 +152,18 @@ def build_kernel_job(measure: NominalSimilarityMeasure, threshold: float,
                      frequencies: dict | None,
                      use_frequency_order: bool = True,
                      grouping: SuperElementGrouping | None = None,
-                     name: str = "vcl_kernel",
-                     intern: bool = True) -> JobSpec:
+                     name: str = "vcl_kernel") -> JobSpec:
     """Build the VCL kernel job.
 
     ``frequencies`` is the element-frequency map produced by the
     preprocessing job; it becomes mapper side data when frequency ordering is
-    requested (and must therefore fit in every mapper's memory).  ``intern``
-    selects the merge-scan pair verification of the reducer (identical
-    results, array-backed kernels).
+    requested (and must therefore fit in every mapper's memory).
     """
     mapper = VCLKernelMapper(measure, threshold, use_frequency_order, grouping)
     side_data = frequencies if use_frequency_order else None
     return JobSpec(name=name,
                    mapper=mapper,
-                   reducer=VCLKernelReducer(measure, threshold, intern=intern),
+                   reducer=VCLKernelReducer(measure, threshold),
                    side_data=side_data)
 
 

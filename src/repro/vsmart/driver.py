@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import JobConfigurationError
-from repro.core.interning import InterningContext
+from repro.core.interning import InterningContext, PairCodec
 from repro.core.multiset import Multiset
 from repro.core.records import (
     InputTuple,
@@ -81,14 +81,6 @@ class VSmartJoinConfig:
     use_combiners:
         Whether dedicated combiners run (the paper's default is yes; the
         ablation benchmark flips this off).
-    intern:
-        Run the driver's interning pass: elements and multiset identifiers
-        are mapped to dense integers (elements in ascending
-        document-frequency order) before the pipeline runs, candidate pair
-        keys pack both ids into a single int, and the final pairs are
-        mapped back to the original identifiers.  Purely representational —
-        the join output is identical with ``intern=False`` (the legacy
-        arbitrary-key path).
     prune_candidates:
         Apply exact upper-bound candidate pruning in the Similarity1
         reducer (and in chunk expansion): pairs whose similarity upper
@@ -104,7 +96,6 @@ class VSmartJoinConfig:
     stop_word_frequency: int | None = None
     chunk_size: int | None = None
     use_combiners: bool = True
-    intern: bool = True
     prune_candidates: bool = True
 
     def __post_init__(self) -> None:
@@ -165,6 +156,12 @@ class VSmartJoin:
     counters and simulated run times are identical across backends; only
     real wall-clock time changes.  Call :meth:`close` (or use the driver as
     a context manager) to release pooled workers.
+
+    Every run starts with the interning pass: elements and multiset
+    identifiers are mapped to dense integers (elements in ascending
+    document-frequency order), candidate pair keys pack both ids into a
+    single int, and the final pairs are mapped back to the original
+    identifiers.  That interned form is the only one the jobs ever see.
     """
 
     def __init__(self, config: VSmartJoinConfig | None = None,
@@ -195,12 +192,9 @@ class VSmartJoin:
         measure = self.config.resolved_measure()
         dataset = normalise_input(data)
 
-        interning: InterningContext | None = None
-        if self.config.intern:
-            records = list(dataset.records)
-            interning = InterningContext.from_input_tuples(records)
-            dataset = Dataset("interned_input",
-                              interning.intern_records(records))
+        records = list(dataset.records)
+        interning = InterningContext.from_input_tuples(records)
+        dataset = Dataset("interned_input", interning.intern_records(records))
 
         job_stats = []
         joining_names: list[str] = []
@@ -213,7 +207,7 @@ class VSmartJoin:
             dataset = result.output
 
         sim1_result, joining_results = self._run_joining_and_similarity1(
-            measure, dataset, interning)
+            measure, dataset, interning.codec)
         for result in joining_results:
             job_stats.append(result.stats)
             joining_names.append(result.stats.job_name)
@@ -223,13 +217,11 @@ class VSmartJoin:
             measure, self.config.threshold,
             self.config.similarity_phase_config(),
             prune_chunks=self.config.prune_candidates,
-            pair_codec=interning.codec if interning else None)
+            pair_codec=interning.codec)
         sim2_result = self.runner.run(sim2_job, sim1_result.output)
         job_stats.append(sim2_result.stats)
 
-        pairs = list(sim2_result.output.records)
-        if interning is not None:
-            pairs = interning.restore_pairs(pairs)
+        pairs = interning.restore_pairs(sim2_result.output.records)
         pairs.sort()
         joining_seconds = sum(stats.simulated_seconds for stats in job_stats
                               if stats.job_name in joining_names)
@@ -245,7 +237,6 @@ class VSmartJoin:
                 "algorithm": self.config.algorithm,
                 "measure": measure.name,
                 "threshold": self.config.threshold,
-                "interned": interning is not None,
             },
         )
         return VSmartJoinResult(pairs=pairs, pipeline=pipeline, config=self.config)
@@ -254,13 +245,12 @@ class VSmartJoin:
 
     def _run_joining_and_similarity1(
             self, measure: NominalSimilarityMeasure, dataset: Dataset,
-            interning: InterningContext | None) -> tuple[JobResult, list[JobResult]]:
+            pair_codec: PairCodec) -> tuple[JobResult, list[JobResult]]:
         algorithm = self.config.algorithm
         phase_config = self.config.similarity_phase_config()
         prune_measure = measure if self.config.prune_candidates else None
         prune_threshold = (self.config.threshold
                            if self.config.prune_candidates else None)
-        pair_codec = interning.codec if interning else None
         if algorithm == ONLINE_AGGREGATION:
             joining = self.runner.run(
                 build_online_aggregation_job(measure, self.config.use_combiners),

@@ -34,11 +34,12 @@ Two hot-path refinements go beyond the paper:
   cannot reach the threshold is never emitted.  The bound is a guarantee,
   so the join output is unchanged while the quadratic posting-list
   expansion shrinks *before* it hits the shuffle;
-* **packed pair keys**: when the driver has interned multiset identifiers
-  to dense integers (see :mod:`repro.core.interning`), a
-  :class:`~repro.core.interning.PairCodec` packs each candidate's
-  ``(id_i, id_j)`` into a single int, so the Similarity2 shuffle hashes and
-  compares one machine word instead of a four-field record.
+* **packed pair keys**: the driver interns multiset identifiers to dense
+  integers (see :mod:`repro.core.interning`), and the
+  :class:`~repro.core.interning.PairCodec` of that interning pass packs each
+  candidate's ``(id_i, id_j)`` into a single int, so the Similarity2 shuffle
+  hashes and compares one machine word instead of two identifiers.  This is
+  the only key form: every candidate-emitting stage is built with the codec.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.core.interning import PairCodec
-from repro.core.records import JoinedTuple, PairContribution, PairKey, PostingEntry, SimilarPair
+from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 
@@ -101,8 +102,7 @@ class _CandidateFilter:
     __slots__ = ("measure", "threshold", "pair_codec", "prunes")
 
     def __init__(self, measure: NominalSimilarityMeasure | None,
-                 threshold: float | None,
-                 pair_codec: PairCodec | None) -> None:
+                 threshold: float | None, pair_codec: PairCodec) -> None:
         self.measure = measure
         self.threshold = (None if threshold is None
                           else validate_threshold(threshold))
@@ -122,20 +122,15 @@ class _CandidateFilter:
                     posting_j: PostingEntry) -> tuple:
         """Build the canonical keyed record for a candidate pair.
 
-        Without a codec the key is the four-field
-        :class:`~repro.core.records.PairKey`.  With a codec (interned
-        identifiers), numeric id order *is* canonical order, and the key
-        becomes ``(packed_ids, Uni(Mi), Uni(Mj))`` — one int instead of two
-        identifiers.
+        Identifiers are dense interned ints, so numeric id order *is*
+        canonical order, and the key is ``(packed_ids, Uni(Mi), Uni(Mj))``
+        — one int instead of two identifiers.
         """
-        codec = self.pair_codec
-        if codec is None:
-            return _pair_record(posting_i, posting_j)
         if posting_i.multiset_id <= posting_j.multiset_id:
             first, second = posting_i, posting_j
         else:
             first, second = posting_j, posting_i
-        key = (codec.pack(first.multiset_id, second.multiset_id),
+        key = (self.pair_codec.pack(first.multiset_id, second.multiset_id),
                first.uni, second.uni)
         return (key, PairContribution(first.multiplicity, second.multiplicity))
 
@@ -160,7 +155,8 @@ class Similarity1Reducer(Reducer):
     """``reduceSimilarity1``: emit candidate pairs for each element.
 
     For every unordered pair of postings in the element's reduce value list
-    the reducer outputs ``<<Mi, Mj, Uni(Mi), Uni(Mj)>, <f_ik, f_jk>>``.
+    the reducer outputs ``<<Mi, Mj, Uni(Mi), Uni(Mj)>, <f_ik, f_jk>>``, with
+    ``Mi, Mj`` packed into one int by ``pair_codec``.
     Without chunking the posting list must be materialised, so the runner's
     memory budget applies (exactly the thrashing risk the paper describes);
     with chunking the list is dissected and only chunk pairs are emitted.
@@ -171,9 +167,9 @@ class Similarity1Reducer(Reducer):
     """
 
     def __init__(self, config: SimilarityPhaseConfig | None = None, *,
+                 pair_codec: PairCodec,
                  measure: NominalSimilarityMeasure | None = None,
-                 threshold: float | None = None,
-                 pair_codec: PairCodec | None = None) -> None:
+                 threshold: float | None = None) -> None:
         self.config = config or SimilarityPhaseConfig()
         self.filter = _CandidateFilter(measure, threshold, pair_codec)
         self.materializes_input = self.config.chunk_size is None
@@ -228,18 +224,6 @@ class Similarity1Reducer(Reducer):
                                       same_chunk=index_p == index_q)
 
 
-def _pair_record(posting_i: PostingEntry,
-                 posting_j: PostingEntry) -> tuple[PairKey, PairContribution]:
-    """Build the canonical ``(PairKey, PairContribution)`` record for a pair."""
-    key = PairKey.make(posting_i.multiset_id, posting_i.uni,
-                       posting_j.multiset_id, posting_j.uni)
-    if key.first == posting_i.multiset_id:
-        contribution = PairContribution(posting_i.multiplicity, posting_j.multiplicity)
-    else:
-        contribution = PairContribution(posting_j.multiplicity, posting_i.multiplicity)
-    return (key, contribution)
-
-
 # ---------------------------------------------------------------------------
 # Similarity2
 # ---------------------------------------------------------------------------
@@ -263,8 +247,8 @@ class Similarity2Mapper(Mapper):
     """
 
     def __init__(self, measure: NominalSimilarityMeasure, *,
-                 threshold: float | None = None,
-                 pair_codec: PairCodec | None = None) -> None:
+                 pair_codec: PairCodec,
+                 threshold: float | None = None) -> None:
         self.measure = measure
         self.filter = _CandidateFilter(
             measure if threshold is not None else None, threshold, pair_codec)
@@ -319,18 +303,15 @@ class ConjunctiveCombiner(Combiner):
 class Similarity2Reducer(Reducer):
     """``reduceSimilarity2``: combine partials into the final similarity.
 
-    The reduce key carries ``Uni(Mi)`` and ``Uni(Mj)`` (either as a
-    :class:`~repro.core.records.PairKey` or, with a pair codec, as a packed
-    ``(ids, uni, uni)`` tuple); the value list holds the (possibly
-    pre-combined) conjunctive contributions of every shared element.  Pairs
-    reaching the threshold are emitted as
-    :class:`~repro.core.records.SimilarPair` — carrying dense integer
-    identifiers in the packed case, which the driver maps back to the
-    originals.
+    The reduce key is the packed ``(ids, Uni(Mi), Uni(Mj))`` tuple; the
+    value list holds the (possibly pre-combined) conjunctive contributions
+    of every shared element.  Pairs reaching the threshold are emitted as
+    :class:`~repro.core.records.SimilarPair` carrying the dense integer
+    identifiers, which the driver maps back to the originals.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure, threshold: float, *,
-                 pair_codec: PairCodec | None = None) -> None:
+                 pair_codec: PairCodec) -> None:
         self.measure = measure
         self.threshold = validate_threshold(threshold)
         self.pair_codec = pair_codec
@@ -340,13 +321,8 @@ class Similarity2Reducer(Reducer):
         conj = self.measure.conj_zero()
         for value in values:
             conj = self.measure.conj_merge(conj, value)
-        codec = self.pair_codec
-        if codec is None:
-            first, second = key.first, key.second
-            uni_first, uni_second = key.uni_first, key.uni_second
-        else:
-            packed, uni_first, uni_second = key
-            first, second = codec.unpack(packed)
+        packed, uni_first, uni_second = key
+        first, second = self.pair_codec.unpack(packed)
         similarity = self.measure.combine(uni_first, uni_second, conj)
         context.increment("similarity2/pairs_evaluated", 1)
         if similarity >= self.threshold:
@@ -362,17 +338,17 @@ class Similarity2Reducer(Reducer):
 def build_similarity1_job(config: SimilarityPhaseConfig | None = None,
                           name: str = "similarity1",
                           mapper: Mapper | None = None, *,
+                          pair_codec: PairCodec,
                           measure: NominalSimilarityMeasure | None = None,
-                          threshold: float | None = None,
-                          pair_codec: PairCodec | None = None) -> JobSpec:
+                          threshold: float | None = None) -> JobSpec:
     """Build the Similarity1 job.
 
     ``mapper`` can be overridden so that a joining algorithm (Lookup) whose
     last step already produces element-keyed postings can fuse its map stage
     with Similarity1 and save a MapReduce step, as the paper describes.
     Passing ``measure`` and ``threshold`` enables upper-bound candidate
-    pruning; ``pair_codec`` enables packed pair keys (interned identifiers
-    only).
+    pruning; ``pair_codec`` is the codec of the interning pass that produced
+    the dense multiset identifiers in the input.
     """
     return JobSpec(name=name,
                    mapper=mapper or Similarity1Mapper(),
@@ -384,14 +360,14 @@ def build_similarity1_job(config: SimilarityPhaseConfig | None = None,
 def build_similarity2_job(measure: NominalSimilarityMeasure, threshold: float,
                           config: SimilarityPhaseConfig | None = None,
                           name: str = "similarity2", *,
-                          prune_chunks: bool = False,
-                          pair_codec: PairCodec | None = None) -> JobSpec:
+                          pair_codec: PairCodec,
+                          prune_chunks: bool = False) -> JobSpec:
     """Build the Similarity2 job for a measure and threshold.
 
     ``prune_chunks`` applies the Similarity1 upper-bound pruning during
     chunk-pair expansion (it must match whether the Similarity1 job pruned,
     so both paths emit the same candidate set); ``pair_codec`` must be the
-    codec the Similarity1 job packed its keys with, or ``None``.
+    codec the Similarity1 job packed its keys with.
     """
     resolved_config = config or SimilarityPhaseConfig()
     combiner = ConjunctiveCombiner(measure) if resolved_config.use_combiners else None

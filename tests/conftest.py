@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import os
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from repro.core.multiset import Multiset
+from repro.engine.spec import JoinSpec
 from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, HADOOP, Cluster, laptop_cluster
 from repro.serving.service import ReplicatedSimilarityService
+from repro.similarity.exact import all_pairs_exact, pair_dictionary
+from repro.similarity.registry import supported_measures
+from repro.vsmart.driver import JOINING_ALGORITHMS
 
 # Hypothesis budgets.  The stateful suites (tests/test_streaming.py,
 # tests/test_serving.py) take their example and step budgets from the
@@ -50,6 +56,60 @@ class InlineBackend(ExecutionBackend):
 #: Every execution path a parity test covers, as ``backend=`` accepts it:
 #: the three registered names plus the multi-task path without a pool.
 BACKENDS = ("serial", "process", "disk", InlineBackend())
+
+
+class JoinGridCell(NamedTuple):
+    """One drawn cell of the parity grid; see :func:`join_grid`."""
+
+    measure: str
+    algorithm: str
+    backend: object
+    threshold: float
+    seed: int
+
+    def corpus(self, count: int = 10, alphabet_size: int = 14,
+               max_elements: int = 8) -> list[Multiset]:
+        """The cell's random corpus (small alphabet, so overlaps are common)."""
+        return make_random_multisets(count, alphabet_size=alphabet_size,
+                                     max_elements=max_elements, seed=self.seed)
+
+    def spec(self) -> JoinSpec:
+        """The cell as a :class:`JoinSpec` (``C = 4`` splits these corpora)."""
+        return JoinSpec(measure=self.measure, threshold=self.threshold,
+                        algorithm=self.algorithm, sharding_threshold=4)
+
+
+@st.composite
+def join_grid(draw, measures=None,
+              algorithms=JOINING_ALGORITHMS + ("vcl", "exact"),
+              backends=BACKENDS, thresholds=(0.2, 0.5, 0.8)) -> JoinGridCell:
+    """Draw one cell of measures x algorithms x backends x thresholds x corpus.
+
+    The one grid every parity suite (backends, engine, interning,
+    streaming) draws from, each narrowing the axes it cannot cover;
+    :func:`assert_matches_oracle` is the one oracle they hold a cell to.
+    """
+    return JoinGridCell(
+        measure=draw(st.sampled_from(measures or sorted(supported_measures()))),
+        algorithm=draw(st.sampled_from(algorithms)),
+        backend=draw(st.sampled_from(backends)),
+        threshold=draw(st.sampled_from(thresholds)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)))
+
+
+def assert_matches_oracle(pairs, multisets, measure, threshold) -> None:
+    """``pairs`` is exactly what the dict-kernel brute force finds.
+
+    ``pairs`` is a ``SimilarPair`` iterable or a ``{(first, second):
+    similarity}`` map.  The pair *sets* must be equal; scores agree to
+    float tolerance only, because the oracle folds each pair in element
+    order while the pipelines fold in shuffle order.
+    """
+    produced = pairs if isinstance(pairs, dict) else pair_dictionary(pairs)
+    expected = pair_dictionary(all_pairs_exact(multisets, measure, threshold))
+    assert set(produced) == set(expected)
+    for pair, similarity in expected.items():
+        assert produced[pair] == pytest.approx(similarity)
 
 
 def strip_telemetry(counters: dict[str, int]) -> dict[str, int]:

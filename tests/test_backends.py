@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.exceptions import (
     BackendError,
@@ -43,7 +42,12 @@ from repro.vsmart.driver import (
     VSmartJoin,
     VSmartJoinConfig,
 )
-from tests.conftest import InlineBackend, strip_telemetry
+from tests.conftest import (
+    InlineBackend,
+    assert_matches_oracle,
+    join_grid,
+    strip_telemetry,
+)
 from tests.test_mapreduce_runner import (
     MaterialisingReducer,
     WordCountMapper,
@@ -72,13 +76,12 @@ def small_corpus(count: int = 12, stride: int = 5) -> list[Multiset]:
 
 
 def run_join(backend, corpus, algorithm="online_aggregation", measure="ruzicka",
-             threshold=0.3, intern=True):
+             threshold=0.3):
     config = VSmartJoinConfig(
         algorithm=algorithm,
         measure=measure,
         threshold=threshold,
         sharding_threshold=3,
-        intern=intern,
     )
     join = VSmartJoin(config, cluster=laptop_cluster(), backend=backend)
     return join.run(corpus)
@@ -311,65 +314,43 @@ class TestErrorPropagation:
         assert excinfo.value.required_bytes > excinfo.value.budget_bytes > 0
 
 
-@st.composite
-def corpora(draw):
-    """Small random corpora of multisets over a tiny shared alphabet."""
-    count = draw(st.integers(min_value=2, max_value=8))
-    members = []
-    for index in range(count):
-        contents = draw(
-            st.dictionaries(
-                st.sampled_from([f"e{i}" for i in range(6)]),
-                st.integers(min_value=1, max_value=4),
-                min_size=1,
-                max_size=4,
-            )
-        )
-        members.append(Multiset(f"m{index}", contents))
-    return members
-
-
 class TestPropertyParity:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(corpus=corpora(),
-           algorithm=st.sampled_from(JOINING_ALGORITHMS),
-           threshold=st.sampled_from([0.2, 0.5, 0.8]))
-    def test_random_corpora_agree(self, corpus, algorithm, threshold,
-                                  process_backend):
-        base = run_join(SerialBackend(), corpus, algorithm=algorithm,
-                        threshold=threshold)
-        for backend in (INLINE, process_backend):
-            result = run_join(backend, corpus, algorithm=algorithm,
-                              threshold=threshold)
+    @given(cell=join_grid(measures=("ruzicka",),
+                          algorithms=JOINING_ALGORITHMS, backends=(INLINE,)))
+    def test_random_corpora_agree(self, cell, process_backend):
+        corpus = cell.corpus(count=8, alphabet_size=6, max_elements=4)
+        base = run_join(SerialBackend(), corpus, algorithm=cell.algorithm,
+                        threshold=cell.threshold)
+        for backend in (cell.backend, process_backend):
+            result = run_join(backend, corpus, algorithm=cell.algorithm,
+                              threshold=cell.threshold)
             assert result.pairs == base.pairs, backend.name
             assert result.counters() == base.counters(), backend.name
 
     @settings(max_examples=12, deadline=None)
-    @given(corpus=corpora(),
-           algorithm=st.sampled_from(JOINING_ALGORITHMS),
-           measure=st.sampled_from(["ruzicka", "jaccard", "cosine"]),
-           threshold=st.sampled_from([0.2, 0.5, 0.8]),
-           intern=st.booleans())
-    def test_exec_backends_are_bit_identical(self, corpus, algorithm, measure,
-                                             threshold, intern):
+    @given(cell=join_grid(measures=("ruzicka", "jaccard", "cosine"),
+                          algorithms=JOINING_ALGORITHMS,
+                          backends=exec_backends()))
+    def test_exec_backends_are_bit_identical(self, cell):
         """The disk-shuffle backend reproduces serial joins exactly.
 
         Output pairs, counters (minus the reserved telemetry namespace) and
         the complete per-job statistics must match bit for bit, across
-        measures, joining algorithms and interning on/off — the same
-        discipline the process backend is held to.
+        measures and joining algorithms — the same discipline the process
+        backend is held to.
         """
-        base = run_join(SerialBackend(), corpus, algorithm=algorithm,
-                        measure=measure, threshold=threshold, intern=intern)
-        for backend in exec_backends():
-            result = run_join(backend, corpus, algorithm=algorithm,
-                              measure=measure, threshold=threshold,
-                              intern=intern)
-            assert result.pairs == base.pairs, backend.name
-            assert (strip_telemetry(result.counters())
-                    == strip_telemetry(base.counters())), backend.name
-            for mine, theirs in zip(base.pipeline.job_stats,
-                                    result.pipeline.job_stats, strict=True):
-                assert comparable_stats(mine) == comparable_stats(theirs), \
-                    (backend.name, mine.job_name)
+        corpus = cell.corpus(count=8, alphabet_size=6, max_elements=4)
+        base, result = (run_join(backend, corpus, algorithm=cell.algorithm,
+                                 measure=cell.measure,
+                                 threshold=cell.threshold)
+                        for backend in (SerialBackend(), cell.backend))
+        assert_matches_oracle(base.pairs, corpus, cell.measure, cell.threshold)
+        assert result.pairs == base.pairs
+        assert (strip_telemetry(result.counters())
+                == strip_telemetry(base.counters()))
+        for mine, theirs in zip(base.pipeline.job_stats,
+                                result.pipeline.job_stats, strict=True):
+            assert comparable_stats(mine) == comparable_stats(theirs), \
+                mine.job_name

@@ -17,7 +17,6 @@ from repro.core.records import (
     InputTuple,
     JoinedTuple,
     PairContribution,
-    PairKey,
     PostingEntry,
     SimilarPair,
 )
@@ -232,8 +231,8 @@ class MappingLike:
 #: Every record dataclass the pipelines move (and a ``NamedTuple``), with
 #: free-form fields.
 RECORD_TYPES = (
-    (KeyValue, 3), (JoinedTuple, 4), (PostingEntry, 3), (PairKey, 4),
-    (PairContribution, 2), (SimilarPair, 3), (ChunkPairRecord, 4), (Point, 2),
+    (KeyValue, 3), (JoinedTuple, 4), (PostingEntry, 3), (PairContribution, 2),
+    (SimilarPair, 3), (ChunkPairRecord, 4), (Point, 2),
 )
 
 

@@ -14,7 +14,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     JoinResult,
@@ -43,7 +42,13 @@ from repro.similarity.exact import all_pairs_exact
 from repro.similarity.registry import supported_measures
 from repro.vcl.driver import VCLConfig, VCLJoin
 from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
-from tests.conftest import BACKENDS, make_random_multisets, strip_telemetry
+from tests.conftest import (
+    BACKENDS,
+    assert_matches_oracle,
+    join_grid,
+    make_random_multisets,
+    strip_telemetry,
+)
 
 
 def skewed_corpus():
@@ -92,10 +97,10 @@ class TestJoinSpec:
 
     def test_vsmart_config_round_trip(self):
         spec = JoinSpec(algorithm="lookup", threshold=0.4, chunk_size=8,
-                        intern=False)
+                        prune_candidates=False)
         config = spec.vsmart_config()
         assert config == VSmartJoinConfig(algorithm="lookup", threshold=0.4,
-                                          chunk_size=8, intern=False)
+                                          chunk_size=8, prune_candidates=False)
 
     def test_vsmart_config_rejects_non_joining_algorithm(self):
         with pytest.raises(JobConfigurationError):
@@ -103,10 +108,10 @@ class TestJoinSpec:
 
     def test_vcl_config_round_trip(self):
         spec = JoinSpec(algorithm="vcl", threshold=0.3,
-                        vcl_element_order="hash", intern=False)
+                        vcl_element_order="hash", vcl_super_element_groups=7)
         assert spec.vcl_config() == VCLConfig(threshold=0.3,
                                               element_order="hash",
-                                              intern=False)
+                                              super_element_groups=7)
 
     def test_describe_resolves_measure_name(self):
         from repro.similarity.measures import JaccardSimilarity
@@ -218,32 +223,26 @@ class TestEngineParity:
                                       .run(small_multisets))
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           measure=st.sampled_from(sorted(supported_measures())),
-           algorithm=st.sampled_from(JOINING_ALGORITHMS + ("vcl", "exact")),
-           backend=st.sampled_from(BACKENDS),
-           threshold=st.sampled_from([0.2, 0.5, 0.8]),
-           intern=st.booleans())
-    def test_property_engine_equals_legacy(self, seed, measure, algorithm,
-                                           backend, threshold, intern):
-        multisets = make_random_multisets(10, alphabet_size=14,
-                                          max_elements=8, seed=seed)
+    @given(cell=join_grid())
+    def test_property_engine_equals_legacy(self, cell):
+        multisets = cell.corpus()
         cluster = laptop_cluster(num_machines=3)
-        spec = JoinSpec(measure=measure, threshold=threshold,
-                        algorithm=algorithm, sharding_threshold=4,
-                        intern=intern)
-        with SimilarityEngine(cluster=cluster, backend=backend) as engine:
+        spec = cell.spec()
+        with SimilarityEngine(cluster=cluster,
+                              backend=cell.backend) as engine:
             result = engine.run(spec, multisets)
-        if algorithm == "exact":
-            legacy_pairs = all_pairs_exact(multisets, measure, threshold,
-                                           intern=intern)
-        elif algorithm == "vcl":
-            legacy_pairs = VCLJoin(spec.vcl_config(), cluster=cluster,
-                                   backend=backend).run(multisets).pairs
+        assert_matches_oracle(result.pairs, multisets, cell.measure,
+                              cell.threshold)
+        if cell.algorithm == "exact":
+            return  # the oracle is the legacy entry point
+        if cell.algorithm == "vcl":
+            legacy = VCLJoin(spec.vcl_config(), cluster=cluster,
+                             backend=cell.backend)
         else:
-            legacy_pairs = VSmartJoin(spec.vsmart_config(), cluster=cluster,
-                                      backend=backend).run(multisets).pairs
-        assert result.pairs == legacy_pairs
+            legacy = VSmartJoin(spec.vsmart_config(), cluster=cluster,
+                                backend=cell.backend)
+        with legacy:
+            assert result.pairs == legacy.run(multisets).pairs
 
 
 class TestPlanner:

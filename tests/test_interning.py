@@ -3,18 +3,22 @@
 The contract under test mirrors the backend contract: interning, packed
 pair keys and upper-bound pruning change *how* the hot paths represent and
 skip work, never *what* they compute — pair sets and similarity values must
-be identical to the uninterned, unpruned reference on every measure and
+match the dict-kernel reference (``all_pairs_exact``) on every measure and
 every backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
+import repro
 from repro.core.interning import (
     ElementDictionary,
     InterningContext,
@@ -29,7 +33,6 @@ from repro.core.records import (
     InputTuple,
     JoinedTuple,
     PairContribution,
-    PairKey,
     PostingEntry,
     SimilarPair,
     explode_multisets,
@@ -48,7 +51,43 @@ from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
-from tests.conftest import BACKENDS, make_random_multisets
+from tests.conftest import (
+    assert_matches_oracle,
+    join_grid,
+    make_random_multisets,
+)
+
+
+class TestOneRepresentation:
+    """The interned form is the only one: no switch selects another."""
+
+    def test_no_intern_switch_and_no_optional_pair_codec(self):
+        """No signature or dataclass field in ``repro`` is named ``intern``
+        (bar the dict-kernel oracle's), and ``pair_codec`` is never optional."""
+        oracle = "repro.similarity.exact.all_pairs_exact"
+        offenders = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            owned = [member for member in vars(module).values()
+                     if getattr(member, "__module__", None) == info.name]
+            functions = [m for m in owned if inspect.isfunction(m)]
+            for cls in filter(inspect.isclass, owned):
+                methods = (getattr(m, "__func__", m)  # class/static methods
+                           for m in vars(cls).values())
+                functions += [m for m in methods if inspect.isfunction(m)]
+                if dataclasses.is_dataclass(cls) and any(
+                        field.name == "intern"
+                        for field in dataclasses.fields(cls)):
+                    offenders.append(f"{info.name}.{cls.__qualname__}.intern")
+            for function in functions:
+                where = f"{info.name}.{function.__qualname__}"
+                parameters = inspect.signature(function).parameters
+                if "intern" in parameters and where != oracle:
+                    offenders.append(f"{where}(intern=)")
+                codec = parameters.get("pair_codec")
+                if codec is not None and codec.default is not codec.empty:
+                    offenders.append(f"{where}(pair_codec={codec.default!r})")
+        assert offenders == []
 
 
 class TestElementDictionary:
@@ -240,7 +279,6 @@ class TestSlottedRecords:
         InputTuple("m1", "x", 2.0),
         JoinedTuple("m1", (3.0,), "x", 2.0),
         PostingEntry("m1", (3.0,), 2.0),
-        PairKey("a", "b", (1.0,), (2.0,)),
         PairContribution(1.0, 2.0),
         SimilarPair("a", "b", 0.75),
     ]
@@ -262,11 +300,11 @@ class TestSlottedRecords:
 class TestPipelineEquivalence:
     """Interned + pruned pipelines emit exactly the reference pair set."""
 
-    def run_pairs(self, multisets, *, intern, prune, algorithm="online_aggregation",
+    def run_pairs(self, multisets, *, prune, algorithm="online_aggregation",
                   threshold=0.5, backend="serial", measure="ruzicka"):
         config = VSmartJoinConfig(algorithm=algorithm, measure=measure,
                                   threshold=threshold, sharding_threshold=4,
-                                  intern=intern, prune_candidates=prune)
+                                  prune_candidates=prune)
         join = VSmartJoin(config, cluster=laptop_cluster(num_machines=3),
                           backend=backend)
         with join:
@@ -274,29 +312,24 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
     def test_intern_and_prune_bit_identical_pairs(self, small_multisets, algorithm):
-        reference = self.run_pairs(small_multisets, intern=False, prune=False,
-                                   algorithm=algorithm, threshold=0.3)
-        for intern in (False, True):
-            for prune in (False, True):
-                result = self.run_pairs(small_multisets, intern=intern,
-                                        prune=prune, algorithm=algorithm,
-                                        threshold=0.3)
-                assert result.pairs == reference.pairs, (intern, prune)
+        unpruned = self.run_pairs(small_multisets, prune=False,
+                                  algorithm=algorithm, threshold=0.3)
+        pruned = self.run_pairs(small_multisets, prune=True,
+                                algorithm=algorithm, threshold=0.3)
+        assert pruned.pairs == unpruned.pairs
+        assert_matches_oracle(pruned.pairs, small_multisets, "ruzicka", 0.3)
 
     def test_pruning_drops_candidates_at_high_threshold(self, small_multisets):
-        unpruned = self.run_pairs(small_multisets, intern=True, prune=False,
-                                  threshold=0.7)
-        pruned = self.run_pairs(small_multisets, intern=True, prune=True,
-                                threshold=0.7)
+        unpruned = self.run_pairs(small_multisets, prune=False, threshold=0.7)
+        pruned = self.run_pairs(small_multisets, prune=True, threshold=0.7)
         assert pruned.pairs == unpruned.pairs
         assert (pruned.counters()["similarity1/candidate_records"]
                 < unpruned.counters()["similarity1/candidate_records"])
         assert pruned.counters()["similarity1/candidates_pruned"] > 0
 
     def test_chunked_pipeline_prunes_identically(self, small_multisets):
-        plain = self.run_pairs(small_multisets, intern=True, prune=True,
-                               threshold=0.6)
-        config = VSmartJoinConfig(threshold=0.6, chunk_size=3, intern=True,
+        plain = self.run_pairs(small_multisets, prune=True, threshold=0.6)
+        config = VSmartJoinConfig(threshold=0.6, chunk_size=3,
                                   prune_candidates=True)
         chunked = VSmartJoin(config, cluster=laptop_cluster(num_machines=3)).run(
             small_multisets)
@@ -307,33 +340,22 @@ class TestPipelineEquivalence:
         multisets = [Multiset(1, {"x": 2, "y": 1}),
                      Multiset("one", {"x": 2, "y": 1}),
                      Multiset((2, "t"), {"x": 1, "z": 3})]
-        result = self.run_pairs(multisets, intern=True, prune=True, threshold=0.4)
+        result = self.run_pairs(multisets, prune=True, threshold=0.4)
         expected = all_pairs_exact(multisets, "ruzicka", 0.4)
         assert {p.pair for p in result.pairs} == {p.pair for p in expected}
 
     def test_vcl_interned_kernel_matches(self, small_multisets):
-        interned = join(small_multisets, threshold=0.3, algorithm="vcl",
-                        intern=True).pairs
-        reference = join(small_multisets, threshold=0.3, algorithm="vcl",
-                         intern=False).pairs
-        assert interned == reference
+        interned = join(small_multisets, threshold=0.3, algorithm="vcl").pairs
+        assert interned == all_pairs_exact(small_multisets, "ruzicka", 0.3)
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           measure=st.sampled_from(supported_measures()),
-           algorithm=st.sampled_from(JOINING_ALGORITHMS),
-           backend=st.sampled_from(BACKENDS),
-           threshold=st.sampled_from([0.25, 0.5, 0.75]))
-    def test_property_interned_pruned_pipeline_matches_exact(
-            self, seed, measure, algorithm, backend, threshold):
-        multisets = make_random_multisets(9, alphabet_size=12, max_elements=6,
-                                          seed=seed)
-        expected = all_pairs_exact(multisets, measure, threshold)
-        result = self.run_pairs(multisets, intern=True, prune=True,
-                                algorithm=algorithm, backend=backend,
-                                threshold=threshold, measure=measure)
-        assert {p.pair for p in result.pairs} == {p.pair for p in expected}
-        produced = {p.pair: p.similarity for p in result.pairs}
-        for pair in expected:
-            assert produced[pair.pair] == pytest.approx(pair.similarity)
+    @given(cell=join_grid(algorithms=JOINING_ALGORITHMS,
+                          thresholds=(0.25, 0.5, 0.75)))
+    def test_property_interned_pruned_pipeline_matches_exact(self, cell):
+        multisets = cell.corpus(count=9, alphabet_size=12, max_elements=6)
+        result = self.run_pairs(multisets, prune=True,
+                                algorithm=cell.algorithm, backend=cell.backend,
+                                threshold=cell.threshold, measure=cell.measure)
+        assert_matches_oracle(result.pairs, multisets, cell.measure,
+                              cell.threshold)

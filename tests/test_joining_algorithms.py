@@ -1,10 +1,17 @@
-"""Tests for the three joining-phase algorithms."""
+"""Tests for the three joining-phase algorithms.
+
+The jobs run on the input as the driver hands it to them: tuples whose
+multiset identifiers and elements are the dense integers of an
+:class:`~repro.core.interning.InterningContext` built from the test's own
+input tuples.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.exceptions import MemoryBudgetExceeded, UnsupportedFeatureError
+from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
 from repro.core.records import JoinedTuple, explode_multisets
 from repro.mapreduce.cluster import Cluster, GOOGLE_MAPREDUCE
@@ -26,13 +33,27 @@ from repro.vsmart.sharding import (
 MEASURE = get_measure("ruzicka")
 
 
-def expected_joined(multisets):
+def interned_input(multisets):
+    """The interning pass and the dataset of dense-integer input tuples."""
+    records = explode_multisets(multisets)
+    interning = InterningContext.from_input_tuples(records)
+    return interning, Dataset.from_records(interning.intern_records(records))
+
+
+def dense_id(interning, multiset):
+    """The dense integer the interning pass gave ``multiset``'s identifier."""
+    return interning.multiset_ids.index(multiset.id)
+
+
+def expected_joined(multisets, interning):
     """The joined tuples the joining phase must produce, as a set."""
     expected = set()
     for multiset in multisets:
         uni = MEASURE.unilateral(multiset)
         for element, multiplicity in multiset.items():
-            expected.add((multiset.id, uni, element, float(multiplicity)))
+            expected.add((dense_id(interning, multiset), uni,
+                          interning.elements.id_of(element),
+                          float(multiplicity)))
     return expected
 
 
@@ -44,19 +65,19 @@ def as_set(joined_records):
 class TestOnlineAggregation:
     def test_produces_correct_joined_tuples(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        interning, raw = interned_input(small_multisets)
         result = runner.run(build_online_aggregation_job(MEASURE), raw)
-        assert as_set(result.output.records) == expected_joined(small_multisets)
+        assert as_set(result.output.records) == expected_joined(small_multisets, interning)
 
     def test_requires_secondary_keys(self, small_multisets, hadoop_cluster):
         runner = LocalJobRunner(hadoop_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        _, raw = interned_input(small_multisets)
         with pytest.raises(UnsupportedFeatureError):
             runner.run(build_online_aggregation_job(MEASURE), raw)
 
     def test_combiner_does_not_change_output(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        _, raw = interned_input(small_multisets)
         with_combiner = runner.run(
             build_online_aggregation_job(MEASURE, use_combiners=True), raw)
         without_combiner = runner.run(
@@ -67,7 +88,7 @@ class TestOnlineAggregation:
 
     def test_counts_multisets(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        _, raw = interned_input(small_multisets)
         result = runner.run(build_online_aggregation_job(MEASURE), raw)
         assert (result.stats.counters["online_aggregation/multisets"]
                 == len(small_multisets))
@@ -76,21 +97,21 @@ class TestOnlineAggregation:
 class TestLookup:
     def test_lookup1_builds_correct_table(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        interning, raw = interned_input(small_multisets)
         result = runner.run(build_lookup1_job(MEASURE), raw)
         table = lookup_table_from_records(result.output.records)
         assert len(table) == len(small_multisets)
         for multiset in small_multisets:
-            assert table[multiset.id] == MEASURE.unilateral(multiset)
+            assert table[dense_id(interning, multiset)] == MEASURE.unilateral(multiset)
 
     def test_set_measure_table(self, small_multisets, test_cluster):
         measure = get_measure("jaccard")
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        interning, raw = interned_input(small_multisets)
         result = runner.run(build_lookup1_job(measure), raw)
         table = lookup_table_from_records(result.output.records)
         for multiset in small_multisets:
-            assert table[multiset.id] == (float(multiset.underlying_cardinality),)
+            assert table[dense_id(interning, multiset)] == (float(multiset.underlying_cardinality),)
 
 
 class TestSharding:
@@ -100,32 +121,33 @@ class TestSharding:
             Multiset("small", {"e1": 5, "e2": 5}),
         ]
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(multisets))
+        interning, raw = interned_input(multisets)
         result = runner.run(build_sharding1_job(MEASURE, cardinality_threshold=10), raw)
         table = lookup_table_from_records(result.output.records)
-        assert set(table) == {"big"}
-        assert table["big"] == (20.0,)
+        big = dense_id(interning, multisets[0])
+        assert set(table) == {big}
+        assert table[big] == (20.0,)
         assert result.stats.counters["sharding1/sharded_multisets"] == 1
 
     def test_sharding2_joins_both_kinds(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        interning, raw = interned_input(small_multisets)
         sharding1 = runner.run(build_sharding1_job(MEASURE, 10), raw)
         table = lookup_table_from_records(sharding1.output.records)
         sharding2 = runner.run(build_sharding2_job(MEASURE, table), raw)
-        assert as_set(sharding2.output.records) == expected_joined(small_multisets)
+        assert as_set(sharding2.output.records) == expected_joined(small_multisets, interning)
         counters = sharding2.stats.counters
         assert counters.get("sharding2/sharded_tuples", 0) > 0
         assert counters.get("sharding2/unsharded_tuples", 0) > 0
 
     def test_extreme_thresholds_still_correct(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        interning, raw = interned_input(small_multisets)
         for threshold in (1, 10_000):
             sharding1 = runner.run(build_sharding1_job(MEASURE, threshold), raw)
             table = lookup_table_from_records(sharding1.output.records)
             sharding2 = runner.run(build_sharding2_job(MEASURE, table), raw)
-            assert as_set(sharding2.output.records) == expected_joined(small_multisets)
+            assert as_set(sharding2.output.records) == expected_joined(small_multisets, interning)
 
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
@@ -145,7 +167,7 @@ class TestSharding:
                           disk_per_machine=10 ** 9, profile=GOOGLE_MAPREDUCE)
         big = Multiset("huge", {f"element{i:04d}": 1 for i in range(200)})
         runner = LocalJobRunner(cluster)
-        raw = Dataset.from_records(explode_multisets([big]))
+        _, raw = interned_input([big])
         sharding2 = build_sharding2_job(MEASURE, {})
         with pytest.raises(MemoryBudgetExceeded):
             runner.run(sharding2, raw)
@@ -155,16 +177,16 @@ class TestStopWordPreprocessing:
     def test_drops_frequent_elements(self, test_cluster):
         multisets = [Multiset(f"m{i}", {"common": 1, f"own{i}": 2}) for i in range(5)]
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(multisets))
+        interning, raw = interned_input(multisets)
         result = runner.run(build_stop_word_job(frequency_threshold=3), raw)
         kept_elements = {record.element for record in result.output.records}
-        assert "common" not in kept_elements
+        assert interning.elements.id_of("common") not in kept_elements
         assert len(kept_elements) == 5
         assert result.stats.counters["preprocess/stop_words_dropped"] == 1
 
     def test_keeps_everything_when_threshold_high(self, small_multisets, test_cluster):
         runner = LocalJobRunner(test_cluster)
-        raw = Dataset.from_records(explode_multisets(small_multisets))
+        _, raw = interned_input(small_multisets)
         result = runner.run(build_stop_word_job(frequency_threshold=10_000), raw)
         assert len(result.output) == len(raw)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.multiset import Multiset
 from repro.core.records import (
     InputTuple,
-    PairKey,
     SimilarPair,
     assemble_multisets,
     canonical_pair,
@@ -30,26 +29,6 @@ class TestInputTuple:
     def test_ordering_is_total(self):
         records = [InputTuple("b", "x", 1), InputTuple("a", "y", 2)]
         assert sorted(records)[0].multiset_id == "a"
-
-
-class TestPairKey:
-    def test_make_orders_identifiers(self):
-        key = PairKey.make("zebra", (2.0,), "ant", (5.0,))
-        assert key.first == "ant"
-        assert key.second == "zebra"
-        assert key.uni_first == (5.0,)
-        assert key.uni_second == (2.0,)
-
-    def test_make_preserves_order_when_already_canonical(self):
-        key = PairKey.make("ant", (1.0,), "zebra", (2.0,))
-        assert key.first == "ant"
-        assert key.uni_first == (1.0,)
-
-    def test_hashable(self):
-        first = PairKey.make("a", (1.0,), "b", (2.0,))
-        second = PairKey.make("b", (2.0,), "a", (1.0,))
-        assert first == second
-        assert len({first, second}) == 1
 
 
 class TestSimilarPair:

@@ -706,25 +706,33 @@ class TestSortMatches:
 
 
 class TestInternedIndex:
-    """The interned index answers exactly like the uninterned one."""
+    """The interned index answers exactly like a dict-kernel brute force."""
 
-    def build(self, multisets, measure="ruzicka", intern=True):
-        index = SimilarityIndex(measure, intern=intern)
+    def build(self, multisets, measure="ruzicka"):
+        index = SimilarityIndex(measure)
         index.bulk_load(multisets)
         return index
 
     @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "vector_cosine",
                                          "overlap"])
     def test_threshold_and_topk_parity(self, small_multisets, measure):
-        interned = self.build(small_multisets, measure=measure, intern=True)
-        plain = self.build(small_multisets, measure=measure, intern=False)
+        index = self.build(small_multisets, measure=measure)
+        similarity = get_measure(measure).similarity
         for query in small_multisets[:6]:
-            assert (threshold_matches(interned, query, 0.4)
-                    == threshold_matches(plain, query, 0.4))
-            assert topk_matches(interned, query, 5) == topk_matches(plain, query, 5)
+            scored = sort_matches(
+                QueryMatch(member.id, similarity(query, member))
+                for member in small_multisets)
+            for found, expected in (
+                    (threshold_matches(index, query, 0.4),
+                     [match for match in scored if match.similarity >= 0.4]),
+                    (topk_matches(index, query, 5), scored[:5])):
+                assert [match.multiset_id for match in found] \
+                    == [match.multiset_id for match in expected]
+                assert [match.similarity for match in found] \
+                    == pytest.approx([match.similarity for match in expected])
 
     def test_remove_retracts_interned_postings(self, overlapping_multisets):
-        index = self.build(overlapping_multisets, intern=True)
+        index = self.build(overlapping_multisets)
         postings_before = index.num_postings
         index.remove("a")
         assert index.num_postings < postings_before
@@ -733,16 +741,15 @@ class TestInternedIndex:
         assert all(match.multiset_id != "a" for match in matches)
 
     def test_unknown_query_elements_skip_scanning(self, overlapping_multisets):
-        index = self.build(overlapping_multisets, intern=True)
+        index = self.build(overlapping_multisets)
         stranger = Multiset("query", {"never-indexed-1": 2, "never-indexed-2": 1})
         assert threshold_matches(index, stranger, 0.1) == []
         assert index.counters().get("serving/postings_scanned", 0) == 0
 
-    @pytest.mark.parametrize("intern", [True, False])
-    def test_literal_none_element_is_a_real_element(self, intern):
+    def test_literal_none_element_is_a_real_element(self):
         # None is a legal multiset element; it must not be mistaken for the
-        # "never indexed" marker on either index representation.
-        index = SimilarityIndex("ruzicka", intern=intern)
+        # "never indexed" marker.
+        index = SimilarityIndex("ruzicka")
         index.add(Multiset("a", {None: 3, "x": 1}))
         matches = threshold_matches(index, Multiset("q", {None: 3, "x": 1}), 0.9)
         assert [match.multiset_id for match in matches] == ["a"]
@@ -751,7 +758,7 @@ class TestInternedIndex:
         assert index.num_postings == 0
 
     def test_upper_bound_pruning_still_counts(self, small_multisets):
-        index = self.build(small_multisets, intern=True)
+        index = self.build(small_multisets)
         threshold_matches(index, small_multisets[0], 0.95)
         counters = index.counters()
         assert counters["serving/candidates_examined"] > 0
@@ -838,13 +845,11 @@ class ServingNodeModelMachine(RuleBasedStateMachine):
 
     @initialize(measure=st.sampled_from(["ruzicka", "jaccard",
                                          "vector_cosine", "overlap"]),
-                intern=st.booleans(),
                 capacity=st.sampled_from([0, 2, 64]))
-    def setup(self, measure, intern, capacity):
+    def setup(self, measure, capacity):
         self.measure = get_measure(measure)
         self.capacity = capacity
-        self.node = ServingNode(measure, cache_capacity=capacity,
-                                intern=intern)
+        self.node = ServingNode(measure, cache_capacity=capacity)
         self.model = {}
         self.last_version = 0
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.records import JoinedTuple, PairContribution, PairKey
+from repro.core.interning import InterningContext, PairCodec
+from repro.core.records import JoinedTuple, PairContribution, explode_multisets
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.runner import LocalJobRunner
-from repro.similarity.exact import all_pairs_exact, pair_dictionary
+from repro.similarity.exact import pair_dictionary
 from repro.similarity.registry import get_measure
 from repro.vsmart.similarity_phase import (
     ChunkPairRecord,
@@ -16,15 +17,17 @@ from repro.vsmart.similarity_phase import (
     build_similarity1_job,
     build_similarity2_job,
 )
+from tests.conftest import assert_matches_oracle
 
 
-def joined_tuples_for(multisets, measure):
-    """Join Uni(Mi) to every element in memory (the joining phase's output)."""
+def joined_tuples_for(multisets, measure, interning):
+    """Join Uni(Mi) to every interned element in memory (the joining phase's output)."""
     records = []
     for multiset in multisets:
         uni = measure.unilateral(multiset)
-        for element, multiplicity in multiset.items():
-            records.append(JoinedTuple(multiset.id, uni, element, multiplicity))
+        for record in interning.intern_records(explode_multisets([multiset])):
+            records.append(JoinedTuple(record.multiset_id, uni, record.element,
+                                       record.multiplicity))
     return records
 
 
@@ -32,10 +35,14 @@ def run_similarity_phase(multisets, measure_name, threshold, cluster,
                          config=None):
     measure = get_measure(measure_name)
     runner = LocalJobRunner(cluster)
-    joined = Dataset.from_records(joined_tuples_for(multisets, measure))
-    sim1 = runner.run(build_similarity1_job(config), joined)
-    sim2 = runner.run(build_similarity2_job(measure, threshold, config), sim1.output)
-    return sorted(sim2.output.records), sim1, sim2
+    interning = InterningContext.from_input_tuples(explode_multisets(multisets))
+    joined = Dataset.from_records(joined_tuples_for(multisets, measure, interning))
+    sim1 = runner.run(build_similarity1_job(config, pair_codec=interning.codec),
+                      joined)
+    sim2 = runner.run(build_similarity2_job(measure, threshold, config,
+                                            pair_codec=interning.codec),
+                      sim1.output)
+    return sorted(interning.restore_pairs(sim2.output.records)), sim1, sim2
 
 
 class TestSimilarityPhaseEndToEnd:
@@ -45,11 +52,7 @@ class TestSimilarityPhaseEndToEnd:
         threshold = 0.3
         pairs, _sim1, _sim2 = run_similarity_phase(
             small_multisets, measure_name, threshold, test_cluster)
-        expected = pair_dictionary(all_pairs_exact(small_multisets, measure_name, threshold))
-        produced = pair_dictionary(pairs)
-        assert set(produced) == set(expected)
-        for key, value in produced.items():
-            assert value == pytest.approx(expected[key])
+        assert_matches_oracle(pairs, small_multisets, measure_name, threshold)
 
     def test_threshold_filters_pairs(self, overlapping_multisets, test_cluster):
         low, _, _ = run_similarity_phase(overlapping_multisets, "ruzicka", 0.1,
@@ -87,9 +90,10 @@ class TestChunking:
         assert sim1.stats.counters.get("similarity1/chunked_elements", 0) > 0
 
     def test_chunked_reducer_is_streaming(self):
-        reducer = Similarity1Reducer(SimilarityPhaseConfig(chunk_size=4))
+        reducer = Similarity1Reducer(SimilarityPhaseConfig(chunk_size=4),
+                                     pair_codec=PairCodec(8))
         assert reducer.materializes_input is False
-        plain = Similarity1Reducer()
+        plain = Similarity1Reducer(pair_codec=PairCodec(8))
         assert plain.materializes_input is True
 
     def test_chunk_pair_counts(self):
@@ -97,8 +101,9 @@ class TestChunking:
         from repro.mapreduce.counters import Counters
         from repro.mapreduce.job import TaskContext
 
-        reducer = Similarity1Reducer(SimilarityPhaseConfig(chunk_size=2))
-        postings = [PostingEntry(f"m{i}", (1.0,), 1.0) for i in range(5)]
+        reducer = Similarity1Reducer(SimilarityPhaseConfig(chunk_size=2),
+                                     pair_codec=PairCodec(5))
+        postings = [PostingEntry(i, (1.0,), 1.0) for i in range(5)]
         context = TaskContext(Counters())
         records = list(reducer.reduce("element", postings, context))
         assert all(isinstance(record, ChunkPairRecord) for record in records)
@@ -132,13 +137,16 @@ class TestStopWordsInReducer:
 class TestPairRecords:
     def test_pair_key_contribution_alignment(self):
         from repro.core.records import PostingEntry
-        from repro.vsmart.similarity_phase import _pair_record
 
-        posting_z = PostingEntry("zeta", (9.0,), 5.0)
-        posting_a = PostingEntry("alpha", (4.0,), 2.0)
-        key, contribution = _pair_record(posting_z, posting_a)
-        assert key == PairKey("alpha", "zeta", (4.0,), (9.0,))
+        codec = PairCodec(8)
+        posting_z = PostingEntry(7, (9.0,), 5.0)
+        posting_a = PostingEntry(2, (4.0,), 2.0)
+        candidates = Similarity1Reducer(pair_codec=codec).filter
+        key, contribution = candidates.pair_record(posting_z, posting_a)
+        assert key == (codec.pack(2, 7), (4.0,), (9.0,))
         assert contribution == PairContribution(2.0, 5.0)
+        # Either emission order lands on the one canonical record.
+        assert candidates.pair_record(posting_a, posting_z) == (key, contribution)
 
     def test_duplicate_multiset_in_posting_list_not_paired_with_itself(self, test_cluster):
         from repro.core.multiset import Multiset

@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import sqlite3
+import tarfile
 import tempfile
 
 import pytest
@@ -58,7 +59,7 @@ from repro.storage import (
 from repro.storage.codecs import describe_spec, spec_from_description
 from repro.streaming.changes import Change, ChangeBatch
 from repro.streaming.view import INCREMENTAL
-from tests.conftest import make_random_multisets
+from tests.conftest import assert_matches_oracle, make_random_multisets
 
 #: Fixed universes for the crash-recovery machine, mirroring the streaming
 #: parity machine: small enough that replaces and shared elements are common.
@@ -69,9 +70,37 @@ CONTENTS = st.dictionaries(st.sampled_from(MACHINE_ALPHABET),
                            max_size=5)
 
 
+#: Stores written by release 2.3.0 (the parent commit of the ``intern=``
+#: removal), once with ``intern=True`` and once with ``intern=False``:
+#: ``index-*`` is ``corpus(seed=11)`` bulk-loaded, its first member removed
+#: and ``FRESH`` added, then saved; ``view-*`` is ``make_view()`` persisted
+#: with ``snapshot_every=2`` and driven through ``BATCHES`` (a snapshot at
+#: version 2 plus one logged batch); ``result-*`` is the ``joined`` join.
+STORES_2_3 = os.path.join(os.path.dirname(__file__), "data",
+                          "stores-2.3.tar.gz")
+FRESH = Multiset("fresh", {"e0": 2, "zz": 1})
+
+
 def corpus(count=10, seed=3):
     return make_random_multisets(count, alphabet_size=15, max_elements=8,
                                  seed=seed)
+
+
+def strip_stored_interner(path):
+    """Rewrite a saved index into the layout 2.3.0 gave an un-interned one."""
+    raw = sqlite3.connect(path)
+    with raw:
+        raw.execute("DELETE FROM index_interned")
+        raw.execute("INSERT OR REPLACE INTO meta VALUES ('index', 'intern', '0')")
+    raw.close()
+
+
+def probes(queries):
+    """Threshold and top-k requests over ``queries`` plus one stranger."""
+    stranger = Multiset("stranger", {"never-indexed": 1, "e0": 1})
+    return [request for query in [*queries, stranger]
+            for request in (QueryRequest.threshold(query.with_id("q"), 0.3),
+                            QueryRequest.topk(query.with_id("q"), 4))]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +237,7 @@ class TestSpecDescription:
     def test_round_trips_every_persisted_field(self):
         spec = JoinSpec(measure="jaccard", threshold=0.35,
                         algorithm="sharding", sharding_threshold=77,
-                        chunk_size=50, use_combiners=False, intern=False,
+                        chunk_size=50, use_combiners=False,
                         prune_candidates=False, vcl_element_order="hash")
         restored = spec_from_description(describe_spec(spec))
         assert restored == spec
@@ -226,6 +255,28 @@ class TestSpecDescription:
         with pytest.raises(StorageError, match="not valid JSON"):
             spec_from_description("{nope")
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("[1]", id="list"),
+        pytest.param('"x"', id="string"),
+        pytest.param("null", id="null"),
+        pytest.param('{"no_such_field": 1}', id="unknown-field"),
+        pytest.param('{"threshold": 7}', id="threshold-out-of-range"),
+        pytest.param('{"algorithm": "magic"}', id="unknown-algorithm"),
+        pytest.param('{"minhash_parameters": 5}', id="banding-not-a-mapping"),
+        pytest.param('{"minhash_parameters": {"num_bands": 0, '
+                     '"rows_per_band": 1}}', id="banding-out-of-range"),
+    ])
+    def test_damaged_description_raises_naming_the_store(self, text):
+        with pytest.raises(StorageError, match="'views/a.sqlite'"):
+            spec_from_description(text, "views/a.sqlite")
+
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_legacy_intern_field_is_dropped(self, flag):
+        # Every store written up to 2.3.0 carries the removed field.
+        described = describe_spec(JoinSpec(threshold=0.35))
+        legacy = described.replace("{", '{"intern": %s, ' % flag, 1)
+        assert spec_from_description(legacy) == JoinSpec(threshold=0.35)
+
 
 # ---------------------------------------------------------------------------
 # SimilarityIndex save/load
@@ -234,34 +285,38 @@ class TestSpecDescription:
 class TestIndexPersistence:
     @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "dice",
                                          "vector_cosine"])
-    @pytest.mark.parametrize("intern", [True, False])
+    @pytest.mark.parametrize("stored_interner", [True, False])
     def test_loaded_index_is_structurally_identical(self, storage_path,
-                                                    measure, intern):
-        index = SimilarityIndex(measure, intern=intern)
+                                                    measure, stored_interner):
+        """``stored_interner=False`` is the snapshot layout of the
+        un-interned index of releases up to 2.3.0: no dense-id table."""
+        index = SimilarityIndex(measure)
         index.bulk_load(corpus(seed=11))
         index.save(storage_path)
+        if not stored_interner:
+            strip_stored_interner(storage_path)
         loaded = SimilarityIndex.load(storage_path)
         assert loaded._multisets == index._multisets
         assert loaded._uni == index._uni  # bit-exact Uni partials
         assert loaded._postings == index._postings
         assert loaded.version == index.version
         assert loaded.stop_word_frequency == index.stop_word_frequency
-        assert (loaded._interner is None) == (index._interner is None)
+        assert list(loaded._interner.items()) == list(index._interner.items())
 
-    @pytest.mark.parametrize("intern", [True, False])
+    @pytest.mark.parametrize("stored_interner", [True, False])
     def test_loaded_index_answers_queries_identically(self, storage_path,
-                                                      intern):
-        index = SimilarityIndex("ruzicka", intern=intern)
+                                                      stored_interner):
+        index = SimilarityIndex("ruzicka")
         members = corpus(count=15, seed=23)
         index.bulk_load(members)
+        index.remove(members[1].id)  # dict order now differs from id order
+        index.add(members[1])
         index.save(storage_path)
+        if not stored_interner:
+            strip_stored_interner(storage_path)
         loaded = SimilarityIndex.load(storage_path)
-        for query in members[:5]:
-            threshold_request = QueryRequest.threshold(query, 0.3)
-            assert loaded.query(threshold_request) \
-                == index.query(threshold_request)
-            topk_request = QueryRequest.topk(query, 4)
-            assert loaded.query(topk_request) == index.query(topk_request)
+        for request in probes(members[:5]):
+            assert loaded.query(request) == index.query(request)
 
     def test_loaded_index_keeps_accepting_writes(self, storage_path):
         index = SimilarityIndex("ruzicka")
@@ -282,7 +337,7 @@ class TestIndexPersistence:
         first = SimilarityIndex("ruzicka")
         first.bulk_load(corpus(seed=1))
         first.save(storage_path)
-        second = SimilarityIndex("jaccard", intern=False)
+        second = SimilarityIndex("jaccard")
         second.bulk_load(corpus(count=3, seed=2))
         second.save(storage_path)
         loaded = SimilarityIndex.load(storage_path)
@@ -302,10 +357,10 @@ class TestIndexPersistence:
             load_index(storage_path)
 
     def test_unstorable_member_fails_at_save_time(self, storage_path):
-        index = SimilarityIndex("ruzicka", intern=False)
+        index = SimilarityIndex("ruzicka")
         index.add(Multiset(("ok",), {("el", 1): 2}))
         index.save(storage_path)  # tuples are storable
-        bad = SimilarityIndex("ruzicka", intern=False)
+        bad = SimilarityIndex("ruzicka")
 
         class Odd:
             def __hash__(self):
@@ -505,6 +560,60 @@ class TestResultStore:
             JoinResult.from_sqlite(storage_path)
 
 
+class TestStoresWrittenBy23:
+    """``STORES_2_3``: every store 2.3.0 wrote loads, with ``intern`` on or off."""
+
+    @pytest.fixture
+    def stores(self, tmp_path):
+        with tarfile.open(STORES_2_3) as archive:
+            archive.extractall(tmp_path, filter="data")
+        return tmp_path
+
+    @pytest.mark.parametrize("flavour", ["interned", "uninterned"])
+    def test_index_snapshot_answers_like_a_fresh_index(self, stores, flavour):
+        loaded = SimilarityIndex.load(str(stores / f"index-{flavour}.sqlite"))
+        members = corpus(seed=11)
+        fresh = SimilarityIndex("ruzicka")
+        fresh.bulk_load(members)
+        fresh.remove(members[0].id)
+        fresh.add(FRESH)
+        assert loaded._multisets == fresh._multisets
+        assert loaded._uni == fresh._uni
+        assert loaded.version == fresh.version
+        for request in probes([*members, FRESH]):
+            assert loaded.query(request) == fresh.query(request)
+        newcomer = Multiset("later", {"e0": 1, "e3": 2, "unseen": 1})
+        for index in (loaded, fresh):
+            index.add(newcomer)
+            index.remove(members[2].id)
+        for request in probes([*members, newcomer]):
+            assert loaded.query(request) == fresh.query(request)
+
+    @pytest.mark.parametrize("flavour", ["interned", "uninterned"])
+    def test_view_recovers_to_the_rejoin(self, stores, flavour):
+        recovered = JoinView.recover(str(stores / f"view-{flavour}.sqlite"))
+        replica = make_view()
+        for batch in BATCHES:
+            replica.apply(batch, strategy=INCREMENTAL)
+        assert recovered.spec == replica.spec
+        assert recovered.pairs() == replica.pairs()  # bit-identical
+        assert recovered.version == replica.version == len(BATCHES)
+        assert_matches_oracle(recovered.pairs(), list(recovered.members()),
+                              "ruzicka", 0.3)
+        later = ChangeBatch.of(Change.delete("m1"), Change.upsert(FRESH))
+        assert recovered.apply(later, strategy=INCREMENTAL) \
+            == replica.apply(later, strategy=INCREMENTAL)
+        assert recovered.pairs() == replica.pairs()
+
+    @pytest.mark.parametrize("flavour", ["interned", "uninterned"])
+    def test_result_loads(self, stores, joined, flavour):
+        loaded = JoinResult.from_sqlite(
+            str(stores / f"result-{flavour}.sqlite"), lazy=False)
+        assert loaded.spec == joined.spec
+        assert loaded.pairs == joined.pairs
+        assert loaded.multisets == joined.multisets
+
+
 class TestBootstrapFromStorage:
     def test_bootstrap_accepts_a_stored_result_path(self, joined,
                                                     storage_path):
@@ -547,7 +656,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
     clean shutdown, no final snapshot) and recovers from the file alone.
     The invariant demands *exact* equality — pair sets, scores
     (``==``, not approx) and versions — after every step, across
-    measures × interning.
+    measures.
     """
 
     def __init__(self):
@@ -559,17 +668,16 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
 
     @initialize(measure=st.sampled_from(["ruzicka", "jaccard", "dice",
                                          "vector_cosine"]),
-                intern=st.booleans(),
                 threshold=st.sampled_from([0.3, 0.5, 0.8]),
                 snapshot_every=st.sampled_from([None, 1, 2, 5]),
                 seed=st.integers(min_value=0, max_value=10_000))
-    def setup(self, measure, intern, threshold, snapshot_every, seed):
+    def setup(self, measure, threshold, snapshot_every, seed):
         self.tmpdir = tempfile.mkdtemp(prefix="repro-storage-")
         self.path = os.path.join(self.tmpdir, "view.sqlite")
         initial = make_random_multisets(5, alphabet_size=8, max_elements=5,
                                         seed=seed)
         spec = JoinSpec(measure=measure, threshold=threshold,
-                        algorithm="exact", intern=intern)
+                        algorithm="exact")
         self.durable = JoinView(spec, initial)
         self.replica = JoinView(spec, initial)
         self.subscription = self.durable.persist(

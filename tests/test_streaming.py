@@ -3,8 +3,8 @@
 The centerpiece is a Hypothesis ``RuleBasedStateMachine``: arbitrary
 interleaved upsert/replace/delete streams — applied one at a time and in
 mixed batches, under every apply strategy — keep a :class:`JoinView` in
-exact parity with a from-scratch engine re-join of the mutated corpus,
-across measures × algorithms × backends × intern on/off.  A replica pair
+exact parity with the dict-kernel brute force over the mutated corpus,
+across measures × algorithms × backends.  A replica pair
 map maintained *only* from the emitted deltas is asserted equal to the
 view's own state at every step, which pins the delta contract (the
 cumulative effect of the deltas IS the new result).
@@ -48,7 +48,7 @@ from repro.streaming.changes import (
 )
 from repro.streaming.subscribers import attach_serving
 from repro.streaming.view import INCREMENTAL, REJOIN, JoinView
-from tests.conftest import BACKENDS, make_random_multisets, unreplicated_fleet
+from tests.conftest import assert_matches_oracle, join_grid, unreplicated_fleet
 
 #: Fixed identifier / alphabet universes for the stateful machine: small
 #: enough that collisions (replaces, re-adds, shared elements) are common.
@@ -522,13 +522,13 @@ class TestMutationStream:
 class JoinViewParityMachine(RuleBasedStateMachine):
     """Arbitrary interleaved mutation streams keep the view exact.
 
-    Every example draws one configuration (measure × algorithm × backend ×
-    intern × threshold) and an initial corpus, then interleaves single-
-    change and mixed-batch applications under all three strategies.  After
-    every step:
+    Every example draws one ``join_grid`` cell (measure × algorithm ×
+    backend × threshold × initial corpus), then interleaves single-change
+    and mixed-batch applications under all three strategies (``rejoin``
+    re-runs the cell's algorithm on its backend).  After every step:
 
-    * the view's pair map equals a from-scratch engine re-join of the
-      mutated corpus (pair sets exactly, scores to float tolerance);
+    * the view's pair map equals the dict-kernel oracle over the mutated
+      corpus (pair sets exactly, scores to float tolerance);
     * a replica maintained only from the emitted deltas equals the view's
       pair map exactly — the delta stream alone reconstructs the result.
     """
@@ -537,26 +537,20 @@ class JoinViewParityMachine(RuleBasedStateMachine):
         super().__init__()
         self.engine = None
         self.view = None
-        self.spec = None
+        self.cell = None
         self.model: dict = {}
         self.replica: dict = {}
 
-    @initialize(measure=st.sampled_from(["ruzicka", "jaccard",
-                                         "vector_cosine", "dice"]),
-                algorithm=st.sampled_from(["exact", "online_aggregation",
-                                           "sharding"]),
-                backend=st.sampled_from(BACKENDS),
-                intern=st.booleans(),
-                threshold=st.sampled_from([0.3, 0.5, 0.8]),
-                seed=st.integers(min_value=0, max_value=10_000))
-    def setup(self, measure, algorithm, backend, intern, threshold, seed):
-        corpus = make_random_multisets(5, alphabet_size=8, max_elements=5,
-                                       seed=seed)
-        self.spec = JoinSpec(measure=measure, threshold=threshold,
-                             algorithm=algorithm, intern=intern)
+    @initialize(cell=join_grid(
+        measures=("ruzicka", "jaccard", "vector_cosine", "dice"),
+        algorithms=("exact", "online_aggregation", "sharding"),
+        thresholds=(0.3, 0.5, 0.8)))
+    def setup(self, cell):
+        corpus = cell.corpus(count=5, alphabet_size=8, max_elements=5)
+        self.cell = cell
         self.engine = SimilarityEngine(cluster=laptop_cluster(num_machines=3),
-                                       backend=backend)
-        self.view = self.engine.materialize(self.spec, corpus)
+                                       backend=cell.backend)
+        self.view = self.engine.materialize(cell.spec(), corpus)
         self.model = {member.id: member for member in corpus}
         self.replica = self.view.pairs()
 
@@ -612,13 +606,9 @@ class JoinViewParityMachine(RuleBasedStateMachine):
     def parity_with_fresh_rejoin(self):
         if self.view is None:
             return
-        expected = {pair.pair: pair.similarity
-                    for pair in self.engine.run(self.spec,
-                                                list(self.model.values()))}
         got = self.view.pairs()
-        assert set(got) == set(expected)
-        for pair, similarity in got.items():
-            assert similarity == pytest.approx(expected[pair])
+        assert_matches_oracle(got, list(self.model.values()),
+                              self.cell.measure, self.cell.threshold)
         # The delta stream alone reconstructs the view's state, exactly.
         assert self.replica == got
         assert {member.id for member in self.view.members()} \

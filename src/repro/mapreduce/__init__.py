@@ -42,11 +42,7 @@ from repro.mapreduce.job import (
     SummingCombiner,
     TaskContext,
 )
-from repro.mapreduce.partitioner import (
-    first_component_partitioner,
-    hash_partitioner,
-    stable_hash,
-)
+from repro.mapreduce.partitioner import hash_partitioner, stable_hash
 from repro.mapreduce.runner import JobResult, LocalJobRunner, PipelineResult
 from repro.mapreduce.shuffle import ExternalGrouper
 from repro.mapreduce.types import (
@@ -91,7 +87,6 @@ __all__ = [
     "available_backends",
     "estimate_record_bytes",
     "get_backend",
-    "first_component_partitioner",
     "hash_partitioner",
     "laptop_cluster",
     "paper_cluster",

@@ -2,14 +2,19 @@
 
 Job inputs and outputs are :class:`Dataset` objects: named, immutable
 sequences of records.  Real MapReduce reads partitioned files from GFS/HDFS;
-the simulator only needs the record stream and its approximate byte size, so
-a dataset is simply a tuple of records plus lazily computed statistics.
+the simulator only needs the record stream and each record's approximate
+byte size, so a dataset is a tuple of records plus a tuple of their sizes.
+A record is sized at emission *or on a dataset's first read*, never
+re-walked: a job's output dataset is handed the sizes its records were
+emitted with, and a dataset built without sizes (the pipeline's input)
+computes them the first time a job reads it and keeps them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.types import estimate_record_bytes
 
 
@@ -18,14 +23,21 @@ class Dataset:
 
     Datasets are cheap wrappers; records are whatever Python objects the
     jobs produce (``InputTuple``, ``KeyValue``, plain tuples, ...).
+    ``record_bytes`` hands over the sizes the records were already given
+    (one per record, or :class:`~repro.core.exceptions.JobConfigurationError`).
     """
 
-    __slots__ = ("_name", "_records", "_total_bytes")
+    __slots__ = ("_name", "_records", "_record_bytes")
 
-    def __init__(self, name: str, records: Iterable[Any]) -> None:
+    def __init__(self, name: str, records: Iterable[Any],
+                 record_bytes: Iterable[int] | None = None) -> None:
         self._name = name
         self._records: tuple = tuple(records)
-        self._total_bytes: int | None = None
+        self._record_bytes = None if record_bytes is None else tuple(record_bytes)
+        if record_bytes is not None and len(self._record_bytes) != len(self._records):
+            raise JobConfigurationError(
+                f"dataset {name!r}: {len(self._record_bytes)} record sizes "
+                f"for {len(self._records)} records")
 
     @classmethod
     def from_records(cls, records: Iterable[Any], name: str = "dataset") -> "Dataset":
@@ -43,12 +55,16 @@ class Dataset:
         return self._records
 
     @property
+    def record_bytes(self) -> Sequence[int]:
+        """Each record's estimated size, computed on the first read and kept."""
+        if self._record_bytes is None:
+            self._record_bytes = tuple(map(estimate_record_bytes, self._records))
+        return self._record_bytes
+
+    @property
     def total_bytes(self) -> int:
         """Estimated serialised size of the whole dataset."""
-        if self._total_bytes is None:
-            self._total_bytes = sum(estimate_record_bytes(record)
-                                    for record in self._records)
-        return self._total_bytes
+        return sum(self.record_bytes)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -30,26 +30,3 @@ def hash_partitioner(key: Hashable, num_partitions: int) -> int:
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     return stable_hash(key) % num_partitions
-
-
-def first_component_partitioner(key: Hashable, num_partitions: int) -> int:
-    """Partition composite keys by their first component only.
-
-    This is the "rewrite the partitioner" workaround for secondary keys
-    mentioned in the paper (footnote 1): records keyed by ``(k, secondary)``
-    are routed by ``k`` alone so that one reducer sees every secondary key of
-    ``k``.  Provided for completeness and for the ablation tests; the
-    V-SMART-Join algorithms proposed in the paper deliberately avoid needing
-    it.
-    """
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    component = key[0] if isinstance(key, tuple) and key else key
-    return stable_hash(component) % num_partitions
-
-
-def round_robin_assigner(index: int, num_partitions: int) -> int:
-    """Assign the ``index``-th unit of work to a machine round-robin."""
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    return index % num_partitions

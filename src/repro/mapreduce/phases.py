@@ -9,21 +9,29 @@ parameters), is executed by a module-level function — so tasks can be
 shipped to worker processes by pickling — and returns both its emissions
 and an exact :class:`~repro.mapreduce.types.PhaseStats` partial.
 
-Bytes are accounted by one rule: a record is sized at emission, never
-re-walked.  A map task sizes each input record as it reads it and each
-emission as it becomes a :class:`~repro.mapreduce.types.KeyValue`; a
-combine task sizes what the combiner emits; a reduce task sizes the
-reducer's output records.  Everything downstream — a combine or reduce
-group's ``bytes_in``, the memory-budget check on a materialised value list,
-the external shuffle's buffer — reads the size the record carries.
+The task loops do per record only what is per record — three rules:
+
+* **Sized at emission or on a dataset's first read, never re-walked.**  A
+  map task reads its input sizes from the dataset (the sizes the previous
+  job's reducer gave its output, or computed once when its first job read
+  it) and sizes each emission as it becomes a
+  :class:`~repro.mapreduce.types.KeyValue`; a combine task sizes what the
+  combiner emits; a reduce task sizes the reducer's output and returns the
+  sizes, which the runner hands to the next job.  Everything downstream —
+  a group's ``bytes_in``, the memory-budget check on a materialised value
+  list, the external shuffle's buffer — reads the size the record carries.
+* **One construction site**: :func:`~repro.mapreduce.types.sized_key_value`
+  is the only place a task builds a ``KeyValue``.
+* **Partitioned per key at task end.**  Map and combine tasks collect their
+  output flat and :func:`partition_by_key` asks the partitioner once per
+  distinct key when the task ends.  The runner merges the resulting *spill
+  dictionaries* (``partition -> key -> records``) in task order, which
+  reproduces the serial shuffle's first-occurrence key order because task
+  slices are contiguous.
 
 All partial statistics are integer-valued, so merging them (sums and maxes)
 reproduces the serial runner's :class:`~repro.mapreduce.types.JobStats`
-bit-for-bit regardless of how the work was split across workers.  Map and
-combine tasks also pre-partition their output into per-worker *spill
-dictionaries* (``partition -> key -> records``); the runner merges those in
-task order, which reproduces the serial shuffle's first-occurrence key order
-because task slices are contiguous.
+bit-for-bit regardless of how the work was split across workers.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from typing import Any, Hashable, Iterable, Iterator
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobSpec, TaskContext, normalise_emit
+from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import (
     KeyValue,
     PhaseStats,
@@ -64,31 +73,47 @@ def check_memory_budget(job_name: str, what: str, required: int,
         required_bytes=required, budget_bytes=budget)
 
 
-def spill_record(spill: Spill, partition: int, key_value: KeyValue) -> None:
-    """Append one record to a spill dictionary.
+def partition_by_key(key_values: Iterable[KeyValue], partitioner: Partitioner,
+                     num_reducers: int) -> Spill:
+    """Group a task's output by key, then ask the partitioner once per key.
 
-    This runs once per map/combine emission; the explicit ``get`` probes
-    avoid ``setdefault``'s unconditional empty-container allocations on the
-    (overwhelmingly common) hit path.
+    Within a partition the keys keep their first-occurrence order and
+    within a group the records their emission order: exactly the spill that
+    partitioning record by record built.
     """
-    groups = spill.get(partition)
-    if groups is None:
-        groups = spill[partition] = {}
-    records = groups.get(key_value.key)
-    if records is None:
-        groups[key_value.key] = [key_value]
-    else:
-        records.append(key_value)
+    groups: dict[Any, list[KeyValue]] = {}
+    for key_value in key_values:
+        records = groups.get(key_value.key)
+        if records is None:
+            groups[key_value.key] = [key_value]
+        else:
+            records.append(key_value)
+    spill: Spill = {}
+    for key, records in groups.items():
+        partition = partitioner(key, num_reducers)
+        partition_groups = spill.get(partition)
+        if partition_groups is None:
+            spill[partition] = {key: records}
+        else:
+            partition_groups[key] = records
+    return spill
 
 
 def merge_spills(target: Spill, source: Spill) -> None:
-    """Merge one task's spill into the accumulated shuffle, preserving order."""
+    """Merge one task's spill into the accumulated shuffle, preserving order.
+
+    A partition or a key new to ``target`` is adopted, not copied (a task's
+    result has no other reader): the first task's spill is taken over whole.
+    """
     for partition, groups in source.items():
-        target_groups = target.setdefault(partition, {})
+        target_groups = target.get(partition)
+        if target_groups is None:
+            target[partition] = groups
+            continue
         for key, key_values in groups.items():
             existing = target_groups.get(key)
             if existing is None:
-                target_groups[key] = list(key_values)
+                target_groups[key] = key_values
             else:
                 existing.extend(key_values)
 
@@ -102,6 +127,8 @@ class MapTask:
 
     job: JobSpec
     records: tuple
+    #: The size of each of ``records``, as the dataset carries it.
+    record_bytes: tuple
     start_index: int
     num_machines: int
     overhead: int
@@ -121,17 +148,14 @@ class MapTaskResult:
     worker ships back); without it the flat list is the product.  Cleanup
     emissions are always returned flat — the runner partitions them last,
     mirroring their position at the end of the serial runner's single pass.
-
-    Every record in all three was sized when it was emitted and carries
-    that size (``KeyValue.size_bytes``, which pickles with it), so neither
-    the runner nor a later task walks it again.
+    Every record in all three carries the size it was emitted with
+    (``KeyValue.size_bytes``, which pickles with it).
     """
 
     emissions: list[KeyValue]
     cleanup_emissions: list[KeyValue]
     spill: Spill | None
     phase: PhaseStats
-    max_input_record: int
     max_output_record: int
     counters: dict[str, int]
 
@@ -144,14 +168,11 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
     job.mapper.setup(context)
     phase = PhaseStats()
     emissions: list[KeyValue] = []
-    spill: Spill | None = {} if task.build_spill else None
     machine_work = phase.machine_work
-    max_input_record = 0
     max_output_record = 0
-    for offset, record in enumerate(task.records):
-        bytes_in = estimate_record_bytes(record)
-        if bytes_in > max_input_record:
-            max_input_record = bytes_in
+    # The input sizes ride on the dataset: nothing is sized on the way in.
+    for index, (record, bytes_in) in enumerate(
+            zip(task.records, task.record_bytes, strict=True), task.start_index):
         bytes_out = 0
         emitted_count = 0
         for emitted in job.mapper.map(record, context) or ():
@@ -160,23 +181,23 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
             bytes_out += size
             if size > max_output_record:
                 max_output_record = size
-            if spill is None:
-                emissions.append(key_value)
-            else:
-                spill_record(spill, job.partitioner(key_value.key, task.num_reducers),
-                             key_value)
+            emissions.append(key_value)
             emitted_count += 1
         work = bytes_in + bytes_out + task.overhead * (1 + emitted_count)
-        phase.records_in += 1
         phase.records_out += emitted_count
-        phase.bytes_in += bytes_in
         phase.bytes_out += bytes_out
         # ``phase.add_machine_work``, spelled out: this runs once per record.
-        machine = (task.start_index + offset) % task.num_machines
+        machine = index % task.num_machines
         machine_work[machine] = machine_work.get(machine, 0.0) + work
         phase.work_units += work
         if work > phase.max_unit_work:
             phase.max_unit_work = work
+    phase.records_in = len(task.records)
+    phase.bytes_in = sum(task.record_bytes)
+    spill: Spill | None = None
+    if task.build_spill:
+        spill = partition_by_key(emissions, job.partitioner, task.num_reducers)
+        emissions = []
     cleanup_emissions = [normalise_emit(emitted)
                          for emitted in job.mapper.cleanup(context) or ()]
     if cleanup_emissions:
@@ -188,7 +209,6 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup_emissions))
     return MapTaskResult(emissions=emissions, cleanup_emissions=cleanup_emissions,
                          spill=spill, phase=phase,
-                         max_input_record=max_input_record,
                          max_output_record=max_output_record,
                          counters=counters.as_dict())
 
@@ -214,24 +234,17 @@ class CombineTask:
 
 
 @dataclass
-class CombineMachineOutput:
-    """The combined output and accounting of one mapper machine."""
-
-    machine: int
-    combined: list[KeyValue]
-    records_in: int
-    records_out: int
-    bytes_in: int
-    bytes_out: int
-    work: int
-
-
-@dataclass
 class CombineTaskResult:
-    """Per-machine outputs and accounting for one :class:`CombineTask`."""
+    """Output and exact accounting for one :class:`CombineTask`.
 
-    outputs: list[CombineMachineOutput]
+    As for map tasks, ``combined`` (flat, in machine order) and ``spill``
+    are mutually exclusive.  ``phase.machine_work`` holds the combine work
+    of each of the task's machines.
+    """
+
+    combined: list[KeyValue]
     spill: Spill | None
+    phase: PhaseStats
     counters: dict[str, int]
 
 
@@ -242,34 +255,31 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
     assert combiner is not None
     counters = Counters()
     context = TaskContext(counters, job.side_data, task.num_machines, job.name)
-    spill: Spill | None = {} if task.build_spill else None
-    outputs: list[CombineMachineOutput] = []
+    phase = PhaseStats()
+    combined: list[KeyValue] = []
     for machine, groups in task.machines:
-        machine_bytes_in = 0
-        machine_bytes_out = 0
+        bytes_in = 0
+        bytes_out = 0
         records_in = 0
-        records_out = 0
-        combined: list[KeyValue] = []
         for (key, secondary), key_values in groups.items():
             values = [kv.value for kv in key_values]
-            machine_bytes_in += sum(map(_carried_bytes, key_values))
+            bytes_in += sum(map(_carried_bytes, key_values))
             records_in += len(values)
             for value in combiner.combine(key, values, context):
                 new_kv = sized_key_value(key, value, secondary)
-                # As for map tasks: either the flat output or the spill is
-                # the product, never both.
-                if spill is None:
-                    combined.append(new_kv)
-                else:
-                    spill_record(spill, job.partitioner(key, task.num_reducers), new_kv)
-                machine_bytes_out += _carried_bytes(new_kv)
-                records_out += 1
-        work = machine_bytes_in + machine_bytes_out + task.overhead * records_in
-        outputs.append(CombineMachineOutput(
-            machine=machine, combined=combined,
-            records_in=records_in, records_out=records_out,
-            bytes_in=machine_bytes_in, bytes_out=machine_bytes_out, work=work))
-    return CombineTaskResult(outputs=outputs, spill=spill,
+                combined.append(new_kv)
+                bytes_out += _carried_bytes(new_kv)
+        phase.records_in += records_in
+        phase.bytes_in += bytes_in
+        phase.bytes_out += bytes_out
+        phase.add_machine_work(machine,
+                               bytes_in + bytes_out + task.overhead * records_in)
+    phase.records_out = len(combined)
+    spill: Spill | None = None
+    if task.build_spill:
+        spill = partition_by_key(combined, job.partitioner, task.num_reducers)
+        combined = []
+    return CombineTaskResult(combined=combined, spill=spill, phase=phase,
                              counters=counters.as_dict())
 
 
@@ -325,6 +335,8 @@ class ReduceTaskResult:
     """Output records and exact accounting for one :class:`ReduceTask`."""
 
     output_records: list[Any]
+    #: The size each output record was emitted with, for the next job.
+    output_bytes: list[int]
     phase: PhaseStats
     reduce_groups: int
     max_group_records: int
@@ -354,6 +366,7 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     reducer.setup(context)
     phase = PhaseStats()
     output_records: list[Any] = []
+    output_bytes: list[int] = []
     reduce_groups = 0
     max_group_records = 0
     max_group_bytes = 0
@@ -379,8 +392,10 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
         bytes_out = 0
         records_out = 0
         for record in reducer.reduce(key, values, context):
+            size = estimate_record_bytes(record)
             output_records.append(record)
-            bytes_out += estimate_record_bytes(record)
+            output_bytes.append(size)
+            bytes_out += size
             records_out += 1
         work = bytes_in + bytes_out + task.overhead * len(values)
         phase.records_in += len(values)
@@ -391,14 +406,17 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     cleanup_bytes = 0
     cleanup_count = 0
     for record in reducer.cleanup(context):
+        size = estimate_record_bytes(record)
         output_records.append(record)
-        cleanup_bytes += estimate_record_bytes(record)
+        output_bytes.append(size)
+        cleanup_bytes += size
         cleanup_count += 1
     if cleanup_count:
         phase.records_out += cleanup_count
         phase.bytes_out += cleanup_bytes
         phase.add_machine_work(0, cleanup_bytes + task.overhead * cleanup_count)
-    return ReduceTaskResult(output_records=output_records, phase=phase,
+    return ReduceTaskResult(output_records=output_records,
+                            output_bytes=output_bytes, phase=phase,
                             reduce_groups=reduce_groups,
                             max_group_records=max_group_records,
                             max_group_bytes=max_group_bytes,

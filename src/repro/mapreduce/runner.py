@@ -9,8 +9,9 @@ and reducer really runs — while the *performance* of the run is modelled:
   account per-machine map work;
 * dedicated combiners run per mapper machine and shrink the shuffle volume;
 * the shuffle groups records by key (hash partitioned to ``num_reducers``
-  partitions, one partition per machine by default) and optionally sorts
-  each group by the secondary key;
+  partitions, one per machine by default; each task asks the partitioner
+  once per distinct key, when it ends) and optionally sorts each group by
+  the secondary key;
 * per-machine memory and disk budgets are enforced, raising
   :class:`~repro.core.exceptions.MemoryBudgetExceeded` /
   :class:`~repro.core.exceptions.DiskBudgetExceeded` in the situations the
@@ -29,6 +30,12 @@ shuffle is held: in the runner's in-memory spill dictionaries, or in an
 to disk (the ``"disk"`` backend).  Task partials are integer-valued and
 merged deterministically, so results, counters and simulated times are
 identical across backends; only wall-clock time and peak memory change.
+
+A record is sized at emission (:func:`~repro.mapreduce.types.sized_key_value`,
+the one place a ``KeyValue`` is built) or on a dataset's first read, never
+re-walked: :meth:`LocalJobRunner.run` hands the sizes a job's output was
+emitted with to the output :class:`~repro.mapreduce.dfs.Dataset`, and the
+next job's map tasks read them.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from repro.mapreduce.phases import (
     execute_map_task,
     execute_reduce_task,
     merge_spills,
-    spill_record,
+    partition_by_key,
     split_slices,
 )
 from repro.mapreduce.types import JobStats, KeyValue, estimate_record_bytes
@@ -172,22 +179,22 @@ class LocalJobRunner:
 
         num_reducers = job.num_reducers or self.cluster.num_machines
 
-        output_records = self._run_phases(job, dataset, stats, counters,
-                                          num_reducers)
+        output_records, output_bytes = self._run_phases(
+            job, dataset, stats, counters, num_reducers)
 
         self._check_disk(job.name, stats)
         stats.merge_counters(counters.as_dict())
         self.cost_model.annotate(stats, self.cluster)
         self._check_scheduler(job.name, stats)
-        output = Dataset(f"{job.name}:output", output_records)
+        output = Dataset(f"{job.name}:output", output_records, output_bytes)
         return JobResult(output=output, stats=stats)
 
     # -- phases ---------------------------------------------------------------
 
     def _run_phases(self, job: JobSpec, dataset: Dataset,
                     stats: JobStats, counters: Counters,
-                    num_reducers: int) -> list[Any]:
-        """The map / combine / shuffle / reduce sequence of every backend."""
+                    num_reducers: int) -> tuple[list[Any], list[int]]:
+        """Map / combine / shuffle / reduce: the output records and their sizes."""
         # The one decision a backend makes beyond running tasks: the shuffle
         # is held in the tasks' spill dictionaries, or in its grouper (which
         # owns nothing until it is fed, so only the ``with`` below cleans up).
@@ -208,7 +215,7 @@ class LocalJobRunner:
         stats.spilled_bytes = stats.shuffle_bytes
 
         if job.reducer is None:
-            return map_output
+            return map_output, [key_value.size_bytes for key_value in map_output]
         if grouper is None:
             assert spill is not None
             # One task per worker over the partitions in ascending order.
@@ -224,20 +231,22 @@ class LocalJobRunner:
                 grouper.add(partitioner(key_value.key, num_reducers), key_value)
             # The merge is one lazy stream, so one task (never a list:
             # materialising it would give up the memory ceiling).
-            output_records = self._run_reduce_phase(
+            output = self._run_reduce_phase(
                 job, [grouper.iter_groups()], stats, counters)
             for name, value in grouper.telemetry.items():
                 counters.increment(f"shuffle/{name}", value)
-        return output_records
+        return output
 
     def _run_map_phase(self, job: JobSpec, dataset: Dataset,
                        stats: JobStats, counters: Counters,
                        num_reducers: int,
                        build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
-        records = tuple(dataset)
+        # Sized by the job that emitted them or, once, by this first read.
+        records, record_bytes = dataset.records, dataset.record_bytes
         overhead = self.cost_parameters.record_overhead_bytes
         machines = self.cluster.num_machines
-        tasks = [MapTask(job=job, records=records[start:stop], start_index=start,
+        tasks = [MapTask(job=job, records=records[start:stop],
+                         record_bytes=record_bytes[start:stop], start_index=start,
                          num_machines=machines, overhead=overhead,
                          num_reducers=num_reducers, build_spill=build_spill)
                  for start, stop in split_slices(len(records),
@@ -247,7 +256,6 @@ class LocalJobRunner:
         map_output: list[KeyValue] = []
         cleanup_emissions: list[KeyValue] = []
         spill: Spill | None = {} if build_spill else None
-        max_input_record = 0
         max_output_record = 0
         for result in results:
             map_output.extend(result.emissions)
@@ -255,18 +263,17 @@ class LocalJobRunner:
             if spill is not None and result.spill is not None:
                 merge_spills(spill, result.spill)
             stats.map.merge(result.phase)
-            max_input_record = max(max_input_record, result.max_input_record)
             max_output_record = max(max_output_record, result.max_output_record)
             counters.merge_dict(result.counters)
         map_output.extend(cleanup_emissions)
         if spill is not None:
             # Cleanup emissions enter the shuffle last, as in the serial
             # runner's single pass over the full map output.
-            for key_value in cleanup_emissions:
-                spill_record(spill, job.partitioner(key_value.key, num_reducers),
-                             key_value)
+            merge_spills(spill, partition_by_key(cleanup_emissions, job.partitioner,
+                                                 num_reducers))
 
-        task_memory = stats.side_data_bytes + max_input_record + max_output_record
+        task_memory = (stats.side_data_bytes + max(record_bytes, default=0)
+                       + max_output_record)
         stats.peak_task_memory = max(stats.peak_task_memory, task_memory)
         self._check_memory(job.name, "map task working set", task_memory)
         return map_output, spill
@@ -279,12 +286,18 @@ class LocalJobRunner:
         overhead = self.cost_parameters.record_overhead_bytes
         # Dedicated combiners run on the mapper machines: group this
         # machine's output by (key, secondary) and combine each group.
-        per_machine: dict[int, dict[tuple, list[KeyValue]]] = {}
-        for index, key_value in enumerate(map_output):
-            machine = index % machines
-            group_key = (key_value.key, key_value.secondary)
-            per_machine.setdefault(machine, {}).setdefault(group_key, []).append(key_value)
-        machine_items = sorted(per_machine.items())
+        # Emission ``index`` belongs to mapper machine ``index % machines``.
+        machine_items: list[tuple[int, dict[tuple, list[KeyValue]]]] = []
+        for machine in range(min(machines, len(map_output))):
+            groups: dict[tuple, list[KeyValue]] = {}
+            for key_value in map_output[machine::machines]:
+                group_key = (key_value.key, key_value.secondary)
+                records = groups.get(group_key)
+                if records is None:
+                    groups[group_key] = [key_value]
+                else:
+                    records.append(key_value)
+            machine_items.append((machine, groups))
         tasks = [CombineTask(job=job, machines=machine_items[start:stop],
                              num_machines=machines, overhead=overhead,
                              num_reducers=num_reducers, build_spill=build_spill)
@@ -296,16 +309,12 @@ class LocalJobRunner:
         combined: list[KeyValue] = []
         spill: Spill | None = {} if build_spill else None
         for result in results:
-            for output in result.outputs:
-                combined.extend(output.combined)
-                stats.combine.records_in += output.records_in
-                stats.combine.records_out += output.records_out
-                stats.combine.bytes_in += output.bytes_in
-                stats.combine.bytes_out += output.bytes_out
-                stats.combine.add_machine_work(output.machine, output.work)
-                # Combining happens on the mapper machine; fold it into map
-                # work so the cost model charges the same machine.
-                stats.map.add_machine_work(output.machine, output.work)
+            combined.extend(result.combined)
+            stats.combine.merge(result.phase)
+            # Combining happens on the mapper machine; fold it into map
+            # work so the cost model charges the same machine.
+            for machine, work in result.phase.machine_work.items():
+                stats.map.add_machine_work(machine, work)
             if spill is not None and result.spill is not None:
                 merge_spills(spill, result.spill)
             counters.merge_dict(result.counters)
@@ -313,7 +322,8 @@ class LocalJobRunner:
 
     def _run_reduce_phase(self, job: JobSpec,
                           group_streams: list[Iterable[Group]],
-                          stats: JobStats, counters: Counters) -> list[Any]:
+                          stats: JobStats, counters: Counters
+                          ) -> tuple[list[Any], list[int]]:
         budget = self.cluster.memory_per_machine if self.enforce_budgets else None
         # ``run`` has refused a job that needs secondary keys on a profile
         # without them, so needing them is enough to sort by them here.
@@ -326,8 +336,10 @@ class LocalJobRunner:
         results = self.backend.run_tasks(execute_reduce_task, tasks)
 
         output_records: list[Any] = []
+        output_bytes: list[int] = []
         for result in results:
             output_records.extend(result.output_records)
+            output_bytes.extend(result.output_bytes)
             stats.reduce.merge(result.phase)
             stats.reduce_groups += result.reduce_groups
             stats.max_group_records = max(stats.max_group_records,
@@ -337,7 +349,7 @@ class LocalJobRunner:
             stats.peak_task_memory = max(stats.peak_task_memory,
                                          result.peak_task_memory)
             counters.merge_dict(result.counters)
-        return output_records
+        return output_records, output_bytes
 
     # -- budget and profile checks --------------------------------------------
 

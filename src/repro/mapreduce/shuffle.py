@@ -37,7 +37,7 @@ import os
 import pickle
 import shutil
 import tempfile
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.core.exceptions import BackendError
 from repro.mapreduce.types import KeyValue, estimate_record_bytes
@@ -130,16 +130,25 @@ class ExternalGrouper:
         if not self._buffer:
             return
         self._buffer.sort(key=_entry_order)
-        path = self._new_run_path()
-        with open(path, "wb") as handle:
-            for entry in self._buffer:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self.telemetry["runs_written"] += 1
-        self.telemetry["bytes_spilled"] += os.path.getsize(path)
+        self._write_run(self._buffer)
         self.telemetry["spilled_records"] += len(self._buffer)
-        self._runs.append(path)
         self._buffer = []
         self._buffered_bytes = 0
+
+    def _write_run(self, entries: Iterable[_Entry]) -> str:
+        """Write the next run file: the entries, then their count (the
+        trailer that tells a whole run from one that lost its tail)."""
+        path = self._new_run_path()
+        count = 0
+        with open(path, "wb") as handle:
+            for entry in entries:
+                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                count += 1
+            pickle.dump(count, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        self.telemetry["runs_written"] += 1
+        self.telemetry["bytes_spilled"] += os.path.getsize(path)
+        self._runs.append(path)
+        return path
 
     def _new_run_path(self) -> str:
         if self._directory is None:
@@ -186,28 +195,43 @@ class ExternalGrouper:
 
     def _merge_batch(self, batch: list[str]) -> str:
         """Merge a batch of runs into one longer run file."""
-        path = self._new_run_path()
-        with open(path, "wb") as handle:
-            for entry in heapq.merge(*(self._read_run(stale) for stale in batch),
-                                     key=_entry_order):
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        path = self._write_run(
+            heapq.merge(*(self._read_run(stale) for stale in batch),
+                        key=_entry_order))
         for stale in batch:
             os.remove(stale)
         self._runs = [run for run in self._runs if run not in batch]
         self.telemetry["merge_passes"] += 1
-        self.telemetry["runs_written"] += 1
-        self.telemetry["bytes_spilled"] += os.path.getsize(path)
-        self._runs.append(path)
         return path
 
     @staticmethod
     def _read_run(path: str) -> Iterator[_Entry]:
+        """Stream the entries of one run file, checking it is whole.
+
+        A run that ends before its trailer (even cleanly, between two
+        entries), disagrees with it, goes on after it or does not unpickle
+        raises ``BackendError`` naming the file: a damaged run must fail
+        the job, never be merged as a shorter one.
+        """
+        count = 0
         with open(path, "rb") as handle:
             while True:
                 try:
-                    yield pickle.load(handle)
-                except EOFError:
+                    entry = pickle.load(handle)
+                except Exception as error:
+                    # EOFError at an entry boundary, UnpicklingError inside
+                    # one, whatever else damaged bytes unpickle into.
+                    raise BackendError(
+                        f"spill run {path!r} is truncated or corrupt after "
+                        f"{count} entries: {error!r}") from error
+                if type(entry) is int:
+                    if entry != count or handle.read(1):
+                        raise BackendError(
+                            f"spill run {path!r} is corrupt: {count} entries "
+                            f"precede a trailer counting {entry}, or data follows it")
                     return
+                count += 1
+                yield entry
 
     # -- lifecycle ------------------------------------------------------------
 

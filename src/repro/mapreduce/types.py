@@ -15,10 +15,13 @@ value; :func:`estimate_record_bytes` is what the simulator calls, the same
 numbers through a sizer compiled once per class for the types the pipelines
 actually move (numbers, text, tuples, lists, the record dataclasses) and
 the walker itself for any type without one.  The rule the runner keeps:
-a record is **sized at emission, never re-walked** — the mapper's and
-combiner's output is sized where it becomes a :class:`KeyValue`
-(:func:`sized_key_value`) and the number travels with the record through
-the combine, shuffle and reduce phases.
+a record is **sized at emission or on a dataset's first read, never
+re-walked** — the mapper's and combiner's output is sized where it becomes
+a :class:`KeyValue` (:func:`sized_key_value`, the one place the runner
+builds one) and the number travels with the record through the combine,
+shuffle and reduce phases; the reducer's output is sized as it is emitted
+and the sizes ride on the output :class:`~repro.mapreduce.dfs.Dataset` to
+the next job.
 """
 
 from __future__ import annotations
@@ -76,11 +79,24 @@ def _text_bytes(value: str | bytes) -> int:
 
 
 def _container_bytes(items: Iterable[Any]) -> int:
-    """Overhead plus the size of every item: a tuple, a list, a record's fields."""
+    """Overhead plus the size of every item: a tuple, a list, a record's fields.
+
+    Keys and values are tuples of numbers and of short tuples of numbers:
+    those items are settled here, not through the table and a nested call.
+    """
     total = _OBJECT_OVERHEAD
     for item in items:
-        sizer = _SIZERS[type(item)]
-        total += sizer if type(sizer) is int else sizer(item)
+        cls = type(item)
+        if cls is int or cls is float:
+            total += 8
+        elif cls is tuple:
+            total += _OBJECT_OVERHEAD
+            for inner in item:
+                sizer = _SIZERS[type(inner)]
+                total += sizer if type(sizer) is int else sizer(inner)
+        else:
+            sizer = _SIZERS[cls]
+            total += sizer if type(sizer) is int else sizer(item)
     return total
 
 
@@ -160,11 +176,24 @@ class KeyValue:
     size_bytes: int = field(default=0, compare=False, repr=False)
 
 
+_set_key, _set_value, _set_secondary, _set_size_bytes = (
+    getattr(KeyValue, name).__set__ for name in KeyValue.__slots__)
+
+
 def sized_key_value(key: Hashable, value: Any,
                     secondary: Hashable = None) -> KeyValue:
-    """A :class:`KeyValue` carrying its own :func:`estimate_record_bytes`."""
-    return KeyValue(key, value, secondary,
-                    _container_bytes((key, value, secondary)))
+    """A :class:`KeyValue` carrying its own :func:`estimate_record_bytes`.
+
+    The one place the runner builds a ``KeyValue``, once per emission, so
+    the slots are filled through their descriptors: the frozen ``__init__``
+    pays a guarded ``object.__setattr__`` per field, three times the cost.
+    """
+    record = object.__new__(KeyValue)
+    _set_key(record, key)
+    _set_value(record, value)
+    _set_secondary(record, secondary)
+    _set_size_bytes(record, _container_bytes((key, value, secondary)))
+    return record
 
 
 @dataclass

@@ -45,7 +45,7 @@ Two hot-path refinements go beyond the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.interning import PairCodec
 from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
@@ -111,28 +111,50 @@ class _CandidateFilter:
                        and measure.conj_upper_bound(
                            measure.uni_zero(), measure.uni_zero()) is not None)
 
-    def rejects(self, posting_i: PostingEntry,
-                posting_j: PostingEntry) -> bool:
-        """True when the pair provably cannot reach the threshold."""
-        return (self.prunes
-                and self.measure.similarity_upper_bound(
-                    posting_i.uni, posting_j.uni) < self.threshold)
+    def pair_records(self, first: Sequence[PostingEntry],
+                     second: Sequence[PostingEntry], same: bool,
+                     context: TaskContext, emitted_counter: str) -> Iterator[tuple]:
+        """Every surviving candidate of ``first`` x ``second``, keyed.
 
-    def pair_record(self, posting_i: PostingEntry,
-                    posting_j: PostingEntry) -> tuple:
-        """Build the canonical keyed record for a candidate pair.
-
-        Identifiers are dense interned ints, so numeric id order *is*
-        canonical order, and the key is ``(packed_ids, Uni(Mi), Uni(Mj))``
-        — one int instead of two identifiers.
+        With ``same`` the two are one posting list (or chunk) and only its
+        unordered pairs are produced.  A multiset is not paired with itself,
+        a pair that provably cannot reach the threshold is pruned, and each
+        other one becomes ``((packed_ids, Uni(Mi), Uni(Mj)), <f_ik, f_jk>)``:
+        identifiers are dense interned ints, so numeric id order *is*
+        canonical order and the key holds one int for both.  The join's
+        innermost loop: what does not depend on the pair is read before it,
+        the counters are updated after it (an update costs two calls).
         """
-        if posting_i.multiset_id <= posting_j.multiset_id:
-            first, second = posting_i, posting_j
-        else:
-            first, second = posting_j, posting_i
-        key = (self.pair_codec.pack(first.multiset_id, second.multiset_id),
-               first.uni, second.uni)
-        return (key, PairContribution(first.multiplicity, second.multiplicity))
+        prunes = self.prunes
+        upper_bound = self.measure.similarity_upper_bound if prunes else None
+        threshold = self.threshold
+        pack = self.pair_codec.pack
+        emitted = 0
+        pruned = 0
+        for index_i, posting_i in enumerate(first):
+            id_i = posting_i.multiset_id
+            uni_i = posting_i.uni
+            for posting_j in (second[index_i + 1:] if same else second):
+                id_j = posting_j.multiset_id
+                if id_i == id_j:
+                    continue
+                uni_j = posting_j.uni
+                if prunes and upper_bound(uni_i, uni_j) < threshold:
+                    pruned += 1
+                    continue
+                emitted += 1
+                if id_i <= id_j:
+                    yield ((pack(id_i, id_j), uni_i, uni_j),
+                           PairContribution(posting_i.multiplicity,
+                                            posting_j.multiplicity))
+                else:
+                    yield ((pack(id_j, id_i), uni_j, uni_i),
+                           PairContribution(posting_j.multiplicity,
+                                            posting_i.multiplicity))
+        if emitted:
+            context.increment(emitted_counter, emitted)
+        if pruned:
+            context.increment("similarity1/candidates_pruned", pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -175,41 +197,21 @@ class Similarity1Reducer(Reducer):
         self.materializes_input = self.config.chunk_size is None
 
     def reduce(self, key: object, values: Sequence[PostingEntry],
-               context: TaskContext) -> Iterator[object]:
-        postings = list(values)
-        frequency = len(postings)
+               context: TaskContext) -> Iterable[object]:
+        frequency = len(values)
         context.increment("similarity1/elements", 1)
         stop_limit = self.config.stop_word_frequency
         if stop_limit is not None and frequency > stop_limit:
             context.increment("similarity1/stop_words_dropped", 1)
             context.increment("similarity1/stop_word_postings_dropped", frequency)
-            return
+            return ()
         chunk_size = self.config.chunk_size
         if chunk_size is not None and frequency > chunk_size:
-            yield from self._emit_chunk_pairs(key, postings, chunk_size, context)
-            return
-        candidate_filter = self.filter
-        candidates = 0
-        pruned = 0
-        for index_i in range(frequency):
-            posting_i = postings[index_i]
-            for index_j in range(index_i + 1, frequency):
-                posting_j = postings[index_j]
-                if posting_i.multiset_id == posting_j.multiset_id:
-                    continue
-                if candidate_filter.rejects(posting_i, posting_j):
-                    pruned += 1
-                    continue
-                candidates += 1
-                yield candidate_filter.pair_record(posting_i, posting_j)
-        # Counted per group, not per pair: the pair loop is the join's
-        # innermost and a counter update costs two calls.
-        if candidates:
-            context.increment("similarity1/candidate_records", candidates)
-        if pruned:
-            context.increment("similarity1/candidates_pruned", pruned)
+            return self._emit_chunk_pairs(key, values, chunk_size, context)
+        return self.filter.pair_records(values, values, True, context,
+                                        "similarity1/candidate_records")
 
-    def _emit_chunk_pairs(self, element: object, postings: list[PostingEntry],
+    def _emit_chunk_pairs(self, element: object, postings: Sequence[PostingEntry],
                           chunk_size: int,
                           context: TaskContext) -> Iterator[ChunkPairRecord]:
         chunks = [tuple(postings[start:start + chunk_size])
@@ -267,23 +269,10 @@ class Similarity2Mapper(Mapper):
 
     def _expand_chunks(self, record: ChunkPairRecord,
                        context: TaskContext) -> Iterator[tuple]:
-        first = record.first_chunk
-        second = record.second_chunk
-        candidate_filter = self.filter
-        pruned = 0
-        for index_i, posting_i in enumerate(first):
-            start = index_i + 1 if record.same_chunk else 0
-            for posting_j in second[start:]:
-                if posting_i.multiset_id == posting_j.multiset_id:
-                    continue
-                if candidate_filter.rejects(posting_i, posting_j):
-                    pruned += 1
-                    continue
-                context.increment("similarity2/chunk_expanded_records", 1)
-                key, contribution = candidate_filter.pair_record(posting_i, posting_j)
-                yield (key, self._conj(contribution))
-        if pruned:
-            context.increment("similarity1/candidates_pruned", pruned)
+        for key, contribution in self.filter.pair_records(
+                record.first_chunk, record.second_chunk, record.same_chunk,
+                context, "similarity2/chunk_expanded_records"):
+            yield (key, self._conj(contribution))
 
 
 class ConjunctiveCombiner(Combiner):

@@ -34,9 +34,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.partitioner import (
-    first_component_partitioner,
     hash_partitioner,
-    round_robin_assigner,
     stable_hash,
 )
 from repro.mapreduce.runner import LocalJobRunner
@@ -326,15 +324,6 @@ class TestPartitioners:
         with pytest.raises(ValueError):
             hash_partitioner("a", 0)
 
-    def test_first_component_partitioner_groups_by_first_element(self):
-        assert (first_component_partitioner(("k", 1), 13)
-                == first_component_partitioner(("k", 2), 13))
-
-    def test_round_robin(self):
-        assert [round_robin_assigner(i, 3) for i in range(5)] == [0, 1, 2, 0, 1]
-        with pytest.raises(ValueError):
-            round_robin_assigner(1, 0)
-
 
 class TestDataset:
     def test_basic_properties(self):
@@ -344,6 +333,22 @@ class TestDataset:
         assert dataset[1] == 2
         assert list(dataset) == [1, 2, 3]
         assert dataset.total_bytes > 0
+
+    def test_sizes_are_computed_once_on_first_read_or_handed_over(self):
+        records = [("k", 1), "text", KeyValue("key", (1.0, 2.0)), 7]
+        lazy = Dataset("lazy", records)
+        assert list(lazy.record_bytes) == [estimate_record_bytes(record)
+                                           for record in records]
+        assert lazy.record_bytes is lazy.record_bytes  # kept, not recomputed
+        assert lazy.total_bytes == sum(lazy.record_bytes)
+        carried = Dataset("carried", records, record_bytes=[5, 6, 7, 8])
+        assert list(carried.record_bytes) == [5, 6, 7, 8]
+        assert carried.total_bytes == 26
+
+    @pytest.mark.parametrize("sizes", [[], [8], [8, 8, 8]])
+    def test_record_bytes_of_another_length_are_rejected(self, sizes):
+        with pytest.raises(JobConfigurationError, match="record sizes"):
+            Dataset("mismatch", [1, 2], record_bytes=sizes)
 
     def test_map_filter_concat(self):
         dataset = Dataset.from_records([1, 2, 3])

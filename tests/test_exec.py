@@ -14,7 +14,9 @@ Three layers under test:
 
 from __future__ import annotations
 
+import glob
 import os
+import pickle
 
 import pytest
 
@@ -30,7 +32,6 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.costmodel import CostModel, CostParameters
-from repro.mapreduce.phases import spill_record
 from repro.mapreduce.types import JobStats, KeyValue
 from tests.conftest import strip_telemetry
 from tests.test_backends import (
@@ -52,13 +53,41 @@ def make_records(count: int, keys: int = 7, partitions: int = 4):
 
 
 def reference_groups(records):
-    """The serial shuffle's grouping of ``records``, as a flat list."""
+    """The serial shuffle's grouping of ``records``, record by record."""
     spill = {}
     for partition, key_value in records:
-        spill_record(spill, partition, key_value)
+        spill.setdefault(partition, {}).setdefault(key_value.key, []).append(key_value)
     return [(partition, key, spill[partition][key])
             for partition in sorted(spill)
             for key in spill[partition]]
+
+
+def entry_boundaries(path) -> list[int]:
+    """The offset after each pickled object of a run file (trailer included)."""
+    offsets = []
+    with open(path, "rb") as handle:
+        while True:
+            try:
+                pickle.load(handle)
+            except EOFError:
+                return offsets
+            offsets.append(handle.tell())
+
+
+def first_run_file(directory) -> str | None:
+    """The first run file any grouper wrote under ``directory``, if any."""
+    runs = sorted(glob.glob(os.path.join(str(directory), "*", "run-*.pkl")))
+    return runs[0] if runs else None
+
+
+def spilled_grouper(tmp_path, records, **options) -> ExternalGrouper:
+    """A fed grouper whose first runs are already on disk under ``tmp_path``."""
+    options.setdefault("memory_budget_bytes", 256)
+    grouper = ExternalGrouper(temp_dir=str(tmp_path), **options)
+    for partition, key_value in records:
+        grouper.add(partition, key_value)
+    assert grouper.telemetry["runs_written"] > 1
+    return grouper
 
 
 class TestExternalGrouper:
@@ -142,6 +171,46 @@ class TestExternalGrouper:
                     raise RuntimeError("consumer failed")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("damage, complaint", [
+        ("at_boundary", "truncated"), ("mid_entry", "truncated"),
+        ("no_trailer", "truncated"), ("miscounted", "trailer"),
+        ("over_long", "trailer")])
+    def test_damaged_run_raises_naming_the_file(self, tmp_path, damage, complaint):
+        """``at_boundary`` is the silent one: a run that lost whole entries
+        unpickles cleanly, and used to be merged as a shorter run."""
+        records = make_records(200, keys=13, partitions=5)
+        with spilled_grouper(tmp_path, records) as grouper:
+            run = first_run_file(tmp_path)
+            boundaries = entry_boundaries(run)
+            assert len(boundaries) > 3  # entries, then the trailer
+            if damage == "at_boundary":
+                os.truncate(run, boundaries[0])
+            elif damage == "mid_entry":
+                os.truncate(run, boundaries[1] + 5)
+            elif damage == "no_trailer":
+                os.truncate(run, boundaries[-2])
+            elif damage == "miscounted":
+                os.truncate(run, boundaries[-2])
+                with open(run, "ab") as handle:
+                    pickle.dump(len(boundaries), handle)
+            else:
+                with open(run, "ab") as handle:
+                    pickle.dump((9, 9, 9, KeyValue("late", 0)), handle)
+            with pytest.raises(BackendError, match="run-000000") as caught:
+                list(grouper.iter_groups())
+            assert complaint in str(caught.value)
+        assert os.listdir(tmp_path) == []
+
+    def test_damaged_run_fails_an_intermediate_merge_too(self, tmp_path):
+        records = make_records(300, keys=17, partitions=3)
+        with spilled_grouper(tmp_path, records, memory_budget_bytes=128,
+                             merge_fan_in=2) as grouper:
+            run = first_run_file(tmp_path)
+            os.truncate(run, entry_boundaries(run)[0])
+            with pytest.raises(BackendError, match="run-000000"):
+                list(grouper.iter_groups())
+        assert os.listdir(tmp_path) == []
+
     def test_add_after_close_raises(self):
         grouper = ExternalGrouper(memory_budget_bytes=64)
         grouper.close()
@@ -220,6 +289,33 @@ class TestDiskShuffleBackend:
         job = JobSpec("materialise", WordCountMapper(), MaterialisingReducer())
         with pytest.raises(MemoryBudgetExceeded):
             runner.run(job, Dataset.from_records(documents))
+        assert os.listdir(tmp_path) == []
+
+    def test_join_over_a_truncated_run_raises_and_cleans_up(self, tmp_path):
+        """A torn run file fails the join: no shorter answer, no temp files."""
+
+        class TornRunBackend(DiskShuffleBackend):
+            """Cuts the first run of each shuffle back to its first entry."""
+
+            def external_grouper(self):
+                grouper = super().external_grouper()
+                merge = grouper.iter_groups
+
+                def torn_merge():
+                    run = first_run_file(tmp_path)
+                    if run is not None:
+                        os.truncate(run, entry_boundaries(run)[0])
+                    return merge()
+
+                grouper.iter_groups = torn_merge
+                return grouper
+
+        corpus = small_corpus(count=30, stride=6)
+        options = dict(memory_budget_bytes=4096, temp_dir=str(tmp_path))
+        whole = run_join(DiskShuffleBackend(**options), corpus)
+        assert whole.counters()["shuffle/runs_written"] > 0
+        with pytest.raises(BackendError, match=r"run-000000\.pkl"):
+            run_join(TornRunBackend(**options), corpus)
         assert os.listdir(tmp_path) == []
 
     def test_invalid_options_raise(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.exceptions import (
     DiskBudgetExceeded,
@@ -24,6 +26,7 @@ from repro.mapreduce.job import (
     TaskContext,
     normalise_emit,
 )
+from repro.mapreduce.phases import merge_spills, partition_by_key, split_slices
 from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.types import KeyValue
 
@@ -267,6 +270,62 @@ class TestLifecycleHooks:
         context.increment("x", 5)
         context.increment("x")
         assert counters["x"] == 6
+
+
+#: ``(key, secondary)`` of one emission: few keys, so they repeat.
+emitted_keys = st.tuples(st.integers(0, 6),
+                         st.one_of(st.none(), st.integers(0, 3)))
+
+
+class TestShuffleGrouping:
+    """Partitioning per key at task end against partitioning per record."""
+
+    @given(emitted=st.lists(emitted_keys, max_size=40),
+           cleanup=st.lists(emitted_keys, max_size=5),
+           assignment=st.lists(st.integers(0, 50), min_size=7, max_size=7),
+           num_reducers=st.integers(1, 5), pieces=st.integers(1, 4))
+    def test_grouped_then_partitioned_spill_equals_per_record_spill(
+            self, emitted, cleanup, assignment, num_reducers, pieces):
+        def partitioner(key, partitions):
+            return assignment[key] % partitions
+
+        # The value is the emission's position, so record order shows.
+        records = [KeyValue(key, position, secondary)
+                   for position, (key, secondary) in enumerate(emitted + cleanup)]
+        map_output, cleanup_output = records[:len(emitted)], records[len(emitted):]
+
+        reference = {}
+        for key_value in records:
+            partition = partitioner(key_value.key, num_reducers)
+            reference.setdefault(partition, {}).setdefault(
+                key_value.key, []).append(key_value)
+
+        # What the runner does: every task (a contiguous slice) partitions
+        # its own output, the spills are merged in task order, and the
+        # cleanup emissions enter the shuffle last.
+        spill = {}
+        for start, stop in split_slices(len(map_output), pieces):
+            merge_spills(spill, partition_by_key(map_output[start:stop],
+                                                 partitioner, num_reducers))
+        merge_spills(spill, partition_by_key(cleanup_output, partitioner,
+                                             num_reducers))
+
+        def in_order(shuffle):
+            return [(partition, list(groups.items()))
+                    for partition, groups in sorted(shuffle.items())]
+
+        assert in_order(spill) == in_order(reference)
+
+    def test_partitioner_is_asked_once_per_distinct_key(self):
+        asked = []
+
+        def partitioner(key, partitions):
+            asked.append(key)
+            return 0
+
+        partition_by_key([KeyValue(key, None) for key in "abacab"],
+                         partitioner, 3)
+        assert asked == ["a", "b", "c"]
 
 
 class TestPipelineResult:

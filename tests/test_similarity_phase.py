@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.interning import InterningContext, PairCodec
 from repro.core.records import JoinedTuple, PairContribution, explode_multisets
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
+from repro.mapreduce.job import TaskContext
 from repro.mapreduce.runner import LocalJobRunner
 from repro.similarity.exact import pair_dictionary
 from repro.similarity.registry import get_measure
@@ -141,12 +143,15 @@ class TestPairRecords:
         codec = PairCodec(8)
         posting_z = PostingEntry(7, (9.0,), 5.0)
         posting_a = PostingEntry(2, (4.0,), 2.0)
-        candidates = Similarity1Reducer(pair_codec=codec).filter
-        key, contribution = candidates.pair_record(posting_z, posting_a)
+        reducer = Similarity1Reducer(pair_codec=codec)
+        context = TaskContext(Counters())
+        [(key, contribution)] = reducer.reduce("x", [posting_z, posting_a], context)
         assert key == (codec.pack(2, 7), (4.0,), (9.0,))
         assert contribution == PairContribution(2.0, 5.0)
         # Either emission order lands on the one canonical record.
-        assert candidates.pair_record(posting_a, posting_z) == (key, contribution)
+        assert list(reducer.reduce("x", [posting_a, posting_z], context)) == [
+            (key, contribution)]
+        assert context.counters.as_dict()["similarity1/candidate_records"] == 2
 
     def test_duplicate_multiset_in_posting_list_not_paired_with_itself(self, test_cluster):
         from repro.core.multiset import Multiset

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -142,14 +143,15 @@ class TestVCLCorrectness:
         assert {p.pair for p in result.pairs} == expected
 
 
-#: Prints the per-job statistics of one VCL join over string elements.
+#: Prints the per-job statistics of one join over string elements: the
+#: algorithm is the argument, the corpus arrives on standard input.
 HASH_SEED_PROBE = """
-import dataclasses, json
-from repro.vcl.driver import VCLConfig, VCLJoin
-from tests.conftest import make_random_multisets
+import dataclasses, json, sys
+from repro import JoinSpec, Multiset, SimilarityEngine
 
-corpus = make_random_multisets(40, alphabet_size=60, max_elements=25, seed=7)
-result = VCLJoin(VCLConfig(measure="ruzicka", threshold=0.3)).run(corpus)
+corpus = [Multiset(identifier, counts) for identifier, counts in json.load(sys.stdin)]
+spec = JoinSpec(measure="ruzicka", threshold=0.3, algorithm=sys.argv[1])
+result = SimilarityEngine().run(spec, corpus)
 print(json.dumps([dataclasses.asdict(stats)
                   for stats in result.pipeline.job_stats], sort_keys=True))
 """
@@ -157,15 +159,27 @@ print(json.dumps([dataclasses.asdict(stats)
 
 def test_job_stats_do_not_depend_on_the_hash_seed():
     """Emission order (hence machines, combine groups, shuffle bytes and
-    simulated seconds) must come from the data, not from ``hash(str)``."""
-    def job_stats(hash_seed: str) -> str:
-        environment = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                           PYTHONPATH=os.pathsep.join(sys.path))
-        return subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
-                              env=environment, check=True, timeout=120,
-                              capture_output=True, text=True).stdout
+    simulated seconds) must come from the data, not from ``hash(str)`` —
+    for every algorithm: the regression checker's band assumes it."""
+    corpus = json.dumps([
+        (multiset.id, dict(multiset.items()))
+        for multiset in make_random_multisets(40, alphabet_size=60,
+                                              max_elements=25, seed=7)])
 
-    assert job_stats("1") == job_stats("2")
+    def job_stats(algorithm: str, hash_seeds: tuple[str, ...]) -> list[str]:
+        probes = [subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_PROBE, algorithm],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=os.pathsep.join(sys.path)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            for hash_seed in hash_seeds]
+        outputs = [probe.communicate(corpus, timeout=120)[0] for probe in probes]
+        assert [probe.returncode for probe in probes] == [0] * len(probes)
+        return outputs
+
+    for algorithm in ("sharding", "online_aggregation", "lookup", "vcl"):
+        first, second = job_stats(algorithm, ("1", "2"))
+        assert first and first == second, algorithm
 
 
 class TestVCLScalabilityLimits:

@@ -124,7 +124,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "2.5.0"
+__version__ = "2.6.0"
 
 __all__ = [
     "Change",

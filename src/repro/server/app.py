@@ -550,9 +550,10 @@ class SimilarityServerApp:
         requests = self._parse(requests_from_batch_payload, payload)
         degraded_any = False
         futures = []
-        # Submitted individually: the coalescing worker re-batches them
-        # (together with any concurrent traffic) into single executions,
-        # and admission control applies per request.
+        # Admitted whole or refused whole, then submitted individually: the
+        # coalescing worker re-batches them (together with any concurrent
+        # traffic) into single executions.
+        self._query_queue.require_room(len(requests))
         for request in requests:
             request, degraded = self._maybe_degrade(request)
             degraded_any = degraded_any or degraded

@@ -100,6 +100,24 @@ class CoalescingQueue:
 
     # -- admission -------------------------------------------------------------
 
+    def require_room(self, count: int) -> None:
+        """Refuse ``count`` submissions unless every one of them fits now.
+
+        No ``await`` separates this from the :meth:`submit` calls after it,
+        so a group is admitted whole or leaves nothing queued to execute; one
+        larger than the queue is a bad request, not backpressure.
+        """
+        if count > self.capacity:
+            raise ServerError(f"a batch of {count} can never be admitted: "
+                              f"the {self.name} queue holds at most {self.capacity}")
+        if self.depth + count > self.capacity:
+            self.rejected += 1
+            raise QueueFullError(
+                f"the {self.name} queue is full ({self.depth} of "
+                f"{self.capacity} pending, {count} more refused)",
+                retry_after_seconds=self.retry_after_seconds,
+                queue=self.name)
+
     def submit(self, item: object) -> asyncio.Future:
         """Enqueue ``item``; returns the future of its result.
 
@@ -112,16 +130,9 @@ class CoalescingQueue:
                 "(server shutting down)",
                 retry_after_seconds=self.retry_after_seconds,
                 queue=self.name)
+        self.require_room(1)
         future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((item, future))
-        except asyncio.QueueFull:
-            self.rejected += 1
-            raise QueueFullError(
-                f"the {self.name} queue is full "
-                f"({self.capacity} pending requests)",
-                retry_after_seconds=self.retry_after_seconds,
-                queue=self.name) from None
+        self._queue.put_nowait((item, future))
         self.admitted += 1
         return future
 

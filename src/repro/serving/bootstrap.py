@@ -227,12 +227,11 @@ def warm_member_caches(target, members: Sequence[Multiset], matches_for,
     measure = target.measure
     for member in members:
         matches = list(matches_for(member))
-        # Uni of the query side and of the stored side, folded exactly as
-        # a live scan folds them, so the seeded score is the live one.
+        # Both sides of a live scan fold Uni this way (query side:
+        # PreparedQuery.scan_form), so the seeded score is the live one.
+        uni = fold_uni_multiplicities(measure, member.values())
         self_similarity = measure.combine(
-            measure.unilateral(member),
-            fold_uni_multiplicities(measure, member.values()),
-            measure.conjunctive(member, member))
+            uni, uni, measure.conjunctive(member, member))
         if self_similarity >= threshold:
             matches.append(QueryMatch(member.id, self_similarity))
         target.warm(QueryRequest.threshold(member, threshold),

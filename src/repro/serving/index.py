@@ -35,6 +35,13 @@ elements the index has never seen skip their posting lookup — and for
 measures that declare a scalar conjunctive kernel
 (:mod:`repro.similarity.kernels`) the per-candidate ``Conj`` accumulates as
 a single float instead of a partial tuple per shared element.
+
+The read path's rule, here and in the layers above (node, replica set,
+fleet): *per request, do once what is per request; per shard, do only what
+is per shard*.  Whatever depends on the query alone lives in a
+:class:`PreparedQuery`, built by the outermost layer a request enters and
+taken as it is by every layer below; an index, node or shard called
+directly prepares for itself, so there is one path.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
 from repro.core.interning import LocalInterner
-from repro.core.multiset import Element, Multiset, MultisetId
+from repro.core.multiset import Element, Multiset, MultisetId, content_signature
 from repro.serving.api import (
     THRESHOLD_KIND,
     QueryMatch,
+    QueryOptions,
     QueryRequest,
     QueryResponse,
     sort_matches,
@@ -61,11 +69,60 @@ from repro.similarity.kernels import scalar_conj_functions
 from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure
 
-__all__ = ["QueryMatch", "SimilarityIndex", "sort_matches"]
+__all__ = ["PreparedQuery", "QueryMatch", "SimilarityIndex", "prepare", "sort_matches"]
 
 #: Postings-key sentinel for query elements the interner has never seen;
 #: distinct from every real key (including a literal ``None`` element).
 _NEVER_INDEXED = object()
+
+
+class PreparedQuery:
+    """One request with what the query alone determines, derived once.
+
+    Eager: the content ``signature`` — every cache key needs it.  Lazy and
+    memoised: the scan form (:meth:`scan_form`), which a request answered
+    from caches never pays for and shards 2…N take from shard 1, and the
+    ``ranking_key`` of rendezvous read spreading.  Nothing held belongs to
+    an index (no dense ids, write version or stop-word limit), so one is
+    exact across shards, replicas, fail-over retries and interleaved writes.
+    """
+
+    __slots__ = ("query", "options", "signature", "_scan", "_ranking_key")
+
+    def __init__(self, query: Multiset, options: QueryOptions | None = None) -> None:
+        self.query = query
+        self.options = options
+        self.signature = content_signature(query)
+        self._scan = self._ranking_key = None
+
+    @property
+    def ranking_key(self) -> list[str]:
+        """The signature in canonical order (stable across processes)."""
+        if self._ranking_key is None:
+            self._ranking_key = sorted(map(repr, self.signature))
+        return self._ranking_key
+
+    def scan_form(self, measure: NominalSimilarityMeasure) -> tuple:
+        """``(measure, Uni(Q), [(element, effective multiplicity), ...])``:
+        ``Uni(Q)`` folded as :meth:`SimilarityIndex.add` folds the stored
+        side, elements of no positive effective multiplicity dropped."""
+        scan = self._scan
+        if scan is None or scan[0] is not measure:
+            effective = measure.effective_multiplicity
+            scan = self._scan = (
+                measure,
+                fold_uni_multiplicities(measure, self.query.values()),
+                [(element, weight)
+                 for element, multiplicity in self.query.items()
+                 if (weight := effective(multiplicity)) > 0])
+        return scan
+
+
+def prepare(request: "QueryRequest | PreparedQuery") -> PreparedQuery:
+    """``request`` in prepared form — itself when a layer above prepared it."""
+    if type(request) is PreparedQuery:
+        return request
+    return PreparedQuery(request.query, request.options)
 
 
 class SimilarityIndex:
@@ -250,7 +307,7 @@ class SimilarityIndex:
 
     # -- queries ---------------------------------------------------------------
 
-    def query(self, request: QueryRequest) -> QueryResponse:
+    def query(self, request: "QueryRequest | PreparedQuery") -> QueryResponse:
         """Answer one unified-API query against the indexed state.
 
         The canonical entry point: a threshold request returns every
@@ -258,14 +315,15 @@ class SimilarityIndex:
         top-k request the ``k`` most similar — both sorted by descending
         similarity, both exact whenever ``stop_word_frequency`` is unset.
         """
-        options = request.options
+        prepared = prepare(request)
+        options = prepared.options
         if options.kind == THRESHOLD_KIND:
-            matches = self._threshold_matches(request.query, options.threshold)
+            matches = self._threshold_matches(prepared, options.threshold)
         else:
-            matches = self._topk_matches(request.query, options.k)
+            matches = self._topk_matches(prepared, options.k)
         return QueryResponse(tuple(matches), options)
 
-    def _threshold_matches(self, query: Multiset,
+    def _threshold_matches(self, prepared: PreparedQuery,
                            threshold: float) -> list[QueryMatch]:
         """All indexed multisets with ``sim(query, Mi) >= threshold``.
 
@@ -278,7 +336,7 @@ class SimilarityIndex:
         """
         limit = validate_threshold(threshold)
         measure = self.measure
-        uni_q, conj_by_id = self._gather_candidates(query, prune_below=limit)
+        uni_q, conj_by_id = self._gather_candidates(prepared, prune_below=limit)
         matches: list[QueryMatch] = []
         for multiset_id, conj in conj_by_id.items():
             similarity = measure.combine(uni_q, self._uni[multiset_id], conj)
@@ -287,7 +345,7 @@ class SimilarityIndex:
         self._increment("serving/threshold_queries")
         return sort_matches(matches)
 
-    def _topk_matches(self, query: Multiset, k: int) -> list[QueryMatch]:
+    def _topk_matches(self, prepared: PreparedQuery, k: int) -> list[QueryMatch]:
         """The ``k`` indexed multisets most similar to the query.
 
         Only multisets sharing at least one (non-pruned) element with the
@@ -299,7 +357,7 @@ class SimilarityIndex:
         if k < 1:
             raise ServingError(f"top-k queries need k >= 1, got {k}")
         measure = self.measure
-        uni_q, conj_by_id = self._gather_candidates(query)
+        uni_q, conj_by_id = self._gather_candidates(prepared)
         ranked = sorted(
             ((measure.similarity_upper_bound(uni_q, self._uni[multiset_id]),
               multiset_id) for multiset_id in conj_by_id),
@@ -329,95 +387,76 @@ class SimilarityIndex:
         multiset = self._multisets.get(multiset_id)
         if multiset is None:
             raise ServingError(f"multiset {multiset_id!r} is not indexed")
-        return [match for match in self._threshold_matches(multiset, threshold)
-                if match.multiset_id != multiset_id]
+        matches = self._threshold_matches(PreparedQuery(multiset), threshold)
+        return [match for match in matches if match.multiset_id != multiset_id]
 
     # -- internals -------------------------------------------------------------
 
     def _gather_candidates(
-            self, query: Multiset,
+            self, prepared: PreparedQuery,
             prune_below: float | None = None,
     ) -> tuple[Partials, dict[MultisetId, Partials]]:
         """Scan the query elements' postings, accumulating exact ``Conj``.
 
-        Returns ``Uni(Q)`` (the measure's canonical whole-entity fold) and a
-        map from candidate identifier to the accumulated conjunctive
-        partials over the shared elements.  With ``prune_below`` set, a
-        candidate whose similarity upper bound is below it is discarded the
-        first time it appears, and contributes no further accumulation work
-        on the remaining posting lists — this is where upper-bound pruning
-        actually saves scanning, since ``Uni(Q)`` is complete before any
-        posting is read.
+        Returns ``Uni(Q)`` (from the prepared scan form: nothing about the
+        query is derived here, per shard) and a map from candidate
+        identifier to the accumulated conjunctive partials over the shared
+        elements.  With ``prune_below`` set, a candidate whose similarity
+        upper bound is below it is discarded the first time it appears, and
+        contributes no further accumulation work on the remaining posting
+        lists — this is where upper-bound pruning actually saves scanning,
+        since ``Uni(Q)`` is complete before any posting is read.
         """
         measure = self.measure
+        _, uni_q, elements = prepared.scan_form(measure)
         frequency_limit = self.stop_word_frequency
-        uni_q = measure.unilateral(query)
+        element_id = self._interner._ids.get  # one dict probe per element
+        postings_of = self._postings.get
+        upper_bound = measure.similarity_upper_bound
+        uni_of = self._uni
         scalar = self._scalar_conj
-        if scalar is not None:
+        if scalar is not None:  # Conj accumulates as one bare float
             seed, accumulate = scalar
-            totals: dict[MultisetId, float] = {}
-            pruned: set[MultisetId] = set()
-            uni_of = self._uni
-            for element, multiplicity in query.items():
-                effective_q = measure.effective_multiplicity(multiplicity)
-                if effective_q <= 0:
-                    continue
-                postings = self._postings.get(self._element_key(element))
-                if not postings:
-                    continue
-                if frequency_limit is not None and len(postings) > frequency_limit:
-                    self._increment("serving/stop_words_skipped")
-                    continue
-                self._increment("serving/postings_scanned", len(postings))
-                for multiset_id, effective_m in postings.items():
-                    previous = totals.get(multiset_id)
-                    if previous is None:
-                        if multiset_id in pruned:
-                            continue
-                        if (prune_below is not None
-                                and measure.similarity_upper_bound(
-                                    uni_q, uni_of[multiset_id]) < prune_below):
-                            pruned.add(multiset_id)
-                            self._increment("serving/candidates_pruned")
-                            continue
-                        totals[multiset_id] = seed(effective_q, effective_m)
-                    else:
-                        totals[multiset_id] = accumulate(previous, effective_q,
-                                                         effective_m)
-            self._increment("serving/candidates_examined",
-                            len(totals) + len(pruned))
-            return uni_q, {multiset_id: (total,)
-                           for multiset_id, total in totals.items()}
-        conj_by_id: dict[MultisetId, Partials] = {}
-        pruned = set()
-        for element, multiplicity in query.items():
-            effective_q = measure.effective_multiplicity(multiplicity)
-            if effective_q <= 0:
-                continue
-            postings = self._postings.get(self._element_key(element))
+        else:
+            seed = measure.conj_from_pair
+
+            def accumulate(previous, effective_q, effective_m):
+                return measure.conj_merge(previous,
+                                          seed(effective_q, effective_m))
+        conj_by_id: dict = {}
+        pruned: set[MultisetId] = set()
+        scanned = skipped = 0
+        for element, effective_q in elements:
+            postings = postings_of(element_id(element, _NEVER_INDEXED))
             if not postings:
                 continue
             if frequency_limit is not None and len(postings) > frequency_limit:
-                self._increment("serving/stop_words_skipped")
+                skipped += 1
                 continue
-            self._increment("serving/postings_scanned", len(postings))
+            scanned += len(postings)
             for multiset_id, effective_m in postings.items():
                 previous = conj_by_id.get(multiset_id)
-                if previous is None:
-                    if multiset_id in pruned:
-                        continue
-                    if (prune_below is not None
-                            and measure.similarity_upper_bound(
-                                uni_q, self._uni[multiset_id]) < prune_below):
-                        pruned.add(multiset_id)
-                        self._increment("serving/candidates_pruned")
-                        continue
-                    conj_by_id[multiset_id] = measure.conj_from_pair(
-                        effective_q, effective_m)
+                if previous is not None:
+                    conj_by_id[multiset_id] = accumulate(previous, effective_q,
+                                                         effective_m)
+                elif multiset_id in pruned:
+                    continue
+                elif (prune_below is not None
+                        and upper_bound(uni_q, uni_of[multiset_id])
+                        < prune_below):
+                    pruned.add(multiset_id)
                 else:
-                    conj_by_id[multiset_id] = measure.conj_merge(
-                        previous,
-                        measure.conj_from_pair(effective_q, effective_m))
+                    conj_by_id[multiset_id] = seed(effective_q, effective_m)
+        if scalar is not None:
+            conj_by_id = {multiset_id: (total,)
+                          for multiset_id, total in conj_by_id.items()}
+        # A counter nothing was added to stays absent from counters().
+        counters = self._counters
+        for counter, amount in (("serving/postings_scanned", scanned),
+                                ("serving/stop_words_skipped", skipped),
+                                ("serving/candidates_pruned", len(pruned))):
+            if amount:
+                counters[counter] = counters.get(counter, 0) + amount
         self._increment("serving/candidates_examined",
                         len(conj_by_id) + len(pruned))
         return uni_q, conj_by_id

@@ -14,6 +14,11 @@ two production concerns on top of the raw
 * batched query execution that computes each distinct query signature once
   per batch and fans the result back out, so replayed/duplicated traffic
   pays one index scan even when the cache is cold or disabled.
+
+A node derives nothing from the query itself: it takes — or, called
+directly, builds — a :class:`~repro.serving.index.PreparedQuery` and makes
+each cache key once, from its eager signature; the lazy scan form is touched
+only by an index that has to scan, so a cache hit costs the signature alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Sequence
 from repro.core.multiset import Multiset, MultisetId, content_signature
 from repro.serving.api import QueryMatch, QueryRequest, QueryResponse
 from repro.serving.cache import LRUResultCache
-from repro.serving.index import SimilarityIndex
+from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.similarity.base import NominalSimilarityMeasure
 
 
@@ -110,54 +115,45 @@ class ServingNode:
 
     # -- queries ---------------------------------------------------------------
 
-    def _request_key(self, request: QueryRequest) -> tuple:
-        """The cache key of a unified-API request.
-
-        Includes the index's write version so entries from before any write
-        — including writes applied directly to :attr:`index` — can never be
-        returned for the mutated state.  The options dataclass is frozen
-        and hashable, so one key shape covers every query kind.
-        """
-        return (request.options, self.index.version,
-                query_signature(request.query))
-
-    def cached_key(self, request: QueryRequest,
-                   signature: frozenset) -> tuple | None:
-        """The key ``request``'s answer is cached under now, else ``None``.
+    def cached_key(self, prepared: PreparedQuery) -> tuple | None:
+        """The key the request's answer is cached under now, else ``None``.
 
         A membership test only: no hit or miss is counted and no entry's
         recency moves, so a caller that goes on to :meth:`query` leaves
-        the statistics exactly as if it had not looked.  ``signature`` is
-        the query's :func:`query_signature`, computed once by a caller
-        asking several nodes.
+        the statistics exactly as if it had not looked.
         """
-        key = (request.options, self.index.version, signature)
+        key = (prepared.options, self.index.version, prepared.signature)
         return key if key in self.cache else None
 
-    def query(self, request: QueryRequest) -> QueryResponse:
-        """Answer one unified-API query, served from the result cache."""
-        key = self._request_key(request)
+    def query(self, request: "QueryRequest | PreparedQuery") -> QueryResponse:
+        """Answer one unified-API query, served from the result cache.
+
+        The key includes the index's write version: no entry from before a
+        write, even one applied directly to :attr:`index`, is ever returned.
+        """
+        prepared = prepare(request)
+        key = (prepared.options, self.index.version, prepared.signature)
         matches = self.cache.get(key)
         if matches is None:
-            matches = self.index.query(request).matches
+            matches = self.index.query(prepared).matches
             self.cache.put(key, matches)
-        return QueryResponse(matches, request.options)
+        return QueryResponse(matches, prepared.options)
 
-    def batch(self, requests: Sequence[QueryRequest]) -> list[QueryResponse]:
+    def batch(self, requests: Sequence) -> list[QueryResponse]:
         """Execute a batch of requests, one index scan per distinct request.
 
         Distinctness is by content signature *and* options, so replayed or
         coalesced traffic pays a single scan even when the cache is cold or
         disabled; the computed answer fans back out to every duplicate.
         """
-        responses_by_key: dict[tuple, QueryResponse] = {}
+        responses_by_content: dict[tuple, QueryResponse] = {}
         responses: list[QueryResponse] = []
         for request in requests:
-            key = self._request_key(request)
-            response = responses_by_key.get(key)
+            prepared = prepare(request)
+            content = (prepared.options, prepared.signature)
+            response = responses_by_content.get(content)
             if response is None:
-                response = self.query(request)
-                responses_by_key[key] = response
+                response = responses_by_content[content] = self.query(prepared)
             responses.append(response)
         return responses
 
@@ -166,7 +162,9 @@ class ServingNode:
     def warm(self, request: QueryRequest,
              matches: Sequence[QueryMatch]) -> None:
         """Seed the cache with a precomputed answer for ``request``."""
-        self.cache.put(self._request_key(request), tuple(matches))
+        prepared = prepare(request)
+        self.cache.put((prepared.options, self.index.version,
+                        prepared.signature), tuple(matches))
 
     # -- observability ---------------------------------------------------------
 

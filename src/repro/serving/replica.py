@@ -17,7 +17,11 @@ unreplicated shard is a replica set of one, served by the same code):
   replica's LRU holds a disjoint slice of the hot set).  A read that
   faults ejects the replica and *fails over* to the next healthy one —
   the caller sees the answer, not the fault.  With one healthy replica
-  there is nothing to pick, and the read goes straight to it;
+  there is nothing to pick, and the read goes straight to it.  What is
+  handed to a replica is the request already prepared (see
+  :mod:`repro.serving.index`; a shard called directly prepares it): it
+  holds nothing of any replica, so a fail-over retry reuses it, and
+  rendezvous ranks from its ``ranking_key``, canonicalised once per request;
 * **recovery rebuilds**: a down replica re-enters by copying a healthy
   peer's members (exact: the rebuilt index answers bit-identically) or by
   loading a :mod:`repro.storage` snapshot, then re-joins the fan-in.
@@ -39,10 +43,10 @@ from repro.core.exceptions import (
     ResilienceError,
     ServingError,
 )
-from repro.core.multiset import Multiset, MultisetId, content_signature
+from repro.core.multiset import Multiset, MultisetId
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import QueryMatch, QueryRequest
-from repro.serving.index import SimilarityIndex
+from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.serving.node import ServingNode
 from repro.similarity.base import NominalSimilarityMeasure
 
@@ -344,8 +348,8 @@ class ReplicatedShard:
 
     # -- reads (spread over healthy replicas, failing over on faults) ----------
 
-    def _read_candidates(self, request: QueryRequest | None, *,
-                         take_turn: bool = True) -> Sequence[Replica]:
+    def _read_candidates(self, request: "QueryRequest | PreparedQuery | None",
+                         *, take_turn: bool = True) -> Sequence[Replica]:
         """Healthy replicas in preference order for one request.
 
         ``take_turn=False`` looks at the round-robin order without using
@@ -355,10 +359,10 @@ class ReplicatedShard:
         if len(healthy) < 2:
             return healthy
         if self.read_strategy == RENDEZVOUS and request is not None:
-            signature = sorted(map(repr, content_signature(request.query)))
+            ranking_key = prepare(request).ranking_key
             return sorted(
                 healthy,
-                key=lambda replica: stable_hash((signature, replica.name),
+                key=lambda replica: stable_hash((ranking_key, replica.name),
                                                 salt=REPLICA_SALT),
                 reverse=True)
         # Rotate over the *current* healthy replicas so a just-ejected one
@@ -369,7 +373,7 @@ class ReplicatedShard:
         return healthy[start:] + healthy[:start]
 
     def _read(self, operation: str, function: Callable, argument,
-              request: QueryRequest | None):
+              request: "PreparedQuery | None"):
         """Serve one read from the preferred replica, failing over on faults.
 
         Deterministic :class:`ServingError` failures propagate (they would
@@ -391,13 +395,14 @@ class ReplicatedShard:
             f"shard {self.name}: no healthy replica left to serve "
             f"{operation} (all {self.replication_factor} down)")
 
-    def query(self, request: QueryRequest):
+    def query(self, request: "QueryRequest | PreparedQuery"):
         """Answer one unified-API query from one healthy replica."""
-        return self._read("query", ServingNode.query, request, request)
+        prepared = prepare(request)
+        return self._read("query", ServingNode.query, prepared, prepared)
 
-    def cached_reader(self, request: QueryRequest,
-                      signature: frozenset) -> tuple[Replica, tuple] | None:
-        """The replica whose turn it is and the key it has ``request``
+    def cached_reader(self, prepared: PreparedQuery
+                      ) -> tuple[Replica, tuple] | None:
+        """The replica whose turn it is and the key it has the request
         cached under, with the replica's lock held — or ``None``.
 
         ``None`` unless answering is a pure memory read: the replica
@@ -409,15 +414,14 @@ class ReplicatedShard:
         after a ``None`` a :meth:`query` behaves as if nobody had asked.
         The caller finishes with :meth:`read_cached` and releases the lock.
         """
-        candidates = self._read_candidates(request, take_turn=False)
+        candidates = self._read_candidates(prepared, take_turn=False)
         if not candidates:
             return None
         replica = candidates[0]
         if replica.fault_policy is not None \
                 or not replica.lock.acquire(blocking=False):
             return None
-        key = (replica.node.cached_key(request, signature)
-               if replica.healthy else None)
+        key = replica.node.cached_key(prepared) if replica.healthy else None
         if key is None:
             replica.lock.release()
             return None
@@ -434,14 +438,15 @@ class ReplicatedShard:
         replica.reads_served += 1
         return replica.node.cache.get(key)
 
-    def batch(self, requests: Sequence[QueryRequest]) -> list:
+    def batch(self, requests: Sequence) -> list:
         """Answer a request batch from one healthy replica.
 
         The whole batch goes to a single replica (it coalesces duplicate
         signatures internally); spreading happens across batches.
         """
-        return self._read("batch", ServingNode.batch, list(requests),
-                          requests[0] if requests else None)
+        prepared = [prepare(request) for request in requests]
+        return self._read("batch", ServingNode.batch, prepared,
+                          prepared[0] if prepared else None)
 
     # -- kill / recover --------------------------------------------------------
 

@@ -8,7 +8,10 @@ assignment is deterministic across processes and restarts.  Each shard is
 a :class:`~repro.serving.replica.ReplicatedShard` of ``replication_factor``
 serving nodes; at replication factor 1 that is one node per shard, served
 by exactly the code that serves N.  Writes touch one shard (fanned into
-its replicas); queries fan out to every shard and merge:
+its replicas); queries are prepared once, before the shard loop
+(:class:`~repro.serving.index.PreparedQuery`: signature eagerly, scan form
+by the first shard that scans and reused by the rest — index-independent,
+so exact even when a write lands between two shards), then fan out and merge:
 
 * threshold queries concatenate the per-shard answers (shards are disjoint,
   so no deduplication is needed) and re-sort;
@@ -45,8 +48,7 @@ from repro.serving.api import (
     QueryResponse,
     finalize_matches,
 )
-from repro.serving.index import SimilarityIndex
-from repro.serving.node import query_signature
+from repro.serving.index import SimilarityIndex, prepare
 from repro.serving.replica import ROUND_ROBIN, Replica, ReplicatedShard
 from repro.similarity.base import NominalSimilarityMeasure
 
@@ -182,11 +184,12 @@ class ReplicatedSimilarityService:
         Within each shard the answering replica is picked by the read
         strategy.
         """
+        prepared = prepare(request)
         merged: list[QueryMatch] = []
         for shard in self.shards:
-            merged.extend(shard.query(request).matches)
-        return QueryResponse(finalize_matches(merged, request.options),
-                             request.options)
+            merged.extend(shard.query(prepared).matches)
+        return QueryResponse(finalize_matches(merged, prepared.options),
+                             prepared.options)
 
     def cached(self, request: QueryRequest) -> QueryResponse | None:
         """``query(request)``'s answer if every shard has it cached, else
@@ -212,11 +215,11 @@ class ReplicatedSimilarityService:
         ``None`` counts nothing (membership is tested before anything is
         touched), so the fall-back :meth:`query` adds no extra miss.
         """
-        signature = query_signature(request.query)
+        prepared = prepare(request)
         readers: list[tuple[Replica, tuple]] = []
         try:
             for shard in self.shards:
-                reader = shard.cached_reader(request, signature)
+                reader = shard.cached_reader(prepared)
                 if reader is None:
                     return None
                 readers.append(reader)
@@ -231,14 +234,15 @@ class ReplicatedSimilarityService:
 
     def batch(self, requests: Sequence[QueryRequest]) -> list[QueryResponse]:
         """Execute a batch: one per-shard batch, merged per item."""
-        per_shard = [shard.batch(requests) for shard in self.shards]
+        prepared = [prepare(request) for request in requests]
+        per_shard = [shard.batch(prepared) for shard in self.shards]
         return [QueryResponse(
                     finalize_matches(
                         [match for responses in per_shard
                          for match in responses[position].matches],
                         request.options),
                     request.options)
-                for position, request in enumerate(requests)]
+                for position, request in enumerate(prepared)]
 
     def neighbours(self, multiset_id: MultisetId,
                    threshold: float) -> list[QueryMatch]:

@@ -4,10 +4,13 @@ Every consumer of the decomposition accumulates the unilateral partial
 results ``Uni(Mi)`` the same way: apply the measure's effective-multiplicity
 mapping to each element, convert it to a contribution tuple and fold the
 contributions with the measure's associative merge.  These helpers express
-that per-contribution form for the record-at-a-time MapReduce pipelines;
-whole-entity consumers (the exact evaluators and the serving index) use the
-equivalent one-pass fold
-:meth:`~repro.similarity.base.NominalSimilarityMeasure.unilateral`.
+that per-contribution form for the record-at-a-time MapReduce pipelines.
+Whole-entity consumers fold in one pass: the exact evaluators (the oracle)
+with :meth:`~repro.similarity.base.NominalSimilarityMeasure.unilateral`, the
+serving tier — stored side and query side alike — with
+:func:`fold_uni_multiplicities`.  The two agree exactly while the integer
+sums stay below 2**53 (the scalar kernels sum ints and convert once,
+``unilateral`` adds floats); beyond that neither is exact.
 
 (The helpers used to live in :mod:`repro.vsmart.common`, which still
 re-exports them; they moved here because they depend only on the measure

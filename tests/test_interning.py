@@ -16,7 +16,8 @@ import pickle
 import pkgutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.interning import (
@@ -257,13 +258,19 @@ class TestKernelsMatchReference:
         assert accumulate(seed(2.0, 3.0), 5.0, 2.0) == 16.0
         assert scalar_conj_functions(object()) is None
 
-    def test_fold_uni_multiplicities(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 2 ** 20 - 1), max_size=200))
+    @example([1, 4, 2, 3])
+    @example([2 ** 20 - 1] * 200)  # sum of squares < 2**48: still exact
+    def test_fold_uni_multiplicities(self, multiplicities):
+        """The serving tier's fold (stored and query side) is the oracle's,
+        tuple for tuple, on every supported measure."""
+        multiset = Multiset("m", {f"x{position}": multiplicity for position,
+                                  multiplicity in enumerate(multiplicities)})
         for name in supported_measures():
             measure = get_measure(name)
-            multiplicities = [1.0, 4.0, 2.0, 3.0]
-            expected = measure.unilateral(
-                ("x%d" % i, m) for i, m in enumerate(multiplicities))
-            assert fold_uni_multiplicities(measure, multiplicities) == expected
+            assert (fold_uni_multiplicities(measure, multiset.values())
+                    == measure.unilateral(multiset))
 
     def test_all_pairs_exact_intern_flag(self):
         multisets = self.corpus(seed=9)

@@ -553,6 +553,81 @@ class TestBackpressure:
             stats_client.close()
 
 
+class TestBatchAdmission:
+    """``/query/batch`` is admitted whole or refused whole."""
+
+    @staticmethod
+    def batch_payload(first: int, count: int) -> dict:
+        members = corpus()
+        return {"requests": [
+            QueryRequest.threshold(members[position].with_id(f"q{position}"),
+                                   0.3).to_json_dict()
+            for position in range(first, first + count)]}
+
+    def test_batch_refused_for_lack_of_room_executes_nothing(self):
+        async def scenario():
+            app = SimilarityServerApp(make_service(), config=ServerConfig(
+                query_queue_capacity=8, query_max_batch=1, max_in_flight=1,
+                executor_threads=1))
+            release = threading.Event()
+            original = app._execute_queries
+
+            def blocked_execute(requests):
+                release.wait(30)
+                return original(requests)
+
+            app._execute_queries = blocked_execute
+            await app.startup()
+            # Five admitted: one executing (blocked), four queued.
+            first = asyncio.ensure_future(
+                app.handle("POST", "/query/batch", self.batch_payload(0, 5)))
+            deadline = time.monotonic() + 10
+            while app._query_queue.depth != 4:
+                assert time.monotonic() < deadline, "queue never reached 4"
+                await asyncio.sleep(0.002)
+            # Room for four, six asked: refused whole, counted once.
+            status, body, headers = await app.handle(
+                "POST", "/query/batch", self.batch_payload(5, 6))
+            assert status == 429
+            assert body["error"]["code"] == "queue_full"
+            assert "Retry-After" in headers
+            release.set()
+            status, body, _ = await first
+            assert status == 200 and len(body["responses"]) == 5
+            queue = app._query_queue
+            await app.shutdown(drain=True)  # whatever was queued has run
+            return queue.stats(), app.service.stats()
+
+        queue, fleet = run_async(scenario())
+        assert (queue["admitted"], queue["rejected"],
+                queue["executed_items"]) == (5, 1, 5)
+        # Nothing of the refused batch reached an index: 5 scans per shard.
+        assert fleet["serving/threshold_queries"] == 5 * fleet["num_shards"]
+
+    def test_batch_larger_than_the_queue_is_a_bad_request(self):
+        async def scenario():
+            app = SimilarityServerApp(make_service(), config=ServerConfig(
+                query_queue_capacity=4))
+            await app.startup()
+            status, body, headers = await app.handle(
+                "POST", "/query/batch", self.batch_payload(0, 6))
+            assert status == 400
+            assert body["error"]["code"] == "server_error"
+            assert "at most 4" in body["error"]["message"]
+            assert "Retry-After" not in headers  # retrying cannot help
+            stats = app.server_stats()["queues"]["queries"]
+            assert (stats["admitted"], stats["rejected"],
+                    stats["executed_items"]) == (0, 0, 0)
+            assert "serving/threshold_queries" not in app.service.stats()
+            # A batch of exactly the capacity is admitted.
+            status, body, _ = await app.handle(
+                "POST", "/query/batch", self.batch_payload(0, 4))
+            assert status == 200 and len(body["responses"]) == 4
+            await app.shutdown()
+
+        run_async(scenario())
+
+
 # ---------------------------------------------------------------------------
 # Graceful shutdown
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from repro.mapreduce.dfs import Dataset
 from repro.serving.api import QueryRequest
 from repro.serving.bootstrap import bootstrap_from_join, multisets_from_input
 from repro.serving.cache import LRUResultCache
-from repro.serving.index import QueryMatch, SimilarityIndex, sort_matches
+from repro.serving.index import (
+    QueryMatch,
+    SimilarityIndex,
+    prepare,
+    sort_matches,
+)
 from repro.serving.node import ServingNode, query_signature
 from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
@@ -258,6 +263,142 @@ class TestStopWordPruning:
         for query in small_multisets[:5]:
             assert (threshold_matches(generous, query, 0.3)
                     == threshold_matches(exact, query, 0.3))
+
+
+class GenericRuzicka(type(get_measure("ruzicka"))):
+    """Ruzicka without its scalar kernels: the index's generic scan."""
+
+    name = "generic_ruzicka_test_measure"
+    conj_kernel = uni_kernel = "generic"
+
+
+class TestScanCountersFromFirstPrinciples:
+    """The ``serving/*`` counters, recomputed from the members alone."""
+
+    @staticmethod
+    def expected(members, requests, measure, frequency_limit) -> dict:
+        """What the scans must count, by the counters' definitions."""
+        holders: dict = {}
+        for member in members:
+            for element in member:
+                holders.setdefault(element, set()).add(member.id)
+        uni = {member.id: measure.unilateral(member) for member in members}
+        totals = dict.fromkeys(("postings_scanned", "stop_words_skipped",
+                                "candidates_examined", "candidates_pruned",
+                                "scored"), 0)
+        for request in requests:
+            examined: set = set()
+            for element in request.query:
+                frequency = len(holders.get(element, ()))
+                if frequency_limit is not None and frequency > frequency_limit:
+                    totals["stop_words_skipped"] += 1
+                else:
+                    totals["postings_scanned"] += frequency
+                    examined |= holders.get(element, set())
+            threshold = request.options.threshold  # None for top-k: no pruning
+            pruned = {multiset_id for multiset_id in examined
+                      if threshold is not None
+                      and measure.similarity_upper_bound(
+                          measure.unilateral(request.query),
+                          uni[multiset_id]) < threshold}
+            totals["candidates_examined"] += len(examined)
+            totals["candidates_pruned"] += len(pruned)
+            totals["scored"] += len(examined) - len(pruned)
+        return totals
+
+    @pytest.mark.parametrize("frequency_limit", [None, 4])
+    @pytest.mark.parametrize("measure", ["ruzicka", "jaccard",
+                                         GenericRuzicka()], ids=str)
+    def test_threshold_and_topk_streams(self, measure, frequency_limit):
+        members = make_random_multisets(count=40, alphabet_size=30,
+                                        max_elements=8, seed=11)
+        queries = make_random_multisets(count=60, alphabet_size=34,
+                                        max_elements=8, seed=12)
+        index, probe = (SimilarityIndex(measure,
+                                        stop_word_frequency=frequency_limit)
+                        for _ in range(2))
+        index.bulk_load(members)
+        probe.bulk_load(members)
+        streams = {
+            "threshold": [QueryRequest.threshold(query, 0.15 + 0.01 * position)
+                          for position, query in enumerate(queries)],
+            "topk": [QueryRequest.topk(query, 1 + position % 5)
+                     for position, query in enumerate(queries)]}
+        counted = dict.fromkeys(("postings_scanned", "stop_words_skipped",
+                                 "candidates_examined", "candidates_pruned"), 0)
+        for kind, requests in streams.items():
+            expected = self.expected(members, requests, index.measure,
+                                     frequency_limit)
+            # pruned + scored == examined: what a scan hands on to be scored.
+            assert expected.pop("scored") == sum(
+                len(probe._gather_candidates(prepare(request),
+                                             request.options.threshold)[1])
+                for request in requests)
+            for request in requests:
+                index.query(request)
+            for counter, amount in expected.items():
+                counted[counter] += amount
+            counters = index.counters()
+            own = ("_queries", "topk_early_terminations")  # not the scan's
+            # Exact, and a key nothing was ever added to stays absent.
+            assert {key: value for key, value in counters.items()
+                    if not key.endswith(own)} \
+                == {f"serving/{counter}": amount
+                    for counter, amount in counted.items() if amount}
+            assert counters[f"serving/{kind}_queries"] == len(requests)
+            if kind == "threshold":
+                assert "serving/topk_queries" not in counters
+                assert counters["serving/candidates_pruned"] > 0
+        assert ("serving/stop_words_skipped" in counters) \
+            == (frequency_limit is not None)
+
+    def test_generic_scan_answers_as_the_scalar_kernel_does(self):
+        members = make_random_multisets(count=40, alphabet_size=30,
+                                        max_elements=8, seed=11)
+        scalar, generic = SimilarityIndex("ruzicka"), SimilarityIndex(
+            GenericRuzicka())
+        for index in (scalar, generic):
+            index.bulk_load(members)
+        for member in members:
+            assert (threshold_matches(scalar, member, 0.2)
+                    == threshold_matches(generic, member, 0.2))
+            assert topk_matches(scalar, member, 3) \
+                == topk_matches(generic, member, 3)
+
+
+class TestPreparedQuery:
+    def test_one_prepared_query_serves_different_indexes(self):
+        members = make_random_multisets(count=40, alphabet_size=20,
+                                        max_elements=8, seed=3)
+        first = SimilarityIndex("ruzicka")
+        first.bulk_load(members[:25])
+        second = SimilarityIndex("ruzicka", stop_word_frequency=3)
+        second.bulk_load(members[10:])
+        second.remove(members[12].id)  # and a different write version
+        assert first.version != second.version
+        for query in members:
+            for request in (QueryRequest.threshold(query, 0.3),
+                            QueryRequest.topk(query, 4)):
+                prepared = prepare(request)
+                for _ in range(2):  # a second pass rescans from the memo
+                    for index in (first, second):
+                        assert index.query(prepared) \
+                            == index.query(prepare(request)) \
+                            == index.query(request)
+                first.add(query.with_id("late"), replace=True)  # a write between
+
+    def test_prepare_is_idempotent_and_lazy(self):
+        request = QueryRequest.threshold(Multiset("q", {"a": 2, "b": 1}), 0.5)
+        prepared = prepare(request)
+        assert prepare(prepared) is prepared
+        assert prepared.signature == query_signature(request.query)
+        assert prepared._scan is None  # nothing scanned yet
+        measure = get_measure("jaccard")
+        assert prepared.scan_form(measure)[1:] == (
+            (2.0,), [("a", 1.0), ("b", 1.0)])
+        assert prepared.scan_form(measure) is prepared.scan_form(measure)
+        # Another measure asks: rebuilt for it, never served the wrong fold.
+        assert prepared.scan_form(get_measure("ruzicka"))[1] == (3.0,)
 
 
 class TestIncrementalMaintenance:

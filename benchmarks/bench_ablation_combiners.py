@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
+from repro.engine import JoinSpec, SimilarityEngine
 from repro.mapreduce.costmodel import CostParameters
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
 
 
 def test_ablation_combiners(benchmark, small_dataset, cluster_500, cost_parameters,
@@ -20,15 +20,12 @@ def test_ablation_combiners(benchmark, small_dataset, cluster_500, cost_paramete
     multisets = small_dataset.multisets
 
     def run():
-        outcomes = {}
-        for use_combiners in (True, False):
-            config = VSmartJoinConfig(algorithm="online_aggregation", threshold=0.5,
-                                      use_combiners=use_combiners)
-            join = VSmartJoin(config, cluster=cluster_500,
-                              cost_parameters=cost_parameters)
-            result = join.run(multisets)
-            outcomes[use_combiners] = result
-        return outcomes
+        with SimilarityEngine(multisets, cluster=cluster_500,
+                              cost_parameters=cost_parameters) as engine:
+            return {use_combiners: engine.run(JoinSpec(
+                        algorithm="online_aggregation", threshold=0.5,
+                        use_combiners=use_combiners))
+                    for use_combiners in (True, False)}
 
     outcomes = run_once(benchmark, run)
     bench_record["variants"] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
+from repro.engine import JoinSpec, SimilarityEngine
 
 THRESHOLD = 0.3
 
@@ -31,15 +31,15 @@ def test_ablation_stop_words_and_chunking(benchmark, small_dataset, cluster_500,
 
     def run():
         variants = {
-            "plain": VSmartJoinConfig(threshold=THRESHOLD),
-            "stop words (q=12)": VSmartJoinConfig(threshold=THRESHOLD,
-                                                  stop_word_frequency=12),
-            "chunked (T-chunks of 8)": VSmartJoinConfig(threshold=THRESHOLD,
-                                                        chunk_size=8),
+            "plain": {},
+            "stop words (q=12)": {"stop_word_frequency": 12},
+            "chunked (T-chunks of 8)": {"chunk_size": 8},
         }
-        return {name: VSmartJoin(config, cluster=cluster_500,
-                                 cost_parameters=cost_parameters).run(multisets)
-                for name, config in variants.items()}
+        with SimilarityEngine(multisets, cluster=cluster_500,
+                              cost_parameters=cost_parameters) as engine:
+            return {name: engine.run(JoinSpec(algorithm="online_aggregation",
+                                              threshold=THRESHOLD, **knobs))
+                    for name, knobs in variants.items()}
 
     outcomes = run_once(benchmark, run)
     bench_record["variants"] = {

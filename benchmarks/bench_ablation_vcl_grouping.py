@@ -13,7 +13,7 @@ from __future__ import annotations
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.core.exceptions import MemoryBudgetExceeded
-from repro.vcl.driver import VCLConfig, VCLJoin
+from repro.engine import JoinSpec, SimilarityEngine
 
 THRESHOLD = 0.5
 
@@ -23,18 +23,18 @@ def test_ablation_vcl_grouping(benchmark, small_dataset, cluster_500, cost_param
     multisets = small_dataset.multisets
 
     def run():
-        variants = {
-            "no grouping": VCLConfig(threshold=THRESHOLD),
-            "256 super-elements": VCLConfig(threshold=THRESHOLD, super_element_groups=256),
-            "64 super-elements": VCLConfig(threshold=THRESHOLD, super_element_groups=64),
-        }
+        variants = {"no grouping": None, "256 super-elements": 256,
+                    "64 super-elements": 64}
         outcomes = {}
-        for name, config in variants.items():
-            try:
-                outcomes[name] = VCLJoin(config, cluster=cluster_500,
-                                         cost_parameters=cost_parameters).run(multisets)
-            except MemoryBudgetExceeded as error:
-                outcomes[name] = error
+        with SimilarityEngine(multisets, cluster=cluster_500,
+                              cost_parameters=cost_parameters) as engine:
+            for name, groups in variants.items():
+                try:
+                    outcomes[name] = engine.run(JoinSpec(
+                        algorithm="vcl", threshold=THRESHOLD,
+                        vcl_super_element_groups=groups))
+                except MemoryBudgetExceeded as error:
+                    outcomes[name] = error
         return outcomes
 
     outcomes = run_once(benchmark, run)

@@ -25,9 +25,8 @@ from benchmarks.conftest import QUICK, run_once
 from repro.analysis.reporting import format_table
 from repro.core.multiset import Multiset
 from repro.datasets.zipf import BoundedZipf, clipped_zipf_sizes
-from repro.mapreduce.cluster import laptop_cluster
+from repro.engine import join
 from repro.similarity.exact import all_pairs_exact
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
 
 #: Speedup the array kernel must reach over the dict kernel (full mode).
 REQUIRED_SPEEDUP = 2.0
@@ -92,10 +91,8 @@ def test_kernel_microbench(benchmark, bench_record):
             counters = {}
             pairs = {}
             for prune in (False, True):
-                config = VSmartJoinConfig(threshold=threshold,
-                                          prune_candidates=prune)
-                result = VSmartJoin(config, cluster=laptop_cluster()).run(
-                    prune_corpus)
+                result = join(prune_corpus, algorithm="online_aggregation",
+                              threshold=threshold, prune_candidates=prune)
                 counters[prune] = result.counters()
                 pairs[prune] = result.pairs
             assert pairs[True] == pairs[False], threshold

@@ -19,8 +19,8 @@ import time
 
 from benchmarks.conftest import SMOKE, run_once
 from benchmarks.bench_backend_scaling import zipf_corpus
-from repro.mapreduce import SerialBackend, get_backend, laptop_cluster
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
+from repro.engine import JoinSpec, SimilarityEngine
+from repro.mapreduce import SerialBackend, get_backend
 
 #: Corpus-size grid: spans the spill budget from "fits" to "several runs".
 SIZE_GRID = (20, 40, 80) if SMOKE else (40, 120, 360)
@@ -36,11 +36,11 @@ def strip_telemetry(counters):
 
 
 def timed_join(backend, corpus):
-    config = VSmartJoinConfig(algorithm="online_aggregation",
-                              measure="ruzicka", threshold=THRESHOLD)
-    join = VSmartJoin(config, cluster=laptop_cluster(), backend=backend)
+    spec = JoinSpec(algorithm="online_aggregation", measure="ruzicka",
+                    threshold=THRESHOLD)
+    engine = SimilarityEngine(backend=backend)
     started = time.perf_counter()
-    outcome = join.run(corpus)
+    outcome = engine.run(spec, corpus)
     return time.perf_counter() - started, outcome
 
 

@@ -14,9 +14,10 @@ depends on:
   (``"serial"``, ``"process"`` and the out-of-core ``"disk"`` shuffle);
 * :mod:`repro.vsmart` — the V-SMART-Join framework: the Online-Aggregation,
   Lookup and Sharding joining algorithms plus the shared two-step similarity
-  phase;
+  phase (:class:`VSmartJoin` is the engine's internal driver: it is handed
+  a :class:`JoinSpec` and the session's job runner);
 * :mod:`repro.vcl` — the VCL baseline (MapReduce PPJoin+ with prefix
-  filtering);
+  filtering; :class:`VCLJoin`, likewise driven by the engine);
 * :mod:`repro.serving` — the online similarity-serving subsystem: an
   incrementally maintained partial-result index with threshold and top-k
   queries, LRU-cached serving nodes, and the one fleet class,
@@ -32,10 +33,12 @@ depends on:
 * :mod:`repro.analysis` — the experiment harness behind the figure
   benchmarks.
 
-* :mod:`repro.engine` — the unified front door: a declarative
-  :class:`JoinSpec`, a cost-model-driven :class:`Planner` with inspectable
-  plans, the :class:`SimilarityEngine` session, and the single
-  :class:`JoinResult` every execution path returns;
+* :mod:`repro.engine` — the one front door for joins: a declarative
+  :class:`JoinSpec` (the only place a join is described and validated), a
+  cost-model-driven :class:`Planner` with inspectable plans, the
+  :class:`SimilarityEngine` session (``engine.run(spec, data)``, one-call
+  form :func:`join`) and the single :class:`JoinResult` every execution
+  path returns;
 * :mod:`repro.streaming` — incremental join maintenance: a :class:`JoinView`
   materializes a spec's pair set and applies upsert/delete
   :class:`ChangeBatch` streams exactly, emitting :class:`PairDelta` events
@@ -96,8 +99,8 @@ from repro.similarity import (
     get_measure,
     list_measures,
 )
-from repro.vcl import VCLConfig, VCLJoin
-from repro.vsmart import VSmartJoin, VSmartJoinConfig
+from repro.vcl import VCLJoin
+from repro.vsmart import VSmartJoin
 from repro.engine import (
     CalibrationProfile,
     CorpusProfile,
@@ -124,7 +127,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "2.6.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Change",
@@ -160,10 +163,8 @@ __all__ = [
     "StorageEngine",
     "StoredPairSequence",
     "ViewStore",
-    "VCLConfig",
     "VCLJoin",
     "VSmartJoin",
-    "VSmartJoinConfig",
     "__version__",
     "all_pairs_exact",
     "apply_deltas",

@@ -21,7 +21,7 @@ from repro.core.exceptions import (
 )
 from repro.core.multiset import Multiset
 from repro.core.records import SimilarPair
-from repro.engine.engine import SimilarityEngine
+from repro.engine.engine import SimilarityEngine, join
 from repro.engine.spec import ENGINE_ALGORITHMS, JoinSpec
 from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import Cluster
@@ -68,45 +68,33 @@ class AlgorithmOutcome:
 
 def run_algorithm(algorithm: str,
                   multisets: Sequence[Multiset],
-                  measure: str = "ruzicka",
-                  threshold: float = 0.5,
-                  cluster: Cluster | None = None,
-                  sharding_threshold: int = 64,
-                  stop_word_frequency: int | None = None,
-                  chunk_size: int | None = None,
-                  use_combiners: bool = True,
-                  vcl_element_order: str = "frequency",
-                  vcl_super_element_groups: int | None = None,
+                  *, cluster: Cluster | None = None,
                   cost_parameters: CostParameters = DEFAULT_COST_PARAMETERS,
                   backend: str | ExecutionBackend = "serial",
-                  prune_candidates: bool = True,
-                  keep_pairs: bool = True) -> AlgorithmOutcome:
+                  keep_pairs: bool = True,
+                  **spec_fields) -> AlgorithmOutcome:
     """Run one algorithm and capture its outcome, including failure modes.
 
-    A thin wrapper over :class:`~repro.engine.engine.SimilarityEngine`: any
-    engine algorithm can be selected by name — the V-SMART-Join joining
+    The shape of :func:`repro.join` with the failures caught: any engine
+    algorithm can be selected by name — the V-SMART-Join joining
     algorithms, the VCL baseline, the sequential baselines, or ``"auto"``
     to let the planner choose (the outcome then reports the algorithm the
-    plan picked).  Memory-budget violations, simulated-scheduler kills,
-    disk exhaustion and missing engine features are converted into statuses,
-    mirroring how the paper reports algorithms that "never succeeded to
-    finish".  ``backend`` selects the execution backend; outcomes (pairs,
-    counters, simulated times and failure statuses) are backend-invariant.
+    plan picked) — and the remaining keyword arguments are
+    :class:`~repro.engine.spec.JoinSpec` fields (``measure``,
+    ``threshold``, ``sharding_threshold``, ...).  Memory-budget violations,
+    simulated-scheduler kills, disk exhaustion and missing engine features
+    are converted into statuses, mirroring how the paper reports algorithms
+    that "never succeeded to finish".  ``backend`` selects the execution
+    backend; outcomes (pairs, counters, simulated times and failure
+    statuses) are backend-invariant.
     """
     if algorithm not in ENGINE_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ENGINE_ALGORITHMS}")
-    spec = JoinSpec(measure=measure, threshold=threshold, algorithm=algorithm,
-                    sharding_threshold=sharding_threshold,
-                    stop_word_frequency=stop_word_frequency,
-                    chunk_size=chunk_size, use_combiners=use_combiners,
-                    prune_candidates=prune_candidates,
-                    vcl_element_order=vcl_element_order,
-                    vcl_super_element_groups=vcl_super_element_groups)
     try:
-        with SimilarityEngine(cluster=cluster, backend=backend,
-                              cost_parameters=cost_parameters) as engine:
-            result = engine.run(spec, multisets)
+        result = join(multisets, cluster=cluster, backend=backend,
+                      cost_parameters=cost_parameters, algorithm=algorithm,
+                      **spec_fields)
         return AlgorithmOutcome(
             algorithm=result.algorithm,
             status=STATUS_OK,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Tuple
 
+from repro.core.exceptions import ServingError
 from repro.core.multiset import Element, Multiset, MultisetId
 
 UniPartials = Tuple[float, ...]
@@ -125,28 +126,26 @@ def canonical_pair(id_a: MultisetId, id_b: MultisetId) -> tuple[MultisetId, Mult
     return (id_b, id_a)
 
 
-def resolve_record_type(records, allowed: tuple[type, ...],
-                        exception_type: type[Exception]) -> type:
+def resolve_record_type(records, allowed: tuple[type, ...]) -> type:
     """Determine the single record type of a materialised input collection.
 
-    The pipelines and the serving bootstrap both accept collections of
-    either whole multisets or raw input tuples, but never a mixture — a
-    mixed collection is almost always a data-loading bug.  The first record
-    picks the expected type from ``allowed``; any record of a different
-    type raises ``exception_type`` (each caller supplies its subsystem's
-    exception class).
+    The input normaliser accepts collections of either whole multisets or
+    raw input tuples, but never a mixture — a mixed collection is almost
+    always a data-loading bug.  The first record picks the expected type
+    from ``allowed``; any record of a different type raises
+    :class:`~repro.core.exceptions.ServingError`.
     """
     first = records[0]
     record_type = next((candidate for candidate in allowed
                         if isinstance(first, candidate)), None)
     if record_type is None:
         expected = " or ".join(candidate.__name__ for candidate in allowed)
-        raise exception_type(
+        raise ServingError(
             f"input records must be {expected} instances; "
             f"got {type(first).__name__}")
     for position, record in enumerate(records):
         if not isinstance(record, record_type):
-            raise exception_type(
+            raise ServingError(
                 f"mixed input record types: expected {record_type.__name__} "
                 f"records but item {position} is {type(record).__name__}")
     return record_type

@@ -1,9 +1,11 @@
-"""The unified front door: :class:`SimilarityEngine`.
+"""The one front door for joins: :class:`SimilarityEngine`.
 
-One session object owns the simulated cluster, the execution backend and
-the cost-model calibration; every join — whatever algorithm the spec names
-(or lets the planner choose) — goes through :meth:`SimilarityEngine.run`
-and comes back as a single :class:`~repro.engine.result.JoinResult`::
+One session object owns a :class:`~repro.mapreduce.runner.LocalJobRunner`
+(the simulated cluster, the cost model, the budgets and the execution
+backend) and the cost-model calibration; every join — whatever algorithm
+the spec names (or lets the planner choose) — goes through
+:meth:`SimilarityEngine.run` and comes back as a single
+:class:`~repro.engine.result.JoinResult`::
 
     from repro import JoinSpec, SimilarityEngine
 
@@ -13,11 +15,10 @@ and comes back as a single :class:`~repro.engine.result.JoinResult`::
         result = engine.run(JoinSpec(threshold=0.5), multisets)
         service = result.to_service(num_shards=4)   # serving handoff
 
-The engine executes plans through the existing drivers
-(:class:`~repro.vsmart.driver.VSmartJoin`, :class:`~repro.vcl.driver.VCLJoin`),
-the exact in-memory reference join and the sequential baselines, so its
-output is bit-identical to calling those paths directly with the same
-parameters.
+The engine executes plans through its pipeline drivers
+(:class:`~repro.vsmart.driver.VSmartJoin`, :class:`~repro.vcl.driver.VCLJoin`
+— each handed the spec and a runner), the exact in-memory reference join
+and the sequential baselines.
 """
 
 from __future__ import annotations
@@ -33,16 +34,16 @@ from repro.core.multiset import Multiset
 from repro.engine.calibration import CalibrationProfile
 from repro.engine.planner import CorpusProfile, JoinPlan, Planner
 from repro.engine.result import JoinResult
-from repro.engine.spec import AUTO, VCL, JoinSpec
-from repro.mapreduce.backends import ExecutionBackend, get_backend
+from repro.engine.spec import AUTO, PLANNABLE_ALGORITHMS, VCL, JoinSpec
+from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.mapreduce.costmodel import DEFAULT_COST_PARAMETERS, CostParameters
 from repro.mapreduce.dfs import Dataset
-from repro.mapreduce.runner import PipelineResult
+from repro.mapreduce.runner import LocalJobRunner, PipelineResult
 from repro.serving.bootstrap import multisets_from_input
 from repro.similarity.exact import all_pairs_exact
 from repro.vcl.driver import VCLJoin
-from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin
+from repro.vsmart.driver import VSmartJoin
 
 
 class SimilarityEngine:
@@ -62,7 +63,7 @@ class SimilarityEngine:
         ``"disk"``); instances are borrowed, names are owned and closed
         by :meth:`close` / the context manager.
     cost_parameters:
-        Cost-model calibration shared by the planner and the runners.
+        Cost-model calibration shared by the planner and the runner.
     enforce_budgets:
         Whether per-machine memory/disk budgets abort jobs.
     calibration:
@@ -73,6 +74,11 @@ class SimilarityEngine:
         observed run).  Every distributed run's measured job statistics are
         folded into the profile, and the session planner prices with the
         profile's learned parameters instead of the fixed constants.
+
+    Cluster, backend, cost parameters and budget switch live on
+    :attr:`runner`, the session's one
+    :class:`~repro.mapreduce.runner.LocalJobRunner`; a spec that overrides
+    any of them runs on a runner of its own, closed when the run ends.
     """
 
     def __init__(self, data=None, *,
@@ -82,11 +88,10 @@ class SimilarityEngine:
                  enforce_budgets: bool = True,
                  calibration: "CalibrationProfile | str | None" = None) -> None:
         self.data = data
-        self.cluster = cluster or laptop_cluster()
-        self.cost_parameters = cost_parameters
-        self.enforce_budgets = enforce_budgets
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = get_backend(backend)
+        self.runner = LocalJobRunner(cluster or laptop_cluster(),
+                                     cost_parameters,
+                                     enforce_budgets=enforce_budgets,
+                                     backend=backend)
         self._calibration_sink = None
         if calibration is None or isinstance(calibration, CalibrationProfile):
             self.calibration = calibration
@@ -99,9 +104,8 @@ class SimilarityEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the engine's backend when the engine created it."""
-        if self._owns_backend:
-            self.backend.close()
+        """Release the session backend when the engine created it."""
+        self.runner.close()
 
     def __enter__(self) -> "SimilarityEngine":
         return self
@@ -110,8 +114,8 @@ class SimilarityEngine:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"SimilarityEngine(cluster={self.cluster.num_machines} "
-                f"machines, backend={type(self.backend).__name__})")
+        return (f"SimilarityEngine(cluster={self.runner.cluster.num_machines} "
+                f"machines, backend={type(self.runner.backend).__name__})")
 
     # -- planning ------------------------------------------------------------
 
@@ -140,9 +144,8 @@ class SimilarityEngine:
 
         ``algorithm="auto"`` plans first (the plan rides along on
         ``result.plan``); explicit algorithms skip the planning pass
-        entirely and cost exactly what the legacy drivers cost.  A ``plan``
-        already produced by :meth:`plan` for the same spec is reused
-        instead of re-profiling the corpus.
+        entirely.  A ``plan`` already produced by :meth:`plan` for the same
+        spec is reused instead of re-profiling the corpus.
         """
         spec = spec or JoinSpec()
         multisets = self._materialise(data)
@@ -222,63 +225,49 @@ class SimilarityEngine:
         return _check_unique_ids(multisets_from_input(data))
 
     def _cluster_for(self, spec: JoinSpec) -> Cluster:
-        return spec.cluster or self.cluster
+        return spec.cluster or self.runner.cluster
 
     def _planner_for(self, spec: JoinSpec) -> Planner:
         if (spec.cost_parameters is None
-                or spec.cost_parameters is self.cost_parameters):
+                or spec.cost_parameters is self.runner.cost_parameters):
             return self.planner
         return Planner(spec.cost_parameters)
 
     def _enforce_budgets(self, spec: JoinSpec) -> bool:
-        return (self.enforce_budgets if spec.enforce_budgets is None
+        return (self.runner.enforce_budgets if spec.enforce_budgets is None
                 else spec.enforce_budgets)
 
-    def _run_options(self, spec: JoinSpec) -> dict:
-        return {
-            "cluster": self._cluster_for(spec),
-            "cost_parameters": spec.cost_parameters or self.cost_parameters,
-            "enforce_budgets": self._enforce_budgets(spec),
-        }
+    def _runner_for(self, spec: JoinSpec) -> LocalJobRunner:
+        """The session's runner, or one for this run alone.
+
+        A spec that overrides infrastructure gets its own runner over the
+        session's remaining settings.  The caller closes it when the run
+        ends; a runner closes only a backend it created from a name, so the
+        session backend and a spec's backend instance are left open.
+        """
+        if (spec.cluster is None and spec.backend is None
+                and spec.cost_parameters is None
+                and spec.enforce_budgets is None):
+            return self.runner
+        return LocalJobRunner(
+            self._cluster_for(spec),
+            spec.cost_parameters or self.runner.cost_parameters,
+            enforce_budgets=self._enforce_budgets(spec),
+            backend=(self.runner.backend if spec.backend is None
+                     else spec.backend))
 
     def _execute(self, algorithm: str, spec: JoinSpec,
                  multisets: list[Multiset]):
-        if algorithm in JOINING_ALGORITHMS:
-            return self._execute_vsmart(algorithm, spec, multisets)
-        if algorithm == VCL:
-            return self._execute_vcl(spec, multisets)
-        return self._execute_sequential(algorithm, spec, multisets)
-
-    def _with_backend(self, spec: JoinSpec):
-        """Resolve the backend for one run: (backend, owned_by_this_run)."""
-        if spec.backend is None:
-            return self.backend, False
-        if isinstance(spec.backend, ExecutionBackend):
-            return spec.backend, False
-        return get_backend(spec.backend), True
-
-    def _execute_vsmart(self, algorithm: str, spec: JoinSpec,
-                        multisets: list[Multiset]):
-        backend, owned = self._with_backend(spec)
+        if algorithm not in PLANNABLE_ALGORITHMS:
+            return self._execute_sequential(algorithm, spec, multisets)
+        runner = self._runner_for(spec)
         try:
-            driver = VSmartJoin(spec.vsmart_config(algorithm),
-                                backend=backend, **self._run_options(spec))
-            result = driver.run(multisets)
+            if algorithm == VCL:
+                return VCLJoin(spec, runner).run(multisets)
+            return VSmartJoin(spec, runner, algorithm).run(multisets)
         finally:
-            if owned:
-                backend.close()
-        return result.pairs, result.pipeline
-
-    def _execute_vcl(self, spec: JoinSpec, multisets: list[Multiset]):
-        backend, owned = self._with_backend(spec)
-        try:
-            driver = VCLJoin(spec.vcl_config(), backend=backend,
-                             **self._run_options(spec))
-            result = driver.run(multisets)
-        finally:
-            if owned:
-                backend.close()
-        return result.pairs, result.pipeline
+            if runner is not self.runner:
+                runner.close()
 
     def _execute_sequential(self, algorithm: str, spec: JoinSpec,
                             multisets: list[Multiset]):

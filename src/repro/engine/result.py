@@ -51,14 +51,6 @@ class JoinResult:
         return len(self.pairs)
 
     @property
-    def config(self) -> JoinSpec:
-        """Legacy-compatible alias: consumers of the driver results (for
-        example :func:`repro.serving.bootstrap_from_join`) read
-        ``result.config.measure`` / ``.threshold`` /
-        ``.stop_word_frequency``; the spec carries all three."""
-        return self.spec
-
-    @property
     def exact(self) -> bool:
         """Whether this result provably contains *every* qualifying pair.
 

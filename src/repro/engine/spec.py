@@ -26,8 +26,8 @@ from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.costmodel import CostParameters
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 from repro.similarity.registry import get_measure
-from repro.vcl.driver import VCLConfig
-from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoinConfig
+from repro.vcl.driver import FREQUENCY_ORDER, HASH_ORDER
+from repro.vsmart.driver import JOINING_ALGORITHMS
 
 #: The planner placeholder: let the cost model choose the algorithm.
 AUTO = "auto"
@@ -87,10 +87,10 @@ class JoinSpec:
         The Sharding parameter ``C`` (multisets with more distinct elements
         go through the lookup table).
     stop_word_frequency:
-        Optional ``q``: discard elements shared by more than ``q`` multisets
-        before joining (approximate — may drop pairs).
+        Optional ``q >= 1``: discard elements shared by more than ``q``
+        multisets before joining (approximate — may drop pairs).
     chunk_size:
-        Optional chunked-Similarity1 dissection threshold ``T``.
+        Optional chunked-Similarity1 dissection threshold ``T >= 2``.
     use_combiners:
         Whether dedicated combiners run in the MapReduce pipelines.
     prune_candidates:
@@ -116,6 +116,12 @@ class JoinSpec:
     cluster / backend / cost_parameters / enforce_budgets:
         Optional overrides of the engine session's infrastructure; ``None``
         means "use the session's".
+
+    Construction is the one place a join is validated: a knob no algorithm
+    could run with raises
+    :class:`~repro.core.exceptions.JobConfigurationError` here (a threshold
+    outside ``(0, 1]``, ``ValueError``), whatever ``algorithm`` says, never
+    later from inside a pipeline.
     """
 
     measure: str | NominalSimilarityMeasure = "ruzicka"
@@ -151,11 +157,25 @@ class JoinSpec:
                 "algorithm='sampled' drops pairs by construction and needs "
                 "a recall target below 1.0, e.g. JoinSpec(algorithm='sampled',"
                 " recall=0.95)")
-        # Fail fast on VCL-specific knobs (the sub-config re-validates):
-        # under "auto" the planner prices a VCL candidate too, so bad knobs
-        # must not survive until execution time.
-        if self.algorithm in (VCL, AUTO):
-            self.vcl_config()
+        # Every knob is checked here, whatever the algorithm: "auto" prices
+        # every candidate, and a bad value must not survive profiling,
+        # planning and interning to fail (or silently match nothing) mid-run.
+        if self.stop_word_frequency is not None and self.stop_word_frequency < 1:
+            raise JobConfigurationError(
+                "stop_word_frequency (q) must be >= 1; "
+                f"got {self.stop_word_frequency!r}")
+        if self.chunk_size is not None and self.chunk_size < 2:
+            raise JobConfigurationError(
+                "chunk_size (T) must be at least 2 posting entries; "
+                f"got {self.chunk_size!r}")
+        if self.vcl_element_order not in (FREQUENCY_ORDER, HASH_ORDER):
+            raise JobConfigurationError(
+                f"vcl_element_order must be {FREQUENCY_ORDER!r} or "
+                f"{HASH_ORDER!r}, got {self.vcl_element_order!r}")
+        if (self.vcl_super_element_groups is not None
+                and self.vcl_super_element_groups < 1):
+            raise JobConfigurationError(
+                "vcl_super_element_groups must be >= 1")
 
     # -- resolution helpers -------------------------------------------------
 
@@ -197,36 +217,6 @@ class JoinSpec:
         if self.algorithm not in SEQUENTIAL_ALGORITHMS:
             measure.check_supported()
         return measure
-
-    def vsmart_config(self, algorithm: str | None = None) -> VSmartJoinConfig:
-        """The :class:`VSmartJoinConfig` equivalent of this spec.
-
-        ``algorithm`` overrides the spec's own (used by the planner, which
-        resolves ``"auto"`` to a concrete joining algorithm).
-        """
-        resolved = algorithm or self.algorithm
-        if resolved not in JOINING_ALGORITHMS:
-            raise JobConfigurationError(
-                f"{resolved!r} is not a V-SMART-Join joining algorithm")
-        return VSmartJoinConfig(
-            algorithm=resolved,
-            measure=self.measure,
-            threshold=self.threshold,
-            sharding_threshold=self.sharding_threshold,
-            stop_word_frequency=self.stop_word_frequency,
-            chunk_size=self.chunk_size,
-            use_combiners=self.use_combiners,
-            prune_candidates=self.prune_candidates,
-        )
-
-    def vcl_config(self) -> VCLConfig:
-        """The :class:`VCLConfig` equivalent of this spec."""
-        return VCLConfig(
-            measure=self.measure,
-            threshold=self.threshold,
-            element_order=self.vcl_element_order,
-            super_element_groups=self.vcl_super_element_groups,
-        )
 
     def describe(self) -> dict[str, object]:
         """A plain-dict rendering of the spec (measure resolved to its name)."""

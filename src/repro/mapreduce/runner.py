@@ -135,12 +135,15 @@ class PipelineResult:
 class LocalJobRunner:
     """Execute simulated MapReduce jobs on a cluster description.
 
-    ``backend`` selects where mapper/combiner/reducer work physically runs
+    A runner is the whole infrastructure of a join in one object — the
+    cluster, the cost model, the budget switch and the execution backend —
+    and the one place that decides who closes the backend.  ``backend``
+    selects where mapper/combiner/reducer work physically runs
     (``"serial"``, ``"process"``, ``"disk"`` or an
     :class:`~repro.mapreduce.backends.ExecutionBackend` instance); see
-    :mod:`repro.mapreduce.backends`.  The runner owns backends it creates
-    from a name and releases them in :meth:`close`; backend instances passed
-    in are borrowed and left for the caller to close.
+    :mod:`repro.mapreduce.backends`.  The runner owns a backend it creates
+    from a name and releases it, once, in :meth:`close`; a backend instance
+    passed in is borrowed and left for its owner to close.
     """
 
     def __init__(self, cluster: Cluster,
@@ -157,6 +160,7 @@ class LocalJobRunner:
     def close(self) -> None:
         """Release the runner's backend when the runner created it."""
         if self._owns_backend:
+            self._owns_backend = False
             self.backend.close()
 
     def __enter__(self) -> "LocalJobRunner":

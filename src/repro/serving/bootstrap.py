@@ -8,18 +8,23 @@ covers both halves:
 * the *index* is built from the dataset itself — a pipeline
   :class:`~repro.mapreduce.dfs.Dataset` of raw input tuples, raw
   :class:`~repro.core.records.InputTuple` records, or assembled multisets;
-* when a join result (a :class:`~repro.vsmart.driver.VSmartJoinResult` or
-  an engine :class:`~repro.engine.result.JoinResult`) is supplied, the
-  node caches are *warmed* from its similar pairs: for every indexed member
-  the threshold-query answer at the join threshold is already known (its
-  join partners, plus itself), so member queries hit the cache without ever
-  scanning a posting list.
+* when the engine's :class:`~repro.engine.result.JoinResult` is supplied,
+  the node caches are *warmed* from its similar pairs: for every indexed
+  member the threshold-query answer at the join threshold is already known
+  (its join partners, plus itself), so member queries hit the cache without
+  ever scanning a posting list.
+
+The join itself runs where every join runs, on the engine; the one-call
+warm start is ``engine.run(spec, data).to_service(num_shards=...)`` (a
+``backend="process"`` engine runs it on all cores).
+:func:`multisets_from_input` is the one input normaliser: the engine and
+the bootstrap both accept whatever it accepts.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ServingError
 from repro.core.multiset import Multiset
@@ -28,19 +33,15 @@ from repro.core.records import (
     assemble_multisets,
     resolve_record_type,
 )
-from repro.mapreduce.backends import ExecutionBackend, SerialBackend
-from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.dfs import Dataset
 from repro.serving.api import QueryMatch, QueryRequest, sort_matches
 from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure
-# A "join result" here is duck-typed: a batch
-# :class:`~repro.vsmart.driver.VSmartJoinResult`, an engine
-# :class:`~repro.engine.result.JoinResult`, or anything shaped like them
-# (``.pairs`` plus ``.config`` carrying measure / threshold /
-# stop_word_frequency).
+
+if TYPE_CHECKING:  # the engine package imports this module's normaliser
+    from repro.engine.result import JoinResult
 
 
 def multisets_from_input(
@@ -50,109 +51,60 @@ def multisets_from_input(
     if isinstance(data, Mapping):
         members = list(data.values())
         if members:
-            resolve_record_type(members, (Multiset,), ServingError)
+            resolve_record_type(members, (Multiset,))
         return members
     if isinstance(data, Dataset):
         return list(assemble_multisets(data.records).values())
     materialised = list(data)
     if not materialised:
         return []
-    record_type = resolve_record_type(materialised, (Multiset, InputTuple),
-                                      ServingError)
+    record_type = resolve_record_type(materialised, (Multiset, InputTuple))
     if record_type is Multiset:
         return materialised
     return list(assemble_multisets(materialised).values())
 
 
-def _is_serial_backend(backend: str | ExecutionBackend) -> bool:
-    """Whether ``backend`` is the (default) serial backend in any spelling."""
-    if isinstance(backend, ExecutionBackend):
-        return isinstance(backend, SerialBackend)
-    return backend is None or str(backend).strip().lower() == "serial"
-
-
 def bootstrap_from_join(
         data: "Iterable[Multiset] | Dataset | Sequence[InputTuple] | Mapping "
               "| str | os.PathLike",
-        join_result: object | None = None,
+        join_result: JoinResult | None = None,
         *, measure: str | NominalSimilarityMeasure | None = None,
         threshold: float | None = None,
         num_shards: int = 1,
         cache_capacity: int | None = None,
         stop_word_frequency: int | None = None,
-        run_join: bool = False,
-        join_algorithm: str = "online_aggregation",
-        cluster: Cluster | None = None,
-        backend: str | ExecutionBackend = "serial"
         ) -> ReplicatedSimilarityService:
     """Build a serving fleet (replication factor 1) from batch data,
     optionally cache-warmed.
 
-    With ``join_result`` given, the measure and threshold default to the
-    join's configuration (explicit arguments must agree with it), and each
-    member's threshold-query answer is seeded into its shards' caches from
-    the join's similar pairs.  ``cache_capacity`` defaults to whatever is
+    With ``join_result`` given (what :meth:`SimilarityEngine.run
+    <repro.engine.engine.SimilarityEngine.run>` returned;
+    :meth:`JoinResult.to_service <repro.engine.result.JoinResult.to_service>`
+    is this call), the measure and threshold default to the join's spec
+    (explicit arguments must agree with it), and each member's
+    threshold-query answer is seeded into its shards' caches from the
+    join's similar pairs.  ``cache_capacity`` defaults to whatever is
     large enough to hold every warmed entry (at least 1024); an explicit
     capacity too small to hold the warm-up is rejected rather than letting
     the LRU silently evict most of it.
 
-    With ``run_join=True`` the batch join is executed right here instead of
-    being supplied: the engine runs ``join_algorithm`` — any engine
-    algorithm, including ``"auto"`` to let the cost-model planner choose —
-    on ``cluster`` (or the default laptop cluster), computes the similar
-    pairs at ``threshold`` and warms the caches from them.  ``backend``
-    selects the pipeline's execution backend (``"serial"``, ``"process"``,
-    ``"disk"`` or a backend instance), so a fleet can be warm-started on
-    all cores before serving traffic.
-
-    ``join_result`` accepts a legacy
-    :class:`~repro.vsmart.driver.VSmartJoinResult` or an engine
-    :class:`~repro.engine.result.JoinResult` interchangeably.
-
     ``data`` also accepts the path of a stored join result (written by
     :meth:`JoinResult.to_sqlite <repro.engine.result.JoinResult.to_sqlite>`):
-    the corpus is read from the database, and — unless ``run_join=True``
-    or an explicit ``join_result`` overrides it — the stored pairs warm
-    the caches, so a fleet restarts from one file, no recomputation.
+    the corpus is read from the database, and — unless an explicit
+    ``join_result`` overrides it — the stored pairs warm the caches, so a
+    fleet restarts from one file, no recomputation.
     """
     if isinstance(data, (str, os.PathLike)):
         from repro.engine.result import JoinResult
 
         stored = JoinResult.from_sqlite(data, lazy=False)
         data = stored.multisets
-        if join_result is None and not run_join:
+        if join_result is None:
             join_result = stored
-    # Materialise the input exactly once: `data` may be a one-shot iterator,
-    # and both the optional inline join and the index build consume it.
     multisets = multisets_from_input(data)
-    if run_join:
-        if join_result is not None:
-            raise ServingError(
-                "run_join=True computes the join itself; "
-                "do not also pass join_result")
-        if threshold is None:
-            raise ServingError(
-                "run_join=True needs the join threshold; pass threshold=")
-        if join_algorithm == "minhash":
-            raise ServingError(
-                "cannot warm caches from an approximate minhash join: "
-                "banding can miss true pairs; pick an exact algorithm "
-                "(or \"auto\")")
-        # Imported here: the engine package imports this module's input
-        # normaliser, so the dependency must stay one-way at import time.
-        from repro.engine.engine import SimilarityEngine
-        from repro.engine.spec import JoinSpec
-
-        spec = JoinSpec(algorithm=join_algorithm,
-                        measure=measure or "ruzicka", threshold=threshold)
-        with SimilarityEngine(cluster=cluster, backend=backend) as engine:
-            join_result = engine.run(spec, multisets)
-    elif not _is_serial_backend(backend):
-        raise ServingError(
-            "backend= only selects where the batch join runs; "
-            "pass run_join=True (or leave backend as 'serial')")
     if join_result is not None:
-        join_measure = get_measure(join_result.config.measure)
+        spec = join_result.spec
+        join_measure = get_measure(spec.measure)
         if measure is None:
             measure = join_measure
         elif get_measure(measure).name != join_measure.name:
@@ -160,17 +112,17 @@ def bootstrap_from_join(
                 f"bootstrap measure {get_measure(measure).name!r} does not "
                 f"match the join's measure {join_measure.name!r}")
         if threshold is None:
-            threshold = join_result.config.threshold
-        elif threshold != join_result.config.threshold:
+            threshold = spec.threshold
+        elif threshold != spec.threshold:
             raise ServingError(
                 f"bootstrap threshold {threshold!r} does not match the "
-                f"join's threshold {join_result.config.threshold!r}")
-        if getattr(join_result.config, "stop_word_frequency", None) is not None:
+                f"join's threshold {spec.threshold!r}")
+        if spec.stop_word_frequency is not None:
             raise ServingError(
                 "cannot warm caches from a join that discarded stop words: "
                 "its pairs were computed on filtered data and would not "
                 "match live query results")
-        if getattr(join_result, "algorithm", None) == "minhash":
+        if join_result.algorithm == "minhash":
             raise ServingError(
                 "cannot warm caches from an approximate minhash join: "
                 "banding can miss true pairs, so the warmed answers would "
@@ -240,7 +192,7 @@ def warm_member_caches(target, members: Sequence[Multiset], matches_for,
 
 def _warm_from_pairs(service: ReplicatedSimilarityService,
                      multisets: Sequence[Multiset],
-                     join_result: object,
+                     join_result: JoinResult,
                      threshold: float) -> None:
     """Seed every shard's cache with the join's per-member answers."""
     indexed_ids = {member.id for member in multisets}

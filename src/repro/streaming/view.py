@@ -506,7 +506,7 @@ class JoinView:
         if self.spec.cost_parameters is not None:
             return self.spec.cost_parameters
         if self._engine is not None:
-            return self._engine.cost_parameters
+            return self._engine.runner.cost_parameters
         return DEFAULT_COST_PARAMETERS
 
     def __repr__(self) -> str:

@@ -3,9 +3,7 @@
 from repro.vcl.driver import (
     FREQUENCY_ORDER,
     HASH_ORDER,
-    VCLConfig,
     VCLJoin,
-    VCLJoinResult,
 )
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import (
@@ -35,9 +33,7 @@ __all__ = [
     "FREQUENCY_ORDER",
     "HASH_ORDER",
     "SuperElementGrouping",
-    "VCLConfig",
     "VCLJoin",
-    "VCLJoinResult",
     "VCLKernelMapper",
     "VCLKernelReducer",
     "build_dedup_job",

@@ -6,9 +6,6 @@ from repro.vsmart.driver import (
     ONLINE_AGGREGATION,
     SHARDING,
     VSmartJoin,
-    VSmartJoinConfig,
-    VSmartJoinResult,
-    normalise_input,
 )
 from repro.vsmart.lookup import (
     Lookup1Mapper,
@@ -75,8 +72,6 @@ __all__ = [
     "StopWordMapper",
     "StopWordReducer",
     "VSmartJoin",
-    "VSmartJoinConfig",
-    "VSmartJoinResult",
     "build_lookup1_job",
     "build_online_aggregation_job",
     "build_sharding1_job",
@@ -86,6 +81,5 @@ __all__ = [
     "build_stop_word_job",
     "element_fingerprint",
     "lookup_table_from_records",
-    "normalise_input",
     "remove_small_multisets",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from repro.core.exceptions import JobConfigurationError
 from repro.core.records import InputTuple
 from repro.mapreduce.job import JobSpec, Mapper, Reducer, TaskContext
 
@@ -44,7 +45,8 @@ class StopWordReducer(Reducer):
 
     def __init__(self, frequency_threshold: int) -> None:
         if frequency_threshold < 1:
-            raise ValueError("the stop-word threshold q must be at least 1")
+            raise JobConfigurationError(
+                "the stop-word threshold q must be at least 1")
         self.frequency_threshold = frequency_threshold
 
     def reduce(self, key: object, values: Sequence[tuple],

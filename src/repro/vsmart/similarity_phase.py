@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import PairCodec
 from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
@@ -84,9 +85,11 @@ class SimilarityPhaseConfig:
 
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size < 2:
-            raise ValueError("chunk_size must be at least 2 posting entries")
+            raise JobConfigurationError(
+                "chunk_size must be at least 2 posting entries")
         if self.stop_word_frequency is not None and self.stop_word_frequency < 1:
-            raise ValueError("stop_word_frequency must be at least 1")
+            raise JobConfigurationError(
+                "stop_word_frequency must be at least 1")
 
 
 class _CandidateFilter:

@@ -37,11 +37,7 @@ from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.partitioner import hash_partitioner
 from repro.similarity.registry import supported_measures
 from repro.engine.engine import join
-from repro.vsmart.driver import (
-    JOINING_ALGORITHMS,
-    VSmartJoin,
-    VSmartJoinConfig,
-)
+from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
     InlineBackend,
     assert_matches_oracle,
@@ -77,14 +73,9 @@ def small_corpus(count: int = 12, stride: int = 5) -> list[Multiset]:
 
 def run_join(backend, corpus, algorithm="online_aggregation", measure="ruzicka",
              threshold=0.3):
-    config = VSmartJoinConfig(
-        algorithm=algorithm,
-        measure=measure,
-        threshold=threshold,
-        sharding_threshold=3,
-    )
-    join = VSmartJoin(config, cluster=laptop_cluster(), backend=backend)
-    return join.run(corpus)
+    return join(corpus, algorithm=algorithm, measure=measure,
+                threshold=threshold, sharding_threshold=3,
+                cluster=laptop_cluster(), backend=backend)
 
 
 def comparable_stats(stats):

@@ -2,15 +2,16 @@
 
 Covers the declarative :class:`JoinSpec`, the cost-model planner (choice,
 feasibility exclusions, explain rendering), the :class:`SimilarityEngine`
-execution paths — property-tested for bit-identical parity with the legacy
-entry points across measures, algorithms and backends — the uniform
-:class:`JoinResult` surface with its serving handoffs.
+execution paths — held to the brute-force oracle across measures,
+algorithms and backends — the per-run infrastructure overrides, and the
+uniform :class:`JoinResult` surface with its serving handoffs.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +32,22 @@ from repro.analysis.calibration import (
 from repro.analysis.experiments import run_algorithm
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
-from repro.core.exceptions import DatasetError, JobConfigurationError
+from repro.core.exceptions import (
+    DatasetError,
+    JobConfigurationError,
+    MemoryBudgetExceeded,
+)
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
 from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
-from repro.mapreduce.cluster import HADOOP, laptop_cluster
+from repro.mapreduce.backends import ProcessBackend
+from repro.mapreduce.cluster import HADOOP, Cluster, laptop_cluster
+from repro.mapreduce.costmodel import CostParameters
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.exact import all_pairs_exact
 from repro.similarity.registry import supported_measures
-from repro.vcl.driver import VCLConfig, VCLJoin
-from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
+from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
     BACKENDS,
     assert_matches_oracle,
@@ -95,23 +101,20 @@ class TestJoinSpec:
         with pytest.raises(JobConfigurationError):
             JoinSpec(vcl_element_order="alphabetical")
 
-    def test_vsmart_config_round_trip(self):
-        spec = JoinSpec(algorithm="lookup", threshold=0.4, chunk_size=8,
-                        prune_candidates=False)
-        config = spec.vsmart_config()
-        assert config == VSmartJoinConfig(algorithm="lookup", threshold=0.4,
-                                          chunk_size=8, prune_candidates=False)
-
-    def test_vsmart_config_rejects_non_joining_algorithm(self):
-        with pytest.raises(JobConfigurationError):
-            JoinSpec(algorithm="vcl").vsmart_config()
-
-    def test_vcl_config_round_trip(self):
-        spec = JoinSpec(algorithm="vcl", threshold=0.3,
-                        vcl_element_order="hash", vcl_super_element_groups=7)
-        assert spec.vcl_config() == VCLConfig(threshold=0.3,
-                                              element_order="hash",
-                                              super_element_groups=7)
+    @pytest.mark.parametrize("algorithm", ["online_aggregation", "auto",
+                                           "inverted_index"])
+    @pytest.mark.parametrize("field, value", [
+        ("chunk_size", 1), ("chunk_size", -5),
+        ("stop_word_frequency", 0), ("stop_word_frequency", -1)])
+    def test_unusable_knobs_rejected_at_construction(self, algorithm, field,
+                                                     value):
+        # 2.6 built these specs, profiled, planned and interned, then let a
+        # bare ValueError escape mid-run — or (inverted_index, q = 0) matched
+        # nothing and returned [] where pairs exist.  Failing here means no
+        # CorpusProfile / LocalJobRunner work can precede the error.
+        with pytest.raises(JobConfigurationError, match=field):
+            JoinSpec(algorithm=algorithm, threshold=0.5, **{field: value})
+        JoinSpec(algorithm=algorithm, chunk_size=2, stop_word_frequency=1)
 
     def test_describe_resolves_measure_name(self):
         from repro.similarity.measures import JaccardSimilarity
@@ -149,7 +152,7 @@ class TestDiscovery:
 
 
 class TestEngineParity:
-    """Engine output must be bit-identical to the legacy entry points."""
+    """Every engine path finds exactly what the brute-force oracle finds."""
 
     @pytest.mark.parametrize("measure", supported_measures())
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
@@ -159,9 +162,7 @@ class TestEngineParity:
                         sharding_threshold=10)
         with SimilarityEngine(cluster=test_cluster) as engine:
             result = engine.run(spec, small_multisets)
-        legacy = VSmartJoin(spec.vsmart_config(),
-                            cluster=test_cluster).run(small_multisets)
-        assert result.pairs == legacy.pairs
+        assert_matches_oracle(result.pairs, small_multisets, measure, 0.3)
 
     @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "cosine"])
     def test_vcl_parity_per_measure(self, measure, small_multisets,
@@ -169,9 +170,7 @@ class TestEngineParity:
         spec = JoinSpec(measure=measure, threshold=0.3, algorithm="vcl")
         with SimilarityEngine(cluster=test_cluster) as engine:
             result = engine.run(spec, small_multisets)
-        legacy = VCLJoin(spec.vcl_config(),
-                         cluster=test_cluster).run(small_multisets)
-        assert result.pairs == legacy.pairs
+        assert_matches_oracle(result.pairs, small_multisets, measure, 0.3)
 
     def test_exact_parity(self, small_multisets, test_cluster):
         spec = JoinSpec(threshold=0.3, algorithm="exact")
@@ -182,16 +181,14 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=str)
     def test_backend_parity(self, backend, small_multisets, test_cluster):
-        spec = JoinSpec(threshold=0.3)
+        spec = JoinSpec(threshold=0.3, algorithm="online_aggregation")
         with SimilarityEngine(cluster=test_cluster,
                               backend=backend) as engine:
-            result = engine.run(
-                JoinSpec(threshold=0.3, algorithm="online_aggregation"),
-                small_multisets)
-        serial = VSmartJoin(spec.vsmart_config("online_aggregation"),
-                            cluster=test_cluster).run(small_multisets)
+            result = engine.run(spec, small_multisets)
+        with SimilarityEngine(cluster=test_cluster) as engine:
+            serial = engine.run(spec, small_multisets)
         assert result.pairs == serial.pairs
-        assert strip_telemetry(result.counters()) == serial.pipeline.counters()
+        assert strip_telemetry(result.counters()) == serial.counters()
         assert result.simulated_seconds == serial.simulated_seconds
 
     def test_sequential_baselines_find_the_exact_pairs(self, small_multisets,
@@ -225,24 +222,14 @@ class TestEngineParity:
     @settings(max_examples=15, deadline=None)
     @given(cell=join_grid())
     def test_property_engine_equals_legacy(self, cell):
+        # "Legacy" is the dict-kernel brute force, the reference every
+        # engine path is held to.
         multisets = cell.corpus()
-        cluster = laptop_cluster(num_machines=3)
-        spec = cell.spec()
-        with SimilarityEngine(cluster=cluster,
+        with SimilarityEngine(cluster=laptop_cluster(num_machines=3),
                               backend=cell.backend) as engine:
-            result = engine.run(spec, multisets)
+            result = engine.run(cell.spec(), multisets)
         assert_matches_oracle(result.pairs, multisets, cell.measure,
                               cell.threshold)
-        if cell.algorithm == "exact":
-            return  # the oracle is the legacy entry point
-        if cell.algorithm == "vcl":
-            legacy = VCLJoin(spec.vcl_config(), cluster=cluster,
-                             backend=cell.backend)
-        else:
-            legacy = VSmartJoin(spec.vsmart_config(), cluster=cluster,
-                                backend=cell.backend)
-        with legacy:
-            assert result.pairs == legacy.run(multisets).pairs
 
 
 class TestPlanner:
@@ -439,6 +426,85 @@ class TestPlanner:
         plan = engine.plan(JoinSpec(threshold=0.5, sharding_threshold=64),
                            multisets)
         assert plan.candidate_for("lookup").feasible
+
+
+class TestPerRunOverrides:
+    """``JoinSpec(cluster= / backend= / cost_parameters= / enforce_budgets=)``:
+    one run gets a runner of its own; the session's is left as it was."""
+
+    SPEC = JoinSpec(threshold=0.3, algorithm="lookup")
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every :class:`ProcessBackend` that ran tasks, in first-use order."""
+        used = []
+        run_tasks = ProcessBackend.run_tasks
+
+        def spy(backend, function, tasks):
+            if backend not in used:
+                used.append(backend)
+            return run_tasks(backend, function, tasks)
+
+        monkeypatch.setattr(ProcessBackend, "run_tasks", spy)
+        return used
+
+    def test_a_run_closes_the_backend_it_created_and_no_other(
+            self, small_multisets, pools):
+        tiny = Cluster(num_machines=2, memory_per_machine=1_000,
+                       disk_per_machine=10 ** 9)
+        with ProcessBackend(2) as lent, \
+                SimilarityEngine(small_multisets, backend="process") as engine:
+            baseline = engine.run(self.SPEC)
+            named = engine.run(replace(self.SPEC, backend="process"))
+            with pytest.raises(MemoryBudgetExceeded):
+                engine.run(replace(self.SPEC, backend="process", cluster=tiny))
+            borrowed = engine.run(replace(self.SPEC, backend=lent))
+            session, first, failed, last = pools
+            assert session is engine.runner.backend and last is lent
+            # A pool made from a name went with its run, raised or not; the
+            # session's and the caller's are still up, and still work.
+            assert first._pool is None and failed._pool is None
+            assert session._pool is not None and lent._pool is not None
+            assert engine.run(self.SPEC).pairs == named.pairs \
+                == borrowed.pairs == baseline.pairs
+        assert session._pool is None and lent._pool is None
+
+    def test_cluster_and_cost_parameters_reach_one_run_only(
+            self, small_multisets, test_cluster):
+        slow = CostParameters(job_overhead_seconds=1_000.0)
+        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
+            baseline = engine.run(self.SPEC)
+            narrow = engine.run(replace(self.SPEC, cluster=laptop_cluster(2)))
+            costly = engine.run(replace(self.SPEC, cost_parameters=slow))
+            again = engine.run(self.SPEC)
+        assert narrow.stats_for("lookup1").num_machines == 2
+        assert baseline.stats_for("lookup1").num_machines == 6
+        assert narrow.simulated_seconds != baseline.simulated_seconds
+        assert costly.simulated_seconds >= 3_000.0 > baseline.simulated_seconds
+        assert again.simulated_seconds == baseline.simulated_seconds
+        assert again.pairs == narrow.pairs == costly.pairs == baseline.pairs
+
+    def test_enforce_budgets_reaches_one_run_only(self, small_multisets):
+        tiny = Cluster(num_machines=4, memory_per_machine=500,
+                       disk_per_machine=10_000_000)
+        with SimilarityEngine(small_multisets, cluster=tiny) as engine:
+            with pytest.raises(MemoryBudgetExceeded):
+                engine.run(self.SPEC)
+            relaxed = engine.run(replace(self.SPEC, enforce_budgets=False))
+            with pytest.raises(MemoryBudgetExceeded):
+                engine.run(self.SPEC)
+        assert_matches_oracle(relaxed.pairs, small_multisets, "ruzicka", 0.3)
+
+    def test_close_is_idempotent_and_closes_a_named_backend_once(
+            self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(ProcessBackend, "close",
+                            lambda backend: closed.append(backend))
+        engine = SimilarityEngine(backend="process")
+        engine.close()
+        engine.close()
+        SimilarityEngine(backend=ProcessBackend(2)).close()  # borrowed
+        assert closed == [engine.runner.backend]
 
 
 class TestJoinResult:

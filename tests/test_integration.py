@@ -20,9 +20,9 @@ from repro.communities.proxies import (
 )
 from repro.datasets.documents import DocumentCorpusConfig, generate_document_corpus
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
+from repro.engine import join
 from repro.mapreduce.cluster import laptop_cluster
 from repro.similarity.exact import all_pairs_exact
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,8 @@ class TestAlgorithmAgreement:
 
 class TestProxyDiscovery:
     def test_planted_groups_are_recovered(self, workload, cluster):
-        config = VSmartJoinConfig(threshold=0.3, sharding_threshold=20)
-        result = VSmartJoin(config, cluster=cluster).run(workload.multisets)
+        result = join(workload.multisets, algorithm="online_aggregation",
+                      threshold=0.3, cluster=cluster)
         evaluation = evaluate_proxy_discovery(result.pairs, workload.proxy_groups,
                                               threshold=0.3)
         assert evaluation.coverage > 0.7
@@ -81,14 +81,15 @@ class TestProxyDiscovery:
 
     def test_small_ip_filter_improves_precision(self, workload, cluster):
         multisets = workload.multisets
-        config = VSmartJoinConfig(threshold=0.2, sharding_threshold=20)
-        unfiltered = VSmartJoin(config, cluster=cluster).run(multisets)
+        unfiltered = join(multisets, algorithm="online_aggregation",
+                          threshold=0.2, cluster=cluster)
         baseline = evaluate_proxy_discovery(unfiltered.pairs, workload.proxy_groups,
                                             threshold=0.2)
         filtered_multisets = filter_small_multisets(multisets,
                                                     minimum_distinct_elements=15)
         filtered_ids = {m.id for m in filtered_multisets}
-        filtered = VSmartJoin(config, cluster=cluster).run(filtered_multisets)
+        filtered = join(filtered_multisets, algorithm="online_aggregation",
+                        threshold=0.2, cluster=cluster)
         evaluation = evaluate_proxy_discovery(filtered.pairs, workload.proxy_groups,
                                               threshold=0.2,
                                               restrict_to_ids=filtered_ids)
@@ -100,8 +101,8 @@ class TestDocumentDeduplication:
         corpus = generate_document_corpus(DocumentCorpusConfig(
             num_base_documents=6, words_per_document=80,
             duplicates_per_document=1, mutation_rate=0.05, seed=21))
-        config = VSmartJoinConfig(measure="jaccard", threshold=0.5)
-        result = VSmartJoin(config, cluster=cluster).run(corpus.multisets)
+        result = join(corpus.multisets, algorithm="online_aggregation",
+                      measure="jaccard", threshold=0.5, cluster=cluster)
         found_pairs = {p.pair for p in result.pairs}
         for duplicate_cluster in corpus.duplicate_clusters:
             members = sorted(duplicate_cluster)
@@ -111,8 +112,8 @@ class TestDocumentDeduplication:
         corpus = generate_document_corpus(DocumentCorpusConfig(
             num_base_documents=6, words_per_document=80,
             duplicates_per_document=0, seed=22))
-        config = VSmartJoinConfig(measure="jaccard", threshold=0.5)
-        result = VSmartJoin(config, cluster=cluster).run(corpus.multisets)
+        result = join(corpus.multisets, algorithm="online_aggregation",
+                      measure="jaccard", threshold=0.5, cluster=cluster)
         assert result.pairs == []
 
 

@@ -51,7 +51,7 @@ from repro.similarity.kernels import (
 from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
-from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin, VSmartJoinConfig
+from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
     assert_matches_oracle,
     join_grid,
@@ -308,14 +308,12 @@ class TestPipelineEquivalence:
     """Interned + pruned pipelines emit exactly the reference pair set."""
 
     def run_pairs(self, multisets, *, prune, algorithm="online_aggregation",
-                  threshold=0.5, backend="serial", measure="ruzicka"):
-        config = VSmartJoinConfig(algorithm=algorithm, measure=measure,
-                                  threshold=threshold, sharding_threshold=4,
-                                  prune_candidates=prune)
-        join = VSmartJoin(config, cluster=laptop_cluster(num_machines=3),
-                          backend=backend)
-        with join:
-            return join.run(multisets)
+                  threshold=0.5, backend="serial", measure="ruzicka",
+                  **spec_fields):
+        return join(multisets, algorithm=algorithm, measure=measure,
+                    threshold=threshold, sharding_threshold=4,
+                    prune_candidates=prune, backend=backend,
+                    cluster=laptop_cluster(num_machines=3), **spec_fields)
 
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
     def test_intern_and_prune_bit_identical_pairs(self, small_multisets, algorithm):
@@ -336,10 +334,8 @@ class TestPipelineEquivalence:
 
     def test_chunked_pipeline_prunes_identically(self, small_multisets):
         plain = self.run_pairs(small_multisets, prune=True, threshold=0.6)
-        config = VSmartJoinConfig(threshold=0.6, chunk_size=3,
-                                  prune_candidates=True)
-        chunked = VSmartJoin(config, cluster=laptop_cluster(num_machines=3)).run(
-            small_multisets)
+        chunked = self.run_pairs(small_multisets, prune=True, threshold=0.6,
+                                 chunk_size=3)
         assert chunked.pairs == plain.pairs
         assert chunked.counters().get("similarity1/chunked_elements", 0) > 0
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.exceptions import MemoryBudgetExceeded, UnsupportedFeatureError
+from repro.core.exceptions import (
+    JobConfigurationError,
+    MemoryBudgetExceeded,
+    UnsupportedFeatureError,
+)
 from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
 from repro.core.records import JoinedTuple, explode_multisets
@@ -191,7 +195,7 @@ class TestStopWordPreprocessing:
         assert len(result.output) == len(raw)
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JobConfigurationError):
             build_stop_word_job(0)
 
     def test_remove_small_multisets_helper(self):

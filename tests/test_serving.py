@@ -34,7 +34,6 @@ from repro.serving.node import ServingNode, query_signature
 from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
-from repro.vsmart.driver import VSmartJoin, VSmartJoinConfig
 from tests.conftest import InlineBackend, make_random_multisets, unreplicated_fleet
 
 
@@ -631,6 +630,12 @@ def test_serving_runs_without_importing_resilience():
                    check=True)
 
 
+def batch_join(data, cluster, **spec_fields):
+    """The batch join a fleet is warmed from, as the engine runs it."""
+    return join(data, algorithm="online_aggregation", cluster=cluster,
+                **spec_fields)
+
+
 class TestBootstrap:
     def test_input_shapes(self, overlapping_multisets):
         tuples = explode_multisets(overlapping_multisets)
@@ -670,9 +675,8 @@ class TestBootstrap:
 
     def test_bootstrap_warms_member_queries(self, small_multisets, test_cluster):
         threshold = 0.4
-        join = VSmartJoin(VSmartJoinConfig(threshold=threshold),
-                          cluster=test_cluster).run(small_multisets)
-        service = bootstrap_from_join(small_multisets, join, num_shards=2)
+        joined = batch_join(small_multisets, test_cluster, threshold=threshold)
+        service = bootstrap_from_join(small_multisets, joined, num_shards=2)
 
         fresh = unreplicated_fleet("ruzicka", num_shards=2)
         fresh.bulk_load(small_multisets)
@@ -690,30 +694,27 @@ class TestBootstrap:
 
     def test_bootstrap_from_pipeline_dataset(self, overlapping_multisets,
                                              test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.8),
-                          cluster=test_cluster).run(overlapping_multisets)
+        joined = batch_join(overlapping_multisets, test_cluster, threshold=0.8)
         dataset = Dataset("raw_input", explode_multisets(overlapping_multisets))
-        service = bootstrap_from_join(dataset, join)
+        service = bootstrap_from_join(dataset, joined)
         assert {match.multiset_id
                 for match in service.neighbours("a", 0.8)} == {"b"}
 
     def test_mismatched_measure_or_threshold_rejected(self, overlapping_multisets,
                                                       test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.8),
-                          cluster=test_cluster).run(overlapping_multisets)
+        joined = batch_join(overlapping_multisets, test_cluster, threshold=0.8)
         with pytest.raises(ServingError):
-            bootstrap_from_join(overlapping_multisets, join, measure="jaccard")
+            bootstrap_from_join(overlapping_multisets, joined, measure="jaccard")
         with pytest.raises(ServingError):
-            bootstrap_from_join(overlapping_multisets, join, threshold=0.5)
+            bootstrap_from_join(overlapping_multisets, joined, threshold=0.5)
 
     def test_warm_cache_capacity_guard(self, small_multisets, test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.4),
-                          cluster=test_cluster).run(small_multisets)
+        joined = batch_join(small_multisets, test_cluster, threshold=0.4)
         # Too small to retain the warm-up: rejected, not silently evicted.
         with pytest.raises(ServingError, match="cache_capacity"):
-            bootstrap_from_join(small_multisets, join, cache_capacity=4)
+            bootstrap_from_join(small_multisets, joined, cache_capacity=4)
         # Auto-sizing keeps every warmed entry resident.
-        service = bootstrap_from_join(small_multisets, join)
+        service = bootstrap_from_join(small_multisets, joined)
         assert service.cache_capacity >= len(small_multisets)
         # A small explicit capacity is fine when nothing is warmed.
         cold = bootstrap_from_join(small_multisets, cache_capacity=4)
@@ -722,30 +723,28 @@ class TestBootstrap:
 
     def test_stale_join_result_rejected(self, overlapping_multisets,
                                         test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.8),
-                          cluster=test_cluster).run(overlapping_multisets)
+        joined = batch_join(overlapping_multisets, test_cluster, threshold=0.8)
         # Drop a joined member from the bootstrap data: the warm-up would
         # cache matches pointing at an unindexed multiset.
         without_b = [multiset for multiset in overlapping_multisets
                      if multiset.id != "b"]
         with pytest.raises(ServingError, match="not in the bootstrap data"):
-            bootstrap_from_join(without_b, join)
+            bootstrap_from_join(without_b, joined)
 
     def test_stop_word_join_cannot_warm(self, small_multisets, test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.4, stop_word_frequency=5),
-                          cluster=test_cluster).run(small_multisets)
+        joined = batch_join(small_multisets, test_cluster, threshold=0.4, stop_word_frequency=5)
         with pytest.raises(ServingError):
-            bootstrap_from_join(small_multisets, join)
+            bootstrap_from_join(small_multisets, joined)
 
     def test_run_join_warms_like_explicit_join(self, small_multisets, test_cluster):
+        # The one-call warm start, on any backend: run the join on the
+        # engine and hand its result over.
         threshold = 0.4
-        join = VSmartJoin(VSmartJoinConfig(threshold=threshold),
-                          cluster=test_cluster).run(small_multisets)
+        joined = batch_join(small_multisets, test_cluster, threshold=threshold)
         for backend in (InlineBackend(), "disk"):
-            explicit = bootstrap_from_join(small_multisets, join, num_shards=2)
-            inline = bootstrap_from_join(small_multisets, threshold=threshold,
-                                         num_shards=2, run_join=True,
-                                         cluster=test_cluster, backend=backend)
+            explicit = bootstrap_from_join(small_multisets, joined, num_shards=2)
+            inline = batch_join(small_multisets, test_cluster, backend=backend,
+                                threshold=threshold).to_service(num_shards=2)
             for member in small_multisets:
                 assert [(m.multiset_id, m.similarity)
                         for m in threshold_matches(inline, member, threshold)] \
@@ -755,28 +754,17 @@ class TestBootstrap:
             assert inline.stats()["cache/hits"] == explicit.stats()["cache/hits"]
 
     def test_run_join_accepts_one_shot_iterators(self, small_multisets, test_cluster):
-        # The inline join and the index build must not consume `data` twice.
-        service = bootstrap_from_join(iter(small_multisets), threshold=0.4,
-                                      run_join=True, cluster=test_cluster)
+        # The join and the index build must not consume `data` twice.
+        service = batch_join(iter(small_multisets), test_cluster,
+                             threshold=0.4).to_service()
         assert len(service) == len(small_multisets)
-
-    def test_run_join_guards(self, small_multisets, test_cluster):
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.4),
-                          cluster=test_cluster).run(small_multisets)
-        with pytest.raises(ServingError, match="do not also pass join_result"):
-            bootstrap_from_join(small_multisets, join, run_join=True)
-        with pytest.raises(ServingError, match="threshold"):
-            bootstrap_from_join(small_multisets, run_join=True)
-        with pytest.raises(ServingError, match="run_join=True"):
-            bootstrap_from_join(small_multisets, backend="process")
 
     def test_pruning_index_cannot_be_warmed(self, small_multisets, test_cluster):
         # Warmed exact answers would silently flip to pruned ones on the
         # first cache invalidation, so the combination is rejected.
-        join = VSmartJoin(VSmartJoinConfig(threshold=0.4),
-                          cluster=test_cluster).run(small_multisets)
+        joined = batch_join(small_multisets, test_cluster, threshold=0.4)
         with pytest.raises(ServingError, match="stop-word pruning"):
-            bootstrap_from_join(small_multisets, join, stop_word_frequency=3)
+            bootstrap_from_join(small_multisets, joined, stop_word_frequency=3)
         # Without warm-up data the pruning knob remains available.
         service = bootstrap_from_join(small_multisets, stop_word_frequency=3)
         assert len(service) == len(small_multisets)

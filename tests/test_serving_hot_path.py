@@ -26,12 +26,12 @@ import sys
 import pytest
 
 from benchmarks.e2e.inputs import BY_NAME, SIZES, mixed_schedule, served_corpus
+from repro import join
 from repro.core.multiset import content_signature
 from repro.serving import (
     RENDEZVOUS,
     ReplicatedShard,
     ReplicatedSimilarityService,
-    bootstrap_from_join,
 )
 from repro.serving.index import PreparedQuery, SimilarityIndex
 from repro.similarity.partials import fold_uni_multiplicities
@@ -175,9 +175,9 @@ def test_a_cache_hit_builds_no_scan_form(corpus, schedule):
 
 def test_warming_from_a_join_never_folds_with_unilateral(corpus):
     entries = Entries()
-    entries.during(lambda: bootstrap_from_join(
-        corpus[:20], threshold=WORKLOAD.threshold, run_join=True,
-        num_shards=2))
+    entries.during(lambda: join(
+        corpus[:20], threshold=WORKLOAD.threshold,
+        algorithm="online_aggregation").to_service(num_shards=2))
     assert entries.unilateral_from_serving == 0
 
 

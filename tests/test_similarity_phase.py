@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import InterningContext, PairCodec
 from repro.core.records import JoinedTuple, PairContribution, explode_multisets
 from repro.mapreduce.counters import Counters
@@ -114,7 +115,7 @@ class TestChunking:
         assert sum(1 for record in records if record.same_chunk) == 3
 
     def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JobConfigurationError):
             SimilarityPhaseConfig(chunk_size=1)
 
 
@@ -132,7 +133,7 @@ class TestStopWordsInReducer:
         assert sim1.stats.counters["similarity1/stop_words_dropped"] == 1
 
     def test_invalid_stop_word_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JobConfigurationError):
             SimilarityPhaseConfig(stop_word_frequency=0)
 
 

@@ -42,6 +42,7 @@ from repro import (
     StoredPairSequence,
     ViewStore,
     bootstrap_from_join,
+    join,
 )
 from repro.core.exceptions import StorageError
 from repro.core.interning import ElementDictionary
@@ -634,9 +635,9 @@ class TestBootstrapFromStorage:
 
     def test_run_join_from_a_path_recomputes(self, joined, storage_path):
         joined.to_sqlite(storage_path)
-        service = bootstrap_from_join(
-            storage_path, run_join=True, join_algorithm="exact",
-            threshold=joined.spec.threshold)
+        stored = JoinResult.from_sqlite(storage_path)
+        service = join(stored.multisets, algorithm="exact",
+                       threshold=joined.spec.threshold).to_service()
         member = joined.multisets[0]
         expected = bootstrap_from_join(joined.multisets, joined)
         request = QueryRequest.threshold(member, joined.spec.threshold)

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.core.multiset import Multiset
-from repro.engine import join
+from repro.engine import JoinSpec, join
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from repro.similarity.registry import get_measure
-from repro.vcl.driver import VCLConfig, VCLJoin
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import build_kernel_job
 from repro.vcl.prefix import (
@@ -27,7 +26,12 @@ from repro.vcl.prefix import (
     prefix_elements,
     prefix_length_classic,
 )
-from tests.conftest import make_random_multisets
+from tests.conftest import assert_matches_oracle, make_random_multisets
+
+
+def run_vcl(multisets, cluster, **spec_fields):
+    """The VCL pipeline on ``cluster``, through the front door."""
+    return join(multisets, algorithm="vcl", cluster=cluster, **spec_fields)
 
 RUZICKA = get_measure("ruzicka")
 JACCARD = get_measure("jaccard")
@@ -86,47 +90,42 @@ class TestVCLCorrectness:
     @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "dice", "cosine"])
     @pytest.mark.parametrize("threshold", [0.3, 0.6])
     def test_matches_exact_join(self, small_multisets, test_cluster, measure, threshold):
-        config = VCLConfig(measure=measure, threshold=threshold)
-        result = VCLJoin(config, cluster=test_cluster).run(small_multisets)
-        expected = pair_dictionary(all_pairs_exact(small_multisets, measure, threshold))
-        produced = pair_dictionary(result.pairs)
-        assert set(produced) == set(expected)
-        for key in produced:
-            assert produced[key] == pytest.approx(expected[key])
+        result = run_vcl(small_multisets, test_cluster, measure=measure,
+                         threshold=threshold)
+        assert_matches_oracle(result.pairs, small_multisets, measure, threshold)
 
     def test_hash_order_matches_frequency_order(self, small_multisets, test_cluster):
-        frequency = VCLJoin(VCLConfig(threshold=0.4, element_order="frequency"),
-                            cluster=test_cluster).run(small_multisets)
-        hashed = VCLJoin(VCLConfig(threshold=0.4, element_order="hash"),
-                         cluster=test_cluster).run(small_multisets)
+        frequency = run_vcl(small_multisets, test_cluster, threshold=0.4,
+                            vcl_element_order="frequency")
+        hashed = run_vcl(small_multisets, test_cluster, threshold=0.4,
+                         vcl_element_order="hash")
         assert pair_dictionary(frequency.pairs) == pair_dictionary(hashed.pairs)
 
     def test_grouping_does_not_lose_pairs(self, small_multisets, test_cluster):
-        plain = VCLJoin(VCLConfig(threshold=0.4), cluster=test_cluster).run(small_multisets)
-        grouped = VCLJoin(VCLConfig(threshold=0.4, super_element_groups=16),
-                          cluster=test_cluster).run(small_multisets)
+        plain = run_vcl(small_multisets, test_cluster, threshold=0.4)
+        grouped = run_vcl(small_multisets, test_cluster, threshold=0.4,
+                          vcl_super_element_groups=16)
         assert pair_dictionary(plain.pairs) == pair_dictionary(grouped.pairs)
 
     def test_grouping_verifies_more_candidates(self, small_multisets, test_cluster):
-        plain = VCLJoin(VCLConfig(threshold=0.4), cluster=test_cluster).run(small_multisets)
-        grouped = VCLJoin(VCLConfig(threshold=0.4, super_element_groups=8),
-                          cluster=test_cluster).run(small_multisets)
+        plain = run_vcl(small_multisets, test_cluster, threshold=0.4)
+        grouped = run_vcl(small_multisets, test_cluster, threshold=0.4,
+                          vcl_super_element_groups=8)
         assert (grouped.counters()["vcl/pairs_verified"]
                 >= plain.counters()["vcl/pairs_verified"])
 
     def test_deduplication(self, small_multisets, test_cluster):
-        result = VCLJoin(VCLConfig(threshold=0.2), cluster=test_cluster).run(small_multisets)
+        result = run_vcl(small_multisets, test_cluster, threshold=0.2)
         pairs = [p.pair for p in result.pairs]
         assert len(pairs) == len(set(pairs))
 
     def test_pipeline_structure(self, small_multisets, test_cluster):
-        result = VCLJoin(cluster=test_cluster).run(small_multisets)
-        names = [stats.job_name for stats in result.pipeline.job_stats]
-        assert names == ["vcl_frequencies", "vcl_kernel", "vcl_dedup"]
-        hash_result = VCLJoin(VCLConfig(element_order="hash"),
-                              cluster=test_cluster).run(small_multisets)
-        hash_names = [stats.job_name for stats in hash_result.pipeline.job_stats]
-        assert hash_names == ["vcl_kernel", "vcl_dedup"]
+        result = run_vcl(small_multisets, test_cluster)
+        assert result.job_names() == ["vcl_frequencies", "vcl_kernel",
+                                      "vcl_dedup"]
+        hash_result = run_vcl(small_multisets, test_cluster,
+                              vcl_element_order="hash")
+        assert hash_result.job_names() == ["vcl_kernel", "vcl_dedup"]
 
     def test_convenience_function(self, overlapping_multisets):
         pairs = join(overlapping_multisets, algorithm="vcl", threshold=0.8,
@@ -138,7 +137,7 @@ class TestVCLCorrectness:
     def test_random_collections_match_exact(self, seed, threshold):
         multisets = make_random_multisets(12, alphabet_size=15, max_elements=8, seed=seed)
         cluster = laptop_cluster(num_machines=3)
-        result = VCLJoin(VCLConfig(threshold=threshold), cluster=cluster).run(multisets)
+        result = run_vcl(multisets, cluster, threshold=threshold)
         expected = {p.pair for p in all_pairs_exact(multisets, "ruzicka", threshold)}
         assert {p.pair for p in result.pairs} == expected
 
@@ -189,7 +188,7 @@ class TestVCLScalabilityLimits:
         multisets = [Multiset(f"m{i}", {f"element{j:05d}": 1 for j in range(30)})
                      for i in range(10)]
         with pytest.raises(MemoryBudgetExceeded):
-            VCLJoin(VCLConfig(threshold=0.5), cluster=cluster).run(multisets)
+            run_vcl(multisets, cluster, threshold=0.5)
 
     def test_whole_multiset_records_can_exhaust_memory(self):
         cluster = Cluster(num_machines=2, memory_per_machine=2_500,
@@ -197,8 +196,7 @@ class TestVCLScalabilityLimits:
         big = [Multiset("big1", {f"e{i:05d}": 1 for i in range(200)}),
                Multiset("big2", {f"e{i:05d}": 1 for i in range(200)})]
         with pytest.raises(MemoryBudgetExceeded):
-            VCLJoin(VCLConfig(threshold=0.5, element_order="hash"),
-                    cluster=cluster).run(big)
+            run_vcl(big, cluster, threshold=0.5, vcl_element_order="hash")
 
 
 class TestGroupingAndConfig:
@@ -224,11 +222,11 @@ class TestGroupingAndConfig:
 
     def test_config_validation(self):
         with pytest.raises(JobConfigurationError):
-            VCLConfig(element_order="alphabetical")
+            JoinSpec(vcl_element_order="alphabetical")
         with pytest.raises(JobConfigurationError):
-            VCLConfig(super_element_groups=0)
+            JoinSpec(vcl_super_element_groups=0)
         with pytest.raises(ValueError):
-            VCLConfig(threshold=2.0)
+            JoinSpec(algorithm="vcl", threshold=2.0)
 
     def test_kernel_job_side_data_only_for_frequency_order(self):
         job = build_kernel_job(RUZICKA, 0.5, {"a": 1}, use_frequency_order=True)

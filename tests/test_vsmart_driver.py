@@ -1,4 +1,5 @@
-"""Tests for the high-level V-SMART-Join driver."""
+"""Tests for the V-SMART-Join pipelines, run the way every join runs:
+through the engine (``repro.join`` / ``SimilarityEngine.run``)."""
 
 from __future__ import annotations
 
@@ -10,85 +11,102 @@ from repro.core.exceptions import (
     JobConfigurationError,
     MeasureNotApplicableError,
     MemoryBudgetExceeded,
+    ServingError,
 )
 from repro.core.multiset import Multiset
-from repro.engine import join
 from repro.core.records import InputTuple, explode_multisets
+from repro.engine import JoinSpec, join
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.mapreduce.costmodel import CostParameters
 from repro.mapreduce.dfs import Dataset
+from repro.mapreduce.runner import LocalJobRunner
+from repro.serving.bootstrap import multisets_from_input
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
-from repro.vsmart.driver import (
-    JOINING_ALGORITHMS,
-    VSmartJoin,
-    VSmartJoinConfig,
-    normalise_input,
-)
-from tests.conftest import make_random_multisets
+from repro.vsmart.driver import JOINING_ALGORITHMS, VSmartJoin
+from tests.conftest import assert_matches_oracle, make_random_multisets
+
+
+def run_join(data, cluster, algorithm="online_aggregation", **spec_fields):
+    """One V-SMART-Join pipeline on ``cluster``, through the front door."""
+    return join(data, cluster=cluster, algorithm=algorithm, **spec_fields)
 
 
 class TestConfig:
+    """The V-SMART knobs of :class:`JoinSpec`, the one place they live."""
+
     def test_defaults(self):
-        config = VSmartJoinConfig()
-        assert config.algorithm == "online_aggregation"
-        assert config.threshold == 0.5
+        spec = JoinSpec()
+        assert spec.threshold == 0.5
+        assert spec.sharding_threshold == 1024
+        assert spec.use_combiners and spec.prune_candidates
+        assert spec.stop_word_frequency is None and spec.chunk_size is None
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(JobConfigurationError):
-            VSmartJoinConfig(algorithm="magic")
+            JoinSpec(algorithm="magic")
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            VSmartJoinConfig(threshold=0.0)
+            JoinSpec(threshold=0.0)
 
     def test_invalid_sharding_threshold_rejected(self):
         with pytest.raises(JobConfigurationError):
-            VSmartJoinConfig(sharding_threshold=0)
+            JoinSpec(sharding_threshold=0)
 
-    def test_disjunctive_measure_rejected_at_run_time(self):
-        config = VSmartJoinConfig(measure="direct_ruzicka")
+    def test_disjunctive_measure_rejected_at_run_time(self, small_multisets,
+                                                      test_cluster):
         with pytest.raises(MeasureNotApplicableError):
-            config.resolved_measure()
+            run_join(small_multisets, test_cluster, measure="direct_ruzicka")
+
+    def test_driver_rejects_non_joining_algorithm(self, test_cluster):
+        runner = LocalJobRunner(test_cluster)
+        with pytest.raises(JobConfigurationError, match="vcl"):
+            VSmartJoin(JoinSpec(algorithm="vcl"), runner)
+        with pytest.raises(JobConfigurationError, match="auto"):
+            VSmartJoin(JoinSpec(), runner)  # "auto" needs the plan's choice
+        assert VSmartJoin(JoinSpec(), runner, "lookup").algorithm == "lookup"
 
 
 class TestNormaliseInput:
+    """``multisets_from_input``, the engine's (only) input normaliser."""
+
     def test_multisets(self, overlapping_multisets):
-        dataset = normalise_input(overlapping_multisets)
-        assert len(dataset) == sum(m.underlying_cardinality for m in overlapping_multisets)
+        assert multisets_from_input(overlapping_multisets) \
+            == overlapping_multisets
+        # A one-shot iterator is materialised, once.
+        assert multisets_from_input(iter(overlapping_multisets)) \
+            == overlapping_multisets
 
-    def test_input_tuples(self):
-        records = [InputTuple("a", "x", 1)]
-        assert list(normalise_input(records)) == records
-
-    def test_dataset_passthrough(self):
-        dataset = Dataset.from_records([InputTuple("a", "x", 1)])
-        assert normalise_input(dataset) is dataset
+    def test_input_tuples(self, overlapping_multisets):
+        records = explode_multisets(overlapping_multisets)
+        assert multisets_from_input(records) == overlapping_multisets
+        assert multisets_from_input(Dataset.from_records(records)) \
+            == overlapping_multisets
 
     def test_empty_input(self):
-        assert len(normalise_input([])) == 0
+        assert multisets_from_input([]) == []
+        assert multisets_from_input(iter(())) == []
+        assert multisets_from_input({}) == []
 
     def test_garbage_rejected(self):
-        with pytest.raises(JobConfigurationError):
-            normalise_input(["not a record"])
+        with pytest.raises(ServingError):
+            multisets_from_input(["not a record"])
 
     def test_unknown_record_type_message_names_the_type(self):
-        with pytest.raises(JobConfigurationError, match="str"):
-            normalise_input(["not a record"])
+        with pytest.raises(ServingError, match="str"):
+            multisets_from_input(["not a record"])
 
     def test_mixed_tuples_and_multisets_rejected(self):
         mixed = [InputTuple("a", "x", 1), Multiset("b", {"y": 1})]
-        with pytest.raises(JobConfigurationError, match="mixed"):
-            normalise_input(mixed)
+        with pytest.raises(ServingError, match="mixed"):
+            multisets_from_input(mixed)
 
     def test_mixed_multisets_and_garbage_rejected(self):
         mixed = [Multiset("b", {"y": 1}), "not a record"]
-        with pytest.raises(JobConfigurationError, match="mixed"):
-            normalise_input(mixed)
-
-    def test_empty_input_yields_named_empty_dataset(self):
-        dataset = normalise_input(iter(()))
-        assert len(dataset) == 0
-        assert dataset.name == "raw_input"
+        with pytest.raises(ServingError, match="mixed"):
+            multisets_from_input(mixed)
+        with pytest.raises(ServingError, match="mixed"):
+            multisets_from_input({"b": mixed[0], "c": mixed[1]})
 
 
 class TestDriverCorrectness:
@@ -96,83 +114,72 @@ class TestDriverCorrectness:
     @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "cosine"])
     def test_matches_exact_join(self, algorithm, measure, small_multisets, test_cluster):
         threshold = 0.3
-        config = VSmartJoinConfig(algorithm=algorithm, measure=measure,
-                                  threshold=threshold, sharding_threshold=10)
-        result = VSmartJoin(config, cluster=test_cluster).run(small_multisets)
-        expected = pair_dictionary(all_pairs_exact(small_multisets, measure, threshold))
-        produced = pair_dictionary(result.pairs)
-        assert set(produced) == set(expected)
-        for key in produced:
-            assert produced[key] == pytest.approx(expected[key])
+        result = run_join(small_multisets, test_cluster, algorithm,
+                          measure=measure, threshold=threshold,
+                          sharding_threshold=10)
+        assert_matches_oracle(result.pairs, small_multisets, measure, threshold)
 
     def test_all_algorithms_agree(self, small_multisets, test_cluster):
         results = {}
         for algorithm in JOINING_ALGORITHMS:
-            config = VSmartJoinConfig(algorithm=algorithm, threshold=0.25,
-                                      sharding_threshold=12)
             results[algorithm] = pair_dictionary(
-                VSmartJoin(config, cluster=test_cluster).run(small_multisets).pairs)
+                run_join(small_multisets, test_cluster, algorithm,
+                         threshold=0.25, sharding_threshold=12).pairs)
         baseline = results["online_aggregation"]
         for algorithm, produced in results.items():
             assert produced.keys() == baseline.keys(), algorithm
 
     def test_empty_input_returns_no_pairs(self, test_cluster):
-        result = VSmartJoin(cluster=test_cluster).run([])
-        assert result.pairs == []
+        assert run_join([], test_cluster).pairs == []
 
     def test_duplicate_free_output(self, small_multisets, test_cluster):
-        result = VSmartJoin(VSmartJoinConfig(threshold=0.2),
-                            cluster=test_cluster).run(small_multisets)
+        result = run_join(small_multisets, test_cluster, threshold=0.2)
         pairs = [p.pair for p in result.pairs]
         assert len(pairs) == len(set(pairs))
 
     def test_accepts_raw_tuples_and_dataset(self, overlapping_multisets, test_cluster):
         records = explode_multisets(overlapping_multisets)
-        from_multisets = VSmartJoin(cluster=test_cluster).run(overlapping_multisets)
-        from_tuples = VSmartJoin(cluster=test_cluster).run(records)
-        from_dataset = VSmartJoin(cluster=test_cluster).run(Dataset.from_records(records))
+        from_multisets = run_join(overlapping_multisets, test_cluster)
+        from_tuples = run_join(records, test_cluster)
+        from_dataset = run_join(Dataset.from_records(records), test_cluster)
         assert pair_dictionary(from_multisets.pairs) == pair_dictionary(from_tuples.pairs)
         assert pair_dictionary(from_tuples.pairs) == pair_dictionary(from_dataset.pairs)
 
     def test_stop_word_preprocessing_runs_extra_job(self, small_multisets, test_cluster):
-        config = VSmartJoinConfig(stop_word_frequency=50)
-        result = VSmartJoin(config, cluster=test_cluster).run(small_multisets)
-        job_names = [stats.job_name for stats in result.pipeline.job_stats]
-        assert job_names[0] == "stop_word_filter"
+        result = run_join(small_multisets, test_cluster,
+                          stop_word_frequency=50)
+        assert result.job_names()[0] == "stop_word_filter"
 
     def test_chunked_similarity_phase_same_results(self, small_multisets, test_cluster):
-        plain = VSmartJoin(VSmartJoinConfig(threshold=0.25),
-                           cluster=test_cluster).run(small_multisets)
-        chunked = VSmartJoin(VSmartJoinConfig(threshold=0.25, chunk_size=4),
-                             cluster=test_cluster).run(small_multisets)
+        plain = run_join(small_multisets, test_cluster, threshold=0.25)
+        chunked = run_join(small_multisets, test_cluster, threshold=0.25,
+                           chunk_size=4)
         assert pair_dictionary(plain.pairs) == pair_dictionary(chunked.pairs)
 
 
 class TestDriverReporting:
     def test_phase_split_and_job_names(self, small_multisets, test_cluster):
-        result = VSmartJoin(VSmartJoinConfig(algorithm="sharding", sharding_threshold=8),
-                            cluster=test_cluster).run(small_multisets)
-        names = [stats.job_name for stats in result.pipeline.job_stats]
-        assert names == ["sharding1", "sharding2", "similarity1", "similarity2"]
+        result = run_join(small_multisets, test_cluster, "sharding",
+                          sharding_threshold=8)
+        assert result.job_names() == ["sharding1", "sharding2", "similarity1",
+                                      "similarity2"]
         assert result.joining_seconds > 0
         assert result.similarity_seconds > 0
         assert result.simulated_seconds == pytest.approx(
             result.joining_seconds + result.similarity_seconds)
 
     def test_lookup_pipeline_has_three_jobs(self, small_multisets, test_cluster):
-        result = VSmartJoin(VSmartJoinConfig(algorithm="lookup"),
-                            cluster=test_cluster).run(small_multisets)
-        names = [stats.job_name for stats in result.pipeline.job_stats]
-        assert names == ["lookup1", "lookup2+similarity1", "similarity2"]
+        result = run_join(small_multisets, test_cluster, "lookup")
+        assert result.job_names() == ["lookup1", "lookup2+similarity1",
+                                      "similarity2"]
 
     def test_counters_merged(self, small_multisets, test_cluster):
-        result = VSmartJoin(cluster=test_cluster).run(small_multisets)
-        counters = result.counters()
+        counters = run_join(small_multisets, test_cluster).counters()
         assert counters["similarity2/pairs_evaluated"] > 0
 
     def test_artifacts(self, small_multisets, test_cluster):
-        result = VSmartJoin(VSmartJoinConfig(algorithm="lookup", threshold=0.4),
-                            cluster=test_cluster).run(small_multisets)
+        result = run_join(small_multisets, test_cluster, "lookup",
+                          threshold=0.4)
         artifacts = result.pipeline.artifacts
         assert artifacts["algorithm"] == "lookup"
         assert artifacts["measure"] == "ruzicka"
@@ -221,7 +228,6 @@ class TestPropertyAgreement:
         cluster = laptop_cluster(num_machines=3)
         expected = {p.pair for p in all_pairs_exact(multisets, "ruzicka", threshold)}
         for algorithm in JOINING_ALGORITHMS:
-            config = VSmartJoinConfig(algorithm=algorithm, threshold=threshold,
-                                      sharding_threshold=4)
-            result = VSmartJoin(config, cluster=cluster).run(multisets)
+            result = run_join(multisets, cluster, algorithm,
+                              threshold=threshold, sharding_threshold=4)
             assert {p.pair for p in result.pairs} == expected, algorithm

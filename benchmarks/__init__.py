@@ -1,1 +1,1 @@
-"""Figure and table reproduction benchmarks (see DESIGN.md for the index)."""
+"""Figure and table reproduction benchmarks (see README.md for the index)."""

@@ -9,25 +9,21 @@ simulated run time; the results must be identical either way.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.engine import JoinSpec, SimilarityEngine
 from repro.mapreduce.costmodel import CostParameters
 
 
-def test_ablation_combiners(benchmark, small_dataset, cluster_500, cost_parameters,
+def test_ablation_combiners(small_dataset, cluster_500, cost_parameters,
                             bench_record):
     multisets = small_dataset.multisets
 
-    def run():
-        with SimilarityEngine(multisets, cluster=cluster_500,
-                              cost_parameters=cost_parameters) as engine:
-            return {use_combiners: engine.run(JoinSpec(
+    with SimilarityEngine(multisets, cluster=cluster_500,
+                          cost_parameters=cost_parameters) as engine:
+        outcomes = {use_combiners: engine.run(JoinSpec(
                         algorithm="online_aggregation", threshold=0.5,
                         use_combiners=use_combiners))
                     for use_combiners in (True, False)}
-
-    outcomes = run_once(benchmark, run)
     bench_record["variants"] = {
         "combiners_on" if use_combiners else "combiners_off": {
             "shuffle_bytes": sum(s.shuffle_bytes for s in result.pipeline.job_stats),

@@ -11,7 +11,6 @@ single-reducer bottleneck; stop-word filtering trades recall for load.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.engine import JoinSpec, SimilarityEngine
 
@@ -25,23 +24,20 @@ def _max_similarity1_group(result):
     return 0
 
 
-def test_ablation_stop_words_and_chunking(benchmark, small_dataset, cluster_500,
+def test_ablation_stop_words_and_chunking(small_dataset, cluster_500,
                                           cost_parameters, bench_record):
     multisets = small_dataset.multisets
 
-    def run():
-        variants = {
-            "plain": {},
-            "stop words (q=12)": {"stop_word_frequency": 12},
-            "chunked (T-chunks of 8)": {"chunk_size": 8},
-        }
-        with SimilarityEngine(multisets, cluster=cluster_500,
-                              cost_parameters=cost_parameters) as engine:
-            return {name: engine.run(JoinSpec(algorithm="online_aggregation",
+    variants = {
+        "plain": {},
+        "stop words (q=12)": {"stop_word_frequency": 12},
+        "chunked (T-chunks of 8)": {"chunk_size": 8},
+    }
+    with SimilarityEngine(multisets, cluster=cluster_500,
+                          cost_parameters=cost_parameters) as engine:
+        outcomes = {name: engine.run(JoinSpec(algorithm="online_aggregation",
                                               threshold=THRESHOLD, **knobs))
                     for name, knobs in variants.items()}
-
-    outcomes = run_once(benchmark, run)
     bench_record["variants"] = {
         name: {"num_pairs": len(result.pairs),
                "max_similarity1_group": _max_similarity1_group(result),

@@ -10,7 +10,6 @@ number of candidate pairs the kernel reducers had to verify.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.engine import JoinSpec, SimilarityEngine
@@ -18,26 +17,22 @@ from repro.engine import JoinSpec, SimilarityEngine
 THRESHOLD = 0.5
 
 
-def test_ablation_vcl_grouping(benchmark, small_dataset, cluster_500, cost_parameters,
+def test_ablation_vcl_grouping(small_dataset, cluster_500, cost_parameters,
                                bench_record):
     multisets = small_dataset.multisets
 
-    def run():
-        variants = {"no grouping": None, "256 super-elements": 256,
-                    "64 super-elements": 64}
-        outcomes = {}
-        with SimilarityEngine(multisets, cluster=cluster_500,
-                              cost_parameters=cost_parameters) as engine:
-            for name, groups in variants.items():
-                try:
-                    outcomes[name] = engine.run(JoinSpec(
-                        algorithm="vcl", threshold=THRESHOLD,
-                        vcl_super_element_groups=groups))
-                except MemoryBudgetExceeded as error:
-                    outcomes[name] = error
-        return outcomes
-
-    outcomes = run_once(benchmark, run)
+    variants = {"no grouping": None, "256 super-elements": 256,
+                "64 super-elements": 64}
+    outcomes = {}
+    with SimilarityEngine(multisets, cluster=cluster_500,
+                          cost_parameters=cost_parameters) as engine:
+        for name, groups in variants.items():
+            try:
+                outcomes[name] = engine.run(JoinSpec(
+                    algorithm="vcl", threshold=THRESHOLD,
+                    vcl_super_element_groups=groups))
+            except MemoryBudgetExceeded as error:
+                outcomes[name] = error
     bench_record["variants"] = {
         name: ({"status": "out_of_memory"}
                if isinstance(result, MemoryBudgetExceeded)

@@ -21,15 +21,11 @@ the approximate candidates are priced and (on this corpus, under the
 default cost constants) win.
 
 The recall/precision/choice series are deterministic (seeded hashing) and
-go through ``bench_record`` into the committed smoke baselines; wall-clock
-keys contain ``wall`` so ``check_regression.py`` treats them as noisy.
+go through ``bench_record`` into the committed smoke baselines.
 """
 
 from __future__ import annotations
 
-import time
-
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.engine.engine import SimilarityEngine
 from repro.engine.spec import APPROXIMATE_ALGORITHMS, JoinSpec
@@ -41,38 +37,29 @@ THRESHOLDS = (0.1, 0.3)
 RECALL_TARGETS = (0.8, 0.95)
 
 
-def test_approximate_recall(benchmark, small_dataset, bench_record):
+def test_approximate_recall(small_dataset, bench_record):
     multisets = small_dataset.multisets
 
-    def run():
-        results = {}
-        walls = {}
-        with SimilarityEngine(multisets) as engine:
-            for threshold in THRESHOLDS:
-                started = time.perf_counter()
-                exact = engine.run(JoinSpec(threshold=threshold,
-                                            algorithm="exact"))
-                walls[f"exact t={threshold}"] = time.perf_counter() - started
-                assert exact.exact
-                truth = {pair.pair for pair in exact}
-                for algorithm in APPROXIMATE_ALGORITHMS:
-                    for target in RECALL_TARGETS:
-                        spec = JoinSpec(threshold=threshold,
-                                        algorithm=algorithm, recall=target)
-                        started = time.perf_counter()
-                        result = engine.run(spec)
-                        key = f"{algorithm} t={threshold} recall={target}"
-                        walls[f"wall {key}"] = time.perf_counter() - started
-                        results[key] = (result, truth,
-                                        {pair.pair for pair in result})
-            plans = {
-                "without_recall": engine.plan(JoinSpec(threshold=0.5)),
-                "with_recall": engine.plan(JoinSpec(threshold=0.5,
-                                                    recall=0.9)),
-            }
-        return results, walls, plans
-
-    results, walls, plans = run_once(benchmark, run)
+    results = {}
+    with SimilarityEngine(multisets) as engine:
+        for threshold in THRESHOLDS:
+            exact = engine.run(JoinSpec(threshold=threshold,
+                                        algorithm="exact"))
+            assert exact.exact
+            truth = {pair.pair for pair in exact}
+            for algorithm in APPROXIMATE_ALGORITHMS:
+                for target in RECALL_TARGETS:
+                    result = engine.run(JoinSpec(threshold=threshold,
+                                                 algorithm=algorithm,
+                                                 recall=target))
+                    key = f"{algorithm} t={threshold} recall={target}"
+                    results[key] = (result, truth,
+                                    {pair.pair for pair in result})
+        plans = {
+            "without_recall": engine.plan(JoinSpec(threshold=0.5)),
+            "with_recall": engine.plan(JoinSpec(threshold=0.5,
+                                                recall=0.9)),
+        }
 
     recall_series = {}
     precision_series = {}
@@ -94,7 +81,6 @@ def test_approximate_recall(benchmark, small_dataset, bench_record):
     bench_record["recall"] = recall_series
     bench_record["precision"] = precision_series
     bench_record["pairs"] = pair_counts
-    bench_record["wall_seconds"] = walls
 
     # The planner's auto path: the approximate tier exists only behind an
     # explicit recall target.

@@ -8,7 +8,6 @@ synthetic presets and checks that the skew the algorithms rely on is there.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.datasets.stats import (
     elements_per_multiset,
@@ -38,14 +37,14 @@ def _record(bench_record, values):
     bench_record["count"] = len(values)
 
 
-def test_fig2_small_dataset(benchmark, small_dataset, bench_record):
-    values = run_once(benchmark, lambda: _report("small", small_dataset))
+def test_fig2_small_dataset(small_dataset, bench_record):
+    values = _report("small", small_dataset)
     _record(bench_record, values)
     assert skew_ratio(values) > 3.0
 
 
-def test_fig2_realistic_dataset(benchmark, realistic_dataset, bench_record):
-    values = run_once(benchmark, lambda: _report("realistic", realistic_dataset))
+def test_fig2_realistic_dataset(realistic_dataset, bench_record):
+    values = _report("realistic", realistic_dataset)
     _record(bench_record, values)
     assert skew_ratio(values) > 3.0
     assert max(values) > max(elements_per_multiset(realistic_dataset.multisets)) * 0.99

@@ -7,7 +7,6 @@ the element frequency) and the stop-word discussion of section 4.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.datasets.stats import (
     log_binned_histogram,
@@ -37,15 +36,15 @@ def _record(bench_record, values):
     bench_record["count"] = len(values)
 
 
-def test_fig3_small_dataset(benchmark, small_dataset, bench_record):
-    values = run_once(benchmark, lambda: _report("small", small_dataset))
+def test_fig3_small_dataset(small_dataset, bench_record):
+    values = _report("small", small_dataset)
     _record(bench_record, values)
     assert skew_ratio(values) > 3.0
 
 
-def test_fig3_realistic_dataset(benchmark, realistic_dataset, small_dataset,
+def test_fig3_realistic_dataset(realistic_dataset, small_dataset,
                                 bench_record):
-    values = run_once(benchmark, lambda: _report("realistic", realistic_dataset))
+    values = _report("realistic", realistic_dataset)
     _record(bench_record, values)
     assert skew_ratio(values) > 3.0
     # The realistic preset has the larger alphabet, as in the paper.

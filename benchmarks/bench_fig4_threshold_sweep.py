@@ -10,26 +10,23 @@ several times slower everywhere, strongly t-dependent, and worst at t=0.1.
 
 from __future__ import annotations
 
-from benchmarks.conftest import DEFAULT_SHARDING_C, THRESHOLD_GRID, run_once
+from benchmarks.conftest import DEFAULT_SHARDING_C, THRESHOLD_GRID
 from repro.analysis.experiments import agreement_check, threshold_sweep
 from repro.analysis.reporting import format_sweep_table, speedup
 
 ALGORITHMS = ("online_aggregation", "lookup", "sharding", "vcl")
 
 
-def test_fig4_threshold_sweep(benchmark, small_dataset, cluster_500, cost_parameters,
+def test_fig4_threshold_sweep(small_dataset, cluster_500, cost_parameters,
                               bench_record):
-    def run():
-        # prune_candidates=False: the figure reproduces the paper's
-        # cross-algorithm cost orderings, which are calibrated to the
-        # unpruned candidate stream.
-        return threshold_sweep(ALGORITHMS, small_dataset.multisets, THRESHOLD_GRID,
-                               cluster=cluster_500,
-                               sharding_threshold=DEFAULT_SHARDING_C,
-                               cost_parameters=cost_parameters,
-                               prune_candidates=False, keep_pairs=False)
-
-    sweep = run_once(benchmark, run)
+    # prune_candidates=False: the figure reproduces the paper's
+    # cross-algorithm cost orderings, which are calibrated to the
+    # unpruned candidate stream.
+    sweep = threshold_sweep(ALGORITHMS, small_dataset.multisets, THRESHOLD_GRID,
+                            cluster=cluster_500,
+                            sharding_threshold=DEFAULT_SHARDING_C,
+                            cost_parameters=cost_parameters,
+                            prune_candidates=False, keep_pairs=False)
     bench_record["simulated_seconds"] = {
         threshold: {name: outcome.simulated_seconds
                     for name, outcome in outcomes.items()}

@@ -9,26 +9,22 @@ which no amount of extra machines helps.
 
 from __future__ import annotations
 
-from benchmarks.conftest import DEFAULT_SHARDING_C, MACHINE_GRID, base_cluster, run_once
+from benchmarks.conftest import DEFAULT_SHARDING_C, MACHINE_GRID, base_cluster
 from repro.analysis.experiments import machine_sweep
 from repro.analysis.reporting import format_sweep_table, relative_drop
 
 ALGORITHMS = ("online_aggregation", "lookup", "sharding", "vcl")
 
 
-def test_fig5_machine_sweep_small(benchmark, small_dataset, cost_parameters,
-                                  bench_record):
-    def run():
-        # prune_candidates=False: the figure reproduces the paper's
-        # cross-algorithm cost orderings, which are calibrated to the
-        # unpruned candidate stream.
-        return machine_sweep(ALGORITHMS, small_dataset.multisets, MACHINE_GRID,
-                             base_cluster=base_cluster(), threshold=0.5,
-                             sharding_threshold=DEFAULT_SHARDING_C,
-                             cost_parameters=cost_parameters,
-                             prune_candidates=False, keep_pairs=False)
-
-    sweep = run_once(benchmark, run)
+def test_fig5_machine_sweep_small(small_dataset, cost_parameters, bench_record):
+    # prune_candidates=False: the figure reproduces the paper's
+    # cross-algorithm cost orderings, which are calibrated to the
+    # unpruned candidate stream.
+    sweep = machine_sweep(ALGORITHMS, small_dataset.multisets, MACHINE_GRID,
+                          base_cluster=base_cluster(), threshold=0.5,
+                          sharding_threshold=DEFAULT_SHARDING_C,
+                          cost_parameters=cost_parameters,
+                          prune_candidates=False, keep_pairs=False)
     bench_record["simulated_seconds"] = {
         machines: {name: outcome.simulated_seconds
                    for name, outcome in outcomes.items()}

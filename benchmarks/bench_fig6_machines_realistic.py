@@ -11,48 +11,44 @@ similarity phase reported separately from the joining phase.
 
 from __future__ import annotations
 
-from benchmarks.conftest import DEFAULT_SHARDING_C, MACHINE_GRID, base_cluster, run_once
+from benchmarks.conftest import DEFAULT_SHARDING_C, MACHINE_GRID, base_cluster
 from repro.analysis.experiments import run_algorithm
 from repro.analysis.reporting import format_table, outcome_cell
 
 SCALING_ALGORITHMS = ("online_aggregation", "sharding")
 
 
-def test_fig6_machine_sweep_realistic(benchmark, realistic_dataset, cost_parameters,
+def test_fig6_machine_sweep_realistic(realistic_dataset, cost_parameters,
                                       bench_record):
     multisets = realistic_dataset.multisets
 
-    def run():
-        results = {}
-        # Lookup and VCL fail for machine-count-independent reasons (memory);
-        # run them once at the default fleet size, as the paper reports.
-        # The whole figure pins prune_candidates=False (the paper's unpruned
-        # candidate stream).  Lookup's failure rests on PAPER_SCALED_MEMORY
-        # sitting below the realistic preset's interned lookup table — see
-        # the measured window at that constant.
-        for algorithm, options in (("lookup", {}),
-                                   ("vcl", {"vcl_element_order": "frequency"}),
-                                   ("vcl_hash_order", {"vcl_element_order": "hash"})):
-            name = "vcl" if algorithm.startswith("vcl") else algorithm
-            results[algorithm] = run_algorithm(
-                name, multisets, threshold=0.5, cluster=base_cluster(),
-                sharding_threshold=DEFAULT_SHARDING_C, prune_candidates=False,
-                cost_parameters=cost_parameters, keep_pairs=False, **options)
-        sweep = {}
-        for machines in MACHINE_GRID:
-            cluster = base_cluster().with_machines(machines)
-            sweep[machines] = {
-                algorithm: run_algorithm(algorithm, multisets, threshold=0.5,
-                                         cluster=cluster,
-                                         sharding_threshold=DEFAULT_SHARDING_C,
-                                         cost_parameters=cost_parameters,
-                                         prune_candidates=False,
-                                         keep_pairs=False)
-                for algorithm in SCALING_ALGORITHMS
-            }
-        return results, sweep
-
-    failures, sweep = run_once(benchmark, run)
+    failures = {}
+    # Lookup and VCL fail for machine-count-independent reasons (memory);
+    # run them once at the default fleet size, as the paper reports.
+    # The whole figure pins prune_candidates=False (the paper's unpruned
+    # candidate stream).  Lookup's failure rests on PAPER_SCALED_MEMORY
+    # sitting below the realistic preset's interned lookup table — see
+    # the measured window at that constant.
+    for algorithm, options in (("lookup", {}),
+                               ("vcl", {"vcl_element_order": "frequency"}),
+                               ("vcl_hash_order", {"vcl_element_order": "hash"})):
+        name = "vcl" if algorithm.startswith("vcl") else algorithm
+        failures[algorithm] = run_algorithm(
+            name, multisets, threshold=0.5, cluster=base_cluster(),
+            sharding_threshold=DEFAULT_SHARDING_C, prune_candidates=False,
+            cost_parameters=cost_parameters, keep_pairs=False, **options)
+    sweep = {}
+    for machines in MACHINE_GRID:
+        cluster = base_cluster().with_machines(machines)
+        sweep[machines] = {
+            algorithm: run_algorithm(algorithm, multisets, threshold=0.5,
+                                     cluster=cluster,
+                                     sharding_threshold=DEFAULT_SHARDING_C,
+                                     cost_parameters=cost_parameters,
+                                     prune_candidates=False,
+                                     keep_pairs=False)
+            for algorithm in SCALING_ALGORITHMS
+        }
     bench_record["failures"] = {name: outcome.status
                                 for name, outcome in failures.items()}
     bench_record["scaling"] = {

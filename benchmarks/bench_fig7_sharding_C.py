@@ -10,19 +10,16 @@ the lookup table the Sharding2 mappers must hold.
 
 from __future__ import annotations
 
-from benchmarks.conftest import SHARDING_C_GRID, base_cluster, run_once
+from benchmarks.conftest import SHARDING_C_GRID, base_cluster
 from repro.analysis.experiments import sharding_parameter_sweep
 from repro.analysis.reporting import format_table
 
 
-def test_fig7_sharding_parameter_sweep(benchmark, realistic_dataset, cost_parameters,
+def test_fig7_sharding_parameter_sweep(realistic_dataset, cost_parameters,
                                        bench_record):
-    def run():
-        return sharding_parameter_sweep(realistic_dataset.multisets, SHARDING_C_GRID,
-                                        base_cluster(), threshold=0.5,
-                                        cost_parameters=cost_parameters)
-
-    sweep = run_once(benchmark, run)
+    sweep = sharding_parameter_sweep(realistic_dataset.multisets, SHARDING_C_GRID,
+                                     base_cluster(), threshold=0.5,
+                                     cost_parameters=cost_parameters)
     bench_record["sweep"] = sweep
     rows = []
     for parameter in sorted(sweep):

@@ -1,10 +1,12 @@
-"""Out-of-core shuffle overhead vs the in-memory runner.
+"""Out-of-core shuffle: spill telemetry and the budget ceiling.
 
-Measured in real wall-clock on Zipf corpora: what does spilling the
-shuffle to disk cost, across corpus sizes that sit under, around and well
-over the spill budget?  The budget is pinned small so even smoke-scale
-corpora genuinely go out of core — the point is the overhead curve and the
-spill telemetry, not the absolute sizes.
+The same join runs on the in-memory runner and on the ``"disk"`` backend
+over Zipf corpora that sit under, around and well over a spill budget
+pinned small enough that even smoke-scale corpora genuinely go out of
+core.  Recorded per size: shuffle bytes, bytes spilled, runs written and
+merge passes — all exact counts.  What spilling costs in time is the
+harness's business (``benchmarks/e2e``; its backend rung is ROADMAP
+item 4's).
 
 Parity is asserted at every size: pairs and counters (minus the reserved
 ``shuffle/`` telemetry namespace) must be bit-identical to the serial
@@ -15,10 +17,11 @@ and over the pipeline.
 
 from __future__ import annotations
 
-import time
+import numpy as np
 
-from benchmarks.conftest import SMOKE, run_once
-from benchmarks.bench_backend_scaling import zipf_corpus
+from benchmarks.conftest import SMOKE
+from repro.core.multiset import Multiset
+from repro.datasets.zipf import BoundedZipf
 from repro.engine import JoinSpec, SimilarityEngine
 from repro.mapreduce import SerialBackend, get_backend
 
@@ -29,68 +32,71 @@ MEMORY_BUDGET = 24 * 1024 if SMOKE else 96 * 1024
 MERGE_FAN_IN = 4
 THRESHOLD = 0.2
 
+ELEMENTS_PER_MULTISET = 60 if SMOKE else 110
+ALPHABET = 4000
+SEED = 2012
+
+
+def zipf_corpus(count: int) -> list[Multiset]:
+    """Deterministic Zipf-skewed multisets over a shared alphabet."""
+    rng = np.random.default_rng(SEED)
+    distribution = BoundedZipf(ALPHABET, 1.1)
+    corpus = []
+    for index in range(count):
+        elements = distribution.sample(rng, ELEMENTS_PER_MULTISET)
+        contents: dict[str, int] = {}
+        for element in elements:
+            name = f"e{int(element)}"
+            contents[name] = contents.get(name, 0) + 1
+        corpus.append(Multiset(f"m{index}", contents))
+    return corpus
+
 
 def strip_telemetry(counters):
     return {name: value for name, value in counters.items()
             if not name.startswith("shuffle/")}
 
 
-def timed_join(backend, corpus):
+def run_join(backend, corpus):
     spec = JoinSpec(algorithm="online_aggregation", measure="ruzicka",
                     threshold=THRESHOLD)
-    engine = SimilarityEngine(backend=backend)
-    started = time.perf_counter()
-    outcome = engine.run(spec, corpus)
-    return time.perf_counter() - started, outcome
+    return SimilarityEngine(backend=backend).run(spec, corpus)
 
 
-def assert_parity(base, other, context):
-    assert other.pairs == base.pairs, context
-    assert (strip_telemetry(other.counters())
-            == strip_telemetry(base.counters())), context
+def test_out_of_core_shuffle(bench_record):
+    rows = {}
+    for size in SIZE_GRID:
+        corpus = zipf_corpus(size)
+        base = run_join(SerialBackend(), corpus)
+        outcome = run_join(
+            get_backend("disk", memory_budget_bytes=MEMORY_BUDGET,
+                        merge_fan_in=MERGE_FAN_IN), corpus)
+        assert outcome.pairs == base.pairs, size
+        counters = outcome.counters()
+        assert (strip_telemetry(counters)
+                == strip_telemetry(base.counters())), size
+        rows[size] = {
+            "shuffle_bytes": sum(stats.shuffle_bytes
+                                 for stats in outcome.pipeline.job_stats),
+            "bytes_spilled": counters.get("shuffle/bytes_spilled", 0),
+            "runs_written": counters.get("shuffle/runs_written", 0),
+            "merge_passes": counters.get("shuffle/merge_passes", 0),
+            "num_pairs": len(base.pairs),
+        }
+        for stats in outcome.pipeline.job_stats:
+            peak = stats.counters.get("shuffle/peak_buffer_bytes", 0)
+            assert peak <= MEMORY_BUDGET, (size, stats.job_name)
+        assert counters.get("shuffle/peak_buffer_bytes", 0) <= MEMORY_BUDGET
 
-
-def test_out_of_core_shuffle(benchmark, bench_record):
-    corpora = {size: zipf_corpus(size) for size in SIZE_GRID}
-
-    def run():
-        rows = {}
-        for size, corpus in corpora.items():
-            serial_seconds, base = timed_join(SerialBackend(), corpus)
-            disk = get_backend("disk", memory_budget_bytes=MEMORY_BUDGET,
-                               merge_fan_in=MERGE_FAN_IN)
-            disk_seconds, outcome = timed_join(disk, corpus)
-            assert_parity(base, outcome, ("disk", size))
-            counters = outcome.counters()
-            shuffled = sum(stats.shuffle_bytes
-                           for stats in outcome.pipeline.job_stats)
-            rows[size] = {
-                "serial_wall_seconds": serial_seconds,
-                "disk_wall_seconds": disk_seconds,
-                "overhead_wall": disk_seconds / serial_seconds,
-                "shuffle_bytes": shuffled,
-                "bytes_spilled": counters.get("shuffle/bytes_spilled", 0),
-                "runs_written": counters.get("shuffle/runs_written", 0),
-                "merge_passes": counters.get("shuffle/merge_passes", 0),
-                "num_pairs": len(base.pairs),
-            }
-            for stats in outcome.pipeline.job_stats:
-                peak = stats.counters.get("shuffle/peak_buffer_bytes", 0)
-                assert peak <= MEMORY_BUDGET, (size, stats.job_name)
-            assert counters.get("shuffle/peak_buffer_bytes", 0) <= MEMORY_BUDGET
-        return rows
-
-    rows = run_once(benchmark, run)
     print()
-    print(f"Out-of-core shuffle vs in-memory (budget {MEMORY_BUDGET:,} B, "
+    print(f"Out-of-core shuffle (budget {MEMORY_BUDGET:,} B, "
           f"fan-in {MERGE_FAN_IN}):")
-    print(f"  {'multisets':>9}  {'serial':>8}  {'disk':>8}  {'ovh':>6}"
-          f"  {'shuffled':>10}  {'spilled':>10}  {'runs':>5}  {'passes':>6}")
+    print(f"  {'multisets':>9}  {'shuffled':>10}  {'spilled':>10}"
+          f"  {'runs':>5}  {'passes':>6}")
     for size, row in rows.items():
-        print(f"  {size:>9}  {row['serial_wall_seconds']:>7.3f}s  "
-              f"{row['disk_wall_seconds']:>7.3f}s  {row['overhead_wall']:>5.2f}x  "
-              f"{row['shuffle_bytes']:>10,}  {row['bytes_spilled']:>10,}  "
-              f"{row['runs_written']:>5}  {row['merge_passes']:>6}")
+        print(f"  {size:>9}  {row['shuffle_bytes']:>10,}  "
+              f"{row['bytes_spilled']:>10,}  {row['runs_written']:>5}  "
+              f"{row['merge_passes']:>6}")
 
     bench_record["memory_budget_bytes"] = MEMORY_BUDGET
     bench_record["sizes"] = rows
@@ -99,5 +105,3 @@ def test_out_of_core_shuffle(benchmark, bench_record):
     largest = rows[max(SIZE_GRID)]
     assert largest["shuffle_bytes"] > MEMORY_BUDGET, largest
     assert largest["bytes_spilled"] > 0, largest
-    # Spilling is overhead, but it must stay sane on an SSD-era machine.
-    assert largest["overhead_wall"] < 50, largest

@@ -9,7 +9,6 @@ are identical (and match the exact in-memory join).
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.analysis.experiments import run_algorithm
 from repro.analysis.reporting import format_table
 from repro.baselines.inverted_index import InvertedIndexJoin
@@ -20,28 +19,24 @@ THRESHOLDS = (0.1, 0.5, 0.9)
 DISTRIBUTED = ("online_aggregation", "lookup", "sharding", "vcl")
 
 
-def test_pair_agreement(benchmark, small_dataset, cluster_500, cost_parameters,
+def test_pair_agreement(small_dataset, cluster_500, cost_parameters,
                         bench_record):
     multisets = small_dataset.multisets
 
-    def run():
-        report = {}
-        for threshold in THRESHOLDS:
-            exact = {p.pair for p in all_pairs_exact(multisets, "ruzicka", threshold)}
-            per_algorithm = {"exact": exact}
-            for algorithm in DISTRIBUTED:
-                outcome = run_algorithm(algorithm, multisets, threshold=threshold,
-                                        cluster=cluster_500, sharding_threshold=1000,
-                                        cost_parameters=cost_parameters)
-                per_algorithm[algorithm] = {p.pair for p in outcome.pairs}
-            per_algorithm["inverted_index"] = {
-                p.pair for p in InvertedIndexJoin("ruzicka", threshold).run(multisets)}
-            per_algorithm["ppjoin"] = {
-                p.pair for p in PPJoin("ruzicka", threshold).run(multisets)}
-            report[threshold] = per_algorithm
-        return report
-
-    report = run_once(benchmark, run)
+    report = {}
+    for threshold in THRESHOLDS:
+        exact = {p.pair for p in all_pairs_exact(multisets, "ruzicka", threshold)}
+        per_algorithm = {"exact": exact}
+        for algorithm in DISTRIBUTED:
+            outcome = run_algorithm(algorithm, multisets, threshold=threshold,
+                                    cluster=cluster_500, sharding_threshold=1000,
+                                    cost_parameters=cost_parameters)
+            per_algorithm[algorithm] = {p.pair for p in outcome.pairs}
+        per_algorithm["inverted_index"] = {
+            p.pair for p in InvertedIndexJoin("ruzicka", threshold).run(multisets)}
+        per_algorithm["ppjoin"] = {
+            p.pair for p in PPJoin("ruzicka", threshold).run(multisets)}
+        report[threshold] = per_algorithm
     bench_record["pairs_per_algorithm"] = {
         threshold: {name: len(pairs) for name, pairs in per_algorithm.items()}
         for threshold, per_algorithm in report.items()}

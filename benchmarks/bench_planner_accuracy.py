@@ -29,7 +29,7 @@ change that flips a choice or loosens the band trips
 
 from __future__ import annotations
 
-from benchmarks.conftest import DEFAULT_SHARDING_C, THRESHOLD_GRID, run_once
+from benchmarks.conftest import DEFAULT_SHARDING_C, THRESHOLD_GRID
 from repro.analysis.experiments import threshold_sweep
 from repro.analysis.reporting import format_table
 from repro.engine.calibration import CalibrationProfile
@@ -44,28 +44,24 @@ def deviation(ratio: float) -> float:
     return max(ratio, 1.0 / ratio)
 
 
-def test_planner_accuracy_fig4_sweep(benchmark, small_dataset, cluster_500,
+def test_planner_accuracy_fig4_sweep(small_dataset, cluster_500,
                                      cost_parameters, bench_record, tmp_path):
     multisets = small_dataset.multisets
     planner = Planner(cost_parameters)
 
-    def run():
-        # Same configuration as the Fig. 4 sweep: the paper-calibrated cost
-        # model with the unpruned candidate stream.
-        measured = threshold_sweep(ALGORITHMS, multisets, THRESHOLD_GRID,
-                                   cluster=cluster_500,
-                                   sharding_threshold=DEFAULT_SHARDING_C,
-                                   cost_parameters=cost_parameters,
-                                   prune_candidates=False, keep_pairs=False)
-        plans = {}
-        for threshold in THRESHOLD_GRID:
-            spec = JoinSpec(threshold=threshold,
-                            sharding_threshold=DEFAULT_SHARDING_C,
-                            prune_candidates=False)
-            plans[threshold] = planner.plan(spec, multisets, cluster_500)
-        return measured, plans
-
-    measured, plans = run_once(benchmark, run)
+    # Same configuration as the Fig. 4 sweep: the paper-calibrated cost
+    # model with the unpruned candidate stream.
+    measured = threshold_sweep(ALGORITHMS, multisets, THRESHOLD_GRID,
+                               cluster=cluster_500,
+                               sharding_threshold=DEFAULT_SHARDING_C,
+                               cost_parameters=cost_parameters,
+                               prune_candidates=False, keep_pairs=False)
+    plans = {}
+    for threshold in THRESHOLD_GRID:
+        spec = JoinSpec(threshold=threshold,
+                        sharding_threshold=DEFAULT_SHARDING_C,
+                        prune_candidates=False)
+        plans[threshold] = planner.plan(spec, multisets, cluster_500)
 
     choices = {}
     agreement = {}

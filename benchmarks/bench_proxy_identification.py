@@ -9,7 +9,7 @@ ground truth the same analysis is quantitative here.
 
 from __future__ import annotations
 
-from benchmarks.conftest import DEFAULT_SHARDING_C, run_once
+from benchmarks.conftest import DEFAULT_SHARDING_C
 from repro.analysis.calibration import paper_scale_cluster
 from repro.analysis.experiments import run_algorithm
 from repro.analysis.reporting import format_table
@@ -20,39 +20,35 @@ THRESHOLDS = (0.1, 0.3, 0.5)
 MINIMUM_COOKIES = 25
 
 
-def test_proxy_identification(benchmark, realistic_dataset, cost_parameters,
+def test_proxy_identification(realistic_dataset, cost_parameters,
                               bench_record):
     dataset = realistic_dataset
     cluster = paper_scale_cluster(500)
 
-    def run():
-        report = {}
-        filtered = filter_small_multisets(dataset.multisets, MINIMUM_COOKIES)
-        filtered_ids = {m.id for m in filtered}
-        for threshold in THRESHOLDS:
-            raw = run_algorithm("online_aggregation", dataset.multisets,
+    report = {}
+    filtered = filter_small_multisets(dataset.multisets, MINIMUM_COOKIES)
+    filtered_ids = {m.id for m in filtered}
+    for threshold in THRESHOLDS:
+        raw = run_algorithm("online_aggregation", dataset.multisets,
+                            threshold=threshold, cluster=cluster,
+                            sharding_threshold=DEFAULT_SHARDING_C,
+                            cost_parameters=cost_parameters)
+        cleaned = run_algorithm("online_aggregation", filtered,
                                 threshold=threshold, cluster=cluster,
                                 sharding_threshold=DEFAULT_SHARDING_C,
                                 cost_parameters=cost_parameters)
-            cleaned = run_algorithm("online_aggregation", filtered,
-                                    threshold=threshold, cluster=cluster,
-                                    sharding_threshold=DEFAULT_SHARDING_C,
-                                    cost_parameters=cost_parameters)
-            report[threshold] = {
-                "raw": evaluate_proxy_discovery(raw.pairs, dataset.proxy_groups,
-                                                threshold),
-                "filtered": evaluate_proxy_discovery(cleaned.pairs, dataset.proxy_groups,
-                                                     threshold,
-                                                     restrict_to_ids=filtered_ids),
-            }
-        lookup_after_filter = run_algorithm("lookup", filtered, threshold=0.5,
-                                            cluster=cluster,
-                                            sharding_threshold=DEFAULT_SHARDING_C,
-                                            cost_parameters=cost_parameters,
-                                            keep_pairs=False)
-        return report, lookup_after_filter
-
-    report, lookup_after_filter = run_once(benchmark, run)
+        report[threshold] = {
+            "raw": evaluate_proxy_discovery(raw.pairs, dataset.proxy_groups,
+                                            threshold),
+            "filtered": evaluate_proxy_discovery(cleaned.pairs, dataset.proxy_groups,
+                                                 threshold,
+                                                 restrict_to_ids=filtered_ids),
+        }
+    lookup_after_filter = run_algorithm("lookup", filtered, threshold=0.5,
+                                        cluster=cluster,
+                                        sharding_threshold=DEFAULT_SHARDING_C,
+                                        cost_parameters=cost_parameters,
+                                        keep_pairs=False)
     bench_record["quality"] = {
         threshold: {variant: {"discovered_pairs": evaluation.discovered_pairs,
                               "coverage": evaluation.coverage,

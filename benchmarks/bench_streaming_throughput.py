@@ -1,24 +1,19 @@
-"""Streaming maintenance throughput: incremental apply vs full re-join.
+"""Streaming maintenance: incremental apply equals the full re-join.
 
 Materializes the small synthetic preset as a :class:`JoinView` and applies
-one mutation batch per churn level (0.1% / 1% / 10% of the corpus),
-measuring the wall-clock cost of the incremental delta path against the
-cost of the equivalent from-scratch re-join on the mutated corpus.  The
-re-join baseline runs the *in-memory exact* algorithm — the cheapest full
-recomputation available — so the reported speedup is a floor, not a
-simulator artifact.  After every batch the view is checked pair-for-pair
-against the re-join, so the speedup is never bought with staleness.
-
-In full mode the 1%-churn batch must apply at least 5x faster than the
-re-join (the PR's acceptance criterion); smoke mode records the series
-without asserting wall-clock ratios.
+one mutation batch per churn level (0.1% / 1% / 10% of the corpus) through
+the incremental delta path.  After every batch the view is checked
+pair-for-pair against a from-scratch re-join of the mutated corpus (the
+*in-memory exact* algorithm), and the batch size, the number of deltas and
+the pair count after the batch are recorded — exact counts, gated by the
+committed baseline.  What an apply costs against a re-join in time is the
+harness's business (``benchmarks/e2e``; its ``view_churn`` rung is ROADMAP
+item 4's).
 """
 
 from __future__ import annotations
 
-import time
-
-from benchmarks.conftest import SMOKE, run_once
+from benchmarks.conftest import SMOKE
 from repro.analysis.reporting import format_table
 from repro.datasets.workload import MutationStreamConfig, generate_mutation_stream
 from repro.engine.engine import SimilarityEngine
@@ -33,7 +28,7 @@ SPEC = JoinSpec(measure="ruzicka", threshold=THRESHOLD, algorithm="exact")
 CORPUS_SIZE = 150 if SMOKE else None
 
 
-def _measure_churn_levels(engine, multisets):
+def _apply_churn_levels(engine, multisets):
     view = engine.materialize(SPEC, multisets)
     rows = []
     for level_index, churn in enumerate(CHURN_LEVELS):
@@ -43,14 +38,8 @@ def _measure_churn_levels(engine, multisets):
             members, MutationStreamConfig(num_batches=1,
                                           batch_size=batch_size,
                                           seed=2012 + level_index))
-        started = time.perf_counter()
         deltas = view.apply(batch, strategy=INCREMENTAL)
-        apply_elapsed = time.perf_counter() - started
-
-        started = time.perf_counter()
         rejoin = engine.run(SPEC, view.members())
-        rejoin_elapsed = time.perf_counter() - started
-        # Exactness first: the incremental view equals the re-join.
         assert {pair.pair: pair.similarity for pair in rejoin} == view.pairs()
 
         rows.append({
@@ -58,24 +47,17 @@ def _measure_churn_levels(engine, multisets):
             "batch_size": batch_size,
             "num_deltas": len(deltas),
             "num_pairs_after": view.num_pairs,
-            "apply_elapsed": apply_elapsed,
-            "rejoin_elapsed": rejoin_elapsed,
-            "speedup": (rejoin_elapsed / apply_elapsed
-                        if apply_elapsed > 0 else float("inf")),
-            "changes_per_second": (batch_size / apply_elapsed
-                                   if apply_elapsed > 0 else float("inf")),
         })
     return rows
 
 
-def test_streaming_throughput(benchmark, small_dataset, bench_record):
+def test_streaming_throughput(small_dataset, bench_record):
     multisets = small_dataset.multisets
     if CORPUS_SIZE is not None:
         multisets = multisets[:CORPUS_SIZE]
 
     with SimilarityEngine() as engine:
-        rows = run_once(benchmark,
-                        lambda: _measure_churn_levels(engine, multisets))
+        rows = _apply_churn_levels(engine, multisets)
 
     bench_record["corpus_size"] = len(multisets)
     bench_record["threshold"] = THRESHOLD
@@ -83,18 +65,8 @@ def test_streaming_throughput(benchmark, small_dataset, bench_record):
 
     print()
     print(format_table(
-        ["churn", "batch", "deltas", "pairs after", "apply", "re-join",
-         "speedup"],
+        ["churn", "batch", "deltas", "pairs after"],
         [[f"{row['churn']:.1%}", row["batch_size"], row["num_deltas"],
-          row["num_pairs_after"],
-          f"{row['apply_elapsed'] * 1000:,.1f}ms",
-          f"{row['rejoin_elapsed'] * 1000:,.1f}ms",
-          f"{row['speedup']:,.1f}x"] for row in rows],
-        title=f"Incremental apply vs full re-join over {len(multisets)} "
+          row["num_pairs_after"]] for row in rows],
+        title=f"Incremental apply == full re-join over {len(multisets)} "
               f"multisets (t = {THRESHOLD})"))
-
-    if not SMOKE:
-        one_percent = next(row for row in rows if row["churn"] == 0.01)
-        assert one_percent["speedup"] >= 5.0, (
-            "applying a 1%-churn batch must be at least 5x faster than the "
-            f"equivalent full re-join, got {one_percent['speedup']:.1f}x")

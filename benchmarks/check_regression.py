@@ -1,12 +1,13 @@
 """Diff freshly recorded ``BENCH_*.json`` files against committed baselines.
 
 Every benchmark dumps its headline series through the ``bench_record``
-fixture (see ``benchmarks/conftest.py``).  The series are dominated by
-*deterministic* quantities — simulated run times from the cost model,
-counter values, pair counts — so a committed baseline plus a tolerance band
-turns the benchmark suite into a perf-regression gate: CI's ``bench-smoke``
-job runs the suite in smoke mode and calls this script against
-``benchmarks/baselines/``.
+fixture (see ``benchmarks/conftest.py``), and ``benchmarks/exact_counts.py``
+writes the harness's exact counts in the same shape.  Every recorded leaf is
+*deterministic* — simulated run times from the cost model, counter values,
+pair counts, call counts — so a committed baseline plus a tolerance band
+turns the suite into a regression gate: CI's ``bench-smoke`` job records both
+and calls this script against ``benchmarks/baselines/``.  Wall-clock is
+measured by ``benchmarks/e2e`` and never lands in these files.
 
 Rules:
 
@@ -16,10 +17,8 @@ Rules:
   land before their baselines settle);
 * files are compared only when recorded in the same mode (smoke / quick /
   full — the grids differ across modes);
-* numeric leaves must agree within ``--tolerance`` (relative, with an
-  absolute floor for near-zero values); keys matching a noisy-name pattern
-  (wall-clock timings, QPS, speedup ratios) are skipped — those belong to
-  the benchmarks' own assertions, not to a cross-machine diff;
+* every numeric leaf, whatever its name, must agree within ``--tolerance``
+  (relative, with an absolute floor for near-zero values);
 * non-numeric leaves (statuses, labels) must match exactly.
 
 ``--update`` rewrites the baselines from the new run instead of checking —
@@ -35,18 +34,6 @@ import shutil
 import sys
 from typing import Iterator
 
-#: Substrings marking wall-clock-derived (machine-dependent) series keys.
-#: Note "seconds" on its own is NOT noisy — the figure series are
-#: *simulated* seconds from the deterministic cost model and are exactly
-#: what the gate exists to watch; only a bare ``seconds`` leaf (real timing,
-#: see :func:`is_noisy`) is excluded.
-NOISY_SUBSTRINGS = ("wall", "qps", "elapsed", "speedup", "usable_cores",
-                    "dict_seconds", "array_seconds", "per_second", "latency")
-
-#: Files produced by other tooling (pytest-benchmark's own dump) that are
-#: not bench_record series and never get baselines.
-IGNORED_FILES = ("BENCH_wallclock.json",)
-
 #: Relative difference below which values are considered unchanged.  Every
 #: gated leaf is deterministic — the whole smoke suite records bit-equal
 #: values at ``PYTHONHASHSEED=1`` and ``2`` — so the band only has to absorb
@@ -56,18 +43,6 @@ DEFAULT_TOLERANCE = 0.02
 
 #: Absolute floor: differences below this never fail, whatever the ratio.
 ABSOLUTE_FLOOR = 1e-6
-
-
-def is_noisy(path: str) -> bool:
-    """Whether a series path refers to a machine-dependent quantity."""
-    lowered = path.lower()
-    if any(marker in lowered for marker in NOISY_SUBSTRINGS):
-        return True
-    # A leaf literally called "seconds" is a wall-clock reading (the
-    # backend-scaling series); qualified names like "simulated_seconds" or
-    # "sharding1_seconds" are cost-model outputs and stay comparable.
-    leaf = lowered.rsplit(".", 1)[-1]
-    return leaf == "seconds"
 
 
 def walk_leaves(value, path: str = "") -> Iterator[tuple[str, object]]:
@@ -99,8 +74,6 @@ def compare_documents(name: str, baseline: dict, fresh: dict,
     for path in sorted(fresh_leaves.keys() - baseline_leaves.keys()):
         notes.append(f"{name}: new series key {path}")
     for path in sorted(baseline_leaves.keys() & fresh_leaves.keys()):
-        if is_noisy(path):
-            continue
         expected = baseline_leaves[path]
         actual = fresh_leaves[path]
         numeric = (isinstance(expected, (int, float))
@@ -129,8 +102,7 @@ def bench_files(directory: str) -> dict[str, str]:
         return {}
     return {entry: os.path.join(directory, entry)
             for entry in sorted(os.listdir(directory))
-            if entry.startswith("BENCH_") and entry.endswith(".json")
-            and entry not in IGNORED_FILES}
+            if entry.startswith("BENCH_") and entry.endswith(".json")}
 
 
 def main(argv: list[str] | None = None) -> int:

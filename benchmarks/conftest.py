@@ -2,15 +2,15 @@
 
 Each benchmark regenerates one table or figure of the paper's evaluation
 (section 7) on the scaled-down synthetic presets and prints the same series
-the paper plots.  Wall-clock timing is recorded once per benchmark via
-pytest-benchmark (``rounds=1``); the numbers the figures compare are the
-deterministic *simulated* run times from the cost model, printed as tables.
+the paper plots: deterministic *simulated* run times from the cost model,
+counters and pair counts.  Nothing here reads a clock — wall-clock is
+measured by ``benchmarks/e2e`` and nowhere else.
 
-Every benchmark also dumps its headline series through the ``bench_record``
+Every benchmark dumps its headline series through the ``bench_record``
 fixture: a ``BENCH_<name>.json`` file per benchmark, written to
-``REPRO_BENCH_RECORD_DIR`` (default: ``benchmarks/results/``).  CI uploads
-those files as workflow artifacts so the benchmark trajectory is tracked
-run over run.
+``REPRO_BENCH_RECORD_DIR`` (default: ``benchmarks/results/``).  Every leaf
+of those files is compared with its committed baseline by
+``check_regression.py``; CI uploads them as workflow artifacts.
 
 Modes, selected by environment variable:
 
@@ -75,11 +75,6 @@ def base_cluster():
     return paper_scale_cluster()
 
 
-def run_once(benchmark, function):
-    """Record a single timed execution of ``function`` with pytest-benchmark."""
-    return benchmark.pedantic(function, rounds=1, iterations=1, warmup_rounds=0)
-
-
 # -- benchmark-result recording ----------------------------------------------
 
 
@@ -108,6 +103,18 @@ def record_directory() -> str:
         os.path.join(os.path.dirname(__file__), "results"))
 
 
+def write_record(name: str, mode: str, series) -> str:
+    """Write one ``BENCH_<name>.json`` document; returns its path."""
+    document = {"benchmark": name, "mode": mode, "series": jsonable(series)}
+    directory = record_directory()
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"BENCH_{name}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    return path
+
+
 @pytest.fixture
 def bench_record(request):
     """A dict the benchmark fills with its headline series.
@@ -118,17 +125,7 @@ def bench_record(request):
     """
     payload: dict = {}
     yield payload
-    if not payload:
-        return
-    name = request.node.name.removeprefix("test_")
-    document = {
-        "benchmark": name,
-        "mode": "smoke" if SMOKE else ("quick" if QUICK else "full"),
-        "series": jsonable(payload),
-    }
-    directory = record_directory()
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    if payload:
+        write_record(request.node.name.removeprefix("test_"),
+                     "smoke" if SMOKE else ("quick" if QUICK else "full"),
+                     payload)

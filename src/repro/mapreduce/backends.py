@@ -8,7 +8,9 @@ run:
   reproducing the original single-process runner (it is the default);
 * :class:`ProcessBackend` fans tasks out to a multiprocessing pool, running
   mapper/combiner slices and reducer partition batches on real OS processes
-  so CPU-bound pipelines scale with the machine's cores;
+  (measured ×2.8–3.2 *slower* than serial at 2 workers on a 2-vCPU host —
+  every record is pickled across the pool twice; kept pending ROADMAP
+  item 5);
 * :class:`DiskShuffleBackend` executes tasks inline like the serial backend
   but holds the shuffle in an
   :class:`~repro.mapreduce.shuffle.ExternalGrouper` — sorted run files

@@ -15,11 +15,9 @@ tests and defends it:
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`, the
   closed/open/half-open per-endpoint breaker the wire client mounts.
 
-The replica set and the fleet themselves live in :mod:`repro.serving`
-since 2.0 (there is one fleet class, at every replication factor);
-:class:`ReplicatedShard`, :class:`Replica` and
-:class:`ReplicatedSimilarityService` are re-exported here for code written
-against 1.x.
+Nothing here imports a tier above :mod:`repro.core`: the replica set and
+the fleet live in :mod:`repro.serving` and are handed a policy by their
+caller.
 """
 
 from repro.core.exceptions import (
@@ -33,13 +31,6 @@ from repro.core.exceptions import (
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.faults import FaultPolicy, call_with_policy
 from repro.resilience.retry import RetryPolicy, RetrySchedule
-from repro.serving import (
-    RENDEZVOUS,
-    ROUND_ROBIN,
-    Replica,
-    ReplicatedShard,
-    ReplicatedSimilarityService,
-)
 
 __all__ = [
     "CLOSED",
@@ -50,13 +41,8 @@ __all__ = [
     "HALF_OPEN",
     "InjectedFaultError",
     "OPEN",
-    "RENDEZVOUS",
-    "ROUND_ROBIN",
-    "Replica",
     "ReplicaDivergenceError",
     "ReplicaUnavailableError",
-    "ReplicatedShard",
-    "ReplicatedSimilarityService",
     "ResilienceError",
     "RetryPolicy",
     "RetrySchedule",

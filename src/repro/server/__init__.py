@@ -12,8 +12,7 @@ The package splits along these seams:
   :class:`RemoteServerError` with stable error codes;
 * :mod:`repro.server.queues` — :class:`CoalescingQueue`, the bounded
   admission/batching primitive behind every endpoint;
-* :mod:`repro.server.errors` — the one exception-to-wire-code table;
-* :mod:`repro.server.loadgen` — closed- and open-loop load generators.
+* :mod:`repro.server.errors` — the one exception-to-wire-code table.
 
 The wire decodes to the same :class:`~repro.serving.api.QueryRequest`
 family the Python API executes, so HTTP answers are bit-identical to
@@ -32,7 +31,6 @@ from repro.server.client import (
 )
 from repro.server.errors import ERROR_TABLE, classify, error_body
 from repro.server.http import HttpServer, InProcessServer, serve_forever
-from repro.server.loadgen import LoadReport, run_closed_loop, run_open_loop
 from repro.server.queues import CoalescingQueue
 
 __all__ = [
@@ -41,14 +39,11 @@ __all__ = [
     "ERROR_TABLE",
     "HttpServer",
     "InProcessServer",
-    "LoadReport",
     "RemoteServerError",
     "ServerConfig",
     "SimilarityClient",
     "SimilarityServerApp",
     "classify",
     "error_body",
-    "run_closed_loop",
-    "run_open_loop",
     "serve_forever",
 ]

@@ -23,15 +23,14 @@ so "what is similar to Q?" is answered online without re-running the join:
   :meth:`~ReplicatedSimilarityService.persist` /
   :meth:`~ReplicatedSimilarityService.recover` and the kill / revive /
   health-check plumbing (the unreplicated fleet class of 1.x is this one
-  at ``replication_factor=1``; see "Migrating to 2.0" in the README);
+  at ``replication_factor=1``; see ``docs/MIGRATION.md``);
 * :func:`bootstrap_from_join` — build a fleet from a corpus and warm its
   caches from the engine's :class:`~repro.engine.result.JoinResult`
   (``engine.run(spec, data).to_service(num_shards=...)`` is the one-call
   form; the join itself always runs on the engine).
 
-Nothing here imports :mod:`repro.resilience` at run time: fault policies
-are handed in by the caller, and that package re-exports the replica
-classes for code written against 1.x.
+Nothing here imports :mod:`repro.resilience` at run time — fault policies
+are handed in by the caller — and nothing there imports this package.
 """
 
 from repro.serving.api import (

@@ -15,8 +15,7 @@ covers both halves:
   ever scanning a posting list.
 
 The join itself runs where every join runs, on the engine; the one-call
-warm start is ``engine.run(spec, data).to_service(num_shards=...)`` (a
-``backend="process"`` engine runs it on all cores).
+warm start is ``engine.run(spec, data).to_service(num_shards=...)``.
 :func:`multisets_from_input` is the one input normaliser: the engine and
 the bootstrap both accept whatever it accepts.
 """

@@ -24,8 +24,11 @@ from __future__ import annotations
 import asyncio
 import http.client
 import logging
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -41,6 +44,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro
 from repro.core.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -56,11 +60,8 @@ from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    RENDEZVOUS,
     CircuitBreaker,
     FaultPolicy,
-    ReplicatedShard,
-    ReplicatedSimilarityService,
     RetryPolicy,
     call_with_policy,
 )
@@ -72,6 +73,11 @@ from repro.server.client import (
 )
 from repro.server.errors import classify, error_body
 from repro.server.http import InProcessServer
+from repro.serving import (
+    RENDEZVOUS,
+    ReplicatedShard,
+    ReplicatedSimilarityService,
+)
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
@@ -92,6 +98,25 @@ def probe_request(members, kind: str = "threshold") -> QueryRequest:
     if kind == "threshold":
         return QueryRequest.threshold(query, 0.3)
     return QueryRequest.topk(query, 5)
+
+
+def test_package_imports_nothing_above_core():
+    """Storage and the shuffle can mount the fault seam: the package pulls
+    in no serving tier.  ``import repro`` loads every tier by design, so the
+    fresh interpreter mounts a bare ``repro`` namespace and imports only
+    this package."""
+    script = (
+        "import sys, types\n"
+        "package = types.ModuleType('repro')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['repro'] = package\n"
+        "import repro.resilience\n"
+        "print(sorted({name.split('.')[1] for name in sys.modules\n"
+        "              if name.startswith('repro.')}))\n")
+    loaded = subprocess.run([sys.executable, "-c", script,
+                             os.path.dirname(repro.__file__)],
+                            check=True, capture_output=True, text=True).stdout
+    assert loaded.strip() == "['core', 'resilience']"
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,6 @@ from repro.server import (
     SimilarityServerApp,
     classify,
     error_body,
-    run_closed_loop,
-    run_open_loop,
 )
 from repro.streaming.view import JoinView
 from tests.conftest import make_random_multisets, unreplicated_fleet
@@ -674,58 +672,10 @@ class TestGracefulShutdown:
 
 
 # ---------------------------------------------------------------------------
-# Load generators (tentpole: closed- and open-loop replay)
+# Seeded request workloads (the load generator itself is benchmarks/e2e's)
 # ---------------------------------------------------------------------------
 
 class TestLoadGenerators:
-    def test_closed_loop_replays_everything(self):
-        members = corpus()
-        service = make_service(members=members)
-        requests = generate_request_workload(
-            members, RequestWorkloadConfig(num_requests=40, seed=21))
-        app = SimilarityServerApp(service)
-        with InProcessServer(app) as server:
-            report = run_closed_loop(server.host, server.port, requests,
-                                     concurrency=4)
-        assert report.discipline == "closed_loop"
-        assert report.num_requests == 40
-        assert report.num_errors == 0
-        assert report.num_rejected == 0
-        assert report.qps > 0
-        assert report.p50_latency_ms <= report.p95_latency_ms \
-            <= report.p99_latency_ms <= report.max_latency_ms
-        # Answer volume matches a direct replay exactly.
-        direct = sum(len(response) for response in service.batch(requests))
-        assert report.total_matches == direct
-
-    def test_open_loop_replays_at_scheduled_arrivals(self):
-        members = corpus()
-        requests = generate_request_workload(
-            members, RequestWorkloadConfig(num_requests=20, seed=22))
-        arrivals = generate_open_loop_arrivals(20, 2000.0, seed=4)
-        assert len(arrivals) == 20
-        assert arrivals[0] == 0.0
-        assert arrivals == sorted(arrivals)
-        app = SimilarityServerApp(make_service(members=members))
-        with InProcessServer(app) as server:
-            report = run_open_loop(server.host, server.port, requests,
-                                   arrivals)
-        assert report.discipline == "open_loop"
-        assert report.num_requests + report.num_rejected == 20
-        assert report.num_errors == 0
-
-    def test_report_serialises_flat(self):
-        members = corpus()
-        app = SimilarityServerApp(make_service(members=members))
-        requests = generate_request_workload(
-            members, RequestWorkloadConfig(num_requests=5, seed=1))
-        with InProcessServer(app) as server:
-            report = run_closed_loop(server.host, server.port, requests,
-                                     concurrency=1)
-        payload = report.to_dict()
-        assert json.dumps(payload)  # JSON-safe
-        assert payload["num_requests"] == 5
-
     def test_request_workload_mix_and_determinism(self):
         members = corpus()
         config = RequestWorkloadConfig(num_requests=50,
@@ -741,6 +691,12 @@ class TestLoadGenerators:
                                            threshold_fraction=1.0, seed=33))
         assert [request.query for request in first] \
             == [request.query for request in all_threshold]
+        # The open-loop schedule: seeded, starts at zero, never goes back.
+        arrivals = generate_open_loop_arrivals(20, 2000.0, seed=4)
+        assert arrivals == generate_open_loop_arrivals(20, 2000.0, seed=4)
+        assert len(arrivals) == 20
+        assert arrivals[0] == 0.0
+        assert arrivals == sorted(arrivals)
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,24 @@ POST     /admin/kill         crash one replica
 POST     /admin/revive       rebuild one down replica (peer copy or storage)
 =======  ==================  ====================================================
 
-Writes are routed through bounded queues: one queue per shard when the app
-owns the service directly, or a single mutation queue feeding the PR-5
-:class:`~repro.streaming.view.JoinView` (upserts/deletes become
-:class:`~repro.streaming.changes.ChangeBatch` items and reach the service
-through its serving subscription, keeping the materialized pair set exact).
-Queries flow through one coalescing queue into
+Concurrency model: **one lane**.  Everything that touches the fleet —
+query batches, write batches, admin operations, the ``/admin/recover``
+swap, health probes, the shutdown persist — is a job on one thread
+(:meth:`SimilarityServerApp._on_lane`) and runs in submission order.  Two
+bounded queues feed it: ``queries`` coalesces concurrent traffic into
 :meth:`ReplicatedSimilarityService.batch
-<repro.serving.service.ReplicatedSimilarityService.batch>` so concurrent
-duplicate traffic pays a single index scan.  A full queue answers ``429``
-with a ``Retry-After`` hint — admission control, not unbounded latency.
-One read skips the queue: a single ``/query`` whose answer every shard has
-cached is returned on the event loop when nothing else is touching the
-fleet (:meth:`SimilarityServerApp._read_on_loop`) — the same answer and
-the same cache accounting, without the queue, executor and lock hand-offs.
+<repro.serving.service.ReplicatedSimilarityService.batch>` (duplicates pay
+one index scan) and ``writes`` applies upserts / deletes in admission
+order — to the owning shard, or, with a
+:class:`~repro.streaming.view.JoinView`, as one
+:class:`~repro.streaming.changes.ChangeBatch` that reaches the fleet
+through the view's serving subscription (the pair set stays exact).  A
+full queue answers ``429`` with a ``Retry-After`` hint — admission control,
+not unbounded latency.  One read skips the lane: a single ``/query`` whose
+answer every shard has cached is returned on the event loop when the lane
+is idle (:meth:`SimilarityServerApp._read_on_loop`) — the same answer and
+cache accounting; :attr:`SimilarityServerApp.lock`, held by every lane job,
+is how the loop tests for "idle" without ever blocking.
 
 Graceful degradation (PR 8): with ``request_timeout_seconds`` set, a
 request that cannot be answered inside its deadline fails *crisply* with
@@ -115,14 +119,10 @@ class ServerConfig:
     query_queue_capacity: int = 256
     #: Most queries coalesced into one ``service.batch`` execution.
     query_max_batch: int = 32
-    #: Bounded depth of each write queue (per shard, or of the view queue).
+    #: Bounded depth of the write admission queue.
     write_queue_capacity: int = 256
     #: Most writes applied per drained batch.
     write_max_batch: int = 64
-    #: Batches allowed to execute concurrently across all queues.
-    max_in_flight: int = 4
-    #: Threads of the execution pool (keeps the event loop responsive).
-    executor_threads: int = 4
     #: Backoff hint sent with 429 responses, in seconds.
     retry_after_seconds: float = 1.0
     #: Directory to persist every shard into during graceful shutdown.
@@ -145,8 +145,7 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         for name in ("query_queue_capacity", "query_max_batch",
-                     "write_queue_capacity", "write_max_batch",
-                     "max_in_flight", "executor_threads"):
+                     "write_queue_capacity", "write_max_batch"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ServerError(f"{name} must be an int >= 1, got {value!r}")
@@ -204,9 +203,8 @@ class SimilarityServerApp:
             # bootstrap-refresh pattern, not a serving-tier default.
             self._subscription = attach_serving(view, service, warm=False)
         self._executor: ThreadPoolExecutor | None = None
-        self._semaphore: asyncio.Semaphore | None = None
         self._query_queue: CoalescingQueue | None = None
-        self._write_queues: list[CoalescingQueue] = []
+        self._write_queue: CoalescingQueue | None = None
         self._health_task: asyncio.Task | None = None
         self._started = False
         self._closing = False
@@ -218,22 +216,25 @@ class SimilarityServerApp:
     # -- lifecycle -------------------------------------------------------------
 
     async def startup(self) -> None:
-        """Create the executor, queues and workers on the running loop."""
+        """Create the lane, the two queues and their workers on this loop."""
         if self._started:
             return
         config = self.config
         self._executor = ThreadPoolExecutor(
-            max_workers=config.executor_threads,
-            thread_name_prefix="repro-server")
-        self._semaphore = asyncio.Semaphore(config.max_in_flight)
+            max_workers=1, thread_name_prefix="repro-fleet")
         self._query_queue = CoalescingQueue(
             "queries", self._execute_queries,
             capacity=config.query_queue_capacity,
             max_batch=config.query_max_batch,
             retry_after_seconds=config.retry_after_seconds)
-        self._query_queue.start(executor=self._executor, lock=self.lock,
-                                semaphore=self._semaphore)
-        self._write_queues = self._build_write_queues()
+        self._write_queue = CoalescingQueue(
+            "writes", (self._execute_direct_writes if self.view is None
+                       else self._execute_view_writes),
+            capacity=config.write_queue_capacity,
+            max_batch=config.write_max_batch,
+            retry_after_seconds=config.retry_after_seconds)
+        for queue in (self._query_queue, self._write_queue):
+            queue.start(executor=self._executor, lock=self.lock)
         if config.health_check_interval_seconds is not None:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop(config.health_check_interval_seconds))
@@ -245,29 +246,12 @@ class SimilarityServerApp:
         while True:
             await asyncio.sleep(interval)
             try:
-                self.last_health_report = await self._locked_in_executor(
-                    self.service.health_check)
+                self.last_health_report = await self._on_lane(
+                    lambda: self.service.health_check())
             except asyncio.CancelledError:
                 raise
             except Exception as error:  # noqa: BLE001 — the loop must survive
                 self.last_health_report = {"error": str(error)}
-
-    def _build_write_queues(self) -> list[CoalescingQueue]:
-        config = self.config
-        if self.view is not None:
-            writers = [("mutations", self._execute_view_writes)]
-        else:
-            writers = [(f"writes-shard{shard}", self._execute_direct_writes)
-                       for shard in range(self.service.num_shards)]
-        queues = [CoalescingQueue(
-            name, execute, capacity=config.write_queue_capacity,
-            max_batch=config.write_max_batch,
-            retry_after_seconds=config.retry_after_seconds)
-            for name, execute in writers]
-        for queue in queues:
-            queue.start(executor=self._executor, lock=self.lock,
-                        semaphore=self._semaphore)
-        return queues
 
     async def shutdown(self, *, drain: bool = True) -> None:
         """Stop admissions, drain (or reject) queues, optionally persist."""
@@ -281,24 +265,19 @@ class SimilarityServerApp:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._query_queue is not None:
-            await self._query_queue.close(drain=drain)
-        for queue in self._write_queues:
+        for queue in (self._query_queue, self._write_queue):
             await queue.close(drain=drain)
         if self.config.persist_on_shutdown is not None:
-            with self.lock:
-                self.service.persist(self.config.persist_on_shutdown)
+            await self._on_lane(lambda: self.service.persist(
+                self.config.persist_on_shutdown))
         if self._subscription is not None:
             self._subscription.detach()
             self._subscription = None
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        self._query_queue = None
-        self._write_queues = []
+        self._executor.shutdown(wait=True)
+        self._executor = self._query_queue = self._write_queue = None
         self._started = False
 
-    # -- queue executors (run on the thread pool, under the service lock) ------
+    # -- queue executors (lane jobs) -------------------------------------------
 
     def _execute_queries(self, requests: Sequence[QueryRequest]):
         return self.service.batch(list(requests))
@@ -333,11 +312,6 @@ class SimilarityServerApp:
             else:
                 acks.append({"deleted": payload, "pair_deltas": len(deltas)})
         return acks
-
-    def _write_queue_for(self, multiset_id) -> CoalescingQueue:
-        if self.view is not None:
-            return self._write_queues[0]
-        return self._write_queues[self.service.shard_for(multiset_id)]
 
     # -- dispatch --------------------------------------------------------------
 
@@ -459,20 +433,18 @@ class SimilarityServerApp:
         except ServingError as error:
             raise ServerError(str(error)) from None
 
-    async def _locked_in_executor(self, operation):
-        """Run ``operation`` on the thread pool, under the service lock.
+    async def _on_lane(self, operation):
+        """Run ``operation`` as the lane's next job, holding :attr:`lock`.
 
-        The event loop must never block on :attr:`lock` directly — a batch
-        executing on the pool holds it, and a frozen loop can neither
-        answer ``/health`` nor shed load with 429s.
+        The event loop never blocks on the lock itself — a frozen loop can
+        neither answer ``/health`` nor shed load with 429s.
         """
-        loop = asyncio.get_running_loop()
-
         def locked():
             with self.lock:
                 return operation()
 
-        return await loop.run_in_executor(self._executor, locked)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, locked)
 
     def _read_stats(self, reader):
         """Read fleet statistics without taking the service lock.
@@ -518,8 +490,8 @@ class SimilarityServerApp:
         Taken exactly when the code observes that it is an O(shards)
         memory read of a quiescent fleet: the query queue is empty (so no
         brownout, and nobody queued is overtaken); :attr:`lock` — held by
-        every write batch, view write, admin operation and health probe —
-        is free, tried without ever blocking the loop on it; and
+        every lane job: query and write batches, admin operations, health
+        probes — is free, tried without ever blocking the loop on it; and
         :meth:`~repro.serving.service.ReplicatedSimilarityService.cached`
         finds every shard's answer cached with no fault seam in the way
         (its docstring carries the exactness and accounting argument).
@@ -572,8 +544,7 @@ class SimilarityServerApp:
             raise ServerError("upsert needs a 'multiset' field")
         multiset = self._parse(multiset_from_wire, payload["multiset"])
         ack = await self._with_deadline(
-            self._write_queue_for(multiset.id).submit((_UPSERT, multiset)),
-            "upsert")
+            self._write_queue.submit((_UPSERT, multiset)), "upsert")
         return 200, ack, {}
 
     async def _handle_delete(self, payload: dict) -> tuple[int, dict, dict]:
@@ -581,9 +552,7 @@ class SimilarityServerApp:
         if "id" not in payload:
             raise ServerError("delete needs an 'id' field")
         ack = await self._with_deadline(
-            self._write_queue_for(payload["id"]).submit(
-                (_DELETE, payload["id"])),
-            "delete")
+            self._write_queue.submit((_DELETE, payload["id"])), "delete")
         return 200, ack, {}
 
     async def _handle_persist(self, payload: dict) -> tuple[int, dict, dict]:
@@ -591,8 +560,7 @@ class SimilarityServerApp:
         directory = payload.get("directory")
         if not isinstance(directory, str) or not directory:
             raise ServerError("admin/persist needs a 'directory' string")
-        paths = await self._locked_in_executor(
-            lambda: self.service.persist(directory))
+        paths = await self._on_lane(lambda: self.service.persist(directory))
         return 200, {"persisted": paths,
                      "num_shards": self.service.num_shards}, {}
 
@@ -606,30 +574,24 @@ class SimilarityServerApp:
         directory = payload.get("directory")
         if not isinstance(directory, str) or not directory:
             raise ServerError("admin/recover needs a 'directory' string")
-        # Quiesce the write path: drain the per-shard queues, swap the
-        # fleet, then rebuild queues for the recovered shard count.
-        for queue in self._write_queues:
-            await queue.close(drain=True)
 
         def swap():
-            with self.lock:
-                # The running fleet's tuning survives the swap — the
-                # recovered service must not silently reset to defaults.
-                running = self.service
-                self.service = ReplicatedSimilarityService.recover(
-                    directory,
-                    replication_factor=running.replication_factor,
-                    cache_capacity=running.cache_capacity,
-                    read_strategy=running.read_strategy,
-                    fault_policy_factory=running.fault_policy_factory)
-                return {"recovered": True,
-                        "num_shards": self.service.num_shards,
-                        "indexed_multisets": len(self.service)}
+            # One ordinary lane job: batches ahead of it ran on the old
+            # fleet, every later one reads ``self.service`` afresh (so routes
+            # by the new ``shard_for``), and a ``recover`` that raises leaves
+            # the old fleet serving.  The running fleet's tuning survives.
+            running = self.service
+            self.service = ReplicatedSimilarityService.recover(
+                directory,
+                replication_factor=running.replication_factor,
+                cache_capacity=running.cache_capacity,
+                read_strategy=running.read_strategy,
+                fault_policy_factory=running.fault_policy_factory)
+            return {"recovered": True,
+                    "num_shards": self.service.num_shards,
+                    "indexed_multisets": len(self.service)}
 
-        loop = asyncio.get_running_loop()
-        body = await loop.run_in_executor(self._executor, swap)
-        self._write_queues = self._build_write_queues()
-        return 200, body, {}
+        return 200, await self._on_lane(swap), {}
 
     # -- replica administration ------------------------------------------------
 
@@ -656,10 +618,12 @@ class SimilarityServerApp:
     async def _handle_kill(self, payload: dict) -> tuple[int, dict, dict]:
         self._require_started()
         shard, replica = self._replica_address(payload)
-        lose_state = bool(payload.get("lose_state", True))
-        await self._locked_in_executor(
-            lambda: self.service.kill_replica(shard, replica,
-                                              lose_state=lose_state))
+        lose_state = payload.get("lose_state", True)
+        if not isinstance(lose_state, bool):
+            raise ServerError(f"admin/kill 'lose_state' must be a JSON "
+                              f"boolean when given, got {lose_state!r}")
+        await self._on_lane(lambda: self.service.kill_replica(
+            shard, replica, lose_state=lose_state))
         return 200, {"killed": {"shard": shard, "replica": replica,
                                 "lose_state": lose_state}}, {}
 
@@ -671,9 +635,8 @@ class SimilarityServerApp:
             raise ServerError(
                 f"admin/revive 'source' must be a persisted directory (or "
                 f"shard database) path when given, got {source!r}")
-        await self._locked_in_executor(
-            lambda: self.service.recover_replica(shard, replica,
-                                                 source=source))
+        await self._on_lane(lambda: self.service.recover_replica(
+            shard, replica, source=source))
         return 200, {"revived": {"shard": shard, "replica": replica,
                                  "source": source}}, {}
 
@@ -696,12 +659,7 @@ class SimilarityServerApp:
     # -- observability ---------------------------------------------------------
 
     def server_stats(self) -> dict:
-        """Queue depths, admission counters and in-flight configuration."""
-        queues = {}
-        if self._query_queue is not None:
-            queues[self._query_queue.name] = self._query_queue.stats()
-        for queue in self._write_queues:
-            queues[queue.name] = queue.stats()
+        """Queue depths and admission counters (no queues until started)."""
         return {
             "mode": "view" if self.view is not None else "direct",
             "accepting": self._started and not self._closing,
@@ -709,6 +667,7 @@ class SimilarityServerApp:
             "degraded_served": self.degraded_served,
             "deadline_failures": self.deadline_failures,
             "browned_out": self._browned_out(),
-            "max_in_flight": self.config.max_in_flight,
-            "queues": queues,
+            "queues": {queue.name: queue.stats()
+                       for queue in (self._query_queue, self._write_queue)
+                       if queue is not None},
         }

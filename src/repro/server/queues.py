@@ -14,14 +14,13 @@ through a single callable.  For queries that callable is
 each distinct (signature, options) request once per batch — and for writes
 it applies the queued mutations in admission order.
 
-Execution runs on a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-so the event loop stays responsive (accepting, parsing and *rejecting*
+Execution is a job on the server's one lane — a one-thread executor shared
+by every queue and admin operation, holding the server's service lock — so
+the event loop stays responsive (accepting, parsing and *rejecting*
 requests) while a batch computes.  The serving structures are not
-thread-safe, so every executed batch holds the server's one service lock;
-the executor buys responsiveness and overlap between parsing and
-computation, not parallel index scans.  A global in-flight semaphore
-(``max_in_flight``) bounds how many batches may execute concurrently
-across all queues.
+thread-safe: the lane buys overlap between parsing and computation, never
+parallel index scans, and batches of all queues run in the order their
+workers handed them over.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ class CoalescingQueue:
         self._execute_batch = execute_batch
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
-        self._semaphore: asyncio.Semaphore | None = None
         self._executor = None
         self._lock = None
         self._closed = False
@@ -64,11 +62,9 @@ class CoalescingQueue:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, *, executor, lock,
-              semaphore: asyncio.Semaphore | None = None) -> None:
+    def start(self, *, executor, lock) -> None:
         """Create the queue and its worker on the running event loop."""
         self._queue = asyncio.Queue(maxsize=self.capacity)
-        self._semaphore = semaphore
         self._executor = executor
         self._lock = lock
         self._closed = False
@@ -151,11 +147,8 @@ class CoalescingQueue:
 
     async def _run_batch(self, batch: list[tuple[object, asyncio.Future]]) -> None:
         items = [item for item, _ in batch]
-        loop = asyncio.get_running_loop()
-        if self._semaphore is not None:
-            await self._semaphore.acquire()
         try:
-            results = await loop.run_in_executor(
+            results = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._execute_locked, items)
         except Exception as error:  # noqa: BLE001 — fan the failure out
             for _, future in batch:
@@ -166,8 +159,6 @@ class CoalescingQueue:
                 if not future.done():
                     future.set_result(result)
         finally:
-            if self._semaphore is not None:
-                self._semaphore.release()
             self.executed_batches += 1
             self.executed_items += len(batch)
             self.max_batch_observed = max(self.max_batch_observed, len(batch))

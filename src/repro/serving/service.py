@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from repro.core.exceptions import ResilienceError, ServingError
+from repro.core.exceptions import ResilienceError, ServingError, StorageError
 from repro.core.multiset import Multiset, MultisetId
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import (
@@ -303,8 +303,13 @@ class ReplicatedSimilarityService:
         healthy replica's index — the replicas are exact copies, so any
         one of them is the shard.  The replication factor is not part of
         the format: :meth:`recover` restores the directory at any factor.
+        A directory that cannot be created is a :class:`StorageError`.
         """
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as error:
+            raise StorageError(f"cannot persist the fleet into "
+                               f"{os.fspath(directory)!r}: {error}") from None
         paths = [_shard_file(directory, shard)
                  for shard in range(self.num_shards)]
         for shard, path in zip(self.shards, paths):
@@ -326,9 +331,15 @@ class ReplicatedSimilarityService:
         one ``persist`` wrote — a shard file missing or extra, files that
         disagree on the measure, a member stored on a shard it does not
         route to — raises :class:`ServingError` instead of loading a fleet
-        that would answer wrongly.
+        that would answer wrongly; a path that is missing or not a
+        directory raises :class:`StorageError`.
         """
-        stored = sorted(entry for entry in os.listdir(directory)
+        try:
+            entries = os.listdir(directory)
+        except OSError as error:
+            raise StorageError(f"cannot recover a fleet from "
+                               f"{os.fspath(directory)!r}: {error}") from None
+        stored = sorted(entry for entry in entries
                         if entry.startswith("shard")
                         and entry.endswith(".sqlite"))
         paths = [_shard_file(directory, shard) for shard in range(len(stored))]

@@ -1029,8 +1029,7 @@ class TestServerHardening:
     def test_slow_request_fails_with_504_and_retry_after(self):
         members = corpus()
         app = make_app(members, request_timeout_seconds=0.1,
-                       query_max_batch=1, max_in_flight=1,
-                       executor_threads=1, retry_after_seconds=0.05)
+                       query_max_batch=1, retry_after_seconds=0.05)
         release = threading.Event()
         original = app._execute_queries
 
@@ -1066,7 +1065,6 @@ class TestServerHardening:
     def test_brownout_degrades_queued_topk_requests(self):
         members = corpus()
         app = make_app(members, query_queue_capacity=32, query_max_batch=1,
-                       max_in_flight=1, executor_threads=1,
                        brownout_queue_depth=1, brownout_topk_cap=2,
                        brownout_threshold_floor=0.6)
         release = threading.Event()
@@ -1273,9 +1271,7 @@ class TestServerHardening:
                     seed=shard * 31 + replica, latency_seconds=0.02))
             service.bulk_load(members)
             app = SimilarityServerApp(
-                service, config=ServerConfig(query_max_batch=2,
-                                             max_in_flight=2,
-                                             executor_threads=2))
+                service, config=ServerConfig(query_max_batch=2))
             answers: dict[int, object] = {}
             errors: list[BaseException] = []
             server = InProcessServer(app)

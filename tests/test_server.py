@@ -10,10 +10,13 @@ server speaks standard HTTP/1.1 to a client this repo did not write.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import http.client
 import json
 import os
+import pathlib
+import re
 import tempfile
 import threading
 import time
@@ -36,9 +39,9 @@ from repro.datasets.workload import (
     generate_request_workload,
 )
 from repro.engine import JoinSpec
-from repro.serving.api import QueryRequest, QueryResponse
+from repro.serving.api import QueryRequest, QueryResponse, multiset_to_wire
 from repro.serving.index import SimilarityIndex
-from repro.serving.service import ReplicatedSimilarityService
+from repro.serving.service import ReplicatedSimilarityService, shard_for
 from repro.server import (
     ERROR_TABLE,
     CoalescingQueue,
@@ -297,7 +300,7 @@ class TestAppDispatch:
             assert status == 200
             assert body["measure"] == "ruzicka"
             assert set(body["server"]["queues"]) \
-                == {"queries", "writes-shard0", "writes-shard1"}
+                == {"queries", "writes"}
             assert body["server"]["mode"] == "direct"
             assert "cache/hit_rate" in body["totals"]
 
@@ -477,6 +480,183 @@ class TestHttpEndToEnd:
 
 
 # ---------------------------------------------------------------------------
+# One lane: two queues, one fleet thread, a recover swap ordered among writes
+# ---------------------------------------------------------------------------
+
+async def upsert(app, multiset) -> int:
+    status, _, _ = await app.handle(
+        "POST", "/upsert", {"multiset": multiset_to_wire(multiset)})
+    return status
+
+
+class TestOneLane:
+    def test_failed_recover_leaves_the_server_writable(self, tmp_path):
+        # Regression: the write queues were closed before the swap and
+        # rebuilt only after it, so a recover that raised answered every
+        # later write 429 "shutting down" until the process was restarted.
+        async def scenario():
+            app = await started_app()
+            before = await upsert(app, Multiset("before", {"zz": 2}))
+            status, body, _ = await app.handle(
+                "POST", "/admin/recover",
+                {"directory": str(tmp_path / "missing")})
+            after = await upsert(app, Multiset("after", {"zz": 2}))
+            probe = QueryRequest.threshold(Multiset("probe", {"zz": 2}), 1.0)
+            _, answer, _ = await app.handle("POST", "/query",
+                                            probe.to_json_dict())
+            await app.shutdown()
+            return before, status, body["error"]["code"], after, answer
+
+        before, status, code, after, answer = run_async(scenario())
+        assert (before, status, code, after) \
+            == (200, 500, "storage_error", 200)
+        assert QueryResponse.from_json_dict(answer).ids() \
+            == ["after", "before"]
+
+    @pytest.mark.parametrize("persisted_shards", [2, 4])
+    def test_writes_racing_a_recover_swap_land_on_the_recovered_fleet(
+            self, tmp_path, monkeypatch, persisted_shards):
+        # Regression: a write arriving while the swap was in flight met the
+        # closed queues (429), and one after a swap to *more* shards indexed
+        # the old queue list with the new fleet's shard number.  The app
+        # starts on 2 shards; every shard of the recovered fleet gets one
+        # write submitted mid-swap and one after it.
+        members = corpus()
+        make_service(persisted_shards, members).persist(tmp_path)
+        fresh = {}
+        for number in range(200):
+            fresh.setdefault(shard_for(f"fresh{number}", persisted_shards),
+                             []).append(f"fresh{number}")
+        racing = [ids[0] for ids in fresh.values()]
+        later = [ids[1] for ids in fresh.values()]
+        assert len(racing) == persisted_shards
+        swapping, release = threading.Event(), threading.Event()
+        recover = ReplicatedSimilarityService.recover
+
+        def held_open(directory, **options):
+            swapping.set()
+            release.wait(10)
+            return recover(directory, **options)
+
+        monkeypatch.setattr(ReplicatedSimilarityService, "recover",
+                            staticmethod(held_open))
+
+        async def scenario():
+            app = await started_app()
+            started_on = app.service
+            swap = asyncio.ensure_future(app.handle(
+                "POST", "/admin/recover", {"directory": str(tmp_path)}))
+            await asyncio.get_running_loop().run_in_executor(
+                None, swapping.wait, 10)
+            writes = [asyncio.ensure_future(
+                upsert(app, Multiset(name, {"zz": 1}))) for name in racing]
+            await asyncio.sleep(0.02)
+            answered_early = [write.done() for write in writes]
+            release.set()
+            statuses = [(await swap)[0]] + list(await asyncio.gather(*writes))
+            statuses += [await upsert(app, Multiset(name, {"zz": 1}))
+                         for name in later]
+            service = app.service
+            await app.shutdown()
+            return started_on, service, answered_early, statuses
+
+        started_on, service, answered_early, statuses = run_async(scenario())
+        assert not any(answered_early)  # queued behind the swap, not refused
+        assert statuses == [200] * (1 + 2 * persisted_shards)
+        assert service is not started_on
+        assert service.num_shards == persisted_shards
+        assert len(service) == len(members) + 2 * persisted_shards
+        for shard, ids in fresh.items():
+            assert ids[0] in service.shards[shard] \
+                and ids[1] in service.shards[shard]
+            assert ids[0] not in started_on
+
+    @pytest.mark.parametrize("mode", ["direct", "view"])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_census_two_queue_workers_one_fleet_thread(self, tmp_path,
+                                                       num_shards, mode):
+        members = corpus()
+        if mode == "view":
+            view = JoinView(JoinSpec(measure="ruzicka", threshold=0.5,
+                                     algorithm="exact"), members)
+            app = SimilarityServerApp(
+                unreplicated_fleet("ruzicka", num_shards=num_shards),
+                view=view)
+        else:
+            app = SimilarityServerApp(make_service(num_shards, members))
+        probe = QueryRequest.topk(members[0].with_id("probe"), 3)
+
+        async def scenario():
+            await app.startup()
+            workers = sorted(task.get_name() for task in asyncio.all_tasks()
+                             if task.get_name().startswith("queue-"))
+            statuses = [
+                (await app.handle("POST", "/query",
+                                  probe.to_json_dict()))[0],
+                await upsert(app, Multiset("fresh", {"zz": 1})),
+                (await app.handle("POST", "/admin/persist",
+                                  {"directory": str(tmp_path)}))[0]]
+            lanes = [thread.name for thread in threading.enumerate()
+                     if thread.name.startswith("repro-fleet")]
+            queues = set(app.server_stats()["queues"])
+            await app.shutdown()
+            return workers, statuses, lanes, queues
+
+        workers, statuses, lanes, queues = run_async(scenario())
+        assert workers == ["queue-queries", "queue-writes"]
+        assert statuses == [200, 200, 200]
+        assert len(lanes) == 1
+        assert queues == {"queries", "writes"}
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-fleet")]
+
+    def test_unusable_directories_answer_storage_error(self, tmp_path):
+        # Regression: both answered 500 internal_error (FileNotFoundError).
+        a_file = tmp_path / "a-file"
+        a_file.write_text("not a directory")
+
+        async def scenario():
+            app = await started_app()
+            answers = [await app.handle("POST", path, {"directory": target})
+                       for path, target in (
+                           ("/admin/recover", str(a_file)),
+                           ("/admin/persist", str(a_file / "below")))]
+            await app.shutdown()
+            return answers
+
+        for status, body, _ in run_async(scenario()):
+            assert (status, body["error"]["code"]) == (500, "storage_error")
+            assert "a-file" in body["error"]["message"]
+
+    @pytest.mark.parametrize("lose_state", ["false", "no", 0, 0.0, 1, None])
+    def test_kill_takes_lose_state_as_a_json_boolean_only(self, lose_state):
+        # Regression: bool("false") is True — the reply said lose_state
+        # true and the replica was wiped.
+        async def scenario():
+            app = await started_app()
+            node = app.service.shards[0].replicas[0].node
+            held = len(node)
+            refused = await app.handle(
+                "POST", "/admin/kill",
+                {"shard": 0, "replica": 0, "lose_state": lose_state})
+            untouched = app.service.replica_health()["shard0"]["healthy"]
+            kept = await app.handle(
+                "POST", "/admin/kill",
+                {"shard": 0, "replica": 0, "lose_state": False})
+            await app.shutdown()
+            return held, refused, untouched, kept, len(node)
+
+        held, refused, untouched, kept, left = run_async(scenario())
+        assert (refused[0], refused[1]["error"]["code"]) \
+            == (400, "server_error")
+        assert "lose_state" in refused[1]["error"]["message"]
+        assert untouched == 1
+        assert kept[:2] == (200, {"killed": {"shard": 0, "replica": 0,
+                                             "lose_state": False}})
+        assert held == left > 0
+
+
+# ---------------------------------------------------------------------------
 # Backpressure (satellite: fill the queue, 429 + Retry-After, recover)
 # ---------------------------------------------------------------------------
 
@@ -484,7 +664,6 @@ class TestBackpressure:
     def test_full_queue_answers_429_then_recovers(self):
         service = make_service()
         config = ServerConfig(query_queue_capacity=2, query_max_batch=1,
-                              max_in_flight=1, executor_threads=1,
                               retry_after_seconds=0.25)
         app = SimilarityServerApp(service, config=config)
         release = threading.Event()
@@ -565,8 +744,7 @@ class TestBatchAdmission:
     def test_batch_refused_for_lack_of_room_executes_nothing(self):
         async def scenario():
             app = SimilarityServerApp(make_service(), config=ServerConfig(
-                query_queue_capacity=8, query_max_batch=1, max_in_flight=1,
-                executor_threads=1))
+                query_queue_capacity=8, query_max_batch=1))
             release = threading.Event()
             original = app._execute_queries
 
@@ -635,7 +813,7 @@ class TestGracefulShutdown:
         async def scenario():
             app = SimilarityServerApp(
                 make_service(),
-                config=ServerConfig(query_max_batch=1, executor_threads=1))
+                config=ServerConfig(query_max_batch=1))
             await app.startup()
             request = QueryRequest.topk(corpus()[0].with_id("probe"), 3)
             direct = app.service.batch([request])[0]
@@ -725,6 +903,42 @@ class TestCommandLine:
         assert len(app.service) == len(members)
         assert app.service.num_shards == 2
         assert app.service.replication_factor == 1
+
+    def test_every_knob_has_a_reader(self):
+        # A ServerConfig field nothing reads as ``config.<name>`` outside the
+        # class body, or a flag ``--help`` lists that ``__main__`` never
+        # reads as ``args.<dest>``, selects nothing: delete it.  (Reading a
+        # value is necessary, not sufficient — the two knobs 3.2 removed
+        # were read, into a pool and an in-flight bound that the one lock
+        # made moot; the census in TestOneLane pins the behaviour.)
+        import repro.server
+        from repro.server.__main__ import build_parser
+
+        read: dict[str, set[str]] = {"config": set(), "args": set()}
+        fields = []
+        package = pathlib.Path(repro.server.__file__).parent
+        for source in sorted(package.glob("*.py")):
+            pending = [ast.parse(source.read_text())]
+            while pending:
+                node = pending.pop()
+                if isinstance(node, ast.ClassDef) \
+                        and node.name == "ServerConfig":
+                    fields = [statement.target.id for statement in node.body
+                              if isinstance(statement, ast.AnnAssign)]
+                    continue
+                if isinstance(node, ast.Attribute):
+                    owner = node.value
+                    owner = getattr(owner, "attr", getattr(owner, "id", None))
+                    if owner in read:
+                        read[owner].add(node.attr)
+                pending.extend(ast.iter_child_nodes(node))
+        assert "query_queue_capacity" in fields  # the class was found
+        assert set(fields) - read["config"] == set()
+        flags = set(re.findall(r"--([a-z][a-z-]*)",
+                               build_parser().format_help())) - {"help"}
+        assert "port" in flags
+        assert {flag.replace("-", "_") for flag in flags} - read["args"] \
+            == set()
 
     @pytest.mark.parametrize("replication", ["1", "2"])
     @pytest.mark.parametrize("source", ["--shards", "--recover"])

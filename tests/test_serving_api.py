@@ -12,7 +12,7 @@ import tarfile
 
 import pytest
 
-from repro.core.exceptions import ServingError
+from repro.core.exceptions import ServingError, StorageError
 from repro.core.multiset import Multiset
 from repro.serving.api import (
     QueryMatch,
@@ -231,6 +231,17 @@ class TestServicePersistRecover:
     def test_recover_rejects_an_empty_directory(self, tmp_path):
         with pytest.raises(ServingError, match="no shard"):
             ReplicatedSimilarityService.recover(tmp_path)
+
+    def test_unusable_paths_are_typed_storage_errors(self, service, tmp_path):
+        # Regression: these escaped as bare FileNotFoundError /
+        # NotADirectoryError, which the wire answers as 500 internal_error.
+        a_file = tmp_path / "a-file"
+        a_file.write_text("not a directory")
+        for path in (tmp_path / "missing", a_file):
+            with pytest.raises(StorageError, match=path.name):
+                ReplicatedSimilarityService.recover(path)
+        with pytest.raises(StorageError, match="a-file"):
+            service.persist(a_file / "below")
 
     def test_recover_refuses_a_directory_persist_did_not_write(self, tmp_path):
         # Regression: recovery took "however many shard files are present"

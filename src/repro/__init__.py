@@ -127,7 +127,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.2.0"
+__version__ = "3.3.0"
 
 __all__ = [
     "Change",

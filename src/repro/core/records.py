@@ -20,9 +20,10 @@ across the :class:`~repro.mapreduce.backends.ProcessBackend` boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Hashable, Tuple
 
-from repro.core.exceptions import ServingError
+from repro.core.exceptions import InvalidMultisetError, ServingError
 from repro.core.multiset import Element, Multiset, MultisetId
 
 UniPartials = Tuple[float, ...]
@@ -168,12 +169,30 @@ def assemble_multisets(records) -> dict[MultisetId, Multiset]:
     """Group raw :class:`InputTuple` records back into multisets.
 
     Multiplicities of duplicate (multiset, element) records are summed, which
-    mirrors how a log-aggregation preprocessing step would behave.
+    mirrors how a log-aggregation preprocessing step would behave.  A
+    :class:`Multiset` holds integer multiplicities, so this is the door that
+    makes them plain integers: a whole-number ``float`` (``2.0``) is taken
+    as the integer it is, anything fractional, non-finite or ``bool`` raises
+    :class:`~repro.core.exceptions.InvalidMultisetError` instead of being
+    truncated into a different multiset.
     """
     counts: dict[MultisetId, dict[Element, int]] = {}
     for record in records:
         per_multiset = counts.setdefault(record.multiset_id, {})
         per_multiset[record.element] = (per_multiset.get(record.element, 0)
-                                        + int(record.multiplicity))
+                                        + _whole_multiplicity(record))
     return {multiset_id: Multiset(multiset_id, elements)
             for multiset_id, elements in counts.items()}
+
+
+def _whole_multiplicity(record: InputTuple) -> int:
+    """``record``'s multiplicity as the ``int`` it denotes, or a typed error."""
+    value = record.multiplicity
+    if not isinstance(value, bool):
+        if isinstance(value, Integral):
+            return int(value)
+        if isinstance(value, Real) and float(value).is_integer():
+            return int(value)
+    raise InvalidMultisetError(
+        f"multiset {record.multiset_id!r}: multiplicity of element "
+        f"{record.element!r} must be a whole number, got {value!r}")

@@ -66,9 +66,9 @@ from repro.mapreduce.costmodel import (
 )
 from repro.mapreduce.types import JobStats, estimate_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure
-from repro.similarity.partials import uni_contribution
 from repro.vcl.prefix import frequency_rank_function, prefix_elements
 from repro.vsmart.driver import LOOKUP, ONLINE_AGGREGATION, SHARDING
+from repro.vsmart.shapes import RecordShapes
 
 #: Size charged for a dataclass/tuple container by the byte estimator.
 _CONTAINER = 16
@@ -269,51 +269,6 @@ class JoinPlan:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _RecordSizes:
-    """Estimated record sizes (bytes) for one measure.
-
-    The pipelines run on interned records, so every element and multiset
-    identifier is one dense-integer word; only the partial-result tuples
-    depend on the measure.
-    """
-
-    uni: float
-    conj: float
-
-    @classmethod
-    def resolve(cls, measure: NominalSimilarityMeasure) -> "_RecordSizes":
-        return cls(
-            uni=float(estimate_record_bytes(uni_contribution(measure, 2))),
-            conj=float(estimate_record_bytes(measure.conj_from_pair(2.0, 3.0))))
-
-    @property
-    def input_tuple(self) -> float:
-        """``<Mi, a_k, f_ik>``."""
-        return _CONTAINER + 3 * _WORD
-
-    @property
-    def joined_tuple(self) -> float:
-        """``<Mi, Uni(Mi), a_k, f_ik>``."""
-        return _CONTAINER + _WORD + self.uni + 2 * _WORD
-
-    @property
-    def posting(self) -> float:
-        """``<Mi, Uni(Mi), f_ik>`` keyed by the element."""
-        return _CONTAINER + _WORD + self.uni + _WORD
-
-    @property
-    def pair_key(self) -> float:
-        """``<Mi, Mj, Uni(Mi), Uni(Mj)>``, both ids packed into one word."""
-        return _CONTAINER + _WORD + 2 * self.uni
-
-    def keyed(self, key_bytes: float, value_bytes: float,
-              secondary: bool = False) -> float:
-        """One shuffled ``KeyValue`` record around a key and a value."""
-        return (_CONTAINER + key_bytes + value_bytes
-                + (_WORD if secondary else 1))
-
-
 class Planner:
     """Choose (or cost) a join pipeline from corpus statistics.
 
@@ -461,7 +416,7 @@ class Planner:
         self._refresh_calibration()
         profile = profile or CorpusProfile.from_multisets(multisets)
         measure = spec.resolved_measure()
-        sizes = _RecordSizes.resolve(measure)
+        sizes = RecordShapes(measure)
         if algorithm == "minhash":
             jobs = self._estimate_minhash(spec, profile)
         elif algorithm == "sampled":
@@ -538,7 +493,7 @@ class Planner:
                           cost=self.cost_model.job_cost(stats, cluster),
                           materialises_groups=materialises_groups)
 
-    def _similarity_phase(self, profile: CorpusProfile, sizes: _RecordSizes,
+    def _similarity_phase(self, profile: CorpusProfile, sizes: RecordShapes,
                           cluster: Cluster,
                           fused_sim1: bool = False) -> list[PlannedJob]:
         """The shared Similarity1 + Similarity2 steps (paper section 4).
@@ -547,8 +502,8 @@ class Planner:
         (Lookup fuses its own mapper into the job, priced by the caller).
         """
         machines = max(1, cluster.num_machines)
-        posting_kv = sizes.keyed(_WORD, sizes.posting)
-        pair_record = _CONTAINER + sizes.pair_key + (_CONTAINER + 2 * _WORD)
+        posting_kv = sizes.posting_kv
+        pair_record = sizes.pair_record
         overhead = self.cost_parameters.record_overhead_bytes
 
         records = profile.num_records
@@ -584,7 +539,7 @@ class Planner:
             jobs.append(self._job("lookup2+similarity1", cluster,
                                   **sim1_reduce))
 
-        pair_kv = sizes.keyed(sizes.pair_key, sizes.conj)
+        pair_kv = sizes.pair_kv
         sim2_shuffle = candidates * pair_kv
         # Combiners cap any one pair's reduce group at one record per mapper
         # machine; the largest group belongs to the pair sharing the most
@@ -622,14 +577,12 @@ class Planner:
     # -- per-algorithm estimates --------------------------------------------
 
     def _estimate_online_aggregation(self, profile: CorpusProfile,
-                                     sizes: _RecordSizes,
+                                     sizes: RecordShapes,
                                      cluster: Cluster) -> list[PlannedJob]:
         overhead = self.cost_parameters.record_overhead_bytes
         records = profile.num_records
-        uni_value = _CONTAINER + _WORD + sizes.uni
-        element_value = _CONTAINER + 3 * _WORD
-        kv_uni = sizes.keyed(_WORD, uni_value, secondary=True)
-        kv_element = sizes.keyed(_WORD, element_value, secondary=True)
+        kv_uni = sizes.oa_uni_kv
+        kv_element = sizes.oa_element_kv
         map_out = records * (kv_uni + kv_element)
         combined_uni = self._combined_uni_records(profile, cluster)
         shuffle = records * kv_element + combined_uni * kv_uni
@@ -655,15 +608,15 @@ class Planner:
             max_group_bytes=max_group,
         )]
 
-    def _estimate_lookup(self, profile: CorpusProfile, sizes: _RecordSizes,
+    def _estimate_lookup(self, profile: CorpusProfile, sizes: RecordShapes,
                          cluster: Cluster) -> list[PlannedJob]:
         overhead = self.cost_parameters.record_overhead_bytes
         machines = max(1, cluster.num_machines)
         records = profile.num_records
-        kv_uni = sizes.keyed(_WORD, sizes.uni)
+        kv_uni = sizes.lookup1_kv
         combined = self._combined_uni_records(profile, cluster)
         shuffle = combined * kv_uni
-        table_entry = _CONTAINER + _WORD + sizes.uni
+        table_entry = sizes.table_entry
         max_u = profile.max_cardinality
         lookup1 = self._job(
             "lookup1", cluster,
@@ -685,9 +638,8 @@ class Planner:
 
         # Lookup2 fuses with Similarity1: one job maps every raw tuple
         # against the in-memory table and reduces element posting lists.
-        # (A dict pays one container overhead total, not one per entry.)
-        table_bytes = _CONTAINER + profile.num_multisets * (_WORD + sizes.uni)
-        posting_kv = sizes.keyed(_WORD, sizes.posting)
+        table_bytes = sizes.table(profile.num_multisets)
+        posting_kv = sizes.posting_kv
         fused, similarity2 = self._similarity_phase(profile, sizes, cluster,
                                                     fused_sim1=True)
         fused_map = self._job(
@@ -707,7 +659,7 @@ class Planner:
         return [lookup1, fused, similarity2]
 
     def _estimate_sharding(self, spec: JoinSpec, profile: CorpusProfile,
-                           sizes: _RecordSizes,
+                           sizes: RecordShapes,
                            cluster: Cluster) -> list[PlannedJob]:
         overhead = self.cost_parameters.record_overhead_bytes
         machines = max(1, cluster.num_machines)
@@ -718,10 +670,10 @@ class Planner:
         sharded_records = sum(sharded)
         unsharded_records = records - sharded_records
 
-        kv_contribution = sizes.keyed(_WORD, _CONTAINER + sizes.uni + _WORD)
+        kv_contribution = sizes.sharding1_kv
         combined = self._combined_uni_records(profile, cluster)
         shuffle1 = combined * kv_contribution
-        table_entry = _CONTAINER + _WORD + sizes.uni
+        table_entry = sizes.table_entry
         max_u = profile.max_cardinality
         sharding1 = self._job(
             "sharding1", cluster,
@@ -743,11 +695,9 @@ class Planner:
             max_group_bytes=min(max_u, machines) * kv_contribution,
         )
 
-        table_bytes = _CONTAINER + len(sharded) * (_WORD + sizes.uni)
-        fingerprint_key = _CONTAINER + 2 * _WORD
-        kv_sharded = sizes.keyed(fingerprint_key,
-                                 _CONTAINER + sizes.uni + 3 * _WORD)
-        kv_unsharded = sizes.keyed(fingerprint_key, _CONTAINER + 3 * _WORD)
+        table_bytes = sizes.table(len(sharded))
+        kv_sharded = sizes.sharded_kv
+        kv_unsharded = sizes.unsharded_kv
         shuffle2 = (sharded_records * kv_sharded
                     + unsharded_records * kv_unsharded)
         # Sharded tuples scatter one record per fingerprint; the largest

@@ -4,10 +4,11 @@ Job inputs and outputs are :class:`Dataset` objects: named, immutable
 sequences of records.  Real MapReduce reads partitioned files from GFS/HDFS;
 the simulator only needs the record stream and each record's approximate
 byte size, so a dataset is a tuple of records plus a tuple of their sizes.
-A record is sized at emission *or on a dataset's first read*, never
-re-walked: a job's output dataset is handed the sizes its records were
-emitted with, and a dataset built without sizes (the pipeline's input)
-computes them the first time a job reads it and keeps them.
+A record is never walked twice: a job's output dataset is handed the sizes
+its records were emitted with, a driver that knows its input's shape hands
+them over too (the V-SMART pipelines' interned tuples), and a dataset built
+without sizes computes them, with the generic sizer, the first time a job
+reads it and keeps them.
 """
 
 from __future__ import annotations

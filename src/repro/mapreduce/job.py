@@ -15,12 +15,23 @@ Reducers that must hold their entire value list in memory (for example the
 VCL kernel reducer or the unsharded branch of Sharding2) declare
 ``materializes_input = True`` so that the runner can enforce the per-machine
 memory budget, reproducing the thrashing failures discussed in the paper.
+
+The same kind of declaration says what a job's records weigh.  A job whose
+records' sizes follow from their shape works them out when it is built
+(:func:`~repro.mapreduce.types.walk_record_bytes` over one prototype record
+per emit site) and hands them over where the records are made: its mapper
+yields :func:`~repro.mapreduce.types.sized_key_value` records carrying the
+number and checks, in :meth:`Mapper.check_input`, that the input has the
+shape the number assumes; its combiner declares
+:attr:`Combiner.keeps_value_shape`; its reducer declares
+:attr:`Reducer.output_record_bytes`.  A job that declares nothing has every
+record sized by the generic sizer as it is emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.counters import Counters
@@ -67,6 +78,14 @@ class Mapper:
     def setup(self, context: TaskContext) -> None:
         """Called once per task before any record is mapped."""
 
+    def check_input(self, record: Any, context: TaskContext) -> None:
+        """Called once per task with its first input record, before it is mapped.
+
+        A mapper whose emissions carry sizes worked out from the records'
+        shape raises :class:`~repro.core.exceptions.JobConfigurationError`
+        here when the input does not have the shape those sizes assume.
+        """
+
     def map(self, record: Any, context: TaskContext) -> Iterator[Any]:
         """Transform one input record into zero or more key/value pairs."""
         raise NotImplementedError
@@ -97,6 +116,12 @@ class Combiner:
     (exactly the constraint real MapReduce imposes).
     """
 
+    #: Set to True when every value :meth:`combine` yields has the shape of
+    #: the group's values (a sum of partial results, a value passed through):
+    #: the combined record then weighs what each record of its group was
+    #: built with, and the runner hands that size on instead of sizing it.
+    keeps_value_shape: bool = False
+
     def combine(self, key: Hashable, values: Sequence[Any],
                 context: TaskContext) -> Iterator[Any]:
         """Pre-aggregate the values of one key on the mapper machine."""
@@ -120,6 +145,13 @@ class Reducer:
     #: Set to True when the reducer must hold the whole reduce value list in
     #: memory at once (enables the runner's memory-budget check).
     materializes_input: bool = False
+
+    #: What an output record weighs, when its shape says so: an ``int`` when
+    #: every record :meth:`reduce` and :meth:`cleanup` emit has one shape, a
+    #: function of the record when a shape holds a list (``base + n x
+    #: item``).  ``None``: the runner sizes each output record as it is
+    #: emitted.
+    output_record_bytes: int | Callable[[Any], int] | None = None
 
     def setup(self, context: TaskContext) -> None:
         """Called once per task before any group is reduced."""
@@ -210,16 +242,17 @@ def normalise_emit(emitted: Any) -> KeyValue:
     """Normalise a mapper emission into a :class:`KeyValue` that knows its size.
 
     Accepts ``KeyValue`` instances, ``(key, value)`` pairs and
-    ``(key, value, secondary)`` triples.  This is where a record is sized:
-    once, at emission (a ``KeyValue`` that already carries its size, such as
-    one read back from a map-only job's output, is passed through as it is).
+    ``(key, value, secondary)`` triples.  A ``KeyValue`` that carries its
+    size — built by a mapper that knows its records' shapes, or read back
+    from a map-only job's output — is passed through as it is; anything
+    else is sized here, once, at emission.
     """
-    if isinstance(emitted, tuple) and 2 <= len(emitted) <= 3:
-        return sized_key_value(*emitted)
     if isinstance(emitted, KeyValue):
         if emitted.size_bytes:
             return emitted
         return sized_key_value(emitted.key, emitted.value, emitted.secondary)
+    if isinstance(emitted, tuple) and 2 <= len(emitted) <= 3:
+        return sized_key_value(*emitted)
     raise JobConfigurationError(
         "mappers must emit KeyValue records, (key, value) pairs or "
         f"(key, value, secondary) triples; got {type(emitted).__name__}")

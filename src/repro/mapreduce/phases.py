@@ -11,17 +11,20 @@ and an exact :class:`~repro.mapreduce.types.PhaseStats` partial.
 
 The task loops do per record only what is per record — three rules:
 
-* **Sized at emission or on a dataset's first read, never re-walked.**  A
-  map task reads its input sizes from the dataset (the sizes the previous
-  job's reducer gave its output, or computed once when its first job read
-  it) and sizes each emission as it becomes a
-  :class:`~repro.mapreduce.types.KeyValue`; a combine task sizes what the
-  combiner emits; a reduce task sizes the reducer's output and returns the
-  sizes, which the runner hands to the next job.  Everything downstream —
-  a group's ``bytes_in``, the memory-budget check on a materialised value
-  list, the external shuffle's buffer — reads the size the record carries.
+* **Sized by shape when the job is built; the walker is the definition and
+  the fallback.**  A map task reads its input sizes from the dataset (the
+  sizes the previous job's reducer gave its output, handed over by the
+  driver, or computed once when its first job read it).  What a task emits
+  weighs what its job declared: a mapper's ``KeyValue`` arrives carrying
+  the number its emit site was built with, a combiner that keeps the
+  value's shape keeps the record's carried size, a reducer's
+  ``output_record_bytes`` is the size of each output record.  Only what a
+  job leaves undeclared is sized here, by the generic sizer, as it is
+  emitted.  Everything downstream — a group's ``bytes_in``, the
+  memory-budget check on a materialised value list, the external shuffle's
+  buffer, the next job's input — reads the size the record carries.
 * **One construction site**: :func:`~repro.mapreduce.types.sized_key_value`
-  is the only place a task builds a ``KeyValue``.
+  is the only place a ``KeyValue`` is built, by a task or by a mapper.
 * **Partitioned per key at task end.**  Map and combine tasks collect their
   output flat and :func:`partition_by_key` asks the partitioner once per
   distinct key when the task ends.  The runner merges the resulting *spill
@@ -57,6 +60,9 @@ Spill = dict[int, dict[Any, list[KeyValue]]]
 #: The size a record was given when it was emitted: the tasks read this
 #: and never walk a ``KeyValue`` again.
 _carried_bytes = attrgetter("size_bytes")
+
+#: What a reducer declared about its output records' sizes: read once per task.
+_declared_output_bytes = attrgetter("output_record_bytes")
 
 
 def check_memory_budget(job_name: str, what: str, required: int,
@@ -166,6 +172,8 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
     counters = Counters()
     context = TaskContext(counters, job.side_data, task.num_machines, job.name)
     job.mapper.setup(context)
+    if task.records:
+        job.mapper.check_input(task.records[0], context)
     phase = PhaseStats()
     emissions: list[KeyValue] = []
     machine_work = phase.machine_work
@@ -257,6 +265,7 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
     context = TaskContext(counters, job.side_data, task.num_machines, job.name)
     phase = PhaseStats()
     combined: list[KeyValue] = []
+    keeps_shape = combiner.keeps_value_shape
     for machine, groups in task.machines:
         bytes_in = 0
         bytes_out = 0
@@ -265,8 +274,11 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
             values = [kv.value for kv in key_values]
             bytes_in += sum(map(_carried_bytes, key_values))
             records_in += len(values)
+            # A value of the group's shape, under the group's key: the
+            # combined record weighs what each record of the group does.
+            kept = _carried_bytes(key_values[0]) if keeps_shape else None
             for value in combiner.combine(key, values, context):
-                new_kv = sized_key_value(key, value, secondary)
+                new_kv = sized_key_value(key, value, secondary, kept)
                 combined.append(new_kv)
                 bytes_out += _carried_bytes(new_kv)
         phase.records_in += records_in
@@ -364,6 +376,11 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     counters = Counters()
     context = TaskContext(counters, job.side_data, task.num_machines, job.name)
     reducer.setup(context)
+    # What the job declared: one size for every output record, a function
+    # of the record, or nothing (the generic sizer, record by record).
+    declared = _declared_output_bytes(reducer)
+    constant = declared if isinstance(declared, int) else None
+    sizer = declared if callable(declared) else estimate_record_bytes
     phase = PhaseStats()
     output_records: list[Any] = []
     output_bytes: list[int] = []
@@ -389,24 +406,32 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
                 peak_task_memory = bytes_in
             check_memory_budget(job.name, f"reduce value list of key {key!r}",
                                 bytes_in, task.memory_budget)
-        bytes_out = 0
-        records_out = 0
-        for record in reducer.reduce(key, values, context):
-            size = estimate_record_bytes(record)
-            output_records.append(record)
-            output_bytes.append(size)
-            bytes_out += size
-            records_out += 1
+        if constant is not None:
+            emitted_before = len(output_records)
+            output_records.extend(reducer.reduce(key, values, context))
+            records_out = len(output_records) - emitted_before
+            bytes_out = records_out * constant
+        else:
+            bytes_out = 0
+            records_out = 0
+            for record in reducer.reduce(key, values, context):
+                size = sizer(record)
+                output_records.append(record)
+                output_bytes.append(size)
+                bytes_out += size
+                records_out += 1
         work = bytes_in + bytes_out + task.overhead * len(values)
         phase.records_in += len(values)
         phase.records_out += records_out
         phase.bytes_in += bytes_in
         phase.bytes_out += bytes_out
         phase.add_machine_work(partition % task.num_machines, work)
+    if constant is not None:
+        output_bytes = [constant] * len(output_records)
     cleanup_bytes = 0
     cleanup_count = 0
     for record in reducer.cleanup(context):
-        size = estimate_record_bytes(record)
+        size = sizer(record) if constant is None else constant
         output_records.append(record)
         output_bytes.append(size)
         cleanup_bytes += size

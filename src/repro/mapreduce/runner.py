@@ -31,11 +31,12 @@ to disk (the ``"disk"`` backend).  Task partials are integer-valued and
 merged deterministically, so results, counters and simulated times are
 identical across backends; only wall-clock time and peak memory change.
 
-A record is sized at emission (:func:`~repro.mapreduce.types.sized_key_value`,
-the one place a ``KeyValue`` is built) or on a dataset's first read, never
-re-walked: :meth:`LocalJobRunner.run` hands the sizes a job's output was
-emitted with to the output :class:`~repro.mapreduce.dfs.Dataset`, and the
-next job's map tasks read them.
+A record is sized by shape when its job is built — the walker
+(:func:`~repro.mapreduce.types.walk_record_bytes`) is the definition and,
+for a job that declares nothing, the fallback — and never walked twice:
+:meth:`LocalJobRunner.run` hands the sizes a job's output was emitted with
+to the output :class:`~repro.mapreduce.dfs.Dataset`, and the next job's map
+tasks read them.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ class LocalJobRunner:
                        stats: JobStats, counters: Counters,
                        num_reducers: int,
                        build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
-        # Sized by the job that emitted them or, once, by this first read.
+        # Sized by whoever made them (a job, the driver) or, once, by this
+        # first read.
         records, record_bytes = dataset.records, dataset.record_bytes
         overhead = self.cost_parameters.record_overhead_bytes
         machines = self.cluster.num_machines

@@ -11,17 +11,22 @@ largest multiset), not the aggregate work.
 
 Bytes come from one definition of a record's size.
 :func:`walk_record_bytes` is that definition, a recursive walk over any
-value; :func:`estimate_record_bytes` is what the simulator calls, the same
-numbers through a sizer compiled once per class for the types the pipelines
-actually move (numbers, text, tuples, lists, the record dataclasses) and
-the walker itself for any type without one.  The rule the runner keeps:
-a record is **sized at emission or on a dataset's first read, never
-re-walked** — the mapper's and combiner's output is sized where it becomes
-a :class:`KeyValue` (:func:`sized_key_value`, the one place the runner
-builds one) and the number travels with the record through the combine,
-shuffle and reduce phases; the reducer's output is sized as it is emitted
-and the sizes ride on the output :class:`~repro.mapreduce.dfs.Dataset` to
-the next job.
+value.  The rule the runner keeps: a record is **sized by shape when the
+job is built; the walker is the definition and the fallback**.  The records
+a join shuffles are fixed-arity tuples of interned ids, multiplicities and
+a measure's partial results, so what one weighs follows from its shape, not
+from its values: a job that knows its shapes applies the walker once, when
+it is built, to a prototype record of each emit site, and hands that number
+to every record the site constructs (:func:`sized_key_value`, the one place
+a :class:`KeyValue` is built, takes it; a reducer or a combiner declares it,
+see :mod:`repro.mapreduce.job`).  A job that declares nothing is sized by
+:func:`estimate_record_bytes`, record by record as it emits — the walker's
+numbers through shortcuts for the builtin types such jobs' keys and values
+are made of, and the walker itself for any other type.  Either way the
+number travels with the record through the combine, shuffle and reduce
+phases, and a job's output sizes ride on the output
+:class:`~repro.mapreduce.dfs.Dataset` to the next job: nothing is walked
+twice.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ def walk_record_bytes(value: Any) -> int:
     is what its base is.  Dataclass fields declared ``compare=False`` are
     bookkeeping carried beside the record (a :class:`KeyValue`'s size), not
     payload, and are not counted.  :func:`estimate_record_bytes` falls back
-    to this walker for every type without a compiled sizer, and the tests
-    hold the compiled sizers to it.
+    to this walker for every type it has no shortcut for, and the tests
+    hold its shortcuts — and every size a job declares by shape — to it.
     """
     if value is None or isinstance(value, bool):
         return 1
@@ -92,47 +97,22 @@ def _container_bytes(items: Iterable[Any]) -> int:
         elif cls is tuple:
             total += _OBJECT_OVERHEAD
             for inner in item:
-                sizer = _SIZERS[type(inner)]
+                sizer = _SIZERS.get(type(inner), walk_record_bytes)
                 total += sizer if type(sizer) is int else sizer(inner)
         else:
-            sizer = _SIZERS[cls]
+            sizer = _SIZERS.get(cls, walk_record_bytes)
             total += sizer if type(sizer) is int else sizer(item)
     return total
 
 
-class _Sizers(dict):
-    """Exact type -> its size (an ``int``) or its sizer, compiled on a miss.
-
-    Keyed by the *exact* type, so a subclass never lands on its base's
-    entry: it is compiled (or sent to the walker) in its own right.  The
-    table holds one entry per class the process has sized, nothing per
-    record.
-    """
-
-    def __missing__(self, cls: type) -> Callable[[Any], int]:
-        sizer = self[cls] = _compile_sizer(cls)
-        return sizer
-
-
-#: Types the walker settles before (or instead of) looking at dataclass fields.
-_WALKED_AS_BUILTIN = (int, float, str, bytes, tuple, list, set, frozenset, dict)
-
-
-def _compile_sizer(cls: type) -> Callable[[Any], int]:
-    """A sizer over ``cls``'s resolved field names; the walker for the rest."""
-    if not dataclasses.is_dataclass(cls) or issubclass(cls, _WALKED_AS_BUILTIN):
-        return walk_record_bytes
-    names = [fld.name for fld in dataclasses.fields(cls) if fld.compare]
-    if hasattr(cls, "estimated_bytes") or "estimated_bytes" in names:
-        return walk_record_bytes
-    fields = "".join(f"value.{name}, " for name in names)
-    return eval(f"lambda value: container_bytes(({fields}))",
-                {"container_bytes": _container_bytes})
-
-
-_SIZERS = _Sizers({type(None): 1, bool: 1, int: 8, float: 8,
-                   str: _text_bytes, bytes: _text_bytes,
-                   tuple: _container_bytes, list: _container_bytes})
+#: Exact type -> its size (an ``int``) or its sizer, for the builtin types
+#: the walker settles in one step.  Keyed by the *exact* type, so a subclass
+#: (an ``IntEnum``, a ``NamedTuple``) never lands on its base's entry: it
+#: goes to the walker, like every type without an entry.
+_SIZERS: dict[type, int | Callable[[Any], int]] = {
+    type(None): 1, bool: 1, int: 8, float: 8,
+    str: _text_bytes, bytes: _text_bytes,
+    tuple: _container_bytes, list: _container_bytes}
 
 
 def estimate_record_bytes(value: Any) -> int:
@@ -143,12 +123,14 @@ def estimate_record_bytes(value: Any) -> int:
     is all the cost model needs: relative sizes drive the shuffle volume,
     the memory-budget checks and the per-machine load balance.
 
-    Dispatches on the exact type to a sizer compiled once per class
-    (constants, ``len + 4``, a loop over items or over a record dataclass's
-    fields); :func:`walk_record_bytes` defines the size of every other type
-    and is what each compiled sizer must equal.
+    What sizes every record a job does not size by shape.  Dispatches on the
+    exact type: numbers, text, tuples and lists — what such jobs' keys and
+    values are made of — are settled without recursion into the walker;
+    :func:`walk_record_bytes` defines the size of every other type (a
+    record dataclass, a multiset with its cached ``estimated_bytes``) and
+    is what each shortcut must equal.
     """
-    sizer = _SIZERS[type(value)]
+    sizer = _SIZERS.get(type(value), walk_record_bytes)
     return sizer if type(sizer) is int else sizer(value)
 
 
@@ -164,8 +146,10 @@ class KeyValue:
     biggest memory lever in a large shuffle.
 
     ``size_bytes`` is the record's estimated size, filled in once when the
-    record is emitted (:func:`sized_key_value`) and read by every later
-    phase instead of walking the record again; ``0`` means not sized yet.
+    record is built (:func:`sized_key_value`: the number its emit site
+    worked out from the record's shape, or a walk of this record) and read
+    by every later phase instead of walking the record again; ``0`` means
+    not sized yet.
     It is no part of the record: equality, hashing, ``repr`` and the
     record's own estimated size ignore it.
     """
@@ -180,19 +164,22 @@ _set_key, _set_value, _set_secondary, _set_size_bytes = (
     getattr(KeyValue, name).__set__ for name in KeyValue.__slots__)
 
 
-def sized_key_value(key: Hashable, value: Any,
-                    secondary: Hashable = None) -> KeyValue:
-    """A :class:`KeyValue` carrying its own :func:`estimate_record_bytes`.
+def sized_key_value(key: Hashable, value: Any, secondary: Hashable = None,
+                    size_bytes: int | None = None) -> KeyValue:
+    """A :class:`KeyValue` carrying its size: ``size_bytes`` when the emit
+    site knows it from the record's shape, else its own
+    :func:`estimate_record_bytes`.
 
-    The one place the runner builds a ``KeyValue``, once per emission, so
-    the slots are filled through their descriptors: the frozen ``__init__``
-    pays a guarded ``object.__setattr__`` per field, three times the cost.
+    The one place a ``KeyValue`` is built, once per emission, so the slots
+    are filled through their descriptors: the frozen ``__init__`` pays a
+    guarded ``object.__setattr__`` per field, three times the cost.
     """
     record = object.__new__(KeyValue)
     _set_key(record, key)
     _set_value(record, value)
     _set_secondary(record, secondary)
-    _set_size_bytes(record, _container_bytes((key, value, secondary)))
+    _set_size_bytes(record, _container_bytes((key, value, secondary))
+                    if size_bytes is None else size_bytes)
     return record
 
 

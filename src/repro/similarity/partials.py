@@ -19,7 +19,7 @@ API, not on the MapReduce machinery.)
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.similarity.base import NominalSimilarityMeasure, Partials
 
@@ -35,11 +35,17 @@ def uni_contribution(measure: NominalSimilarityMeasure,
 
 
 def merge_uni(measure: NominalSimilarityMeasure,
-              contributions: Sequence[Partials]) -> Partials:
-    """Fold a sequence of ``Uni`` contributions with the measure's merge."""
-    accumulator = measure.uni_zero()
+              contributions: Iterable[Partials],
+              uni_zero: Partials | None = None) -> Partials:
+    """Fold ``Uni`` contributions with the measure's merge.
+
+    ``uni_zero`` is the measure's identity element when the caller has read
+    it already (a combiner or reducer reads it once per job, not per group).
+    """
+    merge = measure.uni_merge
+    accumulator = measure.uni_zero() if uni_zero is None else uni_zero
     for contribution in contributions:
-        accumulator = measure.uni_merge(accumulator, contribution)
+        accumulator = merge(accumulator, contribution)
     return accumulator
 
 

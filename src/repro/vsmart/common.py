@@ -9,7 +9,7 @@ the reducers that handle multisets with vast underlying cardinalities).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.mapreduce.job import Combiner, TaskContext
 from repro.similarity.base import NominalSimilarityMeasure, Partials
@@ -29,12 +29,15 @@ class UniSumCombiner(Combiner):
     Used by Lookup1, whose map output values are plain contribution tuples.
     """
 
+    keeps_value_shape = True
+
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._uni_zero = measure.uni_zero()
 
     def combine(self, key: object, values: Sequence[Partials],
                 context: TaskContext) -> Iterator[Partials]:
-        yield merge_uni(self.measure, values)
+        yield merge_uni(self.measure, values, self._uni_zero)
 
 
 class UniCountCombiner(Combiner):
@@ -44,14 +47,25 @@ class UniCountCombiner(Combiner):
     cardinality ``|U(Mi)|`` (to compare against the sharding threshold C).
     """
 
+    keeps_value_shape = True
+
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._uni_zero = measure.uni_zero()
 
     def combine(self, key: object, values: Sequence[tuple[Partials, int]],
                 context: TaskContext) -> Iterator[tuple[Partials, int]]:
-        uni = self.measure.uni_zero()
-        count = 0
-        for contribution, elements in values:
-            uni = self.measure.uni_merge(uni, contribution)
-            count += elements
-        yield (uni, count)
+        yield fold_uni_counts(self.measure, self._uni_zero, values)
+
+
+def fold_uni_counts(measure: NominalSimilarityMeasure, uni_zero: Partials,
+                    values: Iterable[tuple[Partials, int]]
+                    ) -> tuple[Partials, int]:
+    """Fold ``(Uni contribution, element count)`` values into their sums."""
+    merge = measure.uni_merge
+    uni = uni_zero
+    count = 0
+    for contribution, elements in values:
+        uni = merge(uni, contribution)
+        count += elements
+    return uni, count

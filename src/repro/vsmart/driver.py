@@ -33,6 +33,7 @@ from repro.vsmart.lookup import (
 )
 from repro.vsmart.online_aggregation import build_online_aggregation_job
 from repro.vsmart.preprocessing import build_stop_word_job
+from repro.vsmart.shapes import INPUT_TUPLE_BYTES, RecordShapes
 from repro.vsmart.sharding import build_sharding1_job, build_sharding2_job
 from repro.vsmart.similarity_phase import (
     Similarity1Reducer,
@@ -86,7 +87,8 @@ class VSmartJoin:
 
         records = explode_multisets(multisets)
         interning = InterningContext.from_input_tuples(records)
-        dataset = Dataset("interned_input", interning.intern_records(records))
+        dataset = Dataset("interned_input", interning.intern_records(records),
+                          [INPUT_TUPLE_BYTES] * len(records))
 
         job_stats = []
         joining_names: list[str] = []
@@ -139,14 +141,15 @@ class VSmartJoin:
             phase_config: SimilarityPhaseConfig, dataset: Dataset,
             pair_codec: PairCodec) -> tuple[JobResult, list[JobResult]]:
         spec = self.spec
-        prune_measure = measure if spec.prune_candidates else None
+        # Without a threshold Similarity1 prunes nothing; it is always told
+        # the measure, whose arity is what its records' sizes follow from.
         prune_threshold = spec.threshold if spec.prune_candidates else None
         if self.algorithm == ONLINE_AGGREGATION:
             joining = self.runner.run(
                 build_online_aggregation_job(measure, spec.use_combiners),
                 dataset)
             sim1 = self.runner.run(
-                build_similarity1_job(phase_config, measure=prune_measure,
+                build_similarity1_job(phase_config, measure=measure,
                                       threshold=prune_threshold,
                                       pair_codec=pair_codec),
                 joining.output)
@@ -158,10 +161,12 @@ class VSmartJoin:
             fused = JobSpec(name="lookup2+similarity1",
                             mapper=LookupJoinMapper(measure),
                             reducer=Similarity1Reducer(
-                                phase_config, measure=prune_measure,
+                                phase_config, measure=measure,
                                 threshold=prune_threshold,
                                 pair_codec=pair_codec),
-                            side_data=table)
+                            side_data=table,
+                            side_data_bytes=RecordShapes(measure).table(
+                                len(table)))
             sim1 = self.runner.run(fused, dataset)
             return sim1, [lookup1]
         # Sharding
@@ -172,7 +177,7 @@ class VSmartJoin:
         sharding2 = self.runner.run(
             build_sharding2_job(measure, sharded_table), dataset)
         sim1 = self.runner.run(
-            build_similarity1_job(phase_config, measure=prune_measure,
+            build_similarity1_job(phase_config, measure=measure,
                                   threshold=prune_threshold,
                                   pair_codec=pair_codec),
             sharding2.output)

@@ -24,22 +24,27 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.core.records import InputTuple, PostingEntry
-from repro.mapreduce.job import JobSpec, Mapper, Reducer, TaskContext
-from repro.mapreduce.types import estimate_record_bytes
+from repro.mapreduce.job import JobSpec, Reducer, TaskContext
+from repro.mapreduce.types import KeyValue, sized_key_value
 from repro.similarity.base import NominalSimilarityMeasure, Partials
 from repro.vsmart.common import UniSumCombiner, merge_uni, uni_contribution
+from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 
-class Lookup1Mapper(Mapper):
+class Lookup1Mapper(InternedInputMapper):
     """``mapLookup1``: emit the per-element ``Uni`` contribution keyed by ``Mi``."""
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._kv_bytes = RecordShapes(measure).lookup1_kv
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
-        yield (record.multiset_id, uni_contribution(self.measure, record.multiplicity))
+        yield sized_key_value(
+            record.multiset_id,
+            uni_contribution(self.measure, record.multiplicity),
+            None, self._kv_bytes)
 
 
 class Lookup1Reducer(Reducer):
@@ -49,14 +54,17 @@ class Lookup1Reducer(Reducer):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        shapes = RecordShapes(measure)
+        self._uni_zero = shapes.uni_zero
+        self.output_record_bytes = shapes.table_entry
 
     def reduce(self, key: object, values: Sequence[Partials],
                context: TaskContext) -> Iterator[tuple]:
         context.increment("lookup1/multisets", 1)
-        yield (key, merge_uni(self.measure, values))
+        yield (key, merge_uni(self.measure, values, self._uni_zero))
 
 
-class LookupJoinMapper(Mapper):
+class LookupJoinMapper(InternedInputMapper):
     """``mapLookup2``: join raw tuples against the in-memory lookup table.
 
     The side data is the ``{Mi: Uni(Mi)}`` dictionary produced by Lookup1.
@@ -68,19 +76,22 @@ class LookupJoinMapper(Mapper):
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
         self._table: dict = {}
+        self._kv_bytes = RecordShapes(measure).posting_kv
 
     def setup(self, context: TaskContext) -> None:
         self._table = context.side_data or {}
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
         uni = self._table.get(record.multiset_id)
         if uni is None:
             context.increment("lookup2/missing_table_entries", 1)
             return
-        yield (record.element,
-               PostingEntry(record.multiset_id, uni, record.multiplicity))
+        yield sized_key_value(
+            record.element,
+            PostingEntry(record.multiset_id, uni, record.multiplicity),
+            None, self._kv_bytes)
 
 
 def build_lookup1_job(measure: NominalSimilarityMeasure,
@@ -97,8 +108,3 @@ def build_lookup1_job(measure: NominalSimilarityMeasure,
 def lookup_table_from_records(records) -> dict:
     """Materialise Lookup1's output records into the lookup dictionary."""
     return {multiset_id: uni for multiset_id, uni in records}
-
-
-def lookup_table_bytes(table: dict) -> int:
-    """Estimated in-memory size of the lookup table (one entry per multiset)."""
-    return estimate_record_bytes(table)

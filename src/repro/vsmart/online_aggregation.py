@@ -19,9 +19,11 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.core.records import InputTuple, JoinedTuple
-from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
+from repro.mapreduce.job import Combiner, JobSpec, Reducer, TaskContext
+from repro.mapreduce.types import KeyValue, sized_key_value
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.vsmart.common import merge_uni, uni_contribution
+from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 #: Secondary key of the records carrying ``Uni`` information.
 UNI_SECONDARY = 0
@@ -34,7 +36,7 @@ UNI_TAG = 0
 ELEMENT_TAG = 1
 
 
-class OnlineAggregationMapper(Mapper):
+class OnlineAggregationMapper(InternedInputMapper):
     """``mapOnline-Aggregation1``: emit Uni information and elements per tuple.
 
     ``<Mi, m_ik>  ->  <Mi, 0, g(f_ik)>, <Mi, 1, m_ik>``  (for ``f_ik > 0``)
@@ -42,15 +44,19 @@ class OnlineAggregationMapper(Mapper):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        shapes = RecordShapes(measure)
+        self._uni_kv_bytes = shapes.oa_uni_kv
+        self._element_kv_bytes = shapes.oa_element_kv
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
         contribution = uni_contribution(self.measure, record.multiplicity)
-        yield (record.multiset_id, (UNI_TAG, contribution), UNI_SECONDARY)
-        yield (record.multiset_id,
-               (ELEMENT_TAG, record.element, record.multiplicity),
-               ELEMENT_SECONDARY)
+        yield sized_key_value(record.multiset_id, (UNI_TAG, contribution),
+                              UNI_SECONDARY, self._uni_kv_bytes)
+        yield sized_key_value(record.multiset_id,
+                              (ELEMENT_TAG, record.element, record.multiplicity),
+                              ELEMENT_SECONDARY, self._element_kv_bytes)
 
 
 class OnlineAggregationCombiner(Combiner):
@@ -58,17 +64,22 @@ class OnlineAggregationCombiner(Combiner):
 
     The runner invokes combiners per ``(key, secondary key)`` group, so a
     group holds either only ``Uni`` contributions (merged into one) or only
-    element records (passed through untouched).
+    element records (passed through untouched): either way a value of the
+    group's own shape.
     """
+
+    keeps_value_shape = True
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._uni_zero = measure.uni_zero()
 
     def combine(self, key: object, values: Sequence[tuple],
                 context: TaskContext) -> Iterator[tuple]:
         first_tag = values[0][0] if values else None
         if first_tag == UNI_TAG:
-            merged = merge_uni(self.measure, [value[1] for value in values])
+            merged = merge_uni(self.measure, [value[1] for value in values],
+                               self._uni_zero)
             yield (UNI_TAG, merged)
             return
         yield from values
@@ -87,10 +98,13 @@ class OnlineAggregationReducer(Reducer):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        shapes = RecordShapes(measure)
+        self._uni_zero = shapes.uni_zero
+        self.output_record_bytes = shapes.joined_tuple
 
     def reduce(self, key: object, values: Sequence[tuple],
                context: TaskContext) -> Iterator[JoinedTuple]:
-        uni = self.measure.uni_zero()
+        uni = self._uni_zero
         for value in values:
             tag = value[0]
             if tag == UNI_TAG:

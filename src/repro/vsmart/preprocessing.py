@@ -21,16 +21,24 @@ from typing import Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.core.records import InputTuple
-from repro.mapreduce.job import JobSpec, Mapper, Reducer, TaskContext
+from repro.mapreduce.job import JobSpec, Reducer, TaskContext
+from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.vsmart.shapes import (
+    INPUT_TUPLE_BYTES,
+    STOP_WORD_KV_BYTES,
+    InternedInputMapper,
+)
 
 
-class StopWordMapper(Mapper):
+class StopWordMapper(InternedInputMapper):
     """Re-key raw tuples by element: ``<Mi, m_ik> -> <a_k, <Mi, f_ik>>``."""
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
-        yield (record.element, (record.multiset_id, record.multiplicity))
+        yield sized_key_value(record.element,
+                              (record.multiset_id, record.multiplicity),
+                              None, STOP_WORD_KV_BYTES)
 
 
 class StopWordReducer(Reducer):
@@ -42,6 +50,7 @@ class StopWordReducer(Reducer):
     """
 
     materializes_input = False
+    output_record_bytes = INPUT_TUPLE_BYTES
 
     def __init__(self, frequency_threshold: int) -> None:
         if frequency_threshold < 1:

@@ -25,10 +25,16 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.core.records import InputTuple, JoinedTuple
-from repro.mapreduce.job import JobSpec, Mapper, Reducer, TaskContext
+from repro.mapreduce.job import JobSpec, Reducer, TaskContext
 from repro.mapreduce.partitioner import stable_hash
+from repro.mapreduce.types import KeyValue, sized_key_value
 from repro.similarity.base import NominalSimilarityMeasure, Partials
-from repro.vsmart.common import UniCountCombiner, uni_contribution
+from repro.vsmart.common import (
+    UniCountCombiner,
+    fold_uni_counts,
+    uni_contribution,
+)
+from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 #: Sentinel fingerprint routing every element of an unsharded multiset to a
 #: single reducer (the paper's ``<Mi, -1>`` key).
@@ -48,17 +54,20 @@ def element_fingerprint(element: object) -> int:
     return stable_hash(element, salt="sharding-fingerprint") % FINGERPRINT_SPACE
 
 
-class Sharding1Mapper(Mapper):
+class Sharding1Mapper(InternedInputMapper):
     """``mapSharding1``: emit ``Uni`` contributions plus an element count."""
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._kv_bytes = RecordShapes(measure).sharding1_kv
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
-        yield (record.multiset_id,
-               (uni_contribution(self.measure, record.multiplicity), 1))
+        yield sized_key_value(
+            record.multiset_id,
+            (uni_contribution(self.measure, record.multiplicity), 1),
+            None, self._kv_bytes)
 
 
 class Sharding1Reducer(Reducer):
@@ -76,21 +85,20 @@ class Sharding1Reducer(Reducer):
             raise ValueError("the sharding parameter C must be at least 1")
         self.measure = measure
         self.cardinality_threshold = cardinality_threshold
+        shapes = RecordShapes(measure)
+        self._uni_zero = shapes.uni_zero
+        self.output_record_bytes = shapes.table_entry
 
     def reduce(self, key: object, values: Sequence[tuple[Partials, int]],
                context: TaskContext) -> Iterator[tuple]:
-        uni = self.measure.uni_zero()
-        count = 0
-        for contribution, elements in values:
-            uni = self.measure.uni_merge(uni, contribution)
-            count += elements
+        uni, count = fold_uni_counts(self.measure, self._uni_zero, values)
         context.increment("sharding1/multisets", 1)
         if count > self.cardinality_threshold:
             context.increment("sharding1/sharded_multisets", 1)
             yield (key, uni)
 
 
-class Sharding2Mapper(Mapper):
+class Sharding2Mapper(InternedInputMapper):
     """``mapSharding2``: route tuples by whether their multiset is sharded.
 
     Sharded tuples join ``Uni(Mi)`` from the (small) lookup table and are
@@ -101,20 +109,27 @@ class Sharding2Mapper(Mapper):
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
         self._table: dict = {}
+        shapes = RecordShapes(measure)
+        self._sharded_kv_bytes = shapes.sharded_kv
+        self._unsharded_kv_bytes = shapes.unsharded_kv
 
     def setup(self, context: TaskContext) -> None:
         self._table = context.side_data or {}
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[tuple]:
+    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
         if record.multiplicity <= 0:
             return
         uni = self._table.get(record.multiset_id)
         if uni is not None:
             key = (record.multiset_id, element_fingerprint(record.element))
-            yield (key, (SHARDED_TAG, uni, record.element, record.multiplicity))
+            yield sized_key_value(
+                key, (SHARDED_TAG, uni, record.element, record.multiplicity),
+                None, self._sharded_kv_bytes)
         else:
             key = (record.multiset_id, UNSHARDED_FINGERPRINT)
-            yield (key, (UNSHARDED_TAG, record.element, record.multiplicity))
+            yield sized_key_value(
+                key, (UNSHARDED_TAG, record.element, record.multiplicity),
+                None, self._unsharded_kv_bytes)
 
 
 class Sharding2Reducer(Reducer):
@@ -131,6 +146,9 @@ class Sharding2Reducer(Reducer):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        shapes = RecordShapes(measure)
+        self._uni_zero = shapes.uni_zero
+        self.output_record_bytes = shapes.joined_tuple
 
     def reduce(self, key: tuple, values: Sequence[tuple],
                context: TaskContext) -> Iterator[JoinedTuple]:
@@ -142,7 +160,7 @@ class Sharding2Reducer(Reducer):
                 yield JoinedTuple(multiset_id, uni, element, multiplicity)
             return
         materialised = list(values)
-        uni = self.measure.uni_zero()
+        uni = self._uni_zero
         for _tag, _element, multiplicity in materialised:
             uni = self.measure.uni_merge(
                 uni, uni_contribution(self.measure, multiplicity))
@@ -170,4 +188,6 @@ def build_sharding2_job(measure: NominalSimilarityMeasure,
     return JobSpec(name=name,
                    mapper=Sharding2Mapper(measure),
                    reducer=Sharding2Reducer(measure),
-                   side_data=sharded_table)
+                   side_data=sharded_table,
+                   side_data_bytes=RecordShapes(measure).table(
+                       len(sharded_table)))

@@ -51,7 +51,9 @@ from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import PairCodec
 from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
+from repro.mapreduce.types import KeyValue, sized_key_value, walk_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
+from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 
 @dataclass(frozen=True)
@@ -165,15 +167,29 @@ class _CandidateFilter:
 # ---------------------------------------------------------------------------
 
 
-class Similarity1Mapper(Mapper):
+class Similarity1Mapper(InternedInputMapper):
     """``mapSimilarity1``: re-key joined tuples by their alphabet element.
 
     ``<Mi, Uni(Mi), m_ik>  ->  <a_k, <Mi, Uni(Mi), f_ik>>``
+
+    Built with the ``measure`` whose ``Uni`` the joined tuples carry, the
+    mapper knows what a posting weighs; without one each emission is sized
+    as it is emitted.
     """
 
-    def map(self, record: JoinedTuple, context: TaskContext) -> Iterator[tuple]:
-        yield (record.element,
-               PostingEntry(record.multiset_id, record.uni, record.multiplicity))
+    def __init__(self, measure: NominalSimilarityMeasure | None = None) -> None:
+        self._kv_bytes = (None if measure is None
+                          else RecordShapes(measure).posting_kv)
+
+    def check_input(self, record: JoinedTuple, context: TaskContext) -> None:
+        if self._kv_bytes is not None:
+            super().check_input(record, context)
+
+    def map(self, record: JoinedTuple, context: TaskContext) -> Iterator[KeyValue]:
+        yield sized_key_value(
+            record.element,
+            PostingEntry(record.multiset_id, record.uni, record.multiplicity),
+            None, self._kv_bytes)
 
 
 class Similarity1Reducer(Reducer):
@@ -188,7 +204,9 @@ class Similarity1Reducer(Reducer):
 
     With ``measure`` and ``threshold`` supplied, pairs whose similarity
     upper bound cannot reach the threshold are pruned here — before they
-    ever enter the shuffle.
+    ever enter the shuffle.  With ``measure`` supplied the reducer also
+    knows what its output weighs: one size for every candidate record, and
+    ``base + n x posting`` for a chunk pair holding ``n`` postings.
     """
 
     def __init__(self, config: SimilarityPhaseConfig | None = None, *,
@@ -198,6 +216,21 @@ class Similarity1Reducer(Reducer):
         self.config = config or SimilarityPhaseConfig()
         self.filter = _CandidateFilter(measure, threshold, pair_codec)
         self.materializes_input = self.config.chunk_size is None
+        if measure is not None:
+            shapes = RecordShapes(measure)
+            self._pair_record_bytes = shapes.pair_record
+            self.output_record_bytes = self._pair_record_bytes
+            if self.config.chunk_size is not None:
+                self._posting_bytes = shapes.posting
+                self._chunk_pair_bytes = walk_record_bytes(
+                    ChunkPairRecord(0, (), (), True))
+                self.output_record_bytes = self._chunked_output_bytes
+
+    def _chunked_output_bytes(self, record: object) -> int:
+        if type(record) is ChunkPairRecord:
+            return self._chunk_pair_bytes + self._posting_bytes * (
+                len(record.first_chunk) + len(record.second_chunk))
+        return self._pair_record_bytes
 
     def reduce(self, key: object, values: Sequence[PostingEntry],
                context: TaskContext) -> Iterable[object]:
@@ -257,13 +290,29 @@ class Similarity2Mapper(Mapper):
         self.measure = measure
         self.filter = _CandidateFilter(
             measure if threshold is not None else None, threshold, pair_codec)
+        shapes = RecordShapes(measure)
+        self._pair_key_bytes = shapes.pair_key
+        self._kv_bytes = shapes.pair_kv
 
-    def map(self, record: object, context: TaskContext) -> Iterator[tuple]:
+    def check_input(self, record: object, context: TaskContext) -> None:
+        """The pair key is passed through: it must have the shape sized for."""
+        if isinstance(record, ChunkPairRecord):
+            return
+        key, _contribution = record
+        if walk_record_bytes(key) != self._pair_key_bytes:
+            raise JobConfigurationError(
+                f"job {context.job_name!r} sizes its records by shape and "
+                f"needs pair keys of one packed int and two Uni tuples of "
+                f"measure {self.measure.name!r}, but the key of its first "
+                f"input record is {key!r}")
+
+    def map(self, record: object, context: TaskContext) -> Iterator[KeyValue]:
         if isinstance(record, ChunkPairRecord):
             yield from self._expand_chunks(record, context)
             return
         key, contribution = record
-        yield (key, self._conj(contribution))
+        yield sized_key_value(key, self._conj(contribution), None,
+                              self._kv_bytes)
 
     def _conj(self, contribution: PairContribution) -> tuple:
         return self.measure.conj_from_pair(
@@ -271,22 +320,26 @@ class Similarity2Mapper(Mapper):
             self.measure.effective_multiplicity(contribution.multiplicity_second))
 
     def _expand_chunks(self, record: ChunkPairRecord,
-                       context: TaskContext) -> Iterator[tuple]:
+                       context: TaskContext) -> Iterator[KeyValue]:
         for key, contribution in self.filter.pair_records(
                 record.first_chunk, record.second_chunk, record.same_chunk,
                 context, "similarity2/chunk_expanded_records"):
-            yield (key, self._conj(contribution))
+            yield sized_key_value(key, self._conj(contribution), None,
+                                  self._kv_bytes)
 
 
 class ConjunctiveCombiner(Combiner):
     """Dedicated combiner summing conjunctive contributions per pair."""
 
+    keeps_value_shape = True
+
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
+        self._conj_zero = measure.conj_zero()
 
     def combine(self, key: object, values: Sequence[tuple],
                 context: TaskContext) -> Iterator[tuple]:
-        accumulator = self.measure.conj_zero()
+        accumulator = self._conj_zero
         for value in values:
             accumulator = self.measure.conj_merge(accumulator, value)
         yield accumulator
@@ -307,10 +360,13 @@ class Similarity2Reducer(Reducer):
         self.measure = measure
         self.threshold = validate_threshold(threshold)
         self.pair_codec = pair_codec
+        shapes = RecordShapes(measure)
+        self._conj_zero = shapes.conj_zero
+        self.output_record_bytes = shapes.similar_pair
 
     def reduce(self, key: object, values: Sequence[tuple],
                context: TaskContext) -> Iterator[SimilarPair]:
-        conj = self.measure.conj_zero()
+        conj = self._conj_zero
         for value in values:
             conj = self.measure.conj_merge(conj, value)
         packed, uni_first, uni_second = key
@@ -339,11 +395,12 @@ def build_similarity1_job(config: SimilarityPhaseConfig | None = None,
     last step already produces element-keyed postings can fuse its map stage
     with Similarity1 and save a MapReduce step, as the paper describes.
     Passing ``measure`` and ``threshold`` enables upper-bound candidate
-    pruning; ``pair_codec`` is the codec of the interning pass that produced
-    the dense multiset identifiers in the input.
+    pruning (``measure`` alone: the job knows its records' shapes and sizes
+    them by shape, nothing is pruned); ``pair_codec`` is the codec of the
+    interning pass that produced the dense multiset identifiers in the input.
     """
     return JobSpec(name=name,
-                   mapper=mapper or Similarity1Mapper(),
+                   mapper=mapper or Similarity1Mapper(measure),
                    reducer=Similarity1Reducer(config, measure=measure,
                                               threshold=threshold,
                                               pair_codec=pair_codec))

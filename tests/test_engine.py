@@ -38,16 +38,24 @@ from repro.core.exceptions import (
     MemoryBudgetExceeded,
 )
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
+from repro.core.interning import PairCodec
+from repro.core.records import InputTuple, JoinedTuple
 from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
 from repro.mapreduce.backends import ProcessBackend
 from repro.mapreduce.cluster import HADOOP, Cluster, laptop_cluster
 from repro.mapreduce.costmodel import CostParameters
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import TaskContext
+from repro.mapreduce.types import estimate_record_bytes
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.exact import all_pairs_exact
-from repro.similarity.registry import supported_measures
+from repro.similarity.registry import get_measure, supported_measures
 from repro.vsmart.driver import JOINING_ALGORITHMS
+from repro.vsmart.online_aggregation import build_online_aggregation_job
+from repro.vsmart.shapes import RecordShapes
+from repro.vsmart.similarity_phase import build_similarity1_job
 from tests.conftest import (
     BACKENDS,
     assert_matches_oracle,
@@ -253,6 +261,74 @@ class TestPlanner:
                 explicit, multisets).simulated_seconds
         fastest = min(measured, key=measured.get)
         assert plan.algorithm == fastest, (plan.algorithm, measured)
+
+    @pytest.mark.parametrize("measure_name", sorted(supported_measures()))
+    def test_prices_the_sizes_the_jobs_are_built_with(self, measure_name):
+        """One definition of a record's shape.  The planner prices with
+        ``RecordShapes``, the catalogue the jobs read when they are built;
+        its numbers are the ones the planner's own arithmetic gave until it
+        was deleted (``container + words + Uni``, written out per record),
+        and the ones the built jobs hand to their records."""
+        measure = get_measure(measure_name)
+        shapes = RecordShapes(measure)
+        container, word = 16, 8
+        uni = estimate_record_bytes(measure.uni_from_multiplicity(2.0))
+        conj = estimate_record_bytes(measure.conj_from_pair(2.0, 3.0))
+
+        def keyed(key, value, secondary=False):
+            return container + key + value + (word if secondary else 1)
+
+        input_tuple = container + 3 * word
+        joined_tuple = container + word + uni + 2 * word
+        posting = container + word + uni + word
+        pair_key = container + word + 2 * uni
+        fingerprint_key = container + 2 * word
+        assert {
+            "input_tuple": shapes.input_tuple,
+            "joined_tuple": shapes.joined_tuple,
+            "posting": shapes.posting,
+            "pair_key": shapes.pair_key,
+            "pair_record": shapes.pair_record,
+            "table_entry": shapes.table_entry,
+            "table": shapes.table(37),
+            "posting_kv": shapes.posting_kv,
+            "pair_kv": shapes.pair_kv,
+            "oa_uni_kv": shapes.oa_uni_kv,
+            "oa_element_kv": shapes.oa_element_kv,
+            "lookup1_kv": shapes.lookup1_kv,
+            "sharding1_kv": shapes.sharding1_kv,
+            "sharded_kv": shapes.sharded_kv,
+            "unsharded_kv": shapes.unsharded_kv,
+        } == {
+            "input_tuple": input_tuple,
+            "joined_tuple": joined_tuple,
+            "posting": posting,
+            "pair_key": pair_key,
+            "pair_record": container + pair_key + (container + 2 * word),
+            "table_entry": container + word + uni,
+            "table": container + 37 * (word + uni),
+            "posting_kv": keyed(word, posting),
+            "pair_kv": keyed(pair_key, conj),
+            "oa_uni_kv": keyed(word, container + word + uni, secondary=True),
+            "oa_element_kv": keyed(word, container + 3 * word, secondary=True),
+            "lookup1_kv": keyed(word, uni),
+            "sharding1_kv": keyed(word, container + uni + word),
+            "sharded_kv": keyed(fingerprint_key, container + uni + 3 * word),
+            "unsharded_kv": keyed(fingerprint_key, container + 3 * word),
+        }
+
+        context = TaskContext(Counters())
+        joining = build_online_aggregation_job(measure)
+        assert [emitted.size_bytes for emitted in joining.mapper.map(
+            InputTuple(0, 0, 1), context)] == [shapes.oa_uni_kv,
+                                               shapes.oa_element_kv]
+        assert joining.reducer.output_record_bytes == joined_tuple
+        similarity1 = build_similarity1_job(pair_codec=PairCodec(2),
+                                            measure=measure)
+        [emitted] = similarity1.mapper.map(
+            JoinedTuple(0, shapes.uni_zero, 0, 1), context)
+        assert emitted.size_bytes == shapes.posting_kv
+        assert similarity1.reducer.output_record_bytes == shapes.pair_record
 
     def test_auto_result_carries_the_plan(self, paper_engine):
         multisets = uniform_corpus()

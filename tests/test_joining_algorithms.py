@@ -17,7 +17,7 @@ from repro.core.exceptions import (
 )
 from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
-from repro.core.records import JoinedTuple, explode_multisets
+from repro.core.records import InputTuple, JoinedTuple, explode_multisets
 from repro.mapreduce.cluster import Cluster, GOOGLE_MAPREDUCE
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.runner import LocalJobRunner
@@ -175,6 +175,34 @@ class TestSharding:
         sharding2 = build_sharding2_job(MEASURE, {})
         with pytest.raises(MemoryBudgetExceeded):
             runner.run(sharding2, raw)
+
+
+class TestRawInputIsRefused:
+    """The jobs' records are sized by shape, which holds for interned input
+    only: on raw tuples the first map task says so, naming job and value,
+    instead of accounting a silently different byte count."""
+
+    @pytest.mark.parametrize("build_job", [
+        lambda: build_online_aggregation_job(MEASURE),
+        lambda: build_lookup1_job(MEASURE),
+        lambda: build_sharding1_job(MEASURE, cardinality_threshold=10),
+        lambda: build_sharding2_job(MEASURE, {}),
+        lambda: build_stop_word_job(frequency_threshold=3),
+    ], ids=["online_aggregation", "lookup", "sharding", "sharding2",
+            "stop_word_filter"])
+    def test_un_interned_tuples_are_a_loud_error(self, build_job,
+                                                 small_multisets, test_cluster):
+        job = build_job()
+        raw = Dataset.from_records(explode_multisets(small_multisets))
+        with pytest.raises(JobConfigurationError) as caught:
+            LocalJobRunner(test_cluster).run(job, raw)
+        assert repr(job.name) in str(caught.value)
+        assert repr(small_multisets[0].id) in str(caught.value)
+
+    def test_a_bool_is_no_interned_id(self, test_cluster):
+        raw = Dataset.from_records([InputTuple(True, 0, 1)])
+        with pytest.raises(JobConfigurationError, match="True"):
+            LocalJobRunner(test_cluster).run(build_lookup1_job(MEASURE), raw)
 
 
 class TestStopWordPreprocessing:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import join
+from repro.core.exceptions import InvalidMultisetError
 from repro.core.multiset import Multiset
 from repro.core.records import (
     InputTuple,
@@ -54,6 +56,35 @@ class TestExplodeAssemble:
         records = [InputTuple("m", "a", 1), InputTuple("m", "a", 2)]
         assembled = assemble_multisets(records)
         assert assembled["m"].counts() == {"a": 3}
+
+    def test_whole_number_floats_are_the_integers_they_denote(self):
+        records = [InputTuple("m", "a", 2.0), InputTuple("m", "a", 1)]
+        counts = assemble_multisets(records)["m"].counts()
+        assert counts == {"a": 3} and type(counts["a"]) is int
+
+    @pytest.mark.parametrize("multiplicity", [
+        1.5, 0.5, float("nan"), float("inf"), True])
+    def test_a_multiplicity_that_is_no_whole_number_is_rejected(self, multiplicity):
+        # 1.5 used to be truncated to 1 (a different multiset, a wrong
+        # similarity), 0.5 to "must be positive, got 0"; nan / inf escaped
+        # as bare ValueError / OverflowError.
+        records = [InputTuple("m", "a", 1), InputTuple("m", "b", multiplicity)]
+        with pytest.raises(InvalidMultisetError) as caught:
+            assemble_multisets(records)
+        for named in ("'m'", "'b'", repr(multiplicity)):
+            assert named in str(caught.value)
+
+    def test_join_does_not_truncate_fractional_multiplicities(self):
+        # Ruzicka of {x: 1.5, y: 1} and {x: 2.5, y: 1} is 2.5 / 3.5; the
+        # join used to answer 2 / 3, silently, for the truncated multisets.
+        records = [InputTuple("a", "x", 1.5), InputTuple("a", "y", 1),
+                   InputTuple("b", "x", 2.5), InputTuple("b", "y", 1)]
+        with pytest.raises(InvalidMultisetError):
+            join(records, measure="ruzicka", threshold=0.1)
+        whole = [InputTuple("a", "x", 1.0), InputTuple("a", "y", 1),
+                 InputTuple("b", "x", 2.0), InputTuple("b", "y", 1)]
+        [pair] = join(whole, measure="ruzicka", threshold=0.1).pairs
+        assert pair.similarity == pytest.approx(2 / 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(

@@ -160,3 +160,28 @@ class TestPairRecords:
         multisets = [Multiset("only", {"x": 2})]
         pairs, _, _ = run_similarity_phase(multisets, "ruzicka", 0.1, test_cluster)
         assert pairs == []
+
+
+class TestShapesAreChecked:
+    """A similarity job told its measure sizes its records by shape, and its
+    first map task refuses input that does not have that shape."""
+
+    def test_similarity1_refuses_raw_joined_tuples(self, test_cluster):
+        measure = get_measure("ruzicka")
+        raw = Dataset.from_records([JoinedTuple("ip", (3.0,), "cookie", 3)])
+        job = build_similarity1_job(pair_codec=PairCodec(2), measure=measure)
+        with pytest.raises(JobConfigurationError, match="'similarity1'.*'ip'"):
+            LocalJobRunner(test_cluster).run(job, raw)
+        # Told no measure, the job declares nothing and sizes what it meets.
+        unsized = build_similarity1_job(pair_codec=PairCodec(2))
+        assert len(LocalJobRunner(test_cluster).run(unsized, raw).output) == 0
+
+    def test_similarity2_refuses_a_pair_key_of_another_shape(self, test_cluster):
+        measure = get_measure("ruzicka")
+        codec = PairCodec(2)
+        two_partials = (codec.pack(0, 1), (3.0, 9.0), (2.0, 4.0))
+        records = Dataset.from_records(
+            [(two_partials, PairContribution(1, 1))])
+        job = build_similarity2_job(measure, 0.5, pair_codec=codec)
+        with pytest.raises(JobConfigurationError, match="'similarity2'"):
+            LocalJobRunner(test_cluster).run(job, records)

@@ -10,8 +10,8 @@ depends on:
   and the concrete measures (Ruzicka, Jaccard, Dice, cosine, ...);
 * :mod:`repro.mapreduce` — a deterministic MapReduce simulator with
   combiners, secondary keys, per-machine memory/disk budgets and a cost
-  model producing simulated run times, on three execution backends
-  (``"serial"``, ``"process"`` and the out-of-core ``"disk"`` shuffle);
+  model producing simulated run times, on two execution backends
+  (``"serial"`` and the out-of-core ``"disk"`` shuffle);
 * :mod:`repro.vsmart` — the V-SMART-Join framework: the Online-Aggregation,
   Lookup and Sharding joining algorithms plus the shared two-step similarity
   phase (:class:`VSmartJoin` is the engine's internal driver: it is handed
@@ -78,7 +78,6 @@ from repro.core import (
 from repro.mapreduce import (
     Cluster,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     available_backends,
     get_backend,
@@ -127,7 +126,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.3.0"
+__version__ = "3.4.0"
 
 __all__ = [
     "Change",
@@ -149,7 +148,6 @@ __all__ = [
     "PairDelta",
     "PairCodec",
     "Planner",
-    "ProcessBackend",
     "ReplicatedShard",
     "ReplicatedSimilarityService",
     "ResultStore",

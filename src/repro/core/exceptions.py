@@ -64,10 +64,12 @@ class BackendError(MapReduceError):
     """Raised when an execution backend cannot be constructed or driven.
 
     Covers invalid backend options (``get_backend("disk",
-    memory_budget_bytes=0)``, an option the named backend does not take)
-    and backend-internal failures that are not a job's fault.  The message
-    always names the remedy — the backend and the options it accepts, or
-    the valid option values.
+    memory_budget_bytes=0)``, an option the named backend does not take,
+    options passed with a backend instance) and backend-internal failures
+    that are not a job's fault (a spill directory that cannot be created, a
+    run file that cannot be written or read back whole).  The message
+    always names the remedy — the backend and the options it accepts, the
+    valid option values, or the directory or file that failed.
     """
 
 
@@ -85,11 +87,6 @@ class MemoryBudgetExceeded(MapReduceError):
         self.required_bytes = int(required_bytes)
         self.budget_bytes = int(budget_bytes)
 
-    def __reduce__(self):
-        # Preserve the byte attributes when the exception is pickled across
-        # a process boundary (raised inside a ProcessBackend worker).
-        return (type(self), (str(self), self.required_bytes, self.budget_bytes))
-
 
 class DiskBudgetExceeded(MapReduceError):
     """Raised when a job writes more intermediate data than the disk budget."""
@@ -99,9 +96,6 @@ class DiskBudgetExceeded(MapReduceError):
         super().__init__(message)
         self.required_bytes = int(required_bytes)
         self.budget_bytes = int(budget_bytes)
-
-    def __reduce__(self):
-        return (type(self), (str(self), self.required_bytes, self.budget_bytes))
 
 
 class JobTimeoutError(MapReduceError):
@@ -117,9 +111,6 @@ class JobTimeoutError(MapReduceError):
         super().__init__(message)
         self.simulated_seconds = float(simulated_seconds)
         self.limit_seconds = float(limit_seconds)
-
-    def __reduce__(self):
-        return (type(self), (str(self), self.simulated_seconds, self.limit_seconds))
 
 
 class PipelineError(MapReduceError):

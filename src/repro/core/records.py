@@ -14,7 +14,7 @@ sort deterministically, which the shuffle stage of the simulator relies on.
 They carry ``slots=True`` because millions of them are alive at once in a
 big join — slots cut the per-record memory (no ``__dict__``) and speed up
 field access; the default slot-aware ``__getstate__`` keeps them picklable
-across the :class:`~repro.mapreduce.backends.ProcessBackend` boundary.
+into the disk shuffle's run files.
 """
 
 from __future__ import annotations

@@ -59,9 +59,7 @@ class SimilarityEngine:
         The simulated cluster every run executes on (default: the laptop
         cluster).  A spec's ``cluster`` field overrides per run.
     backend:
-        Execution backend name or instance (``"serial"``, ``"process"``,
-        ``"disk"``); instances are borrowed, names are owned and closed
-        by :meth:`close` / the context manager.
+        Execution backend name or instance (``"serial"`` or ``"disk"``).
     cost_parameters:
         Cost-model calibration shared by the planner and the runner.
     enforce_budgets:
@@ -78,7 +76,7 @@ class SimilarityEngine:
     Cluster, backend, cost parameters and budget switch live on
     :attr:`runner`, the session's one
     :class:`~repro.mapreduce.runner.LocalJobRunner`; a spec that overrides
-    any of them runs on a runner of its own, closed when the run ends.
+    any of them runs on a runner of its own.
     """
 
     def __init__(self, data=None, *,
@@ -104,8 +102,12 @@ class SimilarityEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the session backend when the engine created it."""
-        self.runner.close()
+        """End the session.
+
+        Nothing is held across runs (a disk backend removes its spill files
+        when each job ends), so this releases nothing; the ``with`` form
+        marks where a session is used.
+        """
 
     def __enter__(self) -> "SimilarityEngine":
         return self
@@ -241,9 +243,7 @@ class SimilarityEngine:
         """The session's runner, or one for this run alone.
 
         A spec that overrides infrastructure gets its own runner over the
-        session's remaining settings.  The caller closes it when the run
-        ends; a runner closes only a backend it created from a name, so the
-        session backend and a spec's backend instance are left open.
+        session's remaining settings.
         """
         if (spec.cluster is None and spec.backend is None
                 and spec.cost_parameters is None
@@ -261,13 +261,9 @@ class SimilarityEngine:
         if algorithm not in PLANNABLE_ALGORITHMS:
             return self._execute_sequential(algorithm, spec, multisets)
         runner = self._runner_for(spec)
-        try:
-            if algorithm == VCL:
-                return VCLJoin(spec, runner).run(multisets)
-            return VSmartJoin(spec, runner, algorithm).run(multisets)
-        finally:
-            if runner is not self.runner:
-                runner.close()
+        if algorithm == VCL:
+            return VCLJoin(spec, runner).run(multisets)
+        return VSmartJoin(spec, runner, algorithm).run(multisets)
 
     def _execute_sequential(self, algorithm: str, spec: JoinSpec,
                             multisets: list[Multiset]):
@@ -337,9 +333,9 @@ def join(data, *, cluster: Cluster | None = None,
         for pair in result:
             ...
 
-    A throwaway :class:`SimilarityEngine` session owns the infrastructure
-    for the duration of the call; construct the engine yourself to amortise
-    a backend or plan/inspect before running.
+    A throwaway :class:`SimilarityEngine` session holds the infrastructure
+    for the duration of the call; construct the engine yourself to plan /
+    inspect before running.
     """
     spec = JoinSpec(**spec_fields)
     with SimilarityEngine(cluster=cluster, backend=backend,

@@ -10,7 +10,6 @@ from repro.mapreduce.backends import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     DiskShuffleBackend,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     available_backends,
     get_backend,
@@ -79,7 +78,6 @@ __all__ = [
     "Mapper",
     "PhaseStats",
     "PipelineResult",
-    "ProcessBackend",
     "Reducer",
     "SerialBackend",
     "SummingCombiner",

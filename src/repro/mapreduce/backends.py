@@ -1,40 +1,34 @@
 """Pluggable execution backends for the MapReduce runner.
 
-The runner turns every phase of a job into a list of self-contained tasks
-(see :mod:`repro.mapreduce.phases`); a backend decides *where* those tasks
-run:
+The runner turns every phase of a job into one self-contained task (see
+:mod:`repro.mapreduce.phases`); a backend decides *where* that task runs
+and where the shuffle is held:
 
-* :class:`SerialBackend` executes tasks inline, one after another, exactly
-  reproducing the original single-process runner (it is the default);
-* :class:`ProcessBackend` fans tasks out to a multiprocessing pool, running
-  mapper/combiner slices and reducer partition batches on real OS processes
-  (measured ×2.8–3.2 *slower* than serial at 2 workers on a 2-vCPU host —
-  every record is pickled across the pool twice; kept pending ROADMAP
-  item 5);
+* :class:`SerialBackend` executes tasks inline on the calling thread and
+  keeps the shuffle in the runner's in-memory spill dictionaries (it is the
+  default);
 * :class:`DiskShuffleBackend` executes tasks inline like the serial backend
   but holds the shuffle in an
   :class:`~repro.mapreduce.shuffle.ExternalGrouper` — sorted run files
   under a byte budget, merged back one reduce group at a time — so joins
   run on corpora whose shuffle is far larger than memory.
 
-A backend decides exactly two things: how a phase's tasks are executed
+A backend decides exactly two things: how a phase's task is executed
 (:meth:`ExecutionBackend.run_tasks`) and where the shuffle is held
 (:meth:`ExecutionBackend.external_grouper`); the runner drives map →
-combine → shuffle → reduce itself on every backend.
+combine → shuffle → reduce itself on every backend.  A backend holds
+nothing across jobs (the disk backend builds and removes its grouper per
+job), so there is nothing to close.
 
-Results and statistics are identical across backends for the library's
-(stateless) mappers and reducers: tasks return exact integer-valued partial
-statistics that the runner merges deterministically, and task outputs are
-concatenated in task order.  Backends only change wall-clock time and peak
-memory, never results, counters or simulated times (the disk backend adds
-its physical spill telemetry in the reserved ``shuffle/`` counter
-namespace).
+Results and statistics are identical across backends: backends only
+change peak memory, never results, counters or simulated times (the disk
+backend adds its physical spill telemetry in the reserved ``shuffle/``
+counter namespace).
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 from typing import Any, Callable, Sequence
 
 from repro.core.exceptions import BackendError, JobConfigurationError
@@ -45,32 +39,17 @@ from repro.mapreduce.shuffle import ExternalGrouper
 DEFAULT_MEMORY_BUDGET_BYTES = 32 * 1024 * 1024
 
 
-def default_worker_count() -> int:
-    """The number of workers used when none is requested: usable CPUs."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
-        return os.cpu_count() or 1
-
-
 class ExecutionBackend:
-    """Where phase tasks run.  Subclasses implement :meth:`run_tasks`.
+    """Where phase tasks run and where the shuffle is held."""
 
-    Backends are reusable across jobs and pipelines; pooled backends create
-    their workers lazily on first use and release them in :meth:`close` (or
-    on exit when used as a context manager).
-    """
-
-    #: Registry name of the backend (``"serial"``, ``"process"``, ...).
+    #: Registry name of the backend (``"serial"`` or ``"disk"``).
     name: str = "base"
-
-    def __init__(self, num_workers: int | None = None) -> None:
-        self.num_workers = max(1, int(num_workers or default_worker_count()))
 
     def run_tasks(self, function: Callable[[Any], Any],
                   tasks: Sequence[Any]) -> list[Any]:
-        """Apply ``function`` to every task, returning results in task order."""
-        raise NotImplementedError
+        """Apply ``function`` to every task inline, returning results in
+        task order."""
+        return [function(task) for task in tasks]
 
     def external_grouper(self) -> ExternalGrouper | None:
         """Where the shuffle of the next job is held.
@@ -83,95 +62,28 @@ class ExecutionBackend:
         """
         return None
 
-    def close(self) -> None:
-        """Release any pooled workers; the backend may be used again after."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_workers={self.num_workers})"
+        return f"{type(self).__name__}()"
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task inline on the calling thread (the default backend).
-
-    With one worker the runner builds exactly one task per phase, so this
-    backend is bit-identical to the original serial runner, including the
-    once-per-phase mapper/reducer setup and cleanup hooks.
-    """
+    """Run every task inline with the shuffle in memory (the default)."""
 
     name = "serial"
-
-    def __init__(self, num_workers: int | None = None) -> None:
-        # A serial backend always has exactly one worker; the parameter is
-        # accepted so all backends share a constructor signature.
-        super().__init__(1)
-
-    def run_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> list[Any]:
-        return [function(task) for task in tasks]
-
-
-class ProcessBackend(ExecutionBackend):
-    """Run tasks on a lazily created multiprocessing pool.
-
-    Tasks and their results cross process boundaries by pickling, so jobs
-    must be picklable (every job in this library is: mappers and reducers
-    are plain classes, side data is plain dictionaries).  The pool prefers
-    the ``fork`` start method when available — workers inherit the parent's
-    state instantly — and falls back to the platform default otherwise.
-    """
-
-    name = "process"
-
-    def __init__(self, num_workers: int | None = None) -> None:
-        super().__init__(num_workers)
-        self._pool: Any = None
-
-    def _ensure_pool(self) -> Any:
-        if self._pool is None:
-            import multiprocessing
-            import sys
-
-            # Prefer fork only on Linux, where it is the safe default and
-            # workers inherit the parent instantly; macOS deliberately moved
-            # to spawn (fork is unsafe under ObjC-backed libraries), so use
-            # the platform default everywhere else.
-            if sys.platform == "linux":
-                context = multiprocessing.get_context("fork")
-            else:
-                context = multiprocessing.get_context()
-            self._pool = context.Pool(processes=self.num_workers)
-        return self._pool
-
-    def run_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> list[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return self._ensure_pool().map(function, tasks, chunksize=1)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
 
 
 class DiskShuffleBackend(ExecutionBackend):
     """Run jobs with an external (disk-spilling) shuffle.
 
-    Tasks run inline, one per phase, exactly as on the serial backend; only
-    the shuffle differs.  ``memory_budget_bytes`` bounds the shuffle buffer,
+    Tasks run inline exactly as on the serial backend; only the shuffle
+    differs.  ``memory_budget_bytes`` bounds the shuffle buffer,
     ``temp_dir`` overrides where run files live and ``merge_fan_in`` caps
     how many runs one merge pass reads.  The temporary directory is created
     per job and removed when the job finishes — including on error or
     cancellation — and peak memory is bounded by the budget plus the
-    largest single reduce group.
+    largest single reduce group.  A spill location that cannot be created
+    or written raises :class:`~repro.core.exceptions.BackendError` naming
+    it.
 
     ``spilled_bytes`` stays the *modeled* quantity (the shuffle volume, as
     on every backend), so simulated times agree across backends even when
@@ -184,13 +96,10 @@ class DiskShuffleBackend(ExecutionBackend):
 
     name = "disk"
 
-    def __init__(self, num_workers: int | None = None, *,
+    def __init__(self, *,
                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
                  temp_dir: str | None = None,
                  merge_fan_in: int = 8) -> None:
-        # One worker, so the map/combine/reduce loops match the serial
-        # backend's exactly (``num_workers`` is accepted and ignored, as there).
-        super().__init__(1)
         self.temp_dir = temp_dir
         # The grouper validates the options; probing it here reports a bad
         # value when the backend is built, not in the middle of a job (it
@@ -200,19 +109,18 @@ class DiskShuffleBackend(ExecutionBackend):
         self.memory_budget_bytes = probe.memory_budget_bytes
         self.merge_fan_in = probe.merge_fan_in
 
-    def run_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> list[Any]:
-        return [function(task) for task in tasks]
-
     def external_grouper(self) -> ExternalGrouper:
         return ExternalGrouper(self.memory_budget_bytes,
                                temp_dir=self.temp_dir,
                                merge_fan_in=self.merge_fan_in)
 
+    def __repr__(self) -> str:
+        return (f"DiskShuffleBackend(memory_budget_bytes="
+                f"{self.memory_budget_bytes}, merge_fan_in={self.merge_fan_in})")
+
 
 _BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ProcessBackend.name: ProcessBackend,
     DiskShuffleBackend.name: DiskShuffleBackend,
 }
 
@@ -223,25 +131,25 @@ def available_backends() -> list[str]:
 
 
 def get_backend(backend: str | ExecutionBackend | None = "serial",
-                num_workers: int | None = None,
                 **options: Any) -> ExecutionBackend:
     """Resolve a backend name into an :class:`ExecutionBackend` instance.
 
-    Backend instances pass through unchanged (``num_workers`` and
-    ``options`` are then ignored); ``None`` resolves to the serial backend.
-    Keyword ``options`` are forwarded to the backend constructor — for
-    example ``get_backend("disk", memory_budget_bytes=1 << 20)``.  Unknown
-    names raise :class:`~repro.core.exceptions.JobConfigurationError`
-    listing the available backends; an option the backend does not take, or
-    a value it cannot use, raises
-    :class:`~repro.core.exceptions.BackendError` listing the options it
-    accepts.
+    Backend instances pass through unchanged; ``None`` resolves to the
+    serial backend.  Keyword ``options`` are forwarded to the backend
+    constructor — for example ``get_backend("disk", memory_budget_bytes=1
+    << 20)``.  Unknown names raise
+    :class:`~repro.core.exceptions.JobConfigurationError` listing the
+    available backends; an option the backend does not take, a value it
+    cannot use, or any option passed with an instance raises
+    :class:`~repro.core.exceptions.BackendError`.
     """
     if isinstance(backend, ExecutionBackend):
+        if options:
+            raise BackendError(
+                f"cannot apply options {options!r} to the backend instance "
+                f"{backend!r}; pass a backend name to build one with options")
         return backend
-    if backend is None:
-        return SerialBackend()
-    name = str(backend).strip().lower()
+    name = "serial" if backend is None else str(backend).strip().lower()
     factory = _BACKEND_FACTORIES.get(name)
     if factory is None:
         known = ", ".join(available_backends())
@@ -249,12 +157,11 @@ def get_backend(backend: str | ExecutionBackend | None = "serial",
             f"unknown execution backend {backend!r}; "
             f"available backends: {known}")
     try:
-        return factory(num_workers, **options)
+        return factory(**options)
     except (TypeError, ValueError) as error:
-        accepted = ["num_workers"] + [
-            parameter.name
-            for parameter in inspect.signature(factory).parameters.values()
-            if parameter.kind is parameter.KEYWORD_ONLY]
+        accepted = [parameter.name
+                    for parameter in inspect.signature(factory).parameters.values()
+                    if parameter.kind is parameter.KEYWORD_ONLY]
         raise BackendError(
             f"cannot build the {name!r} backend with options {options!r}: "
-            f"{error}; it accepts: {', '.join(accepted)}") from error
+            f"{error}; it accepts: {', '.join(accepted) or 'no options'}") from error

@@ -33,7 +33,7 @@ class Counters:
         self._values.update(other._values)
 
     def merge_dict(self, values: dict[str, int]) -> None:
-        """Fold a plain counter snapshot (e.g. from a worker task) into this one."""
+        """Fold a plain counter snapshot (e.g. a phase task's) into this one."""
         self._values.update(values)
 
     def as_dict(self) -> dict[str, int]:

@@ -66,20 +66,17 @@ class Mapper:
     fault tolerance) and yields ``(key, value)`` or
     ``(key, value, secondary_key)`` tuples, or :class:`KeyValue` records.
 
-    :meth:`setup` and :meth:`cleanup` run once per *task*, exactly as in
-    real MapReduce.  The serial backend runs the whole input as one task;
-    parallel backends split it into one task per worker, so a mapper that
-    accumulates state across records (emitting from ``cleanup``, counting
-    in ``setup``) sees per-task slices there — only mappers whose hooks are
-    stateless (every mapper in this library) produce backend-invariant
-    output.
+    The whole input of a job is mapped as one task, so :meth:`setup` and
+    :meth:`cleanup` run once per job and a mapper that accumulates state
+    across records (counting in ``map``, emitting the count from
+    ``cleanup``) sees every record on every backend.
     """
 
     def setup(self, context: TaskContext) -> None:
-        """Called once per task before any record is mapped."""
+        """Called once per job before any record is mapped."""
 
     def check_input(self, record: Any, context: TaskContext) -> None:
-        """Called once per task with its first input record, before it is mapped.
+        """Called once per job with its first input record, before it is mapped.
 
         A mapper whose emissions carry sizes worked out from the records'
         shape raises :class:`~repro.core.exceptions.JobConfigurationError`
@@ -91,7 +88,7 @@ class Mapper:
         raise NotImplementedError
 
     def cleanup(self, context: TaskContext) -> Iterator[Any]:
-        """Called once per task after the last record; may emit pairs."""
+        """Called once per job after the last record; may emit pairs."""
         return iter(())
 
 
@@ -134,12 +131,8 @@ class Reducer:
     ``values`` is the ``reduce_value_list`` of the key, sorted by secondary
     key when the engine profile supports secondary keys and the job asked
     for them.  Output records are arbitrary Python objects; they become the
-    records of the job's output dataset.
-
-    As for :class:`Mapper`, :meth:`setup` and :meth:`cleanup` run once per
-    task — one task on the serial backend, one per worker batch of reduce
-    partitions on the parallel backends — so backend-invariant output
-    requires hooks that carry no cross-group state.
+    records of the job's output dataset.  As for :class:`Mapper`,
+    :meth:`setup` and :meth:`cleanup` run once per job.
     """
 
     #: Set to True when the reducer must hold the whole reduce value list in
@@ -154,7 +147,7 @@ class Reducer:
     output_record_bytes: int | Callable[[Any], int] | None = None
 
     def setup(self, context: TaskContext) -> None:
-        """Called once per task before any group is reduced."""
+        """Called once per job before any group is reduced."""
 
     def reduce(self, key: Hashable, values: Sequence[Any],
                context: TaskContext) -> Iterator[Any]:
@@ -162,7 +155,7 @@ class Reducer:
         raise NotImplementedError
 
     def cleanup(self, context: TaskContext) -> Iterator[Any]:
-        """Called once per task after the last group; may emit records."""
+        """Called once per job after the last group; may emit records."""
         return iter(())
 
 

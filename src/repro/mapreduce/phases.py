@@ -1,13 +1,13 @@
-"""Self-contained phase tasks executed by the pluggable backends.
+"""Self-contained phase tasks: the one map, combine and reduce loop.
 
-The runner splits every job into *tasks*: contiguous chunks of the input for
-the map phase, batches of mapper machines for the combine phase and streams
-of reduce groups (batches of the in-memory shuffle's partitions, or an
-external shuffle's merge) for the reduce phase.  Each task carries
-everything it needs (the job, its slice of the data and the accounting
-parameters), is executed by a module-level function — so tasks can be
-shipped to worker processes by pickling — and returns both its emissions
-and an exact :class:`~repro.mapreduce.types.PhaseStats` partial.
+The runner builds one *task* per phase: the whole input for the map phase,
+every mapper machine's output for the combine phase and the stream of
+reduce groups (the in-memory shuffle's partitions, or an external
+shuffle's merge) for the reduce phase.  Each task carries everything it
+needs (the job, its data and the accounting parameters), is executed by a
+module-level function — the backend's ``run_tasks`` is handed that
+function, so a backend can tell the phases apart — and returns both its
+emissions and an exact :class:`~repro.mapreduce.types.PhaseStats`.
 
 The task loops do per record only what is per record — three rules:
 
@@ -26,22 +26,17 @@ The task loops do per record only what is per record — three rules:
 * **One construction site**: :func:`~repro.mapreduce.types.sized_key_value`
   is the only place a ``KeyValue`` is built, by a task or by a mapper.
 * **Partitioned per key at task end.**  Map and combine tasks collect their
-  output flat and :func:`partition_by_key` asks the partitioner once per
-  distinct key when the task ends.  The runner merges the resulting *spill
-  dictionaries* (``partition -> key -> records``) in task order, which
-  reproduces the serial shuffle's first-occurrence key order because task
-  slices are contiguous.
-
-All partial statistics are integer-valued, so merging them (sums and maxes)
-reproduces the serial runner's :class:`~repro.mapreduce.types.JobStats`
-bit-for-bit regardless of how the work was split across workers.
+  output flat — a mapper's cleanup emissions last — and
+  :func:`partition_by_key` asks the partitioner once per distinct key when
+  the task ends, building the shuffle's *spill dictionary* (``partition ->
+  key -> records``) in first-occurrence key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.mapreduce.counters import Counters
@@ -105,37 +100,17 @@ def partition_by_key(key_values: Iterable[KeyValue], partitioner: Partitioner,
     return spill
 
 
-def merge_spills(target: Spill, source: Spill) -> None:
-    """Merge one task's spill into the accumulated shuffle, preserving order.
-
-    A partition or a key new to ``target`` is adopted, not copied (a task's
-    result has no other reader): the first task's spill is taken over whole.
-    """
-    for partition, groups in source.items():
-        target_groups = target.get(partition)
-        if target_groups is None:
-            target[partition] = groups
-            continue
-        for key, key_values in groups.items():
-            existing = target_groups.get(key)
-            if existing is None:
-                target_groups[key] = key_values
-            else:
-                existing.extend(key_values)
-
-
 # -- map tasks ----------------------------------------------------------------
 
 
 @dataclass
 class MapTask:
-    """One contiguous slice of the input records, mapped as a single task."""
+    """The input records of one job, mapped as a single task."""
 
     job: JobSpec
-    records: tuple
+    records: Sequence[Any]
     #: The size of each of ``records``, as the dataset carries it.
-    record_bytes: tuple
-    start_index: int
+    record_bytes: Sequence[int]
     num_machines: int
     overhead: int
     num_reducers: int
@@ -150,16 +125,12 @@ class MapTaskResult:
 
     ``emissions`` and ``spill`` are mutually exclusive: with
     ``build_spill`` the runner consumes only the pre-partitioned spill, so
-    the flat emission list is not materialised (halving what a process
-    worker ships back); without it the flat list is the product.  Cleanup
-    emissions are always returned flat — the runner partitions them last,
-    mirroring their position at the end of the serial runner's single pass.
-    Every record in all three carries the size it was emitted with
-    (``KeyValue.size_bytes``, which pickles with it).
+    the flat emission list is not kept; without it the flat list is the
+    product.  Either holds the mapper's cleanup emissions last.  Every
+    record carries the size it was emitted with (``KeyValue.size_bytes``).
     """
 
     emissions: list[KeyValue]
-    cleanup_emissions: list[KeyValue]
     spill: Spill | None
     phase: PhaseStats
     max_output_record: int
@@ -167,7 +138,7 @@ class MapTaskResult:
 
 
 def execute_map_task(task: MapTask) -> MapTaskResult:
-    """Run the mapper over one slice of the input, mirroring the serial loop."""
+    """Run the mapper over the job's input: the one map loop."""
     job = task.job
     counters = Counters()
     context = TaskContext(counters, job.side_data, task.num_machines, job.name)
@@ -180,7 +151,7 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
     max_output_record = 0
     # The input sizes ride on the dataset: nothing is sized on the way in.
     for index, (record, bytes_in) in enumerate(
-            zip(task.records, task.record_bytes, strict=True), task.start_index):
+            zip(task.records, task.record_bytes, strict=True)):
         bytes_out = 0
         emitted_count = 0
         for emitted in job.mapper.map(record, context) or ():
@@ -202,10 +173,6 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
             phase.max_unit_work = work
     phase.records_in = len(task.records)
     phase.bytes_in = sum(task.record_bytes)
-    spill: Spill | None = None
-    if task.build_spill:
-        spill = partition_by_key(emissions, job.partitioner, task.num_reducers)
-        emissions = []
     cleanup_emissions = [normalise_emit(emitted)
                          for emitted in job.mapper.cleanup(context) or ()]
     if cleanup_emissions:
@@ -215,8 +182,12 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         phase.records_out += len(cleanup_emissions)
         phase.bytes_out += cleanup_bytes
         phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup_emissions))
-    return MapTaskResult(emissions=emissions, cleanup_emissions=cleanup_emissions,
-                         spill=spill, phase=phase,
+        emissions.extend(cleanup_emissions)
+    spill: Spill | None = None
+    if task.build_spill:
+        spill = partition_by_key(emissions, job.partitioner, task.num_reducers)
+        emissions = []
+    return MapTaskResult(emissions=emissions, spill=spill, phase=phase,
                          max_output_record=max_output_record,
                          counters=counters.as_dict())
 
@@ -226,7 +197,7 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
 
 @dataclass
 class CombineTask:
-    """A batch of mapper machines whose output is combined as one task.
+    """Every mapper machine's output, combined as one task.
 
     ``machines`` holds ``(machine, groups)`` entries in ascending machine
     order, where ``groups`` maps ``(key, secondary)`` to that machine's
@@ -247,7 +218,7 @@ class CombineTaskResult:
 
     As for map tasks, ``combined`` (flat, in machine order) and ``spill``
     are mutually exclusive.  ``phase.machine_work`` holds the combine work
-    of each of the task's machines.
+    of each mapper machine.
     """
 
     combined: list[KeyValue]
@@ -257,7 +228,7 @@ class CombineTaskResult:
 
 
 def execute_combine_task(task: CombineTask) -> CombineTaskResult:
-    """Run the dedicated combiner over a batch of mapper machines."""
+    """Run the dedicated combiner over every mapper machine's output."""
     job = task.job
     combiner = job.combiner
     assert combiner is not None
@@ -303,30 +274,19 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
 Group = tuple[int, Hashable, list[KeyValue]]
 
 
-@dataclass
-class SpillGroups:
-    """A batch of the in-memory shuffle's partitions as a group stream.
-
-    ``partitions`` holds ``(partition, groups)`` entries in ascending
-    partition order, where ``groups`` maps each reduce key to its records.
-    Unlike a generator this pickles, so a reduce task can carry it to a
-    worker process.
-    """
-
-    partitions: list[tuple[int, dict[Hashable, list[KeyValue]]]]
-
-    def __iter__(self) -> Iterator[Group]:
-        for partition, groups in self.partitions:
-            for key, key_values in groups.items():
-                yield partition, key, key_values
+def iter_spill_groups(spill: Spill) -> Iterator[Group]:
+    """The in-memory shuffle as a group stream, partitions ascending."""
+    for partition, groups in sorted(spill.items()):
+        for key, key_values in groups.items():
+            yield partition, key, key_values
 
 
 @dataclass
 class ReduceTask:
     """A stream of reduce groups executed as one task.
 
-    ``groups`` is consumed lazily, one group at a time: a
-    :class:`SpillGroups` batch of the in-memory shuffle, or the
+    ``groups`` is consumed lazily, one group at a time:
+    :func:`iter_spill_groups` over the in-memory shuffle, or the
     :meth:`~repro.mapreduce.shuffle.ExternalGrouper.iter_groups` merge of
     an external one — which must never be materialised, or the external
     shuffle loses its memory ceiling.
@@ -448,17 +408,3 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
                             peak_task_memory=peak_task_memory,
                             counters=counters.as_dict())
 
-
-def split_slices(count: int, pieces: int) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into at most ``pieces`` contiguous slices.
-
-    Returns ``(start, stop)`` pairs covering the range in order.  An empty
-    range yields a single empty slice so that per-task lifecycle hooks
-    (mapper/reducer setup and cleanup) still run exactly once on the serial
-    backend, matching the original runner.
-    """
-    if count <= 0:
-        return [(0, 0)]
-    pieces = max(1, min(pieces, count))
-    bounds = [(count * index) // pieces for index in range(pieces + 1)]
-    return [(bounds[index], bounds[index + 1]) for index in range(pieces)]

@@ -21,15 +21,14 @@ and reducer really runs — while the *performance* of the run is modelled:
   the scheduler kills jobs whose simulated time exceeds the cluster limit
   (as happened to the VCL kernel mappers in the paper).
 
-Where the work *actually* runs is pluggable: the runner splits every phase
-into self-contained tasks (:mod:`repro.mapreduce.phases`) and hands them to
-an :class:`~repro.mapreduce.backends.ExecutionBackend` — serially (the
-default) or on a multiprocessing pool — and asks the same backend where the
-shuffle is held: in the runner's in-memory spill dictionaries, or in an
-:class:`~repro.mapreduce.shuffle.ExternalGrouper` that spills sorted runs
-to disk (the ``"disk"`` backend).  Task partials are integer-valued and
-merged deterministically, so results, counters and simulated times are
-identical across backends; only wall-clock time and peak memory change.
+The runner turns every phase into one self-contained task
+(:mod:`repro.mapreduce.phases`), hands it to an
+:class:`~repro.mapreduce.backends.ExecutionBackend` and asks the same
+backend where the shuffle is held: in the runner's in-memory spill
+dictionaries, or in an :class:`~repro.mapreduce.shuffle.ExternalGrouper`
+that spills sorted runs to disk (the ``"disk"`` backend).  Results,
+counters and simulated times are identical across backends; only peak
+memory changes.
 
 A record is sized by shape when its job is built — the walker
 (:func:`~repro.mapreduce.types.walk_record_bytes`) is the definition and,
@@ -65,14 +64,11 @@ from repro.mapreduce.phases import (
     MapTask,
     ReduceTask,
     Spill,
-    SpillGroups,
     check_memory_budget,
     execute_combine_task,
     execute_map_task,
     execute_reduce_task,
-    merge_spills,
-    partition_by_key,
-    split_slices,
+    iter_spill_groups,
 )
 from repro.mapreduce.types import JobStats, KeyValue, estimate_record_bytes
 
@@ -137,14 +133,10 @@ class LocalJobRunner:
     """Execute simulated MapReduce jobs on a cluster description.
 
     A runner is the whole infrastructure of a join in one object — the
-    cluster, the cost model, the budget switch and the execution backend —
-    and the one place that decides who closes the backend.  ``backend``
-    selects where mapper/combiner/reducer work physically runs
-    (``"serial"``, ``"process"``, ``"disk"`` or an
-    :class:`~repro.mapreduce.backends.ExecutionBackend` instance); see
-    :mod:`repro.mapreduce.backends`.  The runner owns a backend it creates
-    from a name and releases it, once, in :meth:`close`; a backend instance
-    passed in is borrowed and left for its owner to close.
+    cluster, the cost model, the budget switch and the execution backend.
+    ``backend`` selects where the shuffle is held (``"serial"``,
+    ``"disk"`` or an :class:`~repro.mapreduce.backends.ExecutionBackend`
+    instance); see :mod:`repro.mapreduce.backends`.
     """
 
     def __init__(self, cluster: Cluster,
@@ -155,20 +147,7 @@ class LocalJobRunner:
         self.cost_parameters = cost_parameters
         self.cost_model = CostModel(cost_parameters)
         self.enforce_budgets = enforce_budgets
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = get_backend(backend)
-
-    def close(self) -> None:
-        """Release the runner's backend when the runner created it."""
-        if self._owns_backend:
-            self._owns_backend = False
-            self.backend.close()
-
-    def __enter__(self) -> "LocalJobRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- public API ----------------------------------------------------------
 
@@ -223,21 +202,16 @@ class LocalJobRunner:
             return map_output, [key_value.size_bytes for key_value in map_output]
         if grouper is None:
             assert spill is not None
-            # One task per worker over the partitions in ascending order.
-            partitions = sorted(spill.items())
-            return self._run_reduce_phase(
-                job, [SpillGroups(partitions[start:stop])
-                      for start, stop in split_slices(len(partitions),
-                                                      self.backend.num_workers)],
-                stats, counters)
+            return self._run_reduce_phase(job, iter_spill_groups(spill),
+                                          stats, counters)
         with grouper:  # removes its run files on every exit path
             partitioner = job.partitioner
             for key_value in map_output:
                 grouper.add(partitioner(key_value.key, num_reducers), key_value)
-            # The merge is one lazy stream, so one task (never a list:
-            # materialising it would give up the memory ceiling).
+            # The merge is one lazy stream (never a list: materialising it
+            # would give up the memory ceiling).
             output = self._run_reduce_phase(
-                job, [grouper.iter_groups()], stats, counters)
+                job, grouper.iter_groups(), stats, counters)
             for name, value in grouper.telemetry.items():
                 counters.increment(f"shuffle/{name}", value)
         return output
@@ -251,38 +225,18 @@ class LocalJobRunner:
         records, record_bytes = dataset.records, dataset.record_bytes
         overhead = self.cost_parameters.record_overhead_bytes
         machines = self.cluster.num_machines
-        tasks = [MapTask(job=job, records=records[start:stop],
-                         record_bytes=record_bytes[start:stop], start_index=start,
-                         num_machines=machines, overhead=overhead,
-                         num_reducers=num_reducers, build_spill=build_spill)
-                 for start, stop in split_slices(len(records),
-                                                 self.backend.num_workers)]
-        results = self.backend.run_tasks(execute_map_task, tasks)
-
-        map_output: list[KeyValue] = []
-        cleanup_emissions: list[KeyValue] = []
-        spill: Spill | None = {} if build_spill else None
-        max_output_record = 0
-        for result in results:
-            map_output.extend(result.emissions)
-            cleanup_emissions.extend(result.cleanup_emissions)
-            if spill is not None and result.spill is not None:
-                merge_spills(spill, result.spill)
-            stats.map.merge(result.phase)
-            max_output_record = max(max_output_record, result.max_output_record)
-            counters.merge_dict(result.counters)
-        map_output.extend(cleanup_emissions)
-        if spill is not None:
-            # Cleanup emissions enter the shuffle last, as in the serial
-            # runner's single pass over the full map output.
-            merge_spills(spill, partition_by_key(cleanup_emissions, job.partitioner,
-                                                 num_reducers))
+        task = MapTask(job=job, records=records, record_bytes=record_bytes,
+                       num_machines=machines, overhead=overhead,
+                       num_reducers=num_reducers, build_spill=build_spill)
+        (result,) = self.backend.run_tasks(execute_map_task, [task])
+        stats.map = result.phase
+        counters.merge_dict(result.counters)
 
         task_memory = (stats.side_data_bytes + max(record_bytes, default=0)
-                       + max_output_record)
+                       + result.max_output_record)
         stats.peak_task_memory = max(stats.peak_task_memory, task_memory)
         self._check_memory(job.name, "map task working set", task_memory)
-        return map_output, spill
+        return result.emissions, result.spill
 
     def _run_combine_phase(self, job: JobSpec, map_output: list[KeyValue],
                            stats: JobStats, counters: Counters,
@@ -304,58 +258,38 @@ class LocalJobRunner:
                 else:
                     records.append(key_value)
             machine_items.append((machine, groups))
-        tasks = [CombineTask(job=job, machines=machine_items[start:stop],
-                             num_machines=machines, overhead=overhead,
-                             num_reducers=num_reducers, build_spill=build_spill)
-                 for start, stop in split_slices(len(machine_items),
-                                                 self.backend.num_workers)
-                 if stop > start]
-        results = self.backend.run_tasks(execute_combine_task, tasks)
+        task = CombineTask(job=job, machines=machine_items,
+                           num_machines=machines, overhead=overhead,
+                           num_reducers=num_reducers, build_spill=build_spill)
+        (result,) = self.backend.run_tasks(execute_combine_task, [task])
+        stats.combine = result.phase
+        # Combining happens on the mapper machine; fold it into map work so
+        # the cost model charges the same machine.
+        for machine, work in result.phase.machine_work.items():
+            stats.map.add_machine_work(machine, work)
+        counters.merge_dict(result.counters)
+        return result.combined, result.spill
 
-        combined: list[KeyValue] = []
-        spill: Spill | None = {} if build_spill else None
-        for result in results:
-            combined.extend(result.combined)
-            stats.combine.merge(result.phase)
-            # Combining happens on the mapper machine; fold it into map
-            # work so the cost model charges the same machine.
-            for machine, work in result.phase.machine_work.items():
-                stats.map.add_machine_work(machine, work)
-            if spill is not None and result.spill is not None:
-                merge_spills(spill, result.spill)
-            counters.merge_dict(result.counters)
-        return combined, spill
-
-    def _run_reduce_phase(self, job: JobSpec,
-                          group_streams: list[Iterable[Group]],
+    def _run_reduce_phase(self, job: JobSpec, groups: Iterable[Group],
                           stats: JobStats, counters: Counters
                           ) -> tuple[list[Any], list[int]]:
         budget = self.cluster.memory_per_machine if self.enforce_budgets else None
         # ``run`` has refused a job that needs secondary keys on a profile
         # without them, so needing them is enough to sort by them here.
-        tasks = [ReduceTask(job=job, groups=groups,
-                            sort_by_secondary=job.requires_secondary_keys,
-                            num_machines=self.cluster.num_machines,
-                            overhead=self.cost_parameters.record_overhead_bytes,
-                            memory_budget=budget)
-                 for groups in group_streams]
-        results = self.backend.run_tasks(execute_reduce_task, tasks)
-
-        output_records: list[Any] = []
-        output_bytes: list[int] = []
-        for result in results:
-            output_records.extend(result.output_records)
-            output_bytes.extend(result.output_bytes)
-            stats.reduce.merge(result.phase)
-            stats.reduce_groups += result.reduce_groups
-            stats.max_group_records = max(stats.max_group_records,
-                                          result.max_group_records)
-            stats.max_group_bytes = max(stats.max_group_bytes,
-                                        result.max_group_bytes)
-            stats.peak_task_memory = max(stats.peak_task_memory,
-                                         result.peak_task_memory)
-            counters.merge_dict(result.counters)
-        return output_records, output_bytes
+        task = ReduceTask(job=job, groups=groups,
+                          sort_by_secondary=job.requires_secondary_keys,
+                          num_machines=self.cluster.num_machines,
+                          overhead=self.cost_parameters.record_overhead_bytes,
+                          memory_budget=budget)
+        (result,) = self.backend.run_tasks(execute_reduce_task, [task])
+        stats.reduce = result.phase
+        stats.reduce_groups = result.reduce_groups
+        stats.max_group_records = result.max_group_records
+        stats.max_group_bytes = result.max_group_bytes
+        stats.peak_task_memory = max(stats.peak_task_memory,
+                                     result.peak_task_memory)
+        counters.merge_dict(result.counters)
+        return result.output_records, result.output_bytes
 
     # -- budget and profile checks --------------------------------------------
 

@@ -65,7 +65,9 @@ class ExternalGrouper:
 
     The grouper owns a private temporary directory (created lazily under
     ``temp_dir`` or the system default) and removes it in :meth:`close`;
-    always close, ideally via ``with``.
+    always close, ideally via ``with``.  A directory that cannot be created
+    or a run file that cannot be written raises
+    :class:`~repro.core.exceptions.BackendError` naming it.
     """
 
     def __init__(self, memory_budget_bytes: int, *,
@@ -137,23 +139,39 @@ class ExternalGrouper:
 
     def _write_run(self, entries: Iterable[_Entry]) -> str:
         """Write the next run file: the entries, then their count (the
-        trailer that tells a whole run from one that lost its tail)."""
+        trailer that tells a whole run from one that lost its tail).
+
+        A write the file system refuses (no space left, the directory gone)
+        raises ``BackendError`` naming the run file; :meth:`close` still
+        removes whatever was written.
+        """
         path = self._new_run_path()
         count = 0
-        with open(path, "wb") as handle:
-            for entry in entries:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                count += 1
-            pickle.dump(count, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            with open(path, "wb") as handle:
+                for entry in entries:
+                    pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    count += 1
+                pickle.dump(count, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            size = os.path.getsize(path)
+        except OSError as error:
+            raise BackendError(
+                f"cannot write spill run {path!r}: {error}") from error
         self.telemetry["runs_written"] += 1
-        self.telemetry["bytes_spilled"] += os.path.getsize(path)
+        self.telemetry["bytes_spilled"] += size
         self._runs.append(path)
         return path
 
     def _new_run_path(self) -> str:
         if self._directory is None:
-            self._directory = tempfile.mkdtemp(prefix="repro-shuffle-",
-                                               dir=self._parent_dir)
+            try:
+                self._directory = tempfile.mkdtemp(prefix="repro-shuffle-",
+                                                   dir=self._parent_dir)
+            except OSError as error:
+                where = self._parent_dir or tempfile.gettempdir()
+                raise BackendError(
+                    f"cannot create a spill directory under {where!r}: "
+                    f"{error}") from error
         path = os.path.join(self._directory, f"run-{self._run_counter:06d}.pkl")
         self._run_counter += 1
         return path
@@ -208,13 +226,18 @@ class ExternalGrouper:
     def _read_run(path: str) -> Iterator[_Entry]:
         """Stream the entries of one run file, checking it is whole.
 
-        A run that ends before its trailer (even cleanly, between two
-        entries), disagrees with it, goes on after it or does not unpickle
-        raises ``BackendError`` naming the file: a damaged run must fail
-        the job, never be merged as a shorter one.
+        A run that cannot be opened, ends before its trailer (even cleanly,
+        between two entries), disagrees with it, goes on after it or does
+        not unpickle raises ``BackendError`` naming the file: a damaged run
+        must fail the job, never be merged as a shorter one.
         """
         count = 0
-        with open(path, "rb") as handle:
+        try:
+            handle = open(path, "rb")
+        except OSError as error:
+            raise BackendError(
+                f"cannot read spill run {path!r}: {error}") from error
+        with handle:
             while True:
                 try:
                     entry = pickle.load(handle)

@@ -224,22 +224,6 @@ class PhaseStats:
             return 0.0
         return self.max_machine_work / average
 
-    def merge(self, other: "PhaseStats") -> None:
-        """Fold another phase partial into this one (sums and maxes).
-
-        All fields are integer-valued sums or maxima of per-record work, so
-        merging per-task partials reproduces the statistics of a single
-        serial pass exactly, regardless of how records were split into tasks.
-        """
-        self.records_in += other.records_in
-        self.records_out += other.records_out
-        self.bytes_in += other.bytes_in
-        self.bytes_out += other.bytes_out
-        self.work_units += other.work_units
-        self.max_unit_work = max(self.max_unit_work, other.max_unit_work)
-        for machine, work in other.machine_work.items():
-            self.machine_work[machine] = self.machine_work.get(machine, 0.0) + work
-
 
 @dataclass
 class JobStats:

@@ -6,10 +6,9 @@ deduplication jobs and returns the same ``(pairs, pipeline)`` shape as
 side by side.  Like that driver it is the engine's internal: it reads the
 :class:`~repro.engine.spec.JoinSpec` it is handed, runs on the
 :class:`~repro.mapreduce.runner.LocalJobRunner` it is handed (cluster, cost
-model, budgets and backend in one object that knows whether the backend is
-its own to close) and owns nothing.  Unlike V-SMART-Join, VCL consumes whole
-multisets as single records — the representation responsible for its memory
-and replication bottlenecks.
+model, budgets and backend in one object) and owns nothing.  Unlike
+V-SMART-Join, VCL consumes whole multisets as single records — the
+representation responsible for its memory and replication bottlenecks.
 """
 
 from __future__ import annotations

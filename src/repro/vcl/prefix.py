@@ -40,8 +40,6 @@ class FrequencyRank:
     """Rank elements by ascending global frequency (rare elements first).
 
     Ties are broken by a stable hash so the order is total and deterministic.
-    A class (rather than a closure) so that mappers holding a rank function
-    stay picklable for the process execution backend.
     """
 
     __slots__ = ("frequencies",)

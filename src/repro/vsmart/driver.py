@@ -7,9 +7,8 @@ internal: :meth:`SimilarityEngine.run <repro.engine.engine.SimilarityEngine.run>
 :class:`~repro.engine.spec.JoinSpec`, normalises the input and hands the
 driver the spec, the multisets and a
 :class:`~repro.mapreduce.runner.LocalJobRunner` — the one object that is
-the cluster, the cost model, the budgets and the execution backend, and
-that alone knows whether the backend is its own to close.  The driver owns
-nothing: it runs its jobs on that runner and returns the similar pairs with
+the cluster, the cost model, the budgets and the execution backend.  The
+driver owns nothing: it runs its jobs on that runner and returns the similar pairs with
 the pipeline's per-job statistics (including the joining / similarity phase
 split the paper reports separately in Fig. 6).
 """

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.multiset import Multiset
 from repro.engine.spec import JoinSpec
-from repro.mapreduce.backends import ExecutionBackend
+from repro.mapreduce.backends import get_backend
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, HADOOP, Cluster, laptop_cluster
 from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
@@ -33,29 +33,15 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
-class InlineBackend(ExecutionBackend):
-    """Four workers' worth of tasks per phase, run inline in task order.
-
-    The runner splits every phase by ``num_workers``, so this reaches the
-    N > 1 split/merge code (task slices, per-task spills merged in order,
-    partial statistics summed) deterministically — no pool, no pickling.
-    """
-
-    name = "inline"
-
-    def __init__(self) -> None:
-        super().__init__(4)
-
-    def run_tasks(self, function, tasks):
-        return [function(task) for task in tasks]
-
-    def __repr__(self) -> str:  # the pytest id (``ids=str``) and Hypothesis label
-        return self.name
-
+#: A disk backend whose budget is small enough that the test corpora spill
+#: and merge their runs in several passes.
+SPILLING_DISK = get_backend("disk", memory_budget_bytes=2048, merge_fan_in=2)
 
 #: Every execution path a parity test covers, as ``backend=`` accepts it:
-#: the three registered names plus the multi-task path without a pool.
-BACKENDS = ("serial", "process", "disk", InlineBackend())
+#: the two registered names plus the spilling, multi-pass disk shuffle.
+BACKENDS = ("serial", "disk", SPILLING_DISK)
+#: Their pytest ids.
+BACKEND_IDS = ("serial", "disk", "disk_spilling")
 
 
 class JoinGridCell(NamedTuple):

@@ -1,10 +1,10 @@
 """Tests for the pluggable execution backends.
 
-The contract under test: backends change *where* mapper/combiner/reducer
-work runs, never *what* it computes — join output, counters and the full
-per-job statistics must be identical across the serial, process and disk
-backends (and the inline multi-task test backend) for every registered
-measure and joining algorithm.
+The contract under test: backends change *where* the shuffle is held,
+never *what* a job computes — join output, counters and the full per-job
+statistics must be identical across the serial and disk backends (the
+latter also at a budget small enough to spill and merge in several passes)
+for every registered measure and joining algorithm.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
-from repro.core.exceptions import (
-    BackendError,
-    JobConfigurationError,
-    MemoryBudgetExceeded,
-)
+from repro.core.exceptions import BackendError, JobConfigurationError
 from repro.core.multiset import Multiset
 from repro.mapreduce import (
     Dataset,
@@ -26,38 +22,24 @@ from repro.mapreduce import (
     JobSpec,
     LocalJobRunner,
     Mapper,
-    ProcessBackend,
     Reducer,
     SerialBackend,
     available_backends,
     get_backend,
 )
-from repro.mapreduce.backends import default_worker_count
 from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.partitioner import hash_partitioner
 from repro.similarity.registry import supported_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
-    InlineBackend,
+    BACKENDS,
+    SPILLING_DISK,
     assert_matches_oracle,
     join_grid,
     strip_telemetry,
 )
-from tests.test_mapreduce_runner import (
-    MaterialisingReducer,
-    WordCountMapper,
-    WordCountReducer,
-)
-
-
-INLINE = InlineBackend()
-
-
-@pytest.fixture(scope="module")
-def process_backend():
-    with ProcessBackend(num_workers=2) as backend:
-        yield backend
+from tests.test_mapreduce_runner import WordCountMapper, WordCountReducer
 
 
 def small_corpus(count: int = 12, stride: int = 5) -> list[Multiset]:
@@ -85,36 +67,36 @@ def comparable_stats(stats):
     return as_dict
 
 
-def exec_backends():
-    """A fresh disk backend that spills and multi-pass merges tiny joins."""
-    return (get_backend("disk", memory_budget_bytes=2048, merge_fan_in=2),)
-
-
 class TestBackendFactory:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
         assert isinstance(get_backend("disk"), DiskShuffleBackend)
 
     def test_lookup_is_case_insensitive(self):
-        assert isinstance(get_backend("Process"), ProcessBackend)
+        assert isinstance(get_backend("Disk"), DiskShuffleBackend)
         assert isinstance(get_backend(" SERIAL "), SerialBackend)
 
     def test_none_resolves_to_serial(self):
         assert isinstance(get_backend(None), SerialBackend)
 
     def test_instances_pass_through(self):
-        assert get_backend(INLINE) is INLINE
+        assert get_backend(SPILLING_DISK) is SPILLING_DISK
+
+    def test_options_with_an_instance_raise_backend_error(self):
+        """They used to be dropped without a word."""
+        with pytest.raises(BackendError, match="memory_budget_bytes.*instance"):
+            get_backend(SPILLING_DISK, memory_budget_bytes=1)
+        assert SPILLING_DISK.memory_budget_bytes == 2048
 
     def test_unknown_backend_lists_available(self):
-        # "thread" and "sql" were backends until 2.1; they get no shim.
-        for name in ("gpu", "thread", "sql"):
-            with pytest.raises(JobConfigurationError,
-                               match="disk, process, serial$"):
+        # "thread" and "sql" were backends until 2.1, "process" until 3.4;
+        # they get no shim.
+        for name in ("gpu", "thread", "sql", "process"):
+            with pytest.raises(JobConfigurationError, match="disk, serial$"):
                 get_backend(name)
 
     def test_available_backends(self):
-        assert available_backends() == ["disk", "process", "serial"]
+        assert available_backends() == ["disk", "serial"]
 
     def test_options_forward_to_backend_constructor(self):
         backend = get_backend("disk", memory_budget_bytes=4096, merge_fan_in=3)
@@ -123,42 +105,28 @@ class TestBackendFactory:
 
     @pytest.mark.parametrize("name, option, value", [
         ("serial", "memory_budget_bytes", 1),
-        ("process", "engine", "x"),
+        ("disk", "engine", "x"),
         ("disk", "memory_budget_bytes", "x"),
     ])
     def test_bad_options_raise_backend_error(self, name, option, value):
         """Option mistakes stay inside the ``ReproError`` contract."""
-        accepted = "num_workers" + (
-            ", memory_budget_bytes, temp_dir, merge_fan_in" * (name == "disk"))
+        accepted = ("memory_budget_bytes, temp_dir, merge_fan_in"
+                    if name == "disk" else "no options")
         with pytest.raises(BackendError, match=(
                 f"'{name}' backend with options .*{option}.* accepts: {accepted}$")):
             get_backend(name, **{option: value})
 
-    def test_serial_backend_has_one_worker(self):
-        assert SerialBackend(num_workers=8).num_workers == 1
-
-    def test_worker_count_defaults_to_cpus(self):
-        assert ProcessBackend().num_workers == default_worker_count()
-        assert ProcessBackend(num_workers=3).num_workers == 3
-
 
 class TestRunTasks:
-    def test_results_preserve_task_order(self, process_backend):
+    def test_results_preserve_task_order(self):
         tasks = list(range(20))
         expected = [task * task for task in tasks]
-        for backend in (SerialBackend(), INLINE, process_backend):
+        for backend in (SerialBackend(), SPILLING_DISK):
             assert backend.run_tasks(_square, tasks) == expected
 
-    def test_empty_task_list(self, process_backend):
-        for backend in (SerialBackend(), INLINE, process_backend):
+    def test_empty_task_list(self):
+        for backend in (SerialBackend(), SPILLING_DISK):
             assert backend.run_tasks(_square, []) == []
-
-    def test_pools_are_reusable_after_close(self):
-        backend = ProcessBackend(num_workers=2)
-        assert backend.run_tasks(_square, [2]) == [4]
-        backend.close()
-        assert backend.run_tasks(_square, [3]) == [9]
-        backend.close()
 
 
 def _square(value: int) -> int:
@@ -174,30 +142,35 @@ def run_wordcount(backend, documents=None):
 
 
 END = "<end>"
+COUNT = "<count>"
 
 
 class TrailerMapper(Mapper):
-    """``(word, position, -position)`` per word; the one task that maps
-    :data:`END` emits a trailer from ``cleanup``, so task splits do not show."""
+    """``(word, position, -position)`` per word; ``cleanup`` emits how many
+    words the job mapped — a count over the whole input — and the
+    :data:`END` trailer at its position."""
 
     def setup(self, context):
         self.end = None
+        self.words = 0
 
     def map(self, record, context):
         position, word = record
         if word == END:
             self.end = position
         else:
+            self.words += 1
             context.increment("words_mapped")
             yield word, position, -position
 
     def cleanup(self, context):
+        yield COUNT, self.words, 0
         if self.end is not None:
             yield END, self.end, 0
 
 
 class TrailerReducer(Reducer):
-    """Each word's positions; the trailer is held back until ``cleanup``."""
+    """Each key's values; the trailer is held back until ``cleanup``."""
 
     def setup(self, context):
         self.trailer = None
@@ -215,7 +188,7 @@ class TrailerReducer(Reducer):
 
 
 def trailer_last(key, num_reducers):
-    """Partition the trailer last, so the task that holds it cleans up last."""
+    """Partition the trailer last, so it is reduced after every other key."""
     return (num_reducers - 1 if key == END
             else hash_partitioner(key, num_reducers - 1))
 
@@ -231,15 +204,15 @@ def run_trailer_job(backend):
 class TestWordCountParity:
     """Whole jobs: output records, counters and full stats on every backend."""
 
-    def test_output_and_stats_identical(self, process_backend):
+    def test_output_and_stats_identical(self):
         disk = DiskShuffleBackend(memory_budget_bytes=512, merge_fan_in=2)
         for run_job in (run_wordcount, run_trailer_job):
             base = run_job(SerialBackend())
-            for backend in (process_backend, INLINE, disk):
+            for backend in (get_backend("disk"), disk):
                 result = run_job(backend)
                 assert list(result.output.records) == list(base.output.records)
                 assert (comparable_stats(result.stats)
-                        == comparable_stats(base.stats)), backend.name
+                        == comparable_stats(base.stats)), backend
             # The disk run spilled, merged in several passes, kept its ceiling.
             assert result.stats.counters["shuffle/runs_written"] > 2
             assert result.stats.counters["shuffle/merge_passes"] > 1
@@ -250,87 +223,74 @@ class TestWordCountParity:
         result = run_trailer_job(SerialBackend())
         output = list(result.output.records)
         assert output[-1] == (END, [60])
+        # The mapper's cleanup saw the whole input: one count, of every word.
+        assert (COUNT, [60]) in output
         assert all(positions == sorted(positions, reverse=True)
                    for _word, positions in output[:-1])
-        assert result.stats.counters == {"words_mapped": 60, "groups_reduced": 12}
+        assert result.stats.counters == {"words_mapped": 60, "groups_reduced": 13}
 
 
 class TestJoinParity:
-    """Serial, inline multi-task and process backends agree on every join."""
+    """Serial and disk backends agree on every join."""
 
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
-    def test_algorithms_agree_across_backends(self, algorithm, process_backend):
+    def test_algorithms_agree_across_backends(self, algorithm):
         corpus = small_corpus()
         base = run_join(SerialBackend(), corpus, algorithm=algorithm)
-        for backend in (INLINE, process_backend):
+        for backend in BACKENDS[1:]:
             result = run_join(backend, corpus, algorithm=algorithm)
-            assert result.pairs == base.pairs, backend.name
-            assert result.counters() == base.counters(), backend.name
+            assert result.pairs == base.pairs, backend
+            assert (strip_telemetry(result.counters())
+                    == base.counters()), backend
             for mine, theirs in zip(base.pipeline.job_stats,
                                     result.pipeline.job_stats, strict=True):
-                assert dataclasses.asdict(mine) == dataclasses.asdict(theirs), \
-                    (backend.name, mine.job_name)
+                assert comparable_stats(mine) == comparable_stats(theirs), \
+                    (backend, mine.job_name)
 
     @pytest.mark.parametrize("measure", supported_measures())
-    def test_measures_agree_across_backends(self, measure, process_backend):
+    def test_measures_agree_across_backends(self, measure):
         corpus = small_corpus(count=10)
         base = run_join(SerialBackend(), corpus, measure=measure)
-        for backend in (INLINE, process_backend):
+        for backend in BACKENDS[1:]:
             result = run_join(backend, corpus, measure=measure)
-            assert result.pairs == base.pairs, (backend.name, measure)
-            assert result.counters() == base.counters(), (backend.name, measure)
+            assert result.pairs == base.pairs, (backend, measure)
+            assert (strip_telemetry(result.counters())
+                    == base.counters()), (backend, measure)
 
     @pytest.mark.parametrize("element_order", ["frequency", "hash"])
-    def test_vcl_agrees_across_backends(self, element_order, process_backend):
-        # The VCL kernel mapper carries a rank function as state; this is the
-        # pickling-sensitive path the vsmart pipelines never exercise.
+    def test_vcl_agrees_across_backends(self, element_order):
         corpus = small_corpus()
         base = join(corpus, threshold=0.3, algorithm="vcl",
                     vcl_element_order=element_order).pairs
-        for backend in (INLINE, process_backend):
+        for backend in BACKENDS[1:]:
             pairs = join(corpus, threshold=0.3, algorithm="vcl",
                          vcl_element_order=element_order,
                          backend=backend).pairs
-            assert pairs == base, backend.name
-
-
-class TestErrorPropagation:
-    def test_memory_budget_error_crosses_process_boundary(self, process_backend):
-        cluster = laptop_cluster().with_memory(400)
-        runner = LocalJobRunner(cluster, backend=process_backend)
-        documents = [" ".join(["hot"] * 40) for _ in range(20)]
-        job = JobSpec("materialise", WordCountMapper(), MaterialisingReducer())
-        with pytest.raises(MemoryBudgetExceeded) as excinfo:
-            runner.run(job, Dataset.from_records(documents))
-        assert excinfo.value.required_bytes > excinfo.value.budget_bytes > 0
+            assert pairs == base, backend
 
 
 class TestPropertyParity:
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=12, deadline=None)
     @given(cell=join_grid(measures=("ruzicka",),
-                          algorithms=JOINING_ALGORITHMS, backends=(INLINE,)))
-    def test_random_corpora_agree(self, cell, process_backend):
+                          algorithms=JOINING_ALGORITHMS, backends=BACKENDS[1:]))
+    def test_random_corpora_agree(self, cell):
         corpus = cell.corpus(count=8, alphabet_size=6, max_elements=4)
-        base = run_join(SerialBackend(), corpus, algorithm=cell.algorithm,
-                        threshold=cell.threshold)
-        for backend in (cell.backend, process_backend):
-            result = run_join(backend, corpus, algorithm=cell.algorithm,
-                              threshold=cell.threshold)
-            assert result.pairs == base.pairs, backend.name
-            assert result.counters() == base.counters(), backend.name
+        base, result = (run_join(backend, corpus, algorithm=cell.algorithm,
+                                 threshold=cell.threshold)
+                        for backend in (SerialBackend(), cell.backend))
+        assert result.pairs == base.pairs
+        assert strip_telemetry(result.counters()) == base.counters()
 
     @settings(max_examples=12, deadline=None)
     @given(cell=join_grid(measures=("ruzicka", "jaccard", "cosine"),
                           algorithms=JOINING_ALGORITHMS,
-                          backends=exec_backends()))
+                          backends=(SPILLING_DISK,)))
     def test_exec_backends_are_bit_identical(self, cell):
         """The disk-shuffle backend reproduces serial joins exactly.
 
         Output pairs, counters (minus the reserved telemetry namespace) and
         the complete per-job statistics must match bit for bit, across
-        measures and joining algorithms — the same discipline the process
-        backend is held to.
+        measures and joining algorithms.
         """
         corpus = cell.corpus(count=8, alphabet_size=6, max_elements=4)
         base, result = (run_join(backend, corpus, algorithm=cell.algorithm,

@@ -42,7 +42,6 @@ from repro.core.interning import PairCodec
 from repro.core.records import InputTuple, JoinedTuple
 from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
-from repro.mapreduce.backends import ProcessBackend
 from repro.mapreduce.cluster import HADOOP, Cluster, laptop_cluster
 from repro.mapreduce.costmodel import CostParameters
 from repro.mapreduce.counters import Counters
@@ -57,7 +56,9 @@ from repro.vsmart.online_aggregation import build_online_aggregation_job
 from repro.vsmart.shapes import RecordShapes
 from repro.vsmart.similarity_phase import build_similarity1_job
 from tests.conftest import (
+    BACKEND_IDS,
     BACKENDS,
+    SPILLING_DISK,
     assert_matches_oracle,
     join_grid,
     make_random_multisets,
@@ -187,7 +188,7 @@ class TestEngineParity:
         assert result.pairs == all_pairs_exact(small_multisets, "ruzicka",
                                                0.3)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=str)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_backend_parity(self, backend, small_multisets, test_cluster):
         spec = JoinSpec(threshold=0.3, algorithm="online_aggregation")
         with SimilarityEngine(cluster=test_cluster,
@@ -510,40 +511,15 @@ class TestPerRunOverrides:
 
     SPEC = JoinSpec(threshold=0.3, algorithm="lookup")
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Every :class:`ProcessBackend` that ran tasks, in first-use order."""
-        used = []
-        run_tasks = ProcessBackend.run_tasks
-
-        def spy(backend, function, tasks):
-            if backend not in used:
-                used.append(backend)
-            return run_tasks(backend, function, tasks)
-
-        monkeypatch.setattr(ProcessBackend, "run_tasks", spy)
-        return used
-
-    def test_a_run_closes_the_backend_it_created_and_no_other(
-            self, small_multisets, pools):
-        tiny = Cluster(num_machines=2, memory_per_machine=1_000,
-                       disk_per_machine=10 ** 9)
-        with ProcessBackend(2) as lent, \
-                SimilarityEngine(small_multisets, backend="process") as engine:
+    def test_backend_reaches_one_run_only(self, small_multisets):
+        with SimilarityEngine(small_multisets) as engine:
             baseline = engine.run(self.SPEC)
-            named = engine.run(replace(self.SPEC, backend="process"))
-            with pytest.raises(MemoryBudgetExceeded):
-                engine.run(replace(self.SPEC, backend="process", cluster=tiny))
-            borrowed = engine.run(replace(self.SPEC, backend=lent))
-            session, first, failed, last = pools
-            assert session is engine.runner.backend and last is lent
-            # A pool made from a name went with its run, raised or not; the
-            # session's and the caller's are still up, and still work.
-            assert first._pool is None and failed._pool is None
-            assert session._pool is not None and lent._pool is not None
-            assert engine.run(self.SPEC).pairs == named.pairs \
-                == borrowed.pairs == baseline.pairs
-        assert session._pool is None and lent._pool is None
+            spilled = engine.run(replace(self.SPEC, backend=SPILLING_DISK))
+            again = engine.run(self.SPEC)
+        assert spilled.counters()["shuffle/runs_written"] > 0
+        assert "shuffle/runs_written" not in again.counters()
+        assert again.counters() == baseline.counters()
+        assert spilled.pairs == again.pairs == baseline.pairs
 
     def test_cluster_and_cost_parameters_reach_one_run_only(
             self, small_multisets, test_cluster):
@@ -570,17 +546,6 @@ class TestPerRunOverrides:
             with pytest.raises(MemoryBudgetExceeded):
                 engine.run(self.SPEC)
         assert_matches_oracle(relaxed.pairs, small_multisets, "ruzicka", 0.3)
-
-    def test_close_is_idempotent_and_closes_a_named_backend_once(
-            self, monkeypatch):
-        closed = []
-        monkeypatch.setattr(ProcessBackend, "close",
-                            lambda backend: closed.append(backend))
-        engine = SimilarityEngine(backend="process")
-        engine.close()
-        engine.close()
-        SimilarityEngine(backend=ProcessBackend(2)).close()  # borrowed
-        assert closed == [engine.runner.backend]
 
 
 class TestJoinResult:

@@ -14,6 +14,7 @@ Three layers under test:
 
 from __future__ import annotations
 
+import errno
 import glob
 import os
 import pickle
@@ -29,6 +30,8 @@ from repro.mapreduce import (
     JobSpec,
     LocalJobRunner,
     SerialBackend,
+    get_backend,
+    shuffle,
 )
 from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.costmodel import CostModel, CostParameters
@@ -211,6 +214,14 @@ class TestExternalGrouper:
                 list(grouper.iter_groups())
         assert os.listdir(tmp_path) == []
 
+    def test_vanished_run_raises_naming_the_file(self, tmp_path):
+        records = make_records(200, keys=13, partitions=5)
+        with spilled_grouper(tmp_path, records) as grouper:
+            os.remove(first_run_file(tmp_path))
+            with pytest.raises(BackendError, match=r"cannot read .*run-000000"):
+                list(grouper.iter_groups())
+        assert os.listdir(tmp_path) == []
+
     def test_add_after_close_raises(self):
         grouper = ExternalGrouper(memory_budget_bytes=64)
         grouper.close()
@@ -316,6 +327,45 @@ class TestDiskShuffleBackend:
         assert whole.counters()["shuffle/runs_written"] > 0
         with pytest.raises(BackendError, match=r"run-000000\.pkl"):
             run_join(TornRunBackend(**options), corpus)
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_spill_directory_is_a_backend_error(self, tmp_path):
+        """It used to escape as a bare ``FileNotFoundError``."""
+        missing = tmp_path / "gone"
+        backend = get_backend("disk", memory_budget_bytes=4096,
+                              temp_dir=str(missing))
+        with pytest.raises(BackendError, match=r"spill directory under .*gone"):
+            run_join(backend, small_corpus(count=30, stride=6))
+        assert os.listdir(tmp_path) == []
+
+    def test_full_disk_on_the_second_run_is_a_backend_error(self, tmp_path,
+                                                            monkeypatch):
+        """``ENOSPC`` while a run is written fails the join, naming the run
+        file, and leaves no spill files behind."""
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        def open_on_a_full_disk(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            return FullDisk(handle) if path.endswith("run-000001.pkl") else handle
+
+        monkeypatch.setattr(shuffle, "open", open_on_a_full_disk, raising=False)
+        backend = get_backend("disk", memory_budget_bytes=4096,
+                              temp_dir=str(tmp_path))
+        with pytest.raises(BackendError, match=(
+                r"cannot write spill run .*run-000001\.pkl.*No space left")):
+            run_join(backend, small_corpus(count=30, stride=6))
         assert os.listdir(tmp_path) == []
 
     def test_invalid_options_raise(self):

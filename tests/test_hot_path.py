@@ -45,7 +45,7 @@ from repro.mapreduce.types import (
 )
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.similarity.registry import supported_measures
-from tests.conftest import BACKENDS, join_grid, strip_telemetry
+from tests.conftest import BACKEND_IDS, BACKENDS, join_grid, strip_telemetry
 from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
 
 WORKLOADS = ("join_scan", "join_dense")
@@ -142,11 +142,12 @@ def test_pinned_join_sizes_each_record_once_and_stays_cheap(corpora, workload):
 
 
 def test_cleanup_emissions_are_partitioned_per_key_too():
-    """The trailer job's cleanup emits one record, under a key of its own."""
+    """The trailer job's cleanup emits two records, each under a key of its
+    own."""
     *_counts, partitionings, result = profile_calls(
         lambda: run_trailer_job(SerialBackend()), partitioner=trailer_last)
-    assert result.stats.map.records_out == 61
-    assert partitionings == result.stats.reduce_groups == 12
+    assert result.stats.map.records_out == 62
+    assert partitionings == result.stats.reduce_groups == 13
 
 
 # -- frozen --------------------------------------------------------------------
@@ -169,7 +170,7 @@ def use_reference_accounting(monkeypatch) -> None:
     and both reads of a carried size become a fresh walk of the record: the
     tasks' read of the size an emitted record carries, and a job's read of
     the sizes its input dataset carries (whatever the driver or the
-    previous job handed over is ignored).  Forked workers inherit the patch.
+    previous job handed over is ignored).
     """
     replacements = ((estimate_record_bytes, walk_record_bytes),
                     (sized_key_value, reference_sized_key_value))
@@ -237,7 +238,7 @@ class TestAccountingIsFrozen:
                 accounting(run_join(corpora[workload], workload, algorithm))
                 for workload in WORKLOADS for algorithm in ALGORITHMS}
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=str)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_walker_everywhere_changes_no_number(self, corpora, baseline,
                                                  reference_accounting, backend):
         for (workload, algorithm), expected in baseline.items():

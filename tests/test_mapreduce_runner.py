@@ -26,7 +26,7 @@ from repro.mapreduce.job import (
     TaskContext,
     normalise_emit,
 )
-from repro.mapreduce.phases import merge_spills, partition_by_key, split_slices
+from repro.mapreduce.phases import iter_spill_groups, partition_by_key
 from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.types import KeyValue
 
@@ -283,16 +283,15 @@ class TestShuffleGrouping:
     @given(emitted=st.lists(emitted_keys, max_size=40),
            cleanup=st.lists(emitted_keys, max_size=5),
            assignment=st.lists(st.integers(0, 50), min_size=7, max_size=7),
-           num_reducers=st.integers(1, 5), pieces=st.integers(1, 4))
+           num_reducers=st.integers(1, 5))
     def test_grouped_then_partitioned_spill_equals_per_record_spill(
-            self, emitted, cleanup, assignment, num_reducers, pieces):
+            self, emitted, cleanup, assignment, num_reducers):
         def partitioner(key, partitions):
             return assignment[key] % partitions
 
         # The value is the emission's position, so record order shows.
         records = [KeyValue(key, position, secondary)
                    for position, (key, secondary) in enumerate(emitted + cleanup)]
-        map_output, cleanup_output = records[:len(emitted)], records[len(emitted):]
 
         reference = {}
         for key_value in records:
@@ -300,21 +299,11 @@ class TestShuffleGrouping:
             reference.setdefault(partition, {}).setdefault(
                 key_value.key, []).append(key_value)
 
-        # What the runner does: every task (a contiguous slice) partitions
-        # its own output, the spills are merged in task order, and the
-        # cleanup emissions enter the shuffle last.
-        spill = {}
-        for start, stop in split_slices(len(map_output), pieces):
-            merge_spills(spill, partition_by_key(map_output[start:stop],
-                                                 partitioner, num_reducers))
-        merge_spills(spill, partition_by_key(cleanup_output, partitioner,
-                                             num_reducers))
+        # What the map task does: one call over its emissions, the cleanup
+        # emissions last.
+        spill = partition_by_key(records, partitioner, num_reducers)
 
-        def in_order(shuffle):
-            return [(partition, list(groups.items()))
-                    for partition, groups in sorted(shuffle.items())]
-
-        assert in_order(spill) == in_order(reference)
+        assert list(iter_spill_groups(spill)) == list(iter_spill_groups(reference))
 
     def test_partitioner_is_asked_once_per_distinct_key(self):
         asked = []

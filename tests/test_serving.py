@@ -34,7 +34,7 @@ from repro.serving.node import ServingNode, query_signature
 from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
 from repro.engine.engine import join
-from tests.conftest import InlineBackend, make_random_multisets, unreplicated_fleet
+from tests.conftest import SPILLING_DISK, make_random_multisets, unreplicated_fleet
 
 
 def threshold_matches(target, query: Multiset, threshold: float) -> list:
@@ -741,7 +741,7 @@ class TestBootstrap:
         # engine and hand its result over.
         threshold = 0.4
         joined = batch_join(small_multisets, test_cluster, threshold=threshold)
-        for backend in (InlineBackend(), "disk"):
+        for backend in ("disk", SPILLING_DISK):
             explicit = bootstrap_from_join(small_multisets, joined, num_shards=2)
             inline = batch_join(small_multisets, test_cluster, backend=backend,
                                 threshold=threshold).to_service(num_shards=2)

@@ -244,7 +244,7 @@ class TestSpecDescription:
         assert restored == spec
 
     def test_session_infrastructure_is_not_persisted(self, test_cluster):
-        spec = JoinSpec(cluster=test_cluster, backend="process",
+        spec = JoinSpec(cluster=test_cluster, backend="disk",
                         enforce_budgets=True)
         restored = spec_from_description(describe_spec(spec))
         assert restored.cluster is None

@@ -30,7 +30,6 @@ from repro.mapreduce.costmodel import (
     CostModel,
     CostParameters,
 )
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import (
     Combiner,
@@ -58,7 +57,6 @@ __all__ = [
     "CostBreakdown",
     "CostModel",
     "CostParameters",
-    "Counters",
     "DEFAULT_COST_PARAMETERS",
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "Dataset",

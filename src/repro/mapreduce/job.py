@@ -34,20 +34,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.partitioner import Partitioner, hash_partitioner
 from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.telemetry import Metrics
 
 
 class TaskContext:
     """Per-task execution context handed to mappers, combiners and reducers.
 
-    Provides access to the job's counters and to the side data loaded at the
-    start of the task (the paper's "loading external data ... only at the
-    beginning of each stage").
+    Provides access to the job's counters (the job's
+    :class:`~repro.telemetry.Metrics` map, which every phase of the job
+    counts into) and to the side data loaded at the start of the task (the
+    paper's "loading external data ... only at the beginning of each
+    stage").
     """
 
-    def __init__(self, counters: Counters, side_data: Any = None,
+    def __init__(self, counters: Metrics, side_data: Any = None,
                  num_machines: int = 1, job_name: str = "") -> None:
         self.counters = counters
         self.side_data = side_data
@@ -56,7 +58,7 @@ class TaskContext:
 
     def increment(self, name: str, amount: int = 1) -> None:
         """Increment a named job counter."""
-        self.counters.increment(name, amount)
+        self.counters[name] += amount
 
 
 class Mapper:

@@ -7,7 +7,8 @@ shuffle's merge) for the reduce phase.  Each task carries everything it
 needs (the job, its data and the accounting parameters), is executed by a
 module-level function — the backend's ``run_tasks`` is handed that
 function, so a backend can tell the phases apart — and returns both its
-emissions and an exact :class:`~repro.mapreduce.types.PhaseStats`.
+emissions and an exact :class:`~repro.mapreduce.types.PhaseStats`; its
+user code counts into the job's counter map, which the task carries.
 
 The task loops do per record only what is per record — three rules:
 
@@ -39,7 +40,6 @@ from operator import attrgetter
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import MemoryBudgetExceeded
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobSpec, TaskContext, normalise_emit
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import (
@@ -48,6 +48,7 @@ from repro.mapreduce.types import (
     estimate_record_bytes,
     sized_key_value,
 )
+from repro.telemetry import Metrics
 
 #: The shuffle's spill structure: reduce partition -> key -> records.
 Spill = dict[int, dict[Any, list[KeyValue]]]
@@ -117,6 +118,8 @@ class MapTask:
     #: Whether to pre-partition the map output for the shuffle (map-side
     #: spill); disabled when a combiner will rewrite the output anyway.
     build_spill: bool
+    #: The job's counters, which the mapper's context counts into.
+    counters: Metrics
 
 
 @dataclass
@@ -134,14 +137,13 @@ class MapTaskResult:
     spill: Spill | None
     phase: PhaseStats
     max_output_record: int
-    counters: dict[str, int]
 
 
 def execute_map_task(task: MapTask) -> MapTaskResult:
     """Run the mapper over the job's input: the one map loop."""
     job = task.job
-    counters = Counters()
-    context = TaskContext(counters, job.side_data, task.num_machines, job.name)
+    context = TaskContext(task.counters, job.side_data, task.num_machines,
+                          job.name)
     job.mapper.setup(context)
     if task.records:
         job.mapper.check_input(task.records[0], context)
@@ -188,8 +190,7 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         spill = partition_by_key(emissions, job.partitioner, task.num_reducers)
         emissions = []
     return MapTaskResult(emissions=emissions, spill=spill, phase=phase,
-                         max_output_record=max_output_record,
-                         counters=counters.as_dict())
+                         max_output_record=max_output_record)
 
 
 # -- combine tasks ------------------------------------------------------------
@@ -210,6 +211,7 @@ class CombineTask:
     overhead: int
     num_reducers: int
     build_spill: bool
+    counters: Metrics
 
 
 @dataclass
@@ -224,7 +226,6 @@ class CombineTaskResult:
     combined: list[KeyValue]
     spill: Spill | None
     phase: PhaseStats
-    counters: dict[str, int]
 
 
 def execute_combine_task(task: CombineTask) -> CombineTaskResult:
@@ -232,8 +233,8 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
     job = task.job
     combiner = job.combiner
     assert combiner is not None
-    counters = Counters()
-    context = TaskContext(counters, job.side_data, task.num_machines, job.name)
+    context = TaskContext(task.counters, job.side_data, task.num_machines,
+                          job.name)
     phase = PhaseStats()
     combined: list[KeyValue] = []
     keeps_shape = combiner.keeps_value_shape
@@ -262,8 +263,7 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
     if task.build_spill:
         spill = partition_by_key(combined, job.partitioner, task.num_reducers)
         combined = []
-    return CombineTaskResult(combined=combined, spill=spill, phase=phase,
-                             counters=counters.as_dict())
+    return CombineTaskResult(combined=combined, spill=spill, phase=phase)
 
 
 # -- reduce tasks -------------------------------------------------------------
@@ -300,6 +300,7 @@ class ReduceTask:
     overhead: int
     #: Per-machine memory budget, or ``None`` when enforcement is disabled.
     memory_budget: int | None
+    counters: Metrics
 
 
 @dataclass
@@ -314,7 +315,6 @@ class ReduceTaskResult:
     max_group_records: int
     max_group_bytes: int
     peak_task_memory: int
-    counters: dict[str, int]
 
 
 def _secondary_order(key_value: KeyValue) -> tuple[bool, Any]:
@@ -333,8 +333,8 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     job = task.job
     reducer = job.reducer
     assert reducer is not None
-    counters = Counters()
-    context = TaskContext(counters, job.side_data, task.num_machines, job.name)
+    context = TaskContext(task.counters, job.side_data, task.num_machines,
+                          job.name)
     reducer.setup(context)
     # What the job declared: one size for every output record, a function
     # of the record, or nothing (the generic sizer, record by record).
@@ -405,6 +405,5 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
                             reduce_groups=reduce_groups,
                             max_group_records=max_group_records,
                             max_group_bytes=max_group_bytes,
-                            peak_task_memory=peak_task_memory,
-                            counters=counters.as_dict())
+                            peak_task_memory=peak_task_memory)
 

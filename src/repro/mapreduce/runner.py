@@ -55,7 +55,6 @@ from repro.mapreduce.costmodel import (
     CostModel,
     CostParameters,
 )
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.phases import (
@@ -71,10 +70,7 @@ from repro.mapreduce.phases import (
     iter_spill_groups,
 )
 from repro.mapreduce.types import JobStats, KeyValue, estimate_record_bytes
-
-#: The one counter that is a high-water mark, not a tally: over a pipeline
-#: it is the largest per-job value (the other ``shuffle/*`` counters sum).
-PEAK_BUFFER_COUNTER = "shuffle/peak_buffer_bytes"
+from repro.telemetry import merge
 
 
 @dataclass
@@ -114,19 +110,10 @@ class PipelineResult:
                        f"available jobs: {available or '(none)'}")
 
     def counters(self) -> dict[str, int]:
-        """Return all counters summed across the pipeline's jobs.
-
-        ``shuffle/peak_buffer_bytes`` is the exception: a peak over the
-        pipeline is the maximum of the per-job peaks.
-        """
-        merged: dict[str, int] = {}
-        for stats in self.job_stats:
-            for key, value in stats.counters.items():
-                if key == PEAK_BUFFER_COUNTER:
-                    merged[key] = max(merged.get(key, 0), value)
-                else:
-                    merged[key] = merged.get(key, 0) + value
-        return merged
+        """The jobs' counters rolled up over the pipeline
+        (:func:`repro.telemetry.merge`: tallies add up, a high-water mark
+        such as ``shuffle/peak_buffer_bytes`` is the largest per-job peak)."""
+        return merge(stats.counters for stats in self.job_stats)
 
 
 class LocalJobRunner:
@@ -155,7 +142,6 @@ class LocalJobRunner:
         """Run one job over ``dataset`` and return its output and stats."""
         self._check_profile(job)
         stats = JobStats(job_name=job.name, num_machines=self.cluster.num_machines)
-        counters = Counters()
 
         side_data_bytes = self._side_data_bytes(job)
         stats.side_data_bytes = side_data_bytes
@@ -164,10 +150,9 @@ class LocalJobRunner:
         num_reducers = job.num_reducers or self.cluster.num_machines
 
         output_records, output_bytes = self._run_phases(
-            job, dataset, stats, counters, num_reducers)
+            job, dataset, stats, num_reducers)
 
         self._check_disk(job.name, stats)
-        stats.merge_counters(counters.as_dict())
         self.cost_model.annotate(stats, self.cluster)
         self._check_scheduler(job.name, stats)
         output = Dataset(f"{job.name}:output", output_records, output_bytes)
@@ -175,8 +160,7 @@ class LocalJobRunner:
 
     # -- phases ---------------------------------------------------------------
 
-    def _run_phases(self, job: JobSpec, dataset: Dataset,
-                    stats: JobStats, counters: Counters,
+    def _run_phases(self, job: JobSpec, dataset: Dataset, stats: JobStats,
                     num_reducers: int) -> tuple[list[Any], list[int]]:
         """Map / combine / shuffle / reduce: the output records and their sizes."""
         # The one decision a backend makes beyond running tasks: the shuffle
@@ -185,12 +169,11 @@ class LocalJobRunner:
         grouper = self.backend.external_grouper()
         want_spill = job.reducer is not None and grouper is None
         map_output, spill = self._run_map_phase(
-            job, dataset, stats, counters, num_reducers,
+            job, dataset, stats, num_reducers,
             build_spill=want_spill and job.combiner is None)
         if job.combiner is not None:
             map_output, spill = self._run_combine_phase(
-                job, map_output, stats, counters, num_reducers,
-                build_spill=want_spill)
+                job, map_output, stats, num_reducers, build_spill=want_spill)
 
         # The shuffle moves (and spills once on the map side) exactly the
         # bytes the last map-side phase emitted.
@@ -203,22 +186,20 @@ class LocalJobRunner:
         if grouper is None:
             assert spill is not None
             return self._run_reduce_phase(job, iter_spill_groups(spill),
-                                          stats, counters)
+                                          stats)
         with grouper:  # removes its run files on every exit path
             partitioner = job.partitioner
             for key_value in map_output:
                 grouper.add(partitioner(key_value.key, num_reducers), key_value)
             # The merge is one lazy stream (never a list: materialising it
             # would give up the memory ceiling).
-            output = self._run_reduce_phase(
-                job, grouper.iter_groups(), stats, counters)
-            for name, value in grouper.telemetry.items():
-                counters.increment(f"shuffle/{name}", value)
+            output = self._run_reduce_phase(job, grouper.iter_groups(), stats)
+            stats.counters.update((f"shuffle/{name}", value)
+                                  for name, value in grouper.telemetry.items())
         return output
 
     def _run_map_phase(self, job: JobSpec, dataset: Dataset,
-                       stats: JobStats, counters: Counters,
-                       num_reducers: int,
+                       stats: JobStats, num_reducers: int,
                        build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
         # Sized by whoever made them (a job, the driver) or, once, by this
         # first read.
@@ -227,10 +208,10 @@ class LocalJobRunner:
         machines = self.cluster.num_machines
         task = MapTask(job=job, records=records, record_bytes=record_bytes,
                        num_machines=machines, overhead=overhead,
-                       num_reducers=num_reducers, build_spill=build_spill)
+                       num_reducers=num_reducers, build_spill=build_spill,
+                       counters=stats.counters)
         (result,) = self.backend.run_tasks(execute_map_task, [task])
         stats.map = result.phase
-        counters.merge_dict(result.counters)
 
         task_memory = (stats.side_data_bytes + max(record_bytes, default=0)
                        + result.max_output_record)
@@ -239,8 +220,7 @@ class LocalJobRunner:
         return result.emissions, result.spill
 
     def _run_combine_phase(self, job: JobSpec, map_output: list[KeyValue],
-                           stats: JobStats, counters: Counters,
-                           num_reducers: int,
+                           stats: JobStats, num_reducers: int,
                            build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
         machines = self.cluster.num_machines
         overhead = self.cost_parameters.record_overhead_bytes
@@ -260,19 +240,18 @@ class LocalJobRunner:
             machine_items.append((machine, groups))
         task = CombineTask(job=job, machines=machine_items,
                            num_machines=machines, overhead=overhead,
-                           num_reducers=num_reducers, build_spill=build_spill)
+                           num_reducers=num_reducers, build_spill=build_spill,
+                           counters=stats.counters)
         (result,) = self.backend.run_tasks(execute_combine_task, [task])
         stats.combine = result.phase
         # Combining happens on the mapper machine; fold it into map work so
         # the cost model charges the same machine.
         for machine, work in result.phase.machine_work.items():
             stats.map.add_machine_work(machine, work)
-        counters.merge_dict(result.counters)
         return result.combined, result.spill
 
     def _run_reduce_phase(self, job: JobSpec, groups: Iterable[Group],
-                          stats: JobStats, counters: Counters
-                          ) -> tuple[list[Any], list[int]]:
+                          stats: JobStats) -> tuple[list[Any], list[int]]:
         budget = self.cluster.memory_per_machine if self.enforce_budgets else None
         # ``run`` has refused a job that needs secondary keys on a profile
         # without them, so needing them is enough to sort by them here.
@@ -280,7 +259,7 @@ class LocalJobRunner:
                           sort_by_secondary=job.requires_secondary_keys,
                           num_machines=self.cluster.num_machines,
                           overhead=self.cost_parameters.record_overhead_bytes,
-                          memory_budget=budget)
+                          memory_budget=budget, counters=stats.counters)
         (result,) = self.backend.run_tasks(execute_reduce_task, [task])
         stats.reduce = result.phase
         stats.reduce_groups = result.reduce_groups
@@ -288,7 +267,6 @@ class LocalJobRunner:
         stats.max_group_bytes = result.max_group_bytes
         stats.peak_task_memory = max(stats.peak_task_memory,
                                      result.peak_task_memory)
-        counters.merge_dict(result.counters)
         return result.output_records, result.output_bytes
 
     # -- budget and profile checks --------------------------------------------

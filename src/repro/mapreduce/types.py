@@ -35,6 +35,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
+from repro.telemetry import Metrics
+
 #: Rough per-object overhead charged by the size estimator, in bytes.
 _OBJECT_OVERHEAD = 16
 
@@ -250,11 +252,7 @@ class JobStats:
     peak_task_memory: int = 0
     #: Total intermediate bytes written to local disks.
     spilled_bytes: int = 0
-    counters: dict[str, int] = field(default_factory=dict)
+    #: The job's counters: every task of every phase counts into this map.
+    counters: dict[str, int] = field(default_factory=Metrics)
     #: Simulated run time in seconds, filled in by the cost model.
     simulated_seconds: float = 0.0
-
-    def merge_counters(self, counters: dict[str, int]) -> None:
-        """Accumulate counter values into this job's counter map."""
-        for name, value in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value

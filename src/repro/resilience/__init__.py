@@ -15,9 +15,10 @@ tests and defends it:
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`, the
   closed/open/half-open per-endpoint breaker the wire client mounts.
 
-Nothing here imports a tier above :mod:`repro.core`: the replica set and
-the fleet live in :mod:`repro.serving` and are handed a policy by their
-caller.
+Nothing here imports a tier above :mod:`repro.core` (the counters are
+:mod:`repro.telemetry` maps, a module that imports nothing): the replica
+set and the fleet live in :mod:`repro.serving` and are handed a policy by
+their caller.
 """
 
 from repro.core.exceptions import (

@@ -9,12 +9,12 @@ the half-open state a bounded number of probe calls is let through; one
 success closes the circuit again, one failure re-opens it for another
 full reset window.
 
-The statistics counters are deliberately lock-free: ``allow`` /
-``record_*`` run on the wire client's hot path, and plain int attribute
-updates are atomic enough under the GIL that the counters stay
-monotonically correct — the worst a race can cost is a probe more than
-``half_open_max_probes`` slipping through, which only means one extra
-request against a recovering server.
+The statistics counters (a :class:`~repro.telemetry.Metrics` map) are
+deliberately lock-free: ``allow`` / ``record_*`` run on the wire client's
+hot path, and plain dictionary updates are atomic enough under the GIL
+that the counters stay monotonically correct — the worst a race can cost
+is a probe more than ``half_open_max_probes`` slipping through, which only
+means one extra request against a recovering server.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import time
 from typing import Callable
 
 from repro.core.exceptions import CircuitOpenError, ResilienceError
+from repro.telemetry import Metrics
 
 #: The three breaker states.
 CLOSED = "closed"
@@ -72,11 +73,8 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._half_open_probes = 0
-        self.calls_allowed = 0
-        self.calls_refused = 0
-        self.successes = 0
-        self.failures = 0
-        self.opens = 0
+        self.metrics = Metrics.fromkeys(("calls_allowed", "calls_refused",
+                                         "successes", "failures", "opens"), 0)
 
     @property
     def state(self) -> str:
@@ -93,7 +91,7 @@ class CircuitBreaker:
         if self._state == OPEN:
             remaining = self._remaining_open()
             if remaining > 0:
-                self.calls_refused += 1
+                self.metrics["calls_refused"] += 1
                 raise CircuitOpenError(
                     f"circuit for {self.name or 'endpoint'} is open after "
                     f"{self._consecutive_failures} consecutive failures; "
@@ -104,18 +102,18 @@ class CircuitBreaker:
             self._half_open_probes = 0
         if self._state == HALF_OPEN:
             if self._half_open_probes >= self.half_open_max_probes:
-                self.calls_refused += 1
+                self.metrics["calls_refused"] += 1
                 raise CircuitOpenError(
                     f"circuit for {self.name or 'endpoint'} is half-open and "
                     f"its probe quota ({self.half_open_max_probes}) is in "
                     "flight",
                     retry_after_seconds=self.reset_timeout_seconds)
             self._half_open_probes += 1
-        self.calls_allowed += 1
+        self.metrics["calls_allowed"] += 1
 
     def record_success(self) -> None:
         """A gated call succeeded: close the circuit."""
-        self.successes += 1
+        self.metrics["successes"] += 1
         self._consecutive_failures = 0
         if self._state != CLOSED:
             self._state = CLOSED
@@ -123,26 +121,20 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         """A gated call failed: count it; open on threshold or failed probe."""
-        self.failures += 1
+        self.metrics["failures"] += 1
         self._consecutive_failures += 1
         if self._state == HALF_OPEN \
                 or self._consecutive_failures >= self.failure_threshold:
             self._state = OPEN
             self._opened_at = self._clock()
             self._half_open_probes = 0
-            self.opens += 1
+            self.metrics["opens"] += 1
 
     def stats(self) -> dict[str, float]:
         """Lock-free counters and the current state."""
-        return {
-            "state": self.state,
-            "consecutive_failures": self._consecutive_failures,
-            "calls_allowed": self.calls_allowed,
-            "calls_refused": self.calls_refused,
-            "successes": self.successes,
-            "failures": self.failures,
-            "opens": self.opens,
-        }
+        return {"state": self.state,
+                "consecutive_failures": self._consecutive_failures,
+                **self.metrics}
 
     def __repr__(self) -> str:
         return (f"CircuitBreaker(name={self.name!r}, state={self.state!r}, "

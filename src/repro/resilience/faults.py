@@ -32,6 +32,7 @@ from repro.core.exceptions import (
     ReplicaUnavailableError,
     ResilienceError,
 )
+from repro.telemetry import Metrics
 
 
 class FaultPolicy:
@@ -94,10 +95,9 @@ class FaultPolicy:
         self.operations = frozenset(operations) if operations else None
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self.calls = 0
-        self.injected_latency_calls = 0
-        self.injected_errors = 0
-        self.injected_timeouts = 0
+        self.metrics = Metrics.fromkeys(
+            ("calls", "injected_latency_calls", "injected_errors",
+             "injected_timeouts"), 0)
         self._crashed = False
 
     @property
@@ -118,7 +118,7 @@ class FaultPolicy:
         """
         self._crashed = False
         if (self.crash_after_calls is not None
-                and self.calls > self.crash_after_calls):
+                and self.metrics["calls"] > self.crash_after_calls):
             self.crash_after_calls = None
 
     def on_call(self, operation: str) -> None:
@@ -129,31 +129,32 @@ class FaultPolicy:
         """
         if self.operations is not None and operation not in self.operations:
             return
+        metrics = self.metrics
         with self._lock:
-            self.calls += 1
+            metrics["calls"] += 1
+            calls = metrics["calls"]
             if (self.crash_after_calls is not None
-                    and self.calls > self.crash_after_calls):
+                    and calls > self.crash_after_calls):
                 self._crashed = True
             if self._crashed:
                 raise ReplicaUnavailableError(
-                    f"injected crash: {operation} call {self.calls} is past "
+                    f"injected crash: {operation} call {calls} is past "
                     f"the crash-after-{self.crash_after_calls} trigger")
             draw = self._rng.random
             sleep_for = 0.0
             if (self.latency_seconds > 0
                     and draw() < self.latency_probability):
-                self.injected_latency_calls += 1
+                metrics["injected_latency_calls"] += 1
                 sleep_for = self.latency_seconds
             if self.error_probability > 0 and draw() < self.error_probability:
-                self.injected_errors += 1
+                metrics["injected_errors"] += 1
                 raise InjectedFaultError(
-                    f"injected failure on {operation} "
-                    f"(call {self.calls})")
+                    f"injected failure on {operation} (call {calls})")
             if (self.timeout_probability > 0
                     and draw() < self.timeout_probability):
-                self.injected_timeouts += 1
+                metrics["injected_timeouts"] += 1
                 raise DeadlineExceededError(
-                    f"injected timeout on {operation} (call {self.calls})")
+                    f"injected timeout on {operation} (call {calls})")
         # Sleep outside the lock: concurrent callers must overlap their
         # injected latency, not serialize on the policy.
         if sleep_for > 0:
@@ -161,16 +162,10 @@ class FaultPolicy:
 
     def stats(self) -> dict[str, float]:
         """Counters of what the policy has injected so far."""
-        return {
-            "calls": self.calls,
-            "injected_latency_calls": self.injected_latency_calls,
-            "injected_errors": self.injected_errors,
-            "injected_timeouts": self.injected_timeouts,
-            "crashed": self._crashed,
-        }
+        return {**self.metrics, "crashed": self._crashed}
 
     def __repr__(self) -> str:
-        return (f"FaultPolicy(calls={self.calls}, "
+        return (f"FaultPolicy(calls={self.metrics['calls']}, "
                 f"latency={self.latency_seconds}s, "
                 f"error_p={self.error_probability}, "
                 f"crashed={self._crashed})")

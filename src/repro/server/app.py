@@ -90,6 +90,7 @@ from repro.server.errors import (
     simple_error,
 )
 from repro.server.queues import CoalescingQueue
+from repro.telemetry import Metrics
 
 _UPSERT = "upsert"
 _DELETE = "delete"
@@ -208,9 +209,8 @@ class SimilarityServerApp:
         self._health_task: asyncio.Task | None = None
         self._started = False
         self._closing = False
-        self.requests_served = 0
-        self.degraded_served = 0
-        self.deadline_failures = 0
+        self.metrics = Metrics.fromkeys(
+            ("requests_served", "degraded_served", "deadline_failures"), 0)
         self.last_health_report: dict | None = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -234,7 +234,7 @@ class SimilarityServerApp:
             max_batch=config.write_max_batch,
             retry_after_seconds=config.retry_after_seconds)
         for queue in (self._query_queue, self._write_queue):
-            queue.start(executor=self._executor, lock=self.lock)
+            queue.start(self._on_lane)
         if config.health_check_interval_seconds is not None:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop(config.health_check_interval_seconds))
@@ -324,7 +324,7 @@ class SimilarityServerApp:
         :mod:`repro.server.errors`; nothing raises across this boundary
         except transport-level bugs.
         """
-        self.requests_served += 1
+        self.metrics["requests_served"] += 1
         try:
             return await self._route(method, path, payload)
         except ReproError as error:
@@ -382,7 +382,7 @@ class SimilarityServerApp:
         try:
             return await asyncio.wait_for(asyncio.shield(task), timeout)
         except asyncio.TimeoutError:
-            self.deadline_failures += 1
+            self.metrics["deadline_failures"] += 1
             task.add_done_callback(_log_orphan_failure)
             raise DeadlineExceededError(
                 f"{what} was not answered within {timeout}s",
@@ -416,7 +416,7 @@ class SimilarityServerApp:
                 self.config.brownout_threshold_floor)
         else:
             return request, False
-        self.degraded_served += 1
+        self.metrics["degraded_served"] += 1
         return replace(request, options=degraded), True
 
     @staticmethod
@@ -663,9 +663,7 @@ class SimilarityServerApp:
         return {
             "mode": "view" if self.view is not None else "direct",
             "accepting": self._started and not self._closing,
-            "requests_served": self.requests_served,
-            "degraded_served": self.degraded_served,
-            "deadline_failures": self.deadline_failures,
+            **self.metrics,
             "browned_out": self._browned_out(),
             "queues": {queue.name: queue.stats()
                        for queue in (self._query_queue, self._write_queue)

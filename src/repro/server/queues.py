@@ -14,21 +14,27 @@ through a single callable.  For queries that callable is
 each distinct (signature, options) request once per batch — and for writes
 it applies the queued mutations in admission order.
 
-Execution is a job on the server's one lane — a one-thread executor shared
-by every queue and admin operation, holding the server's service lock — so
-the event loop stays responsive (accepting, parsing and *rejecting*
-requests) while a batch computes.  The serving structures are not
-thread-safe: the lane buys overlap between parsing and computation, never
-parallel index scans, and batches of all queues run in the order their
-workers handed them over.
+Execution is a job on the server's one lane — the queue is handed the lane
+itself, the coroutine that runs a callable on the one-thread executor
+shared by every queue and admin operation, holding the server's service
+lock — so the event loop stays responsive (accepting, parsing and
+*rejecting* requests) while a batch computes.  The serving structures are
+not thread-safe: the lane buys overlap between parsing and computation,
+never parallel index scans, and batches of all queues run in the order
+their workers handed them over.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Sequence
+from functools import partial
+from typing import Awaitable, Callable, Sequence
 
 from repro.core.exceptions import QueueFullError, ServerError
+from repro.telemetry import Metrics, read
+
+#: The server's one execution lane: runs a callable, returns its result.
+Lane = Callable[[Callable[[], object]], Awaitable[object]]
 
 
 class CoalescingQueue:
@@ -51,22 +57,19 @@ class CoalescingQueue:
         self._execute_batch = execute_batch
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
-        self._executor = None
-        self._lock = None
+        self._lane: Lane | None = None
         self._closed = False
-        self.admitted = 0
-        self.rejected = 0
-        self.executed_batches = 0
-        self.executed_items = 0
-        self.max_batch_observed = 0
+        self.metrics = Metrics.fromkeys(
+            ("admitted", "rejected", "executed_batches", "executed_items",
+             "max_batch_observed"), 0)
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, *, executor, lock) -> None:
-        """Create the queue and its worker on the running event loop."""
+    def start(self, lane: Lane) -> None:
+        """Create the queue and its worker on the running event loop; the
+        worker executes each batch as a job on ``lane``."""
         self._queue = asyncio.Queue(maxsize=self.capacity)
-        self._executor = executor
-        self._lock = lock
+        self._lane = lane
         self._closed = False
         self._worker = asyncio.get_running_loop().create_task(
             self._drain(), name=f"queue-{self.name}")
@@ -107,7 +110,7 @@ class CoalescingQueue:
             raise ServerError(f"a batch of {count} can never be admitted: "
                               f"the {self.name} queue holds at most {self.capacity}")
         if self.depth + count > self.capacity:
-            self.rejected += 1
+            self.metrics["rejected"] += 1
             raise QueueFullError(
                 f"the {self.name} queue is full ({self.depth} of "
                 f"{self.capacity} pending, {count} more refused)",
@@ -129,7 +132,7 @@ class CoalescingQueue:
         self.require_room(1)
         future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait((item, future))
-        self.admitted += 1
+        self.metrics["admitted"] += 1
         return future
 
     # -- worker ----------------------------------------------------------------
@@ -148,8 +151,7 @@ class CoalescingQueue:
     async def _run_batch(self, batch: list[tuple[object, asyncio.Future]]) -> None:
         items = [item for item, _ in batch]
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._execute_locked, items)
+            results = await self._lane(partial(self._execute_batch, items))
         except Exception as error:  # noqa: BLE001 — fan the failure out
             for _, future in batch:
                 if not future.done():
@@ -159,15 +161,13 @@ class CoalescingQueue:
                 if not future.done():
                     future.set_result(result)
         finally:
-            self.executed_batches += 1
-            self.executed_items += len(batch)
-            self.max_batch_observed = max(self.max_batch_observed, len(batch))
+            metrics = self.metrics
+            metrics["executed_batches"] += 1
+            metrics["executed_items"] += len(batch)
+            metrics["max_batch_observed"] = max(
+                metrics["max_batch_observed"], len(batch))
             for _ in batch:
                 self._queue.task_done()
-
-    def _execute_locked(self, items: list[object]) -> Sequence[object]:
-        with self._lock:
-            return self._execute_batch(items)
 
     # -- observability ---------------------------------------------------------
 
@@ -178,14 +178,5 @@ class CoalescingQueue:
 
     def stats(self) -> dict[str, float]:
         """Admission and coalescing counters of this queue."""
-        return {
-            "capacity": self.capacity,
-            "depth": self.depth,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "executed_batches": self.executed_batches,
-            "executed_items": self.executed_items,
-            "max_batch_observed": self.max_batch_observed,
-            "mean_batch_size": (self.executed_items / self.executed_batches
-                                if self.executed_batches else 0.0),
-        }
+        return read({"capacity": self.capacity, "depth": self.depth,
+                     **self.metrics})

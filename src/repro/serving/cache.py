@@ -6,6 +6,9 @@ content signature and parameters — as long as every write invalidates the
 cache (the indexed state the entries were computed against is gone).  The
 replay workloads that motivate the serving subsystem are Zipf-skewed, so a
 small LRU holds the popular queries and absorbs most of the traffic.
+
+The cache counts its lookups into a :class:`~repro.telemetry.Metrics` map
+under ``cache/*`` names; a node hands it the map its index counts into.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ from collections import OrderedDict
 from typing import Any, Hashable
 
 from repro.core.exceptions import ServingError
+from repro.telemetry import Metrics
+
+#: What the cache counts, zero until it happens.
+COUNTERS = ("cache/hits", "cache/misses", "cache/evictions",
+            "cache/invalidations")
 
 
 class LRUResultCache:
@@ -28,10 +36,7 @@ class LRUResultCache:
             raise ServingError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self.metrics = Metrics()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -43,10 +48,10 @@ class LRUResultCache:
         """Return the cached value (refreshing its recency), or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self.metrics["cache/misses"] += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.metrics["cache/hits"] += 1
         return entry
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -58,32 +63,13 @@ class LRUResultCache:
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self.metrics["cache/evictions"] += 1
 
     def invalidate(self) -> None:
         """Drop every entry; called on each write to the backing index."""
         if self._entries:
             self._entries.clear()
-        self.invalidations += 1
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def stats(self) -> dict[str, float]:
-        """Counters for dashboards and the QPS benchmark."""
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
+        self.metrics["cache/invalidations"] += 1
 
     def __repr__(self) -> str:
-        return (f"LRUResultCache(entries={len(self._entries)}/{self.capacity}, "
-                f"hit_rate={self.hit_rate:.2f})")
+        return f"LRUResultCache(entries={len(self._entries)}/{self.capacity})"

@@ -68,6 +68,7 @@ from repro.similarity.base import (
 from repro.similarity.kernels import scalar_conj_functions
 from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure
+from repro.telemetry import Metrics
 
 __all__ = ["PreparedQuery", "QueryMatch", "SimilarityIndex", "prepare", "sort_matches"]
 
@@ -154,7 +155,9 @@ class SimilarityIndex:
         #: dense element id -> {multiset id -> effective multiplicity}
         self._postings: dict[int, dict[MultisetId, float]] = {}
         self._version = 0
-        self._counters: dict[str, int] = {}
+        #: The map scans count into (``serving/*``): a node points it at its
+        #: own, which the node's cache counts into too.
+        self.metrics = Metrics()
 
     def _element_key(self, element: Element) -> object:
         """The postings key of ``element``.
@@ -224,10 +227,8 @@ class SimilarityIndex:
 
     def counters(self) -> dict[str, int]:
         """Query-execution counters (scanned postings, pruned candidates...)."""
-        return dict(self._counters)
-
-    def _increment(self, counter: str, amount: int = 1) -> None:
-        self._counters[counter] = self._counters.get(counter, 0) + amount
+        return {name: value for name, value in self.metrics.items()
+                if name.startswith("serving/")}
 
     # -- writes ----------------------------------------------------------------
 
@@ -342,7 +343,7 @@ class SimilarityIndex:
             similarity = measure.combine(uni_q, self._uni[multiset_id], conj)
             if similarity >= limit:
                 matches.append(QueryMatch(multiset_id, similarity))
-        self._increment("serving/threshold_queries")
+        self.metrics["serving/threshold_queries"] += 1
         return sort_matches(matches)
 
     def _topk_matches(self, prepared: PreparedQuery, k: int) -> list[QueryMatch]:
@@ -366,7 +367,7 @@ class SimilarityIndex:
         top_similarities: list[float] = []  # min-heap of the k best scores
         for bound, multiset_id in ranked:
             if len(top_similarities) >= k and bound < top_similarities[0]:
-                self._increment("serving/topk_early_terminations")
+                self.metrics["serving/topk_early_terminations"] += 1
                 break
             similarity = measure.combine(uni_q, self._uni[multiset_id],
                                          conj_by_id[multiset_id])
@@ -374,7 +375,7 @@ class SimilarityIndex:
             heapq.heappush(top_similarities, similarity)
             if len(top_similarities) > k:
                 heapq.heappop(top_similarities)
-        self._increment("serving/topk_queries")
+        self.metrics["serving/topk_queries"] += 1
         return sort_matches(scored)[:k]
 
     def neighbours(self, multiset_id: MultisetId,
@@ -451,14 +452,13 @@ class SimilarityIndex:
             conj_by_id = {multiset_id: (total,)
                           for multiset_id, total in conj_by_id.items()}
         # A counter nothing was added to stays absent from counters().
-        counters = self._counters
+        metrics = self.metrics
         for counter, amount in (("serving/postings_scanned", scanned),
                                 ("serving/stop_words_skipped", skipped),
                                 ("serving/candidates_pruned", len(pruned))):
             if amount:
-                counters[counter] = counters.get(counter, 0) + amount
-        self._increment("serving/candidates_examined",
-                        len(conj_by_id) + len(pruned))
+                metrics[counter] += amount
+        metrics["serving/candidates_examined"] += len(conj_by_id) + len(pruned)
         return uni_q, conj_by_id
 
     def __repr__(self) -> str:

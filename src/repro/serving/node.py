@@ -19,6 +19,11 @@ A node derives nothing from the query itself: it takes — or, called
 directly, builds — a :class:`~repro.serving.index.PreparedQuery` and makes
 each cache key once, from its eager signature; the lazy scan form is touched
 only by an index that has to scan, so a cache hit costs the signature alone.
+
+The index's scans and the cache's lookups count into one
+:class:`~repro.telemetry.Metrics` map: the node's own, or the one it was
+built with — a replica hands every node it builds its map, so what its
+nodes counted survives a node being replaced.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from typing import Iterable, Sequence
 
 from repro.core.multiset import Multiset, MultisetId, content_signature
 from repro.serving.api import QueryMatch, QueryRequest, QueryResponse
-from repro.serving.cache import LRUResultCache
+from repro.serving.cache import COUNTERS, LRUResultCache
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.similarity.base import NominalSimilarityMeasure
+from repro.telemetry import Metrics, read
 
 
 def query_signature(query: Multiset) -> frozenset:
@@ -48,10 +54,12 @@ class ServingNode:
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
                  *, cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 name: str = "node0") -> None:
+                 name: str = "node0", metrics: Metrics | None = None) -> None:
         self.index = SimilarityIndex(measure,
                                      stop_word_frequency=stop_word_frequency)
         self.cache = LRUResultCache(cache_capacity)
+        self.metrics = self.index.metrics = self.cache.metrics = (
+            Metrics() if metrics is None else metrics)
         self.name = name
 
     @property
@@ -168,29 +176,12 @@ class ServingNode:
 
     # -- observability ---------------------------------------------------------
 
-    @property
-    def cache_hits(self) -> int:
-        """Lookups served from the result cache since the node was created."""
-        return self.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Lookups that had to scan the index."""
-        return self.cache.misses
-
-    @property
-    def cache_evictions(self) -> int:
-        """Entries evicted by LRU capacity pressure (invalidations excluded)."""
-        return self.cache.evictions
-
     def stats(self) -> dict[str, float]:
-        """Index counters merged with cache statistics."""
-        merged: dict[str, float] = dict(self.index.counters())
-        for stat, value in self.cache.stats().items():
-            merged[f"cache/{stat}"] = value
-        merged["indexed_multisets"] = len(self.index)
-        merged["index_version"] = self.index.version
-        return merged
+        """What this node counted, its cache room and its members."""
+        return read({**dict.fromkeys(COUNTERS, 0), **self.metrics,
+                     "cache/entries": len(self.cache),
+                     "cache/capacity": self.cache.capacity,
+                     "indexed_multisets": len(self.index)})
 
     def __repr__(self) -> str:
         return (f"ServingNode(name={self.name!r}, "

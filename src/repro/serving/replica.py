@@ -30,6 +30,12 @@ Faults are injected (never spontaneous) through an optional per-replica
 :class:`~repro.resilience.faults.FaultPolicy`, consulted *before* the node
 call — so a faulted write never half-applies, and killing a replica
 between any two operations leaves the survivors exact.
+
+What a replica's nodes count (``cache/*``, ``serving/*``) is the
+replica's: it owns the :class:`~repro.telemetry.Metrics` map and hands it
+to every node it builds or loads, so a ``kill`` or ``recover`` that swaps
+the node never takes a counter back.  The shard's statistics are one
+:func:`~repro.telemetry.merge` over its replicas.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from repro.serving.api import QueryMatch, QueryRequest
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.serving.node import ServingNode
 from repro.similarity.base import NominalSimilarityMeasure
+from repro.telemetry import Metrics, merge
 
 if TYPE_CHECKING:  # the chaos seam is duck-typed: anything with on_call()
     from repro.resilience.faults import FaultPolicy
@@ -59,10 +66,6 @@ REPLICA_SALT = "resilience-replica"
 #: The two read-spreading strategies.
 ROUND_ROBIN = "round_robin"
 RENDEZVOUS = "rendezvous"
-
-#: Statistics that count requests served (summed over every replica of a
-#: shard); everything else describes the data, which the replicas share.
-REQUEST_PATH_STATS = ("cache/", "serving/")
 
 
 class Replica:
@@ -82,6 +85,9 @@ class Replica:
         #: Serializes calls into the node (serving structures are not
         #: thread-safe); distinct replicas proceed in parallel.
         self.lock = threading.Lock()
+        #: The map this replica's nodes count into: the first node's, handed
+        #: to every node built or loaded after it.
+        self.metrics = node.metrics
         self.reads_served = 0
         self.writes_applied = 0
         self.faults_seen = 0
@@ -106,12 +112,11 @@ class Replica:
             return function(self.node, *args)
 
     def stats(self) -> dict[str, float]:
-        merged: dict[str, float] = dict(self.node.stats())
-        merged["healthy"] = self.healthy
-        merged["reads_served"] = self.reads_served
-        merged["writes_applied"] = self.writes_applied
-        merged["faults_seen"] = self.faults_seen
-        return merged
+        """The node's statistics plus this copy's own state and counts."""
+        return {**self.node.stats(), "index_version": self.node.index.version,
+                "healthy": self.healthy, "reads_served": self.reads_served,
+                "writes_applied": self.writes_applied,
+                "faults_seen": self.faults_seen}
 
     def __repr__(self) -> str:
         state = "healthy" if self.healthy else f"down ({self.down_reason})"
@@ -164,12 +169,12 @@ class ReplicatedShard:
         #: Round-robin turn counter.  A turn lost to a race between two
         #: reading threads repeats a replica once; it cannot unbalance them.
         self._turn = 0
-        self.ejections = 0
-        self.recoveries = 0
-        self.failovers = 0
+        self.metrics = Metrics.fromkeys(("ejections", "recoveries",
+                                         "failovers"), 0)
 
-    def _blank_node(self, name: str) -> ServingNode:
-        return ServingNode(self._measure_setting, name=name,
+    def _blank_node(self, name: str,
+                    metrics: Metrics | None = None) -> ServingNode:
+        return ServingNode(self._measure_setting, name=name, metrics=metrics,
                            **self._node_settings)
 
     @property
@@ -233,7 +238,7 @@ class ReplicatedShard:
             if replica.healthy:
                 self._set_health(replica, False, reason)
                 replica.faults_seen += 1
-                self.ejections += 1
+                self.metrics["ejections"] += 1
 
     def check_divergence(self) -> None:
         """Verify the healthy replicas still agree; raise when they don't.
@@ -387,7 +392,7 @@ class ReplicatedShard:
                 raise
             except Exception as error:  # noqa: BLE001 — fail over
                 self._eject(replica, f"{operation} failed: {error}")
-                self.failovers += 1
+                self.metrics["failovers"] += 1
                 continue
             replica.reads_served += 1
             return result
@@ -470,7 +475,7 @@ class ReplicatedShard:
         with replica.lock:  # a call already inside the node finishes first
             self._eject(replica, "killed")
             if lose_state:
-                replica.node = self._blank_node(replica.name)
+                replica.node = self._blank_node(replica.name, replica.metrics)
                 replica.expected_version = 0
         if replica.fault_policy is not None:
             replica.fault_policy.crash()
@@ -490,9 +495,10 @@ class ReplicatedShard:
             raise ResilienceError(
                 f"shard {self.name}: replica {replica.name} is healthy; "
                 "only down replicas recover")
-        node = self._blank_node(replica.name)
+        node = self._blank_node(replica.name, replica.metrics)
         if source is not None:
             node.index = SimilarityIndex.load(source)
+            node.index.metrics = replica.metrics
         else:
             node.bulk_load(self.members())
         if replica.fault_policy is not None:
@@ -501,13 +507,14 @@ class ReplicatedShard:
         replica.expected_version = node.index.version
         with self._health_lock:
             self._set_health(replica, True)
-            self.recoveries += 1
+            self.metrics["recoveries"] += 1
         self.check_divergence()
         return replica
 
     def restore(self, indexes: Sequence[SimilarityIndex]) -> None:
         """Install one loaded index per replica (fleet recovery)."""
         for replica, index in zip(self.replicas, indexes, strict=True):
+            index.metrics = replica.metrics
             replica.node.index = index
             replica.expected_version = index.version
         self.check_divergence()
@@ -556,35 +563,21 @@ class ReplicatedShard:
 
     def stats(self) -> dict[str, float]:
         """Shard-level resilience counters."""
-        return {
-            "replication_factor": self.replication_factor,
-            "healthy_replicas": self.num_healthy(),
-            "ejections": self.ejections,
-            "recoveries": self.recoveries,
-            "failovers": self.failovers,
-        }
+        return {"replication_factor": self.replication_factor,
+                "healthy_replicas": self.num_healthy(), **self.metrics}
 
     def serving_stats(self) -> dict[str, float]:
-        """The shard's serving statistics, each counted once.
+        """The shard's serving statistics: its replicas merged as copies.
 
-        Request-path counters (cache hits/misses/evictions/invalidations,
-        ``serving/*``) sum over every replica — each replica served its own
-        share of the reads.  Data gauges (members indexed) come from one
-        healthy replica: the replicas are copies, and summing them would
-        overcount the fleet by the replication factor.  A shard with no
-        healthy replica reports no data gauges — the statistics stay
-        readable exactly when an operator needs them.
+        What each replica counted adds up, and so does its cache room; the
+        data (members indexed) is read from one healthy replica, and from
+        none while no replica is healthy — the statistics stay readable
+        exactly when an operator needs them.
         """
         primary = self._healthy[0] if self._healthy else None
-        merged: dict[str, float] = {}
-        for replica in self.replicas:
-            for stat, value in replica.node.stats().items():
-                if replica is primary or stat.startswith(REQUEST_PATH_STATS):
-                    merged[stat] = merged.get(stat, 0) + value
-        return merged
-
-    def per_replica_stats(self) -> dict[str, dict[str, float]]:
-        return {replica.name: replica.stats() for replica in self.replicas}
+        return merge([primary.node.stats()] if primary else [],
+                     [replica.node.stats() for replica in self.replicas
+                      if replica is not primary])
 
     def health(self) -> dict:
         """The shard's health document (one ``/admin/replicas`` entry)."""

@@ -51,6 +51,7 @@ from repro.serving.api import (
 from repro.serving.index import SimilarityIndex, prepare
 from repro.serving.replica import ROUND_ROBIN, Replica, ReplicatedShard
 from repro.similarity.base import NominalSimilarityMeasure
+from repro.telemetry import merge
 
 #: Salt separating shard routing from the other stable-hash users.
 SHARD_SALT = "serving-shard"
@@ -379,32 +380,25 @@ class ReplicatedSimilarityService:
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Fleet totals: every shard's serving statistics summed, plus the
-        ``resilience/*`` fan-in and failover counters.
+        """Fleet totals: the shards' serving statistics and their
+        ``resilience/*`` counters, merged as disjoint shares.
 
-        Request-path counters count every replica's work, data gauges each
-        member once (see :meth:`ReplicatedShard.serving_stats
-        <repro.serving.replica.ReplicatedShard.serving_stats>`);
-        ``cache/capacity`` is the fleet's total cache room,
-        ``cache/hit_rate`` is recomputed from the summed hits and misses,
-        and per-node-only gauges (``index_version``) are omitted — read
-        them from :meth:`per_node_stats`.
+        Each shard counts every replica's work and its members once (see
+        :meth:`ReplicatedShard.serving_stats
+        <repro.serving.replica.ReplicatedShard.serving_stats>`), so
+        ``cache/capacity`` is the fleet's total cache room and
+        ``cache/hit_rate`` the fleet's.  A replica's write version is its
+        own (a replica rebuilt from a peer restarts it): read it from
+        :meth:`per_node_stats`.
         """
-        merged: dict[str, float] = {}
+        parts: list[dict[str, float]] = []
         for shard in self.shards:
-            for stat, value in shard.serving_stats().items():
-                merged[stat] = merged.get(stat, 0) + value
-            for stat, value in shard.stats().items():
-                merged[f"resilience/{stat}"] = \
-                    merged.get(f"resilience/{stat}", 0) + value
-        merged.pop("index_version", None)
-        del merged["resilience/replication_factor"]
-        merged["num_shards"] = self.num_shards
-        merged["replication_factor"] = self.replication_factor
-        lookups = merged["cache/hits"] + merged["cache/misses"]
-        merged["cache/hit_rate"] = (merged["cache/hits"] / lookups
-                                    if lookups else 0.0)
-        return merged
+            parts.append(shard.serving_stats())
+            parts.append({"resilience/healthy_replicas": shard.num_healthy(),
+                          **{f"resilience/{name}": value
+                             for name, value in shard.metrics.items()}})
+        return {**merge(parts), "num_shards": self.num_shards,
+                "replication_factor": self.replication_factor}
 
     def per_node_stats(self) -> dict[str, dict[str, float]]:
         """Per-replica statistics keyed by ``shardN/replicaM`` name.
@@ -412,10 +406,8 @@ class ReplicatedSimilarityService:
         The fleet totals of :meth:`stats` hide which shard or replica is
         hot; this breakdown exposes every node's own counters.
         """
-        merged: dict[str, dict[str, float]] = {}
-        for shard in self.shards:
-            merged.update(shard.per_replica_stats())
-        return merged
+        return {replica.name: replica.stats()
+                for shard in self.shards for replica in shard.replicas}
 
     def replica_health(self) -> dict[str, dict]:
         """The health document of every replica (the ``/admin/replicas`` body)."""

@@ -55,6 +55,7 @@ from repro.streaming.changes import (
     PairDelta,
     sort_deltas,
 )
+from repro.telemetry import Metrics
 
 #: Apply strategies.
 INCREMENTAL = "incremental"
@@ -158,7 +159,7 @@ class JoinView:
                 (pair.first, pair.second, pair.similarity) for pair in pairs)
         self._subscribers: list[Subscriber] = []
         self._version = 0
-        self._counters: dict[str, int] = {}
+        self.metrics = Metrics()
 
     # -- durability ------------------------------------------------------------
 
@@ -290,10 +291,7 @@ class JoinView:
 
     def counters(self) -> dict[str, int]:
         """Maintenance counters (batches per strategy, deltas per kind...)."""
-        return dict(self._counters)
-
-    def _increment(self, counter: str, amount: int = 1) -> None:
-        self._counters[counter] = self._counters.get(counter, 0) + amount
+        return dict(self.metrics)
 
     # -- subscriptions ---------------------------------------------------------
 
@@ -347,10 +345,11 @@ class JoinView:
         else:
             deltas = self._apply_rejoin(batch)
         self._version += 1
-        self._increment(f"streaming/batches_{strategy}")
-        self._increment("streaming/changes_applied", len(batch))
+        metrics = self.metrics
+        metrics[f"streaming/batches_{strategy}"] += 1
+        metrics["streaming/changes_applied"] += len(batch)
         for delta in deltas:
-            self._increment(f"streaming/{delta.kind}")
+            metrics[f"streaming/{delta.kind}"] += 1
         for subscriber in list(self._subscribers):
             subscriber(self, batch, deltas)
         return deltas

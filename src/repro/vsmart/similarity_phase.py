@@ -128,7 +128,7 @@ class _CandidateFilter:
         identifiers are dense interned ints, so numeric id order *is*
         canonical order and the key holds one int for both.  The join's
         innermost loop: what does not depend on the pair is read before it,
-        the counters are updated after it (an update costs two calls).
+        the counters are updated after it (an update costs a call).
         """
         prunes = self.prunes
         upper_bound = self.measure.similarity_upper_bound if prunes else None

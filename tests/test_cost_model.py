@@ -29,7 +29,6 @@ from repro.mapreduce.cluster import (
     paper_cluster,
 )
 from repro.mapreduce.costmodel import CostModel, CostParameters
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.partitioner import (
@@ -45,6 +44,7 @@ from repro.mapreduce.types import (
     sized_key_value,
     walk_record_bytes,
 )
+from repro.telemetry import Metrics, merge
 from repro.vsmart.similarity_phase import ChunkPairRecord
 from tests.test_mapreduce_runner import WordCountMapper, WordCountReducer
 
@@ -350,15 +350,12 @@ class TestDataset:
 
 class TestCountersAndPipelineStats:
     def test_counters_merge(self):
-        first = Counters()
-        first.increment("a", 2)
-        second = Counters()
-        second.increment("a", 3)
-        second.increment("b")
-        first.merge(second)
-        assert first.as_dict() == {"a": 5, "b": 1}
-        assert "a" in first
-        assert len(first) == 2
+        first, second = Metrics(), Metrics()
+        first["a"] += 2
+        second["a"] += 3
+        second["b"] += 1
+        assert first["never"] == 0 and "never" not in first
+        assert merge([first, second]) == {"a": 5, "b": 1}
 
     def test_pipeline_result_aggregation(self, test_cluster):
         runner = LocalJobRunner(test_cluster)

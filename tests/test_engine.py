@@ -44,13 +44,13 @@ from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
 from repro.mapreduce.cluster import HADOOP, Cluster, laptop_cluster
 from repro.mapreduce.costmodel import CostParameters
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import TaskContext
 from repro.mapreduce.types import estimate_record_bytes
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.exact import all_pairs_exact
 from repro.similarity.registry import get_measure, supported_measures
+from repro.telemetry import Metrics
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from repro.vsmart.online_aggregation import build_online_aggregation_job
 from repro.vsmart.shapes import RecordShapes
@@ -318,7 +318,7 @@ class TestPlanner:
             "unsharded_kv": keyed(fingerprint_key, container + 3 * word),
         }
 
-        context = TaskContext(Counters())
+        context = TaskContext(Metrics())
         joining = build_online_aggregation_job(measure)
         assert [emitted.size_bytes for emitted in joining.mapper.map(
             InputTuple(0, 0, 1), context)] == [shapes.oa_uni_kv,

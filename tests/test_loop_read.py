@@ -67,7 +67,7 @@ def fleet(replication_factor: int, members, **options):
 
 
 def admitted(app: SimilarityServerApp) -> int:
-    return app._query_queue.admitted
+    return app._query_queue.metrics["admitted"]
 
 
 def accounting(service) -> tuple[int, int, int]:
@@ -160,8 +160,9 @@ class TestCachedRead:
         seamed = fleet(1, members, fault_policy_factory=lambda shard, replica:
                        policy if shard == 1 else None)
         seamed.query(request)
-        calls = policy.calls
-        assert seamed.cached(request) is None and policy.calls == calls
+        calls = policy.metrics["calls"]
+        assert seamed.cached(request) is None \
+            and policy.metrics["calls"] == calls
 
         plain = fleet(1, members)
         plain.query(request)
@@ -346,7 +347,7 @@ class TestNeverOnTheLoop:
                 assert admitted(app) == position + 1
         paid = [thread for policy in policies for thread in policy.threads]
         assert paid and loop_thread not in paid
-        assert sum(policy.injected_latency_calls for policy in policies) \
+        assert sum(policy.metrics["injected_latency_calls"] for policy in policies) \
             == len(paid)
 
     def test_view_mode_with_a_write_in_flight(self):

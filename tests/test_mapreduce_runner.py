@@ -29,6 +29,7 @@ from repro.mapreduce.job import (
 from repro.mapreduce.phases import iter_spill_groups, partition_by_key
 from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.types import KeyValue
+from repro.telemetry import Metrics, merge
 
 
 class WordCountMapper(Mapper):
@@ -263,9 +264,7 @@ class TestLifecycleHooks:
         assert sorted(result.output.records) == [("a", 3), ("b", 2), ("c", 3)]
 
     def test_task_context_increment(self):
-        from repro.mapreduce.counters import Counters
-
-        counters = Counters()
+        counters = Metrics()
         context = TaskContext(counters)
         context.increment("x", 5)
         context.increment("x")
@@ -324,9 +323,8 @@ class TestPipelineResult:
     def _stats(name, counters, seconds=1.0):
         from repro.mapreduce.types import JobStats
 
-        stats = JobStats(job_name=name, simulated_seconds=seconds)
-        stats.merge_counters(counters)
-        return stats
+        return JobStats(job_name=name, counters=dict(counters),
+                        simulated_seconds=seconds)
 
     def _pipeline(self):
         from repro.mapreduce.runner import PipelineResult
@@ -374,6 +372,9 @@ class TestPipelineResult:
         assert self._pipeline().simulated_seconds == 15.0
 
     def test_merge_counters_accumulates(self):
-        stats = self._stats("job", {"x": 1})
-        stats.merge_counters({"x": 2, "y": 3})
-        assert stats.counters == {"x": 3, "y": 3}
+        # A peak is a high-water mark over the jobs; everything else adds up.
+        peak = "shuffle/peak_buffer_bytes"
+        stats = [self._stats("one", {"x": 1, peak: 40}),
+                 self._stats("two", {"x": 2, "y": 3, peak: 30})]
+        assert merge(job.counters for job in stats) \
+            == {"x": 3, "y": 3, peak: 40}

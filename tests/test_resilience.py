@@ -81,6 +81,7 @@ from repro.serving import (
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
+from repro.telemetry import is_counter
 from tests.conftest import make_random_multisets
 
 
@@ -116,7 +117,7 @@ def test_package_imports_nothing_above_core():
     loaded = subprocess.run([sys.executable, "-c", script,
                              os.path.dirname(repro.__file__)],
                             check=True, capture_output=True, text=True).stdout
-    assert loaded.strip() == "['core', 'resilience']"
+    assert loaded.strip() == "['core', 'resilience', 'telemetry']"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ class TestFaultPolicy:
         policy = FaultPolicy(error_probability=1.0,
                              operations=frozenset({"query"}))
         policy.on_call("add")  # unmatched: never faults, never counts
-        assert policy.calls == 0
+        assert policy.metrics["calls"] == 0
         with pytest.raises(InjectedFaultError):
             policy.on_call("query")
         policy = FaultPolicy()
@@ -374,8 +375,7 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 
 def members_per_replica(shard) -> list[int]:
-    return [stats["indexed_multisets"]
-            for stats in shard.per_replica_stats().values()]
+    return [len(replica.node) for replica in shard.replicas]
 
 
 class TestReplicatedShard:
@@ -731,6 +731,7 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
         self.fleet = None
         self.oracle = None
         self.model: dict[str, Multiset] = {}
+        self.counted: dict[str, float] = {}
 
     @initialize(seed=st.integers(min_value=0, max_value=2 ** 16),
                 replication_factor=st.sampled_from(RFS))
@@ -831,6 +832,18 @@ class ReplicatedChaosMachine(RuleBasedStateMachine):
         for shard in self.fleet.shards:
             assert shard.num_healthy() >= 1
             shard.check_divergence()
+
+    @invariant()
+    def fleet_counters_never_go_backwards(self):
+        # Regression: a kill swapped in a blank node and the fleet totals
+        # lost what the old one had counted.
+        if self.fleet is None:
+            return
+        totals = self.fleet.stats()
+        for name, before in self.counted.items():
+            assert totals[name] >= before, (name, before, totals[name])
+        self.counted = {name: value for name, value in totals.items()
+                        if is_counter(name)}
 
 
 ReplicatedChaosMachine.TestCase.settings = hyp_settings(
@@ -1057,7 +1070,7 @@ class TestServerHardening:
                 assert body["error"]["code"] == "deadline_exceeded"
                 assert body["error"]["retry_after_seconds"] == 0.05
                 assert float(retry_after) == pytest.approx(0.05)
-                assert app.deadline_failures == 1
+                assert app.metrics["deadline_failures"] == 1
                 release.set()
         finally:
             release.set()
@@ -1105,7 +1118,7 @@ class TestServerHardening:
         sizes = sorted(len(answer) for answer in answers)
         assert sizes[0] <= 2, sizes  # somebody got the degraded answer
         assert sizes[-1] == 10, sizes  # and somebody got the full one
-        assert app.degraded_served >= 1
+        assert app.metrics["degraded_served"] >= 1
         # The degraded answer is a truncation of the full one.
         full = max(answers, key=len)
         for answer in answers:

@@ -129,7 +129,12 @@ class TestCoalescingQueue:
 
         queue = CoalescingQueue("test", execute, **kwargs)
         executor = ThreadPoolExecutor(max_workers=1)
-        queue.start(executor=executor, lock=threading.Lock())
+
+        async def lane(operation):
+            return await asyncio.get_running_loop().run_in_executor(
+                executor, operation)
+
+        queue.start(lane)
         return queue, executor
 
     def test_submits_coalesce_into_batches(self):

@@ -33,6 +33,7 @@ from repro.serving.index import (
 from repro.serving.node import ServingNode, query_signature
 from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, supported_measures
+from repro.telemetry import read
 from repro.engine.engine import join
 from tests.conftest import SPILLING_DISK, make_random_multisets, unreplicated_fleet
 
@@ -446,15 +447,15 @@ class TestLRUResultCache:
         cache.put("c", 3)           # evicts b (least recently used)
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.evictions == 1
-        assert cache.hits == 3 and cache.misses == 2
+        assert cache.metrics == {"cache/misses": 2, "cache/hits": 3,
+                                 "cache/evictions": 1}
 
     def test_invalidate_clears_entries(self):
         cache = LRUResultCache(capacity=4)
         cache.put("a", 1)
         cache.invalidate()
         assert cache.get("a") is None
-        assert cache.invalidations == 1
+        assert cache.metrics["cache/invalidations"] == 1
 
     def test_zero_capacity_disables_caching(self):
         cache = LRUResultCache(capacity=0)
@@ -468,11 +469,12 @@ class TestLRUResultCache:
 
     def test_hit_rate(self):
         cache = LRUResultCache(capacity=2)
-        assert cache.hit_rate == 0.0
+        assert "cache/hit_rate" not in read(cache.metrics)  # nothing counted
         cache.put("a", 1)
         cache.get("a")
+        assert read(cache.metrics)["cache/hit_rate"] == 1.0
         cache.get("b")
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert read(cache.metrics)["cache/hit_rate"] == pytest.approx(0.5)
 
 
 class TestServingNode:
@@ -483,7 +485,7 @@ class TestServingNode:
         first = threshold_matches(node, query, 0.4)
         second = threshold_matches(node, query, 0.4)
         assert first == second
-        assert node.cache.hits == 1
+        assert node.metrics["cache/hits"] == 1
         # Only one index scan happened for the two calls.
         assert node.index.counters()["serving/threshold_queries"] == 1
 
@@ -902,19 +904,19 @@ class TestCacheCounterExposure:
         query = overlapping_multisets[0]
         threshold_matches(node, query, 0.5)
         threshold_matches(node, query, 0.5)
-        assert node.cache_hits == 1
-        assert node.cache_misses == 1
-        assert node.cache_evictions == 0
+        # The index and the cache count into the node's one map.
+        assert node.index.metrics is node.cache.metrics is node.metrics
+        assert (node.metrics["cache/hits"], node.metrics["cache/misses"],
+                node.metrics["cache/evictions"]) == (1, 1, 0)
         # Two more content-distinct entries overflow the capacity-2 cache
         # (multisets "a" and "b" share a content signature, so index 1
         # would be a hit, not a new entry).
         threshold_matches(node, overlapping_multisets[2], 0.5)
         threshold_matches(node, overlapping_multisets[3], 0.5)
-        assert node.cache_evictions == 1
         stats = node.stats()
-        assert stats["cache/hits"] == node.cache_hits
-        assert stats["cache/misses"] == node.cache_misses
-        assert stats["cache/evictions"] == node.cache_evictions
+        assert stats["cache/evictions"] == node.metrics["cache/evictions"] == 1
+        assert (stats["cache/hits"], stats["cache/misses"]) == (1, 3)
+        assert stats["cache/hit_rate"] == 0.25
 
     def test_service_per_node_stats(self, small_multisets):
         service = unreplicated_fleet("ruzicka", num_shards=3,
@@ -1053,12 +1055,12 @@ class ServingNodeModelMachine(RuleBasedStateMachine):
             == pytest.approx([match.similarity for match in expected])
         # Asking again returns the identical answer; with a cache it is a
         # hit, without one it recomputes — either way no drift.
-        hits_before = self.node.cache_hits
+        hits_before = self.node.metrics["cache/hits"]
         assert threshold_matches(self.node, query, threshold) == found
         if self.capacity > 0:
-            assert self.node.cache_hits == hits_before + 1
+            assert self.node.metrics["cache/hits"] == hits_before + 1
         else:
-            assert self.node.cache_hits == 0
+            assert self.node.metrics["cache/hits"] == 0
 
     @rule(data=st.data(), k=st.integers(min_value=1, max_value=5))
     def query_topk_matches_brute_force(self, data, k):

@@ -122,7 +122,7 @@ def replay(fleet, ops, entries: Entries, *, batched: bool) -> tuple[int, int]:
     requests = missed = 0
 
     def misses() -> int:
-        return sum(replica.node.cache.misses for shard in fleet.shards
+        return sum(replica.metrics["cache/misses"] for shard in fleet.shards
                    for replica in shard.replicas)
 
     for op in ops:

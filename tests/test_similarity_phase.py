@@ -7,12 +7,12 @@ import pytest
 from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import InterningContext, PairCodec
 from repro.core.records import JoinedTuple, PairContribution, explode_multisets
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import TaskContext
 from repro.mapreduce.runner import LocalJobRunner
 from repro.similarity.exact import pair_dictionary
 from repro.similarity.registry import get_measure
+from repro.telemetry import Metrics
 from repro.vsmart.similarity_phase import (
     ChunkPairRecord,
     Similarity1Reducer,
@@ -101,13 +101,12 @@ class TestChunking:
 
     def test_chunk_pair_counts(self):
         from repro.core.records import PostingEntry
-        from repro.mapreduce.counters import Counters
         from repro.mapreduce.job import TaskContext
 
         reducer = Similarity1Reducer(SimilarityPhaseConfig(chunk_size=2),
                                      pair_codec=PairCodec(5))
         postings = [PostingEntry(i, (1.0,), 1.0) for i in range(5)]
-        context = TaskContext(Counters())
+        context = TaskContext(Metrics())
         records = list(reducer.reduce("element", postings, context))
         assert all(isinstance(record, ChunkPairRecord) for record in records)
         # 3 chunks (2, 2, 1) -> 3 diagonal + 3 cross pairs = 6 chunk pairs.
@@ -145,14 +144,14 @@ class TestPairRecords:
         posting_z = PostingEntry(7, (9.0,), 5.0)
         posting_a = PostingEntry(2, (4.0,), 2.0)
         reducer = Similarity1Reducer(pair_codec=codec)
-        context = TaskContext(Counters())
+        context = TaskContext(Metrics())
         [(key, contribution)] = reducer.reduce("x", [posting_z, posting_a], context)
         assert key == (codec.pack(2, 7), (4.0,), (9.0,))
         assert contribution == PairContribution(2.0, 5.0)
         # Either emission order lands on the one canonical record.
         assert list(reducer.reduce("x", [posting_a, posting_z], context)) == [
             (key, contribution)]
-        assert context.counters.as_dict()["similarity1/candidate_records"] == 2
+        assert context.counters["similarity1/candidate_records"] == 2
 
     def test_duplicate_multiset_in_posting_list_not_paired_with_itself(self, test_cluster):
         from repro.core.multiset import Multiset

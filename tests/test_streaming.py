@@ -386,11 +386,11 @@ class TestServingSubscriber:
         node = ServingNode("ruzicka", cache_capacity=64)
         attach_serving(view, node)
         view.delete("b")
-        hits_before = node.cache_hits
+        hits_before = node.metrics["cache/hits"]
         matches = node.query(
             QueryRequest.threshold(overlapping_multisets[3], 0.8)).matches
         assert {m.multiset_id for m in matches} == {"d", "e"}
-        assert node.cache_hits == hits_before + 1
+        assert node.metrics["cache/hits"] == hits_before + 1
 
     def test_detach_stops_following(self, overlapping_multisets):
         view, service, subscription = self.synced_pair(overlapping_multisets)

@@ -31,6 +31,10 @@ from repro.core.exceptions import InvalidMultisetError
 Element = Hashable
 MultisetId = Hashable
 
+#: The largest cardinality a :class:`Multiset` may have: ``2**53``, below
+#: which every sum of multiplicities is an exact ``float``.
+MAX_CARDINALITY = 2**53
+
 
 class Multiset(Mapping):
     """An immutable multiset (bag) of hashable elements.
@@ -47,7 +51,20 @@ class Multiset(Mapping):
     Raises
     ------
     InvalidMultisetError
-        If any multiplicity is not a positive integer.
+        If any multiplicity is not a positive integer, or the cardinality
+        exceeds :data:`MAX_CARDINALITY`.
+
+    The cardinality bound is what keeps every similarity exact.  Below
+    ``2**53`` every partial sum of multiplicities is an integer a ``float``
+    holds exactly, so the sum-family measures' ``Uni`` (``sum f_ik``) and
+    ``Conj`` (``sum min(f_ik, f_jk)``) are the same float in any summation
+    order — the serving index, the MapReduce combiners and the exact
+    evaluators agree to the bit.  Above it a multiset can miss its own
+    threshold-1.0 query.  The ``sum_squares`` measures (``vector_cosine``)
+    sum ``f_ik**2``, which is bounded by the cardinality's square: their
+    partial sums are exact only while that stays below ``2**53``, which
+    holds for every cardinality up to ``2**26``; above that, summation
+    order can move their last bit.
     """
 
     __slots__ = ("_id", "_elements", "_cardinality", "_hash", "_estimated_bytes")
@@ -74,6 +91,10 @@ class Multiset(Mapping):
                     f"element {element!r} appears more than once in the input")
             frozen[element] = multiplicity
             total += multiplicity
+        if total > MAX_CARDINALITY:
+            raise InvalidMultisetError(
+                f"multiset {multiset_id!r} has cardinality {total}, above "
+                f"2**53: its similarities would not be exact")
         self._id = multiset_id
         self._elements = frozen
         self._cardinality = total

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
-from repro.mapreduce.types import estimate_record_bytes
+from repro.mapreduce.types import RecordColumns, estimate_record_bytes
 
 
 class Dataset:
@@ -26,6 +26,8 @@ class Dataset:
     jobs produce (``InputTuple``, ``KeyValue``, plain tuples, ...).
     ``record_bytes`` hands over the sizes the records were already given
     (one per record, or :class:`~repro.core.exceptions.JobConfigurationError`).
+    Records a job held column-wise (a
+    :class:`~repro.mapreduce.types.RecordColumns`) are kept as they are.
     """
 
     __slots__ = ("_name", "_records", "_record_bytes")
@@ -33,7 +35,8 @@ class Dataset:
     def __init__(self, name: str, records: Iterable[Any],
                  record_bytes: Iterable[int] | None = None) -> None:
         self._name = name
-        self._records: tuple = tuple(records)
+        self._records: Sequence[Any] = (
+            records if isinstance(records, RecordColumns) else tuple(records))
         self._record_bytes = None if record_bytes is None else tuple(record_bytes)
         if record_bytes is not None and len(self._record_bytes) != len(self._records):
             raise JobConfigurationError(

@@ -26,16 +26,24 @@ shape the number assumes; its combiner declares
 :attr:`Combiner.keeps_value_shape`; its reducer declares
 :attr:`Reducer.output_record_bytes`.  A job that declares nothing has every
 record sized by the generic sizer as it is emitted.
+
+A mapper is written record by record (:meth:`Mapper.map`) or batch at a
+time: :meth:`Mapper.map_batch` maps the task's whole input and returns the
+emissions as :class:`~repro.mapreduce.types.Emissions` columns, with no
+``KeyValue`` built until a record enters the shuffle.  The map task calls
+only ``map_batch``; the base class's is the per-record loop over
+:meth:`Mapper.map`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from operator import sub
+from typing import Any, Callable, Hashable, Iterator, MutableSequence, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.partitioner import Partitioner, hash_partitioner
-from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions, KeyValue, sized_key_value
 from repro.telemetry import Metrics
 
 
@@ -71,7 +79,8 @@ class Mapper:
     The whole input of a job is mapped as one task, so :meth:`setup` and
     :meth:`cleanup` run once per job and a mapper that accumulates state
     across records (counting in ``map``, emitting the count from
-    ``cleanup``) sees every record on every backend.
+    ``cleanup``) sees every record on every backend.  A batch mapper
+    overrides :meth:`map_batch` instead of :meth:`map`.
     """
 
     def setup(self, context: TaskContext) -> None:
@@ -88,6 +97,28 @@ class Mapper:
     def map(self, record: Any, context: TaskContext) -> Iterator[Any]:
         """Transform one input record into zero or more key/value pairs."""
         raise NotImplementedError
+
+    def map_batch(self, records: Sequence[Any],
+                  context: TaskContext) -> Emissions:
+        """Map the task's whole input; return the emissions as columns.
+
+        The map task calls only this.  A batch mapper overrides it and
+        returns :class:`~repro.mapreduce.types.Emissions` columns with one
+        declared size (or a size column) and each input record's emission
+        count.  This base implementation is the per-record loop: it calls
+        :meth:`map` on each record in input order and keeps the
+        ``KeyValue`` records it emits.
+        """
+        key_values: list[KeyValue] = []
+        ends: list[int] = []
+        extend = key_values.extend
+        end = ends.append
+        map_one = self.map
+        for record in records:
+            extend(map(normalise_emit, map_one(record, context) or ()))
+            end(len(key_values))
+        counts = list(map(sub, ends, [0, *ends[:-1]]))
+        return Emissions.of_key_values(key_values, counts)
 
     def cleanup(self, context: TaskContext) -> Iterator[Any]:
         """Called once per job after the last record; may emit pairs."""
@@ -117,8 +148,8 @@ class Combiner:
 
     #: Set to True when every value :meth:`combine` yields has the shape of
     #: the group's values (a sum of partial results, a value passed through):
-    #: the combined record then weighs what each record of its group was
-    #: built with, and the runner hands that size on instead of sizing it.
+    #: the combined record then weighs what the first record of its group
+    #: was built with, and the runner hands that size on instead of sizing it.
     keeps_value_shape: bool = False
 
     def combine(self, key: Hashable, values: Sequence[Any],
@@ -143,10 +174,20 @@ class Reducer:
 
     #: What an output record weighs, when its shape says so: an ``int`` when
     #: every record :meth:`reduce` and :meth:`cleanup` emit has one shape, a
-    #: function of the record when a shape holds a list (``base + n x
-    #: item``).  ``None``: the runner sizes each output record as it is
-    #: emitted.
-    output_record_bytes: int | Callable[[Any], int] | None = None
+    #: function from one call's output records (a sequence) to their sizes
+    #: when a shape holds a list (``base + n x item``).  ``None``: the
+    #: runner sizes each output record by the generic sizer.
+    output_record_bytes: int | Callable[[Sequence[Any]], list[int]] | None = None
+
+    def new_output(self) -> MutableSequence:
+        """The container the reduce task collects the output records in.
+
+        A list; a reducer whose :meth:`reduce` returns its records as a
+        :class:`~repro.mapreduce.types.RecordColumns` block returns a
+        container of that kind, whose ``extend`` appends the block's columns
+        without building its records.
+        """
+        return []
 
     def setup(self, context: TaskContext) -> None:
         """Called once per job before any group is reduced."""

@@ -10,22 +10,32 @@ function, so a backend can tell the phases apart — and returns both its
 emissions and an exact :class:`~repro.mapreduce.types.PhaseStats`; its
 user code counts into the job's counter map, which the task carries.
 
-The task loops do per record only what is per record — three rules:
+The task loops do per record only what is per record — four rules:
 
+* **Batches in, columns out.**  The map task makes one call, the mapper's
+  :meth:`~repro.mapreduce.job.Mapper.map_batch` over its whole input, and
+  gets the emissions back as :class:`~repro.mapreduce.types.Emissions`
+  columns with each input record's emission count; its accounting is count
+  x shape arithmetic on those columns (:func:`account_map_records`).  A
+  per-record mapper runs through the base class's ``map_batch``, which is
+  the per-record loop.  The combine task groups the columns per mapper
+  machine.
 * **Sized by shape when the job is built; the walker is the definition and
   the fallback.**  A map task reads its input sizes from the dataset (the
   sizes the previous job's reducer gave its output, handed over by the
   driver, or computed once when its first job read it).  What a task emits
-  weighs what its job declared: a mapper's ``KeyValue`` arrives carrying
-  the number its emit site was built with, a combiner that keeps the
-  value's shape keeps the record's carried size, a reducer's
-  ``output_record_bytes`` is the size of each output record.  Only what a
+  weighs what its job declared: a batch's one declared size, a mapper's
+  ``KeyValue`` carrying the number its emit site was built with, a combiner
+  that keeps the value's shape keeping its group's first size, a reducer's
+  ``output_record_bytes`` as the sizes of its output records.  Only what a
   job leaves undeclared is sized here, by the generic sizer, as it is
   emitted.  Everything downstream — a group's ``bytes_in``, the
   memory-budget check on a materialised value list, the external shuffle's
   buffer, the next job's input — reads the size the record carries.
-* **One construction site**: :func:`~repro.mapreduce.types.sized_key_value`
-  is the only place a ``KeyValue`` is built, by a task or by a mapper.
+* **One construction site, where records enter the shuffle**:
+  :func:`~repro.mapreduce.types.sized_key_value` is the only place a
+  ``KeyValue`` is built — by a per-record mapper, by the combine task, or
+  by the map task for a batch that goes to the shuffle uncombined.
 * **Partitioned per key at task end.**  Map and combine tasks collect their
   output flat — a mapper's cleanup emissions last — and
   :func:`partition_by_key` asks the partitioner once per distinct key when
@@ -35,14 +45,18 @@ The task loops do per record only what is per record — three rules:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, attrgetter, mul, sub
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
-from repro.core.exceptions import MemoryBudgetExceeded
+from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.mapreduce.job import JobSpec, TaskContext, normalise_emit
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import (
+    Emissions,
     KeyValue,
     PhaseStats,
     estimate_record_bytes,
@@ -57,8 +71,17 @@ Spill = dict[int, dict[Any, list[KeyValue]]]
 #: and never walk a ``KeyValue`` again.
 _carried_bytes = attrgetter("size_bytes")
 
+#: What a map task's emissions weigh: the one size their emit site declared,
+#: or a size per emission (those a per-record mapper's records carry).
+_emission_sizes = attrgetter("sizes")
+
 #: What a reducer declared about its output records' sizes: read once per task.
 _declared_output_bytes = attrgetter("output_record_bytes")
+
+
+def _estimated_sizes(records: Sequence[Any]) -> list[int]:
+    """The generic sizer over one reduce call's output, record by record."""
+    return list(map(estimate_record_bytes, records))
 
 
 def check_memory_budget(job_name: str, what: str, required: int,
@@ -126,55 +149,84 @@ class MapTask:
 class MapTaskResult:
     """Emissions and exact accounting for one executed :class:`MapTask`.
 
-    ``emissions`` and ``spill`` are mutually exclusive: with
-    ``build_spill`` the runner consumes only the pre-partitioned spill, so
-    the flat emission list is not kept; without it the flat list is the
-    product.  Either holds the mapper's cleanup emissions last.  Every
-    record carries the size it was emitted with (``KeyValue.size_bytes``).
+    A job with a combiner gets its ``emissions`` back as columns, for the
+    combine task; any other job's emissions enter the shuffle here, as
+    ``KeyValue`` records: pre-partitioned into ``spill`` with
+    ``build_spill``, else the flat ``key_values`` list.  Either way the
+    mapper's cleanup emissions come last.
     """
 
-    emissions: list[KeyValue]
+    emissions: Emissions | None
+    key_values: list[KeyValue]
     spill: Spill | None
     phase: PhaseStats
     max_output_record: int
 
 
+def account_map_records(phase: PhaseStats, record_bytes: Sequence[int],
+                        counts: Sequence[int], sizes: int | Sequence[int],
+                        overhead: float, num_machines: int) -> None:
+    """The map phase's per-record accounting, from the batch's columns.
+
+    Input record ``r`` runs on machine ``r % num_machines`` and does
+    ``bytes_in + bytes_out + overhead x (1 + emissions)`` units of work,
+    where ``bytes_out`` is ``emissions x size`` for a declared size, or the
+    sum of its emissions' sizes.  Each work is the per-record loop's
+    expression, worked out column-wise, and each total is folded from
+    ``0.0`` in input order: the loop's own IEEE sequence.
+    """
+    if type(sizes) is int:
+        bytes_out = list(map(mul, counts, repeat(sizes)))
+    else:
+        # Record r's emissions are sizes[ends[r - 1]:ends[r]].
+        ends = list(accumulate(counts))
+        running = [0, *accumulate(sizes)]
+        bytes_out = list(map(sub, map(running.__getitem__, ends),
+                             map(running.__getitem__, [0, *ends[:-1]])))
+    phase.records_in = records = len(counts)
+    phase.bytes_in = sum(record_bytes)
+    phase.bytes_out = sum(bytes_out)
+    phase.records_out = sum(counts)
+    works = list(map(add, map(add, record_bytes, bytes_out),
+                     map(mul, repeat(overhead), map(add, repeat(1), counts))))
+    for machine in range(min(num_machines, records)):
+        phase.machine_work[machine] = reduce(
+            add, works[machine::num_machines], 0.0)
+    phase.work_units = reduce(add, works, 0.0)
+    top = max(works, default=0.0)
+    if top > phase.max_unit_work:
+        phase.max_unit_work = top
+
+
 def execute_map_task(task: MapTask) -> MapTaskResult:
-    """Run the mapper over the job's input: the one map loop."""
+    """Run the mapper over the job's input: the one map loop.
+
+    The mapper maps the whole input in one call
+    (:meth:`~repro.mapreduce.job.Mapper.map_batch`: a batch mapper's own,
+    or the base class's per-record loop) and the task accounts the batch it
+    returns.
+    """
     job = task.job
     context = TaskContext(task.counters, job.side_data, task.num_machines,
                           job.name)
     job.mapper.setup(context)
     if task.records:
         job.mapper.check_input(task.records[0], context)
+    emissions = job.mapper.map_batch(task.records, context)
+    if len(emissions.counts) != len(task.records):
+        raise JobConfigurationError(
+            f"job {job.name!r}: the mapper's batch counts emissions of "
+            f"{len(emissions.counts)} input records, but the task has "
+            f"{len(task.records)}")
+    # The sizes are settled once, here: every later read is this one.
+    emissions.sizes = sizes = _emission_sizes(emissions)
     phase = PhaseStats()
-    emissions: list[KeyValue] = []
-    machine_work = phase.machine_work
-    max_output_record = 0
-    # The input sizes ride on the dataset: nothing is sized on the way in.
-    for index, (record, bytes_in) in enumerate(
-            zip(task.records, task.record_bytes, strict=True)):
-        bytes_out = 0
-        emitted_count = 0
-        for emitted in job.mapper.map(record, context) or ():
-            key_value = normalise_emit(emitted)
-            size = _carried_bytes(key_value)
-            bytes_out += size
-            if size > max_output_record:
-                max_output_record = size
-            emissions.append(key_value)
-            emitted_count += 1
-        work = bytes_in + bytes_out + task.overhead * (1 + emitted_count)
-        phase.records_out += emitted_count
-        phase.bytes_out += bytes_out
-        # ``phase.add_machine_work``, spelled out: this runs once per record.
-        machine = index % task.num_machines
-        machine_work[machine] = machine_work.get(machine, 0.0) + work
-        phase.work_units += work
-        if work > phase.max_unit_work:
-            phase.max_unit_work = work
-    phase.records_in = len(task.records)
-    phase.bytes_in = sum(task.record_bytes)
+    account_map_records(phase, task.record_bytes, emissions.counts, sizes,
+                        task.overhead, task.num_machines)
+    if type(sizes) is int:
+        max_output_record = sizes if phase.records_out else 0
+    else:
+        max_output_record = max(sizes, default=0)
     cleanup_emissions = [normalise_emit(emitted)
                          for emitted in job.mapper.cleanup(context) or ()]
     if cleanup_emissions:
@@ -184,13 +236,18 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         phase.records_out += len(cleanup_emissions)
         phase.bytes_out += cleanup_bytes
         phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup_emissions))
-        emissions.extend(cleanup_emissions)
+        emissions = Emissions.of_key_values(
+            emissions.key_values() + cleanup_emissions, emissions.counts)
+    if job.combiner is not None:
+        return MapTaskResult(emissions=emissions, key_values=[], spill=None,
+                             phase=phase, max_output_record=max_output_record)
+    key_values = emissions.key_values()
     spill: Spill | None = None
     if task.build_spill:
-        spill = partition_by_key(emissions, job.partitioner, task.num_reducers)
-        emissions = []
-    return MapTaskResult(emissions=emissions, spill=spill, phase=phase,
-                         max_output_record=max_output_record)
+        spill = partition_by_key(key_values, job.partitioner, task.num_reducers)
+        key_values = []
+    return MapTaskResult(emissions=None, key_values=key_values, spill=spill,
+                         phase=phase, max_output_record=max_output_record)
 
 
 # -- combine tasks ------------------------------------------------------------
@@ -200,13 +257,12 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
 class CombineTask:
     """Every mapper machine's output, combined as one task.
 
-    ``machines`` holds ``(machine, groups)`` entries in ascending machine
-    order, where ``groups`` maps ``(key, secondary)`` to that machine's
-    records for the group.
+    Emission ``i`` of ``emissions`` belongs to mapper machine
+    ``i % num_machines``.
     """
 
     job: JobSpec
-    machines: list[tuple[int, dict[tuple, list[KeyValue]]]]
+    emissions: Emissions
     num_machines: int
     overhead: int
     num_reducers: int
@@ -229,7 +285,13 @@ class CombineTaskResult:
 
 
 def execute_combine_task(task: CombineTask) -> CombineTaskResult:
-    """Run the dedicated combiner over every mapper machine's output."""
+    """Run the dedicated combiner over every mapper machine's output.
+
+    Each machine's emissions are grouped by ``(key, secondary)`` straight
+    from the columns, groups in first-occurrence order and values in
+    emission order; the combiner's values enter the shuffle as ``KeyValue``
+    records, built here.
+    """
     job = task.job
     combiner = job.combiner
     assert combiner is not None
@@ -238,18 +300,35 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
     phase = PhaseStats()
     combined: list[KeyValue] = []
     keeps_shape = combiner.keeps_value_shape
-    for machine, groups in task.machines:
-        bytes_in = 0
+    keys, values, secondaries = task.emissions.columns()
+    sizes = task.emissions.sizes
+    machines = task.num_machines
+    for machine in range(min(machines, len(keys))):
+        group_keys = keys[machine::machines]
+        if secondaries is not None:
+            group_keys = list(zip(group_keys, secondaries[machine::machines]))
+        groups: defaultdict[Any, list] = defaultdict(list)
+        for group_key, value in zip(group_keys, values[machine::machines]):
+            groups[group_key].append(value)
+        records_in = len(group_keys)
+        if type(sizes) is int:
+            bytes_in = records_in * sizes
+            kept_sizes = None
+        else:
+            machine_sizes = sizes[machine::machines]
+            bytes_in = sum(machine_sizes)
+            # Reversed, a group's first record is the last one written.
+            kept_sizes = dict(zip(reversed(group_keys), reversed(machine_sizes)))
         bytes_out = 0
-        records_in = 0
-        for (key, secondary), key_values in groups.items():
-            values = [kv.value for kv in key_values]
-            bytes_in += sum(map(_carried_bytes, key_values))
-            records_in += len(values)
+        for group_key, group_values in groups.items():
+            key, secondary = ((group_key, None) if secondaries is None
+                              else group_key)
             # A value of the group's shape, under the group's key: the
-            # combined record weighs what each record of the group does.
-            kept = _carried_bytes(key_values[0]) if keeps_shape else None
-            for value in combiner.combine(key, values, context):
+            # combined record weighs what the group's first record does.
+            kept = None
+            if keeps_shape:
+                kept = sizes if kept_sizes is None else kept_sizes[group_key]
+            for value in combiner.combine(key, group_values, context):
                 new_kv = sized_key_value(key, value, secondary, kept)
                 combined.append(new_kv)
                 bytes_out += _carried_bytes(new_kv)
@@ -307,7 +386,9 @@ class ReduceTask:
 class ReduceTaskResult:
     """Output records and exact accounting for one :class:`ReduceTask`."""
 
-    output_records: list[Any]
+    #: The reducer's output container (:meth:`Reducer.new_output
+    #: <repro.mapreduce.job.Reducer.new_output>`).
+    output_records: Sequence[Any]
     #: The size each output record was emitted with, for the next job.
     output_bytes: list[int]
     phase: PhaseStats
@@ -337,12 +418,13 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
                           job.name)
     reducer.setup(context)
     # What the job declared: one size for every output record, a function
-    # of the record, or nothing (the generic sizer, record by record).
+    # of one reduce call's output, or nothing (the generic sizer, record by
+    # record).
     declared = _declared_output_bytes(reducer)
     constant = declared if isinstance(declared, int) else None
-    sizer = declared if callable(declared) else estimate_record_bytes
+    sizes_of = declared if callable(declared) else _estimated_sizes
     phase = PhaseStats()
-    output_records: list[Any] = []
+    output_records = reducer.new_output()
     output_bytes: list[int] = []
     reduce_groups = 0
     max_group_records = 0
@@ -372,14 +454,14 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
             records_out = len(output_records) - emitted_before
             bytes_out = records_out * constant
         else:
-            bytes_out = 0
-            records_out = 0
-            for record in reducer.reduce(key, values, context):
-                size = sizer(record)
-                output_records.append(record)
-                output_bytes.append(size)
-                bytes_out += size
-                records_out += 1
+            records = reducer.reduce(key, values, context)
+            if not isinstance(records, Sequence):
+                records = list(records)
+            sizes = sizes_of(records)
+            output_records.extend(records)
+            output_bytes.extend(sizes)
+            bytes_out = sum(sizes)
+            records_out = len(sizes)
         work = bytes_in + bytes_out + task.overhead * len(values)
         phase.records_in += len(values)
         phase.records_out += records_out
@@ -388,14 +470,13 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
         phase.add_machine_work(partition % task.num_machines, work)
     if constant is not None:
         output_bytes = [constant] * len(output_records)
-    cleanup_bytes = 0
-    cleanup_count = 0
-    for record in reducer.cleanup(context):
-        size = sizer(record) if constant is None else constant
-        output_records.append(record)
-        output_bytes.append(size)
-        cleanup_bytes += size
-        cleanup_count += 1
+    cleanup_records = list(reducer.cleanup(context))
+    cleanup_sizes = (sizes_of(cleanup_records) if constant is None
+                     else [constant] * len(cleanup_records))
+    output_records.extend(cleanup_records)
+    output_bytes.extend(cleanup_sizes)
+    cleanup_bytes = sum(cleanup_sizes)
+    cleanup_count = len(cleanup_sizes)
     if cleanup_count:
         phase.records_out += cleanup_count
         phase.bytes_out += cleanup_bytes

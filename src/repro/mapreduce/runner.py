@@ -61,6 +61,7 @@ from repro.mapreduce.phases import (
     CombineTask,
     Group,
     MapTask,
+    MapTaskResult,
     ReduceTask,
     Spill,
     check_memory_budget,
@@ -69,7 +70,12 @@ from repro.mapreduce.phases import (
     execute_reduce_task,
     iter_spill_groups,
 )
-from repro.mapreduce.types import JobStats, KeyValue, estimate_record_bytes
+from repro.mapreduce.types import (
+    Emissions,
+    JobStats,
+    KeyValue,
+    estimate_record_bytes,
+)
 from repro.telemetry import merge
 
 
@@ -168,12 +174,15 @@ class LocalJobRunner:
         # owns nothing until it is fed, so only the ``with`` below cleans up).
         grouper = self.backend.external_grouper()
         want_spill = job.reducer is not None and grouper is None
-        map_output, spill = self._run_map_phase(
+        mapped = self._run_map_phase(
             job, dataset, stats, num_reducers,
             build_spill=want_spill and job.combiner is None)
         if job.combiner is not None:
             map_output, spill = self._run_combine_phase(
-                job, map_output, stats, num_reducers, build_spill=want_spill)
+                job, mapped.emissions, stats, num_reducers,
+                build_spill=want_spill)
+        else:
+            map_output, spill = mapped.key_values, mapped.spill
 
         # The shuffle moves (and spills once on the map side) exactly the
         # bytes the last map-side phase emitted.
@@ -200,7 +209,7 @@ class LocalJobRunner:
 
     def _run_map_phase(self, job: JobSpec, dataset: Dataset,
                        stats: JobStats, num_reducers: int,
-                       build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
+                       build_spill: bool) -> MapTaskResult:
         # Sized by whoever made them (a job, the driver) or, once, by this
         # first read.
         records, record_bytes = dataset.records, dataset.record_bytes
@@ -217,29 +226,16 @@ class LocalJobRunner:
                        + result.max_output_record)
         stats.peak_task_memory = max(stats.peak_task_memory, task_memory)
         self._check_memory(job.name, "map task working set", task_memory)
-        return result.emissions, result.spill
+        return result
 
-    def _run_combine_phase(self, job: JobSpec, map_output: list[KeyValue],
+    def _run_combine_phase(self, job: JobSpec, emissions: Emissions,
                            stats: JobStats, num_reducers: int,
                            build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
-        machines = self.cluster.num_machines
-        overhead = self.cost_parameters.record_overhead_bytes
-        # Dedicated combiners run on the mapper machines: group this
-        # machine's output by (key, secondary) and combine each group.
-        # Emission ``index`` belongs to mapper machine ``index % machines``.
-        machine_items: list[tuple[int, dict[tuple, list[KeyValue]]]] = []
-        for machine in range(min(machines, len(map_output))):
-            groups: dict[tuple, list[KeyValue]] = {}
-            for key_value in map_output[machine::machines]:
-                group_key = (key_value.key, key_value.secondary)
-                records = groups.get(group_key)
-                if records is None:
-                    groups[group_key] = [key_value]
-                else:
-                    records.append(key_value)
-            machine_items.append((machine, groups))
-        task = CombineTask(job=job, machines=machine_items,
-                           num_machines=machines, overhead=overhead,
+        # Dedicated combiners run on the mapper machines: the task groups
+        # each machine's emissions by (key, secondary) and combines each group.
+        task = CombineTask(job=job, emissions=emissions,
+                           num_machines=self.cluster.num_machines,
+                           overhead=self.cost_parameters.record_overhead_bytes,
                            num_reducers=num_reducers, build_spill=build_spill,
                            counters=stats.counters)
         (result,) = self.backend.run_tasks(execute_combine_task, [task])

@@ -32,7 +32,10 @@ twice.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.telemetry import Metrics
@@ -143,9 +146,10 @@ class KeyValue:
     Secondary keys implement the within-group sort order that the Google
     MapReduce supports and Hadoop does not (paper section 2); the shuffle
     stage sorts each reduce value list by the secondary key when the cluster
-    profile allows it.  One ``KeyValue`` is allocated per emission, so the
-    class is slotted: the saved ``__dict__`` per record is the single
-    biggest memory lever in a large shuffle.
+    profile allows it.  One ``KeyValue`` is allocated per shuffled record
+    (and per record a per-record mapper emits), so the class is slotted: the
+    saved ``__dict__`` per record is the single biggest memory lever in a
+    large shuffle.
 
     ``size_bytes`` is the record's estimated size, filled in once when the
     record is built (:func:`sized_key_value`: the number its emit site
@@ -183,6 +187,84 @@ def sized_key_value(key: Hashable, value: Any, secondary: Hashable = None,
     _set_size_bytes(record, _container_bytes((key, value, secondary))
                     if size_bytes is None else size_bytes)
     return record
+
+
+class Emissions:
+    """What a map task emitted, in emission order, as columns.
+
+    ``keys`` and ``values`` hold one entry per emission and ``secondaries``
+    one secondary key per emission, or ``None`` when no emission has one.
+    ``sizes`` is the one size every emission was declared with (its emit
+    site's shape), or a column of one size per emission.  ``counts`` says
+    how many emissions each input record produced, in input order: the map
+    task's per-record accounting is computed from it and ``sizes``.
+
+    A per-record mapper builds its emissions as ``KeyValue`` records; they
+    are handed over as ``rows`` (with their carried sizes as the size
+    column) and the three columns are read off them only when a combiner
+    asks (:meth:`columns`).  A batch mapper hands over columns and no
+    ``KeyValue`` is built until its records enter the shuffle
+    (:meth:`key_values`).
+    """
+
+    __slots__ = ("_columns", "sizes", "counts", "rows")
+
+    def __init__(self, keys: list, values: list, secondaries: list | None,
+                 sizes: int | list[int], counts: list[int]) -> None:
+        self._columns: tuple | None = (keys, values, secondaries)
+        self.sizes = sizes
+        self.counts = counts
+        self.rows: list[KeyValue] | None = None
+
+    @classmethod
+    def of_key_values(cls, rows: list[KeyValue],
+                      counts: list[int]) -> "Emissions":
+        """The ``KeyValue`` records a per-record mapper emitted, as they are."""
+        emissions = cls.__new__(cls)
+        emissions._columns = None
+        emissions.sizes = list(map(_size_bytes_of, rows))
+        emissions.counts = counts
+        emissions.rows = rows
+        return emissions
+
+    def columns(self) -> tuple[list, list, list | None]:
+        """``(keys, values, secondaries)``; ``secondaries`` may be ``None``."""
+        if self._columns is None:
+            rows = self.rows
+            self._columns = ([row.key for row in rows],
+                             [row.value for row in rows],
+                             [row.secondary for row in rows])
+        return self._columns
+
+    def key_values(self) -> list[KeyValue]:
+        """The emissions as the ``KeyValue`` records the shuffle moves.
+
+        Built here, through :func:`sized_key_value` with each emission's
+        size, unless the mapper built them itself.
+        """
+        if self.rows is None:
+            keys, values, secondaries = self._columns
+            sizes = self.sizes
+            self.rows = list(map(
+                sized_key_value, keys, values,
+                repeat(None) if secondaries is None else secondaries,
+                repeat(sizes) if type(sizes) is int else sizes))
+        return self.rows
+
+
+_size_bytes_of = attrgetter("size_bytes")
+
+
+class RecordColumns(Sequence):
+    """A sequence of records a job holds column-wise.
+
+    Indexing or iterating it builds the records; a
+    :class:`~repro.mapreduce.dfs.Dataset` keeps it as it is, so the next
+    job's batch mapper (:meth:`~repro.mapreduce.job.Mapper.map_batch`)
+    reads the columns and no record is built in between.
+    """
+
+    __slots__ = ()
 
 
 @dataclass

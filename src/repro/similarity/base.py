@@ -104,6 +104,19 @@ class NominalSimilarityMeasure(ABC):
     #: (of effective multiplicities), ``"sum_squares"`` or ``"generic"``.
     uni_kernel: str = "generic"
 
+    #: Closed form of :meth:`similarity_upper_bound` over the two scalar
+    #: ``Uni`` values ``a = uni_i[0]`` and ``b = uni_j[0]``, if any:
+    #: ``"min_over_union"`` is ``m / (a + b - m)`` with ``m = min(a, b)``,
+    #: ``0.0`` when that union is not positive — Ruzicka's ``combine`` of its
+    #: ``conj_upper_bound``.  Declaring it lets the candidate loops inline the
+    #: bound; the declaration must compute exactly what
+    #: ``combine(uni_i, uni_j, conj_upper_bound(uni_i, uni_j))`` computes, in
+    #: the same IEEE operation order.  ``"generic"`` (the default): the loops
+    #: call :meth:`similarity_upper_bound`.  A subclass that overrides one of
+    #: those three methods does not inherit the declaration
+    #: (:func:`~repro.similarity.kernels.bound_kernel_kind`).
+    bound_kernel: str = "generic"
+
     # -- per-element hooks ---------------------------------------------------
 
     @abstractmethod

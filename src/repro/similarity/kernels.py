@@ -47,6 +47,11 @@ UNI_SUM_SQUARES = "sum_squares"
 UNI_GENERIC = "generic"
 UNI_KERNELS = (UNI_SUM, UNI_SUM_SQUARES, UNI_GENERIC)
 
+#: Closed forms of the similarity upper bound a measure may declare.
+BOUND_MIN_OVER_UNION = "min_over_union"
+BOUND_GENERIC = "generic"
+BOUND_KERNELS = (BOUND_MIN_OVER_UNION, BOUND_GENERIC)
+
 #: Operand size (sum of both underlying cardinalities) above which the
 #: vectorised NumPy intersection beats the pure-Python merge scan.
 NUMPY_THRESHOLD = 192
@@ -60,6 +65,30 @@ def conj_kernel_kind(measure: NominalSimilarityMeasure) -> str:
 def uni_kernel_kind(measure: NominalSimilarityMeasure) -> str:
     """The scalar unilateral kernel declared by ``measure``."""
     return getattr(measure, "uni_kernel", UNI_GENERIC)
+
+
+#: The methods a bound's closed form stands for.
+_BOUND_METHODS = ("combine", "conj_upper_bound", "similarity_upper_bound")
+
+
+def bound_kernel_kind(measure: NominalSimilarityMeasure) -> str:
+    """The closed form of the similarity upper bound declared by ``measure``.
+
+    A class's declaration holds for its subclasses only while they keep its
+    ``combine``, ``conj_upper_bound`` and ``similarity_upper_bound``: a
+    subclass that overrides one of them and does not declare the bound
+    again gets ``"generic"``, the called bound.
+    """
+    kind = getattr(measure, "bound_kernel", BOUND_GENERIC)
+    if kind == BOUND_GENERIC or "bound_kernel" in vars(measure):
+        return kind
+    cls = type(measure)
+    declaring = next(owner for owner in cls.__mro__
+                     if "bound_kernel" in vars(owner))
+    if any(getattr(cls, name) is not getattr(declaring, name)
+           for name in _BOUND_METHODS):
+        return BOUND_GENERIC
+    return kind
 
 
 # ---------------------------------------------------------------------------

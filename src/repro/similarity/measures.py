@@ -65,6 +65,7 @@ class RuzickaSimilarity(_MinIntersectionMeasure):
 
     name = "ruzicka"
     uses_underlying_set = False
+    bound_kernel = "min_over_union"
 
     def uni_from_multiplicity(self, multiplicity: float) -> Partials:
         return (multiplicity,)

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from repro.core.exceptions import UnknownMeasureError
 from repro.similarity.base import NominalSimilarityMeasure
-from repro.similarity.kernels import CONJ_KERNELS, UNI_KERNELS
+from repro.similarity.kernels import BOUND_KERNELS, CONJ_KERNELS, UNI_KERNELS
 from repro.similarity.measures import (
     DirectRuzickaSimilarity,
     JaccardSimilarity,
@@ -113,6 +113,10 @@ def register_measure(measure: NominalSimilarityMeasure,
         raise UnknownMeasureError(
             f"measure {measure.name!r} declares unknown uni_kernel "
             f"{measure.uni_kernel!r}; expected one of {UNI_KERNELS}")
+    if getattr(measure, "bound_kernel", "generic") not in BOUND_KERNELS:
+        raise UnknownMeasureError(
+            f"measure {measure.name!r} declares unknown bound_kernel "
+            f"{measure.bound_kernel!r}; expected one of {BOUND_KERNELS}")
     _REGISTRY[measure.name] = measure
 
 

@@ -25,7 +25,7 @@ Two load-balancing refinements from the paper are implemented:
   :mod:`repro.vsmart.preprocessing` is the paper's preferred way to do this,
   but the in-reducer guard is kept for ablations).
 
-Two hot-path refinements go beyond the paper:
+Three hot-path refinements go beyond the paper:
 
 * **upper-bound candidate pruning** (exact, unlike stop words): when the
   phase is built with the measure and threshold, a candidate pair whose
@@ -39,20 +39,42 @@ Two hot-path refinements go beyond the paper:
   :class:`~repro.core.interning.PairCodec` of that interning pass packs each
   candidate's ``(id_i, id_j)`` into a single int, so the Similarity2 shuffle
   hashes and compares one machine word instead of two identifiers.  This is
-  the only key form: every candidate-emitting stage is built with the codec.
+  the only key form: every candidate-emitting stage is built with the codec;
+* **batch-at-a-time candidates**: both steps map their whole input as
+  columns (``map_batch``); Similarity1 emits each posting list's
+  survivors as columns (:class:`CandidateColumns`), and Similarity2 maps
+  those columns to ``Conj`` contributions and folds them without building a
+  record per candidate (:meth:`Similarity2Mapper.map_batch`).  A measure's
+  declarations select the inline code: ``bound_kernel`` the pruning bound,
+  ``conj_kernel`` the contributions and their folds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import PairCodec
 from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
-from repro.mapreduce.types import KeyValue, sized_key_value, walk_record_bytes
+from repro.mapreduce.types import (
+    Emissions,
+    RecordColumns,
+    estimate_record_bytes,
+    walk_record_bytes,
+)
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
+from repro.similarity.kernels import (
+    BOUND_MIN_OVER_UNION,
+    CONJ_GENERIC,
+    CONJ_SUM_MIN,
+    bound_kernel_kind,
+    conj_kernel_kind,
+)
 from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 
@@ -94,6 +116,91 @@ class SimilarityPhaseConfig:
                 "stop_word_frequency must be at least 1")
 
 
+class CandidateColumns(RecordColumns):
+    """Candidate records held column-wise: Similarity1's output.
+
+    Row ``i`` is the candidate record ``((packed[i], uni_first[i],
+    uni_second[i]), PairContribution(mult_first[i], mult_second[i]))`` —
+    built only when the row is read.  A chunk pair of an overloaded element
+    is a row too: the :class:`ChunkPairRecord` sits in ``packed``, ``None``
+    in the other columns, and ``chunk_rows`` lists those rows in order.
+    The Similarity1 reducer returns one block per posting list and the
+    reduce task's container (:meth:`extend`) appends the block's columns;
+    the Similarity2 mapper reads the columns.
+    """
+
+    __slots__ = ("packed", "uni_first", "uni_second", "mult_first",
+                 "mult_second", "chunk_rows")
+
+    def __init__(self) -> None:
+        self.packed: list = []
+        self.uni_first: list = []
+        self.uni_second: list = []
+        self.mult_first: list = []
+        self.mult_second: list = []
+        self.chunk_rows: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, index: int) -> object:
+        packed = self.packed[index]
+        if type(packed) is ChunkPairRecord:
+            return packed
+        return ((packed, self.uni_first[index], self.uni_second[index]),
+                PairContribution(self.mult_first[index],
+                                 self.mult_second[index]))
+
+    def __iter__(self) -> Iterator[object]:
+        for packed, uni_first, uni_second, mult_first, mult_second in zip(
+                self.packed, self.uni_first, self.uni_second,
+                self.mult_first, self.mult_second):
+            if type(packed) is ChunkPairRecord:
+                yield packed
+            else:
+                yield ((packed, uni_first, uni_second),
+                       PairContribution(mult_first, mult_second))
+
+    def append(self, record: object) -> None:
+        """Append one record: a candidate record or a chunk pair."""
+        if type(record) is ChunkPairRecord:
+            self.chunk_rows.append(len(self.packed))
+            self.packed.append(record)
+            uni_first = uni_second = mult_first = mult_second = None
+        else:
+            (packed, uni_first, uni_second), contribution = record
+            self.packed.append(packed)
+            mult_first = contribution.multiplicity_first
+            mult_second = contribution.multiplicity_second
+        self.uni_first.append(uni_first)
+        self.uni_second.append(uni_second)
+        self.mult_first.append(mult_first)
+        self.mult_second.append(mult_second)
+
+    def extend(self, records: Iterable[object]) -> None:
+        """Append a block's columns, or any records one by one."""
+        if type(records) is not CandidateColumns:
+            for record in records:
+                self.append(record)
+            return
+        offset = len(self.packed)
+        self.chunk_rows.extend(offset + row for row in records.chunk_rows)
+        self.packed.extend(records.packed)
+        self.uni_first.extend(records.uni_first)
+        self.uni_second.extend(records.uni_second)
+        self.mult_first.extend(records.mult_first)
+        self.mult_second.extend(records.mult_second)
+
+    def segments(self) -> Iterator[tuple[int, int, ChunkPairRecord | None]]:
+        """``(start, stop, chunk)``: the candidate rows ``start:stop`` that
+        precede each chunk pair (the last with ``chunk`` ``None``)."""
+        start = 0
+        for row in self.chunk_rows:
+            yield start, row, self.packed[row]
+            start = row + 1
+        yield start, len(self.packed), None
+
+
 class _CandidateFilter:
     """Shared pruning/packing state of the candidate-emitting stages.
 
@@ -101,10 +208,12 @@ class _CandidateFilter:
     *and* the measure actually admits a ``Uni``-only bound (measures whose
     :meth:`~repro.similarity.base.NominalSimilarityMeasure.conj_upper_bound`
     returns ``None`` would bound every pair by 1.0, so checking them would
-    be pure overhead).
+    be pure overhead).  A measure that declares the bound's closed form
+    (:attr:`~repro.similarity.base.NominalSimilarityMeasure.bound_kernel`)
+    has it inlined; any other calls its ``similarity_upper_bound``.
     """
 
-    __slots__ = ("measure", "threshold", "pair_codec", "prunes")
+    __slots__ = ("measure", "threshold", "pair_codec", "prunes", "inline_bound")
 
     def __init__(self, measure: NominalSimilarityMeasure | None,
                  threshold: float | None, pair_codec: PairCodec) -> None:
@@ -115,51 +224,70 @@ class _CandidateFilter:
         self.prunes = (measure is not None and self.threshold is not None
                        and measure.conj_upper_bound(
                            measure.uni_zero(), measure.uni_zero()) is not None)
+        self.inline_bound = (self.prunes and bound_kernel_kind(measure)
+                             == BOUND_MIN_OVER_UNION)
 
-    def pair_records(self, first: Sequence[PostingEntry],
-                     second: Sequence[PostingEntry], same: bool,
-                     context: TaskContext, emitted_counter: str) -> Iterator[tuple]:
-        """Every surviving candidate of ``first`` x ``second``, keyed.
+    def candidates(self, first: Sequence[PostingEntry],
+                   second: Sequence[PostingEntry], same: bool,
+                   context: TaskContext, emitted_counter: str) -> CandidateColumns:
+        """Every surviving candidate of ``first`` x ``second``, as columns.
 
         With ``same`` the two are one posting list (or chunk) and only its
         unordered pairs are produced.  A multiset is not paired with itself,
         a pair that provably cannot reach the threshold is pruned, and each
-        other one becomes ``((packed_ids, Uni(Mi), Uni(Mj)), <f_ik, f_jk>)``:
-        identifiers are dense interned ints, so numeric id order *is*
-        canonical order and the key holds one int for both.  The join's
-        innermost loop: what does not depend on the pair is read before it,
-        the counters are updated after it (an update costs a call).
+        other one becomes the row ``((packed_ids, Uni(Mi), Uni(Mj)), <f_ik,
+        f_jk>)``: identifiers are dense interned ints, so numeric id order
+        *is* canonical order and the key holds one int for both.  Rows come
+        in the order the pairs are visited.  The join's innermost loop: what
+        does not depend on the pair is read before it, the counters are
+        updated after it (an update costs a call).
         """
-        prunes = self.prunes
-        upper_bound = self.measure.similarity_upper_bound if prunes else None
+        survivors: list[tuple] = []
+        survive = survivors.append
+        shift = self.pair_codec.shift
         threshold = self.threshold
-        pack = self.pair_codec.pack
-        emitted = 0
+        prunes = self.prunes
+        inline = self.inline_bound
+        upper_bound = self.measure.similarity_upper_bound if prunes else None
+        ids = [posting.multiset_id for posting in second]
+        unis = [posting.uni for posting in second]
+        mults = [posting.multiplicity for posting in second]
+        # The bound's operands: the scalar Uni when it is inlined.
+        bounded = [uni[0] for uni in unis] if inline else unis
         pruned = 0
         for index_i, posting_i in enumerate(first):
             id_i = posting_i.multiset_id
             uni_i = posting_i.uni
-            for posting_j in (second[index_i + 1:] if same else second):
-                id_j = posting_j.multiset_id
+            mult_i = posting_i.multiplicity
+            a = uni_i[0] if inline else uni_i
+            start = index_i + 1 if same else 0
+            for id_j, uni_j, mult_j, b in zip(ids[start:], unis[start:],
+                                              mults[start:], bounded[start:]):
                 if id_i == id_j:
                     continue
-                uni_j = posting_j.uni
-                if prunes and upper_bound(uni_i, uni_j) < threshold:
+                if inline:
+                    # min_over_union, in Ruzicka's combine order.
+                    m = b if b < a else a
+                    union = a + b - m
+                    if union <= 0 or m / union < threshold:
+                        pruned += 1
+                        continue
+                elif prunes and upper_bound(uni_i, uni_j) < threshold:
                     pruned += 1
                     continue
-                emitted += 1
                 if id_i <= id_j:
-                    yield ((pack(id_i, id_j), uni_i, uni_j),
-                           PairContribution(posting_i.multiplicity,
-                                            posting_j.multiplicity))
+                    survive(((id_i << shift) | id_j, uni_i, uni_j, mult_i, mult_j))
                 else:
-                    yield ((pack(id_j, id_i), uni_j, uni_i),
-                           PairContribution(posting_j.multiplicity,
-                                            posting_i.multiplicity))
-        if emitted:
-            context.increment(emitted_counter, emitted)
+                    survive(((id_j << shift) | id_i, uni_j, uni_i, mult_j, mult_i))
+        block = CandidateColumns()
+        if survivors:
+            # One row tuple per survivor, turned into the five columns once.
+            (block.packed, block.uni_first, block.uni_second, block.mult_first,
+             block.mult_second) = map(list, zip(*survivors))
+            context.increment(emitted_counter, len(survivors))
         if pruned:
             context.increment("similarity1/candidates_pruned", pruned)
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +300,9 @@ class Similarity1Mapper(InternedInputMapper):
 
     ``<Mi, Uni(Mi), m_ik>  ->  <a_k, <Mi, Uni(Mi), f_ik>>``
 
-    Built with the ``measure`` whose ``Uni`` the joined tuples carry, the
-    mapper knows what a posting weighs; without one each emission is sized
-    as it is emitted.
+    A batch mapper: one posting per joined tuple, as columns.  Built with
+    the ``measure`` whose ``Uni`` the joined tuples carry, the mapper knows
+    what a posting weighs; without one each emission is sized generically.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure | None = None) -> None:
@@ -185,11 +313,16 @@ class Similarity1Mapper(InternedInputMapper):
         if self._kv_bytes is not None:
             super().check_input(record, context)
 
-    def map(self, record: JoinedTuple, context: TaskContext) -> Iterator[KeyValue]:
-        yield sized_key_value(
-            record.element,
-            PostingEntry(record.multiset_id, record.uni, record.multiplicity),
-            None, self._kv_bytes)
+    def map_batch(self, records: Sequence[JoinedTuple],
+                  context: TaskContext) -> Emissions:
+        elements = [record.element for record in records]
+        postings = [PostingEntry(record.multiset_id, record.uni,
+                                 record.multiplicity) for record in records]
+        sizes = self._kv_bytes
+        if sizes is None:
+            sizes = [estimate_record_bytes((element, posting, None))
+                     for element, posting in zip(elements, postings)]
+        return Emissions(elements, postings, None, sizes, [1] * len(records))
 
 
 class Similarity1Reducer(Reducer):
@@ -197,7 +330,9 @@ class Similarity1Reducer(Reducer):
 
     For every unordered pair of postings in the element's reduce value list
     the reducer outputs ``<<Mi, Mj, Uni(Mi), Uni(Mj)>, <f_ik, f_jk>>``, with
-    ``Mi, Mj`` packed into one int by ``pair_codec``.
+    ``Mi, Mj`` packed into one int by ``pair_codec``: the posting list's
+    survivors come as one :class:`CandidateColumns` block, which the reduce
+    task appends to the job's :class:`CandidateColumns` output.
     Without chunking the posting list must be materialised, so the runner's
     memory budget applies (exactly the thrashing risk the paper describes);
     with chunking the list is dissected and only chunk pairs are emitted.
@@ -205,8 +340,9 @@ class Similarity1Reducer(Reducer):
     With ``measure`` and ``threshold`` supplied, pairs whose similarity
     upper bound cannot reach the threshold are pruned here — before they
     ever enter the shuffle.  With ``measure`` supplied the reducer also
-    knows what its output weighs: one size for every candidate record, and
-    ``base + n x posting`` for a chunk pair holding ``n`` postings.
+    knows what its output weighs: one size for every candidate record, so
+    ``len(block) x`` that size for a block, and ``base + n x posting`` for a
+    chunk pair holding ``n`` postings.
     """
 
     def __init__(self, config: SimilarityPhaseConfig | None = None, *,
@@ -226,11 +362,17 @@ class Similarity1Reducer(Reducer):
                     ChunkPairRecord(0, (), (), True))
                 self.output_record_bytes = self._chunked_output_bytes
 
-    def _chunked_output_bytes(self, record: object) -> int:
-        if type(record) is ChunkPairRecord:
-            return self._chunk_pair_bytes + self._posting_bytes * (
-                len(record.first_chunk) + len(record.second_chunk))
-        return self._pair_record_bytes
+    def new_output(self) -> CandidateColumns:
+        return CandidateColumns()
+
+    def _chunked_output_bytes(self, records: Sequence[object]) -> list[int]:
+        # One reduce call returns a block of candidate records or a list of
+        # chunk pairs (or nothing, for a stop word).
+        if type(records) is CandidateColumns:
+            return [self._pair_record_bytes] * len(records)
+        return [self._chunk_pair_bytes + self._posting_bytes * (
+                    len(record.first_chunk) + len(record.second_chunk))
+                for record in records]
 
     def reduce(self, key: object, values: Sequence[PostingEntry],
                context: TaskContext) -> Iterable[object]:
@@ -244,8 +386,8 @@ class Similarity1Reducer(Reducer):
         chunk_size = self.config.chunk_size
         if chunk_size is not None and frequency > chunk_size:
             return self._emit_chunk_pairs(key, values, chunk_size, context)
-        return self.filter.pair_records(values, values, True, context,
-                                        "similarity1/candidate_records")
+        return self.filter.candidates(values, values, True, context,
+                                      "similarity1/candidate_records")
 
     def _emit_chunk_pairs(self, element: object, postings: Sequence[PostingEntry],
                           chunk_size: int,
@@ -267,21 +409,102 @@ class Similarity1Reducer(Reducer):
 # ---------------------------------------------------------------------------
 
 
+def _conj_contributions(measure: NominalSimilarityMeasure
+                        ) -> Callable[[Sequence, Sequence], list[tuple]]:
+    """Each candidate's ``Conj`` contribution, from two multiplicity columns.
+
+    Row ``r`` is ``conj_from_pair(effective_multiplicity(f_ik),
+    effective_multiplicity(f_jk))``.  A measure with a scalar conjunctive
+    kernel (:attr:`~repro.similarity.base.NominalSimilarityMeasure.conj_kernel`)
+    has it worked out inline — the same float, as the kernel declaration
+    promises; a ``generic`` one is called per row, as is any column holding a
+    multiplicity that is not positive.
+    """
+    effective = measure.effective_multiplicity
+    conj_from_pair = measure.conj_from_pair
+
+    def per_call(firsts: Sequence, seconds: Sequence) -> list[tuple]:
+        return [conj_from_pair(effective(first), effective(second))
+                for first, second in zip(firsts, seconds)]
+
+    kind = conj_kernel_kind(measure)
+    if kind == CONJ_GENERIC:
+        return per_call
+    if measure.uses_underlying_set:
+        unit = conj_from_pair(1.0, 1.0)
+
+        def inline(firsts: Sequence, seconds: Sequence) -> list[tuple]:
+            return [unit] * len(firsts)
+    elif kind == CONJ_SUM_MIN:
+        def inline(firsts: Sequence, seconds: Sequence) -> list[tuple]:
+            # min(first, second): first unless second < first.
+            return [(first if first <= second else second,)
+                    for first, second in zip(map(float, firsts),
+                                             map(float, seconds))]
+    else:
+        def inline(firsts: Sequence, seconds: Sequence) -> list[tuple]:
+            return [(first * second,)
+                    for first, second in zip(map(float, firsts),
+                                             map(float, seconds))]
+
+    def contributions(firsts: Sequence, seconds: Sequence) -> list[tuple]:
+        if firsts and (min(firsts) <= 0 or min(seconds) <= 0):
+            return per_call(firsts, seconds)
+        return inline(firsts, seconds)
+
+    return contributions
+
+
+def _conj_fold(measure: NominalSimilarityMeasure
+               ) -> Callable[[Sequence[tuple]], tuple]:
+    """Fold a value list of ``Conj`` contributions from ``conj_zero``.
+
+    In value-list order, as ``conj_merge`` folds: a scalar kernel's
+    contributions are one-element sums, so the fold adds their floats from
+    ``conj_zero`` in that order — ``conj_merge``'s IEEE sequence — in one C
+    loop; a ``generic`` measure's are merged with ``conj_merge``.
+    """
+    zero = measure.conj_zero()
+    if conj_kernel_kind(measure) != CONJ_GENERIC:
+        (start,) = zero
+
+        def fold_scalar(values: Sequence[tuple]) -> tuple:
+            return (reduce(add, map(_first, values), start),)
+
+        return fold_scalar
+    merge = measure.conj_merge
+
+    def fold(values: Sequence[tuple]) -> tuple:
+        accumulator = zero
+        for value in values:
+            accumulator = merge(accumulator, value)
+        return accumulator
+
+    return fold
+
+
+_first = itemgetter(0)
+
+
 class Similarity2Mapper(Mapper):
     """``mapSimilarity2``: identity on pair records, expansion of chunk pairs.
 
     Normal Similarity1 output passes through unchanged.  Chunk-pair records
-    (flagged output of an overloaded Similarity1 reducer) are expanded here
-    into the candidate pair records the overloaded reducer did not produce,
-    which redistributes the quadratic work across many mappers; the same
-    upper-bound pruning the plain Similarity1 reducer applies runs during
-    the expansion, so chunked and unchunked paths emit the identical
+    (flagged output of an overloaded Similarity1 reducer) are expanded here,
+    in place, into the candidate pair records the overloaded reducer did not
+    produce, which redistributes the quadratic work across many mappers; the
+    same upper-bound pruning the plain Similarity1 reducer applies runs
+    during the expansion, so chunked and unchunked paths emit the identical
     candidate set.
 
     The emitted value is the per-element conjunctive contribution
     ``g_l(f_ik, f_jk)`` of the measure rather than the raw multiplicity pair,
     so that the dedicated combiner can pre-aggregate with a plain sum — the
     same network saving the paper attributes to its combiners.
+
+    A batch mapper: :meth:`map_batch` reads Similarity1's
+    :class:`CandidateColumns` and returns the keys and contributions as
+    columns, every emission of the one declared size.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure, *,
@@ -293,6 +516,7 @@ class Similarity2Mapper(Mapper):
         shapes = RecordShapes(measure)
         self._pair_key_bytes = shapes.pair_key
         self._kv_bytes = shapes.pair_kv
+        self._contributions = _conj_contributions(measure)
 
     def check_input(self, record: object, context: TaskContext) -> None:
         """The pair key is passed through: it must have the shape sized for."""
@@ -306,26 +530,32 @@ class Similarity2Mapper(Mapper):
                 f"measure {self.measure.name!r}, but the key of its first "
                 f"input record is {key!r}")
 
-    def map(self, record: object, context: TaskContext) -> Iterator[KeyValue]:
-        if isinstance(record, ChunkPairRecord):
-            yield from self._expand_chunks(record, context)
-            return
-        key, contribution = record
-        yield sized_key_value(key, self._conj(contribution), None,
-                              self._kv_bytes)
-
-    def _conj(self, contribution: PairContribution) -> tuple:
-        return self.measure.conj_from_pair(
-            self.measure.effective_multiplicity(contribution.multiplicity_first),
-            self.measure.effective_multiplicity(contribution.multiplicity_second))
-
-    def _expand_chunks(self, record: ChunkPairRecord,
-                       context: TaskContext) -> Iterator[KeyValue]:
-        for key, contribution in self.filter.pair_records(
-                record.first_chunk, record.second_chunk, record.same_chunk,
-                context, "similarity2/chunk_expanded_records"):
-            yield sized_key_value(key, self._conj(contribution), None,
-                                  self._kv_bytes)
+    def map_batch(self, records: Sequence[object],
+                  context: TaskContext) -> Emissions:
+        if type(records) is not CandidateColumns:
+            columns = CandidateColumns()
+            columns.extend(records)
+            records = columns
+        keys: list[tuple] = []
+        values: list[tuple] = []
+        counts: list[int] = []
+        for start, stop, chunk in records.segments():
+            keys.extend(zip(records.packed[start:stop],
+                            records.uni_first[start:stop],
+                            records.uni_second[start:stop]))
+            values.extend(self._contributions(records.mult_first[start:stop],
+                                              records.mult_second[start:stop]))
+            counts.extend(repeat(1, stop - start))
+            if chunk is not None:
+                block = self.filter.candidates(
+                    chunk.first_chunk, chunk.second_chunk, chunk.same_chunk,
+                    context, "similarity2/chunk_expanded_records")
+                keys.extend(zip(block.packed, block.uni_first,
+                                block.uni_second))
+                values.extend(self._contributions(block.mult_first,
+                                                  block.mult_second))
+                counts.append(len(block))
+        return Emissions(keys, values, None, self._kv_bytes, counts)
 
 
 class ConjunctiveCombiner(Combiner):
@@ -335,14 +565,11 @@ class ConjunctiveCombiner(Combiner):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        self._conj_zero = measure.conj_zero()
+        self._fold = _conj_fold(measure)
 
     def combine(self, key: object, values: Sequence[tuple],
-                context: TaskContext) -> Iterator[tuple]:
-        accumulator = self._conj_zero
-        for value in values:
-            accumulator = self.measure.conj_merge(accumulator, value)
-        yield accumulator
+                context: TaskContext) -> Iterable[tuple]:
+        return (self._fold(values),)
 
 
 class Similarity2Reducer(Reducer):
@@ -360,15 +587,12 @@ class Similarity2Reducer(Reducer):
         self.measure = measure
         self.threshold = validate_threshold(threshold)
         self.pair_codec = pair_codec
-        shapes = RecordShapes(measure)
-        self._conj_zero = shapes.conj_zero
-        self.output_record_bytes = shapes.similar_pair
+        self._fold = _conj_fold(measure)
+        self.output_record_bytes = RecordShapes(measure).similar_pair
 
     def reduce(self, key: object, values: Sequence[tuple],
                context: TaskContext) -> Iterator[SimilarPair]:
-        conj = self._conj_zero
-        for value in values:
-            conj = self.measure.conj_merge(conj, value)
+        conj = self._fold(values)
         packed, uni_first, uni_second = key
         first, second = self.pair_codec.unpack(packed)
         similarity = self.measure.combine(uni_first, uni_second, conj)

@@ -326,8 +326,10 @@ class TestPlanner:
         assert joining.reducer.output_record_bytes == joined_tuple
         similarity1 = build_similarity1_job(pair_codec=PairCodec(2),
                                             measure=measure)
-        [emitted] = similarity1.mapper.map(
-            JoinedTuple(0, shapes.uni_zero, 0, 1), context)
+        emissions = similarity1.mapper.map_batch(
+            [JoinedTuple(0, shapes.uni_zero, 0, 1)], context)
+        assert emissions.sizes == shapes.posting_kv
+        [emitted] = emissions.key_values()
         assert emitted.size_bytes == shapes.posting_kv
         assert similarity1.reducer.output_record_bytes == shapes.pair_record
 

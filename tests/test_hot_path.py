@@ -38,6 +38,7 @@ from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, Cluster
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.types import (
+    Emissions,
     KeyValue,
     estimate_record_bytes,
     sized_key_value,
@@ -45,6 +46,7 @@ from repro.mapreduce.types import (
 )
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.similarity.registry import supported_measures
+from repro.vsmart.similarity_phase import Similarity2Mapper
 from tests.conftest import BACKEND_IDS, BACKENDS, join_grid, strip_telemetry
 from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
 
@@ -52,12 +54,17 @@ WORKLOADS = ("join_scan", "join_dense")
 ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 
 #: Python + builtin calls per input tuple of the workload's pinned join on
-#: its toy corpus, ~15 % above the measured 110.1 / 191.5 (CPython 3.11;
-#: 141.2 / 268.7 while every record was walked where it was emitted, 181.9 /
-#: 352.5 before the task loops stopped partitioning per record and
-#: re-sizing the previous job's output, 1297 / 2812 before sizes were
-#: carried at all).
-CALLS_PER_TUPLE_CEILING = {"join_scan": 127, "join_dense": 221}
+#: its toy corpus, ~15 % above the measured 80.2 / 78.5 (CPython 3.11;
+#: 107.7 / 190.3 while the similarity phase mapped and combined one
+#: ``KeyValue`` per candidate, 141.2 / 268.7 while every record was walked
+#: where it was emitted, 181.9 / 352.5 before the task loops stopped
+#: partitioning per record and re-sizing the previous job's output, 1297 /
+#: 2812 before sizes were carried at all).
+CALLS_PER_TUPLE_CEILING = {"join_scan": 92, "join_dense": 90}
+
+#: The jobs whose mapper maps its whole input as columns
+#: (``Mapper.map_batch``); every other job's mapper maps record by record.
+BATCH_MAPPED_JOBS = {"similarity1", "similarity2"}
 
 
 @pytest.fixture(scope="module")
@@ -127,14 +134,21 @@ def test_pinned_join_sizes_each_record_once_and_stays_cheap(corpora, workload):
     tuples = sum(len(multiset) for multiset in corpus)
     assert calls / tuples <= CALLS_PER_TUPLE_CEILING[workload]
 
-    # A shuffled record is built once, where it is emitted — by its mapper
-    # or, combined, by the combine task — and handed the size its job
-    # worked out from its shape when it was built; reduce outputs and the
-    # interned input are not even visited for theirs.  So nothing is walked
-    # (a job may size its side data generically: at most once per job).
+    # A KeyValue is built once per shuffled record — by its per-record
+    # mapper, where it enters the shuffle from a batch, or by the combine
+    # task — and handed the size its job worked out from its shape when it
+    # was built.  The one other KeyValue is what a per-record mapper hands
+    # its combiner; a batch mapper hands over columns.  Reduce outputs and
+    # the interned input are not even visited for their sizes.  So nothing
+    # is walked (a job may size its side data generically: at most once per
+    # job).
     jobs = result.pipeline.job_stats
-    assert keyed == sum(stats.map.records_out + stats.combine.records_out
-                        for stats in jobs)
+    combined = {stats.job_name for stats in jobs if stats.combine.records_in}
+    shuffled = sum(stats.combine.records_out if stats.job_name in combined
+                   else stats.map.records_out for stats in jobs)
+    handed_to_combiners = sum(stats.map.records_out for stats in jobs
+                              if stats.job_name in combined - BATCH_MAPPED_JOBS)
+    assert keyed == shuffled + handed_to_combiners
     assert generic <= len(jobs)
 
     # Keys are partitioned, not records: once per reduce group.
@@ -160,17 +174,27 @@ def reference_sized_key_value(key, value, secondary=None,
                     walk_record_bytes(KeyValue(key, value, secondary)))
 
 
+def walked_emission_sizes(emissions: Emissions) -> list[int]:
+    """Every row of a map task's batch, built and walked."""
+    keys, values, secondaries = emissions.columns()
+    return [walk_record_bytes(KeyValue(key, value, secondary))
+            for key, value, secondary in zip(
+                keys, values, secondaries or [None] * len(keys), strict=True)]
+
+
 def use_reference_accounting(monkeypatch) -> None:
     """Size everything with the walker, and re-walk instead of carrying.
 
     Every module that imported the sizer (or the sizing constructor) by
     name gets the reference instead; nothing a job declared about its
     records' sizes is believed (a reducer's output size, the size handed to
-    a ``KeyValue`` by its mapper or kept by a combiner, the side data's);
-    and both reads of a carried size become a fresh walk of the record: the
-    tasks' read of the size an emitted record carries, and a job's read of
-    the sizes its input dataset carries (whatever the driver or the
-    previous job handed over is ignored).
+    a ``KeyValue`` by its mapper or kept by a combiner, the one size a batch
+    mapper declared for its columns, the side data's); and every read of a
+    carried size becomes a fresh walk of the record: the tasks' read of the
+    size an emitted record carries, the map task's read of its batch's sizes
+    (each row built and walked), and a job's read of the sizes its input
+    dataset carries (whatever the driver or the previous job handed over is
+    ignored; a dataset held as columns is walked row by row).
     """
     replacements = ((estimate_record_bytes, walk_record_bytes),
                     (sized_key_value, reference_sized_key_value))
@@ -181,6 +205,7 @@ def use_reference_accounting(monkeypatch) -> None:
                     if value is original:
                         monkeypatch.setattr(module, name, reference)
     monkeypatch.setattr(phases, "_carried_bytes", walk_record_bytes)
+    monkeypatch.setattr(phases, "_emission_sizes", walked_emission_sizes)
     monkeypatch.setattr(phases, "_declared_output_bytes", lambda reducer: None)
     monkeypatch.setattr(
         LocalJobRunner, "_side_data_bytes",
@@ -269,6 +294,31 @@ class TestAccountingIsFrozen:
                                                + theirs["map"]["records_in"])
             assert ours["map"]["bytes_out"] == theirs["map"]["bytes_out"]
         assert actual["simulated_seconds"] != expected["simulated_seconds"]
+
+    def test_a_wrong_declared_batch_size_would_show(self, corpora, baseline,
+                                                    monkeypatch):
+        """The guard sees batch rows: the one size Similarity2's batch
+        declares is what its map and combine phases account, so one byte too
+        many moves them — and the walker over every batch row is not fooled."""
+        build = Similarity2Mapper.__init__
+
+        def one_byte_too_many(mapper, *args, **kwargs):
+            build(mapper, *args, **kwargs)
+            mapper._kv_bytes += 1
+
+        monkeypatch.setattr(Similarity2Mapper, "__init__", one_byte_too_many)
+        expected = baseline["join_dense", "online_aggregation"]
+        actual = accounting(run_join(corpora["join_dense"], "join_dense",
+                                     "online_aggregation"))
+        ours, theirs = actual["jobs"][-1], expected["jobs"][-1]
+        assert ours["job_name"] == "similarity2"
+        assert ours["map"]["bytes_out"] == (theirs["map"]["bytes_out"]
+                                            + theirs["map"]["records_out"])
+        assert ours["combine"]["bytes_out"] == (theirs["combine"]["bytes_out"]
+                                                + theirs["combine"]["records_out"])
+        use_reference_accounting(monkeypatch)
+        assert accounting(run_join(corpora["join_dense"], "join_dense",
+                                   "online_aggregation")) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(cell=join_grid(measures=sorted(supported_measures())

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import InvalidMultisetError
-from repro.core.multiset import Multiset, multiset_collection_statistics
+from repro.core.multiset import (
+    MAX_CARDINALITY,
+    Multiset,
+    multiset_collection_statistics,
+)
+from repro.serving.api import QueryRequest
+from repro.serving.index import SimilarityIndex
 
 
 def multiset_strategy(identifier: str = "m"):
@@ -62,6 +68,23 @@ class TestConstruction:
     def test_duplicate_elements_in_pairs_rejected(self):
         with pytest.raises(InvalidMultisetError):
             Multiset("ip", [("a", 1), ("a", 2)])
+
+    def test_cardinality_above_2_53_rejected(self):
+        """Such a multiset under ``ruzicka`` used to miss its own
+        threshold-1.0 query: its ``Uni`` is no longer an exact sum."""
+        with pytest.raises(InvalidMultisetError, match="2\\*\\*53"):
+            Multiset("ip", {"x": 2**53 + 1, "y": 1, "z": 1})
+        with pytest.raises(InvalidMultisetError):
+            Multiset("ip", {"x": 2**52, "y": 2**52, "z": 1})
+
+    @pytest.mark.parametrize("measure", ["ruzicka", "dice", "cosine", "overlap"])
+    def test_cardinality_at_2_53_answers_its_own_exact_query(self, measure):
+        multiset = Multiset("ip", {"x": 2**53 - 2, "y": 1, "z": 1})
+        assert multiset.cardinality == MAX_CARDINALITY
+        index = SimilarityIndex(measure)
+        index.add(multiset)
+        answer = index.query(QueryRequest.threshold(multiset, 1.0))
+        assert answer.ids() == ["ip"]
 
     def test_empty_multiset_allowed(self):
         multiset = Multiset("ip", {})

@@ -2,25 +2,45 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+from collections import Counter
+from itertools import combinations
 
-from repro.core.exceptions import JobConfigurationError
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro import SimilarityEngine
+from repro.core.exceptions import JobConfigurationError, UnknownMeasureError
 from repro.core.interning import InterningContext, PairCodec
-from repro.core.records import JoinedTuple, PairContribution, explode_multisets
+from repro.core.records import (
+    JoinedTuple,
+    PairContribution,
+    PostingEntry,
+    explode_multisets,
+)
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import TaskContext
 from repro.mapreduce.runner import LocalJobRunner
 from repro.similarity.exact import pair_dictionary
-from repro.similarity.registry import get_measure
+from repro.similarity.kernels import (
+    BOUND_GENERIC,
+    BOUND_MIN_OVER_UNION,
+    bound_kernel_kind,
+)
+from repro.similarity.registry import get_measure, register_measure, supported_measures
 from repro.telemetry import Metrics
+from repro.vsmart.driver import JOINING_ALGORITHMS
 from repro.vsmart.similarity_phase import (
+    CandidateColumns,
     ChunkPairRecord,
     Similarity1Reducer,
     SimilarityPhaseConfig,
+    _CandidateFilter,
     build_similarity1_job,
     build_similarity2_job,
 )
-from tests.conftest import assert_matches_oracle
+from tests.conftest import assert_matches_oracle, join_grid
 
 
 def joined_tuples_for(multisets, measure, interning):
@@ -184,3 +204,179 @@ class TestShapesAreChecked:
         job = build_similarity2_job(measure, 0.5, pair_codec=codec)
         with pytest.raises(JobConfigurationError, match="'similarity2'"):
             LocalJobRunner(test_cluster).run(job, records)
+
+
+# -- the batch path ----------------------------------------------------------
+
+
+class TestCandidateColumns:
+    def test_rows_are_the_candidate_records(self):
+        columns = CandidateColumns()
+        chunk = ChunkPairRecord(3, (), (), True)
+        columns.append(((5, (2.0,), (3.0,)), PairContribution(1, 2)))
+        columns.append(chunk)
+        block = CandidateColumns()
+        block.append(((9, (1.0,), (4.0,)), PairContribution(3, 1)))
+        columns.extend(block)
+        rows = [((5, (2.0,), (3.0,)), PairContribution(1, 2)), chunk,
+                ((9, (1.0,), (4.0,)), PairContribution(3, 1))]
+        assert list(columns) == rows
+        assert [columns[index] for index in range(len(columns))] == rows
+        assert columns.chunk_rows == [1]
+        assert list(columns.segments()) == [(0, 1, chunk), (2, 3, None)]
+
+    def test_a_dataset_keeps_the_columns(self):
+        columns = CandidateColumns()
+        columns.append(((5, (2.0,), (3.0,)), PairContribution(1, 2)))
+        dataset = Dataset("candidates", columns, [1])
+        assert dataset.records is columns
+        assert list(dataset) == list(columns)
+
+
+def min_over_union_measures() -> list[str]:
+    return [name for name in sorted(supported_measures())
+            if bound_kernel_kind(get_measure(name)) == BOUND_MIN_OVER_UNION]
+
+
+postings_lists = st.lists(
+    st.builds(PostingEntry, st.integers(0, 7),
+              st.one_of(st.integers(0, 9).map(float),
+                        st.floats(0.0, 9.0)).map(lambda uni: (uni,)),
+              st.integers(1, 4)),
+    max_size=7)
+
+
+class TestInlinedBound:
+    def test_only_the_ruzicka_family_declares_it(self):
+        assert min_over_union_measures() == ["jaccard", "ruzicka",
+                                             "weighted_jaccard"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(measure_name=st.sampled_from(min_over_union_measures()),
+           first=postings_lists, second=postings_lists,
+           same=st.booleans(), data=st.data())
+    def test_the_inlined_bound_is_the_called_bound(self, measure_name, first,
+                                                   second, same, data):
+        """The same survivors, in the same order, and the same counts as the
+        measure's own ``similarity_upper_bound`` — thresholds drawn where a
+        bound lands exactly on them."""
+        measure = get_measure(measure_name)
+        second = first if same else second
+        bounds = sorted({measure.similarity_upper_bound(p.uni, q.uni)
+                         for p in first for q in second} - {0.0})
+        threshold = data.draw(st.sampled_from(bounds) if bounds
+                              else st.just(0.5))
+        codec = PairCodec(8)
+        inlined = _CandidateFilter(measure, threshold, codec)
+        called = _CandidateFilter(measure, threshold, codec)
+        called.inline_bound = False
+        assert inlined.inline_bound
+
+        def run(candidate_filter):
+            context = TaskContext(Metrics())
+            block = candidate_filter.candidates(first, second, same, context, "kept")
+            return list(block), dict(context.counters)
+
+        assert run(inlined) == run(called)
+
+    def test_a_subclass_that_changes_the_bound_does_not_inherit_it(self):
+        """A Tversky-style variant of Ruzicka, ``conj / (conj + 0.5 x (a +
+        b - 2 conj))``, bounds above Ruzicka's closed form: that form inlined
+        would prune pairs the variant keeps."""
+        class HalfWeighted(type(get_measure("ruzicka"))):
+            name = "half_weighted_ruzicka"
+
+            def combine(self, uni_i, uni_j, conj):
+                intersection = conj[0]
+                rest = 0.5 * (uni_i[0] + uni_j[0] - 2 * intersection)
+                if intersection + rest <= 0:
+                    return 0.0
+                return intersection / (intersection + rest)
+
+        measure = HalfWeighted()
+        assert bound_kernel_kind(measure) == BOUND_GENERIC
+        assert bound_kernel_kind(get_measure("jaccard")) == BOUND_MIN_OVER_UNION
+        # {a: 1} and {a: 1, b: 1}: similarity 2/3 under the variant, whose
+        # bound is 2/3; Ruzicka's bound is 1/2.
+        first = [PostingEntry(0, (1,), 1), PostingEntry(1, (2,), 1)]
+        candidate_filter = _CandidateFilter(measure, 0.6, PairCodec(8))
+        assert not candidate_filter.inline_bound
+        context = TaskContext(Metrics())
+        block = candidate_filter.candidates(first, first, True, context, "kept")
+        assert len(block) == 1
+
+    def test_registration_refuses_an_unknown_bound_kernel(self):
+        class Typo(type(get_measure("ruzicka"))):
+            name = "typo_ruzicka"
+            bound_kernel = "min_over_onion"
+
+        with pytest.raises(UnknownMeasureError, match="bound_kernel"):
+            register_measure(Typo())
+
+
+def reference_candidate_counts(multisets, measure, threshold, chunk_size):
+    """What the per-pair scalar bound keeps and prunes, element by element.
+
+    Every unordered pair of distinct multisets on a posting list is a
+    candidate; it is pruned when ``similarity_upper_bound`` of their ``Uni``
+    falls below the threshold (a symmetric bound: the order a posting list
+    lists them in does not matter), and otherwise emitted by Similarity1 —
+    or, for an element with more postings than ``chunk_size``, by
+    Similarity2's expansion of its chunk pairs.
+    """
+    unis = {multiset.id: measure.unilateral(multiset) for multiset in multisets}
+    postings: dict = {}
+    for multiset in multisets:
+        for element in multiset:
+            postings.setdefault(element, []).append(multiset.id)
+    prunes = measure.conj_upper_bound(measure.uni_zero(),
+                                      measure.uni_zero()) is not None
+    counts: Counter = Counter()
+    for ids in postings.values():
+        kept = ("similarity2/chunk_expanded_records"
+                if chunk_size is not None and len(ids) > chunk_size
+                else "similarity1/candidate_records")
+        for first, second in combinations(ids, 2):
+            if prunes and measure.similarity_upper_bound(
+                    unis[first], unis[second]) < threshold:
+                counts["similarity1/candidates_pruned"] += 1
+            else:
+                counts[kept] += 1
+    return counts
+
+
+def boundary_thresholds(multisets, measure) -> list[float]:
+    """Every similarity and every upper bound the corpus's pairs achieve."""
+    values = set()
+    for first, second in combinations(multisets, 2):
+        if first.common_elements(second):
+            values.add(measure.similarity(first, second))
+            values.add(measure.similarity_upper_bound(
+                measure.unilateral(first), measure.unilateral(second)))
+    return sorted(value for value in values if 0.0 < value <= 1.0)
+
+
+class TestThresholdBoundary:
+    @settings(max_examples=100, deadline=None)
+    @given(cell=join_grid(algorithms=JOINING_ALGORITHMS, backends=("serial",)),
+           chunk_size=st.sampled_from([None, 2]), data=st.data())
+    def test_batch_path_at_the_boundary(self, cell, chunk_size, data):
+        """Thresholds drawn from what the corpus achieves, so a similarity or
+        a bound equals the threshold: the pairs are the exact oracle's and
+        the candidate counts are the per-pair bound's, chunked or not."""
+        corpus = cell.corpus()
+        measure = get_measure(cell.measure)
+        thresholds = boundary_thresholds(corpus, measure)
+        assume(thresholds)
+        threshold = data.draw(st.sampled_from(thresholds))
+        spec = dataclasses.replace(cell.spec(), threshold=threshold,
+                                   chunk_size=chunk_size)
+        result = SimilarityEngine().run(spec, corpus)
+        assert_matches_oracle(result.pairs, corpus, cell.measure, threshold)
+        counters = result.counters()
+        expected = reference_candidate_counts(corpus, measure, threshold,
+                                              chunk_size)
+        for name in ("similarity1/candidate_records",
+                     "similarity1/candidates_pruned",
+                     "similarity2/chunk_expanded_records"):
+            assert counters.get(name, 0) == expected[name], name

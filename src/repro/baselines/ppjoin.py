@@ -13,13 +13,14 @@ classical filters on top of a prefix-restricted inverted index:
   before verification.
 
 The algorithm is exact: every surviving candidate is verified with the full
-similarity computation.  It operates on the weighted (multiset) prefixes of
-:mod:`repro.vcl.prefix`, so it supports the same measures as the rest of the
-library.  The positional bound used here is the weighted generalisation of
-the classical one: splitting the common elements of a pair around the shared
-probe element, the part before it is bounded by the smaller of the two
-already-scanned weights and the part from it onwards by the smaller of the
-two remaining weights; the bound therefore never prunes a qualifying pair.
+similarity computation.  It cuts the weighted (multiset) prefixes with
+:func:`repro.vcl.prefix.prefix_length`, as VCL does, so it supports the
+same measures as the rest of the library.  The positional bound used here
+is the weighted generalisation of the classical one: splitting the common
+elements of a pair around the shared probe element, the part before it is
+bounded by the smaller of the two already-scanned weights and the part from
+it onwards by the smaller of the two remaining weights; the bound therefore
+never prunes a qualifying pair.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.multiset import Multiset
 from repro.core.records import SimilarPair
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 from repro.similarity.registry import get_measure
-from repro.vcl.prefix import frequency_rank_function, prefix_elements
+from repro.vcl.prefix import frequency_rank_function, prefix_length
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,11 @@ class PPJoin:
             before.append(cumulative)
             cumulative += weight
         remaining = [size - value for value in before]
-        prefix = prefix_elements(entity, rank, self.measure, self.threshold)
         return _OrderedView(entity=entity, size=size, elements=elements,
                             before_weights=tuple(before),
                             remaining_weights=tuple(remaining),
-                            prefix_length=len(prefix))
+                            prefix_length=prefix_length(weights, self.measure,
+                                                        self.threshold))
 
     def _positional_ok(self, view: _OrderedView, position: int,
                        entry: _IndexedEntry) -> bool:

@@ -10,15 +10,16 @@ the shared *interning* layer that replaces them with dense integers:
 * :class:`ElementDictionary` — an immutable element ⇄ id mapping whose ids
   are assigned in **ascending document frequency** order (the rarest element
   gets id 0).  This is the same global ordering prefix-filtering algorithms
-  (VCL, PPJoin) sort by, so one dictionary serves both the merge-scan
+  (VCL, PPJoin) sort by, so one dictionary serves both the array
   kernels and any frequency-ordered consumer;
 * :class:`InternedMultiset` — the canonical array representation of a
   multiset: parallel tuples of sorted element ids and their multiplicities.
-  Two interned multisets can be compared with a linear merge scan instead of
-  per-element dict probes (see :mod:`repro.similarity.kernels`);
+  Two interned multisets are compared by walking the smaller one's id map
+  and probing the other's, with no per-element measure call (see
+  :mod:`repro.similarity.kernels`);
 * :class:`LocalInterner` — a lightweight append-only interner for consumers
-  that only need ids to be *consistent within a scope* (one reduce group,
-  one serving index), not globally frequency-ordered;
+  that only need ids to be *consistent within a scope* (one serving index),
+  not globally frequency-ordered;
 * :class:`PairCodec` — packs a canonical ``(id_i, id_j)`` pair of dense ids
   into a single integer, turning the Similarity2 shuffle key into one
   machine word;
@@ -232,11 +233,12 @@ class InternedMultiset:
 
     ``element_ids`` is a strictly ascending tuple of dense element ids and
     ``multiplicities`` the parallel tuple of (float) multiplicities.  The
-    sorted-array form is what the merge-scan kernels in
-    :mod:`repro.similarity.kernels` consume.
+    kernels in :mod:`repro.similarity.kernels` probe its :meth:`counts`
+    map, built from the sorted arrays once.
     """
 
-    __slots__ = ("id", "element_ids", "multiplicities", "cardinality")
+    __slots__ = ("id", "element_ids", "multiplicities", "cardinality",
+                 "_counts")
 
     def __init__(self, multiset_id: MultisetId,
                  element_ids: tuple, multiplicities: tuple) -> None:
@@ -247,6 +249,7 @@ class InternedMultiset:
         self.element_ids = element_ids
         self.multiplicities = multiplicities
         self.cardinality = float(sum(multiplicities))
+        self._counts: dict | None = None
 
     def __len__(self) -> int:
         return len(self.element_ids)
@@ -260,6 +263,17 @@ class InternedMultiset:
         """Iterate ``(element_id, multiplicity)`` pairs in id order."""
         return zip(self.element_ids, self.multiplicities)
 
+    def counts(self) -> dict:
+        """``{element_id: multiplicity}`` in ascending id order, built once.
+
+        What the kernels probe: a shared element costs one lookup.
+        """
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = dict(zip(self.element_ids,
+                                             self.multiplicities))
+        return counts
+
     def __repr__(self) -> str:
         return (f"InternedMultiset(id={self.id!r}, "
                 f"|U(M)|={len(self.element_ids)}, |M|={self.cardinality})")
@@ -268,10 +282,9 @@ class InternedMultiset:
 class LocalInterner:
     """An append-only element → dense-id interner for scoped consumers.
 
-    Ids are assigned in first-appearance order, which is all a merge-scan
-    needs: both operands of a comparison must agree on the ordering, not on
-    any global property.  Used by the VCL kernel reducer (one interner per
-    reduce group) and the serving index (one per index lifetime).
+    Ids are assigned in first-appearance order, which is all a comparison
+    needs: both operands must agree on the ids, not on any global property.
+    Used by the serving index (one per index lifetime).
     """
 
     __slots__ = ("_ids",)

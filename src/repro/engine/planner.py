@@ -22,10 +22,11 @@ The estimates deliberately mirror the runner's accounting:
   surfaces in the prediction exactly as it does in the measurement.
 
 For the VCL baseline the planner computes the *real* prefixes (the same
-:func:`repro.vcl.prefix.prefix_elements` the kernel mappers use) in one
-pass, so the kernel's replication volume and its largest reduce group —
-the two quantities the paper blames for VCL's collapse — are estimated
-from actual prefix document frequencies rather than guessed.
+:class:`repro.vcl.prefix.PrefixFilter` the kernel mapper cuts them with,
+super-element grouping included) in one pass, so the kernel's replication
+volume and its largest reduce group — the two quantities the paper blames
+for VCL's collapse — are estimated from actual prefix document frequencies
+rather than guessed.
 
 Candidate-pair volume is estimated *unpruned* (``sum_e C(df_e, 2)``): the
 upper-bound pruning rate depends on the pairwise ``Uni`` values, which a
@@ -66,7 +67,12 @@ from repro.mapreduce.costmodel import (
 )
 from repro.mapreduce.types import JobStats, estimate_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure
-from repro.vcl.prefix import frequency_rank_function, prefix_elements
+from repro.vcl.grouping import SuperElementGrouping
+from repro.vcl.prefix import (
+    PrefixFilter,
+    frequency_rank_function,
+    hash_rank_function,
+)
 from repro.vsmart.driver import LOOKUP, ONLINE_AGGREGATION, SHARDING
 from repro.vsmart.shapes import RecordShapes
 
@@ -766,35 +772,35 @@ class Planner:
             ))
 
         # The kernel: price replication and group skew from the *actual*
-        # prefixes, accumulated per element in one pass.
-        rank = frequency_rank_function(
+        # prefixes, accumulated per prefix key in one pass.
+        rank = (frequency_rank_function(
             {element: profile.dictionary.frequency_of(element)
-             for element in profile.dictionary}) if use_frequency else None
-        if rank is None:
-            from repro.vcl.prefix import hash_rank_function
-            rank = hash_rank_function()
+             for element in profile.dictionary})
+            if use_frequency else hash_rank_function())
+        grouping = (None if spec.vcl_super_element_groups is None
+                    else SuperElementGrouping(spec.vcl_super_element_groups))
+        prefixes = PrefixFilter(multisets, rank, measure, spec.threshold,
+                                grouping)
         replicated_bytes = 0.0
-        map_total_extra = 0.0
         max_unit = 0.0
         group_bytes: dict = {}
         group_records: dict = {}
         total_prefix = 0
         for multiset, m_bytes in zip(multisets, profile.multiset_bytes):
-            prefix = prefix_elements(multiset, rank, measure, spec.threshold)
+            prefix = prefixes.cut(prefixes.rank(multiset))
             total_prefix += len(prefix)
-            emitted = sum(_CONTAINER + estimate_record_bytes(element)
-                          + m_bytes + 1 for element in prefix)
+            kvs = [_CONTAINER + prefixes.key_bytes[position] + m_bytes + 1
+                   for position in prefix]
+            emitted = sum(kvs)
             replicated_bytes += emitted
             unit = m_bytes + emitted + overhead * (1 + len(prefix))
             max_unit = max(max_unit, unit)
-            map_total_extra += unit
-            for element in prefix:
-                kv = _CONTAINER + estimate_record_bytes(element) + m_bytes + 1
-                group_bytes[element] = group_bytes.get(element, 0.0) + kv
-                group_records[element] = group_records.get(element, 0) + 1
+            for position, kv in zip(prefix, kvs):
+                group_bytes[position] = group_bytes.get(position, 0.0) + kv
+                group_records[position] = group_records.get(position, 0) + 1
         max_group = max(group_bytes.values(), default=0.0)
-        hot_element = max(group_records, key=group_records.get, default=None)
-        hot_records = group_records.get(hot_element, 0)
+        hot_key = max(group_records, key=group_records.get, default=None)
+        hot_records = group_records.get(hot_key, 0)
         frequency_map_bytes = (_CONTAINER + profile.alphabet_size
                                * (element_b + _WORD)
                                if use_frequency else 0)

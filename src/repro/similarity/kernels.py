@@ -5,22 +5,23 @@ element at a time: two dict probes, two ``effective_multiplicity`` calls,
 one ``conj_from_pair`` tuple allocation and one ``conj_merge`` tuple
 allocation per element.  For the measures the paper actually uses, the
 conjunctive partial is a single scalar (a sum of minima or a sum of
-products), so all of that per-element machinery collapses into a merge scan
-over two sorted id arrays accumulating one float — no hashing, no tuples,
-no per-element function calls.
+products), so all of that per-element machinery collapses into one loop
+over the smaller operand's ``id -> multiplicity`` map, probing the larger
+one and accumulating one float — no tuples, no per-element function calls.
 
 Measures declare which scalar kernel applies through two class attributes
 (:attr:`~repro.similarity.base.NominalSimilarityMeasure.conj_kernel` and
 :attr:`~repro.similarity.base.NominalSimilarityMeasure.uni_kernel`); any
-measure that declares nothing falls back to a merge scan that calls the
+measure that declares nothing falls back to a probe that calls the
 measure's own hooks per shared element, so custom measures stay correct,
 just not accelerated.
 
 All kernels are *exact*, not approximate: multiplicities are integer-valued
 (:class:`~repro.core.multiset.Multiset` enforces this), so the float sums
 are order-independent and the kernels reproduce the dict-based reference
-path bit for bit.  Large operands are handed to NumPy when it is available;
-both code paths compute the identical sums.
+path bit for bit.  The shared elements are visited in ascending id order
+(the maps are built from the sorted arrays), so a generic measure's
+``conj_merge`` folds in that order whatever the operands' sizes.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from typing import Callable
 
 from repro.core.interning import InternedMultiset
 from repro.similarity.base import NominalSimilarityMeasure, Partials
-
-try:  # NumPy ships with the dev environment but stays optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 #: Conjunctive kernel kinds a measure may declare.
 CONJ_SUM_MIN = "sum_min"
@@ -51,10 +47,6 @@ UNI_KERNELS = (UNI_SUM, UNI_SUM_SQUARES, UNI_GENERIC)
 BOUND_MIN_OVER_UNION = "min_over_union"
 BOUND_GENERIC = "generic"
 BOUND_KERNELS = (BOUND_MIN_OVER_UNION, BOUND_GENERIC)
-
-#: Operand size (sum of both underlying cardinalities) above which the
-#: vectorised NumPy intersection beats the pure-Python merge scan.
-NUMPY_THRESHOLD = 192
 
 
 def conj_kernel_kind(measure: NominalSimilarityMeasure) -> str:
@@ -92,95 +84,34 @@ def bound_kernel_kind(measure: NominalSimilarityMeasure) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scalar merge scans (the hot loops)
+# Scalar probes (the hot loops)
 # ---------------------------------------------------------------------------
 
 
-def _scan_sum_min(ids_i: tuple, mults_i: tuple,
-                  ids_j: tuple, mults_j: tuple) -> float:
-    """``sum_k min(f_ik, f_jk)`` over the shared elements (merge scan)."""
-    i = j = 0
-    size_i = len(ids_i)
-    size_j = len(ids_j)
-    total = 0.0
-    while i < size_i and j < size_j:
-        a = ids_i[i]
-        b = ids_j[j]
-        if a == b:
-            x = mults_i[i]
-            y = mults_j[j]
-            total += x if x <= y else y
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return total
+def _probe_sum_min(small: dict, large: dict) -> float:
+    """``sum_k min(f_ik, f_jk)`` over the shared elements.
 
-
-def _scan_count_common(ids_i: tuple, ids_j: tuple) -> float:
-    """``|U(Mi) ∩ U(Mj)|`` — the set-measure flavour of ``sum_min``."""
-    i = j = 0
-    size_i = len(ids_i)
-    size_j = len(ids_j)
-    total = 0
-    while i < size_i and j < size_j:
-        a = ids_i[i]
-        b = ids_j[j]
-        if a == b:
-            total += 1
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return float(total)
-
-
-def _scan_sum_product(ids_i: tuple, mults_i: tuple,
-                      ids_j: tuple, mults_j: tuple) -> float:
-    """``sum_k f_ik * f_jk`` over the shared elements (merge scan)."""
-    i = j = 0
-    size_i = len(ids_i)
-    size_j = len(ids_j)
-    total = 0.0
-    while i < size_i and j < size_j:
-        a = ids_i[i]
-        b = ids_j[j]
-        if a == b:
-            total += mults_i[i] * mults_j[j]
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def _numpy_scalar_conj(kind: str, set_mode: bool,
-                       entity_i: InternedMultiset,
-                       entity_j: InternedMultiset) -> float:
-    """Vectorised intersection path for large operands.
-
-    ``intersect1d`` on the (already unique, already sorted) id arrays yields
-    the aligned positions of the shared elements; the scalar reduction is
-    then a single vector op.  Integer-valued inputs make the vectorised sums
-    exactly equal to the sequential ones.
+    Walks the smaller map and probes the larger: the cost is the smaller
+    operand's size, not the sum of both.
     """
-    ids_i = _np.asarray(entity_i.element_ids, dtype=_np.int64)
-    ids_j = _np.asarray(entity_j.element_ids, dtype=_np.int64)
-    common, where_i, where_j = _np.intersect1d(
-        ids_i, ids_j, assume_unique=True, return_indices=True)
-    if set_mode:
-        return float(len(common))
-    mults_i = _np.asarray(entity_i.multiplicities, dtype=_np.float64)[where_i]
-    mults_j = _np.asarray(entity_j.multiplicities, dtype=_np.float64)[where_j]
-    if kind == CONJ_SUM_MIN:
-        return float(_np.minimum(mults_i, mults_j).sum())
-    return float((mults_i * mults_j).sum())
+    get = large.get
+    total = 0.0
+    for element_id, x in small.items():
+        y = get(element_id)
+        if y is not None:
+            total += x if x <= y else y
+    return total
+
+
+def _probe_sum_product(small: dict, large: dict) -> float:
+    """``sum_k f_ik * f_jk`` over the shared elements."""
+    get = large.get
+    total = 0.0
+    for element_id, x in small.items():
+        y = get(element_id)
+        if y is not None:
+            total += x * y
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +131,37 @@ def interned_conjunctive(measure: NominalSimilarityMeasure,
     kind = conj_kernel_kind(measure)
     if kind == CONJ_GENERIC:
         return _generic_conjunctive(measure, entity_i, entity_j)
-    set_mode = measure.uses_underlying_set
-    if (_np is not None
-            and len(entity_i) + len(entity_j) >= NUMPY_THRESHOLD):
-        return (_numpy_scalar_conj(kind, set_mode, entity_i, entity_j),)
-    if set_mode:
-        return (_scan_count_common(entity_i.element_ids,
-                                   entity_j.element_ids),)
+    small = entity_i.counts()
+    large = entity_j.counts()
+    if len(small) > len(large):
+        small, large = large, small
+    if measure.uses_underlying_set:
+        return (float(len(small.keys() & large.keys())),)
     if kind == CONJ_SUM_MIN:
-        return (_scan_sum_min(entity_i.element_ids, entity_i.multiplicities,
-                              entity_j.element_ids, entity_j.multiplicities),)
-    return (_scan_sum_product(entity_i.element_ids, entity_i.multiplicities,
-                              entity_j.element_ids, entity_j.multiplicities),)
+        return (_probe_sum_min(small, large),)
+    return (_probe_sum_product(small, large),)
 
 
 def _generic_conjunctive(measure: NominalSimilarityMeasure,
                          entity_i: InternedMultiset,
                          entity_j: InternedMultiset) -> Partials:
-    """Merge scan calling the measure's own per-element hooks (any measure)."""
+    """A probe calling the measure's own per-element hooks (any measure).
+
+    Walks ``entity_i`` in ascending id order, so ``conj_from_pair`` sees
+    ``(f_ik, f_jk)`` in argument order and ``conj_merge`` folds the shared
+    elements in ascending id order.
+    """
     effective = measure.effective_multiplicity
     conj_from_pair = measure.conj_from_pair
     conj_merge = measure.conj_merge
     accumulator = measure.conj_zero()
-    ids_i = entity_i.element_ids
-    ids_j = entity_j.element_ids
-    mults_i = entity_i.multiplicities
-    mults_j = entity_j.multiplicities
-    i = j = 0
-    size_i = len(ids_i)
-    size_j = len(ids_j)
-    while i < size_i and j < size_j:
-        a = ids_i[i]
-        b = ids_j[j]
-        if a == b:
+    get = entity_j.counts().get
+    for element_id, multiplicity_i in entity_i.counts().items():
+        multiplicity_j = get(element_id)
+        if multiplicity_j is not None:
             accumulator = conj_merge(
                 accumulator,
-                conj_from_pair(effective(mults_i[i]), effective(mults_j[j])))
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
+                conj_from_pair(effective(multiplicity_i), effective(multiplicity_j)))
     return accumulator
 
 
@@ -273,8 +193,9 @@ def interned_similarity(measure: NominalSimilarityMeasure,
                         uni_j: Partials | None = None) -> float:
     """``Sim(Mi, Mj)`` from the array representations.
 
-    Callers comparing one entity against many (the VCL kernel reducer)
-    pass precomputed ``Uni`` tuples to avoid refolding them per pair.
+    Callers comparing one entity against many (the exact all-pairs join,
+    the VCL kernel reducer) pass precomputed ``Uni`` tuples to avoid
+    refolding them per pair.
     """
     if uni_i is None:
         uni_i = interned_unilateral(measure, entity_i)
@@ -284,6 +205,7 @@ def interned_similarity(measure: NominalSimilarityMeasure,
                            interned_conjunctive(measure, entity_i, entity_j))
 
 
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # Scalar accumulators (for streaming consumers like the serving index)
 # ---------------------------------------------------------------------------

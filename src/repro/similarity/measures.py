@@ -44,7 +44,7 @@ class _MinIntersectionMeasure(NominalSimilarityMeasure):
     the smaller cardinality, giving the serving index a similarity upper
     bound from the ``Uni`` tuples alone.  They also share the scalar
     kernels: ``Uni`` is the (effective) cardinality and ``Conj`` a sum of
-    minima, so the array kernels can run them as plain merge scans.
+    minima, so the array kernels can run them as plain probes.
     """
 
     conj_kernel = "sum_min"

@@ -20,8 +20,8 @@ from repro.vcl.kernel import (
 from repro.vcl.prefix import (
     frequency_rank_function,
     hash_rank_function,
-    ordered_elements,
     prefix_elements,
+    prefix_length,
     prefix_length_classic,
 )
 
@@ -41,7 +41,7 @@ __all__ = [
     "build_kernel_job",
     "frequency_rank_function",
     "hash_rank_function",
-    "ordered_elements",
     "prefix_elements",
+    "prefix_length",
     "prefix_length_classic",
 ]

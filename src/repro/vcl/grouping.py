@@ -6,7 +6,12 @@ running prefix filtering on the grouped representation.  Grouping makes the
 prefixes coarser, so pairs that share a prefix super-element without sharing
 a prefix element ("superfluous pairs") reach the reducers and must be weeded
 out by exact verification — which, as the paper's experiments showed,
-consistently costs more than the memory it saves.  The ablation benchmark
+consistently costs more than the memory it saves.
+
+A super-element weighs the summed *effective* multiplicities of its members
+(:class:`repro.vcl.prefix.PrefixFilter`): under a set measure a group of
+``k`` elements weighs ``k``, not 1, so grouping never lowers an overlap and
+prefix filtering on the groups cannot lose a pair.  The ablation benchmark
 ``bench_ablation_vcl_grouping`` reproduces that comparison.
 """
 
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.multiset import Multiset
 from repro.mapreduce.partitioner import stable_hash
 
 
@@ -36,16 +40,3 @@ class SuperElementGrouping:
     def group_of(self, element: object) -> int:
         """The super-element identifier of an alphabet element."""
         return stable_hash(element, salt="vcl-grouping") % self.num_groups
-
-    def group_multiset(self, multiset: Multiset) -> Multiset:
-        """Rewrite a multiset over super-elements (multiplicities summed).
-
-        The grouped representation never underestimates similarity for the
-        min/sum measures used here, so prefix filtering on it cannot lose
-        pairs — it only admits superfluous candidates.
-        """
-        grouped: dict[int, int] = {}
-        for element, multiplicity in multiset.items():
-            group = self.group_of(element)
-            grouped[group] = grouped.get(group, 0) + multiplicity
-        return Multiset(multiset.id, grouped)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +33,12 @@ from hypothesis import strategies as st
 from benchmarks.e2e.inputs import BY_NAME, SIZES, join_corpus
 from repro import JoinSpec, SimilarityEngine
 from repro.core.exceptions import MemoryBudgetExceeded
+from repro.core.interning import LocalInterner
 from repro.mapreduce import LocalJobRunner, SerialBackend, phases
 from repro.mapreduce import types as mapreduce_types
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, Cluster
 from repro.mapreduce.dfs import Dataset
+from repro.mapreduce.job import TaskContext
 from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.types import (
     Emissions,
@@ -46,6 +49,9 @@ from repro.mapreduce.types import (
 )
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.similarity.registry import supported_measures
+from repro.telemetry import Metrics
+from repro.vcl.grouping import SuperElementGrouping
+from repro.vcl.kernel import build_kernel_job
 from repro.vsmart.similarity_phase import Similarity2Mapper
 from tests.conftest import BACKEND_IDS, BACKENDS, join_grid, strip_telemetry
 from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
@@ -62,9 +68,16 @@ ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 #: 2812 before sizes were carried at all).
 CALLS_PER_TUPLE_CEILING = {"join_scan": 92, "join_dense": 90}
 
+#: The same for a ``vcl`` join on the toy corpora, ~15 % above the measured
+#: 78.7 / 157.2 (CPython 3.11; 172.0 / 281.8 while the kernel reducer
+#: re-interned every multiset once per group it was replicated to and every
+#: VCL mapper mapped and sized record by record).
+VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 91, "join_dense": 181}
+
 #: The jobs whose mapper maps its whole input as columns
 #: (``Mapper.map_batch``); every other job's mapper maps record by record.
-BATCH_MAPPED_JOBS = {"similarity1", "similarity2"}
+BATCH_MAPPED_JOBS = {"similarity1", "similarity2", "vcl_frequencies",
+                     "vcl_kernel", "vcl_dedup"}
 
 
 @pytest.fixture(scope="module")
@@ -88,22 +101,23 @@ def run_join(corpus, workload: str, algorithm: str, backend="serial",
 
 
 def profile_calls(function, partitioner=hash_partitioner
-                  ) -> tuple[int, int, int, int, object]:
+                  ) -> tuple[int, int, int, int, int, object]:
     """``(all calls, KeyValues built, generic sizings, partitioner calls,
-    function())``, counted as it runs.
+    element interns, function())``, counted as it runs.
 
     Counts what ``benchmarks/e2e/tracing.count_calls`` counts (Python and
     builtin calls, via ``sys.setprofile``), and among them the entries into
     the one place a ``KeyValue`` is built, into the generic sizer (asked
     for a record's size, or for a ``KeyValue``'s by ``sized_key_value``
-    when it is handed none) and into the job's partitioner.
+    when it is handed none), into the job's partitioner and into a
+    :class:`~repro.core.interning.LocalInterner`'s ``intern``.
     """
     generic_codes = {estimate_record_bytes.__code__,
                      mapreduce_types._container_bytes.__code__}
-    calls = keyed = generic = partitionings = 0
+    calls = keyed = generic = partitionings = interns = 0
 
     def profile(frame, event, argument):
-        nonlocal calls, keyed, generic, partitionings
+        nonlocal calls, keyed, generic, partitionings, interns
         if event == "call":
             calls += 1
             if frame.f_code is sized_key_value.__code__:
@@ -112,6 +126,8 @@ def profile_calls(function, partitioner=hash_partitioner
                 generic += 1
             elif frame.f_code is partitioner.__code__:
                 partitionings += 1
+            elif frame.f_code is LocalInterner.intern.__code__:
+                interns += 1
         elif event == "c_call":
             calls += 1
 
@@ -120,7 +136,7 @@ def profile_calls(function, partitioner=hash_partitioner
         result = function()
     finally:
         sys.setprofile(None)
-    return calls, keyed, generic, partitionings, result
+    return calls, keyed, generic, partitionings, interns, result
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -128,7 +144,7 @@ def test_pinned_join_sizes_each_record_once_and_stays_cheap(corpora, workload):
     corpus = corpora[workload]
     algorithm = BY_NAME[workload].pinned
     run_join(corpus, workload, algorithm)  # warm caches
-    calls, keyed, generic, partitionings, result = profile_calls(
+    calls, keyed, generic, partitionings, _interns, result = profile_calls(
         lambda: run_join(corpus, workload, algorithm))
 
     tuples = sum(len(multiset) for multiset in corpus)
@@ -155,10 +171,30 @@ def test_pinned_join_sizes_each_record_once_and_stays_cheap(corpora, workload):
     assert partitionings == sum(stats.reduce_groups for stats in jobs)
 
 
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
+    """Each multiset is put on rank ids once, by the kernel mapper, and the
+    reducer verifies on those: no group re-interns its members.  Every VCL
+    job maps as a batch, so a KeyValue is built once per shuffled record."""
+    corpus = corpora[workload]
+    run_join(corpus, workload, "vcl")  # warm caches
+    calls, keyed, _generic, partitionings, interns, result = profile_calls(
+        lambda: run_join(corpus, workload, "vcl"))
+
+    tuples = sum(len(multiset) for multiset in corpus)
+    assert calls / tuples <= VCL_CALLS_PER_TUPLE_CEILING[workload]
+    assert interns == 0
+    jobs = result.pipeline.job_stats
+    assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
+    assert keyed == sum(stats.combine.records_out if stats.combine.records_in
+                        else stats.map.records_out for stats in jobs)
+    assert partitionings == sum(stats.reduce_groups for stats in jobs)
+
+
 def test_cleanup_emissions_are_partitioned_per_key_too():
     """The trailer job's cleanup emits two records, each under a key of its
     own."""
-    *_counts, partitionings, result = profile_calls(
+    *_counts, partitionings, _interns, result = profile_calls(
         lambda: run_trailer_job(SerialBackend()), partitioner=trailer_last)
     assert result.stats.map.records_out == 62
     assert partitionings == result.stats.reduce_groups == 13
@@ -329,7 +365,9 @@ class TestAccountingIsFrozen:
                "chunk_size": st.sampled_from([None, 2]),
                "stop_word_frequency": st.sampled_from([None, 3]),
                "use_combiners": st.booleans(),
-               "prune_candidates": st.booleans()}),
+               "prune_candidates": st.booleans(),
+               "vcl_element_order": st.sampled_from(["frequency", "hash"]),
+               "vcl_super_element_groups": st.sampled_from([None, 4])}),
            memory=st.sampled_from([None, 400, 1_000]))
     def test_sizes_by_shape_are_the_walkers_sizes(self, cell, options, memory):
         """Every measure (``Uni`` of arity 0 included), algorithm and
@@ -355,6 +393,36 @@ class TestAccountingIsFrozen:
         with pytest.MonkeyPatch.context() as monkeypatch:
             use_reference_accounting(monkeypatch)
             assert outcome() == ours
+
+    @settings(max_examples=30, deadline=None)
+    @given(cell=join_grid(measures=sorted(supported_measures())
+                          + [SharedElements()],
+                          algorithms=("vcl",), backends=("serial",)),
+           frequency_order=st.booleans(),
+           groups=st.sampled_from([None, 1, 4]))
+    def test_the_vcl_kernels_size_column_is_the_walkers(self, cell,
+                                                         frequency_order,
+                                                         groups):
+        """The kernel ships one shared rank-id record per multiset: each
+        emission's declared size is what the walker finds on the
+        ``KeyValue`` it becomes, and on the whole multiset it stands for."""
+        spec = cell.spec()
+        corpus = cell.corpus()
+        frequencies = Counter(element for multiset in corpus
+                              for element in multiset)
+        job = build_kernel_job(
+            spec.resolved_measure(), spec.threshold, dict(frequencies),
+            use_frequency_order=frequency_order,
+            grouping=groups and SuperElementGrouping(groups))
+        context = TaskContext(Metrics(), job.side_data)
+        job.mapper.setup(context)
+        emissions = job.mapper.map_batch(corpus, context)
+        keys, values, _secondaries = emissions.columns()
+        by_id = {multiset.id: multiset for multiset in corpus}
+        assert emissions.sizes == walked_emission_sizes(emissions)
+        assert emissions.sizes == [
+            walk_record_bytes(KeyValue(key, by_id[value.entity.id]))
+            for key, value in zip(keys, values, strict=True)]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_budget_failure_is_the_same_failure(self, corpora, algorithm,

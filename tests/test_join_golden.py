@@ -8,7 +8,13 @@ ordered items, every job's ``JobStats`` (``shuffle/*`` counters stripped)
 and the simulated seconds.  ``tests/data/join-grid-3.5.json`` holds those
 documents as captured before the similarity phase ran batch-at-a-time; a
 change to any number, or to the order counters are first counted in, fails
-here.
+here.  ``tests/data/vcl-grid-3.6.json`` holds VCL's other knobs the same way
+— both toy corpora × hash order and 16 / 64 super-element groups × the
+three backends, 18 cells — as captured before the kernel ran
+batch-at-a-time.  In both files the VCL cells' ``shuffle/bytes_spilled``
+(the size of the spill files, not a modelled number) was captured again
+after that change: the files hold the rank-id records the kernel now
+shuffles instead of whole multisets.  Every other leaf is as first captured.
 
 Regenerate (only for an intended change, and say why in the record)::
 
@@ -17,10 +23,10 @@ Regenerate (only for an intended change, and say why in the record)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
-import pytest
 
 from benchmarks.e2e.inputs import BY_NAME, SIZES, join_corpus
 from benchmarks.e2e.joins import join_spec, make_engine
@@ -28,20 +34,30 @@ from repro.mapreduce.backends import get_backend
 from tests.test_backends import comparable_stats
 
 GOLDEN = Path(__file__).with_name("data") / "join-grid-3.5.json"
+VCL_GOLDEN = Path(__file__).with_name("data") / "vcl-grid-3.6.json"
 WORKLOADS = ("join_scan", "join_dense")
 ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 #: backend name in the document -> what ``JoinSpec(backend=)`` is given.
 BACKENDS = {"serial": lambda: "serial", "disk": lambda: "disk",
             "disk@4096": lambda: get_backend("disk", memory_budget_bytes=4096)}
+#: VCL variant name in the document -> the ``JoinSpec`` fields it sets.
+VCL_VARIANTS = {"hash": {"vcl_element_order": "hash"},
+                "groups16": {"vcl_super_element_groups": 16},
+                "groups64": {"vcl_super_element_groups": 64}}
 SEED = 7
 
 
-def cell_document(corpus, workload: str, algorithm: str, backend: str) -> dict:
+def cell_document(corpus, workload: str, algorithm: str, backend: str,
+                  variant: str | None = None) -> dict:
     """One cell of the grid as a JSON-ready document, order preserved."""
     spec = join_spec(BY_NAME[workload], algorithm, BACKENDS[backend]())
+    cell = [workload, algorithm, backend]
+    if variant is not None:
+        spec = dataclasses.replace(spec, **VCL_VARIANTS[variant])
+        cell.append(variant)
     result = make_engine().run(spec, corpus)
     document = {
-        "cell": [workload, algorithm, backend],
+        "cell": cell,
         "pairs": [[pair.first, pair.second, pair.similarity]
                   for pair in sorted(result.pairs)],
         "counters": [[name, value]
@@ -67,19 +83,37 @@ def grid_documents(size: str = "toy") -> list[dict]:
     return documents
 
 
-@pytest.fixture(scope="module")
-def golden() -> list[dict]:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+def vcl_grid_documents() -> list[dict]:
+    """Every VCL variant cell on the toy corpora, in workload / variant / backend order."""
+    documents = []
+    for workload in WORKLOADS:
+        corpus = join_corpus(BY_NAME[workload], SEED, SIZES["toy"])
+        documents.extend(cell_document(corpus, workload, "vcl", backend, variant)
+                         for variant in VCL_VARIANTS for backend in BACKENDS)
+    return documents
 
 
-def test_the_grid_is_the_golden_grid(golden):
-    actual = grid_documents()
+def assert_same_documents(actual: list[dict], golden: list[dict]) -> None:
     assert [cell["cell"] for cell in actual] == [cell["cell"] for cell in golden]
     for ours, theirs in zip(actual, golden, strict=True):
         # Serialised, so the order of every counter and machine is compared too.
         assert json.dumps(ours) == json.dumps(theirs), ours["cell"]
 
 
+def load(path: Path) -> list[dict]:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_the_grid_is_the_golden_grid():
+    assert_same_documents(grid_documents(), load(GOLDEN))
+
+
+def test_the_vcl_variants_are_the_golden_vcl_grid():
+    assert_same_documents(vcl_grid_documents(), load(VCL_GOLDEN))
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(grid_documents(), indent=1) + "\n",
-                      encoding="utf-8")
+    for path, documents in ((GOLDEN, grid_documents),
+                            (VCL_GOLDEN, vcl_grid_documents)):
+        path.write_text(json.dumps(documents(), indent=1) + "\n",
+                        encoding="utf-8")

@@ -3,8 +3,10 @@
 The paper (section 2, footnote 2, and section 5) chooses dedicated combiners
 for every aggregation "to conserve the network bandwidth" and to reduce the
 load of the slowest reducers.  This ablation runs the Online-Aggregation
-pipeline with and without combiners and reports the shuffle volume and the
-simulated run time; the results must be identical either way.
+pipeline (``ruzicka``) and the Sharding and Lookup pipelines (``jaccard``,
+a set measure, whose ``Uni`` combiners fold the unit contributions) with and
+without combiners and reports the shuffle volume and the simulated run
+time; the pairs must be identical either way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,16 @@ from repro.analysis.reporting import format_table
 from repro.engine import JoinSpec, SimilarityEngine
 from repro.mapreduce.costmodel import CostParameters
 
+#: ``(series key, algorithm, measure)``: the series ``variants`` holds the
+#: Online-Aggregation runs, ``jaccard`` the other two pipelines.
+PIPELINES = (("variants", "online_aggregation", "ruzicka"),
+             ("jaccard", "sharding", "jaccard"),
+             ("jaccard", "lookup", "jaccard"))
+
+
+def shuffle_bytes(result) -> int:
+    return sum(stats.shuffle_bytes for stats in result.pipeline.job_stats)
+
 
 def test_ablation_combiners(small_dataset, cluster_500, cost_parameters,
                             bench_record):
@@ -20,30 +32,40 @@ def test_ablation_combiners(small_dataset, cluster_500, cost_parameters,
 
     with SimilarityEngine(multisets, cluster=cluster_500,
                           cost_parameters=cost_parameters) as engine:
-        outcomes = {use_combiners: engine.run(JoinSpec(
-                        algorithm="online_aggregation", threshold=0.5,
+        outcomes = {(algorithm, measure, use_combiners): engine.run(JoinSpec(
+                        algorithm=algorithm, measure=measure, threshold=0.5,
                         use_combiners=use_combiners))
+                    for _series, algorithm, measure in PIPELINES
                     for use_combiners in (True, False)}
-    bench_record["variants"] = {
-        "combiners_on" if use_combiners else "combiners_off": {
-            "shuffle_bytes": sum(s.shuffle_bytes for s in result.pipeline.job_stats),
-            "simulated_seconds": result.simulated_seconds,
-            "num_pairs": len(result.pairs),
-        }
-        for use_combiners, result in outcomes.items()}
     rows = []
-    for use_combiners, result in outcomes.items():
-        shuffle = sum(stats.shuffle_bytes for stats in result.pipeline.job_stats)
-        rows.append(["on" if use_combiners else "off",
-                     f"{shuffle:,}", f"{result.simulated_seconds:,.0f}s",
-                     len(result.pairs)])
+    for series, algorithm, measure in PIPELINES:
+        variants = {}
+        for use_combiners in (True, False):
+            result = outcomes[algorithm, measure, use_combiners]
+            variants["combiners_on" if use_combiners else "combiners_off"] = {
+                "shuffle_bytes": shuffle_bytes(result),
+                "simulated_seconds": result.simulated_seconds,
+                "num_pairs": len(result.pairs),
+            }
+            rows.append([f"{algorithm} ({measure})",
+                         "on" if use_combiners else "off",
+                         f"{shuffle_bytes(result):,}",
+                         f"{result.simulated_seconds:,.0f}s",
+                         len(result.pairs)])
+        if series == "variants":
+            bench_record["variants"] = variants
+        else:
+            bench_record.setdefault(series, {})[algorithm] = variants
     print()
-    print(format_table(["dedicated combiners", "total shuffle bytes",
-                        "simulated run time", "pairs"], rows,
-                       title="Ablation: dedicated combiners (Online-Aggregation, small dataset)"))
+    print(format_table(["pipeline", "dedicated combiners",
+                        "total shuffle bytes", "simulated run time", "pairs"],
+                       rows,
+                       title="Ablation: dedicated combiners (small dataset)"))
 
-    with_combiners, without_combiners = outcomes[True], outcomes[False]
-    assert {p.pair for p in with_combiners.pairs} == {p.pair for p in without_combiners.pairs}
-    assert (sum(s.shuffle_bytes for s in with_combiners.pipeline.job_stats)
-            < sum(s.shuffle_bytes for s in without_combiners.pipeline.job_stats))
+    for _series, algorithm, measure in PIPELINES:
+        with_combiners = outcomes[algorithm, measure, True]
+        without_combiners = outcomes[algorithm, measure, False]
+        assert with_combiners.pairs == without_combiners.pairs, algorithm
+        assert (shuffle_bytes(with_combiners)
+                < shuffle_bytes(without_combiners)), algorithm
     assert isinstance(cost_parameters, CostParameters)

@@ -25,8 +25,9 @@ the shared *interning* layer that replaces them with dense integers:
   machine word;
 * :class:`InterningContext` — the bundle the V-SMART-Join driver builds in
   its interning pass: element dictionary, multiset-id dictionary and pair
-  codec, with helpers to intern the raw input tuples and to restore the
-  original identifiers on the final similar pairs.
+  codec, with helpers to intern the input (the multisets straight into
+  :class:`~repro.core.records.InputColumns`, or raw input tuples) and to
+  restore the original identifiers on the final similar pairs.
 
 Interning never changes results: multiplicities are preserved exactly and
 every consumer maps ids back to the original objects at its boundary.
@@ -34,11 +35,12 @@ every consumer maps ids back to the original objects at its boundary.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.exceptions import ReproError
 from repro.core.multiset import Element, Multiset, MultisetId
-from repro.core.records import InputTuple, SimilarPair
+from repro.core.records import InputColumns, InputTuple, SimilarPair
 
 
 class InterningError(ReproError):
@@ -410,9 +412,23 @@ class InterningContext:
     @classmethod
     def from_input_tuples(
             cls, records: Sequence[InputTuple]) -> "InterningContext":
-        """Build the context from the exploded pipeline input."""
+        """Build the context from exploded ``(Mi, a_k, f_ik)`` tuples."""
         elements = ElementDictionary.from_input_tuples(records)
         multiset_ids = sort_mixed({record.multiset_id for record in records})
+        return cls(elements, multiset_ids)
+
+    @classmethod
+    def from_multisets(
+            cls, multisets: Sequence[Multiset]) -> "InterningContext":
+        """Build the context from the pipeline's multisets.
+
+        The context :meth:`from_input_tuples` builds from their exploded
+        tuples, for multisets with distinct identifiers (the engine's
+        contract): a multiset without elements has no tuple, so no id.
+        """
+        elements = ElementDictionary.from_multisets(multisets)
+        multiset_ids = sort_mixed({multiset.id for multiset in multisets
+                                   if len(multiset)})
         return cls(elements, multiset_ids)
 
     def intern_records(self,
@@ -424,6 +440,26 @@ class InterningContext:
                            element_id_of(record.element),
                            record.multiplicity)
                 for record in records]
+
+    def intern_multisets(self, multisets: Iterable[Multiset]) -> InputColumns:
+        """The multisets' tuples on dense integer ids, as columns.
+
+        Row for row what :meth:`intern_records` makes of their exploded
+        tuples — multisets in order, each one's elements in its own order —
+        without building a tuple.
+        """
+        element_ids = self.elements._ids
+        multiset_id_of = self._multiset_id_of
+        columns = InputColumns()
+        for multiset in multisets:
+            if not len(multiset):
+                continue  # no tuple, so no id
+            elements = multiset.keys()
+            columns.multiset_ids.extend(
+                repeat(multiset_id_of[multiset.id], len(elements)))
+            columns.elements.extend(map(element_ids.__getitem__, elements))
+            columns.multiplicities.extend(multiset.values())
+        return columns
 
     def restore_pairs(self,
                       pairs: Iterable[SimilarPair]) -> list[SimilarPair]:

@@ -15,13 +15,18 @@ They carry ``slots=True`` because millions of them are alive at once in a
 big join — slots cut the per-record memory (no ``__dict__``) and speed up
 field access; the default slot-aware ``__getstate__`` keeps them picklable
 into the disk shuffle's run files.
+
+Between jobs the pipelines hold the first two column-wise instead
+(:class:`InputColumns`, :class:`JoinedColumns`): the batch mappers read the
+columns, and a record is built only when a row is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Hashable, Tuple
+from typing import Hashable, Iterable, Iterator, Tuple
 
 from repro.core.exceptions import InvalidMultisetError, ServingError
 from repro.core.multiset import Element, Multiset, MultisetId
@@ -107,6 +112,93 @@ class SimilarPair:
         return (self.first, self.second)
 
 
+class RecordColumns(Sequence):
+    """A sequence of records a job holds column-wise.
+
+    Indexing or iterating it builds the records; a
+    :class:`~repro.mapreduce.dfs.Dataset` keeps it as it is, so the next
+    job's batch mapper (:meth:`~repro.mapreduce.job.Mapper.map_batch`)
+    reads the columns and no record is built in between.
+    """
+
+    __slots__ = ()
+
+
+class FieldColumns(RecordColumns):
+    """Records of one dataclass held column-wise, one list per field.
+
+    ``__slots__`` names the columns, in the order of :attr:`record`'s
+    fields; row ``i`` is ``record(column_0[i], column_1[i], ...)``, built
+    only when the row is read.  A reducer returns its output as one block
+    per reduce group and the reduce task's container (:meth:`extend`)
+    appends the block's columns; the next job's batch mapper reads them.
+    """
+
+    __slots__ = ()
+
+    #: The record dataclass a row stands for.
+    record: type
+
+    def __init__(self, *columns: list) -> None:
+        """The given columns (one per field), or empty ones."""
+        for name, column in zip(self.__slots__,
+                                columns or [[] for _ in self.__slots__],
+                                strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, records: Iterable[object]) -> "FieldColumns":
+        """``records`` as columns: themselves when they are already."""
+        if type(records) is cls:
+            return records
+        columns = cls()
+        columns.extend(records)
+        return columns
+
+    def columns(self) -> list[list]:
+        """The columns, in field order."""
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, index: int) -> object:
+        return self.record(*(column[index] for column in self.columns()))
+
+    def __iter__(self) -> Iterator[object]:
+        return map(self.record, *self.columns())
+
+    def append(self, record: object) -> None:
+        """Append one record."""
+        for column, field in zip(self.columns(), fields(self.record)):
+            column.append(getattr(record, field.name))
+
+    def extend(self, records: Iterable[object]) -> None:
+        """Append a block's columns, or any records one by one."""
+        if type(records) is not type(self):
+            for record in records:
+                self.append(record)
+            return
+        for column, block in zip(self.columns(), records.columns()):
+            column.extend(block)
+
+
+class InputColumns(FieldColumns):
+    """Raw input tuples held column-wise: the interning pass's output (and
+    the stop-word filter's)."""
+
+    __slots__ = ("multiset_ids", "elements", "multiplicities")
+    record = InputTuple
+
+
+class JoinedColumns(FieldColumns):
+    """Joined tuples held column-wise: the joining phase's output, read by
+    Similarity1's mapper."""
+
+    __slots__ = ("multiset_ids", "unis", "elements", "multiplicities")
+    record = JoinedTuple
+
+
 def _ordered_before(id_a: Hashable, id_b: Hashable) -> bool:
     """Return True when ``id_a`` canonically precedes ``id_b``.
 
@@ -155,8 +247,9 @@ def resolve_record_type(records, allowed: tuple[type, ...]) -> type:
 def explode_multisets(multisets) -> list[InputTuple]:
     """Explode an iterable of multisets into raw :class:`InputTuple` records.
 
-    This is the representation the V-SMART-Join pipelines consume; it is the
-    inverse of :func:`assemble_multisets`.
+    The raw-tuple form of a corpus, as the loaders write it; the inverse of
+    :func:`assemble_multisets`.  (The V-SMART-Join driver builds the same
+    rows as :class:`InputColumns`, interned, straight from the multisets.)
     """
     records: list[InputTuple] = []
     for multiset in multisets:

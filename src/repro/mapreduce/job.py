@@ -86,12 +86,14 @@ class Mapper:
     def setup(self, context: TaskContext) -> None:
         """Called once per job before any record is mapped."""
 
-    def check_input(self, record: Any, context: TaskContext) -> None:
-        """Called once per job with its first input record, before it is mapped.
+    def check_input(self, records: Sequence[Any], context: TaskContext) -> None:
+        """Called once per job with its (non-empty) input, before it is mapped.
 
         A mapper whose emissions carry sizes worked out from the records'
         shape raises :class:`~repro.core.exceptions.JobConfigurationError`
-        here when the input does not have the shape those sizes assume.
+        here when the input's first record does not have the shape those
+        sizes assume; it reads that record from the columns when the input
+        is a :class:`~repro.mapreduce.types.RecordColumns`.
         """
 
     def map(self, record: Any, context: TaskContext) -> Iterator[Any]:

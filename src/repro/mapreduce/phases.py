@@ -211,7 +211,7 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
                           job.name)
     job.mapper.setup(context)
     if task.records:
-        job.mapper.check_input(task.records[0], context)
+        job.mapper.check_input(task.records, context)
     emissions = job.mapper.map_batch(task.records, context)
     if len(emissions.counts) != len(task.records):
         raise JobConfigurationError(

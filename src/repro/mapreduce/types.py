@@ -32,12 +32,12 @@ twice.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable
 
+from repro.core.records import RecordColumns  # noqa: F401  (re-exported)
 from repro.telemetry import Metrics
 
 #: Rough per-object overhead charged by the size estimator, in bytes.
@@ -253,18 +253,6 @@ class Emissions:
 
 
 _size_bytes_of = attrgetter("size_bytes")
-
-
-class RecordColumns(Sequence):
-    """A sequence of records a job holds column-wise.
-
-    Indexing or iterating it builds the records; a
-    :class:`~repro.mapreduce.dfs.Dataset` keeps it as it is, so the next
-    job's batch mapper (:meth:`~repro.mapreduce.job.Mapper.map_batch`)
-    reads the columns and no record is built in between.
-    """
-
-    __slots__ = ()
 
 
 @dataclass

@@ -34,8 +34,8 @@ from repro.similarity.kernels import (
 )
 from repro.similarity.partials import (
     fold_uni_multiplicities,
-    merge_uni,
     uni_contribution,
+    uni_fold,
 )
 from repro.similarity.registry import (
     available_measures,
@@ -73,11 +73,11 @@ __all__ = [
     "interned_unilateral",
     "iter_measures",
     "list_measures",
-    "merge_uni",
     "uni_kernel_kind",
     "pair_dictionary",
     "register_measure",
     "supported_measures",
     "uni_contribution",
+    "uni_fold",
     "validate_threshold",
 ]

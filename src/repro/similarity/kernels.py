@@ -12,9 +12,10 @@ one and accumulating one float — no tuples, no per-element function calls.
 Measures declare which scalar kernel applies through two class attributes
 (:attr:`~repro.similarity.base.NominalSimilarityMeasure.conj_kernel` and
 :attr:`~repro.similarity.base.NominalSimilarityMeasure.uni_kernel`); any
-measure that declares nothing falls back to a probe that calls the
-measure's own hooks per shared element, so custom measures stay correct,
-just not accelerated.
+measure that declares nothing — or overrides a method its inherited
+declaration stands for (:func:`uni_kernel_kind`, :func:`conj_kernel_kind`)
+— falls back to a probe that calls the measure's own hooks per shared
+element, so custom measures stay correct, just not accelerated.
 
 All kernels are *exact*, not approximate: multiplicities are integer-valued
 (:class:`~repro.core.multiset.Multiset` enforces this), so the float sums
@@ -49,38 +50,78 @@ BOUND_GENERIC = "generic"
 BOUND_KERNELS = (BOUND_MIN_OVER_UNION, BOUND_GENERIC)
 
 
+#: The methods each declaration stands for: a subclass that overrides one of
+#: them does not inherit the declaration.
+_CONJ_METHODS = ("conj_from_pair", "conj_merge", "conj_zero",
+                 "effective_multiplicity")
+_UNI_METHODS = ("uni_from_multiplicity", "uni_merge", "uni_zero",
+                "effective_multiplicity")
+_BOUND_METHODS = ("combine", "conj_upper_bound", "similarity_upper_bound")
+
+
+class _DeclaredKinds(dict):
+    """Measure class -> the kernel kind its declaration holds for.
+
+    Resolved the first time a class is asked for, then kept: a declaration
+    is a class attribute, and it holds for a subclass only while the
+    subclass keeps every method it stands for.  A subclass that overrides
+    one of them and does not declare the kernel again gets ``"generic"``.
+    """
+
+    __slots__ = ("attribute", "methods", "generic")
+
+    def __init__(self, attribute: str, methods: tuple[str, ...],
+                 generic: str) -> None:
+        super().__init__()
+        self.attribute = attribute
+        self.methods = methods
+        self.generic = generic
+
+    def __missing__(self, cls: type) -> str:
+        kind = getattr(cls, self.attribute, self.generic)
+        if kind != self.generic:
+            declaring = next(owner for owner in cls.__mro__
+                             if self.attribute in vars(owner))
+            if any(getattr(cls, name) is not getattr(declaring, name)
+                   for name in self.methods):
+                kind = self.generic
+        self[cls] = kind
+        return kind
+
+
+_CONJ_KINDS = _DeclaredKinds("conj_kernel", _CONJ_METHODS, CONJ_GENERIC)
+_UNI_KINDS = _DeclaredKinds("uni_kernel", _UNI_METHODS, UNI_GENERIC)
+_BOUND_KINDS = _DeclaredKinds("bound_kernel", _BOUND_METHODS, BOUND_GENERIC)
+
+
 def conj_kernel_kind(measure: NominalSimilarityMeasure) -> str:
-    """The scalar conjunctive kernel declared by ``measure``."""
-    return getattr(measure, "conj_kernel", CONJ_GENERIC)
+    """The scalar conjunctive kernel ``measure`` declares, and keeps.
+
+    The declaration stands for ``conj_from_pair``, ``conj_merge``,
+    ``conj_zero`` and ``effective_multiplicity``; a subclass overriding
+    one of them without declaring again gets ``"generic"``.
+    """
+    return _CONJ_KINDS[type(measure)]
 
 
 def uni_kernel_kind(measure: NominalSimilarityMeasure) -> str:
-    """The scalar unilateral kernel declared by ``measure``."""
-    return getattr(measure, "uni_kernel", UNI_GENERIC)
+    """The scalar unilateral kernel ``measure`` declares, and keeps.
 
-
-#: The methods a bound's closed form stands for.
-_BOUND_METHODS = ("combine", "conj_upper_bound", "similarity_upper_bound")
+    The declaration stands for ``uni_from_multiplicity``, ``uni_merge``,
+    ``uni_zero`` and ``effective_multiplicity``; a subclass overriding one
+    of them without declaring again gets ``"generic"``.
+    """
+    return _UNI_KINDS[type(measure)]
 
 
 def bound_kernel_kind(measure: NominalSimilarityMeasure) -> str:
     """The closed form of the similarity upper bound declared by ``measure``.
 
-    A class's declaration holds for its subclasses only while they keep its
-    ``combine``, ``conj_upper_bound`` and ``similarity_upper_bound``: a
-    subclass that overrides one of them and does not declare the bound
-    again gets ``"generic"``, the called bound.
+    The declaration stands for ``combine``, ``conj_upper_bound`` and
+    ``similarity_upper_bound``; a subclass overriding one of them without
+    declaring the bound again gets ``"generic"``, the called bound.
     """
-    kind = getattr(measure, "bound_kernel", BOUND_GENERIC)
-    if kind == BOUND_GENERIC or "bound_kernel" in vars(measure):
-        return kind
-    cls = type(measure)
-    declaring = next(owner for owner in cls.__mro__
-                     if "bound_kernel" in vars(owner))
-    if any(getattr(cls, name) is not getattr(declaring, name)
-           for name in _BOUND_METHODS):
-        return BOUND_GENERIC
-    return kind
+    return _BOUND_KINDS[type(measure)]
 
 
 # ---------------------------------------------------------------------------

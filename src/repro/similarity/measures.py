@@ -42,13 +42,11 @@ class _MinIntersectionMeasure(NominalSimilarityMeasure):
 
     For these measures ``|Mi ∩ Mj| = sum_k min(f_ik, f_jk)`` never exceeds
     the smaller cardinality, giving the serving index a similarity upper
-    bound from the ``Uni`` tuples alone.  They also share the scalar
-    kernels: ``Uni`` is the (effective) cardinality and ``Conj`` a sum of
-    minima, so the array kernels can run them as plain probes.
+    bound from the ``Uni`` tuples alone.  Each concrete measure declares
+    the scalar kernels beside the methods they stand for: ``Uni`` is the
+    (effective) cardinality and ``Conj`` a sum of minima, so the array
+    kernels can run them as plain probes.
     """
-
-    conj_kernel = "sum_min"
-    uni_kernel = "sum"
 
     def conj_upper_bound(self, uni_i: Partials,
                          uni_j: Partials) -> Partials | None:
@@ -65,6 +63,8 @@ class RuzickaSimilarity(_MinIntersectionMeasure):
 
     name = "ruzicka"
     uses_underlying_set = False
+    conj_kernel = "sum_min"
+    uni_kernel = "sum"
     bound_kernel = "min_over_union"
 
     def uni_from_multiplicity(self, multiplicity: float) -> Partials:
@@ -115,6 +115,8 @@ class MultisetDiceSimilarity(_MinIntersectionMeasure):
 
     name = "dice"
     uses_underlying_set = False
+    conj_kernel = "sum_min"
+    uni_kernel = "sum"
 
     def uni_from_multiplicity(self, multiplicity: float) -> Partials:
         return (multiplicity,)
@@ -164,6 +166,8 @@ class MultisetCosineSimilarity(_MinIntersectionMeasure):
 
     name = "cosine"
     uses_underlying_set = False
+    conj_kernel = "sum_min"
+    uni_kernel = "sum"
 
     def uni_from_multiplicity(self, multiplicity: float) -> Partials:
         return (multiplicity,)

@@ -5,22 +5,24 @@ All three joining algorithms accumulate the unilateral partial results
 that logic together with the dedicated combiners that pre-aggregate the
 contributions on the mapper machines (the paper's main lever for balancing
 the reducers that handle multisets with vast underlying cardinalities).
+
+Every combiner and reducer of the joining phase folds ``Uni`` with
+:func:`~repro.similarity.partials.uni_fold`: a measure with a scalar
+unilateral kernel has its contributions added as one column of floats, in
+value-list order, any other is merged with its own ``uni_merge``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from repro.mapreduce.job import Combiner, TaskContext
 from repro.similarity.base import NominalSimilarityMeasure, Partials
+from repro.similarity.partials import uni_fold
 
-# The pure accumulation helpers are measure-only code shared with the online
-# serving index; they live in repro.similarity.partials and are re-exported
-# here for the joining algorithms (and backwards compatibility).
-from repro.similarity.partials import (  # noqa: F401
-    merge_uni,
-    uni_contribution,
-)
+#: Field readers of the joining jobs' value tuples.
+first, second, third, fourth = map(itemgetter, range(4))
 
 
 class UniSumCombiner(Combiner):
@@ -33,11 +35,11 @@ class UniSumCombiner(Combiner):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        self._uni_zero = measure.uni_zero()
+        self._fold = uni_fold(measure)
 
     def combine(self, key: object, values: Sequence[Partials],
-                context: TaskContext) -> Iterator[Partials]:
-        yield merge_uni(self.measure, values, self._uni_zero)
+                context: TaskContext) -> Iterable[Partials]:
+        return (self._fold(values),)
 
 
 class UniCountCombiner(Combiner):
@@ -51,21 +53,8 @@ class UniCountCombiner(Combiner):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        self._uni_zero = measure.uni_zero()
+        self._fold = uni_fold(measure)
 
     def combine(self, key: object, values: Sequence[tuple[Partials, int]],
-                context: TaskContext) -> Iterator[tuple[Partials, int]]:
-        yield fold_uni_counts(self.measure, self._uni_zero, values)
-
-
-def fold_uni_counts(measure: NominalSimilarityMeasure, uni_zero: Partials,
-                    values: Iterable[tuple[Partials, int]]
-                    ) -> tuple[Partials, int]:
-    """Fold ``(Uni contribution, element count)`` values into their sums."""
-    merge = measure.uni_merge
-    uni = uni_zero
-    count = 0
-    for contribution, elements in values:
-        uni = merge(uni, contribution)
-        count += elements
-    return uni, count
+                context: TaskContext) -> Iterable[tuple[Partials, int]]:
+        return ((self._fold(map(first, values)), sum(map(second, values))),)

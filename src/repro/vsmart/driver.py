@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import InterningContext, PairCodec
 from repro.core.multiset import Multiset
-from repro.core.records import SimilarPair, explode_multisets
+from repro.core.records import SimilarPair
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.runner import JobResult, LocalJobRunner, PipelineResult
@@ -63,7 +63,10 @@ class VSmartJoin:
     identifiers are mapped to dense integers (elements in ascending
     document-frequency order), candidate pair keys pack both ids into a
     single int, and the final pairs are mapped back to the original
-    identifiers.  That interned form is the only one the jobs ever see.
+    identifiers.  That interned form is the only one the jobs ever see: the
+    pass writes the multisets' tuples straight into
+    :class:`~repro.core.records.InputColumns`, and from there to Similarity1
+    the jobs hand each other columns, not tuples.
     """
 
     def __init__(self, spec: JoinSpec, runner: LocalJobRunner,
@@ -84,9 +87,9 @@ class VSmartJoin:
         phase_config = SimilarityPhaseConfig(chunk_size=spec.chunk_size,
                                              use_combiners=spec.use_combiners)
 
-        records = explode_multisets(multisets)
-        interning = InterningContext.from_input_tuples(records)
-        dataset = Dataset("interned_input", interning.intern_records(records),
+        interning = InterningContext.from_multisets(multisets)
+        records = interning.intern_multisets(multisets)
+        dataset = Dataset("interned_input", records,
                           [INPUT_TUPLE_BYTES] * len(records))
 
         job_stats = []

@@ -21,30 +21,35 @@ outcome reported in section 7.2.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Sequence
 
-from repro.core.records import InputTuple, PostingEntry
+from repro.core.records import PostingEntry
 from repro.mapreduce.job import JobSpec, Reducer, TaskContext
-from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions
 from repro.similarity.base import NominalSimilarityMeasure, Partials
-from repro.vsmart.common import UniSumCombiner, merge_uni, uni_contribution
+from repro.similarity.partials import uni_contributions, uni_fold
+from repro.vsmart.common import UniSumCombiner
 from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 
 class Lookup1Mapper(InternedInputMapper):
-    """``mapLookup1``: emit the per-element ``Uni`` contribution keyed by ``Mi``."""
+    """``mapLookup1``: emit the per-element ``Uni`` contribution keyed by ``Mi``.
+
+    A batch mapper: the keys are the multiset id column, the values the
+    contributions of the multiplicity column.
+    """
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
         self._kv_bytes = RecordShapes(measure).lookup1_kv
+        self._contributions = uni_contributions(measure)
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        yield sized_key_value(
-            record.multiset_id,
-            uni_contribution(self.measure, record.multiplicity),
-            None, self._kv_bytes)
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        return Emissions(columns.multiset_ids,
+                         self._contributions(columns.multiplicities), None,
+                         self._kv_bytes, counts)
 
 
 class Lookup1Reducer(Reducer):
@@ -54,14 +59,13 @@ class Lookup1Reducer(Reducer):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        shapes = RecordShapes(measure)
-        self._uni_zero = shapes.uni_zero
-        self.output_record_bytes = shapes.table_entry
+        self._fold = uni_fold(measure)
+        self.output_record_bytes = RecordShapes(measure).table_entry
 
     def reduce(self, key: object, values: Sequence[Partials],
                context: TaskContext) -> Iterator[tuple]:
         context.increment("lookup1/multisets", 1)
-        yield (key, merge_uni(self.measure, values, self._uni_zero))
+        yield (key, self._fold(values))
 
 
 class LookupJoinMapper(InternedInputMapper):
@@ -70,7 +74,8 @@ class LookupJoinMapper(InternedInputMapper):
     The side data is the ``{Mi: Uni(Mi)}`` dictionary produced by Lookup1.
     Output records are element-keyed postings, i.e. exactly the map output
     of Similarity1, so this mapper is plugged directly into the Similarity1
-    job (saving one MapReduce step, as the paper notes).
+    job (saving one MapReduce step, as the paper notes).  A batch mapper: a
+    tuple whose multiset has no table entry emits nothing and is counted.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
@@ -81,17 +86,22 @@ class LookupJoinMapper(InternedInputMapper):
     def setup(self, context: TaskContext) -> None:
         self._table = context.side_data or {}
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        uni = self._table.get(record.multiset_id)
-        if uni is None:
-            context.increment("lookup2/missing_table_entries", 1)
-            return
-        yield sized_key_value(
-            record.element,
-            PostingEntry(record.multiset_id, uni, record.multiplicity),
-            None, self._kv_bytes)
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        ids, elements, multiplicities = columns.columns()
+        unis = list(map(self._table.get, ids))
+        if None in unis:
+            found = [uni is not None for uni in unis]
+            context.increment("lookup2/missing_table_entries",
+                              found.count(False))
+            rows = iter(found)
+            counts = [int(next(rows)) if count else 0 for count in counts]
+            ids, elements, multiplicities, unis = (
+                list(compress(column, found))
+                for column in (ids, elements, multiplicities, unis))
+        return Emissions(elements,
+                         list(map(PostingEntry, ids, unis, multiplicities)),
+                         None, self._kv_bytes, counts)
 
 
 def build_lookup1_job(measure: NominalSimilarityMeasure,

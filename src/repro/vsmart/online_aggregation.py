@@ -16,13 +16,15 @@ alternatives; running this job on a Hadoop-profile cluster raises
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import takewhile
+from typing import Iterable, Sequence
 
-from repro.core.records import InputTuple, JoinedTuple
+from repro.core.records import JoinedColumns
 from repro.mapreduce.job import Combiner, JobSpec, Reducer, TaskContext
-from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions
 from repro.similarity.base import NominalSimilarityMeasure
-from repro.vsmart.common import merge_uni, uni_contribution
+from repro.similarity.partials import uni_contributions, uni_fold
+from repro.vsmart.common import second, third
 from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 #: Secondary key of the records carrying ``Uni`` information.
@@ -40,23 +42,32 @@ class OnlineAggregationMapper(InternedInputMapper):
     """``mapOnline-Aggregation1``: emit Uni information and elements per tuple.
 
     ``<Mi, m_ik>  ->  <Mi, 0, g(f_ik)>, <Mi, 1, m_ik>``  (for ``f_ik > 0``)
+
+    A batch mapper: each tuple's two emissions are interleaved in the
+    columns, ``Uni`` first, so each lands on the combine machine it would
+    record by record.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
         shapes = RecordShapes(measure)
-        self._uni_kv_bytes = shapes.oa_uni_kv
-        self._element_kv_bytes = shapes.oa_element_kv
+        self._sizes = [shapes.oa_uni_kv, shapes.oa_element_kv]
+        self._contributions = uni_contributions(measure)
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        contribution = uni_contribution(self.measure, record.multiplicity)
-        yield sized_key_value(record.multiset_id, (UNI_TAG, contribution),
-                              UNI_SECONDARY, self._uni_kv_bytes)
-        yield sized_key_value(record.multiset_id,
-                              (ELEMENT_TAG, record.element, record.multiplicity),
-                              ELEMENT_SECONDARY, self._element_kv_bytes)
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        rows = len(columns)
+        keys: list = [None] * (2 * rows)
+        keys[0::2] = keys[1::2] = columns.multiset_ids
+        values: list = [None] * (2 * rows)
+        values[0::2] = [(UNI_TAG, contribution) for contribution in
+                        self._contributions(columns.multiplicities)]
+        values[1::2] = [(ELEMENT_TAG, element, multiplicity)
+                        for element, multiplicity in zip(
+                            columns.elements, columns.multiplicities)]
+        return Emissions(keys, values,
+                         [UNI_SECONDARY, ELEMENT_SECONDARY] * rows,
+                         self._sizes * rows, [2 * count for count in counts])
 
 
 class OnlineAggregationCombiner(Combiner):
@@ -72,47 +83,48 @@ class OnlineAggregationCombiner(Combiner):
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        self._uni_zero = measure.uni_zero()
+        self._fold = uni_fold(measure)
 
     def combine(self, key: object, values: Sequence[tuple],
-                context: TaskContext) -> Iterator[tuple]:
-        first_tag = values[0][0] if values else None
-        if first_tag == UNI_TAG:
-            merged = merge_uni(self.measure, [value[1] for value in values],
-                               self._uni_zero)
-            yield (UNI_TAG, merged)
-            return
-        yield from values
+                context: TaskContext) -> Iterable[tuple]:
+        if values and values[0][0] == UNI_TAG:
+            return ((UNI_TAG, self._fold(map(second, values))),)
+        return values
 
 
 class OnlineAggregationReducer(Reducer):
     """``reduceOnline-Aggregation1``: stream out joined tuples.
 
     The reduce value list arrives sorted by secondary key, so every ``Uni``
-    record precedes every element record; the reducer accumulates ``Uni(Mi)``
-    and then emits ``<Mi, Uni(Mi), m_ik>`` for each element without ever
-    holding the element list in memory.
+    record precedes every element record; the reducer folds ``Uni(Mi)`` from
+    the leading ``Uni`` records and emits ``<Mi, Uni(Mi), m_ik>`` for each
+    element after them, as one :class:`JoinedColumns` block, without ever
+    holding more than the value list it is handed.
     """
 
     materializes_input = False
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        shapes = RecordShapes(measure)
-        self._uni_zero = shapes.uni_zero
-        self.output_record_bytes = shapes.joined_tuple
+        self._fold = uni_fold(measure)
+        self.output_record_bytes = RecordShapes(measure).joined_tuple
+
+    def new_output(self) -> JoinedColumns:
+        return JoinedColumns()
 
     def reduce(self, key: object, values: Sequence[tuple],
-               context: TaskContext) -> Iterator[JoinedTuple]:
-        uni = self._uni_zero
-        for value in values:
-            tag = value[0]
-            if tag == UNI_TAG:
-                uni = self.measure.uni_merge(uni, value[1])
-            else:
-                _tag, element, multiplicity = value
-                yield JoinedTuple(key, uni, element, multiplicity)
+               context: TaskContext) -> JoinedColumns:
+        unis = list(takewhile(_is_uni, values))
+        elements = values[len(unis):]
+        uni = self._fold(map(second, unis))
         context.increment("online_aggregation/multisets", 1)
+        return JoinedColumns([key] * len(elements), [uni] * len(elements),
+                             list(map(second, elements)),
+                             list(map(third, elements)))
+
+
+def _is_uni(value: tuple) -> bool:
+    return value[0] == UNI_TAG
 
 
 def build_online_aggregation_job(measure: NominalSimilarityMeasure,

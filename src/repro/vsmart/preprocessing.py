@@ -17,12 +17,14 @@ exists for the ablation benchmark and as a library feature.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from repro.core.exceptions import JobConfigurationError
-from repro.core.records import InputTuple
+from repro.core.records import InputColumns, InputTuple
 from repro.mapreduce.job import JobSpec, Reducer, TaskContext
-from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions
+from repro.vsmart.common import first, second
 from repro.vsmart.shapes import (
     INPUT_TUPLE_BYTES,
     STOP_WORD_KV_BYTES,
@@ -31,14 +33,16 @@ from repro.vsmart.shapes import (
 
 
 class StopWordMapper(InternedInputMapper):
-    """Re-key raw tuples by element: ``<Mi, m_ik> -> <a_k, <Mi, f_ik>>``."""
+    """Re-key raw tuples by element: ``<Mi, m_ik> -> <a_k, <Mi, f_ik>>``.
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        yield sized_key_value(record.element,
-                              (record.multiset_id, record.multiplicity),
-                              None, STOP_WORD_KV_BYTES)
+    A batch mapper: the keys are the element column.
+    """
+
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        return Emissions(columns.elements,
+                         list(zip(columns.multiset_ids, columns.multiplicities)),
+                         None, STOP_WORD_KV_BYTES, counts)
 
 
 class StopWordReducer(Reducer):
@@ -46,7 +50,9 @@ class StopWordReducer(Reducer):
 
     Only ``q + 1`` postings ever need to be buffered, so the memory footprint
     is bounded by the parameter rather than by the element frequency — the
-    property the paper relies on to call this step scalable.
+    property the paper relies on to call this step scalable.  A kept
+    element's tuples are one :class:`~repro.core.records.InputColumns`
+    block, so the joining job after this one reads columns too.
     """
 
     materializes_input = False
@@ -58,18 +64,19 @@ class StopWordReducer(Reducer):
                 "the stop-word threshold q must be at least 1")
         self.frequency_threshold = frequency_threshold
 
+    def new_output(self) -> InputColumns:
+        return InputColumns()
+
     def reduce(self, key: object, values: Sequence[tuple],
-               context: TaskContext) -> Iterator[InputTuple]:
-        buffered: list[tuple] = []
-        for value in values:
-            buffered.append(value)
-            if len(buffered) > self.frequency_threshold:
-                context.increment("preprocess/stop_words_dropped", 1)
-                context.increment("preprocess/tuples_dropped", len(values))
-                return
+               context: TaskContext) -> InputColumns:
+        if len(values) > self.frequency_threshold:
+            context.increment("preprocess/stop_words_dropped", 1)
+            context.increment("preprocess/tuples_dropped", len(values))
+            return InputColumns()
         context.increment("preprocess/elements_kept", 1)
-        for multiset_id, multiplicity in buffered:
-            yield InputTuple(multiset_id, key, multiplicity)
+        return InputColumns(list(map(first, values)),
+                            list(repeat(key, len(values))),
+                            list(map(second, values)))
 
 
 def build_stop_word_job(frequency_threshold: int,

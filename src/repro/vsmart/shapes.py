@@ -16,16 +16,18 @@ same numbers.  What makes a prototype stand for every real record is the
 input door: :func:`~repro.core.records.assemble_multisets` admits only
 whole-number multiplicities, the driver's interning pass turns every
 multiset id and element into a dense ``int``, and each map task checks its
-first record (:class:`InternedInputMapper`).
+first row (:class:`InternedInputMapper`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any
+from itertools import compress
+from typing import Any, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.core.records import (
+    InputColumns,
     InputTuple,
     JoinedTuple,
     PairContribution,
@@ -156,22 +158,52 @@ class RecordShapes:
 
 
 class InternedInputMapper(Mapper):
-    """A mapper of interned tuples whose emissions are sized by shape.
+    """A batch mapper of interned tuples whose emissions are sized by shape.
 
     The sizes its emit sites were built with hold for dense-integer multiset
     ids and elements and plain-number multiplicities only (a string weighs
-    its length, a ``bool`` one byte).  Each task verifies its first input
-    record, so a job run on raw tuples is a loud error and not a silently
-    different byte count.
+    its length, a ``bool`` one byte).  Each task checks the first row of
+    its input, so a job run on raw tuples is a loud error and not a
+    silently different byte count, and reads the input into columns once:
+    the interning pass hands columns over, any other sequence of tuples is
+    read into them.
     """
 
-    def check_input(self, record: Any, context: TaskContext) -> None:
-        for field, allowed in (("multiset_id", (int,)), ("element", (int,)),
-                               ("multiplicity", (int, float))):
-            value = getattr(record, field, None)
+    #: The columns the mapper reads its input into.
+    columns: type = InputColumns
+
+    def check_input(self, records: Sequence[Any], context: TaskContext) -> None:
+        """Raise unless the first row has the interned shape the sizes assume."""
+        if type(records) is self.columns:
+            row = (records.multiset_ids[0], records.elements[0],
+                   records.multiplicities[0])
+        else:
+            row = tuple(getattr(records[0], field, None)
+                        for field in _CHECKED_FIELDS)
+        for field, value, allowed in zip(_CHECKED_FIELDS, row,
+                                         ((int,), (int,), (int, float))):
             if type(value) not in allowed:
                 raise JobConfigurationError(
                     f"job {context.job_name!r} sizes its records by shape and "
                     f"needs interned input (dense int ids, see "
-                    f"InterningContext.intern_records), but the {field} of "
+                    f"InterningContext.intern_multisets), but the {field} of "
                     f"its first input record is {value!r}")
+
+    @staticmethod
+    def positive_rows(records: Sequence[Any]) -> tuple[InputColumns, list[int]]:
+        """The input rows that map, as columns, and each input row's count.
+
+        A row maps when its multiplicity is positive: count 1, else 0 and
+        the row is left out of the columns.
+        """
+        columns = InputColumns.of(records)
+        multiplicities = columns.multiplicities
+        if not multiplicities or min(multiplicities) > 0:
+            return columns, [1] * len(multiplicities)
+        keep = [multiplicity > 0 for multiplicity in multiplicities]
+        return (InputColumns(*(list(compress(column, keep))
+                               for column in columns.columns())),
+                list(map(int, keep)))
+
+
+_CHECKED_FIELDS = ("multiset_id", "element", "multiplicity")

@@ -22,18 +22,16 @@ Fig. 7 sweeps exactly this trade-off.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Sequence
 
-from repro.core.records import InputTuple, JoinedTuple
+from repro.core.records import JoinedColumns
 from repro.mapreduce.job import JobSpec, Reducer, TaskContext
 from repro.mapreduce.partitioner import stable_hash
-from repro.mapreduce.types import KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions
 from repro.similarity.base import NominalSimilarityMeasure, Partials
-from repro.vsmart.common import (
-    UniCountCombiner,
-    fold_uni_counts,
-    uni_contribution,
-)
+from repro.similarity.partials import uni_contributions, uni_fold
+from repro.vsmart.common import UniCountCombiner, first, fourth, second, third
 from repro.vsmart.shapes import InternedInputMapper, RecordShapes
 
 #: Sentinel fingerprint routing every element of an unsharded multiset to a
@@ -55,19 +53,23 @@ def element_fingerprint(element: object) -> int:
 
 
 class Sharding1Mapper(InternedInputMapper):
-    """``mapSharding1``: emit ``Uni`` contributions plus an element count."""
+    """``mapSharding1``: emit ``Uni`` contributions plus an element count.
+
+    A batch mapper: keyed by the multiset id column, each value is a row's
+    contribution with the count 1.
+    """
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
         self._kv_bytes = RecordShapes(measure).sharding1_kv
+        self._contributions = uni_contributions(measure)
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        yield sized_key_value(
-            record.multiset_id,
-            (uni_contribution(self.measure, record.multiplicity), 1),
-            None, self._kv_bytes)
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        values = list(zip(self._contributions(columns.multiplicities),
+                          repeat(1)))
+        return Emissions(columns.multiset_ids, values, None, self._kv_bytes,
+                         counts)
 
 
 class Sharding1Reducer(Reducer):
@@ -85,17 +87,15 @@ class Sharding1Reducer(Reducer):
             raise ValueError("the sharding parameter C must be at least 1")
         self.measure = measure
         self.cardinality_threshold = cardinality_threshold
-        shapes = RecordShapes(measure)
-        self._uni_zero = shapes.uni_zero
-        self.output_record_bytes = shapes.table_entry
+        self._fold = uni_fold(measure)
+        self.output_record_bytes = RecordShapes(measure).table_entry
 
     def reduce(self, key: object, values: Sequence[tuple[Partials, int]],
                context: TaskContext) -> Iterator[tuple]:
-        uni, count = fold_uni_counts(self.measure, self._uni_zero, values)
         context.increment("sharding1/multisets", 1)
-        if count > self.cardinality_threshold:
+        if sum(map(second, values)) > self.cardinality_threshold:
             context.increment("sharding1/sharded_multisets", 1)
-            yield (key, uni)
+            yield (key, self._fold(map(first, values)))
 
 
 class Sharding2Mapper(InternedInputMapper):
@@ -103,7 +103,9 @@ class Sharding2Mapper(InternedInputMapper):
 
     Sharded tuples join ``Uni(Mi)`` from the (small) lookup table and are
     scattered by element fingerprint; unsharded tuples carry no ``Uni`` and
-    are all routed to the same reducer key ``(Mi, -1)``.
+    are all routed to the same reducer key ``(Mi, -1)``.  A batch mapper:
+    with an empty table every emission is an unsharded one, of one declared
+    size; otherwise each carries its own.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
@@ -116,20 +118,30 @@ class Sharding2Mapper(InternedInputMapper):
     def setup(self, context: TaskContext) -> None:
         self._table = context.side_data or {}
 
-    def map(self, record: InputTuple, context: TaskContext) -> Iterator[KeyValue]:
-        if record.multiplicity <= 0:
-            return
-        uni = self._table.get(record.multiset_id)
-        if uni is not None:
-            key = (record.multiset_id, element_fingerprint(record.element))
-            yield sized_key_value(
-                key, (SHARDED_TAG, uni, record.element, record.multiplicity),
-                None, self._sharded_kv_bytes)
-        else:
-            key = (record.multiset_id, UNSHARDED_FINGERPRINT)
-            yield sized_key_value(
-                key, (UNSHARDED_TAG, record.element, record.multiplicity),
-                None, self._unsharded_kv_bytes)
+    def map_batch(self, records: Sequence, context: TaskContext) -> Emissions:
+        columns, counts = self.positive_rows(records)
+        ids, elements, multiplicities = columns.columns()
+        table = self._table
+        if not table:
+            return Emissions(list(zip(ids, repeat(UNSHARDED_FINGERPRINT))),
+                             list(zip(repeat(UNSHARDED_TAG), elements,
+                                      multiplicities)),
+                             None, self._unsharded_kv_bytes, counts)
+        keys: list[tuple] = []
+        values: list[tuple] = []
+        sizes: list[int] = []
+        for multiset_id, element, multiplicity in zip(ids, elements,
+                                                      multiplicities):
+            uni = table.get(multiset_id)
+            if uni is not None:
+                keys.append((multiset_id, element_fingerprint(element)))
+                values.append((SHARDED_TAG, uni, element, multiplicity))
+                sizes.append(self._sharded_kv_bytes)
+            else:
+                keys.append((multiset_id, UNSHARDED_FINGERPRINT))
+                values.append((UNSHARDED_TAG, element, multiplicity))
+                sizes.append(self._unsharded_kv_bytes)
+        return Emissions(keys, values, None, sizes, counts)
 
 
 class Sharding2Reducer(Reducer):
@@ -139,34 +151,34 @@ class Sharding2Reducer(Reducer):
     Unsharded groups are materialised (they fit in memory by construction,
     since ``|U(Mi)| <= C``), scanned once to compute ``Uni(Mi)`` and a second
     time to emit the joined tuples — the two-scan behaviour described in the
-    paper.
+    paper.  Each group's joined tuples are one :class:`JoinedColumns` block.
     """
 
     materializes_input = True
 
     def __init__(self, measure: NominalSimilarityMeasure) -> None:
         self.measure = measure
-        shapes = RecordShapes(measure)
-        self._uni_zero = shapes.uni_zero
-        self.output_record_bytes = shapes.joined_tuple
+        self._fold = uni_fold(measure)
+        self._contributions = uni_contributions(measure)
+        self.output_record_bytes = RecordShapes(measure).joined_tuple
+
+    def new_output(self) -> JoinedColumns:
+        return JoinedColumns()
 
     def reduce(self, key: tuple, values: Sequence[tuple],
-               context: TaskContext) -> Iterator[JoinedTuple]:
+               context: TaskContext) -> JoinedColumns:
         multiset_id, fingerprint = key
+        ids = [multiset_id] * len(values)
         if fingerprint != UNSHARDED_FINGERPRINT:
-            for value in values:
-                _tag, uni, element, multiplicity = value
-                context.increment("sharding2/sharded_tuples", 1)
-                yield JoinedTuple(multiset_id, uni, element, multiplicity)
-            return
-        materialised = list(values)
-        uni = self._uni_zero
-        for _tag, _element, multiplicity in materialised:
-            uni = self.measure.uni_merge(
-                uni, uni_contribution(self.measure, multiplicity))
-        for _tag, element, multiplicity in materialised:
-            context.increment("sharding2/unsharded_tuples", 1)
-            yield JoinedTuple(multiset_id, uni, element, multiplicity)
+            context.increment("sharding2/sharded_tuples", len(values))
+            return JoinedColumns(ids, list(map(second, values)),
+                                 list(map(third, values)),
+                                 list(map(fourth, values)))
+        multiplicities = list(map(third, values))
+        uni = self._fold(self._contributions(multiplicities))
+        context.increment("sharding2/unsharded_tuples", len(values))
+        return JoinedColumns(ids, [uni] * len(values),
+                             list(map(second, values)), multiplicities)
 
 
 def build_sharding1_job(measure: NominalSimilarityMeasure,

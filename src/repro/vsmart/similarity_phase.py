@@ -59,7 +59,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import PairCodec
-from repro.core.records import JoinedTuple, PairContribution, PostingEntry, SimilarPair
+from repro.core.records import (
+    JoinedColumns,
+    JoinedTuple,
+    PairContribution,
+    PostingEntry,
+    SimilarPair,
+)
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Reducer, TaskContext
 from repro.mapreduce.types import (
     Emissions,
@@ -300,29 +306,35 @@ class Similarity1Mapper(InternedInputMapper):
 
     ``<Mi, Uni(Mi), m_ik>  ->  <a_k, <Mi, Uni(Mi), f_ik>>``
 
-    A batch mapper: one posting per joined tuple, as columns.  Built with
-    the ``measure`` whose ``Uni`` the joined tuples carry, the mapper knows
-    what a posting weighs; without one each emission is sized generically.
+    A batch mapper: it reads the joining phase's :class:`JoinedColumns`
+    and emits one posting per joined tuple, as columns.  Built with the
+    ``measure`` whose ``Uni`` the joined tuples carry, the mapper knows what
+    a posting weighs; without one each emission is sized generically and
+    the input's shape is not checked.
     """
+
+    columns = JoinedColumns
 
     def __init__(self, measure: NominalSimilarityMeasure | None = None) -> None:
         self._kv_bytes = (None if measure is None
                           else RecordShapes(measure).posting_kv)
 
-    def check_input(self, record: JoinedTuple, context: TaskContext) -> None:
+    def check_input(self, records: Sequence[JoinedTuple],
+                    context: TaskContext) -> None:
         if self._kv_bytes is not None:
-            super().check_input(record, context)
+            super().check_input(records, context)
 
     def map_batch(self, records: Sequence[JoinedTuple],
                   context: TaskContext) -> Emissions:
-        elements = [record.element for record in records]
-        postings = [PostingEntry(record.multiset_id, record.uni,
-                                 record.multiplicity) for record in records]
+        columns = JoinedColumns.of(records)
+        elements = columns.elements
+        postings = list(map(PostingEntry, columns.multiset_ids, columns.unis,
+                            columns.multiplicities))
         sizes = self._kv_bytes
         if sizes is None:
             sizes = [estimate_record_bytes((element, posting, None))
                      for element, posting in zip(elements, postings)]
-        return Emissions(elements, postings, None, sizes, [1] * len(records))
+        return Emissions(elements, postings, None, sizes, [1] * len(postings))
 
 
 class Similarity1Reducer(Reducer):
@@ -518,8 +530,10 @@ class Similarity2Mapper(Mapper):
         self._kv_bytes = shapes.pair_kv
         self._contributions = _conj_contributions(measure)
 
-    def check_input(self, record: object, context: TaskContext) -> None:
+    def check_input(self, records: Sequence[object],
+                    context: TaskContext) -> None:
         """The pair key is passed through: it must have the shape sized for."""
+        record = records[0]
         if isinstance(record, ChunkPairRecord):
             return
         key, _contribution = record

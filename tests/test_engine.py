@@ -320,9 +320,9 @@ class TestPlanner:
 
         context = TaskContext(Metrics())
         joining = build_online_aggregation_job(measure)
-        assert [emitted.size_bytes for emitted in joining.mapper.map(
-            InputTuple(0, 0, 1), context)] == [shapes.oa_uni_kv,
-                                               shapes.oa_element_kv]
+        emissions = joining.mapper.map_batch([InputTuple(0, 0, 1)], context)
+        assert [emitted.size_bytes for emitted in emissions.key_values()] == [
+            shapes.oa_uni_kv, shapes.oa_element_kv]
         assert joining.reducer.output_record_bytes == joined_tuple
         similarity1 = build_similarity1_job(pair_codec=PairCodec(2),
                                             measure=measure)

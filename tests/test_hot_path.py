@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from benchmarks.e2e.inputs import BY_NAME, SIZES, join_corpus
 from repro import JoinSpec, SimilarityEngine
 from repro.core.exceptions import MemoryBudgetExceeded
 from repro.core.interning import LocalInterner
+from repro.core.records import InputTuple, JoinedTuple
 from repro.mapreduce import LocalJobRunner, SerialBackend, phases
 from repro.mapreduce import types as mapreduce_types
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, Cluster
@@ -52,6 +54,7 @@ from repro.similarity.registry import supported_measures
 from repro.telemetry import Metrics
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import build_kernel_job
+from repro.vsmart.shapes import RecordShapes
 from repro.vsmart.similarity_phase import Similarity2Mapper
 from tests.conftest import BACKEND_IDS, BACKENDS, join_grid, strip_telemetry
 from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
@@ -59,14 +62,19 @@ from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
 WORKLOADS = ("join_scan", "join_dense")
 ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 
-#: Python + builtin calls per input tuple of the workload's pinned join on
-#: its toy corpus, ~15 % above the measured 80.2 / 78.5 (CPython 3.11;
-#: 107.7 / 190.3 while the similarity phase mapped and combined one
+#: Python + builtin calls per input tuple of a join on the workload's toy
+#: corpus — each workload's pinned join (``sharding`` / ``online_aggregation``)
+#: and ``join_scan``'s ``auto`` plan, ``lookup`` — ~15 % above the measured
+#: 40.8 / 47.9 / 35.0 (CPython 3.11; 80.2 / 78.5 / 66.1 while the joining
+#: jobs mapped, combined and reduced record by record, 107.7 / 190.3 for the
+#: pinned joins while the similarity phase mapped and combined one
 #: ``KeyValue`` per candidate, 141.2 / 268.7 while every record was walked
 #: where it was emitted, 181.9 / 352.5 before the task loops stopped
 #: partitioning per record and re-sizing the previous job's output, 1297 /
 #: 2812 before sizes were carried at all).
-CALLS_PER_TUPLE_CEILING = {"join_scan": 92, "join_dense": 90}
+CALLS_PER_TUPLE_CEILING = {("join_scan", "sharding"): 47,
+                           ("join_dense", "online_aggregation"): 55,
+                           ("join_scan", "lookup"): 40}
 
 #: The same for a ``vcl`` join on the toy corpora, ~15 % above the measured
 #: 78.7 / 157.2 (CPython 3.11; 172.0 / 281.8 while the kernel reducer
@@ -75,8 +83,10 @@ CALLS_PER_TUPLE_CEILING = {"join_scan": 92, "join_dense": 90}
 VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 91, "join_dense": 181}
 
 #: The jobs whose mapper maps its whole input as columns
-#: (``Mapper.map_batch``); every other job's mapper maps record by record.
-BATCH_MAPPED_JOBS = {"similarity1", "similarity2", "vcl_frequencies",
+#: (``Mapper.map_batch``): every job of a join.
+BATCH_MAPPED_JOBS = {"stop_word_filter", "online_aggregation", "lookup1",
+                     "lookup2+similarity1", "sharding1", "sharding2",
+                     "similarity1", "similarity2", "vcl_frequencies",
                      "vcl_kernel", "vcl_dedup"}
 
 
@@ -100,24 +110,38 @@ def run_join(corpus, workload: str, algorithm: str, backend="serial",
 # -- cheap ---------------------------------------------------------------------
 
 
-def profile_calls(function, partitioner=hash_partitioner
-                  ) -> tuple[int, int, int, int, int, object]:
-    """``(all calls, KeyValues built, generic sizings, partitioner calls,
-    element interns, function())``, counted as it runs.
+class Profile(NamedTuple):
+    """What :func:`profile_calls` counted, and what the function returned."""
+
+    calls: int
+    keyed: int
+    generic: int
+    partitionings: int
+    interns: int
+    tuples_built: int
+    result: object
+
+
+def profile_calls(function, partitioner=hash_partitioner) -> Profile:
+    """Every call ``function()`` makes, counted as it runs, and its result.
 
     Counts what ``benchmarks/e2e/tracing.count_calls`` counts (Python and
     builtin calls, via ``sys.setprofile``), and among them the entries into
     the one place a ``KeyValue`` is built, into the generic sizer (asked
     for a record's size, or for a ``KeyValue``'s by ``sized_key_value``
-    when it is handed none), into the job's partitioner and into a
-    :class:`~repro.core.interning.LocalInterner`'s ``intern``.
+    when it is handed none), into the job's partitioner, into a
+    :class:`~repro.core.interning.LocalInterner`'s ``intern`` and into the
+    constructors of the input and joined tuples (but for the prototype a
+    job's ``RecordShapes`` sizes once when it is built).
     """
     generic_codes = {estimate_record_bytes.__code__,
                      mapreduce_types._container_bytes.__code__}
-    calls = keyed = generic = partitionings = interns = 0
+    tuple_codes = {InputTuple.__init__.__code__, JoinedTuple.__init__.__code__}
+    prototype_code = RecordShapes.joined_tuple.func.__code__
+    calls = keyed = generic = partitionings = interns = tuples_built = 0
 
     def profile(frame, event, argument):
-        nonlocal calls, keyed, generic, partitionings, interns
+        nonlocal calls, keyed, generic, partitionings, interns, tuples_built
         if event == "call":
             calls += 1
             if frame.f_code is sized_key_value.__code__:
@@ -128,6 +152,9 @@ def profile_calls(function, partitioner=hash_partitioner
                 partitionings += 1
             elif frame.f_code is LocalInterner.intern.__code__:
                 interns += 1
+            elif (frame.f_code in tuple_codes
+                  and frame.f_back.f_code is not prototype_code):
+                tuples_built += 1
         elif event == "c_call":
             calls += 1
 
@@ -136,39 +163,41 @@ def profile_calls(function, partitioner=hash_partitioner
         result = function()
     finally:
         sys.setprofile(None)
-    return calls, keyed, generic, partitionings, interns, result
+    return Profile(calls, keyed, generic, partitionings, interns,
+                   tuples_built, result)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_pinned_join_sizes_each_record_once_and_stays_cheap(corpora, workload):
+@pytest.mark.parametrize("workload, algorithm", list(CALLS_PER_TUPLE_CEILING))
+def test_join_sizes_each_record_once_and_stays_cheap(corpora, workload,
+                                                     algorithm):
     corpus = corpora[workload]
-    algorithm = BY_NAME[workload].pinned
     run_join(corpus, workload, algorithm)  # warm caches
-    calls, keyed, generic, partitionings, _interns, result = profile_calls(
-        lambda: run_join(corpus, workload, algorithm))
+    profile = profile_calls(lambda: run_join(corpus, workload, algorithm))
 
     tuples = sum(len(multiset) for multiset in corpus)
-    assert calls / tuples <= CALLS_PER_TUPLE_CEILING[workload]
+    assert profile.calls / tuples <= CALLS_PER_TUPLE_CEILING[
+        workload, algorithm]
 
-    # A KeyValue is built once per shuffled record — by its per-record
-    # mapper, where it enters the shuffle from a batch, or by the combine
-    # task — and handed the size its job worked out from its shape when it
-    # was built.  The one other KeyValue is what a per-record mapper hands
-    # its combiner; a batch mapper hands over columns.  Reduce outputs and
-    # the interned input are not even visited for their sizes.  So nothing
-    # is walked (a job may size its side data generically: at most once per
-    # job).
-    jobs = result.pipeline.job_stats
-    combined = {stats.job_name for stats in jobs if stats.combine.records_in}
-    shuffled = sum(stats.combine.records_out if stats.job_name in combined
-                   else stats.map.records_out for stats in jobs)
-    handed_to_combiners = sum(stats.map.records_out for stats in jobs
-                              if stats.job_name in combined - BATCH_MAPPED_JOBS)
-    assert keyed == shuffled + handed_to_combiners
-    assert generic <= len(jobs)
+    # Every job maps its input as columns, and the interning pass and the
+    # joining jobs hand each other columns up to Similarity1: no input or
+    # joined tuple is built.
+    jobs = profile.result.pipeline.job_stats
+    assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
+    assert profile.tuples_built == 0
+
+    # A KeyValue is built once per shuffled record — where it enters the
+    # shuffle from a batch, or by the combine task — and handed the size
+    # its job worked out from its shape when it was built: a batch mapper
+    # hands its combiner columns.  Reduce outputs and the interned input are
+    # not even visited for their sizes.  So nothing is walked (a job may
+    # size its side data generically: at most once per job).
+    assert profile.keyed == sum(
+        stats.combine.records_out if stats.combine.records_in
+        else stats.map.records_out for stats in jobs)
+    assert profile.generic <= len(jobs)
 
     # Keys are partitioned, not records: once per reduce group.
-    assert partitionings == sum(stats.reduce_groups for stats in jobs)
+    assert profile.partitionings == sum(stats.reduce_groups for stats in jobs)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -178,26 +207,26 @@ def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
     job maps as a batch, so a KeyValue is built once per shuffled record."""
     corpus = corpora[workload]
     run_join(corpus, workload, "vcl")  # warm caches
-    calls, keyed, _generic, partitionings, interns, result = profile_calls(
-        lambda: run_join(corpus, workload, "vcl"))
+    profile = profile_calls(lambda: run_join(corpus, workload, "vcl"))
 
     tuples = sum(len(multiset) for multiset in corpus)
-    assert calls / tuples <= VCL_CALLS_PER_TUPLE_CEILING[workload]
-    assert interns == 0
-    jobs = result.pipeline.job_stats
+    assert profile.calls / tuples <= VCL_CALLS_PER_TUPLE_CEILING[workload]
+    assert profile.interns == 0
+    jobs = profile.result.pipeline.job_stats
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
-    assert keyed == sum(stats.combine.records_out if stats.combine.records_in
-                        else stats.map.records_out for stats in jobs)
-    assert partitionings == sum(stats.reduce_groups for stats in jobs)
+    assert profile.keyed == sum(
+        stats.combine.records_out if stats.combine.records_in
+        else stats.map.records_out for stats in jobs)
+    assert profile.partitionings == sum(stats.reduce_groups for stats in jobs)
 
 
 def test_cleanup_emissions_are_partitioned_per_key_too():
     """The trailer job's cleanup emits two records, each under a key of its
     own."""
-    *_counts, partitionings, _interns, result = profile_calls(
-        lambda: run_trailer_job(SerialBackend()), partitioner=trailer_last)
-    assert result.stats.map.records_out == 62
-    assert partitionings == result.stats.reduce_groups == 13
+    profile = profile_calls(lambda: run_trailer_job(SerialBackend()),
+                            partitioner=trailer_last)
+    assert profile.result.stats.map.records_out == 62
+    assert profile.partitionings == profile.result.stats.reduce_groups == 13
 
 
 # -- frozen --------------------------------------------------------------------
@@ -393,6 +422,36 @@ class TestAccountingIsFrozen:
         with pytest.MonkeyPatch.context() as monkeypatch:
             use_reference_accounting(monkeypatch)
             assert outcome() == ours
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=join_grid(measures=sorted(supported_measures())
+                          + [SharedElements()],
+                          algorithms=("sharding", "online_aggregation",
+                                      "lookup"),
+                          backends=("serial",)),
+           options=st.fixed_dictionaries({
+               "stop_word_frequency": st.sampled_from([None, 3]),
+               "use_combiners": st.booleans()}))
+    def test_the_joining_jobs_batch_rows_are_the_walkers(self, cell, options):
+        """Every row a batch mapper of a V-SMART join declares — one size for
+        the batch or a size column — is what the walker finds on the
+        ``KeyValue`` it becomes; ``C = 4`` shards some of each corpus, so
+        Sharding2 declares both of its sizes."""
+        spec = dataclasses.replace(cell.spec(), **options)
+        batches = []
+
+        def checked_sizes(emissions: Emissions):
+            walked = walked_emission_sizes(emissions)
+            declared = emissions.sizes
+            assert (list(declared) if type(declared) is list
+                    else [declared] * len(walked)) == walked
+            batches.append(len(walked))
+            return declared
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(phases, "_emission_sizes", checked_sizes)
+            result = SimilarityEngine().run(spec, cell.corpus())
+        assert len(batches) == len(result.pipeline.job_stats)
 
     @settings(max_examples=30, deadline=None)
     @given(cell=join_grid(measures=sorted(supported_measures())

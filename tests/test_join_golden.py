@@ -15,6 +15,13 @@ batch-at-a-time.  In both files the VCL cells' ``shuffle/bytes_spilled``
 (the size of the spill files, not a modelled number) was captured again
 after that change: the files hold the rank-id records the kernel now
 shuffles instead of whole multisets.  Every other leaf is as first captured.
+``tests/data/joining-grid-3.7.json`` holds the joining phase's branches the
+harness corpora never take at the default ``C``, as captured before the
+joining jobs ran batch-at-a-time: Sharding at ``C = 1`` (every multiset
+sharded) and at the corpus's median cardinality (some sharded) under
+``jaccard`` / ``vector_cosine``, and Online-Aggregation and Lookup without
+combiners and behind the stop-word filter, each on both toy corpora ×
+``serial`` / ``disk`` at a 4 096-byte budget, 32 cells.
 
 Regenerate (only for an intended change, and say why in the record)::
 
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 
@@ -35,6 +43,7 @@ from tests.test_backends import comparable_stats
 
 GOLDEN = Path(__file__).with_name("data") / "join-grid-3.5.json"
 VCL_GOLDEN = Path(__file__).with_name("data") / "vcl-grid-3.6.json"
+JOINING_GOLDEN = Path(__file__).with_name("data") / "joining-grid-3.7.json"
 WORKLOADS = ("join_scan", "join_dense")
 ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 #: backend name in the document -> what ``JoinSpec(backend=)`` is given.
@@ -48,13 +57,20 @@ SEED = 7
 
 
 def cell_document(corpus, workload: str, algorithm: str, backend: str,
-                  variant: str | None = None) -> dict:
-    """One cell of the grid as a JSON-ready document, order preserved."""
+                  variant: str | None = None, **fields) -> dict:
+    """One cell of the grid as a JSON-ready document, order preserved.
+
+    ``variant`` names a VCL variant; ``fields`` sets any other ``JoinSpec``
+    fields, each named in the cell.
+    """
     spec = join_spec(BY_NAME[workload], algorithm, BACKENDS[backend]())
     cell = [workload, algorithm, backend]
     if variant is not None:
         spec = dataclasses.replace(spec, **VCL_VARIANTS[variant])
         cell.append(variant)
+    if fields:
+        spec = dataclasses.replace(spec, **fields)
+        cell.extend(f"{name}={value}" for name, value in fields.items())
     result = make_engine().run(spec, corpus)
     document = {
         "cell": cell,
@@ -93,6 +109,36 @@ def vcl_grid_documents() -> list[dict]:
     return documents
 
 
+def joining_grid_documents() -> list[dict]:
+    """The joining phase's other branches on the toy corpora, in workload /
+    variant / backend order: Sharding at ``C`` = 1 and the median
+    cardinality under two measures, then Online-Aggregation and Lookup
+    (``jaccard``, so both corpora have pairs) without combiners and behind
+    a stop-word filter that drops the corpus's most frequent elements."""
+    documents = []
+    backends = ("serial", "disk@4096")
+    for workload in WORKLOADS:
+        corpus = join_corpus(BY_NAME[workload], SEED, SIZES["toy"])
+        cardinalities = sorted(len(multiset) for multiset in corpus)
+        for threshold in (1, cardinalities[len(cardinalities) // 2]):
+            for measure in ("jaccard", "vector_cosine"):
+                documents.extend(
+                    cell_document(corpus, workload, "sharding", backend,
+                                  sharding_threshold=threshold,
+                                  measure=measure)
+                    for backend in backends)
+        frequency = max(Counter(element for multiset in corpus
+                                for element in multiset).values())
+        for algorithm in ("online_aggregation", "lookup"):
+            for fields in ({"use_combiners": False},
+                           {"stop_word_frequency": frequency - 1}):
+                documents.extend(
+                    cell_document(corpus, workload, algorithm, backend,
+                                  measure="jaccard", **fields)
+                    for backend in backends)
+    return documents
+
+
 def assert_same_documents(actual: list[dict], golden: list[dict]) -> None:
     assert [cell["cell"] for cell in actual] == [cell["cell"] for cell in golden]
     for ours, theirs in zip(actual, golden, strict=True):
@@ -112,8 +158,13 @@ def test_the_vcl_variants_are_the_golden_vcl_grid():
     assert_same_documents(vcl_grid_documents(), load(VCL_GOLDEN))
 
 
+def test_the_joining_variants_are_the_golden_joining_grid():
+    assert_same_documents(joining_grid_documents(), load(JOINING_GOLDEN))
+
+
 if __name__ == "__main__":
     for path, documents in ((GOLDEN, grid_documents),
-                            (VCL_GOLDEN, vcl_grid_documents)):
+                            (VCL_GOLDEN, vcl_grid_documents),
+                            (JOINING_GOLDEN, joining_grid_documents)):
         path.write_text(json.dumps(documents(), indent=1) + "\n",
                         encoding="utf-8")

@@ -17,12 +17,21 @@ from repro.core.exceptions import (
 )
 from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
-from repro.core.records import InputTuple, JoinedTuple, explode_multisets
+from repro.core.records import (
+    InputColumns,
+    InputTuple,
+    JoinedTuple,
+    PostingEntry,
+    explode_multisets,
+)
 from repro.mapreduce.cluster import Cluster, GOOGLE_MAPREDUCE
 from repro.mapreduce.dfs import Dataset
+from repro.mapreduce.job import TaskContext
 from repro.mapreduce.runner import LocalJobRunner
 from repro.similarity.registry import get_measure
+from repro.telemetry import Metrics
 from repro.vsmart.lookup import (
+    LookupJoinMapper,
     build_lookup1_job,
     lookup_table_from_records,
 )
@@ -175,6 +184,38 @@ class TestSharding:
         sharding2 = build_sharding2_job(MEASURE, {})
         with pytest.raises(MemoryBudgetExceeded):
             runner.run(sharding2, raw)
+
+
+class TestBatchMappers:
+    """Each joining mapper maps its whole input as columns: a row of no
+    positive multiplicity emits nothing, and neither does a Lookup2 row whose
+    multiset has no table entry (counted)."""
+
+    def test_rows_without_a_positive_multiplicity_count_zero(self):
+        columns = InputColumns([0, 0, 1], [0, 1, 1], [2, 0, 3])
+        for job in (build_online_aggregation_job(MEASURE),
+                    build_lookup1_job(MEASURE),
+                    build_sharding1_job(MEASURE, cardinality_threshold=1),
+                    build_sharding2_job(MEASURE, {}),
+                    build_sharding2_job(MEASURE, {1: (3.0,)}),
+                    build_stop_word_job(frequency_threshold=3)):
+            context = TaskContext(Metrics(), job.side_data)
+            job.mapper.setup(context)
+            emissions = job.mapper.map_batch(columns, context)
+            per_row = 2 if job.name == "online_aggregation" else 1
+            assert emissions.counts == [per_row, 0, per_row], job.name
+            assert len(emissions.key_values()) == 2 * per_row, job.name
+
+    def test_missing_lookup_entries_are_counted(self):
+        columns = InputColumns([0, 1, 1, 2], [0, 0, 1, 1], [1, 1, 2, 0])
+        mapper = LookupJoinMapper(MEASURE)
+        context = TaskContext(Metrics(), {0: (1.0,)})
+        mapper.setup(context)
+        emissions = mapper.map_batch(columns, context)
+        assert emissions.counts == [1, 0, 0, 0]
+        assert context.counters["lookup2/missing_table_entries"] == 2
+        keys, values, _secondaries = emissions.columns()
+        assert (keys, values) == ([0], [PostingEntry(0, (1.0,), 1)])
 
 
 class TestRawInputIsRefused:

@@ -126,7 +126,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.8.0"
+__version__ = "3.9.0"
 
 __all__ = [
     "Change",

@@ -29,17 +29,27 @@ record sized by the generic sizer as it is emitted.
 
 A mapper is written record by record (:meth:`Mapper.map`) or batch at a
 time: :meth:`Mapper.map_batch` maps the task's whole input and returns the
-emissions as :class:`~repro.mapreduce.types.Emissions` columns, with no
-``KeyValue`` built until a record enters the shuffle.  The map task calls
-only ``map_batch``; the base class's is the per-record loop over
-:meth:`Mapper.map`.
+emissions as :class:`~repro.mapreduce.types.Emissions` columns, which the
+shuffle moves as they are.  The map task calls only ``map_batch``; the base
+class's is the per-record loop over :meth:`Mapper.map`.  A reducer is the
+same: the reduce task calls only :meth:`Reducer.reduce_batch`, which draws
+every group of the task; the base class's is the per-group loop over
+:meth:`Reducer.reduce`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Any, Callable, Hashable, Iterator, MutableSequence, Sequence
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    MutableSequence,
+    Sequence,
+)
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.partitioner import Partitioner, hash_partitioner
@@ -167,7 +177,8 @@ class Reducer:
     key when the engine profile supports secondary keys and the job asked
     for them.  Output records are arbitrary Python objects; they become the
     records of the job's output dataset.  As for :class:`Mapper`,
-    :meth:`setup` and :meth:`cleanup` run once per job.
+    :meth:`setup` and :meth:`cleanup` run once per job.  A batch reducer
+    overrides :meth:`reduce_batch` instead of :meth:`reduce`.
     """
 
     #: Set to True when the reducer must hold the whole reduce value list in
@@ -176,9 +187,10 @@ class Reducer:
 
     #: What an output record weighs, when its shape says so: an ``int`` when
     #: every record :meth:`reduce` and :meth:`cleanup` emit has one shape, a
-    #: function from one call's output records (a sequence) to their sizes
-    #: when a shape holds a list (``base + n x item``).  ``None``: the
-    #: runner sizes each output record by the generic sizer.
+    #: function from output records (the task's output container, or the
+    #: cleanup's list) to their sizes, record by record, when a shape holds
+    #: a list (``base + n x item``).  ``None``: the runner sizes each output
+    #: record by the generic sizer.
     output_record_bytes: int | Callable[[Sequence[Any]], list[int]] | None = None
 
     def new_output(self) -> MutableSequence:
@@ -198,6 +210,28 @@ class Reducer:
                context: TaskContext) -> Iterator[Any]:
         """Reduce one key group into zero or more output records."""
         raise NotImplementedError
+
+    def reduce_batch(self, groups: Iterable[tuple[Hashable, list]],
+                     context: TaskContext) -> tuple[MutableSequence, list[int]]:
+        """Reduce every group of the task; return the output and its counts.
+
+        The reduce task calls only this.  ``groups`` is the task's lazy
+        stream of ``(key, values)`` pairs, to be drawn once and to the end;
+        the result is the output container (:meth:`new_output`) and the
+        number of output records each group produced, in group order.  A
+        batch reducer overrides it.  This base implementation is the
+        per-group loop: it calls :meth:`reduce` on each group in order, and a
+        ``None`` from it means no output records, as for a mapper.
+        """
+        output = self.new_output()
+        ends: list[int] = []
+        extend = output.extend
+        end = ends.append
+        reduce_one = self.reduce
+        for key, values in groups:
+            extend(reduce_one(key, values, context) or ())
+            end(len(output))
+        return output, list(map(sub, ends, [0, *ends[:-1]]))
 
     def cleanup(self, context: TaskContext) -> Iterator[Any]:
         """Called once per job after the last group; may emit records."""

@@ -11,7 +11,8 @@ and reducer really runs — while the *performance* of the run is modelled:
 * the shuffle groups records by key (hash partitioned to ``num_reducers``
   partitions, one per machine by default; each task asks the partitioner
   once per distinct key, when it ends) and optionally sorts each group by
-  the secondary key;
+  the secondary key; records move through it as columns, never as one
+  object per record in memory;
 * per-machine memory and disk budgets are enforced, raising
   :class:`~repro.core.exceptions.MemoryBudgetExceeded` /
   :class:`~repro.core.exceptions.DiskBudgetExceeded` in the situations the
@@ -60,6 +61,7 @@ from repro.mapreduce.job import JobSpec
 from repro.mapreduce.phases import (
     CombineTask,
     Group,
+    KeyPartitions,
     MapTask,
     MapTaskResult,
     ReduceTask,
@@ -70,12 +72,7 @@ from repro.mapreduce.phases import (
     execute_reduce_task,
     iter_spill_groups,
 )
-from repro.mapreduce.types import (
-    Emissions,
-    JobStats,
-    KeyValue,
-    estimate_record_bytes,
-)
+from repro.mapreduce.types import Emissions, JobStats, estimate_record_bytes
 from repro.telemetry import merge
 
 
@@ -182,7 +179,7 @@ class LocalJobRunner:
                 job, mapped.emissions, stats, num_reducers,
                 build_spill=want_spill)
         else:
-            map_output, spill = mapped.key_values, mapped.spill
+            map_output, spill = mapped.emissions, mapped.spill
 
         # The shuffle moves (and spills once on the map side) exactly the
         # bytes the last map-side phase emitted.
@@ -191,15 +188,17 @@ class LocalJobRunner:
         stats.spilled_bytes = stats.shuffle_bytes
 
         if job.reducer is None:
-            return map_output, [key_value.size_bytes for key_value in map_output]
+            records = map_output.key_values()
+            return records, [key_value.size_bytes for key_value in records]
         if grouper is None:
             assert spill is not None
             return self._run_reduce_phase(job, iter_spill_groups(spill),
                                           stats)
         with grouper:  # removes its run files on every exit path
-            partitioner = job.partitioner
-            for key_value in map_output:
-                grouper.add(partitioner(key_value.key, num_reducers), key_value)
+            keys, values, secondaries = map_output.columns()
+            grouper.add_columns(
+                KeyPartitions(job.name, job.partitioner, num_reducers).__getitem__,
+                keys, values, secondaries, map_output.sizes)
             # The merge is one lazy stream (never a list: materialising it
             # would give up the memory ceiling).
             output = self._run_reduce_phase(job, grouper.iter_groups(), stats)
@@ -230,7 +229,7 @@ class LocalJobRunner:
 
     def _run_combine_phase(self, job: JobSpec, emissions: Emissions,
                            stats: JobStats, num_reducers: int,
-                           build_spill: bool) -> tuple[list[KeyValue], Spill | None]:
+                           build_spill: bool) -> tuple[Emissions | None, Spill | None]:
         # Dedicated combiners run on the mapper machines: the task groups
         # each machine's emissions by (key, secondary) and combines each group.
         task = CombineTask(job=job, emissions=emissions,

@@ -2,12 +2,13 @@
 
 :class:`ExternalGrouper` is where the
 :class:`~repro.mapreduce.backends.DiskShuffleBackend` holds the shuffle, in
-place of the runner's in-memory spill dictionaries.  It accepts the
-partitioned map output one record at a time, buffers records up to a byte
-budget, spills sorted *runs* to temporary files whenever the buffer would
-exceed the budget, and streams the grouped records back with a k-way merge
-— the classic external merge sort that lets a shuffle handle corpora far
-larger than the buffer.
+place of the runner's in-memory spill dictionaries.  It is fed the same
+columns the in-memory shuffle partitions (:meth:`ExternalGrouper.add_columns`)
+and buffers them as records up to a byte budget, spills sorted *runs* to
+temporary files whenever the buffer would exceed the budget, and streams
+the groups back with a k-way merge, in the reduce task's group form — the
+classic external merge sort that lets a shuffle handle corpora far larger
+than the buffer.
 
 The hard part is determinism: the in-memory shuffle groups records by
 *first-occurrence key order* within each partition and preserves the
@@ -37,10 +38,11 @@ import os
 import pickle
 import shutil
 import tempfile
-from typing import Hashable, Iterable, Iterator
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import BackendError
-from repro.mapreduce.types import KeyValue, estimate_record_bytes
+from repro.mapreduce.types import KeyValue, estimate_record_bytes, sized_key_value
 
 #: A buffered/spilled entry: ``(partition, first_seq, seq, record)``.
 _Entry = tuple[int, int, int, KeyValue]
@@ -49,6 +51,14 @@ _Entry = tuple[int, int, int, KeyValue]
 def _entry_order(entry: _Entry) -> tuple[int, int, int]:
     """Merge order: never compares the record payload (``seq`` is unique)."""
     return (entry[0], entry[1], entry[2])
+
+
+def _group_of(partition: int, records: list[KeyValue]
+              ) -> tuple[int, Hashable, list, list[int], list]:
+    """One merged group's records as the reduce task's group form."""
+    return (partition, records[0].key, [record.value for record in records],
+            [record.size_bytes for record in records],
+            [record.secondary for record in records])
 
 
 class ExternalGrouper:
@@ -128,6 +138,24 @@ class ExternalGrouper:
         if self._buffered_bytes > self.telemetry["peak_buffer_bytes"]:
             self.telemetry["peak_buffer_bytes"] = self._buffered_bytes
 
+    def add_columns(self, partition_of: Callable[[Hashable], int],
+                    keys: Sequence, values: Sequence,
+                    secondaries: Sequence | None,
+                    sizes: int | Sequence[int]) -> None:
+        """Buffer a task's output columns, row by row in emission order.
+
+        Row ``i`` is the record ``(keys[i], values[i], secondaries[i])`` of
+        size ``sizes[i]`` (or the one size), buffered in the partition
+        ``partition_of(keys[i])``.  Each is buffered (and pickled into a
+        run) as a ``KeyValue`` carrying its size.
+        """
+        add = self.add
+        for key, value, secondary, size in zip(
+                keys, values,
+                repeat(None) if secondaries is None else secondaries,
+                repeat(sizes) if type(sizes) is int else sizes):
+            add(partition_of(key), sized_key_value(key, value, secondary, size))
+
     def _flush_run(self) -> None:
         if not self._buffer:
             return
@@ -178,8 +206,10 @@ class ExternalGrouper:
 
     # -- consuming ------------------------------------------------------------
 
-    def iter_groups(self) -> Iterator[tuple[int, Hashable, list[KeyValue]]]:
-        """Yield ``(partition, key, records)`` in the serial shuffle's order."""
+    def iter_groups(self) -> Iterator[tuple[int, Hashable, list, list[int], list]]:
+        """Yield ``(partition, key, values, sizes, secondaries)`` in the
+        serial shuffle's order: the group's values in emission order, the
+        size each record carries and each record's secondary key."""
         current: tuple[int, int] | None = None
         partition = 0
         records: list[KeyValue] = []
@@ -187,13 +217,13 @@ class ExternalGrouper:
             group = (entry_partition, first_seq)
             if group != current:
                 if records:
-                    yield partition, records[0].key, records
+                    yield _group_of(partition, records)
                 current = group
                 partition = entry_partition
                 records = []
             records.append(key_value)
         if records:
-            yield partition, records[0].key, records
+            yield _group_of(partition, records)
 
     def _merged_entries(self) -> Iterator[_Entry]:
         if not self._runs:

@@ -146,10 +146,11 @@ class KeyValue:
     Secondary keys implement the within-group sort order that the Google
     MapReduce supports and Hadoop does not (paper section 2); the shuffle
     stage sorts each reduce value list by the secondary key when the cluster
-    profile allows it.  One ``KeyValue`` is allocated per shuffled record
-    (and per record a per-record mapper emits), so the class is slotted: the
-    saved ``__dict__`` per record is the single biggest memory lever in a
-    large shuffle.
+    profile allows it.  The in-memory shuffle moves columns, not records: a
+    ``KeyValue`` is allocated per record a per-record mapper emits, per
+    record the external shuffle buffers and per record of a map-only job's
+    output, so the class is slotted: the saved ``__dict__`` per record is
+    the single biggest memory lever in a large external shuffle.
 
     ``size_bytes`` is the record's estimated size, filled in once when the
     record is built (:func:`sized_key_value`: the number its emit site
@@ -201,10 +202,10 @@ class Emissions:
 
     A per-record mapper builds its emissions as ``KeyValue`` records; they
     are handed over as ``rows`` (with their carried sizes as the size
-    column) and the three columns are read off them only when a combiner
-    asks (:meth:`columns`).  A batch mapper hands over columns and no
-    ``KeyValue`` is built until its records enter the shuffle
-    (:meth:`key_values`).
+    column) and the three columns are read off them when the shuffle asks
+    (:meth:`columns`).  A batch mapper hands over columns, which is what the
+    combine task, the shuffle and the reduce task read: a ``KeyValue`` is
+    built only for a map-only job's output (:meth:`key_values`).
     """
 
     __slots__ = ("_columns", "sizes", "counts", "rows")
@@ -236,8 +237,29 @@ class Emissions:
                              [row.secondary for row in rows])
         return self._columns
 
+    def followed_by(self, rows: list[KeyValue]) -> "Emissions":
+        """These emissions, then ``rows`` (a mapper's cleanup emissions).
+
+        The columns are extended by the records' fields and the size column
+        by their carried sizes; the input records' ``counts`` are kept.
+        """
+        keys, values, secondaries = self.columns()
+        sizes = self.sizes
+        emitted = len(keys)
+        extended = Emissions(
+            keys + [row.key for row in rows],
+            values + [row.value for row in rows],
+            ([None] * emitted if secondaries is None else secondaries)
+            + [row.secondary for row in rows],
+            ([sizes] * emitted if type(sizes) is int else sizes)
+            + list(map(_size_bytes_of, rows)),
+            self.counts)
+        if self.rows is not None:
+            extended.rows = self.rows + rows
+        return extended
+
     def key_values(self) -> list[KeyValue]:
-        """The emissions as the ``KeyValue`` records the shuffle moves.
+        """The emissions as ``KeyValue`` records: a map-only job's output.
 
         Built here, through :func:`sized_key_value` with each emission's
         size, unless the mapper built them itself.

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
@@ -207,6 +207,9 @@ class CandidateColumns(RecordColumns):
         yield start, len(self.packed), None
 
 
+_posting_fields = attrgetter("multiset_id", "uni", "multiplicity")
+
+
 class _CandidateFilter:
     """Shared pruning/packing state of the candidate-emitting stages.
 
@@ -235,8 +238,9 @@ class _CandidateFilter:
 
     def candidates(self, first: Sequence[PostingEntry],
                    second: Sequence[PostingEntry], same: bool,
-                   context: TaskContext, emitted_counter: str) -> CandidateColumns:
-        """Every surviving candidate of ``first`` x ``second``, as columns.
+                   into: CandidateColumns) -> tuple[int, int]:
+        """Append every surviving candidate of ``first`` x ``second`` to
+        ``into``'s columns; return how many survived and how many were pruned.
 
         With ``same`` the two are one posting list (or chunk) and only its
         unordered pairs are produced.  A multiset is not paired with itself,
@@ -245,8 +249,8 @@ class _CandidateFilter:
         f_jk>)``: identifiers are dense interned ints, so numeric id order
         *is* canonical order and the key holds one int for both.  Rows come
         in the order the pairs are visited.  The join's innermost loop: what
-        does not depend on the pair is read before it, the counters are
-        updated after it (an update costs a call).
+        does not depend on the pair is read before it, and the caller counts
+        (an update costs a call).
         """
         survivors: list[tuple] = []
         survive = survivors.append
@@ -255,24 +259,18 @@ class _CandidateFilter:
         prunes = self.prunes
         inline = self.inline_bound
         upper_bound = self.measure.similarity_upper_bound if prunes else None
-        ids = [posting.multiset_id for posting in second]
-        unis = [posting.uni for posting in second]
-        mults = [posting.multiplicity for posting in second]
-        # The bound's operands: the scalar Uni when it is inlined.
-        bounded = [uni[0] for uni in unis] if inline else unis
+        rows = list(map(_posting_fields, second))
         pruned = 0
-        for index_i, posting_i in enumerate(first):
-            id_i = posting_i.multiset_id
-            uni_i = posting_i.uni
-            mult_i = posting_i.multiplicity
+        for index_i, (id_i, uni_i, mult_i) in enumerate(
+                rows if same else map(_posting_fields, first)):
+            # The bound's operand: the scalar Uni when it is inlined.
             a = uni_i[0] if inline else uni_i
-            start = index_i + 1 if same else 0
-            for id_j, uni_j, mult_j, b in zip(ids[start:], unis[start:],
-                                              mults[start:], bounded[start:]):
+            for id_j, uni_j, mult_j in rows[index_i + 1:] if same else rows:
                 if id_i == id_j:
                     continue
                 if inline:
                     # min_over_union, in Ruzicka's combine order.
+                    b = uni_j[0]
                     m = b if b < a else a
                     union = a + b - m
                     if union <= 0 or m / union < threshold:
@@ -285,15 +283,15 @@ class _CandidateFilter:
                     survive(((id_i << shift) | id_j, uni_i, uni_j, mult_i, mult_j))
                 else:
                     survive(((id_j << shift) | id_i, uni_j, uni_i, mult_j, mult_i))
-        block = CandidateColumns()
         if survivors:
             # One row tuple per survivor, turned into the five columns once.
-            (block.packed, block.uni_first, block.uni_second, block.mult_first,
-             block.mult_second) = map(list, zip(*survivors))
-            context.increment(emitted_counter, len(survivors))
-        if pruned:
-            context.increment("similarity1/candidates_pruned", pruned)
-        return block
+            packed, uni_first, uni_second, mult_first, mult_second = zip(*survivors)
+            into.packed.extend(packed)
+            into.uni_first.extend(uni_first)
+            into.uni_second.extend(uni_second)
+            into.mult_first.extend(mult_first)
+            into.mult_second.extend(mult_second)
+        return len(survivors), pruned
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +340,9 @@ class Similarity1Reducer(Reducer):
 
     For every unordered pair of postings in the element's reduce value list
     the reducer outputs ``<<Mi, Mj, Uni(Mi), Uni(Mj)>, <f_ik, f_jk>>``, with
-    ``Mi, Mj`` packed into one int by ``pair_codec``: the posting list's
-    survivors come as one :class:`CandidateColumns` block, which the reduce
-    task appends to the job's :class:`CandidateColumns` output.
+    ``Mi, Mj`` packed into one int by ``pair_codec``.  A batch reducer
+    (:meth:`reduce_batch`): one pass over the task's posting lists extends
+    the job's :class:`CandidateColumns` output by each list's survivors.
     Without chunking the posting list must be materialised, so the runner's
     memory budget applies (exactly the thrashing risk the paper describes);
     with chunking the list is dissected and only chunk pairs are emitted.
@@ -352,9 +350,8 @@ class Similarity1Reducer(Reducer):
     With ``measure`` and ``threshold`` supplied, pairs whose similarity
     upper bound cannot reach the threshold are pruned here — before they
     ever enter the shuffle.  With ``measure`` supplied the reducer also
-    knows what its output weighs: one size for every candidate record, so
-    ``len(block) x`` that size for a block, and ``base + n x posting`` for a
-    chunk pair holding ``n`` postings.
+    knows what its output weighs: one size for every candidate record, and
+    ``base + n x posting`` for a chunk pair holding ``n`` postings.
     """
 
     def __init__(self, config: SimilarityPhaseConfig | None = None, *,
@@ -377,43 +374,91 @@ class Similarity1Reducer(Reducer):
     def new_output(self) -> CandidateColumns:
         return CandidateColumns()
 
-    def _chunked_output_bytes(self, records: Sequence[object]) -> list[int]:
-        # One reduce call returns a block of candidate records or a list of
-        # chunk pairs (or nothing, for a stop word).
-        if type(records) is CandidateColumns:
-            return [self._pair_record_bytes] * len(records)
-        return [self._chunk_pair_bytes + self._posting_bytes * (
-                    len(record.first_chunk) + len(record.second_chunk))
-                for record in records]
+    def _chunked_output_bytes(self, records: Iterable[object]) -> list[int]:
+        # The task's output holds candidate rows and chunk pairs (the
+        # cleanup's list, nothing).
+        if type(records) is not CandidateColumns:
+            columns = CandidateColumns()
+            columns.extend(records)
+            records = columns
+        sizes = [self._pair_record_bytes] * len(records)
+        for row in records.chunk_rows:
+            chunk = records.packed[row]
+            sizes[row] = self._chunk_pair_bytes + self._posting_bytes * (
+                len(chunk.first_chunk) + len(chunk.second_chunk))
+        return sizes
 
-    def reduce(self, key: object, values: Sequence[PostingEntry],
-               context: TaskContext) -> Iterable[object]:
-        frequency = len(values)
-        context.increment("similarity1/elements", 1)
+    def reduce_batch(self, groups: Iterable[tuple[object, list[PostingEntry]]],
+                     context: TaskContext) -> tuple[CandidateColumns, list[int]]:
+        """Every posting list's candidates, in one pass over the groups.
+
+        The counters are incremented once, at the end, in the order the
+        per-list loop first counted them: ``elements``, then each other
+        counter as the first list that counts it comes up.
+        """
+        output = CandidateColumns()
+        counts: list[int] = []
+        count = counts.append
+        candidates = self.filter.candidates
         stop_limit = self.config.stop_word_frequency
-        if stop_limit is not None and frequency > stop_limit:
-            context.increment("similarity1/stop_words_dropped", 1)
-            context.increment("similarity1/stop_word_postings_dropped", frequency)
-            return ()
         chunk_size = self.config.chunk_size
-        if chunk_size is not None and frequency > chunk_size:
-            return self._emit_chunk_pairs(key, values, chunk_size, context)
-        return self.filter.candidates(values, values, True, context,
-                                      "similarity1/candidate_records")
+        # Counter -> total, in first-count order; the totals of the two
+        # per-list counters are kept in locals and written at the end.
+        tally = {"similarity1/elements": 0}
+        emitted = pruned = 0
+        for key, values in groups:
+            frequency = len(values)
+            if frequency < 2:
+                # No pair to form, and too short to be a stop word (the
+                # limit is at least 1) or to be chunked (at least 2).
+                count(0)
+            elif stop_limit is not None and frequency > stop_limit:
+                _tally(tally, "similarity1/stop_words_dropped", 1)
+                _tally(tally, "similarity1/stop_word_postings_dropped", frequency)
+                count(0)
+            elif chunk_size is not None and frequency > chunk_size:
+                before = len(output)
+                output.extend(self._chunk_pairs(key, values, chunk_size, tally))
+                count(len(output) - before)
+            else:
+                survived, dropped = candidates(values, values, True, output)
+                if survived:
+                    if not emitted:
+                        tally["similarity1/candidate_records"] = 0
+                    emitted += survived
+                if dropped:
+                    if not pruned:
+                        tally["similarity1/candidates_pruned"] = 0
+                    pruned += dropped
+                count(survived)
+        tally["similarity1/elements"] = len(counts)
+        if emitted:
+            tally["similarity1/candidate_records"] = emitted
+        if pruned:
+            tally["similarity1/candidates_pruned"] = pruned
+        for name, amount in tally.items():
+            if amount:
+                context.increment(name, amount)
+        return output, counts
 
-    def _emit_chunk_pairs(self, element: object, postings: Sequence[PostingEntry],
-                          chunk_size: int,
-                          context: TaskContext) -> Iterator[ChunkPairRecord]:
+    def _chunk_pairs(self, element: object, postings: Sequence[PostingEntry],
+                     chunk_size: int, tally: dict[str, int]
+                     ) -> Iterator[ChunkPairRecord]:
         chunks = [tuple(postings[start:start + chunk_size])
                   for start in range(0, len(postings), chunk_size)]
-        context.increment("similarity1/chunked_elements", 1)
-        context.increment("similarity1/chunks", len(chunks))
+        _tally(tally, "similarity1/chunked_elements", 1)
+        _tally(tally, "similarity1/chunks", len(chunks))
         for index_p, chunk_p in enumerate(chunks):
             for index_q in range(index_p, len(chunks)):
                 yield ChunkPairRecord(element=element,
                                       first_chunk=chunk_p,
                                       second_chunk=chunks[index_q],
                                       same_chunk=index_p == index_q)
+
+
+def _tally(tally: dict[str, int], name: str, amount: int) -> None:
+    """Add ``amount`` to a batch reducer's local count of ``name``."""
+    tally[name] = tally.get(name, 0) + amount
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +606,20 @@ class Similarity2Mapper(Mapper):
                                               records.mult_second[start:stop]))
             counts.extend(repeat(1, stop - start))
             if chunk is not None:
-                block = self.filter.candidates(
+                block = CandidateColumns()
+                survived, pruned = self.filter.candidates(
                     chunk.first_chunk, chunk.second_chunk, chunk.same_chunk,
-                    context, "similarity2/chunk_expanded_records")
+                    block)
+                if survived:
+                    context.increment("similarity2/chunk_expanded_records",
+                                      survived)
+                if pruned:
+                    context.increment("similarity1/candidates_pruned", pruned)
                 keys.extend(zip(block.packed, block.uni_first,
                                 block.uni_second))
                 values.extend(self._contributions(block.mult_first,
                                                   block.mult_second))
-                counts.append(len(block))
+                counts.append(survived)
         return Emissions(keys, values, None, self._kv_bytes, counts)
 
 
@@ -593,7 +644,8 @@ class Similarity2Reducer(Reducer):
     value list holds the (possibly pre-combined) conjunctive contributions
     of every shared element.  Pairs reaching the threshold are emitted as
     :class:`~repro.core.records.SimilarPair` carrying the dense integer
-    identifiers, which the driver maps back to the originals.
+    identifiers, which the driver maps back to the originals.  A batch
+    reducer (:meth:`reduce_batch`): one pass over the task's pairs.
     """
 
     def __init__(self, measure: NominalSimilarityMeasure, threshold: float, *,
@@ -604,16 +656,31 @@ class Similarity2Reducer(Reducer):
         self._fold = _conj_fold(measure)
         self.output_record_bytes = RecordShapes(measure).similar_pair
 
-    def reduce(self, key: object, values: Sequence[tuple],
-               context: TaskContext) -> Iterator[SimilarPair]:
-        conj = self._fold(values)
-        packed, uni_first, uni_second = key
-        first, second = self.pair_codec.unpack(packed)
-        similarity = self.measure.combine(uni_first, uni_second, conj)
-        context.increment("similarity2/pairs_evaluated", 1)
-        if similarity >= self.threshold:
-            context.increment("similarity2/pairs_output", 1)
-            yield SimilarPair(first, second, similarity)
+    def reduce_batch(self, groups: Iterable[tuple[tuple, list[tuple]]],
+                     context: TaskContext) -> tuple[list[SimilarPair], list[int]]:
+        """Every pair's similarity, in one pass over the groups; the
+        counters are incremented once, at the end, ``pairs_evaluated``
+        first."""
+        output: list[SimilarPair] = []
+        emit = output.append
+        counts: list[int] = []
+        count = counts.append
+        fold = self._fold
+        combine = self.measure.combine
+        unpack = self.pair_codec.unpack
+        threshold = self.threshold
+        for (packed, uni_first, uni_second), values in groups:
+            similarity = combine(uni_first, uni_second, fold(values))
+            if similarity >= threshold:
+                emit(SimilarPair(*unpack(packed), similarity))
+                count(1)
+            else:
+                count(0)
+        if counts:
+            context.increment("similarity2/pairs_evaluated", len(counts))
+        if output:
+            context.increment("similarity2/pairs_output", len(output))
+        return output, counts
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,17 @@ def make_records(count: int, keys: int = 7, partitions: int = 4):
 
 
 def reference_groups(records):
-    """The serial shuffle's grouping of ``records``, record by record."""
+    """The serial shuffle's grouping of ``records``, record by record, in
+    the reduce task's group form: ``(partition, key, values, sizes,
+    secondaries)``."""
     spill = {}
     for partition, key_value in records:
         spill.setdefault(partition, {}).setdefault(key_value.key, []).append(key_value)
-    return [(partition, key, spill[partition][key])
+    return [(partition, key, [record.value for record in group],
+             [record.size_bytes for record in group],
+             [record.secondary for record in group])
             for partition in sorted(spill)
-            for key in spill[partition]]
+            for key, group in spill[partition].items()]
 
 
 def entry_boundaries(path) -> list[int]:

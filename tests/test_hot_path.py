@@ -5,8 +5,10 @@ Two contracts of the MapReduce simulator's bookkeeping:
 * **cheap** — a V-SMART job knows what its records weigh when it is built
   (the walker over one prototype per emit site) and hands the number to
   each record where it is constructed, so a pinned join walks no record at
-  all; the size travels with the record, from job to job; a job asks its
-  partitioner once per reduce key; the call count of a join (which repeats
+  all; the size travels with the record, as a size column through the
+  shuffle and from job to job; no ``KeyValue`` is built between map and
+  reduce; a job asks its partitioner once per reduce key; the call count of
+  a join (which repeats
   exactly, unlike a time) stays under a committed ceiling — so a
   reintroduced per-record walk or partitioner call fails here without any
   timing;
@@ -65,22 +67,25 @@ ALGORITHMS = ("sharding", "online_aggregation", "lookup", "vcl")
 #: Python + builtin calls per input tuple of a join on the workload's toy
 #: corpus — each workload's pinned join (``sharding`` / ``online_aggregation``)
 #: and ``join_scan``'s ``auto`` plan, ``lookup`` — ~15 % above the measured
-#: 40.8 / 47.9 / 35.0 (CPython 3.11; 80.2 / 78.5 / 66.1 while the joining
-#: jobs mapped, combined and reduced record by record, 107.7 / 190.3 for the
-#: pinned joins while the similarity phase mapped and combined one
-#: ``KeyValue`` per candidate, 141.2 / 268.7 while every record was walked
-#: where it was emitted, 181.9 / 352.5 before the task loops stopped
-#: partitioning per record and re-sizing the previous job's output, 1297 /
-#: 2812 before sizes were carried at all).
-CALLS_PER_TUPLE_CEILING = {("join_scan", "sharding"): 47,
-                           ("join_dense", "online_aggregation"): 55,
-                           ("join_scan", "lookup"): 40}
+#: 23.2 / 31.0 / 20.0 (CPython 3.11; 41.3 / 48.4 / 35.0 while a ``KeyValue``
+#: was built per shuffled record and every reducer was called once per
+#: group, 80.2 / 78.5 / 66.1 while the joining jobs mapped, combined and
+#: reduced record by record, 107.7 / 190.3 for the pinned joins while the
+#: similarity phase mapped and combined one ``KeyValue`` per candidate,
+#: 141.2 / 268.7 while every record was walked where it was emitted, 181.9 /
+#: 352.5 before the task loops stopped partitioning per record and
+#: re-sizing the previous job's output, 1297 / 2812 before sizes were
+#: carried at all).
+CALLS_PER_TUPLE_CEILING = {("join_scan", "sharding"): 27,
+                           ("join_dense", "online_aggregation"): 36,
+                           ("join_scan", "lookup"): 23}
 
 #: The same for a ``vcl`` join on the toy corpora, ~15 % above the measured
-#: 78.7 / 157.2 (CPython 3.11; 172.0 / 281.8 while the kernel reducer
-#: re-interned every multiset once per group it was replicated to and every
-#: VCL mapper mapped and sized record by record).
-VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 91, "join_dense": 181}
+#: 63.8 / 140.8 (CPython 3.11; 78.3 / 155.1 while a ``KeyValue`` was built
+#: per shuffled record, 172.0 / 281.8 while the kernel reducer re-interned
+#: every multiset once per group it was replicated to and every VCL mapper
+#: mapped and sized record by record).
+VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 73, "join_dense": 162}
 
 #: The jobs whose mapper maps its whole input as columns
 #: (``Mapper.map_batch``): every job of a join.
@@ -127,7 +132,8 @@ def profile_calls(function, partitioner=hash_partitioner) -> Profile:
 
     Counts what ``benchmarks/e2e/tracing.count_calls`` counts (Python and
     builtin calls, via ``sys.setprofile``), and among them the entries into
-    the one place a ``KeyValue`` is built, into the generic sizer (asked
+    the one place a ``KeyValue`` is built (which a join never enters: its
+    records move as columns), into the generic sizer (asked
     for a record's size, or for a ``KeyValue``'s by ``sized_key_value``
     when it is handed none), into the job's partitioner, into a
     :class:`~repro.core.interning.LocalInterner`'s ``intern`` and into the
@@ -185,15 +191,13 @@ def test_join_sizes_each_record_once_and_stays_cheap(corpora, workload,
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
     assert profile.tuples_built == 0
 
-    # A KeyValue is built once per shuffled record — where it enters the
-    # shuffle from a batch, or by the combine task — and handed the size
-    # its job worked out from its shape when it was built: a batch mapper
-    # hands its combiner columns.  Reduce outputs and the interned input are
-    # not even visited for their sizes.  So nothing is walked (a job may
-    # size its side data generically: at most once per job).
-    assert profile.keyed == sum(
-        stats.combine.records_out if stats.combine.records_in
-        else stats.map.records_out for stats in jobs)
+    # No KeyValue is built between map and reduce: the map task, the
+    # combine task and the in-memory shuffle hand each other columns, with
+    # the size each job worked out from its records' shape when it was
+    # built.  Reduce outputs and the interned input are not even visited
+    # for their sizes.  So nothing is walked (a job may size its side data
+    # generically: at most once per job).
+    assert profile.keyed == 0
     assert profile.generic <= len(jobs)
 
     # Keys are partitioned, not records: once per reduce group.
@@ -204,7 +208,8 @@ def test_join_sizes_each_record_once_and_stays_cheap(corpora, workload,
 def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
     """Each multiset is put on rank ids once, by the kernel mapper, and the
     reducer verifies on those: no group re-interns its members.  Every VCL
-    job maps as a batch, so a KeyValue is built once per shuffled record."""
+    job maps as a batch and the shuffle moves columns, so no KeyValue is
+    built between map and reduce."""
     corpus = corpora[workload]
     run_join(corpus, workload, "vcl")  # warm caches
     profile = profile_calls(lambda: run_join(corpus, workload, "vcl"))
@@ -214,9 +219,7 @@ def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
     assert profile.interns == 0
     jobs = profile.result.pipeline.job_stats
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
-    assert profile.keyed == sum(
-        stats.combine.records_out if stats.combine.records_in
-        else stats.map.records_out for stats in jobs)
+    assert profile.keyed == 0
     assert profile.partitionings == sum(stats.reduce_groups for stats in jobs)
 
 
@@ -256,10 +259,12 @@ def use_reference_accounting(monkeypatch) -> None:
     a ``KeyValue`` by its mapper or kept by a combiner, the one size a batch
     mapper declared for its columns, the side data's); and every read of a
     carried size becomes a fresh walk of the record: the tasks' read of the
-    size an emitted record carries, the map task's read of its batch's sizes
-    (each row built and walked), and a job's read of the sizes its input
-    dataset carries (whatever the driver or the previous job handed over is
-    ignored; a dataset held as columns is walked row by row).
+    size a cleanup record carries, the map task's read of its batch's sizes
+    (each row built and walked: the size column the shuffle and the reduce
+    task then read), a combiner's kept shape (each combined record walked
+    instead), and a job's read of the sizes its input dataset carries
+    (whatever the driver or the previous job handed over is ignored; a
+    dataset held as columns is walked row by row).
     """
     replacements = ((estimate_record_bytes, walk_record_bytes),
                     (sized_key_value, reference_sized_key_value))
@@ -271,6 +276,7 @@ def use_reference_accounting(monkeypatch) -> None:
                         monkeypatch.setattr(module, name, reference)
     monkeypatch.setattr(phases, "_carried_bytes", walk_record_bytes)
     monkeypatch.setattr(phases, "_emission_sizes", walked_emission_sizes)
+    monkeypatch.setattr(phases, "_keeps_value_shape", lambda combiner: False)
     monkeypatch.setattr(phases, "_declared_output_bytes", lambda reducer: None)
     monkeypatch.setattr(
         LocalJobRunner, "_side_data_bytes",

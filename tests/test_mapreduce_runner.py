@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import (
@@ -26,9 +26,14 @@ from repro.mapreduce.job import (
     TaskContext,
     normalise_emit,
 )
-from repro.mapreduce.phases import iter_spill_groups, partition_by_key
+from repro.mapreduce.phases import (
+    KeyPartitions,
+    iter_spill_groups,
+    partition_columns,
+)
 from repro.mapreduce.runner import LocalJobRunner
-from repro.mapreduce.types import KeyValue
+from repro.mapreduce.shuffle import ExternalGrouper
+from repro.mapreduce.types import Emissions, KeyValue
 from repro.telemetry import Metrics, merge
 
 
@@ -271,38 +276,89 @@ class TestLifecycleHooks:
         assert counters["x"] == 6
 
 
-#: ``(key, secondary)`` of one emission: few keys, so they repeat.
-emitted_keys = st.tuples(st.integers(0, 6),
-                         st.one_of(st.none(), st.integers(0, 3)))
+#: A reduce key: str, int and tuple keys, few of each, so they repeat.
+shuffle_keys = st.one_of(st.sampled_from(["a", "b", "c"]), st.integers(0, 4),
+                         st.tuples(st.integers(0, 2), st.sampled_from("xy")))
+
+#: One emitted row: ``(key, secondary, size)``, secondaries mixing ``None``
+#: and ints.
+shuffle_rows = st.tuples(shuffle_keys, st.one_of(st.none(), st.integers(0, 3)),
+                         st.integers(1, 60))
+
+
+def reference_spill_groups(records: list[KeyValue], partitioner,
+                           num_reducers: int) -> list[tuple]:
+    """The shuffle partitioned record by record (what ``partition_by_key``
+    produced before records moved as columns), in the group form."""
+    spill: dict = {}
+    for record in records:
+        partition = partitioner(record.key, num_reducers)
+        spill.setdefault(partition, {}).setdefault(record.key, []).append(record)
+    return [(partition, key, [record.value for record in group],
+             [record.size_bytes for record in group],
+             [record.secondary for record in group])
+            for partition in sorted(spill) for key, group in spill[partition].items()]
+
+
+def as_rows(group: tuple) -> tuple:
+    """A group with its one declared size or its missing secondaries spelt
+    out per record."""
+    partition, key, values, sizes, secondaries = group
+    return (partition, key, values,
+            [sizes] * len(values) if type(sizes) is int else list(sizes),
+            [None] * len(values) if secondaries is None else list(secondaries))
 
 
 class TestShuffleGrouping:
-    """Partitioning per key at task end against partitioning per record."""
+    """One group form: the in-memory spill, the external merge and the
+    record-by-record reference hand the reduce task the same groups."""
 
-    @given(emitted=st.lists(emitted_keys, max_size=40),
-           cleanup=st.lists(emitted_keys, max_size=5),
-           assignment=st.lists(st.integers(0, 50), min_size=7, max_size=7),
-           num_reducers=st.integers(1, 5))
-    def test_grouped_then_partitioned_spill_equals_per_record_spill(
-            self, emitted, cleanup, assignment, num_reducers):
+    @settings(max_examples=60, deadline=None)
+    @given(emitted=st.lists(shuffle_rows, max_size=40),
+           cleanup=st.lists(shuffle_rows, max_size=5),
+           declared=st.one_of(st.none(), st.integers(1, 60)),
+           salt=st.integers(0, 50), num_reducers=st.integers(1, 5))
+    def test_spill_merge_and_per_record_reference_agree(
+            self, emitted, cleanup, declared, salt, num_reducers):
         def partitioner(key, partitions):
-            return assignment[key] % partitions
+            return (len(repr(key)) * 7 + salt) % partitions
 
         # The value is the emission's position, so record order shows.
-        records = [KeyValue(key, position, secondary)
-                   for position, (key, secondary) in enumerate(emitted + cleanup)]
+        keys = [key for key, _secondary, _size in emitted]
+        secondaries = [secondary for _key, secondary, _size in emitted]
+        with_secondaries = any(secondary is not None for secondary in secondaries)
+        sizes = ([size for _key, _secondary, size in emitted]
+                 if declared is None else declared)
+        emissions = Emissions(keys, list(range(len(keys))),
+                              secondaries if with_secondaries else None,
+                              sizes, [1] * len(keys))
+        cleanup_records = [
+            KeyValue(key, len(keys) + position, secondary, size)
+            for position, (key, secondary, size) in enumerate(cleanup)]
+        if cleanup_records:
+            # What the map task does: the cleanup emissions come last.
+            emissions = emissions.followed_by(cleanup_records)
+        all_keys, values, all_secondaries = emissions.columns()
+        records = [KeyValue(key, value, secondary, size) for key, value, secondary, size in zip(
+            all_keys, values, all_secondaries or [None] * len(values),
+            [emissions.sizes] * len(values) if type(emissions.sizes) is int
+            else emissions.sizes, strict=True)]
+        reference = reference_spill_groups(records, partitioner, num_reducers)
 
-        reference = {}
-        for key_value in records:
-            partition = partitioner(key_value.key, num_reducers)
-            reference.setdefault(partition, {}).setdefault(
-                key_value.key, []).append(key_value)
+        spill = partition_columns(all_keys, values, all_secondaries,
+                                  emissions.sizes, partitioner, num_reducers)
+        serial = list(iter_spill_groups(spill))
+        assert [as_rows(group) for group in serial] == reference
+        # A group's sizes stay one int while the columns declare one.
+        for group in serial:
+            assert type(group[3]) is type(emissions.sizes)
 
-        # What the map task does: one call over its emissions, the cleanup
-        # emissions last.
-        spill = partition_by_key(records, partitioner, num_reducers)
-
-        assert list(iter_spill_groups(spill)) == list(iter_spill_groups(reference))
+        with ExternalGrouper(memory_budget_bytes=1, merge_fan_in=2) as grouper:
+            grouper.add_columns(
+                KeyPartitions("job", partitioner, num_reducers).__getitem__,
+                all_keys, values, all_secondaries, emissions.sizes)
+            merged = list(grouper.iter_groups())
+        assert [as_rows(group) for group in merged] == reference
 
     def test_partitioner_is_asked_once_per_distinct_key(self):
         asked = []
@@ -311,9 +367,58 @@ class TestShuffleGrouping:
             asked.append(key)
             return 0
 
-        partition_by_key([KeyValue(key, None) for key in "abacab"],
-                         partitioner, 3)
+        keys = list("abacab")
+        partition_columns(keys, [None] * 6, None, 10, partitioner, 3)
         assert asked == ["a", "b", "c"]
+        asked.clear()
+        partitions = KeyPartitions("job", partitioner, 3)
+        assert [partitions[key] for key in keys] == [0] * 6
+        assert asked == ["a", "b", "c"]
+
+
+class SilentReducer(Reducer):
+    """Counts its groups and returns ``None``: no output records."""
+
+    def reduce(self, key, values, context):
+        context.increment("groups_seen")
+
+
+@pytest.mark.parametrize("backend", ["serial", "disk"])
+class TestUserCodeIsChecked:
+    @pytest.mark.parametrize("partitioner", [
+        lambda key, partitions: -1, lambda key, partitions: partitions + 3,
+        lambda key, partitions: 1.5, lambda key, partitions: "0"],
+        ids=["negative", "too_large", "float", "str"])
+    def test_a_partition_out_of_range_fails_the_job(self, backend, partitioner):
+        """Such a job used to run, its reduce work landing on machine 3 (or
+        on a machine called ``1.5``)."""
+        runner = LocalJobRunner(Cluster(num_machines=4), backend=backend)
+        job = JobSpec("misrouted", WordCountMapper(), WordCountReducer(),
+                      partitioner=partitioner)
+        with pytest.raises(JobConfigurationError,
+                           match=r"job 'misrouted'.*key 'a' in partition"):
+            runner.run(job, Dataset.from_records(["a b a", "b c"]))
+
+    def test_a_numpy_style_partition_is_taken_as_its_int(self, backend):
+        class Two:
+            def __index__(self):
+                return 2
+
+        runner = LocalJobRunner(Cluster(num_machines=4), backend=backend)
+        job = JobSpec("indexed", WordCountMapper(), WordCountReducer(),
+                      partitioner=lambda key, partitions: Two())
+        result = runner.run(job, Dataset.from_records(["a b a", "b c"]))
+        assert sorted(result.output.records) == [("a", 2), ("b", 2), ("c", 1)]
+        assert list(result.stats.reduce.machine_work) == [2]
+
+    def test_a_reducer_returning_none_emits_nothing(self, backend):
+        """It used to fail with ``'NoneType' object is not iterable``."""
+        runner = LocalJobRunner(Cluster(num_machines=4), backend=backend)
+        job = JobSpec("silent", WordCountMapper(), SilentReducer())
+        result = runner.run(job, Dataset.from_records(["a b a", "b c"]))
+        assert list(result.output.records) == []
+        assert result.stats.counters["groups_seen"] == 3
+        assert result.stats.reduce.records_out == 0
 
 
 class TestPipelineResult:

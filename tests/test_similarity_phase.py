@@ -35,6 +35,7 @@ from repro.vsmart.similarity_phase import (
     CandidateColumns,
     ChunkPairRecord,
     Similarity1Reducer,
+    Similarity2Reducer,
     SimilarityPhaseConfig,
     _CandidateFilter,
     build_similarity1_job,
@@ -127,7 +128,9 @@ class TestChunking:
                                      pair_codec=PairCodec(5))
         postings = [PostingEntry(i, (1.0,), 1.0) for i in range(5)]
         context = TaskContext(Metrics())
-        records = list(reducer.reduce("element", postings, context))
+        records, counts = reducer.reduce_batch([("element", postings)], context)
+        records = list(records)
+        assert counts == [len(records)]
         assert all(isinstance(record, ChunkPairRecord) for record in records)
         # 3 chunks (2, 2, 1) -> 3 diagonal + 3 cross pairs = 6 chunk pairs.
         assert len(records) == 6
@@ -165,13 +168,46 @@ class TestPairRecords:
         posting_a = PostingEntry(2, (4.0,), 2.0)
         reducer = Similarity1Reducer(pair_codec=codec)
         context = TaskContext(Metrics())
-        [(key, contribution)] = reducer.reduce("x", [posting_z, posting_a], context)
+        output, counts = reducer.reduce_batch(
+            [("x", [posting_z, posting_a]), ("y", [posting_a, posting_z])],
+            context)
+        [(key, contribution), other] = output
         assert key == (codec.pack(2, 7), (4.0,), (9.0,))
         assert contribution == PairContribution(2.0, 5.0)
         # Either emission order lands on the one canonical record.
-        assert list(reducer.reduce("x", [posting_a, posting_z], context)) == [
-            (key, contribution)]
+        assert other == (key, contribution)
+        assert counts == [1, 1]
         assert context.counters["similarity1/candidate_records"] == 2
+
+    def test_batch_reducers_count_in_the_per_list_loops_order(self):
+        """A posting list pruned before any list has a survivor counts
+        ``candidates_pruned`` first, as the per-list loop did; Similarity2
+        counts ``pairs_evaluated`` before ``pairs_output``."""
+        from repro.core.records import PostingEntry
+
+        codec = PairCodec(8)
+        measure = get_measure("ruzicka")
+        reducer = Similarity1Reducer(pair_codec=codec, measure=measure,
+                                     threshold=0.9)
+        context = TaskContext(Metrics())
+        far = [PostingEntry(0, (1.0,), 1.0), PostingEntry(1, (9.0,), 1.0)]
+        near = [PostingEntry(2, (3.0,), 3.0), PostingEntry(3, (3.0,), 3.0)]
+        output, counts = reducer.reduce_batch([("a", far), ("b", near)],
+                                              context)
+        assert counts == [0, 1] and len(output) == 1
+        assert list(context.counters.items()) == [
+            ("similarity1/elements", 2), ("similarity1/candidates_pruned", 1),
+            ("similarity1/candidate_records", 1)]
+
+        second = Similarity2Reducer(measure, 0.9, pair_codec=codec)
+        context = TaskContext(Metrics())
+        pairs, counts = second.reduce_batch(
+            [((codec.pack(0, 1), (1.0,), (9.0,)), [(1.0,)]),
+             ((codec.pack(2, 3), (3.0,), (3.0,)), [(3.0,)])], context)
+        assert counts == [0, 1]
+        assert [(pair.first, pair.second) for pair in pairs] == [(2, 3)]
+        assert list(context.counters.items()) == [
+            ("similarity2/pairs_evaluated", 2), ("similarity2/pairs_output", 1)]
 
     def test_duplicate_multiset_in_posting_list_not_paired_with_itself(self, test_cluster):
         from repro.core.multiset import Multiset
@@ -273,9 +309,9 @@ class TestInlinedBound:
         assert inlined.inline_bound
 
         def run(candidate_filter):
-            context = TaskContext(Metrics())
-            block = candidate_filter.candidates(first, second, same, context, "kept")
-            return list(block), dict(context.counters)
+            block = CandidateColumns()
+            counts = candidate_filter.candidates(first, second, same, block)
+            return list(block), counts
 
         assert run(inlined) == run(called)
 
@@ -301,8 +337,8 @@ class TestInlinedBound:
         first = [PostingEntry(0, (1,), 1), PostingEntry(1, (2,), 1)]
         candidate_filter = _CandidateFilter(measure, 0.6, PairCodec(8))
         assert not candidate_filter.inline_bound
-        context = TaskContext(Metrics())
-        block = candidate_filter.candidates(first, first, True, context, "kept")
+        block = CandidateColumns()
+        assert candidate_filter.candidates(first, first, True, block) == (1, 0)
         assert len(block) == 1
 
     def test_registration_refuses_an_unknown_bound_kernel(self):

@@ -33,7 +33,6 @@ from repro.mapreduce.costmodel import (
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import (
     Combiner,
-    IdentityMapper,
     JobSpec,
     Mapper,
     Reducer,
@@ -45,7 +44,6 @@ from repro.mapreduce.runner import JobResult, LocalJobRunner, PipelineResult
 from repro.mapreduce.shuffle import ExternalGrouper
 from repro.mapreduce.types import (
     JobStats,
-    KeyValue,
     PhaseStats,
     estimate_record_bytes,
 )
@@ -66,11 +64,9 @@ __all__ = [
     "GIGABYTE",
     "GOOGLE_MAPREDUCE",
     "HADOOP",
-    "IdentityMapper",
     "JobResult",
     "JobSpec",
     "JobStats",
-    "KeyValue",
     "LocalJobRunner",
     "MEGABYTE",
     "Mapper",

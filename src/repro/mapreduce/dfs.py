@@ -5,10 +5,11 @@ sequences of records.  Real MapReduce reads partitioned files from GFS/HDFS;
 the simulator only needs the record stream and each record's approximate
 byte size, so a dataset is a tuple of records plus a tuple of their sizes.
 A record is never walked twice: a job's output dataset is handed the sizes
-its records were emitted with, a driver that knows its input's shape hands
-them over too (the V-SMART pipelines' interned tuples), and a dataset built
-without sizes computes them, with the generic sizer, the first time a job
-reads it and keeps them.
+its records were emitted with (a reducer's output, or a map-only job's
+``(key, value, secondary)`` emissions), a driver that knows its input's
+shape hands them over too (the V-SMART pipelines' interned columns), and a
+dataset built without sizes computes them, with the generic sizer, the
+first time a job reads it and keeps them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class Dataset:
     """An immutable, named sequence of records.
 
     Datasets are cheap wrappers; records are whatever Python objects the
-    jobs produce (``InputTuple``, ``KeyValue``, plain tuples, ...).
+    jobs produce (``InputTuple``, a map-only job's ``(key, value,
+    secondary)`` tuples, ...).
     ``record_bytes`` hands over the sizes the records were already given
     (one per record, or :class:`~repro.core.exceptions.JobConfigurationError`).
     Records a job held column-wise (a

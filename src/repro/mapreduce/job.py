@@ -4,7 +4,8 @@ The programming model mirrors the paper's section 2:
 
 * a **mapper** transforms one input record into zero or more
   ``<key, value>`` pairs (optionally with a *secondary key* that controls
-  the within-group sort order when the engine profile supports it);
+  the within-group sort order when the engine profile supports it): the
+  record ``(key, value, secondary)``;
 * a **dedicated combiner** pre-aggregates the values of a key on the mapper
   machine before the shuffle (the paper explicitly chooses dedicated
   combiners over on-mapper combining for scalability);
@@ -19,10 +20,10 @@ memory budget, reproducing the thrashing failures discussed in the paper.
 The same kind of declaration says what a job's records weigh.  A job whose
 records' sizes follow from their shape works them out when it is built
 (:func:`~repro.mapreduce.types.walk_record_bytes` over one prototype record
-per emit site) and hands them over where the records are made: its mapper
-yields :func:`~repro.mapreduce.types.sized_key_value` records carrying the
-number and checks, in :meth:`Mapper.check_input`, that the input has the
-shape the number assumes; its combiner declares
+per emit site) and hands them over where the records are made: its batch
+mapper declares the number for its emissions and checks, in
+:meth:`Mapper.check_input`, that the input has the shape the number
+assumes; its combiner declares
 :attr:`Combiner.keeps_value_shape`; its reducer declares
 :attr:`Reducer.output_record_bytes`.  A job that declares nothing has every
 record sized by the generic sizer as it is emitted.
@@ -31,7 +32,8 @@ A mapper is written record by record (:meth:`Mapper.map`) or batch at a
 time: :meth:`Mapper.map_batch` maps the task's whole input and returns the
 emissions as :class:`~repro.mapreduce.types.Emissions` columns, which the
 shuffle moves as they are.  The map task calls only ``map_batch``; the base
-class's is the per-record loop over :meth:`Mapper.map`.  A reducer is the
+class's is the per-record loop over :meth:`Mapper.map`, which appends each
+emitted pair or triple to the columns (:func:`emissions_of`).  A reducer is the
 same: the reduce task calls only :meth:`Reducer.reduce_batch`, which draws
 every group of the task; the base class's is the per-group loop over
 :meth:`Reducer.reduce`.
@@ -53,7 +55,7 @@ from typing import (
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.partitioner import Partitioner, hash_partitioner
-from repro.mapreduce.types import Emissions, KeyValue, sized_key_value
+from repro.mapreduce.types import Emissions, estimate_record_bytes
 from repro.telemetry import Metrics
 
 
@@ -84,7 +86,7 @@ class Mapper:
 
     :meth:`map` must be pure and deterministic (a MapReduce requirement for
     fault tolerance) and yields ``(key, value)`` or
-    ``(key, value, secondary_key)`` tuples, or :class:`KeyValue` records.
+    ``(key, value, secondary_key)`` tuples.
 
     The whole input of a job is mapped as one task, so :meth:`setup` and
     :meth:`cleanup` run once per job and a mapper that accumulates state
@@ -118,34 +120,22 @@ class Mapper:
         returns :class:`~repro.mapreduce.types.Emissions` columns with one
         declared size (or a size column) and each input record's emission
         count.  This base implementation is the per-record loop: it calls
-        :meth:`map` on each record in input order and keeps the
-        ``KeyValue`` records it emits.
+        :meth:`map` on each record in input order and lays what it emits
+        out as columns (:func:`emissions_of`).
         """
-        key_values: list[KeyValue] = []
+        emitted: list = []
         ends: list[int] = []
-        extend = key_values.extend
+        extend = emitted.extend
         end = ends.append
         map_one = self.map
         for record in records:
-            extend(map(normalise_emit, map_one(record, context) or ()))
-            end(len(key_values))
-        counts = list(map(sub, ends, [0, *ends[:-1]]))
-        return Emissions.of_key_values(key_values, counts)
+            extend(map_one(record, context) or ())
+            end(len(emitted))
+        return emissions_of(emitted, list(map(sub, ends, [0, *ends[:-1]])))
 
     def cleanup(self, context: TaskContext) -> Iterator[Any]:
         """Called once per job after the last record; may emit pairs."""
         return iter(())
-
-
-class IdentityMapper(Mapper):
-    """Pass ``KeyValue`` records (or ``(key, value)`` tuples) through unchanged.
-
-    The paper's Similarity2 step "employs an identity map stage"; this class
-    is that stage.
-    """
-
-    def map(self, record: Any, context: TaskContext) -> Iterator[Any]:
-        yield record
 
 
 class Combiner:
@@ -153,9 +143,10 @@ class Combiner:
 
     The combiner is invoked on the mapper machine once per
     ``(key, secondary key)`` group of that mapper's output and yields
-    replacement *values*; the key and secondary key are reattached by the
-    runner, so a combiner can never redirect records to a different key
-    (exactly the constraint real MapReduce imposes).
+    replacement *values* (``None`` means none, as for a mapper); the key and
+    secondary key are reattached by the runner, so a combiner can never
+    redirect records to a different key (exactly the constraint real
+    MapReduce imposes).
     """
 
     #: Set to True when every value :meth:`combine` yields has the shape of
@@ -266,7 +257,8 @@ class JobSpec:
         Job name, used in statistics and error messages.
     mapper / combiner / reducer:
         The user functions.  A ``None`` reducer makes the job map-only; its
-        output dataset then contains the mapper's ``KeyValue`` records.
+        output dataset then holds the mapper's emissions as ``(key, value,
+        secondary)`` tuples, each with the size it was emitted with.
     partitioner:
         Assignment of reduce keys to reducers (default: stable hash).
     side_data:
@@ -310,21 +302,29 @@ class JobSpec:
                 f"job {self.name!r}: num_reducers must be positive")
 
 
-def normalise_emit(emitted: Any) -> KeyValue:
-    """Normalise a mapper emission into a :class:`KeyValue` that knows its size.
-
-    Accepts ``KeyValue`` instances, ``(key, value)`` pairs and
-    ``(key, value, secondary)`` triples.  A ``KeyValue`` that carries its
-    size — built by a mapper that knows its records' shapes, or read back
-    from a map-only job's output — is passed through as it is; anything
-    else is sized here, once, at emission.
-    """
-    if isinstance(emitted, KeyValue):
-        if emitted.size_bytes:
-            return emitted
-        return sized_key_value(emitted.key, emitted.value, emitted.secondary)
-    if isinstance(emitted, tuple) and 2 <= len(emitted) <= 3:
-        return sized_key_value(*emitted)
+def _as_record(emitted: Any) -> tuple:
+    """A mapper's emission as the record ``(key, value, secondary)``."""
+    if isinstance(emitted, tuple):
+        if len(emitted) == 3:
+            return tuple(emitted)
+        if len(emitted) == 2:
+            return (emitted[0], emitted[1], None)
     raise JobConfigurationError(
-        "mappers must emit KeyValue records, (key, value) pairs or "
-        f"(key, value, secondary) triples; got {type(emitted).__name__}")
+        "mappers must emit (key, value) pairs or (key, value, secondary) "
+        f"triples; got {type(emitted).__name__}")
+
+
+def emissions_of(emitted: Iterable[Any], counts: list[int]) -> Emissions:
+    """A per-record mapper's emissions — ``(key, value)`` pairs and ``(key,
+    value, secondary)`` triples — as :class:`Emissions` columns.
+
+    Each emission is sized once, here, as the record ``(key, value,
+    secondary)`` by the generic sizer; anything else raises
+    :class:`~repro.core.exceptions.JobConfigurationError`.  ``counts`` is
+    what each input record emitted (empty for a mapper's cleanup).
+    """
+    records = list(map(_as_record, emitted))
+    keys, values, secondaries = (
+        map(list, zip(*records)) if records else ([], [], []))
+    return Emissions(keys, values, secondaries,
+                     list(map(estimate_record_bytes, records)), counts)

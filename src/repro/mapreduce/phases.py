@@ -18,27 +18,30 @@ The task loops do per record only what is per record — four rules:
   columns with each input record's emission count; its accounting is count
   x shape arithmetic on those columns (:func:`account_map_records`).  A
   per-record mapper runs through the base class's ``map_batch``, which is
-  the per-record loop.  The combine task groups the columns per mapper
-  machine and returns its output as columns too.
+  the per-record loop; its emissions, and any mapper's cleanup emissions,
+  are laid out as columns as they are emitted
+  (:func:`~repro.mapreduce.job.emissions_of`).  The combine task groups the
+  columns per mapper machine and returns its output as columns too.
 * **Sized by shape when the job is built; the walker is the definition and
   the fallback.**  A map task reads its input sizes from the dataset (the
   sizes the previous job's reducer gave its output, handed over by the
   driver, or computed once when its first job read it).  What a task emits
-  weighs what its job declared: a batch's one declared size, a mapper's
-  ``KeyValue`` carrying the number its emit site was built with, a combiner
-  that keeps the value's shape keeping its group's first size, a reducer's
-  ``output_record_bytes`` as the sizes of its output records.  Only what a
-  job leaves undeclared is sized here, by the generic sizer, as it is
-  emitted.  Everything downstream — a group's ``bytes_in``, the
-  memory-budget check on a materialised value list, the external shuffle's
-  buffer, the next job's input — reads that size from the size column.
+  weighs what its job declared: a batch's one declared size or size
+  column, a combiner that keeps the value's shape keeping its group's first
+  size, a reducer's ``output_record_bytes`` as the sizes of its output
+  records.  Only what a job leaves undeclared is sized, by the generic
+  sizer, as it is emitted.  Everything downstream — a group's
+  ``bytes_in``, the memory-budget check on a materialised value list, the
+  external shuffle's buffer, the next job's input — reads that size from
+  the size column.
 * **Columns through the shuffle.**  Map and combine tasks collect their
   output flat — a mapper's cleanup emissions last — and
   :func:`partition_columns` groups the columns by key and asks the
   partitioner once per distinct key when the task ends, building the
   shuffle's *spill* (one ``key -> group`` map per partition) in
-  first-occurrence key order; the external shuffle is fed the same columns.
-  No ``KeyValue`` is built between map and reduce in memory.
+  first-occurrence key order; the external shuffle is fed the same columns
+  and spills them as group blocks.  No object is built per record between
+  map and reduce.
 * **One group form, one reduce loop.**  A reduce group is ``(partition,
   key, values, sizes, secondaries)``, from the spill or the
   external shuffle's merge alike.  The reduce task sorts, sizes and checks
@@ -57,7 +60,7 @@ from operator import add, attrgetter, index, itemgetter, mod, mul, sub
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
-from repro.mapreduce.job import JobSpec, TaskContext, normalise_emit
+from repro.mapreduce.job import JobSpec, TaskContext, emissions_of
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import Emissions, PhaseStats, estimate_record_bytes
 from repro.telemetry import Metrics
@@ -72,12 +75,8 @@ GroupColumns = tuple[list, int | list[int], list | None]
 #: partition, indexed by partition.
 Spill = list[dict[Any, GroupColumns]]
 
-#: The size a record was given when it was emitted: the tasks read this
-#: off a per-record mapper's cleanup ``KeyValue`` and never walk it again.
-_carried_bytes = attrgetter("size_bytes")
-
 #: What a map task's emissions weigh: the one size their emit site declared,
-#: or a size per emission (those a per-record mapper's records carry).
+#: or a size per emission (those a per-record mapper's emissions were given).
 _emission_sizes = attrgetter("sizes")
 
 #: Whether a combiner declared that it keeps its values' shape: read once
@@ -287,6 +286,28 @@ def account_map_records(phase: PhaseStats, record_bytes: Sequence[int],
         phase.max_unit_work = top
 
 
+def _check_batch(job_name: str, emissions: Emissions, records: int) -> None:
+    """Raise :class:`JobConfigurationError` naming the job unless a mapper's
+    batch counts the emissions of ``records`` input records and has one
+    key, value, secondary key (or ``None``) and size (or one declared
+    ``int``) per counted emission."""
+    keys, values, secondaries = emissions.columns()
+    counts, sizes = emissions.counts, emissions.sizes
+    if len(counts) != records:
+        raise JobConfigurationError(
+            f"job {job_name!r}: the mapper's batch counts emissions of "
+            f"{len(counts)} input records, but the task has {records}")
+    emitted = sum(counts)
+    if (len(keys) != emitted or len(values) != emitted
+            or (secondaries is not None and len(secondaries) != emitted)
+            or (type(sizes) is not int and len(sizes) != emitted)):
+        raise JobConfigurationError(
+            f"job {job_name!r}: the mapper's batch counts {emitted} emissions "
+            f"but has {len(keys)} keys, {len(values)} values, "
+            f"{'no' if secondaries is None else len(secondaries)} secondary "
+            f"keys and {'one' if type(sizes) is int else len(sizes)} sizes")
+
+
 def execute_map_task(task: MapTask) -> MapTaskResult:
     """Run the mapper over the job's input: the one map loop.
 
@@ -302,11 +323,7 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
     if task.records:
         job.mapper.check_input(task.records, context)
     emissions = job.mapper.map_batch(task.records, context)
-    if len(emissions.counts) != len(task.records):
-        raise JobConfigurationError(
-            f"job {job.name!r}: the mapper's batch counts emissions of "
-            f"{len(emissions.counts)} input records, but the task has "
-            f"{len(task.records)}")
+    _check_batch(job.name, emissions, len(task.records))
     # The sizes are settled once, here: every later read is this one.
     emissions.sizes = sizes = _emission_sizes(emissions)
     phase = PhaseStats()
@@ -316,16 +333,14 @@ def execute_map_task(task: MapTask) -> MapTaskResult:
         max_output_record = sizes if phase.records_out else 0
     else:
         max_output_record = max(sizes, default=0)
-    cleanup_emissions = [normalise_emit(emitted)
-                         for emitted in job.mapper.cleanup(context) or ()]
-    if cleanup_emissions:
-        cleanup_bytes = sum(map(_carried_bytes, cleanup_emissions))
-        max_output_record = max(max_output_record,
-                                max(map(_carried_bytes, cleanup_emissions)))
-        phase.records_out += len(cleanup_emissions)
+    cleanup = emissions_of(job.mapper.cleanup(context) or (), [])
+    if cleanup.keys:
+        cleanup_bytes = sum(cleanup.sizes)
+        max_output_record = max(max_output_record, max(cleanup.sizes))
+        phase.records_out += len(cleanup.keys)
         phase.bytes_out += cleanup_bytes
-        phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup_emissions))
-        emissions = emissions.followed_by(cleanup_emissions)
+        phase.add_machine_work(0, cleanup_bytes + task.overhead * len(cleanup.keys))
+        emissions = emissions.followed_by(cleanup)
     if task.build_spill:
         return MapTaskResult(emissions=None,
                              spill=_spill_of(emissions, job, task.num_reducers),
@@ -409,7 +424,8 @@ def execute_combine_task(task: CombineTask) -> CombineTaskResult:
                             groups if secondaries is None else map(_first, groups),
                             groups.values(), repeat(context)))
         produced = [output if type(output) is tuple or type(output) is list
-                    else list(output) for output in produced]
+                    else () if output is None else list(output)
+                    for output in produced]
         counts = list(map(len, produced))
         first = len(out_values)
         out_values.extend(chain.from_iterable(produced))
@@ -582,10 +598,11 @@ def execute_reduce_task(task: ReduceTask) -> ReduceTaskResult:
     notes: list[tuple[int, int, int]] = []
     output_records, counts = reducer.reduce_batch(
         _prepared_groups(task, notes), context)
-    if len(counts) != len(notes):
+    if len(counts) != len(notes) or sum(counts) != len(output_records):
         raise JobConfigurationError(
-            f"job {job.name!r}: the reducer's batch counts the output of "
-            f"{len(counts)} groups, but it was handed {len(notes)}")
+            f"job {job.name!r}: the reducer's batch counts {sum(counts)} "
+            f"output records of {len(counts)} groups, but it was handed "
+            f"{len(notes)} groups and returned {len(output_records)} records")
     partitions, record_counts, group_bytes = (
         map(list, zip(*notes)) if notes else ([], [], []))
     if constant is not None:

@@ -27,7 +27,9 @@ The runner turns every phase into one self-contained task
 :class:`~repro.mapreduce.backends.ExecutionBackend` and asks the same
 backend where the shuffle is held: in the runner's in-memory spill
 dictionaries, or in an :class:`~repro.mapreduce.shuffle.ExternalGrouper`
-that spills sorted runs to disk (the ``"disk"`` backend).  Results,
+that spills sorted runs of group blocks to disk (the ``"disk"`` backend).
+A map-only job's output records are its emissions as ``(key, value,
+secondary)`` tuples.  Results,
 counters and simulated times are identical across backends; only peak
 memory changes.
 
@@ -42,6 +44,7 @@ tasks read them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable
 
 from repro.core.exceptions import (
@@ -188,8 +191,11 @@ class LocalJobRunner:
         stats.spilled_bytes = stats.shuffle_bytes
 
         if job.reducer is None:
-            records = map_output.key_values()
-            return records, [key_value.size_bytes for key_value in records]
+            keys, values, secondaries = map_output.columns()
+            sizes = map_output.sizes
+            return (list(zip(keys, values, repeat(None) if secondaries is None
+                             else secondaries)),
+                    [sizes] * len(keys) if type(sizes) is int else sizes)
         if grouper is None:
             assert spill is not None
             return self._run_reduce_phase(job, iter_spill_groups(spill),

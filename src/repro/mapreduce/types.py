@@ -12,19 +12,20 @@ largest multiset), not the aggregate work.
 Bytes come from one definition of a record's size.
 :func:`walk_record_bytes` is that definition, a recursive walk over any
 value.  The rule the runner keeps: a record is **sized by shape when the
-job is built; the walker is the definition and the fallback**.  The records
-a join shuffles are fixed-arity tuples of interned ids, multiplicities and
-a measure's partial results, so what one weighs follows from its shape, not
+job is built; the walker is the definition and the fallback**.  An emitted
+record is the 3-tuple ``(key, value, secondary)``, and the records a join
+shuffles are fixed-arity tuples of interned ids, multiplicities and a
+measure's partial results, so what one weighs follows from its shape, not
 from its values: a job that knows its shapes applies the walker once, when
-it is built, to a prototype record of each emit site, and hands that number
-to every record the site constructs (:func:`sized_key_value`, the one place
-a :class:`KeyValue` is built, takes it; a reducer or a combiner declares it,
-see :mod:`repro.mapreduce.job`).  A job that declares nothing is sized by
+it is built, to a prototype record of each emit site, and declares that
+number for every record the site emits (a batch mapper in its
+:class:`Emissions`; a reducer or a combiner declares it, see
+:mod:`repro.mapreduce.job`).  A job that declares nothing is sized by
 :func:`estimate_record_bytes`, record by record as it emits — the walker's
 numbers through shortcuts for the builtin types such jobs' keys and values
 are made of, and the walker itself for any other type.  Either way the
-number travels with the record through the combine, shuffle and reduce
-phases, and a job's output sizes ride on the output
+number travels beside the record, in a size column, through the combine,
+shuffle and reduce phases, and a job's output sizes ride on the output
 :class:`~repro.mapreduce.dfs.Dataset` to the next job: nothing is walked
 twice.
 """
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
-from typing import Any, Callable, Hashable, Iterable
+from itertools import chain
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.records import RecordColumns  # noqa: F401  (re-exported)
 from repro.telemetry import Metrics
@@ -50,11 +50,9 @@ def walk_record_bytes(value: Any) -> int:
     A recursive walk whose check order is the contract: ``bool`` before
     ``int``; a callable ``estimated_bytes`` beats float / text / container /
     dataclass; a subclass (``IntEnum``, ``NamedTuple``, a ``str`` subclass)
-    is what its base is.  Dataclass fields declared ``compare=False`` are
-    bookkeeping carried beside the record (a :class:`KeyValue`'s size), not
-    payload, and are not counted.  :func:`estimate_record_bytes` falls back
-    to this walker for every type it has no shortcut for, and the tests
-    hold its shortcuts — and every size a job declares by shape — to it.
+    is what its base is.  :func:`estimate_record_bytes` falls back to this
+    walker for every type it has no shortcut for, and the tests hold its
+    shortcuts — and every size a job declares by shape — to it.
     """
     if value is None or isinstance(value, bool):
         return 1
@@ -76,7 +74,7 @@ def walk_record_bytes(value: Any) -> int:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _OBJECT_OVERHEAD + sum(
             walk_record_bytes(getattr(value, fld.name))
-            for fld in dataclasses.fields(value) if fld.compare)
+            for fld in dataclasses.fields(value))
     if hasattr(value, "items"):
         return _OBJECT_OVERHEAD + sum(
             walk_record_bytes(key) + walk_record_bytes(item)
@@ -139,55 +137,22 @@ def estimate_record_bytes(value: Any) -> int:
     return sizer if type(sizer) is int else sizer(value)
 
 
-@dataclass(frozen=True, slots=True)
-class KeyValue:
-    """An intermediate ``<key, value>`` record with an optional secondary key.
+def concat_column(runs: Sequence[Any], counts: Sequence[int]) -> Any:
+    """Runs of a size or secondary-key column, end to end.
 
-    Secondary keys implement the within-group sort order that the Google
-    MapReduce supports and Hadoop does not (paper section 2); the shuffle
-    stage sorts each reduce value list by the secondary key when the cluster
-    profile allows it.  The in-memory shuffle moves columns, not records: a
-    ``KeyValue`` is allocated per record a per-record mapper emits, per
-    record the external shuffle buffers and per record of a map-only job's
-    output, so the class is slotted: the saved ``__dict__`` per record is
-    the single biggest memory lever in a large external shuffle.
-
-    ``size_bytes`` is the record's estimated size, filled in once when the
-    record is built (:func:`sized_key_value`: the number its emit site
-    worked out from the record's shape, or a walk of this record) and read
-    by every later phase instead of walking the record again; ``0`` means
-    not sized yet.
-    It is no part of the record: equality, hashing, ``repr`` and the
-    record's own estimated size ignore it.
+    A run is a sequence with one entry per record, or one value that stands
+    for every record of the run (a declared ``int`` size, ``None`` for no
+    secondary keys); ``counts`` are the runs' record counts.  Runs that
+    share one value stay that value; otherwise every run is spelt out and
+    the runs are joined.
     """
-
-    key: Hashable
-    value: Any
-    secondary: Hashable = None
-    size_bytes: int = field(default=0, compare=False, repr=False)
-
-
-_set_key, _set_value, _set_secondary, _set_size_bytes = (
-    getattr(KeyValue, name).__set__ for name in KeyValue.__slots__)
-
-
-def sized_key_value(key: Hashable, value: Any, secondary: Hashable = None,
-                    size_bytes: int | None = None) -> KeyValue:
-    """A :class:`KeyValue` carrying its size: ``size_bytes`` when the emit
-    site knows it from the record's shape, else its own
-    :func:`estimate_record_bytes`.
-
-    The one place a ``KeyValue`` is built, once per emission, so the slots
-    are filled through their descriptors: the frozen ``__init__`` pays a
-    guarded ``object.__setattr__`` per field, three times the cost.
-    """
-    record = object.__new__(KeyValue)
-    _set_key(record, key)
-    _set_value(record, value)
-    _set_secondary(record, secondary)
-    _set_size_bytes(record, _container_bytes((key, value, secondary))
-                    if size_bytes is None else size_bytes)
-    return record
+    first = runs[0]
+    if (first is None or type(first) is int) and all(
+            run == first for run in runs):
+        return first
+    return list(chain.from_iterable(
+        [run] * count if run is None or type(run) is int else run
+        for run, count in zip(runs, counts)))
 
 
 class Emissions:
@@ -200,81 +165,36 @@ class Emissions:
     how many emissions each input record produced, in input order: the map
     task's per-record accounting is computed from it and ``sizes``.
 
-    A per-record mapper builds its emissions as ``KeyValue`` records; they
-    are handed over as ``rows`` (with their carried sizes as the size
-    column) and the three columns are read off them when the shuffle asks
-    (:meth:`columns`).  A batch mapper hands over columns, which is what the
-    combine task, the shuffle and the reduce task read: a ``KeyValue`` is
-    built only for a map-only job's output (:meth:`key_values`).
+    Row ``i`` is the record ``(keys[i], values[i], secondaries[i])``: the
+    per-record form, which a per-record mapper emits, a map-only job
+    outputs and the generic sizer weighs.  The combine task, the shuffle
+    and the reduce task read the columns.
     """
 
-    __slots__ = ("_columns", "sizes", "counts", "rows")
+    __slots__ = ("keys", "values", "secondaries", "sizes", "counts")
 
     def __init__(self, keys: list, values: list, secondaries: list | None,
                  sizes: int | list[int], counts: list[int]) -> None:
-        self._columns: tuple | None = (keys, values, secondaries)
+        self.keys = keys
+        self.values = values
+        self.secondaries = secondaries
         self.sizes = sizes
         self.counts = counts
-        self.rows: list[KeyValue] | None = None
-
-    @classmethod
-    def of_key_values(cls, rows: list[KeyValue],
-                      counts: list[int]) -> "Emissions":
-        """The ``KeyValue`` records a per-record mapper emitted, as they are."""
-        emissions = cls.__new__(cls)
-        emissions._columns = None
-        emissions.sizes = list(map(_size_bytes_of, rows))
-        emissions.counts = counts
-        emissions.rows = rows
-        return emissions
 
     def columns(self) -> tuple[list, list, list | None]:
         """``(keys, values, secondaries)``; ``secondaries`` may be ``None``."""
-        if self._columns is None:
-            rows = self.rows
-            self._columns = ([row.key for row in rows],
-                             [row.value for row in rows],
-                             [row.secondary for row in rows])
-        return self._columns
+        return self.keys, self.values, self.secondaries
 
-    def followed_by(self, rows: list[KeyValue]) -> "Emissions":
-        """These emissions, then ``rows`` (a mapper's cleanup emissions).
+    def followed_by(self, more: "Emissions") -> "Emissions":
+        """These emissions, then ``more`` (a mapper's cleanup emissions).
 
-        The columns are extended by the records' fields and the size column
-        by their carried sizes; the input records' ``counts`` are kept.
+        The input records' ``counts`` are these emissions' own.
         """
-        keys, values, secondaries = self.columns()
-        sizes = self.sizes
-        emitted = len(keys)
-        extended = Emissions(
-            keys + [row.key for row in rows],
-            values + [row.value for row in rows],
-            ([None] * emitted if secondaries is None else secondaries)
-            + [row.secondary for row in rows],
-            ([sizes] * emitted if type(sizes) is int else sizes)
-            + list(map(_size_bytes_of, rows)),
-            self.counts)
-        if self.rows is not None:
-            extended.rows = self.rows + rows
-        return extended
-
-    def key_values(self) -> list[KeyValue]:
-        """The emissions as ``KeyValue`` records: a map-only job's output.
-
-        Built here, through :func:`sized_key_value` with each emission's
-        size, unless the mapper built them itself.
-        """
-        if self.rows is None:
-            keys, values, secondaries = self._columns
-            sizes = self.sizes
-            self.rows = list(map(
-                sized_key_value, keys, values,
-                repeat(None) if secondaries is None else secondaries,
-                repeat(sizes) if type(sizes) is int else sizes))
-        return self.rows
-
-
-_size_bytes_of = attrgetter("size_bytes")
+        counts = (len(self.keys), len(more.keys))
+        return Emissions(
+            self.keys + more.keys, self.values + more.values,
+            concat_column((self.secondaries, more.secondaries), counts),
+            concat_column((self.sizes, more.sizes), counts), self.counts)
 
 
 @dataclass

@@ -49,8 +49,8 @@ from repro.vcl.prefix import (
 
 #: What the walker charges for a tuple or a record's own container.
 _CONTAINER_BYTES = 16
-#: A ``KeyValue``'s own bytes beyond its key and value: the container and
-#: the empty secondary key.
+#: An emitted record's own bytes beyond its key and value: the container of
+#: ``(key, value, secondary)`` and the empty secondary key.
 _KEY_VALUE_BYTES = _CONTAINER_BYTES + 1
 #: What a number (a count or a similarity) weighs.
 _NUMBER_BYTES = 8
@@ -271,7 +271,7 @@ class DeduplicationMapper(Mapper):
                   context: TaskContext) -> Emissions:
         pairs = [pair for pair, _ in records]
         id_bytes = _SizeOf()
-        # The record's container becomes the KeyValue's.
+        # The record's container becomes the emitted record's.
         base = _KEY_VALUE_BYTES - _CONTAINER_BYTES + _PAIR_RECORD_BYTES
         sizes = [base + id_bytes[first] + id_bytes[second]
                  for first, second in pairs]

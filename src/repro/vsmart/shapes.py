@@ -35,13 +35,14 @@ from repro.core.records import (
     SimilarPair,
 )
 from repro.mapreduce.job import Mapper, TaskContext
-from repro.mapreduce.types import KeyValue, walk_record_bytes
+from repro.mapreduce.types import walk_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure
 
 
 def _keyed(key: Any, value: Any, secondary: Any = None) -> int:
-    """The size of the shuffled ``KeyValue`` around a prototype key and value."""
-    return walk_record_bytes(KeyValue(key, value, secondary))
+    """The size of the shuffled record ``(key, value, secondary)`` around a
+    prototype key and value."""
+    return walk_record_bytes((key, value, secondary))
 
 
 #: The two shapes that hold no partial result, so need no measure: the raw

@@ -38,10 +38,8 @@ from repro.mapreduce.partitioner import (
 from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.types import (
     JobStats,
-    KeyValue,
     PhaseStats,
     estimate_record_bytes,
-    sized_key_value,
     walk_record_bytes,
 )
 from repro.telemetry import Metrics, merge
@@ -171,7 +169,7 @@ class TestSizeEstimation:
         assert estimate_record_bytes({"a": 1, "b": 2}) > estimate_record_bytes({"a": 1})
 
     def test_dataclass_estimates(self):
-        record = KeyValue("key", (1.0, 2.0))
+        record = PairContribution(1.0, 2.0)
         assert estimate_record_bytes(record) > 0
 
     def test_size_hint_protocol(self):
@@ -228,7 +226,7 @@ class MappingLike:
 #: Every record dataclass the pipelines move (and a ``NamedTuple``), with
 #: free-form fields.
 RECORD_TYPES = (
-    (KeyValue, 3), (JoinedTuple, 4), (PostingEntry, 3), (PairContribution, 2),
+    (JoinedTuple, 4), (PostingEntry, 3), (PairContribution, 2),
     (SimilarPair, 3), (ChunkPairRecord, 4), (Point, 2),
 )
 
@@ -287,17 +285,6 @@ class TestSizerEquivalence:
         assert estimate_record_bytes(Multiset("m", {"a": 1})) == (
             Multiset("m", {"a": 1}).estimated_bytes())
 
-    def test_carried_size_is_no_part_of_the_record(self):
-        plain = KeyValue("key", (1.0, 2.0), 3)
-        sized = sized_key_value("key", (1.0, 2.0), 3)
-        assert sized.size_bytes == estimate_record_bytes(plain) == (
-            walk_record_bytes(plain))
-        assert plain.size_bytes == 0
-        assert sized == plain and hash(sized) == hash(plain)
-        assert repr(sized) == repr(plain)
-        assert estimate_record_bytes(sized) == walk_record_bytes(sized) == (
-            sized.size_bytes)
-
 
 class TestPartitioners:
     def test_stable_hash_is_process_independent(self):
@@ -323,7 +310,7 @@ class TestDataset:
         assert dataset.total_bytes > 0
 
     def test_sizes_are_computed_once_on_first_read_or_handed_over(self):
-        records = [("k", 1), "text", KeyValue("key", (1.0, 2.0)), 7]
+        records = [("k", 1), "text", ("key", (1.0, 2.0), None), 7]
         lazy = Dataset("lazy", records)
         assert list(lazy.record_bytes) == [estimate_record_bytes(record)
                                            for record in records]

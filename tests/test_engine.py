@@ -321,16 +321,16 @@ class TestPlanner:
         context = TaskContext(Metrics())
         joining = build_online_aggregation_job(measure)
         emissions = joining.mapper.map_batch([InputTuple(0, 0, 1)], context)
-        assert [emitted.size_bytes for emitted in emissions.key_values()] == [
-            shapes.oa_uni_kv, shapes.oa_element_kv]
+        assert emissions.sizes == [shapes.oa_uni_kv, shapes.oa_element_kv]
         assert joining.reducer.output_record_bytes == joined_tuple
         similarity1 = build_similarity1_job(pair_codec=PairCodec(2),
                                             measure=measure)
         emissions = similarity1.mapper.map_batch(
             [JoinedTuple(0, shapes.uni_zero, 0, 1)], context)
         assert emissions.sizes == shapes.posting_kv
-        [emitted] = emissions.key_values()
-        assert emitted.size_bytes == shapes.posting_kv
+        assert emissions.secondaries is None
+        [record] = zip(emissions.keys, emissions.values, [None])
+        assert estimate_record_bytes(record) == shapes.posting_kv
         assert similarity1.reducer.output_record_bytes == shapes.pair_record
 
     def test_auto_result_carries_the_plan(self, paper_engine):

@@ -35,7 +35,9 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.costmodel import CostModel, CostParameters
-from repro.mapreduce.types import JobStats, KeyValue
+from repro.mapreduce.partitioner import hash_partitioner
+from repro.mapreduce.phases import iter_spill_groups, partition_columns
+from repro.mapreduce.types import Emissions, JobStats, estimate_record_bytes
 from tests.conftest import strip_telemetry
 from tests.test_backends import (
     comparable_stats,
@@ -46,27 +48,43 @@ from tests.test_backends import (
 from tests.test_mapreduce_runner import (
     MaterialisingReducer,
     WordCountMapper,
+    as_rows,
 )
 
 
-def make_records(count: int, keys: int = 7, partitions: int = 4):
-    """Deterministic partitioned records with repeating keys."""
-    return [(index % partitions, KeyValue(f"k{index % keys}", index))
-            for index in range(count)]
+def make_columns(count: int, keys: int = 7):
+    """Deterministic output columns with repeating keys: ``(keys, values,
+    secondaries, sizes)``, each row sized as the record it is."""
+    key_column = [f"k{index % keys}" for index in range(count)]
+    values = list(range(count))
+    sizes = [estimate_record_bytes((key, value, None))
+             for key, value in zip(key_column, values)]
+    return key_column, values, None, sizes
 
 
-def reference_groups(records):
-    """The serial shuffle's grouping of ``records``, record by record, in
-    the reduce task's group form: ``(partition, key, values, sizes,
-    secondaries)``."""
-    spill = {}
-    for partition, key_value in records:
-        spill.setdefault(partition, {}).setdefault(key_value.key, []).append(key_value)
-    return [(partition, key, [record.value for record in group],
-             [record.size_bytes for record in group],
-             [record.secondary for record in group])
-            for partition in sorted(spill)
-            for key, group in spill[partition].items()]
+def feed(grouper: ExternalGrouper, columns, partitions: int = 4) -> None:
+    """Buffer ``columns``, hash-partitioned."""
+    grouper.add_columns(lambda key: hash_partitioner(key, partitions), *columns)
+
+
+def reference_groups(columns, partitions: int = 4):
+    """The serial shuffle's grouping of the same columns, in the reduce
+    task's group form: ``(partition, key, values, sizes, secondaries)``."""
+    return list(iter_spill_groups(partition_columns(
+        *columns, hash_partitioner, partitions)))
+
+
+def per_record_budget(sizes, budget: int) -> tuple[int, int]:
+    """``(flushes, peak)`` of the budget rule applied record by record: a
+    record that would push a non-empty buffer past ``budget`` flushes it
+    first, and the last buffer is flushed at the end."""
+    flushes = peak = buffered = held = 0
+    for size in sizes:
+        if held and buffered + size > budget:
+            flushes, buffered, held = flushes + 1, 0, 0
+        buffered, held = buffered + size, held + 1
+        peak = max(peak, buffered)
+    return flushes + (held > 0), peak
 
 
 def entry_boundaries(path) -> list[int]:
@@ -87,82 +105,104 @@ def first_run_file(directory) -> str | None:
     return runs[0] if runs else None
 
 
-def spilled_grouper(tmp_path, records, **options) -> ExternalGrouper:
+def spilled_grouper(tmp_path, columns, **options) -> ExternalGrouper:
     """A fed grouper whose first runs are already on disk under ``tmp_path``."""
     options.setdefault("memory_budget_bytes", 256)
     grouper = ExternalGrouper(temp_dir=str(tmp_path), **options)
-    for partition, key_value in records:
-        grouper.add(partition, key_value)
+    feed(grouper, columns)
     assert grouper.telemetry["runs_written"] > 1
     return grouper
 
 
 class TestExternalGrouper:
     def test_in_memory_fast_path(self):
-        records = make_records(50)
+        columns = make_columns(50)
         with ExternalGrouper(memory_budget_bytes=1 << 20) as grouper:
-            for partition, key_value in records:
-                grouper.add(partition, key_value)
+            feed(grouper, columns)
             groups = list(grouper.iter_groups())
             assert grouper.telemetry["runs_written"] == 0
             assert grouper.telemetry["bytes_spilled"] == 0
             assert grouper.telemetry["merge_passes"] == 0
             assert grouper.telemetry["spilled_records"] == 0
-        assert groups == reference_groups(records)
+            assert grouper.telemetry["peak_buffer_bytes"] == sum(columns[3])
+        assert groups == reference_groups(columns)
 
     def test_spilled_groups_match_in_memory_order(self, tmp_path):
-        records = make_records(200, keys=13, partitions=5)
+        columns = make_columns(200, keys=13)
         with ExternalGrouper(memory_budget_bytes=256,
                              temp_dir=str(tmp_path)) as grouper:
-            for partition, key_value in records:
-                grouper.add(partition, key_value)
+            feed(grouper, columns, partitions=5)
             groups = list(grouper.iter_groups())
             telemetry = dict(grouper.telemetry)
-        assert groups == reference_groups(records)
+        assert groups == reference_groups(columns, partitions=5)
         assert telemetry["runs_written"] > 1
         assert telemetry["bytes_spilled"] > 0
-        assert telemetry["spilled_records"] > 0
+        assert telemetry["spilled_records"] == 200
         assert telemetry["merge_passes"] >= 1
 
     def test_multi_pass_merge_is_deterministic(self, tmp_path):
-        records = make_records(300, keys=17, partitions=3)
+        columns = make_columns(300, keys=17)
         with ExternalGrouper(memory_budget_bytes=128, merge_fan_in=2,
                              temp_dir=str(tmp_path)) as grouper:
-            for partition, key_value in records:
-                grouper.add(partition, key_value)
+            feed(grouper, columns, partitions=3)
             groups = list(grouper.iter_groups())
             # Fan-in 2 over many runs forces intermediate merge passes.
             assert grouper.telemetry["merge_passes"] > 1
-        assert groups == reference_groups(records)
+        assert groups == reference_groups(columns, partitions=3)
 
-    def test_memory_ceiling_enforced(self, tmp_path):
-        budget = 400
-        records = make_records(500)
-        with ExternalGrouper(memory_budget_bytes=budget,
+    @pytest.mark.parametrize("budget", [31, 100, 400, 3_000])
+    def test_memory_ceiling_enforced(self, tmp_path, budget):
+        """Blocks are buffered, but the budget is checked record by record:
+        the grouper flushes *before* the record that would cross the line,
+        so the flushes and the peak are the per-record rule's."""
+        columns = make_columns(500)
+        with ExternalGrouper(memory_budget_bytes=budget, merge_fan_in=1_000,
                              temp_dir=str(tmp_path)) as grouper:
-            for partition, key_value in records:
-                grouper.add(partition, key_value)
-            # Every record is smaller than the budget, so the buffer may
-            # never exceed it: the grouper flushes *before* the add that
-            # would cross the line.
-            assert grouper.telemetry["peak_buffer_bytes"] <= budget
-            list(grouper.iter_groups())
+            feed(grouper, columns)
+            groups = list(grouper.iter_groups())
+            telemetry = dict(grouper.telemetry)
+        # Every record is at most the budget, so the buffer never exceeds it.
+        assert telemetry["peak_buffer_bytes"] <= budget
+        assert (telemetry["runs_written"], telemetry["peak_buffer_bytes"]) == (
+            per_record_budget(columns[3], budget))
+        assert telemetry["spilled_records"] == 500
+        assert groups == reference_groups(columns)
+
+    def test_two_feeds_of_different_forms_concatenate(self, tmp_path):
+        """One declared size and no secondary keys, then a size column and
+        secondary keys: a key's blocks join into one group, spelt out per
+        record where the forms differ and kept compact where they agree."""
+        first = (["a", "b", "a"], [0, 1, 2], None, 20)
+        second = (["b", "c", "a"], [3, 4, 5], [7, None, 9], [21, 22, 23])
+        with ExternalGrouper(memory_budget_bytes=50, merge_fan_in=2,
+                             temp_dir=str(tmp_path)) as grouper:
+            feed(grouper, first)
+            feed(grouper, second)
+            groups = list(grouper.iter_groups())
+        both = Emissions(*first, []).followed_by(Emissions(*second, []))
+        assert ([as_rows(group) for group in groups]
+                == [as_rows(group) for group in reference_groups(
+                    (*both.columns(), both.sizes))])
+        assert {group[1]: group[3:] for group in groups}["c"] == ([22], [None])
 
     def test_record_larger_than_budget_still_works(self, tmp_path):
-        big = KeyValue("big", "x" * 4096)
-        records = [(0, big), (0, KeyValue("small", 1)), (1, big)]
+        big = "x" * 4096
+        columns = (["big", "small", "big"], [big, 1, big], None,
+                   [estimate_record_bytes(("big", big, None)), 31,
+                    estimate_record_bytes(("big", big, None))])
         with ExternalGrouper(memory_budget_bytes=64,
                              temp_dir=str(tmp_path)) as grouper:
-            for partition, key_value in records:
-                grouper.add(partition, key_value)
+            feed(grouper, columns)
             groups = list(grouper.iter_groups())
-        assert groups == reference_groups(records)
+            assert grouper.telemetry["runs_written"] == 3
+            # The ceiling is max(budget, largest record).
+            assert grouper.telemetry["peak_buffer_bytes"] == columns[3][0]
+        assert groups == reference_groups(columns)
 
     def test_close_removes_temp_files(self, tmp_path):
         grouper = ExternalGrouper(memory_budget_bytes=64,
                                   temp_dir=str(tmp_path))
-        for partition, key_value in make_records(100):
-            grouper.add(partition, key_value)
+        feed(grouper, make_columns(100))
         assert os.listdir(tmp_path)  # runs exist on disk
         grouper.close()
         assert os.listdir(tmp_path) == []
@@ -172,28 +212,34 @@ class TestExternalGrouper:
         with pytest.raises(RuntimeError, match="consumer failed"):
             with ExternalGrouper(memory_budget_bytes=64,
                                  temp_dir=str(tmp_path)) as grouper:
-                for partition, key_value in make_records(100):
-                    grouper.add(partition, key_value)
+                feed(grouper, make_columns(100))
                 for _group in grouper.iter_groups():
                     raise RuntimeError("consumer failed")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("damage, complaint", [
-        ("at_boundary", "truncated"), ("mid_entry", "truncated"),
+        ("at_boundary", "truncated"), ("mid_block", "truncated"),
+        ("inside_a_multi_value_block", "truncated"),
         ("no_trailer", "truncated"), ("miscounted", "trailer"),
         ("over_long", "trailer")])
     def test_damaged_run_raises_naming_the_file(self, tmp_path, damage, complaint):
-        """``at_boundary`` is the silent one: a run that lost whole entries
+        """``at_boundary`` is the silent one: a run that lost whole blocks
         unpickles cleanly, and used to be merged as a shorter run."""
-        records = make_records(200, keys=13, partitions=5)
-        with spilled_grouper(tmp_path, records) as grouper:
+        # Two keys, so every run holds blocks of several values each.
+        keys = 2 if damage == "inside_a_multi_value_block" else 13
+        with spilled_grouper(tmp_path, make_columns(200, keys=keys)) as grouper:
             run = first_run_file(tmp_path)
             boundaries = entry_boundaries(run)
-            assert len(boundaries) > 3  # entries, then the trailer
+            assert len(boundaries) > 2  # blocks, then the trailer
             if damage == "at_boundary":
                 os.truncate(run, boundaries[0])
-            elif damage == "mid_entry":
+            elif damage == "mid_block":
                 os.truncate(run, boundaries[1] + 5)
+            elif damage == "inside_a_multi_value_block":
+                with open(run, "rb") as handle:
+                    values = pickle.load(handle)[4]
+                assert len(values) > 2
+                os.truncate(run, boundaries[0] // 2)
             elif damage == "no_trailer":
                 os.truncate(run, boundaries[-2])
             elif damage == "miscounted":
@@ -202,16 +248,15 @@ class TestExternalGrouper:
                     pickle.dump(len(boundaries), handle)
             else:
                 with open(run, "ab") as handle:
-                    pickle.dump((9, 9, 9, KeyValue("late", 0)), handle)
+                    pickle.dump((9, 9, 9, "late", [0], 8, None), handle)
             with pytest.raises(BackendError, match="run-000000") as caught:
                 list(grouper.iter_groups())
             assert complaint in str(caught.value)
         assert os.listdir(tmp_path) == []
 
     def test_damaged_run_fails_an_intermediate_merge_too(self, tmp_path):
-        records = make_records(300, keys=17, partitions=3)
-        with spilled_grouper(tmp_path, records, memory_budget_bytes=128,
-                             merge_fan_in=2) as grouper:
+        with spilled_grouper(tmp_path, make_columns(300, keys=17),
+                             memory_budget_bytes=128, merge_fan_in=2) as grouper:
             run = first_run_file(tmp_path)
             os.truncate(run, entry_boundaries(run)[0])
             with pytest.raises(BackendError, match="run-000000"):
@@ -219,8 +264,7 @@ class TestExternalGrouper:
         assert os.listdir(tmp_path) == []
 
     def test_vanished_run_raises_naming_the_file(self, tmp_path):
-        records = make_records(200, keys=13, partitions=5)
-        with spilled_grouper(tmp_path, records) as grouper:
+        with spilled_grouper(tmp_path, make_columns(200, keys=13)) as grouper:
             os.remove(first_run_file(tmp_path))
             with pytest.raises(BackendError, match=r"cannot read .*run-000000"):
                 list(grouper.iter_groups())
@@ -230,7 +274,7 @@ class TestExternalGrouper:
         grouper = ExternalGrouper(memory_budget_bytes=64)
         grouper.close()
         with pytest.raises(BackendError, match="closed"):
-            grouper.add(0, KeyValue("k", 1))
+            feed(grouper, make_columns(1))
 
     def test_invalid_construction(self):
         with pytest.raises(BackendError, match="memory_budget_bytes"):

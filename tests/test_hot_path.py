@@ -6,12 +6,12 @@ Two contracts of the MapReduce simulator's bookkeeping:
   (the walker over one prototype per emit site) and hands the number to
   each record where it is constructed, so a pinned join walks no record at
   all; the size travels with the record, as a size column through the
-  shuffle and from job to job; no ``KeyValue`` is built between map and
-  reduce; a job asks its partitioner once per reduce key; the call count of
-  a join (which repeats
-  exactly, unlike a time) stays under a committed ceiling — so a
-  reintroduced per-record walk or partitioner call fails here without any
-  timing;
+  shuffle and from job to job; no object is built per record between map
+  and reduce, and the disk shuffle pickles a key's records of one flush as
+  one block; a job asks its partitioner once per reduce key; the call count
+  of a join (which repeats exactly, unlike a time) stays under a committed
+  ceiling — so a reintroduced per-record walk or partitioner call fails
+  here without any timing;
 * **frozen** — the sizes declared by shape, the compiled sizers of the
   jobs that declare nothing and the carried sizes produce exactly the
   numbers of the reference walker run over every record at every phase:
@@ -25,6 +25,8 @@ Both run the wall-clock benchmark's toy corpora (``benchmarks/e2e``).
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
 import sys
 from collections import Counter
 from typing import NamedTuple
@@ -46,9 +48,7 @@ from repro.mapreduce.job import TaskContext
 from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.types import (
     Emissions,
-    KeyValue,
     estimate_record_bytes,
-    sized_key_value,
     walk_record_bytes,
 )
 from repro.similarity.base import NominalSimilarityMeasure
@@ -58,7 +58,13 @@ from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import build_kernel_job
 from repro.vsmart.shapes import RecordShapes
 from repro.vsmart.similarity_phase import Similarity2Mapper
-from tests.conftest import BACKEND_IDS, BACKENDS, join_grid, strip_telemetry
+from tests.conftest import (
+    BACKEND_IDS,
+    BACKENDS,
+    SPILLING_DISK,
+    join_grid,
+    strip_telemetry,
+)
 from tests.test_backends import comparable_stats, run_trailer_job, trailer_last
 
 WORKLOADS = ("join_scan", "join_dense")
@@ -119,7 +125,6 @@ class Profile(NamedTuple):
     """What :func:`profile_calls` counted, and what the function returned."""
 
     calls: int
-    keyed: int
     generic: int
     partitionings: int
     interns: int
@@ -132,27 +137,23 @@ def profile_calls(function, partitioner=hash_partitioner) -> Profile:
 
     Counts what ``benchmarks/e2e/tracing.count_calls`` counts (Python and
     builtin calls, via ``sys.setprofile``), and among them the entries into
-    the one place a ``KeyValue`` is built (which a join never enters: its
-    records move as columns), into the generic sizer (asked
-    for a record's size, or for a ``KeyValue``'s by ``sized_key_value``
-    when it is handed none), into the job's partitioner, into a
-    :class:`~repro.core.interning.LocalInterner`'s ``intern`` and into the
-    constructors of the input and joined tuples (but for the prototype a
-    job's ``RecordShapes`` sizes once when it is built).
+    the generic sizer (asked for a record's size), into the job's
+    partitioner, into a :class:`~repro.core.interning.LocalInterner`'s
+    ``intern`` and into the constructors of the input and joined tuples
+    (but for the prototype a job's ``RecordShapes`` sizes once when it is
+    built).
     """
     generic_codes = {estimate_record_bytes.__code__,
                      mapreduce_types._container_bytes.__code__}
     tuple_codes = {InputTuple.__init__.__code__, JoinedTuple.__init__.__code__}
     prototype_code = RecordShapes.joined_tuple.func.__code__
-    calls = keyed = generic = partitionings = interns = tuples_built = 0
+    calls = generic = partitionings = interns = tuples_built = 0
 
     def profile(frame, event, argument):
-        nonlocal calls, keyed, generic, partitionings, interns, tuples_built
+        nonlocal calls, generic, partitionings, interns, tuples_built
         if event == "call":
             calls += 1
-            if frame.f_code is sized_key_value.__code__:
-                keyed += 1
-            elif frame.f_code in generic_codes:
+            if frame.f_code in generic_codes:
                 generic += 1
             elif frame.f_code is partitioner.__code__:
                 partitionings += 1
@@ -169,8 +170,8 @@ def profile_calls(function, partitioner=hash_partitioner) -> Profile:
         result = function()
     finally:
         sys.setprofile(None)
-    return Profile(calls, keyed, generic, partitionings, interns,
-                   tuples_built, result)
+    return Profile(calls, generic, partitionings, interns, tuples_built,
+                   result)
 
 
 @pytest.mark.parametrize("workload, algorithm", list(CALLS_PER_TUPLE_CEILING))
@@ -191,13 +192,11 @@ def test_join_sizes_each_record_once_and_stays_cheap(corpora, workload,
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
     assert profile.tuples_built == 0
 
-    # No KeyValue is built between map and reduce: the map task, the
-    # combine task and the in-memory shuffle hand each other columns, with
-    # the size each job worked out from its records' shape when it was
-    # built.  Reduce outputs and the interned input are not even visited
-    # for their sizes.  So nothing is walked (a job may size its side data
-    # generically: at most once per job).
-    assert profile.keyed == 0
+    # The map task, the combine task and the in-memory shuffle hand each
+    # other columns, with the size each job worked out from its records'
+    # shape when it was built.  Reduce outputs and the interned input are
+    # not even visited for their sizes.  So nothing is walked (a job may
+    # size its side data generically: at most once per job).
     assert profile.generic <= len(jobs)
 
     # Keys are partitioned, not records: once per reduce group.
@@ -208,8 +207,7 @@ def test_join_sizes_each_record_once_and_stays_cheap(corpora, workload,
 def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
     """Each multiset is put on rank ids once, by the kernel mapper, and the
     reducer verifies on those: no group re-interns its members.  Every VCL
-    job maps as a batch and the shuffle moves columns, so no KeyValue is
-    built between map and reduce."""
+    job maps as a batch and the shuffle moves columns."""
     corpus = corpora[workload]
     run_join(corpus, workload, "vcl")  # warm caches
     profile = profile_calls(lambda: run_join(corpus, workload, "vcl"))
@@ -219,7 +217,6 @@ def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
     assert profile.interns == 0
     jobs = profile.result.pipeline.job_stats
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
-    assert profile.keyed == 0
     assert profile.partitionings == sum(stats.reduce_groups for stats in jobs)
 
 
@@ -232,20 +229,40 @@ def test_cleanup_emissions_are_partitioned_per_key_too():
     assert profile.partitionings == profile.result.stats.reduce_groups == 13
 
 
+@pytest.mark.parametrize("workload, algorithm", list(CALLS_PER_TUPLE_CEILING))
+def test_a_spilling_disk_join_pickles_a_block_per_key_per_flush(
+        corpora, monkeypatch, workload, algorithm):
+    """Each run file gets one ``pickle.dump`` per ``(partition, key)`` per
+    flush — a block of that key's records — and one trailer; never one
+    per record."""
+    runs: dict[str, list] = {}
+    dump = pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, handle, **options: (
+        runs.setdefault(handle.name, []).append(obj),
+        dump(obj, handle, **options)))
+    result = run_join(corpora[workload], workload, algorithm, SPILLING_DISK)
+    counters = result.counters()
+    assert len(runs) == counters["shuffle/runs_written"]
+    assert counters["shuffle/merge_passes"] > len(result.pipeline.job_stats)
+    flushed = set()
+    for path, (*blocks, trailer) in runs.items():
+        assert trailer == len(blocks)
+        labels = [(os.path.dirname(path), partition, key, flush)
+                  for partition, _seq, flush, key, _values, _sizes, _secondaries
+                  in blocks]
+        assert len(set(labels)) == len(labels), path
+        flushed.update(labels)
+    # One block per job, partition, key and flush: fewer than the records.
+    assert len(flushed) < counters["shuffle/spilled_records"]
+
+
 # -- frozen --------------------------------------------------------------------
-
-
-def reference_sized_key_value(key, value, secondary=None,
-                              size_bytes=None) -> KeyValue:
-    """Whatever size the emit site hands over, walk the record."""
-    return KeyValue(key, value, secondary,
-                    walk_record_bytes(KeyValue(key, value, secondary)))
 
 
 def walked_emission_sizes(emissions: Emissions) -> list[int]:
     """Every row of a map task's batch, built and walked."""
     keys, values, secondaries = emissions.columns()
-    return [walk_record_bytes(KeyValue(key, value, secondary))
+    return [walk_record_bytes((key, value, secondary))
             for key, value, secondary in zip(
                 keys, values, secondaries or [None] * len(keys), strict=True)]
 
@@ -253,28 +270,24 @@ def walked_emission_sizes(emissions: Emissions) -> list[int]:
 def use_reference_accounting(monkeypatch) -> None:
     """Size everything with the walker, and re-walk instead of carrying.
 
-    Every module that imported the sizer (or the sizing constructor) by
-    name gets the reference instead; nothing a job declared about its
-    records' sizes is believed (a reducer's output size, the size handed to
-    a ``KeyValue`` by its mapper or kept by a combiner, the one size a batch
-    mapper declared for its columns, the side data's); and every read of a
-    carried size becomes a fresh walk of the record: the tasks' read of the
-    size a cleanup record carries, the map task's read of its batch's sizes
-    (each row built and walked: the size column the shuffle and the reduce
-    task then read), a combiner's kept shape (each combined record walked
-    instead), and a job's read of the sizes its input dataset carries
-    (whatever the driver or the previous job handed over is ignored; a
-    dataset held as columns is walked row by row).
+    Every module that imported the sizer by name gets the reference
+    instead — the per-record mapper's and the cleanup's ``(key, value,
+    secondary)`` records are sized through it; nothing a job declared about
+    its records' sizes is believed (a reducer's output size, the size kept
+    by a combiner, the one size or the size column a batch mapper declared
+    for its columns, the side data's); and every read of a carried size
+    becomes a fresh walk of the record: the map task's read of its batch's
+    sizes (each row built as its 3-tuple and walked: the size column the
+    shuffle and the reduce task then read), a combiner's kept shape (each
+    combined record walked instead), and a job's read of the sizes its
+    input dataset carries (whatever the driver or the previous job handed
+    over is ignored; a dataset held as columns is walked row by row).
     """
-    replacements = ((estimate_record_bytes, walk_record_bytes),
-                    (sized_key_value, reference_sized_key_value))
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("repro."):
             for name, value in list(vars(module).items()):
-                for original, reference in replacements:
-                    if value is original:
-                        monkeypatch.setattr(module, name, reference)
-    monkeypatch.setattr(phases, "_carried_bytes", walk_record_bytes)
+                if value is estimate_record_bytes:
+                    monkeypatch.setattr(module, name, walk_record_bytes)
     monkeypatch.setattr(phases, "_emission_sizes", walked_emission_sizes)
     monkeypatch.setattr(phases, "_keeps_value_shape", lambda combiner: False)
     monkeypatch.setattr(phases, "_declared_output_bytes", lambda reducer: None)
@@ -441,7 +454,7 @@ class TestAccountingIsFrozen:
     def test_the_joining_jobs_batch_rows_are_the_walkers(self, cell, options):
         """Every row a batch mapper of a V-SMART join declares — one size for
         the batch or a size column — is what the walker finds on the
-        ``KeyValue`` it becomes; ``C = 4`` shards some of each corpus, so
+        ``(key, value, secondary)`` record it stands for; ``C = 4`` shards some of each corpus, so
         Sharding2 declares both of its sizes."""
         spec = dataclasses.replace(cell.spec(), **options)
         batches = []
@@ -469,8 +482,9 @@ class TestAccountingIsFrozen:
                                                          frequency_order,
                                                          groups):
         """The kernel ships one shared rank-id record per multiset: each
-        emission's declared size is what the walker finds on the
-        ``KeyValue`` it becomes, and on the whole multiset it stands for."""
+        emission's declared size is what the walker finds on the ``(key,
+        value, secondary)`` record it stands for, and on the whole multiset
+        it stands for."""
         spec = cell.spec()
         corpus = cell.corpus()
         frequencies = Counter(element for multiset in corpus
@@ -486,7 +500,7 @@ class TestAccountingIsFrozen:
         by_id = {multiset.id: multiset for multiset in corpus}
         assert emissions.sizes == walked_emission_sizes(emissions)
         assert emissions.sizes == [
-            walk_record_bytes(KeyValue(key, by_id[value.entity.id]))
+            walk_record_bytes((key, by_id[value.entity.id], None))
             for key, value in zip(keys, values, strict=True)]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -21,7 +21,11 @@ joining jobs ran batch-at-a-time: Sharding at ``C = 1`` (every multiset
 sharded) and at the corpus's median cardinality (some sharded) under
 ``jaccard`` / ``vector_cosine``, and Online-Aggregation and Lookup without
 combiners and behind the stop-word filter, each on both toy corpora ×
-``serial`` / ``disk`` at a 4 096-byte budget, 32 cells.
+``serial`` / ``disk`` at a 4 096-byte budget, 32 cells.  In all three
+files every ``disk@4096`` cell's ``shuffle/bytes_spilled`` was captured
+again when the disk shuffle began to spill one block per key per flush
+instead of one pickled record per row (3.10); every other leaf, the other
+``shuffle/*`` counters included, is as before.
 
 Regenerate (only for an intended change, and say why in the record)::
 

@@ -204,7 +204,7 @@ class TestBatchMappers:
             emissions = job.mapper.map_batch(columns, context)
             per_row = 2 if job.name == "online_aggregation" else 1
             assert emissions.counts == [per_row, 0, per_row], job.name
-            assert len(emissions.key_values()) == 2 * per_row, job.name
+            assert len(emissions.keys) == len(emissions.values) == 2 * per_row, job.name
 
     def test_missing_lookup_entries_are_counted(self):
         columns = InputColumns([0, 1, 1, 2], [0, 0, 1, 1], [1, 1, 2, 0])

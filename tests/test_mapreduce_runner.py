@@ -18,13 +18,12 @@ from repro.mapreduce.costmodel import CostParameters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import (
     Combiner,
-    IdentityMapper,
     JobSpec,
     Mapper,
     Reducer,
     SummingCombiner,
     TaskContext,
-    normalise_emit,
+    emissions_of,
 )
 from repro.mapreduce.phases import (
     KeyPartitions,
@@ -33,7 +32,7 @@ from repro.mapreduce.phases import (
 )
 from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.shuffle import ExternalGrouper
-from repro.mapreduce.types import Emissions, KeyValue
+from repro.mapreduce.types import Emissions, estimate_record_bytes
 from repro.telemetry import Metrics, merge
 
 
@@ -101,18 +100,31 @@ class TestBasicExecution:
         assert with_combiner.stats.combine.records_in > 0
 
     def test_map_only_job(self, test_cluster):
+        """A map-only job outputs its emissions as ``(key, value,
+        secondary)`` tuples, each with the size it was emitted with."""
         runner = LocalJobRunner(test_cluster)
-        job = JobSpec("map-only", WordCountMapper())
-        result = runner.run(job, Dataset.from_records(["a b"]))
-        assert all(isinstance(record, KeyValue) for record in result.output)
-        assert len(result.output) == 2
-
-    def test_identity_mapper(self, test_cluster):
-        runner = LocalJobRunner(test_cluster)
-        job = JobSpec("identity", IdentityMapper(), CollectOrderReducer())
-        records = [KeyValue("k", 1), KeyValue("k", 2)]
+        job = JobSpec("map-only", SecondaryOrderMapper())
+        records = [("k", "value", 1), ("key", 2.5, None)]
         result = runner.run(job, Dataset.from_records(records))
-        assert result.output.records[0] == ("k", (1, 2))
+        assert list(result.output.records) == records
+        assert all(type(record) is tuple for record in result.output)
+        assert list(result.output.record_bytes) == [
+            estimate_record_bytes(record) for record in records]
+        assert result.stats.map.bytes_out == sum(result.output.record_bytes)
+
+    def test_map_only_output_feeds_the_next_job(self, test_cluster):
+        class PassThroughMapper(Mapper):
+            def map(self, record, context):
+                yield record
+
+        runner = LocalJobRunner(test_cluster)
+        words = runner.run(JobSpec("map-only", WordCountMapper()),
+                           Dataset.from_records(["k k"]))
+        assert list(words.output.records) == [("k", 1, None), ("k", 1, None)]
+        job = JobSpec("pass-through", PassThroughMapper(), CollectOrderReducer())
+        result = runner.run(job, words.output)
+        assert result.output.records[0] == ("k", (1, 1))
+        assert result.stats.map.bytes_in == sum(words.output.record_bytes)
 
     def test_deterministic_across_runs(self, test_cluster):
         first = run_wordcount(test_cluster)
@@ -231,14 +243,18 @@ class TestJobSpecValidation:
         with pytest.raises(JobConfigurationError):
             JobSpec("bad", WordCountMapper(), num_reducers=0)
 
-    def test_normalise_emit_accepts_pairs_and_triples(self):
-        assert normalise_emit(("k", "v")) == KeyValue("k", "v")
-        assert normalise_emit(("k", "v", 2)) == KeyValue("k", "v", 2)
-        assert normalise_emit(KeyValue("k", "v")) == KeyValue("k", "v")
+    def test_emissions_of_lays_pairs_and_triples_out_as_columns(self):
+        emissions = emissions_of([("k", "v"), ("k", "v", 2)], [2])
+        assert emissions.columns() == (["k", "k"], ["v", "v"], [None, 2])
+        assert emissions.sizes == [estimate_record_bytes(("k", "v", None)),
+                                   estimate_record_bytes(("k", "v", 2))]
+        assert emissions.counts == [2]
 
-    def test_normalise_emit_rejects_garbage(self):
-        with pytest.raises(JobConfigurationError):
-            normalise_emit("just-a-string")
+    @pytest.mark.parametrize("emitted", ["just-a-string", ("k",),
+                                         ("k", "v", 2, 3), ["k", "v"]])
+    def test_emissions_of_rejects_garbage(self, emitted):
+        with pytest.raises(JobConfigurationError, match="pairs or"):
+            emissions_of([emitted], [1])
 
 
 class CleanupMapper(Mapper):
@@ -286,17 +302,17 @@ shuffle_rows = st.tuples(shuffle_keys, st.one_of(st.none(), st.integers(0, 3)),
                          st.integers(1, 60))
 
 
-def reference_spill_groups(records: list[KeyValue], partitioner,
+def reference_spill_groups(records: list[tuple], partitioner,
                            num_reducers: int) -> list[tuple]:
     """The shuffle partitioned record by record (what ``partition_by_key``
-    produced before records moved as columns), in the group form."""
+    produced before records moved as columns), in the group form; a record
+    is ``(key, value, secondary, size)``."""
     spill: dict = {}
     for record in records:
-        partition = partitioner(record.key, num_reducers)
-        spill.setdefault(partition, {}).setdefault(record.key, []).append(record)
-    return [(partition, key, [record.value for record in group],
-             [record.size_bytes for record in group],
-             [record.secondary for record in group])
+        partition = partitioner(record[0], num_reducers)
+        spill.setdefault(partition, {}).setdefault(record[0], []).append(record)
+    return [(partition, key, [record[1] for record in group],
+             [record[3] for record in group], [record[2] for record in group])
             for partition in sorted(spill) for key, group in spill[partition].items()]
 
 
@@ -332,17 +348,18 @@ class TestShuffleGrouping:
         emissions = Emissions(keys, list(range(len(keys))),
                               secondaries if with_secondaries else None,
                               sizes, [1] * len(keys))
-        cleanup_records = [
-            KeyValue(key, len(keys) + position, secondary, size)
-            for position, (key, secondary, size) in enumerate(cleanup)]
-        if cleanup_records:
+        if cleanup:
             # What the map task does: the cleanup emissions come last.
-            emissions = emissions.followed_by(cleanup_records)
+            emissions = emissions.followed_by(Emissions(
+                [key for key, _secondary, _size in cleanup],
+                list(range(len(keys), len(keys) + len(cleanup))),
+                [secondary for _key, secondary, _size in cleanup],
+                [size for _key, _secondary, size in cleanup], []))
         all_keys, values, all_secondaries = emissions.columns()
-        records = [KeyValue(key, value, secondary, size) for key, value, secondary, size in zip(
+        records = list(zip(
             all_keys, values, all_secondaries or [None] * len(values),
             [emissions.sizes] * len(values) if type(emissions.sizes) is int
-            else emissions.sizes, strict=True)]
+            else emissions.sizes, strict=True))
         reference = reference_spill_groups(records, partitioner, num_reducers)
 
         spill = partition_columns(all_keys, values, all_secondaries,
@@ -358,7 +375,8 @@ class TestShuffleGrouping:
                 KeyPartitions("job", partitioner, num_reducers).__getitem__,
                 all_keys, values, all_secondaries, emissions.sizes)
             merged = list(grouper.iter_groups())
-        assert [as_rows(group) for group in merged] == reference
+        # The merge concatenates a key's blocks into the spill's own group.
+        assert merged == serial
 
     def test_partitioner_is_asked_once_per_distinct_key(self):
         asked = []
@@ -419,6 +437,63 @@ class TestUserCodeIsChecked:
         assert list(result.output.records) == []
         assert result.stats.counters["groups_seen"] == 3
         assert result.stats.reduce.records_out == 0
+
+
+    @pytest.mark.parametrize("columns, counts, complaint", [
+        ((["a", "b", "c"], [1, 2], None, 8), [3, 0], "counts 3 emissions"),
+        ((["a", "b", "c"], [1, 2, 3], None, [8, 8]), [3, 0], "counts 3 emissions"),
+        ((["a", "b", "c"], [1, 2, 3], [0, 1], 8), [3, 0], "counts 3 emissions"),
+        ((["a", "b"], [1, 2], None, 8), [3, 0], "counts 3 emissions"),
+        (([], [], None, 8), [], "2 input records|has 2")],
+        ids=["short_values", "short_sizes", "short_secondaries", "miscounted",
+             "uncounted_records"])
+    def test_a_malformed_map_batch_fails_the_job(self, backend, columns,
+                                                 counts, complaint):
+        """Each column must have one entry per counted emission, and each
+        input record a count: a short value column used to lose ``"c"``
+        while ``records_out`` said 3, a short size column raised a bare
+        ``IndexError``."""
+
+        class Malformed(Mapper):
+            def map_batch(self, records, context):
+                return Emissions(*columns, counts)
+
+        runner = LocalJobRunner(Cluster(num_machines=2), backend=backend)
+        with pytest.raises(JobConfigurationError,
+                           match=rf"job 'malformed'.*({complaint})"):
+            runner.run(JobSpec("malformed", Malformed(), WordCountReducer()),
+                       Dataset.from_records(["x", "y"]))
+
+    def test_a_batch_reducer_must_count_its_output(self, backend):
+        """Four records counted as two used to give ``records_out`` 4 and
+        the ``bytes_out`` of two."""
+
+        class Overflowing(Reducer):
+            def reduce_batch(self, groups, context):
+                groups = list(groups)
+                return [(key, 1) for key, _ in groups] * 2, [1] * len(groups)
+
+        runner = LocalJobRunner(Cluster(num_machines=2), backend=backend)
+        with pytest.raises(JobConfigurationError,
+                           match=r"job 'overflowing'.*counts 2 output records"):
+            runner.run(JobSpec("overflowing", WordCountMapper(), Overflowing()),
+                       Dataset.from_records(["a b a"]))
+
+    def test_a_combiner_returning_none_emits_no_values(self, backend):
+        """It used to fail with ``'NoneType' object is not iterable``."""
+
+        class Dropping(Combiner):
+            def combine(self, key, values, context):
+                if key != "a":
+                    return None
+                return [sum(values)]
+
+        runner = LocalJobRunner(Cluster(num_machines=2), backend=backend)
+        job = JobSpec("dropping", WordCountMapper(), WordCountReducer(),
+                      Dropping())
+        result = runner.run(job, Dataset.from_records(["a b a", "b c a"]))
+        assert sorted(result.output.records) == [("a", 3)]
+        assert result.stats.combine.records_out == 2
 
 
 class TestPipelineResult:

@@ -126,7 +126,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.10.0"
+__version__ = "3.11.0"
 
 __all__ = [
     "Change",

@@ -6,13 +6,16 @@ one element) and verifies each candidate exactly.  This is the single-machine
 ancestor of the V-SMART-Join similarity phase: the candidate generation is
 identical, only centralised.
 
-Two optional refinements from the literature are included:
+Two refinements from the literature are included:
 
-* *size filtering* — candidates whose cardinalities cannot reach the
-  threshold (``|Mj| < size_lower_bound(|Mi|)``) are skipped;
-* *stop-word skipping* — elements whose posting list exceeds a frequency
-  limit contribute no candidates (the sequential analogue of the paper's
-  stop-word preprocessing).
+* *size filtering* — a candidate whose ``Uni`` values alone bound the
+  similarity below the threshold (``similarity_upper_bound(Uni_i, Uni_j) <
+  t``, the measure's own ``combine`` of a ``Conj`` bound, as Similarity1 and
+  the serving index prune) is skipped, so no pair the final ``similarity >=
+  t`` test would keep is lost;
+* *stop-word skipping* (optional) — elements whose posting list exceeds a
+  frequency limit contribute no candidates (the sequential analogue of the
+  paper's stop-word preprocessing).
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ class InvertedIndexJoin:
 
     def __init__(self, measure: str | NominalSimilarityMeasure = "ruzicka",
                  threshold: float = 0.5,
-                 use_size_filter: bool = True,
                  stop_word_frequency: int | None = None) -> None:
         self.measure = get_measure(measure)
         self.threshold = validate_threshold(threshold)
-        self.use_size_filter = use_size_filter
         self.stop_word_frequency = stop_word_frequency
         #: Number of candidate pairs verified in the last run (for ablations).
         self.last_candidates = 0
@@ -51,18 +52,21 @@ class InvertedIndexJoin:
     def run(self, multisets: Iterable[Multiset]) -> list[SimilarPair]:
         """Return every pair with similarity at least the threshold."""
         entities = {multiset.id: multiset for multiset in multisets}
+        unis = {entity_id: self.measure.unilateral(entity)
+                for entity_id, entity in entities.items()}
+        upper_bound = self.measure.similarity_upper_bound
         index = self._build_index(entities)
-        candidates = self._generate_candidates(index)
-        self.last_candidates = len(candidates)
         results = []
-        for first_id, second_id in sorted(candidates):
-            entity_i = entities[first_id]
-            entity_j = entities[second_id]
-            if self.use_size_filter and not self._passes_size_filter(entity_i, entity_j):
+        verified = 0
+        for first_id, second_id in sorted(self._generate_candidates(index)):
+            if upper_bound(unis[first_id], unis[second_id]) < self.threshold:
                 continue
-            similarity = self.measure.similarity(entity_i, entity_j)
+            verified += 1
+            similarity = self.measure.similarity(entities[first_id],
+                                                 entities[second_id])
             if similarity >= self.threshold:
                 results.append(SimilarPair(first_id, second_id, similarity))
+        self.last_candidates = verified
         return results
 
     def _build_index(self, entities: dict) -> dict[Hashable, list]:
@@ -82,11 +86,3 @@ class InvertedIndexJoin:
                 candidates.add(canonical_pair(first_id, second_id))
         return candidates
 
-    def _passes_size_filter(self, entity_i: Multiset, entity_j: Multiset) -> bool:
-        size_i = self.measure.unilateral(entity_i)
-        size_j = self.measure.unilateral(entity_j)
-        if not size_i or not size_j:
-            return True
-        small, large = sorted((size_i[0], size_j[0]))
-        bound = self.measure.size_lower_bound(large, self.threshold)
-        return small >= bound or bound <= 0

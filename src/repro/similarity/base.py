@@ -201,14 +201,21 @@ class NominalSimilarityMeasure(ABC):
                             self.unilateral(entity_j),
                             self.conjunctive(entity_i, entity_j))
 
-    # -- upper bounds (used by the online serving index) ----------------------
+    # -- upper bounds: the one pruning rule -----------------------------------
+    #
+    # Every filter in the library -- Similarity1's candidate check, the
+    # serving index's scan, the size and positional filters of PPJoin and
+    # the inverted-index join -- drops a pair only when ``combine`` of a
+    # ``Conj`` bound is below ``t``.  That is the same float arithmetic the
+    # final ``similarity >= t`` test runs, and ``combine`` never decreases
+    # as ``Conj`` grows, so no filter rejects a pair the test would accept.
 
     def conj_upper_bound(self, uni_i: Partials,
                          uni_j: Partials) -> Partials | None:
         """An upper bound on ``Conj(Mi, Mj)`` given the two ``Uni`` tuples.
 
-        The serving index uses this to bound the similarity of a candidate
-        pair *before* (or without) scanning their shared elements: for the
+        The filters use this to bound the similarity of a candidate pair
+        *before* (or without) scanning their shared elements: for the
         sum-of-minima family ``|Mi ∩ Mj| <= min(|Mi|, |Mj|)``, for the dot
         product the Cauchy–Schwarz bound applies, and so on.  Measures that
         admit no bound return ``None``, which disables upper-bound pruning
@@ -229,34 +236,15 @@ class NominalSimilarityMeasure(ABC):
             return 1.0
         return self.combine(uni_i, uni_j, bound)
 
-    # -- prefix-filtering support (used by VCL / PPJoin baselines) -----------
-
     def size_lower_bound(self, size: float, threshold: float) -> float:
-        """Smallest entity size that can still reach ``threshold`` with ``size``.
+        """Smallest overlap a partner needs to reach ``threshold`` with ``size``.
 
-        This is the size-filtering bound (Arasu et al. [2]); measures that do
-        not admit one return zero, disabling the filter.
+        The size bound of Arasu et al. [2], read only by the prefix cut
+        (:func:`repro.vcl.prefix.prefix_length`), which steps it down by a
+        fixed relative margin to absorb its rounding.  Measures that do not
+        admit one return zero: the whole entity is its prefix.
         """
         return 0.0
-
-    def minimum_overlap(self, size_i: float, size_j: float,
-                        threshold: float) -> float:
-        """Minimal intersection size needed for two entities to be similar.
-
-        Used by the positional/suffix filters of the PPJoin-style baselines.
-        Measures that do not admit a bound return zero.
-        """
-        return 0.0
-
-    def prefix_size(self, size: int, threshold: float) -> int:
-        """Prefix length for prefix filtering (Chaudhuri et al. [10]).
-
-        The prefix of an entity, under a global element ordering, is the
-        smallest leading portion such that two entities sharing *no* prefix
-        element cannot reach the threshold.  The default (no bound known)
-        returns the full size, which degenerates to "index everything".
-        """
-        return int(size)
 
     # -- misc -----------------------------------------------------------------
 

@@ -15,8 +15,11 @@ Every measure discussed in the paper is implemented here in the decomposed
   disjunctive partial; it is mathematically identical to Ruzicka and exists
   to exercise the framework's rejection path and to cross-check the rewrite.
 
-Prefix-filtering bounds (used only by the VCL / PPJoin baselines) follow the
-standard derivations of Chaudhuri et al. [10] and Xiao et al. [34].
+Every filter prunes with the measure's own arithmetic: ``combine`` of a
+``Conj`` bound (:meth:`~NominalSimilarityMeasure.conj_upper_bound`), the
+float operations the final ``similarity >= t`` test runs.  The one other
+bound, ``size_lower_bound``, only sizes prefixes (Chaudhuri et al. [10]),
+where a rounding margin can lengthen a prefix but never drop a pair.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ from repro.similarity.base import (
     PartialKind,
     Partials,
 )
-
-
-def _ceil(value: float) -> int:
-    """Ceiling with protection against float fuzz just below an integer."""
-    return int(math.ceil(value - 1e-9))
 
 
 class _MinIntersectionMeasure(NominalSimilarityMeasure):
@@ -95,13 +93,6 @@ class RuzickaSimilarity(_MinIntersectionMeasure):
     def size_lower_bound(self, size: float, threshold: float) -> float:
         return threshold * size
 
-    def minimum_overlap(self, size_i: float, size_j: float,
-                        threshold: float) -> float:
-        return threshold / (1.0 + threshold) * (size_i + size_j)
-
-    def prefix_size(self, size: int, threshold: float) -> int:
-        return max(0, int(size) - _ceil(threshold * size) + 1)
-
 
 class JaccardSimilarity(RuzickaSimilarity):
     """Jaccard similarity on underlying sets: ``|Si ∩ Sj| / |Si ∪ Sj|``."""
@@ -141,13 +132,6 @@ class MultisetDiceSimilarity(_MinIntersectionMeasure):
 
     def size_lower_bound(self, size: float, threshold: float) -> float:
         return threshold / (2.0 - threshold) * size
-
-    def minimum_overlap(self, size_i: float, size_j: float,
-                        threshold: float) -> float:
-        return threshold * (size_i + size_j) / 2.0
-
-    def prefix_size(self, size: int, threshold: float) -> int:
-        return max(0, int(size) - _ceil(threshold / (2.0 - threshold) * size) + 1)
 
 
 class SetDiceSimilarity(MultisetDiceSimilarity):
@@ -192,13 +176,6 @@ class MultisetCosineSimilarity(_MinIntersectionMeasure):
 
     def size_lower_bound(self, size: float, threshold: float) -> float:
         return threshold * threshold * size
-
-    def minimum_overlap(self, size_i: float, size_j: float,
-                        threshold: float) -> float:
-        return threshold * math.sqrt(size_i * size_j)
-
-    def prefix_size(self, size: int, threshold: float) -> int:
-        return max(0, int(size) - _ceil(threshold * threshold * size) + 1)
 
 
 class SetCosineSimilarity(MultisetCosineSimilarity):

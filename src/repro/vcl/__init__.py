@@ -22,7 +22,6 @@ from repro.vcl.prefix import (
     hash_rank_function,
     prefix_elements,
     prefix_length,
-    prefix_length_classic,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "hash_rank_function",
     "prefix_elements",
     "prefix_length",
-    "prefix_length_classic",
 ]

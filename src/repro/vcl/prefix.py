@@ -14,19 +14,23 @@ This module implements the weighted (multiset-aware) prefix:
 * the *suffix* is grown greedily from the most frequent end while its total
   multiplicity stays strictly below the measure's size lower bound
   ``size_lower_bound(|Mi|, t)`` — the smallest overlap a qualifying partner
-  must reach; everything else is the prefix.
+  must reach — stepped down by :data:`SIZE_BOUND_MARGIN`; everything else
+  is the prefix.
 
 One function, :func:`prefix_length`, makes that cut for every consumer: the
 kernel mapper and the planner (through :class:`PrefixFilter`, which ranks a
 whole corpus once), PPJoin and :func:`prefix_elements`.
 
-With unit multiplicities this reduces to the classical prefix length
-``|U| - ceil(t |U|) + 1`` for Jaccard.  The correctness argument (any
-similar pair shares its canonically smallest common element, which must lie
-in both prefixes) holds for every measure providing a positive
-``size_lower_bound``; measures without one fall back to "the whole entity is
-the prefix", which degenerates to the exhaustive inverted-index join but
-never loses pairs.
+The correctness argument: any similar pair shares its canonically smallest
+common element, which must lie in both prefixes, because a partner that
+overlaps an entity only in its suffix overlaps it by less than the bound.
+The bound is a float formula that can round up past the threshold (Dice's
+``0.8 / 1.2 * 9`` is ``6.000000000000001``), and a pair whose similarity
+rounds *up* to ``t`` passes the final test; the margin covers both, and a
+smaller bound only lengthens a prefix, which adds verified candidates and
+never loses a pair.  Measures without a ``size_lower_bound`` fall back to
+"the whole entity is the prefix", which degenerates to the exhaustive
+inverted-index join.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 from repro.vcl.grouping import SuperElementGrouping
 
 RankFunction = Callable[[Hashable], tuple]
+
+#: The relative step :func:`prefix_length` takes down from the measure's
+#: ``size_lower_bound``: far above the few ulps a float bound or a float
+#: similarity can be off by and, for entities below ``2**40`` in size, less
+#: than the gap of one between two integer overlaps.
+SIZE_BOUND_MARGIN = 1.0 - 2.0 ** -40
 
 
 class FrequencyRank:
@@ -89,11 +99,12 @@ def prefix_length(weights: Sequence[float],
     ``weights`` are the effective multiplicities of the entity's elements
     (or super-elements) in canonical order.  The suffix is grown from the
     end while its weight stays strictly below the measure's
-    ``size_lower_bound`` of the entity; the rest is the prefix.  This is the
-    one place a prefix is cut: the kernel mapper, the planner, PPJoin and
+    ``size_lower_bound`` of the entity, stepped down by
+    :data:`SIZE_BOUND_MARGIN`; the rest is the prefix.  This is the one
+    place a prefix is cut: the kernel mapper, the planner, PPJoin and
     :func:`prefix_elements` all call it.
     """
-    bound = measure.size_lower_bound(sum(weights), threshold)
+    bound = measure.size_lower_bound(sum(weights), threshold) * SIZE_BOUND_MARGIN
     count = len(weights)
     if bound <= 0:
         return count
@@ -118,8 +129,9 @@ def prefix_elements(multiset: Multiset, rank: RankFunction,
 
     Returns the prefix elements in canonical order.  The suffix (the dropped
     elements) always has total effective multiplicity strictly below the
-    measure's ``size_lower_bound`` of the entity, which guarantees that any
-    qualifying pair shares at least one prefix element of each side.
+    measure's ``size_lower_bound`` of the entity (less the margin), which
+    guarantees that any qualifying pair shares at least one prefix element
+    of each side.
     """
     limit = validate_threshold(threshold)
     elements = sorted(multiset.underlying_set, key=rank)
@@ -195,13 +207,3 @@ class PrefixFilter:
         positions, weights = self.weights(entity)
         return positions[:prefix_length(weights, self.measure, self.threshold)]
 
-
-def prefix_length_classic(underlying_cardinality: int,
-                          measure: NominalSimilarityMeasure,
-                          threshold: float) -> int:
-    """The classical (set) prefix length ``|U| - ceil(t' |U|) + 1``.
-
-    Exposed for tests that check the weighted prefix reduces to the
-    classical one on sets.
-    """
-    return measure.prefix_size(underlying_cardinality, validate_threshold(threshold))

@@ -37,12 +37,6 @@ class TestInvertedIndex:
         produced = pair_dictionary(join.run(small_multisets))
         assert produced.keys() == expected.keys()
 
-    def test_size_filter_does_not_change_results(self, small_multisets):
-        filtered = InvertedIndexJoin("ruzicka", 0.4, use_size_filter=True)
-        unfiltered = InvertedIndexJoin("ruzicka", 0.4, use_size_filter=False)
-        assert pair_dictionary(filtered.run(small_multisets)) == pair_dictionary(
-            unfiltered.run(small_multisets))
-
     def test_stop_word_skipping_loses_only_stop_word_pairs(self):
         multisets = [Multiset(f"m{i}", {"shared": 1, f"own{i}": 1}) for i in range(5)]
         join = InvertedIndexJoin("jaccard", 0.3, stop_word_frequency=3)
@@ -53,6 +47,15 @@ class TestInvertedIndex:
         join = InvertedIndexJoin("ruzicka", 0.3)
         join.run(small_multisets)
         assert join.last_candidates > 0
+
+    def test_candidate_counter_counts_verified_pairs(self):
+        # The pair shares "a", but its sizes bound Ruzicka by 1 / 5 < 0.5:
+        # the size filter drops it before verification.
+        multisets = [Multiset("small", {"a": 1}),
+                     Multiset("large", {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})]
+        join = InvertedIndexJoin("ruzicka", 0.5)
+        assert join.run(multisets) == []
+        assert join.last_candidates == 0
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=5_000))
@@ -75,18 +78,11 @@ class TestPPJoin:
             assert produced[key] == pytest.approx(expected[key])
 
     def test_prunes_candidates_compared_to_inverted_index(self, small_multisets):
-        inverted = InvertedIndexJoin("ruzicka", 0.7, use_size_filter=False)
+        inverted = InvertedIndexJoin("ruzicka", 0.7)
         prefix = PPJoin("ruzicka", 0.7)
         inverted.run(small_multisets)
         prefix.run(small_multisets)
         assert prefix.last_candidates <= inverted.last_candidates
-
-    def test_filters_can_be_disabled(self, small_multisets):
-        loose = PPJoin("ruzicka", 0.5, use_positional_filter=False, use_size_filter=False)
-        strict = PPJoin("ruzicka", 0.5)
-        assert pair_dictionary(loose.run(small_multisets)) == pair_dictionary(
-            strict.run(small_multisets))
-        assert strict.last_candidates <= loose.last_candidates
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=5_000), st.sampled_from([0.3, 0.5, 0.8]))

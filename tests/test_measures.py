@@ -125,38 +125,6 @@ class TestDecomposition:
         assert get_measure("ruzicka").effective_multiplicity(0) == 0.0
 
 
-class TestPrefixFilterBounds:
-    def test_ruzicka_prefix_size_classic(self):
-        measure = get_measure("ruzicka")
-        # |U| = 10, t = 0.8 -> 10 - 8 + 1 = 3
-        assert measure.prefix_size(10, 0.8) == 3
-
-    def test_jaccard_size_lower_bound(self):
-        assert get_measure("jaccard").size_lower_bound(10, 0.5) == pytest.approx(5.0)
-
-    def test_cosine_size_lower_bound(self):
-        assert get_measure("cosine").size_lower_bound(10, 0.5) == pytest.approx(2.5)
-
-    def test_dice_size_lower_bound(self):
-        assert get_measure("dice").size_lower_bound(9, 0.5) == pytest.approx(3.0)
-
-    def test_minimum_overlap_ruzicka(self):
-        assert get_measure("ruzicka").minimum_overlap(10, 10, 0.5) == pytest.approx(
-            0.5 / 1.5 * 20)
-
-    def test_prefix_size_never_exceeds_size(self):
-        for name in ("ruzicka", "jaccard", "dice", "cosine"):
-            measure = get_measure(name)
-            for size in (1, 5, 50):
-                for threshold in (0.1, 0.5, 0.9):
-                    assert 0 <= measure.prefix_size(size, threshold) <= size
-
-    def test_default_bounds_are_conservative(self):
-        measure = get_measure("vector_cosine")
-        assert measure.size_lower_bound(10, 0.5) == 0.0
-        assert measure.prefix_size(10, 0.5) == 10
-
-
 class TestRegistry:
     def test_available_contains_expected_names(self):
         names = available_measures()

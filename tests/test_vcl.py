@@ -25,7 +25,6 @@ from repro.vcl.prefix import (
     hash_rank_function,
     prefix_elements,
     prefix_length,
-    prefix_length_classic,
 )
 from tests.conftest import assert_matches_oracle, make_random_multisets
 
@@ -59,13 +58,6 @@ class TestPrefixComputation:
         ordered = canonical(multiset, rank)
         prefix = prefix_elements(multiset, rank, RUZICKA, 0.6)
         assert prefix == ordered[:len(prefix)]
-
-    def test_unit_multiplicities_match_classic_length(self):
-        multiset = Multiset("m", {f"e{i}": 1 for i in range(10)})
-        rank = hash_rank_function()
-        for threshold in (0.3, 0.5, 0.8):
-            prefix = prefix_elements(multiset, rank, JACCARD, threshold)
-            assert len(prefix) == prefix_length_classic(10, JACCARD, threshold)
 
     def test_higher_threshold_means_shorter_prefix(self):
         multiset = Multiset("m", {f"e{i}": 1 for i in range(20)})

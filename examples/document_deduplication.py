@@ -3,13 +3,12 @@
 The related work the paper builds on (Broder et al.; Xiao et al.) motivates
 all-pair similarity joins with near-duplicate detection: documents are
 represented as multisets of word shingles and similar documents are
-near-duplicates.  The example solves the same task three ways *through the
+near-duplicates.  The example solves the same task two ways *through the
 same front door* — one :class:`~repro.engine.spec.JoinSpec` per algorithm
 name, one :class:`~repro.engine.result.JoinResult` shape back:
 
 * the exact V-SMART-Join MapReduce pipeline (Jaccard on shingle sets),
-* the sequential PPJoin baseline with prefix filtering,
-* the approximate MinHash/LSH baseline.
+* the sequential PPJoin baseline with prefix filtering.
 
 Run with::
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from repro import JoinSpec, SimilarityEngine
 from repro.analysis.reporting import format_table
-from repro.baselines.minhash import LSHParameters
 from repro.communities.clustering import clusters_from_pairs
 from repro.datasets.documents import DocumentCorpusConfig, generate_document_corpus
 from repro.mapreduce.cluster import laptop_cluster
@@ -30,7 +28,6 @@ THRESHOLD = 0.5
 CONTENDERS = (
     ("V-SMART-Join (exact, MapReduce)", "online_aggregation"),
     ("PPJoin (exact, sequential)", "ppjoin"),
-    ("MinHash/LSH (approximate)", "minhash"),
 )
 
 
@@ -53,12 +50,8 @@ def main() -> None:
     results = {}
     with SimilarityEngine(cluster=laptop_cluster(num_machines=8)) as engine:
         for label, algorithm in CONTENDERS:
-            # 16 bands x 4 rows is this corpus's tuned banding; the engine
-            # verifies candidates exactly, so only banding recall is lossy.
             spec = JoinSpec(measure="jaccard", threshold=THRESHOLD,
-                            algorithm=algorithm,
-                            minhash_parameters=LSHParameters(
-                                num_bands=16, rows_per_band=4))
+                            algorithm=algorithm)
             result = engine.run(spec, multisets)
             results[algorithm] = result
             pairs = {pair.pair for pair in result}

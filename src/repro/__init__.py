@@ -3,8 +3,8 @@
 The package implements the paper's contribution and every substrate it
 depends on:
 
-* :mod:`repro.core` — multisets, sparse vectors and the record types that
-  flow through the pipelines;
+* :mod:`repro.core` — multisets and the record types that flow through
+  the pipelines;
 * :mod:`repro.similarity` — the Nominal Similarity Measure framework
   (Eqn. 1) with the unilateral / conjunctive / disjunctive classification
   and the concrete measures (Ruzicka, Jaccard, Dice, cosine, ...);
@@ -25,7 +25,7 @@ depends on:
   ``replication_factor >= 1`` replicas each (write fan-in, read spreading,
   failover, exact rebuild);
 * :mod:`repro.baselines` — sequential baselines (brute force, inverted
-  index, PPJoin, MinHash/LSH);
+  index, PPJoin);
 * :mod:`repro.datasets` — synthetic IP/cookie and document workload
   generators with planted ground truth;
 * :mod:`repro.communities` — similarity-graph clustering and proxy
@@ -72,7 +72,6 @@ from repro.core import (
     Multiset,
     PairCodec,
     SimilarPair,
-    SparseVector,
     intern_corpus,
 )
 from repro.mapreduce import (
@@ -126,7 +125,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.11.0"
+__version__ = "3.12.0"
 
 __all__ = [
     "Change",
@@ -157,7 +156,6 @@ __all__ = [
     "SimilarPair",
     "SimilarityEngine",
     "SimilarityIndex",
-    "SparseVector",
     "StorageEngine",
     "StoredPairSequence",
     "ViewStore",

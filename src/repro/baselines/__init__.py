@@ -2,25 +2,10 @@
 
 from repro.baselines.brute_force import BruteForceJoin
 from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.minhash import (
-    LSHParameters,
-    MinHashLSHJoin,
-    derive_banding,
-    estimate_similarity,
-    minhash_signature,
-)
 from repro.baselines.ppjoin import PPJoin
-from repro.baselines.sampled import SampledJoin, sample_rate_for_recall
 
 __all__ = [
     "BruteForceJoin",
     "InvertedIndexJoin",
-    "LSHParameters",
-    "MinHashLSHJoin",
     "PPJoin",
-    "SampledJoin",
-    "derive_banding",
-    "estimate_similarity",
-    "minhash_signature",
-    "sample_rate_for_recall",
 ]

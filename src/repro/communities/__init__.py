@@ -8,7 +8,6 @@ from repro.communities.clustering import (
 )
 from repro.communities.graph import SimilarityGraph
 from repro.communities.proxies import (
-    ProxyEvaluation,
     discovered_proxy_groups,
     evaluate_proxy_discovery,
     filter_small_multisets,
@@ -16,7 +15,6 @@ from repro.communities.proxies import (
 )
 
 __all__ = [
-    "ProxyEvaluation",
     "SimilarityGraph",
     "UnionFind",
     "clusters_from_pairs",

@@ -24,10 +24,6 @@ class InvalidMultisetError(ReproError):
     """
 
 
-class InvalidVectorError(ReproError):
-    """Raised when a sparse vector is constructed with invalid contents."""
-
-
 class MeasureNotApplicableError(ReproError):
     """Raised when a similarity measure cannot be evaluated by a framework.
 
@@ -175,9 +171,9 @@ class StreamingError(ReproError):
     """Raised by the incremental view-maintenance subsystem.
 
     Covers malformed change batches (a delete naming an identifier the view
-    does not hold), specs a view cannot maintain exactly (approximate
-    MinHash joins, stop-word-filtered joins) and serving targets that
-    cannot be kept in sync with a view.
+    does not hold), specs a view cannot maintain exactly
+    (stop-word-filtered joins) and serving targets that cannot be kept in
+    sync with a view.
     """
 
 

@@ -14,11 +14,7 @@ throughout the paper:
   multiplicity,
 * ``underlying_cardinality`` — ``|U(Mi)|``, the number of distinct elements,
 * intersection / union / symmetric-difference cardinalities used by the
-  similarity measures,
-* the *set expansion* of a multiset (Chaudhuri et al. [10]), which rewrites
-  each element ``a`` of multiplicity ``f`` into ``f`` distinct set elements
-  ``(a, 1) .. (a, f)`` so that set-only algorithms (e.g. MinHash) can be
-  applied to multisets.
+  similarity measures.
 """
 
 from __future__ import annotations
@@ -288,20 +284,6 @@ class Multiset(Mapping):
     def underlying_multiset(self) -> "Multiset":
         """Return the underlying set as a multiset with unit multiplicities."""
         return Multiset(self._id, {element: 1 for element in self._elements})
-
-    def set_expansion(self) -> frozenset:
-        """Return the set expansion of Chaudhuri et al. [10].
-
-        Each element ``a`` with multiplicity ``f`` is expanded into the
-        ``f`` distinct pairs ``(a, 1) .. (a, f)``.  The Ruzicka similarity of
-        two multisets equals the Jaccard similarity of their expansions,
-        which lets set-only algorithms such as MinHash handle multisets.
-        """
-        expanded = set()
-        for element, multiplicity in self._elements.items():
-            for occurrence in range(1, multiplicity + 1):
-                expanded.add((element, occurrence))
-        return frozenset(expanded)
 
     def scaled(self, factor: int) -> "Multiset":
         """Return a copy with every multiplicity multiplied by ``factor``."""

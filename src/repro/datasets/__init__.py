@@ -1,13 +1,11 @@
 """Synthetic workload generators, dataset statistics and TSV loaders."""
 
 from repro.datasets.documents import (
-    DocumentCorpus,
     DocumentCorpusConfig,
     generate_document_corpus,
     shingle_document,
 )
 from repro.datasets.ip_cookie import (
-    GeneratedDataset,
     IPCookieConfig,
     dataset_label,
     generate_ip_cookie_dataset,
@@ -48,9 +46,7 @@ from repro.datasets.zipf import BoundedZipf, clipped_zipf_sizes
 __all__ = [
     "BoundedZipf",
     "DistributionSummary",
-    "DocumentCorpus",
     "DocumentCorpusConfig",
-    "GeneratedDataset",
     "IPCookieConfig",
     "MutationStreamConfig",
     "QueryWorkloadConfig",

@@ -14,12 +14,10 @@ from repro.engine.planner import (
     CorpusProfile,
     JoinPlan,
     PlanCandidate,
-    PlannedJob,
     Planner,
 )
 from repro.engine.result import JoinResult
 from repro.engine.spec import (
-    APPROXIMATE_ALGORITHMS,
     AUTO,
     ENGINE_ALGORITHMS,
     PLANNABLE_ALGORITHMS,
@@ -29,7 +27,6 @@ from repro.engine.spec import (
 )
 
 __all__ = [
-    "APPROXIMATE_ALGORITHMS",
     "AUTO",
     "CalibrationProfile",
     "ComponentEstimate",
@@ -40,7 +37,6 @@ __all__ = [
     "JoinSpec",
     "PLANNABLE_ALGORITHMS",
     "PlanCandidate",
-    "PlannedJob",
     "Planner",
     "SEQUENTIAL_ALGORITHMS",
     "SimilarityEngine",

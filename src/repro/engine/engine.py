@@ -26,9 +26,7 @@ from __future__ import annotations
 import time
 
 from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.minhash import MinHashLSHJoin
 from repro.baselines.ppjoin import PPJoin
-from repro.baselines.sampled import SampledJoin
 from repro.core.exceptions import DatasetError, JobConfigurationError
 from repro.core.multiset import Multiset
 from repro.engine.calibration import CalibrationProfile
@@ -278,15 +276,6 @@ class SimilarityEngine:
             pairs = sorted(joiner.run(multisets))
         elif algorithm == "ppjoin":
             pairs = sorted(PPJoin(measure, spec.threshold).run(multisets))
-        elif algorithm == "minhash":
-            joiner = MinHashLSHJoin(measure.name, spec.threshold,
-                                    parameters=spec.resolved_minhash_parameters(),
-                                    verify_exact=True)
-            pairs = sorted(joiner.run(multisets))
-        elif algorithm == "sampled":
-            joiner = SampledJoin(measure, spec.threshold,
-                                 recall=spec.recall)
-            pairs = sorted(joiner.run(multisets))
         else:
             raise JobConfigurationError(
                 f"algorithm {algorithm!r} has no engine executor")
@@ -304,9 +293,9 @@ def _check_unique_ids(multisets: list[Multiset]) -> list[Multiset]:
     """Reject duplicate multiset ids once, at the engine boundary.
 
     Several execution paths key intermediate state by multiset id (the
-    interning dictionary, the MinHash entity map, serving indexes); a
-    duplicate would silently shadow earlier occurrences and produce an
-    answer for a corpus the caller never supplied.
+    interning dictionary, serving indexes); a duplicate would silently
+    shadow earlier occurrences and produce an answer for a corpus the
+    caller never supplied.
     """
     seen: set = set()
     for multiset in multisets:

@@ -48,10 +48,7 @@ from repro.datasets.stats import (
     skew_ratio,
     summarise_distribution,
 )
-from repro.baselines.minhash import SUPPORTED_MEASURES as MINHASH_MEASURES
-from repro.baselines.sampled import sample_rate_for_recall
 from repro.engine.spec import (
-    APPROXIMATE_ALGORITHMS,
     AUTO,
     PLANNABLE_ALGORITHMS,
     SEQUENTIAL_ALGORITHMS,
@@ -99,7 +96,6 @@ class CorpusProfile:
     #: Max-to-mean ratio of the document frequencies (load-imbalance lever).
     element_skew: float
     avg_element_bytes: float
-    avg_id_bytes: float
     #: Per-multiset underlying cardinalities, in input order.
     cardinalities: tuple[int, ...]
     #: Estimated whole-multiset bytes, parallel to :attr:`cardinalities`.
@@ -116,8 +112,6 @@ class CorpusProfile:
         cardinalities = tuple(elements_per_multiset(multisets))
         element_bytes = sum(estimate_record_bytes(element)
                             for element in dictionary)
-        id_bytes = sum(estimate_record_bytes(multiset.id)
-                       for multiset in multisets)
         return cls(
             num_multisets=len(multisets),
             num_records=sum(cardinalities),
@@ -128,7 +122,6 @@ class CorpusProfile:
             element_skew=skew_ratio(frequencies),
             avg_element_bytes=(element_bytes / len(dictionary)
                                if dictionary else 0.0),
-            avg_id_bytes=id_bytes / len(multisets) if multisets else 0.0,
             cardinalities=cardinalities,
             multiset_bytes=tuple(multiset.estimated_bytes()
                                  for multiset in multisets),
@@ -326,13 +319,12 @@ class Planner:
         self._refresh_calibration()
         profile = profile or CorpusProfile.from_multisets(multisets)
         if spec.algorithm == AUTO:
-            pool = self._auto_candidates(spec)
             candidates = tuple(sorted(
                 (self._checked(
                     self.estimate(algorithm, spec, multisets, cluster,
                                   profile),
                     cluster, enforce_budgets)
-                 for algorithm in pool),
+                 for algorithm in PLANNABLE_ALGORITHMS),
                 key=lambda candidate: (not candidate.feasible,
                                        candidate.predicted_seconds)))
             chosen = candidates[0]
@@ -346,9 +338,6 @@ class Planner:
                           f"candidates ({chosen.predicted_seconds:,.0f} s vs "
                           f"{runner_up.predicted_seconds:,.0f} s for "
                           f"{runner_up.algorithm!r})")
-                if chosen.algorithm in APPROXIMATE_ALGORITHMS:
-                    reason += (f"; approximate tier admitted by "
-                               f"recall={spec.recall}")
             return JoinPlan(spec=spec, algorithm=chosen.algorithm,
                             cluster=cluster, profile=profile,
                             candidates=candidates, reason=reason)
@@ -359,23 +348,6 @@ class Planner:
                         profile=profile, candidates=(candidate,),
                         reason=f"algorithm {spec.algorithm!r} requested "
                                "explicitly")
-
-    def _auto_candidates(self, spec: JoinSpec) -> tuple[str, ...]:
-        """The candidate pool ``algorithm="auto"`` prices for this spec.
-
-        Always the four distributed contenders; a spec that allows
-        inexactness (``recall < 1``) widens the pool with the approximate
-        tier — ``minhash`` only for the Jaccard-family measures its
-        signatures can estimate, ``sampled`` for every measure.
-        """
-        if not spec.allows_inexact:
-            return PLANNABLE_ALGORITHMS
-        from repro.similarity.registry import get_measure
-        pool = list(PLANNABLE_ALGORITHMS)
-        if get_measure(spec.measure).name in MINHASH_MEASURES:
-            pool.append("minhash")
-        pool.append("sampled")
-        return tuple(pool)
 
     def _checked(self, candidate: PlanCandidate, cluster: Cluster,
                  enforce_budgets: bool) -> PlanCandidate:
@@ -423,11 +395,7 @@ class Planner:
         profile = profile or CorpusProfile.from_multisets(multisets)
         measure = spec.resolved_measure()
         sizes = RecordShapes(measure)
-        if algorithm == "minhash":
-            jobs = self._estimate_minhash(spec, profile)
-        elif algorithm == "sampled":
-            jobs = self._estimate_sampled(spec, profile)
-        elif algorithm in SEQUENTIAL_ALGORITHMS:
+        if algorithm in SEQUENTIAL_ALGORITHMS:
             jobs = self._estimate_sequential(algorithm, profile, cluster)
         elif algorithm == ONLINE_AGGREGATION:
             jobs = (self._estimate_online_aggregation(profile, sizes, cluster)
@@ -856,43 +824,6 @@ class Planner:
             map_seconds=work / self.cost_parameters.machine_throughput,
             shuffle_seconds=0.0, reduce_seconds=0.0)
         return PlannedJob(name=name, stats=stats, cost=cost)
-
-    def _estimate_minhash(self, spec: JoinSpec,
-                          profile: CorpusProfile) -> list[PlannedJob]:
-        """Price the MinHash/LSH pipeline: signatures, banding, verification.
-
-        The banding is the one the engine would actually run with
-        (:meth:`JoinSpec.resolved_minhash_parameters` — recall-derived when
-        the spec sets a target), so a tighter recall demand honestly prices
-        as a longer signature.  Candidate volume is the unpruned
-        element-sharing pair count thinned by the banding's collision
-        probability at the threshold.
-        """
-        params = spec.resolved_minhash_parameters()
-        avg_bytes = _avg_multiset_bytes(profile)
-        signature_work = profile.num_records * params.num_hashes * _WORD
-        banding_work = (profile.num_multisets * params.num_bands
-                        * (_CONTAINER + params.rows_per_band * _WORD))
-        collide = params.collision_probability(spec.threshold)
-        candidates = profile.candidate_records * collide
-        verify_work = candidates * 2 * avg_bytes
-        work = signature_work + banding_work + verify_work
-        return [self._in_memory_job("minhash (in-memory)", work,
-                                    profile.num_multisets)]
-
-    def _estimate_sampled(self, spec: JoinSpec,
-                          profile: CorpusProfile) -> list[PlannedJob]:
-        """Price the sampled join: a linear sampling pass, then the exact
-        quadratic sweep shrunk by the squared keep rate."""
-        rate = (sample_rate_for_recall(spec.recall)
-                if spec.recall is not None else 1.0)
-        avg_bytes = _avg_multiset_bytes(profile)
-        pairs = profile.num_multisets * (profile.num_multisets - 1) / 2
-        sweep_work = pairs * (rate ** 2) * 2 * avg_bytes
-        scan_work = profile.num_multisets * (profile.avg_id_bytes + _WORD)
-        return [self._in_memory_job("sampled (in-memory)",
-                                    scan_work + sweep_work,
-                                    profile.num_multisets)]
 
 
 def _avg_multiset_bytes(profile: CorpusProfile) -> float:

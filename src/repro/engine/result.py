@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence
 
-from repro.core.exceptions import DatasetError, StreamingError
+from repro.core.exceptions import DatasetError
 from repro.core.multiset import Multiset
 from repro.core.records import SimilarPair
 from repro.engine.planner import JoinPlan
-from repro.engine.spec import APPROXIMATE_ALGORITHMS, JoinSpec
+from repro.engine.spec import JoinSpec
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.runner import PipelineResult
 from repro.mapreduce.types import JobStats
@@ -49,19 +49,6 @@ class JoinResult:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def exact(self) -> bool:
-        """Whether this result provably contains *every* qualifying pair.
-
-        ``False`` when the executed algorithm belongs to the approximate
-        tier (``minhash``, ``sampled`` — both may miss true pairs) or when
-        the spec filtered stop words (pairs are computed on filtered data).
-        Derived, not stored, so results loaded from storage report it
-        correctly too.
-        """
-        return (self.algorithm not in APPROXIMATE_ALGORITHMS
-                and self.spec.stop_word_frequency is None)
 
     @property
     def simulated_seconds(self) -> float:
@@ -135,18 +122,11 @@ class JoinResult:
         The view starts from this result's pairs (no recomputation) and
         applies mutation batches exactly.  ``engine`` is the session the
         view's re-join strategy executes on (borrowed); without one, each
-        re-join creates a throwaway serial engine.  Approximate results
-        (:attr:`exact` is ``False`` — the approximate tier or a
-        stop-word-filtered join) cannot seed an exact view and are
-        rejected.
+        re-join creates a throwaway serial engine.  A stop-word-filtered
+        join cannot seed an exact view: :class:`JoinView` rejects its spec.
         """
         from repro.streaming.view import JoinView
 
-        if not self.exact:
-            raise StreamingError(
-                f"cannot maintain an exact view over the approximate "
-                f"{self.algorithm!r} result: it may already be missing true "
-                "pairs; re-run with an exact algorithm (or recall=None)")
         return JoinView(self.spec, self.multisets, pairs=self.pairs,
                         engine=engine)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.baselines.minhash import LSHParameters, derive_banding
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import Cluster
@@ -37,17 +36,10 @@ EXACT = "exact"
 VCL = "vcl"
 
 #: Sequential single-machine baselines runnable through the engine.
-SEQUENTIAL_ALGORITHMS = ("exact", "inverted_index", "ppjoin", "minhash",
-                         "sampled")
-
-#: Algorithms whose results may miss true pairs: the approximate tier.
-#: ``minhash`` loses recall to banding, ``sampled`` to corpus sampling;
-#: every other algorithm is exact (modulo ``stop_word_frequency``).
-APPROXIMATE_ALGORITHMS = ("minhash", "sampled")
+SEQUENTIAL_ALGORITHMS = ("exact", "inverted_index", "ppjoin")
 
 #: Algorithms the planner considers for ``algorithm="auto"`` — the paper's
 #: four distributed contenders, all with cost-model-predictable pipelines.
-#: A spec with ``recall`` set widens the pool with the approximate tier.
 PLANNABLE_ALGORITHMS = JOINING_ALGORITHMS + (VCL,)
 
 #: Every valid value of :attr:`JoinSpec.algorithm`.
@@ -59,10 +51,8 @@ def available_algorithms() -> tuple[str, ...]:
 
     ``"auto"`` delegates the choice to the cost-model planner;
     ``"online_aggregation"``, ``"lookup"``, ``"sharding"`` and ``"vcl"`` are
-    the distributed MapReduce pipelines; ``"exact"``, ``"inverted_index"``,
-    ``"ppjoin"``, ``"minhash"`` and ``"sampled"`` run sequentially in
-    memory (``minhash`` and ``sampled`` are approximate — every other
-    algorithm is exact).
+    the distributed MapReduce pipelines; ``"exact"``, ``"inverted_index"``
+    and ``"ppjoin"`` run sequentially in memory.  Every algorithm is exact.
     """
     return ENGINE_ALGORITHMS
 
@@ -100,19 +90,6 @@ class JoinSpec:
         VCL alphabet order, ``"frequency"`` or ``"hash"``.
     vcl_super_element_groups:
         VCL super-element grouping (``None`` disables).
-    recall:
-        Optional recall target in ``(0, 1]``.  A value below 1 declares
-        that the caller accepts missing true pairs at that rate, which (a)
-        admits the approximate tier (``minhash``, ``sampled``) as planner
-        candidates under ``algorithm="auto"`` and (b) auto-derives MinHash
-        banding so ``collision_probability(threshold) >= recall``.
-        ``None`` (the default) and ``1.0`` both demand exactness —
-        ``algorithm="auto"`` then never selects an approximate pipeline.
-    minhash_parameters:
-        LSH banding for ``algorithm="minhash"`` (``None`` derives banding
-        from ``(threshold, recall)`` when a recall target is set, and uses
-        the baseline's default banding otherwise).  Explicit parameters
-        always win over the derivation.
     cluster / backend / cost_parameters / enforce_budgets:
         Optional overrides of the engine session's infrastructure; ``None``
         means "use the session's".
@@ -134,8 +111,6 @@ class JoinSpec:
     prune_candidates: bool = True
     vcl_element_order: str = "frequency"
     vcl_super_element_groups: int | None = None
-    recall: float | None = None
-    minhash_parameters: LSHParameters | None = None
     cluster: Cluster | None = None
     backend: str | ExecutionBackend | None = None
     cost_parameters: CostParameters | None = None
@@ -149,14 +124,6 @@ class JoinSpec:
         validate_threshold(self.threshold)
         if self.sharding_threshold < 1:
             raise JobConfigurationError("sharding_threshold (C) must be >= 1")
-        if self.recall is not None and not 0.0 < self.recall <= 1.0:
-            raise JobConfigurationError(
-                f"recall must be in (0, 1]; got {self.recall!r}")
-        if self.algorithm == "sampled" and not self.allows_inexact:
-            raise JobConfigurationError(
-                "algorithm='sampled' drops pairs by construction and needs "
-                "a recall target below 1.0, e.g. JoinSpec(algorithm='sampled',"
-                " recall=0.95)")
         # Every knob is checked here, whatever the algorithm: "auto" prices
         # every candidate, and a bad value must not survive profiling,
         # planning and interning to fail (or silently match nothing) mid-run.
@@ -178,33 +145,6 @@ class JoinSpec:
                 "vcl_super_element_groups must be >= 1")
 
     # -- resolution helpers -------------------------------------------------
-
-    @property
-    def allows_inexact(self) -> bool:
-        """Whether the caller accepts missing true pairs (``recall < 1``)."""
-        return self.recall is not None and self.recall < 1.0
-
-    def resolved_minhash_parameters(self) -> LSHParameters:
-        """The LSH banding ``algorithm="minhash"`` runs with.
-
-        Explicit :attr:`minhash_parameters` win; otherwise a recall target
-        derives banding, and without either the baseline's default banding
-        applies.
-
-        The derivation aims at the midpoint between the target and 1.0
-        (mirroring :func:`repro.baselines.sampled.sample_rate_for_recall`):
-        the LSH bound ``collision_probability(threshold) >= recall`` holds
-        for a pair *at* the threshold, but signature agreement only
-        estimates similarity, so borderline pairs collide at a lower
-        effective rate — the margin keeps the *measured* recall
-        concentrated above the target instead of oscillating around it.
-        """
-        if self.minhash_parameters is not None:
-            return self.minhash_parameters
-        if self.allows_inexact:
-            return derive_banding(self.threshold,
-                                  (1.0 + self.recall) / 2.0)
-        return LSHParameters()
 
     def resolved_measure(self) -> NominalSimilarityMeasure:
         """Resolve the measure, validating distributed-path support.

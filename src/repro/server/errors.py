@@ -29,7 +29,6 @@ from repro.core.exceptions import (
     DeadlineExceededError,
     DiskBudgetExceeded,
     InvalidMultisetError,
-    InvalidVectorError,
     JobConfigurationError,
     JobTimeoutError,
     MapReduceError,
@@ -62,7 +61,6 @@ ERROR_TABLE: tuple[tuple[type[ReproError], str, int], ...] = (
     (ResilienceError, "resilience_error", 500),
     (ServerError, "server_error", 400),
     (InvalidMultisetError, "invalid_multiset", 400),
-    (InvalidVectorError, "invalid_vector", 400),
     (UnknownMeasureError, "unknown_measure", 400),
     (MeasureNotApplicableError, "measure_not_applicable", 400),
     (InterningError, "interning_error", 400),

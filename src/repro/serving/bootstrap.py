@@ -121,12 +121,6 @@ def bootstrap_from_join(
                 "cannot warm caches from a join that discarded stop words: "
                 "its pairs were computed on filtered data and would not "
                 "match live query results")
-        if join_result.algorithm == "minhash":
-            raise ServingError(
-                "cannot warm caches from an approximate minhash join: "
-                "banding can miss true pairs, so the warmed answers would "
-                "not match what live queries compute once the cache is "
-                "invalidated")
         if stop_word_frequency is not None:
             raise ServingError(
                 "cannot warm caches for an index with stop-word pruning: "

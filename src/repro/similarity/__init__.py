@@ -34,7 +34,6 @@ from repro.similarity.kernels import (
 )
 from repro.similarity.partials import (
     fold_uni_multiplicities,
-    uni_contribution,
     uni_fold,
 )
 from repro.similarity.registry import (
@@ -77,7 +76,6 @@ __all__ = [
     "pair_dictionary",
     "register_measure",
     "supported_measures",
-    "uni_contribution",
     "uni_fold",
     "validate_threshold",
 ]

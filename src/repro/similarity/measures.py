@@ -210,7 +210,8 @@ class VectorCosineSimilarity(NominalSimilarityMeasure):
         denominator = math.sqrt(uni_i[0]) * math.sqrt(uni_j[0])
         if denominator <= 0:
             return 0.0
-        return conj[0] / denominator
+        # Rounding can put a vector's cosine with itself one ulp above 1.0.
+        return min(conj[0] / denominator, 1.0)
 
     def partial_descriptors(self) -> list[PartialDescriptor]:
         return [

@@ -249,7 +249,11 @@ def load_index(source: str | os.PathLike | StorageEngine):
 _SPEC_FIELDS = ("threshold", "algorithm", "sharding_threshold",
                 "stop_word_frequency", "chunk_size", "use_combiners",
                 "prune_candidates", "vcl_element_order",
-                "vcl_super_element_groups", "recall")
+                "vcl_super_element_groups")
+
+#: Fields of the approximate tier 3.11.0 and earlier stored; see
+#: :func:`spec_from_description`.
+_APPROXIMATE_FIELDS = ("recall", "minhash_parameters")
 
 
 def describe_spec(spec) -> str:
@@ -258,10 +262,6 @@ def describe_spec(spec) -> str:
 
     described = {field: getattr(spec, field) for field in _SPEC_FIELDS}
     described["measure"] = get_measure(spec.measure).name
-    if spec.minhash_parameters is not None:
-        described["minhash_parameters"] = {
-            "num_bands": spec.minhash_parameters.num_bands,
-            "rows_per_band": spec.minhash_parameters.rows_per_band}
     return json.dumps(described, sort_keys=True)
 
 
@@ -271,8 +271,10 @@ def spec_from_description(text: str, store: str = "<description>"):
     ``store`` names the database in the :class:`StorageError` every damaged
     description raises.  The ``intern`` field stores written up to 2.3.0
     carry is dropped: both of its values now mean the one interned form.
+    So is a ``"recall": null`` (written up to 3.11.0): it demanded the
+    exact join.  A recall target or MinHash banding is refused, because the
+    stored pairs may be missing true ones.
     """
-    from repro.baselines.minhash import LSHParameters
     from repro.engine.spec import JoinSpec
 
     try:
@@ -285,10 +287,13 @@ def spec_from_description(text: str, store: str = "<description>"):
             f"{store!r}: stored join spec must be a JSON object, got "
             f"{type(described).__name__}")
     described.pop("intern", None)
-    banding = described.pop("minhash_parameters", None)
+    for field in _APPROXIMATE_FIELDS:
+        if described.pop(field, None) is not None:
+            raise StorageError(
+                f"{store!r}: stored join spec sets {field!r}, an approximate "
+                "join this version no longer loads; re-run the join with an "
+                "exact algorithm")
     try:
-        if banding is not None:
-            described["minhash_parameters"] = LSHParameters(**banding)
         return JoinSpec(**described)
     except (TypeError, ValueError, ReproError) as error:
         raise StorageError(

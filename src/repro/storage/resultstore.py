@@ -99,6 +99,7 @@ class ResultStore:
         be reopened, so they load eagerly regardless.
         """
         from repro.engine.result import JoinResult
+        from repro.engine.spec import ENGINE_ALGORITHMS
         from repro.mapreduce.dfs import Dataset
         from repro.mapreduce.runner import PipelineResult
 
@@ -108,6 +109,13 @@ class ResultStore:
             raise StorageError(f"{engine.path!r} holds no join result")
         spec = spec_from_description(meta["spec"], engine.path)
         algorithm = meta["algorithm"]
+        if algorithm not in ENGINE_ALGORITHMS:
+            # 3.11.0 and earlier stored the approximate tier's results
+            # (``minhash``, ``sampled``); their pairs are not the exact join.
+            raise StorageError(
+                f"{engine.path!r} holds a result of algorithm {algorithm!r}, "
+                "which this version does not run; re-run the join with one "
+                f"of {ENGINE_ALGORITHMS}")
         multisets = load_members(engine, RESULT_STORE)
         if lazy and engine.path != ":memory:":
             pairs: Sequence[SimilarPair] = StoredPairSequence(engine.path)

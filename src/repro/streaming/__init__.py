@@ -30,7 +30,7 @@ from repro.streaming.changes import (
     apply_deltas,
     sort_deltas,
 )
-from repro.streaming.subscribers import ServingSubscription, attach_serving
+from repro.streaming.subscribers import attach_serving
 from repro.streaming.view import (
     APPLY_STRATEGIES,
     ApplyPlan,
@@ -48,7 +48,6 @@ __all__ = [
     "PAIR_REMOVED",
     "PairDelta",
     "SCORE_CHANGED",
-    "ServingSubscription",
     "UPSERT",
     "apply_deltas",
     "attach_serving",

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 from repro.core.exceptions import StreamingError
 from repro.core.multiset import Multiset, MultisetId
 from repro.core.records import SimilarPair, canonical_pair
-from repro.engine.spec import APPROXIMATE_ALGORITHMS, JoinSpec
+from repro.engine.spec import JoinSpec
 from repro.mapreduce.costmodel import DEFAULT_COST_PARAMETERS, CostParameters
 from repro.serving.bootstrap import multisets_from_input
 from repro.serving.index import QueryMatch, SimilarityIndex, sort_matches
@@ -111,10 +111,9 @@ class JoinView:
     Parameters
     ----------
     spec:
-        The join the view materializes.  Specs a view cannot maintain
-        *exactly* are rejected: ``algorithm="minhash"`` (approximate
-        banding) and ``stop_word_frequency`` (pairs computed on filtered
-        data would not match incremental rescans).
+        The join the view materializes.  A spec with
+        ``stop_word_frequency`` is rejected: pairs computed on filtered
+        data would not match incremental rescans.
     data:
         The corpus, in any shape :func:`repro.serving.multisets_from_input`
         accepts.
@@ -132,12 +131,6 @@ class JoinView:
     def __init__(self, spec: JoinSpec, data, *,
                  pairs: Sequence[SimilarPair] | None = None,
                  engine=None) -> None:
-        if spec.algorithm in APPROXIMATE_ALGORITHMS or spec.allows_inexact:
-            raise StreamingError(
-                "cannot maintain an exact view of an approximate join "
-                f"(algorithm={spec.algorithm!r}, recall={spec.recall!r}): "
-                "banding or sampling can miss true pairs; pick an exact "
-                "algorithm and drop the recall target")
         if spec.stop_word_frequency is not None:
             raise StreamingError(
                 "cannot maintain a view of a stop-word-filtered join: its "

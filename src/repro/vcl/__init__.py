@@ -7,12 +7,6 @@ from repro.vcl.driver import (
 )
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import (
-    DeduplicationMapper,
-    DeduplicationReducer,
-    ElementFrequencyMapper,
-    ElementFrequencyReducer,
-    VCLKernelMapper,
-    VCLKernelReducer,
     build_dedup_job,
     build_frequency_job,
     build_kernel_job,
@@ -25,16 +19,10 @@ from repro.vcl.prefix import (
 )
 
 __all__ = [
-    "DeduplicationMapper",
-    "DeduplicationReducer",
-    "ElementFrequencyMapper",
-    "ElementFrequencyReducer",
     "FREQUENCY_ORDER",
     "HASH_ORDER",
     "SuperElementGrouping",
     "VCLJoin",
-    "VCLKernelMapper",
-    "VCLKernelReducer",
     "build_dedup_job",
     "build_frequency_job",
     "build_kernel_job",

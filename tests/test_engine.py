@@ -141,12 +141,21 @@ class TestDiscovery:
 
     def test_every_advertised_algorithm_is_accepted_by_joinspec(self):
         for name in available_algorithms():
-            # "sampled" is the one algorithm that *requires* opting into
-            # inexactness; everything else must construct bare.
-            if name == "sampled":
-                JoinSpec(algorithm=name, recall=0.95)
-            else:
-                JoinSpec(algorithm=name)  # must not raise
+            JoinSpec(algorithm=name)  # must not raise
+
+    @pytest.mark.parametrize("name", ["minhash", "sampled"])
+    def test_removed_approximate_algorithms_are_rejected(self, name):
+        with pytest.raises(JobConfigurationError,
+                           match=f"unknown algorithm '{name}'") as raised:
+            JoinSpec(algorithm=name)
+        assert str(available_algorithms()) in str(raised.value)
+
+    def test_auto_prices_the_distributed_algorithms(self, small_multisets,
+                                                    test_cluster):
+        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
+            plan = engine.plan(JoinSpec(threshold=0.5))
+        offered = {candidate.algorithm for candidate in plan.candidates}
+        assert offered == set(PLANNABLE_ALGORITHMS)
 
     def test_list_measures_matches_registry(self):
         measures = list_measures()
@@ -461,19 +470,6 @@ class TestPlanner:
             with pytest.raises(ReproError, match="mixed"):
                 engine.run(JoinSpec(algorithm="exact"), mixed)
 
-    def test_minhash_parameters_reach_the_baseline(self, small_multisets,
-                                                   test_cluster):
-        from repro.baselines.minhash import LSHParameters, MinHashLSHJoin
-
-        parameters = LSHParameters(num_bands=16, rows_per_band=4)
-        with SimilarityEngine(cluster=test_cluster) as engine:
-            result = engine.run(
-                JoinSpec(threshold=0.3, algorithm="minhash",
-                         minhash_parameters=parameters), small_multisets)
-        direct = MinHashLSHJoin("ruzicka", 0.3, parameters=parameters,
-                                verify_exact=True)
-        assert result.pairs == sorted(direct.run(small_multisets))
-
     def test_empty_corpus_still_plans(self, test_cluster):
         with SimilarityEngine(cluster=test_cluster) as engine:
             result = engine.run(JoinSpec(threshold=0.5), [])
@@ -627,20 +623,6 @@ class TestJoinResult:
     def test_explain_without_a_plan_summarises(self, distributed_result):
         assert "explicit" in distributed_result.explain()
 
-    def test_minhash_results_cannot_warm_serving_caches(
-            self, small_multisets, test_cluster):
-        # Banding can miss true pairs, so warmed answers could disagree
-        # with live queries — the bootstrap must refuse, like it does for
-        # stop-word joins.
-        from repro.core.exceptions import ServingError
-
-        with SimilarityEngine(cluster=test_cluster) as engine:
-            approximate = engine.run(
-                JoinSpec(threshold=0.3, algorithm="minhash"),
-                small_multisets)
-        with pytest.raises(ServingError, match="minhash"):
-            approximate.to_service(num_shards=2)
-
 
 class TestRunAlgorithmOnEngine:
     def test_auto_is_accepted_and_reports_the_resolved_algorithm(
@@ -753,122 +735,12 @@ class TestJoinResultLazyConsumption:
         assert len(buffer.getvalue().splitlines()) == len(result.pairs)
 
 
-class TestApproximateTier:
-    def test_recall_validation(self):
-        with pytest.raises(JobConfigurationError, match="recall"):
-            JoinSpec(recall=0.0)
-        with pytest.raises(JobConfigurationError, match="recall"):
-            JoinSpec(recall=1.5)
-        assert JoinSpec(recall=1.0).allows_inexact is False
-        assert JoinSpec(recall=0.9).allows_inexact is True
-        assert JoinSpec().allows_inexact is False
-
-    def test_recall_derives_minhash_banding(self):
-        derived = JoinSpec(algorithm="minhash", threshold=0.5,
-                           recall=0.95).resolved_minhash_parameters()
-        assert derived.collision_probability(0.5) >= 0.95
-        # Explicit parameters always win over the derivation.
-        from repro.baselines.minhash import LSHParameters
-
-        explicit = LSHParameters(num_bands=3, rows_per_band=2)
-        spec = JoinSpec(algorithm="minhash", threshold=0.5, recall=0.95,
-                        minhash_parameters=explicit)
-        assert spec.resolved_minhash_parameters() == explicit
-
-    def test_auto_without_recall_never_offers_approximate(
-            self, small_multisets, test_cluster):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            plan = engine.plan(JoinSpec(threshold=0.5))
-        offered = {candidate.algorithm for candidate in plan.candidates}
-        assert offered == set(PLANNABLE_ALGORITHMS)
-
-    def test_auto_with_recall_offers_and_prices_approximate(
-            self, small_multisets, test_cluster):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            plan = engine.plan(JoinSpec(threshold=0.5, recall=0.9))
-        offered = {candidate.algorithm for candidate in plan.candidates}
-        assert {"minhash", "sampled"} <= offered
-        for name in ("minhash", "sampled"):
-            candidate = plan.candidate_for(name)
-            assert candidate.feasible
-            assert candidate.predicted_seconds >= 0.0
-
-    def test_auto_with_recall_picks_approximate_when_cheaper(
-            self, small_multisets, test_cluster):
-        # Under the default calibration the in-memory approximate tier
-        # beats the per-job MapReduce overhead on a 40-multiset corpus.
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            result = engine.run(JoinSpec(threshold=0.5, recall=0.9))
-        assert result.algorithm in ("minhash", "sampled")
-        assert not result.exact
-        assert "recall=0.9" in result.plan.reason
-
-    def test_minhash_unsupported_measure_not_offered(self, small_multisets,
-                                                     test_cluster):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            plan = engine.plan(JoinSpec(measure="dice", threshold=0.5,
-                                        recall=0.9))
-        offered = {candidate.algorithm for candidate in plan.candidates}
-        assert "minhash" not in offered and "sampled" in offered
-
-    def test_exact_flag_across_algorithms(self, small_multisets, test_cluster):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            exact = engine.run(JoinSpec(threshold=0.5, algorithm="exact"))
-            sampled = engine.run(JoinSpec(threshold=0.5, algorithm="sampled",
-                                          recall=0.9))
-            minhash = engine.run(JoinSpec(threshold=0.5, algorithm="minhash"))
-            stopword = engine.run(JoinSpec(threshold=0.5, algorithm="exact",
-                                           stop_word_frequency=1000))
-        assert exact.exact
-        assert not sampled.exact
-        assert not minhash.exact
-        assert not stopword.exact
-
-    def test_sampled_pairs_subset_of_exact(self, small_multisets,
-                                           test_cluster):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            exact = engine.run(JoinSpec(threshold=0.3, algorithm="exact"))
-            sampled = engine.run(JoinSpec(threshold=0.3, algorithm="sampled",
-                                          recall=0.8))
-        exact_pairs = {pair.pair for pair in exact}
-        assert {pair.pair for pair in sampled} <= exact_pairs
-
-    def test_approximate_results_cannot_seed_views(self, small_multisets,
-                                                   test_cluster):
-        from repro.core.exceptions import StreamingError
-
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            result = engine.run(JoinSpec(threshold=0.5, algorithm="sampled",
-                                         recall=0.9))
-            with pytest.raises(StreamingError, match="approximate"):
-                result.to_view()
-
-    def test_inexact_specs_cannot_construct_views(self, small_multisets):
-        from repro.core.exceptions import StreamingError
-        from repro.streaming.view import JoinView
-
-        with pytest.raises(StreamingError):
-            JoinView(JoinSpec(threshold=0.5, recall=0.9), small_multisets)
-
-    def test_recall_round_trips_through_storage(self, small_multisets,
-                                                test_cluster, storage_path):
-        with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:
-            result = engine.run(JoinSpec(threshold=0.3, algorithm="sampled",
-                                         recall=0.9))
-        result.to_sqlite(storage_path)
-        loaded = JoinResult.from_sqlite(storage_path)
-        assert loaded.spec.recall == 0.9
-        assert loaded.algorithm == "sampled"
-        assert not loaded.exact
-        assert list(loaded) == list(result)
-
-
 class TestDuplicateIdBoundary:
     def test_duplicate_ids_rejected_for_every_algorithm(self, test_cluster):
         duplicated = [Multiset("m", {"x": 1, "y": 2}),
                       Multiset("m", {"x": 1}),
                       Multiset("other", {"y": 1})]
-        for algorithm in ("exact", "minhash", "online_aggregation", "auto"):
+        for algorithm in ("exact", "online_aggregation", "auto"):
             with pytest.raises(DatasetError, match="duplicate multiset id"):
                 join(duplicated, algorithm=algorithm, cluster=test_cluster)
 
@@ -881,4 +753,4 @@ class TestDuplicateIdBoundary:
     def test_unique_ids_still_pass(self, small_multisets, test_cluster):
         result = join(small_multisets, algorithm="exact", threshold=0.5,
                       cluster=test_cluster)
-        assert result.exact
+        assert result.pairs == all_pairs_exact(small_multisets, "ruzicka", 0.5)

@@ -11,8 +11,9 @@ the wrong way loses a pair) as well as at round values:
 * every exact algorithm and the served ``SimilarityIndex.neighbours()``
   agree with the oracle.
 
-The regression tests pin the two cases that first showed filters rounding
-past the threshold, at the engine front door.
+The regression tests pin, at the engine front door, the two cases that
+first showed filters rounding past the threshold and a vector cosine that
+rounded above 1.0.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from hypothesis import strategies as st
 
 from repro import Multiset, join
 from repro.core.records import canonical_pair
-from repro.engine.spec import APPROXIMATE_ALGORITHMS, ENGINE_ALGORITHMS
+from repro.engine.spec import ENGINE_ALGORITHMS
 from repro.mapreduce.partitioner import stable_hash
+from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.registry import get_measure, supported_measures
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.prefix import PrefixFilter
 from tests.conftest import assert_matches_oracle, make_random_multisets
-
-#: Every algorithm whose answer must equal the oracle's.
-EXACT_ALGORITHMS = tuple(algorithm for algorithm in ENGINE_ALGORITHMS
-                         if algorithm not in APPROXIMATE_ALGORITHMS)
 
 ROUND_THRESHOLDS = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9,
                     0.95, 1.0)
@@ -82,13 +80,11 @@ def filter_cells(draw, measure: str) -> FilterCell:
 class TestFilterSoundness:
     @given(data=st.data())
     def test_upper_bound_never_below_similarity(self, measure, data):
-        # Capped at 1.0, the largest threshold: the float vector cosine of a
-        # vector with itself can be 1.0000000000000002, above the no-bound 1.0.
         cell = data.draw(filter_cells(measure))
         bound = cell.measure.similarity_upper_bound
         for first, second in cell.pairs():
             assert (bound(cell.measure.unilateral(first), cell.measure.unilateral(second))
-                    >= min(cell.measure.similarity(first, second), 1.0))
+                    >= cell.measure.similarity(first, second))
 
     @given(data=st.data())
     def test_similar_pairs_share_a_prefix_key(self, measure, data):
@@ -112,7 +108,7 @@ class TestFilterSoundness:
     @given(data=st.data())
     def test_exact_algorithms_and_the_index_match_the_oracle(self, measure, data):
         cell = data.draw(filter_cells(measure))
-        for algorithm in EXACT_ALGORITHMS:
+        for algorithm in ENGINE_ALGORITHMS:
             result = join(cell.corpus, measure=measure, threshold=cell.threshold,
                           algorithm=algorithm, sharding_threshold=4)
             assert_matches_oracle(result.pairs, cell.corpus, measure, cell.threshold)
@@ -128,7 +124,7 @@ class TestPairsAtTheThreshold:
     """Pairs whose similarity equals ``t``, where a filter formula computed
     apart from ``combine`` rounds past the threshold."""
 
-    @pytest.mark.parametrize("algorithm", EXACT_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ENGINE_ALGORITHMS)
     def test_dice_nine_and_six_elements_at_point_eight(self, algorithm):
         # Dice = 2 * 6 / (9 + 6) rounds to 0.8, while the float size bound
         # 0.8 / 1.2 * 9 rounds to 6.000000000000001, above B's size.
@@ -146,3 +142,19 @@ class TestPairsAtTheThreshold:
         result = join(corpus, measure="ruzicka", threshold=0.4, algorithm="ppjoin")
         assert [pair.pair for pair in result.pairs] == [("A", "B")]
         assert result.pairs[0].similarity == 0.4
+
+    @pytest.mark.parametrize("algorithm", ENGINE_ALGORITHMS)
+    def test_vector_cosine_of_identical_multisets_is_one(self, algorithm):
+        # The float dot product over the product of the two norms rounds to
+        # 1.0000000000000002 for this vector; the score is at most 1.0.
+        contents = {"e0": 29, "e1": 18, "e2": 47, "e3": 15, "e4": 38, "e5": 7}
+        corpus = [Multiset("A", contents), Multiset("B", contents)]
+        result = join(corpus, measure="vector_cosine", threshold=1.0,
+                      algorithm=algorithm)
+        assert [(pair.pair, pair.similarity) for pair in result.pairs] == [
+            (("A", "B"), 1.0)]
+        index = SimilarityIndex("vector_cosine")
+        index.bulk_load(corpus)
+        served = index.query(QueryRequest.threshold(corpus[0].with_id("q"), 1.0))
+        assert [(match.multiset_id, match.similarity) for match in served] == [
+            ("A", 1.0), ("B", 1.0)]

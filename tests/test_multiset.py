@@ -169,21 +169,6 @@ class TestTransformations:
         multiset = Multiset("ip", {"a": 5, "b": 2})
         assert multiset.underlying_multiset().counts() == {"a": 1, "b": 1}
 
-    def test_set_expansion(self):
-        multiset = Multiset("ip", {"a": 2, "b": 1})
-        assert multiset.set_expansion() == frozenset({("a", 1), ("a", 2), ("b", 1)})
-
-    def test_set_expansion_jaccard_equals_ruzicka(self):
-        first = Multiset("a", {"x": 3, "y": 1})
-        second = Multiset("b", {"x": 1, "y": 2, "z": 1})
-        expansion_first = first.set_expansion()
-        expansion_second = second.set_expansion()
-        jaccard = (len(expansion_first & expansion_second)
-                   / len(expansion_first | expansion_second))
-        intersection = first.intersection_cardinality(second)
-        ruzicka = intersection / first.union_cardinality(second)
-        assert jaccard == pytest.approx(ruzicka)
-
     def test_scaled(self):
         multiset = Multiset("ip", {"a": 2})
         assert multiset.scaled(3).counts() == {"a": 6}
@@ -263,10 +248,3 @@ class TestProperties:
         assert multiset.intersection_cardinality(multiset) == multiset.cardinality
         assert multiset.union_cardinality(multiset) == multiset.cardinality
         assert multiset.symmetric_difference_cardinality(multiset) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(multiset_strategy("a"), multiset_strategy("b"))
-    def test_set_expansion_sizes(self, first, second):
-        assert len(first.set_expansion()) == first.cardinality
-        expansion_intersection = len(first.set_expansion() & second.set_expansion())
-        assert expansion_intersection == first.intersection_cardinality(second)

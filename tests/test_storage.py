@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shutil
 import sqlite3
 import tarfile
@@ -558,6 +559,32 @@ class TestResultStore:
         with StorageEngine(storage_path):
             pass
         with pytest.raises(StorageError, match="no join result"):
+            JoinResult.from_sqlite(storage_path)
+
+    @pytest.mark.parametrize("key, rewrite", [
+        pytest.param("algorithm", lambda stored: "minhash", id="minhash"),
+        pytest.param("algorithm", lambda stored: "sampled", id="sampled"),
+        pytest.param("spec", lambda stored: stored.replace(
+            "{", '{"recall": 0.9, ', 1), id="recall-target"),
+        pytest.param("spec", lambda stored: stored.replace(
+            "{", '{"minhash_parameters": {"num_bands": 8, '
+                 '"rows_per_band": 4}, ', 1), id="minhash-banding"),
+    ])
+    def test_an_approximate_result_is_refused_naming_the_store(
+            self, joined, storage_path, key, rewrite):
+        # Releases up to 3.11.0 stored the approximate tier's results; their
+        # pairs may miss true ones and must never load as the exact join.
+        joined.to_sqlite(storage_path)
+        raw = sqlite3.connect(storage_path)
+        with raw:
+            (stored,), = raw.execute(
+                "SELECT value FROM meta WHERE section = 'result' AND key = ?",
+                (key,))
+            raw.execute(
+                "UPDATE meta SET value = ? WHERE section = 'result' AND key = ?",
+                (rewrite(stored), key))
+        raw.close()
+        with pytest.raises(StorageError, match=re.escape(repr(storage_path))):
             JoinResult.from_sqlite(storage_path)
 
 

@@ -29,7 +29,7 @@ from repro.datasets.workload import (
     MutationStreamConfig,
     generate_mutation_stream,
 )
-from repro.engine.engine import SimilarityEngine
+from repro.engine.engine import SimilarityEngine, join
 from repro.engine.spec import JoinSpec
 from repro.mapreduce.cluster import laptop_cluster
 from repro.serving.api import QueryRequest
@@ -158,15 +158,16 @@ class TestViewConstruction:
         assert materialized.pairs() == {("a", "b"): 1.0,
                                         ("d", "e"): pytest.approx(6 / 7)}
 
-    def test_minhash_spec_rejected(self, small_multisets):
-        with pytest.raises(StreamingError, match="minhash"):
-            JoinView(JoinSpec(threshold=0.4, algorithm="minhash"),
-                     small_multisets)
-
     def test_stop_word_spec_rejected(self, small_multisets):
         with pytest.raises(StreamingError, match="stop-word"):
             JoinView(JoinSpec(threshold=0.4, algorithm="exact",
                               stop_word_frequency=5), small_multisets)
+
+    def test_stop_word_result_cannot_seed_a_view(self, small_multisets):
+        result = join(small_multisets, threshold=0.4, algorithm="exact",
+                      stop_word_frequency=5)
+        with pytest.raises(StreamingError, match="stop-word"):
+            result.to_view()
 
     def test_stale_pairs_rejected(self, overlapping_multisets):
         spec = JoinSpec(threshold=0.8, algorithm="exact")

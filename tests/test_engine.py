@@ -150,6 +150,18 @@ class TestDiscovery:
             JoinSpec(algorithm=name)
         assert str(available_algorithms()) in str(raised.value)
 
+    @pytest.mark.parametrize("option, value", [
+        pytest.param("recall", 0.9, id="recall"),
+        pytest.param("minhash_parameters", {"num_bands": 8, "rows_per_band": 4},
+                     id="minhash_parameters"),
+    ])
+    def test_removed_approximate_options_are_rejected(self, small_multisets,
+                                                       option, value):
+        with pytest.raises(TypeError, match=option):
+            JoinSpec(**{option: value})
+        with pytest.raises(TypeError, match=option):
+            join(small_multisets, threshold=0.5, **{option: value})
+
     def test_auto_prices_the_distributed_algorithms(self, small_multisets,
                                                     test_cluster):
         with SimilarityEngine(small_multisets, cluster=test_cluster) as engine:

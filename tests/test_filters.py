@@ -19,7 +19,7 @@ rounded above 1.0.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import Multiset, join
@@ -37,6 +37,13 @@ ROUND_THRESHOLDS = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9,
                     0.95, 1.0)
 
 MEASURES = sorted(supported_measures())
+
+ELEMENTS = [f"e{index}" for index in range(12)]
+
+#: Multisets with multiplicities large enough for float rounding to show.
+MULTIPLICITIES = st.dictionaries(st.sampled_from(ELEMENTS),
+                                 st.integers(min_value=1, max_value=60),
+                                 min_size=1, max_size=8)
 
 
 class FilterCell:
@@ -85,6 +92,19 @@ class TestFilterSoundness:
         for first, second in cell.pairs():
             assert (bound(cell.measure.unilateral(first), cell.measure.unilateral(second))
                     >= cell.measure.similarity(first, second))
+
+    @given(counts=MULTIPLICITIES, changed=st.dictionaries(
+        st.sampled_from(ELEMENTS), st.integers(min_value=1, max_value=60),
+        max_size=3))
+    @example(counts={"e0": 29, "e1": 18, "e2": 47, "e3": 15, "e4": 38, "e5": 7},
+             changed={})
+    def test_similarity_stays_between_zero_and_one(self, measure, counts, changed):
+        # Large multiplicities make the float cosine of a vector with
+        # itself round to either side of 1.0.
+        similarity = get_measure(measure).similarity
+        first = Multiset("A", counts)
+        for second in (first.with_id("B"), Multiset("B", {**counts, **changed})):
+            assert 0.0 <= similarity(first, second) <= 1.0
 
     @given(data=st.data())
     def test_similar_pairs_share_a_prefix_key(self, measure, data):

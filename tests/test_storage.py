@@ -12,6 +12,7 @@ crashes.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -277,6 +278,14 @@ class TestSpecDescription:
         # Every store written up to 2.3.0 carries the removed field.
         described = describe_spec(JoinSpec(threshold=0.35))
         legacy = described.replace("{", '{"intern": %s, ' % flag, 1)
+        assert spec_from_description(legacy) == JoinSpec(threshold=0.35)
+
+    @pytest.mark.parametrize("field", ["recall", "minhash_parameters"])
+    def test_legacy_null_approximate_field_is_dropped(self, field):
+        # Stores written up to 3.11.0 carry "recall": null, the exact join.
+        described = describe_spec(JoinSpec(threshold=0.35))
+        assert field not in json.loads(described)
+        legacy = described.replace("{", '{"%s": null, ' % field, 1)
         assert spec_from_description(legacy) == JoinSpec(threshold=0.35)
 
 

@@ -24,8 +24,7 @@ depends on:
   :class:`ReplicatedSimilarityService` — hash shards of
   ``replication_factor >= 1`` replicas each (write fan-in, read spreading,
   failover, exact rebuild);
-* :mod:`repro.baselines` — sequential baselines (brute force, inverted
-  index, PPJoin);
+* :mod:`repro.baselines` — sequential baselines (inverted index, PPJoin);
 * :mod:`repro.datasets` — synthetic IP/cookie and document workload
   generators with planted ground truth;
 * :mod:`repro.communities` — similarity-graph clustering and proxy
@@ -78,10 +77,8 @@ from repro.mapreduce import (
     Cluster,
     ExecutionBackend,
     SerialBackend,
-    available_backends,
     get_backend,
     laptop_cluster,
-    paper_cluster,
 )
 from repro.resilience import CircuitBreaker, FaultPolicy, RetryPolicy
 from repro.serving import (
@@ -125,7 +122,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.12.0"
+__version__ = "3.13.0"
 
 __all__ = [
     "Change",
@@ -166,7 +163,6 @@ __all__ = [
     "apply_deltas",
     "attach_serving",
     "available_algorithms",
-    "available_backends",
     "bootstrap_from_join",
     "compute_similarity",
     "get_backend",
@@ -175,5 +171,4 @@ __all__ = [
     "join",
     "laptop_cluster",
     "list_measures",
-    "paper_cluster",
 ]

@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     threshold_sweep,
 )
 from repro.analysis.reporting import (
-    format_counters,
     format_sweep_table,
     format_table,
     outcome_cell,
@@ -32,7 +31,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "STATUS_UNSUPPORTED",
     "agreement_check",
-    "format_counters",
     "format_sweep_table",
     "format_table",
     "machine_sweep",

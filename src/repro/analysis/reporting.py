@@ -91,13 +91,3 @@ def relative_drop(first_seconds: float | None,
     if not first_seconds or not last_seconds:
         return None
     return (first_seconds - last_seconds) / first_seconds
-
-
-def format_counters(counters: Mapping[str, int], prefix: str = "") -> str:
-    """Format job counters (optionally filtered by prefix) as aligned text."""
-    selected = {name: value for name, value in sorted(counters.items())
-                if name.startswith(prefix)}
-    if not selected:
-        return "(no counters)"
-    width = max(len(name) for name in selected)
-    return "\n".join(f"{name.ljust(width)}  {value:,}" for name, value in selected.items())

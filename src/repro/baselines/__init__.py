@@ -1,11 +1,9 @@
 """Sequential baseline algorithms referenced by the paper's related work."""
 
-from repro.baselines.brute_force import BruteForceJoin
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
 
 __all__ = [
-    "BruteForceJoin",
     "InvertedIndexJoin",
     "PPJoin",
 ]

@@ -76,34 +76,3 @@ def clusters_from_pairs(pairs: Iterable[SimilarPair],
     graph = SimilarityGraph.from_pairs(pairs)
     return [component for component in connected_components(graph)
             if len(component) >= minimum_size]
-
-
-def dense_clusters(graph: SimilarityGraph, minimum_degree_fraction: float = 0.5,
-                   minimum_size: int = 2) -> list[set]:
-    """Connected components pruned to strongly connected memberships.
-
-    A member is kept only while it is similar to at least
-    ``minimum_degree_fraction`` of the other members of its cluster; nodes
-    are removed iteratively (lowest in-cluster degree first) until the
-    condition holds.  This is a simple densification of the plain connected
-    components for graphs where low thresholds chain unrelated entities
-    together.
-    """
-    if not (0.0 < minimum_degree_fraction <= 1.0):
-        raise ValueError("minimum_degree_fraction must be in (0, 1]")
-    refined: list[set] = []
-    for component in connected_components(graph):
-        members = set(component)
-        while len(members) >= minimum_size:
-            degrees = {node: sum(1 for neighbour in graph.neighbours(node)
-                                 if neighbour in members)
-                       for node in members}
-            required = minimum_degree_fraction * (len(members) - 1)
-            weakest = min(members, key=lambda node: (degrees[node], repr(node)))
-            if degrees[weakest] >= required:
-                break
-            members.remove(weakest)
-        if len(members) >= minimum_size:
-            refined.append(members)
-    refined.sort(key=lambda group: (-len(group), repr(sorted(group, key=repr)[:1])))
-    return refined

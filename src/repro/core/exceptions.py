@@ -109,12 +109,8 @@ class JobTimeoutError(MapReduceError):
         self.limit_seconds = float(limit_seconds)
 
 
-class PipelineError(MapReduceError):
-    """Raised when a multi-job pipeline cannot be assembled or executed."""
-
-
 class DatasetError(ReproError):
-    """Raised by workload generators and loaders on invalid parameters."""
+    """Raised on invalid workload parameters or input data."""
 
 
 class ServingError(ReproError):
@@ -124,10 +120,6 @@ class ServingError(ReproError):
     bootstrap inputs) and write errors such as adding a multiset under an
     identifier that is already indexed.
     """
-
-
-class CommunityError(ReproError):
-    """Raised by the community-discovery post-processing utilities."""
 
 
 class StorageError(ReproError):

@@ -156,15 +156,6 @@ class ElementDictionary:
         """The dense id of ``element``, or ``None`` when unknown."""
         return self._ids.get(element)
 
-    def element_of(self, element_id: int) -> Element:
-        """The element carrying dense id ``element_id``."""
-        try:
-            return self._elements[element_id]
-        except IndexError:
-            raise InterningError(
-                f"element id {element_id} is out of range "
-                f"(dictionary has {len(self._elements)} elements)") from None
-
     def frequency_of(self, element: Element) -> int:
         """The document frequency recorded for ``element`` (0 if unknown)."""
         return self._frequencies.get(element, 0)

@@ -13,14 +13,13 @@ throughout the paper:
 * ``underlying_set`` — ``U(Mi)``, the set of elements with positive
   multiplicity,
 * ``underlying_cardinality`` — ``|U(Mi)|``, the number of distinct elements,
-* intersection / union / symmetric-difference cardinalities used by the
-  similarity measures.
+* intersection / union cardinalities used by the similarity measures.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.core.exceptions import InvalidMultisetError
 
@@ -100,12 +99,6 @@ class Multiset(Mapping):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_counts(cls, multiset_id: MultisetId,
-                    counts: Mapping[Element, int]) -> "Multiset":
-        """Build a multiset from a ``{element: multiplicity}`` mapping."""
-        return cls(multiset_id, counts)
-
-    @classmethod
     def from_iterable(cls, multiset_id: MultisetId,
                       elements: Iterable[Element]) -> "Multiset":
         """Build a multiset by counting occurrences in an iterable.
@@ -117,12 +110,6 @@ class Multiset(Mapping):
         for element in elements:
             counts[element] = counts.get(element, 0) + 1
         return cls(multiset_id, counts)
-
-    @classmethod
-    def from_set(cls, multiset_id: MultisetId,
-                 elements: Iterable[Element]) -> "Multiset":
-        """Build a multiset with multiplicity one for each distinct element."""
-        return cls(multiset_id, {element: 1 for element in set(elements)})
 
     # -- mapping protocol --------------------------------------------------
 
@@ -228,26 +215,10 @@ class Multiset(Mapping):
         return (self._cardinality + other._cardinality
                 - self.intersection_cardinality(other))
 
-    def symmetric_difference_cardinality(self, other: "Multiset") -> int:
-        """``|Mi Δ Mj| = sum_k |f_{i,k} - f_{j,k}|``."""
-        return (self._cardinality + other._cardinality
-                - 2 * self.intersection_cardinality(other))
-
-    def dot_product(self, other: "Multiset") -> int:
-        """``sum_k f_{i,k} * f_{j,k}`` over the common elements."""
-        small, large = self._ordered_by_size(other)
-        return sum(multiplicity * large._elements.get(element, 0)
-                   for element, multiplicity in small._elements.items())
-
     def underlying_intersection_cardinality(self, other: "Multiset") -> int:
         """``|U(Mi) ∩ U(Mj)|`` — number of shared distinct elements."""
         small, large = self._ordered_by_size(other)
         return sum(1 for element in small._elements if element in large._elements)
-
-    def underlying_union_cardinality(self, other: "Multiset") -> int:
-        """``|U(Mi) ∪ U(Mj)|`` — number of distinct elements overall."""
-        return (len(self._elements) + len(other._elements)
-                - self.underlying_intersection_cardinality(other))
 
     def common_elements(self, other: "Multiset") -> list[Element]:
         """Return the elements present in both underlying sets."""
@@ -273,18 +244,6 @@ class Multiset(Mapping):
                 if element in allowed_set}
         return Multiset(self._id, kept)
 
-    def without_elements(self, removed: Iterable[Element]) -> "Multiset":
-        """Return a copy with the given elements removed."""
-        removed_set = set(removed)
-        kept = {element: multiplicity
-                for element, multiplicity in self._elements.items()
-                if element not in removed_set}
-        return Multiset(self._id, kept)
-
-    def underlying_multiset(self) -> "Multiset":
-        """Return the underlying set as a multiset with unit multiplicities."""
-        return Multiset(self._id, {element: 1 for element in self._elements})
-
     def scaled(self, factor: int) -> "Multiset":
         """Return a copy with every multiplicity multiplied by ``factor``."""
         if not isinstance(factor, int) or factor <= 0:
@@ -298,17 +257,6 @@ class Multiset(Mapping):
         """Return a copy carrying a different entity identifier."""
         return Multiset(multiset_id, self._elements)
 
-    def to_tuples(self) -> list[tuple[MultisetId, Element, int]]:
-        """Return raw input tuples ``(Mi, a_k, f_{i,k})`` for the MR jobs.
-
-        The V-SMART-Join joining phase consumes the dataset in exactly this
-        exploded representation (one record per element) so that multisets
-        with vast underlying cardinalities never have to travel as a single
-        indivisible record.
-        """
-        return [(self._id, element, multiplicity)
-                for element, multiplicity in self._elements.items()]
-
 
 def content_signature(multiset: Multiset) -> frozenset:
     """The content identity of a multiset: its (element, multiplicity) pairs.
@@ -316,42 +264,6 @@ def content_signature(multiset: Multiset) -> frozenset:
     The identifier is ignored, so two multisets with equal contents produce
     equal signatures regardless of how they were constructed (the same
     idiom :meth:`Multiset.__hash__` uses).  The serving layer keys its
-    result cache on this, and the workload statistics use it to count
-    distinct (cacheable) queries.
+    result cache on this.
     """
     return frozenset(multiset.items())
-
-
-def multiset_collection_statistics(multisets: Iterable[Multiset]) -> dict[str, Any]:
-    """Compute simple aggregate statistics over a collection of multisets.
-
-    Returns a dictionary with the number of multisets, the number of distinct
-    alphabet elements, the total number of (element, multiset) incidences and
-    the min / max / mean underlying cardinality.  Used by the dataset
-    generators and the Fig. 2 / Fig. 3 benchmarks.
-    """
-    count = 0
-    incidences = 0
-    alphabet: set = set()
-    min_underlying: int | None = None
-    max_underlying = 0
-    total_cardinality = 0
-    for multiset in multisets:
-        count += 1
-        underlying = multiset.underlying_cardinality
-        incidences += underlying
-        total_cardinality += multiset.cardinality
-        alphabet.update(multiset.underlying_set)
-        if min_underlying is None or underlying < min_underlying:
-            min_underlying = underlying
-        if underlying > max_underlying:
-            max_underlying = underlying
-    return {
-        "num_multisets": count,
-        "num_elements": len(alphabet),
-        "num_incidences": incidences,
-        "total_cardinality": total_cardinality,
-        "min_underlying_cardinality": min_underlying or 0,
-        "max_underlying_cardinality": max_underlying,
-        "mean_underlying_cardinality": (incidences / count) if count else 0.0,
-    }

@@ -247,8 +247,8 @@ def resolve_record_type(records, allowed: tuple[type, ...]) -> type:
 def explode_multisets(multisets) -> list[InputTuple]:
     """Explode an iterable of multisets into raw :class:`InputTuple` records.
 
-    The raw-tuple form of a corpus, as the loaders write it; the inverse of
-    :func:`assemble_multisets`.  (The V-SMART-Join driver builds the same
+    The raw-tuple form of a corpus (one record per element); the inverse
+    of :func:`assemble_multisets`.  (The V-SMART-Join driver builds the same
     rows as :class:`InputColumns`, interned, straight from the multisets.)
     """
     records: list[InputTuple] = []

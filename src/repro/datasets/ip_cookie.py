@@ -278,21 +278,6 @@ def realistic_dataset_config(seed: int = 2014) -> IPCookieConfig:
     )
 
 
-def scaled_memory_budget(config: IPCookieConfig | None = None) -> int:
-    """The fixed per-machine memory budget used by the figure benchmarks.
-
-    The paper runs every experiment with 1GB per machine regardless of
-    dataset; the scaled equivalent is likewise a constant.  The ``config``
-    argument is accepted for API symmetry but does not change the value.
-    """
-    return PAPER_SCALED_MEMORY
-
-
-def dataset_label(config: IPCookieConfig) -> str:
-    """A short human-readable label for a dataset configuration."""
-    return f"{config.num_ips}ips-{config.num_cookies}cookies-seed{config.seed}"
-
-
 def generate_preset(name: str, seed: int | None = None) -> GeneratedDataset:
     """Generate one of the named presets (``"small"`` or ``"realistic"``)."""
     presets = {"small": small_dataset_config,

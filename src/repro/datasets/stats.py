@@ -49,11 +49,6 @@ def multisets_per_element(multisets: Iterable[Multiset]) -> list[int]:
     return sorted(frequencies.values(), reverse=True)
 
 
-def frequency_histogram(values: Sequence[int]) -> dict[int, int]:
-    """Histogram mapping each value to the number of occurrences."""
-    return dict(Counter(values))
-
-
 def log_binned_histogram(values: Sequence[int], base: float = 2.0) -> list[tuple[int, int, int]]:
     """Histogram with exponentially growing bins ``[base^i, base^(i+1))``.
 

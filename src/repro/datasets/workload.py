@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.multiset import Multiset, content_signature
+from repro.core.multiset import Multiset
 from repro.datasets.zipf import BoundedZipf
 
 
@@ -295,19 +295,3 @@ def generate_open_loop_arrivals(num_requests: int, rate_per_second: float,
             elapsed += float(gap)
         offsets.append(elapsed)
     return offsets
-
-
-def workload_statistics(queries: Sequence[Multiset]) -> dict[str, float]:
-    """Summarise a workload: distinct signatures and repeat (cacheable) rate.
-
-    Distinctness uses the same content signature the serving result cache
-    keys on, so ``repeat_rate`` predicts the cache-hit ceiling of a replay.
-    """
-    signatures = {content_signature(query) for query in queries}
-    total = len(queries)
-    distinct = len(signatures)
-    return {
-        "num_queries": total,
-        "distinct_queries": distinct,
-        "repeat_rate": (total - distinct) / total if total else 0.0,
-    }

@@ -8,7 +8,7 @@ plan), the :class:`SimilarityEngine` session executes plans on its cluster
 and backend, and every path returns the same :class:`JoinResult`.
 """
 
-from repro.engine.calibration import CalibrationProfile, ComponentEstimate
+from repro.engine.calibration import CalibrationProfile
 from repro.engine.engine import SimilarityEngine, join
 from repro.engine.planner import (
     CorpusProfile,
@@ -29,7 +29,6 @@ from repro.engine.spec import (
 __all__ = [
     "AUTO",
     "CalibrationProfile",
-    "ComponentEstimate",
     "CorpusProfile",
     "ENGINE_ALGORITHMS",
     "JoinPlan",

@@ -17,6 +17,7 @@ a single spec can carry a complete, reproducible description of a run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 from repro.core.exceptions import JobConfigurationError
@@ -44,6 +45,35 @@ PLANNABLE_ALGORITHMS = JOINING_ALGORITHMS + (VCL,)
 
 #: Every valid value of :attr:`JoinSpec.algorithm`.
 ENGINE_ALGORITHMS = (AUTO,) + PLANNABLE_ALGORITHMS + SEQUENTIAL_ALGORITHMS
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_optional_int(value: object) -> bool:
+    return value is None or _is_int(value)
+
+
+def _is_bool(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+#: ``(field, accepts, expected)``: the type every knob must have, checked
+#: before any value check compares it.
+_KNOB_TYPES = (
+    ("threshold",
+     lambda value: isinstance(value, numbers.Real) and not _is_bool(value),
+     "a real number"),
+    ("sharding_threshold", _is_int, "an int"),
+    ("stop_word_frequency", _is_optional_int, "an int or None"),
+    ("chunk_size", _is_optional_int, "an int or None"),
+    ("vcl_super_element_groups", _is_optional_int, "an int or None"),
+    ("use_combiners", _is_bool, "a bool"),
+    ("prune_candidates", _is_bool, "a bool"),
+    ("enforce_budgets", lambda value: value is None or _is_bool(value),
+     "a bool or None"),
+)
 
 
 def available_algorithms() -> tuple[str, ...]:
@@ -98,7 +128,9 @@ class JoinSpec:
     could run with raises
     :class:`~repro.core.exceptions.JobConfigurationError` here (a threshold
     outside ``(0, 1]``, ``ValueError``), whatever ``algorithm`` says, never
-    later from inside a pipeline.
+    later from inside a pipeline.  So does a knob of the wrong type: counts
+    are ints, flags are bools (``use_combiners="no"`` is not ``False``), and
+    the threshold is a real number, stored as a ``float``.
     """
 
     measure: str | NominalSimilarityMeasure = "ruzicka"
@@ -121,7 +153,13 @@ class JoinSpec:
             raise JobConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
                 f"{ENGINE_ALGORITHMS}")
-        validate_threshold(self.threshold)
+        for name, accepts, expected in _KNOB_TYPES:
+            value = getattr(self, name)
+            if not accepts(value):
+                raise JobConfigurationError(
+                    f"{name} must be {expected}, got {value!r} "
+                    f"({type(value).__name__})")
+        object.__setattr__(self, "threshold", validate_threshold(self.threshold))
         if self.sharding_threshold < 1:
             raise JobConfigurationError("sharding_threshold (C) must be >= 1")
         # Every knob is checked here, whatever the algorithm: "auto" prices

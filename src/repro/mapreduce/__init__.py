@@ -11,7 +11,6 @@ from repro.mapreduce.backends import (
     DiskShuffleBackend,
     ExecutionBackend,
     SerialBackend,
-    available_backends,
     get_backend,
 )
 from repro.mapreduce.cluster import (
@@ -22,7 +21,6 @@ from repro.mapreduce.cluster import (
     Cluster,
     ClusterProfile,
     laptop_cluster,
-    paper_cluster,
 )
 from repro.mapreduce.costmodel import (
     DEFAULT_COST_PARAMETERS,
@@ -76,11 +74,9 @@ __all__ = [
     "SerialBackend",
     "SummingCombiner",
     "TaskContext",
-    "available_backends",
     "estimate_record_bytes",
     "get_backend",
     "hash_partitioner",
     "laptop_cluster",
-    "paper_cluster",
     "stable_hash",
 ]

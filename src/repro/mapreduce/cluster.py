@@ -96,16 +96,6 @@ class Cluster:
         return self.num_machines * self.disk_per_machine
 
 
-def paper_cluster(num_machines: int = 500,
-                  profile: ClusterProfile = GOOGLE_MAPREDUCE) -> Cluster:
-    """The cluster configuration used throughout the paper's evaluation."""
-    return Cluster(num_machines=num_machines,
-                   memory_per_machine=GIGABYTE,
-                   disk_per_machine=10 * GIGABYTE,
-                   profile=profile,
-                   scheduler_limit_seconds=48 * 3600.0)
-
-
 def laptop_cluster(num_machines: int = 8,
                    memory_per_machine: int = 64 * MEGABYTE,
                    profile: ClusterProfile = GOOGLE_MAPREDUCE) -> Cluster:

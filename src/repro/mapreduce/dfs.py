@@ -14,7 +14,7 @@ first time a job reads it and keeps them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import JobConfigurationError
 from repro.mapreduce.types import RecordColumns, estimate_record_bytes
@@ -67,11 +67,6 @@ class Dataset:
             self._record_bytes = tuple(map(estimate_record_bytes, self._records))
         return self._record_bytes
 
-    @property
-    def total_bytes(self) -> int:
-        """Estimated serialised size of the whole dataset."""
-        return sum(self.record_bytes)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -83,20 +78,3 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(name={self._name!r}, records={len(self._records)})"
-
-    def map_records(self, transform: Callable[[Any], Any],
-                    name: str | None = None) -> "Dataset":
-        """Return a new dataset with ``transform`` applied to every record."""
-        return Dataset(name or f"{self._name}:mapped",
-                       (transform(record) for record in self._records))
-
-    def filter_records(self, predicate: Callable[[Any], bool],
-                       name: str | None = None) -> "Dataset":
-        """Return a new dataset keeping only records matching ``predicate``."""
-        return Dataset(name or f"{self._name}:filtered",
-                       (record for record in self._records if predicate(record)))
-
-    def concat(self, other: "Dataset", name: str | None = None) -> "Dataset":
-        """Return the concatenation of this dataset and ``other``."""
-        return Dataset(name or f"{self._name}+{other._name}",
-                       list(self._records) + list(other._records))

@@ -30,8 +30,8 @@ from repro.core.exceptions import (
     ResilienceError,
 )
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilience.faults import FaultPolicy, call_with_policy
-from repro.resilience.retry import RetryPolicy, RetrySchedule
+from repro.resilience.faults import FaultPolicy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "CLOSED",
@@ -46,6 +46,4 @@ __all__ = [
     "ReplicaUnavailableError",
     "ResilienceError",
     "RetryPolicy",
-    "RetrySchedule",
-    "call_with_policy",
 ]

@@ -169,17 +169,3 @@ class FaultPolicy:
                 f"latency={self.latency_seconds}s, "
                 f"error_p={self.error_probability}, "
                 f"crashed={self._crashed})")
-
-
-def call_with_policy(policy: FaultPolicy | None, operation: str,
-                     function, *args, **kwargs):
-    """Run ``function`` behind an optional fault policy.
-
-    The convenience form for wrapping ad-hoc calls (the wire client's
-    transport attempts); replica calls go through
-    :meth:`repro.resilience.replica.Replica.call` instead, which adds
-    locking and health accounting.
-    """
-    if policy is not None:
-        policy.on_call(operation)
-    return function(*args, **kwargs)

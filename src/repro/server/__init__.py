@@ -29,21 +29,19 @@ from repro.server.client import (
     RemoteServerError,
     SimilarityClient,
 )
-from repro.server.errors import ERROR_TABLE, classify, error_body
-from repro.server.http import HttpServer, InProcessServer, serve_forever
+from repro.server.errors import ERROR_TABLE, error_body
+from repro.server.http import InProcessServer, serve_forever
 from repro.server.queues import CoalescingQueue
 
 __all__ = [
     "ClientTransportError",
     "CoalescingQueue",
     "ERROR_TABLE",
-    "HttpServer",
     "InProcessServer",
     "RemoteServerError",
     "ServerConfig",
     "SimilarityClient",
     "SimilarityServerApp",
-    "classify",
     "error_body",
     "serve_forever",
 ]

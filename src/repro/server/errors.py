@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.core.exceptions import (
     BackendError,
     CircuitOpenError,
-    CommunityError,
     DatasetError,
     DeadlineExceededError,
     DiskBudgetExceeded,
@@ -34,7 +33,6 @@ from repro.core.exceptions import (
     MapReduceError,
     MeasureNotApplicableError,
     MemoryBudgetExceeded,
-    PipelineError,
     QueueFullError,
     ReplicaDivergenceError,
     ReplicaUnavailableError,
@@ -74,9 +72,7 @@ ERROR_TABLE: tuple[tuple[type[ReproError], str, int], ...] = (
     (JobTimeoutError, "job_timeout", 504),
     (JobConfigurationError, "job_configuration_error", 400),
     (UnsupportedFeatureError, "unsupported_feature", 400),
-    (PipelineError, "pipeline_error", 500),
     (MapReduceError, "mapreduce_error", 500),
-    (CommunityError, "community_error", 500),
     (ReproError, "repro_error", 500),
 )
 

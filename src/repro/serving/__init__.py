@@ -46,7 +46,7 @@ from repro.serving.api import (
 from repro.serving.bootstrap import bootstrap_from_join, multisets_from_input
 from repro.serving.cache import LRUResultCache
 from repro.serving.index import SimilarityIndex
-from repro.serving.node import ServingNode, query_signature
+from repro.serving.node import ServingNode
 from repro.serving.replica import RENDEZVOUS, ROUND_ROBIN, Replica, ReplicatedShard
 from repro.serving.service import (
     SHARD_SALT,
@@ -73,7 +73,6 @@ __all__ = [
     "multiset_from_wire",
     "multiset_to_wire",
     "multisets_from_input",
-    "query_signature",
     "shard_for",
     "sort_matches",
 ]

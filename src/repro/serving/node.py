@@ -30,22 +30,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.multiset import Multiset, MultisetId, content_signature
+from repro.core.multiset import Multiset, MultisetId
 from repro.serving.api import QueryMatch, QueryRequest, QueryResponse
 from repro.serving.cache import COUNTERS, LRUResultCache
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.telemetry import Metrics, read
-
-
-def query_signature(query: Multiset) -> frozenset:
-    """The cache key of a query: its content signature, identifier ignored.
-
-    Two multisets with equal contents produce equal signatures regardless of
-    their identifiers or construction order, which is exactly the equality
-    the result cache needs.
-    """
-    return content_signature(query)
 
 
 class ServingNode:

@@ -8,7 +8,6 @@ from repro.similarity.base import (
 )
 from repro.similarity.exact import (
     all_pairs_exact,
-    compute_partials,
     compute_similarity,
     pair_dictionary,
 )
@@ -27,7 +26,6 @@ from repro.similarity.measures import (
 )
 from repro.similarity.kernels import (
     conj_kernel_kind,
-    interned_conjunctive,
     interned_similarity,
     interned_unilateral,
     uni_kernel_kind,
@@ -37,12 +35,9 @@ from repro.similarity.partials import (
     uni_fold,
 )
 from repro.similarity.registry import (
-    available_measures,
     get_measure,
-    iter_measures,
     list_measures,
     register_measure,
-    supported_measures,
 )
 
 __all__ = [
@@ -61,21 +56,16 @@ __all__ = [
     "VectorCosineSimilarity",
     "WeightedJaccardSimilarity",
     "all_pairs_exact",
-    "available_measures",
-    "compute_partials",
     "compute_similarity",
     "conj_kernel_kind",
     "fold_uni_multiplicities",
     "get_measure",
-    "interned_conjunctive",
     "interned_similarity",
     "interned_unilateral",
-    "iter_measures",
     "list_measures",
     "uni_kernel_kind",
     "pair_dictionary",
     "register_measure",
-    "supported_measures",
     "uni_fold",
     "validate_threshold",
 ]

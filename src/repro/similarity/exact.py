@@ -26,22 +26,6 @@ def compute_similarity(measure: str | NominalSimilarityMeasure,
     return get_measure(measure).similarity(entity_i, entity_j)
 
 
-def compute_partials(measure: str | NominalSimilarityMeasure,
-                     entity_i: Multiset,
-                     entity_j: Multiset) -> dict[str, tuple[float, ...]]:
-    """Return the decomposed partial results for a pair of multisets.
-
-    Useful for debugging a measure's Eqn.-1 decomposition: the returned
-    dictionary carries ``Uni(Mi)``, ``Uni(Mj)`` and ``Conj(Mi, Mj)``.
-    """
-    resolved = get_measure(measure)
-    return {
-        "uni_i": resolved.unilateral(entity_i),
-        "uni_j": resolved.unilateral(entity_j),
-        "conj": resolved.conjunctive(entity_i, entity_j),
-    }
-
-
 def all_pairs_exact(multisets: Iterable[Multiset] | Mapping[MultisetId, Multiset],
                     measure: str | NominalSimilarityMeasure,
                     threshold: float,

@@ -7,8 +7,6 @@ shared instance per measure since measures are stateless.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.exceptions import UnknownMeasureError
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.similarity.kernels import BOUND_KERNELS, CONJ_KERNELS, UNI_KERNELS
@@ -64,11 +62,6 @@ def get_measure(name: str | NominalSimilarityMeasure) -> NominalSimilarityMeasur
     return measure
 
 
-def available_measures() -> list[str]:
-    """Return the sorted names of all registered measures."""
-    return sorted(_REGISTRY)
-
-
 def list_measures(supported_only: bool = False) -> list[str]:
     """The measure names a :class:`~repro.engine.spec.JoinSpec` accepts.
 
@@ -78,18 +71,10 @@ def list_measures(supported_only: bool = False) -> list[str]:
     pipelines can compute are returned (measures requiring disjunctive
     partials are excluded, matching the paper's scope); the default lists
     every registered measure (``algorithm="exact"`` accepts them all).
-    """
-    return supported_measures() if supported_only else available_measures()
-
-
-def supported_measures() -> list[str]:
-    """Return the names of measures usable by the MapReduce drivers.
-
-    Measures with a disjunctive partial (``direct_ruzicka``) are excluded,
-    matching the paper's scope (section 3.2).
+    Names are sorted.
     """
     return sorted(name for name, measure in _REGISTRY.items()
-                  if not measure.requires_disjunctive)
+                  if not (supported_only and measure.requires_disjunctive))
 
 
 def register_measure(measure: NominalSimilarityMeasure,
@@ -118,9 +103,3 @@ def register_measure(measure: NominalSimilarityMeasure,
             f"measure {measure.name!r} declares unknown bound_kernel "
             f"{measure.bound_kernel!r}; expected one of {BOUND_KERNELS}")
     _REGISTRY[measure.name] = measure
-
-
-def iter_measures() -> Iterable[tuple[str, NominalSimilarityMeasure]]:
-    """Iterate over ``(name, measure)`` pairs in name order."""
-    for name in sorted(_REGISTRY):
-        yield name, _REGISTRY[name]

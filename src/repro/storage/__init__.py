@@ -23,9 +23,7 @@ this package is the machinery behind them.
 """
 
 from repro.storage.codecs import (
-    load_dictionary,
     load_index,
-    save_dictionary,
     save_index,
 )
 from repro.storage.engine import (
@@ -50,9 +48,7 @@ __all__ = [
     "ViewSubscription",
     "decode_value",
     "encode_value",
-    "load_dictionary",
     "load_index",
     "open_engine",
-    "save_dictionary",
     "save_index",
 ]

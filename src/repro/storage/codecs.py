@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.exceptions import ReproError, StorageError
 from repro.core.interning import ElementDictionary, LocalInterner
@@ -298,17 +298,3 @@ def spec_from_description(text: str, store: str = "<description>"):
     except (TypeError, ValueError, ReproError) as error:
         raise StorageError(
             f"{store!r}: stored join spec is damaged: {error}") from None
-
-
-# -- pair maps ----------------------------------------------------------------
-
-def encode_pair_rows(pairs: Iterable[tuple[tuple, float]]) -> list[tuple]:
-    """``((first, second), similarity)`` pairs → encoded table rows."""
-    return [(encode_value(first), encode_value(second), similarity)
-            for (first, second), similarity in pairs]
-
-
-def decode_pair_rows(rows: Sequence[tuple]) -> dict[tuple, float]:
-    """Encoded table rows → a ``{(first, second): similarity}`` map."""
-    return {(decode_value(first), decode_value(second)): similarity
-            for first, second, similarity in rows}

@@ -12,24 +12,19 @@ from repro.vsmart.lookup import (
     lookup_table_from_records,
 )
 from repro.vsmart.online_aggregation import build_online_aggregation_job
-from repro.vsmart.preprocessing import (
-    build_stop_word_job,
-    remove_small_multisets,
-)
+from repro.vsmart.preprocessing import build_stop_word_job
 from repro.vsmart.sharding import (
     build_sharding1_job,
     build_sharding2_job,
     element_fingerprint,
 )
 from repro.vsmart.similarity_phase import (
-    ChunkPairRecord,
     SimilarityPhaseConfig,
     build_similarity1_job,
     build_similarity2_job,
 )
 
 __all__ = [
-    "ChunkPairRecord",
     "JOINING_ALGORITHMS",
     "LOOKUP",
     "ONLINE_AGGREGATION",
@@ -45,5 +40,4 @@ __all__ = [
     "build_stop_word_job",
     "element_fingerprint",
     "lookup_table_from_records",
-    "remove_small_multisets",
 ]

@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Sequence
 
 from repro.core.exceptions import JobConfigurationError
-from repro.core.records import InputColumns, InputTuple
+from repro.core.records import InputColumns
 from repro.mapreduce.job import JobSpec, Reducer, TaskContext
 from repro.mapreduce.types import Emissions
 from repro.vsmart.common import first, second
@@ -85,18 +85,3 @@ def build_stop_word_job(frequency_threshold: int,
     return JobSpec(name=name,
                    mapper=StopWordMapper(),
                    reducer=StopWordReducer(frequency_threshold))
-
-
-def remove_small_multisets(records: Sequence[InputTuple],
-                           minimum_elements: int) -> list[InputTuple]:
-    """Drop multisets observing fewer than ``minimum_elements`` elements.
-
-    Section 7.4 filters out IPs that observed fewer than 50 cookies to cut
-    false positives; this in-memory helper applies the same filter to a raw
-    tuple collection before building the pipeline input.
-    """
-    counts: dict = {}
-    for record in records:
-        counts[record.multiset_id] = counts.get(record.multiset_id, 0) + 1
-    return [record for record in records
-            if counts[record.multiset_id] >= minimum_elements]

@@ -16,7 +16,7 @@ from repro.mapreduce.backends import get_backend
 from repro.mapreduce.cluster import GOOGLE_MAPREDUCE, HADOOP, Cluster, laptop_cluster
 from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
-from repro.similarity.registry import supported_measures
+from repro.similarity.registry import list_measures
 from repro.vsmart.driver import JOINING_ALGORITHMS
 
 # Hypothesis budgets.  The stateful suites (tests/test_streaming.py,
@@ -76,7 +76,7 @@ def join_grid(draw, measures=None,
     :func:`assert_matches_oracle` is the one oracle they hold a cell to.
     """
     return JoinGridCell(
-        measure=draw(st.sampled_from(measures or sorted(supported_measures()))),
+        measure=draw(st.sampled_from(measures or list_measures(supported_only=True))),
         algorithm=draw(st.sampled_from(algorithms)),
         backend=draw(st.sampled_from(backends)),
         threshold=draw(st.sampled_from(thresholds)),

@@ -18,7 +18,6 @@ from repro.analysis.experiments import (
     threshold_sweep,
 )
 from repro.analysis.reporting import (
-    format_counters,
     format_sweep_table,
     format_table,
     outcome_cell,
@@ -135,12 +134,6 @@ class TestReporting:
         assert speedup(None, 10.0) is None
         assert relative_drop(100.0, 60.0) == pytest.approx(0.4)
         assert relative_drop(100.0, None) is None
-
-    def test_format_counters(self):
-        text = format_counters({"a/x": 3, "b/y": 4}, prefix="a/")
-        assert "a/x" in text
-        assert "b/y" not in text
-        assert format_counters({}, prefix="zzz") == "(no counters)"
 
 
 class TestCalibration:

@@ -24,12 +24,12 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     SerialBackend,
-    available_backends,
     get_backend,
 )
+from repro.mapreduce.backends import available_backends
 from repro.mapreduce.cluster import laptop_cluster
 from repro.mapreduce.partitioner import hash_partitioner
-from repro.similarity.registry import supported_measures
+from repro.similarity.registry import list_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
@@ -247,7 +247,7 @@ class TestJoinParity:
                 assert comparable_stats(mine) == comparable_stats(theirs), \
                     (backend, mine.job_name)
 
-    @pytest.mark.parametrize("measure", supported_measures())
+    @pytest.mark.parametrize("measure", list_measures(supported_only=True))
     def test_measures_agree_across_backends(self, measure):
         corpus = small_corpus(count=10)
         base = run_join(SerialBackend(), corpus, measure=measure)

@@ -6,18 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.brute_force import BruteForceJoin
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
 from repro.core.multiset import Multiset
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from tests.conftest import make_random_multisets
-
-
-class TestBruteForce:
-    def test_matches_exact_helper(self, small_multisets):
-        join = BruteForceJoin("ruzicka", 0.3)
-        assert join.run(small_multisets) == all_pairs_exact(small_multisets, "ruzicka", 0.3)
 
 
 class TestInvertedIndex:

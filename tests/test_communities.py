@@ -8,7 +8,6 @@ from repro.communities.clustering import (
     UnionFind,
     clusters_from_pairs,
     connected_components,
-    dense_clusters,
 )
 from repro.communities.graph import SimilarityGraph
 from repro.communities.proxies import (
@@ -85,19 +84,6 @@ class TestClustering:
         pairs = [SimilarPair("a", "b", 1.0)]
         assert clusters_from_pairs(pairs, minimum_size=2) == [{"a", "b"}]
         assert clusters_from_pairs(pairs, minimum_size=3) == []
-
-    def test_dense_clusters_prune_weak_members(self):
-        # A triangle a-b-c plus a weakly attached node d (one edge only).
-        pairs = [SimilarPair("a", "b", 1.0), SimilarPair("b", "c", 1.0),
-                 SimilarPair("a", "c", 1.0), SimilarPair("c", "d", 1.0)]
-        graph = SimilarityGraph.from_pairs(pairs)
-        dense = dense_clusters(graph, minimum_degree_fraction=0.7)
-        assert {"a", "b", "c"} in dense
-        assert all("d" not in cluster for cluster in dense)
-
-    def test_dense_clusters_validation(self):
-        with pytest.raises(ValueError):
-            dense_clusters(SimilarityGraph(), minimum_degree_fraction=0.0)
 
 
 class TestProxyEvaluation:

@@ -1,4 +1,4 @@
-"""Tests for the workload generators, statistics and loaders."""
+"""Tests for the workload generators and statistics."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import DatasetError
-from repro.core.records import explode_multisets
 from repro.datasets.documents import (
     DocumentCorpusConfig,
     generate_document_corpus,
@@ -14,23 +13,13 @@ from repro.datasets.documents import (
 )
 from repro.datasets.ip_cookie import (
     IPCookieConfig,
-    dataset_label,
     generate_ip_cookie_dataset,
     generate_preset,
     realistic_dataset_config,
-    scaled_memory_budget,
     small_dataset_config,
-)
-from repro.datasets.loaders import (
-    read_input_tuples,
-    read_multisets,
-    write_input_tuples,
-    write_multisets,
-    write_similar_pairs,
 )
 from repro.datasets.stats import (
     elements_per_multiset,
-    frequency_histogram,
     log_binned_histogram,
     multisets_per_element,
     skew_ratio,
@@ -136,8 +125,6 @@ class TestIPCookieGenerator:
         realistic = realistic_dataset_config()
         assert realistic.num_ips > small.num_ips
         assert realistic.num_cookies > small.num_cookies
-        assert dataset_label(small).startswith("400ips")
-        assert scaled_memory_budget(small) == scaled_memory_budget(realistic)
         with pytest.raises(DatasetError):
             generate_preset("gigantic")
 
@@ -188,9 +175,6 @@ class TestStats:
         values = multisets_per_element(overlapping_multisets)
         assert max(values) == 4  # element "x" appears in a, b, c, e
 
-    def test_frequency_histogram(self):
-        assert frequency_histogram([1, 1, 2]) == {1: 2, 2: 1}
-
     def test_log_binned_histogram(self):
         histogram = log_binned_histogram([1, 1, 2, 3, 4, 8, 9], base=2.0)
         assert histogram[0] == (1, 2, 2)
@@ -210,40 +194,3 @@ class TestStats:
         summary = summarise_distribution([])
         assert summary.count == 0
         assert skew_ratio([]) == 0.0
-
-
-class TestLoaders:
-    def test_input_tuple_roundtrip(self, tmp_path, overlapping_multisets):
-        path = tmp_path / "tuples.tsv"
-        records = explode_multisets(overlapping_multisets)
-        written = write_input_tuples(path, records)
-        assert written == len(records)
-        loaded = read_input_tuples(path)
-        assert {(r.multiset_id, r.element, r.multiplicity) for r in loaded} == {
-            (r.multiset_id, str(r.element), int(r.multiplicity)) for r in records}
-
-    def test_multiset_roundtrip(self, tmp_path, overlapping_multisets):
-        path = tmp_path / "multisets.tsv"
-        write_multisets(path, overlapping_multisets)
-        loaded = read_multisets(path)
-        assert {m.id for m in loaded} == {m.id for m in overlapping_multisets}
-        by_id = {m.id: m for m in loaded}
-        for original in overlapping_multisets:
-            assert by_id[original.id].counts() == original.counts()
-
-    def test_malformed_rows_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("only-two\tcolumns\n")
-        with pytest.raises(DatasetError):
-            read_input_tuples(path)
-        path.write_text("a\tb\tnot-a-number\n")
-        with pytest.raises(DatasetError):
-            read_input_tuples(path)
-
-    def test_write_similar_pairs(self, tmp_path):
-        from repro.core.records import SimilarPair
-
-        path = tmp_path / "pairs.tsv"
-        rows = write_similar_pairs(path, [SimilarPair("a", "b", 0.5)])
-        assert rows == 1
-        assert "0.500000" in path.read_text()

@@ -49,7 +49,7 @@ from repro.mapreduce.types import estimate_record_bytes
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.exact import all_pairs_exact
-from repro.similarity.registry import get_measure, supported_measures
+from repro.similarity.registry import get_measure
 from repro.telemetry import Metrics
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from repro.vsmart.online_aggregation import build_online_aggregation_job
@@ -125,6 +125,24 @@ class TestJoinSpec:
             JoinSpec(algorithm=algorithm, threshold=0.5, **{field: value})
         JoinSpec(algorithm=algorithm, chunk_size=2, stop_word_frequency=1)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("chunk_size", 2.5), ("chunk_size", "3"), ("use_combiners", "no"),
+        ("prune_candidates", 1), ("sharding_threshold", float("nan")),
+        ("sharding_threshold", True), ("stop_word_frequency", 2.5),
+        ("stop_word_frequency", True), ("vcl_super_element_groups", 2.5),
+        ("enforce_budgets", "no"), ("threshold", True), ("threshold", "0.5")])
+    def test_knob_of_the_wrong_type_is_rejected_at_the_front_door(
+            self, overlapping_multisets, knob, value):
+        # 3.12 ran chunk_size=2.5 into a bare TypeError mid-pipeline, raised
+        # one from the spec for "3", and silently ran the rest: "no" ran the
+        # combiners, NaN sharded nothing.
+        fields = {"threshold": 0.5, "algorithm": "online_aggregation", knob: value}
+        with pytest.raises(JobConfigurationError, match=knob):
+            if knob == "enforce_budgets":  # join() hands its own to the session
+                JoinSpec(**fields)
+            else:
+                join(overlapping_multisets, **fields)
+
     def test_describe_resolves_measure_name(self):
         from repro.similarity.measures import JaccardSimilarity
         described = JoinSpec(measure=JaccardSimilarity()).describe()
@@ -184,7 +202,7 @@ class TestDiscovery:
 class TestEngineParity:
     """Every engine path finds exactly what the brute-force oracle finds."""
 
-    @pytest.mark.parametrize("measure", supported_measures())
+    @pytest.mark.parametrize("measure", list_measures(supported_only=True))
     @pytest.mark.parametrize("algorithm", JOINING_ALGORITHMS)
     def test_vsmart_parity_per_measure(self, measure, algorithm,
                                        small_multisets, test_cluster):
@@ -284,7 +302,7 @@ class TestPlanner:
         fastest = min(measured, key=measured.get)
         assert plan.algorithm == fastest, (plan.algorithm, measured)
 
-    @pytest.mark.parametrize("measure_name", sorted(supported_measures()))
+    @pytest.mark.parametrize("measure_name", list_measures(supported_only=True))
     def test_prices_the_sizes_the_jobs_are_built_with(self, measure_name):
         """One definition of a record's shape.  The planner prices with
         ``RecordShapes``, the catalogue the jobs read when they are built;

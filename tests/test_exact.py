@@ -7,7 +7,6 @@ import pytest
 from repro.core.multiset import Multiset
 from repro.similarity.exact import (
     all_pairs_exact,
-    compute_partials,
     compute_similarity,
     pair_dictionary,
 )
@@ -18,14 +17,6 @@ class TestComputeSimilarity:
         first = Multiset("a", {"x": 1})
         second = Multiset("b", {"x": 1, "y": 1})
         assert compute_similarity("jaccard", first, second) == pytest.approx(0.5)
-
-    def test_partials(self):
-        first = Multiset("a", {"x": 2})
-        second = Multiset("b", {"x": 1, "y": 3})
-        partials = compute_partials("ruzicka", first, second)
-        assert partials["uni_i"] == (2.0,)
-        assert partials["uni_j"] == (4.0,)
-        assert partials["conj"] == (1.0,)
 
 
 class TestAllPairsExact:

@@ -9,7 +9,8 @@ the wrong way loses a pair) as well as at round values:
 * a pair at or above ``t`` shares a prefix key (``PrefixFilter.cut``) under
   a random total order, with and without super-element grouping;
 * every exact algorithm and the served ``SimilarityIndex.neighbours()``
-  agree with the oracle.
+  agree with the oracle, and so does a ``JoinView`` after each batch of
+  deltas.
 
 The regression tests pin, at the engine front door, the two cases that
 first showed filters rounding past the threshold and a vector cosine that
@@ -22,13 +23,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro import Multiset, join
+from repro import JoinSpec, JoinView, Multiset, join
 from repro.core.records import canonical_pair
 from repro.engine.spec import ENGINE_ALGORITHMS
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
-from repro.similarity.registry import get_measure, supported_measures
+from repro.similarity.registry import get_measure, list_measures
+from repro.streaming.view import INCREMENTAL, REJOIN
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.prefix import PrefixFilter
 from tests.conftest import assert_matches_oracle, make_random_multisets
@@ -36,7 +38,7 @@ from tests.conftest import assert_matches_oracle, make_random_multisets
 ROUND_THRESHOLDS = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9,
                     0.95, 1.0)
 
-MEASURES = sorted(supported_measures())
+MEASURES = list_measures(supported_only=True)
 
 ELEMENTS = [f"e{index}" for index in range(12)]
 
@@ -138,6 +140,19 @@ class TestFilterSoundness:
                   for multiset in cell.corpus
                   for match in index.neighbours(multiset.id, cell.threshold)}
         assert_matches_oracle(served, cell.corpus, measure, cell.threshold)
+
+    @given(data=st.data())
+    def test_view_deltas_match_the_oracle(self, measure, data):
+        cell = data.draw(filter_cells(measure))
+        first, last = cell.corpus[0], cell.corpus[-1]
+        for strategy in (INCREMENTAL, REJOIN):
+            view = JoinView(JoinSpec(measure=measure, threshold=cell.threshold),
+                            cell.corpus[:-1])
+            assert_matches_oracle(view.pairs(), cell.corpus[:-1], measure, cell.threshold)
+            view.upsert(last, strategy=strategy)
+            assert_matches_oracle(view.pairs(), cell.corpus, measure, cell.threshold)
+            view.delete(first.id, strategy=strategy)
+            assert_matches_oracle(view.pairs(), cell.corpus[1:], measure, cell.threshold)
 
 
 class TestPairsAtTheThreshold:

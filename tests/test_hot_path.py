@@ -52,7 +52,7 @@ from repro.mapreduce.types import (
     walk_record_bytes,
 )
 from repro.similarity.base import NominalSimilarityMeasure
-from repro.similarity.registry import supported_measures
+from repro.similarity.registry import list_measures
 from repro.telemetry import Metrics
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.kernel import build_kernel_job
@@ -405,7 +405,7 @@ class TestAccountingIsFrozen:
                                    "online_aggregation")) == expected
 
     @settings(max_examples=50, deadline=None)
-    @given(cell=join_grid(measures=sorted(supported_measures())
+    @given(cell=join_grid(measures=list_measures(supported_only=True)
                           + [SharedElements()],
                           algorithms=ALGORITHMS,
                           backends=("serial", BACKENDS[-1])),
@@ -443,7 +443,7 @@ class TestAccountingIsFrozen:
             assert outcome() == ours
 
     @settings(max_examples=40, deadline=None)
-    @given(cell=join_grid(measures=sorted(supported_measures())
+    @given(cell=join_grid(measures=list_measures(supported_only=True)
                           + [SharedElements()],
                           algorithms=("sharding", "online_aggregation",
                                       "lookup"),
@@ -473,7 +473,7 @@ class TestAccountingIsFrozen:
         assert len(batches) == len(result.pipeline.job_stats)
 
     @settings(max_examples=30, deadline=None)
-    @given(cell=join_grid(measures=sorted(supported_measures())
+    @given(cell=join_grid(measures=list_measures(supported_only=True)
                           + [SharedElements()],
                           algorithms=("vcl",), backends=("serial",)),
            frequency_order=st.booleans(),

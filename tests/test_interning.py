@@ -50,7 +50,7 @@ from repro.similarity.kernels import (
     uni_kernel_kind,
 )
 from repro.similarity.partials import fold_uni_multiplicities
-from repro.similarity.registry import get_measure, supported_measures
+from repro.similarity.registry import get_measure, list_measures
 from repro.engine.engine import join
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from tests.conftest import (
@@ -103,7 +103,7 @@ class TestElementDictionary:
         assert dictionary.id_of("rare") < dictionary.id_of("mid")
         assert dictionary.id_of("mid") < dictionary.id_of("common")
         assert dictionary.frequency_of("common") == 3
-        assert dictionary.element_of(dictionary.id_of("rare")) == "rare"
+        assert list(dictionary)[dictionary.id_of("rare")] == "rare"
 
     def test_tie_break_is_deterministic(self):
         frequencies = {"b": 2, "a": 2, "c": 2}
@@ -123,8 +123,6 @@ class TestElementDictionary:
         dictionary = ElementDictionary.from_document_frequencies({"x": 1})
         with pytest.raises(InterningError):
             dictionary.id_of("missing")
-        with pytest.raises(InterningError):
-            dictionary.element_of(99)
         assert dictionary.get("missing") is None
 
     def test_intern_multiset_with_unknown_element_raises_interning_error(self):
@@ -137,7 +135,8 @@ class TestElementDictionary:
             {"x": 3, "y": 1, "z": 2})
         interned = dictionary.intern_multiset(Multiset("m", {"x": 4, "y": 1, "z": 2}))
         assert list(interned.element_ids) == sorted(interned.element_ids)
-        restored = {dictionary.element_of(element_id): multiplicity
+        elements = list(dictionary)
+        restored = {elements[element_id]: multiplicity
                     for element_id, multiplicity in interned.items()}
         assert restored == {"x": 4.0, "y": 1.0, "z": 2.0}
         assert interned.cardinality == 7.0
@@ -298,7 +297,7 @@ class TestKernelsMatchReference:
         return make_random_multisets(14, alphabet_size=20, max_elements=12,
                                      seed=seed)
 
-    @pytest.mark.parametrize("measure_name", supported_measures())
+    @pytest.mark.parametrize("measure_name", list_measures(supported_only=True))
     def test_conjunctive_and_unilateral(self, measure_name):
         measure = get_measure(measure_name)
         multisets = self.corpus()
@@ -354,14 +353,14 @@ class TestKernelsMatchReference:
         tuple for tuple, on every supported measure."""
         multiset = Multiset("m", {f"x{position}": multiplicity for position,
                                   multiplicity in enumerate(multiplicities)})
-        for name in supported_measures():
+        for name in list_measures(supported_only=True):
             measure = get_measure(name)
             assert (fold_uni_multiplicities(measure, multiset.values())
                     == measure.unilateral(multiset))
 
     def test_all_pairs_exact_intern_flag(self):
         multisets = self.corpus(seed=9)
-        for name in supported_measures() + ["direct_ruzicka"]:
+        for name in list_measures(supported_only=True) + ["direct_ruzicka"]:
             assert (all_pairs_exact(multisets, name, 0.25, intern=True)
                     == all_pairs_exact(multisets, name, 0.25))
 

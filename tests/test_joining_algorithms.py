@@ -36,7 +36,7 @@ from repro.vsmart.lookup import (
     lookup_table_from_records,
 )
 from repro.vsmart.online_aggregation import build_online_aggregation_job
-from repro.vsmart.preprocessing import build_stop_word_job, remove_small_multisets
+from repro.vsmart.preprocessing import build_stop_word_job
 from repro.vsmart.sharding import (
     build_sharding1_job,
     build_sharding2_job,
@@ -266,10 +266,3 @@ class TestStopWordPreprocessing:
     def test_invalid_threshold(self):
         with pytest.raises(JobConfigurationError):
             build_stop_word_job(0)
-
-    def test_remove_small_multisets_helper(self):
-        multisets = [Multiset("big", {f"e{i}": 1 for i in range(60)}),
-                     Multiset("tiny", {"e0": 1})]
-        records = explode_multisets(multisets)
-        kept = remove_small_multisets(records, minimum_elements=50)
-        assert {record.multiset_id for record in kept} == {"big"}

@@ -10,13 +10,7 @@ from repro.core.exceptions import MeasureNotApplicableError, UnknownMeasureError
 from repro.core.multiset import Multiset
 from repro.similarity.base import PartialKind, validate_threshold
 from repro.similarity.measures import RuzickaSimilarity
-from repro.similarity.registry import (
-    available_measures,
-    get_measure,
-    iter_measures,
-    register_measure,
-    supported_measures,
-)
+from repro.similarity.registry import get_measure, list_measures, register_measure
 
 A = Multiset("a", {"x": 3, "y": 2, "z": 1})
 B = Multiset("b", {"x": 1, "y": 2, "w": 4})
@@ -74,12 +68,12 @@ class TestKnownValues:
     def test_disjoint_multisets_have_zero_similarity(self):
         left = Multiset("l", {"a": 3})
         right = Multiset("r", {"b": 2})
-        for name in supported_measures():
+        for name in list_measures(supported_only=True):
             assert get_measure(name).similarity(left, right) == 0.0
 
     def test_empty_multiset_similarity_is_zero(self):
         empty = Multiset("empty", {})
-        for name in supported_measures():
+        for name in list_measures(supported_only=True):
             assert get_measure(name).similarity(empty, A) == 0.0
 
 
@@ -102,7 +96,7 @@ class TestDecomposition:
         assert measure.conjunctive(A, B) == (7.0,)
 
     def test_descriptors_have_no_disjunctive_for_supported(self):
-        for name in supported_measures():
+        for name in list_measures(supported_only=True):
             kinds = {d.kind for d in get_measure(name).partial_descriptors()}
             assert PartialKind.DISJUNCTIVE not in kinds
 
@@ -126,14 +120,14 @@ class TestDecomposition:
 
 
 class TestRegistry:
-    def test_available_contains_expected_names(self):
-        names = available_measures()
+    def test_list_contains_expected_names(self):
+        names = list_measures()
         for expected in ("ruzicka", "jaccard", "dice", "cosine", "vector_cosine"):
             assert expected in names
 
     def test_supported_excludes_disjunctive(self):
-        assert "direct_ruzicka" not in supported_measures()
-        assert "direct_ruzicka" in available_measures()
+        assert "direct_ruzicka" not in list_measures(supported_only=True)
+        assert "direct_ruzicka" in list_measures()
 
     def test_get_unknown_raises(self):
         with pytest.raises(UnknownMeasureError):
@@ -151,9 +145,9 @@ class TestRegistry:
         register_measure(RuzickaSimilarity(), replace=True)
         assert get_measure("ruzicka").name == "ruzicka"
 
-    def test_iter_measures_sorted(self):
-        names = [name for name, _ in iter_measures()]
-        assert names == sorted(names)
+    def test_list_measures_sorted(self):
+        for names in (list_measures(), list_measures(supported_only=True)):
+            assert names == sorted(names)
 
 
 class TestThresholdValidation:

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import InvalidMultisetError
-from repro.core.multiset import (
-    MAX_CARDINALITY,
-    Multiset,
-    multiset_collection_statistics,
-)
+from repro.core.multiset import MAX_CARDINALITY, Multiset
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 
@@ -41,13 +37,6 @@ class TestConstruction:
         multiset = Multiset.from_iterable("ip", ["a", "b", "a", "a"])
         assert multiset["a"] == 3
         assert multiset["b"] == 1
-
-    def test_from_set_gives_unit_multiplicities(self):
-        multiset = Multiset.from_set("ip", ["a", "b", "a"])
-        assert multiset.counts() == {"a": 1, "b": 1}
-
-    def test_from_counts_classmethod(self):
-        assert Multiset.from_counts("x", {"a": 1}) == Multiset("x", {"a": 1})
 
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(InvalidMultisetError):
@@ -124,21 +113,10 @@ class TestPairwiseOperations:
         second = Multiset("b", {"x": 1, "y": 4, "z": 2})
         assert first.union_cardinality(second) == 3 + 4 + 2
 
-    def test_symmetric_difference(self):
-        first = Multiset("a", {"x": 3, "y": 1})
-        second = Multiset("b", {"x": 1, "y": 4, "z": 2})
-        assert first.symmetric_difference_cardinality(second) == 2 + 3 + 2
-
-    def test_dot_product(self):
-        first = Multiset("a", {"x": 3, "y": 1})
-        second = Multiset("b", {"x": 2, "z": 5})
-        assert first.dot_product(second) == 6
-
-    def test_underlying_intersection_and_union(self):
+    def test_underlying_intersection(self):
         first = Multiset("a", {"x": 3, "y": 1})
         second = Multiset("b", {"x": 1, "z": 2})
         assert first.underlying_intersection_cardinality(second) == 1
-        assert first.underlying_union_cardinality(second) == 3
 
     def test_common_elements(self):
         first = Multiset("a", {"x": 3, "y": 1})
@@ -151,7 +129,6 @@ class TestPairwiseOperations:
         assert (first.intersection_cardinality(second)
                 == second.intersection_cardinality(first))
         assert first.union_cardinality(second) == second.union_cardinality(first)
-        assert first.dot_product(second) == second.dot_product(first)
 
 
 class TestTransformations:
@@ -160,14 +137,6 @@ class TestTransformations:
         restricted = multiset.restrict({"a", "c"})
         assert restricted.counts() == {"a": 2, "c": 4}
         assert restricted.id == "ip"
-
-    def test_without_elements(self):
-        multiset = Multiset("ip", {"a": 2, "b": 1})
-        assert multiset.without_elements({"a"}).counts() == {"b": 1}
-
-    def test_underlying_multiset(self):
-        multiset = Multiset("ip", {"a": 5, "b": 2})
-        assert multiset.underlying_multiset().counts() == {"a": 1, "b": 1}
 
     def test_scaled(self):
         multiset = Multiset("ip", {"a": 2})
@@ -182,10 +151,6 @@ class TestTransformations:
         renamed = multiset.with_id("other")
         assert renamed.id == "other"
         assert renamed.counts() == multiset.counts()
-
-    def test_to_tuples(self):
-        multiset = Multiset("ip", {"a": 2, "b": 1})
-        assert sorted(multiset.to_tuples()) == [("ip", "a", 2), ("ip", "b", 1)]
 
 
 class TestEqualityAndRepr:
@@ -209,25 +174,6 @@ class TestEqualityAndRepr:
         assert multiset.estimated_bytes() == first
 
 
-class TestCollectionStatistics:
-    def test_statistics_on_collection(self):
-        stats = multiset_collection_statistics([
-            Multiset("a", {"x": 1, "y": 2}),
-            Multiset("b", {"x": 4}),
-        ])
-        assert stats["num_multisets"] == 2
-        assert stats["num_elements"] == 2
-        assert stats["num_incidences"] == 3
-        assert stats["total_cardinality"] == 7
-        assert stats["max_underlying_cardinality"] == 2
-        assert stats["min_underlying_cardinality"] == 1
-
-    def test_statistics_empty(self):
-        stats = multiset_collection_statistics([])
-        assert stats["num_multisets"] == 0
-        assert stats["mean_underlying_cardinality"] == 0.0
-
-
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(multiset_strategy("a"), multiset_strategy("b"))
@@ -247,4 +193,3 @@ class TestProperties:
     def test_self_operations(self, multiset):
         assert multiset.intersection_cardinality(multiset) == multiset.cardinality
         assert multiset.union_cardinality(multiset) == multiset.cardinality
-        assert multiset.symmetric_difference_cardinality(multiset) == 0

@@ -63,7 +63,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultPolicy,
     RetryPolicy,
-    call_with_policy,
 )
 from repro.server.app import ServerConfig, SimilarityServerApp
 from repro.server.client import (
@@ -185,12 +184,6 @@ class TestFaultPolicy:
             FaultPolicy(latency_seconds=-1)
         with pytest.raises(ResilienceError):
             FaultPolicy(crash_after_calls=-1)
-
-    def test_call_with_policy_wraps_and_passes_through(self):
-        assert call_with_policy(None, "op", lambda a, b: a + b, 1, 2) == 3
-        policy = FaultPolicy(error_probability=1.0)
-        with pytest.raises(InjectedFaultError):
-            call_with_policy(policy, "op", lambda: 1)
 
 
 # ---------------------------------------------------------------------------

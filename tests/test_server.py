@@ -50,9 +50,9 @@ from repro.server import (
     ServerConfig,
     SimilarityClient,
     SimilarityServerApp,
-    classify,
     error_body,
 )
+from repro.server.errors import classify
 from repro.streaming.view import JoinView
 from tests.conftest import make_random_multisets, unreplicated_fleet
 

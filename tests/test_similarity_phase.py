@@ -28,7 +28,7 @@ from repro.similarity.kernels import (
     BOUND_MIN_OVER_UNION,
     bound_kernel_kind,
 )
-from repro.similarity.registry import get_measure, register_measure, supported_measures
+from repro.similarity.registry import get_measure, list_measures, register_measure
 from repro.telemetry import Metrics
 from repro.vsmart.driver import JOINING_ALGORITHMS
 from repro.vsmart.similarity_phase import (
@@ -270,7 +270,7 @@ class TestCandidateColumns:
 
 
 def min_over_union_measures() -> list[str]:
-    return [name for name in sorted(supported_measures())
+    return [name for name in list_measures(supported_only=True)
             if bound_kernel_kind(get_measure(name)) == BOUND_MIN_OVER_UNION]
 
 

@@ -54,12 +54,15 @@ from repro.storage import (
     SCHEMA_VERSION,
     decode_value,
     encode_value,
-    load_dictionary,
     load_index,
-    save_dictionary,
     save_index,
 )
-from repro.storage.codecs import describe_spec, spec_from_description
+from repro.storage.codecs import (
+    describe_spec,
+    load_dictionary,
+    save_dictionary,
+    spec_from_description,
+)
 from repro.streaming.changes import Change, ChangeBatch
 from repro.streaming.view import INCREMENTAL
 from tests.conftest import assert_matches_oracle, make_random_multisets
@@ -265,6 +268,7 @@ class TestSpecDescription:
         pytest.param('{"no_such_field": 1}', id="unknown-field"),
         pytest.param('{"threshold": 7}', id="threshold-out-of-range"),
         pytest.param('{"algorithm": "magic"}', id="unknown-algorithm"),
+        pytest.param('{"chunk_size": 2.5}', id="chunk-size-not-an-int"),
         pytest.param('{"minhash_parameters": 5}', id="banding-not-a-mapping"),
         pytest.param('{"minhash_parameters": {"num_bands": 0, '
                      '"rows_per_band": 1}}', id="banding-out-of-range"),

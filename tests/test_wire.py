@@ -34,13 +34,12 @@ from repro.serving.api import QueryRequest
 from repro.server import (
     ERROR_TABLE,
     ClientTransportError,
-    HttpServer,
     InProcessServer,
     SimilarityClient,
     SimilarityServerApp,
 )
 from repro.server import client as client_module
-from repro.server.http import MAX_BODY_BYTES, MAX_HEAD_BYTES, _HttpConnection
+from repro.server.http import MAX_BODY_BYTES, MAX_HEAD_BYTES, HttpServer, _HttpConnection
 from repro.resilience.retry import RetryPolicy
 from tests.conftest import make_random_multisets, unreplicated_fleet
 

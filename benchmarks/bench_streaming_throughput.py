@@ -18,7 +18,6 @@ from repro.analysis.reporting import format_table
 from repro.datasets.workload import MutationStreamConfig, generate_mutation_stream
 from repro.engine.engine import SimilarityEngine
 from repro.engine.spec import JoinSpec
-from repro.streaming.view import INCREMENTAL
 
 THRESHOLD = 0.5
 CHURN_LEVELS = (0.001, 0.01, 0.10)
@@ -38,7 +37,7 @@ def _apply_churn_levels(engine, multisets):
             members, MutationStreamConfig(num_batches=1,
                                           batch_size=batch_size,
                                           seed=2012 + level_index))
-        deltas = view.apply(batch, strategy=INCREMENTAL)
+        deltas = view.apply(batch)
         rejoin = engine.run(SPEC, view.members())
         assert {pair.pair: pair.similarity for pair in rejoin} == view.pairs()
 

@@ -58,7 +58,6 @@ def main() -> None:
                                             seed=2012))
         print("\nApplying the mutation stream:")
         for number, batch in enumerate(stream, start=1):
-            plan = view.decide(batch)
             deltas = view.apply(batch)
             kinds = {}
             for delta in deltas:
@@ -66,15 +65,10 @@ def main() -> None:
             summary = ", ".join(f"{count} {kind}"
                                 for kind, count in sorted(kinds.items())) \
                 or "no pair movement"
-            print(f"  batch {number}: {len(batch)} changes via "
-                  f"{plan.strategy} -> {summary}")
+            print(f"  batch {number}: {len(batch)} changes -> {summary}")
 
-        counters = view.counters()
         print(f"\nView after churn: {view.num_members} members, "
-              f"{view.num_pairs} pairs, version {view.version} "
-              f"({counters.get('streaming/batches_incremental', 0)} "
-              f"incremental batches, "
-              f"{counters.get('streaming/batches_rejoin', 0)} re-joins).")
+              f"{view.num_pairs} pairs, version {view.version}.")
 
         # The fleet's caches answer member queries without a posting scan.
         member = view.members()[0]

@@ -176,11 +176,10 @@ class SimilarityEngine:
         The join executes exactly as :meth:`run` would; its pairs seed a
         :class:`~repro.streaming.view.JoinView` that stays correct under
         :class:`~repro.streaming.changes.ChangeBatch` mutations without
-        re-running the join.  The view borrows this engine for any batch
-        it decides to re-join (and for the cost calibration of that
-        decision), so close the view's workload before closing the engine.
+        re-running the join.  The view holds no reference to this engine:
+        every batch is applied incrementally from the view's own index.
         """
-        return self.run(spec, data).to_view(engine=self)
+        return self.run(spec, data).to_view()
 
     # -- internals -----------------------------------------------------------
 

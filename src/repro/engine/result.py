@@ -115,20 +115,18 @@ class JoinResult:
         return bootstrap_from_join(self.multisets, self,
                                    num_shards=num_shards, **bootstrap_options)
 
-    def to_view(self, engine=None):
+    def to_view(self):
         """Turn this result into a maintained incremental
         :class:`~repro.streaming.view.JoinView`.
 
         The view starts from this result's pairs (no recomputation) and
-        applies mutation batches exactly.  ``engine`` is the session the
-        view's re-join strategy executes on (borrowed); without one, each
-        re-join creates a throwaway serial engine.  A stop-word-filtered
-        join cannot seed an exact view: :class:`JoinView` rejects its spec.
+        applies every mutation batch incrementally and exactly.  A
+        stop-word-filtered join cannot seed an exact view:
+        :class:`JoinView` rejects its spec.
         """
         from repro.streaming.view import JoinView
 
-        return JoinView(self.spec, self.multisets, pairs=self.pairs,
-                        engine=engine)
+        return JoinView(self.spec, self.multisets, pairs=self.pairs)
 
     def to_jsonl(self, destination: str | IO[str]) -> int:
         """Write one JSON object per similar pair; returns the pair count.

@@ -585,7 +585,6 @@ class SimilarityServerApp:
                 directory,
                 replication_factor=running.replication_factor,
                 cache_capacity=running.cache_capacity,
-                read_strategy=running.read_strategy,
                 fault_policy_factory=running.fault_policy_factory)
             return {"recovered": True,
                     "num_shards": self.service.num_shards,

@@ -47,7 +47,7 @@ from repro.serving.bootstrap import bootstrap_from_join, multisets_from_input
 from repro.serving.cache import LRUResultCache
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
-from repro.serving.replica import RENDEZVOUS, ROUND_ROBIN, Replica, ReplicatedShard
+from repro.serving.replica import Replica, ReplicatedShard
 from repro.serving.service import (
     SHARD_SALT,
     ReplicatedSimilarityService,
@@ -60,8 +60,6 @@ __all__ = [
     "QueryOptions",
     "QueryRequest",
     "QueryResponse",
-    "RENDEZVOUS",
-    "ROUND_ROBIN",
     "Replica",
     "ReplicatedShard",
     "ReplicatedSimilarityService",

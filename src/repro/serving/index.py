@@ -82,26 +82,19 @@ class PreparedQuery:
 
     Eager: the content ``signature`` — every cache key needs it.  Lazy and
     memoised: the scan form (:meth:`scan_form`), which a request answered
-    from caches never pays for and shards 2…N take from shard 1, and the
-    ``ranking_key`` of rendezvous read spreading.  Nothing held belongs to
-    an index (no dense ids, write version or stop-word limit), so one is
-    exact across shards, replicas, fail-over retries and interleaved writes.
+    from caches never pays for and shards 2…N take from shard 1.  Nothing
+    held belongs to an index (no dense ids, write version or stop-word
+    limit), so one is exact across shards, replicas, fail-over retries and
+    interleaved writes.
     """
 
-    __slots__ = ("query", "options", "signature", "_scan", "_ranking_key")
+    __slots__ = ("query", "options", "signature", "_scan")
 
     def __init__(self, query: Multiset, options: QueryOptions | None = None) -> None:
         self.query = query
         self.options = options
         self.signature = content_signature(query)
-        self._scan = self._ranking_key = None
-
-    @property
-    def ranking_key(self) -> list[str]:
-        """The signature in canonical order (stable across processes)."""
-        if self._ranking_key is None:
-            self._ranking_key = sorted(map(repr, self.signature))
-        return self._ranking_key
+        self._scan = None
 
     def scan_form(self, measure: NominalSimilarityMeasure) -> tuple:
         """``(measure, Uni(Q), [(element, effective multiplicity), ...])``:
@@ -204,26 +197,6 @@ class SimilarityIndex:
     def num_postings(self) -> int:
         """Total number of (element, multiset) posting entries."""
         return sum(len(postings) for postings in self._postings.values())
-
-    def document_frequency(self, element: Element) -> int:
-        """How many indexed multisets contain ``element`` (effectively).
-
-        This is the length of the element's posting list — the quantity a
-        query over that element pays — so incremental maintenance can price
-        the scan a mutation would trigger before running it.
-        """
-        postings = self._postings.get(self._element_key(element))
-        return len(postings) if postings else 0
-
-    def posting_list_sizes(self) -> list[int]:
-        """The length of every posting list (one entry per alphabet element).
-
-        ``sum(df * (df - 1) // 2)`` over these is the unpruned candidate-pair
-        volume of a from-scratch join over the indexed state — the same
-        estimate the engine planner prices, computed here from the live
-        postings instead of a corpus profile.
-        """
-        return [len(postings) for postings in self._postings.values()]
 
     def counters(self) -> dict[str, int]:
         """Query-execution counters (scanned postings, pruned candidates...)."""

@@ -11,17 +11,13 @@ unreplicated shard is a replica set of one, served by the same code):
   writes and must rebuild before serving again.  After every fan-in the
   shard version-checks the survivors for divergence;
 * **reads spread**: each query is served by one healthy replica, picked
-  round-robin (throughput-first: consecutive queries alternate replicas)
-  or by rendezvous hashing on the query's content signature
-  (cache-first: the same query always lands on the same replica, so each
-  replica's LRU holds a disjoint slice of the hot set).  A read that
+  round-robin, so consecutive queries alternate replicas.  A read that
   faults ejects the replica and *fails over* to the next healthy one —
   the caller sees the answer, not the fault.  With one healthy replica
   there is nothing to pick, and the read goes straight to it.  What is
   handed to a replica is the request already prepared (see
   :mod:`repro.serving.index`; a shard called directly prepares it): it
-  holds nothing of any replica, so a fail-over retry reuses it, and
-  rendezvous ranks from its ``ranking_key``, canonicalised once per request;
+  holds nothing of any replica, so a fail-over retry reuses it;
 * **recovery rebuilds**: a down replica re-enters by copying a healthy
   peer's members (exact: the rebuilt index answers bit-identically) or by
   loading a :mod:`repro.storage` snapshot, then re-joins the fan-in.
@@ -50,7 +46,6 @@ from repro.core.exceptions import (
     ServingError,
 )
 from repro.core.multiset import Multiset, MultisetId
-from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import QueryMatch, QueryRequest
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
 from repro.serving.node import ServingNode
@@ -59,13 +54,6 @@ from repro.telemetry import Metrics, merge
 
 if TYPE_CHECKING:  # the chaos seam is duck-typed: anything with on_call()
     from repro.resilience.faults import FaultPolicy
-
-#: Salt separating replica rendezvous ranking from the other hash users.
-REPLICA_SALT = "resilience-replica"
-
-#: The two read-spreading strategies.
-ROUND_ROBIN = "round_robin"
-RENDEZVOUS = "rendezvous"
 
 
 class Replica:
@@ -131,16 +119,11 @@ class ReplicatedShard:
                  cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
                  name: str = "shard0",
-                 read_strategy: str = ROUND_ROBIN,
                  fault_policies: "Sequence[FaultPolicy | None] | None" = None
                  ) -> None:
         if replication_factor < 1:
             raise ResilienceError(
                 f"replication_factor must be >= 1, got {replication_factor}")
-        if read_strategy not in (ROUND_ROBIN, RENDEZVOUS):
-            raise ResilienceError(
-                f"read_strategy must be {ROUND_ROBIN!r} or {RENDEZVOUS!r}, "
-                f"got {read_strategy!r}")
         if fault_policies is not None \
                 and len(fault_policies) != replication_factor:
             raise ResilienceError(
@@ -148,7 +131,6 @@ class ReplicatedShard:
                 f"{len(fault_policies)} for replication factor "
                 f"{replication_factor}")
         self.name = name
-        self.read_strategy = read_strategy
         self._measure_setting = measure
         self._node_settings = {
             "cache_capacity": cache_capacity,
@@ -353,23 +335,15 @@ class ReplicatedShard:
 
     # -- reads (spread over healthy replicas, failing over on faults) ----------
 
-    def _read_candidates(self, request: "QueryRequest | PreparedQuery | None",
-                         *, take_turn: bool = True) -> Sequence[Replica]:
-        """Healthy replicas in preference order for one request.
+    def _read_candidates(self, *, take_turn: bool = True) -> Sequence[Replica]:
+        """Healthy replicas in round-robin preference order for one read.
 
-        ``take_turn=False`` looks at the round-robin order without using
-        the turn up (see :meth:`cached_reader`).
+        ``take_turn=False`` looks at the order without using the turn up
+        (see :meth:`cached_reader`).
         """
         healthy = self._healthy
         if len(healthy) < 2:
             return healthy
-        if self.read_strategy == RENDEZVOUS and request is not None:
-            ranking_key = prepare(request).ranking_key
-            return sorted(
-                healthy,
-                key=lambda replica: stable_hash((ranking_key, replica.name),
-                                                salt=REPLICA_SALT),
-                reverse=True)
         # Rotate over the *current* healthy replicas so a just-ejected one
         # never absorbs a turn.
         start = self._turn % len(healthy)
@@ -377,15 +351,14 @@ class ReplicatedShard:
             self._turn += 1
         return healthy[start:] + healthy[:start]
 
-    def _read(self, operation: str, function: Callable, argument,
-              request: "PreparedQuery | None"):
+    def _read(self, operation: str, function: Callable, argument):
         """Serve one read from the preferred replica, failing over on faults.
 
         Deterministic :class:`ServingError` failures propagate (they would
         recur on every replica); anything else ejects the replica and
         tries the next.
         """
-        for replica in self._read_candidates(request):
+        for replica in self._read_candidates():
             try:
                 result = replica.call(operation, function, argument)
             except ServingError:
@@ -402,8 +375,7 @@ class ReplicatedShard:
 
     def query(self, request: "QueryRequest | PreparedQuery"):
         """Answer one unified-API query from one healthy replica."""
-        prepared = prepare(request)
-        return self._read("query", ServingNode.query, prepared, prepared)
+        return self._read("query", ServingNode.query, prepare(request))
 
     def cached_reader(self, prepared: PreparedQuery
                       ) -> tuple[Replica, tuple] | None:
@@ -419,7 +391,7 @@ class ReplicatedShard:
         after a ``None`` a :meth:`query` behaves as if nobody had asked.
         The caller finishes with :meth:`read_cached` and releases the lock.
         """
-        candidates = self._read_candidates(prepared, take_turn=False)
+        candidates = self._read_candidates(take_turn=False)
         if not candidates:
             return None
         replica = candidates[0]
@@ -449,9 +421,8 @@ class ReplicatedShard:
         The whole batch goes to a single replica (it coalesces duplicate
         signatures internally); spreading happens across batches.
         """
-        prepared = [prepare(request) for request in requests]
-        return self._read("batch", ServingNode.batch, prepared,
-                          prepared[0] if prepared else None)
+        return self._read("batch", ServingNode.batch,
+                          [prepare(request) for request in requests])
 
     # -- kill / recover --------------------------------------------------------
 
@@ -599,4 +570,4 @@ class ReplicatedShard:
     def __repr__(self) -> str:
         return (f"ReplicatedShard(name={self.name!r}, "
                 f"replicas={self.num_healthy()}/{self.replication_factor} "
-                f"healthy, strategy={self.read_strategy!r})")
+                "healthy)")

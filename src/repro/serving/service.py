@@ -49,7 +49,7 @@ from repro.serving.api import (
     finalize_matches,
 )
 from repro.serving.index import SimilarityIndex, prepare
-from repro.serving.replica import ROUND_ROBIN, Replica, ReplicatedShard
+from repro.serving.replica import Replica, ReplicatedShard
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.telemetry import merge
 
@@ -75,7 +75,6 @@ class ReplicatedSimilarityService:
                  num_shards: int = 4, *, replication_factor: int = 2,
                  cache_capacity: int = 1024,
                  stop_word_frequency: int | None = None,
-                 read_strategy: str = ROUND_ROBIN,
                  fault_policy_factory=None) -> None:
         """Build the fleet.
 
@@ -92,7 +91,6 @@ class ReplicatedSimilarityService:
                 cache_capacity=cache_capacity,
                 stop_word_frequency=stop_word_frequency,
                 name=f"shard{shard}",
-                read_strategy=read_strategy,
                 fault_policies=(
                     [fault_policy_factory(shard, replica)
                      for replica in range(replication_factor)]
@@ -114,11 +112,6 @@ class ReplicatedSimilarityService:
     def measure(self) -> NominalSimilarityMeasure:
         """The measure the fleet serves."""
         return self.shards[0].measure
-
-    @property
-    def read_strategy(self) -> str:
-        """The read-spreading strategy every shard uses."""
-        return self.shards[0].read_strategy
 
     @property
     def cache_capacity(self) -> int:
@@ -182,8 +175,7 @@ class ReplicatedSimilarityService:
     def query(self, request: QueryRequest) -> QueryResponse:
         """Answer one query across all shards, merged exactly.
 
-        Within each shard the answering replica is picked by the read
-        strategy.
+        Within each shard the answering replica is picked round-robin.
         """
         prepared = prepare(request)
         merged: list[QueryMatch] = []
@@ -321,7 +313,6 @@ class ReplicatedSimilarityService:
     def recover(cls, directory: str | os.PathLike, *,
                 replication_factor: int = 2,
                 cache_capacity: int = 1024,
-                read_strategy: str = ROUND_ROBIN,
                 fault_policy_factory=None) -> "ReplicatedSimilarityService":
         """Restore a fleet persisted by :meth:`persist` (this or any 1.x
         release), exactly.
@@ -360,7 +351,6 @@ class ReplicatedSimilarityService:
                               cache_capacity=cache_capacity,
                               stop_word_frequency=indexes[0]
                               .stop_word_frequency,
-                              read_strategy=read_strategy,
                               fault_policy_factory=fault_policy_factory)
             elif indexes[0].measure.name != service.measure.name:
                 raise ServingError(

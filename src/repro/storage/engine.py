@@ -160,12 +160,19 @@ class StorageEngine:
         except sqlite3.Error as error:
             raise StorageError(
                 f"cannot open storage database {self.path!r}: {error}") from None
-        self._connection.execute(f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
-        self._connection.execute("PRAGMA journal_mode = WAL")
-        self._connection.execute("PRAGMA synchronous = NORMAL")
-        self._connection.execute("PRAGMA foreign_keys = ON")
         self._in_transaction = False
-        self._migrate()
+        try:
+            self._connection.execute(
+                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
+            self._connection.execute("PRAGMA journal_mode = WAL")
+            self._connection.execute("PRAGMA synchronous = NORMAL")
+            self._connection.execute("PRAGMA foreign_keys = ON")
+            self._migrate()
+        except sqlite3.DatabaseError as error:
+            # A file that is not a database fails its first real read.
+            self.close()
+            raise StorageError(
+                f"cannot open storage database {self.path!r}: {error}") from None
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -12,11 +12,12 @@ database:
   :class:`~repro.streaming.changes.ChangeBatch` in its own committed
   transaction, keyed by the view version the batch produced;
 * :meth:`ViewStore.load` (surfaced as ``JoinView.recover(path)``)
-  rebuilds the snapshot and replays the logged suffix **with the
-  incremental strategy** — which, by the exactness property the streaming
-  test suite asserts (every maintained score is a sum of integer-valued
-  effective multiplicities), lands on the *bit-identical* pair set the
-  lost process held after its last durable batch.
+  rebuilds the snapshot and replays the logged suffix through
+  :meth:`~repro.streaming.view.JoinView.apply` — which, by the exactness
+  property the streaming test suite asserts (every maintained score is a
+  sum of integer-valued effective multiplicities), lands on the
+  *bit-identical* pair set the lost process held after its last durable
+  batch.
 
 :meth:`ViewStore.attach` wires a live view to its store: it snapshots
 immediately and then logs every applied batch from inside the view's
@@ -169,18 +170,14 @@ class ViewStore:
         self.snapshot(view)
         return ViewSubscription(self, view, snapshot_every)
 
-    def load(self, *, engine=None):
+    def load(self):
         """Rebuild the stored view: snapshot, then replay the log suffix.
 
-        ``engine`` is an optional
-        :class:`~repro.engine.engine.SimilarityEngine` handed to the
-        rebuilt view for its future re-join pricing (recovery itself
-        always replays incrementally).  Raises
-        :class:`~repro.core.exceptions.StorageError` when the database
-        holds no view or the log suffix is not contiguous with the
-        snapshot.
+        Raises :class:`~repro.core.exceptions.StorageError` when the
+        database holds no view or the log suffix is not contiguous with
+        the snapshot.
         """
-        from repro.streaming.view import INCREMENTAL, JoinView
+        from repro.streaming.view import JoinView
 
         store_engine = self._engine
         described = store_engine.get_meta("view", "spec")
@@ -194,7 +191,7 @@ class ViewStore:
                  for first, second, similarity in store_engine.query(
                      "SELECT first, second, similarity FROM view_pairs "
                      "ORDER BY first, second")]
-        view = JoinView(spec, members, pairs=pairs, engine=engine)
+        view = JoinView(spec, members, pairs=pairs)
         snapshot_version = int(
             store_engine.get_meta("view", "snapshot_version") or "0")
         view._version = snapshot_version
@@ -204,7 +201,7 @@ class ViewStore:
                     f"mutation log is not contiguous: snapshot at version "
                     f"{snapshot_version}, next logged batch is {batch_seq} "
                     f"but the view is at {view.version}")
-            view.apply(batch, strategy=INCREMENTAL)
+            view.apply(batch)
         return view
 
 

@@ -31,15 +31,9 @@ from repro.streaming.changes import (
     sort_deltas,
 )
 from repro.streaming.subscribers import attach_serving
-from repro.streaming.view import (
-    APPLY_STRATEGIES,
-    ApplyPlan,
-    JoinView,
-)
+from repro.streaming.view import JoinView
 
 __all__ = [
-    "APPLY_STRATEGIES",
-    "ApplyPlan",
     "Change",
     "ChangeBatch",
     "DELETE",

@@ -95,7 +95,13 @@ class ChangeBatch:
     changes: tuple[Change, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "changes", tuple(self.changes))
+        try:
+            changes = tuple(self.changes)
+        except TypeError:
+            raise StreamingError(
+                f"a change batch is built from Change records, not "
+                f"{type(self.changes).__name__}") from None
+        object.__setattr__(self, "changes", changes)
         for position, change in enumerate(self.changes):
             if not isinstance(change, Change):
                 raise StreamingError(
@@ -114,7 +120,7 @@ class ChangeBatch:
             return changes
         if isinstance(changes, Change):
             return cls((changes,))
-        return cls(tuple(changes))
+        return cls(changes)
 
     def __iter__(self) -> Iterator[Change]:
         return iter(self.changes)

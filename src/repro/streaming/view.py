@@ -24,27 +24,18 @@ incrementally maintained scores are bit-identical to what a from-scratch
 engine re-join computes on the mutated corpus — the property the stateful
 Hypothesis suite in ``tests/test_streaming.py`` asserts.
 
-For large batches the incremental path stops paying: when most of the
-corpus is rewritten, one batch re-join is cheaper than thousands of posting
-rescans.  :meth:`JoinView.decide` prices both strategies with the same
-:class:`~repro.mapreduce.costmodel.CostParameters` discipline the engine
-planner uses — estimate the work, convert through the calibrated rates,
-pick the cheapest — and ``apply(..., strategy="auto")`` acts on the
-decision.  The re-join path executes the view's own spec through a
-:class:`~repro.engine.engine.SimilarityEngine` and diffs the complete pair
-maps, so both strategies emit identical deltas.
+Every batch takes this one path.  It is also what a stored view's log
+replays through, so a recovered view is the view that was lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.core.exceptions import StreamingError
 from repro.core.multiset import Multiset, MultisetId
 from repro.core.records import SimilarPair, canonical_pair
 from repro.engine.spec import JoinSpec
-from repro.mapreduce.costmodel import DEFAULT_COST_PARAMETERS, CostParameters
 from repro.serving.bootstrap import multisets_from_input
 from repro.serving.index import QueryMatch, SimilarityIndex, sort_matches
 from repro.streaming.changes import (
@@ -57,52 +48,8 @@ from repro.streaming.changes import (
 )
 from repro.telemetry import Metrics
 
-#: Apply strategies.
-INCREMENTAL = "incremental"
-REJOIN = "rejoin"
-AUTO_STRATEGY = "auto"
-
-APPLY_STRATEGIES = (AUTO_STRATEGY, INCREMENTAL, REJOIN)
-
-#: MapReduce steps a distributed re-join pays start/stop overhead for (the
-#: joining phase plus the two similarity steps, as in the paper's pipelines).
-_REJOIN_PIPELINE_JOBS = 4
-#: Estimated bytes of one posting visit / one written record, matching the
-#: planner's container-plus-words accounting.
-_POSTING_BYTES = 32.0
-
 #: Subscriber callback signature: ``callback(view, batch, deltas)``.
 Subscriber = Callable[["JoinView", ChangeBatch, Sequence[PairDelta]], None]
-
-
-@dataclass(frozen=True)
-class ApplyPlan:
-    """The priced decision for one batch: incremental apply vs full re-join.
-
-    Mirrors the engine planner's "price the candidates, pick the cheapest
-    feasible" discipline at mutation granularity: both strategies are
-    converted to predicted seconds through the same calibrated cost rates,
-    and ``strategy`` names the cheaper one.
-    """
-
-    strategy: str
-    #: Predicted cost of scanning only the affected posting lists.
-    incremental_seconds: float
-    #: Predicted cost of re-running the batch join on the mutated corpus.
-    rejoin_seconds: float
-    #: Distinct identifiers the batch writes.
-    touched: int
-    #: Posting entries the incremental neighbour rescans would visit.
-    postings_to_scan: int
-    #: Unpruned candidate-pair volume of a from-scratch re-join.
-    candidate_records: int
-    reason: str
-
-    def explain(self) -> str:
-        """One-line EXPLAIN-style rendering of the decision."""
-        return (f"ApplyPlan: strategy={self.strategy!r} "
-                f"(incremental {self.incremental_seconds:.3f} s vs "
-                f"re-join {self.rejoin_seconds:.3f} s; {self.reason})")
 
 
 class JoinView:
@@ -122,15 +69,10 @@ class JoinView:
         :meth:`~repro.engine.result.JoinResult.to_view` handoff).  ``None``
         derives the initial pair set from the view's own index — identical,
         by the exactness argument above, just not free.
-    engine:
-        Optional :class:`~repro.engine.engine.SimilarityEngine` the re-join
-        strategy executes on (borrowed, never closed).  Without one, a
-        throwaway serial-backend engine is created per re-join.
     """
 
     def __init__(self, spec: JoinSpec, data, *,
-                 pairs: Sequence[SimilarPair] | None = None,
-                 engine=None) -> None:
+                 pairs: Sequence[SimilarPair] | None = None) -> None:
         if spec.stop_word_frequency is not None:
             raise StreamingError(
                 "cannot maintain a view of a stop-word-filtered join: its "
@@ -138,7 +80,6 @@ class JoinView:
                 "incremental rescans of the live postings")
         self.spec = spec
         self.threshold = float(spec.threshold)
-        self._engine = engine
         self._index = SimilarityIndex(spec.measure)
         self.measure = self._index.measure
         multisets = multisets_from_input(data)
@@ -173,21 +114,18 @@ class JoinView:
                                              snapshot_every=snapshot_every)
 
     @classmethod
-    def recover(cls, source, *, engine=None) -> "JoinView":
+    def recover(cls, source) -> "JoinView":
         """Rebuild a persisted view: load its snapshot, replay its log.
 
         The recovered pair map is *bit-identical* to what the lost
         process held after its last durably applied batch — replay runs
-        the incremental strategy, whose scores match a from-scratch
-        re-join exactly (the property the streaming test suite asserts).
-        ``engine`` is an optional
-        :class:`~repro.engine.engine.SimilarityEngine` for the rebuilt
-        view's future re-joins.
+        :meth:`apply`, whose scores match a from-scratch re-join exactly
+        (the property the streaming test suite asserts).
         """
         from repro.storage import ViewStore
 
         with ViewStore(source) as store:
-            return store.load(engine=engine)
+            return store.load()
 
     # -- construction internals ----------------------------------------------
 
@@ -283,7 +221,7 @@ class JoinView:
             for partner in self._partners.get(member_id, ()))
 
     def counters(self) -> dict[str, int]:
-        """Maintenance counters (batches per strategy, deltas per kind...)."""
+        """Maintenance counters (changes applied, deltas per kind)."""
         return dict(self.metrics)
 
     # -- subscriptions ---------------------------------------------------------
@@ -303,43 +241,27 @@ class JoinView:
 
     # -- mutation --------------------------------------------------------------
 
-    def upsert(self, multiset: Multiset,
-               strategy: str = AUTO_STRATEGY) -> list[PairDelta]:
+    def upsert(self, multiset: Multiset) -> list[PairDelta]:
         """Apply a single-upsert batch."""
-        return self.apply(ChangeBatch.of(Change.upsert(multiset)),
-                          strategy=strategy)
+        return self.apply(ChangeBatch.of(Change.upsert(multiset)))
 
-    def delete(self, multiset_id: MultisetId,
-               strategy: str = AUTO_STRATEGY) -> list[PairDelta]:
+    def delete(self, multiset_id: MultisetId) -> list[PairDelta]:
         """Apply a single-delete batch."""
-        return self.apply(ChangeBatch.of(Change.delete(multiset_id)),
-                          strategy=strategy)
+        return self.apply(ChangeBatch.of(Change.delete(multiset_id)))
 
-    def apply(self, changes, strategy: str = AUTO_STRATEGY) -> list[PairDelta]:
+    def apply(self, changes) -> list[PairDelta]:
         """Apply a change batch; returns the sorted pair deltas it caused.
 
-        ``strategy`` forces the maintenance path (``"incremental"`` or
-        ``"rejoin"``); the default ``"auto"`` consults :meth:`decide`.
         Validation runs before any write, so a bad batch (a delete naming
         an unknown identifier) leaves the view untouched.
         """
-        if strategy not in APPLY_STRATEGIES:
-            raise StreamingError(
-                f"unknown apply strategy {strategy!r}; "
-                f"expected one of {APPLY_STRATEGIES}")
         batch = ChangeBatch.coerce(changes)
         self._validate(batch)
         if not batch:
             return []
-        if strategy == AUTO_STRATEGY:
-            strategy = self._price(batch).strategy
-        if strategy == INCREMENTAL:
-            deltas = self._apply_incremental(batch)
-        else:
-            deltas = self._apply_rejoin(batch)
+        deltas = self._apply_incremental(batch)
         self._version += 1
         metrics = self.metrics
-        metrics[f"streaming/batches_{strategy}"] += 1
         metrics["streaming/changes_applied"] += len(batch)
         for delta in deltas:
             metrics[f"streaming/{delta.kind}"] += 1
@@ -380,7 +302,7 @@ class JoinView:
                 self._index.add(change.multiset,
                                 replace=change.target in self._index)
 
-    # -- the two strategies ----------------------------------------------------
+    # -- the incremental apply -------------------------------------------------
 
     def _apply_incremental(self, batch: ChangeBatch) -> list[PairDelta]:
         touched = batch.targets()
@@ -400,19 +322,6 @@ class JoinView:
                     match.similarity
         return self._commit_diff(old_affected, new_affected)
 
-    def _apply_rejoin(self, batch: ChangeBatch) -> list[PairDelta]:
-        self._write(batch)
-        corpus = self.members()
-        if self._engine is not None:
-            result = self._engine.run(self.spec, corpus)
-        else:
-            from repro.engine.engine import SimilarityEngine
-
-            with SimilarityEngine() as engine:
-                result = engine.run(self.spec, corpus)
-        new_pairs = {pair.pair: pair.similarity for pair in result}
-        return self._commit_diff(dict(self._pairs), new_pairs)
-
     def _commit_diff(self, old: dict[tuple, float],
                      new: dict[tuple, float]) -> list[PairDelta]:
         """Diff two pair maps, update the view's state, emit sorted deltas."""
@@ -431,75 +340,6 @@ class JoinView:
                                                 previous=previous))
                 self._set_pair(pair, similarity)
         return sort_deltas(deltas)
-
-    # -- strategy pricing ------------------------------------------------------
-
-    def decide(self, changes) -> ApplyPlan:
-        """Price incremental apply vs full re-join for a batch.
-
-        Both estimates go through the engine's calibrated
-        :class:`CostParameters` — the incremental side charges every posting
-        entry the neighbour rescans would visit, the re-join side charges
-        the full input scan plus the unpruned candidate volume (the same
-        ``sum_e C(df_e, 2)`` the planner prices) plus the pipeline's
-        start/stop overhead when the spec names a distributed algorithm.
-        """
-        batch = ChangeBatch.coerce(changes)
-        self._validate(batch)
-        return self._price(batch)
-
-    def _price(self, batch: ChangeBatch) -> ApplyPlan:
-        """The pricing behind :meth:`decide`, for an already-valid batch."""
-        params = self._cost_parameters()
-        unit = params.record_overhead_bytes + _POSTING_BYTES
-        postings_to_scan = 0
-        touched_records = 0
-        for change in batch:
-            # Charge the rescan of the incoming contents and the retraction
-            # of whatever is currently stored under the same identifier.
-            sources = [change.multiset] if change.kind == UPSERT else []
-            stored = self._index.get(change.target)
-            if stored is not None:
-                sources.append(stored)
-            for source in sources:
-                touched_records += len(source)
-                for element in source:
-                    postings_to_scan += self._index.document_frequency(element)
-        incremental_seconds = ((postings_to_scan + touched_records) * unit
-                               / params.machine_throughput)
-        sizes = self._index.posting_list_sizes()
-        candidate_records = sum(df * (df - 1) // 2 for df in sizes)
-        rejoin_work = (self._index.num_postings + candidate_records) * unit
-        rejoin_overhead = (0.0 if self.spec.algorithm in
-                           ("exact", "inverted_index", "ppjoin")
-                           else _REJOIN_PIPELINE_JOBS
-                           * params.job_overhead_seconds)
-        rejoin_seconds = (rejoin_overhead
-                          + rejoin_work / params.machine_throughput)
-        if incremental_seconds <= rejoin_seconds:
-            strategy = INCREMENTAL
-            reason = (f"rescanning {postings_to_scan} postings for "
-                      f"{len(batch.targets())} written ids beats re-joining "
-                      f"{candidate_records} candidate pairs")
-        else:
-            strategy = REJOIN
-            reason = (f"batch rewrites enough of the corpus that one "
-                      f"re-join over {candidate_records} candidate pairs "
-                      f"beats {postings_to_scan} posting rescans")
-        return ApplyPlan(strategy=strategy,
-                         incremental_seconds=incremental_seconds,
-                         rejoin_seconds=rejoin_seconds,
-                         touched=len(batch.targets()),
-                         postings_to_scan=postings_to_scan,
-                         candidate_records=candidate_records,
-                         reason=reason)
-
-    def _cost_parameters(self) -> CostParameters:
-        if self.spec.cost_parameters is not None:
-            return self.spec.cost_parameters
-        if self._engine is not None:
-            return self._engine.runner.cost_parameters
-        return DEFAULT_COST_PARAMETERS
 
     def __repr__(self) -> str:
         return (f"JoinView(measure={self.measure.name!r}, "

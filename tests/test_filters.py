@@ -30,7 +30,6 @@ from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.similarity.registry import get_measure, list_measures
-from repro.streaming.view import INCREMENTAL, REJOIN
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.prefix import PrefixFilter
 from tests.conftest import assert_matches_oracle, make_random_multisets
@@ -145,14 +144,13 @@ class TestFilterSoundness:
     def test_view_deltas_match_the_oracle(self, measure, data):
         cell = data.draw(filter_cells(measure))
         first, last = cell.corpus[0], cell.corpus[-1]
-        for strategy in (INCREMENTAL, REJOIN):
-            view = JoinView(JoinSpec(measure=measure, threshold=cell.threshold),
-                            cell.corpus[:-1])
-            assert_matches_oracle(view.pairs(), cell.corpus[:-1], measure, cell.threshold)
-            view.upsert(last, strategy=strategy)
-            assert_matches_oracle(view.pairs(), cell.corpus, measure, cell.threshold)
-            view.delete(first.id, strategy=strategy)
-            assert_matches_oracle(view.pairs(), cell.corpus[1:], measure, cell.threshold)
+        view = JoinView(JoinSpec(measure=measure, threshold=cell.threshold),
+                        cell.corpus[:-1])
+        assert_matches_oracle(view.pairs(), cell.corpus[:-1], measure, cell.threshold)
+        view.upsert(last)
+        assert_matches_oracle(view.pairs(), cell.corpus, measure, cell.threshold)
+        view.delete(first.id)
+        assert_matches_oracle(view.pairs(), cell.corpus[1:], measure, cell.threshold)
 
 
 class TestPairsAtTheThreshold:

@@ -22,7 +22,6 @@ from repro.engine import JoinSpec
 from repro.resilience.faults import FaultPolicy
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
-from repro.serving.replica import RENDEZVOUS, ROUND_ROBIN
 from repro.serving.service import ReplicatedSimilarityService
 from repro.server import (
     InProcessServer,
@@ -90,12 +89,9 @@ def wait_until(condition, what: str) -> None:
 
 class TestCachedRead:
     @pytest.mark.parametrize("replication_factor", [1, 2, 3])
-    @pytest.mark.parametrize("read_strategy", [ROUND_ROBIN, RENDEZVOUS])
-    def test_cached_is_query_or_nothing(self, replication_factor,
-                                        read_strategy):
+    def test_cached_is_query_or_nothing(self, replication_factor):
         members = corpus()
-        service = fleet(replication_factor, members,
-                        read_strategy=read_strategy)
+        service = fleet(replication_factor, members)
         oracle = oracle_over(members)
         fast = 0
         for _ in range(4):

@@ -1,4 +1,4 @@
-"""The package surface: what each ``__all__`` exports, what 3.12 and 3.13 took out.
+"""The package surface: what each ``__all__`` exports, what 3.12 to 3.14 took out.
 
 * every name a package lists in ``__all__`` resolves, once;
 * every exported name has a caller in the program (``src/`` outside its
@@ -6,7 +6,8 @@
   :data:`DELIBERATE` — a name only tests call is not surface;
 * the names 3.12 and 3.13 un-exported stay importable from the module that
   defines them, and no longer from their package;
-* the names they deleted are gone, modules included;
+* the names they deleted are gone, modules included, and the keywords 3.14
+  deleted are a ``TypeError``;
 * ``docs/MIGRATION.md``'s section for each version lists every one of them.
 """
 
@@ -23,6 +24,15 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import (
+    JoinSpec,
+    JoinView,
+    Multiset,
+    ReplicatedShard,
+    ReplicatedSimilarityService,
+    ViewStore,
+    join,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 MIGRATION = ROOT / "docs" / "MIGRATION.md"
@@ -40,7 +50,6 @@ DELIBERATE = {
     "ClientTransportError": "raised to callers of SimilarityClient",
     "apply_deltas": "the consumer half of the JoinView delta stream",
     "pair_dictionary": "the helper that compares a join's pairs with the oracle",
-    "ApplyPlan": "the return type of JoinView.decide",
     "__version__": "the package version",
 }
 
@@ -161,6 +170,23 @@ REMOVED_NAMES = [
     ("3.13", "repro.storage.codecs.encode_pair_rows"),
     ("3.13", "repro.storage.codecs.decode_pair_rows"),
     ("3.13", "repro.baselines.BruteForceJoin"),
+    ("3.14", "repro.streaming.ApplyPlan"),
+    ("3.14", "repro.streaming.APPLY_STRATEGIES"),
+    ("3.14", "repro.streaming.view.ApplyPlan"),
+    ("3.14", "repro.streaming.view.APPLY_STRATEGIES"),
+    ("3.14", "repro.streaming.view.INCREMENTAL"),
+    ("3.14", "repro.streaming.view.REJOIN"),
+    ("3.14", "repro.streaming.view.AUTO_STRATEGY"),
+    ("3.14", "repro.streaming.view.JoinView.decide"),
+    ("3.14", "repro.serving.RENDEZVOUS"),
+    ("3.14", "repro.serving.ROUND_ROBIN"),
+    ("3.14", "repro.serving.replica.RENDEZVOUS"),
+    ("3.14", "repro.serving.replica.ROUND_ROBIN"),
+    ("3.14", "repro.serving.replica.REPLICA_SALT"),
+    ("3.14", "repro.serving.index.PreparedQuery.ranking_key"),
+    ("3.14", "repro.serving.service.ReplicatedSimilarityService.read_strategy"),
+    ("3.14", "repro.serving.index.SimilarityIndex.document_frequency"),
+    ("3.14", "repro.serving.index.SimilarityIndex.posting_list_sizes"),
 ]
 
 #: ``(version, module)`` of every deleted module.
@@ -272,3 +298,41 @@ def test_removed_name_is_gone(version, path):
 def test_removed_module_is_gone(version, module_name):
     assert importlib.util.find_spec(module_name) is None
     assert f"`{module_name}`" in migration_section(version)
+
+
+def _view() -> JoinView:
+    return JoinView(JoinSpec(threshold=0.5), [Multiset("a", {"x": 1})])
+
+
+def _load_view(path: str, **options):
+    with ViewStore(path) as store:
+        return store.load(**options)
+
+
+#: ``(keyword, call)`` of every keyword 3.14 deleted, each call passing it.
+REMOVED_KEYWORDS = [
+    ("strategy", lambda path: _view().apply([], strategy="incremental")),
+    ("strategy", lambda path: _view().upsert(Multiset("b", {"x": 1}),
+                                             strategy="incremental")),
+    ("strategy", lambda path: _view().delete("a", strategy="incremental")),
+    ("engine", lambda path: JoinView(JoinSpec(), [], engine=None)),
+    ("engine", lambda path: JoinView.recover(path, engine=None)),
+    ("engine", lambda path: _load_view(path, engine=None)),
+    ("engine", lambda path: join([], threshold=0.5).to_view(engine=None)),
+    ("read_strategy", lambda path: ReplicatedShard(read_strategy="round_robin")),
+    ("read_strategy", lambda path: ReplicatedSimilarityService(
+        read_strategy="round_robin")),
+    ("read_strategy", lambda path: ReplicatedSimilarityService.recover(
+        path, read_strategy="round_robin")),
+]
+
+
+@pytest.mark.parametrize("keyword, call", REMOVED_KEYWORDS, ids=[
+    "JoinView.apply", "JoinView.upsert", "JoinView.delete", "JoinView",
+    "JoinView.recover", "ViewStore.load", "JoinResult.to_view",
+    "ReplicatedShard", "ReplicatedSimilarityService",
+    "ReplicatedSimilarityService.recover"])
+def test_removed_keyword_is_a_type_error(tmp_path, keyword, call):
+    with pytest.raises(TypeError, match=keyword):
+        call(str(tmp_path / "store.sqlite"))
+    assert f"`{keyword}=`" in migration_section("3.14")

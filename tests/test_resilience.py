@@ -72,11 +72,7 @@ from repro.server.client import (
 )
 from repro.server.errors import classify, error_body
 from repro.server.http import InProcessServer
-from repro.serving import (
-    RENDEZVOUS,
-    ReplicatedShard,
-    ReplicatedSimilarityService,
-)
+from repro.serving import ReplicatedShard, ReplicatedSimilarityService
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
@@ -511,20 +507,6 @@ class TestReplicatedShard:
         with pytest.raises(ReplicaDivergenceError, match="outside the fan-in"):
             shard.check_divergence()
 
-    def test_rendezvous_routes_a_query_to_one_stable_replica(self):
-        members = corpus()
-        shard = ReplicatedShard("ruzicka", 3, read_strategy=RENDEZVOUS)
-        shard.bulk_load(members[:10])
-        request = probe_request(members)
-        for _ in range(6):
-            shard.query(request)
-        served = [replica.reads_served for replica in shard.replicas]
-        assert sorted(served) == [0, 0, 6]  # same replica every time
-        # A different query may land elsewhere; identical content must not.
-        other = QueryRequest.threshold(members[5].with_id("probe2"), 0.3)
-        first = shard._read_candidates(other)[0]
-        assert shard._read_candidates(other)[0] is first
-
     def test_round_robin_spreads_reads(self):
         members = corpus()
         shard = ReplicatedShard("ruzicka", 2)
@@ -538,8 +520,6 @@ class TestReplicatedShard:
     def test_validation(self):
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=0)
-        with pytest.raises(ResilienceError):
-            ReplicatedShard(read_strategy="random")
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=2, fault_policies=[None])
 
@@ -1221,7 +1201,7 @@ class TestServerHardening:
 
         service = ReplicatedSimilarityService(
             "ruzicka", 2, replication_factor=3, cache_capacity=7,
-            read_strategy=RENDEZVOUS, fault_policy_factory=factory)
+            fault_policy_factory=factory)
         service.bulk_load(members)
         app = SimilarityServerApp(service)
         directory = str(tmp_path / "snap")
@@ -1233,7 +1213,6 @@ class TestServerHardening:
         # /admin/recover must not silently reset the running fleet's
         # tuning to the constructor defaults.
         assert app.service.replication_factor == 3
-        assert app.service.read_strategy == RENDEZVOUS
         assert app.service.cache_capacity == 7
         assert app.service.fault_policy_factory is factory
         assert app.service is not service

@@ -13,14 +13,11 @@ times) while the wall-clock benchmark's toy ``serve_mixed`` schedule runs:
   fold) — both sides of a served score are folded the one stored-side way;
 * the call count per query through the workload's own fleet stays under a
   committed ceiling, so a re-derivation slipped back into a per-shard layer
-  fails here without any timing;
-* rendezvous read spreading canonicalises its ranking key once per request
-  and still picks the replica the pre-PreparedQuery formula picked.
+  fails here without any timing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import sys
 
 import pytest
@@ -28,11 +25,7 @@ import pytest
 from benchmarks.e2e.inputs import BY_NAME, SIZES, mixed_schedule, served_corpus
 from repro import join
 from repro.core.multiset import content_signature
-from repro.serving import (
-    RENDEZVOUS,
-    ReplicatedShard,
-    ReplicatedSimilarityService,
-)
+from repro.serving import ReplicatedSimilarityService
 from repro.serving.index import PreparedQuery, SimilarityIndex
 from repro.similarity.partials import fold_uni_multiplicities
 
@@ -67,10 +60,9 @@ def schedule(corpus):
     return ops + [last_batch] * REPEATS
 
 
-def make_fleet(corpus, shards: int, replication: int, **settings):
+def make_fleet(corpus, shards: int, replication: int):
     fleet = ReplicatedSimilarityService("ruzicka", shards,
-                                        replication_factor=replication,
-                                        **settings)
+                                        replication_factor=replication)
     fleet.bulk_load(corpus)
     return fleet
 
@@ -80,7 +72,7 @@ class Entries:
 
     def __init__(self) -> None:
         self.calls = self.signatures = self.scan_forms = 0
-        self.ranking_keys = self.unilateral_from_serving = 0
+        self.unilateral_from_serving = 0
         #: The prepared requests some index had to scan, by identity (held,
         #: so no identity is handed out twice).
         self.scanned: dict[int, PreparedQuery] = {}
@@ -88,9 +80,6 @@ class Entries:
     def __call__(self, frame, event, argument) -> None:
         if event == "c_call":
             self.calls += 1
-            if argument is sorted and \
-                    frame.f_code is PreparedQuery.ranking_key.fget.__code__:
-                self.ranking_keys += 1
         elif event == "call":
             self.calls += 1
             code = frame.f_code
@@ -190,49 +179,3 @@ def test_calls_per_query_through_the_fleet_stay_under_the_ceiling(
     queries = sum(len(batch) for batch in batches)
     assert entries.calls / queries <= CALLS_PER_QUERY_CEILING
 
-
-# -- rendezvous: one ranking key per request, the parent's replica ---------------
-
-
-def replica_by_the_old_formula(request, replicas):
-    """What ``_read_candidates`` computed per shard before requests were
-    prepared: rank by ``stable_hash((signature, name), salt)``, spelled out."""
-    signature = sorted(map(repr, frozenset(request.query.items())))
-
-    def rank(replica) -> int:
-        rendered = f"resilience-replica|{(signature, replica.name)!r}"
-        return int.from_bytes(hashlib.blake2b(
-            rendered.encode("utf-8"), digest_size=8).digest(), "big")
-
-    return max(replicas, key=rank)
-
-
-def test_rendezvous_picks_the_replica_the_old_formula_picked(corpus):
-    requests = [request
-                for op in mixed_schedule(WORKLOAD, corpus, 7, SIZES["toy"], 0.5)
-                if op.kind == "batch" for request in op.payload][:200]
-    assert len(requests) == 200
-    shard = ReplicatedShard("ruzicka", 3, read_strategy=RENDEZVOUS,
-                            name="shard2")
-    shard.bulk_load(corpus)
-    chosen = set()
-    for request in requests:
-        expected = replica_by_the_old_formula(request, shard.replicas)
-        assert shard._read_candidates(request)[0] is expected
-        served = expected.reads_served
-        shard.query(request)
-        assert expected.reads_served == served + 1
-        chosen.add(expected.name)
-    assert len(chosen) == 3  # the pin is not vacuous: reads do spread
-
-
-def test_rendezvous_canonicalises_the_ranking_key_once_per_request(
-        corpus, schedule):
-    fleet = make_fleet(corpus, 4, 2, read_strategy=RENDEZVOUS)
-    entries = Entries()
-    requests, _ = replay(fleet, schedule, entries, batched=False)
-    # A batch is routed by its first request only.
-    batches = sum(op.kind == "batch" for op in schedule)
-    replay(make_fleet(corpus, 4, 2, read_strategy=RENDEZVOUS), schedule,
-           entries, batched=True)
-    assert entries.ranking_keys == requests + batches

@@ -64,7 +64,6 @@ from repro.storage.codecs import (
     spec_from_description,
 )
 from repro.streaming.changes import Change, ChangeBatch
-from repro.streaming.view import INCREMENTAL
 from tests.conftest import assert_matches_oracle, make_random_multisets
 
 #: Fixed universes for the crash-recovery machine, mirroring the streaming
@@ -178,6 +177,17 @@ class TestStorageEngine:
     def test_unopenable_path_raises_storage_error(self, tmp_path):
         with pytest.raises(StorageError, match="cannot open"):
             StorageEngine(str(tmp_path / "no" / "such" / "dir" / "x.sqlite"))
+
+    @pytest.mark.parametrize("opener", [JoinView.recover, SimilarityIndex.load,
+                                        ResultStore, ViewStore],
+                             ids=["JoinView.recover", "SimilarityIndex.load",
+                                  "ResultStore", "ViewStore"])
+    def test_a_file_that_is_not_a_database_raises_storage_error(
+            self, storage_path, opener):
+        with open(storage_path, "w", encoding="utf-8") as handle:
+            handle.write("not a database\n" * 512)
+        with pytest.raises(StorageError, match=re.escape(repr(storage_path))):
+            opener(storage_path)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +429,8 @@ class TestViewStore:
         view, replica = make_view(), make_view()
         subscription = view.persist(storage_path)
         for batch in BATCHES:
-            view.apply(batch, strategy=INCREMENTAL)
-            replica.apply(batch, strategy=INCREMENTAL)
+            view.apply(batch)
+            replica.apply(batch)
         expected = view.pairs()
         del view  # the crash: nothing survives but the file
         recovered = JoinView.recover(storage_path)
@@ -436,12 +446,12 @@ class TestViewStore:
     def test_recovered_view_keeps_maintaining(self, storage_path):
         view, replica = make_view(), make_view()
         view.persist(storage_path)
-        view.apply(BATCHES[0], strategy=INCREMENTAL)
-        replica.apply(BATCHES[0], strategy=INCREMENTAL)
+        view.apply(BATCHES[0])
+        replica.apply(BATCHES[0])
         recovered = JoinView.recover(storage_path)
         for batch in BATCHES[1:]:
-            recovered.apply(batch, strategy=INCREMENTAL)
-            replica.apply(batch, strategy=INCREMENTAL)
+            recovered.apply(batch)
+            replica.apply(batch)
         assert recovered.pairs() == replica.pairs()
 
     def test_snapshot_every_folds_the_log(self, storage_path):
@@ -449,7 +459,7 @@ class TestViewStore:
         subscription = view.persist(storage_path, snapshot_every=2)
         with ViewStore(storage_path) as store:
             for batch in BATCHES:
-                view.apply(batch, strategy=INCREMENTAL)
+                view.apply(batch)
             # Three batches, folded at the second: at most one residual.
             assert len(store.log_batches()) == 1
             assert store.load().pairs() == view.pairs()
@@ -458,28 +468,18 @@ class TestViewStore:
     def test_detach_stops_logging(self, storage_path):
         view = make_view()
         subscription = view.persist(storage_path)
-        view.apply(BATCHES[0], strategy=INCREMENTAL)
+        view.apply(BATCHES[0])
         durable_pairs = view.pairs()
         subscription.detach()
         subscription.detach()  # idempotent
-        view.apply(BATCHES[1], strategy=INCREMENTAL)  # not logged
+        view.apply(BATCHES[1])  # not logged
         assert JoinView.recover(storage_path).pairs() == durable_pairs
-
-    def test_rejoin_applied_batches_recover_identically(self, storage_path):
-        # The log replays incrementally even for batches originally applied
-        # through the re-join strategy — the two are bit-identical.
-        view, replica = make_view(), make_view()
-        subscription = view.persist(storage_path)
-        view.apply(BATCHES[0], strategy="rejoin")
-        replica.apply(BATCHES[0], strategy="rejoin")
-        subscription.detach()
-        assert JoinView.recover(storage_path).pairs() == replica.pairs()
 
     def test_gap_in_the_log_is_refused(self, storage_path):
         view = make_view()
         subscription = view.persist(storage_path)
         for batch in BATCHES:
-            view.apply(batch, strategy=INCREMENTAL)
+            view.apply(batch)
         subscription.detach()
         with StorageEngine(storage_path) as engine:
             with engine.transaction():
@@ -635,15 +635,15 @@ class TestStoresWrittenBy23:
         recovered = JoinView.recover(str(stores / f"view-{flavour}.sqlite"))
         replica = make_view()
         for batch in BATCHES:
-            replica.apply(batch, strategy=INCREMENTAL)
+            replica.apply(batch)
         assert recovered.spec == replica.spec
         assert recovered.pairs() == replica.pairs()  # bit-identical
         assert recovered.version == replica.version == len(BATCHES)
         assert_matches_oracle(recovered.pairs(), list(recovered.members()),
                               "ruzicka", 0.3)
         later = ChangeBatch.of(Change.delete("m1"), Change.upsert(FRESH))
-        assert recovered.apply(later, strategy=INCREMENTAL) \
-            == replica.apply(later, strategy=INCREMENTAL)
+        assert recovered.apply(later) \
+            == replica.apply(later)
         assert recovered.pairs() == replica.pairs()
 
     @pytest.mark.parametrize("flavour", ["interned", "uninterned"])
@@ -732,8 +732,8 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
             shutil.rmtree(self.tmpdir, ignore_errors=True)
 
     def _apply(self, batch):
-        self.durable.apply(batch, strategy=INCREMENTAL)
-        self.replica.apply(batch, strategy=INCREMENTAL)
+        self.durable.apply(batch)
+        self.replica.apply(batch)
 
     @rule(data=st.data(), contents=CONTENTS)
     def upsert(self, data, contents):

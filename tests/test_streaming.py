@@ -2,10 +2,9 @@
 
 The centerpiece is a Hypothesis ``RuleBasedStateMachine``: arbitrary
 interleaved upsert/replace/delete streams — applied one at a time and in
-mixed batches, under every apply strategy — keep a :class:`JoinView` in
-exact parity with the dict-kernel brute force over the mutated corpus,
-across measures × algorithms × backends.  A replica pair
-map maintained *only* from the emitted deltas is asserted equal to the
+mixed batches — keep a :class:`JoinView` in exact parity with the
+dict-kernel brute force over the mutated corpus, across measures ×
+algorithms × backends.  A replica pair map maintained *only* from the emitted deltas is asserted equal to the
 view's own state at every step, which pins the delta contract (the
 cumulative effect of the deltas IS the new result).
 """
@@ -47,7 +46,7 @@ from repro.streaming.changes import (
     sort_deltas,
 )
 from repro.streaming.subscribers import attach_serving
-from repro.streaming.view import INCREMENTAL, REJOIN, JoinView
+from repro.streaming.view import JoinView
 from tests.conftest import assert_matches_oracle, join_grid, unreplicated_fleet
 
 #: Fixed identifier / alphabet universes for the stateful machine: small
@@ -59,12 +58,9 @@ CONTENTS = st.dictionaries(st.sampled_from(MACHINE_ALPHABET),
                            st.integers(min_value=1, max_value=4),
                            max_size=5)
 
-STRATEGIES = st.sampled_from(["auto", INCREMENTAL, REJOIN])
-
-
-def view_over(multisets, spec=None, engine=None):
+def view_over(multisets, spec=None):
     spec = spec or JoinSpec(threshold=0.4, algorithm="exact")
-    return JoinView(spec, multisets, engine=engine)
+    return JoinView(spec, multisets)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +99,14 @@ class TestChangeRecords:
     def test_batch_rejects_non_changes(self):
         with pytest.raises(StreamingError):
             ChangeBatch(["garbage"])
+
+    @pytest.mark.parametrize("changes", [None, 5])
+    def test_apply_rejects_a_non_iterable_batch(self, overlapping_multisets,
+                                                changes):
+        view = view_over(overlapping_multisets)
+        with pytest.raises(StreamingError, match="Change records"):
+            view.apply(changes)
+        assert view.version == 0
 
     def test_delta_validation(self):
         with pytest.raises(StreamingError):
@@ -246,29 +250,6 @@ class TestApply:
         assert view.apply(ChangeBatch()) == []
         assert view.version == 0
 
-    def test_unknown_strategy_rejected(self, overlapping_multisets):
-        view = view_over(overlapping_multisets)
-        with pytest.raises(StreamingError, match="strategy"):
-            view.apply(ChangeBatch.of(Change.delete("a")), strategy="magic")
-
-    @pytest.mark.parametrize("algorithm", ["exact", "online_aggregation"])
-    def test_forced_strategies_emit_identical_deltas(self, small_multisets,
-                                                     algorithm):
-        spec = JoinSpec(threshold=0.4, algorithm=algorithm)
-        with SimilarityEngine(cluster=laptop_cluster(3)) as engine:
-            incremental = engine.materialize(spec, small_multisets)
-            rejoined = engine.materialize(spec, small_multisets)
-            batch = ChangeBatch.of(
-                Change.upsert(small_multisets[0].scaled(2)),
-                Change.delete(small_multisets[1].id),
-                Change.upsert(Multiset("fresh", small_multisets[2].counts())))
-            first = incremental.apply(batch, strategy=INCREMENTAL)
-            second = rejoined.apply(batch, strategy=REJOIN)
-        assert first == second
-        assert incremental.pairs() == rejoined.pairs()
-        assert incremental.counters()["streaming/batches_incremental"] == 1
-        assert rejoined.counters()["streaming/batches_rejoin"] == 1
-
     def test_version_and_counters_track_batches(self, overlapping_multisets):
         view = view_over(overlapping_multisets)
         view.upsert(Multiset("f", {"x": 3, "y": 2, "z": 1}))
@@ -291,50 +272,6 @@ class TestApply:
         assert len(seen) == 1
         with pytest.raises(StreamingError):
             view.unsubscribe(callback)
-
-
-# ---------------------------------------------------------------------------
-# Strategy pricing
-# ---------------------------------------------------------------------------
-
-
-class TestApplyPlan:
-    def test_small_batches_price_incremental(self, small_multisets):
-        view = view_over(small_multisets,
-                         JoinSpec(threshold=0.4, algorithm="online_aggregation"))
-        plan = view.decide(ChangeBatch.of(Change.delete(small_multisets[0].id)))
-        assert plan.strategy == INCREMENTAL
-        assert plan.incremental_seconds < plan.rejoin_seconds
-        assert plan.touched == 1
-        assert "ApplyPlan" in plan.explain()
-
-    def test_corpus_rewrites_price_rejoin(self):
-        # Every member shares one hot element, so rescanning the postings of
-        # a whole-corpus rewrite costs ~N^2 posting visits — more than the
-        # candidate volume of one in-memory re-join, which pays no job
-        # overhead under algorithm="exact".
-        members = [Multiset(f"m{index}", {"hot": 1, f"rare{index}": 2})
-                   for index in range(40)]
-        view = view_over(members, JoinSpec(threshold=0.9, algorithm="exact"))
-        rewrite = ChangeBatch(
-            tuple(Change.upsert(member.scaled(2)) for member in members))
-        plan = view.decide(rewrite)
-        assert plan.strategy == REJOIN
-        assert plan.rejoin_seconds < plan.incremental_seconds
-        assert plan.postings_to_scan > plan.candidate_records
-        # auto acts on the decision.
-        view.apply(rewrite)
-        assert view.counters()["streaming/batches_rejoin"] == 1
-
-    def test_distributed_rejoin_pays_job_overhead(self, overlapping_multisets):
-        distributed = view_over(
-            overlapping_multisets,
-            JoinSpec(threshold=0.8, algorithm="online_aggregation"))
-        sequential = view_over(overlapping_multisets,
-                               JoinSpec(threshold=0.8, algorithm="exact"))
-        batch = ChangeBatch.of(Change.delete("a"))
-        assert distributed.decide(batch).rejoin_seconds \
-            > sequential.decide(batch).rejoin_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +461,9 @@ class JoinViewParityMachine(RuleBasedStateMachine):
     """Arbitrary interleaved mutation streams keep the view exact.
 
     Every example draws one ``join_grid`` cell (measure × algorithm ×
-    backend × threshold × initial corpus), then interleaves single-change
-    and mixed-batch applications under all three strategies (``rejoin``
-    re-runs the cell's algorithm on its backend).  After every step:
+    backend × threshold × initial corpus), materializes it with the cell's
+    algorithm on its backend, then interleaves single-change and
+    mixed-batch applications.  After every step:
 
     * the view's pair map equals the dict-kernel oracle over the mutated
       corpus (pair sets exactly, scores to float tolerance);
@@ -567,24 +504,23 @@ class JoinViewParityMachine(RuleBasedStateMachine):
                 self.model[change.target] = change.multiset
         apply_deltas(self.replica, deltas)
 
-    @rule(data=st.data(), contents=CONTENTS, strategy=STRATEGIES)
-    def upsert(self, data, contents, strategy):
+    @rule(data=st.data(), contents=CONTENTS)
+    def upsert(self, data, contents):
         target = data.draw(st.sampled_from(MACHINE_IDS), label="upsert target")
         change = Change.upsert(Multiset(target, contents))
-        deltas = self.view.apply(ChangeBatch.of(change), strategy=strategy)
+        deltas = self.view.apply(ChangeBatch.of(change))
         self._record([change], deltas)
 
     @precondition(lambda self: len(self.model) > 1)
-    @rule(data=st.data(), strategy=STRATEGIES)
-    def delete(self, data, strategy):
+    @rule(data=st.data())
+    def delete(self, data):
         target = data.draw(st.sampled_from(sorted(self.model)),
                            label="delete target")
-        deltas = self.view.apply(ChangeBatch.of(Change.delete(target)),
-                                 strategy=strategy)
+        deltas = self.view.apply(ChangeBatch.of(Change.delete(target)))
         self._record([Change.delete(target)], deltas)
 
-    @rule(data=st.data(), strategy=STRATEGIES)
-    def apply_mixed_batch(self, data, strategy):
+    @rule(data=st.data())
+    def apply_mixed_batch(self, data):
         live = set(self.model)
         changes = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=4),
@@ -600,7 +536,7 @@ class JoinViewParityMachine(RuleBasedStateMachine):
                 contents = data.draw(CONTENTS, label="batch contents")
                 changes.append(Change.upsert(Multiset(target, contents)))
                 live.add(target)
-        deltas = self.view.apply(ChangeBatch(changes), strategy=strategy)
+        deltas = self.view.apply(ChangeBatch(changes))
         self._record(changes, deltas)
 
     @invariant()

@@ -23,11 +23,13 @@ the shared *interning* layer that replaces them with dense integers:
 * :class:`PairCodec` — packs a canonical ``(id_i, id_j)`` pair of dense ids
   into a single integer, turning the Similarity2 shuffle key into one
   machine word;
-* :class:`InterningContext` — the bundle the V-SMART-Join driver builds in
-  its interning pass: element dictionary, multiset-id dictionary and pair
-  codec, with helpers to intern the input (the multisets straight into
-  :class:`~repro.core.records.InputColumns`, or raw input tuples) and to
-  restore the original identifiers on the final similar pairs.
+* :class:`InterningContext` — the bundle of one interning pass over a
+  corpus (the planner's corpus profile builds it, and the V-SMART-Join
+  driver reuses it or builds its own): element dictionary, multiset-id
+  dictionary and pair codec, with helpers to intern the input (the
+  multisets straight into :class:`~repro.core.records.InputColumns`, or raw
+  input tuples) and to restore the original identifiers on the final
+  similar pairs.
 
 Interning never changes results: multiplicities are preserved exactly and
 every consumer maps ids back to the original objects at its boundary.
@@ -98,10 +100,18 @@ class ElementDictionary:
     @classmethod
     def from_document_frequencies(
             cls, frequencies: Mapping[Element, int]) -> "ElementDictionary":
-        """Build a dictionary from an element → document-frequency mapping."""
-        ordered = sorted(frequencies,
-                         key=lambda element: (frequencies[element],
-                                              _sort_key(element)))
+        """Build a dictionary from an element → document-frequency mapping.
+
+        Ids ascend by ``(frequency, _sort_key(element))``, ties in the
+        mapping's order.  Two stable sorts with builtin keys give that
+        order: by ``repr`` when every element has one type (the type name
+        then adds nothing to the key), else by ``_sort_key``; then by
+        frequency.
+        """
+        ordered = list(frequencies)
+        ordered.sort(key=repr if len(set(map(type, ordered))) <= 1
+                     else _sort_key)
+        ordered.sort(key=frequencies.__getitem__)
         return cls(ordered, frequencies)
 
     @classmethod
@@ -379,12 +389,14 @@ class PairCodec:
 
 
 class InterningContext:
-    """The driver-side bundle of one batch interning pass.
+    """The bundle of one batch interning pass over a corpus.
 
     Holds the element dictionary (document-frequency order), the multiset-id
     dictionary (ascending canonical order of the original identifiers, so
     dense-id order equals canonical pair order) and the pair codec sized to
-    the corpus.
+    the corpus.  The planner's
+    :class:`~repro.engine.planner.CorpusProfile` builds it; a V-SMART-Join
+    run of the same corpus reuses it.
     """
 
     __slots__ = ("elements", "multiset_ids", "_multiset_id_of", "codec")

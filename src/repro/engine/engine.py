@@ -28,6 +28,7 @@ import time
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
 from repro.core.exceptions import DatasetError, JobConfigurationError
+from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
 from repro.engine.calibration import CalibrationProfile
 from repro.engine.planner import CorpusProfile, JoinPlan, Planner
@@ -143,13 +144,16 @@ class SimilarityEngine:
         """Execute ``spec`` over ``data`` and return the unified result.
 
         ``algorithm="auto"`` plans first (the plan rides along on
-        ``result.plan``); explicit algorithms skip the planning pass
-        entirely.  A ``plan`` already produced by :meth:`plan` for the same
-        spec is reused instead of re-profiling the corpus.
+        ``result.plan``), and a V-SMART-Join pipeline it picks interns the
+        corpus with the plan's profile; explicit algorithms skip the
+        planning pass entirely.  A ``plan`` already produced by
+        :meth:`plan` for the same spec is reused instead of re-profiling
+        the corpus, but not its interning: it may profile another corpus.
         """
         spec = spec or JoinSpec()
         multisets = self._materialise(data)
         algorithm = spec.algorithm
+        interning = None
         if plan is not None:
             if plan.spec != spec:
                 raise JobConfigurationError(
@@ -161,8 +165,9 @@ class SimilarityEngine:
             plan = planner.plan(spec, multisets, self._cluster_for(spec),
                                 enforce_budgets=self._enforce_budgets(spec))
             algorithm = plan.algorithm
+            interning = plan.profile.interning
         start = time.perf_counter()
-        pairs, pipeline = self._execute(algorithm, spec, multisets)
+        pairs, pipeline = self._execute(algorithm, spec, multisets, interning)
         wall_seconds = time.perf_counter() - start
         if self.calibration is not None and pipeline.job_stats:
             self._observe_run(spec, algorithm, multisets, plan, pipeline,
@@ -254,13 +259,14 @@ class SimilarityEngine:
                      else spec.backend))
 
     def _execute(self, algorithm: str, spec: JoinSpec,
-                 multisets: list[Multiset]):
+                 multisets: list[Multiset],
+                 interning: InterningContext | None):
         if algorithm not in PLANNABLE_ALGORITHMS:
             return self._execute_sequential(algorithm, spec, multisets)
         runner = self._runner_for(spec)
         if algorithm == VCL:
             return VCLJoin(spec, runner).run(multisets)
-        return VSmartJoin(spec, runner, algorithm).run(multisets)
+        return VSmartJoin(spec, runner, algorithm).run(multisets, interning)
 
     def _execute_sequential(self, algorithm: str, spec: JoinSpec,
                             multisets: list[Multiset]):

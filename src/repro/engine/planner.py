@@ -6,11 +6,18 @@ Given a :class:`~repro.engine.spec.JoinSpec` and a corpus, the
 cheapest.  The prediction reuses the exact machinery the simulator charges
 real runs with — :class:`~repro.mapreduce.costmodel.CostModel` over
 per-job :class:`~repro.mapreduce.types.JobStats` — but the statistics are
-*estimated* from a one-pass :class:`CorpusProfile` (record counts, the
-document-frequency profile of an
-:class:`~repro.core.interning.ElementDictionary`, the per-multiset
-cardinality distribution from :mod:`repro.datasets.stats`) instead of
-measured by executing the pipeline.
+*estimated* from a :class:`CorpusProfile` instead of measured by executing
+the pipeline.
+
+The profile is the corpus's one interning pass: the
+:class:`~repro.core.interning.InterningContext` the V-SMART-Join driver
+needs (document frequencies counted once, the alphabet sorted once into an
+:class:`~repro.core.interning.ElementDictionary`), plus the per-element
+frequencies and sizes and the per-multiset cardinality distribution from
+:mod:`repro.datasets.stats`.  When :meth:`SimilarityEngine.run
+<repro.engine.engine.SimilarityEngine.run>` plans a run itself and picks a
+V-SMART-Join pipeline, the driver interns with the profile's context
+instead of making the pass again.
 
 The estimates deliberately mirror the runner's accounting:
 
@@ -21,12 +28,15 @@ The estimates deliberately mirror the runner's accounting:
   group's receiver — which is how skew (one hot element, one huge multiset)
   surfaces in the prediction exactly as it does in the measurement.
 
-For the VCL baseline the planner computes the *real* prefixes (the same
-:class:`repro.vcl.prefix.PrefixFilter` the kernel mapper cuts them with,
-super-element grouping included) in one pass, so the kernel's replication
-volume and its largest reduce group — the two quantities the paper blames
-for VCL's collapse — are estimated from actual prefix document frequencies
-rather than guessed.
+For the VCL baseline the planner computes the *real* prefixes, in the
+kernel mapper's canonical order and cut by the same
+:func:`repro.vcl.prefix.prefix_length`, so the kernel's replication volume
+and its largest reduce group — the two quantities the paper blames for
+VCL's collapse — are estimated from actual prefix document frequencies
+rather than guessed.  Without super-elements the order is built from the
+profile's element ids, frequencies and sizes; with them (or when two
+elements share a rank hash) a :class:`repro.vcl.prefix.PrefixFilter`
+ranks the corpus.
 
 Candidate-pair volume is estimated *unpruned* (``sum_e C(df_e, 2)``): the
 upper-bound pruning rate depends on the pairwise ``Uni`` values, which a
@@ -37,10 +47,11 @@ order — the decision ``algorithm="auto"`` has to get right — is unaffected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.interning import ElementDictionary
+from repro.core.interning import ElementDictionary, InterningContext
 from repro.core.multiset import Multiset
 from repro.datasets.stats import (
     DistributionSummary,
@@ -62,13 +73,16 @@ from repro.mapreduce.costmodel import (
     CostModel,
     CostParameters,
 )
+from repro.mapreduce.partitioner import stable_hash
 from repro.mapreduce.types import JobStats, estimate_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.prefix import (
+    RANK_SALT,
     PrefixFilter,
     frequency_rank_function,
     hash_rank_function,
+    prefix_length,
 )
 from repro.vsmart.driver import LOOKUP, ONLINE_AGGREGATION, SHARDING
 from repro.vsmart.shapes import RecordShapes
@@ -81,7 +95,13 @@ _WORD = 8
 
 @dataclass(frozen=True)
 class CorpusProfile:
-    """One-pass statistics of a corpus, sufficient for cost prediction."""
+    """Statistics of a corpus, sufficient for cost prediction.
+
+    Built from the corpus's interning pass, which the profile keeps
+    (:attr:`interning`): a V-SMART-Join run that :meth:`SimilarityEngine.run
+    <repro.engine.engine.SimilarityEngine.run>` planned itself interns the
+    corpus with it instead of making the pass again.
+    """
 
     num_multisets: int
     #: Total ``(multiset, element)`` incidences — the raw input tuples.
@@ -100,18 +120,21 @@ class CorpusProfile:
     cardinalities: tuple[int, ...]
     #: Estimated whole-multiset bytes, parallel to :attr:`cardinalities`.
     multiset_bytes: tuple[int, ...]
-    #: The document-frequency-ordered element dictionary of the corpus.
-    dictionary: ElementDictionary
+    #: The corpus's interning: element dictionary, multiset ids, pair codec.
+    interning: InterningContext
+    #: Document frequency per element id of :attr:`dictionary`.
+    element_frequencies: tuple[int, ...]
+    #: Estimated bytes per element id of :attr:`dictionary`.
+    element_bytes: tuple[int, ...]
 
     @classmethod
     def from_multisets(cls, multisets: Sequence[Multiset]) -> "CorpusProfile":
-        """Profile a corpus in one pass (plus the dictionary sort)."""
-        dictionary = ElementDictionary.from_multisets(multisets)
-        frequencies = [dictionary.frequency_of(element)
-                       for element in dictionary]
+        """Profile a corpus: its interning pass, plus one pass of sizes."""
+        interning = InterningContext.from_multisets(multisets)
+        dictionary = interning.elements
+        frequencies = tuple(map(dictionary.frequency_of, dictionary))
+        element_bytes = tuple(map(estimate_record_bytes, dictionary))
         cardinalities = tuple(elements_per_multiset(multisets))
-        element_bytes = sum(estimate_record_bytes(element)
-                            for element in dictionary)
         return cls(
             num_multisets=len(multisets),
             num_records=sum(cardinalities),
@@ -120,13 +143,20 @@ class CorpusProfile:
             multisets_per_element=summarise_distribution(frequencies),
             candidate_records=sum(df * (df - 1) // 2 for df in frequencies),
             element_skew=skew_ratio(frequencies),
-            avg_element_bytes=(element_bytes / len(dictionary)
+            avg_element_bytes=(sum(element_bytes) / len(dictionary)
                                if dictionary else 0.0),
             cardinalities=cardinalities,
             multiset_bytes=tuple(multiset.estimated_bytes()
                                  for multiset in multisets),
-            dictionary=dictionary,
+            interning=interning,
+            element_frequencies=frequencies,
+            element_bytes=element_bytes,
         )
+
+    @property
+    def dictionary(self) -> ElementDictionary:
+        """The document-frequency-ordered element dictionary of the corpus."""
+        return self.interning.elements
 
     @property
     def max_cardinality(self) -> int:
@@ -272,8 +302,8 @@ class Planner:
     """Choose (or cost) a join pipeline from corpus statistics.
 
     The planner is deliberately *read-only*: it never runs a candidate, it
-    only profiles the corpus (one linear pass, plus the prefix scan for the
-    VCL candidate) and prices the pipelines through the same
+    only profiles the corpus (its interning pass, plus the prefix scan for
+    the VCL candidate) and prices the pipelines through the same
     :class:`~repro.mapreduce.costmodel.CostModel` that prices real runs.
 
     With a :class:`~repro.engine.calibration.CalibrationProfile` attached,
@@ -710,8 +740,7 @@ class Planner:
         element_b = profile.avg_element_bytes
         kv_count = _CONTAINER + element_b + _WORD + 1
         combined_counts = float(sum(min(df, machines)
-                                    for df in (profile.dictionary.frequency_of(e)
-                                               for e in profile.dictionary)))
+                                    for df in profile.element_frequencies))
         frequency_entry = _CONTAINER + element_b + _WORD
         jobs = []
         if use_frequency:
@@ -740,35 +769,48 @@ class Planner:
             ))
 
         # The kernel: price replication and group skew from the *actual*
-        # prefixes, accumulated per prefix key in one pass.
-        rank = (frequency_rank_function(
-            {element: profile.dictionary.frequency_of(element)
-             for element in profile.dictionary})
-            if use_frequency else hash_rank_function())
-        grouping = (None if spec.vcl_super_element_groups is None
-                    else SuperElementGrouping(spec.vcl_super_element_groups))
-        prefixes = PrefixFilter(multisets, rank, measure, spec.threshold,
-                                grouping)
+        # prefixes, accumulated per prefix key in one pass.  Without
+        # super-elements the keys are the profile's elements, ranked from
+        # its ids; with them, a PrefixFilter ranks the groups.
+        ranking = (_vcl_ranking(profile, use_frequency)
+                   if spec.vcl_super_element_groups is None else None)
+        if ranking is not None:
+            rank_of, key_bytes = ranking
+            cut = functools.partial(_ranked_prefix, rank_of, measure,
+                                    spec.threshold)
+        else:
+            rank = (frequency_rank_function(
+                dict(zip(profile.dictionary, profile.element_frequencies)))
+                if use_frequency else hash_rank_function())
+            grouping = (None if spec.vcl_super_element_groups is None
+                        else SuperElementGrouping(
+                            spec.vcl_super_element_groups))
+            prefixes = PrefixFilter(multisets, rank, measure, spec.threshold,
+                                    grouping)
+            key_bytes = prefixes.key_bytes
+
+            def cut(multiset: Multiset) -> Sequence[int]:
+                return prefixes.cut(prefixes.rank(multiset))
         replicated_bytes = 0.0
         max_unit = 0.0
-        group_bytes: dict = {}
-        group_records: dict = {}
+        # Per prefix key (a position in key_bytes): bytes and records.
+        group_bytes = [0.0] * len(key_bytes)
+        group_records = [0] * len(key_bytes)
         total_prefix = 0
         for multiset, m_bytes in zip(multisets, profile.multiset_bytes):
-            prefix = prefixes.cut(prefixes.rank(multiset))
+            prefix = cut(multiset)
             total_prefix += len(prefix)
-            kvs = [_CONTAINER + prefixes.key_bytes[position] + m_bytes + 1
+            kvs = [_CONTAINER + key_bytes[position] + m_bytes + 1
                    for position in prefix]
             emitted = sum(kvs)
             replicated_bytes += emitted
             unit = m_bytes + emitted + overhead * (1 + len(prefix))
             max_unit = max(max_unit, unit)
             for position, kv in zip(prefix, kvs):
-                group_bytes[position] = group_bytes.get(position, 0.0) + kv
-                group_records[position] = group_records.get(position, 0) + 1
-        max_group = max(group_bytes.values(), default=0.0)
-        hot_key = max(group_records, key=group_records.get, default=None)
-        hot_records = group_records.get(hot_key, 0)
+                group_bytes[position] += kv
+                group_records[position] += 1
+        max_group = max(group_bytes, default=0.0)
+        hot_records = max(group_records, default=0)
         frequency_map_bytes = (_CONTAINER + profile.alphabet_size
                                * (element_b + _WORD)
                                if use_frequency else 0)
@@ -780,7 +822,7 @@ class Planner:
             map_emitted=total_prefix,
             map_max_unit=max_unit,
             reduce_records=total_prefix,
-            reduce_groups=len(group_bytes),
+            reduce_groups=len(group_records) - group_records.count(0),
             reduce_bytes_in=replicated_bytes,
             reduce_bytes_out=0,
             reduce_max_unit=max_group + overhead * hot_records,
@@ -824,6 +866,48 @@ class Planner:
             map_seconds=work / self.cost_parameters.machine_throughput,
             shuffle_seconds=0.0, reduce_seconds=0.0)
         return PlannedJob(name=name, stats=stats, cost=cost)
+
+
+def _vcl_ranking(profile: CorpusProfile,
+                 use_frequency: bool) -> tuple[dict, list[int]] | None:
+    """VCL's canonical order of the profile's alphabet, from its ids.
+
+    ``(element -> rank, key bytes per rank)``.  Ranks ascend by
+    ``stable_hash(element, salt=RANK_SALT)``, first by document frequency
+    under the frequency order: the key of
+    :class:`~repro.vcl.prefix.FrequencyRank` (or
+    :class:`~repro.vcl.prefix.HashRank`), sorted in two stable passes with
+    builtin keys.  Where two elements share a hash (equal ``repr``) that key
+    ties; a :class:`~repro.vcl.prefix.PrefixFilter` breaks such ties by
+    first appearance in the corpus and the ids would not, so the result is
+    ``None`` and the caller ranks with a ``PrefixFilter``.
+    """
+    elements = tuple(profile.dictionary)
+    hashes = [stable_hash(element, salt=RANK_SALT) for element in elements]
+    if len(set(hashes)) < len(hashes):
+        return None
+    order = sorted(range(len(elements)), key=hashes.__getitem__)
+    if use_frequency:
+        order.sort(key=profile.element_frequencies.__getitem__)
+    rank_of = dict(zip(map(elements.__getitem__, order), range(len(order))))
+    return rank_of, list(map(profile.element_bytes.__getitem__, order))
+
+
+def _ranked_prefix(rank_of: dict, measure: NominalSimilarityMeasure,
+                   threshold: float, multiset: Multiset) -> tuple[int, ...]:
+    """The ranks of ``multiset``'s prefix, in canonical order.
+
+    What ``PrefixFilter.cut(PrefixFilter.rank(multiset))`` returns for an
+    ungrouped filter whose order ``rank_of`` is.
+    """
+    ranked = sorted(zip(map(rank_of.__getitem__, multiset.keys()),
+                        multiset.values()))
+    if not ranked:
+        return ()
+    ranks, multiplicities = zip(*ranked)
+    weights = list(map(measure.effective_multiplicity,
+                       map(float, multiplicities)))
+    return ranks[:prefix_length(weights, measure, threshold)]
 
 
 def _avg_multiset_bytes(profile: CorpusProfile) -> float:

@@ -17,10 +17,10 @@ a single spec can carry a complete, reproducible description of a run.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 from repro.core.exceptions import JobConfigurationError
+from repro.core.knobs import is_int, is_real
 from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.costmodel import CostParameters
@@ -47,12 +47,8 @@ PLANNABLE_ALGORITHMS = JOINING_ALGORITHMS + (VCL,)
 ENGINE_ALGORITHMS = (AUTO,) + PLANNABLE_ALGORITHMS + SEQUENTIAL_ALGORITHMS
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_optional_int(value: object) -> bool:
-    return value is None or _is_int(value)
+    return value is None or is_int(value)
 
 
 def _is_bool(value: object) -> bool:
@@ -62,10 +58,8 @@ def _is_bool(value: object) -> bool:
 #: ``(field, accepts, expected)``: the type every knob must have, checked
 #: before any value check compares it.
 _KNOB_TYPES = (
-    ("threshold",
-     lambda value: isinstance(value, numbers.Real) and not _is_bool(value),
-     "a real number"),
-    ("sharding_threshold", _is_int, "an int"),
+    ("threshold", is_real, "a real number"),
+    ("sharding_threshold", is_int, "an int"),
     ("stop_word_frequency", _is_optional_int, "an int or None"),
     ("chunk_size", _is_optional_int, "an int or None"),
     ("vcl_super_element_groups", _is_optional_int, "an int or None"),

@@ -12,9 +12,11 @@ Online-Aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.exceptions import JobConfigurationError
+from repro.core.knobs import is_int, is_real
 
 #: One binary gigabyte, the per-machine memory budget used in the paper.
 GIGABYTE = 1024 ** 3
@@ -49,7 +51,11 @@ class Cluster:
     Parameters mirror the experimental setup of section 7: a machine count,
     a per-machine memory budget, a per-machine disk budget and a scheduler
     limit after which long-running jobs are killed (the paper reports VCL's
-    kernel mappers being killed after 48 hours).
+    kernel mappers being killed after 48 hours).  The machine count and
+    the budgets are ints (not bools) and the limit a real number other
+    than NaN; anything else is a
+    :class:`~repro.core.exceptions.JobConfigurationError` here, not a
+    ``TypeError`` from inside a pipeline.
     """
 
     num_machines: int = 100
@@ -59,6 +65,17 @@ class Cluster:
     scheduler_limit_seconds: float = float("inf")
 
     def __post_init__(self) -> None:
+        for name in ("num_machines", "memory_per_machine", "disk_per_machine"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise JobConfigurationError(
+                    f"{name} must be an int, got {value!r} "
+                    f"({type(value).__name__})")
+        limit = self.scheduler_limit_seconds
+        if not is_real(limit) or math.isnan(limit):
+            raise JobConfigurationError(
+                "scheduler_limit_seconds must be a real number other than "
+                f"NaN, got {limit!r} ({type(limit).__name__})")
         if self.num_machines <= 0:
             raise JobConfigurationError(
                 f"a cluster needs at least one machine, got {self.num_machines}")

@@ -53,6 +53,9 @@ RankFunction = Callable[[Hashable], tuple]
 #: than the gap of one between two integer overlaps.
 SIZE_BOUND_MARGIN = 1.0 - 2.0 ** -40
 
+#: The salt of the stable hash both rank functions order elements by.
+RANK_SALT = "vcl-rank"
+
 
 class FrequencyRank:
     """Rank elements by ascending global frequency (rare elements first).
@@ -66,7 +69,7 @@ class FrequencyRank:
         self.frequencies = frequencies
 
     def __call__(self, element: Hashable) -> tuple:
-        return (self.frequencies.get(element, 0), stable_hash(element, salt="vcl-rank"))
+        return (self.frequencies.get(element, 0), stable_hash(element, salt=RANK_SALT))
 
 
 class HashRank:
@@ -75,7 +78,7 @@ class HashRank:
     __slots__ = ()
 
     def __call__(self, element: Hashable) -> tuple:
-        return (stable_hash(element, salt="vcl-rank"),)
+        return (stable_hash(element, salt=RANK_SALT),)
 
 
 def frequency_rank_function(frequencies: dict) -> RankFunction:

@@ -59,12 +59,14 @@ class VSmartJoin:
     it to the planner (``"auto"``).  Results, counters and simulated run
     times do not depend on the runner's backend; only wall-clock time does.
 
-    Every run starts with the interning pass: elements and multiset
-    identifiers are mapped to dense integers (elements in ascending
-    document-frequency order), candidate pair keys pack both ids into a
-    single int, and the final pairs are mapped back to the original
-    identifiers.  That interned form is the only one the jobs ever see: the
-    pass writes the multisets' tuples straight into
+    The jobs see the multisets only interned: elements and multiset
+    identifiers mapped to dense integers (elements in ascending
+    document-frequency order), candidate pair keys packing both ids into a
+    single int, and the final pairs mapped back to the original
+    identifiers.  The :class:`~repro.core.interning.InterningContext` is
+    the one the engine's plan profiled when the engine planned this run
+    itself (``algorithm="auto"``); otherwise the run makes its own interning
+    pass.  The run writes the multisets' tuples straight into
     :class:`~repro.core.records.InputColumns`, and from there to Similarity1
     the jobs hand each other columns, not tuples.
     """
@@ -79,15 +81,23 @@ class VSmartJoin:
                 f"{self.algorithm!r} is not a V-SMART-Join joining algorithm; "
                 f"expected one of {JOINING_ALGORITHMS}")
 
-    def run(self, multisets: Sequence[Multiset]
+    def run(self, multisets: Sequence[Multiset],
+            interning: InterningContext | None = None,
             ) -> tuple[list[SimilarPair], PipelineResult]:
-        """Execute the full pipeline: the sorted similar pairs and its stats."""
+        """Execute the full pipeline: the sorted similar pairs and its stats.
+
+        ``interning`` must be the context
+        :meth:`InterningContext.from_multisets
+        <repro.core.interning.InterningContext.from_multisets>` builds from
+        these very ``multisets``; without one the run builds it.
+        """
         spec = self.spec
         measure = spec.resolved_measure()
         phase_config = SimilarityPhaseConfig(chunk_size=spec.chunk_size,
                                              use_combiners=spec.use_combiners)
 
-        interning = InterningContext.from_multisets(multisets)
+        if interning is None:
+            interning = InterningContext.from_multisets(multisets)
         records = interning.intern_multisets(multisets)
         dataset = Dataset("interned_input", records,
                           [INPUT_TUPLE_BYTES] * len(records))

@@ -144,6 +144,23 @@ class TestCluster:
         with pytest.raises(JobConfigurationError):
             Cluster(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, True, "4", float("nan")],
+                             ids=["float", "bool", "str", "nan"])
+    @pytest.mark.parametrize("knob", ["num_machines", "memory_per_machine",
+                                      "disk_per_machine",
+                                      "scheduler_limit_seconds"])
+    def test_knob_types(self, knob, value):
+        """Counts are ints, not bools; the limit is a real, not NaN.
+
+        ``Cluster(num_machines=2.5)`` used to be accepted: the planner priced
+        2.5 machines and the join died mid-pipeline with a ``TypeError``.
+        """
+        if knob == "scheduler_limit_seconds" and value == 2.5:
+            assert Cluster(scheduler_limit_seconds=2.5).scheduler_limit_seconds == 2.5
+            return
+        with pytest.raises(JobConfigurationError, match=knob):
+            Cluster(**{knob: value})
+
     def test_profiles(self):
         assert GOOGLE_MAPREDUCE.supports_secondary_keys
         assert not HADOOP.supports_secondary_keys

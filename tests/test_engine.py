@@ -514,6 +514,61 @@ class TestPlanner:
         assert result.plan is plan
         assert result.algorithm == plan.algorithm
 
+    @pytest.mark.parametrize("planned_on", ["a", "b"])
+    def test_a_callers_plan_never_lends_its_interning(self, planned_on):
+        """A plan made by ``engine.plan`` may profile another corpus: the
+        run interns its own, so it finds the pairs of the corpus it runs.
+
+        Each corpus holds multiset ids and elements the other lacks; a run
+        that interned with the plan's profile would miss them."""
+        common = uniform_corpus()[:60]
+        extra = make_random_multisets(20, alphabet_size=10, max_elements=10,
+                                      seed=5)
+
+        def with_own(tag):
+            return common + [
+                Multiset(f"{tag}-{multiset.id}",
+                         {f"{tag}-{element}": count
+                          for element, count in multiset.items()})
+                for multiset in extra]
+
+        corpora = {"a": with_own("a"), "b": with_own("b")}
+        ran_on = "b" if planned_on == "a" else "a"
+        engine = SimilarityEngine(cluster=paper_scale_cluster(500, HADOOP),
+                                  cost_parameters=paper_scale_cost_parameters())
+        spec = JoinSpec(threshold=0.5, sharding_threshold=16)
+        plan = engine.plan(spec, corpora[planned_on])
+        assert plan.algorithm in JOINING_ALGORITHMS  # a pipeline that interns
+        result = engine.run(spec, corpora[ran_on], plan=plan)
+        assert result.plan is plan
+        assert any(pair.first.startswith(f"{ran_on}-") for pair in result.pairs)
+        assert_matches_oracle(result.pairs, corpora[ran_on],
+                              get_measure(spec.measure), spec.threshold)
+
+    @pytest.mark.parametrize(("profile", "corpus_builder", "algorithm"), [
+        (None, skewed_corpus, "online_aggregation"),
+        (HADOOP, uniform_corpus, "lookup"),
+        (HADOOP, skewed_corpus, "sharding"),
+    ], ids=["online_aggregation", "lookup", "sharding"])
+    def test_auto_run_equals_the_pinned_run_it_chose(self, profile,
+                                                     corpus_builder,
+                                                     algorithm):
+        """An ``auto`` run interns with its plan's profile; a pinned run
+        builds its own interning.  Pairs and every job's statistics agree."""
+        multisets = corpus_builder()
+        cluster = (paper_scale_cluster(500) if profile is None
+                   else paper_scale_cluster(500, profile))
+        engine = SimilarityEngine(cluster=cluster,
+                                  cost_parameters=paper_scale_cost_parameters())
+        auto = engine.run(JoinSpec(threshold=0.5, sharding_threshold=16),
+                          multisets)
+        assert auto.algorithm == algorithm
+        pinned = engine.run(JoinSpec(threshold=0.5, sharding_threshold=16,
+                                     algorithm=algorithm), multisets)
+        assert auto.pairs == pinned.pairs
+        assert auto.pipeline.job_stats == pinned.pipeline.job_stats
+        assert auto.pipeline.artifacts == pinned.pipeline.artifacts
+
     def test_run_rejects_a_plan_for_a_different_spec(self, paper_engine):
         multisets = uniform_corpus()
         plan = paper_engine.plan(JoinSpec(threshold=0.5), multisets)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import operator
 import pickle
 import pkgutil
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.interning import (
     ElementDictionary,
+    _sort_key,
     InterningContext,
     InterningError,
     LocalInterner,
@@ -92,6 +94,17 @@ class TestOneRepresentation:
         assert offenders == []
 
 
+#: Two NaNs: distinct dictionary keys with one ``repr``, so their order is
+#: the tie-break's alone.
+NAN_A = float("nan")
+NAN_B = float("nan")
+#: Alphabet elements of four types, and the two NaNs.
+MIXED_ELEMENTS = st.one_of(
+    st.text(max_size=2), st.integers(-3, 3),
+    st.tuples(st.integers(0, 2)), st.floats(-2, 2, width=16),
+    st.sampled_from([NAN_A, NAN_B]))
+
+
 class TestElementDictionary:
     def test_document_frequency_order(self):
         multisets = [Multiset("a", {"rare": 1, "common": 1}),
@@ -141,6 +154,32 @@ class TestElementDictionary:
         assert restored == {"x": 4.0, "y": 1.0, "z": 2.0}
         assert interned.cardinality == 7.0
         assert interned.underlying_cardinality == 3
+
+    @given(st.one_of(st.lists(st.lists(st.text(max_size=3), max_size=6),
+                              max_size=8),
+                     st.lists(st.lists(MIXED_ELEMENTS, max_size=6), max_size=8)))
+    @settings(max_examples=150, deadline=None)
+    @example([[NAN_A, 1, "1", (1,), 1.5], [NAN_B, NAN_A, 1.5], [NAN_B]])
+    @example([[NAN_A, NAN_B], [NAN_B, NAN_A], ["b", "a"], ["a", "b"]])
+    def test_ids_follow_frequency_then_sort_key(self, element_lists):
+        """The two-pass sort gives ``sorted``'s ``(df, _sort_key)`` order,
+        ties (equal ``repr``, e.g. two distinct NaNs) in first appearance.
+
+        A scratch copy that sorts by ``repr`` on mixed alphabets too, or
+        drops either pass, fails here; so does one that sorts once by
+        frequency with ties in first appearance."""
+        multisets = [Multiset(f"m{index}", dict.fromkeys(elements, 1))
+                     for index, elements in enumerate(element_lists)]
+        frequencies: dict = {}
+        for multiset in multisets:
+            for element in multiset:
+                frequencies[element] = frequencies.get(element, 0) + 1
+        expected = sorted(frequencies,
+                          key=lambda element: (frequencies[element],
+                                               _sort_key(element)))
+        ordered = list(ElementDictionary.from_multisets(multisets))
+        assert len(ordered) == len(expected)
+        assert all(map(operator.is_, ordered, expected)), (ordered, expected)
 
     def test_sort_mixed_handles_incomparable_ids(self):
         mixed = sort_mixed({1, "a", (2, 3)})

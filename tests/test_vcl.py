@@ -8,12 +8,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.core.multiset import Multiset
 from repro.engine import JoinSpec, SimilarityEngine, join
+from repro.engine.planner import CorpusProfile, Planner
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from repro.similarity.registry import get_measure, list_measures
@@ -330,3 +331,151 @@ class TestGroupingAndConfig:
         assert job.side_data == {"a": 1}
         job = build_kernel_job(RUZICKA, 0.5, {"a": 1}, use_frequency_order=False)
         assert job.side_data is None
+
+
+def reference_vcl_jobs(planner, spec, measure, multisets, profile, cluster):
+    """The planner's VCL jobs, priced the way it priced them from a
+    :class:`PrefixFilter`: a frequency dict and a rank function over the
+    dictionary, the filter's ranks, cuts and key sizes, and per-key dicts.
+    """
+    container, word = 16, 8
+    overhead = planner.cost_parameters.record_overhead_bytes
+    machines = max(1, cluster.num_machines)
+    use_frequency = spec.vcl_element_order == "frequency"
+    dictionary = profile.dictionary
+    frequencies = {element: dictionary.frequency_of(element)
+                   for element in dictionary}
+    records = profile.num_records
+    element_b = profile.avg_element_bytes
+    kv_count = container + element_b + word + 1
+    combined_counts = float(sum(min(df, machines)
+                                for df in frequencies.values()))
+    frequency_entry = container + element_b + word
+    jobs = []
+    if use_frequency:
+        shuffle_f = combined_counts * kv_count
+        max_df = profile.max_document_frequency
+        jobs.append(planner._job(
+            "vcl_frequencies", cluster,
+            map_records=profile.num_multisets,
+            map_bytes_in=sum(profile.multiset_bytes),
+            map_bytes_out=records * kv_count,
+            map_emitted=records,
+            map_max_unit=(max(profile.multiset_bytes, default=0)
+                          + profile.max_cardinality * kv_count
+                          + overhead * (1 + profile.max_cardinality)),
+            extra_map_work=(records * kv_count + shuffle_f
+                            + overhead * records),
+            reduce_records=combined_counts,
+            reduce_groups=profile.alphabet_size,
+            reduce_bytes_in=shuffle_f,
+            reduce_bytes_out=profile.alphabet_size * frequency_entry,
+            reduce_max_unit=(min(max_df, machines) * kv_count
+                             + frequency_entry
+                             + overhead * min(max_df, machines)),
+            shuffle_bytes=shuffle_f,
+            max_group_bytes=min(max_df, machines) * kv_count))
+    rank = (frequency_rank_function(frequencies) if use_frequency
+            else hash_rank_function())
+    grouping = (None if spec.vcl_super_element_groups is None
+                else SuperElementGrouping(spec.vcl_super_element_groups))
+    prefixes = PrefixFilter(multisets, rank, measure, spec.threshold,
+                            grouping)
+    replicated_bytes = 0.0
+    max_unit = 0.0
+    group_bytes: dict = {}
+    group_records: dict = {}
+    total_prefix = 0
+    for multiset, m_bytes in zip(multisets, profile.multiset_bytes):
+        prefix = prefixes.cut(prefixes.rank(multiset))
+        total_prefix += len(prefix)
+        kvs = [container + prefixes.key_bytes[position] + m_bytes + 1
+               for position in prefix]
+        replicated_bytes += sum(kvs)
+        max_unit = max(max_unit, m_bytes + sum(kvs)
+                       + overhead * (1 + len(prefix)))
+        for position, kv in zip(prefix, kvs):
+            group_bytes[position] = group_bytes.get(position, 0.0) + kv
+            group_records[position] = group_records.get(position, 0) + 1
+    max_group = max(group_bytes.values(), default=0.0)
+    hot_records = max(group_records.values(), default=0)
+    jobs.append(planner._job(
+        "vcl_kernel", cluster,
+        map_records=profile.num_multisets,
+        map_bytes_in=sum(profile.multiset_bytes),
+        map_bytes_out=replicated_bytes,
+        map_emitted=total_prefix,
+        map_max_unit=max_unit,
+        reduce_records=total_prefix,
+        reduce_groups=len(group_bytes),
+        reduce_bytes_in=replicated_bytes,
+        reduce_bytes_out=0,
+        reduce_max_unit=max_group + overhead * hot_records,
+        shuffle_bytes=replicated_bytes,
+        max_group_bytes=max_group,
+        side_data_bytes=(container + profile.alphabet_size
+                         * (element_b + word) if use_frequency else 0),
+        materialises_groups=True))
+    jobs.append(planner._job("vcl_dedup", cluster))
+    return jobs
+
+
+#: Two NaNs: distinct elements with one ``repr``, hence one rank hash.
+NAN_A = float("nan")
+NAN_B = float("nan")
+#: A small mixed alphabet, so multisets overlap and hashes can tie.
+ALPHABET = ["a", "b", "c", "d", "e", 1, 2, (1,), 1.5, NAN_A, NAN_B]
+
+
+@st.composite
+def vcl_corpora(draw) -> list[Multiset]:
+    """A few multisets over :data:`ALPHABET`, with or without its NaNs,
+    multiplicities 1 to 4."""
+    alphabet = draw(st.sampled_from([ALPHABET, ALPHABET[:-2]]))
+    return [Multiset(f"m{index}", counts) for index, counts in enumerate(
+        draw(st.lists(st.dictionaries(st.sampled_from(alphabet),
+                                      st.integers(1, 4), min_size=1,
+                                      max_size=7),
+                      min_size=1, max_size=9)))]
+
+
+class TestPlannerEstimate:
+    @given(multisets=vcl_corpora(),
+           measure_name=st.sampled_from(list_measures(supported_only=True)),
+           order=st.sampled_from(["frequency", "hash"]),
+           groups=st.sampled_from([None, 1, 3, 16]),
+           pick=st.integers(min_value=0))
+    @settings(max_examples=200, deadline=None)
+    # NAN_A comes first but is the more frequent NaN: ranked by first
+    # appearance it precedes NAN_B, ranked by dictionary id it follows it,
+    # and at t = 0.5 m1's prefix is then one element shorter.
+    @example(multisets=[Multiset("m0", {NAN_A: 1}),
+                        Multiset("m1", {NAN_A: 1, NAN_B: 3}),
+                        Multiset("m2", {"a": 1}),
+                        Multiset("m3", {"a": 1, "b": 1})],
+             measure_name="ruzicka", order="hash", groups=None, pick=1)
+    def test_estimate_equals_the_prefix_filter_reference(
+            self, multisets, measure_name, order, groups, pick):
+        """Every planned VCL job's statistics and cost equal the reference's,
+        at a threshold some pair of the corpus reaches exactly.
+
+        The planner ranks the profile's ids in two stable sorts and falls
+        back to a ``PrefixFilter`` where two elements share a rank hash.  A
+        scratch copy that drops the hash pass or the frequency pass fails
+        here, and so does one that skips the fallback (on the NaNs)."""
+        measure = get_measure(measure_name)
+        achieved = sorted({pair.similarity for pair in
+                           all_pairs_exact(multisets, measure, 1e-9)})
+        threshold = achieved[pick % len(achieved)] if achieved else 0.5
+        spec = JoinSpec(measure=measure_name, threshold=threshold,
+                        vcl_element_order=order,
+                        vcl_super_element_groups=groups)
+        planner = Planner()
+        cluster = laptop_cluster()
+        profile = CorpusProfile.from_multisets(multisets)
+        estimated = planner._estimate_vcl(spec, measure, multisets, profile,
+                                          cluster)
+        reference = reference_vcl_jobs(planner, spec, measure, multisets,
+                                       profile, cluster)
+        assert [(job.name, job.stats, job.cost) for job in estimated] == [
+            (job.name, job.stats, job.cost) for job in reference]

@@ -158,7 +158,7 @@ def get_backend(backend: str | ExecutionBackend | None = "serial",
             f"available backends: {known}")
     try:
         return factory(**options)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, BackendError) as error:
         accepted = [parameter.name
                     for parameter in inspect.signature(factory).parameters.values()
                     if parameter.kind is parameter.KEYWORD_ONLY]

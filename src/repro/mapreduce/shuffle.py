@@ -48,6 +48,7 @@ from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import BackendError
+from repro.core.knobs import is_int
 from repro.mapreduce.types import concat_column
 
 #: One key's records from one flush, as a run holds them: ``(partition,
@@ -97,14 +98,14 @@ class ExternalGrouper:
     def __init__(self, memory_budget_bytes: int, *,
                  temp_dir: str | None = None,
                  merge_fan_in: int = 8) -> None:
-        if int(memory_budget_bytes) < 1:
+        if not is_int(memory_budget_bytes) or memory_budget_bytes < 1:
             raise BackendError(
-                f"ExternalGrouper memory_budget_bytes must be at least 1 "
-                f"byte, got {memory_budget_bytes!r}")
-        if int(merge_fan_in) < 2:
+                f"ExternalGrouper memory_budget_bytes must be an integer of "
+                f"at least 1 byte, got {memory_budget_bytes!r}")
+        if not is_int(merge_fan_in) or merge_fan_in < 2:
             raise BackendError(
-                f"ExternalGrouper merge_fan_in must be at least 2, "
-                f"got {merge_fan_in!r}")
+                f"ExternalGrouper merge_fan_in must be an integer of at "
+                f"least 2, got {merge_fan_in!r}")
         self.memory_budget_bytes = int(memory_budget_bytes)
         self.merge_fan_in = int(merge_fan_in)
         self._parent_dir = temp_dir

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
+from repro.core.knobs import is_real
 from repro.core.multiset import Multiset, MultisetId
 from repro.similarity.base import validate_threshold
 
@@ -90,6 +91,10 @@ class QueryOptions:
                 raise ServingError(
                     "threshold queries do not take k= "
                     f"(got k={self.k!r}); use kind='topk' for rankings")
+            if not is_real(self.threshold):
+                raise ServingError(
+                    f"threshold queries need a real threshold, got "
+                    f"{self.threshold!r}")
             try:
                 object.__setattr__(self, "threshold",
                                    float(validate_threshold(self.threshold)))

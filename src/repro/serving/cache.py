@@ -17,6 +17,7 @@ from collections import OrderedDict
 from typing import Any, Hashable
 
 from repro.core.exceptions import ServingError
+from repro.core.knobs import is_int
 from repro.telemetry import Metrics
 
 #: What the cache counts, zero until it happens.
@@ -32,8 +33,9 @@ class LRUResultCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 0:
-            raise ServingError(f"cache capacity must be >= 0, got {capacity}")
+        if not is_int(capacity) or capacity < 0:
+            raise ServingError(
+                f"cache capacity must be an integer >= 0, got {capacity!r}")
         self.capacity = int(capacity)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.metrics = Metrics()

@@ -40,6 +40,7 @@ import os
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import ResilienceError, ServingError, StorageError
+from repro.core.knobs import is_int
 from repro.core.multiset import Multiset, MultisetId
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import (
@@ -82,8 +83,13 @@ class ReplicatedSimilarityService:
         ``(shard_index, replica_index) -> FaultPolicy | None`` wiring an
         injection policy in front of each replica's node calls.
         """
-        if num_shards < 1:
-            raise ServingError(f"num_shards must be >= 1, got {num_shards}")
+        if not is_int(num_shards) or num_shards < 1:
+            raise ServingError(
+                f"num_shards must be an integer >= 1, got {num_shards!r}")
+        if not is_int(replication_factor):
+            raise ServingError(
+                f"replication_factor must be an integer, got "
+                f"{replication_factor!r}")
         self.fault_policy_factory = fault_policy_factory
         self.shards = [
             ReplicatedShard(

@@ -60,6 +60,10 @@ class Change:
                 raise StreamingError(
                     f"a {DELETE} change names an identifier only; "
                     "pass multiset_id, not the multiset")
+            if self.multiset_id is None:
+                raise StreamingError(
+                    f"a {DELETE} change names the identifier to remove, "
+                    "got None")
         else:
             raise StreamingError(
                 f"unknown change kind {self.kind!r}; "

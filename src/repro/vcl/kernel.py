@@ -8,8 +8,8 @@ The VCL baseline consists of three MapReduce steps:
   into memory, computes the prefix of each multiset and replicates the
   *entire multiset* once per prefix element; each reducer receives, for one
   element, every multiset having that element in its prefix
-  (``materializes_input``), and computes the exact similarity of every pair
-  in the group;
+  (``materializes_input``), and emits every pair of the group whose exact
+  similarity reaches the threshold;
 * a **deduplication** step, since a pair sharing several prefix elements is
   produced by several reducers.
 
@@ -19,18 +19,23 @@ structure on the simulator: the map output volume is proportional to
 alphabet side data and the whole-multiset records must fit in memory.
 
 All three mappers map their task's input as one batch
-(:meth:`~repro.mapreduce.job.Mapper.map_batch`).  The kernel mapper ranks
-the corpus's alphabet once (:class:`~repro.vcl.prefix.PrefixFilter`), turns
-each multiset into one :class:`RankedMultiset` — its elements on rank ids,
-its ``Uni`` folded once — and ships that one object as every replica; the
-reducer verifies the group's pairs on it directly.  Every emission is sized
-once per distinct element or identifier, never by walking the record.
+(:meth:`~repro.mapreduce.job.Mapper.map_batch`) and all three reducers
+reduce it as one (:meth:`~repro.mapreduce.job.Reducer.reduce_batch`).  The
+kernel mapper ranks the corpus's alphabet once
+(:class:`~repro.vcl.prefix.PrefixFilter`), turns each multiset into one
+:class:`RankedMultiset` — its elements on rank ids, its ``Uni`` folded
+once — and ships that one object as every replica; the reducer verifies the
+group's pairs on it directly.  A pair met in several groups of one reduce
+task is verified once: every later group reuses its similarity, yet still
+emits the pair, so the deduplication step sees every duplicate VCL
+produces.  Every emission and every output record is sized once per
+distinct element or identifier, never by walking the record.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.interning import InternedMultiset
 from repro.core.multiset import Multiset
@@ -57,6 +62,11 @@ _NUMBER_BYTES = 8
 #: A ``(pair, similarity)`` record beyond its two identifiers: the record's
 #: and the pair's containers and the similarity.
 _PAIR_RECORD_BYTES = 2 * _CONTAINER_BYTES + _NUMBER_BYTES
+#: A reducer's output record beyond its element or identifiers: its
+#: container and its number — ``(element, count)`` or a :class:`SimilarPair`.
+_OUTPUT_RECORD_BYTES = _CONTAINER_BYTES + _NUMBER_BYTES
+#: What the kernel reducer's memo holds for a pair it has not verified yet.
+_UNVERIFIED = object()
 
 
 class _SizeOf(dict):
@@ -94,15 +104,29 @@ class ElementFrequencyCombiner(SummingCombiner):
 
     keeps_value_shape = True
 
+    def combine(self, key: object, values: Sequence[int],
+                context: TaskContext) -> list[int]:
+        return [sum(values)]
+
 
 class ElementFrequencyReducer(Reducer):
-    """Sum the per-element counts into ``<a_k, Freq(a_k)>`` records."""
+    """Sum the per-element counts into ``<a_k, Freq(a_k)>`` records.
+
+    A batch reducer: one record per group, each sized from its element.
+    """
 
     materializes_input = False
 
-    def reduce(self, key: object, values: Sequence[int],
-               context: TaskContext) -> Iterator[tuple]:
-        yield (key, sum(values))
+    def output_record_bytes(self, records: Sequence[tuple]) -> list[int]:
+        """``(element, count)`` records: each element sized once."""
+        element_bytes = _SizeOf()
+        return [_OUTPUT_RECORD_BYTES + element_bytes[element]
+                for element, _ in records]
+
+    def reduce_batch(self, groups: Iterable[tuple[object, list[int]]],
+                     context: TaskContext) -> tuple[list[tuple], list[int]]:
+        output = [(key, sum(values)) for key, values in groups]
+        return output, [1] * len(output)
 
 
 def build_frequency_job(name: str = "vcl_frequencies") -> JobSpec:
@@ -206,6 +230,17 @@ class VCLKernelReducer(Reducer):
     pair verification runs straight on the array kernels.
     The scalar kernels' sums are exact under any id order (multiplicities
     are integers), so rank ids give the similarities any other ids would.
+
+    A batch reducer (:meth:`reduce_batch`) that verifies each distinct pair
+    once per reduce task.  A pair sharing k prefix elements meets in k
+    groups; the first computes its similarity and the later ones reuse it,
+    yet every group still emits ``(pair, similarity)`` for each of its pairs
+    at or above the threshold, in the order the per-group loop would, so
+    the output and the deduplication job's input are those of VCL.
+    ``vcl/pairs_verified`` counts VCL's verifications, one per pair per
+    shared group.  The memo is local to the call: it costs one entry (the
+    pair as the group orders it, and its output record or ``None``) per
+    distinct candidate pair of the task, and is dropped when the task ends.
     """
 
     materializes_input = True
@@ -222,27 +257,46 @@ class VCLKernelReducer(Reducer):
         return [_PAIR_RECORD_BYTES + id_bytes[first] + id_bytes[second]
                 for (first, second), _ in records]
 
-    def reduce(self, key: object, values: Sequence[RankedMultiset],
-               context: TaskContext) -> Iterator[tuple]:
-        if len(values) < 2:
-            return
+    def reduce_batch(self, groups: Iterable[tuple[object, list[RankedMultiset]]],
+                     context: TaskContext) -> tuple[list[tuple], list[int]]:
         measure = self.measure
         threshold = self.threshold
+        output: list[tuple] = []
+        emit = output.append
+        counts: list[int] = []
+        count = counts.append
+        # (id_i, id_j) in group order -> the pair's output record, or None
+        # below the threshold.  Every group lists its members in the
+        # mapper's record order, so a pair meets in the same order each time.
+        verified_pairs: dict[tuple, tuple | None] = {}
+        recall = verified_pairs.get
         verified = 0
-        for index, value_i in enumerate(values):
-            entity_i = value_i.entity
-            uni_i = value_i.uni
-            for value_j in values[index + 1:]:
-                entity_j = value_j.entity
-                if entity_i.id == entity_j.id:
-                    continue
-                verified += 1
-                similarity = interned_similarity(measure, entity_i, entity_j,
-                                                 uni_i, value_j.uni)
-                if similarity >= threshold:
-                    yield (canonical_pair(entity_i.id, entity_j.id), similarity)
+        for _key, values in groups:
+            start = len(output)
+            for index, value_i in enumerate(values):
+                entity_i = value_i.entity
+                id_i = entity_i.id
+                uni_i = value_i.uni
+                for value_j in values[index + 1:]:
+                    entity_j = value_j.entity
+                    id_j = entity_j.id
+                    if id_i == id_j:
+                        continue
+                    verified += 1
+                    ids = (id_i, id_j)
+                    record = recall(ids, _UNVERIFIED)
+                    if record is _UNVERIFIED:
+                        similarity = interned_similarity(
+                            measure, entity_i, entity_j, uni_i, value_j.uni)
+                        record = verified_pairs[ids] = (
+                            (canonical_pair(id_i, id_j), similarity)
+                            if similarity >= threshold else None)
+                    if record is not None:
+                        emit(record)
+            count(len(output) - start)
         if verified:
             context.increment("vcl/pairs_verified", verified)
+        return output, counts
 
 
 def build_kernel_job(measure: NominalSimilarityMeasure, threshold: float,
@@ -280,15 +334,31 @@ class DeduplicationMapper(Mapper):
 
 
 class DeduplicationReducer(Reducer):
-    """Emit each similar pair exactly once (duplicates agree on the value)."""
+    """Emit each similar pair exactly once (duplicates agree on the value).
+
+    A batch reducer: one :class:`SimilarPair` per group, each sized from
+    its identifiers.
+    """
 
     materializes_input = False
 
-    def reduce(self, key: tuple, values: Sequence[float],
-               context: TaskContext) -> Iterator[SimilarPair]:
-        context.increment("vcl/duplicate_results", max(0, len(values) - 1))
-        first, second = key
-        yield SimilarPair(first, second, values[0])
+    def output_record_bytes(self, records: Sequence[SimilarPair]) -> list[int]:
+        """:class:`SimilarPair` records: each identifier sized once."""
+        id_bytes = _SizeOf()
+        return [_OUTPUT_RECORD_BYTES + id_bytes[record.first]
+                + id_bytes[record.second] for record in records]
+
+    def reduce_batch(self, groups: Iterable[tuple[tuple, list[float]]],
+                     context: TaskContext) -> tuple[list[SimilarPair], list[int]]:
+        output: list[SimilarPair] = []
+        emit = output.append
+        duplicates = 0
+        for (first, second), values in groups:
+            duplicates += len(values) - 1
+            emit(SimilarPair(first, second, values[0]))
+        if output:
+            context.increment("vcl/duplicate_results", duplicates)
+        return output, [1] * len(output)
 
 
 def build_dedup_job(name: str = "vcl_dedup") -> JobSpec:

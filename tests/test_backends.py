@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -102,6 +103,23 @@ class TestBackendFactory:
         backend = get_backend("disk", memory_budget_bytes=4096, merge_fan_in=3)
         assert backend.memory_budget_bytes == 4096
         assert backend.merge_fan_in == 3
+
+    @pytest.mark.parametrize("option, value", [
+        ("memory_budget_bytes", 1.5), ("memory_budget_bytes", True),
+        ("memory_budget_bytes", "4096"), ("merge_fan_in", 2.5),
+        ("merge_fan_in", True), ("merge_fan_in", "3"),
+    ])
+    def test_a_knob_that_is_not_an_integer_is_a_backend_error(self, option, value):
+        """``memory_budget_bytes=1.5`` used to run as a 1-byte budget, and
+        ``True`` / ``"4096"`` / ``merge_fan_in=2.5`` were coerced too."""
+        with pytest.raises(BackendError, match=f"{option} must be an integer"):
+            get_backend("disk", **{option: value})
+
+    def test_a_numpy_integer_knob_is_an_integer(self):
+        backend = get_backend("disk", memory_budget_bytes=np.int64(4096),
+                              merge_fan_in=np.int64(3))
+        assert (backend.memory_budget_bytes, backend.merge_fan_in) == (4096, 3)
+        assert type(backend.memory_budget_bytes) is int
 
     @pytest.mark.parametrize("name, option, value", [
         ("serial", "memory_budget_bytes", 1),

@@ -87,11 +87,14 @@ CALLS_PER_TUPLE_CEILING = {("join_scan", "sharding"): 27,
                            ("join_scan", "lookup"): 23}
 
 #: The same for a ``vcl`` join on the toy corpora, ~15 % above the measured
-#: 63.8 / 140.8 (CPython 3.11; 78.3 / 155.1 while a ``KeyValue`` was built
-#: per shuffled record, 172.0 / 281.8 while the kernel reducer re-interned
-#: every multiset once per group it was replicated to and every VCL mapper
-#: mapped and sized record by record).
-VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 73, "join_dense": 162}
+#: 37.4 / 34.4 (CPython 3.11; 63.9 / 141.0 while the kernel reducer verified
+#: a pair once per group it shared and the deduplication and frequency
+#: reducers were called once per group and walked every output record,
+#: 78.3 / 155.1 while a ``KeyValue`` was built per shuffled record, 172.0 /
+#: 281.8 while the kernel reducer re-interned every multiset once per group
+#: it was replicated to and every VCL mapper mapped and sized record by
+#: record).
+VCL_CALLS_PER_TUPLE_CEILING = {"join_scan": 43, "join_dense": 40}
 
 #: The jobs whose mapper maps its whole input as columns
 #: (``Mapper.map_batch``): every job of a join.

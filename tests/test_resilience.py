@@ -520,6 +520,8 @@ class TestReplicatedShard:
     def test_validation(self):
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=0)
+        with pytest.raises(ResilienceError, match="integer"):
+            ReplicatedShard(replication_factor=1.5)
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=2, fault_policies=[None])
 

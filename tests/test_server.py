@@ -277,6 +277,24 @@ class TestAppDispatch:
 
         run_async(scenario())
 
+    def test_a_boolean_threshold_is_a_400_like_an_out_of_range_one(self):
+        """``{"threshold": true}`` used to be served as t = 1.0."""
+        async def scenario():
+            app = await started_app()
+            query = multiset_to_wire(Multiset("q", {"x": 1}))
+            answers = [await app.handle("POST", "/query", {
+                "query": query,
+                "options": {"kind": "threshold", "threshold": threshold}})
+                for threshold in (True, 2.0)]
+            await app.shutdown()
+            (status, body, _), (range_status, range_body, _) = answers
+            assert status == range_status == 400
+            assert body["error"]["code"] == range_body["error"]["code"] \
+                == "server_error"
+            assert "real threshold" in body["error"]["message"]
+
+        run_async(scenario())
+
     def test_malformed_query_payload_is_400_server_error(self):
         async def scenario():
             app = await started_app()

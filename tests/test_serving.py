@@ -437,6 +437,11 @@ class TestIncrementalMaintenance:
 
 
 class TestLRUResultCache:
+    @pytest.mark.parametrize("capacity", [-1, 2.5, True, "8"])
+    def test_a_capacity_that_is_not_a_count_is_rejected(self, capacity):
+        with pytest.raises(ServingError, match="cache capacity"):
+            LRUResultCache(capacity)
+
     def test_hit_miss_and_eviction(self):
         cache = LRUResultCache(capacity=2)
         assert cache.get("a") is None
@@ -610,6 +615,18 @@ class TestShardedService:
             unreplicated_fleet("ruzicka", num_shards=0)
         with pytest.raises(ServingError):
             shard_for("m", 0)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("num_shards", 2.5), ("num_shards", True), ("num_shards", "2"),
+        ("replication_factor", 1.5), ("replication_factor", True),
+        ("cache_capacity", 2.5), ("cache_capacity", True),
+        ("cache_capacity", "64"),
+    ])
+    def test_a_knob_that_is_not_an_integer_is_a_serving_error(self, knob, value):
+        """``num_shards=2.5`` and ``replication_factor=1.5`` raised a raw
+        ``TypeError``; ``cache_capacity=2.5`` was accepted."""
+        with pytest.raises(ServingError, match=knob.replace("_", "[_ ]")):
+            repro.ReplicatedSimilarityService("ruzicka", **{knob: value})
 
     def test_neighbours_excludes_self(self, overlapping_multisets):
         service = unreplicated_fleet("ruzicka", num_shards=2)

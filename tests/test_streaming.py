@@ -84,6 +84,11 @@ class TestChangeRecords:
         with pytest.raises(StreamingError):
             Change(kind="mutate")
 
+    def test_a_delete_of_no_identifier_is_rejected(self):
+        """``Change.delete(None)`` used to be accepted."""
+        with pytest.raises(StreamingError, match="got None"):
+            Change.delete(None)
+
     def test_batch_coercion_and_views(self):
         member = Multiset("m", {"x": 1})
         batch = ChangeBatch.of(Change.upsert(member), Change.delete("z"),

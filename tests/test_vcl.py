@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,13 +14,25 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.core.multiset import Multiset
+from repro.core.records import SimilarPair, canonical_pair
 from repro.engine import JoinSpec, SimilarityEngine, join
 from repro.engine.planner import CorpusProfile, Planner
+from repro.mapreduce.backends import get_backend
 from repro.mapreduce.cluster import Cluster, laptop_cluster
+from repro.mapreduce.job import Reducer, SummingCombiner
+from repro.mapreduce.types import walk_record_bytes
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
+from repro.similarity.kernels import interned_similarity
 from repro.similarity.registry import get_measure, list_measures
+from repro.vcl import kernel
 from repro.vcl.grouping import SuperElementGrouping
-from repro.vcl.kernel import build_kernel_job
+from repro.vcl.kernel import (
+    DeduplicationReducer,
+    ElementFrequencyCombiner,
+    ElementFrequencyReducer,
+    VCLKernelReducer,
+    build_kernel_job,
+)
 from repro.vcl.prefix import (
     PrefixFilter,
     frequency_rank_function,
@@ -28,6 +41,7 @@ from repro.vcl.prefix import (
     prefix_length,
 )
 from tests.conftest import assert_matches_oracle, make_random_multisets
+from tests.test_hot_path import SharedElements
 
 
 def run_vcl(multisets, cluster, **spec_fields):
@@ -479,3 +493,151 @@ class TestPlannerEstimate:
                                        profile, cluster)
         assert [(job.name, job.stats, job.cost) for job in estimated] == [
             (job.name, job.stats, job.cost) for job in reference]
+
+
+class ReferenceKernelReducer(VCLKernelReducer):
+    """The per-group kernel reducer of 3.15: every group verifies each of
+    its pairs afresh."""
+
+    reduce_batch = Reducer.reduce_batch
+
+    def reduce(self, key, values, context):
+        if len(values) < 2:
+            return
+        verified = 0
+        for index, value_i in enumerate(values):
+            entity_i = value_i.entity
+            for value_j in values[index + 1:]:
+                entity_j = value_j.entity
+                if entity_i.id == entity_j.id:
+                    continue
+                verified += 1
+                similarity = interned_similarity(self.measure, entity_i,
+                                                 entity_j, value_i.uni,
+                                                 value_j.uni)
+                if similarity >= self.threshold:
+                    yield (canonical_pair(entity_i.id, entity_j.id), similarity)
+        if verified:
+            context.increment("vcl/pairs_verified", verified)
+
+
+class ReferenceDeduplicationReducer(DeduplicationReducer):
+    """The per-group deduplication reducer of 3.15, sized by the walker."""
+
+    output_record_bytes = None
+    reduce_batch = Reducer.reduce_batch
+
+    def reduce(self, key, values, context):
+        context.increment("vcl/duplicate_results", max(0, len(values) - 1))
+        first, second = key
+        yield SimilarPair(first, second, values[0])
+
+
+class ReferenceElementFrequencyReducer(ElementFrequencyReducer):
+    """The per-group frequency reducer of 3.15, sized by the walker."""
+
+    output_record_bytes = None
+    reduce_batch = Reducer.reduce_batch
+
+    def reduce(self, key, values, context):
+        yield (key, sum(values))
+
+
+class ReferenceElementFrequencyCombiner(ElementFrequencyCombiner):
+    """The frequency combiner of 3.15: the generic summing generator."""
+
+    combine = SummingCombiner.combine
+
+
+def recorded_vcl_join(multisets, spec, backend, reducers, combiner):
+    """The VCL join of ``spec`` with ``reducers`` (kernel, deduplication,
+    frequency) and ``combiner`` in its jobs, and every reduce task's output
+    records and per-group counts, in task order."""
+    tasks = []
+
+    def recording(cls, job):
+        class Recording(cls):
+            def reduce_batch(self, groups, context):
+                output, counts = super().reduce_batch(groups, context)
+                tasks.append((job, list(output), list(counts)))
+                return output, counts
+        return Recording
+
+    kernel_reducer, dedup_reducer, frequency_reducer = reducers
+    with mock.patch.multiple(
+            kernel, VCLKernelReducer=recording(kernel_reducer, "kernel"),
+            DeduplicationReducer=recording(dedup_reducer, "dedup"),
+            ElementFrequencyReducer=recording(frequency_reducer, "frequency"),
+            ElementFrequencyCombiner=combiner):
+        with SimilarityEngine(backend=backend) as engine:
+            result = engine.run(spec, multisets)
+    return result, tasks
+
+
+class TestBatchReducers:
+    @given(multisets=vcl_corpora(),
+           measure=st.sampled_from(list_measures(supported_only=True)
+                                   + [SharedElements()]),
+           order=st.sampled_from(["frequency", "hash"]),
+           groups=st.sampled_from([None, 1, 4]),
+           backend=st.sampled_from(["serial", "disk@4096"]),
+           pick=st.integers(min_value=0))
+    @settings(max_examples=150, deadline=None)
+    # m0 and m1 share three prefix elements, so their pair meets in three
+    # groups, and m2 meets each of them in one or two.
+    @example(multisets=[Multiset("m0", {"a": 1, "b": 2, "c": 1}),
+                        Multiset("m1", {"a": 1, "b": 1, "c": 1, "d": 1}),
+                        Multiset("m2", {"b": 1, "d": 3})],
+             measure="ruzicka", order="frequency", groups=None,
+             backend="serial", pick=0)
+    def test_batch_reducers_equal_the_per_group_reference(
+            self, multisets, measure, order, groups, backend, pick):
+        """Every reduce task's output records in order and per-group counts,
+        every counter and every ``JobStats`` field equal the per-group
+        reducers', at a threshold some pair of the corpus reaches exactly.
+
+        Scratch copies that emit only a pair's first occurrence, count
+        ``vcl/pairs_verified`` on memo misses only, key the memo on
+        ``id_i`` alone, or size a deduplicated pair without its similarity
+        fail here."""
+        resolved = get_measure(measure) if isinstance(measure, str) else measure
+        achieved = sorted({pair.similarity for pair in
+                           all_pairs_exact(multisets, resolved, 1e-9)})
+        threshold = achieved[pick % len(achieved)] if achieved else 0.5
+        spec = JoinSpec(measure=measure, threshold=threshold, algorithm="vcl",
+                        vcl_element_order=order,
+                        vcl_super_element_groups=groups)
+        chosen = (get_backend("disk", memory_budget_bytes=4096)
+                  if backend == "disk@4096" else backend)
+        result, tasks = recorded_vcl_join(
+            multisets, spec, chosen,
+            (VCLKernelReducer, DeduplicationReducer, ElementFrequencyReducer),
+            ElementFrequencyCombiner)
+        expected, expected_tasks = recorded_vcl_join(
+            multisets, spec, chosen,
+            (ReferenceKernelReducer, ReferenceDeduplicationReducer,
+             ReferenceElementFrequencyReducer),
+            ReferenceElementFrequencyCombiner)
+        assert tasks == expected_tasks
+        assert result.pairs == expected.pairs
+        assert result.counters() == expected.counters()
+        assert result.simulated_seconds == expected.simulated_seconds
+        assert [repr(stats) for stats in result.pipeline.job_stats] == [
+            repr(stats) for stats in expected.pipeline.job_stats]
+
+    @pytest.mark.parametrize("ids", [
+        ["a", "bcd", ""],
+        [0, 7, -12],
+        [(1,), ("x", 2), (1, (2, "y"))],
+        ["a", 3, (1, "b"), 2.5, None, True],
+    ], ids=["str", "int", "tuple", "mixed"])
+    def test_declared_output_sizes_are_the_walkers(self, ids):
+        """The deduplication and frequency reducers size each identifier or
+        element once; the walker over each whole record says the same."""
+        pairs = [SimilarPair(first, second, 0.5) for first in ids
+                 for second in ids]
+        assert DeduplicationReducer().output_record_bytes(pairs) == [
+            walk_record_bytes(pair) for pair in pairs]
+        counts = [(element, 3) for element in ids]
+        assert ElementFrequencyReducer().output_record_bytes(counts) == [
+            walk_record_bytes(record) for record in counts]

@@ -122,7 +122,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.16.0"
+__version__ = "3.17.0"
 
 __all__ = [
     "Change",

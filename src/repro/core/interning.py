@@ -37,7 +37,8 @@ every consumer maps ids back to the original objects at its boundary.
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import Counter
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.exceptions import ReproError
@@ -118,11 +119,8 @@ class ElementDictionary:
     def from_multisets(cls,
                        multisets: Iterable[Multiset]) -> "ElementDictionary":
         """Build a dictionary by counting document frequencies of a corpus."""
-        frequencies: dict = {}
-        for multiset in multisets:
-            for element in multiset:
-                frequencies[element] = frequencies.get(element, 0) + 1
-        return cls.from_document_frequencies(frequencies)
+        return cls.from_document_frequencies(
+            Counter(chain.from_iterable(multisets)))
 
     @classmethod
     def from_input_tuples(

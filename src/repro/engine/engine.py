@@ -28,7 +28,6 @@ import time
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
 from repro.core.exceptions import DatasetError, JobConfigurationError
-from repro.core.interning import InterningContext
 from repro.core.multiset import Multiset
 from repro.engine.calibration import CalibrationProfile
 from repro.engine.planner import CorpusProfile, JoinPlan, Planner
@@ -144,16 +143,16 @@ class SimilarityEngine:
         """Execute ``spec`` over ``data`` and return the unified result.
 
         ``algorithm="auto"`` plans first (the plan rides along on
-        ``result.plan``), and a V-SMART-Join pipeline it picks interns the
-        corpus with the plan's profile; explicit algorithms skip the
-        planning pass entirely.  A ``plan`` already produced by
+        ``result.plan``), and a V-SMART-Join pipeline it picks takes the
+        plan's profile's interning and interned tuples; explicit algorithms
+        skip the planning pass entirely.  A ``plan`` already produced by
         :meth:`plan` for the same spec is reused instead of re-profiling
         the corpus, but not its interning: it may profile another corpus.
         """
         spec = spec or JoinSpec()
         multisets = self._materialise(data)
         algorithm = spec.algorithm
-        interning = None
+        profile = None
         if plan is not None:
             if plan.spec != spec:
                 raise JobConfigurationError(
@@ -165,9 +164,9 @@ class SimilarityEngine:
             plan = planner.plan(spec, multisets, self._cluster_for(spec),
                                 enforce_budgets=self._enforce_budgets(spec))
             algorithm = plan.algorithm
-            interning = plan.profile.interning
+            profile = plan.profile
         start = time.perf_counter()
-        pairs, pipeline = self._execute(algorithm, spec, multisets, interning)
+        pairs, pipeline = self._execute(algorithm, spec, multisets, profile)
         wall_seconds = time.perf_counter() - start
         if self.calibration is not None and pipeline.job_stats:
             self._observe_run(spec, algorithm, multisets, plan, pipeline,
@@ -259,14 +258,18 @@ class SimilarityEngine:
                      else spec.backend))
 
     def _execute(self, algorithm: str, spec: JoinSpec,
-                 multisets: list[Multiset],
-                 interning: InterningContext | None):
+                 multisets: list[Multiset], profile: CorpusProfile | None):
+        """Run ``algorithm``; a V-SMART-Join pipeline takes the interning
+        of ``profile``, a profile of these very ``multisets``, if given."""
         if algorithm not in PLANNABLE_ALGORITHMS:
             return self._execute_sequential(algorithm, spec, multisets)
         runner = self._runner_for(spec)
         if algorithm == VCL:
             return VCLJoin(spec, runner).run(multisets)
-        return VSmartJoin(spec, runner, algorithm).run(multisets, interning)
+        if profile is None:
+            return VSmartJoin(spec, runner, algorithm).run(multisets)
+        return VSmartJoin(spec, runner, algorithm).run(
+            multisets, profile.interning, profile.columns)
 
     def _execute_sequential(self, algorithm: str, spec: JoinSpec,
                             multisets: list[Multiset]):

@@ -12,12 +12,12 @@ the pipeline.
 The profile is the corpus's one interning pass: the
 :class:`~repro.core.interning.InterningContext` the V-SMART-Join driver
 needs (document frequencies counted once, the alphabet sorted once into an
-:class:`~repro.core.interning.ElementDictionary`), plus the per-element
-frequencies and sizes and the per-multiset cardinality distribution from
-:mod:`repro.datasets.stats`.  When :meth:`SimilarityEngine.run
-<repro.engine.engine.SimilarityEngine.run>` plans a run itself and picks a
-V-SMART-Join pipeline, the driver interns with the profile's context
-instead of making the pass again.
+:class:`~repro.core.interning.ElementDictionary`) and the input tuples on
+its ids, plus the per-element frequencies and sizes and the per-multiset
+cardinality distribution from :mod:`repro.datasets.stats`.  When
+:meth:`SimilarityEngine.run <repro.engine.engine.SimilarityEngine.run>`
+plans a run itself and picks a V-SMART-Join pipeline, the driver takes the
+profile's context and interned tuples instead of making the pass again.
 
 The estimates deliberately mirror the runner's accounting:
 
@@ -28,15 +28,15 @@ The estimates deliberately mirror the runner's accounting:
   group's receiver — which is how skew (one hot element, one huge multiset)
   surfaces in the prediction exactly as it does in the measurement.
 
-For the VCL baseline the planner computes the *real* prefixes, in the
-kernel mapper's canonical order and cut by the same
-:func:`repro.vcl.prefix.prefix_length`, so the kernel's replication volume
-and its largest reduce group — the two quantities the paper blames for
-VCL's collapse — are estimated from actual prefix document frequencies
-rather than guessed.  Without super-elements the order is built from the
-profile's element ids, frequencies and sizes; with them (or when two
-elements share a rank hash) a :class:`repro.vcl.prefix.PrefixFilter`
-ranks the corpus.
+For the VCL baseline the planner computes the *real* prefixes, the sets
+the kernel mapper emits under its canonical order and
+:func:`repro.vcl.prefix.prefix_length`'s cut, so the kernel's replication
+volume and its largest reduce group — the two quantities the paper blames
+for VCL's collapse — are estimated from actual prefix document frequencies
+rather than guessed.  Without super-elements the prefixes are cut in one
+pass over the profile's interned columns, which ranks by hash only the
+elements whose order can move a cut; with them (or when that pass cannot
+decide) a :class:`repro.vcl.prefix.PrefixFilter` ranks the corpus.
 
 Candidate-pair volume is estimated *unpruned* (``sum_e C(df_e, 2)``): the
 upper-bound pruning rate depends on the pairwise ``Uni`` values, which a
@@ -47,12 +47,16 @@ order — the decision ``algorithm="auto"`` has to get right — is unaffected.
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.interning import ElementDictionary, InterningContext
 from repro.core.multiset import Multiset
+from repro.core.records import InputColumns
 from repro.datasets.stats import (
     DistributionSummary,
     elements_per_multiset,
@@ -79,10 +83,10 @@ from repro.similarity.base import NominalSimilarityMeasure
 from repro.vcl.grouping import SuperElementGrouping
 from repro.vcl.prefix import (
     RANK_SALT,
+    SIZE_BOUND_MARGIN,
     PrefixFilter,
     frequency_rank_function,
     hash_rank_function,
-    prefix_length,
 )
 from repro.vsmart.driver import LOOKUP, ONLINE_AGGREGATION, SHARDING
 from repro.vsmart.shapes import RecordShapes
@@ -97,10 +101,12 @@ _WORD = 8
 class CorpusProfile:
     """Statistics of a corpus, sufficient for cost prediction.
 
-    Built from the corpus's interning pass, which the profile keeps
-    (:attr:`interning`): a V-SMART-Join run that :meth:`SimilarityEngine.run
-    <repro.engine.engine.SimilarityEngine.run>` planned itself interns the
-    corpus with it instead of making the pass again.
+    Built from the corpus's interning pass, which the profile keeps: the
+    context (:attr:`interning`) and the interned input tuples
+    (:attr:`columns`, one entry per input tuple).  A V-SMART-Join run that
+    :meth:`SimilarityEngine.run <repro.engine.engine.SimilarityEngine.run>`
+    planned itself takes both instead of making the pass again, and the
+    VCL estimate cuts its prefixes from the columns.
     """
 
     num_multisets: int
@@ -122,6 +128,8 @@ class CorpusProfile:
     multiset_bytes: tuple[int, ...]
     #: The corpus's interning: element dictionary, multiset ids, pair codec.
     interning: InterningContext
+    #: The corpus's input tuples on dense ids, multisets in input order.
+    columns: InputColumns
     #: Document frequency per element id of :attr:`dictionary`.
     element_frequencies: tuple[int, ...]
     #: Estimated bytes per element id of :attr:`dictionary`.
@@ -149,6 +157,7 @@ class CorpusProfile:
             multiset_bytes=tuple(multiset.estimated_bytes()
                                  for multiset in multisets),
             interning=interning,
+            columns=interning.intern_multisets(multisets),
             element_frequencies=frequencies,
             element_bytes=element_bytes,
         )
@@ -739,8 +748,8 @@ class Planner:
         records = profile.num_records
         element_b = profile.avg_element_bytes
         kv_count = _CONTAINER + element_b + _WORD + 1
-        combined_counts = float(sum(min(df, machines)
-                                    for df in profile.element_frequencies))
+        combined_counts = float(sum(map(min, profile.element_frequencies,
+                                        repeat(machines))))
         frequency_entry = _CONTAINER + element_b + _WORD
         jobs = []
         if use_frequency:
@@ -769,48 +778,38 @@ class Planner:
             ))
 
         # The kernel: price replication and group skew from the *actual*
-        # prefixes, accumulated per prefix key in one pass.  Without
-        # super-elements the keys are the profile's elements, ranked from
-        # its ids; with them, a PrefixFilter ranks the groups.
-        ranking = (_vcl_ranking(profile, use_frequency)
-                   if spec.vcl_super_element_groups is None else None)
-        if ranking is not None:
-            rank_of, key_bytes = ranking
-            cut = functools.partial(_ranked_prefix, rank_of, measure,
-                                    spec.threshold)
+        # prefixes, as rows ``(multiset, prefix key)``.  Without
+        # super-elements the keys are the profile's element ids, cut in one
+        # pass over its columns; with them (or where that pass cannot
+        # decide a prefix) a PrefixFilter ranks the corpus.
+        rows = (_prefix_rows(profile, measure, spec.threshold, use_frequency)
+                if spec.vcl_super_element_groups is None else None)
+        if rows is not None:
+            owners, keys = rows
+            key_bytes = profile.element_bytes
         else:
-            rank = (frequency_rank_function(
-                dict(zip(profile.dictionary, profile.element_frequencies)))
-                if use_frequency else hash_rank_function())
-            grouping = (None if spec.vcl_super_element_groups is None
-                        else SuperElementGrouping(
-                            spec.vcl_super_element_groups))
-            prefixes = PrefixFilter(multisets, rank, measure, spec.threshold,
-                                    grouping)
-            key_bytes = prefixes.key_bytes
-
-            def cut(multiset: Multiset) -> Sequence[int]:
-                return prefixes.cut(prefixes.rank(multiset))
-        replicated_bytes = 0.0
-        max_unit = 0.0
+            owners, keys, key_bytes = _filtered_prefix_rows(
+                spec, measure, multisets, profile, use_frequency)
+        kvs = (np.array(key_bytes, dtype=np.int64)[keys]
+               + np.array(profile.multiset_bytes, dtype=np.int64)[owners]
+               + (_CONTAINER + 1))
+        # Every row weighs an int, so the float sums are exact in any order.
+        emitted = np.bincount(owners, weights=kvs,
+                              minlength=profile.num_multisets)
+        lengths = np.bincount(owners, minlength=profile.num_multisets)
+        replicated_bytes = float(kvs.sum())
+        max_unit = max(
+            (m_bytes + kv_bytes + overhead * (1 + length)
+             for m_bytes, kv_bytes, length in zip(
+                 profile.multiset_bytes, emitted.astype(np.int64).tolist(),
+                 lengths.tolist())),
+            default=0.0)
+        total_prefix = len(keys)
         # Per prefix key (a position in key_bytes): bytes and records.
-        group_bytes = [0.0] * len(key_bytes)
-        group_records = [0] * len(key_bytes)
-        total_prefix = 0
-        for multiset, m_bytes in zip(multisets, profile.multiset_bytes):
-            prefix = cut(multiset)
-            total_prefix += len(prefix)
-            kvs = [_CONTAINER + key_bytes[position] + m_bytes + 1
-                   for position in prefix]
-            emitted = sum(kvs)
-            replicated_bytes += emitted
-            unit = m_bytes + emitted + overhead * (1 + len(prefix))
-            max_unit = max(max_unit, unit)
-            for position, kv in zip(prefix, kvs):
-                group_bytes[position] += kv
-                group_records[position] += 1
-        max_group = max(group_bytes, default=0.0)
-        hot_records = max(group_records, default=0)
+        group_bytes = np.bincount(keys, weights=kvs, minlength=len(key_bytes))
+        group_records = np.bincount(keys, minlength=len(key_bytes))
+        max_group = float(group_bytes.max()) if len(key_bytes) else 0.0
+        hot_records = int(group_records.max()) if len(key_bytes) else 0
         frequency_map_bytes = (_CONTAINER + profile.alphabet_size
                                * (element_b + _WORD)
                                if use_frequency else 0)
@@ -822,7 +821,7 @@ class Planner:
             map_emitted=total_prefix,
             map_max_unit=max_unit,
             reduce_records=total_prefix,
-            reduce_groups=len(group_records) - group_records.count(0),
+            reduce_groups=int(np.count_nonzero(group_records)),
             reduce_bytes_in=replicated_bytes,
             reduce_bytes_out=0,
             reduce_max_unit=max_group + overhead * hot_records,
@@ -868,46 +867,134 @@ class Planner:
         return PlannedJob(name=name, stats=stats, cost=cost)
 
 
-def _vcl_ranking(profile: CorpusProfile,
-                 use_frequency: bool) -> tuple[dict, list[int]] | None:
-    """VCL's canonical order of the profile's alphabet, from its ids.
+def _prefix_rows(profile: CorpusProfile, measure: NominalSimilarityMeasure,
+                 threshold: float, use_frequency: bool,
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every multiset's VCL prefix, cut in one pass over the profile's
+    columns: the rows ``(multiset index, element id)`` of all prefixes.
 
-    ``(element -> rank, key bytes per rank)``.  Ranks ascend by
-    ``stable_hash(element, salt=RANK_SALT)``, first by document frequency
-    under the frequency order: the key of
-    :class:`~repro.vcl.prefix.FrequencyRank` (or
-    :class:`~repro.vcl.prefix.HashRank`), sorted in two stable passes with
-    builtin keys.  Where two elements share a hash (equal ``repr``) that key
-    ties; a :class:`~repro.vcl.prefix.PrefixFilter` breaks such ties by
-    first appearance in the corpus and the ids would not, so the result is
-    ``None`` and the caller ranks with a ``PrefixFilter``.
+    The kernel is priced from each prefix as a *set*, and within one
+    multiset VCL's canonical order (by ``stable_hash(element,
+    salt=RANK_SALT)``, first by document frequency under the frequency
+    order) and the dictionary's id order (by document frequency, then
+    ``repr``) differ only inside a *class*: the members of one document
+    frequency, or under the hash order the whole multiset.  So the rows
+    are sorted by ``(multiset, id)`` and cut by
+    :func:`~repro.vcl.prefix.prefix_length`'s rule, vectorised (a row is in
+    the prefix unless its suffix weight is below the bound); only the class
+    holding a multiset's last prefix element can move the cut, and where it
+    has two or more members there, they are ranked by hash and cut again.
+
+    Integral weights make every sum the same float in any order; with a
+    non-integral one, or two elements to re-rank sharing a rank hash (a
+    :class:`~repro.vcl.prefix.PrefixFilter` breaks that tie by first
+    appearance in the corpus), the result is ``None`` and the caller ranks
+    with a ``PrefixFilter``.
     """
-    elements = tuple(profile.dictionary)
-    hashes = [stable_hash(element, salt=RANK_SALT) for element in elements]
-    if len(set(hashes)) < len(hashes):
+    columns = profile.columns
+    effective = measure.effective_multiplicity
+    weight_of = {multiplicity: effective(float(multiplicity))
+                 for multiplicity in set(columns.multiplicities)}
+    if not all(float(weight).is_integer() for weight in weight_of.values()):
         return None
-    order = sorted(range(len(elements)), key=hashes.__getitem__)
-    if use_frequency:
-        order.sort(key=profile.element_frequencies.__getitem__)
-    rank_of = dict(zip(map(elements.__getitem__, order), range(len(order))))
-    return rank_of, list(map(profile.element_bytes.__getitem__, order))
+    cardinalities = np.array(profile.cardinalities, dtype=np.int64)
+    owners = np.repeat(np.arange(len(cardinalities)), cardinalities)
+    elements = np.fromiter(columns.elements, dtype=np.int64,
+                           count=len(columns))
+    # An element occurs once per multiset, so the keys are distinct.
+    order = np.argsort(owners * profile.alphabet_size + elements)
+    elements = elements[order]
+    weights = np.fromiter(map(weight_of.__getitem__, columns.multiplicities),
+                          dtype=np.float64, count=len(columns))[order]
+    if not len(weights):
+        return owners, elements
+    cumulative = np.cumsum(weights)
+    if cumulative[-1] >= 2.0 ** 53:
+        return None
+    ends = np.cumsum(cardinalities)
+    starts = ends - cardinalities
+    # suffix[row]: the weight of the row and of every later row of its
+    # multiset, as prefix_length's loop sums it from the end.
+    suffix = cumulative[ends - 1][owners] - cumulative + weights
+    totals = np.bincount(owners, weights=weights,
+                         minlength=len(cardinalities))
+    bounds = SIZE_BOUND_MARGIN * np.array(
+        [measure.size_lower_bound(total, threshold)
+         for total in totals.tolist()], dtype=np.float64)
+    in_prefix = ~(suffix < bounds[owners])
+    cuts = np.bincount(owners, weights=in_prefix,
+                       minlength=len(cardinalities)).astype(np.int64)
+    # A multiset whose suffix takes it whole keeps its first element.
+    nonempty = cardinalities > 0
+    in_prefix[starts[nonempty & (cuts == 0)]] = True
+    last = (starts + np.maximum(cuts, 1) - 1)[nonempty]
+
+    # Runs of one class within one multiset; the run of each multiset's
+    # last prefix row is re-ranked where it has two or more members.
+    classes = (np.array(profile.element_frequencies, dtype=np.int64)[elements]
+               if use_frequency else np.zeros(len(elements), dtype=np.int64))
+    opens = np.ones(len(elements), dtype=bool)
+    opens[1:] = (owners[1:] != owners[:-1]) | (classes[1:] != classes[:-1])
+    run_starts = np.flatnonzero(opens)
+    run_stops = np.append(run_starts[1:], len(elements))
+    run_of = np.cumsum(opens) - 1
+    runs = run_of[last]
+    runs = runs[run_stops[runs] - run_starts[runs] > 1]
+    tied = np.zeros(len(run_starts), dtype=bool)
+    tied[runs] = True
+    rows = np.flatnonzero(tied[run_of])  # the runs' rows, run after run
+    members = elements[rows].tolist()
+    alphabet = tuple(profile.dictionary)
+    rank_hash = {element_id: stable_hash(alphabet[element_id], salt=RANK_SALT)
+                 for element_id in set(members)}
+    if len(set(rank_hash.values())) < len(rank_hash):
+        return None
+    hashes = list(map(rank_hash.__getitem__, members))
+    member_weights = weights[rows].tolist()
+    stops = run_stops[runs]
+    kept: list[int] = []
+    start = 0
+    for size, tail, bound in zip(
+            (stops - run_starts[runs]).tolist(),
+            (suffix[stops - 1] - weights[stops - 1]).tolist(),
+            bounds[owners[stops - 1]].tolist()):
+        stop = start + size
+        ranked = sorted(range(start, stop), key=hashes.__getitem__)
+        # The class's suffix weights, summed from its end as prefix_length
+        # sums them: the members below the bound join the suffix.
+        sums = list(accumulate(map(member_weights.__getitem__,
+                                   reversed(ranked)), initial=tail))
+        keep = size + 1 - bisect_left(sums, bound, 1)
+        # Only a class that opens its multiset can lose every member to
+        # the suffix, and prefix_length then keeps its first.
+        kept.extend(ranked[:max(keep, 1)])
+        start = stop
+    in_prefix[rows] = False
+    in_prefix[rows[kept]] = True
+    return owners[in_prefix], elements[in_prefix]
 
 
-def _ranked_prefix(rank_of: dict, measure: NominalSimilarityMeasure,
-                   threshold: float, multiset: Multiset) -> tuple[int, ...]:
-    """The ranks of ``multiset``'s prefix, in canonical order.
-
-    What ``PrefixFilter.cut(PrefixFilter.rank(multiset))`` returns for an
-    ungrouped filter whose order ``rank_of`` is.
-    """
-    ranked = sorted(zip(map(rank_of.__getitem__, multiset.keys()),
-                        multiset.values()))
-    if not ranked:
-        return ()
-    ranks, multiplicities = zip(*ranked)
-    weights = list(map(measure.effective_multiplicity,
-                       map(float, multiplicities)))
-    return ranks[:prefix_length(weights, measure, threshold)]
+def _filtered_prefix_rows(spec: JoinSpec, measure: NominalSimilarityMeasure,
+                          multisets: Sequence[Multiset],
+                          profile: CorpusProfile, use_frequency: bool,
+                          ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every multiset's VCL prefix as a :class:`~repro.vcl.prefix.PrefixFilter`
+    over the corpus cuts it: rows ``(multiset index, key position)``, and
+    each key's size.  The keys are the spec's super-elements, if any."""
+    rank = (frequency_rank_function(
+        dict(zip(profile.dictionary, profile.element_frequencies)))
+        if use_frequency else hash_rank_function())
+    grouping = (None if spec.vcl_super_element_groups is None
+                else SuperElementGrouping(spec.vcl_super_element_groups))
+    prefixes = PrefixFilter(multisets, rank, measure, spec.threshold, grouping)
+    owners: list[int] = []
+    keys: list[int] = []
+    for index, multiset in enumerate(multisets):
+        prefix = prefixes.cut(prefixes.rank(multiset))
+        owners.extend(repeat(index, len(prefix)))
+        keys.extend(prefix)
+    return (np.array(owners, dtype=np.int64), np.array(keys, dtype=np.int64),
+            prefixes.key_bytes)
 
 
 def _avg_multiset_bytes(profile: CorpusProfile) -> float:

@@ -26,6 +26,7 @@ import os
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ServingError
+from repro.core.knobs import is_int
 from repro.core.multiset import Multiset
 from repro.core.records import (
     InputTuple,
@@ -140,6 +141,9 @@ def bootstrap_from_join(
     if cache_capacity is None:
         cache_capacity = max(1024, len(multisets)) if join_result is not None \
             else 1024
+    elif not is_int(cache_capacity):
+        raise ServingError(
+            f"cache_capacity must be an integer, got {cache_capacity!r}")
     elif join_result is not None and cache_capacity < len(multisets):
         raise ServingError(
             f"cache_capacity {cache_capacity} cannot hold warm entries for "

@@ -240,8 +240,9 @@ class NominalSimilarityMeasure(ABC):
         """Smallest overlap a partner needs to reach ``threshold`` with ``size``.
 
         The size bound of Arasu et al. [2], read only by the prefix cut
-        (:func:`repro.vcl.prefix.prefix_length`), which steps it down by a
-        fixed relative margin to absorb its rounding.  Measures that do not
+        (:func:`repro.vcl.prefix.prefix_length`, and the planner's copy of
+        its rule), which steps it down by a fixed relative margin to absorb
+        its rounding.  Measures that do not
         admit one return zero: the whole entity is its prefix.
         """
         return 0.0

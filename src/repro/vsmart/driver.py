@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.exceptions import JobConfigurationError
 from repro.core.interning import InterningContext, PairCodec
 from repro.core.multiset import Multiset
-from repro.core.records import SimilarPair
+from repro.core.records import InputColumns, SimilarPair
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.runner import JobResult, LocalJobRunner, PipelineResult
@@ -65,10 +65,11 @@ class VSmartJoin:
     single int, and the final pairs mapped back to the original
     identifiers.  The :class:`~repro.core.interning.InterningContext` is
     the one the engine's plan profiled when the engine planned this run
-    itself (``algorithm="auto"``); otherwise the run makes its own interning
-    pass.  The run writes the multisets' tuples straight into
-    :class:`~repro.core.records.InputColumns`, and from there to Similarity1
-    the jobs hand each other columns, not tuples.
+    itself (``algorithm="auto"``), and so are the interned tuples;
+    otherwise the run makes its own interning pass.  The multisets' tuples
+    are written straight into :class:`~repro.core.records.InputColumns`,
+    and from there to Similarity1 the jobs hand each other columns, not
+    tuples.
     """
 
     def __init__(self, spec: JoinSpec, runner: LocalJobRunner,
@@ -83,13 +84,17 @@ class VSmartJoin:
 
     def run(self, multisets: Sequence[Multiset],
             interning: InterningContext | None = None,
+            columns: InputColumns | None = None,
             ) -> tuple[list[SimilarPair], PipelineResult]:
         """Execute the full pipeline: the sorted similar pairs and its stats.
 
         ``interning`` must be the context
         :meth:`InterningContext.from_multisets
         <repro.core.interning.InterningContext.from_multisets>` builds from
-        these very ``multisets``; without one the run builds it.
+        these very ``multisets``, and ``columns`` what its
+        :meth:`~repro.core.interning.InterningContext.intern_multisets`
+        makes of them (the jobs only read it); without them the run builds
+        them.
         """
         spec = self.spec
         measure = spec.resolved_measure()
@@ -98,7 +103,8 @@ class VSmartJoin:
 
         if interning is None:
             interning = InterningContext.from_multisets(multisets)
-        records = interning.intern_multisets(multisets)
+        records = (interning.intern_multisets(multisets) if columns is None
+                   else columns)
         dataset = Dataset("interned_input", records,
                           [INPUT_TUPLE_BYTES] * len(records))
 

@@ -38,7 +38,11 @@ from repro.core.exceptions import (
     MemoryBudgetExceeded,
 )
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
-from repro.core.interning import PairCodec
+from repro.core.interning import (
+    ElementDictionary,
+    InterningContext,
+    PairCodec,
+)
 from repro.core.records import InputTuple, JoinedTuple
 from repro.engine.planner import CorpusProfile, Planner
 from repro.engine.spec import PLANNABLE_ALGORITHMS, SEQUENTIAL_ALGORITHMS
@@ -544,6 +548,44 @@ class TestPlanner:
         assert any(pair.first.startswith(f"{ran_on}-") for pair in result.pairs)
         assert_matches_oracle(result.pairs, corpora[ran_on],
                               get_measure(spec.measure), spec.threshold)
+
+    @pytest.mark.parametrize("lends", [True, False],
+                             ids=["auto", "callers_plan"])
+    def test_an_auto_join_interns_once(self, monkeypatch, lends):
+        """An ``auto`` run that executes a V-SMART-Join pipeline counts the
+        document frequencies and interns the tuples once, in its profile,
+        and the pipeline only reads the profile's columns.  A caller's
+        ``plan=`` lends neither: the run interns its corpus itself."""
+        calls = {"from_multisets": 0, "intern_multisets": 0}
+        from_multisets = ElementDictionary.from_multisets.__func__
+        intern_multisets = InterningContext.intern_multisets
+
+        def counting_from_multisets(cls, multisets):
+            calls["from_multisets"] += 1
+            return from_multisets(cls, multisets)
+
+        def counting_intern_multisets(self, multisets):
+            calls["intern_multisets"] += 1
+            return intern_multisets(self, multisets)
+
+        monkeypatch.setattr(ElementDictionary, "from_multisets",
+                            classmethod(counting_from_multisets))
+        monkeypatch.setattr(InterningContext, "intern_multisets",
+                            counting_intern_multisets)
+        engine = SimilarityEngine(cluster=paper_scale_cluster(500, HADOOP),
+                                  cost_parameters=paper_scale_cost_parameters())
+        spec = JoinSpec(threshold=0.5, sharding_threshold=16)
+        multisets = uniform_corpus()
+        plan = None if lends else engine.plan(spec, multisets)
+        result = engine.run(spec, multisets, plan=plan)
+        assert result.algorithm in JOINING_ALGORITHMS
+        expected = 1 if lends else 2
+        assert calls == {"from_multisets": expected,
+                         "intern_multisets": expected}
+        columns = result.plan.profile.columns
+        fresh = InterningContext.from_multisets(multisets).intern_multisets(
+            multisets)
+        assert columns.columns() == fresh.columns()
 
     @pytest.mark.parametrize(("profile", "corpus_builder", "algorithm"), [
         (None, skewed_corpus, "online_aggregation"),

@@ -739,6 +739,19 @@ class TestBootstrap:
         assert cold.cache_capacity == 4
         assert cold.stats()["cache/capacity"] == 4 * cold.num_shards
 
+    @pytest.mark.parametrize("capacity", ["64", True, 2.5])
+    def test_warm_cache_capacity_must_be_an_int(self, small_multisets,
+                                                test_cluster, capacity):
+        """A non-int capacity is a ``ServingError`` naming the knob, checked
+        before the warm-up size check compares it (``"64"`` used to raise a
+        raw ``TypeError`` there, ``True`` and ``2.5`` a misleading "cannot
+        hold" error)."""
+        joined = batch_join(small_multisets, test_cluster, threshold=0.4)
+        with pytest.raises(ServingError, match="cache_capacity must be an "
+                                               "integer"):
+            bootstrap_from_join(small_multisets, joined,
+                                cache_capacity=capacity)
+
     def test_stale_join_result_rejected(self, overlapping_multisets,
                                         test_cluster):
         joined = batch_join(overlapping_multisets, test_cluster, threshold=0.8)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,13 +17,14 @@ from repro.core.exceptions import JobConfigurationError, MemoryBudgetExceeded
 from repro.core.multiset import Multiset
 from repro.core.records import SimilarPair, canonical_pair
 from repro.engine import JoinSpec, SimilarityEngine, join
-from repro.engine.planner import CorpusProfile, Planner
+from repro.engine.planner import CorpusProfile, Planner, _prefix_rows
 from repro.mapreduce.backends import get_backend
 from repro.mapreduce.cluster import Cluster, laptop_cluster
 from repro.mapreduce.job import Reducer, SummingCombiner
 from repro.mapreduce.types import walk_record_bytes
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from repro.similarity.kernels import interned_similarity
+from repro.similarity.measures import RuzickaSimilarity
 from repro.similarity.registry import get_measure, list_measures
 from repro.vcl import kernel
 from repro.vcl.grouping import SuperElementGrouping
@@ -453,7 +455,75 @@ def vcl_corpora(draw) -> list[Multiset]:
                       min_size=1, max_size=9)))]
 
 
+@st.composite
+def tied_corpora(draw) -> list[Multiset]:
+    """Multisets that all hold one pool of elements, with multiplicities 1
+    to 9, plus up to three elements of their own, and maybe an empty one.
+
+    The pool's elements share a document frequency, so under the frequency
+    order a cut that falls among them depends on their rank hashes, and a
+    heavy last element can end the id order's prefix at the multiset's
+    length while a lighter one ranked last would join the suffix."""
+    pool = [f"p{index}" for index in range(draw(st.integers(2, 8)))]
+    multisets = []
+    for index in range(draw(st.integers(1, 6))):
+        counts = {element: draw(st.integers(1, 9)) for element in pool}
+        counts.update({f"m{index}-{own}": draw(st.integers(1, 9))
+                       for own in range(draw(st.integers(0, 3)))})
+        multisets.append(Multiset(f"m{index}", counts))
+    if draw(st.booleans()):
+        multisets.insert(draw(st.integers(0, len(multisets))),
+                         Multiset("empty", {}))
+    return multisets
+
+
+class SquareRootRuzicka(RuzickaSimilarity):
+    """Ruzicka over square-rooted multiplicities: a non-integral effective
+    multiplicity, whose sums depend on their order."""
+
+    def effective_multiplicity(self, multiplicity: float) -> float:
+        return math.sqrt(multiplicity) if multiplicity > 0 else 0.0
+
+
+class OversizedBoundRuzicka(RuzickaSimilarity):
+    """Ruzicka with a size bound above the entity's own size: every element
+    fits the suffix, and ``prefix_length`` keeps the first one alone."""
+
+    def size_lower_bound(self, size: float, threshold: float) -> float:
+        return 2.0 * size
+
+
+def assert_estimate_is_the_reference(multisets, spec, measure) -> None:
+    """Every planned VCL job's name, statistics (to their ``repr``) and
+    cost equal the reference's."""
+    planner = Planner()
+    cluster = laptop_cluster()
+    profile = CorpusProfile.from_multisets(multisets)
+    estimated = planner._estimate_vcl(spec, measure, multisets, profile,
+                                      cluster)
+    reference = reference_vcl_jobs(planner, spec, measure, multisets,
+                                   profile, cluster)
+    assert [(job.name, repr(job.stats), job.cost) for job in estimated] == [
+        (job.name, repr(job.stats), job.cost) for job in reference]
+
+
+def achieved_threshold(multisets, measure, pick: int) -> float:
+    """A similarity some pair of the corpus reaches exactly (or 0.5)."""
+    achieved = sorted({pair.similarity for pair in
+                       all_pairs_exact(multisets, measure, 1e-9)})
+    return achieved[pick % len(achieved)] if achieved else 0.5
+
+
 class TestPlannerEstimate:
+    """The planner cuts VCL's prefixes in one order-free pass over the
+    profile's columns (``_prefix_rows``), re-ranking by hash only the class
+    of equal document frequency that holds a multiset's last prefix
+    element, and falls back to a ``PrefixFilter``.  Held to the reference
+    that ranks every corpus with a ``PrefixFilter``.  Scratch copies of the
+    pass that skip the re-cut, re-rank by id instead of by rank hash, skip
+    the re-cut where the id order's cut is the multiset's length, or drop
+    an empty multiset's unit from the largest map unit fail here."""
+
     @given(multisets=vcl_corpora(),
            measure_name=st.sampled_from(list_measures(supported_only=True)),
            order=st.sampled_from(["frequency", "hash"]),
@@ -470,29 +540,74 @@ class TestPlannerEstimate:
              measure_name="ruzicka", order="hash", groups=None, pick=1)
     def test_estimate_equals_the_prefix_filter_reference(
             self, multisets, measure_name, order, groups, pick):
-        """Every planned VCL job's statistics and cost equal the reference's,
-        at a threshold some pair of the corpus reaches exactly.
-
-        The planner ranks the profile's ids in two stable sorts and falls
-        back to a ``PrefixFilter`` where two elements share a rank hash.  A
-        scratch copy that drops the hash pass or the frequency pass fails
-        here, and so does one that skips the fallback (on the NaNs)."""
+        """At a threshold some pair of the corpus reaches exactly; the NaNs
+        share a rank hash, which only the fallback ranks right."""
         measure = get_measure(measure_name)
-        achieved = sorted({pair.similarity for pair in
-                           all_pairs_exact(multisets, measure, 1e-9)})
-        threshold = achieved[pick % len(achieved)] if achieved else 0.5
-        spec = JoinSpec(measure=measure_name, threshold=threshold,
+        spec = JoinSpec(measure=measure_name,
+                        threshold=achieved_threshold(multisets, measure, pick),
                         vcl_element_order=order,
                         vcl_super_element_groups=groups)
-        planner = Planner()
-        cluster = laptop_cluster()
+        assert_estimate_is_the_reference(multisets, spec, measure)
+
+    @given(multisets=tied_corpora(),
+           measure_name=st.sampled_from(list_measures(supported_only=True)),
+           order=st.sampled_from(["frequency", "hash"]),
+           threshold=st.one_of(st.integers(min_value=0),
+                               st.floats(0.01, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    # x and y tie on document frequency; x has the smaller id, y the
+    # smaller rank hash.  At t = 0.2 (m0 and m1's similarity) m0's heavy
+    # y ends the id order's prefix at m0's length, {x, y}; ranked by hash
+    # x comes last, joins the suffix, and the prefix is {y}.
+    @example(multisets=[Multiset("m0", {"x": 1, "y": 9}),
+                        Multiset("m1", {"x": 1, "y": 1})],
+             measure_name="ruzicka", order="frequency", threshold=0)
+    # An empty multiset emits nothing, yet its map unit (its bytes plus one
+    # record's overhead) is the largest of the corpus.
+    @example(multisets=[Multiset("m0", {"x": 1}),
+                        Multiset("m1", {"x": 1}),
+                        Multiset("an-empty-multiset-" * 12, {})],
+             measure_name="ruzicka", order="frequency", threshold=0)
+    def test_cuts_inside_tied_classes_equal_the_reference(
+            self, multisets, measure_name, order, threshold):
+        """Many equal-frequency elements of unequal multiplicity straddle
+        the cuts.  An int ``threshold`` picks an achieved similarity."""
+        measure = get_measure(measure_name)
+        if isinstance(threshold, int):
+            threshold = achieved_threshold(multisets, measure, threshold)
+        spec = JoinSpec(measure=measure_name, threshold=threshold,
+                        vcl_element_order=order)
+        assert_estimate_is_the_reference(multisets, spec, measure)
+
+    @given(multisets=st.one_of(vcl_corpora(), tied_corpora()),
+           order=st.sampled_from(["frequency", "hash"]),
+           threshold=st.floats(0.01, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_non_integral_weights_take_the_prefix_filter(
+            self, multisets, order, threshold):
+        """The pass declines weights whose sums depend on their order, and
+        the ``PrefixFilter`` fallback prices them as the reference does."""
+        measure = SquareRootRuzicka()
+        spec = JoinSpec(threshold=threshold, vcl_element_order=order)
         profile = CorpusProfile.from_multisets(multisets)
-        estimated = planner._estimate_vcl(spec, measure, multisets, profile,
-                                          cluster)
-        reference = reference_vcl_jobs(planner, spec, measure, multisets,
-                                       profile, cluster)
-        assert [(job.name, job.stats, job.cost) for job in estimated] == [
-            (job.name, job.stats, job.cost) for job in reference]
+        if not all(math.sqrt(multiplicity).is_integer() for multiplicity
+                   in profile.columns.multiplicities):
+            assert _prefix_rows(profile, measure, threshold,
+                                order == "frequency") is None
+        assert_estimate_is_the_reference(multisets, spec, measure)
+
+    @given(multisets=st.one_of(vcl_corpora(), tied_corpora()),
+           order=st.sampled_from(["frequency", "hash"]),
+           threshold=st.floats(0.01, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_a_suffix_that_takes_everything_leaves_the_first_element(
+            self, multisets, order, threshold):
+        """Where the bound exceeds a multiset's size the prefix is its
+        canonically first element, which within a class of equal frequency
+        only the rank hashes name."""
+        spec = JoinSpec(threshold=threshold, vcl_element_order=order)
+        assert_estimate_is_the_reference(multisets, spec,
+                                         OversizedBoundRuzicka())
 
 
 class ReferenceKernelReducer(VCLKernelReducer):

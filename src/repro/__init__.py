@@ -122,7 +122,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.17.0"
+__version__ = "3.18.0"
 
 __all__ = [
     "Change",

@@ -28,6 +28,7 @@ import time
 from repro.baselines.inverted_index import InvertedIndexJoin
 from repro.baselines.ppjoin import PPJoin
 from repro.core.exceptions import DatasetError, JobConfigurationError
+from repro.core.knobs import BOOL, check
 from repro.core.multiset import Multiset
 from repro.engine.calibration import CalibrationProfile
 from repro.engine.planner import CorpusProfile, JoinPlan, Planner
@@ -84,6 +85,8 @@ class SimilarityEngine:
                  enforce_budgets: bool = True,
                  calibration: "CalibrationProfile | str | None" = None) -> None:
         self.data = data
+        enforce_budgets = check(enforce_budgets, BOOL, "enforce_budgets",
+                                JobConfigurationError)
         self.runner = LocalJobRunner(cluster or laptop_cluster(),
                                      cost_parameters,
                                      enforce_budgets=enforce_budgets,

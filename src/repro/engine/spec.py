@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from repro.core.exceptions import JobConfigurationError
-from repro.core.knobs import is_int, is_real
+from repro.core.knobs import BOOL, INT, OPTIONAL_BOOL, OPTIONAL_INT, REAL, check
 from repro.mapreduce.backends import ExecutionBackend
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.costmodel import CostParameters
@@ -47,26 +47,17 @@ PLANNABLE_ALGORITHMS = JOINING_ALGORITHMS + (VCL,)
 ENGINE_ALGORITHMS = (AUTO,) + PLANNABLE_ALGORITHMS + SEQUENTIAL_ALGORITHMS
 
 
-def _is_optional_int(value: object) -> bool:
-    return value is None or is_int(value)
-
-
-def _is_bool(value: object) -> bool:
-    return isinstance(value, bool)
-
-
-#: ``(field, accepts, expected)``: the type every knob must have, checked
-#: before any value check compares it.
-_KNOB_TYPES = (
-    ("threshold", is_real, "a real number"),
-    ("sharding_threshold", is_int, "an int"),
-    ("stop_word_frequency", _is_optional_int, "an int or None"),
-    ("chunk_size", _is_optional_int, "an int or None"),
-    ("vcl_super_element_groups", _is_optional_int, "an int or None"),
-    ("use_combiners", _is_bool, "a bool"),
-    ("prune_candidates", _is_bool, "a bool"),
-    ("enforce_budgets", lambda value: value is None or _is_bool(value),
-     "a bool or None"),
+#: ``(field, rule, at_least)``: what every knob must be, checked before
+#: any value check compares it.
+_KNOBS = (
+    ("threshold", REAL, None),
+    ("sharding_threshold", INT, 1),
+    ("stop_word_frequency", OPTIONAL_INT, 1),
+    ("chunk_size", OPTIONAL_INT, 2),
+    ("vcl_super_element_groups", OPTIONAL_INT, 1),
+    ("use_combiners", BOOL, None),
+    ("prune_candidates", BOOL, None),
+    ("enforce_budgets", OPTIONAL_BOOL, None),
 )
 
 
@@ -124,7 +115,8 @@ class JoinSpec:
     outside ``(0, 1]``, ``ValueError``), whatever ``algorithm`` says, never
     later from inside a pipeline.  So does a knob of the wrong type: counts
     are ints, flags are bools (``use_combiners="no"`` is not ``False``), and
-    the threshold is a real number, stored as a ``float``.
+    the threshold is a real number other than NaN, stored as a ``float``
+    (the rules of :mod:`repro.core.knobs`).
     """
 
     measure: str | NominalSimilarityMeasure = "ruzicka"
@@ -147,34 +139,18 @@ class JoinSpec:
             raise JobConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
                 f"{ENGINE_ALGORITHMS}")
-        for name, accepts, expected in _KNOB_TYPES:
-            value = getattr(self, name)
-            if not accepts(value):
-                raise JobConfigurationError(
-                    f"{name} must be {expected}, got {value!r} "
-                    f"({type(value).__name__})")
-        object.__setattr__(self, "threshold", validate_threshold(self.threshold))
-        if self.sharding_threshold < 1:
-            raise JobConfigurationError("sharding_threshold (C) must be >= 1")
         # Every knob is checked here, whatever the algorithm: "auto" prices
         # every candidate, and a bad value must not survive profiling,
         # planning and interning to fail (or silently match nothing) mid-run.
-        if self.stop_word_frequency is not None and self.stop_word_frequency < 1:
-            raise JobConfigurationError(
-                "stop_word_frequency (q) must be >= 1; "
-                f"got {self.stop_word_frequency!r}")
-        if self.chunk_size is not None and self.chunk_size < 2:
-            raise JobConfigurationError(
-                "chunk_size (T) must be at least 2 posting entries; "
-                f"got {self.chunk_size!r}")
+        for name, rule, at_least in _KNOBS:
+            object.__setattr__(self, name, check(
+                getattr(self, name), rule, name, JobConfigurationError,
+                at_least=at_least))
+        object.__setattr__(self, "threshold", validate_threshold(self.threshold))
         if self.vcl_element_order not in (FREQUENCY_ORDER, HASH_ORDER):
             raise JobConfigurationError(
                 f"vcl_element_order must be {FREQUENCY_ORDER!r} or "
                 f"{HASH_ORDER!r}, got {self.vcl_element_order!r}")
-        if (self.vcl_super_element_groups is not None
-                and self.vcl_super_element_groups < 1):
-            raise JobConfigurationError(
-                "vcl_super_element_groups must be >= 1")
 
     # -- resolution helpers -------------------------------------------------
 

@@ -12,11 +12,10 @@ Online-Aggregation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.core.exceptions import JobConfigurationError
-from repro.core.knobs import is_int, is_real
+from repro.core.knobs import INT, REAL, check
 
 #: One binary gigabyte, the per-machine memory budget used in the paper.
 GIGABYTE = 1024 ** 3
@@ -52,8 +51,8 @@ class Cluster:
     a per-machine memory budget, a per-machine disk budget and a scheduler
     limit after which long-running jobs are killed (the paper reports VCL's
     kernel mappers being killed after 48 hours).  The machine count and
-    the budgets are ints (not bools) and the limit a real number other
-    than NaN; anything else is a
+    the budgets are positive ints and the limit a positive real other than
+    NaN (:mod:`repro.core.knobs`); anything else is a
     :class:`~repro.core.exceptions.JobConfigurationError` here, not a
     ``TypeError`` from inside a pipeline.
     """
@@ -66,25 +65,14 @@ class Cluster:
 
     def __post_init__(self) -> None:
         for name in ("num_machines", "memory_per_machine", "disk_per_machine"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise JobConfigurationError(
-                    f"{name} must be an int, got {value!r} "
-                    f"({type(value).__name__})")
-        limit = self.scheduler_limit_seconds
-        if not is_real(limit) or math.isnan(limit):
-            raise JobConfigurationError(
-                "scheduler_limit_seconds must be a real number other than "
-                f"NaN, got {limit!r} ({type(limit).__name__})")
-        if self.num_machines <= 0:
-            raise JobConfigurationError(
-                f"a cluster needs at least one machine, got {self.num_machines}")
-        if self.memory_per_machine <= 0:
-            raise JobConfigurationError("memory_per_machine must be positive")
-        if self.disk_per_machine <= 0:
-            raise JobConfigurationError("disk_per_machine must be positive")
-        if self.scheduler_limit_seconds <= 0:
+            object.__setattr__(self, name, check(
+                getattr(self, name), INT, name, JobConfigurationError,
+                at_least=1))
+        limit = check(self.scheduler_limit_seconds, REAL,
+                      "scheduler_limit_seconds", JobConfigurationError)
+        if limit <= 0:
             raise JobConfigurationError("scheduler_limit_seconds must be positive")
+        object.__setattr__(self, "scheduler_limit_seconds", limit)
 
     def with_machines(self, num_machines: int) -> "Cluster":
         """Return a copy of this cluster with a different machine count."""

@@ -48,7 +48,7 @@ from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.exceptions import BackendError
-from repro.core.knobs import is_int
+from repro.core.knobs import INT, check
 from repro.mapreduce.types import concat_column
 
 #: One key's records from one flush, as a run holds them: ``(partition,
@@ -98,16 +98,11 @@ class ExternalGrouper:
     def __init__(self, memory_budget_bytes: int, *,
                  temp_dir: str | None = None,
                  merge_fan_in: int = 8) -> None:
-        if not is_int(memory_budget_bytes) or memory_budget_bytes < 1:
-            raise BackendError(
-                f"ExternalGrouper memory_budget_bytes must be an integer of "
-                f"at least 1 byte, got {memory_budget_bytes!r}")
-        if not is_int(merge_fan_in) or merge_fan_in < 2:
-            raise BackendError(
-                f"ExternalGrouper merge_fan_in must be an integer of at "
-                f"least 2, got {merge_fan_in!r}")
-        self.memory_budget_bytes = int(memory_budget_bytes)
-        self.merge_fan_in = int(merge_fan_in)
+        self.memory_budget_bytes = check(memory_budget_bytes, INT,
+                                         "memory_budget_bytes", BackendError,
+                                         at_least=1)
+        self.merge_fan_in = check(merge_fan_in, INT, "merge_fan_in",
+                                  BackendError, at_least=2)
         self._parent_dir = temp_dir
         self._directory: str | None = None
         #: ``(partition, key) -> [first_seq, values, sizes, secondaries]``.

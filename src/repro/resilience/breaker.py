@@ -23,6 +23,7 @@ import time
 from typing import Callable
 
 from repro.core.exceptions import CircuitOpenError, ResilienceError
+from repro.core.knobs import FINITE, INT, check
 from repro.telemetry import Metrics
 
 #: The three breaker states.
@@ -53,21 +54,20 @@ class CircuitBreaker:
                  reset_timeout_seconds: float = 1.0,
                  half_open_max_probes: int = 1,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if failure_threshold < 1:
-            raise ResilienceError(
-                f"failure_threshold must be >= 1, got {failure_threshold}")
-        if reset_timeout_seconds <= 0:
+        self.failure_threshold = check(failure_threshold, INT,
+                                       "failure_threshold", ResilienceError,
+                                       at_least=1)
+        self.reset_timeout_seconds = check(reset_timeout_seconds, FINITE,
+                                           "reset_timeout_seconds",
+                                           ResilienceError)
+        if self.reset_timeout_seconds <= 0:
             raise ResilienceError(
                 f"reset_timeout_seconds must be positive, "
                 f"got {reset_timeout_seconds}")
-        if half_open_max_probes < 1:
-            raise ResilienceError(
-                f"half_open_max_probes must be >= 1, "
-                f"got {half_open_max_probes}")
+        self.half_open_max_probes = check(half_open_max_probes, INT,
+                                          "half_open_max_probes",
+                                          ResilienceError, at_least=1)
         self.name = name
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout_seconds = float(reset_timeout_seconds)
-        self.half_open_max_probes = int(half_open_max_probes)
         self._clock = clock
         self._state = CLOSED
         self._consecutive_failures = 0

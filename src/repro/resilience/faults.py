@@ -32,6 +32,7 @@ from repro.core.exceptions import (
     ReplicaUnavailableError,
     ResilienceError,
 )
+from repro.core.knobs import FINITE, INT, OPTIONAL_INT, check
 from repro.telemetry import Metrics
 
 
@@ -70,30 +71,22 @@ class FaultPolicy:
                  timeout_probability: float = 0.0,
                  crash_after_calls: int | None = None,
                  operations: frozenset[str] | None = None) -> None:
-        for name, value in (("latency_seconds", latency_seconds),
-                            ("latency_probability", latency_probability),
-                            ("error_probability", error_probability),
-                            ("timeout_probability", timeout_probability)):
-            if value < 0:
-                raise ResilienceError(
-                    f"{name} must be >= 0, got {value!r}")
+        self.latency_seconds = check(latency_seconds, FINITE,
+                                     "latency_seconds", ResilienceError,
+                                     at_least=0)
         for name, value in (("latency_probability", latency_probability),
                             ("error_probability", error_probability),
                             ("timeout_probability", timeout_probability)):
+            value = check(value, FINITE, name, ResilienceError, at_least=0)
             if value > 1:
                 raise ResilienceError(
                     f"{name} must be <= 1, got {value!r}")
-        if crash_after_calls is not None and crash_after_calls < 0:
-            raise ResilienceError(
-                f"crash_after_calls must be >= 0 when set, "
-                f"got {crash_after_calls!r}")
-        self.latency_seconds = float(latency_seconds)
-        self.latency_probability = float(latency_probability)
-        self.error_probability = float(error_probability)
-        self.timeout_probability = float(timeout_probability)
-        self.crash_after_calls = crash_after_calls
+            setattr(self, name, value)
+        self.crash_after_calls = check(crash_after_calls, OPTIONAL_INT,
+                                       "crash_after_calls", ResilienceError,
+                                       at_least=0)
         self.operations = frozenset(operations) if operations else None
-        self._rng = random.Random(seed)
+        self._rng = random.Random(check(seed, INT, "seed", ResilienceError))
         self._lock = threading.Lock()
         self.metrics = Metrics.fromkeys(
             ("calls", "injected_latency_calls", "injected_errors",

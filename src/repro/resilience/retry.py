@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.exceptions import DeadlineExceededError, ResilienceError
+from repro.core.knobs import FINITE, INT, OPTIONAL_FINITE, OPTIONAL_INT, check
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,16 @@ class RetryPolicy:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ResilienceError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ResilienceError("backoff seconds must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ResilienceError(
-                f"backoff_multiplier must be >= 1, "
-                f"got {self.backoff_multiplier}")
-        if not 0 <= self.jitter < 1:
+        for name, rule, at_least in (
+                ("max_attempts", INT, 1), ("base_backoff_seconds", FINITE, 0),
+                ("backoff_multiplier", FINITE, 1),
+                ("max_backoff_seconds", FINITE, 0), ("jitter", FINITE, 0),
+                ("deadline_seconds", OPTIONAL_FINITE, None),
+                ("seed", OPTIONAL_INT, None)):
+            object.__setattr__(self, name, check(
+                getattr(self, name), rule, name, ResilienceError,
+                at_least=at_least))
+        if self.jitter >= 1:
             raise ResilienceError(
                 f"jitter must be in [0, 1), got {self.jitter}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:

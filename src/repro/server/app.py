@@ -73,6 +73,14 @@ from repro.core.exceptions import (
     ServerError,
     ServingError,
 )
+from repro.core.knobs import (
+    BOOL,
+    FINITE,
+    INT,
+    OPTIONAL_FINITE,
+    OPTIONAL_INT,
+    check,
+)
 from repro.serving.api import (
     THRESHOLD_KIND,
     TOPK_KIND,
@@ -112,6 +120,18 @@ def _log_orphan_failure(task: asyncio.Task) -> None:
         logger.warning("deadline-orphaned request failed late: %r", error)
 
 
+#: ``(field, rule, at_least)`` of every numeric :class:`ServerConfig` knob.
+_CONFIG_KNOBS = (
+    ("query_queue_capacity", INT, 1), ("query_max_batch", INT, 1),
+    ("write_queue_capacity", INT, 1), ("write_max_batch", INT, 1),
+    ("retry_after_seconds", FINITE, None),
+    ("request_timeout_seconds", OPTIONAL_FINITE, None),
+    ("brownout_queue_depth", OPTIONAL_INT, 1), ("brownout_topk_cap", INT, 1),
+    ("brownout_threshold_floor", OPTIONAL_FINITE, None),
+    ("health_check_interval_seconds", OPTIONAL_FINITE, None),
+)
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tuning of the serving tier's queues and admission control."""
@@ -145,30 +165,19 @@ class ServerConfig:
     health_check_interval_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("query_queue_capacity", "query_max_batch",
-                     "write_queue_capacity", "write_max_batch"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ServerError(f"{name} must be an int >= 1, got {value!r}")
-        if self.retry_after_seconds <= 0:
-            raise ServerError(
-                f"retry_after_seconds must be positive, "
-                f"got {self.retry_after_seconds!r}")
-        for name in ("request_timeout_seconds",
+        for name, rule, at_least in _CONFIG_KNOBS:
+            object.__setattr__(self, name, check(
+                getattr(self, name), rule, name, ServerError,
+                at_least=at_least))
+        for name in ("retry_after_seconds", "request_timeout_seconds",
                      "health_check_interval_seconds"):
             value = getattr(self, name)
             if value is not None and value <= 0:
-                raise ServerError(
-                    f"{name} must be positive when set, got {value!r}")
-        if self.brownout_queue_depth is not None \
-                and self.brownout_queue_depth < 1:
+                raise ServerError(f"{name} must be positive, got {value!r}")
+        floor = self.brownout_threshold_floor
+        if floor is not None and not 0 < floor <= 1:
             raise ServerError(
-                f"brownout_queue_depth must be >= 1 when set, "
-                f"got {self.brownout_queue_depth!r}")
-        if self.brownout_topk_cap < 1:
-            raise ServerError(
-                f"brownout_topk_cap must be >= 1, "
-                f"got {self.brownout_topk_cap!r}")
+                f"brownout_threshold_floor must be in (0, 1], got {floor!r}")
 
 
 class SimilarityServerApp:
@@ -596,15 +605,8 @@ class SimilarityServerApp:
 
     @staticmethod
     def _replica_address(payload: dict) -> tuple[int, int]:
-        shard = payload.get("shard")
-        replica = payload.get("replica")
-        for name, value in (("shard", shard), ("replica", replica)):
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                raise ServerError(
-                    f"admin replica endpoints need an int {name!r} >= 0, "
-                    f"got {value!r}")
-        return shard, replica
+        return tuple(check(payload.get(name), INT, name, ServerError,
+                           at_least=0) for name in ("shard", "replica"))
 
     async def _handle_replicas(self, payload) -> tuple[int, dict, dict]:
         body = self._read_stats(lambda: {
@@ -617,10 +619,8 @@ class SimilarityServerApp:
     async def _handle_kill(self, payload: dict) -> tuple[int, dict, dict]:
         self._require_started()
         shard, replica = self._replica_address(payload)
-        lose_state = payload.get("lose_state", True)
-        if not isinstance(lose_state, bool):
-            raise ServerError(f"admin/kill 'lose_state' must be a JSON "
-                              f"boolean when given, got {lose_state!r}")
+        lose_state = check(payload.get("lose_state", True), BOOL,
+                           "lose_state", ServerError)
         await self._on_lane(lambda: self.service.kill_replica(
             shard, replica, lose_state=lose_state))
         return 200, {"killed": {"shard": shard, "replica": replica,

@@ -31,6 +31,7 @@ from functools import partial
 from typing import Awaitable, Callable, Sequence
 
 from repro.core.exceptions import QueueFullError, ServerError
+from repro.core.knobs import FINITE, INT, check
 from repro.telemetry import Metrics, read
 
 #: The server's one execution lane: runs a callable, returns its result.
@@ -44,16 +45,13 @@ class CoalescingQueue:
                  execute_batch: Callable[[Sequence[object]], Sequence[object]],
                  *, capacity: int = 256, max_batch: int = 32,
                  retry_after_seconds: float = 1.0) -> None:
-        if capacity < 1:
-            raise ServerError(
-                f"queue capacity must be >= 1, got {capacity}")
-        if max_batch < 1:
-            raise ServerError(
-                f"max_batch must be >= 1, got {max_batch}")
         self.name = name
-        self.capacity = int(capacity)
-        self.max_batch = int(max_batch)
-        self.retry_after_seconds = float(retry_after_seconds)
+        self.capacity = check(capacity, INT, "capacity", ServerError,
+                              at_least=1)
+        self.max_batch = check(max_batch, INT, "max_batch", ServerError,
+                               at_least=1)
+        self.retry_after_seconds = check(retry_after_seconds, FINITE,
+                                         "retry_after_seconds", ServerError)
         self._execute_batch = execute_batch
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
-from repro.core.knobs import is_real
+from repro.core.knobs import INT, REAL, check
 from repro.core.multiset import Multiset, MultisetId
 from repro.similarity.base import validate_threshold
 
@@ -91,14 +91,11 @@ class QueryOptions:
                 raise ServingError(
                     "threshold queries do not take k= "
                     f"(got k={self.k!r}); use kind='topk' for rankings")
-            if not is_real(self.threshold):
-                raise ServingError(
-                    f"threshold queries need a real threshold, got "
-                    f"{self.threshold!r}")
+            threshold = check(self.threshold, REAL, "threshold", ServingError)
             try:
                 object.__setattr__(self, "threshold",
-                                   float(validate_threshold(self.threshold)))
-            except (TypeError, ValueError) as error:
+                                   validate_threshold(threshold))
+            except ValueError as error:
                 raise ServingError(str(error)) from None
         elif self.kind == TOPK_KIND:
             if self.k is None:
@@ -107,10 +104,8 @@ class QueryOptions:
                 raise ServingError(
                     "top-k queries do not take threshold= "
                     f"(got threshold={self.threshold!r})")
-            if not isinstance(self.k, int) or isinstance(self.k, bool) \
-                    or self.k < 1:
-                raise ServingError(
-                    f"top-k queries need an int k >= 1, got {self.k!r}")
+            object.__setattr__(self, "k", check(self.k, INT, "k", ServingError,
+                                                at_least=1))
         else:
             raise ServingError(
                 f"unknown query kind {self.kind!r}; expected "

@@ -26,7 +26,7 @@ import os
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ServingError
-from repro.core.knobs import is_int
+from repro.core.knobs import OPTIONAL_FINITE, OPTIONAL_INT, check
 from repro.core.multiset import Multiset
 from repro.core.records import (
     InputTuple,
@@ -94,6 +94,9 @@ def bootstrap_from_join(
     ``join_result`` overrides it — the stored pairs warm the caches, so a
     fleet restarts from one file, no recomputation.
     """
+    threshold = check(threshold, OPTIONAL_FINITE, "threshold", ServingError)
+    cache_capacity = check(cache_capacity, OPTIONAL_INT, "cache_capacity",
+                           ServingError)
     if isinstance(data, (str, os.PathLike)):
         from repro.engine.result import JoinResult
 
@@ -141,9 +144,6 @@ def bootstrap_from_join(
     if cache_capacity is None:
         cache_capacity = max(1024, len(multisets)) if join_result is not None \
             else 1024
-    elif not is_int(cache_capacity):
-        raise ServingError(
-            f"cache_capacity must be an integer, got {cache_capacity!r}")
     elif join_result is not None and cache_capacity < len(multisets):
         raise ServingError(
             f"cache_capacity {cache_capacity} cannot hold warm entries for "

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from typing import Any, Hashable
 
 from repro.core.exceptions import ServingError
-from repro.core.knobs import is_int
+from repro.core.knobs import INT, check
 from repro.telemetry import Metrics
 
 #: What the cache counts, zero until it happens.
@@ -33,10 +33,8 @@ class LRUResultCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        if not is_int(capacity) or capacity < 0:
-            raise ServingError(
-                f"cache capacity must be an integer >= 0, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = check(capacity, INT, "capacity", ServingError,
+                              at_least=0)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.metrics = Metrics()
 

@@ -51,6 +51,7 @@ from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
 from repro.core.interning import LocalInterner
+from repro.core.knobs import OPTIONAL_INT, check
 from repro.core.multiset import Element, Multiset, MultisetId, content_signature
 from repro.serving.api import (
     THRESHOLD_KIND,
@@ -137,10 +138,9 @@ class SimilarityIndex:
                  stop_word_frequency: int | None = None) -> None:
         self.measure = get_measure(measure)
         self.measure.check_supported()
-        if stop_word_frequency is not None and stop_word_frequency < 1:
-            raise ServingError(
-                f"stop_word_frequency must be >= 1 when set, got {stop_word_frequency}")
-        self.stop_word_frequency = stop_word_frequency
+        self.stop_word_frequency = check(stop_word_frequency, OPTIONAL_INT,
+                                         "stop_word_frequency", ServingError,
+                                         at_least=1)
         self._interner = LocalInterner()
         self._scalar_conj = scalar_conj_functions(self.measure)
         self._multisets: dict[MultisetId, Multiset] = {}
@@ -361,6 +361,7 @@ class SimilarityIndex:
         multiset = self._multisets.get(multiset_id)
         if multiset is None:
             raise ServingError(f"multiset {multiset_id!r} is not indexed")
+        threshold = QueryOptions.for_threshold(threshold).threshold
         matches = self._threshold_matches(PreparedQuery(multiset), threshold)
         return [match for match in matches if match.multiset_id != multiset_id]
 

@@ -45,7 +45,7 @@ from repro.core.exceptions import (
     ResilienceError,
     ServingError,
 )
-from repro.core.knobs import is_int
+from repro.core.knobs import INT, check
 from repro.core.multiset import Multiset, MultisetId
 from repro.serving.api import QueryMatch, QueryRequest
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
@@ -122,10 +122,9 @@ class ReplicatedShard:
                  name: str = "shard0",
                  fault_policies: "Sequence[FaultPolicy | None] | None" = None
                  ) -> None:
-        if not is_int(replication_factor) or replication_factor < 1:
-            raise ResilienceError(
-                f"replication_factor must be an integer >= 1, got "
-                f"{replication_factor!r}")
+        replication_factor = check(replication_factor, INT,
+                                   "replication_factor", ResilienceError,
+                                   at_least=1)
         if fault_policies is not None \
                 and len(fault_policies) != replication_factor:
             raise ResilienceError(

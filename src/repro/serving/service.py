@@ -40,7 +40,7 @@ import os
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import ResilienceError, ServingError, StorageError
-from repro.core.knobs import is_int
+from repro.core.knobs import INT, check
 from repro.core.multiset import Multiset, MultisetId
 from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import (
@@ -83,13 +83,10 @@ class ReplicatedSimilarityService:
         ``(shard_index, replica_index) -> FaultPolicy | None`` wiring an
         injection policy in front of each replica's node calls.
         """
-        if not is_int(num_shards) or num_shards < 1:
-            raise ServingError(
-                f"num_shards must be an integer >= 1, got {num_shards!r}")
-        if not is_int(replication_factor):
-            raise ServingError(
-                f"replication_factor must be an integer, got "
-                f"{replication_factor!r}")
+        num_shards = check(num_shards, INT, "num_shards", ServingError,
+                           at_least=1)
+        replication_factor = check(replication_factor, INT,
+                                   "replication_factor", ServingError)
         self.fault_policy_factory = fault_policy_factory
         self.shards = [
             ReplicatedShard(

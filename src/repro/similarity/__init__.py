@@ -22,7 +22,6 @@ from repro.similarity.measures import (
     SetDiceSimilarity,
     SetOverlapSimilarity,
     VectorCosineSimilarity,
-    WeightedJaccardSimilarity,
 )
 from repro.similarity.kernels import (
     conj_kernel_kind,
@@ -54,7 +53,6 @@ __all__ = [
     "SetDiceSimilarity",
     "SetOverlapSimilarity",
     "VectorCosineSimilarity",
-    "WeightedJaccardSimilarity",
     "all_pairs_exact",
     "compute_similarity",
     "conj_kernel_kind",

@@ -278,9 +278,15 @@ class DirectRuzickaSimilarity(NominalSimilarityMeasure):
     ``Sim = sum_k min(f_ik, f_jk) / sum_k max(f_ik, f_jk)``.  The denominator
     requires scanning the *union* of the two underlying sets, so this measure
     cannot be handled by the MapReduce drivers (they raise
-    :class:`~repro.core.exceptions.MeasureNotApplicableError`).  It exists to
-    document the disjunctive class and to cross-check the rewritten
-    :class:`RuzickaSimilarity`, to which it is mathematically identical.
+    :class:`~repro.core.exceptions.MeasureNotApplicableError`).
+
+    It stays although no distributed path runs it.  It is the paper's one
+    disjunctive measure (the only one registered with
+    ``requires_disjunctive``), so the drivers' refusal is tested against
+    it.  And it shows that the paper's conjunctive rewrite of Ruzicka is
+    exact: ``max(a, b) = a + b - min(a, b)`` turns the union sum into
+    ``|Mi| + |Mj| - sum_k min(f_ik, f_jk)``, which
+    :class:`RuzickaSimilarity` computes, and the two forms agree.
     """
 
     name = "direct_ruzicka"
@@ -316,9 +322,3 @@ class DirectRuzickaSimilarity(NominalSimilarityMeasure):
             PartialDescriptor("sum max(f_ik, f_jk)", PartialKind.DISJUNCTIVE, "sum",
                               "requires scanning the union of the two multisets"),
         ]
-
-
-class WeightedJaccardSimilarity(RuzickaSimilarity):
-    """Alias of Ruzicka under its other common name, weighted Jaccard."""
-
-    name = "weighted_jaccard"

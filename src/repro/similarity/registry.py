@@ -21,12 +21,10 @@ from repro.similarity.measures import (
     SetDiceSimilarity,
     SetOverlapSimilarity,
     VectorCosineSimilarity,
-    WeightedJaccardSimilarity,
 )
 
 _MEASURE_CLASSES: tuple[type[NominalSimilarityMeasure], ...] = (
     RuzickaSimilarity,
-    WeightedJaccardSimilarity,
     JaccardSimilarity,
     MultisetDiceSimilarity,
     SetDiceSimilarity,
@@ -52,7 +50,10 @@ def get_measure(name: str | NominalSimilarityMeasure) -> NominalSimilarityMeasur
     """
     if isinstance(name, NominalSimilarityMeasure):
         return name
-    measure = _REGISTRY.get(name)
+    try:
+        measure = _REGISTRY.get(name)
+    except TypeError:  # an unhashable name names no measure
+        measure = None
     if measure is None and isinstance(name, str):
         measure = _REGISTRY.get(name.lower())
     if measure is None:

@@ -17,6 +17,7 @@ generators can produce change batches without importing the view machinery.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, MutableMapping, Sequence
 
@@ -60,10 +61,11 @@ class Change:
                 raise StreamingError(
                     f"a {DELETE} change names an identifier only; "
                     "pass multiset_id, not the multiset")
-            if self.multiset_id is None:
+            if self.multiset_id is None \
+                    or not isinstance(self.multiset_id, Hashable):
                 raise StreamingError(
-                    f"a {DELETE} change names the identifier to remove, "
-                    "got None")
+                    f"a {DELETE} change names the hashable identifier to "
+                    f"remove, got {self.multiset_id!r}")
         else:
             raise StreamingError(
                 f"unknown change kind {self.kind!r}; "

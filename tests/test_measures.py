@@ -29,9 +29,6 @@ class TestKnownValues:
     def test_ruzicka(self):
         assert get_measure("ruzicka").similarity(A, B) == pytest.approx(3 / 10)
 
-    def test_weighted_jaccard_alias(self):
-        assert get_measure("weighted_jaccard").similarity(A, B) == pytest.approx(3 / 10)
-
     def test_jaccard_on_underlying_sets(self):
         # U(A) = {x, y, z}, U(B) = {x, y, w}: intersection 2, union 4.
         assert get_measure("jaccard").similarity(A, B) == pytest.approx(0.5)

@@ -187,6 +187,10 @@ REMOVED_NAMES = [
     ("3.14", "repro.serving.service.ReplicatedSimilarityService.read_strategy"),
     ("3.14", "repro.serving.index.SimilarityIndex.document_frequency"),
     ("3.14", "repro.serving.index.SimilarityIndex.posting_list_sizes"),
+    ("3.18", "repro.similarity.WeightedJaccardSimilarity"),
+    ("3.18", "repro.similarity.measures.WeightedJaccardSimilarity"),
+    ("3.18", "repro.core.knobs.is_int"),
+    ("3.18", "repro.core.knobs.is_real"),
 ]
 
 #: ``(version, module)`` of every deleted module.

@@ -284,8 +284,7 @@ postings_lists = st.lists(
 
 class TestInlinedBound:
     def test_only_the_ruzicka_family_declares_it(self):
-        assert min_over_union_measures() == ["jaccard", "ruzicka",
-                                             "weighted_jaccard"]
+        assert min_over_union_measures() == ["jaccard", "ruzicka"]
 
     @settings(max_examples=200, deadline=None)
     @given(measure_name=st.sampled_from(min_over_union_measures()),

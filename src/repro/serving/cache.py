@@ -33,7 +33,7 @@ class LRUResultCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        self.capacity = check(capacity, INT, "capacity", ServingError,
+        self.capacity = check(capacity, INT, "cache capacity", ServingError,
                               at_least=0)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.metrics = Metrics()

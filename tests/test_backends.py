@@ -104,6 +104,17 @@ class TestBackendFactory:
         assert backend.memory_budget_bytes == 4096
         assert backend.merge_fan_in == 3
 
+    @pytest.mark.parametrize("option, value", [
+        ("memory_budget_bytes", 1.5), ("memory_budget_bytes", True),
+        ("memory_budget_bytes", "4096"), ("merge_fan_in", 2.5),
+        ("merge_fan_in", True), ("merge_fan_in", "3"),
+    ])
+    def test_a_knob_that_is_not_an_integer_is_a_backend_error(self, option, value):
+        """``memory_budget_bytes=1.5`` used to run as a 1-byte budget, and
+        ``True`` / ``"4096"`` / ``merge_fan_in=2.5`` were coerced too."""
+        with pytest.raises(BackendError, match=f"{option} must be an int "):
+            get_backend("disk", **{option: value})
+
     def test_a_numpy_integer_knob_is_an_integer(self):
         backend = get_backend("disk", memory_budget_bytes=np.int64(4096),
                               merge_fan_in=np.int64(3))

@@ -129,6 +129,24 @@ class TestJoinSpec:
             JoinSpec(algorithm=algorithm, threshold=0.5, **{field: value})
         JoinSpec(algorithm=algorithm, chunk_size=2, stop_word_frequency=1)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("chunk_size", 2.5), ("chunk_size", "3"), ("use_combiners", "no"),
+        ("prune_candidates", 1), ("sharding_threshold", float("nan")),
+        ("sharding_threshold", True), ("stop_word_frequency", 2.5),
+        ("stop_word_frequency", True), ("vcl_super_element_groups", 2.5),
+        ("enforce_budgets", "no"), ("threshold", True), ("threshold", "0.5")])
+    def test_knob_of_the_wrong_type_is_rejected_at_the_front_door(
+            self, overlapping_multisets, knob, value):
+        # 3.12 ran chunk_size=2.5 into a bare TypeError mid-pipeline, raised
+        # one from the spec for "3", and silently ran the rest: "no" ran the
+        # combiners, NaN sharded nothing.
+        fields = {"threshold": 0.5, "algorithm": "online_aggregation", knob: value}
+        with pytest.raises(JobConfigurationError, match=knob):
+            if knob == "enforce_budgets":  # join() hands its own to the session
+                JoinSpec(**fields)
+            else:
+                join(overlapping_multisets, **fields)
+
     def test_describe_resolves_measure_name(self):
         from repro.similarity.measures import JaccardSimilarity
         described = JoinSpec(measure=JaccardSimilarity()).describe()

@@ -173,6 +173,14 @@ class TestFaultPolicy:
         assert time.monotonic() - start >= 0.015
         assert policy.stats()["injected_latency_calls"] == 1
 
+    def test_validation(self):
+        with pytest.raises(ResilienceError):
+            FaultPolicy(error_probability=1.5)
+        with pytest.raises(ResilienceError):
+            FaultPolicy(latency_seconds=-1)
+        with pytest.raises(ResilienceError):
+            FaultPolicy(crash_after_calls=-1)
+
 
 # ---------------------------------------------------------------------------
 # CircuitBreaker (fake clock: no sleeping)
@@ -254,6 +262,14 @@ class TestCircuitBreaker:
         breaker.allow()
         with pytest.raises(CircuitOpenError):
             breaker.allow()
+
+    def test_validation(self):
+        with pytest.raises(ResilienceError):
+            CircuitBreaker(failure_threshold=0)
+        with pytest.raises(ResilienceError):
+            CircuitBreaker(reset_timeout_seconds=0)
+        with pytest.raises(ResilienceError):
+            CircuitBreaker(half_open_max_probes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +520,8 @@ class TestReplicatedShard:
     def test_validation(self):
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=0)
+        with pytest.raises(ResilienceError, match="must be an int"):
+            ReplicatedShard(replication_factor=1.5)
         with pytest.raises(ResilienceError):
             ReplicatedShard(replication_factor=2, fault_policies=[None])
 
@@ -986,6 +1004,16 @@ class TestClientHardening:
 # ---------------------------------------------------------------------------
 
 class TestServerHardening:
+    def test_server_config_validation(self):
+        with pytest.raises(Exception, match="request_timeout_seconds"):
+            ServerConfig(request_timeout_seconds=0)
+        with pytest.raises(Exception, match="health_check_interval_seconds"):
+            ServerConfig(health_check_interval_seconds=-1)
+        with pytest.raises(Exception, match="brownout_queue_depth"):
+            ServerConfig(brownout_queue_depth=0)
+        with pytest.raises(Exception, match="brownout_topk_cap"):
+            ServerConfig(brownout_topk_cap=0)
+
     def test_slow_request_fails_with_504_and_retry_after(self):
         members = corpus()
         app = make_app(members, request_timeout_seconds=0.1,

@@ -341,6 +341,12 @@ class TestAppDispatch:
 
         run_async(scenario())
 
+    def test_invalid_config_rejected(self):
+        with pytest.raises(ServerError, match="query_queue_capacity"):
+            ServerConfig(query_queue_capacity=0)
+        with pytest.raises(ServerError, match="retry_after_seconds"):
+            ServerConfig(retry_after_seconds=0.0)
+
 
 # ---------------------------------------------------------------------------
 # Live HTTP end-to-end (satellite: wire == direct, bit-identical)

@@ -105,6 +105,10 @@ class TestSimilarityIndexBasics:
         with pytest.raises(Exception):
             SimilarityIndex("direct_ruzicka")
 
+    def test_invalid_stop_word_frequency_rejected(self):
+        with pytest.raises(ServingError):
+            SimilarityIndex("ruzicka", stop_word_frequency=0)
+
     def test_uni_matches_measure_unilateral(self, small_multisets):
         for name in ("ruzicka", "jaccard", "vector_cosine"):
             measure = get_measure(name)
@@ -188,6 +192,10 @@ class TestTopK:
         index.add(Multiset("m", {"x": 1}))
         matches = topk_matches(index, Multiset("q", {"x": 1, "y": 2}), 10)
         assert [match.multiset_id for match in matches] == ["m"]
+
+    def test_topk_invalid_k_rejected(self):
+        with pytest.raises(ServingError):
+            topk_matches(SimilarityIndex("ruzicka"), Multiset("q", {"x": 1}), 0)
 
     def test_topk_early_termination_fires(self, small_multisets):
         index = SimilarityIndex("ruzicka")
@@ -429,6 +437,11 @@ class TestIncrementalMaintenance:
 
 
 class TestLRUResultCache:
+    @pytest.mark.parametrize("capacity", [-1, 2.5, True, "8"])
+    def test_a_capacity_that_is_not_a_count_is_rejected(self, capacity):
+        with pytest.raises(ServingError, match="cache capacity"):
+            LRUResultCache(capacity)
+
     def test_hit_miss_and_eviction(self):
         cache = LRUResultCache(capacity=2)
         assert cache.get("a") is None
@@ -453,6 +466,10 @@ class TestLRUResultCache:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ServingError):
+            LRUResultCache(capacity=-1)
 
     def test_hit_rate(self):
         cache = LRUResultCache(capacity=2)
@@ -599,6 +616,18 @@ class TestShardedService:
         with pytest.raises(ServingError):
             shard_for("m", 0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("num_shards", 2.5), ("num_shards", True), ("num_shards", "2"),
+        ("replication_factor", 1.5), ("replication_factor", True),
+        ("cache_capacity", 2.5), ("cache_capacity", True),
+        ("cache_capacity", "64"),
+    ])
+    def test_a_knob_that_is_not_an_integer_is_a_serving_error(self, knob, value):
+        """``num_shards=2.5`` and ``replication_factor=1.5`` raised a raw
+        ``TypeError``; ``cache_capacity=2.5`` was accepted."""
+        with pytest.raises(ServingError, match=knob.replace("_", "[_ ]")):
+            repro.ReplicatedSimilarityService("ruzicka", **{knob: value})
+
     def test_neighbours_excludes_self(self, overlapping_multisets):
         service = unreplicated_fleet("ruzicka", num_shards=2)
         service.bulk_load(overlapping_multisets)
@@ -709,6 +738,19 @@ class TestBootstrap:
         cold = bootstrap_from_join(small_multisets, cache_capacity=4)
         assert cold.cache_capacity == 4
         assert cold.stats()["cache/capacity"] == 4 * cold.num_shards
+
+    @pytest.mark.parametrize("capacity", ["64", True, 2.5])
+    def test_warm_cache_capacity_must_be_an_int(self, small_multisets,
+                                                test_cluster, capacity):
+        """A non-int capacity is a ``ServingError`` naming the knob, checked
+        before the warm-up size check compares it (``"64"`` used to raise a
+        raw ``TypeError`` there, ``True`` and ``2.5`` a misleading "cannot
+        hold" error)."""
+        joined = batch_join(small_multisets, test_cluster, threshold=0.4)
+        with pytest.raises(ServingError, match="cache_capacity must be an "
+                                               "int "):
+            bootstrap_from_join(small_multisets, joined,
+                                cache_capacity=capacity)
 
     def test_stale_join_result_rejected(self, overlapping_multisets,
                                         test_cluster):

@@ -97,6 +97,18 @@ class TestQueryOptions:
         with pytest.raises(ServingError):
             QueryOptions(**bad)
 
+    @pytest.mark.parametrize("threshold", [True, "0.5", [0.5]])
+    def test_a_threshold_that_is_not_a_real_number_is_rejected(self, threshold):
+        """``True`` was served as t = 1.0 and ``"0.5"`` as 0.5."""
+        query = Multiset("q", {"x": 1})
+        with pytest.raises(ServingError, match="threshold must be a real "
+                                               "number"):
+            QueryRequest.threshold(query, threshold)
+        with pytest.raises(ServingError, match="threshold must be a real "
+                                               "number"):
+            QueryOptions.from_json_dict({"kind": "threshold",
+                                         "threshold": threshold})
+
     def test_json_round_trip(self):
         for options in (QueryOptions.for_threshold(0.37),
                         QueryOptions.for_topk(9)):

@@ -2,7 +2,7 @@
 
 "Understandably, all the algorithms produced the same number of similar
 pairs of IPs for each value of t."  This benchmark runs the three
-V-SMART-Join algorithms, the VCL baseline and the sequential baselines on
+V-SMART-Join algorithms, the VCL baseline and the inverted-index join on
 the small dataset and checks the stronger property that the *sets* of pairs
 are identical (and match the exact in-memory join).
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.experiments import run_algorithm
 from repro.analysis.reporting import format_table
-from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.ppjoin import PPJoin
-from repro.similarity.exact import all_pairs_exact
+from repro.similarity.exact import all_pairs_exact, all_pairs_inverted_index
 
 THRESHOLDS = (0.1, 0.5, 0.9)
 DISTRIBUTED = ("online_aggregation", "lookup", "sharding", "vcl")
@@ -33,9 +31,8 @@ def test_pair_agreement(small_dataset, cluster_500, cost_parameters,
                                     cost_parameters=cost_parameters)
             per_algorithm[algorithm] = {p.pair for p in outcome.pairs}
         per_algorithm["inverted_index"] = {
-            p.pair for p in InvertedIndexJoin("ruzicka", threshold).run(multisets)}
-        per_algorithm["ppjoin"] = {
-            p.pair for p in PPJoin("ruzicka", threshold).run(multisets)}
+            p.pair for p in all_pairs_inverted_index(multisets, "ruzicka",
+                                                     threshold)}
         report[threshold] = per_algorithm
     bench_record["pairs_per_algorithm"] = {
         threshold: {name: len(pairs) for name, pairs in per_algorithm.items()}
@@ -44,10 +41,10 @@ def test_pair_agreement(small_dataset, cluster_500, cost_parameters,
     for threshold, per_algorithm in sorted(report.items()):
         rows.append([threshold] + [len(per_algorithm[name])
                                    for name in ("exact",) + DISTRIBUTED
-                                   + ("inverted_index", "ppjoin")])
+                                   + ("inverted_index",)])
     print()
     print(format_table(["threshold", "exact"] + list(DISTRIBUTED)
-                       + ["inverted_index", "ppjoin"], rows,
+                       + ["inverted_index"], rows,
                        title="Number of similar pairs per algorithm (must all agree)"))
     for threshold, per_algorithm in report.items():
         exact = per_algorithm["exact"]

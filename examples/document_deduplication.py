@@ -8,7 +8,8 @@ same front door* — one :class:`~repro.engine.spec.JoinSpec` per algorithm
 name, one :class:`~repro.engine.result.JoinResult` shape back:
 
 * the exact V-SMART-Join MapReduce pipeline (Jaccard on shingle sets),
-* the sequential PPJoin baseline with prefix filtering.
+* the sequential inverted-index join, which verifies only the documents
+  that share a shingle.
 
 Run with::
 
@@ -27,7 +28,7 @@ THRESHOLD = 0.5
 
 CONTENDERS = (
     ("V-SMART-Join (exact, MapReduce)", "online_aggregation"),
-    ("PPJoin (exact, sequential)", "ppjoin"),
+    ("Inverted index (exact, sequential)", "inverted_index"),
 )
 
 

@@ -7,7 +7,8 @@ depends on:
   the pipelines;
 * :mod:`repro.similarity` — the Nominal Similarity Measure framework
   (Eqn. 1) with the unilateral / conjunctive / disjunctive classification
-  and the concrete measures (Ruzicka, Jaccard, Dice, cosine, ...);
+  and the concrete measures (Ruzicka, Jaccard, Dice, cosine, ...), plus
+  the two in-memory joins: the exact oracle and the inverted-index join;
 * :mod:`repro.mapreduce` — a deterministic MapReduce simulator with
   combiners, secondary keys, per-machine memory/disk budgets and a cost
   model producing simulated run times, on two execution backends
@@ -24,7 +25,6 @@ depends on:
   :class:`ReplicatedSimilarityService` — hash shards of
   ``replication_factor >= 1`` replicas each (write fan-in, read spreading,
   failover, exact rebuild);
-* :mod:`repro.baselines` — sequential baselines (inverted index, PPJoin);
 * :mod:`repro.datasets` — synthetic IP/cookie and document workload
   generators with planted ground truth;
 * :mod:`repro.communities` — similarity-graph clustering and proxy
@@ -122,7 +122,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.18.0"
+__version__ = "3.19.0"
 
 __all__ = [
     "Change",

@@ -77,7 +77,7 @@ def run_algorithm(algorithm: str,
 
     The shape of :func:`repro.join` with the failures caught: any engine
     algorithm can be selected by name — the V-SMART-Join joining
-    algorithms, the VCL baseline, the sequential baselines, or ``"auto"``
+    algorithms, the VCL baseline, the sequential joins, or ``"auto"``
     to let the planner choose (the outcome then reports the algorithm the
     plan picked) — and the remaining keyword arguments are
     :class:`~repro.engine.spec.JoinSpec` fields (``measure``,

@@ -9,8 +9,8 @@ the shared *interning* layer that replaces them with dense integers:
 
 * :class:`ElementDictionary` — an immutable element ⇄ id mapping whose ids
   are assigned in **ascending document frequency** order (the rarest element
-  gets id 0).  This is the same global ordering prefix-filtering algorithms
-  (VCL, PPJoin) sort by, so one dictionary serves both the array
+  gets id 0).  This is the same global ordering VCL's prefix filter
+  sorts by, so one dictionary serves both the array
   kernels and any frequency-ordered consumer;
 * :class:`InternedMultiset` — the canonical array representation of a
   multiset: parallel tuples of sorted element ids and their multiplicities.

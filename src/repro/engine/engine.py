@@ -18,15 +18,13 @@ the spec names (or lets the planner choose) — goes through
 The engine executes plans through its pipeline drivers
 (:class:`~repro.vsmart.driver.VSmartJoin`, :class:`~repro.vcl.driver.VCLJoin`
 — each handed the spec and a runner), the exact in-memory reference join
-and the sequential baselines.
+and the sequential inverted-index join.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.ppjoin import PPJoin
 from repro.core.exceptions import DatasetError, JobConfigurationError
 from repro.core.knobs import BOOL, check
 from repro.core.multiset import Multiset
@@ -40,7 +38,7 @@ from repro.mapreduce.costmodel import DEFAULT_COST_PARAMETERS, CostParameters
 from repro.mapreduce.dfs import Dataset
 from repro.mapreduce.runner import LocalJobRunner, PipelineResult
 from repro.serving.bootstrap import multisets_from_input
-from repro.similarity.exact import all_pairs_exact
+from repro.similarity.exact import all_pairs_exact, all_pairs_inverted_index
 from repro.vcl.driver import VCLJoin
 from repro.vsmart.driver import VSmartJoin
 
@@ -281,12 +279,9 @@ class SimilarityEngine:
             pairs = all_pairs_exact(multisets, measure, spec.threshold,
                                     intern=True)
         elif algorithm == "inverted_index":
-            joiner = InvertedIndexJoin(
-                measure, spec.threshold,
+            pairs = all_pairs_inverted_index(
+                multisets, measure, spec.threshold,
                 stop_word_frequency=spec.stop_word_frequency)
-            pairs = sorted(joiner.run(multisets))
-        elif algorithm == "ppjoin":
-            pairs = sorted(PPJoin(measure, spec.threshold).run(multisets))
         else:
             raise JobConfigurationError(
                 f"algorithm {algorithm!r} has no engine executor")

@@ -3,8 +3,8 @@
 A :class:`JoinSpec` says *what* to compute — the measure, the threshold and
 the tuning knobs — without saying *how*.  The ``algorithm`` field names any
 concrete execution path the engine knows (the three V-SMART-Join joining
-algorithms, the VCL baseline, the exact in-memory join, or one of the
-sequential baselines) or ``"auto"``, in which case the
+algorithms, the VCL baseline, the exact in-memory join, or the
+sequential inverted-index join) or ``"auto"``, in which case the
 :class:`~repro.engine.planner.Planner` inspects the corpus statistics and
 the cost model and picks the distributed algorithm with the lowest
 predicted simulated cost — the way a database optimizer chooses a plan.
@@ -36,8 +36,12 @@ EXACT = "exact"
 #: The VCL baseline (MapReduce PPJoin+).
 VCL = "vcl"
 
-#: Sequential single-machine baselines runnable through the engine.
-SEQUENTIAL_ALGORITHMS = ("exact", "inverted_index", "ppjoin")
+#: Sequential single-machine joins runnable through the engine.
+SEQUENTIAL_ALGORITHMS = ("exact", "inverted_index")
+
+#: Algorithms earlier versions ran, each mapped to the algorithm that
+#: computes the same exact pairs today (3.19 deleted ``ppjoin``).
+REPLACED_ALGORITHMS = {"ppjoin": "inverted_index"}
 
 #: Algorithms the planner considers for ``algorithm="auto"`` — the paper's
 #: four distributed contenders, all with cost-model-predictable pipelines.
@@ -66,8 +70,9 @@ def available_algorithms() -> tuple[str, ...]:
 
     ``"auto"`` delegates the choice to the cost-model planner;
     ``"online_aggregation"``, ``"lookup"``, ``"sharding"`` and ``"vcl"`` are
-    the distributed MapReduce pipelines; ``"exact"``, ``"inverted_index"``
-    and ``"ppjoin"`` run sequentially in memory.  Every algorithm is exact.
+    the distributed MapReduce pipelines; ``"exact"`` and
+    ``"inverted_index"`` run sequentially in memory.  Every algorithm is
+    exact.
     """
     return ENGINE_ALGORITHMS
 
@@ -80,7 +85,9 @@ class JoinSpec:
     ----------
     measure:
         Similarity measure name (see :func:`repro.list_measures`) or
-        instance.  Distributed algorithms reject measures that require
+        instance.  A name is looked up when the join runs, so a stored spec
+        loads before its custom measure is registered; any other value is
+        refused here.  Distributed algorithms reject measures that require
         disjunctive partials; ``algorithm="exact"`` accepts every measure.
     threshold:
         Similarity threshold ``t`` in ``(0, 1]``.
@@ -136,9 +143,19 @@ class JoinSpec:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ENGINE_ALGORITHMS:
+            replacement = (REPLACED_ALGORITHMS.get(self.algorithm)
+                           if isinstance(self.algorithm, str) else None)
+            hint = (f" ({replacement!r} computes the same pairs)"
+                    if replacement else "")
             raise JobConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of "
-                f"{ENGINE_ALGORITHMS}")
+                f"unknown algorithm {self.algorithm!r}{hint}; expected one "
+                f"of {ENGINE_ALGORITHMS}")
+        if not isinstance(self.measure, (str, NominalSimilarityMeasure)):
+            # A name resolves at run time (a stored spec loads before its
+            # custom measure is registered); anything else never will.
+            raise JobConfigurationError(
+                "measure must be a measure name or a NominalSimilarityMeasure,"
+                f" got {self.measure!r}")
         # Every knob is checked here, whatever the algorithm: "auto" prices
         # every candidate, and a bad value must not survive profiling,
         # planning and interning to fail (or silently match nothing) mid-run.

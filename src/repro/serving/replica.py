@@ -45,7 +45,7 @@ from repro.core.exceptions import (
     ResilienceError,
     ServingError,
 )
-from repro.core.knobs import INT, check
+from repro.core.knobs import INT, OPTIONAL_INT, check
 from repro.core.multiset import Multiset, MultisetId
 from repro.serving.api import QueryMatch, QueryRequest
 from repro.serving.index import PreparedQuery, SimilarityIndex, prepare
@@ -133,9 +133,14 @@ class ReplicatedShard:
                 f"{replication_factor}")
         self.name = name
         self._measure_setting = measure
+        # Checked once here, so every replica and the properties below
+        # hold the plain values (a NumPy count reads back as an ``int``).
         self._node_settings = {
-            "cache_capacity": cache_capacity,
-            "stop_word_frequency": stop_word_frequency,
+            "cache_capacity": check(cache_capacity, INT, "cache_capacity",
+                                    ServingError, at_least=0),
+            "stop_word_frequency": check(stop_word_frequency, OPTIONAL_INT,
+                                         "stop_word_frequency", ServingError,
+                                         at_least=1),
         }
         self.replicas = [
             Replica(self._blank_node(f"{name}/replica{index}"),

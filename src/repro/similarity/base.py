@@ -204,11 +204,11 @@ class NominalSimilarityMeasure(ABC):
     # -- upper bounds: the one pruning rule -----------------------------------
     #
     # Every filter in the library -- Similarity1's candidate check, the
-    # serving index's scan, the size and positional filters of PPJoin and
-    # the inverted-index join -- drops a pair only when ``combine`` of a
-    # ``Conj`` bound is below ``t``.  That is the same float arithmetic the
-    # final ``similarity >= t`` test runs, and ``combine`` never decreases
-    # as ``Conj`` grows, so no filter rejects a pair the test would accept.
+    # serving index's scan and the size filter of the inverted-index join --
+    # drops a pair only when ``combine`` of a ``Conj`` bound is below
+    # ``t``.  That is the same float arithmetic the final ``similarity >=
+    # t`` test runs, and ``combine`` never decreases as ``Conj`` grows, so
+    # no filter rejects a pair the test would accept.
 
     def conj_upper_bound(self, uni_i: Partials,
                          uni_j: Partials) -> Partials | None:

@@ -3,8 +3,10 @@
 These helpers are the *reference implementation* against which the
 distributed pipelines are validated: every integration test compares the
 pair set produced by a MapReduce driver with :func:`all_pairs_exact` on the
-same data.  They are intentionally simple (quadratic in the number of
-multisets) and only suitable for small inputs.
+same data.  :func:`all_pairs_exact` is intentionally simple (quadratic in
+the number of multisets) and only suitable for small inputs;
+:func:`all_pairs_inverted_index` is the one sequential filter join, which
+verifies only the pairs that share an element.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Mapping
 
 from repro.core.interning import intern_corpus
 from repro.core.multiset import Multiset, MultisetId
-from repro.core.records import SimilarPair
+from repro.core.records import SimilarPair, canonical_pair
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 from repro.similarity.kernels import interned_similarity, interned_unilateral
 from repro.similarity.registry import get_measure
@@ -72,6 +74,55 @@ def all_pairs_exact(multisets: Iterable[Multiset] | Mapping[MultisetId, Multiset
         similarity = resolved.similarity(entity_i, entity_j)
         if similarity >= limit:
             results.append(SimilarPair.make(entity_i.id, entity_j.id, similarity))
+    results.sort()
+    return results
+
+
+def all_pairs_inverted_index(multisets: Iterable[Multiset],
+                             measure: str | NominalSimilarityMeasure,
+                             threshold: float,
+                             stop_word_frequency: int | None = None
+                             ) -> list[SimilarPair]:
+    """Exact all-pair join driven by an in-memory inverted index.
+
+    The Sarawagi and Kirpal [29] style join, the single-machine ancestor of
+    the V-SMART-Join similarity phase: an index from elements to the
+    multisets holding them gives the candidate pairs (pairs sharing at
+    least one element), and each candidate is verified exactly.  A
+    candidate whose ``Uni`` values alone bound the similarity below the
+    threshold (``similarity_upper_bound(Uni_i, Uni_j) < t``, the measure's
+    own ``combine`` of a ``Conj`` bound, as Similarity1 and the serving
+    index prune) is skipped, so no pair the final ``similarity >= t`` test
+    would keep is lost.  With ``stop_word_frequency`` set, an element whose
+    posting list is longer than it contributes no candidates (the
+    sequential analogue of the paper's stop-word preprocessing, and as
+    approximate).  Returns the pairs in canonical order.
+    """
+    resolved = get_measure(measure)
+    limit = validate_threshold(threshold)
+    entities = {multiset.id: multiset for multiset in multisets}
+    unis = {entity_id: resolved.unilateral(entity)
+            for entity_id, entity in entities.items()}
+    index: dict = {}
+    for entity in entities.values():
+        for element in entity.underlying_set:
+            index.setdefault(element, []).append(entity.id)
+    candidates: set[tuple] = set()
+    for postings in index.values():
+        if (stop_word_frequency is not None
+                and len(postings) > stop_word_frequency):
+            continue
+        for first_id, second_id in combinations(postings, 2):
+            candidates.add(canonical_pair(first_id, second_id))
+    upper_bound = resolved.similarity_upper_bound
+    results: list[SimilarPair] = []
+    for first_id, second_id in candidates:
+        if upper_bound(unis[first_id], unis[second_id]) < limit:
+            continue
+        similarity = resolved.similarity(entities[first_id],
+                                         entities[second_id])
+        if similarity >= limit:
+            results.append(SimilarPair(first_id, second_id, similarity))
     results.sort()
     return results
 

@@ -265,6 +265,20 @@ def describe_spec(spec) -> str:
     return json.dumps(described, sort_keys=True)
 
 
+def stored_algorithm(algorithm):
+    """The algorithm a stored spec or result names, as this version runs it.
+
+    An algorithm an earlier version ran and this one replaced (3.19's
+    ``ppjoin``) reads as its replacement: the stored pairs are the exact
+    join, which the replacement computes too.
+    """
+    from repro.engine.spec import REPLACED_ALGORITHMS
+
+    if isinstance(algorithm, str):
+        return REPLACED_ALGORITHMS.get(algorithm, algorithm)
+    return algorithm
+
+
 def spec_from_description(text: str, store: str = "<description>"):
     """Rebuild a :class:`~repro.engine.spec.JoinSpec` from stored JSON.
 
@@ -273,7 +287,8 @@ def spec_from_description(text: str, store: str = "<description>"):
     carry is dropped: both of its values now mean the one interned form.
     So is a ``"recall": null`` (written up to 3.11.0): it demanded the
     exact join.  A recall target or MinHash banding is refused, because the
-    stored pairs may be missing true ones.
+    stored pairs may be missing true ones.  A replaced algorithm reads as
+    its replacement (:func:`stored_algorithm`).
     """
     from repro.engine.spec import JoinSpec
 
@@ -287,6 +302,8 @@ def spec_from_description(text: str, store: str = "<description>"):
             f"{store!r}: stored join spec must be a JSON object, got "
             f"{type(described).__name__}")
     described.pop("intern", None)
+    if "algorithm" in described:
+        described["algorithm"] = stored_algorithm(described["algorithm"])
     for field in _APPROXIMATE_FIELDS:
         if described.pop(field, None) is not None:
             raise StorageError(

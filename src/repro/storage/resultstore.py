@@ -28,6 +28,7 @@ from repro.storage.codecs import (
     load_members,
     save_members,
     spec_from_description,
+    stored_algorithm,
 )
 from repro.storage.engine import StorageEngine, open_engine
 from repro.storage.values import decode_value, encode_value
@@ -108,7 +109,7 @@ class ResultStore:
         if "spec" not in meta:
             raise StorageError(f"{engine.path!r} holds no join result")
         spec = spec_from_description(meta["spec"], engine.path)
-        algorithm = meta["algorithm"]
+        algorithm = stored_algorithm(meta["algorithm"])
         if algorithm not in ENGINE_ALGORITHMS:
             # 3.11.0 and earlier stored the approximate tier's results
             # (``minhash``, ``sampled``); their pairs are not the exact join.

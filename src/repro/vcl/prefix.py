@@ -19,7 +19,7 @@ This module implements the weighted (multiset-aware) prefix:
 
 One function, :func:`prefix_length`, makes that cut for every consumer
 that ranks: the kernel mapper (through :class:`PrefixFilter`, which ranks a
-whole corpus once), PPJoin and :func:`prefix_elements`.  The planner prices
+whole corpus once) and :func:`prefix_elements`.  The planner prices
 the kernel from the prefixes as sets, and applies the same rule vectorised
 to a whole corpus's interned columns (``repro.engine.planner``); tests hold
 it to a :class:`PrefixFilter`'s cuts.
@@ -106,9 +106,9 @@ def prefix_length(weights: Sequence[float],
     (or super-elements) in canonical order.  The suffix is grown from the
     end while its weight stays strictly below the measure's
     ``size_lower_bound`` of the entity, stepped down by
-    :data:`SIZE_BOUND_MARGIN`; the rest is the prefix.  The kernel mapper,
-    PPJoin and :func:`prefix_elements` all call it; the planner applies
-    the same rule to a whole corpus at once.
+    :data:`SIZE_BOUND_MARGIN`; the rest is the prefix.  The kernel mapper
+    and :func:`prefix_elements` both call it; the planner applies the same
+    rule to a whole corpus at once.
     """
     bound = measure.size_lower_bound(sum(weights), threshold) * SIZE_BOUND_MARGIN
     count = len(weights)

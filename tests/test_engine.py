@@ -30,8 +30,6 @@ from repro.analysis.calibration import (
     paper_scale_cost_parameters,
 )
 from repro.analysis.experiments import run_algorithm
-from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.ppjoin import PPJoin
 from repro.core.exceptions import (
     DatasetError,
     JobConfigurationError,
@@ -52,7 +50,7 @@ from repro.mapreduce.job import TaskContext
 from repro.mapreduce.types import estimate_record_bytes
 from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
-from repro.similarity.exact import all_pairs_exact
+from repro.similarity.exact import all_pairs_exact, all_pairs_inverted_index
 from repro.similarity.registry import get_measure
 from repro.telemetry import Metrics
 from repro.vsmart.driver import JOINING_ALGORITHMS
@@ -172,6 +170,10 @@ class TestDiscovery:
             JoinSpec(algorithm=name)
         assert str(available_algorithms()) in str(raised.value)
 
+    def test_removed_ppjoin_names_its_replacement(self):
+        with pytest.raises(JobConfigurationError, match="'inverted_index' co"):
+            JoinSpec(algorithm="ppjoin")
+
     @pytest.mark.parametrize("option, value", [
         pytest.param("recall", 0.9, id="recall"),
         pytest.param("minhash_parameters", {"num_bands": 8, "rows_per_band": 4},
@@ -248,7 +250,7 @@ class TestEngineParity:
         expected = {p.pair for p in all_pairs_exact(small_multisets,
                                                     "ruzicka", 0.3)}
         with SimilarityEngine(cluster=test_cluster) as engine:
-            for algorithm in ("inverted_index", "ppjoin"):
+            for algorithm in SEQUENTIAL_ALGORITHMS:
                 result = engine.run(JoinSpec(threshold=0.3,
                                              algorithm=algorithm),
                                     small_multisets)
@@ -260,16 +262,8 @@ class TestEngineParity:
             result = engine.run(
                 JoinSpec(threshold=0.3, algorithm="inverted_index",
                          stop_word_frequency=12), small_multisets)
-        direct = InvertedIndexJoin("ruzicka", 0.3, stop_word_frequency=12)
-        assert result.pairs == sorted(direct.run(small_multisets))
-
-    def test_ppjoin_parity_with_direct_call(self, small_multisets,
-                                            test_cluster):
-        with SimilarityEngine(cluster=test_cluster) as engine:
-            result = engine.run(JoinSpec(threshold=0.4, algorithm="ppjoin"),
-                                small_multisets)
-        assert result.pairs == sorted(PPJoin("ruzicka", 0.4)
-                                      .run(small_multisets))
+        assert result.pairs == all_pairs_inverted_index(
+            small_multisets, "ruzicka", 0.3, stop_word_frequency=12)
 
     @settings(max_examples=15, deadline=None)
     @given(cell=join_grid())

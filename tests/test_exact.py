@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.multiset import Multiset
 from repro.similarity.exact import (
     all_pairs_exact,
+    all_pairs_inverted_index,
     compute_similarity,
     pair_dictionary,
 )
+from repro.similarity.measures import RuzickaSimilarity
+from tests.conftest import make_random_multisets
 
 
 class TestComputeSimilarity:
@@ -51,3 +56,37 @@ class TestAllPairsExact:
         pairs = all_pairs_exact(
             [Multiset("a", {"x": 1}), Multiset("b", {"x": 1})], "jaccard", 0.5)
         assert pair_dictionary(pairs) == {("a", "b"): pytest.approx(1.0)}
+
+
+class TestAllPairsInvertedIndex:
+    @pytest.mark.parametrize("measure", ["ruzicka", "jaccard", "dice", "cosine"])
+    def test_matches_brute_force(self, small_multisets, measure):
+        produced = all_pairs_inverted_index(small_multisets, measure, 0.3)
+        expected = pair_dictionary(all_pairs_exact(small_multisets, measure, 0.3))
+        assert produced == sorted(produced)
+        assert pair_dictionary(produced).keys() == expected.keys()
+
+    def test_stop_word_skipping_loses_only_stop_word_pairs(self):
+        # "shared" is in all five multisets, "own0" only in m0 and m1.
+        multisets = [Multiset(f"m{i}", {"shared": 1, f"own{i % 4}": 1})
+                     for i in (0, 4, 1, 2, 3)]
+        pairs = all_pairs_inverted_index(multisets, "jaccard", 0.3, 3)
+        assert [pair.pair for pair in pairs] == [("m0", "m4")]
+        assert len(all_pairs_inverted_index(multisets, "jaccard", 0.3)) == 10
+
+    def test_size_filter_skips_verification(self, monkeypatch):
+        # The pair shares "a", but its sizes bound Ruzicka by 1 / 5 < 0.5:
+        # the size filter drops it, and a verification would raise.
+        multisets = [Multiset("small", {"a": 1}),
+                     Multiset("large", dict.fromkeys("abcde", 1))]
+        monkeypatch.setattr(RuzickaSimilarity, "similarity", None)
+        assert all_pairs_inverted_index(multisets, "ruzicka", 0.5) == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=5_000))
+    def test_random_agreement(self, seed):
+        multisets = make_random_multisets(15, alphabet_size=20, max_elements=10, seed=seed)
+        produced = {p.pair for p in all_pairs_inverted_index(multisets, "ruzicka", 0.4)}
+        expected = {p.pair for p in all_pairs_exact(multisets, "ruzicka", 0.4)}
+        assert produced == expected
+

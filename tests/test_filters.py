@@ -167,12 +167,13 @@ class TestPairsAtTheThreshold:
         assert [pair.pair for pair in result.pairs] == [("A", "B")]
         assert result.pairs[0].similarity == 0.8
 
-    def test_ruzicka_positional_filter_at_point_four(self):
+    @pytest.mark.parametrize("algorithm", ENGINE_ALGORITHMS)
+    def test_ruzicka_four_of_ten_at_point_four(self, algorithm):
         # Ruzicka = 4 / (4 + 10 - 4) rounds to 0.4, while the float minimum
         # overlap 0.4 / 1.4 * 14 rounds to 4.000000000000001, above 4.
         corpus = [Multiset("A", {"x0": 2, "x3": 2}),
                   Multiset("B", {"x0": 3, "x1": 2, "x2": 3, "x3": 2})]
-        result = join(corpus, measure="ruzicka", threshold=0.4, algorithm="ppjoin")
+        result = join(corpus, measure="ruzicka", threshold=0.4, algorithm=algorithm)
         assert [pair.pair for pair in result.pairs] == [("A", "B")]
         assert result.pairs[0].similarity == 0.4
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import run_algorithm
-from repro.baselines.inverted_index import InvertedIndexJoin
-from repro.baselines.ppjoin import PPJoin
 from repro.communities.proxies import (
     discovered_proxy_groups,
     evaluate_proxy_discovery,
@@ -22,7 +20,7 @@ from repro.datasets.documents import DocumentCorpusConfig, generate_document_cor
 from repro.datasets.ip_cookie import IPCookieConfig, generate_ip_cookie_dataset
 from repro.engine import join
 from repro.mapreduce.cluster import laptop_cluster
-from repro.similarity.exact import all_pairs_exact
+from repro.similarity.exact import all_pairs_exact, all_pairs_inverted_index
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +51,8 @@ class TestAlgorithmAgreement:
             assert outcome.finished, outcome.detail
             outcomes[algorithm] = outcome
             assert {p.pair for p in outcome.pairs} == expected, algorithm
-        sequential = {
-            "inverted_index": InvertedIndexJoin("ruzicka", threshold).run(multisets),
-            "ppjoin": PPJoin("ruzicka", threshold).run(multisets),
-        }
-        for name, pairs in sequential.items():
-            assert {p.pair for p in pairs} == expected, name
+        sequential = all_pairs_inverted_index(multisets, "ruzicka", threshold)
+        assert {p.pair for p in sequential} == expected
 
     def test_pair_counts_decrease_with_threshold(self, workload, cluster):
         counts = []

@@ -304,7 +304,7 @@ class TestDeclarationsFollowOverrides:
     @pytest.mark.parametrize("measure", [DoubledUni(), HalvedConj()],
                              ids=lambda measure: measure.name)
     @pytest.mark.parametrize("algorithm", ["exact", "vcl", *JOINING_ALGORITHMS,
-                                           "inverted_index", "ppjoin"])
+                                           "inverted_index"])
     def test_every_algorithm_finds_the_oracles_pairs(self, measure, algorithm):
         """The reported repro: the array kernels folded the inherited
         declaration, so ``exact`` and ``vcl`` (and, for ``Conj``, the
@@ -319,7 +319,7 @@ class TestDeclarationsFollowOverrides:
     @settings(max_examples=25, deadline=None)
     @given(cell=join_grid(measures=[DoubledUni(), HalvedConj(), SetDeclared()],
                           algorithms=("exact", "vcl", *JOINING_ALGORITHMS,
-                                      "inverted_index", "ppjoin"),
+                                      "inverted_index"),
                           backends=("serial",)))
     def test_overriding_subclasses_agree_everywhere(self, cell):
         corpus = cell.corpus()

@@ -30,6 +30,7 @@ import subprocess
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import example, given, note
 from hypothesis import strategies as st
@@ -138,8 +139,10 @@ JOIN_KNOBS = {"threshold": (), "sharding_threshold": (),
 JOINED = join(CORPUS, measure=MEASURE, threshold=0.5, algorithm="exact")
 
 DOORS = {
+    # A measure name resolves when the join runs, so any string constructs.
     "JoinSpec": Door(JoinSpec, {**JOIN_KNOBS, "enforce_budgets": (NONE, TRUE),
-                                "algorithm": (), "vcl_element_order": ()}),
+                                "algorithm": (), "vcl_element_order": (),
+                                "measure": (TEXT,)}),
     "join": Door(joined_pairs, {**JOIN_KNOBS, "enforce_budgets": (TRUE,),
                                 "measure": ()}),
     "Cluster": Door(Cluster, {"num_machines": (), "memory_per_machine": (),
@@ -243,3 +246,12 @@ def test_a_hostile_knob_is_refused_by_its_tier_or_answers_exactly(
                 "similarity threshold must be in (0, 1]")
         else:
             assert legal
+
+
+def test_a_fleet_keeps_its_node_knobs_as_plain_values():
+    """3.18 read a NumPy count back as ``numpy.int64``."""
+    service = ReplicatedSimilarityService(
+        MEASURE, 2, cache_capacity=np.int64(8), stop_word_frequency=np.int64(3))
+    for owner in (service, *service.shards):
+        knobs = (owner.cache_capacity, owner.stop_word_frequency)
+        assert [(type(knob), knob) for knob in knobs] == [(int, 8), (int, 3)]

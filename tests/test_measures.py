@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import MeasureNotApplicableError, UnknownMeasureError
+from repro.core.interning import intern_corpus
 from repro.core.multiset import Multiset
 from repro.similarity.base import PartialKind, validate_threshold
+from repro.similarity.exact import compute_similarity
+from repro.similarity.kernels import interned_similarity
 from repro.similarity.measures import RuzickaSimilarity
 from repro.similarity.registry import get_measure, list_measures, register_measure
 
@@ -17,9 +20,9 @@ B = Multiset("b", {"x": 1, "y": 2, "w": 4})
 # min-sums: x -> 1, y -> 2 => intersection 3; |A| = 6, |B| = 7.
 
 
-def multiset_strategy(identifier: str):
+def multiset_strategy(identifier: str, alphabet: str = "e"):
     return st.dictionaries(
-        st.sampled_from([f"e{i}" for i in range(10)]),
+        st.sampled_from([f"{alphabet}{i}" for i in range(10)]),
         st.integers(min_value=1, max_value=5),
         min_size=1, max_size=8,
     ).map(lambda counts: Multiset(identifier, counts))
@@ -62,11 +65,17 @@ class TestKnownValues:
         assert get_measure("direct_ruzicka").similarity(A, B) == pytest.approx(
             get_measure("ruzicka").similarity(A, B))
 
-    def test_disjoint_multisets_have_zero_similarity(self):
-        left = Multiset("l", {"a": 3})
-        right = Multiset("r", {"b": 2})
-        for name in list_measures(supported_only=True):
-            assert get_measure(name).similarity(left, right) == 0.0
+    @pytest.mark.parametrize("name", list_measures())
+    @settings(max_examples=20, deadline=None)
+    @given(left=multiset_strategy("l", "x"), right=multiset_strategy("r", "y"))
+    def test_a_disjoint_pair_scores_exactly_zero(self, name, left, right):
+        # So a union of disjoint corpora joins to the union of their answers.
+        measure, pair = get_measure(name), (left, right)
+        interned = intern_corpus(pair)[1]
+        for i, j in ((0, 1), (1, 0)):
+            assert compute_similarity(measure, pair[i], pair[j]) == 0.0
+            if not measure.requires_disjunctive:  # no kernel path
+                assert interned_similarity(measure, interned[i], interned[j]) == 0.0
 
     def test_empty_multiset_similarity_is_zero(self):
         empty = Multiset("empty", {})

@@ -1,4 +1,4 @@
-"""The package surface: what each ``__all__`` exports, what 3.12 to 3.14 took out.
+"""The package surface: what each ``__all__`` exports, what 3.12 to 3.19 took out.
 
 * every name a package lists in ``__all__`` resolves, once;
 * every exported name has a caller in the program (``src/`` outside its
@@ -37,9 +37,9 @@ from repro import (
 ROOT = Path(__file__).resolve().parent.parent
 MIGRATION = ROOT / "docs" / "MIGRATION.md"
 
-PACKAGES = ["repro"] + sorted(
-    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
-    if info.ispkg)
+MODULES = {info.name: info.ispkg
+           for info in pkgutil.walk_packages(repro.__path__, "repro.")}
+PACKAGES = ["repro"] + sorted(name for name, ispkg in MODULES.items() if ispkg)
 
 #: Exported names nothing in the program calls, each kept for a reason.
 DELIBERATE = {
@@ -191,6 +191,8 @@ REMOVED_NAMES = [
     ("3.18", "repro.similarity.measures.WeightedJaccardSimilarity"),
     ("3.18", "repro.core.knobs.is_int"),
     ("3.18", "repro.core.knobs.is_real"),
+    ("3.19", "repro.baselines.PPJoin"),
+    ("3.19", "repro.baselines.InvertedIndexJoin"),
 ]
 
 #: ``(version, module)`` of every deleted module.
@@ -200,6 +202,9 @@ REMOVED_MODULES = [
     ("3.12", "repro.baselines.sampled"),
     ("3.13", "repro.datasets.loaders"),
     ("3.13", "repro.baselines.brute_force"),
+    ("3.19", "repro.baselines"),
+    ("3.19", "repro.baselines.ppjoin"),
+    ("3.19", "repro.baselines.inverted_index"),
 ]
 
 
@@ -288,8 +293,8 @@ def test_removed_name_is_gone(version, path):
             break
         except ModuleNotFoundError:
             continue
-    for attribute in parts[split:-1]:
-        owner = getattr(owner, attribute)
+    for attribute in parts[split:-1]:  # None: a deleted package held it
+        owner = getattr(owner, attribute, None)
     name = parts[-1]
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__dataclass_fields__", {})
@@ -300,7 +305,7 @@ def test_removed_name_is_gone(version, path):
 @pytest.mark.parametrize("version, module_name", REMOVED_MODULES,
                          ids=[module_name for _, module_name in REMOVED_MODULES])
 def test_removed_module_is_gone(version, module_name):
-    assert importlib.util.find_spec(module_name) is None
+    assert module_name not in MODULES
     assert f"`{module_name}`" in migration_section(version)
 
 

@@ -601,6 +601,25 @@ class TestResultStore:
             JoinResult.from_sqlite(storage_path)
 
 
+def test_stores_naming_ppjoin_load_as_inverted_index(joined, tmp_path):
+    """3.19 deleted ``ppjoin``; the exact pairs it stored still load."""
+    view, paths = make_view(), (str(tmp_path / "r.db"), str(tmp_path / "v.db"))
+    joined.to_sqlite(paths[0])
+    view.persist(paths[1]).detach()
+    for path in paths:
+        raw = sqlite3.connect(path)
+        with raw:
+            raw.execute("UPDATE meta SET value = 'ppjoin' WHERE key = 'algorithm'")
+            raw.execute("UPDATE meta SET value = json_set(value, '$.algorithm', "
+                        "'ppjoin') WHERE key = 'spec'")
+        raw.close()
+    loaded, recovered = (JoinResult.from_sqlite(paths[0], lazy=False),
+                         JoinView.recover(paths[1]))
+    assert {loaded.algorithm, loaded.spec.algorithm,
+            recovered.spec.algorithm} == {"inverted_index"}
+    assert (loaded.pairs, recovered.pairs()) == (joined.pairs, view.pairs())
+
+
 class TestStoresWrittenBy23:
     """``STORES_2_3``: every store 2.3.0 wrote loads, with ``intern`` on or off."""
 

@@ -122,7 +122,7 @@ from repro.streaming import (
     attach_serving,
 )
 
-__version__ = "3.19.0"
+__version__ = "3.20.0"
 
 __all__ = [
     "Change",

@@ -1,11 +1,11 @@
 """Element interning: dense integer dictionaries for hot-path kernels.
 
-The pipelines and the serving index shuffle records keyed by arbitrary
-hashable alphabet elements (cookie strings in the paper's workload) and by
-arbitrary multiset identifiers (IP strings).  Hashing and comparing those
-keys — and carrying them through every shuffle — dominates the per-record
-cost once the algorithmic work per record is small.  This module provides
-the shared *interning* layer that replaces them with dense integers:
+The pipelines shuffle records keyed by arbitrary hashable alphabet
+elements (cookie strings in the paper's workload) and by arbitrary multiset
+identifiers (IP strings).  Hashing and comparing those keys — and carrying
+them through every shuffle — dominates the per-record cost once the
+algorithmic work per record is small.  This module provides the shared
+*interning* layer that replaces them with dense integers:
 
 * :class:`ElementDictionary` — an immutable element ⇄ id mapping whose ids
   are assigned in **ascending document frequency** order (the rarest element
@@ -17,9 +17,6 @@ the shared *interning* layer that replaces them with dense integers:
   Two interned multisets are compared by walking the smaller one's id map
   and probing the other's, with no per-element measure call (see
   :mod:`repro.similarity.kernels`);
-* :class:`LocalInterner` — a lightweight append-only interner for consumers
-  that only need ids to be *consistent within a scope* (one serving index),
-  not globally frequency-ordered;
 * :class:`PairCodec` — packs a canonical ``(id_i, id_j)`` pair of dense ids
   into a single integer, turning the Similarity2 shuffle key into one
   machine word;
@@ -278,72 +275,6 @@ class InternedMultiset:
     def __repr__(self) -> str:
         return (f"InternedMultiset(id={self.id!r}, "
                 f"|U(M)|={len(self.element_ids)}, |M|={self.cardinality})")
-
-
-class LocalInterner:
-    """An append-only element → dense-id interner for scoped consumers.
-
-    Ids are assigned in first-appearance order, which is all a comparison
-    needs: both operands must agree on the ids, not on any global property.
-    Used by the serving index (one per index lifetime).
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self) -> None:
-        self._ids: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, element: object) -> bool:
-        return element in self._ids
-
-    def intern(self, element: Element) -> int:
-        """The dense id of ``element``, assigning the next id when new."""
-        ids = self._ids
-        element_id = ids.get(element)
-        if element_id is None:
-            element_id = len(ids)
-            ids[element] = element_id
-        return element_id
-
-    def get(self, element: Element) -> int | None:
-        """The dense id of ``element``, or ``None`` when never interned."""
-        return self._ids.get(element)
-
-    def items(self) -> Iterator[tuple[Element, int]]:
-        """Iterate ``(element, dense id)`` pairs in id-assignment order."""
-        return iter(self._ids.items())
-
-    @classmethod
-    def from_items(cls,
-                   items: Iterable[tuple[Element, int]]) -> "LocalInterner":
-        """Rebuild an interner from :meth:`items` pairs.
-
-        The pairs must arrive in id order with ids contiguous from 0 — the
-        shape :meth:`items` produces and the storage tier persists — so the
-        rebuilt interner assigns future ids exactly as the original would.
-        """
-        interner = cls()
-        ids = interner._ids
-        for element, element_id in items:
-            if element_id != len(ids) or element in ids:
-                raise InterningError(
-                    f"interner items are not a contiguous id assignment at "
-                    f"({element!r}, {element_id})")
-            ids[element] = element_id
-        return interner
-
-    def intern_multiset(self, multiset: Multiset) -> InternedMultiset:
-        """Intern a multiset, assigning ids to any new elements."""
-        intern = self.intern
-        pairs = sorted((intern(element), multiplicity)
-                       for element, multiplicity in multiset.items())
-        return InternedMultiset(
-            multiset.id,
-            tuple(pair[0] for pair in pairs),
-            tuple(float(pair[1]) for pair in pairs))
 
 
 def intern_corpus(

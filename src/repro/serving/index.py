@@ -27,14 +27,16 @@ the stored ``Uni`` tuples.  Two pruning levers keep tail latencies bounded:
   top-k evaluation terminates early once no remaining candidate's bound can
   beat the current k-th best score (the classic threshold-algorithm stop).
 
-Two representational optimisations keep the per-posting cost down without
-changing any answer: the inverted index is keyed by *interned* dense
-element ids (see :mod:`repro.core.interning`) — long string elements,
-cookies in the paper's workload, hash as single machine words, and query
-elements the index has never seen skip their posting lookup — and for
-measures that declare a scalar conjunctive kernel
-(:mod:`repro.similarity.kernels`) the per-candidate ``Conj`` accumulates as
-a single float instead of a partial tuple per shared element.
+Two representational choices keep the per-posting cost down without
+changing any answer: the inverted index is keyed by the element itself, so
+a query element costs one postings probe and a removed member leaves no
+element behind, and the scan runs the measure's declared kernels
+(:mod:`repro.similarity.kernels`) as its own arithmetic.  A scalar
+conjunctive kernel accumulates ``Conj`` as a single float instead of a
+partial tuple per shared element; Ruzicka's declarations (a sum of minima
+bounded by ``min_over_union``) are inlined outright — the first-sight bound,
+the accumulate and a threshold query's final ``combine`` — and any other
+measure has its kernels called from the same loop.
 
 The read path's rule, here and in the layers above (node, replica set,
 fleet): *per request, do once what is per request; per shard, do only what
@@ -50,9 +52,8 @@ import heapq
 from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
-from repro.core.interning import LocalInterner
 from repro.core.knobs import OPTIONAL_INT, check
-from repro.core.multiset import Element, Multiset, MultisetId, content_signature
+from repro.core.multiset import Multiset, MultisetId, content_signature
 from repro.serving.api import (
     THRESHOLD_KIND,
     QueryMatch,
@@ -66,16 +67,18 @@ from repro.similarity.base import (
     Partials,
     validate_threshold,
 )
-from repro.similarity.kernels import scalar_conj_functions
+from repro.similarity.kernels import (
+    BOUND_MIN_OVER_UNION,
+    CONJ_SUM_MIN,
+    bound_kernel_kind,
+    conj_kernel_kind,
+    scalar_conj_functions,
+)
 from repro.similarity.partials import fold_uni_multiplicities
 from repro.similarity.registry import get_measure
 from repro.telemetry import Metrics
 
 __all__ = ["PreparedQuery", "QueryMatch", "SimilarityIndex", "prepare", "sort_matches"]
-
-#: Postings-key sentinel for query elements the interner has never seen;
-#: distinct from every real key (including a literal ``None`` element).
-_NEVER_INDEXED = object()
 
 
 class PreparedQuery:
@@ -84,9 +87,9 @@ class PreparedQuery:
     Eager: the content ``signature`` — every cache key needs it.  Lazy and
     memoised: the scan form (:meth:`scan_form`), which a request answered
     from caches never pays for and shards 2…N take from shard 1.  Nothing
-    held belongs to an index (no dense ids, write version or stop-word
-    limit), so one is exact across shards, replicas, fail-over retries and
-    interleaved writes.
+    held belongs to an index (no write version or stop-word limit), so one
+    is exact across shards, replicas, fail-over retries and interleaved
+    writes.
     """
 
     __slots__ = ("query", "options", "signature", "_scan")
@@ -141,28 +144,22 @@ class SimilarityIndex:
         self.stop_word_frequency = check(stop_word_frequency, OPTIONAL_INT,
                                          "stop_word_frequency", ServingError,
                                          at_least=1)
-        self._interner = LocalInterner()
         self._scalar_conj = scalar_conj_functions(self.measure)
+        # The declarations the scan inlines, resolved once: the first-sight
+        # bound, the sum-of-minima accumulate and, with both, Ruzicka's
+        # combine of a scalar Conj.
+        self._inline_bound = (bound_kernel_kind(self.measure)
+                              == BOUND_MIN_OVER_UNION)
+        self._inline_sum_min = conj_kernel_kind(self.measure) == CONJ_SUM_MIN
         self._multisets: dict[MultisetId, Multiset] = {}
         self._uni: dict[MultisetId, Partials] = {}
-        #: dense element id -> {multiset id -> effective multiplicity}
-        self._postings: dict[int, dict[MultisetId, float]] = {}
+        #: element -> {multiset id -> effective multiplicity}; only elements
+        #: of indexed members are keys.
+        self._postings: dict[object, dict[MultisetId, float]] = {}
         self._version = 0
         #: The map scans count into (``serving/*``): a node points it at its
         #: own, which the node's cache counts into too.
         self.metrics = Metrics()
-
-    def _element_key(self, element: Element) -> object:
-        """The postings key of ``element``.
-
-        Returns a sentinel no postings entry can ever equal when the
-        interner has never seen the element, so callers can probe
-        ``self._postings`` unconditionally — a literal ``None`` *element*
-        (legal: multiset elements are any hashable) stays distinguishable
-        from "provably unindexed".
-        """
-        key = self._interner.get(element)
-        return _NEVER_INDEXED if key is None else key
 
     # -- container protocol ----------------------------------------------------
 
@@ -219,12 +216,12 @@ class SimilarityIndex:
                     "pass replace=True to overwrite")
             self.remove(multiset.id)
         measure = self.measure
-        intern = self._interner.intern
+        postings = self._postings
         for element, multiplicity in multiset.items():
             effective = measure.effective_multiplicity(multiplicity)
             if effective <= 0:
                 continue
-            self._postings.setdefault(intern(element), {})[multiset.id] = effective
+            postings.setdefault(element, {})[multiset.id] = effective
         self._multisets[multiset.id] = multiset
         # One scalar pass instead of a uni_from_multiplicity/uni_merge tuple
         # pair per element; identical tuples for every measure.
@@ -239,12 +236,11 @@ class SimilarityIndex:
             raise ServingError(f"multiset {multiset_id!r} is not indexed")
         del self._uni[multiset_id]
         for element in multiset:
-            key = self._element_key(element)
-            postings = self._postings.get(key)
+            postings = self._postings.get(element)
             if postings is not None:
                 postings.pop(multiset_id, None)
                 if not postings:
-                    del self._postings[key]
+                    del self._postings[element]
         self._version += 1
 
     def bulk_load(self, multisets: Iterable[Multiset],
@@ -263,8 +259,8 @@ class SimilarityIndex:
 
         ``destination`` is a database path or an open
         :class:`~repro.storage.StorageEngine`.  The indexed multisets, the
-        maintained ``Uni`` partials, the inverted postings and the dense-id
-        assignment are all stored, so :meth:`load` restores the index
+        maintained ``Uni`` partials and the inverted postings are all
+        stored, so :meth:`load` restores the index
         without recomputing anything and its query answers are
         bit-identical to this one's.
         """
@@ -309,13 +305,25 @@ class SimilarityIndex:
         their remaining conjunctive accumulation.
         """
         limit = validate_threshold(threshold)
-        measure = self.measure
         uni_q, conj_by_id = self._gather_candidates(prepared, prune_below=limit)
+        uni_of = self._uni
         matches: list[QueryMatch] = []
-        for multiset_id, conj in conj_by_id.items():
-            similarity = measure.combine(uni_q, self._uni[multiset_id], conj)
-            if similarity >= limit:
-                matches.append(QueryMatch(multiset_id, similarity))
+        if self._inline_bound and self._inline_sum_min:
+            # Ruzicka's combine, in its own operation order, on the scalar.
+            a = uni_q[0]
+            for multiset_id, total in conj_by_id.items():
+                union = a + uni_of[multiset_id][0] - total
+                similarity = 0.0 if union <= 0 else total / union
+                if similarity >= limit:
+                    matches.append(QueryMatch(multiset_id, similarity))
+        else:
+            combine = self.measure.combine
+            wrap = self._scalar_conj is not None  # a bare float is (total,)
+            for multiset_id, conj in conj_by_id.items():
+                similarity = combine(uni_q, uni_of[multiset_id],
+                                     (conj,) if wrap else conj)
+                if similarity >= limit:
+                    matches.append(QueryMatch(multiset_id, similarity))
         self.metrics["serving/threshold_queries"] += 1
         return sort_matches(matches)
 
@@ -331,6 +339,7 @@ class SimilarityIndex:
         if k < 1:
             raise ServingError(f"top-k queries need k >= 1, got {k}")
         measure = self.measure
+        wrap = self._scalar_conj is not None  # a bare float is (total,)
         uni_q, conj_by_id = self._gather_candidates(prepared)
         ranked = sorted(
             ((measure.similarity_upper_bound(uni_q, self._uni[multiset_id]),
@@ -342,8 +351,9 @@ class SimilarityIndex:
             if len(top_similarities) >= k and bound < top_similarities[0]:
                 self.metrics["serving/topk_early_terminations"] += 1
                 break
+            conj = conj_by_id[multiset_id]
             similarity = measure.combine(uni_q, self._uni[multiset_id],
-                                         conj_by_id[multiset_id])
+                                         (conj,) if wrap else conj)
             scored.append(QueryMatch(multiset_id, similarity))
             heapq.heappush(top_similarities, similarity)
             if len(top_similarities) > k:
@@ -370,25 +380,34 @@ class SimilarityIndex:
     def _gather_candidates(
             self, prepared: PreparedQuery,
             prune_below: float | None = None,
-    ) -> tuple[Partials, dict[MultisetId, Partials]]:
+    ) -> tuple[Partials, dict[MultisetId, object]]:
         """Scan the query elements' postings, accumulating exact ``Conj``.
 
         Returns ``Uni(Q)`` (from the prepared scan form: nothing about the
         query is derived here, per shard) and a map from candidate
-        identifier to the accumulated conjunctive partials over the shared
-        elements.  With ``prune_below`` set, a candidate whose similarity
-        upper bound is below it is discarded the first time it appears, and
-        contributes no further accumulation work on the remaining posting
-        lists — this is where upper-bound pruning actually saves scanning,
-        since ``Uni(Q)`` is complete before any posting is read.
+        identifier to the ``Conj`` accumulated over the shared elements —
+        a bare float for a measure with a scalar conjunctive kernel, the
+        partial tuple otherwise.  With ``prune_below`` set, a candidate
+        whose similarity upper bound is below it is discarded the first
+        time it appears, and contributes no further accumulation work on
+        the remaining posting lists — this is where upper-bound pruning
+        actually saves scanning, since ``Uni(Q)`` is complete before any
+        posting is read.
+
+        The one scan, for threshold and top-k alike.  Its innermost loop
+        runs once per posting: a declared ``min_over_union`` bound and
+        sum-of-minima accumulate are inlined there, in the order the
+        measure's own methods compute them; any other kernel is called.
         """
         measure = self.measure
         _, uni_q, elements = prepared.scan_form(measure)
         frequency_limit = self.stop_word_frequency
-        element_id = self._interner._ids.get  # one dict probe per element
         postings_of = self._postings.get
-        upper_bound = measure.similarity_upper_bound
         uni_of = self._uni
+        inline_bound = self._inline_bound
+        sum_min = self._inline_sum_min
+        a = uni_q[0] if inline_bound else None  # the inlined bound's operand
+        upper_bound = measure.similarity_upper_bound
         scalar = self._scalar_conj
         if scalar is not None:  # Conj accumulates as one bare float
             seed, accumulate = scalar
@@ -399,10 +418,11 @@ class SimilarityIndex:
                 return measure.conj_merge(previous,
                                           seed(effective_q, effective_m))
         conj_by_id: dict = {}
+        conj_of = conj_by_id.get
         pruned: set[MultisetId] = set()
         scanned = skipped = 0
         for element, effective_q in elements:
-            postings = postings_of(element_id(element, _NEVER_INDEXED))
+            postings = postings_of(element)
             if not postings:
                 continue
             if frequency_limit is not None and len(postings) > frequency_limit:
@@ -410,21 +430,36 @@ class SimilarityIndex:
                 continue
             scanned += len(postings)
             for multiset_id, effective_m in postings.items():
-                previous = conj_by_id.get(multiset_id)
+                previous = conj_of(multiset_id)
                 if previous is not None:
-                    conj_by_id[multiset_id] = accumulate(previous, effective_q,
-                                                         effective_m)
-                elif multiset_id in pruned:
+                    if sum_min:
+                        conj_by_id[multiset_id] = previous + (
+                            effective_q if effective_q <= effective_m
+                            else effective_m)
+                    else:
+                        conj_by_id[multiset_id] = accumulate(
+                            previous, effective_q, effective_m)
                     continue
-                elif (prune_below is not None
-                        and upper_bound(uni_q, uni_of[multiset_id])
-                        < prune_below):
-                    pruned.add(multiset_id)
+                if multiset_id in pruned:
+                    continue
+                if prune_below is not None:
+                    if inline_bound:
+                        # min_over_union, in Ruzicka's combine order.
+                        b = uni_of[multiset_id][0]
+                        m = b if b < a else a
+                        union = a + b - m
+                        if union <= 0 or m / union < prune_below:
+                            pruned.add(multiset_id)
+                            continue
+                    elif upper_bound(uni_q, uni_of[multiset_id]) < prune_below:
+                        pruned.add(multiset_id)
+                        continue
+                if sum_min:
+                    conj_by_id[multiset_id] = (effective_q
+                                               if effective_q <= effective_m
+                                               else effective_m)
                 else:
                     conj_by_id[multiset_id] = seed(effective_q, effective_m)
-        if scalar is not None:
-            conj_by_id = {multiset_id: (total,)
-                          for multiset_id, total in conj_by_id.items()}
         # A counter nothing was added to stays absent from counters().
         metrics = self.metrics
         for counter, amount in (("serving/postings_scanned", scanned),

@@ -86,7 +86,8 @@ class ReplicatedSimilarityService:
         num_shards = check(num_shards, INT, "num_shards", ServingError,
                            at_least=1)
         replication_factor = check(replication_factor, INT,
-                                   "replication_factor", ServingError)
+                                   "replication_factor", ServingError,
+                                   at_least=1)
         self.fault_policy_factory = fault_policy_factory
         self.shards = [
             ReplicatedShard(

@@ -111,10 +111,13 @@ class NominalSimilarityMeasure(ABC):
     #: ``conj_upper_bound``.  Declaring it lets the candidate loops inline the
     #: bound; the declaration must compute exactly what
     #: ``combine(uni_i, uni_j, conj_upper_bound(uni_i, uni_j))`` computes, in
-    #: the same IEEE operation order.  ``"generic"`` (the default): the loops
-    #: call :meth:`similarity_upper_bound`.  A subclass that overrides one of
-    #: those three methods does not inherit the declaration
-    #: (:func:`~repro.similarity.kernels.bound_kernel_kind`).
+    #: the same IEEE operation order.  Beside a ``"sum_min"``
+    #: :attr:`conj_kernel` it declares Ruzicka's ``combine`` as well: a
+    #: scalar ``Conj`` ``c`` scores ``c / (a + b - c)``, ``0.0`` when that
+    #: union is not positive, which the serving scan inlines.  ``"generic"``
+    #: (the default): the loops call :meth:`similarity_upper_bound`.  A
+    #: subclass that overrides one of those three methods does not inherit
+    #: the declaration (:func:`~repro.similarity.kernels.bound_kernel_kind`).
     bound_kernel: str = "generic"
 
     # -- per-element hooks ---------------------------------------------------

@@ -31,7 +31,7 @@ import os
 from typing import Iterable
 
 from repro.core.exceptions import ReproError, StorageError
-from repro.core.interning import ElementDictionary, LocalInterner
+from repro.core.interning import ElementDictionary
 from repro.core.multiset import Multiset
 from repro.storage.engine import StorageEngine, open_engine
 from repro.storage.values import decode_value, encode_value
@@ -128,18 +128,17 @@ def save_index(destination: str | os.PathLike | StorageEngine,
     """Persist a :class:`~repro.serving.index.SimilarityIndex` exactly.
 
     Stores the indexed multisets, the maintained ``Uni`` partials, the
-    inverted postings (keyed by encoded raw element; the dense-id keys are
-    restored through the persisted interner) and the index configuration.
-    One database holds one index; saving replaces any previous one.
+    inverted postings (keyed by encoded element, in the index's order) and
+    the index configuration.  One database holds one index; saving
+    replaces any previous one and leaves ``index_interned``, the dense-id
+    table releases up to 3.19 wrote, empty.
     """
     engine, owned = open_engine(destination)
     try:
-        encoded_of = {dense_id: encode_value(element)
-                      for element, dense_id in index._interner.items()}
         posting_rows: list[tuple] = []
         posting_seq = 0
-        for key, postings in index._postings.items():
-            encoded_element = encoded_of[key]
+        for element, postings in index._postings.items():
+            encoded_element = encode_value(element)
             for member_id, effective in postings.items():
                 posting_rows.append((posting_seq, encoded_element,
                                      encode_value(member_id), effective))
@@ -154,9 +153,6 @@ def save_index(destination: str | os.PathLike | StorageEngine,
                  for member_id, partials in index._uni.items()
                  for position, value in enumerate(partials)])
             engine.execute("DELETE FROM index_interned")
-            engine.executemany(
-                "INSERT INTO index_interned (dense_id, element) VALUES (?, ?)",
-                list(encoded_of.items()))
             engine.execute("DELETE FROM index_postings")
             engine.executemany(
                 "INSERT INTO index_postings "
@@ -188,11 +184,12 @@ def load_index(source: str | os.PathLike | StorageEngine):
 
     The loaded index answers every threshold/top-k query identically to
     the index :func:`save_index` was given — same members, same ``Uni``
-    tuples, same postings, same interner state — and keeps accepting
-    writes from where the original left off.  A snapshot of an un-interned
-    index (an option up to 2.3.0) stores no dense-id table; its elements
-    are interned as the postings are read, in ``posting_seq`` order, which
-    is the order a fresh index assigns them.
+    tuples, same postings in the same order — and keeps accepting writes
+    from where the original left off.  Postings are read in
+    ``posting_seq`` order and keyed by the decoded element.  Snapshots of
+    an interned index (releases up to 3.19) also hold a dense-id table,
+    ``index_interned``; it is not read, so they load as an un-interned
+    index's snapshot does and as this release's do.
     """
     from repro.serving.index import SimilarityIndex
 
@@ -220,18 +217,12 @@ def load_index(source: str | os.PathLike | StorageEngine):
         # seq order is member insertion order, like add() produces.
         for seq in sorted(uni_parts):
             index._uni[id_of_seq[seq]] = tuple(uni_parts[seq])
-        index._interner = LocalInterner.from_items(
-            (decode_value(element), dense_id)
-            for dense_id, element in engine.query(
-                "SELECT dense_id, element FROM index_interned "
-                "ORDER BY dense_id"))
-        intern = index._interner.intern
-        postings: dict[int, dict] = {}
+        postings: dict[object, dict] = {}
         for element, seq, effective in engine.query(
                 "SELECT element, member_seq, effective FROM index_postings "
                 "ORDER BY posting_seq"):
-            key = intern(decode_value(element))
-            postings.setdefault(key, {})[id_of_seq[seq]] = effective
+            postings.setdefault(decode_value(element), {})[
+                id_of_seq[seq]] = effective
         index._postings = postings
         index._version = int(meta.get("version", "0"))
         return index

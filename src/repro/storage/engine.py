@@ -81,8 +81,8 @@ MIGRATIONS: tuple[tuple[int, str], ...] = (
 
     -- The serving index's two maintained structures (paper section 3.2):
     -- Uni partials per member and the inverted postings.  `element` is the
-    -- encoded raw element; interned indexes additionally persist their
-    -- dense-id assignment so the rebuilt interner matches exactly.
+    -- encoded raw element.  `index_interned` held the dense-id assignment
+    -- of releases up to 3.19; it is written empty and never read.
     CREATE TABLE index_uni (
         member_seq INTEGER NOT NULL,
         position   INTEGER NOT NULL,

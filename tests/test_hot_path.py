@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from benchmarks.e2e.inputs import BY_NAME, SIZES, join_corpus
 from repro import JoinSpec, SimilarityEngine
 from repro.core.exceptions import MemoryBudgetExceeded
-from repro.core.interning import LocalInterner
+from repro.core.interning import InternedMultiset
 from repro.core.records import InputTuple, JoinedTuple
 from repro.mapreduce import LocalJobRunner, SerialBackend, phases
 from repro.mapreduce import types as mapreduce_types
@@ -137,7 +137,7 @@ class Profile(NamedTuple):
     calls: int
     generic: int
     partitionings: int
-    interns: int
+    interned: int
     tuples_built: int
     result: object
 
@@ -148,27 +148,27 @@ def profile_calls(function, partitioner=hash_partitioner) -> Profile:
     Counts what ``benchmarks/e2e/tracing.count_calls`` counts (Python and
     builtin calls, via ``sys.setprofile``), and among them the entries into
     the generic sizer (asked for a record's size), into the job's
-    partitioner, into a :class:`~repro.core.interning.LocalInterner`'s
-    ``intern`` and into the constructors of the input and joined tuples
-    (but for the prototype a job's ``RecordShapes`` sizes once when it is
-    built).
+    partitioner, into the constructor of an
+    :class:`~repro.core.interning.InternedMultiset` (a multiset put on dense
+    ids) and into the constructors of the input and joined tuples (but for
+    the prototype a job's ``RecordShapes`` sizes once when it is built).
     """
     generic_codes = {estimate_record_bytes.__code__,
                      mapreduce_types._container_bytes.__code__}
     tuple_codes = {InputTuple.__init__.__code__, JoinedTuple.__init__.__code__}
     prototype_code = RecordShapes.joined_tuple.func.__code__
-    calls = generic = partitionings = interns = tuples_built = 0
+    calls = generic = partitionings = interned = tuples_built = 0
 
     def profile(frame, event, argument):
-        nonlocal calls, generic, partitionings, interns, tuples_built
+        nonlocal calls, generic, partitionings, interned, tuples_built
         if event == "call":
             calls += 1
             if frame.f_code in generic_codes:
                 generic += 1
             elif frame.f_code is partitioner.__code__:
                 partitionings += 1
-            elif frame.f_code is LocalInterner.intern.__code__:
-                interns += 1
+            elif frame.f_code is InternedMultiset.__init__.__code__:
+                interned += 1
             elif (frame.f_code in tuple_codes
                   and frame.f_back.f_code is not prototype_code):
                 tuples_built += 1
@@ -180,7 +180,7 @@ def profile_calls(function, partitioner=hash_partitioner) -> Profile:
         result = function()
     finally:
         sys.setprofile(None)
-    return Profile(calls, generic, partitionings, interns, tuples_built,
+    return Profile(calls, generic, partitionings, interned, tuples_built,
                    result)
 
 
@@ -240,7 +240,8 @@ def test_vcl_join_ranks_once_and_stays_cheap(corpora, workload):
 
     tuples = sum(len(multiset) for multiset in corpus)
     assert profile.calls / tuples <= VCL_CALLS_PER_TUPLE_CEILING[workload]
-    assert profile.interns == 0
+    # The kernel mapper puts each multiset on rank ids; nothing else does.
+    assert profile.interned == len(corpus)
     jobs = profile.result.pipeline.job_stats
     assert {stats.job_name for stats in jobs} <= BATCH_MAPPED_JOBS
     assert profile.partitionings == sum(stats.reduce_groups for stats in jobs)

@@ -26,7 +26,6 @@ from repro.core.interning import (
     _sort_key,
     InterningContext,
     InterningError,
-    LocalInterner,
     PairCodec,
     intern_corpus,
     sort_mixed,
@@ -184,23 +183,6 @@ class TestElementDictionary:
     def test_sort_mixed_handles_incomparable_ids(self):
         mixed = sort_mixed({1, "a", (2, 3)})
         assert sort_mixed(reversed(mixed)) == mixed
-
-
-class TestLocalInterner:
-    def test_first_appearance_ids(self):
-        interner = LocalInterner()
-        assert interner.intern("x") == 0
-        assert interner.intern("y") == 1
-        assert interner.intern("x") == 0
-        assert interner.get("z") is None
-        assert len(interner) == 2
-
-    def test_intern_multiset_consistent_between_members(self):
-        interner = LocalInterner()
-        first = interner.intern_multiset(Multiset("a", {"x": 1, "y": 2}))
-        second = interner.intern_multiset(Multiset("b", {"y": 1, "z": 3}))
-        shared = set(first.element_ids) & set(second.element_ids)
-        assert len(shared) == 1  # exactly the id of "y"
 
 
 class TestPairCodec:

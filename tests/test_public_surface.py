@@ -1,4 +1,4 @@
-"""The package surface: what each ``__all__`` exports, what 3.12 to 3.19 took out.
+"""The package surface: what each ``__all__`` exports, what 3.12 to 3.20 took out.
 
 * every name a package lists in ``__all__`` resolves, once;
 * every exported name has a caller in the program (``src/`` outside its
@@ -193,6 +193,8 @@ REMOVED_NAMES = [
     ("3.18", "repro.core.knobs.is_real"),
     ("3.19", "repro.baselines.PPJoin"),
     ("3.19", "repro.baselines.InvertedIndexJoin"),
+    ("3.20", "repro.core.LocalInterner"),
+    ("3.20", "repro.core.interning.LocalInterner"),
 ]
 
 #: ``(version, module)`` of every deleted module.

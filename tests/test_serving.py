@@ -365,6 +365,71 @@ class TestScanCountersFromFirstPrinciples:
                 == topk_matches(generic, member, 3)
 
 
+members_strategy = st.lists(
+    st.dictionaries(st.sampled_from("abcdefg"), st.integers(1, 4),
+                    min_size=1, max_size=5),
+    min_size=1, max_size=8)
+
+
+class TestInlinedScan:
+    """Ruzicka's declared kernels, inlined in the scan, are the called ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(measure_name=st.sampled_from(["ruzicka", "jaccard"]),
+           contents=members_strategy,
+           query=st.dictionaries(st.sampled_from("abcdefgh"),
+                                 st.integers(1, 4), min_size=1, max_size=5),
+           k=st.integers(1, 4), data=st.data())
+    def test_the_inlined_scan_answers_as_the_called_kernels(
+            self, measure_name, contents, query, k, data):
+        """Same matches, same floats to the bit, same counters; thresholds
+        drawn where a similarity or a bound lands exactly on them."""
+        members = [Multiset(f"m{position}", counts)
+                   for position, counts in enumerate(contents)]
+        query = Multiset("q", query)
+        inlined, called = (SimilarityIndex(measure_name) for _ in range(2))
+        assert inlined._inline_bound and inlined._inline_sum_min
+        called._inline_bound = called._inline_sum_min = False
+        for index in (inlined, called):
+            index.bulk_load(members)
+        measure = inlined.measure
+        uni_q = measure.unilateral(query)
+        landings = sorted(
+            ({measure.similarity(query, member) for member in members}
+             | {measure.similarity_upper_bound(uni_q, index_uni)
+                for index_uni in inlined._uni.values()}) - {0.0})
+        threshold = data.draw(st.sampled_from(landings) if landings
+                              else st.just(0.5))
+        for request in (QueryRequest.threshold(query, threshold),
+                        QueryRequest.topk(query, k)):
+            answers = [[(match.multiset_id, match.similarity.hex())
+                        for match in index.query(request).matches]
+                       for index in (inlined, called)]
+            assert answers[0] == answers[1]
+        assert inlined.counters() == called.counters()
+
+    def test_a_measure_that_changes_combine_keeps_the_called_kernels(self):
+        """A Tversky-style variant of Ruzicka scores ``{a: 1}`` against
+        ``{a: 1, b: 1}`` at 2/3; Ruzicka's inlined bound, 1/2, would prune
+        the pair at 0.6."""
+        class HalfWeighted(type(get_measure("ruzicka"))):
+            name = "half_weighted_ruzicka"
+
+            def combine(self, uni_i, uni_j, conj):
+                intersection = conj[0]
+                rest = 0.5 * (uni_i[0] + uni_j[0] - 2 * intersection)
+                if intersection + rest <= 0:
+                    return 0.0
+                return intersection / (intersection + rest)
+
+        index = SimilarityIndex(HalfWeighted())
+        assert not index._inline_bound and index._inline_sum_min
+        index.add(Multiset("pair", {"a": 1, "b": 1}))
+        matches = threshold_matches(index, Multiset("q", {"a": 1}), 0.6)
+        assert [(match.multiset_id, match.similarity) for match in matches] \
+            == [("pair", 2 / 3)]
+
+
 class TestPreparedQuery:
     def test_one_prepared_query_serves_different_indexes(self):
         members = make_random_multisets(count=40, alphabet_size=20,
@@ -628,6 +693,17 @@ class TestShardedService:
         with pytest.raises(ServingError, match=knob.replace("_", "[_ ]")):
             repro.ReplicatedSimilarityService("ruzicka", **{knob: value})
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_every_bad_replication_factor_is_a_serving_error(self, value):
+        """3.19 let ``0`` and ``-1`` through to the replica set, which raised
+        a ``ResilienceError``: one knob of one door raised two error tiers."""
+        with pytest.raises(ServingError) as raised:
+            repro.ReplicatedSimilarityService("ruzicka",
+                                              replication_factor=value)
+        assert type(raised.value) is ServingError
+        assert str(raised.value) == (
+            f"replication_factor must be an int >= 1, got {value!r}")
+
     def test_neighbours_excludes_self(self, overlapping_multisets):
         service = unreplicated_fleet("ruzicka", num_shards=2)
         service.bulk_load(overlapping_multisets)
@@ -865,7 +941,8 @@ class TestSortMatches:
 
 
 class TestInternedIndex:
-    """The interned index answers exactly like a dict-kernel brute force."""
+    """The element-keyed index answers exactly like a dict-kernel brute
+    force (its postings were keyed by interned dense ids up to 3.19)."""
 
     def build(self, multisets, measure="ruzicka"):
         index = SimilarityIndex(measure)
@@ -906,8 +983,7 @@ class TestInternedIndex:
         assert index.counters().get("serving/postings_scanned", 0) == 0
 
     def test_literal_none_element_is_a_real_element(self):
-        # None is a legal multiset element; it must not be mistaken for the
-        # "never indexed" marker.
+        # None is a legal multiset element, and a postings key like any other.
         index = SimilarityIndex("ruzicka")
         index.add(Multiset("a", {None: 3, "x": 1}))
         matches = threshold_matches(index, Multiset("q", {None: 3, "x": 1}), 0.9)

@@ -100,6 +100,28 @@ def strip_stored_interner(path):
     raw.close()
 
 
+def store_interner(path):
+    """Rewrite a saved index into the layout releases up to 3.19 gave an
+    interned one: a dense id per element in first-posting order, and one
+    for an element no member holds any more (that interner never forgot)."""
+    raw = sqlite3.connect(path)
+    with raw:
+        elements = [element for (element,) in raw.execute(
+            "SELECT element FROM index_postings ORDER BY posting_seq")]
+        raw.executemany(
+            "INSERT INTO index_interned (dense_id, element) VALUES (?, ?)",
+            enumerate([*dict.fromkeys(elements), '"long-gone"']))
+    raw.close()
+
+
+def interned_rows(path) -> int:
+    raw = sqlite3.connect(path)
+    try:
+        return raw.execute("SELECT COUNT(*) FROM index_interned").fetchone()[0]
+    finally:
+        raw.close()
+
+
 def probes(queries):
     """Threshold and top-k requests over ``queries`` plus one stranger."""
     stranger = Multiset("stranger", {"never-indexed": 1, "e0": 1})
@@ -313,12 +335,16 @@ class TestIndexPersistence:
     @pytest.mark.parametrize("stored_interner", [True, False])
     def test_loaded_index_is_structurally_identical(self, storage_path,
                                                     measure, stored_interner):
-        """``stored_interner=False`` is the snapshot layout of the
-        un-interned index of releases up to 2.3.0: no dense-id table."""
+        """``stored_interner=True`` is the snapshot layout of an interned
+        index up to 3.19 (a dense-id table, not read), ``False`` that of the
+        un-interned index of releases up to 2.3.0."""
+        members = corpus(seed=11)
         index = SimilarityIndex(measure)
-        index.bulk_load(corpus(seed=11))
+        index.bulk_load(members)
         index.save(storage_path)
-        if not stored_interner:
+        if stored_interner:
+            store_interner(storage_path)
+        else:
             strip_stored_interner(storage_path)
         loaded = SimilarityIndex.load(storage_path)
         assert loaded._multisets == index._multisets
@@ -326,7 +352,10 @@ class TestIndexPersistence:
         assert loaded._postings == index._postings
         assert loaded.version == index.version
         assert loaded.stop_word_frequency == index.stop_word_frequency
-        assert list(loaded._interner.items()) == list(index._interner.items())
+        # Postings are keyed by the elements themselves, in the same order.
+        assert list(loaded._postings) == list(index._postings)
+        assert set(loaded._postings) == {element for member in members
+                                         for element in member}
 
     @pytest.mark.parametrize("stored_interner", [True, False])
     def test_loaded_index_answers_queries_identically(self, storage_path,
@@ -337,11 +366,50 @@ class TestIndexPersistence:
         index.remove(members[1].id)  # dict order now differs from id order
         index.add(members[1])
         index.save(storage_path)
-        if not stored_interner:
+        if stored_interner:
+            store_interner(storage_path)
+        else:
             strip_stored_interner(storage_path)
         loaded = SimilarityIndex.load(storage_path)
         for request in probes(members[:5]):
             assert loaded.query(request) == index.query(request)
+
+    def test_a_snapshot_holds_no_dense_ids(self, storage_path):
+        """Up to 3.19 a snapshot wrote one ``index_interned`` row per
+        element the index had ever seen."""
+        index = SimilarityIndex("ruzicka")
+        index.bulk_load(corpus(seed=11))
+        index.save(storage_path)
+        assert interned_rows(storage_path) == 0
+        store_interner(storage_path)
+        index.save(storage_path)  # saving over a 3.19 snapshot empties it
+        assert interned_rows(storage_path) == 0
+
+    def test_a_removed_member_leaves_no_element_behind(self, storage_path):
+        """3.19's interner never forgot an element: 1 000 add/remove cycles
+        of fresh 20-element members left an empty index holding 20 000 of
+        them, and its snapshot 20 000 dense-id rows."""
+        index = SimilarityIndex("ruzicka")
+        keeper = Multiset("keeper", {"shared": 2, "own": 1})
+        index.add(keeper)
+        for cycle in range(1000):
+            member = Multiset(f"m{cycle}", {f"c{cycle}-e{position}": 1
+                                            for position in range(20)})
+            index.add(member)
+            index.remove(member.id)
+        assert list(index._postings) == ["shared", "own"]
+        assert index.num_postings == 2
+        index.save(storage_path)
+        raw = sqlite3.connect(storage_path)
+        try:
+            stored = {element for (element,) in raw.execute(
+                "SELECT DISTINCT element FROM index_postings")}
+        finally:
+            raw.close()
+        assert interned_rows(storage_path) == 0
+        assert len(stored) == 2
+        loaded = SimilarityIndex.load(storage_path)
+        assert loaded._postings == index._postings
 
     def test_loaded_index_keeps_accepting_writes(self, storage_path):
         index = SimilarityIndex("ruzicka")
@@ -639,6 +707,8 @@ class TestStoresWrittenBy23:
         fresh.add(FRESH)
         assert loaded._multisets == fresh._multisets
         assert loaded._uni == fresh._uni
+        assert loaded._postings == fresh._postings
+        assert list(loaded._postings) == list(fresh._postings)
         assert loaded.version == fresh.version
         for request in probes([*members, FRESH]):
             assert loaded.query(request) == fresh.query(request)

@@ -64,111 +64,75 @@ Quickstart::
         print(pair.first, pair.second, pair.similarity)
 """
 
-from repro.core import (
-    ElementDictionary,
-    InputTuple,
-    InternedMultiset,
-    Multiset,
-    PairCodec,
-    SimilarPair,
-    intern_corpus,
-)
-from repro.mapreduce import (
-    Cluster,
-    ExecutionBackend,
-    SerialBackend,
-    get_backend,
-    laptop_cluster,
-)
-from repro.resilience import CircuitBreaker, FaultPolicy, RetryPolicy
-from repro.serving import (
-    ReplicatedShard,
-    ReplicatedSimilarityService,
-    ServingNode,
-    SimilarityIndex,
-    bootstrap_from_join,
-)
-from repro.similarity import (
-    all_pairs_exact,
-    compute_similarity,
-    get_measure,
-    list_measures,
-)
-from repro.vcl import VCLJoin
-from repro.vsmart import VSmartJoin
-from repro.engine import (
-    CalibrationProfile,
-    CorpusProfile,
-    JoinPlan,
-    JoinResult,
-    JoinSpec,
-    Planner,
-    SimilarityEngine,
-    available_algorithms,
-    join,
-)
-from repro.storage import (
-    ResultStore,
-    StorageEngine,
-    StoredPairSequence,
-    ViewStore,
-)
-from repro.streaming import (
-    Change,
-    ChangeBatch,
-    JoinView,
-    PairDelta,
-    apply_deltas,
-    attach_serving,
-)
+import importlib
 
-__version__ = "3.20.0"
+__version__ = "3.21.0"
 
-__all__ = [
-    "Change",
-    "ChangeBatch",
-    "CalibrationProfile",
-    "CircuitBreaker",
-    "Cluster",
-    "CorpusProfile",
-    "ElementDictionary",
-    "ExecutionBackend",
-    "FaultPolicy",
-    "InputTuple",
-    "InternedMultiset",
-    "JoinPlan",
-    "JoinResult",
-    "JoinSpec",
-    "JoinView",
-    "Multiset",
-    "PairDelta",
-    "PairCodec",
-    "Planner",
-    "ReplicatedShard",
-    "ReplicatedSimilarityService",
-    "ResultStore",
-    "RetryPolicy",
-    "SerialBackend",
-    "ServingNode",
-    "SimilarPair",
-    "SimilarityEngine",
-    "SimilarityIndex",
-    "StorageEngine",
-    "StoredPairSequence",
-    "ViewStore",
-    "VCLJoin",
-    "VSmartJoin",
-    "__version__",
-    "all_pairs_exact",
-    "apply_deltas",
-    "attach_serving",
-    "available_algorithms",
-    "bootstrap_from_join",
-    "compute_similarity",
-    "get_backend",
-    "get_measure",
-    "intern_corpus",
-    "join",
-    "laptop_cluster",
-    "list_measures",
-]
+#: Every exported name and the subpackage that defines it.  A name is
+#: imported when it is first used (PEP 562), so ``import repro`` loads no
+#: tier: a serving process loads only the serving tier, and a join loads
+#: the engine, NumPy and the MapReduce simulator when it first names them.
+_EXPORTS = {
+    "Change": "repro.streaming",
+    "ChangeBatch": "repro.streaming",
+    "CalibrationProfile": "repro.engine",
+    "CircuitBreaker": "repro.resilience",
+    "Cluster": "repro.mapreduce",
+    "CorpusProfile": "repro.engine",
+    "ElementDictionary": "repro.core",
+    "ExecutionBackend": "repro.mapreduce",
+    "FaultPolicy": "repro.resilience",
+    "InputTuple": "repro.core",
+    "InternedMultiset": "repro.core",
+    "JoinPlan": "repro.engine",
+    "JoinResult": "repro.engine",
+    "JoinSpec": "repro.engine",
+    "JoinView": "repro.streaming",
+    "Multiset": "repro.core",
+    "PairDelta": "repro.streaming",
+    "PairCodec": "repro.core",
+    "Planner": "repro.engine",
+    "ReplicatedShard": "repro.serving",
+    "ReplicatedSimilarityService": "repro.serving",
+    "ResultStore": "repro.storage",
+    "RetryPolicy": "repro.resilience",
+    "SerialBackend": "repro.mapreduce",
+    "ServingNode": "repro.serving",
+    "SimilarPair": "repro.core",
+    "SimilarityEngine": "repro.engine",
+    "SimilarityIndex": "repro.serving",
+    "StorageEngine": "repro.storage",
+    "StoredPairSequence": "repro.storage",
+    "ViewStore": "repro.storage",
+    "VCLJoin": "repro.vcl",
+    "VSmartJoin": "repro.vsmart",
+    "all_pairs_exact": "repro.similarity",
+    "apply_deltas": "repro.streaming",
+    "attach_serving": "repro.streaming",
+    "available_algorithms": "repro.engine",
+    "bootstrap_from_join": "repro.serving",
+    "compute_similarity": "repro.similarity",
+    "get_backend": "repro.mapreduce",
+    "get_measure": "repro.similarity",
+    "intern_corpus": "repro.core",
+    "join": "repro.engine",
+    "laptop_cluster": "repro.mapreduce",
+    "list_measures": "repro.similarity",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

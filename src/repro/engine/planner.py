@@ -54,6 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.hashing import stable_hash
 from repro.core.interning import ElementDictionary, InterningContext
 from repro.core.multiset import Multiset
 from repro.core.records import InputColumns
@@ -77,7 +78,6 @@ from repro.mapreduce.costmodel import (
     CostModel,
     CostParameters,
 )
-from repro.mapreduce.partitioner import stable_hash
 from repro.mapreduce.types import JobStats, estimate_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure
 from repro.vcl.grouping import SuperElementGrouping

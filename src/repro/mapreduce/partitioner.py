@@ -1,28 +1,19 @@
 """Partitioners: assignment of reduce keys to reducers / machines.
 
-The default is a stable hash partitioner.  Python's built-in ``hash`` is
-randomised per process for strings, so a content-based hash is used instead;
-this keeps the simulated per-machine loads (and therefore the simulated run
+The default is a stable hash partitioner over
+:func:`repro.core.hashing.stable_hash` (re-exported here): Python's
+built-in ``hash`` is randomised per process for strings, and a content
+hash keeps the simulated per-machine loads (and therefore the simulated run
 times) identical across runs, which the benchmarks rely on.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Hashable
 
+from repro.core.hashing import stable_hash
+
 Partitioner = Callable[[Hashable, int], int]
-
-
-def stable_hash(value: Hashable, salt: str = "") -> int:
-    """A deterministic, process-independent 64-bit hash of ``value``.
-
-    The value is rendered through ``repr``; record keys in this library are
-    tuples of strings, integers and floats, for which ``repr`` is stable.
-    """
-    digest = hashlib.blake2b(f"{salt}|{value!r}".encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def hash_partitioner(key: Hashable, num_partitions: int) -> int:

@@ -51,7 +51,7 @@ import re
 import socket
 from typing import Sequence
 
-from repro.core.exceptions import ServerError
+from repro.core.exceptions import ServerError, ServingError
 from repro.core.multiset import Multiset, MultisetId
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPolicy
@@ -339,8 +339,12 @@ class SimilarityClient:
         document = self._request(
             "POST", "/query/batch",
             {"requests": [request.to_json_dict() for request in requests]})
-        return [QueryResponse.from_json_dict(entry)
-                for entry in document["responses"]]
+        responses = (document.get("responses")
+                     if isinstance(document, dict) else None)
+        if not isinstance(responses, list):
+            raise ServingError("a batch response must be a JSON object with "
+                               "a 'responses' array")
+        return [QueryResponse.from_json_dict(entry) for entry in responses]
 
     def upsert(self, multiset: Multiset) -> dict:
         """``POST /upsert``: index (or replace) one multiset."""

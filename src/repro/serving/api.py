@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.exceptions import ServingError
-from repro.core.knobs import INT, REAL, check
+from repro.core.knobs import FINITE, INT, REAL, check
 from repro.core.multiset import Multiset, MultisetId
 from repro.similarity.base import validate_threshold
 
@@ -244,9 +244,11 @@ class QueryResponse:
                     or "similarity" not in entry:
                 raise ServingError(
                     f"malformed match entry: {entry!r}")
+            similarity = check(entry["similarity"], FINITE,
+                               "match similarity", ServingError)
             parsed.append(QueryMatch(_wire_scalar(entry["id"],
                                                   "match identifier"),
-                                     float(entry["similarity"])))
+                                     similarity))
         return cls(tuple(parsed), QueryOptions.from_json_dict(payload["options"]))
 
 

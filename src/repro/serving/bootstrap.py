@@ -33,7 +33,6 @@ from repro.core.records import (
     assemble_multisets,
     resolve_record_type,
 )
-from repro.mapreduce.dfs import Dataset
 from repro.serving.api import QueryMatch, QueryRequest, sort_matches
 from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.base import NominalSimilarityMeasure
@@ -42,12 +41,16 @@ from repro.similarity.registry import get_measure
 
 if TYPE_CHECKING:  # the engine package imports this module's normaliser
     from repro.engine.result import JoinResult
+    from repro.mapreduce.dfs import Dataset
 
 
 def multisets_from_input(
         data: Iterable[Multiset] | Dataset | Sequence[InputTuple] | Mapping,
 ) -> list[Multiset]:
     """Normalise any pipeline-input shape into a list of multisets."""
+    # Imported here: a serving process never loads the MapReduce simulator.
+    from repro.mapreduce.dfs import Dataset
+
     if isinstance(data, Mapping):
         members = list(data.values())
         if members:

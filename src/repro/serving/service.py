@@ -40,9 +40,9 @@ import os
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import ResilienceError, ServingError, StorageError
+from repro.core.hashing import stable_hash
 from repro.core.knobs import INT, check
 from repro.core.multiset import Multiset, MultisetId
-from repro.mapreduce.partitioner import stable_hash
 from repro.serving.api import (
     QueryMatch,
     QueryRequest,

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro.core.exceptions import ReproError, StorageError
 from repro.core.interning import ElementDictionary
 from repro.core.multiset import Multiset
 from repro.storage.engine import StorageEngine, open_engine
-from repro.storage.values import decode_value, encode_value
+from repro.storage.values import decode_value, encode_value, value_decoder
 
 #: ``members.store`` discriminators.
 INDEX_STORE = "index"
@@ -110,15 +110,22 @@ def save_members(engine: StorageEngine, store: str,
 
 def load_members(engine: StorageEngine, store: str) -> list[Multiset]:
     """Rebuild the ``store`` corpus in stored order, element order intact."""
-    ids = {seq: decode_value(member_id) for seq, member_id in engine.query(
+    return list(_members_by_seq(engine, store, value_decoder()).values())
+
+
+def _members_by_seq(engine: StorageEngine, store: str,
+                    decode: Callable[[str], Hashable]) -> dict[int, Multiset]:
+    """The ``store`` corpus keyed by stored seq, in seq order."""
+    ids = {seq: decode(member_id) for seq, member_id in engine.query(
         "SELECT seq, member_id FROM members WHERE store = ? ORDER BY seq",
         (store,))}
     contents: dict[int, list[tuple]] = {seq: [] for seq in ids}
     for seq, element, multiplicity in engine.query(
             "SELECT member_seq, element, multiplicity FROM member_elements "
             "WHERE store = ? ORDER BY member_seq, position", (store,)):
-        contents[seq].append((decode_value(element), multiplicity))
-    return [Multiset(ids[seq], contents[seq]) for seq in sorted(ids)]
+        contents[seq].append((decode(element), multiplicity))
+    return {seq: Multiset(member_id, contents[seq])
+            for seq, member_id in ids.items()}
 
 
 # -- serving indexes ----------------------------------------------------------
@@ -202,12 +209,12 @@ def load_index(source: str | os.PathLike | StorageEngine):
         index = SimilarityIndex(
             meta["measure"],
             stop_word_frequency=None if stop_words is None else int(stop_words))
-        members = load_members(engine, INDEX_STORE)
-        id_of_seq = {seq: decode_value(member_id)
-                     for seq, member_id in engine.query(
-                         "SELECT seq, member_id FROM members WHERE store = ?",
-                         (INDEX_STORE,))}
-        index._multisets = {member.id: member for member in members}
+        # One decoder for the whole load: a postings key is the very
+        # object the members hold.
+        decode = value_decoder()
+        members = _members_by_seq(engine, INDEX_STORE, decode)
+        id_of_seq = {seq: member.id for seq, member in members.items()}
+        index._multisets = {member.id: member for member in members.values()}
         index._uni = {}
         uni_parts: dict[int, list[float]] = {}
         for seq, position, value in engine.query(
@@ -221,7 +228,7 @@ def load_index(source: str | os.PathLike | StorageEngine):
         for element, seq, effective in engine.query(
                 "SELECT element, member_seq, effective FROM index_postings "
                 "ORDER BY posting_seq"):
-            postings.setdefault(decode_value(element), {})[
+            postings.setdefault(decode(element), {})[
                 id_of_seq[seq]] = effective
         index._postings = postings
         index._version = int(meta.get("version", "0"))

@@ -26,7 +26,7 @@ and identical across Python versions.
 from __future__ import annotations
 
 import json
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro.core.exceptions import StorageError
 
@@ -60,25 +60,32 @@ def _encode(value: Hashable) -> list:
         "float, str, bytes, tuple and frozenset")
 
 
-def _decode(structure: list) -> Hashable:
-    tag = structure[0]
-    if tag == _NONE:
+def _decode(structure: object) -> Hashable:
+    """The value of a parsed encoding; ``ValueError`` when it is none."""
+    if structure == [_NONE]:
         return None
-    if tag == _BOOL:
-        return bool(structure[1])
-    if tag == _INT:
-        return int(structure[1])
-    if tag == _FLOAT:
-        return float(structure[1])
-    if tag == _STR:
-        return structure[1]
-    if tag == _BYTES:
-        return bytes.fromhex(structure[1])
-    if tag == _TUPLE:
-        return tuple(_decode(item) for item in structure[1])
-    if tag == _FROZENSET:
-        return frozenset(_decode(item) for item in structure[1])
-    raise StorageError(f"unknown storage value tag {tag!r}")
+    if not isinstance(structure, list) or len(structure) != 2:
+        raise ValueError("not a [tag, payload] pair")
+    tag, payload = structure
+    entry = _PAYLOADS.get(tag) if isinstance(tag, str) else None
+    if entry is None:
+        raise ValueError(f"unknown tag {tag!r}")
+    kind, convert = entry
+    if not isinstance(payload, kind) or isinstance(payload, bool):
+        raise ValueError(f"tag {tag!r} holds a {type(payload).__name__}")
+    return convert(payload)
+
+
+#: Tag -> (the payload's JSON type, its decoder).
+_PAYLOADS = {
+    _BOOL: (int, bool),
+    _INT: (str, int),
+    _FLOAT: (str, float),
+    _STR: (str, str),
+    _BYTES: (str, bytes.fromhex),
+    _TUPLE: (list, lambda items: tuple(map(_decode, items))),
+    _FROZENSET: (list, lambda items: frozenset(map(_decode, items))),
+}
 
 
 def encode_value(value: Hashable) -> str:
@@ -88,12 +95,41 @@ def encode_value(value: Hashable) -> str:
 
 
 def decode_value(text: str) -> Hashable:
-    """Decode a stored text form back into the exact original value."""
+    """Decode a stored text form back into the exact original value.
+
+    A text that is not a valid encoding (damaged JSON, an unknown tag, a
+    payload of the wrong type or nested too deeply) is a
+    :class:`~repro.core.exceptions.StorageError` naming it.
+    """
+    if not isinstance(text, str):
+        raise StorageError(f"stored value {text!r} is not text")
     try:
-        structure = json.loads(text)
-    except (TypeError, ValueError) as error:
+        return _decode(json.loads(text))
+    except (TypeError, ValueError, RecursionError) as error:
+        shown = text if len(text) <= 80 else text[:77] + "..."
         raise StorageError(
-            f"stored value {text!r} is not a valid encoding: {error}") from None
-    if not isinstance(structure, list) or not structure:
-        raise StorageError(f"stored value {text!r} is not a tagged encoding")
-    return _decode(structure)
+            f"stored value {shown!r} is not a valid encoding: "
+            f"{str(error)[:200]}") from None
+
+
+def value_decoder() -> Callable[[str], Hashable]:
+    """:func:`decode_value` that decodes each stored text once.
+
+    Use one per load: an element a snapshot stores once per member and once
+    per posting then decodes once, and every copy is the same object.  A
+    text holding a float is decoded afresh each time: a shared NaN is
+    identical to itself, so it would merge dictionary keys the saved
+    structure kept apart.
+    """
+    decoded: dict[str, Hashable] = {}
+
+    def decode(text: str) -> Hashable:
+        try:
+            return decoded[text]
+        except KeyError:
+            value = decode_value(text)
+            if '["f"' not in text:
+                decoded[text] = value
+            return value
+
+    return decode

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mapreduce.partitioner import stable_hash
+from repro.core.hashing import stable_hash
 
 
 @dataclass(frozen=True)

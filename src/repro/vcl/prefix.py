@@ -41,9 +41,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Sequence
 
+from repro.core.hashing import stable_hash
 from repro.core.interning import InternedMultiset
 from repro.core.multiset import Multiset
-from repro.mapreduce.partitioner import stable_hash
 from repro.mapreduce.types import estimate_record_bytes
 from repro.similarity.base import NominalSimilarityMeasure, validate_threshold
 from repro.vcl.grouping import SuperElementGrouping

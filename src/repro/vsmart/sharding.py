@@ -25,9 +25,9 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterator, Sequence
 
+from repro.core.hashing import stable_hash
 from repro.core.records import JoinedColumns
 from repro.mapreduce.job import JobSpec, Reducer, TaskContext
-from repro.mapreduce.partitioner import stable_hash
 from repro.mapreduce.types import Emissions
 from repro.similarity.base import NominalSimilarityMeasure, Partials
 from repro.similarity.partials import uni_contributions, uni_fold

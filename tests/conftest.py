@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.multiset import Multiset
 from repro.engine.spec import JoinSpec
 from repro.mapreduce.backends import get_backend
@@ -18,6 +19,10 @@ from repro.serving.service import ReplicatedSimilarityService
 from repro.similarity.exact import all_pairs_exact, pair_dictionary
 from repro.similarity.registry import list_measures
 from repro.vsmart.driver import JOINING_ALGORITHMS
+
+#: The directory holding the ``repro`` package under test: a fresh
+#: interpreter started by a test puts it on ``sys.path`` first.
+SOURCE_ROOT = os.path.dirname(os.path.dirname(repro.__file__))
 
 # Hypothesis budgets.  The stateful suites (tests/test_streaming.py,
 # tests/test_serving.py) take their example and step budgets from the

@@ -219,13 +219,20 @@ def migration_section(version: str) -> str:
 
 
 def defining_file(module_name: str, name: str) -> Path:
-    """The source file that defines ``name``, following re-exports."""
+    """The source file that defines ``name``, following re-exports: an
+    ``ImportFrom``, or a row of the lazy ``_EXPORTS`` table ``repro``
+    resolves its names through on first use."""
     path = Path(importlib.util.find_spec(module_name).origin)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if (alias.asname or alias.name) == name:
                     return defining_file(node.module, alias.name)
+        if (isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "_EXPORTS"):
+            exports = ast.literal_eval(node.value)
+            if name in exports:
+                return defining_file(exports[name], name)
     return path
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import http.client
 import logging
-import os
 import pickle
 import random
 import subprocess
@@ -44,7 +43,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-import repro
 from repro.core.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -77,7 +75,7 @@ from repro.serving.api import QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.serving.node import ServingNode
 from repro.telemetry import is_counter
-from tests.conftest import make_random_multisets
+from tests.conftest import SOURCE_ROOT, make_random_multisets
 
 
 #: The replication factors every fleet-level behaviour is checked at.
@@ -98,19 +96,15 @@ def probe_request(members, kind: str = "threshold") -> QueryRequest:
 
 def test_package_imports_nothing_above_core():
     """Storage and the shuffle can mount the fault seam: the package pulls
-    in no serving tier.  ``import repro`` loads every tier by design, so the
-    fresh interpreter mounts a bare ``repro`` namespace and imports only
-    this package."""
+    in no serving tier.  ``import repro`` imports no tier (its names resolve
+    on first use), so a fresh interpreter imports only this package."""
     script = (
-        "import sys, types\n"
-        "package = types.ModuleType('repro')\n"
-        "package.__path__ = [sys.argv[1]]\n"
-        "sys.modules['repro'] = package\n"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
         "import repro.resilience\n"
         "print(sorted({name.split('.')[1] for name in sys.modules\n"
         "              if name.startswith('repro.')}))\n")
-    loaded = subprocess.run([sys.executable, "-c", script,
-                             os.path.dirname(repro.__file__)],
+    loaded = subprocess.run([sys.executable, "-c", script, SOURCE_ROOT],
                             check=True, capture_output=True, text=True).stdout
     assert loaded.strip() == "['core', 'resilience', 'telemetry']"
 

@@ -17,6 +17,7 @@ import json
 import os
 import pathlib
 import re
+import sqlite3
 import tempfile
 import threading
 import time
@@ -650,6 +651,30 @@ class TestOneLane:
         for status, body, _ in run_async(scenario()):
             assert (status, body["error"]["code"]) == (500, "storage_error")
             assert "a-file" in body["error"]["message"]
+
+    def test_a_damaged_snapshot_value_answers_storage_error(self, tmp_path):
+        # Regression: a stored element that decoded to a list raised
+        # TypeError (unhashable) and answered 500 internal_error.
+        fleet = ReplicatedSimilarityService("ruzicka", 2)
+        fleet.bulk_load(make_random_multisets(count=8, alphabet_size=10,
+                                              max_elements=4, seed=4))
+        fleet.persist(str(tmp_path))
+        damaged = sqlite3.connect(tmp_path / "shard0000.sqlite")
+        with damaged:
+            damaged.execute("UPDATE index_postings SET element = '[\"s\",[1]]' "
+                            "WHERE posting_seq = 0")
+        damaged.close()
+
+        async def scenario():
+            app = await started_app()
+            answer = await app.handle("POST", "/admin/recover",
+                                      {"directory": str(tmp_path)})
+            await app.shutdown()
+            return answer
+
+        status, body, _ = run_async(scenario())
+        assert (status, body["error"]["code"]) == (500, "storage_error")
+        assert '[\"s\",[1]]' in body["error"]["message"]
 
     @pytest.mark.parametrize("lose_state", ["false", "no", 0, 0.0, 1, None])
     def test_kill_takes_lose_state_as_a_json_boolean_only(self, lose_state):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 
@@ -34,7 +33,12 @@ from repro.serving.service import shard_for
 from repro.similarity.registry import get_measure, list_measures
 from repro.telemetry import read
 from repro.engine.engine import join
-from tests.conftest import SPILLING_DISK, make_random_multisets, unreplicated_fleet
+from tests.conftest import (
+    SOURCE_ROOT,
+    SPILLING_DISK,
+    make_random_multisets,
+    unreplicated_fleet,
+)
 
 
 def threshold_matches(target, query: Multiset, threshold: float) -> list:
@@ -714,14 +718,10 @@ class TestShardedService:
 
 
 def test_serving_runs_without_importing_resilience():
-    # The fleet lives in repro.serving; fault policies are handed in.  A
-    # bare "repro" package skips repro/__init__, which imports everything.
-    code = ("import sys, types; package = types.ModuleType('repro'); "
-            "package.__path__ = [sys.argv[1]]; sys.modules['repro'] = package; "
-            "import repro.serving; "
+    # The fleet lives in repro.serving; fault policies are handed in.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import repro.serving; "
             "assert not [m for m in sys.modules if 'resilience' in m]")
-    subprocess.run([sys.executable, "-c", code, os.path.dirname(repro.__file__)],
-                   check=True)
+    subprocess.run([sys.executable, "-c", code, SOURCE_ROOT], check=True)
 
 
 def batch_join(data, cluster, **spec_fields):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tarfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,19 @@ from repro.serving.api import (
 )
 from repro.serving.index import SimilarityIndex
 from repro.serving.service import ReplicatedSimilarityService
+from repro.server.client import SimilarityClient
 from tests.conftest import make_random_multisets, unreplicated_fleet
+from tests.test_knobs import (
+    EMPTY,
+    INF,
+    NAN,
+    NEGATIVE,
+    NONE,
+    REAL,
+    TEXT,
+    TRUE,
+    ZERO,
+)
 
 #: ``persist()`` output of release 1.9 over ``corpus()``, 2 shards (both
 #: 1.9 fleet classes wrote byte-identical files).
@@ -171,6 +184,37 @@ class TestQueryResponse:
             QueryResponse.from_json_dict(
                 {"matches": [{"id": "a"}],
                  "options": {"kind": "topk", "k": 1}})
+
+    @staticmethod
+    def answer(similarity) -> dict:
+        return {"matches": [{"id": "a", "similarity": similarity}],
+                "options": {"kind": "topk", "k": 1}}
+
+    @pytest.mark.parametrize("similarity", [TRUE, TEXT, NONE, NAN, INF, EMPTY,
+                                            "x", [1]])
+    def test_a_similarity_that_is_no_finite_number_is_a_serving_error(
+            self, similarity):
+        # Regression: float() raised ValueError / TypeError, and read true
+        # as 1.0.
+        with pytest.raises(ServingError, match="match similarity"):
+            QueryResponse.from_json_dict(self.answer(similarity))
+
+    @pytest.mark.parametrize("similarity", [REAL, NEGATIVE, ZERO])
+    def test_a_finite_similarity_reads_as_a_float(self, similarity):
+        match, = QueryResponse.from_json_dict(self.answer(similarity))
+        assert type(match.similarity) is float
+        assert match.similarity == similarity
+
+    @pytest.mark.parametrize("document", [
+        {}, {"responses": None}, {"responses": {"0": {}}}, [], "responses"])
+    def test_a_batch_answer_without_responses_is_a_serving_error(
+            self, document):
+        # Regression: a KeyError (or TypeError) escaped query_batch.
+        client = SimilarityClient("scripted.invalid", 80)
+        with mock.patch.object(client, "_request", return_value=document):
+            with pytest.raises(ServingError, match="'responses' array"):
+                client.query_batch([QueryRequest.topk(Multiset("q", {"x": 1}),
+                                                      1)])
 
 
 class TestWireCodec:

@@ -63,6 +63,7 @@ from repro.storage.codecs import (
     save_dictionary,
     spec_from_description,
 )
+from repro.storage.values import value_decoder
 from repro.streaming.changes import Change, ChangeBatch
 from tests.conftest import assert_matches_oracle, make_random_multisets
 
@@ -219,7 +220,8 @@ class TestStorageEngine:
 class TestValueCodec:
     @pytest.mark.parametrize("value", [
         None, True, False, 0, -17, 10**40, 0.5, -1e-300, float("inf"),
-        "", "ip-1", "ünïcødé", b"", b"\x00\xff\x7f",
+        "", "ip-1", "ünïcødé", 'a "quoted" one', "back\\slash", "\n\t",
+        '["s","x"]', '"]', b"", b"\x00\xff\x7f",
         (), ("a", 3, None), (("nested",), (1.5, b"x")),
         frozenset(), frozenset({1, "x", (2.5, None)}),
     ])
@@ -250,6 +252,32 @@ class TestValueCodec:
     def test_corrupted_encodings_raise(self, text):
         with pytest.raises(StorageError):
             decode_value(text)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,                            # RecursionError in json
+        '["t",[' * 3000 + "]]" * 3000,            # RecursionError in decode
+        '["i","12x"]', '["y","zz"]',              # ValueError
+        '["F",[["t",[]],["s",[1]]]]',             # TypeError: unhashable
+        '["s"]',                                  # IndexError
+        '["s",[1]]',                              # a list, not a string
+        '["b",true]', '["z",1]', '[["s"],1]', "null", "7",
+        '["s","a\nb"]', '["s","a\x00b"]',         # raw control characters
+    ], ids=lambda text: text[:24])
+    def test_a_damaged_value_is_a_storage_error_naming_it(self, text):
+        with pytest.raises(StorageError) as caught:
+            decode_value(text)
+        assert repr(text[:40])[:-1] in str(caught.value)
+
+    def test_a_decoder_decodes_each_text_once_bar_floats(self):
+        decode = value_decoder()
+        for value in ("cookie-7", ("ip", 10**20), frozenset({"a", 300})):
+            text = encode_value(value)
+            assert decode(text) is decode(text) and decode(text) == value
+        # A shared NaN would be one dictionary key where the saved
+        # structure had two.
+        for value in (float("nan"), ("t", float("nan"))):
+            text = encode_value(value)
+            assert decode(text) is not decode(text)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +401,26 @@ class TestIndexPersistence:
         loaded = SimilarityIndex.load(storage_path)
         for request in probes(members[:5]):
             assert loaded.query(request) == index.query(request)
+
+    def test_a_loaded_index_shares_each_element_and_id(self, storage_path):
+        """Each stored element and id decodes once per load: a postings key
+        is the object the members hold, and so is a posting's member id.
+        A float is decoded afresh each time (see ``value_decoder``)."""
+        members = [Multiset(("ip", 10**20 + seed), {
+            f"cookie-{seed * 7 % 5}": 2, ("pair", 10**20 + seed % 3): 1,
+            float("nan"): 1}) for seed in range(6)]
+        index = SimilarityIndex("ruzicka")
+        index.bulk_load(members)
+        index.save(storage_path)
+        loaded = SimilarityIndex.load(storage_path)
+        # Six NaN elements, six keys: NaN is never shared.
+        assert len(loaded._postings) == len(index._postings) == 5 + 3 + 6
+        for element, postings in loaded._postings.items():
+            for member_id in postings:
+                member = loaded._multisets[member_id]
+                assert member.id is member_id
+                assert any(held is element for held in member) \
+                    or element != element
 
     def test_a_snapshot_holds_no_dense_ids(self, storage_path):
         """Up to 3.19 a snapshot wrote one ``index_interned`` row per

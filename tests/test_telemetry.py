@@ -22,7 +22,6 @@ import tempfile
 
 import pytest
 
-import repro
 from repro.core.exceptions import CircuitOpenError
 from repro.core.multiset import Multiset
 from repro.resilience import FaultPolicy, RetryPolicy
@@ -32,24 +31,21 @@ from repro.server.http import InProcessServer
 from repro.serving import ReplicatedSimilarityService
 from repro.serving.api import QueryRequest
 from repro.telemetry import KINDS, Metrics, Ratio, is_counter, merge, read
-from tests.conftest import make_random_multisets
+from tests.conftest import SOURCE_ROOT, make_random_multisets
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_module_imports_nothing_above_core():
-    """Every tier counts through it, so it may import none of them; as in
-    ``test_resilience``, a bare ``repro`` namespace is mounted first."""
+    """Every tier counts through it, so it may import none of them, and
+    ``import repro`` imports no tier on its own."""
     script = (
-        "import sys, types\n"
-        "package = types.ModuleType('repro')\n"
-        "package.__path__ = [sys.argv[1]]\n"
-        "sys.modules['repro'] = package\n"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
         "import repro.telemetry\n"
         "print(sorted({name.split('.')[1] for name in sys.modules\n"
         "              if name.startswith('repro.')}))\n")
-    loaded = subprocess.run([sys.executable, "-c", script,
-                             os.path.dirname(repro.__file__)],
+    loaded = subprocess.run([sys.executable, "-c", script, SOURCE_ROOT],
                             check=True, capture_output=True, text=True).stdout
     assert loaded.strip() == "['telemetry']"
 
